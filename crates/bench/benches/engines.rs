@@ -1,15 +1,15 @@
 //! §5.5 + §7 benches: Obs. 7 (flip-cause attribution), Fig. 10
 //! (per-engine flip matrix), Fig. 11 (global correlation), Fig. 12 +
-//! Tables 4–8 (per-type correlation), plus the fused-kernel
-//! before/after comparison and its worker-count ablation.
+//! Tables 4–8 (per-type correlation), plus the correlation kernel at
+//! feed scale and its worker-count ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vt_bench::{bench_ctx, correlation_fresh_dynamic, correlation_study};
+use vt_bench::{bench_ctx, correlation_ctx};
 use vt_dynamics::causes::Causes;
+use vt_dynamics::correlation::Correlation;
 use vt_dynamics::flips::Flips;
-use vt_dynamics::pipeline::{CORRELATION_MAX_ROWS, CORRELATION_SCOPES};
-use vt_dynamics::{correlation, par, Analysis};
+use vt_dynamics::Analysis;
 use vt_model::FileType;
 
 fn obs7_flip_causes(c: &mut Criterion) {
@@ -34,99 +34,45 @@ fn fig10_flip_matrix(c: &mut Criterion) {
 
 fn fig11_fig12_correlation(c: &mut Criterion) {
     let ctx = bench_ctx();
-    let engines = ctx.engine_count();
-    let records = ctx.records;
-    let s = ctx.s;
-    let workers = par::default_workers();
     let mut group = c.benchmark_group("correlation");
     group.sample_size(10);
-    group.bench_function("fig11_global_graph", |b| {
-        b.iter(|| {
-            black_box(correlation::analyze_fused(
-                records,
-                s,
-                engines,
-                &[None],
-                400_000,
-                workers,
-            ))
-        })
-    });
-    group.bench_function("fig12_win32exe_graph", |b| {
-        b.iter(|| {
-            black_box(correlation::analyze_fused(
-                records,
-                s,
-                engines,
-                &[Some(FileType::Win32Exe)],
-                400_000,
-                workers,
-            ))
-        })
-    });
-    group.bench_function("tables4_8_groups", |b| {
-        b.iter(|| {
-            black_box(correlation::analyze_fused(
-                records,
-                s,
-                engines,
-                &[
-                    Some(FileType::Txt),
-                    Some(FileType::Html),
-                    Some(FileType::Zip),
-                    Some(FileType::Pdf),
-                ],
-                400_000,
-                workers,
-            ))
-        })
-    });
+    // The global scope is always analyzed; `scopes` adds per-type ones.
+    for (name, scopes) in [
+        ("fig11_global_graph", &[][..]),
+        ("fig12_win32exe_graph", &[FileType::Win32Exe][..]),
+        (
+            "tables4_8_groups",
+            &[FileType::Txt, FileType::Html, FileType::Zip, FileType::Pdf][..],
+        ),
+    ] {
+        let stage = Correlation {
+            scopes,
+            ..Correlation::default()
+        };
+        group.bench_function(name, |b| b.iter(|| black_box(stage.run(&ctx))));
+    }
     group.finish();
 }
 
 /// The §7.2 hot path on a feed-scale slice (≥ 100k global rows): the
-/// fused single-pass kernel over all 8 scopes, plus a worker-count
-/// ablation. (The pre-fusion serial scope-scan arm was retired along
-/// with the deprecated `correlation::analyze` shim; its historical
-/// numbers live in git history.)
-fn fused_correlation_kernel(c: &mut Criterion) {
-    let study = correlation_study();
-    let s = correlation_fresh_dynamic();
-    let engines = study.sim().fleet().engine_count();
+/// stage's `finish(fold(ctx))` over all 8 scopes, plus a worker-count
+/// ablation.
+fn correlation_kernel(c: &mut Criterion) {
+    let ctx = correlation_ctx();
     assert!(
-        s.reports >= 100_000,
-        "fused-kernel bench needs ≥ 100k global rows, got {}",
-        s.reports
+        ctx.s.reports >= 100_000,
+        "correlation-kernel bench needs ≥ 100k global rows, got {}",
+        ctx.s.reports
     );
-    let mut scopes: Vec<Option<FileType>> = vec![None];
-    scopes.extend(CORRELATION_SCOPES.iter().map(|&ft| Some(ft)));
-
-    let mut group = c.benchmark_group("fused_correlation_kernel");
+    let mut group = c.benchmark_group("correlation_kernel");
     group.sample_size(10);
-    group.bench_function("after_fused_single_pass", |b| {
-        b.iter(|| {
-            black_box(correlation::analyze_fused(
-                study.records(),
-                s,
-                engines,
-                &scopes,
-                CORRELATION_MAX_ROWS,
-                par::default_workers(),
-            ))
-        })
+    group.bench_function("all_scopes_default_workers", |b| {
+        b.iter(|| black_box(Correlation::default().run(&ctx)))
     });
     for workers in [1usize, 2, 4, 8, 16] {
-        group.bench_function(format!("fused_workers_{workers}"), |b| {
-            b.iter(|| {
-                black_box(correlation::analyze_fused(
-                    study.records(),
-                    s,
-                    engines,
-                    &scopes,
-                    CORRELATION_MAX_ROWS,
-                    workers,
-                ))
-            })
+        let ctx = ctx.with_workers(workers);
+        group.bench_function(format!("workers_{workers}"), |b| {
+            b.iter(|| black_box(Correlation::default().run(&ctx)))
         });
     }
     group.finish();
@@ -137,6 +83,6 @@ criterion_group!(
     obs7_flip_causes,
     fig10_flip_matrix,
     fig11_fig12_correlation,
-    fused_correlation_kernel
+    correlation_kernel
 );
 criterion_main!(benches);

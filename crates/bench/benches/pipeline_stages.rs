@@ -26,7 +26,7 @@ use vt_obs::Obs;
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// The ten formerly-serial stages (everything except correlation, which
-/// kept its own fused kernel), run back to back through the registry's
+/// `engines.rs` benches on its own), run back to back through their
 /// `Analysis` entry points.
 fn run_stages(ctx: &AnalysisCtx) {
     black_box(Landscape.run(ctx));

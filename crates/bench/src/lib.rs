@@ -49,10 +49,10 @@ pub fn table() -> &'static TrajectoryTable {
 /// Samples in the correlation-kernel benchmark dataset: sized so the
 /// global correlation scope holds ≥ 100k scan rows (*S* retains ~0.22
 /// reports per generated sample at this seed), which is the scale the
-/// fused-kernel speedup claim is demonstrated at.
+/// correlation-kernel numbers are recorded at.
 pub const CORR_BENCH_SAMPLES: u64 = 500_000;
 
-/// The memoized large study for the fused correlation kernel bench.
+/// The memoized large study for the correlation kernel bench.
 /// Separate from [`study`] so the other bench targets keep their quick
 /// fixture.
 pub fn correlation_study() -> &'static Study {

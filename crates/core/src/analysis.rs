@@ -31,11 +31,13 @@
 //! assert_eq!(flips.flips, flips.flips_up + flips.flips_down);
 //! ```
 //!
-//! [`Analysis::run_timed`] wraps the stage in a `pipeline/<name>` span
-//! on the context's `Obs`, which is how [`crate::pipeline`] produces
-//! the per-stage timing breakdown. Instrumentation never feeds back
-//! into the computation: a stage run under a live `Obs` returns results
-//! bit-identical to the same stage under [`Obs::noop`].
+//! [`Analysis::fold_timed`] wraps a stage's fold in a `pipeline/<name>`
+//! span on the context's `Obs`; the one stage roster
+//! ([`crate::incremental`]) folds every stage through it, which is how
+//! batch and serve alike produce the per-stage timing breakdown.
+//! Instrumentation never feeds back into the computation: a stage folded
+//! under a live `Obs` returns a partial bit-identical to the same fold
+//! under [`Obs::noop`].
 
 use crate::freshdyn::FreshDynamic;
 use crate::par;
@@ -52,7 +54,10 @@ use vt_obs::Obs;
 /// `with_obs` to override.
 #[derive(Clone, Copy)]
 pub struct AnalysisCtx<'a> {
-    /// The full record set under analysis.
+    /// The record set `table` was built from. No stage reads it — every
+    /// fold is table-only, and the zero-copy segment path passes `&[]` —
+    /// but the benchmark's traced pass pins the 5-argument
+    /// [`AnalysisCtx::new`], so the field stays until that is un-pinned.
     pub records: &'a [SampleRecord],
     /// The columnar view of `records` every stage reads instead of the
     /// `ScanReport` structs.
@@ -124,11 +129,10 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 /// segments of the record stream.
 ///
 /// Implementors are unit-ish structs (`Flips`, `Causes`, …) living next
-/// to the analysis they wrap; [`crate::pipeline::analyze_records`]
-/// iterates a registry of them instead of hand-calling eight drifted
-/// signatures. The contract:
+/// to the analysis they wrap; the one roster in [`crate::incremental`]
+/// folds them in order for batch and serve alike. The contract:
 ///
-/// * [`name`](Analysis::name) is stable and unique across the registry
+/// * [`name`](Analysis::name) is stable and unique across the roster
 ///   — it keys the `pipeline/<name>` span and the
 ///   [`crate::pipeline::StudyResults::stage_timings`] rows;
 /// * [`fold`](Analysis::fold) reduces one context (one *segment* of the
@@ -142,9 +146,8 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 ///   construction;
 /// * [`finish`](Analysis::finish) converts a partial into the stage's
 ///   final output;
-/// * [`run`](Analysis::run) defaults to `finish(fold(ctx))`, so the
-///   batch path *is* the one-segment case. Overrides (the fused
-///   correlation kernel) must stay bit-identical to the default.
+/// * [`run`](Analysis::run) is `finish(fold(ctx))` — the one-segment
+///   case — for every stage; none overrides it.
 /// * Every method is deterministic in its inputs (worker count
 ///   included: parallel folds must merge associatively) and must not
 ///   let the `Obs` handle feed back into results.
@@ -157,7 +160,7 @@ pub trait Analysis {
     /// segment folds can be cached and merged across segments.
     type Partial: Clone;
 
-    /// Stable, registry-unique stage name.
+    /// Stable, roster-unique stage name.
     fn name(&self) -> &'static str;
 
     /// Reduces the context's records to a mergeable partial.
@@ -181,14 +184,8 @@ pub trait Analysis {
         self.finish(&self.fold(ctx))
     }
 
-    /// Runs the stage inside a `pipeline/<name>` span on `ctx.obs`.
-    fn run_timed(&self, ctx: &AnalysisCtx) -> Self::Output {
-        let _span = ctx.obs.span(&format!("pipeline/{}", self.name()));
-        self.run(ctx)
-    }
-
     /// Folds one segment inside a `pipeline/<name>` span on `ctx.obs`
-    /// (the incremental engine's per-segment timing hook).
+    /// (the roster's per-stage timing hook).
     fn fold_timed(&self, ctx: &AnalysisCtx) -> Self::Partial {
         let _span = ctx.obs.span(&format!("pipeline/{}", self.name()));
         self.fold(ctx)
@@ -226,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn run_timed_records_a_span_without_changing_results() {
+    fn fold_timed_records_a_span_without_changing_results() {
         let study = Study::generate_with_workers(SimConfig::new(11, 400), 2);
         let window_start = study.sim().config().window_start();
         let table = TrajectoryTable::build(study.records(), window_start);
@@ -239,8 +236,8 @@ mod tests {
             window_start,
         );
         let obs = Obs::new();
-        let quiet = crate::stability::Stability.run_timed(&base);
-        let loud = crate::stability::Stability.run_timed(&base.with_obs(&obs));
+        let quiet = crate::stability::Stability.fold_timed(&base);
+        let loud = crate::stability::Stability.fold_timed(&base.with_obs(&obs));
         assert_eq!(format!("{quiet:?}"), format!("{loud:?}"));
         let snap = obs.snapshot();
         assert_eq!(snap.span("pipeline/stability").unwrap().count, 1);

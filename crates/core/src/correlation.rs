@@ -11,34 +11,31 @@
 //! O(n) per pair with no rank arrays — and verify the shortcut against
 //! the general implementation in `vt-stats`.
 //!
-//! Two implementations coexist:
+//! There is one kernel: [`Correlation`]'s table-only fold. It scans *S*
+//! once in parallel ([`par::map_ranges_obs`], kernel `correlation_fold`),
+//! tags every scan row with the scopes it belongs to (the global scope
+//! plus at most its own file type, so eight scopes cost one scan), counts
+//! it bit-sliced into each scope's all-pairs [`ScopeContingency`], and
+//! keeps the tagged row plane so that [`Analysis::finish`] can re-walk
+//! only the scopes that overflow the row cap. Batch is the one-segment
+//! case `finish(fold(ctx))`; `vtld serve` merges per-segment partials in
+//! between. `analyze_impl` (test-only) is the serial reference the
+//! kernel is verified against: one scope at a time, engine columns
+//! materialized as `Vec<i8>`.
 //!
-//! * `analyze_impl` (test-only) — the reference path: one scope at a
-//!   time, engine columns materialized as `Vec<i8>`, pairs correlated
-//!   serially. Kept as the ground truth the fused kernel is verified
-//!   against.
-//! * [`analyze_fused`] — the production path: a **single fused parallel
-//!   pass** over *S* that accumulates the all-pairs contingency tables
-//!   for *every* scope simultaneously. Partitions of *S* accumulate
-//!   independently ([`par::map_ranges`]) and merge associatively
-//!   ([`ScopeContingency::merge`]), so the result is bit-identical to
-//!   the reference at every worker count. A scan row only touches the
-//!   scopes it belongs to (the global scope plus at most its own file
-//!   type), so the 8-scope analysis costs one scan of *S* instead of 8
-//!   and allocates no per-engine columns.
-//!
-//! Both paths apply the same row cap: when a scope holds more than
-//! `max_rows` rows, [`row_selected`] strides the selection evenly
-//! across the scope's row sequence (instead of the old biased prefix)
-//! and the analysis reports `truncated = true`.
+//! Both apply the same row cap: when a scope holds more than `max_rows`
+//! rows, [`row_selected`] strides the selection evenly across the
+//! scope's row sequence (instead of a biased prefix) and the analysis
+//! reports `truncated = true`.
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
 use crate::par;
+#[cfg(test)]
 use crate::records::SampleRecord;
 use std::sync::Arc;
 use vt_model::{EngineId, FileType};
-use vt_obs::Obs;
 
 /// Correlation threshold for "strongly correlated" (the paper's 0.8).
 pub const STRONG_RHO: f64 = 0.8;
@@ -136,8 +133,8 @@ pub fn spearman_from_contingency(counts: &[[u64; 3]; 3]) -> Option<f64> {
 /// matrix samples early- and late-ordinal records alike instead of the
 /// old prefix (which biased the matrix toward early-ordinal samples).
 /// Membership depends only on `(row, total_rows, max_rows)`, never on
-/// partitioning, which is what keeps the fused kernel's output
-/// independent of worker count.
+/// partitioning, which is what keeps the kernel's output independent
+/// of worker count and segmentation.
 pub fn row_selected(row: u64, total_rows: u64, max_rows: usize) -> bool {
     let m = max_rows as u128;
     let t = total_rows as u128;
@@ -152,11 +149,12 @@ pub fn row_selected(row: u64, total_rows: u64, max_rows: usize) -> bool {
 
 /// All-pairs 3×3 contingency tables for one scope.
 ///
-/// This is the fused kernel's accumulator: per-partition instances fill
+/// This is the kernel's accumulator: per-segment instances fill
 /// independently and [`merge`](Self::merge) associatively (tables are
-/// plain counts), so `partition → merge → ρ` is deterministic at every
-/// worker count. Only the four `{1,0}×{1,0}` cells are stored per pair;
-/// the five cells involving −1 follow exactly from the per-engine
+/// plain counts), so `fold → merge → ρ` is deterministic at every
+/// worker count and segmentation. Only the four `{1,0}×{1,0}` cells
+/// are stored per pair; the five cells involving −1 follow exactly from
+/// the per-engine
 /// margins and the row count, so [`table`](Self::table) reconstructs
 /// the full 3×3 by exact `u64` subtraction. For the paper's 70-engine
 /// roster one accumulator is 70·69/2 · 4 counts ≈ 77 KB — independent
@@ -177,12 +175,8 @@ pub struct ScopeContingency {
     pub scope: Option<FileType>,
     /// Number of engines (columns of `R`).
     pub engine_count: usize,
-    /// Rows accumulated so far (post-cap).
+    /// Rows accumulated so far.
     pub rows: u64,
-    /// Rows the scope held pre-cap (set by [`fused_contingencies`]).
-    pub total_rows: u64,
-    /// Whether the row cap dropped rows.
-    pub truncated: bool,
     /// Flattened upper-triangle `{1,0}×{1,0}` cells: pair `(a, b)` with
     /// `a < b` at `pair_index(a, b) * 4 + x*2 + y`, where `x`/`y` is 1
     /// when the engine's R is 1 and 0 when it is 0.
@@ -206,8 +200,6 @@ impl ScopeContingency {
             scope,
             engine_count,
             rows: 0,
-            total_rows: 0,
-            truncated: false,
             counts: vec![0; pairs * 4],
             pos_total: vec![0; engine_count],
             zero_total: vec![0; engine_count],
@@ -357,150 +349,6 @@ impl ScopeContingency {
     }
 }
 
-/// The fused kernel: one parallel scan of *S* that fills the all-pairs
-/// contingency tables of every scope in `scopes` simultaneously.
-///
-/// Two passes over the same [`par::partition_ranges`] split:
-///
-/// 1. a metadata-only counting pass gives each partition its starting
-///    row index per scope (and the per-scope totals the row cap strides
-///    against);
-/// 2. the accumulation pass walks each partition's records once,
-///    assigns every report its global scope-row indices, applies
-///    [`row_selected`], and counts the row into the matching scopes'
-///    accumulators (a row belongs to the global scope plus at most its
-///    own file type, so fusing 8 scopes does *not* cost 8× the work).
-///
-/// Partition accumulators then merge associatively. Because row
-/// indices and selection are global quantities, the merged tables are
-/// bit-identical at every worker count.
-pub fn fused_contingencies(
-    records: &[SampleRecord],
-    s: &FreshDynamic,
-    engine_count: usize,
-    scopes: &[Option<FileType>],
-    max_rows: usize,
-    workers: usize,
-) -> Vec<ScopeContingency> {
-    fused_contingencies_obs(
-        records,
-        s,
-        engine_count,
-        scopes,
-        max_rows,
-        workers,
-        Obs::noop(),
-    )
-}
-
-/// [`fused_contingencies`] with per-worker instrumentation: the
-/// counting pass records under the `correlation_count` kernel and the
-/// accumulation pass under `correlation_accumulate` (see
-/// [`par::map_ranges_obs`] for the metric names). Instrumentation
-/// never feeds back into the tables — output is bit-identical with
-/// `obs` enabled, disabled, or [`Obs::noop`].
-#[allow(clippy::too_many_arguments)]
-pub fn fused_contingencies_obs(
-    records: &[SampleRecord],
-    s: &FreshDynamic,
-    engine_count: usize,
-    scopes: &[Option<FileType>],
-    max_rows: usize,
-    workers: usize,
-    obs: &Obs,
-) -> Vec<ScopeContingency> {
-    let n = s.len() as u64;
-    let ranges = par::partition_ranges(n, workers);
-
-    // Pass 1: per-partition, per-scope row counts (metadata only).
-    let per_part: Vec<Vec<u64>> =
-        par::map_ranges_obs(&ranges, obs, "correlation_count", |_, range| {
-            let mut c = vec![0u64; scopes.len()];
-            for i in range {
-                let rec = &records[s.indices[i as usize]];
-                let nrep = rec.reports.len() as u64;
-                for (cnt, &scope) in c.iter_mut().zip(scopes) {
-                    if scope_matches(scope, rec) {
-                        *cnt += nrep;
-                    }
-                }
-            }
-            c
-        });
-
-    // Exclusive prefix sums: each partition's starting row index per
-    // scope; the grand totals drive the row-cap stride.
-    let mut offsets: Vec<Vec<u64>> = Vec::with_capacity(per_part.len());
-    let mut totals = vec![0u64; scopes.len()];
-    for part in &per_part {
-        offsets.push(totals.clone());
-        for (t, c) in totals.iter_mut().zip(part) {
-            *t += c;
-        }
-    }
-
-    // Pass 2: fused accumulation over the same partitions.
-    let parts: Vec<Vec<ScopeContingency>> =
-        par::map_ranges_obs(&ranges, obs, "correlation_accumulate", |pi, range| {
-            let mut accs: Vec<ScopeContingency> = scopes
-                .iter()
-                .map(|&scope| ScopeContingency::new(scope, engine_count))
-                .collect();
-            let mut next_row = offsets[pi].clone();
-            for i in range {
-                let rec = &records[s.indices[i as usize]];
-                for rep in &rec.reports {
-                    // R-values map straight onto the report's native verdict
-                    // bitmaps: pos = flagged, zero = scanned-and-clean,
-                    // neither = undetected (engines beyond the report's
-                    // roster have unset `active` bits, matching `get()`).
-                    let (active, detected) = rep.verdicts.raw();
-                    let zero = [active[0] & !detected[0], active[1] & !detected[1]];
-                    for (si, &scope) in scopes.iter().enumerate() {
-                        if !scope_matches(scope, rec) {
-                            continue;
-                        }
-                        let row = next_row[si];
-                        next_row[si] += 1;
-                        if !row_selected(row, totals[si], max_rows) {
-                            continue;
-                        }
-                        accs[si].accumulate_masks(&detected, &zero);
-                    }
-                }
-            }
-            for acc in &mut accs {
-                acc.finalize();
-            }
-            accs
-        });
-
-    let mut iter = parts.into_iter();
-    let mut merged: Vec<ScopeContingency> = iter.next().unwrap_or_else(|| {
-        scopes
-            .iter()
-            .map(|&scope| ScopeContingency::new(scope, engine_count))
-            .collect()
-    });
-    for part in iter {
-        for (acc, p) in merged.iter_mut().zip(&part) {
-            acc.merge(p);
-        }
-    }
-    for (acc, &total) in merged.iter_mut().zip(&totals) {
-        acc.total_rows = total;
-        acc.truncated = total > max_rows as u64;
-    }
-    merged
-}
-
-fn scope_matches(scope: Option<FileType>, rec: &SampleRecord) -> bool {
-    match scope {
-        None => true,
-        Some(ft) => rec.meta.file_type == ft,
-    }
-}
-
 /// Bits of verdict-bitmap word `w` that correspond to real engines
 /// (`engine_count` total across the two words).
 fn word_mask(engine_count: usize, w: usize) -> u64 {
@@ -514,52 +362,10 @@ fn word_mask(engine_count: usize, w: usize) -> u64 {
     }
 }
 
-/// Runs the fused kernel and finishes every scope into a
-/// [`CorrelationAnalysis`]. Output is bit-identical (ρ matrices,
-/// strong pairs, groups) to calling the test-only `analyze_impl`
-/// reference once per scope, independent of `workers`.
-pub fn analyze_fused(
-    records: &[SampleRecord],
-    s: &FreshDynamic,
-    engine_count: usize,
-    scopes: &[Option<FileType>],
-    max_rows: usize,
-    workers: usize,
-) -> Vec<CorrelationAnalysis> {
-    analyze_fused_obs(
-        records,
-        s,
-        engine_count,
-        scopes,
-        max_rows,
-        workers,
-        Obs::noop(),
-    )
-}
-
-/// [`analyze_fused`] with per-worker instrumentation (see
-/// [`fused_contingencies_obs`]). Output is bit-identical regardless of
-/// whether `obs` is enabled.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_fused_obs(
-    records: &[SampleRecord],
-    s: &FreshDynamic,
-    engine_count: usize,
-    scopes: &[Option<FileType>],
-    max_rows: usize,
-    workers: usize,
-    obs: &Obs,
-) -> Vec<CorrelationAnalysis> {
-    fused_contingencies_obs(records, s, engine_count, scopes, max_rows, workers, obs)
-        .iter()
-        .map(analysis_from_contingency)
-        .collect()
-}
-
 /// §7.2 correlation stage: run via [`Analysis::run`] with an
 /// [`AnalysisCtx`]. Produces the global-scope analysis plus one
 /// analysis per file type in [`Correlation::scopes`] (in order), all
-/// from one fused parallel pass honoring `ctx.workers` and recording
+/// from one parallel scan of *S* honoring `ctx.workers` and recording
 /// per-worker busy time into `ctx.obs`.
 #[derive(Debug, Clone, Copy)]
 pub struct Correlation {
@@ -582,7 +388,7 @@ impl Default for Correlation {
 impl Correlation {
     /// The scope list the stage analyzes: global first, then the
     /// configured per-type scopes in order.
-    fn all_scopes(&self) -> Vec<Option<FileType>> {
+    pub(crate) fn all_scopes(&self) -> Vec<Option<FileType>> {
         let mut all: Vec<Option<FileType>> = vec![None];
         all.extend(self.scopes.iter().map(|&ft| Some(ft)));
         all
@@ -761,25 +567,6 @@ impl Analysis for Correlation {
         let global = analyses.remove(0);
         (global, analyses)
     }
-
-    /// The batch path keeps the fused two-pass kernel: it never
-    /// materializes the row plane, so it is cheaper than the default
-    /// `finish(fold(ctx))` while producing bit-identical output
-    /// (verified by `stage_run_equals_finish_of_fold`).
-    fn run(&self, ctx: &AnalysisCtx) -> (CorrelationAnalysis, Vec<CorrelationAnalysis>) {
-        let all = self.all_scopes();
-        let mut analyses = analyze_fused_obs(
-            ctx.records,
-            ctx.s,
-            ctx.engine_count(),
-            &all,
-            self.max_rows,
-            ctx.workers,
-            ctx.obs,
-        );
-        let global = analyses.remove(0);
-        (global, analyses)
-    }
 }
 
 /// Mergeable accumulator of the §7.2 fold ([`Correlation`]'s
@@ -789,7 +576,7 @@ impl Analysis for Correlation {
 /// detected/zero verdict words — and the per-scope row totals. Merging
 /// concatenates the row planes in segment order and adds the totals, so
 /// the finished contingency tables (and hence ρ, strong pairs and
-/// groups) are bit-identical to the fused batch kernel over the
+/// groups) are bit-identical to the one-segment fold over the
 /// concatenated records: the row-cap stride depends only on global row
 /// indices and totals, and [`ScopeContingency`] block boundaries never
 /// change the tables.
@@ -801,7 +588,9 @@ impl Analysis for Correlation {
 /// fold time and merged by addition: while a scope stays under
 /// `max_rows` (every row selected), `finish` reads those tables
 /// directly and never re-walks the plane, which is what keeps a serve
-/// publish O(changed-slot) instead of O(total rows).
+/// publish O(changed-slot) instead of O(total rows). Batch folds the
+/// same partial once: its plane is 33 bytes per row of *S* (under 1 MB
+/// at 150 000 samples), next to a record set hundreds of times larger.
 ///
 /// The plane itself is a rope of immutable [`Arc`]-shared chunks (one
 /// per fold), so cloning or merging partials — which the serve merge
@@ -853,22 +642,9 @@ impl CorrelationPartial {
     }
 }
 
-/// Finishes one scope's merged contingency tables into the ρ matrix,
-/// strong pairs and groups.
-pub fn analysis_from_contingency(sc: &ScopeContingency) -> CorrelationAnalysis {
-    finish_analysis(
-        sc.scope,
-        sc.engine_count,
-        sc.rows,
-        sc.total_rows,
-        sc.truncated,
-        |a, b| sc.table(a, b),
-    )
-}
-
 /// Runs the correlation analysis over *S* (optionally restricted to one
 /// file type) — the serial, column-materializing reference
-/// implementation the fused kernel is verified against.
+/// implementation the kernel is verified against.
 ///
 /// At most `max_rows` scan rows are used; when the scope exceeds the
 /// cap the rows are strided evenly across the scope (see
@@ -881,10 +657,11 @@ pub(crate) fn analyze_impl(
     scope: Option<FileType>,
     max_rows: usize,
 ) -> CorrelationAnalysis {
+    let in_scope = |rec: &&SampleRecord| scope.map_or(true, |ft| rec.meta.file_type == ft);
     // Count the scope's rows so the cap can stride instead of truncate.
     let total_rows: u64 = s
         .iter(records)
-        .filter(|rec| scope_matches(scope, rec))
+        .filter(in_scope)
         .map(|rec| rec.reports.len() as u64)
         .sum();
     let truncated = total_rows > max_rows as u64;
@@ -893,10 +670,7 @@ pub(crate) fn analyze_impl(
     let mut columns: Vec<Vec<i8>> = vec![Vec::new(); engine_count];
     let mut rows = 0u64;
     let mut next_row = 0u64;
-    for rec in s.iter(records) {
-        if !scope_matches(scope, rec) {
-            continue;
-        }
+    for rec in s.iter(records).filter(in_scope) {
         for rep in &rec.reports {
             let row = next_row;
             next_row += 1;
@@ -1242,39 +1016,59 @@ mod tests {
         assert_eq!(a.groups, b.groups, "{ctx}: groups");
     }
 
-    /// The fused kernel must reproduce the reference per-scope analyses
-    /// bit for bit — ρ matrices, strong pairs and groups — at every
-    /// worker count, with and without row-cap truncation.
+    /// `run` over a hand-built record set at `workers`, as the flat
+    /// `[global, scopes…]` list the reference is computed in.
+    fn run_stage(
+        stage: Correlation,
+        records: &[SampleRecord],
+        s: &FreshDynamic,
+        fleet: &vt_engines::EngineFleet,
+        workers: usize,
+    ) -> Vec<CorrelationAnalysis> {
+        let window = Timestamp::from_date(Date::new(2021, 5, 1));
+        let table = crate::table::TrajectoryTable::build(records, window);
+        let ctx = AnalysisCtx::new(records, &table, s, fleet, window).with_workers(workers);
+        let (global, mut per_type) = stage.run(&ctx);
+        per_type.insert(0, global);
+        per_type
+    }
+
+    /// The kernel must reproduce the reference per-scope analyses bit
+    /// for bit — ρ matrices, strong pairs and groups — at every worker
+    /// count, with and without row-cap truncation. Engines beyond the
+    /// fixture's four read as undetected on both sides.
     #[test]
-    fn fused_matches_reference_bit_for_bit() {
+    fn stage_matches_reference_bit_for_bit() {
         let (records, s) = fixture();
-        let scopes = [
-            None,
-            Some(FileType::Win32Exe),
-            Some(FileType::Pdf),
-            Some(FileType::Html), // empty scope
-        ];
+        let fleet = vt_engines::EngineFleet::with_seed(1);
+        // Html is an empty scope.
+        const SCOPES: &[FileType] = &[FileType::Win32Exe, FileType::Pdf, FileType::Html];
         for max_rows in [10_000usize, 7] {
-            let reference: Vec<CorrelationAnalysis> = scopes
-                .iter()
-                .map(|&sc| analyze_impl(&records, &s, 4, sc, max_rows))
+            let stage = Correlation {
+                scopes: SCOPES,
+                max_rows,
+            };
+            let reference: Vec<CorrelationAnalysis> = stage
+                .all_scopes()
+                .into_iter()
+                .map(|sc| analyze_impl(&records, &s, fleet.engine_count(), sc, max_rows))
                 .collect();
+            assert_eq!(reference[0].truncated, max_rows == 7);
             for workers in [1usize, 2, 8] {
-                let fused = analyze_fused(&records, &s, 4, &scopes, max_rows, workers);
-                assert_eq!(fused.len(), reference.len());
-                for (f, r) in fused.iter().zip(&reference) {
+                let got = run_stage(stage, &records, &s, &fleet, workers);
+                assert_eq!(got.len(), reference.len());
+                for (f, r) in got.iter().zip(&reference) {
                     assert_bit_identical(f, r, &format!("workers={workers} max={max_rows}"));
                 }
             }
         }
     }
 
-    /// The overridden fused `run` must stay bit-identical to the
-    /// default `finish(fold(ctx))` path — and to a two-segment
-    /// fold/merge/finish — including under row-cap truncation.
+    /// A two-segment fold/merge/finish must stay bit-identical to the
+    /// one-segment `run`, under row-cap truncation (the strided plane
+    /// walk) and without it (the eager-contingency fast path).
     #[test]
-    fn stage_run_equals_finish_of_fold() {
-        use crate::analysis::AnalysisCtx;
+    fn segmented_fold_equals_one_segment_run() {
         use crate::pipeline::Study;
         use crate::table::TrajectoryTable;
         use vt_sim::SimConfig;
@@ -1285,20 +1079,7 @@ mod tests {
         let fleet = study.sim().fleet();
         let table = TrajectoryTable::build(records, ws);
         let s = freshdyn::build(records, ws);
-        let stage = Correlation {
-            scopes: &[FileType::Win32Exe, FileType::Pdf],
-            max_rows: 300,
-        };
         let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws).with_workers(2);
-        let (g_run, per_run) = stage.run(&ctx);
-        assert!(g_run.truncated, "fixture must exercise the row cap");
-
-        let (g_fin, per_fin) = stage.finish(&stage.fold(&ctx));
-        assert_bit_identical(&g_run, &g_fin, "finish∘fold global");
-        assert_eq!(per_run.len(), per_fin.len());
-        for (r, f) in per_run.iter().zip(&per_fin) {
-            assert_bit_identical(r, f, "finish∘fold scope");
-        }
 
         // Two contiguous segments, folded independently (at different
         // worker counts) and merged in order.
@@ -1311,37 +1092,30 @@ mod tests {
         let (sa, sb) = (freshdyn::build(seg_a, ws), freshdyn::build(seg_b, ws));
         let ctx_a = AnalysisCtx::new(seg_a, &ta, &sa, fleet, ws).with_workers(1);
         let ctx_b = AnalysisCtx::new(seg_b, &tb, &sb, fleet, ws).with_workers(8);
-        let (g_seg, per_seg) = stage.finish(&stage.merge(stage.fold(&ctx_a), stage.fold(&ctx_b)));
-        assert_bit_identical(&g_run, &g_seg, "segmented global");
-        for (r, f) in per_run.iter().zip(&per_seg) {
-            assert_bit_identical(r, f, "segmented scope");
-        }
 
-        // Uncapped config: `finish` takes the eager-contingency fast
-        // path (no plane walk) and must still match the fused run and
-        // the segmented fold bit for bit.
-        let wide = Correlation {
-            scopes: &[FileType::Win32Exe, FileType::Pdf],
-            max_rows: 400_000,
-        };
-        let (gw_run, pw_run) = wide.run(&ctx);
-        assert!(!gw_run.truncated, "fixture must stay under the cap");
-        let (gw_fin, pw_fin) = wide.finish(&wide.fold(&ctx));
-        assert_bit_identical(&gw_run, &gw_fin, "uncapped finish∘fold global");
-        let (gw_seg, pw_seg) = wide.finish(&wide.merge(wide.fold(&ctx_a), wide.fold(&ctx_b)));
-        assert_bit_identical(&gw_run, &gw_seg, "uncapped segmented global");
-        for ((r, f), s) in pw_run.iter().zip(&pw_fin).zip(&pw_seg) {
-            assert_bit_identical(r, f, "uncapped finish∘fold scope");
-            assert_bit_identical(r, s, "uncapped segmented scope");
+        for (max_rows, truncates) in [(300usize, true), (400_000, false)] {
+            let stage = Correlation {
+                scopes: &[FileType::Win32Exe, FileType::Pdf],
+                max_rows,
+            };
+            let (g_run, per_run) = stage.run(&ctx);
+            assert_eq!(g_run.truncated, truncates, "fixture vs cap {max_rows}");
+            let (g_seg, per_seg) =
+                stage.finish(&stage.merge(stage.fold(&ctx_a), stage.fold(&ctx_b)));
+            assert_bit_identical(&g_run, &g_seg, "segmented global");
+            assert_eq!(per_run.len(), per_seg.len());
+            for (r, f) in per_run.iter().zip(&per_seg) {
+                assert_bit_identical(r, f, "segmented scope");
+            }
         }
     }
 
-    // Random record sets: the fused kernel's contingency tables equal
-    // the column-materializing path's, per scope and per pair.
+    // Random record sets: the kernel equals the column-materializing
+    // reference, per scope, under a random cap and worker count.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
-        fn fused_contingency_equals_column_path(
+        fn stage_equals_column_path(
             // Per sample: (file-type selector, per-scan verdict words).
             samples in proptest::collection::vec(
                 (0u8..3, proptest::collection::vec(0u32..81, 1..6)),
@@ -1398,51 +1172,15 @@ mod tests {
                 indices: (0..records.len()).collect(),
                 reports: records.iter().map(|r| r.reports.len() as u64).sum(),
             };
-            let scopes = [None, Some(FileType::Win32Exe), Some(FileType::Pdf)];
-            let fused = fused_contingencies(&records, &s, engines, &scopes, max_rows, workers);
-            for (si, &scope) in scopes.iter().enumerate() {
-                // Column path, independent of the kernel: materialize
-                // selected rows, then count each pair's table directly.
-                let mut columns: Vec<Vec<i8>> = vec![Vec::new(); engines];
-                let total: u64 = s
-                    .iter(&records)
-                    .filter(|rec| scope_matches(scope, rec))
-                    .map(|rec| rec.reports.len() as u64)
-                    .sum();
-                let mut next = 0u64;
-                for rec in s.iter(&records) {
-                    if !scope_matches(scope, rec) {
-                        continue;
-                    }
-                    for rep in &rec.reports {
-                        let row = next;
-                        next += 1;
-                        if !row_selected(row, total, max_rows) {
-                            continue;
-                        }
-                        for (e, col) in columns.iter_mut().enumerate() {
-                            col.push(rep.verdicts.get(EngineId::new(e)).r_value());
-                        }
-                    }
-                }
-                prop_assert_eq!(fused[si].total_rows, total);
-                prop_assert_eq!(fused[si].rows, columns[0].len() as u64);
-                for a in 0..engines {
-                    for b in (a + 1)..engines {
-                        let mut expect = [[0u64; 3]; 3];
-                        for (&x, &y) in columns[a].iter().zip(&columns[b]) {
-                            expect[(x + 1) as usize][(y + 1) as usize] += 1;
-                        }
-                        prop_assert_eq!(
-                            fused[si].table(a, b),
-                            expect,
-                            "scope {} pair ({}, {})",
-                            si,
-                            a,
-                            b
-                        );
-                    }
-                }
+            let fleet = vt_engines::EngineFleet::with_seed(1);
+            let stage = Correlation {
+                scopes: &[FileType::Win32Exe, FileType::Pdf],
+                max_rows,
+            };
+            let got = run_stage(stage, &records, &s, &fleet, workers);
+            for (f, scope) in got.iter().zip(stage.all_scopes()) {
+                let r = analyze_impl(&records, &s, fleet.engine_count(), scope, max_rows);
+                assert_bit_identical(f, &r, &format!("scope {scope:?}"));
             }
         }
     }

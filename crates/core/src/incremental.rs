@@ -1,13 +1,16 @@
 //! Segment-at-a-time study evaluation: fold sealed segments as they
 //! arrive, merge the cached partials, finish on demand.
 //!
-//! The batch pipeline ([`crate::pipeline::analyze_records_obs`]) is the
-//! one-segment special case of this module: every [`Analysis`] stage is
-//! a fold whose [`Analysis::Partial`] merges associatively across
-//! contiguous record segments, so folding a stream segment by segment
-//! and merging in arrival order produces partials — and therefore
-//! finished [`StudyResults`] — **bit-identical** to re-running the
-//! whole batch, at every worker count. That is the contract
+//! This module owns the **one stage roster** (the `roster!` list
+//! below): `StudyPartials::fold` runs it over one segment's context, and
+//! the batch pipeline ([`crate::pipeline::analyze_records_obs`]) is
+//! literally the one-segment case — `fold` over the whole record set,
+//! then [`StudyPartials::finish`]. Every [`Analysis`] stage is a fold
+//! whose [`Analysis::Partial`] merges associatively across contiguous
+//! record segments, so folding a stream segment by segment and merging
+//! in arrival order produces partials — and therefore finished
+//! [`StudyResults`] — **bit-identical** to the one-segment batch, at
+//! every worker count. That is the contract
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` every stage upholds (and
 //! the segment-split tests in each stage module plus
 //! `tests/end_to_end.rs` enforce).
@@ -64,7 +67,7 @@ use vt_obs::Obs;
 use vt_store::{DatasetStats, PartitionStats};
 
 /// The cached, mergeable state of every pipeline stage after some
-/// number of segment folds — one [`Analysis::Partial`] per registry
+/// number of segment folds — one [`Analysis::Partial`] per roster
 /// stage plus the *S* accounting the finished [`StudyResults`] reports
 /// directly.
 ///
@@ -90,28 +93,50 @@ pub struct StudyPartials {
     segments: u64,
 }
 
-impl StudyPartials {
-    /// Folds one segment's context through every registry stage (each
-    /// under its `pipeline/<name>` span via [`Analysis::fold_timed`]).
-    fn fold(ctx: &AnalysisCtx) -> Self {
-        StudyPartials {
-            landscape: Landscape.fold_timed(ctx),
-            stability: Stability.fold_timed(ctx),
-            metrics: Metrics.fold_timed(ctx),
-            window_growth: WindowGrowth::default().fold_timed(ctx),
-            intervals: Intervals::default().fold_timed(ctx),
-            categories_all: Categorize::ALL.fold_timed(ctx),
-            categories_pe: Categorize::PE.fold_timed(ctx),
-            causes: Causes.fold_timed(ctx),
-            stabilization: Stabilization.fold_timed(ctx),
-            flips: Flips.fold_timed(ctx),
-            correlation: Correlation::default().fold_timed(ctx),
-            s_samples: ctx.s.len() as u64,
-            s_reports: ctx.s.reports,
-            segments: 1,
+/// The one stage roster, in execution order, as `partial field: stage`.
+/// Expands to `StudyPartials::fold` and [`stage_names`], so a stage
+/// cannot be folded without being named (or the reverse); batch, the
+/// incremental engine and `vtld serve` all fold through this list.
+macro_rules! roster {
+    ($($field:ident: $stage:expr,)*) => {
+        impl StudyPartials {
+            /// Folds one segment's context — or, for batch, the whole
+            /// record set — through every roster stage, each under its
+            /// `pipeline/<name>` span via [`Analysis::fold_timed`].
+            pub(crate) fn fold(ctx: &AnalysisCtx) -> Self {
+                StudyPartials {
+                    $($field: $stage.fold_timed(ctx),)*
+                    s_samples: ctx.s.len() as u64,
+                    s_reports: ctx.s.reports,
+                    segments: 1,
+                }
+            }
         }
-    }
 
+        /// Names of every pipeline stage, in execution order. Every name
+        /// appears as a `pipeline/<name>` span in an instrumented run's
+        /// metrics.
+        pub fn stage_names() -> Vec<&'static str> {
+            vec![$($stage.name()),*]
+        }
+    };
+}
+
+roster! {
+    landscape: Landscape,
+    stability: Stability,
+    metrics: Metrics,
+    window_growth: WindowGrowth::default(),
+    intervals: Intervals::default(),
+    categories_all: Categorize::ALL,
+    categories_pe: Categorize::PE,
+    causes: Causes,
+    stabilization: Stabilization,
+    flips: Flips,
+    correlation: Correlation::default(),
+}
+
+impl StudyPartials {
     /// Merges a later segment's partials into an earlier accumulation
     /// (`self`'s records precede `next`'s in stream order).
     ///

@@ -3,7 +3,7 @@
 //! The analyses are CPU-bound batch passes over millions of samples —
 //! exactly the workload the async guides say to keep off an async
 //! runtime. [`map_partitions`] splits `0..n` into contiguous chunks,
-//! runs a worker per chunk on crossbeam scoped threads, and returns the
+//! runs a worker per chunk on `std::thread::scope` threads, and returns the
 //! per-chunk results in order, so any analysis whose accumulator merges
 //! associatively parallelizes in three lines.
 
@@ -61,17 +61,16 @@ where
             .collect();
     }
     let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, range) in ranges.iter().enumerate() {
             let f = &f;
-            handles.push(scope.spawn(move |_| f(i, range.clone())));
+            handles.push(scope.spawn(move || f(i, range.clone())));
         }
         for (slot, handle) in out.iter_mut().zip(handles) {
             *slot = Some(handle.join().expect("analysis worker panicked"));
         }
-    })
-    .expect("crossbeam scope failed");
+    });
     out.into_iter().map(|t| t.expect("worker result")).collect()
 }
 
@@ -150,17 +149,16 @@ where
             .collect();
     }
     let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, (range, payload)) in ranges.iter().zip(payloads).enumerate() {
             let f = &f;
-            handles.push(scope.spawn(move |_| f(i, range.clone(), payload)));
+            handles.push(scope.spawn(move || f(i, range.clone(), payload)));
         }
         for (slot, handle) in out.iter_mut().zip(handles) {
             *slot = Some(handle.join().expect("analysis worker panicked"));
         }
-    })
-    .expect("crossbeam scope failed");
+    });
     out.into_iter().map(|t| t.expect("worker result")).collect()
 }
 

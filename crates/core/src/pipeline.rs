@@ -7,34 +7,38 @@
 //! and [`Study::run`] executes every analysis of the paper, returning a
 //! [`StudyResults`] with one field per table/figure.
 //!
-//! ## The stage registry
+//! ## Batch is the one-segment fold
 //!
-//! Every analysis runs as an [`Analysis`] stage against one shared
-//! [`AnalysisCtx`]. `registry` is the single ordered list of stages;
-//! [`analyze_records_obs`] iterates it, running each stage under its
-//! `pipeline/<name>` span, so adding an analysis means adding one
-//! registry line — the timing, naming and result plumbing come free.
-//! [`stage_names`] exposes the roster for tests and tooling.
+//! There is one stage roster — [`crate::incremental`]'s, which
+//! [`StudyPartials::fold`](crate::incremental::StudyPartials) expands
+//! into one [`Analysis::fold_timed`](crate::analysis::Analysis::fold_timed)
+//! per stage — and [`analyze_records_obs`] is its one-segment case:
+//! build the table, build *S*, fold the whole record set once, finish.
+//! `vtld serve` folds the same roster per segment and merges, so a batch
+//! `StudyResults` and a served one come out of the same code. Every
+//! stage runs under its `pipeline/<name>` span; [`stage_names`] exposes
+//! the roster for tests and tooling.
 //!
 //! Instrumentation is strictly write-only: no stage reads the `Obs`
 //! handle, so a [`StudyResults`] is bit-identical whether observability
 //! is enabled, disabled, or [`Obs::noop`] — only
 //! [`StudyResults::stage_timings`] (empty when disabled) differs.
 
-use crate::analysis::{Analysis, AnalysisCtx};
-use crate::categorize::{Categorize, CategorySweep};
-use crate::causes::{CauseAnalysis, Causes};
+use crate::analysis::AnalysisCtx;
+use crate::categorize::CategorySweep;
+use crate::causes::CauseAnalysis;
 use crate::collector::Collector;
-use crate::correlation::{self, Correlation, CorrelationAnalysis};
-use crate::flips::{FlipAnalysis, Flips};
+use crate::correlation::CorrelationAnalysis;
+use crate::flips::FlipAnalysis;
 use crate::freshdyn;
-use crate::intervals::{IntervalAnalysis, Intervals};
-use crate::landscape::{Fig1Points, Landscape};
-use crate::metrics::{Metrics, MetricsAnalysis, WindowGrowth};
+use crate::incremental::StudyPartials;
+use crate::intervals::IntervalAnalysis;
+use crate::landscape::Fig1Points;
+use crate::metrics::MetricsAnalysis;
 use crate::par;
 use crate::records::SampleRecord;
-use crate::stability::{Stability, StabilityAnalysis};
-use crate::stabilization::{LabelStabilization, RankStabilization, Stabilization};
+use crate::stability::StabilityAnalysis;
+use crate::stabilization::{LabelStabilization, RankStabilization};
 use crate::table::TrajectoryTable;
 use vt_engines::EngineFleet;
 use vt_model::time::Timestamp;
@@ -43,6 +47,8 @@ use vt_obs::Obs;
 use vt_sim::fault::{FaultPlan, FaultyFeed};
 use vt_sim::{SimConfig, VirusTotalSim};
 use vt_store::{DatasetStats, PartitionStats, ReportStore};
+
+pub use crate::incremental::stage_names;
 
 /// A generated dataset plus the machinery to analyze it.
 #[derive(Debug)]
@@ -128,105 +134,9 @@ pub const CORRELATION_SCOPES: [FileType; 7] = [
 
 /// Row cap for correlation matrices (keeps the O(pairs × rows) pass
 /// bounded at large scales). When a scope exceeds the cap the rows are
-/// strided evenly across it (see [`correlation::row_selected`]) and the
-/// analysis is flagged `truncated` — never a silent prefix.
+/// strided evenly across it (see [`crate::correlation::row_selected`])
+/// and the analysis is flagged `truncated` — never a silent prefix.
 pub const CORRELATION_MAX_ROWS: usize = 400_000;
-
-/// Runs the §7.2 correlation analysis for the global scope and every
-/// [`CORRELATION_SCOPES`] file type in **one fused parallel pass** over
-/// *S*, instead of 8 serial re-scans. Returns `(global, per_type)` with
-/// `per_type` in `CORRELATION_SCOPES` order.
-///
-/// Output is bit-identical to running the reference analysis once per
-/// scope, at every worker count.
-pub fn correlation_all_scopes(
-    records: &[SampleRecord],
-    s: &freshdyn::FreshDynamic,
-    engine_count: usize,
-    workers: usize,
-) -> (CorrelationAnalysis, Vec<CorrelationAnalysis>) {
-    let mut scopes: Vec<Option<FileType>> = vec![None];
-    scopes.extend(CORRELATION_SCOPES.iter().map(|&ft| Some(ft)));
-    let mut analyses = correlation::analyze_fused(
-        records,
-        s,
-        engine_count,
-        &scopes,
-        CORRELATION_MAX_ROWS,
-        workers,
-    );
-    let global = analyses.remove(0);
-    (global, analyses)
-}
-
-/// Stage results being assembled; each registry entry fills its slot.
-#[derive(Default)]
-struct Draft {
-    landscape: Option<(DatasetStats, Fig1Points)>,
-    stability: Option<StabilityAnalysis>,
-    metrics: Option<MetricsAnalysis>,
-    window_growth: Option<f64>,
-    intervals: Option<IntervalAnalysis>,
-    categories_all: Option<CategorySweep>,
-    categories_pe: Option<CategorySweep>,
-    causes: Option<CauseAnalysis>,
-    stabilization: Option<crate::stabilization::StabilizationOutput>,
-    flips: Option<FlipAnalysis>,
-    correlation: Option<(CorrelationAnalysis, Vec<CorrelationAnalysis>)>,
-}
-
-/// One registry entry: run a stage against the context and deposit its
-/// output into the draft. Plain function pointers so the registry is a
-/// static, allocation-free roster.
-type StageFn = fn(&AnalysisCtx, &mut Draft);
-
-/// The ordered stage roster [`analyze_records_obs`] executes. Each
-/// entry pairs the stage's [`Analysis::name`] with the function that
-/// runs it (timed, via [`Analysis::run_timed`]) and stores its output.
-fn registry() -> Vec<(&'static str, StageFn)> {
-    vec![
-        (Landscape.name(), |ctx, d| {
-            d.landscape = Some(Landscape.run_timed(ctx));
-        }),
-        (Stability.name(), |ctx, d| {
-            d.stability = Some(Stability.run_timed(ctx));
-        }),
-        (Metrics.name(), |ctx, d| {
-            d.metrics = Some(Metrics.run_timed(ctx));
-        }),
-        (WindowGrowth::default().name(), |ctx, d| {
-            d.window_growth = Some(WindowGrowth::default().run_timed(ctx));
-        }),
-        (Intervals::default().name(), |ctx, d| {
-            d.intervals = Some(Intervals::default().run_timed(ctx));
-        }),
-        (Categorize::ALL.name(), |ctx, d| {
-            d.categories_all = Some(Categorize::ALL.run_timed(ctx));
-        }),
-        (Categorize::PE.name(), |ctx, d| {
-            d.categories_pe = Some(Categorize::PE.run_timed(ctx));
-        }),
-        (Causes.name(), |ctx, d| {
-            d.causes = Some(Causes.run_timed(ctx));
-        }),
-        (Stabilization.name(), |ctx, d| {
-            d.stabilization = Some(Stabilization.run_timed(ctx));
-        }),
-        (Flips.name(), |ctx, d| {
-            d.flips = Some(Flips.run_timed(ctx));
-        }),
-        (Correlation::default().name(), |ctx, d| {
-            d.correlation = Some(Correlation::default().run_timed(ctx));
-        }),
-    ]
-}
-
-/// Names of every registered pipeline stage, in execution order. Every
-/// name appears as a `pipeline/<name>` span in an instrumented run's
-/// metrics.
-pub fn stage_names() -> Vec<&'static str> {
-    registry().into_iter().map(|(name, _)| name).collect()
-}
 
 impl Study {
     /// Generates the dataset with [`par::default_workers`] threads.
@@ -352,8 +262,8 @@ pub fn analyze_records(
 /// [`analyze_records`] with explicit parallelism and observability:
 /// builds the columnar [`TrajectoryTable`] under the `pipeline/table`
 /// span (kernel `table_build`) and *S* from its flags under the
-/// `pipeline/freshdyn` span, then executes the registry stages in order
-/// against one [`AnalysisCtx`]. When `obs` is enabled,
+/// `pipeline/freshdyn` span, then folds the whole record set through the
+/// stage roster as one segment and finishes it. When `obs` is enabled,
 /// [`StudyResults::stage_timings`] reports each stage's wall clock;
 /// analysis outputs never depend on `obs` or `workers`.
 pub fn analyze_records_obs(
@@ -373,36 +283,7 @@ pub fn analyze_records_obs(
     let ctx = AnalysisCtx::new(records, &table, &s, fleet, window_start)
         .with_workers(workers)
         .with_obs(obs);
-    let mut draft = Draft::default();
-    for (_, stage) in registry() {
-        stage(&ctx, &mut draft);
-    }
-
-    let (dataset, fig1) = draft.landscape.expect("landscape stage ran");
-    let stabilization = draft.stabilization.expect("stabilization stage ran");
-    let (correlation_global, correlation_per_type) =
-        draft.correlation.expect("correlation stage ran");
-    StudyResults {
-        dataset,
-        fig1,
-        partitions,
-        stability: draft.stability.expect("stability stage ran"),
-        s_samples: s.len() as u64,
-        s_reports: s.reports,
-        metrics: draft.metrics.expect("metrics stage ran"),
-        window_growth: draft.window_growth.expect("window_growth stage ran"),
-        intervals: draft.intervals.expect("intervals stage ran"),
-        categories_all: draft.categories_all.expect("categorize_all stage ran"),
-        categories_pe: draft.categories_pe.expect("categorize_pe stage ran"),
-        causes: draft.causes.expect("causes stage ran"),
-        rank_stabilization: stabilization.rank,
-        label_stabilization_all: stabilization.label_all,
-        label_stabilization_multi: stabilization.label_multi,
-        flips: draft.flips.expect("flips stage ran"),
-        correlation_global,
-        correlation_per_type,
-        stage_timings: stage_timings_from(obs),
-    }
+    StudyPartials::fold(&ctx).finish(partitions, obs)
 }
 
 /// Extracts [`StageTiming`]s from the `pipeline/`-prefixed spans of an
@@ -472,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_are_unique_and_stable() {
+    fn roster_names_are_unique_and_stable() {
         let names = stage_names();
         assert_eq!(names.len(), 11);
         let mut sorted = names.clone();
@@ -547,6 +428,8 @@ mod tests {
         }
         assert!(timed.contains(&"freshdyn"));
         assert!(timed.contains(&"table"));
+        // Batch is one fold, not a segment stream: no segment span.
+        assert!(!timed.contains(&"segment"));
         for t in &results.stage_timings {
             assert_eq!(t.count, 1, "stage {} ran once", t.name);
             assert!(t.max_ns <= t.total_ns);
@@ -604,32 +487,41 @@ mod tests {
         }
     }
 
-    /// Acceptance gate for the fused kernel: on a seeded study, every
-    /// scope's fused analysis is bit-identical (ρ matrix, strong pairs,
-    /// groups, row accounting) to the reference per-scope analysis, at
-    /// worker counts 1, 2 and 8.
+    /// Acceptance gate for the §7.2 kernel: on a seeded study, every
+    /// scope of the stage's `finish(fold(ctx))` is bit-identical (ρ
+    /// matrix, strong pairs, groups, row accounting) to the serial
+    /// per-scope reference, at worker counts 1, 2 and 8.
     #[test]
-    fn fused_correlation_matches_reference_on_seeded_study() {
+    fn correlation_stage_matches_reference_on_seeded_study() {
+        use crate::analysis::Analysis;
+        use crate::correlation::{self, Correlation};
+
         let study = small_study();
         let records = study.records();
-        let s = freshdyn::build(records, study.sim().config().window_start());
-        let engines = study.sim().fleet().engine_count();
+        let ws = study.sim().config().window_start();
+        let fleet = study.sim().fleet();
+        let table = TrajectoryTable::build(records, ws);
+        let s = freshdyn::build(records, ws);
 
-        let mut scopes: Vec<Option<FileType>> = vec![None];
-        scopes.extend(CORRELATION_SCOPES.iter().map(|&ft| Some(ft)));
-        // A cap small enough to truncate the global scope, so the
-        // strided row selection is exercised end to end.
-        let max_rows = 500;
-        let reference: Vec<CorrelationAnalysis> = scopes
-            .iter()
-            .map(|&sc| correlation::analyze_impl(records, &s, engines, sc, max_rows))
+        // A cap small enough to truncate the global scope, so `finish`'s
+        // strided plane walk is exercised end to end.
+        let stage = Correlation {
+            max_rows: 500,
+            ..Correlation::default()
+        };
+        let reference: Vec<CorrelationAnalysis> = stage
+            .all_scopes()
+            .into_iter()
+            .map(|sc| {
+                correlation::analyze_impl(records, &s, fleet.engine_count(), sc, stage.max_rows)
+            })
             .collect();
         assert!(reference[0].truncated, "global scope exceeds the cap");
 
         for workers in [1usize, 2, 8] {
-            let fused =
-                correlation::analyze_fused(records, &s, engines, &scopes, max_rows, workers);
-            for (f, r) in fused.iter().zip(&reference) {
+            let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws).with_workers(workers);
+            let (global, per_type) = stage.run(&ctx);
+            for (f, r) in std::iter::once(&global).chain(&per_type).zip(&reference) {
                 assert_eq!(f.scope, r.scope);
                 assert_eq!(f.rows, r.rows, "workers={workers}");
                 assert_eq!(f.total_rows, r.total_rows, "workers={workers}");

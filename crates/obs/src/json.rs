@@ -1,7 +1,9 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader, and the workspace's one string-literal writer.
 //!
-//! [`crate::RunMetrics::to_json`] hand-writes its output (the build is
-//! hermetic — no serde); this module is the matching reader, used to
+//! [`crate::RunMetrics::to_json`] and `vtld serve` hand-write their
+//! output (the build is hermetic — no serde) and share
+//! [`write_json_string`] for escaping; this module is the matching
+//! reader, used to
 //! validate that `metrics.json` round-trips and by tests/tools that
 //! consume it. It parses the full JSON grammar (RFC 8259) minus one
 //! liberty: numbers are held as `f64`, so integers above 2^53 lose
@@ -119,6 +121,24 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
         return Err(p.err("trailing data after document"));
     }
     Ok(v)
+}
+
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes
+/// and control characters escaped, everything else verbatim.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 struct Parser<'a> {
@@ -340,6 +360,17 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn written_strings_escape_and_round_trip() {
+        let mut out = String::new();
+        write_json_string(&mut out, "a\"b\\c\nd");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(parse(&out).unwrap().as_str(), Some("a\"b\\c\nd"));
+        out.clear();
+        write_json_string(&mut out, "\u{1}");
+        assert_eq!(out, "\"\\u0001\"");
+    }
 
     #[test]
     fn parses_scalars() {

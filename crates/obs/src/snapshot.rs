@@ -1,6 +1,8 @@
 //! Point-in-time metric snapshots: the `RunMetrics` tree, its JSON
 //! serialization, and the human-readable stage table.
 
+use crate::json::write_json_string;
+
 /// Snapshot of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -250,23 +252,6 @@ fn write_scalar_map(out: &mut String, pairs: &[(String, u64)]) {
         write_json_string(out, name);
         out.push_str(&format!(": {v}"));
     }
-}
-
-/// Writes a JSON string literal with full escaping.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Formats nanoseconds with an adaptive unit.

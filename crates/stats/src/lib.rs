@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod boxplot;
 pub mod counter;
 pub mod ecdf;
@@ -34,7 +33,6 @@ pub mod spearman;
 pub mod special;
 pub mod summary;
 
-pub use bootstrap::{bootstrap_mean_ci, BootstrapCi};
 pub use boxplot::BoxplotSummary;
 pub use counter::FreqCounter;
 pub use ecdf::Ecdf;

@@ -17,9 +17,8 @@
 //!   (Table 3), reports-per-sample CDF (Fig. 1), monthly volumes
 //!   (Table 2).
 //! * [`persist`] / [`crc32`] — the on-disk `VTSTORE2` container:
-//!   checksummed, marker-framed blocks, a strict reader for both format
-//!   versions, and a salvage reader that recovers what a damaged file
-//!   still holds.
+//!   checksummed, marker-framed blocks, a strict reader, and a salvage
+//!   reader that recovers what a damaged file still holds.
 //! * [`segment`] — sealed, append-ordered segments of the report
 //!   stream: [`SegmentWriter`] cuts ingestion into whole-sample
 //!   [`Segment`]s every N reports, each persistable through the same
@@ -32,7 +31,7 @@
 //!   quarantines what salvage cannot fully recover.
 //!
 //! The store is synchronous and single-writer / multi-reader
-//! (`parking_lot` guards the append path), in line with the project's
+//! (a `std::sync::RwLock` guards the append path), in line with the project's
 //! threads-over-async design for CPU-bound batch work.
 
 #![forbid(unsafe_code)]
@@ -53,8 +52,8 @@ pub use codec::ReportRow;
 pub use dataset::DatasetStats;
 pub use partition::PartitionStats;
 pub use persist::{
-    read_store, read_store_salvage, write_store, write_store_v1, CorruptKind, PartitionRecovery,
-    PersistError, RecoveryReport, SalvageLabel,
+    read_store, read_store_salvage, write_store, CorruptKind, PartitionRecovery, PersistError,
+    RecoveryReport, SalvageLabel,
 };
 pub use segdir::{DurableWriter, Replay, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_salvage, write_segment, Segment, SegmentWriter};

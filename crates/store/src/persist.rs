@@ -2,21 +2,7 @@
 //!
 //! The paper's pipeline persists compressed reports in MongoDB so the
 //! 14-month collection can be analyzed repeatedly. Our equivalent is a
-//! container file in one of two formats.
-//!
-//! `VTSTORE1` — the legacy length-prefixed layout (still readable):
-//!
-//! ```text
-//! magic "VTSTORE1"
-//! u32   partition count
-//! per partition:
-//!   u8  has_month (1) → i32 year, u8 month   | (0) catch-all
-//!   u32 block count
-//!   per block: u32 report count, u32 byte length, <encoded bytes>
-//! ```
-//!
-//! `VTSTORE2` — the current, fault-tolerant layout written by
-//! [`write_store`]:
+//! `VTSTORE2` container file, written by [`write_store`]:
 //!
 //! ```text
 //! magic "VTSTORE2"
@@ -40,9 +26,10 @@
 //! the next marker, returning whatever survives plus a
 //! [`RecoveryReport`] saying exactly what was lost where.
 //!
-//! The strict reader [`read_store`] accepts both formats and fails on
-//! the first integrity violation; the salvage reader degrades instead.
-//! Neither panics on arbitrary input bytes (exercised by the randomized
+//! The strict reader [`read_store`] fails on the first integrity
+//! violation; the salvage reader degrades instead. Any other magic —
+//! the retired marker-less `VTSTORE1` layout included — is
+//! [`CorruptKind::BadMagic`] to both. Neither panics on arbitrary input bytes (exercised by the randomized
 //! sweep in `tests/fault_tolerance.rs`). The per-sample index is rebuilt
 //! at load time by decoding each block once. Writing requires a sealed
 //! store.
@@ -54,14 +41,13 @@ use crate::store::{ReportStore, StoreError};
 use std::io::{self, Read, Write};
 use vt_model::time::Month;
 
-const MAGIC_V1: &[u8; 8] = b"VTSTORE1";
-const MAGIC_V2: &[u8; 8] = b"VTSTORE2";
+const MAGIC: &[u8; 8] = b"VTSTORE2";
 
-/// Marks the start of a partition header (V2). Chosen to be unlikely in
+/// Marks the start of a partition header. Chosen to be unlikely in
 /// encoded payload, but salvage never trusts a marker alone — the frame
 /// behind it must also validate.
 const PART_MARKER: u32 = 0x9A87_110E;
-/// Marks the start of a block frame (V2).
+/// Marks the start of a block frame.
 const BLOCK_MARKER: u32 = 0xB10C_F00D;
 
 /// Structural plausibility bounds, enforced before any allocation.
@@ -78,15 +64,15 @@ const MAX_BLOCK_BYTES: u32 = 1 << 30;
 pub enum CorruptKind {
     /// Shorter than the 8-byte magic — not a VTSTORE container.
     FileShorterThanMagic,
-    /// Leading magic matched neither `VTSTORE1` nor `VTSTORE2`.
+    /// Leading magic is not `VTSTORE2`.
     BadMagic,
     /// Declared partition count exceeds `MAX_PARTITIONS`.
     ImplausiblePartitionCount,
-    /// A V2 partition did not start with its marker.
+    /// A partition did not start with its marker.
     BadPartitionMarker,
     /// Declared block count exceeds `MAX_BLOCKS_PER_PARTITION`.
     ImplausibleBlockCount,
-    /// A V2 block did not start with its marker.
+    /// A block did not start with its marker.
     BadBlockMarker,
     /// Declared block byte length exceeds `MAX_BLOCK_BYTES`.
     ImplausibleBlockSize,
@@ -214,13 +200,13 @@ fn write_month_tag(w: &mut impl Write, month: Option<Month>) -> io::Result<()> {
     }
 }
 
-/// Serializes a sealed store in the current `VTSTORE2` format (per-block
-/// CRCs + salvage markers).
+/// Serializes a sealed store in the `VTSTORE2` format (per-block CRCs +
+/// salvage markers).
 ///
 /// # Panics
 /// Panics if the store is not sealed (mirrors the read-path contract).
 pub fn write_store(store: &ReportStore, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC_V2)?;
+    w.write_all(MAGIC)?;
     let partitions = store.partitions_for_persist();
     put_u32(w, partitions.len() as u32)?;
     for (month, blocks) in partitions {
@@ -232,28 +218,6 @@ pub fn write_store(store: &ReportStore, w: &mut impl Write) -> io::Result<()> {
             put_u32(w, block.len() as u32)?;
             put_u32(w, block.byte_len() as u32)?;
             put_u32(w, crc32(block.raw_bytes()))?;
-            w.write_all(block.raw_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Serializes a sealed store in the legacy `VTSTORE1` layout — byte-for-
-/// byte what the original writer produced. Kept for compatibility tests
-/// and for producing fixtures older tooling can read.
-///
-/// # Panics
-/// Panics if the store is not sealed.
-pub fn write_store_v1(store: &ReportStore, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC_V1)?;
-    let partitions = store.partitions_for_persist();
-    put_u32(w, partitions.len() as u32)?;
-    for (month, blocks) in partitions {
-        write_month_tag(w, month)?;
-        put_u32(w, blocks.len() as u32)?;
-        for block in blocks {
-            put_u32(w, block.len() as u32)?;
-            put_u32(w, block.byte_len() as u32)?;
             w.write_all(block.raw_bytes())?;
         }
     }
@@ -282,7 +246,7 @@ fn read_month_tag(r: &mut impl Read) -> Result<Option<Month>, PersistError> {
     }
 }
 
-/// Loads a store file (either format), rebuilding the per-sample index.
+/// Loads a store file, rebuilding the per-sample index.
 /// Strict: the first integrity violation — bad marker, CRC mismatch,
 /// implausible header, undecodable block — aborts the load. Use
 /// [`read_store_salvage`] to recover what a damaged file still holds.
@@ -290,11 +254,9 @@ fn read_month_tag(r: &mut impl Read) -> Result<Option<Month>, PersistError> {
 pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    let v2 = match &magic {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
-        _ => return Err(PersistError::Corrupt(CorruptKind::BadMagic)),
-    };
+    if &magic != MAGIC {
+        return Err(PersistError::Corrupt(CorruptKind::BadMagic));
+    }
     let partition_count = get_u32(r)?;
     if partition_count > MAX_PARTITIONS {
         return Err(PersistError::Corrupt(
@@ -303,7 +265,7 @@ pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
     }
     let mut partitions = Vec::with_capacity(partition_count as usize);
     for _ in 0..partition_count {
-        if v2 && get_u32(r)? != PART_MARKER {
+        if get_u32(r)? != PART_MARKER {
             return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
         }
         let month = read_month_tag(r)?;
@@ -313,19 +275,17 @@ pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
         }
         let mut blocks = Vec::with_capacity(block_count as usize);
         for _ in 0..block_count {
-            if v2 && get_u32(r)? != BLOCK_MARKER {
+            if get_u32(r)? != BLOCK_MARKER {
                 return Err(PersistError::Corrupt(CorruptKind::BadBlockMarker));
             }
             let report_count = get_u32(r)?;
             let byte_len = get_u32(r)?;
             check_block_header(report_count, byte_len)?;
-            let expected_crc = if v2 { Some(get_u32(r)?) } else { None };
+            let expected_crc = get_u32(r)?;
             let mut data = vec![0u8; byte_len as usize];
             r.read_exact(&mut data)?;
-            if let Some(crc) = expected_crc {
-                if crc32(&data) != crc {
-                    return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
-                }
+            if crc32(&data) != expected_crc {
+                return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
             }
             let block = Block::from_parts(data.into(), report_count);
             // Integrity: the block must decode to exactly report_count
@@ -373,7 +333,7 @@ pub struct RecoveryReport {
     /// order (plus `Unlabeled` entries for orphaned regions).
     pub partitions: Vec<PartitionRecovery>,
     /// Times the scanner lost framing and had to hunt forward for the
-    /// next valid marker (V2 only).
+    /// next valid marker.
     pub resyncs: u64,
     /// True when the file ended in the middle of a declared structure.
     pub truncated: bool,
@@ -438,7 +398,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A parsed V2 partition header: label + declared block count.
+/// A parsed partition header: label + declared block count.
 fn try_partition_header(cur: &mut Cursor<'_>) -> Option<(SalvageLabel, u32)> {
     let start = cur.pos;
     let parsed = (|| {
@@ -515,12 +475,9 @@ fn try_block_frame(cur: &mut Cursor<'_>) -> BlockFrame {
 
 /// Loads as much of a (possibly damaged) store file as possible.
 ///
-/// For `VTSTORE2` files this skips blocks whose CRC or decode fails and
-/// re-synchronizes on the next partition/block marker when framing is
-/// lost, so one damaged region costs one block, not the rest of the
-/// file. For legacy `VTSTORE1` files (no markers, no CRCs) the valid
-/// prefix is recovered and everything after the first corruption is
-/// reported lost. Recovered reports are re-ingested into a fresh store
+/// Skips blocks whose CRC or decode fails and re-synchronizes on the
+/// next partition/block marker when framing is lost, so one damaged
+/// region costs one block, not the rest of the file. Recovered reports are re-ingested into a fresh store
 /// (re-partitioned by analysis month, per-sample index rebuilt), which
 /// is returned sealed together with the [`RecoveryReport`].
 ///
@@ -535,11 +492,10 @@ pub fn read_store_salvage(
     if data.len() < 8 {
         return Err(PersistError::Corrupt(CorruptKind::FileShorterThanMagic));
     }
-    match &data[..8] {
-        m if m == MAGIC_V2 => Ok(salvage_v2(&data[8..])),
-        m if m == MAGIC_V1 => Ok(salvage_v1(&data[8..])),
-        _ => Err(PersistError::Corrupt(CorruptKind::BadMagic)),
+    if &data[..8] != MAGIC {
+        return Err(PersistError::Corrupt(CorruptKind::BadMagic));
     }
+    Ok(salvage(&data[8..]))
 }
 
 /// Appends a recovered block's reports to the rebuild, updating the
@@ -563,7 +519,7 @@ fn empty_recovery(label: SalvageLabel) -> PartitionRecovery {
     }
 }
 
-fn salvage_v2(body: &[u8]) -> (ReportStore, RecoveryReport) {
+fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
     let store = ReportStore::new();
     let mut cur = Cursor { data: body, pos: 0 };
     let mut partitions: Vec<PartitionRecovery> = Vec::new();
@@ -702,82 +658,6 @@ fn salvage_v2(body: &[u8]) -> (ReportStore, RecoveryReport) {
     )
 }
 
-fn salvage_v1(body: &[u8]) -> (ReportStore, RecoveryReport) {
-    let store = ReportStore::new();
-    let mut cur = Cursor { data: body, pos: 0 };
-    let mut partitions: Vec<PartitionRecovery> = Vec::new();
-    let mut truncated = false;
-
-    'outer: {
-        let Some(partition_count) = cur.take_u32() else {
-            truncated = true;
-            break 'outer;
-        };
-        if partition_count > MAX_PARTITIONS {
-            truncated = true;
-            break 'outer;
-        }
-        for _ in 0..partition_count {
-            let header = (|| {
-                let label = match cur.take_u8()? {
-                    1 => {
-                        let year = i32::from_le_bytes(cur.take_bytes(4)?.try_into().unwrap());
-                        let month = cur.take_u8()?;
-                        if !(1..=12).contains(&month) {
-                            return None;
-                        }
-                        SalvageLabel::Month(Month { year, month })
-                    }
-                    0 => SalvageLabel::CatchAll,
-                    _ => return None,
-                };
-                let block_count = cur.take_u32()?;
-                if block_count > MAX_BLOCKS_PER_PARTITION {
-                    return None;
-                }
-                Some((label, block_count))
-            })();
-            let Some((label, block_count)) = header else {
-                truncated = true;
-                break 'outer;
-            };
-            partitions.push(empty_recovery(label));
-            for remaining in (1..=block_count).rev() {
-                let block = (|| {
-                    let report_count = cur.take_u32()?;
-                    let byte_len = cur.take_u32()?;
-                    check_block_header(report_count, byte_len).ok()?;
-                    let payload = cur.take_bytes(byte_len as usize)?;
-                    Block::from_parts(bytes::Bytes::copy_from_slice(payload), report_count)
-                        .decode_all()
-                        .ok()
-                })();
-                let part = partitions.last_mut().expect("just pushed");
-                match block {
-                    Some(reports) => ingest_block(&store, part, reports),
-                    None => {
-                        // V1 has no framing to recover with: everything
-                        // from here on is unreadable.
-                        part.skipped_blocks += remaining as u64;
-                        truncated = true;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-    }
-
-    store.seal();
-    (
-        store,
-        RecoveryReport {
-            partitions,
-            resyncs: 0,
-            truncated,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,28 +707,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_still_loads() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        write_store_v1(&store, &mut buf).expect("write v1");
-        assert_eq!(&buf[..8], b"VTSTORE1");
-        let loaded = read_store(&mut buf.as_slice()).expect("read v1");
-        assert_eq!(loaded.report_count(), store.report_count());
-        assert_eq!(loaded.sample_count(), store.sample_count());
-    }
-
-    #[test]
     fn bad_magic_rejected() {
-        let err = read_store(&mut &b"NOTASTORE!"[..]).unwrap_err();
-        assert!(
-            matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
-            "{err}"
-        );
-        let err = read_store_salvage(&mut &b"NOTASTORE!"[..]).unwrap_err();
-        assert!(
-            matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
-            "{err}"
-        );
+        // A well-formed file under the retired `VTSTORE1` magic is as
+        // foreign as garbage: both readers refuse it by its magic.
+        let mut retired = Vec::new();
+        write_store(&sample_store(), &mut retired).expect("write");
+        retired[..8].copy_from_slice(b"VTSTORE1");
+        for file in [&b"NOTASTORE!"[..], &retired] {
+            let err = read_store(&mut &file[..]).unwrap_err();
+            assert!(
+                matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
+                "{err}"
+            );
+            let err = read_store_salvage(&mut &file[..]).unwrap_err();
+            assert!(
+                matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -929,21 +805,6 @@ mod tests {
         assert!(report.resyncs >= 1, "{report:?}");
         assert!(loaded.report_count() > 0, "later blocks recovered");
         assert!(report.skipped_blocks() >= 1);
-    }
-
-    #[test]
-    fn salvage_v1_recovers_prefix() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        write_store_v1(&store, &mut buf).expect("write v1");
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0xFF;
-        let (loaded, report) = read_store_salvage(&mut buf.as_slice()).expect("salvage");
-        // Either the flip hit a block payload (decode fails there) or a
-        // header; either way the prefix survives and the report owns up
-        // to the damage.
-        assert!(loaded.report_count() < store.report_count());
-        assert!(report.truncated || report.skipped_blocks() > 0);
     }
 
     #[test]

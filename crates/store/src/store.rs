@@ -9,8 +9,8 @@
 use crate::block::{Block, ReportSink, SinkFn};
 use crate::codec::ReportRow;
 use crate::partition::{Loc, Partition, PartitionStats};
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use vt_model::time::Month;
 use vt_model::{SampleHash, ScanReport};
@@ -190,6 +190,19 @@ impl ReportStore {
         self.obs = StoreObs::new(obs);
     }
 
+    /// Shared access. Poison is ignored: the panics raised under a guard
+    /// are the misuse asserts (append after seal, read before seal),
+    /// which fire before anything is mutated, so a poisoned store is
+    /// still whole.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access; poison is ignored as in [`read`](Self::read).
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn partition_for(month_index: Option<usize>, n: usize) -> usize {
         month_index.unwrap_or(n - 1)
     }
@@ -200,7 +213,7 @@ impl ReportStore {
     /// Panics if the store was already sealed.
     pub fn append(&self, report: &ScanReport) {
         let start = self.obs.timer();
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         assert!(!inner.sealed, "append after seal");
         let n = inner.partitions.len();
         let pi = Self::partition_for(report.analysis_date.month().collection_index(), n);
@@ -217,7 +230,7 @@ impl ReportStore {
     /// Appends a batch (one lock acquisition).
     pub fn append_batch(&self, reports: &[ScanReport]) {
         let start = self.obs.timer();
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         assert!(!inner.sealed, "append after seal");
         let n = inner.partitions.len();
         for report in reports {
@@ -236,7 +249,7 @@ impl ReportStore {
     /// Seals every partition. Must be called before reads; afterwards
     /// appends panic.
     pub fn seal(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         for p in &mut inner.partitions {
             p.seal();
         }
@@ -255,12 +268,12 @@ impl ReportStore {
 
     /// Total number of reports stored.
     pub fn report_count(&self) -> u64 {
-        self.inner.read().partitions.iter().map(|p| p.len()).sum()
+        self.read().partitions.iter().map(|p| p.len()).sum()
     }
 
     /// Number of distinct samples.
     pub fn sample_count(&self) -> u64 {
-        self.inner.read().index.len() as u64
+        self.read().index.len() as u64
     }
 
     /// Every distinct sample hash in the store, sorted ascending.
@@ -269,19 +282,14 @@ impl ReportStore {
     /// is how a recovering daemon cheaply learns which samples a sealed
     /// segment already covers.
     pub fn sample_hashes(&self) -> Vec<SampleHash> {
-        let mut hashes: Vec<SampleHash> = self.inner.read().index.keys().copied().collect();
+        let mut hashes: Vec<SampleHash> = self.read().index.keys().copied().collect();
         hashes.sort_unstable();
         hashes
     }
 
     /// Per-partition statistics, in window order (catch-all last).
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        self.inner
-            .read()
-            .partitions
-            .iter()
-            .map(|p| p.stats())
-            .collect()
+        self.read().partitions.iter().map(|p| p.stats()).collect()
     }
 
     /// Gathers one sample's reports, sorted by analysis date.
@@ -290,7 +298,7 @@ impl ReportStore {
     /// Panics if the store is not sealed.
     pub fn sample_reports(&self, hash: SampleHash) -> Vec<ScanReport> {
         let start = self.obs.timer();
-        let inner = self.inner.read();
+        let inner = self.read();
         assert!(inner.sealed, "seal the store before reading");
         let Some(locs) = inner.index.get(&hash) else {
             return Vec::new();
@@ -323,7 +331,7 @@ impl ReportStore {
     /// Panics if the store is not sealed.
     pub fn group_by_sample(&self) -> Vec<(SampleHash, Vec<ScanReport>)> {
         let start = self.obs.timer();
-        let inner = self.inner.read();
+        let inner = self.read();
         assert!(inner.sealed, "seal the store before reading");
         let mut groups: HashMap<SampleHash, Vec<ScanReport>> =
             HashMap::with_capacity(inner.index.len());
@@ -354,7 +362,7 @@ impl ReportStore {
     /// # Panics
     /// Panics if the store is not sealed.
     pub fn partitions_for_persist(&self) -> Vec<(Option<Month>, Vec<Block>)> {
-        let inner = self.inner.read();
+        let inner = self.read();
         assert!(inner.sealed, "seal the store before persisting");
         inner
             .partitions
@@ -433,7 +441,7 @@ impl ReportStore {
     /// Panics if the store is not sealed.
     pub fn for_each_row(&self, sink: &mut impl ReportSink) {
         let start = self.obs.timer();
-        let inner = self.inner.read();
+        let inner = self.read();
         assert!(inner.sealed, "seal the store before reading");
         let mut decoded = 0u64;
         for p in &inner.partitions {

@@ -68,7 +68,8 @@
 //! slots' pointers — slot indexes are never merged), and per-hash
 //! verbs route straight to `slot_of(hash)`'s index — so a per-hash
 //! answer is always rendered from exactly the data its epoch's
-//! aggregates summarize. Unlike the four aggregate responses, per-hash
+//! aggregates summarize. Unlike the pre-rendered aggregate responses
+//! (`results`, `engines`, `metrics`, `fingerprint`), per-hash
 //! responses are rendered lazily per request behind a bounded LRU cache
 //! keyed by the canonical request; entries are stamped with the epoch
 //! their *slot* last changed at, so an epoch swap invalidates only the
@@ -140,6 +141,7 @@ use crate::dynamics::{
 };
 use crate::engines::EngineFleet;
 use crate::model::{EngineId, SampleHash};
+use crate::obs::json::write_json_string;
 use crate::obs::{Counter, Gauge, Obs};
 use crate::sim::fault::{FaultPlan, FaultyFeed};
 use crate::sim::{SimConfig, VirusTotalSim};
@@ -270,8 +272,9 @@ impl ServeConfig {
     }
 }
 
-/// One epoch-consistent view of the study: the four aggregate responses
-/// pre-rendered at publish time (request handling is allocation-only),
+/// One epoch-consistent view of the study: the aggregate responses
+/// pre-rendered at publish time (request handling is allocation-only;
+/// `status` alone is rendered per request, from the live registry),
 /// plus everything the lazily rendered per-hash verbs answer from — the
 /// sample index, the flip matrix and the engine roster — pinned to the
 /// same epoch, so a handler that cloned the `Arc` can never mix stages
@@ -279,7 +282,13 @@ impl ServeConfig {
 #[derive(Debug)]
 struct Snapshot {
     epoch: u64,
-    status: String,
+    /// The `status` members that must agree with this epoch's study —
+    /// everything else in `status` is read live off the registry (see
+    /// [`render_status`]).
+    s_samples: u64,
+    indexed: usize,
+    ingest_done: bool,
+    shards: usize,
     results: String,
     engines: String,
     metrics: String,
@@ -330,10 +339,23 @@ impl Snapshot {
     }
 }
 
-/// Obs handles for the serve tier's own health metrics, registered once
-/// at startup.
+/// The daemon's one book: registry handles for every running total it
+/// keeps, registered once at startup. The threads that do the work bump
+/// them, `status` reads them per request and `metrics` serves the same
+/// registry — no second tally, no publish-time copy.
 #[derive(Debug)]
 struct ServeCounters {
+    /// Reports the collector accepted, over every ingest chunk — the
+    /// collector's own `collector/accepted`, re-fetched.
+    accepted: Counter,
+    /// Reports the collector quarantined (`collector/quarantined`).
+    quarantined: Counter,
+    /// Segments folded (`serve/segments`).
+    segments: Counter,
+    /// Samples folded (`serve/samples`).
+    samples: Counter,
+    /// Reports folded (`serve/reports`).
+    reports: Counter,
     /// Connections shed at the accept gate (`serve/rejected`).
     rejected: Counter,
     /// Connections evicted mid-life — idle timeout, oversized line,
@@ -341,10 +363,10 @@ struct ServeCounters {
     evicted: Counter,
     /// Sealed segments replayed from the data dir
     /// (`serve/recovered_segments`).
-    recovered: Counter,
+    recovered_segments: Counter,
     /// Segment files quarantined at recovery
     /// (`serve/quarantined_segments`).
-    quarantined: Counter,
+    quarantined_segments: Counter,
     /// High-water mark of sealed segments queued between the feeder and
     /// the shard workers (`serve/queue_depth`).
     queue_depth: Gauge,
@@ -378,10 +400,15 @@ struct ServeCounters {
 impl ServeCounters {
     fn register(obs: &Obs) -> Self {
         Self {
+            accepted: obs.counter("collector/accepted"),
+            quarantined: obs.counter("collector/quarantined"),
+            segments: obs.counter("serve/segments"),
+            samples: obs.counter("serve/samples"),
+            reports: obs.counter("serve/reports"),
             rejected: obs.counter("serve/rejected"),
             evicted: obs.counter("serve/evicted"),
-            recovered: obs.counter("serve/recovered_segments"),
-            quarantined: obs.counter("serve/quarantined_segments"),
+            recovered_segments: obs.counter("serve/recovered_segments"),
+            quarantined_segments: obs.counter("serve/quarantined_segments"),
             queue_depth: obs.gauge("serve/queue_depth"),
             poisoned: obs.counter("serve/poisoned"),
             cache_hits: obs.counter("serve/cache_hits"),
@@ -394,18 +421,6 @@ impl ServeCounters {
             alerts_dropped: obs.counter("serve/alerts_dropped"),
         }
     }
-}
-
-/// Running ingest totals, updated by the feeder and the shard workers,
-/// read by the merger at publish time.
-#[derive(Debug, Default)]
-struct Progress {
-    accepted: AtomicU64,
-    quarantined: AtomicU64,
-    segments: AtomicU64,
-    samples: AtomicU64,
-    reports: AtomicU64,
-    feed_done: AtomicBool,
 }
 
 /// One cached per-hash response: the rendered body with the epoch
@@ -473,7 +488,9 @@ struct Shared {
     active_clients: AtomicU64,
     queue_depth: AtomicU64,
     counters: ServeCounters,
-    progress: Progress,
+    /// Set by the feeder once every sample has been sealed; the merger
+    /// stamps it into the final snapshot as `ingest_done`.
+    feed_done: AtomicBool,
     cache: Mutex<ResponseCache>,
 }
 
@@ -484,7 +501,10 @@ impl Shared {
         Shared {
             snapshot: RwLock::new(Arc::new(Snapshot {
                 epoch: 0,
-                status: String::new(),
+                s_samples: 0,
+                indexed: 0,
+                ingest_done: false,
+                shards: 0,
                 results: String::new(),
                 engines: String::new(),
                 metrics: String::new(),
@@ -502,7 +522,7 @@ impl Shared {
             active_clients: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             counters,
-            progress: Progress::default(),
+            feed_done: AtomicBool::new(false),
             cache: Mutex::new(ResponseCache::default()),
         }
     }
@@ -884,7 +904,10 @@ fn ingest_loop(
                 return;
             }
         };
-        shared.counters.quarantined.add(replay.quarantined_segments);
+        shared
+            .counters
+            .quarantined_segments
+            .add(replay.quarantined_segments);
         for (slot, segments) in replay.slots.into_iter().enumerate() {
             next_seq[slot] = segments.len() as u64;
             for segment in segments {
@@ -936,15 +959,9 @@ fn ingest_loop(
             continue;
         }
         let feed = FaultyFeed::from_sim(sim, start..end, config.plan);
+        // Also bumps `collector/accepted` / `collector/quarantined`,
+        // which `status` reports as `accepted` / `quarantined`.
         let outcome = Collector::default().run_with_obs(feed, &shared.obs);
-        shared
-            .progress
-            .accepted
-            .fetch_add(outcome.stats.accepted, Ordering::SeqCst);
-        shared
-            .progress
-            .quarantined
-            .fetch_add(outcome.stats.quarantined, Ordering::SeqCst);
         for (hash, reports) in outcome.store.group_by_sample() {
             if sealed_hashes.contains(&hash) {
                 continue;
@@ -1000,7 +1017,7 @@ fn ingest_loop(
         }
     }
     if completed {
-        shared.progress.feed_done.store(true, Ordering::SeqCst);
+        shared.feed_done.store(true, Ordering::SeqCst);
     }
     // Senders drop here: workers drain their queues and exit, and the
     // merger publishes the final snapshot once they have.
@@ -1128,17 +1145,11 @@ fn shard_worker(
                 state.alerts = alerts;
             }
         }
-        shared.progress.segments.fetch_add(1, Ordering::SeqCst);
-        shared
-            .progress
-            .samples
-            .fetch_add(samples as u64, Ordering::SeqCst);
-        shared
-            .progress
-            .reports
-            .fetch_add(segment.report_count(), Ordering::SeqCst);
+        shared.counters.segments.incr();
+        shared.counters.samples.add(samples as u64);
+        shared.counters.reports.add(segment.report_count());
         if recovered {
-            shared.counters.recovered.incr();
+            shared.counters.recovered_segments.incr();
         }
         let _ = merge_tx.send(MergeEvent::Folded);
     }
@@ -1220,7 +1231,7 @@ fn merger_loop(
     }
     // Final publish: every sealed segment has been folded and merged.
     epoch += 1;
-    let done = shared.progress.feed_done.load(Ordering::SeqCst);
+    let done = shared.feed_done.load(Ordering::SeqCst);
     publish_merged(epoch, done, shared, table, sim, config, &mut state);
 }
 
@@ -1296,12 +1307,13 @@ fn publish_merged(
         None => IncrementalStudy::new(sim.fleet(), sim.config().window_start())
             .results(state.tree.root_partitions().to_vec(), &shared.obs),
     };
-    let view = StatusView::collect(shared, done, config.shards, degraded);
     shared.publish(render_snapshot(
         epoch,
         &results,
         sim.fleet(),
-        &view,
+        done,
+        config.shards,
+        degraded,
         &shared.obs.snapshot(),
         state.slot_indexes.clone(),
         state.slot_epochs,
@@ -1334,7 +1346,9 @@ fn empty_snapshot(config: &ServeConfig, fleet: &EngineFleet) -> Snapshot {
         0,
         &results,
         fleet,
-        &StatusView::empty(config.shards),
+        false,
+        config.shards,
+        false,
         &Obs::noop().snapshot(),
         empty_slot_indexes(),
         [0; INGEST_SLOTS],
@@ -1531,7 +1545,7 @@ fn evict(writer: &mut TcpStream, shared: &Shared, reason: &str) {
     let _ = writer.write_all(
         format!(
             "{{\"epoch\":{epoch},\"evicted\":true,\"error\":{}}}\n",
-            json_string(&format!("connection evicted: {reason}"))
+            quoted(&format!("connection evicted: {reason}"))
         )
         .as_bytes(),
     );
@@ -1556,8 +1570,9 @@ enum Action {
 }
 
 /// Routes one request line through the typed [`wire::Request`] API to
-/// its response — pre-rendered for the aggregate verbs, lazily rendered
-/// (behind the hot-sample cache) for the per-hash verbs.
+/// its response — pre-rendered for the aggregate verbs, rendered from
+/// the live registry for `status`, lazily rendered (behind the
+/// hot-sample cache) for the per-hash verbs.
 fn respond(line: &str, shared: &Shared, config: &ServeConfig) -> Action {
     use wire::{Render, Request};
     let snap = shared.current();
@@ -1566,7 +1581,7 @@ fn respond(line: &str, shared: &Shared, config: &ServeConfig) -> Action {
         Err(e) => return Action::Reply(e.render(snap.epoch)),
     };
     match req {
-        Request::Status => Action::Reply(snap.status.clone()),
+        Request::Status => Action::Reply(render_status(&snap, &shared.counters)),
         Request::Results => Action::Reply(snap.results.clone()),
         Request::Engines => Action::Reply(snap.engines.clone()),
         Request::Metrics => Action::Reply(snap.metrics.clone()),
@@ -1603,7 +1618,7 @@ fn respond(line: &str, shared: &Shared, config: &ServeConfig) -> Action {
                 return Action::Reply(format!(
                     "{{\"epoch\":{},\"error\":{}}}",
                     snap.epoch,
-                    json_string(&format!("unknown engine '{name}'"))
+                    quoted(&format!("unknown engine '{name}'"))
                 ));
             };
             // Whole-study answer (`slot: None`): every epoch swap
@@ -1844,7 +1859,7 @@ fn render_sample(snap: &Snapshot, hash: SampleHash) -> String {
                  \"multi_report\":{},\"stable\":{},\"fresh\":{},\"in_s\":{},\
                  \"stabilization\":[{}],\"positives\":[{}],\"dates_min\":[{}]{suffix}}}",
                 hash.to_hex(),
-                json_string(&s.file_type.name()),
+                quoted(&s.file_type.name()),
                 s.report_count(),
                 s.current_positives(),
                 s.p_min(),
@@ -1902,7 +1917,7 @@ fn render_engine(snap: &Snapshot, engine: usize) -> String {
         .map(|(j, cell)| {
             format!(
                 "{{\"type\":{},\"flips\":{},\"opportunities\":{},\"flip_ratio\":{}}}",
-                json_string(&crate::model::FileType::from_dense_index(j).name()),
+                quoted(&crate::model::FileType::from_dense_index(j).name()),
                 cell.flips,
                 cell.opportunities,
                 json_f64(cell.ratio()),
@@ -1912,7 +1927,7 @@ fn render_engine(snap: &Snapshot, engine: usize) -> String {
     format!(
         "{{\"epoch\":{epoch},\"engine\":{},\"flips\":{flips},\
          \"opportunities\":{opportunities},\"flip_ratio\":{},\"types\":[{}]{suffix}}}",
-        json_string(name),
+        quoted(name),
         json_f64(ratio),
         types.join(","),
     )
@@ -1953,65 +1968,45 @@ fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
 
 // ---- response rendering ------------------------------------------------
 
-/// The ingest totals one rendered snapshot reports.
-#[derive(Debug, Default)]
-struct StatusView {
-    segments: u64,
-    samples: u64,
-    reports: u64,
-    accepted: u64,
-    quarantined: u64,
-    done: bool,
-    shards: usize,
-    recovered_segments: u64,
-    quarantined_segments: u64,
-    rejected: u64,
-    evicted: u64,
-    degraded: bool,
-    poisoned: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    alerts_fired: u64,
-    alerts_stabilized: u64,
-    alerts_destabilized: u64,
-    alerts_swings: u64,
-    alerts_emitted: u64,
-    alerts_dropped: u64,
-}
-
-impl StatusView {
-    fn collect(shared: &Shared, done: bool, shards: usize, degraded: bool) -> Self {
-        StatusView {
-            segments: shared.progress.segments.load(Ordering::SeqCst),
-            samples: shared.progress.samples.load(Ordering::SeqCst),
-            reports: shared.progress.reports.load(Ordering::SeqCst),
-            accepted: shared.progress.accepted.load(Ordering::SeqCst),
-            quarantined: shared.progress.quarantined.load(Ordering::SeqCst),
-            done,
-            shards,
-            recovered_segments: shared.counters.recovered.value(),
-            quarantined_segments: shared.counters.quarantined.value(),
-            rejected: shared.counters.rejected.value(),
-            evicted: shared.counters.evicted.value(),
-            degraded,
-            poisoned: shared.counters.poisoned.value(),
-            cache_hits: shared.counters.cache_hits.value(),
-            cache_misses: shared.counters.cache_misses.value(),
-            alerts_fired: shared.counters.alerts_fired.value(),
-            alerts_stabilized: shared.counters.alerts_stabilized.value(),
-            alerts_destabilized: shared.counters.alerts_destabilized.value(),
-            alerts_swings: shared.counters.alerts_swings.value(),
-            alerts_emitted: shared.counters.alerts_emitted.value(),
-            alerts_dropped: shared.counters.alerts_dropped.value(),
-        }
-    }
-
-    fn empty(shards: usize) -> Self {
-        StatusView {
-            shards,
-            ..StatusView::default()
-        }
-    }
+/// The `status` verb, rendered per request: the snapshot's own
+/// epoch-consistent members (`epoch`, `s_samples`, `ingest_done`,
+/// `shards`, `indexed`, `degraded`) beside the live registry totals, so
+/// `cache_hits`, `rejected`, `evicted` and the rest keep moving after
+/// the last publish.
+fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
+    format!(
+        "{{\"epoch\":{},\"segments\":{},\"samples\":{},\"reports\":{},\
+         \"accepted\":{},\"quarantined\":{},\"s_samples\":{},\"ingest_done\":{},\
+         \"shards\":{},\"recovered_segments\":{},\"quarantined_segments\":{},\
+         \"rejected\":{},\"evicted\":{},\"indexed\":{},\"degraded\":{},\
+         \"poisoned\":{},\"cache_hits\":{},\"cache_misses\":{},\
+         \"alerts_fired\":{},\"alerts_stabilized\":{},\"alerts_destabilized\":{},\
+         \"alerts_swings\":{},\"alerts_emitted\":{},\"alerts_dropped\":{}}}",
+        snap.epoch,
+        c.segments.value(),
+        c.samples.value(),
+        c.reports.value(),
+        c.accepted.value(),
+        c.quarantined.value(),
+        snap.s_samples,
+        snap.ingest_done,
+        snap.shards,
+        c.recovered_segments.value(),
+        c.quarantined_segments.value(),
+        c.rejected.value(),
+        c.evicted.value(),
+        snap.indexed,
+        snap.degraded,
+        c.poisoned.value(),
+        c.cache_hits.value(),
+        c.cache_misses.value(),
+        c.alerts_fired.value(),
+        c.alerts_stabilized.value(),
+        c.alerts_destabilized.value(),
+        c.alerts_swings.value(),
+        c.alerts_emitted.value(),
+        c.alerts_dropped.value(),
+    )
 }
 
 /// JSON number for an `f64`: non-finite values have no JSON spelling
@@ -2024,22 +2019,11 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal, for `format!` arguments; the escaping
+/// is [`write_json_string`]'s.
+fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_json_string(&mut out, s);
     out
 }
 
@@ -2103,46 +2087,14 @@ fn render_snapshot(
     epoch: u64,
     results: &StudyResults,
     fleet: &EngineFleet,
-    view: &StatusView,
+    ingest_done: bool,
+    shards: usize,
+    degraded: bool,
     metrics: &crate::obs::RunMetrics,
     slot_indexes: Vec<Arc<SampleIndex>>,
     slot_epochs: [u64; INGEST_SLOTS],
     alerts: Arc<Vec<PublishedAlert>>,
 ) -> Snapshot {
-    let indexed: usize = slot_indexes.iter().map(|i| i.len()).sum();
-    let status = format!(
-        "{{\"epoch\":{epoch},\"segments\":{},\"samples\":{},\"reports\":{},\
-         \"accepted\":{},\"quarantined\":{},\"s_samples\":{},\"ingest_done\":{},\
-         \"shards\":{},\"recovered_segments\":{},\"quarantined_segments\":{},\
-         \"rejected\":{},\"evicted\":{},\"indexed\":{},\"degraded\":{},\
-         \"poisoned\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"alerts_fired\":{},\"alerts_stabilized\":{},\"alerts_destabilized\":{},\
-         \"alerts_swings\":{},\"alerts_emitted\":{},\"alerts_dropped\":{}}}",
-        view.segments,
-        view.samples,
-        view.reports,
-        view.accepted,
-        view.quarantined,
-        results.s_samples,
-        view.done,
-        view.shards,
-        view.recovered_segments,
-        view.quarantined_segments,
-        view.rejected,
-        view.evicted,
-        indexed,
-        view.degraded,
-        view.poisoned,
-        view.cache_hits,
-        view.cache_misses,
-        view.alerts_fired,
-        view.alerts_stabilized,
-        view.alerts_destabilized,
-        view.alerts_swings,
-        view.alerts_emitted,
-        view.alerts_dropped,
-    );
-
     let c = &results.correlation_global;
     let ranks: Vec<String> = results
         .rank_stabilization
@@ -2194,7 +2146,7 @@ fn render_snapshot(
             format!(
                 "{{\"name\":{},\"flips\":{flips},\"opportunities\":{opportunities},\
                  \"flip_ratio\":{}}}",
-                json_string(fleet.profile(id).name),
+                quoted(fleet.profile(id).name),
                 json_f64(ratio)
             )
         })
@@ -2213,7 +2165,7 @@ fn render_snapshot(
     let fingerprint = format!(
         "{{\"epoch\":{epoch},\"ingest_done\":{},\
          \"fingerprint\":\"{debug_fnv:016x}\",\"rho_fnv\":\"{rho_fnv:016x}\"}}",
-        view.done,
+        ingest_done,
     );
 
     let engine_names: Vec<String> = (0..results.flips.engine_count)
@@ -2223,7 +2175,10 @@ fn render_snapshot(
 
     Snapshot {
         epoch,
-        status,
+        s_samples: results.s_samples,
+        indexed: slot_indexes.iter().map(|i| i.len()).sum(),
+        ingest_done,
+        shards,
         results: results_json,
         engines: engines_json,
         metrics: metrics_json,
@@ -2234,7 +2189,7 @@ fn render_snapshot(
         engine_names: Arc::new(engine_names),
         alerts,
         recommend,
-        degraded: view.degraded,
+        degraded,
     }
 }
 
@@ -2298,7 +2253,7 @@ fn render_recommend(
         .map(|&&(i, f, o)| {
             format!(
                 "{{\"name\":{},\"flips\":{f},\"opportunities\":{o},\"flip_ratio\":{}}}",
-                json_string(&engine_names[i]),
+                quoted(&engine_names[i]),
                 json_f64(f as f64 / o as f64),
             )
         })
@@ -2329,8 +2284,7 @@ mod tests {
         assert_eq!(json_f64(0.5), "0.5");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quoted("a\"b\n"), "\"a\\\"b\\n\"");
     }
 
     #[test]
@@ -2339,8 +2293,9 @@ mod tests {
         let fleet = EngineFleet::with_seed(config.seed ^ 0xF1EE_7000);
         let snap = empty_snapshot(&config, &fleet);
         assert_eq!(snap.epoch, 0);
+        let status = render_status(&snap, &ServeCounters::register(Obs::noop()));
         for doc in [
-            &snap.status,
+            &status,
             &snap.results,
             &snap.engines,
             &snap.metrics,
@@ -2407,7 +2362,10 @@ mod tests {
     fn bare_snapshot_with_slots(epoch: u64, slot_epochs: [u64; INGEST_SLOTS]) -> Snapshot {
         Snapshot {
             epoch,
-            status: String::new(),
+            s_samples: 0,
+            indexed: 0,
+            ingest_done: false,
+            shards: 1,
             results: String::new(),
             engines: String::new(),
             metrics: String::new(),

@@ -21,7 +21,7 @@ use crate::dynamics::MonitorEvent;
 use crate::model::SampleHash;
 use crate::obs::json::Value;
 
-use super::json_string;
+use super::quoted;
 
 /// Largest `k` the `flip_leaders` verb will rank (the response is
 /// rendered per request; an unbounded `k` would be a cheap DoS).
@@ -142,7 +142,7 @@ impl Render for WireError {
     fn render(&self, epoch: u64) -> String {
         format!(
             "{{\"epoch\":{epoch},\"error\":{}}}",
-            json_string(&self.to_string())
+            quoted(&self.to_string())
         )
     }
 }
@@ -258,8 +258,8 @@ fn parse_hash_member(parsed: &Value) -> Result<SampleHash, WireError> {
 /// index spelled as a string, still deterministically.
 fn engine_name(names: &[String], engine: u32) -> String {
     match names.get(engine as usize) {
-        Some(name) => json_string(name),
-        None => json_string(&engine.to_string()),
+        Some(name) => quoted(name),
+        None => quoted(&engine.to_string()),
     }
 }
 

@@ -11,7 +11,7 @@ use vt_label_dynamics::dynamics::{
 use vt_label_dynamics::sim::fault::{FaultPlan, FaultyFeed};
 use vt_label_dynamics::sim::SimConfig;
 use vt_label_dynamics::store::crc32::crc32;
-use vt_label_dynamics::store::{read_store, read_store_salvage, write_store, write_store_v1};
+use vt_label_dynamics::store::{read_store, read_store_salvage, write_store};
 
 #[test]
 fn empty_study_runs() {
@@ -154,20 +154,6 @@ fn persisted_study_store_round_trips() {
     for rec in study.records().iter().take(100) {
         assert_eq!(loaded.sample_reports(rec.meta.hash), rec.reports);
     }
-}
-
-#[test]
-fn legacy_v1_store_files_still_load() {
-    let study = Study::generate(SimConfig::new(6, 2_000));
-    let store = study.build_store();
-    let mut buf = Vec::new();
-    write_store_v1(&store, &mut buf).expect("write v1");
-    let loaded = read_store(&mut buf.as_slice()).expect("read v1");
-    assert_eq!(loaded.report_count(), store.report_count());
-    assert_eq!(loaded.sample_count(), store.sample_count());
-    let (salvaged, recovery) = read_store_salvage(&mut buf.as_slice()).expect("salvage v1");
-    assert!(recovery.is_clean());
-    assert_eq!(salvaged.report_count(), store.report_count());
 }
 
 /// The capstone equality: with duplicate + reorder faults only, the
@@ -332,14 +318,11 @@ fn salvage_recovers_at_least_one_minus_p_of_blocks() {
 fn damaged_store_bytes_never_panic_the_readers() {
     let study = Study::generate(SimConfig::new(0xB17F11, 1_500));
     let store = study.build_store();
-    let mut v2 = Vec::new();
-    write_store(&store, &mut v2).expect("write v2");
-    let mut v1 = Vec::new();
-    write_store_v1(&store, &mut v1).expect("write v1");
+    let mut base = Vec::new();
+    write_store(&store, &mut base).expect("write");
 
     let mut rng = SmallRng::seed_from_u64(0xBADC0DE);
     for case in 0..200 {
-        let base = if case % 2 == 0 { &v2 } else { &v1 };
         let mut bytes = base.clone();
         // Truncate, flip bits, or both.
         if case % 3 != 0 {

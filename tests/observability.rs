@@ -174,7 +174,7 @@ fn metrics_json_round_trips_and_covers_the_pipeline() {
     assert!(
         histograms.get("par/generate/worker_busy_ns").is_some()
             || histograms
-                .get("par/correlation_count/worker_busy_ns")
+                .get("par/correlation_fold/worker_busy_ns")
                 .is_some(),
         "per-worker busy-time histograms missing from JSON"
     );

@@ -13,13 +13,22 @@ use vt_label_dynamics::prelude::*;
 
 /// One request/response round-trip over an existing connection.
 fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, cmd: &str) -> json::Value {
+    ask_line(stream, reader, &format!("{{\"cmd\":\"{cmd}\"}}"))
+}
+
+/// [`ask`] for a request that carries members beside `cmd`.
+fn ask_line(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    request: &str,
+) -> json::Value {
     stream
-        .write_all(format!("{{\"cmd\":\"{cmd}\"}}\n").as_bytes())
+        .write_all(format!("{request}\n").as_bytes())
         .expect("write request");
     let mut line = String::new();
     reader.read_line(&mut line).expect("read response");
     assert!(line.ends_with('\n'), "response must be newline-terminated");
-    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("unparseable {cmd} response: {e}"))
+    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("unparseable {request} response: {e}"))
 }
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -111,6 +120,56 @@ fn serve_answers_concurrent_clients_during_ingestion() {
         bye.get("shutting_down").and_then(|b| b.as_bool()),
         Some(true)
     );
+    server.wait();
+}
+
+/// `status` is rendered per request from the live registry, so totals
+/// that move after the last publish — here the hot-sample cache's —
+/// keep moving in it instead of freezing at their publish-time values.
+#[test]
+fn status_counters_stay_live_after_ingest_done() {
+    let mut config = ServeConfig::new(300, 0x57A7);
+    config.segment_reports = 1_000;
+    config.workers = 1;
+    let probe = VirusTotalSim::new(SimConfig::new(config.seed, config.samples))
+        .population()
+        .sample(0)
+        .hash;
+    let server = Server::start(config).expect("bind ephemeral port");
+    let (mut stream, mut reader) = connect(server.addr());
+    let done = loop {
+        let v = ask(&mut stream, &mut reader, "status");
+        if v.get("ingest_done").and_then(|d| d.as_bool()) == Some(true) {
+            break v;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let u64_of = |v: &json::Value, key: &str| v.get(key).and_then(|n| n.as_u64()).expect("member");
+
+    // No publish can follow `ingest_done`: whatever moves now moves
+    // only in the registry.
+    let request = format!("{{\"cmd\":\"sample\",\"hash\":\"{}\"}}", probe.to_hex());
+    for _ in 0..3 {
+        let v = ask_line(&mut stream, &mut reader, &request);
+        assert_eq!(v.get("found").and_then(|f| f.as_bool()), Some(true));
+    }
+    let after = ask(&mut stream, &mut reader, "status");
+    assert_eq!(u64_of(&after, "epoch"), u64_of(&done, "epoch"));
+    assert_eq!(
+        u64_of(&after, "cache_misses"),
+        u64_of(&done, "cache_misses") + 1,
+        "the first request renders"
+    );
+    assert_eq!(
+        u64_of(&after, "cache_hits"),
+        u64_of(&done, "cache_hits") + 2,
+        "the two repeats are cache hits, and status must say so"
+    );
+    // The epoch-consistent members are the snapshot's, unchanged.
+    for key in ["samples", "indexed", "s_samples", "segments"] {
+        assert_eq!(u64_of(&after, key), u64_of(&done, key), "{key}");
+    }
+    server.shutdown();
     server.wait();
 }
 

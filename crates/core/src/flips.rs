@@ -64,14 +64,19 @@ impl FlipAnalysis {
         self.matrix[engine.index()][ft.dense_index()].ratio()
     }
 
-    /// An engine's flip ratio across all types.
-    pub fn engine_ratio(&self, engine: EngineId) -> f64 {
+    /// An engine's flips and opportunities summed across all types.
+    pub fn engine_total(&self, engine: EngineId) -> FlipCell {
         let mut total = FlipCell::default();
         for cell in &self.matrix[engine.index()] {
             total.opportunities += cell.opportunities;
             total.flips += cell.flips;
         }
-        total.ratio()
+        total
+    }
+
+    /// An engine's flip ratio across all types.
+    pub fn engine_ratio(&self, engine: EngineId) -> f64 {
+        self.engine_total(engine).ratio()
     }
 
     /// Engines ranked by overall flip ratio, descending.
@@ -383,6 +388,8 @@ mod tests {
         assert_eq!(ranked[0].0, EngineId(1));
         assert!(ranked[0].1 > ranked[1].1);
         assert_eq!(a.engine_ratio(EngineId(0)), 0.0);
+        let total = a.engine_total(EngineId(1));
+        assert_eq!((total.flips, total.opportunities), (3, 3));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use crate::analysis::AnalysisCtx;
 use crate::categorize::CategorySweep;
 use crate::causes::CauseAnalysis;
-use crate::collector::Collector;
 use crate::correlation::CorrelationAnalysis;
 use crate::flips::FlipAnalysis;
 use crate::freshdyn;
@@ -42,9 +41,8 @@ use crate::stabilization::{LabelStabilization, RankStabilization};
 use crate::table::TrajectoryTable;
 use vt_engines::EngineFleet;
 use vt_model::time::Timestamp;
-use vt_model::{FileType, ScanReport};
+use vt_model::FileType;
 use vt_obs::Obs;
-use vt_sim::fault::{FaultPlan, FaultyFeed};
 use vt_sim::{SimConfig, VirusTotalSim};
 use vt_store::{DatasetStats, PartitionStats, ReportStore};
 
@@ -183,7 +181,14 @@ impl Study {
 
     /// Loads every report into a fresh, sealed report store.
     pub fn build_store(&self) -> ReportStore {
-        let store = ReportStore::new();
+        self.build_store_obs(Obs::noop())
+    }
+
+    /// [`build_store`](Self::build_store) with the store's encode
+    /// counters recorded into `obs` (write-only: the packed bytes are
+    /// the same either way).
+    fn build_store_obs(&self, obs: &Obs) -> ReportStore {
+        let store = ReportStore::with_obs(obs);
         for r in &self.records {
             store.append_batch(&r.reports);
         }
@@ -193,39 +198,22 @@ impl Study {
 
     /// Runs the complete measurement pipeline.
     pub fn run(&self) -> StudyResults {
-        // Storage round trip (Table 2).
-        let store = self.build_store();
-        analyze_records(
-            &self.records,
-            store.partition_stats(),
-            self.sim.fleet(),
-            self.sim.config().window_start(),
-        )
+        self.run_with_obs(par::default_workers(), Obs::noop())
     }
 
     /// [`run`](Self::run) with explicit parallelism and observability:
-    /// ingestion goes through the fault-tolerant [`Collector`] over a
-    /// fault-free feed (exercising — and instrumenting — the paper's
-    /// actual collection path instead of bulk-loading the store), and
-    /// every analysis stage runs under its `pipeline/<name>` span with
-    /// `ctx.workers = workers`.
+    /// the storage round trip (Table 2) records the `store/*` counters,
+    /// and every analysis stage runs under its `pipeline/<name>` span
+    /// with `ctx.workers = workers`.
     ///
-    /// Analysis fields are bit-identical to [`run`](Self::run) at every
-    /// worker count and obs state; only the Table 2 byte accounting may
-    /// differ from `run`'s (the collector packs blocks in emission
-    /// order, `build_store` in sample order — the per-month report
-    /// counts are identical).
+    /// Every field, Table 2's byte accounting included, is bit-identical
+    /// at every worker count and obs state: there is one route, and
+    /// `obs` only ever receives writes.
     pub fn run_with_obs(&self, workers: usize, obs: &Obs) -> StudyResults {
-        let reports: Vec<ScanReport> = self
-            .records
-            .iter()
-            .flat_map(|r| r.reports.iter().cloned())
-            .collect();
-        let feed = FaultyFeed::new(reports, FaultPlan::clean(self.sim.config().seed));
-        let outcome = Collector::default().run_with_obs(feed, obs);
+        let store = self.build_store_obs(obs);
         analyze_records_obs(
             &self.records,
-            outcome.store.partition_stats(),
+            store.partition_stats(),
             self.sim.fleet(),
             self.sim.config().window_start(),
             workers,
@@ -434,11 +422,10 @@ mod tests {
             assert_eq!(t.count, 1, "stage {} ran once", t.name);
             assert!(t.max_ns <= t.total_ns);
         }
-        // The collector path ingested every report.
+        // The storage round trip encoded every report.
         let m = obs.snapshot();
         let total: u64 = study.records().iter().map(|r| r.reports.len() as u64).sum();
-        assert_eq!(m.counter("collector/accepted"), Some(total));
-        assert_eq!(m.counter("collector/deduped"), Some(0));
+        assert_eq!(m.counter("store/encoded_reports"), Some(total));
     }
 
     /// Acceptance gate for the columnar pipeline: on two seeded

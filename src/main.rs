@@ -43,7 +43,9 @@
 //! the pipeline runs with the no-op [`Obs`] and pays nothing.
 //!
 //! The analyze path reconstructs sample metadata purely from the stored
-//! reports (`records_from_store`) — the same situation the paper faced.
+//! reports — the same situation the paper faced — by folding the store
+//! as one segment through the decode arena (`fold_store`), the route
+//! `vtld serve` runs per sealed segment.
 //!
 //! All configuration flows through the validating builders
 //! ([`SimConfig::builder`], `FleetConfig::builder`), so malformed flag
@@ -51,7 +53,7 @@
 
 use std::io;
 use std::process::ExitCode;
-use vt_label_dynamics::dynamics::{analyze_records_obs, par, records_from_store, Study};
+use vt_label_dynamics::dynamics::{par, DecodeArena, IncrementalStudy, Study};
 use vt_label_dynamics::engines::{EngineFleet, FleetConfig, FleetConfigError};
 use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
@@ -543,17 +545,11 @@ fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
         store.report_count(),
         store.sample_count()
     );
-    let records = records_from_store(&store);
     let fleet = EngineFleet::new(FleetConfig::builder().seed(args.fleet_seed).build()?);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();
-    let results = analyze_records_obs(
-        &records,
-        store.partition_stats(),
-        &fleet,
-        window_start,
-        args.workers,
-        &obs,
-    );
+    let mut study = IncrementalStudy::new(&fleet, window_start).with_workers(args.workers);
+    study.fold_store(&store, &mut DecodeArena::new(), &obs);
+    let results = study.results(store.partition_stats(), &obs);
     println!("{}", render_full_report(&results, &fleet));
     if let Some(dir) = &args.csv_dir {
         write_csvs(dir, &results, &fleet)?;
@@ -573,22 +569,7 @@ fn cmd_study(args: StudyArgs) -> Result<(), VtldError> {
         args.samples, args.seed
     );
     let study = Study::generate_with_workers_obs(config, args.workers, &obs);
-    let results = if obs.is_enabled() {
-        // Instrumented path: ingest through the fault-tolerant
-        // collector (clean feed) so collector/store metrics cover the
-        // paper's collection pipeline, then the registry-driven stages.
-        study.run_with_obs(args.workers, &obs)
-    } else {
-        let store = study.build_store();
-        analyze_records_obs(
-            study.records(),
-            store.partition_stats(),
-            study.sim().fleet(),
-            config.window_start(),
-            args.workers,
-            Obs::noop(),
-        )
-    };
+    let results = study.run_with_obs(args.workers, &obs);
     println!("{}", render_full_report(&results, study.sim().fleet()));
     if let Some(dir) = &args.csv_dir {
         write_csvs(dir, &results, study.sim().fleet())?;

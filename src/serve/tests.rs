@@ -1,0 +1,372 @@
+//! The serve tier's pre-split unit tests, kept under `serve::tests`
+//! (the names the test floor pins); each layer's newer tests sit in its
+//! own file.
+
+use std::sync::Arc;
+
+use super::counters::ServeCounters;
+use super::fold::FoldCtx;
+use super::ingest::slot_of;
+use super::publish::{empty_epoch, empty_slot_indexes, Snapshot};
+use super::render::{
+    epoch_tail, json_f64, render_flip_leaders, render_sample, render_snapshot, render_stabilized,
+    render_status, splice_epoch, study_fingerprint, ResponseCache,
+};
+use super::wire::quoted;
+use super::{ServeConfig, INGEST_SLOTS};
+use crate::dynamics::flips::FlipAnalysis;
+use crate::dynamics::{
+    merge_partition_stats, Collector, IncrementalStudy, SlotMergeTree, StudyPartials,
+};
+use crate::engines::EngineFleet;
+use crate::model::SampleHash;
+use crate::obs::Obs;
+use crate::sim::fault::{FaultPlan, FaultyFeed};
+use crate::sim::{SimConfig, VirusTotalSim};
+use crate::store::PartitionStats;
+
+#[test]
+fn json_helpers_guard_edge_cases() {
+    assert_eq!(json_f64(0.5), "0.5");
+    assert_eq!(json_f64(f64::NAN), "null");
+    assert_eq!(json_f64(f64::INFINITY), "null");
+    assert_eq!(quoted("a\"b\n"), "\"a\\\"b\\n\"");
+}
+
+#[test]
+fn empty_snapshot_renders_parseable_responses() {
+    let config = ServeConfig::new(100, 7);
+    let snap = render_snapshot(empty_epoch(&FoldCtx::new(config)));
+    assert_eq!(snap.epoch, 0);
+    let status = render_status(&snap, &ServeCounters::register(Obs::noop()));
+    for doc in [
+        &status,
+        &snap.results,
+        &snap.engines,
+        &snap.metrics,
+        &snap.fingerprint,
+    ] {
+        let v = crate::obs::json::parse(doc).expect("valid JSON");
+        assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(0));
+    }
+    let v = crate::obs::json::parse(&snap.fingerprint).expect("valid JSON");
+    assert_eq!(
+        v.get("fingerprint").and_then(|f| f.as_str()).map(str::len),
+        Some(16)
+    );
+}
+
+#[test]
+fn merge_partitions_accumulates_by_month() {
+    let a = PartitionStats {
+        month: None,
+        reports: 3,
+        raw_bytes: 30,
+        stored_bytes: 10,
+    };
+    let mut acc = vec![a];
+    merge_partition_stats(&mut acc.clone(), &[]);
+    merge_partition_stats(&mut acc, &[a, a]);
+    assert_eq!(acc.len(), 1);
+    assert_eq!(acc[0].reports, 9);
+    assert_eq!(acc[0].stored_bytes, 30);
+}
+
+#[test]
+fn slot_routing_is_total_and_stable() {
+    for ordinal in 0..512u64 {
+        let hash = SampleHash::from_ordinal(ordinal);
+        let slot = slot_of(hash);
+        assert!(slot < INGEST_SLOTS);
+        assert_eq!(slot, slot_of(hash), "routing must be pure");
+    }
+}
+
+#[test]
+fn config_normalization_clamps() {
+    let mut config = ServeConfig::new(10, 1);
+    config.shards = 0;
+    config.segment_reports = 0;
+    config.max_clients = 0;
+    let n = config.normalized();
+    assert_eq!(n.shards, 1);
+    assert_eq!(n.segment_reports, 1);
+    assert_eq!(n.max_clients, 1);
+    let mut config = ServeConfig::new(10, 1);
+    config.shards = 64;
+    assert_eq!(config.normalized().shards, INGEST_SLOTS);
+}
+
+pub(super) fn bare_snapshot(epoch: u64) -> Snapshot {
+    // Every slot stamped with the snapshot's own epoch — the
+    // "everything changed" worst case the old wholesale-clearing
+    // cache behaved like.
+    bare_snapshot_with_slots(epoch, [epoch; INGEST_SLOTS])
+}
+
+fn bare_snapshot_with_slots(epoch: u64, slot_epochs: [u64; INGEST_SLOTS]) -> Snapshot {
+    Snapshot {
+        epoch,
+        s_samples: 0,
+        indexed: 0,
+        ingest_done: false,
+        shards: 1,
+        results: String::new(),
+        engines: String::new(),
+        metrics: String::new(),
+        fingerprint: String::new(),
+        slot_indexes: empty_slot_indexes(),
+        slot_epochs,
+        flips: Arc::new(FlipAnalysis::empty(0)),
+        engine_names: Arc::new(Vec::new()),
+        alerts: Arc::new(Vec::new()),
+        recommend: String::new(),
+        degraded: false,
+    }
+}
+
+/// A cache of `capacity` entries over a live registry of its own.
+struct Cached {
+    counters: ServeCounters,
+    cache: ResponseCache,
+}
+
+fn cache_of(capacity: usize) -> Cached {
+    let counters = ServeCounters::register(&Obs::new());
+    Cached {
+        cache: ResponseCache::new(capacity, &counters),
+        counters,
+    }
+}
+
+/// A cacheable body as the lazy renderers produce one.
+fn body(epoch: u64, tag: &str) -> String {
+    format!("{{\"epoch\":{epoch},\"tag\":\"{tag}\"}}")
+}
+
+#[test]
+fn cache_serves_hits_within_an_epoch_and_clears_on_swap() {
+    let shared = cache_of(8);
+    let snap1 = bare_snapshot(1);
+    let a = shared
+        .cache
+        .respond(&snap1, "k", Some(0), || body(1, "one"));
+    let b = shared
+        .cache
+        .respond(&snap1, "k", Some(0), || body(1, "two"));
+    assert_eq!(a, body(1, "one"));
+    assert_eq!(b, body(1, "one"), "second is a hit");
+    assert_eq!(shared.counters.cache_hits.value(), 1);
+    assert_eq!(shared.counters.cache_misses.value(), 1);
+    // Epoch swap that republished slot 0: the same key renders
+    // fresh.
+    let snap2 = bare_snapshot(2);
+    let c = shared
+        .cache
+        .respond(&snap2, "k", Some(0), || body(2, "three"));
+    assert_eq!(c, body(2, "three"), "epoch swap invalidates");
+    // A reader still pinning epoch 1 bypasses the cache entirely —
+    // it neither serves nor stores stale entries.
+    let d = shared
+        .cache
+        .respond(&snap1, "k", Some(0), || body(1, "stale"));
+    assert_eq!(d, body(1, "stale"));
+    let e = shared
+        .cache
+        .respond(&snap2, "k", Some(0), || body(2, "four"));
+    assert_eq!(
+        e,
+        body(2, "three"),
+        "epoch-2 entry survived the stale reader"
+    );
+}
+
+#[test]
+fn cache_keeps_unchanged_slots_across_epoch_swaps() {
+    let shared = cache_of(8);
+    // Epoch 3: slot 0 last changed at epoch 1, slot 1 at epoch 3.
+    let mut slot_epochs = [0; INGEST_SLOTS];
+    slot_epochs[0] = 1;
+    slot_epochs[1] = 3;
+    let snap3 = bare_snapshot_with_slots(3, slot_epochs);
+    let a = shared
+        .cache
+        .respond(&snap3, "a", Some(0), || body(3, "slot0"));
+    let b = shared
+        .cache
+        .respond(&snap3, "b", Some(1), || body(3, "slot1"));
+    let c = shared.cache.respond(&snap3, "c", None, || body(3, "study"));
+    assert_eq!(
+        (a, b, c),
+        (body(3, "slot0"), body(3, "slot1"), body(3, "study"))
+    );
+    // Epoch 4 republishes only slot 1.
+    slot_epochs[1] = 4;
+    let snap4 = bare_snapshot_with_slots(4, slot_epochs);
+    let a2 = shared
+        .cache
+        .respond(&snap4, "a", Some(0), || body(4, "MISS"));
+    assert_eq!(
+        a2,
+        body(4, "slot0"),
+        "unchanged slot's entry survives the swap, re-stamped to the live epoch"
+    );
+    assert_eq!(shared.counters.cache_hits.value(), 1);
+    let b2 = shared
+        .cache
+        .respond(&snap4, "b", Some(1), || body(4, "fresh1"));
+    assert_eq!(b2, body(4, "fresh1"), "dirty slot's entry was dropped");
+    let c2 = shared
+        .cache
+        .respond(&snap4, "c", None, || body(4, "fresh2"));
+    assert_eq!(
+        c2,
+        body(4, "fresh2"),
+        "whole-study entries drop every epoch"
+    );
+}
+
+#[test]
+fn cache_never_serves_entries_across_a_degraded_transition() {
+    let shared = cache_of(8);
+    let snap1 = bare_snapshot_with_slots(1, [1; INGEST_SLOTS]);
+    shared
+        .cache
+        .respond(&snap1, "k", Some(2), || body(1, "clean"));
+    // Epoch 2 degrades without touching slot 2: the baked-in
+    // (absent) degraded suffix no longer matches, so no hit.
+    let mut snap2 = bare_snapshot_with_slots(2, [1; INGEST_SLOTS]);
+    snap2.degraded = true;
+    let got = shared
+        .cache
+        .respond(&snap2, "k", Some(2), || body(2, "flagged"));
+    assert_eq!(got, body(2, "flagged"));
+    assert_eq!(shared.counters.cache_hits.value(), 0);
+}
+
+#[test]
+fn cache_evicts_least_recently_used_at_capacity() {
+    let shared = cache_of(2);
+    let snap = bare_snapshot(1);
+    let hit = |key: &str, tag: &str| {
+        let want = body(1, tag);
+        shared.cache.respond(&snap, key, Some(0), || want.clone())
+    };
+    hit("a", "A");
+    hit("b", "B");
+    hit("a", "A2"); // touch a
+    hit("c", "C"); // evicts b
+    assert_eq!(hit("a", "A3"), body(1, "A"), "a stayed cached");
+    assert_eq!(hit("b", "B2"), body(1, "B2"), "b was the LRU victim");
+}
+
+#[test]
+fn zero_capacity_disables_caching() {
+    let shared = cache_of(0);
+    let snap = bare_snapshot(1);
+    assert_eq!(
+        shared.cache.respond(&snap, "k", Some(0), || body(1, "x")),
+        body(1, "x")
+    );
+    assert_eq!(
+        shared.cache.respond(&snap, "k", Some(0), || body(1, "y")),
+        body(1, "y"),
+        "nothing is retained"
+    );
+    assert_eq!(shared.counters.cache_hits.value(), 0);
+}
+
+#[test]
+fn epoch_tail_splits_only_wellformed_prefixes() {
+    assert_eq!(epoch_tail("{\"epoch\":17,\"x\":1}"), Some(",\"x\":1}"));
+    assert_eq!(epoch_tail("{\"epoch\":0}"), Some("}"));
+    assert_eq!(epoch_tail("{\"epoch\":}"), None);
+    assert_eq!(epoch_tail("{\"other\":1}"), None);
+    assert_eq!(splice_epoch(42, ",\"x\":1}"), "{\"epoch\":42,\"x\":1}");
+}
+
+#[test]
+fn lazy_renderers_answer_missing_hashes_and_empty_indexes() {
+    let snap = bare_snapshot(3);
+    let hash = SampleHash::from_ordinal(7);
+    let sample = crate::obs::json::parse(&render_sample(&snap, hash)).expect("json");
+    assert_eq!(sample.get("epoch").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(sample.get("found").and_then(|v| v.as_bool()), Some(false));
+    let stab = crate::obs::json::parse(&render_stabilized(&snap, hash, 10)).expect("json");
+    assert_eq!(stab.get("found").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(stab.get("threshold").and_then(|v| v.as_u64()), Some(10));
+    let leaders = crate::obs::json::parse(&render_flip_leaders(&snap, 5)).expect("json");
+    assert_eq!(
+        leaders
+            .get("leaders")
+            .and_then(|v| v.as_array())
+            .map(<[_]>::len),
+        Some(0)
+    );
+}
+
+/// The published fingerprint is a function of the finished study
+/// only — merging the slot partials through the cached
+/// [`SlotMergeTree`] must produce the same bits as the flat
+/// left-to-right slot merge the daemon used to do, at every fold
+/// worker count.
+#[test]
+fn tree_merged_fingerprint_matches_flat_slot_merge() {
+    let samples = 600u64;
+    let sim = VirusTotalSim::new(SimConfig::new(0xF1A7, samples));
+    let feed = FaultyFeed::from_sim(&sim, 0..samples, FaultPlan::clean(0xF1A7));
+    let outcome = Collector::default().run(feed);
+    let records = crate::dynamics::records_from_store(&outcome.store);
+    let ws = sim.config().window_start();
+    let mut slot_records: Vec<Vec<_>> = vec![Vec::new(); INGEST_SLOTS];
+    for r in &records {
+        slot_records[slot_of(r.meta.hash)].push(r.clone());
+    }
+    let mut fingerprints = Vec::new();
+    for fold_workers in [1usize, 2] {
+        let mut studies: Vec<IncrementalStudy<'_>> = (0..INGEST_SLOTS)
+            .map(|_| IncrementalStudy::new(sim.fleet(), ws).with_workers(fold_workers))
+            .collect();
+        let mut tree = SlotMergeTree::new(INGEST_SLOTS);
+        for (slot, recs) in slot_records.iter().enumerate() {
+            for seg in recs.chunks(recs.len().div_ceil(2).max(1)) {
+                studies[slot].fold_segment(seg, Obs::noop());
+            }
+            tree.update_slot(slot, studies[slot].partials().cloned(), Vec::new());
+        }
+        let flat = studies
+            .iter()
+            .filter_map(|st| st.partials().cloned())
+            .reduce(StudyPartials::merge)
+            .expect("the fixture folds at least one slot");
+        let tree_results = tree
+            .root()
+            .expect("tree accumulated")
+            .finish(Vec::new(), Obs::noop());
+        let flat_results = flat.finish(Vec::new(), Obs::noop());
+        let fp = study_fingerprint(&tree_results);
+        assert_eq!(
+            fp,
+            study_fingerprint(&flat_results),
+            "tree merge must publish the flat merge's bits (fold_workers={fold_workers})"
+        );
+        fingerprints.push(fp);
+    }
+    assert_eq!(
+        fingerprints[0], fingerprints[1],
+        "fold parallelism must never show in the fingerprint"
+    );
+}
+
+#[test]
+fn fingerprint_ignores_stage_timings_only() {
+    let fleet = EngineFleet::with_seed(42);
+    let window_start = SimConfig::new(42, 10).window_start();
+    let study = IncrementalStudy::new(&fleet, window_start);
+    let mut a = study.results(Vec::new(), Obs::noop());
+    let b = study.results(Vec::new(), Obs::noop());
+    let fp_a = study_fingerprint(&a);
+    assert_eq!(fp_a, study_fingerprint(&b), "same study, same fingerprint");
+    a.s_samples += 1;
+    assert_ne!(fp_a, study_fingerprint(&a), "results changes must show");
+}

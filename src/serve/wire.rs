@@ -19,9 +19,7 @@ use crate::dynamics::alerts::{Alert, AlertKind};
 use crate::dynamics::stabilization::FIG9_THRESHOLDS;
 use crate::dynamics::MonitorEvent;
 use crate::model::SampleHash;
-use crate::obs::json::Value;
-
-use super::quoted;
+use crate::obs::json::{write_json_string, Value};
 
 /// Largest `k` the `flip_leaders` verb will rank (the response is
 /// rendered per request; an unbounded `k` would be a cheap DoS).
@@ -129,6 +127,14 @@ impl std::fmt::Display for WireError {
             WireError::BadSince => write!(f, "member 'since' must be a non-negative integer"),
         }
     }
+}
+
+/// `s` as a JSON string literal, for `format!` arguments; the escaping
+/// is [`write_json_string`]'s.
+pub(super) fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
 }
 
 /// Anything the reactor writes back: rendered under the serving

@@ -3,13 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use vt_bench::{bench_ctx, study};
+use vt_bench::{bench_ctx, study, BENCH_SAMPLES, BENCH_SEED};
 use vt_dynamics::landscape::{self, Landscape};
 use vt_dynamics::Analysis;
 use vt_engines::EngineFleet;
 use vt_model::time::{Date, Duration, Timestamp};
 use vt_model::{FileType, GroundTruth, SampleHash, SampleMeta};
-use vt_sim::SampleSession;
+use vt_sim::{SampleSession, SimConfig, VirusTotalSim};
 use vt_store::ReportStore;
 
 /// Table 1 — one full upload/rescan/report API cycle.
@@ -69,9 +69,47 @@ fn table3_and_fig1(c: &mut Criterion) {
     });
 }
 
+/// The feed generator — what `vtld simulate`, `vtld study` and the serve
+/// feeder spend their time in — and its two halves: the plan resolved
+/// once per sample and the fleet scan run once per report. The fleet is
+/// warm (its day plane fills during the first sweep), which is the
+/// state every report after a day's first one sees.
+fn sim_generate(c: &mut Criterion) {
+    let sim = VirusTotalSim::new(SimConfig::new(BENCH_SEED, BENCH_SAMPLES));
+    let fleet = sim.fleet();
+    let mut group = c.benchmark_group("sim_generate");
+    group.sample_size(10);
+    group.bench_function("trajectories_1_worker", |b| {
+        b.iter(|| sim.trajectories().map(|(_, r)| r.len()).sum::<usize>())
+    });
+    let feed: Vec<(SampleMeta, Vec<Timestamp>)> = sim
+        .trajectories()
+        .map(|(meta, reports)| (meta, reports.iter().map(|r| r.analysis_date).collect()))
+        .collect();
+    group.bench_function("sample_plan", |b| {
+        b.iter(|| {
+            for (meta, _) in &feed {
+                black_box(fleet.sample_plan(meta));
+            }
+        })
+    });
+    let plans: Vec<_> = feed.iter().map(|(m, _)| fleet.sample_plan(m)).collect();
+    group.bench_function("fleet_scan", |b| {
+        b.iter(|| {
+            for ((meta, times), plan) in feed.iter().zip(&plans) {
+                for &t in times {
+                    black_box(fleet.scan(plan, meta, t));
+                }
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     table1_api_semantics,
+    sim_generate,
     table2_monthly_volume,
     table3_and_fig1
 );

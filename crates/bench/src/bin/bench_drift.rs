@@ -1,6 +1,6 @@
 //! Bench-drift smoke gate for the hot serve-path kernels.
 //!
-//! Re-times two committed-baseline arms and fails (exit 1) if either
+//! Re-times three committed-baseline arms and fails (exit 1) if any
 //! regresses more than the tolerated fraction against
 //! `BENCH_pipeline.json`:
 //!
@@ -13,8 +13,14 @@
 //!   (guards against per-publish work creeping back to O(history) —
 //!   a reintroduced partial clone, an O(rows) plane walk, a per-publish
 //!   index merge).
+//! * `pr14_scan_day_plane.after.trajectories_1_worker` — one
+//!   single-thread sweep of the feed generator over the 60k-sample
+//!   fixture's config (guards against per-report recomputation of what
+//!   a scan asks once — the fleet's day plane, the load factor — or a
+//!   per-pair rule scan creeping back into `vt-engines`; the sweep was
+//!   4× slower before those existed).
 //!
-//! A third arm is self-relative rather than baseline-gated:
+//! A fourth arm is self-relative rather than baseline-gated:
 //! `alert_overhead` folds the 60k fixture with and without the
 //! streaming drift detectors ([`vt_dynamics::AlertConfig`]) in the same
 //! process and fails if detectors-on exceeds detectors-off by more than
@@ -40,9 +46,10 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
-use vt_bench::{correlation_study, study};
+use vt_bench::{correlation_study, study, BENCH_SAMPLES, BENCH_SEED};
 use vt_dynamics::{AlertConfig, DecodeArena, IncrementalStudy, SlotMergeTree, TrajectoryTable};
 use vt_obs::{json, Obs};
+use vt_sim::{SimConfig, VirusTotalSim};
 
 const DEFAULT_BASELINE: &str = "BENCH_pipeline.json";
 const ITERATIONS: u32 = 5;
@@ -148,6 +155,22 @@ fn publish_ok(baseline: u64, tolerance: f64) -> bool {
     })
 }
 
+fn generate_ok(baseline: u64, tolerance: f64) -> bool {
+    eprintln!("bench_drift: sweeping the feed generator over the 60k-sample config...");
+    let sim = VirusTotalSim::new(SimConfig::new(BENCH_SEED, BENCH_SAMPLES));
+    let sweep = || sim.trajectories().map(|(_, r)| r.len()).sum::<usize>();
+    // Warm-up: the first sweep fills the fleet's day plane.
+    let reports = sweep();
+
+    gate("trajectories_1_worker", baseline, tolerance, || {
+        let t = Instant::now();
+        let n = std::hint::black_box(sweep());
+        let ns = t.elapsed().as_nanos() as u64;
+        assert_eq!(n, reports, "fixture changed mid-run");
+        ns
+    })
+}
+
 /// Self-relative gate: the streaming drift detectors must cost no more
 /// than `tolerance` extra on the segment-fold path. Both sides run in
 /// this process on the same fixture, so no stored baseline (and no
@@ -198,15 +221,20 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|t| t.parse().ok())
         .unwrap_or(0.25);
-    let baselines = (|| -> Result<(u64, u64), String> {
+    let baselines = (|| -> Result<(u64, u64, u64), String> {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
         let v = json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
         Ok((
             lookup_ns(&v, &path, &["table_build_arena", "1"])?,
             lookup_ns(&v, &path, &["segment_fold", "publish_last_segment"])?,
+            lookup_ns(
+                &v,
+                &path,
+                &["pr14_scan_day_plane", "after", "trajectories_1_worker"],
+            )?,
         ))
     })();
-    let (table_baseline, publish_baseline) = match baselines {
+    let (table_baseline, publish_baseline, generate_baseline) = match baselines {
         Ok(b) => b,
         Err(e) => {
             eprintln!("bench_drift: {e}");
@@ -221,6 +249,7 @@ fn main() -> ExitCode {
 
     let mut ok = table_build_ok(table_baseline, tolerance);
     ok &= publish_ok(publish_baseline, tolerance);
+    ok &= generate_ok(generate_baseline, tolerance);
     ok &= alert_overhead_ok(alert_tolerance);
     if !ok {
         return ExitCode::FAILURE;

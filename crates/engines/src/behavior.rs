@@ -34,14 +34,27 @@
 //! noise: whole-day engine outages and per-scan timeouts (both →
 //! [`Verdict::Undetected`]), plus the rare glitch that inverts a label
 //! for one scan.
+//!
+//! ## What a scan asks once
+//!
+//! Outages and the availability epochs depend on *(fleet seed, engine,
+//! day)* only, so the fleet keeps them in a **day plane**: one row per
+//! calendar day of the collection window, filled on first use from the
+//! public [`EngineFleet::in_outage`] / [`EngineFleet::epoch_factor`]
+//! (which stay the definitions) and shared by every scan of that day.
+//! The load factor depends on *(sample, day)* only and is drawn once
+//! per scan. What is left per verdict is the two hashes keyed on the
+//! pair: the timeout draw and the glitch draw.
 
-use crate::groups::{build_copy_rules, rule_for, CopyRule};
-use crate::registry::{build_roster, EngineProfile};
+use crate::groups::{build_copy_rules, CopyIndex};
+use crate::registry::{build_roster, EngineProfile, ENGINE_COUNT};
 use crate::typemods::{engine_type_latency_mult, type_mods, TypeMods};
 use crate::update::UpdateSchedule;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use vt_model::hash::{mix64, unit_f64};
-use vt_model::time::MINUTES_PER_DAY;
-use vt_model::{EngineId, GroundTruth, SampleMeta, Timestamp, Verdict, VerdictVec};
+use vt_model::time::{Month, MINUTES_PER_DAY};
+use vt_model::{EngineId, FileType, GroundTruth, SampleMeta, Timestamp, Verdict, VerdictVec};
 
 // Hash-stream tags: each purpose gets its own stream so draws are
 // independent.
@@ -298,13 +311,40 @@ pub struct SamplePlan {
     effective: Vec<u8>,
 }
 
+/// Everything about one calendar day that does not depend on what is
+/// scanned: a function of `(fleet seed, engine, day)` only.
+#[derive(Debug, Clone)]
+struct DayRow {
+    /// Bit `e` is [`EngineFleet::in_outage`] for engine `e`.
+    outage: u128,
+    /// [`EngineFleet::epoch_factor`] per engine.
+    epoch: [f64; ENGINE_COUNT],
+}
+
+/// Columns of the hot-spot table: the 20 named types, NULL, and one
+/// column shared by every `Other(_)` (no hot spot names a tail type).
+const HOT_COLUMNS: usize = FileType::TOP20.len() + 2;
+
+fn hot_column(ft: FileType) -> usize {
+    ft.dense_index().min(HOT_COLUMNS - 1)
+}
+
 /// The full engine fleet: profiles, update schedules, copy rules.
 #[derive(Debug, Clone)]
 pub struct EngineFleet {
     profiles: Vec<EngineProfile>,
     schedules: Vec<UpdateSchedule>,
-    rules: Vec<CopyRule>,
+    copy: CopyIndex,
+    /// The Fig. 10 hot-spot latency multiplier per (engine,
+    /// [`hot_column`]).
+    hot: Vec<[f64; HOT_COLUMNS]>,
     config: FleetConfig,
+    /// The day plane: `days[d]` memoises the [`DayRow`] of day
+    /// `first_day + d`. It spans the collection window (426 days,
+    /// ~250 KB if every day is scanned) and starts empty; a day outside
+    /// it gets its row computed per call by the same function.
+    days: Box<[OnceLock<Box<DayRow>>]>,
+    first_day: i64,
 }
 
 impl EngineFleet {
@@ -316,11 +356,27 @@ impl EngineFleet {
             .enumerate()
             .map(|(i, p)| UpdateSchedule::new(i, p.update_period_days))
             .collect();
+        let hot = profiles
+            .iter()
+            .map(|p| {
+                std::array::from_fn(|col| {
+                    engine_type_latency_mult(p.name, FileType::from_dense_index(col))
+                })
+            })
+            .collect();
+        let first_day = Month::COLLECTION_START.start().day_number();
+        let end_day = Month::COLLECTION_START
+            .plus(Month::COLLECTION_LEN)
+            .start()
+            .day_number();
         Self {
+            copy: CopyIndex::new(build_copy_rules()),
             profiles,
             schedules,
-            rules: build_copy_rules(),
+            hot,
             config,
+            days: (first_day..end_day).map(|_| OnceLock::new()).collect(),
+            first_day,
         }
     }
 
@@ -413,7 +469,7 @@ impl EngineFleet {
     fn resolve_effective(&self, engine: usize, sample: &SampleMeta) -> usize {
         let mut cur = engine;
         let mut depth = 0;
-        while let Some(rule) = rule_for(&self.rules, cur, sample.file_type) {
+        while let Some(rule) = self.copy.rule_for(cur, sample.file_type) {
             // The copy draw is keyed by the *follower* so independent
             // followers of one leader decorrelate independently.
             if self.u(sample, cur, TAG_COPY) < rule.prob {
@@ -432,19 +488,24 @@ impl EngineFleet {
     /// Computes the lifetime plan of `(engine, sample)`.
     pub fn pair_plan(&self, engine: EngineId, sample: &SampleMeta) -> PairPlan {
         let eff = self.resolve_effective(engine.index(), sample);
-        self.pair_plan_with_eff(engine, eff, sample)
+        self.pair_plan_with_eff(engine, eff, &type_mods(sample.file_type), sample)
     }
 
-    fn pair_plan_with_eff(&self, engine: EngineId, eff: usize, sample: &SampleMeta) -> PairPlan {
+    fn pair_plan_with_eff(
+        &self,
+        engine: EngineId,
+        eff: usize,
+        mods: &TypeMods,
+        sample: &SampleMeta,
+    ) -> PairPlan {
         let profile = &self.profiles[eff];
-        let mods = type_mods(sample.file_type);
         match sample.truth {
-            GroundTruth::Benign => self.benign_plan(eff, profile, &mods, sample),
+            GroundTruth::Benign => self.benign_plan(eff, profile, mods, sample),
             GroundTruth::Malicious { detectability } => self.malicious_plan(
                 engine.index(),
                 eff,
                 profile,
-                &mods,
+                mods,
                 sample,
                 detectability as f64,
             ),
@@ -511,7 +572,7 @@ impl EngineFleet {
         // Signature arrives after a latency. The hot-spot override uses
         // the *follower's* identity (Fig. 10 is about the engine whose
         // column flips, even when it copies labels).
-        let hot = engine_type_latency_mult(self.profiles[follower].name, sample.file_type);
+        let hot = self.hot[follower][hot_column(sample.file_type)];
         let median =
             profile.latency_median_days * mods.latency_scale * hot * self.sample_slowness(sample);
         let days = self.lognormal_days(sample, eff, TAG_LATENCY, median, profile.latency_sigma);
@@ -536,7 +597,7 @@ impl EngineFleet {
         let mut effective = Vec::with_capacity(n);
         for i in 0..n {
             let eff = self.resolve_effective(i, sample);
-            plans.push(self.pair_plan_with_eff(EngineId(i as u8), eff, sample));
+            plans.push(self.pair_plan_with_eff(EngineId(i as u8), eff, &mods, sample));
             timeout_rates.push(
                 (self.profiles[eff].timeout_rate * mods.timeout_mult * self.config.timeout_mult)
                     .min(0.5),
@@ -632,16 +693,44 @@ impl EngineFleet {
         fast * slow * trend
     }
 
-    /// One engine's verdict for one scan, using a precomputed plan.
-    pub fn verdict_with_plan(
+    /// The [`DayRow`] of the day of `t`, computed from the two public
+    /// definitions.
+    fn compute_day_row(&self, t: Timestamp) -> DayRow {
+        let mut row = DayRow {
+            outage: 0,
+            epoch: [0.0; ENGINE_COUNT],
+        };
+        for e in 0..self.profiles.len() {
+            row.outage |= (self.in_outage(EngineId(e as u8), t) as u128) << e;
+            row.epoch[e] = self.epoch_factor(e, t);
+        }
+        row
+    }
+
+    /// The memoised [`DayRow`] of the day of `t`. Threads that race on
+    /// a cold day compute the same pure value; one of them stores it.
+    fn day_row(&self, t: Timestamp) -> Cow<'_, DayRow> {
+        let slot = usize::try_from(t.day_number() - self.first_day)
+            .ok()
+            .and_then(|d| self.days.get(d));
+        match slot {
+            Some(slot) => Cow::Borrowed(slot.get_or_init(|| Box::new(self.compute_day_row(t)))),
+            None => Cow::Owned(self.compute_day_row(t)),
+        }
+    }
+
+    /// The one verdict routine: engine `i`'s verdict given the day's
+    /// row and the scan's load factor.
+    fn verdict_on(
         &self,
+        row: &DayRow,
+        load: f64,
         plan: &SamplePlan,
-        e: EngineId,
+        i: usize,
         sample: &SampleMeta,
         t: Timestamp,
     ) -> Verdict {
-        let i = e.index();
-        if self.in_outage(e, t) {
+        if row.outage >> i & 1 == 1 {
             return Verdict::Undetected;
         }
         // Timeout draw keyed by the *effective* engine and the scan day:
@@ -649,8 +738,7 @@ impl EngineFleet {
         // samples), and scans of a sample within one day see identical
         // engine availability.
         let eff = plan.effective[i] as usize;
-        let p = (plan.timeout_rates[i] * self.epoch_factor(eff, t) * self.load_factor(sample, t))
-            .min(0.9);
+        let p = (plan.timeout_rates[i] * row.epoch[eff] * load).min(0.9);
         let day_word = mix64(&[
             self.config.seed,
             sample.hash.seed64(),
@@ -674,6 +762,18 @@ impl EngineFleet {
         }
     }
 
+    /// One engine's verdict for one scan, using a precomputed plan.
+    pub fn verdict_with_plan(
+        &self,
+        plan: &SamplePlan,
+        e: EngineId,
+        sample: &SampleMeta,
+        t: Timestamp,
+    ) -> Verdict {
+        let load = self.load_factor(sample, t);
+        self.verdict_on(&self.day_row(t), load, plan, e.index(), sample, t)
+    }
+
     /// One engine's verdict for one scan (resolves the plan on the fly;
     /// prefer [`EngineFleet::sample_plan`] + [`EngineFleet::verdict_with_plan`]
     /// when scanning a sample repeatedly).
@@ -682,12 +782,17 @@ impl EngineFleet {
         self.verdict_with_plan(&plan, e, sample, t)
     }
 
-    /// Scans a sample with the whole fleet at time `t`.
+    /// Scans a sample with the whole fleet at time `t`: the day's row
+    /// and the load factor are fetched once and shared by the roster.
     pub fn scan(&self, plan: &SamplePlan, sample: &SampleMeta, t: Timestamp) -> VerdictVec {
+        let row = self.day_row(t);
+        let load = self.load_factor(sample, t);
         let mut v = VerdictVec::new(self.profiles.len());
         for i in 0..self.profiles.len() {
-            let id = EngineId(i as u8);
-            v.set(id, self.verdict_with_plan(plan, id, sample, t));
+            v.set(
+                EngineId(i as u8),
+                self.verdict_on(&row, load, plan, i, sample, t),
+            );
         }
         v
     }
@@ -717,8 +822,10 @@ impl SamplePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use vt_model::filetype::TOTAL_TYPE_COUNT;
     use vt_model::time::{Date, Duration};
-    use vt_model::{FileType, SampleHash};
+    use vt_model::SampleHash;
 
     fn fleet() -> EngineFleet {
         EngineFleet::with_seed(42)
@@ -768,7 +875,7 @@ mod tests {
         }
         // JPEG FP rates are tiny: expect well under 0.2 positives/sample.
         assert!(
-            (total_positives as f64) < 0.2 * n as f64 * 70.0 / 70.0 * 10.0,
+            (total_positives as f64) < 0.2 * n as f64,
             "benign positives too high: {total_positives}"
         );
     }
@@ -946,5 +1053,195 @@ mod tests {
         let v1 = f1.scan(&f1.sample_plan(&s), &s, t);
         let v2 = f2.scan(&f2.sample_plan(&s), &s, t);
         assert_ne!(v1, v2, "seeds should decorrelate verdict vectors");
+    }
+
+    /// One engine's verdict assembled from the public pure functions,
+    /// as `verdict_with_plan` composed them before the day plane
+    /// existed: the definition [`EngineFleet::scan`] must reproduce.
+    fn verdict_by_definition(
+        f: &EngineFleet,
+        plan: &SamplePlan,
+        e: EngineId,
+        sample: &SampleMeta,
+        t: Timestamp,
+    ) -> Verdict {
+        let i = e.index();
+        if f.in_outage(e, t) {
+            return Verdict::Undetected;
+        }
+        let eff = plan.effective[i] as usize;
+        let p =
+            (plan.timeout_rates[i] * f.epoch_factor(eff, t) * f.load_factor(sample, t)).min(0.9);
+        let day_word = mix64(&[
+            f.config.seed,
+            sample.hash.seed64(),
+            eff as u64,
+            TAG_TIMEOUT,
+            t.day_number() as u64,
+        ]);
+        if unit_f64(day_word) < p {
+            return Verdict::Undetected;
+        }
+        let mut flagged = plan.plan(e).flagged_at(t);
+        if f.config.glitch_rate > 0.0 && f.u_scan(sample, i, TAG_GLITCH, t) < f.config.glitch_rate {
+            flagged = !flagged;
+        }
+        if flagged {
+            Verdict::Malicious
+        } else {
+            Verdict::Benign
+        }
+    }
+
+    fn window_start() -> Timestamp {
+        Month::COLLECTION_START.start()
+    }
+
+    fn window_end() -> Timestamp {
+        Month::COLLECTION_START.plus(Month::COLLECTION_LEN).start()
+    }
+
+    proptest! {
+        #[test]
+        fn scan_is_the_definition(
+            seed in any::<u64>(),
+            ordinal in any::<u64>(),
+            type_idx in 0usize..HOT_COLUMNS + 1,
+            benign in any::<bool>(),
+            detectability in 0.0f64..=1.0,
+            // Inside the window, before day 0, past the memoised range.
+            region in 0usize..3,
+            minute in 0i64..426 * MINUTES_PER_DAY,
+            timeout_mult in 0usize..3,
+            outage_mult in 0usize..3,
+            glitch in any::<bool>(),
+        ) {
+            const MULTS: [f64; 3] = [0.0, 1.0, 30.0];
+            let f = EngineFleet::new(FleetConfig {
+                seed,
+                timeout_mult: MULTS[timeout_mult],
+                outage_mult: MULTS[outage_mult],
+                glitch_rate: if glitch { 1.0 } else { 0.0 },
+                ..FleetConfig::default()
+            });
+            let truth = if benign {
+                GroundTruth::Benign
+            } else {
+                GroundTruth::Malicious { detectability: detectability as f32 }
+            };
+            let s = sample(ordinal, FileType::from_dense_index(type_idx), truth);
+            let t = match region {
+                0 => Timestamp(window_start().0 + minute),
+                1 => Timestamp(-1 - minute),
+                _ => Timestamp(window_end().0 + minute),
+            };
+            let plan = f.sample_plan(&s);
+            let scanned = f.scan(&plan, &s, t);
+            for e in (0..f.engine_count()).map(|e| EngineId(e as u8)) {
+                let defined = verdict_by_definition(&f, &plan, e, &s, t);
+                prop_assert_eq!(scanned.get(e), defined, "engine {} at {:?}", e.index(), t);
+                prop_assert_eq!(f.verdict_with_plan(&plan, e, &s, t), defined);
+            }
+        }
+    }
+
+    #[test]
+    fn hot_spot_table_is_the_typemods_function() {
+        let f = fleet();
+        for idx in 0..TOTAL_TYPE_COUNT {
+            let ft = FileType::from_dense_index(idx);
+            for (p, row) in f.profiles.iter().zip(&f.hot) {
+                assert_eq!(
+                    row[hot_column(ft)],
+                    engine_type_latency_mult(p.name, ft),
+                    "{} on {ft}",
+                    p.name
+                );
+            }
+        }
+    }
+
+    fn memoised_days(f: &EngineFleet) -> usize {
+        f.days.iter().filter(|d| d.get().is_some()).count()
+    }
+
+    #[test]
+    fn day_plane_is_empty_until_a_scan_asks() {
+        let f = fleet();
+        assert_eq!(f.days.len(), 426);
+        assert_eq!(f.first_day, window_start().day_number());
+        assert_eq!(memoised_days(&f), 0, "EngineFleet::new must fill nothing");
+        let s = sample(1, FileType::Pdf, GroundTruth::Benign);
+        let plan = f.sample_plan(&s);
+        assert_eq!(memoised_days(&f), 0, "plans do not touch the day plane");
+        f.scan(&plan, &s, s.first_submission);
+        f.scan(&plan, &s, s.first_submission + Duration::minutes(7));
+        assert_eq!(memoised_days(&f), 1);
+    }
+
+    #[test]
+    fn day_plane_out_of_range_days_use_the_same_row() {
+        let f = fleet();
+        let s = sample(
+            2,
+            FileType::Win32Exe,
+            GroundTruth::Malicious { detectability: 0.6 },
+        );
+        let plan = f.sample_plan(&s);
+        for t in [
+            Timestamp(-1),
+            window_start() + Duration::minutes(-1),
+            window_end(),
+        ] {
+            let scanned = f.scan(&plan, &s, t);
+            for e in (0..f.engine_count()).map(|e| EngineId(e as u8)) {
+                assert_eq!(scanned.get(e), verdict_by_definition(&f, &plan, e, &s, t));
+            }
+        }
+        assert_eq!(memoised_days(&f), 0, "out-of-range days are not stored");
+    }
+
+    #[test]
+    fn day_plane_two_threads_agree_on_cold_days() {
+        // Both threads leave the barrier into the same cold days of one
+        // shared fleet: whichever fills a row, both must read the value
+        // a private (cloned, still cold) fleet computes on its own.
+        let shared = EngineFleet::new(FleetConfig {
+            seed: 11,
+            timeout_mult: 30.0,
+            outage_mult: 30.0,
+            ..FleetConfig::default()
+        });
+        let private = shared.clone();
+        let s = sample(
+            3,
+            FileType::Win32Dll,
+            GroundTruth::Malicious { detectability: 0.5 },
+        );
+        let plan = shared.sample_plan(&s);
+        let days = [0, 1, 2, 40];
+        let barrier = std::sync::Barrier::new(2);
+        let sweep = |f: &EngineFleet| -> Vec<VerdictVec> {
+            days.iter()
+                .map(|&d| f.scan(&plan, &s, s.first_submission + Duration::days(d)))
+                .collect()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let racer = || {
+                barrier.wait();
+                sweep(&shared)
+            };
+            let a = scope.spawn(racer);
+            let b = scope.spawn(racer);
+            (a.join().expect("racer a"), b.join().expect("racer b"))
+        });
+        assert_eq!(a, b);
+        assert_eq!(memoised_days(&shared), days.len());
+        assert_eq!(memoised_days(&private), 0, "the clone was taken cold");
+        assert_eq!(sweep(&private), a);
+        // A clone taken warm carries the rows and still agrees.
+        let warm = shared.clone();
+        assert_eq!(memoised_days(&warm), days.len());
+        assert_eq!(sweep(&warm), a);
     }
 }

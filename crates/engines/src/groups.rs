@@ -41,7 +41,7 @@ impl Scope {
 
 /// One copying relationship: `follower` reuses `leader`'s behavioural
 /// draws with probability `prob` for samples within `scope`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyRule {
     /// Roster index of the copying engine.
     pub follower: usize,
@@ -122,12 +122,35 @@ pub fn build_copy_rules() -> Vec<CopyRule> {
     ]
 }
 
-/// Resolves the effective rule for `(follower, file type)`: the first
-/// matching rule, if any.
-pub fn rule_for(rules: &[CopyRule], follower: usize, ft: FileType) -> Option<&CopyRule> {
-    rules
-        .iter()
-        .find(|r| r.follower == follower && r.scope.covers(ft))
+/// The copy graph indexed by follower: what [`crate::EngineFleet`]
+/// resolves plans through. A follower's rules keep their list order, so
+/// "first matching rule wins" holds without scanning the other
+/// followers' rules (most engines follow nobody).
+#[derive(Debug, Clone)]
+pub(crate) struct CopyIndex {
+    /// The rule list, stably grouped by follower.
+    rules: Vec<CopyRule>,
+    /// `rules[starts[f]..starts[f + 1]]` are follower `f`'s rules.
+    starts: Vec<usize>,
+}
+
+impl CopyIndex {
+    /// Indexes `rules` (in [`build_copy_rules`] order) over the roster.
+    pub(crate) fn new(mut rules: Vec<CopyRule>) -> Self {
+        rules.sort_by_key(|r| r.follower); // stable: list order survives
+        let starts = (0..=crate::ENGINE_COUNT)
+            .map(|f| rules.partition_point(|r| r.follower < f))
+            .collect();
+        Self { rules, starts }
+    }
+
+    /// Resolves the effective rule for `(follower, file type)`: the
+    /// follower's first matching rule, if any.
+    pub(crate) fn rule_for(&self, follower: usize, ft: FileType) -> Option<&CopyRule> {
+        self.rules[self.starts[follower]..self.starts[follower + 1]]
+            .iter()
+            .find(|r| r.scope.covers(ft))
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +158,18 @@ mod tests {
     use super::*;
     use crate::registry::engine_index;
     use vt_model::FileType;
+
+    /// The definition the index must agree with: the first rule in list
+    /// order whose follower and scope match.
+    fn rule_for(rules: &[CopyRule], follower: usize, ft: FileType) -> Option<&CopyRule> {
+        rules
+            .iter()
+            .find(|r| r.follower == follower && r.scope.covers(ft))
+    }
+
+    fn index() -> CopyIndex {
+        CopyIndex::new(build_copy_rules())
+    }
 
     #[test]
     fn scope_covers() {
@@ -158,53 +193,69 @@ mod tests {
     }
 
     #[test]
-    fn first_match_wins() {
+    fn index_agrees_with_the_list_scan() {
         let rules = build_copy_rules();
+        let index = index();
+        let types = FileType::TOP20.into_iter().chain([
+            FileType::Null,
+            FileType::Other(0),
+            FileType::Other(329),
+        ]);
+        for ft in types {
+            for e in 0..crate::ENGINE_COUNT {
+                assert_eq!(index.rule_for(e, ft), rule_for(&rules, e, ft), "{e} {ft}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_match_wins() {
+        let index = index();
         // APEX on HTML copies Webroot; elsewhere Paloalto.
         let apex = engine_index("APEX");
-        let on_html = rule_for(&rules, apex, FileType::Html).unwrap();
+        let on_html = index.rule_for(apex, FileType::Html).unwrap();
         assert_eq!(on_html.leader, engine_index("Webroot"));
-        let on_exe = rule_for(&rules, apex, FileType::Win32Exe).unwrap();
+        let on_exe = index.rule_for(apex, FileType::Win32Exe).unwrap();
         assert_eq!(on_exe.leader, engine_index("Paloalto"));
     }
 
     #[test]
     fn avira_cynet_weak_on_win32exe() {
-        let rules = build_copy_rules();
+        let index = index();
         let cynet = engine_index("Cynet");
         // On Win32 EXE the copy probability is moderate (stays below the
         // strong-correlation bar); elsewhere it is near-certain.
-        let on_exe = rule_for(&rules, cynet, FileType::Win32Exe).unwrap();
+        let on_exe = index.rule_for(cynet, FileType::Win32Exe).unwrap();
         assert_eq!(on_exe.leader, engine_index("Avira"));
         assert!(on_exe.prob < 0.7);
-        let on_pdf = rule_for(&rules, cynet, FileType::Pdf).unwrap();
+        let on_pdf = index.rule_for(cynet, FileType::Pdf).unwrap();
         assert_eq!(on_pdf.leader, engine_index("Avira"));
         assert!(on_pdf.prob > 0.95);
     }
 
     #[test]
     fn cyren_fortinet_only_win32exe() {
-        let rules = build_copy_rules();
+        let index = index();
         let cyren = engine_index("Cyren");
-        let on_exe = rule_for(&rules, cyren, FileType::Win32Exe).unwrap();
+        let on_exe = index.rule_for(cyren, FileType::Win32Exe).unwrap();
         assert_eq!(on_exe.leader, engine_index("Fortinet"));
         // On HTML, Cyren follows the HTML cluster instead.
-        let on_html = rule_for(&rules, cyren, FileType::Html).unwrap();
+        let on_html = index.rule_for(cyren, FileType::Html).unwrap();
         assert_eq!(on_html.leader, engine_index("ESET-NOD32"));
         // On PDF, no rule.
-        assert!(rule_for(&rules, cyren, FileType::Pdf).is_none());
+        assert!(index.rule_for(cyren, FileType::Pdf).is_none());
     }
 
     #[test]
     fn no_copy_cycles() {
         // Following leader links (for any single file type) must
         // terminate: walk every (follower, type) chain with a step bound.
-        let rules = build_copy_rules();
+        let index = index();
         for ft in FileType::TOP20 {
             for start in 0..crate::ENGINE_COUNT {
                 let mut cur = start;
                 let mut steps = 0;
-                while let Some(r) = rule_for(&rules, cur, ft) {
+                while let Some(r) = index.rule_for(cur, ft) {
                     cur = r.leader;
                     steps += 1;
                     assert!(steps < 10, "copy cycle at engine {start} for {ft}");

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use vt_label_dynamics::dynamics::Study;
 use vt_label_dynamics::model::{ReportKind, Verdict};
-use vt_label_dynamics::sim::SimConfig;
+use vt_label_dynamics::sim::{SimConfig, VirusTotalSim};
+use vt_label_dynamics::store::codec::encode_report;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -105,5 +106,57 @@ proptest! {
                 prop_assert_eq!(active, r.verdicts.active_count());
             }
         }
+    }
+}
+
+/// FNV-1a over the store codec's bytes of every report the simulator
+/// generates for `config`, each encoded against `prev_analysis = 0`.
+fn feed_digest(config: SimConfig) -> (usize, u64) {
+    let sim = VirusTotalSim::new(config);
+    // `BytesMut`, by inference: the facade has no `bytes` dependency.
+    let mut buf = Default::default();
+    let mut reports = 0;
+    for (_, trajectory) in sim.trajectories() {
+        for r in &trajectory {
+            encode_report(&mut buf, r, 0);
+        }
+        reports += trajectory.len();
+    }
+    let digest = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (reports, digest)
+}
+
+/// The generated feed, pinned. The constants were recorded from the
+/// binary of PR 13 (before the fleet's day plane and follower index
+/// existed): an optimisation of `vt-engines` or `vt-sim` must leave
+/// them alone, a calibration change re-records them on purpose. The
+/// stormy config makes the outage, timeout and glitch branches all fire.
+#[test]
+fn feed_digest_is_pinned() {
+    let mut stormy = SimConfig::new(21, 4_000);
+    stormy.fleet.timeout_mult = 30.0;
+    stormy.fleet.outage_mult = 30.0;
+    stormy.fleet.glitch_rate = 1e-3;
+    for (name, config, pinned) in [
+        (
+            "seed 7",
+            SimConfig::new(7, 4_000),
+            (5_044usize, 0xa848_091a_82cc_acd6u64),
+        ),
+        (
+            "seed 4269",
+            SimConfig::new(4269, 4_000),
+            (5_058, 0x17f6_8eb1_06fe_9f0a),
+        ),
+        ("stormy seed 21", stormy, (4_898, 0x861d_7a3d_b64a_2332)),
+    ] {
+        let got = feed_digest(config);
+        assert_eq!(
+            got, pinned,
+            "{name}: (reports, digest) = ({}, {:#018x})",
+            got.0, got.1
+        );
     }
 }

@@ -10,7 +10,7 @@ use vt_engines::EngineFleet;
 use vt_model::time::{Date, Duration, Timestamp};
 use vt_model::{FileType, GroundTruth, SampleHash, SampleMeta};
 use vt_sim::{SampleSession, SimConfig, VirusTotalSim};
-use vt_store::ReportStore;
+use vt_store::StoreBuilder;
 
 /// Table 1 — one full upload/rescan/report API cycle.
 fn table1_api_semantics(c: &mut Criterion) {
@@ -43,12 +43,11 @@ fn table2_monthly_volume(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("store_and_account", |b| {
         b.iter(|| {
-            let store = ReportStore::new();
+            let mut store = StoreBuilder::new();
             for rec in study.records() {
                 store.append_batch(&rec.reports);
             }
-            store.seal();
-            black_box(store.partition_stats())
+            black_box(store.seal().partition_stats())
         })
     });
     group.finish();

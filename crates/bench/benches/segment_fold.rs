@@ -86,12 +86,11 @@ fn segment_fold(c: &mut Criterion) {
     // sealed store, folded through the reusable decode arena
     // (`fold_store`) — no `Vec<ScanReport>`, no `SampleRecord`.
     let seg_store = {
-        let store = vt_store::ReportStore::new();
+        let mut store = vt_store::StoreBuilder::new();
         for r in segs[0] {
             store.append_batch(&r.reports);
         }
-        store.seal();
-        store
+        store.seal()
     };
     let mut arena = DecodeArena::new();
     group.bench_function("fold_first_segment_store", |b| {

@@ -34,7 +34,12 @@
 //!
 //! A few timed iterations, minimum taken — this is a smoke test against
 //! order-of-magnitude regressions, not a replacement for the full
-//! criterion run.
+//! criterion run. Every fixture is built first; then each arm's minimum
+//! is taken over [`ITERATIONS`] *rounds* that cycle through all the
+//! arms, so one of the box's seconds-long slow stretches costs every
+//! arm a round instead of one arm all of its iterations, and the two
+//! folds `alert_overhead` compares run back to back in every round (its
+//! ratio is the median of the per-round ratios).
 //!
 //! Usage: `cargo run --release -p vt-bench --bin bench_drift [-- path]`
 //!
@@ -65,12 +70,12 @@ fn lookup_ns(v: &json::Value, path: &str, keys: &[&str]) -> Result<u64, String> 
         .ok_or_else(|| format!("{path}: {} is not an integer", keys.join(".")))
 }
 
-/// One gated arm: best-of-[`ITERATIONS`] against its baseline.
-fn gate(name: &str, baseline: u64, tolerance: f64, mut iteration: impl FnMut() -> u64) -> bool {
-    let mut best = u64::MAX;
-    for _ in 0..ITERATIONS {
-        best = best.min(iteration());
-    }
+/// One timed arm: an iteration returning elapsed nanoseconds, owning
+/// whatever fixture it runs over.
+type Arm = Box<dyn FnMut() -> u64>;
+
+/// A baseline-gated arm's verdict: its best round against its baseline.
+fn gate(name: &str, best: u64, baseline: u64, tolerance: f64) -> bool {
     let limit = (baseline as f64 * (1.0 + tolerance)) as u64;
     eprintln!(
         "bench_drift: {name} best-of-{ITERATIONS} = {:.1}ms, \
@@ -87,22 +92,21 @@ fn gate(name: &str, baseline: u64, tolerance: f64, mut iteration: impl FnMut() -
     true
 }
 
-fn table_build_ok(baseline: u64, tolerance: f64) -> bool {
+fn table_build_arm() -> Arm {
     eprintln!("bench_drift: generating the 500k-sample fixture...");
     let st = correlation_study();
     let ws = st.sim().config().window_start();
     let store = st.build_store();
     let mut arena = DecodeArena::new();
 
-    // Warm-up (fills the arena to steady-state capacity), then the
-    // timed minimum over a handful of iterations.
+    // Warm-up (fills the arena to steady-state capacity).
     arena.clear();
     store.for_each_row(&mut arena);
     let warm = TrajectoryTable::build_from_arena(&arena, ws, 1, Obs::noop());
     let samples = warm.len();
     drop(warm);
 
-    gate("table_build_arena", baseline, tolerance, || {
+    let iteration = move || {
         let t = Instant::now();
         arena.clear();
         store.for_each_row(&mut arena);
@@ -110,10 +114,11 @@ fn table_build_ok(baseline: u64, tolerance: f64) -> bool {
         let ns = t.elapsed().as_nanos() as u64;
         assert_eq!(table.len(), samples, "fixture changed mid-run");
         ns
-    })
+    };
+    Box::new(iteration)
 }
 
-fn publish_ok(baseline: u64, tolerance: f64) -> bool {
+fn publish_arm() -> Arm {
     eprintln!("bench_drift: slot-routing the 60k-sample fixture...");
     const SLOTS: usize = 8;
     const SEGMENT_SAMPLES: usize = 5_000;
@@ -143,7 +148,7 @@ fn publish_ok(baseline: u64, tolerance: f64) -> bool {
     }
     let samples = tree.root().map_or(0, |r| r.s_samples());
 
-    gate("publish_last_segment", baseline, tolerance, || {
+    let iteration = move || {
         let t = Instant::now();
         tree.update_slot(0, partials[0].clone(), parts.clone());
         let root = tree.root().expect("warm tree has a root");
@@ -152,65 +157,79 @@ fn publish_ok(baseline: u64, tolerance: f64) -> bool {
         assert_eq!(root.s_samples(), samples, "fixture changed mid-run");
         std::hint::black_box(results);
         ns
-    })
+    };
+    Box::new(iteration)
 }
 
-fn generate_ok(baseline: u64, tolerance: f64) -> bool {
-    eprintln!("bench_drift: sweeping the feed generator over the 60k-sample config...");
+fn generate_arm() -> Arm {
+    eprintln!("bench_drift: warming the feed generator over the 60k-sample config...");
     let sim = VirusTotalSim::new(SimConfig::new(BENCH_SEED, BENCH_SAMPLES));
-    let sweep = || sim.trajectories().map(|(_, r)| r.len()).sum::<usize>();
+    let sweep = move || sim.trajectories().map(|(_, r)| r.len()).sum::<usize>();
     // Warm-up: the first sweep fills the fleet's day plane.
     let reports = sweep();
 
-    gate("trajectories_1_worker", baseline, tolerance, || {
+    let iteration = move || {
         let t = Instant::now();
         let n = std::hint::black_box(sweep());
         let ns = t.elapsed().as_nanos() as u64;
         assert_eq!(n, reports, "fixture changed mid-run");
         ns
-    })
+    };
+    Box::new(iteration)
 }
 
-/// Self-relative gate: the streaming drift detectors must cost no more
-/// than `tolerance` extra on the segment-fold path. Both sides run in
-/// this process on the same fixture, so no stored baseline (and no
+/// One side of the self-relative `alert_overhead` gate: the 60k fixture
+/// folded with or without the streaming drift detectors. Both sides run
+/// in this process on the same fixture, so no stored baseline (and no
 /// machine drift) is involved.
-fn alert_overhead_ok(tolerance: f64) -> bool {
+fn fold_arm(alerts: bool) -> Arm {
     const SEGMENT_SAMPLES: usize = 5_000;
-    eprintln!("bench_drift: folding the 60k-sample fixture with and without detectors...");
     let st = study();
     let ws = st.sim().config().window_start();
-    let time_fold = |alerts: bool| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..ITERATIONS {
-            let t = Instant::now();
-            let mut inc = IncrementalStudy::new(st.sim().fleet(), ws).with_workers(4);
-            if alerts {
-                inc = inc.with_alerts(AlertConfig::default());
-            }
-            for seg in st.records().chunks(SEGMENT_SAMPLES) {
-                inc.fold_segment(seg, Obs::noop());
-            }
-            std::hint::black_box(inc.take_alerts());
-            best = best.min(t.elapsed().as_nanos() as u64);
+    let iteration = move || {
+        let t = Instant::now();
+        let mut inc = IncrementalStudy::new(st.sim().fleet(), ws).with_workers(4);
+        if alerts {
+            inc = inc.with_alerts(AlertConfig::default());
         }
-        best
+        for seg in st.records().chunks(SEGMENT_SAMPLES) {
+            inc.fold_segment(seg, Obs::noop());
+        }
+        std::hint::black_box(inc.take_alerts());
+        t.elapsed().as_nanos() as u64
     };
-    let off = time_fold(false);
-    let on = time_fold(true);
-    let ratio = on as f64 / off as f64;
+    Box::new(iteration)
+}
+
+/// The drift detectors must cost no more than `tolerance` extra on the
+/// segment-fold path: the median over the rounds of on ÷ off, the two
+/// folds of one round having run back to back. (A ratio of the two
+/// arms' bests pairs iterations from different rounds: it read ×0.83 to
+/// ×1.30 over ten runs of one binary, this ×0.99 to ×1.12.)
+fn alert_overhead_ok(off: &[u64], on: &[u64], tolerance: f64) -> bool {
+    let mut ratios: Vec<f64> = off
+        .iter()
+        .zip(on)
+        .map(|(&off, &on)| on as f64 / off as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
     eprintln!(
-        "bench_drift: alert_overhead best-of-{ITERATIONS}: off {:.1}ms, on {:.1}ms \
-         (×{ratio:.3}, tolerance ×{:.3})",
-        off as f64 / 1e6,
-        on as f64 / 1e6,
+        "bench_drift: alert_overhead median of {ITERATIONS} paired rounds: ×{ratio:.3} \
+         (tolerance ×{:.3}; best off {:.1}ms, on {:.1}ms)",
         1.0 + tolerance,
+        best(off) as f64 / 1e6,
+        best(on) as f64 / 1e6,
     );
     if ratio > 1.0 + tolerance {
         eprintln!("bench_drift: FAIL — drift detectors exceed the fold-overhead budget");
         return false;
     }
     true
+}
+
+fn best(rounds: &[u64]) -> u64 {
+    *rounds.iter().min().expect("at least one round")
 }
 
 fn main() -> ExitCode {
@@ -221,20 +240,24 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|t| t.parse().ok())
         .unwrap_or(0.25);
-    let baselines = (|| -> Result<(u64, u64, u64), String> {
+    // The baseline-gated arms, in the order `arms` lists them below.
+    let baselines = (|| -> Result<[(&str, u64); 3], String> {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
         let v = json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-        Ok((
-            lookup_ns(&v, &path, &["table_build_arena", "1"])?,
-            lookup_ns(&v, &path, &["segment_fold", "publish_last_segment"])?,
-            lookup_ns(
-                &v,
-                &path,
-                &["pr14_scan_day_plane", "after", "trajectories_1_worker"],
-            )?,
-        ))
+        let generate = ["pr14_scan_day_plane", "after", "trajectories_1_worker"];
+        Ok([
+            (
+                "table_build_arena",
+                lookup_ns(&v, &path, &["table_build_arena", "1"])?,
+            ),
+            (
+                "publish_last_segment",
+                lookup_ns(&v, &path, &["segment_fold", "publish_last_segment"])?,
+            ),
+            ("trajectories_1_worker", lookup_ns(&v, &path, &generate)?),
+        ])
     })();
-    let (table_baseline, publish_baseline, generate_baseline) = match baselines {
+    let baselines = match baselines {
         Ok(b) => b,
         Err(e) => {
             eprintln!("bench_drift: {e}");
@@ -247,10 +270,33 @@ fn main() -> ExitCode {
         .and_then(|t| t.parse().ok())
         .unwrap_or(0.25);
 
-    let mut ok = table_build_ok(table_baseline, tolerance);
-    ok &= publish_ok(publish_baseline, tolerance);
-    ok &= generate_ok(generate_baseline, tolerance);
-    ok &= alert_overhead_ok(alert_tolerance);
+    let mut arms = [
+        table_build_arm(),
+        publish_arm(),
+        generate_arm(),
+        fold_arm(false),
+        fold_arm(true),
+    ];
+    eprintln!(
+        "bench_drift: timing {ITERATIONS} rounds over {} arms...",
+        arms.len()
+    );
+    let mut timings = vec![Vec::new(); arms.len()];
+    for _ in 0..ITERATIONS {
+        for (rounds, iteration) in timings.iter_mut().zip(&mut arms) {
+            // Untimed pass first: the arms before this one in the round
+            // evicted its working set, and the baselines were recorded
+            // over consecutive (warm) iterations.
+            iteration();
+            rounds.push(iteration());
+        }
+    }
+
+    let mut ok = true;
+    for ((name, baseline), rounds) in baselines.into_iter().zip(&timings) {
+        ok &= gate(name, best(rounds), baseline, tolerance);
+    }
+    ok &= alert_overhead_ok(&timings[3], &timings[4], alert_tolerance);
     if !ok {
         return ExitCode::FAILURE;
     }

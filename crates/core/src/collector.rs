@@ -42,7 +42,7 @@ use vt_obs::Obs;
 use vt_sim::fault::{FaultPlan, FaultyFeed, FeedEntry};
 use vt_store::codec::decode_report;
 use vt_store::crc32::crc32;
-use vt_store::ReportStore;
+use vt_store::{ReportStore, StoreBuilder};
 
 /// Collector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,10 +247,10 @@ impl Collector {
     /// quarantine are identical whether `obs` is enabled, disabled or
     /// [`Obs::noop`].
     /// `store/*` metrics (encode timings, sealed bytes) are recorded
-    /// too: the run's store is built with [`ReportStore::with_obs`].
+    /// too: the run's store is built with [`StoreBuilder::with_obs`].
     pub fn run_with_obs(&self, feed: FaultyFeed, obs: &Obs) -> IngestOutcome {
         let outcome = obs.time("collector/ingest", || {
-            self.run_into(feed, ReportStore::with_obs(obs))
+            self.run_into(feed, StoreBuilder::with_obs(obs))
         });
         if obs.is_enabled() {
             let s = &outcome.stats;
@@ -277,13 +277,13 @@ impl Collector {
     /// Drains `feed` to completion and returns the sealed store, the
     /// run counters, and the quarantine.
     pub fn run(&self, feed: FaultyFeed) -> IngestOutcome {
-        self.run_into(feed, ReportStore::new())
+        self.run_into(feed, StoreBuilder::new())
     }
 
     /// [`run`](Self::run) into a caller-provided (possibly instrumented)
-    /// empty store. Store content is independent of the store's own
+    /// empty builder. Store content is independent of the store's own
     /// instrumentation.
-    fn run_into(&self, mut feed: FaultyFeed, store: ReportStore) -> IngestOutcome {
+    fn run_into(&self, mut feed: FaultyFeed, mut store: StoreBuilder) -> IngestOutcome {
         let mut stats = IngestStats::default();
         let mut quarantine = Vec::new();
         let mut seen: BTreeSet<ReportKey> = BTreeSet::new();
@@ -378,10 +378,9 @@ impl Collector {
         if !tail.is_empty() {
             store.append_batch(&tail);
         }
-        store.seal();
 
         IngestOutcome {
-            store,
+            store: store.seal(),
             stats,
             quarantine,
         }

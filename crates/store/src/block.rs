@@ -14,7 +14,7 @@ use vt_model::ScanReport;
 ///
 /// [`Block::decode_into`] drives a sink instead of materializing a
 /// `Vec<ScanReport>`, so bulk consumers (the columnar table build, the
-/// persistence index rebuild) copy out only the columns they keep.
+/// store's hash-only scan) copy out only the columns they keep.
 ///
 /// # Contract
 ///

@@ -11,8 +11,10 @@
 //! * [`block`] — append → seal lifecycle of compressed report blocks.
 //! * [`partition`] — one partition per calendar month of the collection
 //!   window, with raw-vs-compressed byte accounting (Table 2's rows).
-//! * [`store`] — [`store::ReportStore`]: the append path, the
-//!   per-sample index, bulk iteration, and per-sample gather.
+//! * [`store`] — one type per state: [`StoreBuilder`] is the append
+//!   path, [`StoreBuilder::seal`] moves it into a read-only
+//!   [`ReportStore`] (bulk iteration, grouping, and a per-sample gather
+//!   that is a scan — the store keeps no per-sample index).
 //! * [`dataset`] — dataset-overview statistics: file-type distribution
 //!   (Table 3), reports-per-sample CDF (Fig. 1), monthly volumes
 //!   (Table 2).
@@ -30,8 +32,9 @@
 //!   ([`SegmentDir::replay`]) that keeps each slot's clean prefix and
 //!   quarantines what salvage cannot fully recover.
 //!
-//! The store is synchronous and single-writer / multi-reader
-//! (a `std::sync::RwLock` guards the append path), in line with the project's
+//! The store is synchronous and lock-free by construction: a builder
+//! is owned by its one writer, and a sealed store is immutable data —
+//! `Send + Sync`, shared by reference — in line with the project's
 //! threads-over-async design for CPU-bound batch work.
 
 #![forbid(unsafe_code)]
@@ -57,4 +60,4 @@ pub use persist::{
 };
 pub use segdir::{DurableWriter, Replay, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_salvage, write_segment, Segment, SegmentWriter};
-pub use store::{ReportStore, StoreError, StoreObs};
+pub use store::{ReportStore, StoreBuilder, StoreError, StoreObs};

@@ -3,26 +3,15 @@
 //! Table 2 of the paper reports, per calendar month of the collection
 //! window, the number of reports and their stored size; §4.1 reports a
 //! 10.06× compression rate from field pruning + compression. Each
-//! [`Partition`] owns the blocks for one month and tracks both the
-//! naive row size and the encoded size, so the harness can print the
-//! same accounting for simulated data.
+//! partition (crate-private; [`PartitionStats`] is what leaves the
+//! crate) owns the blocks for one month and tracks both the naive row
+//! size and the encoded size, so the harness can print the same
+//! accounting for simulated data.
 
 use crate::block::{Block, BlockBuilder};
 use crate::codec::RAW_REPORT_BYTES;
 use vt_model::time::Month;
 use vt_model::ScanReport;
-
-/// Location of one report inside a partitioned store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Loc {
-    /// Partition index (0-based within the store's partition list).
-    pub partition: u16,
-    /// Block index within the partition (`u32::MAX` = still in the open
-    /// builder; resolved at seal time).
-    pub block: u32,
-    /// Report index within the block.
-    pub offset: u32,
-}
 
 /// Summary statistics of one partition (one Table 2 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +37,10 @@ impl PartitionStats {
     }
 }
 
-/// One month of reports: sealed blocks plus one open builder.
+/// One month of reports: sealed blocks plus one open builder (empty
+/// once the owning store is sealed or was loaded).
 #[derive(Debug)]
-pub struct Partition {
+pub(crate) struct Partition {
     month: Option<Month>,
     blocks: Vec<Block>,
     open: BlockBuilder,
@@ -69,19 +59,18 @@ impl Partition {
         }
     }
 
-    /// Appends a report, returning its block/offset coordinates.
-    pub fn append(&mut self, report: &ScanReport) -> (u32, u32) {
+    /// Appends a report, rolling the open block at capacity.
+    pub fn append(&mut self, report: &ScanReport) {
         if self.open.is_full() {
             let block = self.open.seal();
             self.blocks.push(block);
         }
-        let offset = self.open.push(report);
+        self.open.push(report);
         self.reports += 1;
-        (self.blocks.len() as u32, offset)
     }
 
-    /// Seals the open builder (no-op when empty). Call before bulk
-    /// reads so every report lives in an immutable block.
+    /// Seals the open builder (no-op when empty), so every report lives
+    /// in an immutable block.
     pub fn seal(&mut self) {
         if !self.open.is_empty() {
             let block = self.open.seal();
@@ -126,11 +115,6 @@ impl Partition {
     pub fn len(&self) -> u64 {
         self.reports
     }
-
-    /// True if no report has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.reports == 0
-    }
 }
 
 #[cfg(test)]
@@ -155,12 +139,12 @@ mod tests {
     fn append_rolls_blocks_at_capacity() {
         let mut p = Partition::new(None);
         for i in 0..(BLOCK_CAPACITY as u64 * 2 + 10) {
-            let (block, offset) = p.append(&report(i));
-            assert_eq!(block as u64, i / BLOCK_CAPACITY as u64);
-            assert_eq!(offset as u64, i % BLOCK_CAPACITY as u64);
+            p.append(&report(i));
+            assert_eq!(p.blocks().len() as u64, i / BLOCK_CAPACITY as u64);
         }
         p.seal();
         assert_eq!(p.blocks().len(), 3);
+        assert_eq!(p.blocks()[2].len(), 10);
         assert_eq!(p.len(), BLOCK_CAPACITY as u64 * 2 + 10);
     }
 
@@ -185,7 +169,7 @@ mod tests {
     fn empty_partition_stats() {
         let p = Partition::new(None);
         let s = p.stats();
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         assert_eq!(s.reports, 0);
         assert_eq!(s.compression_ratio(), 1.0);
     }

@@ -30,14 +30,15 @@
 //! violation; the salvage reader degrades instead. Any other magic —
 //! the retired marker-less `VTSTORE1` layout included — is
 //! [`CorruptKind::BadMagic`] to both. Neither panics on arbitrary input bytes (exercised by the randomized
-//! sweep in `tests/fault_tolerance.rs`). The per-sample index is rebuilt
-//! at load time by decoding each block once. Writing requires a sealed
-//! store.
+//! sweep in `tests/fault_tolerance.rs`). A strict load decodes each
+//! block exactly once, to verify it ([`Block::verify`]); nothing else is
+//! derived at load time. Only a sealed store can be written — there is
+//! no other kind of [`ReportStore`].
 
 use crate::block::{Block, BLOCK_CAPACITY};
 use crate::codec::MIN_ENCODED_REPORT_BYTES;
 use crate::crc32::crc32;
-use crate::store::{ReportStore, StoreError};
+use crate::store::{ReportStore, StoreBuilder, StoreError};
 use std::io::{self, Read, Write};
 use vt_model::time::Month;
 
@@ -202,18 +203,15 @@ fn write_month_tag(w: &mut impl Write, month: Option<Month>) -> io::Result<()> {
 
 /// Serializes a sealed store in the `VTSTORE2` format (per-block CRCs +
 /// salvage markers).
-///
-/// # Panics
-/// Panics if the store is not sealed (mirrors the read-path contract).
 pub fn write_store(store: &ReportStore, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    let partitions = store.partitions_for_persist();
+    let partitions = store.partitions();
     put_u32(w, partitions.len() as u32)?;
-    for (month, blocks) in partitions {
+    for partition in partitions {
         put_u32(w, PART_MARKER)?;
-        write_month_tag(w, month)?;
-        put_u32(w, blocks.len() as u32)?;
-        for block in blocks {
+        write_month_tag(w, partition.month())?;
+        put_u32(w, partition.blocks().len() as u32)?;
+        for block in partition.blocks() {
             put_u32(w, BLOCK_MARKER)?;
             put_u32(w, block.len() as u32)?;
             put_u32(w, block.byte_len() as u32)?;
@@ -246,11 +244,10 @@ fn read_month_tag(r: &mut impl Read) -> Result<Option<Month>, PersistError> {
     }
 }
 
-/// Loads a store file, rebuilding the per-sample index.
+/// Loads a store file.
 /// Strict: the first integrity violation — bad marker, CRC mismatch,
 /// implausible header, undecodable block — aborts the load. Use
 /// [`read_store_salvage`] to recover what a damaged file still holds.
-/// The returned store is sealed (read-only).
 pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -477,9 +474,9 @@ fn try_block_frame(cur: &mut Cursor<'_>) -> BlockFrame {
 ///
 /// Skips blocks whose CRC or decode fails and re-synchronizes on the
 /// next partition/block marker when framing is lost, so one damaged
-/// region costs one block, not the rest of the file. Recovered reports are re-ingested into a fresh store
-/// (re-partitioned by analysis month, per-sample index rebuilt), which
-/// is returned sealed together with the [`RecoveryReport`].
+/// region costs one block, not the rest of the file. Recovered reports are re-ingested into a fresh
+/// [`StoreBuilder`] (re-partitioned by analysis month), which is
+/// returned sealed together with the [`RecoveryReport`].
 ///
 /// Errors only on I/O failure or when the file is too short / not a
 /// VTSTORE container at all; damage beyond the magic degrades the
@@ -501,7 +498,7 @@ pub fn read_store_salvage(
 /// Appends a recovered block's reports to the rebuild, updating the
 /// current partition's accounting.
 fn ingest_block(
-    store: &ReportStore,
+    store: &mut StoreBuilder,
     part: &mut PartitionRecovery,
     reports: Vec<vt_model::ScanReport>,
 ) {
@@ -520,7 +517,7 @@ fn empty_recovery(label: SalvageLabel) -> PartitionRecovery {
 }
 
 fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
-    let store = ReportStore::new();
+    let mut store = StoreBuilder::new();
     let mut cur = Cursor { data: body, pos: 0 };
     let mut partitions: Vec<PartitionRecovery> = Vec::new();
     let mut resyncs = 0u64;
@@ -538,7 +535,7 @@ fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
             match try_block_frame(&mut cur) {
                 BlockFrame::Good(reports) => {
                     let part = partitions.last_mut().expect("in a partition");
-                    ingest_block(&store, part, reports);
+                    ingest_block(&mut store, part, reports);
                     remaining_blocks -= 1;
                     continue;
                 }
@@ -587,7 +584,7 @@ fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
                         partitions.push(empty_recovery(SalvageLabel::Unlabeled));
                     }
                     let part = partitions.last_mut().expect("nonempty");
-                    ingest_block(&store, part, reports);
+                    ingest_block(&mut store, part, reports);
                     continue;
                 }
                 BlockFrame::BadPayload => {
@@ -647,9 +644,8 @@ fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
     }
     truncated = truncated || remaining_blocks > 0;
 
-    store.seal();
     (
-        store,
+        store.seal(),
         RecoveryReport {
             partitions,
             resyncs,
@@ -677,12 +673,11 @@ mod tests {
     }
 
     fn sample_store() -> ReportStore {
-        let store = ReportStore::new();
+        let mut store = StoreBuilder::new();
         for i in 0..2_500u64 {
             store.append(&report(i % 40, 1 + (i % 28) as u8));
         }
-        store.seal();
-        store
+        store.seal()
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl DurableWriter {
         }
     }
 
-    /// Reports appended to the currently open (unsealed) segment.
-    pub fn open_reports(&self) -> u64 {
-        self.inner.open_reports()
-    }
-
     /// Appends one sample's full report batch; if that seals a segment,
     /// persists it durably before returning it. An `Err` means the
     /// segment is **not** durable and must not be folded or published.

@@ -4,7 +4,7 @@
 //! A long-running collector cannot keep one monolithic dataset open: an
 //! analysis snapshot would have to re-read everything ingested so far.
 //! Instead the feed is cut into segments: a [`SegmentWriter`] appends
-//! whole-sample report batches to an open [`ReportStore`] and seals a
+//! whole-sample report batches to an open [`StoreBuilder`] and seals a
 //! [`Segment`] every `threshold` reports — always on a **sample
 //! boundary**, never mid-trajectory, because the analysis fold algebra
 //! (`vt-dynamics`' `Analysis::merge`) is only exact when segments
@@ -31,7 +31,7 @@
 use crate::persist::{
     read_store, read_store_salvage, write_store, CorruptKind, PersistError, RecoveryReport,
 };
-use crate::store::ReportStore;
+use crate::store::{ReportStore, StoreBuilder};
 use std::io::{self, Read, Write};
 use vt_model::ScanReport;
 
@@ -58,14 +58,9 @@ impl Segment {
         &self.store
     }
 
-    /// Consumes the segment, yielding its sealed store.
-    pub fn into_store(self) -> ReportStore {
-        self.store
-    }
-
-    /// Hashes of every whole sample sealed in this segment (sorted).
-    /// What recovery replay walks to rebuild the sealed-sample set and
-    /// the per-hash query index without touching report payloads.
+    /// Hashes of every whole sample sealed in this segment (sorted) —
+    /// what recovery replay walks to rebuild the sealed-sample set. One
+    /// hash-only scan of the segment's rows.
     pub fn sample_hashes(&self) -> Vec<vt_model::SampleHash> {
         self.store.sample_hashes()
     }
@@ -91,7 +86,7 @@ impl Segment {
 pub struct SegmentWriter {
     threshold: u64,
     next_seq: u64,
-    open: ReportStore,
+    open: StoreBuilder,
 }
 
 impl SegmentWriter {
@@ -110,18 +105,8 @@ impl SegmentWriter {
         Self {
             threshold,
             next_seq,
-            open: ReportStore::new(),
+            open: StoreBuilder::new(),
         }
-    }
-
-    /// Reports appended to the currently open (unsealed) segment.
-    pub fn open_reports(&self) -> u64 {
-        self.open.report_count()
-    }
-
-    /// Segments sealed so far.
-    pub fn sealed_segments(&self) -> u64 {
-        self.next_seq
     }
 
     /// Appends one sample's full report batch to the open segment,
@@ -147,8 +132,7 @@ impl SegmentWriter {
     }
 
     fn seal(&mut self) -> Segment {
-        let store = std::mem::take(&mut self.open);
-        store.seal();
+        let store = std::mem::take(&mut self.open).seal();
         let seq = self.next_seq;
         self.next_seq += 1;
         Segment { seq, store }
@@ -157,10 +141,6 @@ impl SegmentWriter {
 
 /// Serializes a sealed segment: segment magic, sequence number, then
 /// the standard `VTSTORE2` container.
-///
-/// # Panics
-/// Panics if the segment's store is not sealed (writers only produce
-/// sealed segments; this guards hand-built ones).
 pub fn write_segment(segment: &Segment, w: &mut impl Write) -> io::Result<()> {
     w.write_all(SEGMENT_MAGIC)?;
     w.write_all(&segment.seq.to_le_bytes())?;
@@ -253,13 +233,10 @@ mod tests {
     fn empty_writer_finishes_to_nothing() {
         assert!(SegmentWriter::new(5).finish().is_none());
         let mut writer = SegmentWriter::new(5);
-        assert_eq!(writer.open_reports(), 0);
-        assert_eq!(writer.sealed_segments(), 0);
         let seg = writer
             .push_sample(&sample_batch(0, 7))
             .expect("over threshold");
         assert_eq!(seg.seq(), 0);
-        assert_eq!(writer.sealed_segments(), 1);
         assert!(writer.finish().is_none(), "nothing left after the seal");
     }
 

@@ -1,16 +1,17 @@
-//! The report store: append path, per-sample index, iteration.
+//! The report store, one type per state: a [`StoreBuilder`] is appended
+//! to, [`StoreBuilder::seal`] moves it into a [`ReportStore`], and a
+//! `ReportStore` is only read.
 //!
-//! Reports append into their analysis-month's partition; a per-sample
-//! index records every report's location so per-sample trajectories can
-//! be gathered later (the unit every analysis consumes). The paper's
-//! pipeline does the same thing with MongoDB collections keyed by
-//! sample hash.
+//! Reports append into their analysis-month's partition. Everything
+//! read back is a fold over one row stream
+//! ([`ReportStore::for_each_row`]): bulk consumers group by sample
+//! themselves, and per-hash serving is `vt-dynamics`' `SampleIndex`,
+//! not the store — it keeps no per-sample index.
 
 use crate::block::{Block, ReportSink, SinkFn};
 use crate::codec::ReportRow;
-use crate::partition::{Loc, Partition, PartitionStats};
+use crate::partition::{Partition, PartitionStats};
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use vt_model::time::Month;
 use vt_model::{SampleHash, ScanReport};
@@ -38,13 +39,6 @@ pub enum StoreError {
         /// Index of the offending partition.
         partition: usize,
     },
-    /// A block failed to decode while re-deriving the per-sample index.
-    BlockDecode {
-        /// Partition holding the block.
-        partition: usize,
-        /// Block index within the partition.
-        block: usize,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -58,9 +52,6 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::PartitionMonthOrder { partition } => {
                 write!(f, "partition {partition} is out of month order")
-            }
-            StoreError::BlockDecode { partition, block } => {
-                write!(f, "block {block} of partition {partition} failed to decode")
             }
         }
     }
@@ -78,8 +69,8 @@ impl std::error::Error for StoreError {}
 ///
 /// Metric names: `store/encode_ns` + `store/encoded_reports` on the
 /// append path, `store/decode_ns` + `store/decoded_reports` on the
-/// gather/iterate paths, and `store/sealed_bytes` / `store/sealed_blocks`
-/// gauges set once at [`ReportStore::seal`].
+/// read paths, and `store/sealed_bytes` / `store/sealed_blocks`
+/// gauges set once at [`StoreBuilder::seal`].
 #[derive(Debug, Clone, Default)]
 pub struct StoreObs {
     enabled: bool,
@@ -133,55 +124,143 @@ impl StoreObs {
     }
 }
 
-/// An in-process, compressed, month-partitioned report store.
+/// The append half of a store's life: owned, `&mut`, and consumed by
+/// [`seal`](Self::seal) — the only way to obtain a [`ReportStore`]
+/// other than loading one. Reports append into their analysis-month's
+/// partition (out-of-window dates into the catch-all).
+///
+/// ```
+/// use vt_store::{write_store, StoreBuilder};
+///
+/// let mut builder = StoreBuilder::new();
+/// builder.append_batch(&[]);
+/// let store = builder.seal();
+/// assert!(store.group_by_sample().is_empty());
+/// write_store(&store, &mut Vec::new()).expect("in-memory write");
+/// ```
 #[derive(Debug)]
-pub struct ReportStore {
-    inner: RwLock<Inner>,
+pub struct StoreBuilder {
+    /// Partition 0..14 = the collection window months; last = catch-all.
+    partitions: Vec<Partition>,
     obs: StoreObs,
 }
 
-#[derive(Debug)]
-struct Inner {
-    /// Partition 0..14 = the collection window months; last = catch-all.
-    partitions: Vec<Partition>,
-    index: HashMap<SampleHash, Vec<Loc>>,
-    sealed: bool,
-}
-
-impl Default for ReportStore {
+impl Default for StoreBuilder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ReportStore {
-    /// Creates an empty store with one partition per collection-window
-    /// month plus a catch-all for out-of-window reports.
+impl StoreBuilder {
+    /// Creates an empty builder with one partition per
+    /// collection-window month plus a catch-all for out-of-window
+    /// reports.
     pub fn new() -> Self {
         let mut partitions: Vec<Partition> = Month::collection_window()
             .map(|m| Partition::new(Some(m)))
             .collect();
         partitions.push(Partition::new(None));
         Self {
-            inner: RwLock::new(Inner {
-                partitions,
-                index: HashMap::new(),
-                sealed: false,
-            }),
+            partitions,
             obs: StoreObs::default(),
         }
     }
 
     /// [`new`](Self::new), with encode/decode instrumentation recorded
-    /// into `obs` (see [`StoreObs`] for the metric names). Contents are
-    /// identical to an uninstrumented store — the observability is
-    /// write-only.
+    /// into `obs` (see [`StoreObs`] for the metric names) by the builder
+    /// and by the store it seals into. Contents are identical to an
+    /// uninstrumented store — the observability is write-only.
     pub fn with_obs(obs: &Obs) -> Self {
-        let mut store = Self::new();
-        store.obs = StoreObs::new(obs);
-        store
+        let mut builder = Self::new();
+        builder.obs = StoreObs::new(obs);
+        builder
     }
 
+    /// Appends one report.
+    pub fn append(&mut self, report: &ScanReport) {
+        self.append_batch(std::slice::from_ref(report));
+    }
+
+    /// Appends a batch, in order.
+    pub fn append_batch(&mut self, reports: &[ScanReport]) {
+        let start = self.obs.timer();
+        let catch_all = self.partitions.len() - 1;
+        for report in reports {
+            let pi = report
+                .analysis_date
+                .month()
+                .collection_index()
+                .unwrap_or(catch_all);
+            self.partitions[pi].append(report);
+        }
+        self.obs.record_encode(start, reports.len() as u64);
+    }
+
+    /// Reports appended so far.
+    pub(crate) fn report_count(&self) -> u64 {
+        self.partitions.iter().map(|p| p.len()).sum()
+    }
+
+    /// Seals every partition's open block and hands the data over as a
+    /// read-only [`ReportStore`]. The builder is consumed, so appending
+    /// to a sealed store does not type-check:
+    ///
+    /// ```compile_fail,E0382
+    /// use vt_store::StoreBuilder;
+    ///
+    /// let mut builder = StoreBuilder::new();
+    /// let store = builder.seal();
+    /// builder.append_batch(&[]); // error[E0382]: borrow of moved value
+    /// ```
+    pub fn seal(mut self) -> ReportStore {
+        for p in &mut self.partitions {
+            p.seal();
+        }
+        if self.obs.enabled {
+            let mut bytes = 0u64;
+            let mut blocks = 0u64;
+            for p in &self.partitions {
+                bytes += p.stats().stored_bytes;
+                blocks += p.blocks().len() as u64;
+            }
+            self.obs.sealed_bytes.set_max(bytes);
+            self.obs.sealed_blocks.set_max(blocks);
+        }
+        ReportStore {
+            partitions: self.partitions,
+            obs: self.obs,
+        }
+    }
+}
+
+/// A sealed, compressed, month-partitioned report store: immutable
+/// data with read methods only. It comes from [`StoreBuilder::seal`] or
+/// from a persisted file ([`from_persisted`](Self::from_persisted), via
+/// the `read_*` functions), so reading or persisting something still
+/// being appended to does not type-check:
+///
+/// ```compile_fail,E0599
+/// use vt_store::StoreBuilder;
+///
+/// let builder = StoreBuilder::new();
+/// builder.group_by_sample(); // error[E0599]: no such method on the builder
+/// ```
+///
+/// ```compile_fail,E0308
+/// use vt_store::{write_store, StoreBuilder};
+///
+/// let builder = StoreBuilder::new();
+/// // error[E0308]: expected `&ReportStore`, found `&StoreBuilder`
+/// write_store(&builder, &mut Vec::new()).expect("in-memory write");
+/// ```
+#[derive(Debug)]
+pub struct ReportStore {
+    /// Sealed partitions in window order, catch-all last.
+    partitions: Vec<Partition>,
+    obs: StoreObs,
+}
+
+impl ReportStore {
     /// Attaches (or replaces) the store's instrumentation after
     /// construction — the hook for stores built by
     /// [`from_persisted`](Self::from_persisted) / the persist readers,
@@ -190,163 +269,64 @@ impl ReportStore {
         self.obs = StoreObs::new(obs);
     }
 
-    /// Shared access. Poison is ignored: the panics raised under a guard
-    /// are the misuse asserts (append after seal, read before seal),
-    /// which fire before anything is mutated, so a poisoned store is
-    /// still whole.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Exclusive access; poison is ignored as in [`read`](Self::read).
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn partition_for(month_index: Option<usize>, n: usize) -> usize {
-        month_index.unwrap_or(n - 1)
-    }
-
-    /// Appends one report.
-    ///
-    /// # Panics
-    /// Panics if the store was already sealed.
-    pub fn append(&self, report: &ScanReport) {
-        let start = self.obs.timer();
-        let mut inner = self.write();
-        assert!(!inner.sealed, "append after seal");
-        let n = inner.partitions.len();
-        let pi = Self::partition_for(report.analysis_date.month().collection_index(), n);
-        let (block, offset) = inner.partitions[pi].append(report);
-        inner.index.entry(report.sample).or_default().push(Loc {
-            partition: pi as u16,
-            block,
-            offset,
-        });
-        drop(inner);
-        self.obs.record_encode(start, 1);
-    }
-
-    /// Appends a batch (one lock acquisition).
-    pub fn append_batch(&self, reports: &[ScanReport]) {
-        let start = self.obs.timer();
-        let mut inner = self.write();
-        assert!(!inner.sealed, "append after seal");
-        let n = inner.partitions.len();
-        for report in reports {
-            let pi = Self::partition_for(report.analysis_date.month().collection_index(), n);
-            let (block, offset) = inner.partitions[pi].append(report);
-            inner.index.entry(report.sample).or_default().push(Loc {
-                partition: pi as u16,
-                block,
-                offset,
-            });
-        }
-        drop(inner);
-        self.obs.record_encode(start, reports.len() as u64);
-    }
-
-    /// Seals every partition. Must be called before reads; afterwards
-    /// appends panic.
-    pub fn seal(&self) {
-        let mut inner = self.write();
-        for p in &mut inner.partitions {
-            p.seal();
-        }
-        inner.sealed = true;
-        if self.obs.enabled {
-            let mut bytes = 0u64;
-            let mut blocks = 0u64;
-            for p in &inner.partitions {
-                bytes += p.stats().stored_bytes;
-                blocks += p.blocks().len() as u64;
-            }
-            self.obs.sealed_bytes.set_max(bytes);
-            self.obs.sealed_blocks.set_max(blocks);
-        }
-    }
-
     /// Total number of reports stored.
     pub fn report_count(&self) -> u64 {
-        self.read().partitions.iter().map(|p| p.len()).sum()
+        self.partitions.iter().map(|p| p.len()).sum()
     }
 
-    /// Number of distinct samples.
+    /// Number of distinct samples. O(store), like
+    /// [`sample_hashes`](Self::sample_hashes), whose length it is.
     pub fn sample_count(&self) -> u64 {
-        self.read().index.len() as u64
+        self.sample_hashes().len() as u64
     }
 
     /// Every distinct sample hash in the store, sorted ascending.
     ///
-    /// Reads the per-sample index only — no block is decoded — so this
-    /// is how a recovering daemon cheaply learns which samples a sealed
-    /// segment already covers.
+    /// One scan of the row stream keeping the hash column only — how a
+    /// recovering daemon learns which samples a sealed segment already
+    /// covers.
     pub fn sample_hashes(&self) -> Vec<SampleHash> {
-        let mut hashes: Vec<SampleHash> = self.read().index.keys().copied().collect();
+        let mut hashes = Vec::with_capacity(self.report_count() as usize);
+        self.for_each_row(&mut SinkFn(|row: &ReportRow| hashes.push(row.sample)));
         hashes.sort_unstable();
+        hashes.dedup();
         hashes
     }
 
     /// Per-partition statistics, in window order (catch-all last).
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        self.read().partitions.iter().map(|p| p.stats()).collect()
+        self.partitions.iter().map(|p| p.stats()).collect()
     }
 
-    /// Gathers one sample's reports, sorted by analysis date.
+    /// Gathers one sample's reports, sorted by analysis date (equal
+    /// dates in append order).
     ///
-    /// # Panics
-    /// Panics if the store is not sealed.
+    /// O(store): a filter over the whole row stream — the store keeps
+    /// no per-sample index. It is what tests use to compare a store
+    /// against its input; bulk readers take
+    /// [`group_by_sample`](Self::group_by_sample) or
+    /// [`for_each_row`](Self::for_each_row) instead.
     pub fn sample_reports(&self, hash: SampleHash) -> Vec<ScanReport> {
-        let start = self.obs.timer();
-        let inner = self.read();
-        assert!(inner.sealed, "seal the store before reading");
-        let Some(locs) = inner.index.get(&hash) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(locs.len());
-        let mut decoded = 0u64;
-        // Decode each needed block once. Blocks reachable here were
-        // either built by this store or integrity-checked at load time,
-        // so a decode failure is a program error, not an input error.
-        let mut cache: HashMap<(u16, u32), Vec<ScanReport>> = HashMap::new();
-        for loc in locs {
-            let block_reports = cache.entry((loc.partition, loc.block)).or_insert_with(|| {
-                let reports = inner.partitions[loc.partition as usize].blocks()[loc.block as usize]
-                    .decode_all()
-                    .expect("sealed in-store block decodes");
-                decoded += reports.len() as u64;
-                reports
-            });
-            out.push(block_reports[loc.offset as usize]);
-        }
+        let mut out = Vec::new();
+        self.for_each_row(&mut SinkFn(|row: &ReportRow| {
+            if row.sample == hash {
+                out.push(row.to_report());
+            }
+        }));
         out.sort_by_key(|r| r.analysis_date);
-        self.obs.record_decode(start, decoded);
         out
     }
 
     /// Iterates all reports grouped by sample, each group sorted by
     /// analysis date. Materializes the grouping (bulk-analysis path).
-    ///
-    /// # Panics
-    /// Panics if the store is not sealed.
     pub fn group_by_sample(&self) -> Vec<(SampleHash, Vec<ScanReport>)> {
-        let start = self.obs.timer();
-        let inner = self.read();
-        assert!(inner.sealed, "seal the store before reading");
+        // Sized for one sample per report: an upper bound, and most
+        // samples of a VT feed are scanned once.
         let mut groups: HashMap<SampleHash, Vec<ScanReport>> =
-            HashMap::with_capacity(inner.index.len());
-        let mut decoded = 0u64;
-        for p in &inner.partitions {
-            for block in p.blocks() {
-                block
-                    .decode_into(&mut SinkFn(|row: &ReportRow| {
-                        decoded += 1;
-                        groups.entry(row.sample).or_default().push(row.to_report());
-                    }))
-                    .expect("sealed in-store block decodes");
-            }
-        }
-        self.obs.record_decode(start, decoded);
+            HashMap::with_capacity(self.report_count() as usize);
+        self.for_each_row(&mut SinkFn(|row: &ReportRow| {
+            groups.entry(row.sample).or_default().push(row.to_report());
+        }));
         let mut out: Vec<(SampleHash, Vec<ScanReport>)> = groups.into_iter().collect();
         for (_, reports) in &mut out {
             reports.sort_by_key(|r| r.analysis_date);
@@ -356,23 +336,13 @@ impl ReportStore {
         out
     }
 
-    /// Snapshot of the sealed partitions for persistence:
-    /// `(month, blocks)` per partition.
-    ///
-    /// # Panics
-    /// Panics if the store is not sealed.
-    pub fn partitions_for_persist(&self) -> Vec<(Option<Month>, Vec<Block>)> {
-        let inner = self.read();
-        assert!(inner.sealed, "seal the store before persisting");
-        inner
-            .partitions
-            .iter()
-            .map(|p| (p.month(), p.blocks().to_vec()))
-            .collect()
+    /// The sealed partitions, in window order (catch-all last) — what
+    /// [`crate::persist::write_store`] walks.
+    pub(crate) fn partitions(&self) -> &[Partition] {
+        &self.partitions
     }
 
-    /// Rebuilds a sealed store from persisted partitions, re-deriving
-    /// the per-sample index by decoding each block once. Returns a
+    /// Rebuilds a sealed store from persisted partitions. Returns a
     /// typed [`StoreError`] if the partition layout is not the expected
     /// 14-months-plus-catch-all shape.
     pub fn from_persisted(parts: Vec<(Option<Month>, Vec<Block>)>) -> Result<Self, StoreError> {
@@ -387,64 +357,32 @@ impl ReportStore {
             });
         }
         let mut partitions = Vec::with_capacity(parts.len());
-        let mut index: HashMap<SampleHash, Vec<Loc>> = HashMap::new();
         for (pi, ((month, blocks), want)) in parts.into_iter().zip(expected).enumerate() {
             if month != want {
                 return Err(StoreError::PartitionMonthOrder { partition: pi });
             }
-            for (bi, block) in blocks.iter().enumerate() {
-                // Only the sample hash is needed to rebuild the index —
-                // stream the rows instead of materializing the reports.
-                let mut off = 0u32;
-                block
-                    .decode_into(&mut SinkFn(|row: &ReportRow| {
-                        index.entry(row.sample).or_default().push(Loc {
-                            partition: pi as u16,
-                            block: bi as u32,
-                            offset: off,
-                        });
-                        off += 1;
-                    }))
-                    .map_err(|_| StoreError::BlockDecode {
-                        partition: pi,
-                        block: bi,
-                    })?;
-            }
             partitions.push(Partition::from_blocks(month, blocks));
         }
         Ok(Self {
-            inner: RwLock::new(Inner {
-                partitions,
-                index,
-                sealed: true,
-            }),
+            partitions,
             obs: StoreObs::default(),
         })
-    }
-
-    /// Visits every stored report (unordered across samples).
-    ///
-    /// Materializing adapter over [`for_each_row`](Self::for_each_row):
-    /// one stack-local [`ScanReport`] per row, never a `Vec`.
-    pub fn for_each_report(&self, mut f: impl FnMut(&ScanReport)) {
-        self.for_each_row(&mut SinkFn(|row: &ReportRow| f(&row.to_report())));
     }
 
     /// Streams every stored row into `sink` in physical order —
     /// partitions in window order (catch-all last), blocks in append
     /// order, offsets ascending — without materializing [`ScanReport`]s.
     /// This is the zero-copy bulk-decode entry the columnar table build
-    /// consumes; the ordering is part of the contract (arrival order is
-    /// the tie-break key for equal-date reports).
-    ///
-    /// # Panics
-    /// Panics if the store is not sealed.
+    /// consumes, and the one row stream every other read method is a
+    /// fold over; the ordering is part of the contract (arrival order
+    /// is the tie-break key for equal-date reports).
     pub fn for_each_row(&self, sink: &mut impl ReportSink) {
         let start = self.obs.timer();
-        let inner = self.read();
-        assert!(inner.sealed, "seal the store before reading");
         let mut decoded = 0u64;
-        for p in &inner.partitions {
+        // Blocks here were either built by a `StoreBuilder` or
+        // integrity-checked at load time, so a decode failure is a
+        // program error, not an input error.
+        for p in &self.partitions {
             for block in p.blocks() {
                 decoded += block
                     .decode_into(sink)
@@ -475,12 +413,12 @@ mod tests {
 
     #[test]
     fn append_and_gather() {
-        let store = ReportStore::new();
+        let mut store = StoreBuilder::new();
         store.append(&report(1, Date::new(2021, 6, 3), 10));
         store.append(&report(2, Date::new(2021, 6, 4), 10));
         store.append(&report(1, Date::new(2022, 1, 9), 10));
         store.append(&report(1, Date::new(2021, 5, 2), 10));
-        store.seal();
+        let store = store.seal();
 
         assert_eq!(store.report_count(), 4);
         assert_eq!(store.sample_count(), 2);
@@ -496,11 +434,11 @@ mod tests {
 
     #[test]
     fn reports_land_in_their_month() {
-        let store = ReportStore::new();
+        let mut store = StoreBuilder::new();
         store.append(&report(1, Date::new(2021, 5, 15), 0)); // month 0
         store.append(&report(2, Date::new(2022, 6, 15), 0)); // month 13
         store.append(&report(3, Date::new(2020, 1, 1), 0)); // catch-all
-        store.seal();
+        let store = store.seal();
         let stats = store.partition_stats();
         assert_eq!(stats.len(), 15);
         assert_eq!(stats[0].reports, 1);
@@ -512,7 +450,7 @@ mod tests {
 
     #[test]
     fn group_by_sample_covers_everything() {
-        let store = ReportStore::new();
+        let mut store = StoreBuilder::new();
         for i in 0..500u64 {
             store.append(&report(
                 i % 50,
@@ -520,7 +458,7 @@ mod tests {
                 i as i64 % 1440,
             ));
         }
-        store.seal();
+        let store = store.seal();
         let groups = store.group_by_sample();
         assert_eq!(groups.len(), 50);
         let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
@@ -540,33 +478,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "append after seal")]
-    fn append_after_seal_panics() {
-        let store = ReportStore::new();
-        store.seal();
-        store.append(&report(1, Date::new(2021, 6, 1), 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "seal the store")]
-    fn read_before_seal_panics() {
-        let store = ReportStore::new();
-        store.append(&report(1, Date::new(2021, 6, 1), 0));
-        store.sample_reports(SampleHash::from_ordinal(1));
-    }
-
-    #[test]
     fn obs_records_encode_and_decode_without_changing_content() {
         let obs = Obs::new();
-        let store = ReportStore::with_obs(&obs);
-        let plain = ReportStore::new();
+        let mut store = StoreBuilder::with_obs(&obs);
+        let mut plain = StoreBuilder::new();
         for i in 0..40u64 {
             let r = report(i % 8, Date::new(2021, 7, 1 + (i % 20) as u8), i as i64);
             store.append(&r);
             plain.append(&r);
         }
-        store.seal();
-        plain.seal();
+        let store = store.seal();
+        let plain = plain.seal();
         // Instrumentation is write-only: contents are identical.
         assert_eq!(store.group_by_sample(), plain.group_by_sample());
         let m = obs.snapshot();
@@ -578,7 +500,7 @@ mod tests {
         assert!(m.gauge("store/sealed_blocks").unwrap_or(0) >= 1);
         // A disabled registry records nothing.
         let off = Obs::disabled();
-        let silent = ReportStore::with_obs(&off);
+        let mut silent = StoreBuilder::with_obs(&off);
         silent.append(&report(1, Date::new(2021, 6, 3), 10));
         silent.seal();
         assert!(off.snapshot().counters.is_empty());
@@ -597,15 +519,93 @@ mod tests {
         assert!(err.to_string().contains("partition count"));
     }
 
-    #[test]
-    fn for_each_report_counts() {
-        let store = ReportStore::new();
-        for i in 0..37 {
-            store.append(&report(i, Date::new(2021, 9, 9), i as i64));
+    mod props {
+        use super::*;
+        use crate::block::BLOCK_CAPACITY;
+        use crate::persist::{read_store, write_store};
+        use proptest::prelude::*;
+
+        /// `(hash ordinal, day slot, minute)` → a report. Twelve hashes,
+        /// so trajectories interleave; day slots 25 days apart from
+        /// 2021-01-01, so slots 0–4 fall before the collection window
+        /// and 22–23 after it (both catch-all); two minutes, so equal
+        /// dates are common. `times_submitted` carries the input
+        /// position, which is what tells tied rows apart.
+        fn row(position: usize, (sample, slot, minute): (u64, i64, i64)) -> ScanReport {
+            let date = Timestamp((slot * 25) * 1440 + minute);
+            ScanReport {
+                sample: SampleHash::from_ordinal(sample),
+                file_type: FileType::Pdf,
+                analysis_date: date,
+                last_submission_date: date,
+                times_submitted: position as u32,
+                kind: ReportKind::Upload,
+                verdicts: VerdictVec::new(70),
+            }
         }
-        store.seal();
-        let mut n = 0;
-        store.for_each_report(|_| n += 1);
-        assert_eq!(n, 37);
+
+        fn rows_of(store: &ReportStore) -> Vec<ScanReport> {
+            let mut rows = Vec::new();
+            store.for_each_row(&mut rows);
+            rows
+        }
+
+        proptest! {
+            // 24 cases, about one in six with a rolled block: the crate's
+            // tests also run under Miri (ci.yml), where a row costs ~100×.
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// builder → `seal` → `write_store` → `read_store` loses and
+            /// reorders nothing, and every read method agrees with the
+            /// input it was built from.
+            #[test]
+            fn built_and_reloaded_stores_agree_with_their_input(
+                batches in proptest::collection::vec(
+                    proptest::collection::vec((0u64..12, 0i64..24, 0i64..2), 0..40),
+                    0..6,
+                ),
+                roll in 0u8..6,
+            ) {
+                let mut input = Vec::new();
+                let mut builder = StoreBuilder::new();
+                for batch in &batches {
+                    let from = input.len();
+                    input.extend(batch.iter().enumerate().map(|(i, &r)| row(from + i, r)));
+                    builder.append_batch(&input[from..]);
+                }
+                if roll == 0 {
+                    // One month past a block's capacity: a block rolls.
+                    for i in 0..BLOCK_CAPACITY as u64 + 3 {
+                        input.push(row(input.len(), (i % 12, 8, (i % 2) as i64)));
+                        builder.append(&input[input.len() - 1]);
+                    }
+                }
+                let built = builder.seal();
+                let mut bytes = Vec::new();
+                write_store(&built, &mut bytes).expect("write");
+                let loaded = read_store(&mut bytes.as_slice()).expect("read");
+
+                prop_assert_eq!(rows_of(&loaded), rows_of(&built));
+                prop_assert_eq!(loaded.partition_stats(), built.partition_stats());
+                prop_assert_eq!(built.report_count(), input.len() as u64);
+                let mut rewritten = Vec::new();
+                write_store(&loaded, &mut rewritten).expect("rewrite");
+                prop_assert_eq!(&rewritten, &bytes);
+
+                let mut hashes: Vec<SampleHash> = input.iter().map(|r| r.sample).collect();
+                hashes.sort_unstable();
+                hashes.dedup();
+                for store in [&built, &loaded] {
+                    prop_assert_eq!(store.sample_hashes(), hashes.clone());
+                    prop_assert_eq!(store.sample_count(), hashes.len() as u64);
+                    for &hash in &hashes {
+                        let mut want: Vec<ScanReport> =
+                            input.iter().filter(|r| r.sample == hash).copied().collect();
+                        want.sort_by_key(|r| r.analysis_date);
+                        prop_assert_eq!(store.sample_reports(hash), want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -524,7 +524,7 @@ fn cmd_simulate(args: SimulateArgs) -> Result<(), VtldError> {
     println!(
         "wrote {} reports / {} samples to {out} ({:.2} MB packed)",
         store.report_count(),
-        store.sample_count(),
+        study.records().len(),
         bytes as f64 / 1e6
     );
     println!(
@@ -540,15 +540,12 @@ fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
     let mut file = std::fs::File::open(path).map_err(io_err(format!("cannot open {path}")))?;
     let mut store = read_store(&mut file)?;
     store.set_obs(&obs);
-    eprintln!(
-        "loaded {} reports / {} samples from {path}",
-        store.report_count(),
-        store.sample_count()
-    );
+    eprintln!("loaded {} reports from {path}", store.report_count());
     let fleet = EngineFleet::new(FleetConfig::builder().seed(args.fleet_seed).build()?);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();
     let mut study = IncrementalStudy::new(&fleet, window_start).with_workers(args.workers);
-    study.fold_store(&store, &mut DecodeArena::new(), &obs);
+    let samples = study.fold_store(&store, &mut DecodeArena::new(), &obs);
+    eprintln!("folded {samples} samples");
     let results = study.results(store.partition_stats(), &obs);
     println!("{}", render_full_report(&results, &fleet));
     if let Some(dir) = &args.csv_dir {

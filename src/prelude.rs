@@ -30,5 +30,5 @@ pub use crate::sim::fault::{FaultPlan, FaultyFeed};
 pub use crate::sim::{SimConfig, VirusTotalSim};
 pub use crate::store::{
     read_segment, read_store, write_segment, write_store, ReportRow, ReportSink, ReportStore,
-    Segment, SegmentWriter,
+    Segment, SegmentWriter, StoreBuilder,
 };

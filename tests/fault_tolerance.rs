@@ -11,7 +11,9 @@ use vt_label_dynamics::dynamics::{
 use vt_label_dynamics::sim::fault::{FaultPlan, FaultyFeed};
 use vt_label_dynamics::sim::SimConfig;
 use vt_label_dynamics::store::crc32::crc32;
-use vt_label_dynamics::store::{read_store, read_store_salvage, write_store};
+use vt_label_dynamics::store::{
+    read_store, read_store_salvage, write_segment, write_store, SegmentWriter,
+};
 
 #[test]
 fn empty_study_runs() {
@@ -128,8 +130,7 @@ fn perfect_availability_is_quieter_than_nominal() {
 #[test]
 fn store_rejects_misuse_gracefully() {
     // Sealing an empty store and reading from it is fine.
-    let store = vt_label_dynamics::store::ReportStore::new();
-    store.seal();
+    let store = vt_label_dynamics::store::StoreBuilder::new().seal();
     assert_eq!(store.report_count(), 0);
     assert!(store.group_by_sample().is_empty());
     assert!(store
@@ -342,5 +343,49 @@ fn damaged_store_bytes_never_panic_the_readers() {
             assert!(recovery.recovered_reports() == salvaged.report_count());
             let _ = salvaged.group_by_sample();
         }
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The bytes the store writes, pinned: FNV-1a over the `VTSTORE2` file
+/// of a 4 000-sample study, and over the concatenated `VTSEG001` files
+/// of the same records cut every 500 reports (tail included). The
+/// constants were recorded from the binary of PR 14 (debug and release
+/// agreeing), before the store was split into builder and sealed store:
+/// a change to how a store is built, sealed or walked must leave them
+/// alone, a change to the codec or the container re-records them on
+/// purpose.
+#[test]
+fn store_bytes_are_pinned() {
+    for (seed, pinned) in [
+        (7u64, (0x1f17_0bc2_dae4_81c8u64, 0x8089_7898_be95_2212u64)),
+        (4269, (0xd9aa_e221_0012_a130, 0x094d_b570_c370_1c29)),
+    ] {
+        let study = Study::generate_with_workers(SimConfig::new(seed, 4_000), 2);
+        let mut store_bytes = Vec::new();
+        write_store(&study.build_store(), &mut store_bytes).expect("write store");
+
+        let mut segment_bytes = Vec::new();
+        let mut writer = SegmentWriter::new(500);
+        for rec in study.records() {
+            if let Some(segment) = writer.push_sample(&rec.reports) {
+                write_segment(&segment, &mut segment_bytes).expect("write segment");
+            }
+        }
+        if let Some(tail) = writer.finish() {
+            write_segment(&tail, &mut segment_bytes).expect("write tail segment");
+        }
+
+        let got = (fnv1a(&store_bytes), fnv1a(&segment_bytes));
+        assert_eq!(
+            got, pinned,
+            "seed {seed}: (store, segments) = ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
     }
 }

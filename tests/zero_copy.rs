@@ -29,12 +29,11 @@ fn chunk_stores(records: &[SampleRecord], splits: usize) -> Vec<ReportStore> {
     records
         .chunks(chunk)
         .map(|c| {
-            let store = ReportStore::new();
+            let mut store = StoreBuilder::new();
             for r in c {
                 store.append_batch(&r.reports);
             }
-            store.seal();
-            store
+            store.seal()
         })
         .collect()
 }

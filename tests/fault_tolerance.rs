@@ -5,9 +5,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::io::{BufRead, BufReader, Write};
+use std::time::{Duration, Instant};
 use vt_label_dynamics::dynamics::{
     analyze_records, records_from_store, Analysis, Collector, CollectorConfig, Study,
 };
+use vt_label_dynamics::serve::{ServeConfig, Server};
 use vt_label_dynamics::sim::fault::{FaultPlan, FaultyFeed};
 use vt_label_dynamics::sim::SimConfig;
 use vt_label_dynamics::store::crc32::crc32;
@@ -387,5 +390,76 @@ fn store_bytes_are_pinned() {
             "seed {seed}: (store, segments) = ({:#018x}, {:#018x})",
             got.0, got.1
         );
+    }
+}
+
+/// The segment log a durable daemon writes, pinned: FNV-1a over the
+/// sorted `(file name, bytes)` of every `seg-*.vtseg` an in-process
+/// `Server` leaves in its data dir after `ingest_done` — 6 000 samples,
+/// 300-report segments (about four seals per slot; at 1 500 no slot
+/// reaches the threshold and only the eight tails are written), one
+/// shard, the default chaos plan. The
+/// constants were recorded from the tree of PR 15 (debug and release
+/// agreeing), before the ingest path stopped building a per-chunk
+/// store: they move if the grouping order, the 1 024-ordinal chunk
+/// boundaries or a seal point moves by one report.
+#[test]
+fn segment_log_is_pinned() {
+    for (seed, pinned) in [
+        (7u64, 0x2977_ef64_2399_0e4du64),
+        (4269, 0x5ee9_213a_2ffe_8bed),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "vtld-segment-log-pin-{seed}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = ServeConfig::new(6_000, seed);
+        config.segment_reports = 300;
+        config.shards = 1;
+        config.data_dir = Some(dir.clone());
+        let server = Server::start(config).expect("start server");
+        let deadline = Instant::now() + Duration::from_secs(300);
+        loop {
+            let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"{\"cmd\":\"status\"}\n")
+                .expect("write status");
+            let mut line = String::new();
+            BufReader::new(stream)
+                .read_line(&mut line)
+                .expect("read status");
+            if line.contains("\"ingest_done\":true") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "ingestion never finished");
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        server.shutdown();
+        server.wait();
+
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("read data dir")
+            .map(|e| e.expect("dir entry"))
+            .filter_map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name.starts_with("seg-") && name.ends_with(".vtseg"))
+                    .then(|| (name, std::fs::read(e.path()).expect("read segment")))
+            })
+            .collect();
+        files.sort();
+        assert!(
+            files.len() >= 3 * 8,
+            "several seals per slot: {} files",
+            files.len()
+        );
+        let mut log = Vec::new();
+        for (name, bytes) in &files {
+            log.extend_from_slice(name.as_bytes());
+            log.extend_from_slice(bytes);
+        }
+        let got = fnv1a(&log);
+        assert_eq!(got, pinned, "seed {seed}: segment log = {got:#018x}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -90,6 +90,9 @@ pub enum CorruptKind {
     /// A block's payload passed its CRC but did not decode to exactly
     /// the declared report count.
     BlockDecode,
+    /// Bytes follow the last declared partition: the container does not
+    /// end where its own header says it does.
+    TrailingBytes,
 }
 
 impl CorruptKind {
@@ -109,6 +112,7 @@ impl CorruptKind {
             CorruptKind::BadMonthTag => "bad month tag",
             CorruptKind::ChecksumMismatch => "block checksum mismatch",
             CorruptKind::BlockDecode => "block failed to decode",
+            CorruptKind::TrailingBytes => "trailing bytes after the last partition",
         }
     }
 }
@@ -246,8 +250,9 @@ fn read_month_tag(r: &mut impl Read) -> Result<Option<Month>, PersistError> {
 
 /// Loads a store file.
 /// Strict: the first integrity violation — bad marker, CRC mismatch,
-/// implausible header, undecodable block — aborts the load. Use
-/// [`read_store_salvage`] to recover what a damaged file still holds.
+/// implausible header, undecodable block, or anything after the last
+/// declared partition — aborts the load. Use [`read_store_salvage`] to
+/// recover what a damaged file still holds.
 pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -294,7 +299,23 @@ pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
         }
         partitions.push((month, blocks));
     }
-    ReportStore::from_persisted(partitions).map_err(PersistError::Store)
+    let store = ReportStore::from_persisted(partitions).map_err(PersistError::Store)?;
+    if !at_eof(r)? {
+        return Err(PersistError::Corrupt(CorruptKind::TrailingBytes));
+    }
+    Ok(store)
+}
+
+/// True when `r` has nothing left to deliver.
+fn at_eof(r: &mut impl Read) -> io::Result<bool> {
+    let mut probe = [0u8; 1];
+    loop {
+        match r.read(&mut probe) {
+            Ok(n) => return Ok(n == 0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// How a salvaged partition was identified.
@@ -731,6 +752,22 @@ mod tests {
             let err = read_store(&mut &buf[..cut]).unwrap_err();
             assert!(matches!(err, PersistError::Io(_)), "cut at {cut}: {err}");
         }
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut buf = Vec::new();
+        write_store(&sample_store(), &mut buf).expect("write");
+        buf.push(0);
+        let err = read_store(&mut buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt(CorruptKind::TrailingBytes)),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "corrupt store file: trailing bytes after the last partition"
+        );
     }
 
     #[test]

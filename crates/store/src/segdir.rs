@@ -447,6 +447,33 @@ mod tests {
     }
 
     #[test]
+    fn replay_quarantines_a_segment_with_trailing_bytes() {
+        let root = temp_dir("trailing");
+        let dir = SegmentDir::open(&root, 1).expect("open");
+        fill_slot(&dir, 0, 3);
+        let victim = root.join(segment_file_name(0, 1));
+        let mut bytes = fs::read(&victim).expect("read victim");
+        bytes.extend_from_slice(b"tail");
+        fs::write(&victim, bytes).expect("rewrite victim");
+
+        let replay = dir.replay().expect("replay");
+        assert_eq!(
+            replay.slots[0].len(),
+            1,
+            "the prefix ends before the victim"
+        );
+        assert_eq!(replay.recovered_segments, 1);
+        assert_eq!(replay.quarantined_segments, 2);
+        for seq in [1u64, 2] {
+            assert!(root
+                .join(QUARANTINE)
+                .join(segment_file_name(0, seq))
+                .is_file());
+        }
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
     fn manifest_slot_count_is_enforced() {
         let root = temp_dir("manifest");
         let dir = SegmentDir::open(&root, 8).expect("open");

@@ -415,6 +415,33 @@ fn corrupt_segment_quarantines_and_recovery_self_heals() {
     std::fs::remove_dir_all(&data_dir).expect("cleanup");
 }
 
+/// A segment whose partition-count word alone is damaged — every
+/// marker, header, CRC and block behind it intact. The recovered daemon
+/// must converge on the reference bits whatever replay makes of it.
+#[test]
+fn damaged_partition_count_recovers_the_reference_bits() {
+    let data_dir = temp_data_dir("partition-count");
+    let mut config = chaos_config(1, 2);
+    config.data_dir = Some(data_dir.clone());
+    let (fingerprint, _) = run_to_completion(config.clone());
+    assert_eq!(&fingerprint, reference_fingerprint());
+
+    // "VTSEG001", u64 seq, "VTSTORE2", then the u32 partition count.
+    let victim = (0..8)
+        .map(|slot| data_dir.join(format!("seg-{slot:03}-0000000001.vtseg")))
+        .find(|p| p.is_file())
+        .expect("some slot sealed at least two segments");
+    let mut bytes = std::fs::read(&victim).expect("read victim");
+    assert_eq!(bytes[24..28], 15u32.to_le_bytes());
+    bytes[24] ^= 0x01;
+    std::fs::write(&victim, bytes).expect("rewrite victim");
+
+    config.recover = true;
+    let (fingerprint, _status) = run_to_completion(config);
+    assert_eq!(&fingerprint, reference_fingerprint());
+    std::fs::remove_dir_all(&data_dir).expect("cleanup");
+}
+
 #[test]
 fn connection_flood_sheds_load_and_loses_nothing() {
     let mut config = chaos_config(2, 2);

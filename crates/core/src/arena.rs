@@ -75,6 +75,19 @@ impl DecodeArena {
     pub fn clear(&mut self) {
         self.rows.clear();
     }
+
+    /// Clears the arena, lets `read` stream into it, and clears it
+    /// again if `read` fails. A strict read hands its sink every row
+    /// before the violation it stops at; filling through here is what
+    /// keeps that partial prefix from ever being folded.
+    pub fn refill<T, E>(&mut self, read: impl FnOnce(&mut Self) -> Result<T, E>) -> Result<T, E> {
+        self.clear();
+        let outcome = read(self);
+        if outcome.is_err() {
+            self.clear();
+        }
+        outcome
+    }
 }
 
 impl ReportSink for DecodeArena {
@@ -117,6 +130,25 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.rows()[0].hash, SampleHash::from_ordinal(2));
         assert_eq!(arena.rows()[1].analysis, 40);
+    }
+
+    #[test]
+    fn a_failed_refill_leaves_no_rows_behind() {
+        let mut arena = DecodeArena::new();
+        arena.report(&row(9, 9));
+        let ok: Result<u8, ()> = arena.refill(|a| {
+            a.report(&row(1, 10));
+            Ok(7)
+        });
+        assert_eq!(ok, Ok(7));
+        assert_eq!(arena.len(), 1, "cleared first, then filled");
+        let failed: Result<(), &str> = arena.refill(|a| {
+            a.report(&row(2, 20));
+            a.report(&row(3, 30));
+            Err("violation after two rows")
+        });
+        assert!(failed.is_err());
+        assert!(arena.is_empty(), "the partial prefix is gone");
     }
 
     #[test]

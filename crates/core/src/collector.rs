@@ -239,21 +239,29 @@ impl Collector {
         Ok(Self::new(config))
     }
 
-    /// [`run`](Self::run) timed under the `collector/ingest` span, with
-    /// the run's [`IngestStats`] mirrored into `obs` counters
+    /// Drains `feed` to completion, handing each poll minute's ripe
+    /// reports — accepted, deduplicated, in emission order — to `emit`,
+    /// and returns the run counters and the quarantine. The one ingest
+    /// loop: [`run`](Self::run) and [`run_with_obs`](Self::run_with_obs)
+    /// are this with a [`StoreBuilder`] behind `emit`; `vtld serve`
+    /// groups what it is handed straight into its segment writers.
+    ///
+    /// Timed under the `collector/ingest` span, with the run's
+    /// [`IngestStats`] mirrored into `obs` counters
     /// (`collector/accepted`, `collector/deduped`, …) and high-water
     /// gauges (`collector/max_buffer_depth`, `collector/max_dedup_keys`)
-    /// afterwards. The ingestion itself is untouched — stats, store and
-    /// quarantine are identical whether `obs` is enabled, disabled or
-    /// [`Obs::noop`].
-    /// `store/*` metrics (encode timings, sealed bytes) are recorded
-    /// too: the run's store is built with [`StoreBuilder::with_obs`].
-    pub fn run_with_obs(&self, feed: FaultyFeed, obs: &Obs) -> IngestOutcome {
-        let outcome = obs.time("collector/ingest", || {
-            self.run_into(feed, StoreBuilder::with_obs(obs))
-        });
+    /// afterwards. The ingestion itself is untouched — what is emitted,
+    /// counted and quarantined is identical whether `obs` is enabled,
+    /// disabled or [`Obs::noop`].
+    pub fn run_into(
+        &self,
+        feed: FaultyFeed,
+        obs: &Obs,
+        emit: impl FnMut(&[ScanReport]),
+    ) -> (IngestStats, Vec<QuarantinedEntry>) {
+        let (stats, quarantine) = obs.time("collector/ingest", || self.drain(feed, emit));
         if obs.is_enabled() {
-            let s = &outcome.stats;
+            let s = &stats;
             obs.counter("collector/polled_minutes")
                 .add(s.polled_minutes);
             obs.counter("collector/accepted").add(s.accepted);
@@ -271,19 +279,35 @@ impl Collector {
             obs.gauge("collector/max_dedup_keys")
                 .set_max(s.max_dedup_keys);
         }
-        outcome
+        (stats, quarantine)
+    }
+
+    /// [`run`](Self::run) with the `collector/*` metrics of
+    /// [`run_into`](Self::run_into) and the `store/*` metrics (encode
+    /// timings, sealed bytes) of a store built with
+    /// [`StoreBuilder::with_obs`].
+    pub fn run_with_obs(&self, feed: FaultyFeed, obs: &Obs) -> IngestOutcome {
+        let mut store = StoreBuilder::with_obs(obs);
+        let (stats, quarantine) = self.run_into(feed, obs, |batch| store.append_batch(batch));
+        IngestOutcome {
+            store: store.seal(),
+            stats,
+            quarantine,
+        }
     }
 
     /// Drains `feed` to completion and returns the sealed store, the
     /// run counters, and the quarantine.
     pub fn run(&self, feed: FaultyFeed) -> IngestOutcome {
-        self.run_into(feed, StoreBuilder::new())
+        self.run_with_obs(feed, Obs::noop())
     }
 
-    /// [`run`](Self::run) into a caller-provided (possibly instrumented)
-    /// empty builder. Store content is independent of the store's own
-    /// instrumentation.
-    fn run_into(&self, mut feed: FaultyFeed, mut store: StoreBuilder) -> IngestOutcome {
+    /// The ingest loop behind [`run_into`](Self::run_into).
+    fn drain(
+        &self,
+        mut feed: FaultyFeed,
+        mut emit: impl FnMut(&[ScanReport]),
+    ) -> (IngestStats, Vec<QuarantinedEntry>) {
         let mut stats = IngestStats::default();
         let mut quarantine = Vec::new();
         let mut seen: BTreeSet<ReportKey> = BTreeSet::new();
@@ -342,10 +366,9 @@ impl Collector {
 
             // Emit everything the watermark has passed. Entries still
             // inside the horizon may yet be preceded by a late arrival.
-            // The minute's ripe reports land in one `append_batch` (one
-            // store-lock acquisition per minute, not per report); batch
-            // order is buffer order, so the store content is identical
-            // to per-report appends.
+            // The minute's ripe reports go out as one batch, in buffer
+            // order (one `append_batch` per ripe minute when the sink
+            // is a store).
             let watermark = minute - self.config.reorder_horizon as i64;
             let mut ripe = Vec::new();
             while let Some((&key, _)) = buffer.iter().next() {
@@ -357,7 +380,7 @@ impl Collector {
                 ripe.push(report);
             }
             if !ripe.is_empty() {
-                store.append_batch(&ripe);
+                emit(&ripe);
             }
 
             // Evict dedup keys the watermark has passed: a redelivery
@@ -376,14 +399,10 @@ impl Collector {
             Self::note_emit(report, &mut last_emitted_minute, &mut stats);
         }
         if !tail.is_empty() {
-            store.append_batch(&tail);
+            emit(&tail);
         }
 
-        IngestOutcome {
-            store: store.seal(),
-            stats,
-            quarantine,
-        }
+        (stats, quarantine)
     }
 
     /// Verifies and decodes one framed entry.
@@ -406,7 +425,7 @@ impl Collector {
     }
 
     /// Books one report's emission (ordering check + counters); the
-    /// caller appends the batch to the store.
+    /// caller emits the batch.
     fn note_emit(report: &ScanReport, last_emitted_minute: &mut i64, stats: &mut IngestStats) {
         if report.analysis_date.0 < *last_emitted_minute {
             stats.emitted_out_of_order += 1;
@@ -609,5 +628,45 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.quarantine, b.quarantine);
         assert_eq!(a.store.report_count(), b.store.report_count());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use vt_store::group_reports;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// What `vtld serve` does — group the reports the collector
+            /// emits — equals what it did: `group_by_sample` of a store
+            /// built from the same emission. Groups and order both,
+            /// under duplicates and bounded reordering: a sealed
+            /// segment's bytes are a function of exactly this.
+            #[test]
+            fn grouping_the_emitted_reports_equals_grouping_the_store_built_from_them(
+                seed in any::<u64>(),
+                samples in 1u64..250,
+                duplicates in 0.0f64..0.5,
+                reordering in 0.0f64..0.5,
+                lateness in 1u32..60,
+            ) {
+                let sim = VirusTotalSim::new(SimConfig::new(seed, samples));
+                let plan = FaultPlan::clean(seed ^ 0xFA17)
+                    .with_duplicates(duplicates)
+                    .with_reordering(reordering, lateness);
+                let mut emitted = Vec::new();
+                let (stats, quarantine) = Collector::default().run_into(
+                    feed(&sim, samples, plan),
+                    Obs::noop(),
+                    |batch| emitted.extend_from_slice(batch),
+                );
+                let outcome = Collector::default().run(feed(&sim, samples, plan));
+                prop_assert_eq!(stats, outcome.stats);
+                prop_assert_eq!(quarantine, outcome.quarantine);
+                prop_assert_eq!(emitted.len() as u64, stats.accepted);
+                prop_assert_eq!(group_reports(emitted), outcome.store.group_by_sample());
+            }
+        }
     }
 }

@@ -346,8 +346,9 @@ impl<'a> IncrementalStudy<'a> {
     ///
     /// This is now a thin adapter over [`fold_table`](Self::fold_table):
     /// it builds the segment's columnar table and folds that. Callers
-    /// holding a sealed [`vt_store::ReportStore`] should prefer
-    /// [`fold_store`](Self::fold_store), which skips the
+    /// holding decoded rows or a sealed [`vt_store::ReportStore`] should
+    /// prefer [`fold_arena`](Self::fold_arena) /
+    /// [`fold_store`](Self::fold_store), which skip the
     /// `Vec<SampleRecord>` materialization entirely.
     pub fn fold_segment(&mut self, records: &[SampleRecord], obs: &Obs) {
         let _span = obs.span("pipeline/segment");
@@ -357,29 +358,23 @@ impl<'a> IncrementalStudy<'a> {
         self.fold_table_inner(&table, obs);
     }
 
-    /// Folds one sealed segment straight out of its report store: the
-    /// store's blocks stream into `arena` (reused across calls — its
-    /// row buffer keeps capacity between segments, so a steady-state
-    /// worker stops allocating), the columnar table is built from the
-    /// arena with no `Vec<ScanReport>`/`Vec<SampleRecord>` round-trip,
-    /// and the table is folded exactly like
+    /// Folds one sealed segment out of the rows a decode already left
+    /// in `arena` — whichever decode that was: the strict reader's
+    /// integrity pass over a file ([`vt_store::read_store_into`],
+    /// [`vt_store::read_segment_into`]) or a store's row stream
+    /// ([`fold_store`](Self::fold_store)). The columnar table is built
+    /// from the arena with no `Vec<ScanReport>`/`Vec<SampleRecord>`
+    /// round-trip and folded exactly like
     /// [`fold_table`](Self::fold_table). Returns the number of samples
     /// folded.
     ///
-    /// Bit-identical to `fold_segment(&records_from_store(store))` —
-    /// the arena path sorts decoded rows by `(hash, analysis_date,
-    /// arrival)`, which is the same canonical order the record
-    /// materialization produces.
-    pub fn fold_store(
-        &mut self,
-        store: &vt_store::ReportStore,
-        arena: &mut crate::arena::DecodeArena,
-        obs: &Obs,
-    ) -> usize {
+    /// Bit-identical to `fold_segment` over the same reports as
+    /// records — the arena path sorts decoded rows by `(hash,
+    /// analysis_date, arrival)`, which is the same canonical order the
+    /// record materialization produces.
+    pub fn fold_arena(&mut self, arena: &crate::arena::DecodeArena, obs: &Obs) -> usize {
         let _span = obs.span("pipeline/segment");
         let table = obs.time("pipeline/table", || {
-            arena.clear();
-            store.for_each_row(arena);
             TrajectoryTable::build_from_arena(arena, self.window_start, self.workers, obs)
         });
         let samples = table.len();
@@ -387,10 +382,26 @@ impl<'a> IncrementalStudy<'a> {
         samples
     }
 
+    /// Folds one sealed segment straight out of its report store: the
+    /// store's blocks stream into `arena` (cleared first, and reused
+    /// across calls — its row buffer keeps capacity between segments,
+    /// so a steady-state worker stops allocating), then
+    /// [`fold_arena`](Self::fold_arena).
+    pub fn fold_store(
+        &mut self,
+        store: &vt_store::ReportStore,
+        arena: &mut crate::arena::DecodeArena,
+        obs: &Obs,
+    ) -> usize {
+        arena.clear();
+        store.for_each_row(arena);
+        self.fold_arena(arena, obs)
+    }
+
     /// Folds one sealed segment's columnar table — however it was built
     /// — into the cached partials. This is the core fold entry point:
     /// [`fold_segment`](Self::fold_segment) and
-    /// [`fold_store`](Self::fold_store) both construct a table and land
+    /// [`fold_arena`](Self::fold_arena) both construct a table and land
     /// here. The table must cover whole samples (never split one
     /// sample's trajectory across tables) and tables must be folded in
     /// stream order.

@@ -2,9 +2,10 @@
 //!
 //! The analyses are CPU-bound batch passes over millions of samples —
 //! exactly the workload the async guides say to keep off an async
-//! runtime. [`map_partitions`] splits `0..n` into contiguous chunks,
-//! runs a worker per chunk on `std::thread::scope` threads, and returns the
-//! per-chunk results in order, so any analysis whose accumulator merges
+//! runtime. [`partition_ranges`] splits `0..n` into contiguous chunks
+//! and [`map_ranges`] (with its `_obs` / `_with` variants) runs a worker
+//! per chunk on `std::thread::scope` threads and returns the per-chunk
+//! results in order, so any analysis whose accumulator merges
 //! associatively parallelizes in three lines.
 
 use std::num::NonZeroUsize;
@@ -21,12 +22,12 @@ pub fn default_workers() -> usize {
         .min(16)
 }
 
-/// The contiguous ranges [`map_partitions`] assigns to `workers`
-/// threads over `0..n`. Public so multi-pass kernels (e.g. the fused
-/// correlation kernel, which needs per-partition row offsets from a
-/// counting pass before its accumulation pass) can align per-partition
-/// state across passes: both passes call this with the same `(n,
-/// workers)` and see the same split.
+/// The contiguous ranges `workers` threads split `0..n` into. Public
+/// so multi-pass kernels (e.g. the fused correlation kernel, which
+/// needs per-partition row offsets from a counting pass before its
+/// accumulation pass) can align per-partition state across passes:
+/// both passes call this with the same `(n, workers)` and see the same
+/// split.
 pub fn partition_ranges(n: u64, workers: usize) -> Vec<std::ops::Range<u64>> {
     let workers = workers.max(1).min(n.max(1) as usize);
     let chunk = n.div_ceil(workers as u64);
@@ -206,38 +207,6 @@ where
     out
 }
 
-/// Splits `0..n` into `workers` contiguous ranges, runs `f` on each
-/// range on its own scoped thread, and returns the results in range
-/// order. With `workers == 1` (or tiny `n`) it runs inline.
-///
-/// `f` must be deterministic per range for study reproducibility — all
-/// callers derive their randomness from sample ordinals, never from
-/// thread identity.
-pub fn map_partitions<T, F>(n: u64, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<u64>) -> T + Sync,
-{
-    map_ranges(&partition_ranges(n, workers), |_, r| f(r))
-}
-
-/// Convenience: map partitions then fold the results into the first
-/// one with `merge`.
-pub fn map_reduce<T, F, M>(n: u64, workers: usize, f: F, mut merge: M) -> Option<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<u64>) -> T + Sync,
-    M: FnMut(&mut T, T),
-{
-    let parts = map_partitions(n, workers, f);
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next()?;
-    for part in iter {
-        merge(&mut acc, part);
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +215,7 @@ mod tests {
     fn partitions_cover_range_exactly() {
         for n in [0u64, 1, 7, 100, 101] {
             for workers in [1usize, 2, 3, 8] {
-                let parts = map_partitions(n, workers, |r| r.clone());
+                let parts = partition_ranges(n, workers);
                 let mut covered = 0u64;
                 let mut expected_start = 0u64;
                 for r in &parts {
@@ -257,27 +226,6 @@ mod tests {
                 assert_eq!(covered, n, "n={n} workers={workers}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_sum_matches_serial() {
-        let n = 100_000u64;
-        let serial: u64 = (0..n).map(|i| i * i % 97).sum();
-        let parallel =
-            map_reduce(n, 8, |r| r.map(|i| i * i % 97).sum::<u64>(), |a, b| *a += b).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn single_worker_runs_inline() {
-        let parts = map_partitions(10, 1, |r| r.count());
-        assert_eq!(parts, vec![10]);
-    }
-
-    #[test]
-    fn empty_range() {
-        let parts = map_partitions(0, 4, |r| r.count());
-        assert_eq!(parts.iter().sum::<usize>(), 0);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! into an immutable [`Block`] of contiguous encoded bytes. Decoding is
 //! sequential within a block (the delta chain requires it), which is the
 //! access pattern every analysis uses.
+//!
+//! There is one decode, [`Block::decode_into`]: checked (exactly the
+//! declared count, nothing left over) and streaming into a
+//! [`ReportSink`]. Verifying untrusted bytes *is* that decode — the
+//! strict reader runs it once per block, into whatever sink its caller
+//! holds — so no block is decoded to be checked and again to be read.
 
 use crate::codec::{decode_report_raw, encode_report, ReportRow};
 use bytes::{Buf, Bytes, BytesMut};
@@ -25,8 +31,10 @@ use vt_model::ScanReport;
 /// * **Errors** — on a corrupt block the sink has already observed every
 ///   row *before* the corrupt one; the decoder stops at the first bad
 ///   report and returns [`BlockDecodeError`]. Callers that need
-///   all-or-nothing semantics must buffer (as [`Block::decode_all`]
-///   does, discarding its partial `Vec` on error) or pre-[`Block::verify`].
+///   all-or-nothing semantics buffer (as [`Block::decode_all`] does,
+///   discarding its partial `Vec` on error) or clear the sink on `Err`
+///   (the contract of the streaming strict reader,
+///   [`crate::persist::read_store_into`]).
 /// * **Borrowing** — the `&ReportRow` is only valid for the duration of
 ///   the call; sinks copy out what they keep.
 pub trait ReportSink {
@@ -109,7 +117,8 @@ impl Block {
     }
 
     /// Reconstructs a block from its raw parts (the persistence path).
-    /// Call [`Block::verify`] before trusting untrusted bytes.
+    /// Nothing is checked here: untrusted bytes are trusted only once a
+    /// [`decode_into`](Self::decode_into) of them has returned `Ok`.
     pub fn from_parts(data: Bytes, len: u32) -> Self {
         Self { data, len }
     }
@@ -142,12 +151,6 @@ impl Block {
             });
         }
         Ok(self.len)
-    }
-
-    /// Checked decode: true iff the bytes decode to exactly `len`
-    /// reports with nothing left over.
-    pub fn verify(&self) -> bool {
-        self.decode_into(&mut SinkFn(|_: &ReportRow| {})).is_ok()
     }
 
     /// Decodes every report in the block, materialized. Thin adapter over
@@ -291,7 +294,6 @@ mod tests {
         // Truncated payload with the original report count.
         let bytes = Bytes::copy_from_slice(&block.raw_bytes()[..block.byte_len() - 3]);
         let bad = Block::from_parts(bytes, block.len() as u32);
-        assert!(!bad.verify());
         let err = bad.decode_all().unwrap_err();
         assert!(err.report_index <= err.report_count);
         // Trailing garbage after a clean decode is also an error.

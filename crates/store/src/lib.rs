@@ -55,9 +55,9 @@ pub use codec::ReportRow;
 pub use dataset::DatasetStats;
 pub use partition::PartitionStats;
 pub use persist::{
-    read_store, read_store_salvage, write_store, CorruptKind, PartitionRecovery, PersistError,
-    RecoveryReport, SalvageLabel,
+    read_store, read_store_into, read_store_salvage, write_store, CorruptKind, PartitionRecovery,
+    PersistError, RecoveryReport, SalvageLabel,
 };
 pub use segdir::{DurableWriter, Replay, SegmentDir, SegmentFile};
-pub use segment::{read_segment, read_segment_salvage, write_segment, Segment, SegmentWriter};
-pub use store::{ReportStore, StoreBuilder, StoreError, StoreObs};
+pub use segment::{read_segment, read_segment_into, write_segment, Segment, SegmentWriter};
+pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs};

@@ -26,19 +26,25 @@
 //! the next marker, returning whatever survives plus a
 //! [`RecoveryReport`] saying exactly what was lost where.
 //!
-//! The strict reader [`read_store`] fails on the first integrity
-//! violation; the salvage reader degrades instead. Any other magic —
-//! the retired marker-less `VTSTORE1` layout included — is
-//! [`CorruptKind::BadMagic`] to both. Neither panics on arbitrary input bytes (exercised by the randomized
-//! sweep in `tests/fault_tolerance.rs`). A strict load decodes each
-//! block exactly once, to verify it ([`Block::verify`]); nothing else is
-//! derived at load time. Only a sealed store can be written — there is
-//! no other kind of [`ReportStore`].
+//! The strict reader fails on the first integrity violation — bytes
+//! after the last declared partition included
+//! ([`CorruptKind::TrailingBytes`]); the salvage reader degrades
+//! instead. Any other magic — the retired marker-less `VTSTORE1` layout
+//! included — is [`CorruptKind::BadMagic`] to both. Neither panics on
+//! arbitrary input bytes (exercised by the randomized sweep in
+//! `tests/fault_tolerance.rs`).
+//!
+//! A strict load decodes each block exactly once, and that decode is
+//! both the integrity check and the read: [`read_store_into`] streams it
+//! into the caller's [`ReportSink`] (a decode arena, a hash collector),
+//! and [`read_store`] is the same call with a sink that discards.
+//! Nothing else is derived at load time. Only a sealed store can be
+//! written — there is no other kind of [`ReportStore`].
 
-use crate::block::{Block, BLOCK_CAPACITY};
-use crate::codec::MIN_ENCODED_REPORT_BYTES;
+use crate::block::{Block, ReportSink, SinkFn, BLOCK_CAPACITY};
+use crate::codec::{ReportRow, MIN_ENCODED_REPORT_BYTES};
 use crate::crc32::crc32;
-use crate::store::{ReportStore, StoreBuilder, StoreError};
+use crate::store::{ReportStore, StoreBuilder, StoreError, StoreObs};
 use std::io::{self, Read, Write};
 use vt_model::time::Month;
 
@@ -253,7 +259,28 @@ fn read_month_tag(r: &mut impl Read) -> Result<Option<Month>, PersistError> {
 /// implausible header, undecodable block, or anything after the last
 /// declared partition — aborts the load. Use [`read_store_salvage`] to
 /// recover what a damaged file still holds.
+///
+/// [`read_store_into`] with a sink that discards the rows.
 pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
+    read_store_into(r, &mut SinkFn(|_: &ReportRow| {}), &StoreObs::default())
+}
+
+/// The strict reader. Each block is checked in the order header
+/// plausibility → CRC → decode to exactly the declared count, and that one
+/// decode streams into `sink` — rows in the order
+/// [`ReportStore::for_each_row`] would deliver them from the loaded
+/// store — so a caller that wants the rows does not decode them again.
+/// The decode is recorded on `obs`, which the returned store keeps for
+/// its own reads.
+///
+/// On `Err` the sink has seen a prefix of the file's rows (everything
+/// before the violation): a caller that keeps what its sink collected
+/// must clear it.
+pub fn read_store_into(
+    r: &mut impl Read,
+    sink: &mut impl ReportSink,
+    obs: &StoreObs,
+) -> Result<ReportStore, PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -292,9 +319,11 @@ pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
             let block = Block::from_parts(data.into(), report_count);
             // Integrity: the block must decode to exactly report_count
             // reports with nothing left over.
-            if !block.verify() {
-                return Err(PersistError::Corrupt(CorruptKind::BlockDecode));
-            }
+            let start = obs.timer();
+            block
+                .decode_into(sink)
+                .map_err(|_| PersistError::Corrupt(CorruptKind::BlockDecode))?;
+            obs.record_decode(start, report_count as u64);
             blocks.push(block);
         }
         partitions.push((month, blocks));
@@ -303,7 +332,7 @@ pub fn read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
     if !at_eof(r)? {
         return Err(PersistError::Corrupt(CorruptKind::TrailingBytes));
     }
-    Ok(store)
+    Ok(store.with_store_obs(obs.clone()))
 }
 
 /// True when `r` has nothing left to deliver.
@@ -676,10 +705,62 @@ fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vt_model::time::{Date, Timestamp};
     use vt_model::{FileType, ReportKind, SampleHash, ScanReport, VerdictVec};
+
+    /// The strict reader as it stood before its integrity decode
+    /// streamed into a sink and before it looked for EOF: every block
+    /// verified by a decode whose rows are thrown away. The oracle the
+    /// streaming reader's errors are compared against
+    /// (`store::tests::props`).
+    pub(crate) fn reference_read_store(r: &mut impl Read) -> Result<ReportStore, PersistError> {
+        let mut magic = [0u8; 8];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(PersistError::Corrupt(CorruptKind::BadMagic));
+        }
+        let partition_count = get_u32(r)?;
+        if partition_count > MAX_PARTITIONS {
+            return Err(PersistError::Corrupt(
+                CorruptKind::ImplausiblePartitionCount,
+            ));
+        }
+        let mut partitions = Vec::new();
+        for _ in 0..partition_count {
+            if get_u32(r)? != PART_MARKER {
+                return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
+            }
+            let month = read_month_tag(r)?;
+            let block_count = get_u32(r)?;
+            if block_count > MAX_BLOCKS_PER_PARTITION {
+                return Err(PersistError::Corrupt(CorruptKind::ImplausibleBlockCount));
+            }
+            let mut blocks = Vec::new();
+            for _ in 0..block_count {
+                if get_u32(r)? != BLOCK_MARKER {
+                    return Err(PersistError::Corrupt(CorruptKind::BadBlockMarker));
+                }
+                let report_count = get_u32(r)?;
+                let byte_len = get_u32(r)?;
+                check_block_header(report_count, byte_len)?;
+                let expected_crc = get_u32(r)?;
+                let mut data = vec![0u8; byte_len as usize];
+                r.read_exact(&mut data)?;
+                if crc32(&data) != expected_crc {
+                    return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
+                }
+                let block = Block::from_parts(data.into(), report_count);
+                if block.decode_all().is_err() {
+                    return Err(PersistError::Corrupt(CorruptKind::BlockDecode));
+                }
+                blocks.push(block);
+            }
+            partitions.push((month, blocks));
+        }
+        ReportStore::from_persisted(partitions).map_err(PersistError::Store)
+    }
 
     fn report(sample: u64, day: u8) -> ScanReport {
         ScanReport {

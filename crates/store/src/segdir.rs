@@ -16,12 +16,15 @@
 //!   `push_sample` ever hands it back — a seal can never precede
 //!   durability.
 //! * [`SegmentDir::replay`] is the restart path: scan the directory,
-//!   read every segment with the salvage reader, keep each slot's
-//!   longest clean prefix (contiguous sequence numbers from 0, fully
-//!   recovered payloads), and move everything after the first damaged or
-//!   missing segment into a `quarantine/` subdirectory. The daemon
-//!   serves from the clean prefix and re-ingests the rest instead of
-//!   refusing to start.
+//!   read every segment with the one strict reader
+//!   ([`read_segment_into`] — the reader every other consumer of a
+//!   segment file uses), keep each slot's longest clean prefix
+//!   (contiguous sequence numbers from 0, every file accepted whole),
+//!   and move everything after the first damaged or missing segment
+//!   into a `quarantine/` subdirectory. The daemon serves from the clean
+//!   prefix and re-ingests the rest instead of refusing to start. The
+//!   read's integrity decode feeds a hash collector, so the replay also
+//!   says which samples the prefix already covers.
 //!
 //! Segments are keyed by `(slot, seq)`: `slot` is the fixed hash
 //! partition the serve tier routes samples through, `seq` the per-slot
@@ -30,17 +33,21 @@
 //! under a different partitioning than it was written with (that would
 //! silently break the clean-prefix property).
 
-use crate::segment::{read_segment_salvage, write_segment, Segment, SegmentWriter};
+use crate::block::SinkFn;
+use crate::codec::ReportRow;
+use crate::segment::{read_segment_into, write_segment, Segment, SegmentWriter};
+use crate::store::StoreObs;
+use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use vt_model::ScanReport;
+use vt_model::{SampleHash, ScanReport};
 
 /// Manifest file name inside a segment directory.
 const MANIFEST: &str = "segdir.manifest";
 /// Manifest format tag.
 const MANIFEST_TAG: &str = "VTSEGDIR1";
-/// Quarantine subdirectory for segments replay could not fully recover.
+/// Quarantine subdirectory for segments replay did not accept.
 const QUARANTINE: &str = "quarantine";
 
 /// A directory of durable sealed segments, partitioned into a fixed
@@ -49,6 +56,9 @@ const QUARANTINE: &str = "quarantine";
 pub struct SegmentDir {
     root: PathBuf,
     slots: u32,
+    /// Handles the replay's decode, and the encodes of every
+    /// [`DurableWriter`] over this directory, record into.
+    obs: StoreObs,
 }
 
 /// One segment file found by [`SegmentDir::scan`].
@@ -69,6 +79,10 @@ pub struct Replay {
     /// Per-slot clean prefixes, `slots.len()` == the directory's slot
     /// count, each inner vec in ascending contiguous `seq` order.
     pub slots: Vec<Vec<Segment>>,
+    /// Every sample sealed in a clean-prefix segment (collected by the
+    /// read that accepted it) — what a resuming feeder must not ingest
+    /// again.
+    pub sealed_hashes: HashSet<SampleHash>,
     /// Segments recovered into the clean prefixes.
     pub recovered_segments: u64,
     /// Segment files moved into `quarantine/` (damaged, mis-numbered,
@@ -107,7 +121,19 @@ impl SegmentDir {
             }
             Err(e) => return Err(e),
         }
-        Ok(SegmentDir { root, slots })
+        Ok(SegmentDir {
+            root,
+            slots,
+            obs: StoreObs::default(),
+        })
+    }
+
+    /// Records the replay's decode and every [`DurableWriter`]'s encodes
+    /// into `obs` (see [`StoreObs`]); what is written and recovered is
+    /// the same either way.
+    pub fn with_obs(mut self, obs: &StoreObs) -> Self {
+        self.obs = obs.clone();
+        self
     }
 
     /// The directory this log lives in.
@@ -175,8 +201,9 @@ impl SegmentDir {
     ///
     /// * a segment joins the clean prefix iff its sequence number is the
     ///   next expected one for its slot, its header agrees with its file
-    ///   name, and the salvage reader recovers it **fully** (clean
-    ///   [`crate::RecoveryReport`]);
+    ///   name, and the strict reader accepts the file **whole** — every
+    ///   marker, header, CRC and exact-count decode, the declared
+    ///   partition layout, and nothing after it;
     /// * the first violation in a slot quarantines that file and every
     ///   later file of the same slot (they are orphaned behind the gap —
     ///   folding across a hole would break the stream-prefix invariant
@@ -184,11 +211,17 @@ impl SegmentDir {
     /// * slots whose files parse to a slot ≥ the manifest's count are
     ///   quarantined wholesale.
     ///
-    /// Quarantined files are moved (not deleted) into `quarantine/`,
-    /// preserving their names, so an operator can inspect them.
+    /// Quarantined files are moved (not deleted) into `quarantine/`
+    /// under their own names — a name already taken there (a re-sealed
+    /// `(slot, seq)` quarantined by a later recovery) gets a numeric
+    /// suffix — so an operator can inspect every one of them.
     pub fn replay(&self) -> io::Result<Replay> {
         let files = self.scan()?;
         let mut slots: Vec<Vec<Segment>> = (0..self.slots).map(|_| Vec::new()).collect();
+        let mut sealed_hashes = HashSet::new();
+        // One file's hash column, reused: it joins `sealed_hashes` only
+        // if the file is accepted (a failed read leaves a partial prefix).
+        let mut hashes: Vec<SampleHash> = Vec::new();
         let mut recovered = 0u64;
         let mut quarantined = 0u64;
         // Per-slot: whether the clean prefix has already ended
@@ -202,9 +235,11 @@ impl SegmentDir {
                 continue;
             }
             let expected_seq = slots[slot].len() as u64;
-            match load_fully_recovered(&file) {
+            hashes.clear();
+            match self.load(&file, &mut hashes) {
                 Some(segment) if file.seq == expected_seq && segment.seq() == expected_seq => {
                     slots[slot].push(segment);
+                    sealed_hashes.extend(hashes.iter().copied());
                     recovered += 1;
                 }
                 _ => {
@@ -216,28 +251,34 @@ impl SegmentDir {
         }
         Ok(Replay {
             slots,
+            sealed_hashes,
             recovered_segments: recovered,
             quarantined_segments: quarantined,
         })
+    }
+
+    /// Reads one segment file strictly, its rows' hashes into `hashes`.
+    /// Any I/O or format error yields `None` — the caller quarantines.
+    fn load(&self, file: &SegmentFile, hashes: &mut Vec<SampleHash>) -> Option<Segment> {
+        let mut reader = io::BufReader::new(File::open(&file.path).ok()?);
+        let mut sink = SinkFn(|row: &ReportRow| hashes.push(row.sample));
+        read_segment_into(&mut reader, &mut sink, &self.obs).ok()
     }
 
     fn quarantine_file(&self, path: &Path) -> io::Result<()> {
         let qdir = self.root.join(QUARANTINE);
         fs::create_dir_all(&qdir)?;
         let name = path.file_name().expect("scanned files have names");
-        fs::rename(path, qdir.join(name))?;
+        let mut target = qdir.join(name);
+        let mut copy = 0u32;
+        while target.exists() {
+            copy += 1;
+            target = qdir.join(format!("{}.{copy}", name.to_string_lossy()));
+        }
+        fs::rename(path, target)?;
         sync_dir(&self.root)?;
         Ok(())
     }
-}
-
-/// Reads one segment file with the salvage reader, accepting it only if
-/// salvage recovered it fully (clean report). Any I/O or format error,
-/// and any partial recovery, yields `None` — the caller quarantines.
-fn load_fully_recovered(file: &SegmentFile) -> Option<Segment> {
-    let mut reader = io::BufReader::new(File::open(&file.path).ok()?);
-    let (segment, report) = read_segment_salvage(&mut reader).ok()?;
-    report.is_clean().then_some(segment)
 }
 
 /// A [`SegmentWriter`] whose seals are durable: every segment returned
@@ -260,11 +301,8 @@ impl DurableWriter {
     /// after [`SegmentDir::replay`]).
     pub fn new(dir: SegmentDir, slot: u32, threshold: u64, next_seq: u64) -> Self {
         assert!(slot < dir.slots(), "slot {slot} out of range");
-        Self {
-            dir,
-            slot,
-            inner: SegmentWriter::resuming(threshold, next_seq),
-        }
+        let inner = SegmentWriter::resuming(threshold, next_seq).with_obs(&dir.obs);
+        Self { dir, slot, inner }
     }
 
     /// Appends one sample's full report batch; if that seals a segment,
@@ -419,8 +457,7 @@ mod tests {
         // Stray tmp files from an interrupted persist are ignored.
         fs::write(root.join("seg-000-0000000099.vtseg.tmp"), b"junk").expect("tmp");
 
-        // Damage slot 0's seq 1 mid-payload: salvage recovers partially,
-        // which is not good enough for the clean prefix.
+        // Damage slot 0's seq 1 mid-payload: the strict read rejects it.
         let victim = root.join(segment_file_name(0, 1));
         let mut bytes = fs::read(&victim).expect("read victim");
         let mid = bytes.len() / 2;
@@ -443,6 +480,46 @@ mod tests {
         let again = dir.replay().expect("second replay");
         assert_eq!(again.recovered_segments, 3);
         assert_eq!(again.quarantined_segments, 0);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn replay_reports_the_hashes_of_accepted_segments_only() {
+        let root = temp_dir("hashes");
+        let dir = SegmentDir::open(&root, 1).expect("open");
+        fill_slot(&dir, 0, 3); // samples 0..12, four per segment
+        let victim = root.join(segment_file_name(0, 1));
+        let mut bytes = fs::read(&victim).expect("read victim");
+        let last = bytes.len() - 1;
+        // The catch-all partition's block count, the file's last word:
+        // every row of the file has reached the sink by then.
+        bytes[last] ^= 0x01;
+        fs::write(&victim, bytes).expect("rewrite victim");
+        let replay = dir.replay().expect("replay");
+        assert_eq!(replay.slots[0].len(), 1);
+        let expected: HashSet<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
+        assert_eq!(replay.sealed_hashes, expected);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn a_second_quarantine_of_the_same_name_keeps_both_files() {
+        let root = temp_dir("requarantine");
+        let dir = SegmentDir::open(&root, 1).expect("open");
+        let victim = root.join(segment_file_name(0, 0));
+        for (round, junk) in [&b"first damage"[..], b"second damage"].iter().enumerate() {
+            // A re-sealed (slot, seq) damaged again before the next recovery.
+            fs::write(&victim, junk).expect("write victim");
+            let replay = dir.replay().expect("replay");
+            assert_eq!(replay.quarantined_segments, 1, "round {round}");
+        }
+        let qdir = root.join(QUARANTINE);
+        let name = segment_file_name(0, 0);
+        assert_eq!(fs::read(qdir.join(&name)).expect("first"), b"first damage");
+        assert_eq!(
+            fs::read(qdir.join(format!("{name}.1"))).expect("second"),
+            b"second damage"
+        );
         fs::remove_dir_all(&root).expect("cleanup");
     }
 

@@ -24,14 +24,18 @@
 //! <VTSTORE2 container — see crate::persist>
 //! ```
 //!
-//! [`read_segment`] is strict; [`read_segment_salvage`] recovers what a
-//! damaged segment file still holds, exactly like
-//! [`read_store_salvage`] does for monolithic stores.
+//! There is one way to read a segment, and it is strict:
+//! [`read_segment_into`] (and [`read_segment`], its discard-sink case)
+//! accept a file iff every check of [`read_store_into`] passes and the
+//! file ends with its container. A daemon does not salvage its own
+//! log — a damaged segment is quarantined and its samples re-ingested
+//! ([`crate::segdir`]); salvage is for damaged monolithic feeds
+//! ([`crate::read_store_salvage`]).
 
-use crate::persist::{
-    read_store, read_store_salvage, write_store, CorruptKind, PersistError, RecoveryReport,
-};
-use crate::store::{ReportStore, StoreBuilder};
+use crate::block::{ReportSink, SinkFn};
+use crate::codec::ReportRow;
+use crate::persist::{read_store_into, write_store, CorruptKind, PersistError};
+use crate::store::{ReportStore, StoreBuilder, StoreObs};
 use std::io::{self, Read, Write};
 use vt_model::ScanReport;
 
@@ -58,13 +62,6 @@ impl Segment {
         &self.store
     }
 
-    /// Hashes of every whole sample sealed in this segment (sorted) —
-    /// what recovery replay walks to rebuild the sealed-sample set. One
-    /// hash-only scan of the segment's rows.
-    pub fn sample_hashes(&self) -> Vec<vt_model::SampleHash> {
-        self.store.sample_hashes()
-    }
-
     /// Reports sealed in this segment.
     pub fn report_count(&self) -> u64 {
         self.store.report_count()
@@ -87,6 +84,8 @@ pub struct SegmentWriter {
     threshold: u64,
     next_seq: u64,
     open: StoreBuilder,
+    /// Handles every builder this writer opens records its encodes into.
+    obs: StoreObs,
 }
 
 impl SegmentWriter {
@@ -106,7 +105,18 @@ impl SegmentWriter {
             threshold,
             next_seq,
             open: StoreBuilder::new(),
+            obs: StoreObs::default(),
         }
+    }
+
+    /// Records the encode of every report pushed from here on (and the
+    /// reads of every segment sealed) into `obs`. Segment contents are
+    /// the same either way.
+    pub fn with_obs(mut self, obs: &StoreObs) -> Self {
+        assert_eq!(self.open.report_count(), 0, "attach before pushing");
+        self.open = StoreBuilder::with_store_obs(obs.clone());
+        self.obs = obs.clone();
+        self
     }
 
     /// Appends one sample's full report batch to the open segment,
@@ -132,7 +142,8 @@ impl SegmentWriter {
     }
 
     fn seal(&mut self) -> Segment {
-        let store = std::mem::take(&mut self.open).seal();
+        let next = StoreBuilder::with_store_obs(self.obs.clone());
+        let store = std::mem::replace(&mut self.open, next).seal();
         let seq = self.next_seq;
         self.next_seq += 1;
         Segment { seq, store }
@@ -159,23 +170,24 @@ fn read_segment_header(r: &mut impl Read) -> Result<u64, PersistError> {
 }
 
 /// Loads a segment file strictly: bad magic, bad markers, CRC
-/// mismatches or undecodable blocks abort the load (see
-/// [`read_store`]).
+/// mismatches, undecodable blocks or trailing bytes abort the load.
+/// [`read_segment_into`] with a sink that discards the rows.
 pub fn read_segment(r: &mut impl Read) -> Result<Segment, PersistError> {
-    let seq = read_segment_header(r)?;
-    let store = read_store(r)?;
-    Ok(Segment { seq, store })
+    read_segment_into(r, &mut SinkFn(|_: &ReportRow| {}), &StoreObs::default())
 }
 
-/// Loads as much of a (possibly damaged) segment file as possible,
-/// reusing the `VTSTORE2` salvage reader: damaged blocks are skipped,
-/// framing is re-synchronized on the next marker, and the
-/// [`RecoveryReport`] says what was lost. Errors only when the segment
-/// header itself is unreadable.
-pub fn read_segment_salvage(r: &mut impl Read) -> Result<(Segment, RecoveryReport), PersistError> {
+/// The strict segment reader: the segment header, then
+/// [`read_store_into`] — the integrity decode of every block streams
+/// into `sink` and is recorded on `obs`; on `Err` the sink holds a
+/// partial prefix the caller must clear.
+pub fn read_segment_into(
+    r: &mut impl Read,
+    sink: &mut impl ReportSink,
+    obs: &StoreObs,
+) -> Result<Segment, PersistError> {
     let seq = read_segment_header(r)?;
-    let (store, report) = read_store_salvage(r)?;
-    Ok((Segment { seq, store }, report))
+    let store = read_store_into(r, sink, obs)?;
+    Ok(Segment { seq, store })
 }
 
 #[cfg(test)]
@@ -261,15 +273,10 @@ mod tests {
                 seg.store().sample_reports(hash)
             );
         }
-
-        let (salvaged, report) = read_segment_salvage(&mut buf.as_slice()).expect("salvage");
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(salvaged.seq(), seg.seq());
-        assert_eq!(salvaged.store().report_count(), seg.store().report_count());
     }
 
     #[test]
-    fn corrupt_segment_salvages_with_loss_reported() {
+    fn corrupt_segment_is_rejected_and_the_sink_holds_a_prefix() {
         let mut writer = SegmentWriter::new(1_000_000);
         for sample in 0..400u64 {
             let _ = writer.push_sample(&sample_batch(sample, 6));
@@ -277,24 +284,28 @@ mod tests {
         let seg = writer.finish().expect("tail segment");
         let mut buf = Vec::new();
         write_segment(&seg, &mut buf).expect("write");
+        let mut clean_rows: Vec<ScanReport> = Vec::new();
+        read_segment_into(&mut buf.as_slice(), &mut clean_rows, &StoreObs::default())
+            .expect("clean segment reads");
+        assert_eq!(clean_rows.len() as u64, seg.report_count());
         // Flip a payload byte well past the headers.
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
-        assert!(read_segment(&mut buf.as_slice()).is_err(), "strict rejects");
-        let (salvaged, report) = read_segment_salvage(&mut buf.as_slice()).expect("salvage");
-        assert_eq!(salvaged.seq(), seg.seq());
-        assert!(!report.is_clean());
-        assert!(salvaged.store().report_count() < seg.store().report_count());
+        let mut rows: Vec<ScanReport> = Vec::new();
+        let err = read_segment_into(&mut buf.as_slice(), &mut rows, &StoreObs::default())
+            .expect_err("strict rejects");
+        assert!(
+            matches!(err, PersistError::Corrupt(CorruptKind::ChecksumMismatch)),
+            "{err}"
+        );
+        // Whole blocks before the damaged one, and nothing after it.
+        assert!(!rows.is_empty() && rows.len() < clean_rows.len());
+        assert_eq!(rows[..], clean_rows[..rows.len()]);
     }
 
     #[test]
     fn bad_magic_rejected() {
         let err = read_segment(&mut &b"VTSTORE2abcdefgh"[..]).unwrap_err();
-        assert!(
-            matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
-            "{err}"
-        );
-        let err = read_segment_salvage(&mut &b"NOTASEG!aaaaaaaa"[..]).unwrap_err();
         assert!(
             matches!(err, PersistError::Corrupt(CorruptKind::BadMagic)),
             "{err}"

@@ -6,7 +6,10 @@
 //! read back is a fold over one row stream
 //! ([`ReportStore::for_each_row`]): bulk consumers group by sample
 //! themselves, and per-hash serving is `vt-dynamics`' `SampleIndex`,
-//! not the store — it keeps no per-sample index.
+//! not the store — it keeps no per-sample index. Grouping is one
+//! function, [`group_reports`], whether the reports come out of a store
+//! ([`ReportStore::group_by_sample`]) or never went into one (the serve
+//! feeder groups a collector chunk's accepted reports directly).
 
 use crate::block::{Block, ReportSink, SinkFn};
 use crate::codec::ReportRow;
@@ -70,7 +73,13 @@ impl std::error::Error for StoreError {}
 /// Metric names: `store/encode_ns` + `store/encoded_reports` on the
 /// append path, `store/decode_ns` + `store/decoded_reports` on the
 /// read paths, and `store/sealed_bytes` / `store/sealed_blocks`
-/// gauges set once at [`StoreBuilder::seal`].
+/// gauges set once at [`StoreBuilder::seal`]. Every report encode and
+/// every block decode in the crate lands on them when handles are
+/// attached — builders ([`StoreBuilder::with_obs`],
+/// [`crate::SegmentWriter::with_obs`], [`crate::SegmentDir::with_obs`]),
+/// [`ReportStore::for_each_row`] and the strict reader's one decode
+/// ([`crate::persist::read_store_into`]) — so encodes and decodes per
+/// report are countable per path (`tests/codec_budget.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct StoreObs {
     enabled: bool,
@@ -103,7 +112,7 @@ impl StoreObs {
     /// Starts a timing measurement — `None` (no clock read) when
     /// disabled.
     #[inline]
-    fn timer(&self) -> Option<Instant> {
+    pub(crate) fn timer(&self) -> Option<Instant> {
         self.enabled.then(Instant::now)
     }
 
@@ -116,7 +125,7 @@ impl StoreObs {
     }
 
     #[inline]
-    fn record_decode(&self, start: Option<Instant>, reports: u64) {
+    pub(crate) fn record_decode(&self, start: Option<Instant>, reports: u64) {
         if let Some(t) = start {
             self.decode_ns.observe(saturating_ns(t.elapsed()));
             self.decoded_reports.add(reports);
@@ -171,8 +180,13 @@ impl StoreBuilder {
     /// and by the store it seals into. Contents are identical to an
     /// uninstrumented store — the observability is write-only.
     pub fn with_obs(obs: &Obs) -> Self {
+        Self::with_store_obs(StoreObs::new(obs))
+    }
+
+    /// [`with_obs`](Self::with_obs) from already-resolved handles.
+    pub(crate) fn with_store_obs(obs: StoreObs) -> Self {
         let mut builder = Self::new();
-        builder.obs = StoreObs::new(obs);
+        builder.obs = obs;
         builder
     }
 
@@ -261,12 +275,11 @@ pub struct ReportStore {
 }
 
 impl ReportStore {
-    /// Attaches (or replaces) the store's instrumentation after
-    /// construction — the hook for stores built by
-    /// [`from_persisted`](Self::from_persisted) / the persist readers,
-    /// which have no `Obs` in scope.
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.obs = StoreObs::new(obs);
+    /// Attaches the handles a loaded store's reads record into — the
+    /// strict reader passes on the ones it counted its own decode with.
+    pub(crate) fn with_store_obs(mut self, obs: StoreObs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Total number of reports stored.
@@ -280,11 +293,8 @@ impl ReportStore {
         self.sample_hashes().len() as u64
     }
 
-    /// Every distinct sample hash in the store, sorted ascending.
-    ///
-    /// One scan of the row stream keeping the hash column only — how a
-    /// recovering daemon learns which samples a sealed segment already
-    /// covers.
+    /// Every distinct sample hash in the store, sorted ascending: one
+    /// scan of the row stream keeping the hash column only.
     pub fn sample_hashes(&self) -> Vec<SampleHash> {
         let mut hashes = Vec::with_capacity(self.report_count() as usize);
         self.for_each_row(&mut SinkFn(|row: &ReportRow| hashes.push(row.sample)));
@@ -320,20 +330,9 @@ impl ReportStore {
     /// Iterates all reports grouped by sample, each group sorted by
     /// analysis date. Materializes the grouping (bulk-analysis path).
     pub fn group_by_sample(&self) -> Vec<(SampleHash, Vec<ScanReport>)> {
-        // Sized for one sample per report: an upper bound, and most
-        // samples of a VT feed are scanned once.
-        let mut groups: HashMap<SampleHash, Vec<ScanReport>> =
-            HashMap::with_capacity(self.report_count() as usize);
-        self.for_each_row(&mut SinkFn(|row: &ReportRow| {
-            groups.entry(row.sample).or_default().push(row.to_report());
-        }));
-        let mut out: Vec<(SampleHash, Vec<ScanReport>)> = groups.into_iter().collect();
-        for (_, reports) in &mut out {
-            reports.sort_by_key(|r| r.analysis_date);
-        }
-        // Deterministic order for reproducible analyses.
-        out.sort_by_key(|(h, _)| *h);
-        out
+        let mut rows: Vec<ScanReport> = Vec::with_capacity(self.report_count() as usize);
+        self.for_each_row(&mut rows);
+        group_reports(rows)
     }
 
     /// The sealed partitions, in window order (catch-all last) — what
@@ -391,6 +390,34 @@ impl ReportStore {
         }
         self.obs.record_decode(start, decoded);
     }
+}
+
+/// Groups reports by sample: ascending hash order, each group sorted by
+/// analysis date with equal dates in arrival order (a stable sort).
+///
+/// The one grouping in the crate. A sealed segment's bytes are a
+/// function of the order samples are pushed in, so the store's bulk
+/// read ([`ReportStore::group_by_sample`]) and the serve feeder — which
+/// groups a collector chunk's accepted reports without a store — must
+/// agree to the report; they do by calling this.
+pub fn group_reports(
+    reports: impl IntoIterator<Item = ScanReport>,
+) -> Vec<(SampleHash, Vec<ScanReport>)> {
+    let reports = reports.into_iter();
+    // Sized for one sample per report: an upper bound, and most samples
+    // of a VT feed are scanned once.
+    let mut groups: HashMap<SampleHash, Vec<ScanReport>> =
+        HashMap::with_capacity(reports.size_hint().0);
+    for report in reports {
+        groups.entry(report.sample).or_default().push(report);
+    }
+    let mut out: Vec<(SampleHash, Vec<ScanReport>)> = groups.into_iter().collect();
+    for (_, reports) in &mut out {
+        reports.sort_by_key(|r| r.analysis_date);
+    }
+    // Deterministic order for reproducible analyses.
+    out.sort_by_key(|(h, _)| *h);
+    out
 }
 
 #[cfg(test)]
@@ -522,7 +549,8 @@ mod tests {
     mod props {
         use super::*;
         use crate::block::BLOCK_CAPACITY;
-        use crate::persist::{read_store, write_store};
+        use crate::persist::tests::reference_read_store;
+        use crate::persist::{read_store, read_store_into, write_store, CorruptKind};
         use proptest::prelude::*;
 
         /// `(hash ordinal, day slot, minute)` → a report. Twelve hashes,
@@ -557,7 +585,12 @@ mod tests {
 
             /// builder → `seal` → `write_store` → `read_store` loses and
             /// reorders nothing, and every read method agrees with the
-            /// input it was built from.
+            /// input it was built from. The streaming strict read hands
+            /// its sink the rows `for_each_row` delivers from the store
+            /// it returns; and on a damaged file — every bit of every
+            /// probed byte flipped, every probed length cut — it fails
+            /// exactly as the reader that verified and discarded did,
+            /// its sink holding a prefix of the clean rows.
             #[test]
             fn built_and_reloaded_stores_agree_with_their_input(
                 batches in proptest::collection::vec(
@@ -591,6 +624,56 @@ mod tests {
                 let mut rewritten = Vec::new();
                 write_store(&loaded, &mut rewritten).expect("rewrite");
                 prop_assert_eq!(&rewritten, &bytes);
+
+                let mut streamed: Vec<ScanReport> = Vec::new();
+                read_store_into(&mut bytes.as_slice(), &mut streamed, &StoreObs::default())
+                    .expect("streaming read");
+                prop_assert_eq!(&streamed, &rows_of(&loaded));
+                // Every byte of a small file; 64 of a larger one (a
+                // rolled block is ~30 KB), 8 under Miri, which pays
+                // ~100× per decoded row.
+                let stride = match bytes.len() {
+                    len if cfg!(miri) => len / 8,
+                    len if len <= 1024 => 1,
+                    len => len / 64,
+                };
+                for site in (0..bytes.len()).step_by(stride) {
+                    let mut damaged: Vec<Vec<u8>> = (0..8)
+                        .map(|bit| {
+                            let mut flipped = bytes.clone();
+                            flipped[site] ^= 1 << bit;
+                            flipped
+                        })
+                        .collect();
+                    damaged.push(bytes[..site].to_vec());
+                    for file in damaged {
+                        let mut seen: Vec<ScanReport> = Vec::new();
+                        let got = read_store_into(
+                            &mut file.as_slice(),
+                            &mut seen,
+                            &StoreObs::default(),
+                        );
+                        // The old reader stopped at the last declared
+                        // partition: a flip that shrinks the last block
+                        // count loaded a shorter store without a word.
+                        let mut rest = file.as_slice();
+                        let want = reference_read_store(&mut rest).and_then(|store| {
+                            if rest.is_empty() {
+                                Ok(store)
+                            } else {
+                                Err(CorruptKind::TrailingBytes.into())
+                            }
+                        });
+                        prop_assert_eq!(
+                            got.map(|s| s.report_count()).map_err(|e| e.to_string()),
+                            want.map(|s| s.report_count()).map_err(|e| e.to_string()),
+                            "site {}",
+                            site
+                        );
+                        prop_assert!(seen.len() <= streamed.len());
+                        prop_assert_eq!(&seen[..], &streamed[..seen.len()]);
+                    }
+                }
 
                 let mut hashes: Vec<SampleHash> = input.iter().map(|r| r.sample).collect();
                 hashes.sort_unstable();

@@ -43,9 +43,11 @@
 //! the pipeline runs with the no-op [`Obs`] and pays nothing.
 //!
 //! The analyze path reconstructs sample metadata purely from the stored
-//! reports — the same situation the paper faced — by folding the store
-//! as one segment through the decode arena (`fold_store`), the route
-//! `vtld serve` runs per sealed segment.
+//! reports — the same situation the paper faced. The file is read once,
+//! strictly, and the read's integrity decode lands in the decode arena
+//! (`read_store_into`); the arena is folded as one segment
+//! (`fold_arena`), the route `vtld serve` runs per sealed segment. A
+//! report is decoded once between the file and the report.
 //!
 //! All configuration flows through the validating builders
 //! ([`SimConfig::builder`], `FleetConfig::builder`), so malformed flag
@@ -59,7 +61,7 @@ use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
 use vt_label_dynamics::serve::{ServeConfig, Server};
 use vt_label_dynamics::sim::{SimConfig, SimConfigError};
-use vt_label_dynamics::store::{read_store, write_store, PersistError};
+use vt_label_dynamics::store::{read_store_into, write_store, PersistError, StoreObs};
 
 /// Everything that can go wrong in a `vtld` invocation, typed by layer:
 /// bad command line, bad configuration, unreadable store, plain I/O.
@@ -538,13 +540,13 @@ fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
     let obs = args.obs.obs();
     let path = &args.store;
     let mut file = std::fs::File::open(path).map_err(io_err(format!("cannot open {path}")))?;
-    let mut store = read_store(&mut file)?;
-    store.set_obs(&obs);
+    let mut arena = DecodeArena::new();
+    let store = arena.refill(|rows| read_store_into(&mut file, rows, &StoreObs::new(&obs)))?;
     eprintln!("loaded {} reports from {path}", store.report_count());
     let fleet = EngineFleet::new(FleetConfig::builder().seed(args.fleet_seed).build()?);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();
     let mut study = IncrementalStudy::new(&fleet, window_start).with_workers(args.workers);
-    let samples = study.fold_store(&store, &mut DecodeArena::new(), &obs);
+    let samples = study.fold_arena(&arena, &obs);
     eprintln!("folded {samples} samples");
     let results = study.results(store.partition_stats(), &obs);
     println!("{}", render_full_report(&results, &fleet));

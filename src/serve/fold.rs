@@ -15,6 +15,15 @@
 //! shard × worker count and across crash-recovery replay; fresh batches
 //! also go straight to the connector sinks (`sink`).
 //!
+//! A segment's rows reach the fold through the worker's one decode
+//! arena, by one decode. A freshly sealed segment is written to its
+//! checksummed container and read back strictly — the proof that the
+//! bytes a restart would read fold to what is published — and that
+//! read's integrity decode *is* the fold's input
+//! ([`read_segment_into`] → [`IncrementalStudy::fold_arena`]). A
+//! replayed segment was already accepted by the same reader during
+//! replay; its store streams into the arena once.
+//!
 //! What crosses the seam downstream is the [`SlotTable`] and a
 //! [`MergeEvent`] per fold; nothing here knows how slots are merged or
 //! published.
@@ -33,7 +42,7 @@ use crate::dynamics::{
 use crate::model::EngineId;
 use crate::obs::Obs;
 use crate::sim::VirusTotalSim;
-use crate::store::{read_segment, write_segment, PartitionStats, Segment};
+use crate::store::{read_segment_into, write_segment, PartitionStats, Segment};
 
 /// Slot-local accumulation the shard workers write and the merger
 /// reads: the slot's merged [`StudyPartials`] and [`SampleIndex`] plus
@@ -159,20 +168,20 @@ impl<'a> SlotFold<'a> {
         }
     }
 
-    /// Folds the slot's next sealed segment and advances the alert
-    /// counters by exactly what it added; returns the samples folded
-    /// and the alerts fired, in key order. Zero-copy: the segment's
-    /// blocks stream into the worker's reusable decode arena and the
-    /// columnar table is built straight from it (see
-    /// [`IncrementalStudy::fold_store`]).
+    /// Folds the slot's next sealed segment — `arena` holding its
+    /// decoded rows — and advances the alert counters by exactly what it
+    /// added; returns the samples folded and the alerts fired, in key
+    /// order. Zero-copy: the columnar table is built straight from the
+    /// worker's reusable decode arena (see
+    /// [`IncrementalStudy::fold_arena`]).
     pub(super) fn fold(
         &mut self,
         segment: &Segment,
-        arena: &mut DecodeArena,
+        arena: &DecodeArena,
         obs: &Obs,
         c: &ServeCounters,
     ) -> (usize, Vec<Alert>) {
-        let samples = self.study.fold_store(segment.store(), arena, obs);
+        let samples = self.study.fold_arena(arena, obs);
         merge_partition_stats(&mut self.partitions, &segment.store().partition_stats());
         self.index = self.study.index().cloned().map(Arc::new);
         // The log stays in key order: seq grows per fold, ordinals are
@@ -219,6 +228,7 @@ pub(super) fn shard_worker(
     // folds: the row buffer reaches steady-state capacity after the
     // first few segments and stops allocating.
     let mut arena = DecodeArena::new();
+    let mut container = Vec::new();
     while let Ok(msg) = rx.recv() {
         ingest.dequeued();
         let SegmentMsg {
@@ -228,19 +238,26 @@ pub(super) fn shard_worker(
         } = msg;
         // Freshly sealed segments round-trip through their checksummed
         // container before folding: what the daemon folds is exactly
-        // what a restart would recover from disk. Replayed segments
-        // already came through it.
+        // what a restart would recover from disk, rows included — the
+        // strict read decodes into the arena. Replayed segments already
+        // came through that reader.
         let segment = if recovered {
+            arena.clear();
+            segment.store().for_each_row(&mut arena);
             segment
         } else {
-            let mut buf = Vec::new();
-            write_segment(&segment, &mut buf).expect("in-memory segment write");
-            read_segment(&mut buf.as_slice()).expect("own segment re-reads")
+            container.clear();
+            write_segment(&segment, &mut container).expect("in-memory segment write");
+            arena
+                .refill(|rows| {
+                    read_segment_into(&mut container.as_slice(), rows, &ingest.store_obs)
+                })
+                .expect("own segment re-reads")
         };
         let fold = slots
             .entry(slot)
             .or_insert_with(|| SlotFold::new(&ingest.config, &ingest.sim, slot));
-        let (samples, alerts) = fold.fold(&segment, &mut arena, &ingest.obs, c);
+        let (samples, alerts) = fold.fold(&segment, &arena, &ingest.obs, c);
         if let (Some(sink), false) = (alert_sink, alerts.is_empty()) {
             let _ = sink.send(sink::SinkMsg {
                 lines: alerts
@@ -313,7 +330,9 @@ mod tests {
         // What a merger pulling the suffix past its mark has been handed.
         let mut handed: Vec<Alert> = Vec::new();
         for (n, segment) in segments.iter().enumerate() {
-            let (samples, alerts) = fold.fold(segment, &mut arena, Obs::noop(), &counters);
+            arena.clear();
+            segment.store().for_each_row(&mut arena);
+            let (samples, alerts) = fold.fold(segment, &arena, Obs::noop(), &counters);
             fold.store(&mut state);
             let direct_samples = direct.fold_store(segment.store(), &mut direct_arena, Obs::noop());
             merge_partition_stats(&mut partitions, &segment.store().partition_stats());

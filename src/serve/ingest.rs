@@ -2,8 +2,12 @@
 //!
 //! The feeder thread simulates the platform in 1 024-ordinal chunks,
 //! runs each chunk's chaos feed through the fault-tolerant
-//! [`Collector`], routes every accepted sample to its hash slot
-//! ([`slot_of`]) and pushes it into that slot's segment writer. A writer
+//! [`Collector`], groups the reports it emits by sample
+//! ([`group_reports`] — the grouping a store's bulk read is a caller
+//! of, so the order samples are pushed in, and with it every sealed
+//! byte, is the one a per-chunk store would give), routes every sample
+//! to its hash slot ([`slot_of`]) and pushes it into that slot's segment
+//! writer: a report is encoded once on this path, there. A writer
 //! that seals hands the segment to the slot's shard worker over a
 //! bounded queue: when folds lag the feeder *blocks* (backpressure —
 //! accepted samples are never dropped), with the high-water depth on the
@@ -17,9 +21,10 @@
 //! downstream can fold or publish what a restart could not recover
 //! (seal → fsync → publish). Under `recover` the directory is replayed
 //! first: each slot's clean segment prefix is re-sent as `recovered`
-//! messages, what salvage cannot fully recover is quarantined, and live
-//! ingest resumes from the last whole-sample boundary — samples already
-//! sealed are skipped, everything else is re-ingested.
+//! messages, a file the strict reader does not accept whole is
+//! quarantined (with everything behind it in its slot), and live
+//! ingest resumes from the last whole-sample boundary — samples the
+//! replay found sealed are skipped, everything else is re-ingested.
 //!
 //! Names nothing downstream of it: a stop predicate comes in, segments (and
 //! the queue depth and `done` flag on [`IngestCtx`]) go out, and a fatal
@@ -36,7 +41,7 @@ use crate::model::{SampleHash, ScanReport};
 use crate::obs::Obs;
 use crate::sim::fault::FaultyFeed;
 use crate::sim::{SimConfig, VirusTotalSim};
-use crate::store::{DurableWriter, Segment, SegmentDir, SegmentWriter};
+use crate::store::{group_reports, DurableWriter, Segment, SegmentDir, SegmentWriter, StoreObs};
 
 /// Sample ordinals ingested per collector run (one `FaultyFeed` each);
 /// several collector runs typically contribute to one sealed segment.
@@ -68,6 +73,9 @@ pub(super) struct IngestCtx {
     pub(super) config: ServeConfig,
     pub(super) sim: VirusTotalSim,
     pub(super) obs: Obs,
+    /// The `store/*` handles of `obs`, resolved once: the slot writers'
+    /// encode, the replay's and the round trip's decode all record here.
+    pub(super) store_obs: StoreObs,
     pub(super) counters: ServeCounters,
     /// Sealed segments sent and not yet taken off a shard queue.
     queued: AtomicU64,
@@ -83,6 +91,7 @@ impl IngestCtx {
             sim: VirusTotalSim::new(SimConfig::new(config.seed, config.samples)),
             config,
             counters: ServeCounters::register(&obs),
+            store_obs: StoreObs::new(&obs),
             obs,
             queued: AtomicU64::new(0),
             done: AtomicBool::new(false),
@@ -153,6 +162,7 @@ pub(super) fn run(
     segdir: Option<SegmentDir>,
 ) -> bool {
     let (config, sim) = (&ctx.config, &ctx.sim);
+    let segdir = segdir.map(|dir| dir.with_obs(&ctx.store_obs));
     let msg = |slot, segment, recovered| SegmentMsg {
         slot,
         segment,
@@ -173,10 +183,10 @@ pub(super) fn run(
         ctx.counters
             .quarantined_segments
             .add(replay.quarantined_segments);
+        sealed_hashes = replay.sealed_hashes;
         for (slot, segments) in replay.slots.into_iter().enumerate() {
             next_seq[slot] = segments.len() as u64;
             for segment in segments {
-                sealed_hashes.extend(segment.sample_hashes());
                 if !send_segment(ctx, &senders, msg(slot, segment, true)) {
                     return false;
                 }
@@ -193,10 +203,10 @@ pub(super) fn run(
                 config.segment_reports,
                 next_seq[slot],
             )),
-            None => SlotWriter::Memory(SegmentWriter::resuming(
-                config.segment_reports,
-                next_seq[slot],
-            )),
+            None => SlotWriter::Memory(
+                SegmentWriter::resuming(config.segment_reports, next_seq[slot])
+                    .with_obs(&ctx.store_obs),
+            ),
         })
         .collect();
 
@@ -215,8 +225,9 @@ pub(super) fn run(
         let feed = FaultyFeed::from_sim(sim, start..end, config.plan);
         // Also bumps `collector/accepted` / `collector/quarantined`,
         // which `status` reports as `accepted` / `quarantined`.
-        let outcome = Collector::default().run_with_obs(feed, &ctx.obs);
-        for (hash, reports) in outcome.store.group_by_sample() {
+        let mut accepted: Vec<ScanReport> = Vec::new();
+        Collector::default().run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
+        for (hash, reports) in group_reports(accepted) {
             if sealed_hashes.contains(&hash) {
                 continue;
             }

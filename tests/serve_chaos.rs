@@ -416,8 +416,10 @@ fn corrupt_segment_quarantines_and_recovery_self_heals() {
 }
 
 /// A segment whose partition-count word alone is damaged — every
-/// marker, header, CRC and block behind it intact. The recovered daemon
-/// must converge on the reference bits whatever replay makes of it.
+/// marker, header, CRC and block behind it intact. Replay reads with
+/// the strict reader, to which the declared count is not advisory: the
+/// file is quarantined and its samples re-ingested, and the recovered
+/// daemon converges on the reference bits.
 #[test]
 fn damaged_partition_count_recovers_the_reference_bits() {
     let data_dir = temp_data_dir("partition-count");
@@ -437,8 +439,20 @@ fn damaged_partition_count_recovers_the_reference_bits() {
     std::fs::write(&victim, bytes).expect("rewrite victim");
 
     config.recover = true;
-    let (fingerprint, _status) = run_to_completion(config);
+    let (fingerprint, status) = run_to_completion(config);
     assert_eq!(&fingerprint, reference_fingerprint());
+    assert!(
+        status
+            .get("quarantined_segments")
+            .and_then(|q| q.as_u64())
+            .expect("quarantined_segments member")
+            >= 1,
+        "{status:?}"
+    );
+    assert!(data_dir
+        .join("quarantine")
+        .join(victim.file_name().expect("victim name"))
+        .is_file());
     std::fs::remove_dir_all(&data_dir).expect("cleanup");
 }
 

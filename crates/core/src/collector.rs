@@ -42,7 +42,7 @@ use vt_obs::Obs;
 use vt_sim::fault::{FaultPlan, FaultyFeed, FeedEntry};
 use vt_store::codec::decode_report;
 use vt_store::crc32::crc32;
-use vt_store::{ReportStore, StoreBuilder};
+use vt_store::{ReportStore, StoreBuilder, StoreObs};
 
 /// Collector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,59 +255,11 @@ impl Collector {
     /// disabled or [`Obs::noop`].
     pub fn run_into(
         &self,
-        feed: FaultyFeed,
-        obs: &Obs,
-        emit: impl FnMut(&[ScanReport]),
-    ) -> (IngestStats, Vec<QuarantinedEntry>) {
-        let (stats, quarantine) = obs.time("collector/ingest", || self.drain(feed, emit));
-        if obs.is_enabled() {
-            let s = &stats;
-            obs.counter("collector/polled_minutes")
-                .add(s.polled_minutes);
-            obs.counter("collector/accepted").add(s.accepted);
-            obs.counter("collector/deduped").add(s.deduped);
-            obs.counter("collector/reordered").add(s.reordered);
-            obs.counter("collector/quarantined").add(s.quarantined);
-            obs.counter("collector/retries").add(s.retries);
-            obs.counter("collector/gap_minutes").add(s.gap_minutes);
-            obs.counter("collector/lost_entries").add(s.lost_entries);
-            obs.counter("collector/dedup_evicted").add(s.dedup_evicted);
-            obs.counter("collector/emitted_out_of_order")
-                .add(s.emitted_out_of_order);
-            obs.gauge("collector/max_buffer_depth")
-                .set_max(s.max_buffer_depth);
-            obs.gauge("collector/max_dedup_keys")
-                .set_max(s.max_dedup_keys);
-        }
-        (stats, quarantine)
-    }
-
-    /// [`run`](Self::run) with the `collector/*` metrics of
-    /// [`run_into`](Self::run_into) and the `store/*` metrics (encode
-    /// timings, sealed bytes) of a store built with
-    /// [`StoreBuilder::with_obs`].
-    pub fn run_with_obs(&self, feed: FaultyFeed, obs: &Obs) -> IngestOutcome {
-        let mut store = StoreBuilder::with_obs(obs);
-        let (stats, quarantine) = self.run_into(feed, obs, |batch| store.append_batch(batch));
-        IngestOutcome {
-            store: store.seal(),
-            stats,
-            quarantine,
-        }
-    }
-
-    /// Drains `feed` to completion and returns the sealed store, the
-    /// run counters, and the quarantine.
-    pub fn run(&self, feed: FaultyFeed) -> IngestOutcome {
-        self.run_with_obs(feed, Obs::noop())
-    }
-
-    /// The ingest loop behind [`run_into`](Self::run_into).
-    fn drain(
-        &self,
         mut feed: FaultyFeed,
+        obs: &Obs,
         mut emit: impl FnMut(&[ScanReport]),
     ) -> (IngestStats, Vec<QuarantinedEntry>) {
+        let span = obs.span("collector/ingest");
         let mut stats = IngestStats::default();
         let mut quarantine = Vec::new();
         let mut seen: BTreeSet<ReportKey> = BTreeSet::new();
@@ -401,8 +353,47 @@ impl Collector {
         if !tail.is_empty() {
             emit(&tail);
         }
-
+        drop(span);
+        if obs.is_enabled() {
+            let s = &stats;
+            obs.counter("collector/polled_minutes")
+                .add(s.polled_minutes);
+            obs.counter("collector/accepted").add(s.accepted);
+            obs.counter("collector/deduped").add(s.deduped);
+            obs.counter("collector/reordered").add(s.reordered);
+            obs.counter("collector/quarantined").add(s.quarantined);
+            obs.counter("collector/retries").add(s.retries);
+            obs.counter("collector/gap_minutes").add(s.gap_minutes);
+            obs.counter("collector/lost_entries").add(s.lost_entries);
+            obs.counter("collector/dedup_evicted").add(s.dedup_evicted);
+            obs.counter("collector/emitted_out_of_order")
+                .add(s.emitted_out_of_order);
+            obs.gauge("collector/max_buffer_depth")
+                .set_max(s.max_buffer_depth);
+            obs.gauge("collector/max_dedup_keys")
+                .set_max(s.max_dedup_keys);
+        }
         (stats, quarantine)
+    }
+
+    /// [`run`](Self::run) with the `collector/*` metrics of
+    /// [`run_into`](Self::run_into) and the `store/*` metrics (encode
+    /// timings, sealed bytes) of a store built with
+    /// [`StoreBuilder::with_obs`].
+    pub fn run_with_obs(&self, feed: FaultyFeed, obs: &Obs) -> IngestOutcome {
+        let mut store = StoreBuilder::with_obs(&StoreObs::new(obs));
+        let (stats, quarantine) = self.run_into(feed, obs, |batch| store.append_batch(batch));
+        IngestOutcome {
+            store: store.seal(),
+            stats,
+            quarantine,
+        }
+    }
+
+    /// Drains `feed` to completion and returns the sealed store, the
+    /// run counters, and the quarantine.
+    pub fn run(&self, feed: FaultyFeed) -> IngestOutcome {
+        self.run_with_obs(feed, Obs::noop())
     }
 
     /// Verifies and decodes one framed entry.

@@ -43,7 +43,8 @@ pub fn partition_ranges(n: u64, workers: usize) -> Vec<std::ops::Range<u64>> {
 
 /// Runs `f(partition_index, range)` for each range on its own scoped
 /// thread and returns the results in range order. With one range it
-/// runs inline.
+/// runs inline. The payload-free case of [`map_ranges_with`], which
+/// holds the one thread-scope body.
 ///
 /// `f` must be deterministic per range for study reproducibility — all
 /// callers derive their randomness from sample ordinals, never from
@@ -53,26 +54,7 @@ where
     T: Send,
     F: Fn(usize, std::ops::Range<u64>) -> T + Sync,
 {
-    if ranges.len() <= 1 {
-        return ranges
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, r)| f(i, r))
-            .collect();
-    }
-    let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, range) in ranges.iter().enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || f(i, range.clone())));
-        }
-        for (slot, handle) in out.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("analysis worker panicked"));
-        }
-    });
-    out.into_iter().map(|t| t.expect("worker result")).collect()
+    map_ranges_with(ranges, vec![(); ranges.len()], |i, r, ()| f(i, r))
 }
 
 /// [`map_ranges`] with per-worker instrumentation: each range's wall
@@ -85,7 +67,8 @@ where
 /// Timing wraps whole ranges, never items, so the hot loop is
 /// untouched; all recording happens on the calling thread after the
 /// join. With a disabled `obs` this *is* [`map_ranges`] — results are
-/// identical either way.
+/// identical either way. The payload-free case of
+/// [`map_ranges_with_obs`], which holds the one recording tail.
 pub fn map_ranges_obs<T, F>(
     ranges: &[std::ops::Range<u64>],
     obs: &Obs,
@@ -96,32 +79,9 @@ where
     T: Send,
     F: Fn(usize, std::ops::Range<u64>) -> T + Sync,
 {
-    if !obs.is_enabled() {
-        return map_ranges(ranges, f);
-    }
-    let timed = map_ranges(ranges, |i, r| {
-        let start = Instant::now();
-        let out = f(i, r);
-        (out, saturating_ns(start.elapsed()))
-    });
-    let busy = obs.histogram(&format!("par/{kernel}/worker_busy_ns"));
-    let mut total_ns = 0u64;
-    let mut max_ns = 0u64;
-    let mut out = Vec::with_capacity(timed.len());
-    for (t, ns) in timed {
-        busy.observe(ns);
-        total_ns = total_ns.saturating_add(ns);
-        max_ns = max_ns.max(ns);
-        out.push(t);
-    }
-    if !out.is_empty() && total_ns > 0 {
-        let mean = total_ns as f64 / out.len() as f64;
-        let pct = (max_ns as f64 / mean * 100.0).round() as u64;
-        obs.gauge(&format!("par/{kernel}/imbalance_pct"))
-            .set_max(pct);
-    }
-    obs.counter(&format!("par/{kernel}/invocations")).incr();
-    out
+    map_ranges_with_obs(ranges, vec![(); ranges.len()], obs, kernel, |i, r, ()| {
+        f(i, r)
+    })
 }
 
 /// [`map_ranges`], but each range additionally *owns* one payload from

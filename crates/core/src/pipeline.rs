@@ -44,7 +44,7 @@ use vt_model::time::Timestamp;
 use vt_model::FileType;
 use vt_obs::Obs;
 use vt_sim::{SimConfig, VirusTotalSim};
-use vt_store::{DatasetStats, PartitionStats, ReportStore, StoreBuilder};
+use vt_store::{DatasetStats, PartitionStats, ReportStore, StoreBuilder, StoreObs};
 
 pub use crate::incremental::stage_names;
 
@@ -188,7 +188,7 @@ impl Study {
     /// counters recorded into `obs` (write-only: the packed bytes are
     /// the same either way).
     fn build_store_obs(&self, obs: &Obs) -> ReportStore {
-        let mut store = StoreBuilder::with_obs(obs);
+        let mut store = StoreBuilder::with_obs(&StoreObs::new(obs));
         for r in &self.records {
             store.append_batch(&r.reports);
         }

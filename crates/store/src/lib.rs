@@ -15,22 +15,32 @@
 //!   path, [`StoreBuilder::seal`] moves it into a read-only
 //!   [`ReportStore`] (bulk iteration, grouping, and a per-sample gather
 //!   that is a scan — the store keeps no per-sample index).
+//!   [`group_reports`] is the one grouping, with or without a store.
 //! * [`dataset`] — dataset-overview statistics: file-type distribution
 //!   (Table 3), reports-per-sample CDF (Fig. 1), monthly volumes
 //!   (Table 2).
 //! * [`persist`] / [`crc32`] — the on-disk `VTSTORE2` container:
-//!   checksummed, marker-framed blocks, a strict reader, and a salvage
-//!   reader that recovers what a damaged file still holds.
+//!   checksummed, marker-framed blocks; a strict reader whose one
+//!   decode per block is the integrity check *and* the read
+//!   ([`read_store_into`] streams it into the caller's [`ReportSink`];
+//!   [`read_store`] discards); and a salvage reader that recovers what
+//!   a damaged monolithic file still holds.
 //! * [`segment`] — sealed, append-ordered segments of the report
 //!   stream: [`SegmentWriter`] cuts ingestion into whole-sample
 //!   [`Segment`]s every N reports, each persistable through the same
-//!   checksummed container, so the incremental pipeline folds O(segment)
-//!   work per seal instead of recomputing the monolith.
+//!   checksummed container and read back one way, strictly
+//!   ([`read_segment_into`]), so the incremental pipeline folds
+//!   O(segment) work per seal instead of recomputing the monolith.
 //! * [`segdir`] — the serve tier's write-ahead log: a directory of
 //!   durably persisted segments ([`DurableWriter`] fsyncs file and
 //!   directory before a seal is visible) with a crash-recovery scan
-//!   ([`SegmentDir::replay`]) that keeps each slot's clean prefix and
-//!   quarantines what salvage cannot fully recover.
+//!   ([`SegmentDir::replay`]) that keeps each slot's clean prefix —
+//!   files the strict reader accepts whole — and quarantines the rest.
+//!
+//! A layer hands its neighbour what it already holds: a report is
+//! encoded once and decoded once on the batch and live-ingest paths
+//! (twice on recovery), counted on [`StoreObs`] and asserted by
+//! `tests/codec_budget.rs`.
 //!
 //! The store is synchronous and lock-free by construction: a builder
 //! is owned by its one writer, and a sealed store is immutable data —

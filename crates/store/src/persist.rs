@@ -328,22 +328,14 @@ pub fn read_store_into(
         }
         partitions.push((month, blocks));
     }
-    let store = ReportStore::from_persisted(partitions).map_err(PersistError::Store)?;
-    if !at_eof(r)? {
-        return Err(PersistError::Corrupt(CorruptKind::TrailingBytes));
-    }
-    Ok(store.with_store_obs(obs.clone()))
-}
-
-/// True when `r` has nothing left to deliver.
-fn at_eof(r: &mut impl Read) -> io::Result<bool> {
-    let mut probe = [0u8; 1];
-    loop {
-        match r.read(&mut probe) {
-            Ok(n) => return Ok(n == 0),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    let store =
+        ReportStore::from_persisted(partitions, obs.clone()).map_err(PersistError::Store)?;
+    // Strict includes where the container ends: one more byte is one
+    // too many.
+    match r.read_exact(&mut [0u8; 1]) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(store),
+        Err(e) => Err(e.into()),
+        Ok(()) => Err(PersistError::Corrupt(CorruptKind::TrailingBytes)),
     }
 }
 
@@ -759,7 +751,7 @@ pub(crate) mod tests {
             }
             partitions.push((month, blocks));
         }
-        ReportStore::from_persisted(partitions).map_err(PersistError::Store)
+        ReportStore::from_persisted(partitions, StoreObs::default()).map_err(PersistError::Store)
     }
 
     fn report(sample: u64, day: u8) -> ScanReport {

@@ -219,9 +219,6 @@ impl SegmentDir {
         let files = self.scan()?;
         let mut slots: Vec<Vec<Segment>> = (0..self.slots).map(|_| Vec::new()).collect();
         let mut sealed_hashes = HashSet::new();
-        // One file's hash column, reused: it joins `sealed_hashes` only
-        // if the file is accepted (a failed read leaves a partial prefix).
-        let mut hashes: Vec<SampleHash> = Vec::new();
         let mut recovered = 0u64;
         let mut quarantined = 0u64;
         // Per-slot: whether the clean prefix has already ended
@@ -234,12 +231,10 @@ impl SegmentDir {
                 quarantined += 1;
                 continue;
             }
-            let expected_seq = slots[slot].len() as u64;
-            hashes.clear();
-            match self.load(&file, &mut hashes) {
-                Some(segment) if file.seq == expected_seq && segment.seq() == expected_seq => {
+            match self.load(&file, slots[slot].len() as u64) {
+                Some((segment, hashes)) => {
                     slots[slot].push(segment);
-                    sealed_hashes.extend(hashes.iter().copied());
+                    sealed_hashes.extend(hashes);
                     recovered += 1;
                 }
                 _ => {
@@ -257,12 +252,17 @@ impl SegmentDir {
         })
     }
 
-    /// Reads one segment file strictly, its rows' hashes into `hashes`.
-    /// Any I/O or format error yields `None` — the caller quarantines.
-    fn load(&self, file: &SegmentFile, hashes: &mut Vec<SampleHash>) -> Option<Segment> {
+    /// Reads one segment file strictly as its slot's segment `seq`,
+    /// collecting its rows' hashes. Any I/O or format error, or a
+    /// sequence number (name or header) other than `seq`, yields `None`
+    /// — dropping the partial prefix of hashes a failed read collected —
+    /// and the caller quarantines.
+    fn load(&self, file: &SegmentFile, seq: u64) -> Option<(Segment, Vec<SampleHash>)> {
         let mut reader = io::BufReader::new(File::open(&file.path).ok()?);
+        let mut hashes = Vec::new();
         let mut sink = SinkFn(|row: &ReportRow| hashes.push(row.sample));
-        read_segment_into(&mut reader, &mut sink, &self.obs).ok()
+        let segment = read_segment_into(&mut reader, &mut sink, &self.obs).ok()?;
+        (file.seq == seq && segment.seq() == seq).then_some((segment, hashes))
     }
 
     fn quarantine_file(&self, path: &Path) -> io::Result<()> {

@@ -114,7 +114,7 @@ impl SegmentWriter {
     /// the same either way.
     pub fn with_obs(mut self, obs: &StoreObs) -> Self {
         assert_eq!(self.open.report_count(), 0, "attach before pushing");
-        self.open = StoreBuilder::with_store_obs(obs.clone());
+        self.open = StoreBuilder::with_obs(obs);
         self.obs = obs.clone();
         self
     }
@@ -142,8 +142,7 @@ impl SegmentWriter {
     }
 
     fn seal(&mut self) -> Segment {
-        let next = StoreBuilder::with_store_obs(self.obs.clone());
-        let store = std::mem::replace(&mut self.open, next).seal();
+        let store = std::mem::replace(&mut self.open, StoreBuilder::with_obs(&self.obs)).seal();
         let seq = self.next_seq;
         self.next_seq += 1;
         Segment { seq, store }
@@ -156,17 +155,6 @@ pub fn write_segment(segment: &Segment, w: &mut impl Write) -> io::Result<()> {
     w.write_all(SEGMENT_MAGIC)?;
     w.write_all(&segment.seq.to_le_bytes())?;
     write_store(&segment.store, w)
-}
-
-fn read_segment_header(r: &mut impl Read) -> Result<u64, PersistError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != SEGMENT_MAGIC {
-        return Err(PersistError::Corrupt(CorruptKind::BadMagic));
-    }
-    let mut seq = [0u8; 8];
-    r.read_exact(&mut seq)?;
-    Ok(u64::from_le_bytes(seq))
 }
 
 /// Loads a segment file strictly: bad magic, bad markers, CRC
@@ -185,7 +173,14 @@ pub fn read_segment_into(
     sink: &mut impl ReportSink,
     obs: &StoreObs,
 ) -> Result<Segment, PersistError> {
-    let seq = read_segment_header(r)?;
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic != SEGMENT_MAGIC {
+        return Err(PersistError::Corrupt(CorruptKind::BadMagic));
+    }
+    let mut seq = [0u8; 8];
+    r.read_exact(&mut seq)?;
+    let seq = u64::from_le_bytes(seq);
     let store = read_store_into(r, sink, obs)?;
     Ok(Segment { seq, store })
 }

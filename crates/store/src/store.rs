@@ -179,14 +179,9 @@ impl StoreBuilder {
     /// into `obs` (see [`StoreObs`] for the metric names) by the builder
     /// and by the store it seals into. Contents are identical to an
     /// uninstrumented store — the observability is write-only.
-    pub fn with_obs(obs: &Obs) -> Self {
-        Self::with_store_obs(StoreObs::new(obs))
-    }
-
-    /// [`with_obs`](Self::with_obs) from already-resolved handles.
-    pub(crate) fn with_store_obs(obs: StoreObs) -> Self {
+    pub fn with_obs(obs: &StoreObs) -> Self {
         let mut builder = Self::new();
-        builder.obs = obs;
+        builder.obs = obs.clone();
         builder
     }
 
@@ -275,13 +270,6 @@ pub struct ReportStore {
 }
 
 impl ReportStore {
-    /// Attaches the handles a loaded store's reads record into — the
-    /// strict reader passes on the ones it counted its own decode with.
-    pub(crate) fn with_store_obs(mut self, obs: StoreObs) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Total number of reports stored.
     pub fn report_count(&self) -> u64 {
         self.partitions.iter().map(|p| p.len()).sum()
@@ -341,10 +329,14 @@ impl ReportStore {
         &self.partitions
     }
 
-    /// Rebuilds a sealed store from persisted partitions. Returns a
-    /// typed [`StoreError`] if the partition layout is not the expected
-    /// 14-months-plus-catch-all shape.
-    pub fn from_persisted(parts: Vec<(Option<Month>, Vec<Block>)>) -> Result<Self, StoreError> {
+    /// Rebuilds a sealed store from persisted partitions, its reads
+    /// recording into `obs` (the handles the strict reader counted its
+    /// own decode with). Returns a typed [`StoreError`] if the partition
+    /// layout is not the expected 14-months-plus-catch-all shape.
+    pub fn from_persisted(
+        parts: Vec<(Option<Month>, Vec<Block>)>,
+        obs: StoreObs,
+    ) -> Result<Self, StoreError> {
         let expected: Vec<Option<Month>> = Month::collection_window()
             .map(Some)
             .chain(std::iter::once(None))
@@ -362,10 +354,7 @@ impl ReportStore {
             }
             partitions.push(Partition::from_blocks(month, blocks));
         }
-        Ok(Self {
-            partitions,
-            obs: StoreObs::default(),
-        })
+        Ok(Self { partitions, obs })
     }
 
     /// Streams every stored row into `sink` in physical order —
@@ -400,14 +389,10 @@ impl ReportStore {
 /// read ([`ReportStore::group_by_sample`]) and the serve feeder — which
 /// groups a collector chunk's accepted reports without a store — must
 /// agree to the report; they do by calling this.
-pub fn group_reports(
-    reports: impl IntoIterator<Item = ScanReport>,
-) -> Vec<(SampleHash, Vec<ScanReport>)> {
-    let reports = reports.into_iter();
+pub fn group_reports(reports: Vec<ScanReport>) -> Vec<(SampleHash, Vec<ScanReport>)> {
     // Sized for one sample per report: an upper bound, and most samples
     // of a VT feed are scanned once.
-    let mut groups: HashMap<SampleHash, Vec<ScanReport>> =
-        HashMap::with_capacity(reports.size_hint().0);
+    let mut groups: HashMap<SampleHash, Vec<ScanReport>> = HashMap::with_capacity(reports.len());
     for report in reports {
         groups.entry(report.sample).or_default().push(report);
     }
@@ -507,7 +492,7 @@ mod tests {
     #[test]
     fn obs_records_encode_and_decode_without_changing_content() {
         let obs = Obs::new();
-        let mut store = StoreBuilder::with_obs(&obs);
+        let mut store = StoreBuilder::with_obs(&StoreObs::new(&obs));
         let mut plain = StoreBuilder::new();
         for i in 0..40u64 {
             let r = report(i % 8, Date::new(2021, 7, 1 + (i % 20) as u8), i as i64);
@@ -527,7 +512,7 @@ mod tests {
         assert!(m.gauge("store/sealed_blocks").unwrap_or(0) >= 1);
         // A disabled registry records nothing.
         let off = Obs::disabled();
-        let mut silent = StoreBuilder::with_obs(&off);
+        let mut silent = StoreBuilder::with_obs(&StoreObs::new(&off));
         silent.append(&report(1, Date::new(2021, 6, 3), 10));
         silent.seal();
         assert!(off.snapshot().counters.is_empty());
@@ -535,7 +520,8 @@ mod tests {
 
     #[test]
     fn from_persisted_rejects_a_wrong_partition_count() {
-        let err = ReportStore::from_persisted(vec![(None, Vec::new())]).unwrap_err();
+        let err =
+            ReportStore::from_persisted(vec![(None, Vec::new())], StoreObs::default()).unwrap_err();
         assert_eq!(
             err,
             StoreError::PartitionCount {

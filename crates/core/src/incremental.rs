@@ -61,6 +61,7 @@ use crate::records::SampleRecord;
 use crate::stability::{Stability, StabilityPartial};
 use crate::stabilization::{Stabilization, StabilizationPartial};
 use crate::table::TrajectoryTable;
+use std::sync::Arc;
 use vt_engines::EngineFleet;
 use vt_model::time::Timestamp;
 use vt_obs::Obs;
@@ -248,14 +249,22 @@ impl StudyPartials {
 /// folded and merged into the cached [`StudyPartials`] without touching
 /// any earlier segment's reports — where re-running the batch pipeline
 /// would cost O(everything seen so far). `vtld serve` keeps one of
-/// these per daemon and snapshots [`results`](Self::results) after
-/// every segment.
+/// these per ingest slot and hands each fold's accumulation to its
+/// merger thread.
+///
+/// The accumulation sits behind an [`Arc`] so that handing it out
+/// ([`shared_partials`](Self::shared_partials)) is a pointer copy. A
+/// fold merges through [`Arc::make_mut`]: in place while the study holds
+/// the only pointer, into a private copy while a reader still holds one
+/// — so a pointer handed out never changes under its holder, and the
+/// copy, when one is needed, is made and later freed by the folding
+/// thread.
 #[derive(Debug, Clone)]
 pub struct IncrementalStudy<'a> {
     fleet: &'a EngineFleet,
     window_start: Timestamp,
     workers: usize,
-    partials: Option<StudyPartials>,
+    partials: Option<Arc<StudyPartials>>,
     indexing: bool,
     index: Option<SampleIndex>,
     alerts: Option<AlertEngine>,
@@ -306,12 +315,20 @@ impl<'a> IncrementalStudy<'a> {
 
     /// Segments folded so far.
     pub fn segments(&self) -> u64 {
-        self.partials.as_ref().map_or(0, StudyPartials::segments)
+        self.partials().map_or(0, StudyPartials::segments)
     }
 
     /// The cached accumulation, if any segment has been folded.
     pub fn partials(&self) -> Option<&StudyPartials> {
-        self.partials.as_ref()
+        self.partials.as_deref()
+    }
+
+    /// The cached accumulation as a shared pointer: a read-only view of
+    /// the study as of this call, which later folds leave untouched. It
+    /// costs no copy here; the next fold copies if (and only if) the
+    /// pointer is still held by then.
+    pub fn shared_partials(&self) -> Option<Arc<StudyPartials>> {
+        self.partials.clone()
     }
 
     /// The accumulated per-sample index: `Some` once a segment has been
@@ -426,7 +443,7 @@ impl<'a> IncrementalStudy<'a> {
             // Observe the segment delta against the accumulation of all
             // *prior* segments, before the merge below folds it in.
             obs.time("pipeline/alerts", || {
-                engine.observe_segment(self.partials.as_ref(), &seg, table)
+                engine.observe_segment(self.partials.as_deref(), &seg, table)
             });
         }
         if self.indexing {
@@ -436,10 +453,10 @@ impl<'a> IncrementalStudy<'a> {
                 Some(acc) => acc.merge(part),
             });
         }
-        self.partials = Some(match self.partials.take() {
-            None => seg,
-            Some(acc) => acc.merge(seg),
-        });
+        match &mut self.partials {
+            None => self.partials = Some(Arc::new(seg)),
+            Some(acc) => Arc::make_mut(acc).merge_from(&seg),
+        }
     }
 
     /// Finishes the accumulated partials into full [`StudyResults`]
@@ -450,7 +467,7 @@ impl<'a> IncrementalStudy<'a> {
     /// Borrows the cached partials — no clone, accumulation continues
     /// unaffected — so this can be called after every segment.
     pub fn results(&self, partitions: Vec<PartitionStats>, obs: &Obs) -> StudyResults {
-        match &self.partials {
+        match self.partials() {
             Some(p) => p.finish(partitions, obs),
             // Nothing folded yet: the fold of zero segments is the fold
             // of an empty one.
@@ -625,6 +642,34 @@ mod tests {
         let a = inc.results(Vec::new(), Obs::noop());
         let b = plain.results(Vec::new(), Obs::noop());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn a_shared_pointer_is_a_view_the_next_fold_leaves_untouched() {
+        let study = Study::generate_with_workers(SimConfig::new(0xA2C, 600), 2);
+        let records = study.records();
+        let ws = study.sim().config().window_start();
+        let mid = records.len() / 2;
+        let mut shared = IncrementalStudy::new(study.sim().fleet(), ws).with_workers(2);
+        let mut alone = shared.clone();
+        assert!(shared.shared_partials().is_none(), "nothing folded yet");
+
+        shared.fold_segment(&records[..mid], Obs::noop());
+        alone.fold_segment(&records[..mid], Obs::noop());
+        let held = shared.shared_partials().expect("one segment folded");
+        let before = format!("{held:?}");
+        // A fold while the pointer is held copies; once it is dropped
+        // the next fold merges in place. Both must leave `held` alone
+        // and the study where the never-shared one is.
+        shared.fold_segment(&records[mid..], Obs::noop());
+        alone.fold_segment(&records[mid..], Obs::noop());
+        assert_eq!(format!("{held:?}"), before, "the view does not move");
+        assert_eq!(held.segments(), 1);
+        assert_eq!(shared.segments(), 2);
+        assert_eq!(
+            format!("{:?}", shared.results(Vec::new(), Obs::noop())),
+            format!("{:?}", alone.results(Vec::new(), Obs::noop())),
+        );
     }
 
     #[test]

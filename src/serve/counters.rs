@@ -34,9 +34,9 @@ pub(super) struct ServeCounters {
     /// High-water mark of sealed segments queued between the feeder and
     /// the shard workers (`serve/queue_depth`).
     pub(super) queue_depth: Gauge,
-    /// Poisoned-lock recoveries: each time a slot lock is taken over
-    /// from a panicked holder (`serve/poisoned`). Zero in a healthy
-    /// daemon.
+    /// Poisoned-lock recoveries: each time the response cache's lock
+    /// is taken over from a holder that panicked (`serve/poisoned`).
+    /// Zero in a healthy daemon.
     pub(super) poisoned: Counter,
     /// Per-hash responses served from the hot-sample cache
     /// (`serve/cache_hits`).

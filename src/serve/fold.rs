@@ -1,19 +1,20 @@
-//! Layer 2 — sealed segments → slot partials, index and alerts behind
-//! the slot locks.
+//! Layer 2 — sealed segments → one [`SlotUpdate`] per fold, sent to the
+//! merger.
 //!
 //! Accepted samples are partitioned by hash into
-//! [`INGEST_SLOTS`] fixed slots; each slot is an independent segment
+//! [`super::INGEST_SLOTS`] fixed slots; each slot is an independent segment
 //! stream folded by one of `shards` worker threads. A worker keeps one
 //! [`SlotFold`] per slot it serves — the slot's [`IncrementalStudy`]
 //! (partials, per-sample [`SampleIndex`], and with alerting on a
 //! slot-local [`crate::dynamics::AlertEngine`] running the four
-//! streaming detectors over each segment's delta), its Table 2
-//! accounting and its cumulative alert log — and after every fold
-//! overwrites the slot's [`SlotState`] from it under the slot lock, then
-//! tells the merger. Alerts are keyed `(slot, seq, detector, ordinal)`,
-//! a pure function of the WAL, so the stream is bit-identical at any
-//! shard × worker count and across crash-recovery replay; fresh batches
-//! also go straight to the connector sinks (`sink`).
+//! streaming detectors over each segment's delta) and its Table 2
+//! accounting — and every fold's result leaves in the message that
+//! announces it: the slot's cumulative accumulation as of that fold and
+//! the alerts that fold fired. Alerts are keyed
+//! `(slot, seq, detector, ordinal)`, a pure function of the WAL, so the
+//! stream is bit-identical at any shard × worker count and across
+//! crash-recovery replay; each batch also goes straight to the connector
+//! sinks (`sink`).
 //!
 //! A segment's rows reach the fold through the worker's one decode
 //! arena, by one decode. A freshly sealed segment is written to its
@@ -24,17 +25,17 @@
 //! replayed segment was already accepted by the same reader during
 //! replay; its store streams into the arena once.
 //!
-//! What crosses the seam downstream is the [`SlotTable`] and a
-//! [`MergeEvent`] per fold; nothing here knows how slots are merged or
-//! published.
+//! What crosses the seam downstream is one [`MergeEvent`] per fold and
+//! nothing else — no table, no lock; nothing here knows how slots are
+//! merged or published.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::ingest::{IngestCtx, SegmentMsg};
-use super::{sink, wire, ServeConfig, INGEST_SLOTS};
+use super::{sink, wire, ServeConfig};
 use crate::dynamics::{
     merge_partition_stats, Alert, AlertConfig, AlertTotals, DecodeArena, IncrementalStudy,
     SampleIndex, StudyPartials,
@@ -44,65 +45,36 @@ use crate::obs::Obs;
 use crate::sim::VirusTotalSim;
 use crate::store::{read_segment_into, write_segment, PartitionStats, Segment};
 
-/// Slot-local accumulation the shard workers write and the merger
-/// reads: the slot's merged [`StudyPartials`] and [`SampleIndex`] plus
-/// its Table 2 store accounting.
-#[derive(Debug, Default)]
-pub(super) struct SlotState {
-    /// Bumped on every fold into this slot; the merger compares it to
-    /// the version behind its merge-tree leaf, so publishing touches
-    /// only the slots that actually changed since the last epoch.
-    pub(super) version: u64,
-    pub(super) partials: Option<StudyPartials>,
+/// What one fold hands the merger: the slot's *cumulative* accumulation
+/// as of that fold — so a later update for a slot supersedes an earlier
+/// one the merger has not merged yet — and *that fold's* alerts, which
+/// no other update carries.
+pub(super) struct SlotUpdate {
+    pub(super) slot: usize,
+    /// The worker's own accumulation, shared read-only rather than
+    /// copied: a copy made here would be allocated on this thread and
+    /// freed on the merger's, and that churn slows the folds that
+    /// follow (DESIGN.md §16.1). The merger copies what its tree keeps
+    /// and drops the pointer.
+    pub(super) partials: Option<Arc<StudyPartials>>,
+    pub(super) partitions: Vec<PartitionStats>,
     /// Frozen behind an `Arc` at fold time: publishing ships the
     /// pointer into the snapshot's per-slot index table instead of
     /// merging the slot indexes into one.
-    pub(super) index: Option<Arc<SampleIndex>>,
-    pub(super) partitions: Vec<PartitionStats>,
-    /// The slot's cumulative alert log in key order (bounded by the
-    /// per-segment detector caps, so never truncated here). Overwritten
-    /// whole at fold time like every other field; the merger pulls the
-    /// suffix past its per-slot high-water key.
-    pub(super) alerts: Arc<Vec<Alert>>,
+    pub(super) index: Arc<SampleIndex>,
+    /// In key order: seq grows per fold, ordinals are deterministic
+    /// within one (and bounded by the per-segment detector caps).
+    pub(super) alerts: Vec<Alert>,
 }
 
-/// One mutex per slot — a worker updates its slot while the merger
-/// walks all of them; neither holds a lock for longer than a clone.
-#[derive(Default)]
-pub(super) struct SlotTable {
-    pub(super) slots: [Mutex<SlotState>; INGEST_SLOTS],
-}
-
-/// Takes a slot lock, recovering from poisoning instead of cascading
-/// the panic. Returns the guard plus whether the lock was poisoned.
-///
-/// Recovery is sound because every write under a slot lock is a full
-/// overwrite of the slot's fields from worker-local state (never an
-/// in-place mutation), so a panicked holder can at worst have left the
-/// *previous* consistent accumulation behind — stale, not torn. The
-/// daemon keeps serving, counts the recovery on `serve/poisoned`, and
-/// the next publish flags the snapshot `degraded`.
-pub(super) fn lock_slot<'a>(
-    slot: &'a Mutex<SlotState>,
-    counters: &ServeCounters,
-) -> (MutexGuard<'a, SlotState>, bool) {
-    match slot.lock() {
-        Ok(guard) => (guard, false),
-        Err(poisoned) => {
-            counters.poisoned.incr();
-            (poisoned.into_inner(), true)
-        }
-    }
-}
-
-/// Shard-worker → merger notifications.
+/// Shard-worker → merger messages.
 pub(super) enum MergeEvent {
-    Folded,
+    Folded(Box<SlotUpdate>),
     WorkerExited,
 }
 
-/// A shard worker's context: the feeder's, the roster alert bodies
-/// render with, and the table it writes.
+/// A shard worker's context: the feeder's, and the roster alert bodies
+/// render with.
 pub(super) struct FoldCtx {
     pub(super) ingest: IngestCtx,
     /// Engine names in [`EngineId`] order. Named here and nowhere else:
@@ -110,7 +82,6 @@ pub(super) struct FoldCtx {
     /// render with this one list — a pure function of the fleet, so
     /// workers, merger and sinks agree byte for byte.
     pub(super) roster: Arc<Vec<String>>,
-    pub(super) table: SlotTable,
 }
 
 impl FoldCtx {
@@ -123,22 +94,16 @@ impl FoldCtx {
         Self {
             roster: Arc::new(roster),
             ingest,
-            table: SlotTable::default(),
         }
     }
 }
 
-/// One slot's worker-local accumulation. Everything lives here, outside
-/// any lock; [`store`](Self::store) fully overwrites the slot's
-/// [`SlotState`] from it. That overwrite-only discipline is what makes
-/// poisoned-lock recovery ([`lock_slot`]) sound.
+/// One slot's worker-local accumulation; nothing but its owning worker
+/// ever writes it.
 pub(super) struct SlotFold<'a> {
+    slot: usize,
     study: IncrementalStudy<'a>,
     partitions: Vec<PartitionStats>,
-    /// The study's index as of the last fold, frozen outside the lock.
-    index: Option<Arc<SampleIndex>>,
-    /// Cumulative alert log, re-frozen only by a fold that fired.
-    alerts: Arc<Vec<Alert>>,
     /// Alert totals already on the shared counters, so each fold adds
     /// an exact delta.
     counted: AlertTotals,
@@ -160,18 +125,17 @@ impl<'a> SlotFold<'a> {
             study
         };
         Self {
+            slot,
             study,
             partitions: Vec::new(),
-            index: None,
-            alerts: Arc::default(),
             counted: AlertTotals::default(),
         }
     }
 
     /// Folds the slot's next sealed segment — `arena` holding its
     /// decoded rows — and advances the alert counters by exactly what it
-    /// added; returns the samples folded and the alerts fired, in key
-    /// order. Zero-copy: the columnar table is built straight from the
+    /// added; returns the samples folded and the update the merger is
+    /// owed. Zero-copy: the columnar table is built straight from the
     /// worker's reusable decode arena (see
     /// [`IncrementalStudy::fold_arena`]).
     pub(super) fn fold(
@@ -180,18 +144,10 @@ impl<'a> SlotFold<'a> {
         arena: &DecodeArena,
         obs: &Obs,
         c: &ServeCounters,
-    ) -> (usize, Vec<Alert>) {
+    ) -> (usize, SlotUpdate) {
         let samples = self.study.fold_arena(arena, obs);
         merge_partition_stats(&mut self.partitions, &segment.store().partition_stats());
-        self.index = self.study.index().cloned().map(Arc::new);
-        // The log stays in key order: seq grows per fold, ordinals are
-        // deterministic within one.
         let alerts = self.study.take_alerts();
-        if !alerts.is_empty() {
-            let mut log = Vec::clone(&self.alerts);
-            log.extend_from_slice(&alerts);
-            self.alerts = Arc::new(log);
-        }
         let totals = self.study.alert_totals();
         let was = self.counted;
         c.alerts_fired.add(totals.fired - was.fired);
@@ -200,22 +156,24 @@ impl<'a> SlotFold<'a> {
             .add(totals.destabilized - was.destabilized);
         c.alerts_swings.add(totals.swings - was.swings);
         self.counted = totals;
-        (samples, alerts)
-    }
-
-    /// Overwrites every field of the slot's shared state (call under
-    /// its lock).
-    pub(super) fn store(&self, state: &mut SlotState) {
-        state.version += 1;
-        state.partials = self.study.partials().cloned();
-        state.index = self.index.clone();
-        state.partitions = self.partitions.clone();
-        state.alerts = Arc::clone(&self.alerts);
+        let update = SlotUpdate {
+            slot: self.slot,
+            partials: self.study.shared_partials(),
+            partitions: self.partitions.clone(),
+            index: self
+                .study
+                .index()
+                .cloned()
+                .map(Arc::new)
+                .unwrap_or_default(),
+            alerts,
+        };
+        (samples, update)
     }
 }
 
 /// One shard worker: folds its slots' segment streams, in arrival
-/// (= per-slot seal) order, and notifies the merger after every fold.
+/// (= per-slot seal) order, and sends the merger every fold's update.
 pub(super) fn shard_worker(
     ctx: &FoldCtx,
     rx: &Receiver<SegmentMsg>,
@@ -257,19 +215,16 @@ pub(super) fn shard_worker(
         let fold = slots
             .entry(slot)
             .or_insert_with(|| SlotFold::new(&ingest.config, &ingest.sim, slot));
-        let (samples, alerts) = fold.fold(&segment, &arena, &ingest.obs, c);
-        if let (Some(sink), false) = (alert_sink, alerts.is_empty()) {
+        let (samples, update) = fold.fold(&segment, &arena, &ingest.obs, c);
+        if let (Some(sink), false) = (alert_sink, update.alerts.is_empty()) {
             let _ = sink.send(sink::SinkMsg {
-                lines: alerts
+                lines: update
+                    .alerts
                     .iter()
                     .map(|a| wire::render_alert(a, &ctx.roster))
                     .collect(),
                 recovered,
             });
-        }
-        {
-            let (mut state, _was_poisoned) = lock_slot(&ctx.table.slots[slot], c);
-            fold.store(&mut state);
         }
         c.segments.incr();
         c.samples.add(samples as u64);
@@ -277,7 +232,7 @@ pub(super) fn shard_worker(
         if recovered {
             c.recovered_segments.incr();
         }
-        let _ = merge_tx.send(MergeEvent::Folded);
+        let _ = merge_tx.send(MergeEvent::Folded(Box::new(update)));
     }
     let _ = merge_tx.send(MergeEvent::WorkerExited);
 }
@@ -285,33 +240,16 @@ pub(super) fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::Collector;
-    use crate::sim::fault::{FaultPlan, FaultyFeed};
+    use crate::serve::tests::sealed_segments;
     use crate::sim::SimConfig;
-    use crate::store::SegmentWriter;
-
-    /// `samples` clean-feed samples sealed into three whole-sample
-    /// segments, the way the feeder seals a slot's stream.
-    fn three_segments(sim: &VirusTotalSim, samples: u64) -> Vec<Segment> {
-        let feed = FaultyFeed::from_sim(sim, 0..samples, FaultPlan::clean(sim.config().seed));
-        let groups = Collector::default().run(feed).store.group_by_sample();
-        let reports: u64 = groups.iter().map(|(_, r)| r.len() as u64).sum();
-        let mut writer = SegmentWriter::new(reports.div_ceil(3));
-        let mut segments: Vec<Segment> = groups
-            .iter()
-            .filter_map(|(_, reports)| writer.push_sample(reports))
-            .collect();
-        segments.extend(writer.finish());
-        assert_eq!(segments.len(), 3, "the fixture splits three ways");
-        segments
-    }
 
     #[test]
     fn slot_fold_equals_a_directly_driven_study_and_logs_each_alert_once() {
         let config = ServeConfig::new(1_500, 0x51_07);
         assert!(config.alerts, "detectors are on by default");
         let sim = VirusTotalSim::new(SimConfig::new(config.seed, config.samples));
-        let segments = three_segments(&sim, config.samples);
+        let segments = sealed_segments(&sim, 0..config.samples, 3);
+        assert_eq!(segments.len(), 3, "the fixture splits three ways");
         // A live registry, so the fold's counter deltas are observable.
         let counters = ServeCounters::register(&Obs::new());
         let slot = 5;
@@ -325,27 +263,24 @@ mod tests {
             });
 
         let (mut arena, mut direct_arena) = (DecodeArena::new(), DecodeArena::new());
-        let mut state = SlotState::default();
         let mut partitions = Vec::new();
-        // What a merger pulling the suffix past its mark has been handed.
-        let mut handed: Vec<Alert> = Vec::new();
+        // The stream a merger is sent, every update still held.
+        let mut updates: Vec<SlotUpdate> = Vec::new();
         for (n, segment) in segments.iter().enumerate() {
             arena.clear();
             segment.store().for_each_row(&mut arena);
-            let (samples, alerts) = fold.fold(segment, &arena, Obs::noop(), &counters);
-            fold.store(&mut state);
+            let (samples, update) = fold.fold(segment, &arena, Obs::noop(), &counters);
             let direct_samples = direct.fold_store(segment.store(), &mut direct_arena, Obs::noop());
             merge_partition_stats(&mut partitions, &segment.store().partition_stats());
 
             assert_eq!(samples, direct_samples, "fold {n}");
-            assert_eq!(alerts, direct.take_alerts(), "fold {n}: fresh batch");
-            assert_eq!(state.version, n as u64 + 1, "one version per fold");
+            assert_eq!(update.slot, slot);
             assert_eq!(
-                state.alerts[handed.len()..],
-                alerts[..],
-                "fold {n}: the shared log grew by exactly this fold's batch"
+                update.alerts,
+                direct.take_alerts(),
+                "fold {n}: this fold's batch and nothing older"
             );
-            handed.extend(alerts);
+            updates.push(update);
             let totals = direct.alert_totals();
             assert_eq!(
                 (
@@ -363,18 +298,24 @@ mod tests {
                 "fold {n}: counters advance by exact deltas"
             );
         }
+        let handed: Vec<&Alert> = updates.iter().flat_map(|u| &u.alerts).collect();
         assert!(!handed.is_empty(), "the fixture fires alerts");
         assert!(
             handed.windows(2).all(|w| w[0].key() < w[1].key()),
             "every alert once, in key order"
         );
-        assert_eq!(state.index.as_deref(), direct.index());
-        assert_eq!(state.partitions, partitions);
-        let served = state
+        for (n, update) in updates.iter().enumerate() {
+            let as_of = update.partials.as_ref().expect("folded").segments();
+            assert_eq!(as_of, n as u64 + 1, "later folds leave a sent update alone");
+        }
+        let last = updates.last().expect("three folds");
+        assert_eq!(Some(&*last.index), direct.index());
+        assert_eq!(last.partitions, partitions);
+        let served = last
             .partials
             .as_ref()
             .expect("three folds accumulated")
-            .finish(state.partitions.clone(), Obs::noop());
+            .finish(last.partitions.clone(), Obs::noop());
         assert_eq!(
             format!("{served:?}"),
             format!("{:?}", direct.results(partitions, Obs::noop()))

@@ -79,8 +79,9 @@ pub(super) struct IngestCtx {
     pub(super) counters: ServeCounters,
     /// Sealed segments sent and not yet taken off a shard queue.
     queued: AtomicU64,
-    /// Set once every sample has been sealed; the merger stamps it into
-    /// the final snapshot as `ingest_done`.
+    /// Set once every sample has been sealed and handed to a worker —
+    /// never after a fatal error, a lost tail segment included; the
+    /// merger stamps it into the final snapshot as `ingest_done`.
     done: AtomicBool,
 }
 
@@ -256,11 +257,40 @@ pub(super) fn run(
         match writer.finish() {
             Ok(Some(segment)) => healthy &= send_segment(ctx, &senders, msg(slot, segment, false)),
             Ok(None) => {}
-            Err(e) => eprintln!("vtld serve: tail segment persist failed: {e}"),
+            Err(e) => {
+                eprintln!("vtld serve: tail segment persist failed: {e}");
+                healthy = false;
+            }
         }
     }
-    if completed {
+    if completed && healthy {
         ctx.done.store(true, Ordering::SeqCst);
     }
     healthy
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::sync_channel;
+
+    #[test]
+    fn a_tail_segment_that_fails_to_persist_ends_ingest_unhealthy() {
+        // Segments that never fill: every persist is the drain's.
+        let mut config = ServeConfig::new(300, 0x7A11);
+        config.segment_reports = u64::MAX;
+        let ctx = IngestCtx::new(config);
+        let root = std::env::temp_dir().join(format!("vtld-ingest-tail-{}", std::process::id()));
+        let dir = SegmentDir::open(&root, INGEST_SLOTS as u32).expect("open data dir");
+        std::fs::remove_dir_all(&root).expect("pull the directory out from under the writers");
+        // Nothing can be sealed, so nothing is sent and the queue's
+        // receiver only has to exist.
+        let (tx, _rx) = sync_channel(SHARD_QUEUE_SEGMENTS);
+        let healthy = run(&ctx, || false, vec![tx], Some(dir));
+        assert!(
+            !healthy,
+            "a lost tail is as fatal as a lost segment mid-feed"
+        );
+        assert!(!ctx.done(), "and the feed was not fully sealed");
+    }
 }

@@ -18,19 +18,22 @@
 //!   [`crate::store::SegmentDir`] before it goes anywhere (the segment
 //!   log is the WAL), and `recover` replays that log first.
 //!   Backpressure, never loss: a full shard queue blocks the feeder.
-//! * `fold` — segments → slot state. `shards` workers fold each slot's
-//!   stream into slot-local [`crate::dynamics::StudyPartials`], a
+//! * `fold` — segments → slot updates. `shards` workers fold each
+//!   slot's stream into worker-local
+//!   [`crate::dynamics::StudyPartials`], a
 //!   [`crate::dynamics::SampleIndex`] and (by default) the four
-//!   streaming drift detectors' alert log, and overwrite the slot's
-//!   state behind its lock. A poisoned slot lock is recovered, counted
-//!   and flagged `degraded`, never propagated.
-//! * `publish` — slot states → `Arc<Snapshot>`. The merger re-merges
-//!   only the changed slots' paths of a
-//!   [`crate::dynamics::SlotMergeTree`] (bit-identical to the flat
-//!   slot-order merge at any shard count), finishes the root, and swaps
-//!   the next epoch in through the **publish seam** — the one place
-//!   readers pin a snapshot and the one thing a `subscribe` stream
-//!   waits on (publish and shutdown are its only wake-ups).
+//!   streaming drift detectors' alerts, and send the merger one message
+//!   per fold carrying the slot's accumulation and that fold's alerts.
+//!   No state is shared between a worker and the merger: nothing to
+//!   lock, nothing to poison.
+//! * `publish` — slot updates → `Arc<Snapshot>`. The merger puts each
+//!   update into its slot's leaf of a
+//!   [`crate::dynamics::SlotMergeTree`], re-merging only the changed
+//!   slots' paths (bit-identical to the flat slot-order merge at any
+//!   shard count), finishes the root, and swaps the next epoch in
+//!   through the **publish seam** — the one place readers pin a
+//!   snapshot and the one thing a `subscribe` stream waits on (publish
+//!   and shutdown are its only wake-ups).
 //! * `render` — snapshot → bytes. Aggregate documents are rendered once
 //!   per epoch; per-hash answers lazily, behind an LRU cache that an
 //!   epoch swap invalidates only for the slots that republished.
@@ -63,10 +66,9 @@
 //! plus the alerting verbs `{"cmd":"alerts","since":E}`,
 //! `{"cmd":"subscribe"}` and `{"cmd":"recommend"}`.
 //! Every response carries the snapshot's `"epoch"`; malformed input gets
-//! an `"error"` member, overload gets `"overloaded":true`, eviction gets
-//! `"evicted":true`, and responses rendered after a slot lock was
-//! poisoned carry `"degraded":true`. See `DESIGN.md` §§10.3–12 and §15
-//! for the full schema.
+//! an `"error"` member, overload gets `"overloaded":true` and eviction
+//! gets `"evicted":true`. See `DESIGN.md` §§10.3–12 and §15 for the
+//! full schema.
 
 mod conn;
 mod counters;
@@ -338,20 +340,6 @@ impl Server {
     /// The bound address (resolves port 0 to the picked port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Test hook: poisons one slot lock by panicking a thread that
-    /// holds it — the failure mode a crashed shard worker leaves
-    /// behind. The degraded-mode regression tests drive this; nothing
-    /// in the daemon calls it.
-    #[doc(hidden)]
-    pub fn poison_slot(&self, slot: usize) {
-        let daemon = Arc::clone(&self.daemon);
-        let _ = std::thread::spawn(move || {
-            let _guard = daemon.fold.table.slots[slot % INGEST_SLOTS].lock();
-            panic!("test-injected slot poisoning");
-        })
-        .join();
     }
 
     /// Epoch of the currently published snapshot.

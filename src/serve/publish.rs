@@ -1,7 +1,8 @@
-//! Layer 3 — slot states → one merged study → the published
+//! Layer 3 — slot updates → one merged study → the published
 //! `Arc<Snapshot>`, and the seam readers meet it at.
 //!
-//! The merger thread reassembles the global study through a
+//! The merger thread owns everything it merges: each
+//! [`SlotUpdate`] a fold sends replaces that slot's leaf of a
 //! [`SlotMergeTree`] — a fixed-shape binary merge tree over the slots
 //! whose cached internal nodes make each publish O(changed-slot): a
 //! fold that touched one slot re-merges only that leaf's
@@ -9,9 +10,10 @@
 //! partials are not even cloned. The tree's in-order leaf walk is the
 //! canonical concatenation `slot 0 ++ slot 1 ++ …`, so the root equals
 //! the flat slot-order merge bit for bit, and every published bit is
-//! identical at shards 1, 2 and 4. Each dirty slot's new alerts are
-//! pulled past a per-slot high-water key, stamped with the publish
-//! epoch and kept on a key-sorted, capped ring.
+//! identical at shards 1, 2 and 4. The alerts an update carries arrive
+//! exactly once; they are stamped with the publish epoch and kept on a
+//! key-sorted ring capped at `alerts_ring` — the only alert log there
+//! is.
 //!
 //! ## The publish seam
 //!
@@ -33,10 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use super::fold::{lock_slot, FoldCtx, MergeEvent};
+use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
 use super::{wire, INGEST_SLOTS};
 use crate::dynamics::flips::FlipAnalysis;
-use crate::dynamics::{Alert, IncrementalStudy, SampleIndex, SlotMergeTree, StudyResults};
+use crate::dynamics::{IncrementalStudy, SampleIndex, SlotMergeTree, StudyResults};
 use crate::obs::{Obs, RunMetrics};
 
 /// One epoch-consistent view of the study: the aggregate responses
@@ -80,16 +82,13 @@ pub(super) struct Snapshot {
     pub(super) alerts: Arc<Vec<PublishedAlert>>,
     /// The `recommend` verb's pre-rendered response.
     pub(super) recommend: String,
-    /// True once a slot lock has been observed poisoned: the study no
-    /// longer updates from that slot, answers may lag its stream.
-    pub(super) degraded: bool,
 }
 
 /// One alert on the published ring: its identity key, the epoch whose
 /// publish first carried it, and the deterministic rendered body.
 #[derive(Debug, Clone)]
 pub(super) struct PublishedAlert {
-    /// [`Alert::key`] — `(seq, slot, detector, ordinal)`.
+    /// [`crate::dynamics::Alert::key`] — `(seq, slot, detector, ordinal)`.
     pub(super) key: (u64, u32, u8, u32),
     /// Epoch at which the merger first shipped this alert.
     pub(super) published: u64,
@@ -167,13 +166,13 @@ impl Seam {
 }
 
 /// One epoch's merged study: what the merge tree's finished root and
-/// the slot tables hand the `render` layer to make a [`Snapshot`] of.
+/// the merger's per-slot state hand the `render` layer to make a
+/// [`Snapshot`] of.
 pub(super) struct Merged {
     pub(super) epoch: u64,
     pub(super) results: StudyResults,
     pub(super) ingest_done: bool,
     pub(super) shards: usize,
-    pub(super) degraded: bool,
     pub(super) metrics: RunMetrics,
     pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
     pub(super) slot_epochs: [u64; INGEST_SLOTS],
@@ -191,117 +190,110 @@ pub(super) struct PublishCtx {
 
 /// The merger's cross-publish accumulation: the binary merge tree over
 /// the slot partials (internal nodes cached, so a publish re-merges
-/// only the changed slot's root path), the per-slot index `Arc`s and
-/// the bookkeeping that detects which slots changed.
+/// only the changed slots' root paths), and what each snapshot shares
+/// with the next by pointer.
 struct MergerState {
     tree: SlotMergeTree,
-    /// `SlotState::version` behind each leaf — a mismatch marks the
-    /// slot dirty.
-    leaf_versions: [u64; INGEST_SLOTS],
     /// Epoch at which each slot last changed (shipped in the snapshot
     /// for slot-aware cache invalidation).
     slot_epochs: [u64; INGEST_SLOTS],
     slot_indexes: Vec<Arc<SampleIndex>>,
-    /// Per-slot `(seq, detector, ordinal)` high-water mark of alerts
-    /// already published. Slot logs grow strictly in that order, so a
-    /// dirty slot's new alerts are exactly the suffix past the mark —
-    /// and an alert is stamped with a publish epoch exactly once.
-    alert_high: [Option<(u64, u8, u32)>; INGEST_SLOTS],
-    /// Every published alert, kept sorted by [`Alert::key`]. Bounded by
-    /// the per-segment detector caps × WAL length, so retaining the
-    /// full log here is a small fixed multiple of the segment count;
-    /// the snapshot ships only the last `alerts_ring` entries.
-    alerts: Vec<PublishedAlert>,
+    /// The published alerts with the `alerts_ring` largest keys, sorted
+    /// by key. An alert with that many larger keys behind it can never
+    /// come back into the tail of a log that only grows, so nothing
+    /// older is kept — what grows with history here is bounded.
+    ring: Arc<Vec<PublishedAlert>>,
 }
 
-/// The merger thread: on every fold notification (coalescing bursts),
-/// refresh the merge tree's dirty leaves, finish the cached root, and
-/// publish the next epoch. After the whole fleet exits — every sealed
-/// segment folded — publish the final snapshot, marking `ingest_done`
-/// when the feed was fully consumed.
+/// The merger thread: on every fold's update (draining a burst into one
+/// publish), replace the updated slots' merge-tree leaves, finish the
+/// cached root, and publish the next epoch. After the whole fleet exits
+/// — every sealed segment folded — or is gone without saying so,
+/// publish the final snapshot, marking `ingest_done` when the feed was
+/// fully consumed.
 pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
     let ingest = &ctx.fold.ingest;
     let mut state = MergerState {
         tree: SlotMergeTree::new(INGEST_SLOTS),
-        leaf_versions: [0; INGEST_SLOTS],
         slot_epochs: [0; INGEST_SLOTS],
         slot_indexes: empty_slot_indexes(),
-        alert_high: [None; INGEST_SLOTS],
-        alerts: Vec::new(),
+        ring: Arc::default(),
     };
     let mut epoch = 0u64;
     let mut exited = 0usize;
+    let mut updates: Vec<Box<SlotUpdate>> = Vec::new();
     while exited < ingest.config.shards {
         let Ok(first) = rx.recv() else { break };
-        let mut folded = false;
         for event in std::iter::once(first).chain(std::iter::from_fn(|| rx.try_recv().ok())) {
             match event {
-                MergeEvent::Folded => folded = true,
+                MergeEvent::Folded(update) => updates.push(update),
                 MergeEvent::WorkerExited => exited += 1,
             }
         }
-        if folded && exited < ingest.config.shards {
+        if !updates.is_empty() && exited < ingest.config.shards {
             epoch += 1;
-            publish_merged(ctx, &mut state, epoch, false);
+            publish_merged(ctx, &mut state, epoch, updates.drain(..), false);
         }
     }
     // Final publish: every sealed segment has been folded and merged.
     epoch += 1;
-    publish_merged(ctx, &mut state, epoch, ingest.done());
+    publish_merged(ctx, &mut state, epoch, updates.drain(..), ingest.done());
 }
 
-/// Publishes one epoch from the merge tree: pull the slots whose
-/// version moved since the last publish into their leaves (an
-/// O(changed-slot) walk — each dirty slot re-merges only its log₂(8)
-/// root path, and clean slots are not even cloned), finish the cached
-/// root, and swap in the rendered snapshot. A poisoned slot lock marks
-/// the snapshot degraded — its last consistent accumulation still
-/// merges, the daemon keeps answering.
-fn publish_merged(ctx: &PublishCtx, state: &mut MergerState, epoch: u64, done: bool) {
+/// Publishes one epoch: take `updates` (in arrival order) into the
+/// merge tree — each updated slot re-merges only its log₂(8) root path,
+/// and the other slots are not touched — finish the cached root, and
+/// swap in the rendered snapshot.
+fn publish_merged(
+    ctx: &PublishCtx,
+    state: &mut MergerState,
+    epoch: u64,
+    updates: impl Iterator<Item = Box<SlotUpdate>>,
+    done: bool,
+) {
     let (fold, ingest) = (&ctx.fold, &ctx.fold.ingest);
-    let mut degraded = false;
-    let mut dirty_alerts: Vec<(usize, Arc<Vec<Alert>>)> = Vec::new();
-    for (slot, lock) in fold.table.slots.iter().enumerate() {
-        let (slot_state, was_poisoned) = lock_slot(lock, &ingest.counters);
-        degraded |= was_poisoned;
-        if slot_state.version == state.leaf_versions[slot] {
-            continue;
-        }
-        state.leaf_versions[slot] = slot_state.version;
+    // Every update's alerts are new: stamp them with this publish's
+    // epoch. The stamp is arrival-timing-dependent (it is *when this
+    // daemon noticed*, the `since` cursor), but the rendered bodies and
+    // the key order are pure functions of the WAL. A slot's updates are
+    // cumulative, so of several in one burst only the last is merged.
+    let mut fresh: Vec<PublishedAlert> = Vec::new();
+    let mut latest: [Option<Box<SlotUpdate>>; INGEST_SLOTS] = Default::default();
+    for update in updates {
+        fresh.extend(update.alerts.iter().map(|alert| PublishedAlert {
+            key: alert.key(),
+            published: epoch,
+            rendered: wire::render_alert(alert, &fold.roster),
+        }));
+        let slot = update.slot;
+        latest[slot] = Some(update);
+    }
+    for update in latest.into_iter().flatten() {
+        let SlotUpdate {
+            slot,
+            partials,
+            partitions,
+            index,
+            ..
+        } = *update;
         state.slot_epochs[slot] = epoch;
-        let partials = slot_state.partials.clone();
-        let partitions = slot_state.partitions.clone();
-        state.slot_indexes[slot] = slot_state.index.clone().unwrap_or_default();
-        dirty_alerts.push((slot, Arc::clone(&slot_state.alerts)));
-        drop(slot_state);
-        // Re-merge outside the slot lock: only this slot's root path.
-        state.tree.update_slot(slot, partials, partitions);
+        state.slot_indexes[slot] = index;
+        // The one copy of a fold's partials: the tree keeps its leaves
+        // by value. The worker's pointer goes before the re-merge, not
+        // after it, so a fold that lands meanwhile merges in place.
+        let leaf = partials.as_deref().cloned();
+        drop(partials);
+        state.tree.update_slot(slot, leaf, partitions);
     }
-    // Pull each dirty slot's alerts past its high-water key, stamp them
-    // with this publish's epoch, and keep the global log key-sorted.
-    // The stamp is pull-timing-dependent (it is *when this daemon
-    // noticed*, the `since` cursor), but the rendered bodies and the
-    // key order are pure functions of the WAL.
-    let mut published_new = false;
-    for (slot, log) in dirty_alerts {
-        for alert in log.iter() {
-            let k3 = (alert.seq, alert.detector, alert.ordinal);
-            if state.alert_high[slot].is_some_and(|high| k3 <= high) {
-                continue;
-            }
-            state.alert_high[slot] = Some(k3);
-            state.alerts.push(PublishedAlert {
-                key: alert.key(),
-                published: epoch,
-                rendered: wire::render_alert(alert, &fold.roster),
-            });
-            published_new = true;
-        }
+    if !fresh.is_empty() {
+        // The last snapshot still shares the ring, so this copies it —
+        // once per publish that has alerts to add, not once per publish.
+        let ring = Arc::make_mut(&mut state.ring);
+        ring.extend(fresh);
+        ring.sort_unstable_by_key(|a| a.key);
+        let excess = ring.len().saturating_sub(ingest.config.alerts_ring);
+        ring.drain(..excess);
     }
-    if published_new {
-        state.alerts.sort_unstable_by_key(|a| a.key);
-    }
-    let ring_start = state.alerts.len().saturating_sub(ingest.config.alerts_ring);
     let partitions = state.tree.root_partitions().to_vec();
     let results = match state.tree.root() {
         Some(partials) => partials.finish(partitions, &ingest.obs),
@@ -313,11 +305,10 @@ fn publish_merged(ctx: &PublishCtx, state: &mut MergerState, epoch: u64, done: b
         results,
         ingest_done: done,
         shards: ingest.config.shards,
-        degraded,
         metrics: ingest.obs.snapshot(),
         slot_indexes: state.slot_indexes.clone(),
         slot_epochs: state.slot_epochs,
-        alerts: Arc::new(state.alerts[ring_start..].to_vec()),
+        alerts: Arc::clone(&state.ring),
         engine_names: Arc::clone(&fold.roster),
     }));
 }
@@ -337,7 +328,6 @@ pub(super) fn empty_epoch(fold: &FoldCtx) -> Merged {
             .results(Vec::new(), Obs::noop()),
         ingest_done: false,
         shards: fold.ingest.config.shards,
-        degraded: false,
         metrics: Obs::noop().snapshot(),
         slot_indexes: empty_slot_indexes(),
         slot_epochs: [0; INGEST_SLOTS],
@@ -349,7 +339,12 @@ pub(super) fn empty_epoch(fold: &FoldCtx) -> Merged {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::tests::bare_snapshot as snapshot;
+    use crate::dynamics::alerts::detector;
+    use crate::dynamics::{Alert, AlertKind, DecodeArena};
+    use crate::serve::fold::SlotFold;
+    use crate::serve::render::study_fingerprint;
+    use crate::serve::tests::{bare_snapshot as snapshot, sealed_segments};
+    use crate::serve::ServeConfig;
     use std::sync::mpsc::channel;
 
     /// Parks a waiter at `seen` on its own thread; the first channel
@@ -401,6 +396,249 @@ mod tests {
             seam.wait_past(0).map(|s| s.epoch),
             None,
             "after shutdown nothing waits, even with a newer epoch current"
+        );
+    }
+
+    #[test]
+    fn a_panic_under_the_seam_lock_does_not_cascade() {
+        let seam = Arc::new(Seam::new(snapshot(1)));
+        let (ready, woke) = park(&seam, 1);
+        ready.recv().expect("waiter started");
+        let holder = Arc::clone(&seam);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.current.lock().expect("first holder");
+            panic!("test-injected: a handler dies holding the seam's lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(seam.current.is_poisoned(), "the fault was injected");
+        // Readers, the merger and the parked subscriber all carry on.
+        assert_eq!(seam.current().epoch, 1);
+        seam.publish(snapshot(2));
+        assert_eq!(woke.recv().expect("waiter finished"), Some(2));
+        assert_eq!(seam.wait_past(1).map(|s| s.epoch), Some(2));
+    }
+
+    /// A `render` that records what the merger tests compare: the
+    /// study's fingerprint where the documents would go, and the
+    /// per-slot state and the ring as the merger handed them over.
+    fn record(merged: Merged) -> Snapshot {
+        Snapshot {
+            fingerprint: format!("{:?}", study_fingerprint(&merged.results)),
+            ingest_done: merged.ingest_done,
+            slot_indexes: merged.slot_indexes,
+            slot_epochs: merged.slot_epochs,
+            alerts: merged.alerts,
+            ..snapshot(merged.epoch)
+        }
+    }
+
+    /// A merger's context with no daemon around it: nothing ingests, so
+    /// `ingest_done` can only ever be false.
+    fn merger_ctx(config: ServeConfig) -> PublishCtx {
+        PublishCtx {
+            fold: FoldCtx::new(config),
+            seam: Arc::new(Seam::new(snapshot(0))),
+            render: record,
+        }
+    }
+
+    /// Two slots' update streams out of real [`SlotFold`]s over halves
+    /// of the feed, interleaved a fold at a time the way two workers'
+    /// sends land on the merger's channel.
+    fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
+        let ingest = &ctx.fold.ingest;
+        let half = ingest.config.samples / 2;
+        let mut arena = DecodeArena::new();
+        let [a, b] = [(2, 0..half), (5, half..ingest.config.samples)].map(|(slot, ordinals)| {
+            let mut fold = SlotFold::new(&ingest.config, &ingest.sim, slot);
+            let updates: Vec<SlotUpdate> = sealed_segments(&ingest.sim, ordinals, 3)
+                .iter()
+                .map(|segment| {
+                    arena.clear();
+                    segment.store().for_each_row(&mut arena);
+                    fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
+                })
+                .collect();
+            assert!(updates.len() >= 2, "several updates per slot");
+            updates
+        });
+        let (mut a, mut b) = (a.into_iter(), b.into_iter());
+        let mut interleaved = Vec::new();
+        loop {
+            let before = interleaved.len();
+            interleaved.extend(a.next());
+            interleaved.extend(b.next());
+            if interleaved.len() == before {
+                return interleaved;
+            }
+        }
+    }
+
+    #[test]
+    fn a_burst_and_a_trickle_of_the_same_updates_publish_the_same_study() {
+        let config = ServeConfig::new(1_500, 0x51_07);
+
+        // One burst: everything, the exit included, is queued before the
+        // merger first looks, so it publishes exactly once.
+        let ctx = merger_ctx(config.clone());
+        let (tx, rx) = channel();
+        for update in interleaved_updates(&ctx) {
+            tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+        }
+        tx.send(MergeEvent::WorkerExited).expect("rx");
+        merger_loop(&ctx, &rx);
+        let burst = ctx.seam.current();
+        assert_eq!(burst.epoch, 1);
+        assert!(burst.alerts.iter().all(|a| a.published == 1));
+
+        // One at a time: the next update is sent only once the previous
+        // one's publish has been seen.
+        let ctx = merger_ctx(config);
+        let (tx, rx) = channel();
+        let mut stamped: Vec<((u64, u32, u8, u32), u64)> = Vec::new();
+        let mut last_update = [0u64; INGEST_SLOTS];
+        let trickle = std::thread::scope(|scope| {
+            // `tx` lives in here so that a failed assertion drops it on
+            // the way out and the merger returns instead of the scope
+            // waiting on it forever.
+            let (ctx, rx, tx) = (&ctx, rx, tx);
+            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let mut epoch = 0;
+            for update in interleaved_updates(ctx) {
+                let (slot, keys) = (update.slot, update.alerts.iter().map(Alert::key));
+                let keys: Vec<_> = keys.collect();
+                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                let seen = ctx.seam.wait_past(epoch).expect("no shutdown").epoch;
+                assert_eq!(seen, epoch + 1, "one publish per update");
+                epoch = seen;
+                stamped.extend(keys.into_iter().map(|key| (key, epoch)));
+                last_update[slot] = epoch;
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger.join().expect("the merger returns");
+            let last = ctx.seam.current();
+            assert_eq!(last.epoch, epoch + 1, "and the final one");
+            last
+        });
+
+        assert!(!burst.alerts.is_empty(), "the fixture fires alerts");
+        assert_eq!(trickle.fingerprint, burst.fingerprint);
+        assert_eq!(trickle.slot_indexes, burst.slot_indexes);
+        let keys = |snap: &Snapshot| -> Vec<_> {
+            snap.alerts
+                .iter()
+                .map(|a| (a.key, a.rendered.clone()))
+                .collect()
+        };
+        assert_eq!(keys(&trickle), keys(&burst));
+        assert!(!trickle.ingest_done && !burst.ingest_done);
+        // Each alert carries the epoch of the publish its update went
+        // out in — stamped once, never re-stamped by a later publish.
+        stamped.sort_unstable();
+        let ring: Vec<_> = trickle
+            .alerts
+            .iter()
+            .map(|a| (a.key, a.published))
+            .collect();
+        assert_eq!(ring, stamped);
+        assert_eq!(trickle.slot_epochs, last_update);
+    }
+
+    /// An update with no study behind it: `count` alerts at `seq`.
+    fn alerts_only(slot: usize, seq: u64, count: u32) -> Box<SlotUpdate> {
+        Box::new(SlotUpdate {
+            slot,
+            partials: None,
+            partitions: Vec::new(),
+            index: Arc::default(),
+            alerts: (0..count)
+                .map(|ordinal| Alert {
+                    slot: slot as u32,
+                    seq,
+                    detector: detector::ENGINE_BURST,
+                    ordinal,
+                    kind: AlertKind::EngineBurst {
+                        engine: 0,
+                        day: 18_751,
+                        flips: 12 + u64::from(ordinal),
+                    },
+                })
+                .collect(),
+        })
+    }
+
+    #[test]
+    fn a_fleet_that_died_without_a_word_still_ends_in_a_final_publish() {
+        let mut config = ServeConfig::new(100, 7);
+        config.shards = 2;
+        let ctx = merger_ctx(config);
+        let (tx, rx) = channel();
+        tx.send(MergeEvent::Folded(alerts_only(3, 0, 1)))
+            .expect("rx");
+        // Both workers are gone and neither said `WorkerExited`.
+        drop(tx);
+        merger_loop(&ctx, &rx);
+        let last = ctx.seam.current();
+        assert_eq!(last.epoch, 2, "the update's publish, then the final one");
+        assert!(!last.ingest_done);
+        assert_eq!(last.alerts.len(), 1);
+        assert_eq!(last.slot_epochs[3], 1);
+    }
+
+    #[test]
+    fn the_ring_is_the_tail_of_the_log_it_no_longer_keeps() {
+        let mut config = ServeConfig::new(100, 7);
+        config.alerts_ring = 4;
+        let ctx = merger_ctx(config);
+        // Slot 1 runs ahead and slot 0 catches up, so late batches sort
+        // *into* the retained tail and behind it, not only after it; the
+        // empty batch publishes with nothing to add.
+        let batches = [
+            (1, 0, 2),
+            (1, 1, 3),
+            (0, 0, 2),
+            (1, 2, 1),
+            (0, 1, 0),
+            (0, 2, 3),
+            (6, 0, 1),
+            (0, 3, 2),
+            (6, 3, 6),
+        ];
+        let (tx, rx) = channel();
+        // The untruncated log the merger used to keep.
+        let mut log: Vec<((u64, u32, u8, u32), u64)> = Vec::new();
+        std::thread::scope(|scope| {
+            // `tx` moves in so that a failed assertion drops it and the
+            // merger returns, as in the trickle test.
+            let (ctx, rx, tx) = (&ctx, rx, tx);
+            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
+                let epoch = n as u64 + 1;
+                let update = alerts_only(slot, seq, count);
+                log.extend(update.alerts.iter().map(|a| (a.key(), epoch)));
+                log.sort_unstable();
+                tx.send(MergeEvent::Folded(update)).expect("rx");
+                let snap = ctx.seam.wait_past(epoch - 1).expect("no shutdown");
+                assert_eq!(snap.epoch, epoch);
+                let tail = &log[log.len().saturating_sub(4)..];
+                let ring: Vec<_> = snap.alerts.iter().map(|a| (a.key, a.published)).collect();
+                assert_eq!(ring, tail, "publish {epoch}");
+                for since in 0..=epoch {
+                    let served = snap.alerts.iter().filter(|a| a.published > since);
+                    let wanted = tail.iter().filter(|(_, published)| *published > since);
+                    assert!(
+                        served.map(|a| a.key).eq(wanted.map(|(key, _)| *key)),
+                        "publish {epoch}, since {since}"
+                    );
+                }
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger.join().expect("the merger returns");
+        });
+        assert!(
+            log.len() > 4 * 4,
+            "the log outgrew the ring several times over"
         );
     }
 }

@@ -46,9 +46,6 @@ struct CacheEntry {
     /// For slot-routed entries, the snapshot's `slot_epochs[slot]` at
     /// render time; for whole-study entries, the full epoch.
     stamp: u64,
-    /// Whether the rendering snapshot was degraded (the suffix is baked
-    /// into the tail, so a hit must match the live snapshot's flag).
-    degraded: bool,
     /// Last-used stamp backing least-recently-used eviction.
     last_used: u64,
 }
@@ -61,7 +58,7 @@ impl CacheEntry {
             Some(slot) => snap.slot_epochs[slot],
             None => snap.epoch,
         };
-        stamp == self.stamp && self.degraded == snap.degraded
+        stamp == self.stamp
     }
 }
 
@@ -187,7 +184,6 @@ impl ResponseCache {
                         Some(slot) => snap.slot_epochs[slot],
                         None => snap.epoch,
                     },
-                    degraded: snap.degraded,
                     last_used: stamp,
                 },
             );
@@ -227,17 +223,6 @@ pub(super) fn splice_epoch(epoch: u64, tail: &str) -> String {
 }
 
 // ---- per-request renderers ---------------------------------------------
-
-/// `,"degraded":true` when the snapshot was published past a poisoned
-/// slot lock, empty otherwise — appended to every lazily rendered
-/// response.
-fn degraded_suffix(snap: &Snapshot) -> &'static str {
-    if snap.degraded {
-        ",\"degraded\":true"
-    } else {
-        ""
-    }
-}
 
 /// A verb rendered per request, behind the [`ResponseCache`].
 pub(super) enum Lazy {
@@ -282,10 +267,9 @@ impl Lazy {
 /// snapshot's index.
 pub(super) fn render_sample(snap: &Snapshot, hash: SampleHash) -> String {
     let epoch = snap.epoch;
-    let suffix = degraded_suffix(snap);
     match snap.slot_indexes[slot_of(hash)].get(hash) {
         None => format!(
-            "{{\"epoch\":{epoch},\"hash\":\"{}\",\"found\":false{suffix}}}",
+            "{{\"epoch\":{epoch},\"hash\":\"{}\",\"found\":false}}",
             hash.to_hex()
         ),
         Some(s) => {
@@ -305,7 +289,7 @@ pub(super) fn render_sample(snap: &Snapshot, hash: SampleHash) -> String {
                  \"file_type\":{},\"reports\":{},\"current_positives\":{},\
                  \"p_min\":{},\"p_max\":{},\"flips\":{},\
                  \"multi_report\":{},\"stable\":{},\"fresh\":{},\"in_s\":{},\
-                 \"stabilization\":[{}],\"positives\":[{}],\"dates_min\":[{}]{suffix}}}",
+                 \"stabilization\":[{}],\"positives\":[{}],\"dates_min\":[{}]}}",
                 hash.to_hex(),
                 quoted(&s.file_type.name()),
                 s.report_count(),
@@ -329,15 +313,14 @@ pub(super) fn render_sample(snap: &Snapshot, hash: SampleHash) -> String {
 /// stabilized (§6.2)?
 pub(super) fn render_stabilized(snap: &Snapshot, hash: SampleHash, t: u32) -> String {
     let epoch = snap.epoch;
-    let suffix = degraded_suffix(snap);
     match snap.slot_indexes[slot_of(hash)].get(hash) {
         None => format!(
-            "{{\"epoch\":{epoch},\"hash\":\"{}\",\"threshold\":{t},\"found\":false{suffix}}}",
+            "{{\"epoch\":{epoch},\"hash\":\"{}\",\"threshold\":{t},\"found\":false}}",
             hash.to_hex()
         ),
         Some(s) => format!(
             "{{\"epoch\":{epoch},\"hash\":\"{}\",\"threshold\":{t},\"found\":true,\
-             \"stabilized\":{}{suffix}}}",
+             \"stabilized\":{}}}",
             hash.to_hex(),
             s.stabilized_at(t).unwrap_or(false),
         ),
@@ -348,7 +331,6 @@ pub(super) fn render_stabilized(snap: &Snapshot, hash: SampleHash, t: u32) -> St
 /// top-20 type it has had flip opportunities on.
 fn render_engine(snap: &Snapshot, engine: usize) -> String {
     let epoch = snap.epoch;
-    let suffix = degraded_suffix(snap);
     let total = snap.flips.engine_total(EngineId::new(engine));
     let types: Vec<String> = snap.flips.matrix[engine]
         .iter()
@@ -366,7 +348,7 @@ fn render_engine(snap: &Snapshot, engine: usize) -> String {
         .collect();
     format!(
         "{{\"epoch\":{epoch},\"engine\":{},\"flips\":{},\
-         \"opportunities\":{},\"flip_ratio\":{},\"types\":[{}]{suffix}}}",
+         \"opportunities\":{},\"flip_ratio\":{},\"types\":[{}]}}",
         quoted(&snap.engine_names[engine]),
         total.flips,
         total.opportunities,
@@ -382,7 +364,6 @@ fn render_engine(snap: &Snapshot, engine: usize) -> String {
 /// answer is bit-identical to ranking one merged index.
 pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
     let epoch = snap.epoch;
-    let suffix = degraded_suffix(snap);
     let mut ranked: Vec<_> = snap
         .slot_indexes
         .iter()
@@ -403,7 +384,7 @@ pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
         })
         .collect();
     format!(
-        "{{\"epoch\":{epoch},\"k\":{k},\"leaders\":[{}]{suffix}}}",
+        "{{\"epoch\":{epoch},\"k\":{k},\"leaders\":[{}]}}",
         leaders.join(","),
     )
 }
@@ -425,17 +406,16 @@ pub(super) fn render_alerts(snap: &Snapshot, since: u64) -> String {
         .map(|a| a.rendered.as_str())
         .collect();
     format!(
-        "{{\"epoch\":{},\"since\":{since},\"count\":{},\"alerts\":[{}]{}}}",
+        "{{\"epoch\":{},\"since\":{since},\"count\":{},\"alerts\":[{}]}}",
         snap.epoch,
         items.len(),
         items.join(","),
-        degraded_suffix(snap),
     )
 }
 
 /// The `status` verb, rendered per request: the snapshot's own
 /// epoch-consistent members (`epoch`, `s_samples`, `ingest_done`,
-/// `shards`, `indexed`, `degraded`) beside the live registry totals, so
+/// `shards`, `indexed`) beside the live registry totals, so
 /// `cache_hits`, `rejected`, `evicted` and the rest keep moving after
 /// the last publish.
 pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
@@ -443,7 +423,7 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         "{{\"epoch\":{},\"segments\":{},\"samples\":{},\"reports\":{},\
          \"accepted\":{},\"quarantined\":{},\"s_samples\":{},\"ingest_done\":{},\
          \"shards\":{},\"recovered_segments\":{},\"quarantined_segments\":{},\
-         \"rejected\":{},\"evicted\":{},\"indexed\":{},\"degraded\":{},\
+         \"rejected\":{},\"evicted\":{},\"indexed\":{},\
          \"poisoned\":{},\"cache_hits\":{},\"cache_misses\":{},\
          \"alerts_fired\":{},\"alerts_stabilized\":{},\"alerts_destabilized\":{},\
          \"alerts_swings\":{},\"alerts_emitted\":{},\"alerts_dropped\":{}}}",
@@ -461,7 +441,6 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         c.rejected.value(),
         c.evicted.value(),
         snap.indexed,
-        snap.degraded,
         c.poisoned.value(),
         c.cache_hits.value(),
         c.cache_misses.value(),
@@ -641,7 +620,6 @@ pub(super) fn render_snapshot(merged: Merged) -> Snapshot {
         engine_names,
         alerts: merged.alerts,
         recommend,
-        degraded: merged.degraded,
     }
 }
 
@@ -718,4 +696,36 @@ fn render_recommend(
             .join(","),
         engines.join(","),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::Obs;
+    use crate::serve::tests::bare_snapshot;
+
+    #[test]
+    fn a_panic_under_the_cache_lock_is_counted_and_does_not_cascade() {
+        let counters = ServeCounters::register(&Obs::new());
+        let cache = Arc::new(ResponseCache::new(8, &counters));
+        let snap = bare_snapshot(1);
+        let body = |tag: &str| format!("{{\"epoch\":1,\"tag\":\"{tag}\"}}");
+        let first = cache.respond(&snap, "k", Some(0), || body("first"));
+        assert_eq!(first, body("first"));
+        let holder = Arc::clone(&cache);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.state.lock().expect("first holder");
+            panic!("test-injected: a handler dies holding the cache's lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(counters.poisoned.value(), 0, "nothing has recovered it yet");
+        // The next request takes the lock over, finds the cache emptied
+        // — "first" is gone — and answers with a fresh rendering.
+        let next = cache.respond(&snap, "k", Some(0), || body("second"));
+        assert_eq!(next, body("second"));
+        assert!(counters.poisoned.value() >= 1, "the takeover is counted");
+        let again = cache.respond(&snap, "other", None, || body("third"));
+        assert_eq!(again, body("third"), "and later requests are still served");
+    }
 }

@@ -23,7 +23,7 @@ use crate::model::SampleHash;
 use crate::obs::Obs;
 use crate::sim::fault::{FaultPlan, FaultyFeed};
 use crate::sim::{SimConfig, VirusTotalSim};
-use crate::store::PartitionStats;
+use crate::store::{PartitionStats, Segment, SegmentWriter};
 
 #[test]
 fn json_helpers_guard_edge_cases() {
@@ -82,6 +82,48 @@ fn slot_routing_is_total_and_stable() {
     }
 }
 
+/// The layering rule of this module's header, checked on the source:
+/// each layer's code (the text before its test module) names only what
+/// lies to its right — and the two layers upstream of the merger hold
+/// no lock of their own, so there is none for a worker to die holding.
+#[test]
+fn layers_name_only_what_lies_to_their_right() {
+    let code = |source: &'static str| source.split("#[cfg(test)]").next().unwrap_or(source);
+    let rules: [(&str, &str, &[&str]); 5] = [
+        (
+            "conn.rs",
+            code(include_str!("conn.rs")),
+            &["StudyPartials", "super::fold"],
+        ),
+        (
+            "render.rs",
+            code(include_str!("render.rs")),
+            &["Tcp", "SocketAddr"],
+        ),
+        (
+            "publish.rs",
+            code(include_str!("publish.rs")),
+            &["super::render"],
+        ),
+        (
+            "fold.rs",
+            code(include_str!("fold.rs")),
+            &["Snapshot", "Mutex", "RwLock"],
+        ),
+        (
+            "ingest.rs",
+            code(include_str!("ingest.rs")),
+            &["Snapshot", "Mutex", "RwLock"],
+        ),
+    ];
+    for (file, code, banned) in rules {
+        for name in banned {
+            let hit = code.lines().position(|line| line.contains(name));
+            assert_eq!(hit, None, "{file} names {name} (0-based line)");
+        }
+    }
+}
+
 #[test]
 fn config_normalization_clamps() {
     let mut config = ServeConfig::new(10, 1);
@@ -95,6 +137,25 @@ fn config_normalization_clamps() {
     let mut config = ServeConfig::new(10, 1);
     config.shards = 64;
     assert_eq!(config.normalized().shards, INGEST_SLOTS);
+}
+
+/// The clean feed over `ordinals` sealed into about `ways` whole-sample
+/// segments, the way the feeder seals a slot's stream.
+pub(super) fn sealed_segments(
+    sim: &VirusTotalSim,
+    ordinals: std::ops::Range<u64>,
+    ways: u64,
+) -> Vec<Segment> {
+    let feed = FaultyFeed::from_sim(sim, ordinals, FaultPlan::clean(sim.config().seed));
+    let groups = Collector::default().run(feed).store.group_by_sample();
+    let reports: u64 = groups.iter().map(|(_, r)| r.len() as u64).sum();
+    let mut writer = SegmentWriter::new(reports.div_ceil(ways));
+    let mut segments: Vec<Segment> = groups
+        .iter()
+        .filter_map(|(_, reports)| writer.push_sample(reports))
+        .collect();
+    segments.extend(writer.finish());
+    segments
 }
 
 pub(super) fn bare_snapshot(epoch: u64) -> Snapshot {
@@ -121,7 +182,6 @@ fn bare_snapshot_with_slots(epoch: u64, slot_epochs: [u64; INGEST_SLOTS]) -> Sna
         engine_names: Arc::new(Vec::new()),
         alerts: Arc::new(Vec::new()),
         recommend: String::new(),
-        degraded: false,
     }
 }
 
@@ -224,24 +284,6 @@ fn cache_keeps_unchanged_slots_across_epoch_swaps() {
         body(4, "fresh2"),
         "whole-study entries drop every epoch"
     );
-}
-
-#[test]
-fn cache_never_serves_entries_across_a_degraded_transition() {
-    let shared = cache_of(8);
-    let snap1 = bare_snapshot_with_slots(1, [1; INGEST_SLOTS]);
-    shared
-        .cache
-        .respond(&snap1, "k", Some(2), || body(1, "clean"));
-    // Epoch 2 degrades without touching slot 2: the baked-in
-    // (absent) degraded suffix no longer matches, so no hit.
-    let mut snap2 = bare_snapshot_with_slots(2, [1; INGEST_SLOTS]);
-    snap2.degraded = true;
-    let got = shared
-        .cache
-        .respond(&snap2, "k", Some(2), || body(2, "flagged"));
-    assert_eq!(got, body(2, "flagged"));
-    assert_eq!(shared.counters.cache_hits.value(), 0);
 }
 
 #[test]

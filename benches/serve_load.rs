@@ -22,9 +22,7 @@
 //! * **Zipf per-hash reads under live ingest** — 8 reader clients issue
 //!   `sample` queries with Zipf(1.0)-skewed hash popularity *while* the
 //!   daemon ingests and swaps epochs underneath: p50/p99 read latency
-//!   plus the hot-sample cache hit rate (slot-aware invalidation: an
-//!   epoch swap only evicts the changed ingest slot's entries, so the
-//!   hit rate prices the cache under churn, not at steady state).
+//!   of answers rendered per request from the pinned snapshot.
 //!
 //! Run with: `cargo bench --bench serve_load`
 
@@ -347,27 +345,11 @@ fn main() {
         percentile_us(&read_lat, 0.50),
         percentile_us(&read_lat, 0.99),
     );
-    let (mut stream, mut reader) = connect(addr);
-    let status = ask(&mut stream, &mut reader, "status");
-    let cache_hits = status
-        .get("cache_hits")
-        .and_then(|h| h.as_u64())
-        .unwrap_or(0);
-    let cache_misses = status
-        .get("cache_misses")
-        .and_then(|m| m.as_u64())
-        .unwrap_or(0);
-    let hit_rate = if cache_hits + cache_misses == 0 {
-        0.0
-    } else {
-        cache_hits as f64 / (cache_hits + cache_misses) as f64
-    };
-    drop((stream, reader));
     server.shutdown();
     server.wait();
     eprintln!(
         "  zipf reads 8 clients: p50={read_p50}us p99={read_p99}us \
-         ({read_reqs} reqs, {read_found} found, hit rate {hit_rate:.3})"
+         ({read_reqs} reqs, {read_found} found)"
     );
 
     // ---- BENCH_serve.json -------------------------------------------
@@ -405,7 +387,7 @@ fn main() {
          \x20 \"alert_overhead\": {{ \"detectors_off_ms\": {}, \"detectors_on_ms\": {}, \"overhead_ratio\": {alert_overhead:.4}, \"note\": \"streaming drift detectors folded into every segment seal; acceptance bar is a ratio within 1.05 — the detector fold itself is gated in bench_drift\" }},\n\
          \x20 \"latency_by_clients\": {{\n{}\n  }},\n\
          \x20 \"overload\": {{ \"clients\": 32, \"max_clients\": 8, \"served\": {served}, \"shed\": {shed}, \"shed_p99_us\": {shed_p99} }},\n\
-         \x20 \"zipf_read\": {{ \"skew\": 1.0, \"clients\": 8, \"cache_samples\": 1024, \"requests\": {read_reqs}, \"found\": {read_found}, \"p50_us\": {read_p50}, \"p99_us\": {read_p99}, \"cache_hits\": {cache_hits}, \"cache_misses\": {cache_misses}, \"hit_rate\": {hit_rate:.4}, \"note\": \"per-hash `sample` queries during live ingest; slot-aware invalidation: an epoch swap only evicts the changed ingest slot's cache entries and splices the new epoch into surviving hits, so the hit rate prices the cache under churn\" }}\n\
+         \x20 \"zipf_read\": {{ \"skew\": 1.0, \"clients\": 8, \"requests\": {read_reqs}, \"found\": {read_found}, \"p50_us\": {read_p50}, \"p99_us\": {read_p99} }}\n\
          }}\n",
         throughput_json.join(",\n"),
         durable_elapsed.as_millis(),

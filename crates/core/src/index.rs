@@ -25,6 +25,7 @@
 //! when the sample's threshold-`FIG9_THRESHOLDS[i]` label sequence has
 //! stabilized (§6.2).
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use crate::records::SampleRecord;
@@ -289,15 +290,17 @@ impl SampleIndex {
 
     /// The top-`k` flip leaders: samples ranked by engine-label flip
     /// count, ties broken by hash ascending — a total order, so the
-    /// answer is identical however the index was assembled.
+    /// answer is identical however the index was assembled. Selects
+    /// the `k` leaders before it sorts them — O(n + k log k), and since
+    /// the order is total the kept prefix is the full sort's.
     pub fn top_flips(&self, k: usize) -> Vec<SampleSummary<'_>> {
+        let rank = |&i: &usize| (Reverse(self.flips[i]), self.hashes[i]);
         let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.flips[b]
-                .cmp(&self.flips[a])
-                .then_with(|| self.hashes[a].cmp(&self.hashes[b]))
-        });
+        if (1..order.len()).contains(&k) {
+            order.select_nth_unstable_by_key(k - 1, rank);
+        }
         order.truncate(k);
+        order.sort_unstable_by_key(rank);
         order.into_iter().map(|i| self.summary(i)).collect()
     }
 
@@ -462,6 +465,53 @@ mod tests {
         let again: Vec<_> = merged.top_flips(25).iter().map(|s| s.hash).collect();
         let first: Vec<_> = leaders.iter().map(|s| s.hash).collect();
         assert_eq!(again, first);
+    }
+
+    /// The oracle `top_flips` is held to: rank every sample, keep `k`.
+    fn top_by_full_sort(idx: &SampleIndex, k: usize) -> Vec<SampleHash> {
+        let mut order: Vec<usize> = (0..idx.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            idx.flips[b]
+                .cmp(&idx.flips[a])
+                .then_with(|| idx.hashes[a].cmp(&idx.hashes[b]))
+        });
+        order.truncate(k);
+        order.into_iter().map(|i| idx.hashes[i]).collect()
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Selecting before sorting answers what the full sort did,
+            /// at every edge of `k`, on indexes where most flip counts
+            /// tie and only the hash separates neighbours.
+            #[test]
+            fn top_flips_is_the_full_sorts_prefix(
+                samples in proptest::collection::vec((0u32..4, any::<u64>()), 0..120)
+            ) {
+                let n = samples.len();
+                // Report-less samples: `top_flips` reads two columns.
+                let idx = SampleIndex {
+                    hashes: samples
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(_, salt))| SampleHash(u128::from(salt) << 32 | i as u128))
+                        .collect(),
+                    flips: samples.iter().map(|&(flips, _)| flips).collect(),
+                    type_idx: vec![0; n],
+                    flags: vec![0; n],
+                    stab_mask: vec![0; n],
+                    offsets: vec![0; n + 1],
+                    ..SampleIndex::default()
+                };
+                for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                    let got: Vec<_> = idx.top_flips(k).iter().map(|s| s.hash).collect();
+                    prop_assert_eq!(got, top_by_full_sort(&idx, k), "k={} of {}", k, n);
+                }
+            }
+        }
     }
 
     #[test]

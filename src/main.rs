@@ -17,8 +17,7 @@
 //! vtld serve [--samples N] [--seed S] [--segment-reports R]
 //!            [--workers W] [--shards K] [--addr HOST:PORT]
 //!            [--data-dir DIR] [--recover] [--max-clients C]
-//!            [--cache-samples E] [--alerts-out PATH]
-//!            [--alerts-tcp ADDR] [--no-alerts]
+//!            [--alerts-out PATH] [--alerts-tcp ADDR] [--no-alerts]
 //!     Run the long-lived daemon: ingest the chaos-injected feed
 //!     through the fault-tolerant collector, fold each sealed segment
 //!     incrementally across a sharded worker fleet, run the streaming
@@ -160,8 +159,7 @@ const USAGE: &str = "usage:
   vtld serve    [--samples N] [--seed S] [--segment-reports R]
                 [--workers W] [--shards K] [--addr HOST:PORT]
                 [--data-dir DIR] [--recover] [--max-clients C]
-                [--cache-samples E] [--alerts-out PATH]
-                [--alerts-tcp ADDR] [--no-alerts]
+                [--alerts-out PATH] [--alerts-tcp ADDR] [--no-alerts]
   vtld help
 
 run any subcommand with --help for its flags and defaults";
@@ -400,7 +398,6 @@ struct ServeArgs {
     data_dir: Option<String>,
     recover: bool,
     max_clients: usize,
-    cache_samples: usize,
     alerts: bool,
     alerts_out: Option<String>,
     alerts_tcp: Option<String>,
@@ -426,9 +423,6 @@ flags:
   --max-clients C       concurrent connections before new
                         clients are shed with a typed
                         'overloaded' response               (default 256)
-  --cache-samples E     hot-sample response cache entries
-                        for the per-hash query verbs
-                        (0 disables caching)                (default 1024)
   --alerts-out PATH     append drift alerts to PATH as JSONL
                         (exactly-once across --recover)
   --alerts-tcp ADDR     stream drift alerts to a TCP endpoint
@@ -459,7 +453,6 @@ Every response carries the snapshot epoch.";
                 "addr",
                 "data-dir",
                 "max-clients",
-                "cache-samples",
                 "alerts-out",
                 "alerts-tcp",
             ],
@@ -484,7 +477,6 @@ Every response carries the snapshot epoch.";
             data_dir,
             recover,
             max_clients: parse_u64(&flags, "max-clients", 256)?.max(1) as usize,
-            cache_samples: parse_u64(&flags, "cache-samples", 1_024)? as usize,
             alerts: !has_switch(&flags, "no-alerts"),
             alerts_out: flag(&flags, "alerts-out").map(str::to_string),
             alerts_tcp: flag(&flags, "alerts-tcp").map(str::to_string),
@@ -585,7 +577,6 @@ fn cmd_serve(args: ServeArgs) -> Result<(), VtldError> {
     config.data_dir = args.data_dir.map(std::path::PathBuf::from);
     config.recover = args.recover;
     config.max_clients = args.max_clients;
-    config.cache_samples = args.cache_samples;
     config.alerts = args.alerts;
     config.alerts_out = args.alerts_out.map(std::path::PathBuf::from);
     config.alerts_tcp = args.alerts_tcp;
@@ -668,7 +659,6 @@ mod tests {
         assert_eq!(d.addr, "127.0.0.1:7311");
         assert_eq!(d.shards, 1);
         assert_eq!(d.max_clients, 256);
-        assert_eq!(d.cache_samples, 1_024);
         assert!(d.data_dir.is_none());
         assert!(!d.recover);
         assert!(d.alerts, "detectors are on by default");
@@ -721,13 +711,8 @@ mod tests {
             1,
             "a zero client cap clamps to one"
         );
-        assert_eq!(
-            ServeArgs::parse(&strings(&["--cache-samples", "0"]))
-                .expect("ok")
-                .cache_samples,
-            0,
-            "zero means caching disabled, not clamped"
-        );
+        let err = ServeArgs::parse(&strings(&["--cache-samples", "0"])).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --cache-samples");
         let err = ServeArgs::parse(&strings(&["--recover"])).unwrap_err();
         assert!(
             err.to_string().starts_with("--recover requires --data-dir"),

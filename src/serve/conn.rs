@@ -6,9 +6,11 @@
 //! thread, read and write deadlines and a request-line length limit;
 //! slow or hostile clients are evicted with a typed response
 //! (`serve/evicted`), never serviced forever. Each request line is
-//! parsed into the typed `wire::Request`, answered from the snapshot
-//! current at that moment, and a `subscribe` switches the connection to
-//! a push stream that parks on the publish seam between epochs.
+//! parsed into the typed `wire::Request` and answered from the snapshot
+//! current at that moment, pinned once (`status` and `metrics` read the
+//! live registry beside it); a `subscribe` switches the connection to a
+//! push stream that parks on the publish seam between epochs. Past the
+//! seam's pointer clone a handler takes no lock.
 //!
 //! This is the one place a readiness-based reactor could replace
 //! thread-per-connection: nothing below it knows what a socket is.
@@ -20,9 +22,13 @@ use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::publish::Seam;
-use super::render::{render_alerts, render_status, Lazy, ResponseCache};
+use super::render::{
+    render_alerts, render_engine, render_flip_leaders, render_metrics, render_sample,
+    render_stabilized, render_status,
+};
 use super::wire::{self, quoted, Render, Request};
 use super::ServeConfig;
+use crate::obs::Obs;
 
 /// What the accept loop and every connection handler share. Owned, not
 /// borrowed: handler threads are detached and outlive the accept loop.
@@ -30,7 +36,8 @@ pub(super) struct ConnCtx {
     pub(super) config: ServeConfig,
     pub(super) seam: Arc<Seam>,
     pub(super) counters: ServeCounters,
-    pub(super) cache: ResponseCache,
+    /// The daemon's registry itself, shared: `metrics` renders it live.
+    pub(super) obs: Arc<Obs>,
     pub(super) active_clients: AtomicU64,
 }
 
@@ -243,23 +250,24 @@ enum Action {
 }
 
 /// Routes one request line through the typed [`Request`] API to its
-/// response — pre-rendered for the aggregate verbs, rendered from the
-/// live registry for `status`, lazily rendered (behind the hot-sample
-/// cache) for the per-hash verbs.
+/// response: every verb answers from the one snapshot pinned here —
+/// pre-rendered for the aggregate verbs, rendered per request for the
+/// per-hash ones — and `status` and `metrics` read the live registry
+/// beside it.
 fn respond(line: &str, ctx: &ConnCtx) -> Action {
     let snap = ctx.seam.current();
     let req = match Request::parse_line(line) {
         Ok(req) => req,
         Err(e) => return Action::Reply(e.render(snap.epoch)),
     };
-    let lazy = match req {
-        Request::Status => return Action::Reply(render_status(&snap, &ctx.counters)),
-        Request::Results => return Action::Reply(snap.results.clone()),
-        Request::Engines => return Action::Reply(snap.engines.clone()),
-        Request::Metrics => return Action::Reply(snap.metrics.clone()),
-        Request::Fingerprint => return Action::Reply(snap.fingerprint.clone()),
-        Request::Alerts { since } => return Action::Reply(render_alerts(&snap, since)),
-        Request::Recommend => return Action::Reply(snap.recommend.clone()),
+    Action::Reply(match req {
+        Request::Status => render_status(&snap, &ctx.counters),
+        Request::Results => snap.results.clone(),
+        Request::Engines => snap.engines.clone(),
+        Request::Metrics => render_metrics(&snap, &ctx.obs),
+        Request::Fingerprint => snap.fingerprint.clone(),
+        Request::Alerts { since } => render_alerts(&snap, since),
+        Request::Recommend => snap.recommend.clone(),
         Request::Subscribe => {
             return Action::Subscribe {
                 ack: wire::SubscribeAck.render(snap.epoch),
@@ -269,24 +277,20 @@ fn respond(line: &str, ctx: &ConnCtx) -> Action {
         Request::Shutdown => {
             return Action::ReplyThenShutdown(wire::ShutdownAck.render(snap.epoch))
         }
-        Request::Sample { hash } => Lazy::Sample(hash),
-        Request::Stabilized { hash, threshold } => Lazy::Stabilized(hash, threshold),
-        Request::FlipLeaders { k } => Lazy::FlipLeaders(k),
+        Request::Sample { hash } => render_sample(&snap, hash),
+        Request::Stabilized { hash, threshold } => render_stabilized(&snap, hash, threshold),
+        Request::FlipLeaders { k } => render_flip_leaders(&snap, k),
         // Resolution happens against the snapshot's roster, not at
-        // parse time (the parser cannot know the roster). Unknown names
-        // are answered uncached.
+        // parse time (the parser cannot know the roster).
         Request::Engine { name } => match snap.engine_names.iter().position(|n| *n == name) {
-            Some(engine) => Lazy::Engine(engine),
-            None => {
-                return Action::Reply(format!(
-                    "{{\"epoch\":{},\"error\":{}}}",
-                    snap.epoch,
-                    quoted(&format!("unknown engine '{name}'"))
-                ))
-            }
+            Some(engine) => render_engine(&snap, engine),
+            None => format!(
+                "{{\"epoch\":{},\"error\":{}}}",
+                snap.epoch,
+                quoted(&format!("unknown engine '{name}'"))
+            ),
         },
-    };
-    Action::Reply(ctx.cache.serve(&snap, &lazy))
+    })
 }
 
 /// Push mode: after the `subscribe` ack, park on the publish seam and

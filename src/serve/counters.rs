@@ -5,8 +5,8 @@ use crate::obs::{Counter, Gauge, Obs};
 
 /// The daemon's one book: registry handles for every running total it
 /// keeps, registered once at startup. The threads that do the work bump
-/// them, `status` reads them per request and `metrics` serves the same
-/// registry — no second tally, no publish-time copy.
+/// them, `status` reads them per request and `metrics` renders the same
+/// registry per request — no second tally, no publish-time copy.
 #[derive(Debug, Clone)]
 pub(super) struct ServeCounters {
     /// Reports the collector accepted, over every ingest chunk — the
@@ -34,15 +34,6 @@ pub(super) struct ServeCounters {
     /// High-water mark of sealed segments queued between the feeder and
     /// the shard workers (`serve/queue_depth`).
     pub(super) queue_depth: Gauge,
-    /// Poisoned-lock recoveries: each time the response cache's lock
-    /// is taken over from a holder that panicked (`serve/poisoned`).
-    /// Zero in a healthy daemon.
-    pub(super) poisoned: Counter,
-    /// Per-hash responses served from the hot-sample cache
-    /// (`serve/cache_hits`).
-    pub(super) cache_hits: Counter,
-    /// Per-hash responses rendered on demand (`serve/cache_misses`).
-    pub(super) cache_misses: Counter,
     /// Drift alerts fired by the detectors (`serve/alerts_fired`).
     pub(super) alerts_fired: Counter,
     /// [`crate::dynamics::MonitorEvent::Stabilized`] events observed
@@ -74,9 +65,6 @@ impl ServeCounters {
             recovered_segments: obs.counter("serve/recovered_segments"),
             quarantined_segments: obs.counter("serve/quarantined_segments"),
             queue_depth: obs.gauge("serve/queue_depth"),
-            poisoned: obs.counter("serve/poisoned"),
-            cache_hits: obs.counter("serve/cache_hits"),
-            cache_misses: obs.counter("serve/cache_misses"),
             alerts_fired: obs.counter("serve/alerts_fired"),
             alerts_stabilized: obs.counter("serve/alerts_stabilized"),
             alerts_destabilized: obs.counter("serve/alerts_destabilized"),

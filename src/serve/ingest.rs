@@ -33,6 +33,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
+use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::{ServeConfig, INGEST_SLOTS};
@@ -72,7 +73,9 @@ pub(super) struct SegmentMsg {
 pub(super) struct IngestCtx {
     pub(super) config: ServeConfig,
     pub(super) sim: VirusTotalSim,
-    pub(super) obs: Obs,
+    /// The daemon's one registry; the connection handlers share this
+    /// pointer to render `metrics` from it live.
+    pub(super) obs: Arc<Obs>,
     /// The `store/*` handles of `obs`, resolved once: the slot writers'
     /// encode, the replay's and the round trip's decode all record here.
     pub(super) store_obs: StoreObs,
@@ -87,7 +90,7 @@ pub(super) struct IngestCtx {
 
 impl IngestCtx {
     pub(super) fn new(config: ServeConfig) -> Self {
-        let obs = Obs::new();
+        let obs = Arc::new(Obs::new());
         Self {
             sim: VirusTotalSim::new(SimConfig::new(config.seed, config.samples)),
             config,

@@ -35,8 +35,11 @@
 //!   snapshot and the one thing a `subscribe` stream waits on (publish
 //!   and shutdown are its only wake-ups).
 //! * `render` — snapshot → bytes. Aggregate documents are rendered once
-//!   per epoch; per-hash answers lazily, behind an LRU cache that an
-//!   epoch swap invalidates only for the slots that republished.
+//!   per epoch, per-hash answers per request; a response is a function
+//!   of the snapshot it pinned (`status` and `metrics` also read the
+//!   live registry), so nothing is cached and nothing is invalidated —
+//!   the one memo, the `flip_leaders` ranking, lives and dies with its
+//!   snapshot.
 //! * `conn` — sockets ↔ lines. Admission cap, read/write deadlines, an
 //!   exact request-line bound, typed `overloaded`/`evicted` responses,
 //!   and dispatch of each parsed request.
@@ -141,10 +144,6 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// Maximum request line length in bytes; longer lines evict.
     pub max_line_bytes: usize,
-    /// Hot-sample response cache capacity (entries). Per-hash responses
-    /// are rendered lazily and kept behind a bounded LRU invalidated on
-    /// epoch swap; `0` disables caching.
-    pub cache_samples: usize,
     /// Run the streaming drift detectors alongside every slot fold
     /// (the `alerts`/`subscribe`/`recommend` verbs answer either way;
     /// with detectors off the alert stream is empty).
@@ -167,10 +166,9 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A config with the daemon defaults: ephemeral localhost port,
     /// 20k-report segments, one shard, default fold workers, 256-client
-    /// cap, 10s deadlines, 64 KiB request lines, a 1 024-entry
-    /// hot-sample cache, in-memory (no data dir), and a lightly chaotic
-    /// feed (1% duplicates, 5% reordering within the collector's
-    /// horizon).
+    /// cap, 10s deadlines, 64 KiB request lines, in-memory (no data
+    /// dir), and a lightly chaotic feed (1% duplicates, 5% reordering
+    /// within the collector's horizon).
     pub fn new(samples: u64, seed: u64) -> Self {
         Self {
             samples,
@@ -188,7 +186,6 @@ impl ServeConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_line_bytes: 64 * 1024,
-            cache_samples: 1_024,
             alerts: true,
             alert_config: AlertConfig::default(),
             alerts_ring: 4_096,
@@ -274,7 +271,7 @@ impl Server {
             config: config.clone(),
             seam: Arc::clone(&daemon.seam),
             counters: counters.clone(),
-            cache: render::ResponseCache::new(config.cache_samples, counters),
+            obs: Arc::clone(&daemon.fold.ingest.obs),
             active_clients: AtomicU64::new(0),
         });
 

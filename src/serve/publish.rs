@@ -33,21 +33,22 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
 use super::{wire, INGEST_SLOTS};
 use crate::dynamics::flips::FlipAnalysis;
 use crate::dynamics::{IncrementalStudy, SampleIndex, SlotMergeTree, StudyResults};
-use crate::obs::{Obs, RunMetrics};
+use crate::obs::Obs;
 
 /// One epoch-consistent view of the study: the aggregate responses
-/// pre-rendered at publish time (request handling is allocation-only;
-/// `status` alone is rendered per request, from the live registry),
-/// plus everything the lazily rendered per-hash verbs answer from — the
-/// sample index, the flip matrix and the engine roster — pinned to the
-/// same epoch, so a handler that cloned the `Arc` can never mix stages
-/// of the study.
+/// pre-rendered at publish time, plus everything the per-hash verbs are
+/// rendered from per request — the sample index, the flip matrix and
+/// the engine roster — pinned to the same epoch, so a handler that
+/// cloned the `Arc` can never mix stages of the study. Immutable once
+/// published, but for the one memo a request may fill (`leaders`): a
+/// response is a function of the snapshot it pinned (`status` and
+/// `metrics` alone also read the live registry).
 #[derive(Debug)]
 pub(super) struct Snapshot {
     pub(super) epoch: u64,
@@ -59,17 +60,18 @@ pub(super) struct Snapshot {
     pub(super) shards: usize,
     pub(super) results: String,
     pub(super) engines: String,
-    pub(super) metrics: String,
     pub(super) fingerprint: String,
     /// Hash → trajectory summary, one index per ingest slot — the same
     /// folds this epoch's aggregates summarize. Publishing a new epoch
     /// replaces only the dirty slots' `Arc`s; per-hash verbs route by
     /// slot and never pay a cross-slot merge.
     pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
-    /// Epoch at which each slot's index (and partials) last changed.
-    /// The hot-sample cache compares these to decide which entries an
-    /// epoch swap actually invalidated.
-    pub(super) slot_epochs: [u64; INGEST_SLOTS],
+    /// The study-wide `(flips desc, hash asc)` ranking behind
+    /// `flip_leaders`, cut at `wire::MAX_FLIP_LEADERS` and kept as
+    /// rendered, epoch-free bodies, so any `k` is a prefix of it.
+    /// Filled by the first `flip_leaders` request that pins this
+    /// snapshot and dropped with it — nothing to invalidate.
+    pub(super) leaders: OnceLock<Vec<String>>,
     /// The §7.1 flip matrix backing the `engine` scorecard verb.
     pub(super) flips: Arc<FlipAnalysis>,
     /// Engine names in [`crate::model::EngineId`] order (the `engine`
@@ -173,9 +175,7 @@ pub(super) struct Merged {
     pub(super) results: StudyResults,
     pub(super) ingest_done: bool,
     pub(super) shards: usize,
-    pub(super) metrics: RunMetrics,
     pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
-    pub(super) slot_epochs: [u64; INGEST_SLOTS],
     pub(super) alerts: Arc<Vec<PublishedAlert>>,
     pub(super) engine_names: Arc<Vec<String>>,
 }
@@ -194,9 +194,6 @@ pub(super) struct PublishCtx {
 /// with the next by pointer.
 struct MergerState {
     tree: SlotMergeTree,
-    /// Epoch at which each slot last changed (shipped in the snapshot
-    /// for slot-aware cache invalidation).
-    slot_epochs: [u64; INGEST_SLOTS],
     slot_indexes: Vec<Arc<SampleIndex>>,
     /// The published alerts with the `alerts_ring` largest keys, sorted
     /// by key. An alert with that many larger keys behind it can never
@@ -215,7 +212,6 @@ pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
     let ingest = &ctx.fold.ingest;
     let mut state = MergerState {
         tree: SlotMergeTree::new(INGEST_SLOTS),
-        slot_epochs: [0; INGEST_SLOTS],
         slot_indexes: empty_slot_indexes(),
         ring: Arc::default(),
     };
@@ -276,7 +272,6 @@ fn publish_merged(
             index,
             ..
         } = *update;
-        state.slot_epochs[slot] = epoch;
         state.slot_indexes[slot] = index;
         // The one copy of a fold's partials: the tree keeps its leaves
         // by value. The worker's pointer goes before the re-merge, not
@@ -305,9 +300,7 @@ fn publish_merged(
         results,
         ingest_done: done,
         shards: ingest.config.shards,
-        metrics: ingest.obs.snapshot(),
         slot_indexes: state.slot_indexes.clone(),
-        slot_epochs: state.slot_epochs,
         alerts: Arc::clone(&state.ring),
         engine_names: Arc::clone(&fold.roster),
     }));
@@ -328,9 +321,7 @@ pub(super) fn empty_epoch(fold: &FoldCtx) -> Merged {
             .results(Vec::new(), Obs::noop()),
         ingest_done: false,
         shards: fold.ingest.config.shards,
-        metrics: Obs::noop().snapshot(),
         slot_indexes: empty_slot_indexes(),
-        slot_epochs: [0; INGEST_SLOTS],
         alerts: Arc::default(),
         engine_names: Arc::clone(&fold.roster),
     }
@@ -427,7 +418,6 @@ mod tests {
             fingerprint: format!("{:?}", study_fingerprint(&merged.results)),
             ingest_done: merged.ingest_done,
             slot_indexes: merged.slot_indexes,
-            slot_epochs: merged.slot_epochs,
             alerts: merged.alerts,
             ..snapshot(merged.epoch)
         }
@@ -497,7 +487,6 @@ mod tests {
         let ctx = merger_ctx(config);
         let (tx, rx) = channel();
         let mut stamped: Vec<((u64, u32, u8, u32), u64)> = Vec::new();
-        let mut last_update = [0u64; INGEST_SLOTS];
         let trickle = std::thread::scope(|scope| {
             // `tx` lives in here so that a failed assertion drops it on
             // the way out and the merger returns instead of the scope
@@ -506,14 +495,12 @@ mod tests {
             let merger = scope.spawn(move || merger_loop(ctx, &rx));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
-                let (slot, keys) = (update.slot, update.alerts.iter().map(Alert::key));
-                let keys: Vec<_> = keys.collect();
+                let keys: Vec<_> = update.alerts.iter().map(Alert::key).collect();
                 tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
                 let seen = ctx.seam.wait_past(epoch).expect("no shutdown").epoch;
                 assert_eq!(seen, epoch + 1, "one publish per update");
                 epoch = seen;
                 stamped.extend(keys.into_iter().map(|key| (key, epoch)));
-                last_update[slot] = epoch;
             }
             tx.send(MergeEvent::WorkerExited).expect("rx");
             merger.join().expect("the merger returns");
@@ -542,7 +529,6 @@ mod tests {
             .map(|a| (a.key, a.published))
             .collect();
         assert_eq!(ring, stamped);
-        assert_eq!(trickle.slot_epochs, last_update);
     }
 
     /// An update with no study behind it: `count` alerts at `seq`.
@@ -583,7 +569,6 @@ mod tests {
         assert_eq!(last.epoch, 2, "the update's publish, then the final one");
         assert!(!last.ingest_done);
         assert_eq!(last.alerts.len(), 1);
-        assert_eq!(last.slot_epochs[3], 1);
     }
 
     #[test]

@@ -1,267 +1,34 @@
 //! Layer 4 — snapshot → bytes.
 //!
-//! Everything a response is made of comes off one pinned [`Snapshot`].
-//! The aggregate documents (`results`, `engines`, `metrics`,
-//! `fingerprint`, `recommend`) are rendered once per epoch by
-//! [`render_snapshot`], which the merger publishes with; `status` is
-//! rendered per request from the live registry; the per-hash verbs
-//! ([`Lazy`]) are rendered per request from the snapshot's slot indexes
-//! behind the bounded [`ResponseCache`], whose entries are stamped with
-//! the epoch their *slot* last changed at — so an epoch swap invalidates
-//! only the answers whose slot actually republished (a hot sample in an
-//! untouched slot stays cached across swaps, its epoch member spliced to
-//! the live epoch at serve time), and a cached answer can never leak
-//! stale data across a swap.
+//! A response is a function of one pinned [`Snapshot`]. The aggregate
+//! documents (`results`, `engines`, `fingerprint`, `recommend`) are
+//! rendered once per epoch by [`render_snapshot`], which the merger
+//! publishes with; the per-hash verbs are rendered per request from the
+//! snapshot's slot indexes, flip matrix and roster. A snapshot is
+//! immutable, so two answers at one epoch are the same bytes with
+//! nothing remembering the first, and there is nothing to invalidate.
+//! One computation is worth keeping, and the snapshot keeps it: the
+//! study-wide flip ranking behind `flip_leaders` is made once per
+//! snapshot, by the first request that asks, into the snapshot's own
+//! `leaders` cell. `status` and `metrics` are rendered per request from
+//! the live registry, under the pinned snapshot's epoch.
 //!
-//! Renders strings and nothing else: no socket, no lock but the
-//! cache's own.
+//! Renders strings and nothing else: no socket, no lock, no state of
+//! its own.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, OnceLock};
 
 use super::counters::ServeCounters;
 use super::ingest::slot_of;
 use super::publish::{Merged, Snapshot};
-use super::wire::quoted;
+use super::wire::{quoted, MAX_FLIP_LEADERS};
 use crate::dynamics::flips::{FlipAnalysis, FlipCell};
 use crate::dynamics::stabilization::FIG9_THRESHOLDS;
 use crate::dynamics::{SampleIndex, StudyResults};
 use crate::model::{EngineId, FileType, SampleHash};
-use crate::obs::Counter;
-
-// ---- the hot-sample cache ----------------------------------------------
-
-/// One cached per-hash response: the rendered body with the epoch
-/// digits spliced out, plus the provenance stamps that decide whether
-/// an epoch swap invalidated it.
-#[derive(Debug)]
-struct CacheEntry {
-    /// The response *after* the `{"epoch":` digits — every lazily
-    /// rendered verb starts with that prefix, so serving a hit is a
-    /// splice of the live epoch in front of this tail.
-    tail: String,
-    /// Which ingest slot the answer was rendered from (`None` for the
-    /// whole-study verbs `engine` and `flip_leaders`).
-    slot: Option<usize>,
-    /// For slot-routed entries, the snapshot's `slot_epochs[slot]` at
-    /// render time; for whole-study entries, the full epoch.
-    stamp: u64,
-    /// Last-used stamp backing least-recently-used eviction.
-    last_used: u64,
-}
-
-impl CacheEntry {
-    /// Is this entry still exactly what rendering against `snap` would
-    /// produce (up to the spliced epoch digits)?
-    fn valid_for(&self, snap: &Snapshot) -> bool {
-        let stamp = match self.slot {
-            Some(slot) => snap.slot_epochs[slot],
-            None => snap.epoch,
-        };
-        stamp == self.stamp
-    }
-}
-
-#[derive(Debug, Default)]
-struct CacheState {
-    epoch: u64,
-    /// Monotone use counter backing least-recently-used eviction.
-    clock: u64,
-    /// Canonical request key → cached response.
-    map: HashMap<String, CacheEntry>,
-}
-
-/// The bounded LRU cache behind the lazily rendered per-hash verbs.
-///
-/// Entries are stamped with the *slot epoch* they were rendered from —
-/// the epoch at which their hash's ingest slot last changed. The first
-/// request against a newer snapshot sweeps the map, dropping only the
-/// entries whose slot actually republished since they were rendered
-/// (plus the whole-study `engine`/`flip_leaders` entries, which every
-/// epoch invalidates); entries for untouched slots survive the swap,
-/// because their slot's index `Arc` is byte-for-byte the one they were
-/// rendered from. A request that races a publish and holds an *older*
-/// snapshot bypasses the cache entirely — a response for epoch N is
-/// never stored once the cache has seen N+1, so answers cannot leak
-/// across an epoch swap, and any one connection's epochs stay monotone.
-#[derive(Debug)]
-pub(super) struct ResponseCache {
-    /// Entries retained; 0 disables caching entirely.
-    capacity: usize,
-    hits: Counter,
-    misses: Counter,
-    poisoned: Counter,
-    state: Mutex<CacheState>,
-}
-
-impl ResponseCache {
-    pub(super) fn new(capacity: usize, counters: &ServeCounters) -> Self {
-        Self {
-            capacity,
-            hits: counters.cache_hits.clone(),
-            misses: counters.cache_misses.clone(),
-            poisoned: counters.poisoned.clone(),
-            state: Mutex::default(),
-        }
-    }
-
-    /// Serves one lazily rendered verb through the cache.
-    pub(super) fn serve(&self, snap: &Snapshot, verb: &Lazy) -> String {
-        let (key, slot) = verb.key_and_slot();
-        self.respond(snap, &key, slot, || verb.render(snap))
-    }
-
-    /// Serves the response cached under `key`, or renders and caches
-    /// it. `slot` is the ingest slot the answer is rendered from
-    /// (`None` for whole-study answers); it decides which epoch swaps
-    /// invalidate the entry.
-    pub(super) fn respond(
-        &self,
-        snap: &Snapshot,
-        key: &str,
-        slot: Option<usize>,
-        render: impl FnOnce() -> String,
-    ) -> String {
-        if self.capacity == 0 {
-            return render();
-        }
-        {
-            let mut cache = self.lock();
-            if cache.epoch != snap.epoch {
-                if snap.epoch > cache.epoch {
-                    // First request against a newer snapshot: sweep out the
-                    // entries whose slot republished (or whole-study
-                    // entries); untouched slots' answers stay hot.
-                    cache.epoch = snap.epoch;
-                    cache.map.retain(|_, entry| entry.valid_for(snap));
-                } else {
-                    // This request pinned a snapshot from before the swap
-                    // the cache has already seen: serve it uncached rather
-                    // than ever mixing epochs.
-                    drop(cache);
-                    self.misses.incr();
-                    return render();
-                }
-            }
-            cache.clock += 1;
-            let stamp = cache.clock;
-            if let Some(entry) = cache.map.get_mut(key) {
-                entry.last_used = stamp;
-                self.hits.incr();
-                // The entry may have been rendered epochs ago (its slot
-                // unchanged since); splicing the live epoch reproduces the
-                // fresh rendering byte for byte.
-                return splice_epoch(snap.epoch, &entry.tail);
-            }
-        }
-        // Render outside the lock — a fold-sized index walk must not block
-        // every other per-hash reader.
-        self.misses.incr();
-        let rendered = render();
-        let Some(tail) = epoch_tail(&rendered) else {
-            return rendered;
-        };
-        let mut cache = self.lock();
-        if cache.epoch == snap.epoch {
-            if cache.map.len() >= self.capacity && !cache.map.contains_key(key) {
-                let victim = cache
-                    .map
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.last_used)
-                    .map(|(k, _)| k.clone());
-                if let Some(victim) = victim {
-                    cache.map.remove(&victim);
-                }
-            }
-            cache.clock += 1;
-            let stamp = cache.clock;
-            cache.map.insert(
-                key.to_string(),
-                CacheEntry {
-                    tail: tail.to_string(),
-                    slot,
-                    stamp: match slot {
-                        Some(slot) => snap.slot_epochs[slot],
-                        None => snap.epoch,
-                    },
-                    last_used: stamp,
-                },
-            );
-        }
-        rendered
-    }
-
-    /// Takes the cache lock, recovering from poisoning by dropping every
-    /// entry (a handler that panicked mid-insert may have left the map
-    /// in an arbitrary but memory-safe state; an empty cache is always
-    /// correct).
-    fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(|poisoned| {
-            self.poisoned.incr();
-            let mut guard = poisoned.into_inner();
-            *guard = CacheState::default();
-            guard
-        })
-    }
-}
-
-/// Splits a lazily rendered response after its `{"epoch":<digits>`
-/// prefix, returning the epoch-independent tail. Every per-hash verb
-/// renders that prefix first; `None` (uncacheable) otherwise.
-pub(super) fn epoch_tail(response: &str) -> Option<&str> {
-    let rest = response.strip_prefix("{\"epoch\":")?;
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    if digits == 0 {
-        return None;
-    }
-    Some(&rest[digits..])
-}
-
-/// Reassembles a cached tail under the serving snapshot's epoch.
-pub(super) fn splice_epoch(epoch: u64, tail: &str) -> String {
-    format!("{{\"epoch\":{epoch}{tail}")
-}
+use crate::obs::Obs;
 
 // ---- per-request renderers ---------------------------------------------
-
-/// A verb rendered per request, behind the [`ResponseCache`].
-pub(super) enum Lazy {
-    Sample(SampleHash),
-    /// A hash and a Fig. 9 threshold.
-    Stabilized(SampleHash, u32),
-    /// By roster index: the cache is keyed by client-controlled strings
-    /// only after they resolve, so unknown names cannot crowd out real
-    /// entries.
-    Engine(usize),
-    FlipLeaders(usize),
-}
-
-impl Lazy {
-    /// The canonical cache key, and the one ingest slot the answer is
-    /// rendered from. `engine` re-finishes with the flip matrix and
-    /// `flip_leaders` ranks across every slot, so both are whole-study
-    /// answers (`None`): every epoch swap invalidates them.
-    fn key_and_slot(&self) -> (String, Option<usize>) {
-        match *self {
-            Lazy::Sample(hash) => (format!("sample:{}", hash.to_hex()), Some(slot_of(hash))),
-            Lazy::Stabilized(hash, t) => (
-                format!("stabilized:{}:{t}", hash.to_hex()),
-                Some(slot_of(hash)),
-            ),
-            Lazy::Engine(engine) => (format!("engine:{engine}"), None),
-            Lazy::FlipLeaders(k) => (format!("flip_leaders:{k}"), None),
-        }
-    }
-
-    fn render(&self, snap: &Snapshot) -> String {
-        match *self {
-            Lazy::Sample(hash) => render_sample(snap, hash),
-            Lazy::Stabilized(hash, t) => render_stabilized(snap, hash, t),
-            Lazy::Engine(engine) => render_engine(snap, engine),
-            Lazy::FlipLeaders(k) => render_flip_leaders(snap, k),
-        }
-    }
-}
 
 /// The `sample` verb: one hash's full trajectory summary from the
 /// snapshot's index.
@@ -329,7 +96,7 @@ pub(super) fn render_stabilized(snap: &Snapshot, hash: SampleHash, t: u32) -> St
 
 /// The `engine` verb: one engine's flip scorecard — totals plus every
 /// top-20 type it has had flip opportunities on.
-fn render_engine(snap: &Snapshot, engine: usize) -> String {
+pub(super) fn render_engine(snap: &Snapshot, engine: usize) -> String {
     let epoch = snap.epoch;
     let total = snap.flips.engine_total(EngineId::new(engine));
     let types: Vec<String> = snap.flips.matrix[engine]
@@ -359,19 +126,36 @@ fn render_engine(snap: &Snapshot, engine: usize) -> String {
 
 /// The `flip_leaders` verb: the top-`k` samples by engine-label flip
 /// count (ties by hash — a total order, identical at every shard and
-/// worker count). Ranked by merging each slot's own top-`k` under that
-/// total order — the global top `k` is contained in the union, so the
-/// answer is bit-identical to ranking one merged index.
+/// worker count) — the first `k` of the snapshot's one ranking, which
+/// the first request to pin the snapshot computes.
 pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
-    let epoch = snap.epoch;
-    let mut ranked: Vec<_> = snap
-        .slot_indexes
-        .iter()
-        .flat_map(|index| index.top_flips(k))
-        .collect();
-    ranked.sort_unstable_by(|a, b| b.flips.cmp(&a.flips).then_with(|| a.hash.cmp(&b.hash)));
-    ranked.truncate(k);
-    let leaders: Vec<String> = ranked
+    let leaders = snap
+        .leaders
+        .get_or_init(|| rank_flip_leaders(&snap.slot_indexes));
+    format!(
+        "{{\"epoch\":{},\"k\":{k},\"leaders\":[{}]}}",
+        snap.epoch,
+        leaders[..k.min(leaders.len())].join(","),
+    )
+}
+
+/// The study-wide flip ranking, cut at [`MAX_FLIP_LEADERS`] (the parser
+/// clamps `k` there, so every answer is a prefix) and rendered. Ranked
+/// by merging each slot's own leaders under the total order — the
+/// global leaders are contained in the union, so the ranking is
+/// bit-identical to ranking one merged index.
+fn rank_flip_leaders(slot_indexes: &[Arc<SampleIndex>]) -> Vec<String> {
+    let cut = MAX_FLIP_LEADERS as usize;
+    let mut ranked = Vec::new();
+    for index in slot_indexes {
+        // Two sorted runs, the leaders so far and this slot's: the
+        // stable sort merges them (the order is total, so stability
+        // shows nowhere), and nothing past the cut is carried along.
+        ranked.extend(index.top_flips(cut));
+        ranked.sort_by(|a, b| b.flips.cmp(&a.flips).then_with(|| a.hash.cmp(&b.hash)));
+        ranked.truncate(cut);
+    }
+    ranked
         .iter()
         .map(|s| {
             format!(
@@ -382,11 +166,7 @@ pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
                 s.current_positives(),
             )
         })
-        .collect();
-    format!(
-        "{{\"epoch\":{epoch},\"k\":{k},\"leaders\":[{}]}}",
-        leaders.join(","),
-    )
+        .collect()
 }
 
 /// The `alerts` pull verb: every retained alert published after epoch
@@ -395,9 +175,8 @@ pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
 /// the epoch prefix is bit-identical at any shard × worker grid and
 /// across crash-recovery replay (the chaos and determinism suites
 /// compare exactly that tail). Clients resume by passing the last
-/// response's top-level `epoch` as the next `since`. Uncached: the
-/// filter is a cheap scan of the pre-rendered ring, and `since` is
-/// client-controlled (unbounded key space).
+/// response's top-level `epoch` as the next `since`. The filter is a
+/// cheap scan of the pre-rendered ring.
 pub(super) fn render_alerts(snap: &Snapshot, since: u64) -> String {
     let items: Vec<&str> = snap
         .alerts
@@ -415,16 +194,14 @@ pub(super) fn render_alerts(snap: &Snapshot, since: u64) -> String {
 
 /// The `status` verb, rendered per request: the snapshot's own
 /// epoch-consistent members (`epoch`, `s_samples`, `ingest_done`,
-/// `shards`, `indexed`) beside the live registry totals, so
-/// `cache_hits`, `rejected`, `evicted` and the rest keep moving after
-/// the last publish.
+/// `shards`, `indexed`) beside the live registry totals, so `rejected`,
+/// `evicted` and the rest keep moving after the last publish.
 pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
     format!(
         "{{\"epoch\":{},\"segments\":{},\"samples\":{},\"reports\":{},\
          \"accepted\":{},\"quarantined\":{},\"s_samples\":{},\"ingest_done\":{},\
          \"shards\":{},\"recovered_segments\":{},\"quarantined_segments\":{},\
          \"rejected\":{},\"evicted\":{},\"indexed\":{},\
-         \"poisoned\":{},\"cache_hits\":{},\"cache_misses\":{},\
          \"alerts_fired\":{},\"alerts_stabilized\":{},\"alerts_destabilized\":{},\
          \"alerts_swings\":{},\"alerts_emitted\":{},\"alerts_dropped\":{}}}",
         snap.epoch,
@@ -441,15 +218,25 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         c.rejected.value(),
         c.evicted.value(),
         snap.indexed,
-        c.poisoned.value(),
-        c.cache_hits.value(),
-        c.cache_misses.value(),
         c.alerts_fired.value(),
         c.alerts_stabilized.value(),
         c.alerts_destabilized.value(),
         c.alerts_swings.value(),
         c.alerts_emitted.value(),
         c.alerts_dropped.value(),
+    )
+}
+
+/// The `metrics` verb, rendered per request like `status`: the live
+/// registry on one line under the pinned snapshot's epoch.
+/// `RunMetrics::to_json` pretty-prints and the wire format is one line
+/// per response; string values escape control characters, so every
+/// literal newline in the rendering is structural whitespace.
+pub(super) fn render_metrics(snap: &Snapshot, obs: &Obs) -> String {
+    format!(
+        "{{\"epoch\":{},\"metrics\":{}}}",
+        snap.epoch,
+        obs.snapshot().to_json().replace('\n', " ")
     )
 }
 
@@ -587,14 +374,6 @@ pub(super) fn render_snapshot(merged: Merged) -> Snapshot {
         .collect();
     let engines_json = format!("{{\"epoch\":{epoch},\"engines\":[{}]}}", engines.join(","));
 
-    // `RunMetrics::to_json` pretty-prints; the wire format is one line
-    // per response. String values escape control characters, so every
-    // literal newline in the rendering is structural whitespace.
-    let metrics_json = format!(
-        "{{\"epoch\":{epoch},\"metrics\":{}}}",
-        merged.metrics.to_json().replace('\n', " ")
-    );
-
     let (debug_fnv, rho_fnv) = study_fingerprint(&results);
     let fingerprint = format!(
         "{{\"epoch\":{epoch},\"ingest_done\":{},\
@@ -612,10 +391,9 @@ pub(super) fn render_snapshot(merged: Merged) -> Snapshot {
         shards: merged.shards,
         results: results_json,
         engines: engines_json,
-        metrics: metrics_json,
         fingerprint,
         slot_indexes,
-        slot_epochs: merged.slot_epochs,
+        leaders: OnceLock::new(),
         flips: Arc::new(results.flips),
         engine_names,
         alerts: merged.alerts,
@@ -701,31 +479,78 @@ fn render_recommend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::Obs;
-    use crate::serve::tests::bare_snapshot;
+    use crate::dynamics::{DecodeArena, IncrementalStudy, SampleSummary};
+    use crate::serve::tests::{bare_snapshot, sealed_segments};
+    use crate::sim::{SimConfig, VirusTotalSim};
+
+    /// A snapshot whose slot indexes come out of real folds: three
+    /// slots, a third of a `samples`-sample feed each, two folds apiece.
+    fn folded_snapshot(samples: u64) -> Snapshot {
+        let sim = VirusTotalSim::new(SimConfig::new(0x1EAD, samples));
+        let mut snap = bare_snapshot(4);
+        let mut arena = DecodeArena::new();
+        for (third, slot) in [1usize, 4, 6].into_iter().enumerate() {
+            let third = third as u64;
+            let ordinals = third * samples / 3..(third + 1) * samples / 3;
+            let mut study =
+                IncrementalStudy::new(sim.fleet(), sim.config().window_start()).with_index();
+            for segment in sealed_segments(&sim, ordinals, 2) {
+                study.fold_store(segment.store(), &mut arena, Obs::noop());
+            }
+            snap.slot_indexes[slot] = Arc::new(study.index().cloned().expect("indexed"));
+        }
+        snap
+    }
 
     #[test]
-    fn a_panic_under_the_cache_lock_is_counted_and_does_not_cascade() {
-        let counters = ServeCounters::register(&Obs::new());
-        let cache = Arc::new(ResponseCache::new(8, &counters));
-        let snap = bare_snapshot(1);
-        let body = |tag: &str| format!("{{\"epoch\":1,\"tag\":\"{tag}\"}}");
-        let first = cache.respond(&snap, "k", Some(0), || body("first"));
-        assert_eq!(first, body("first"));
-        let holder = Arc::clone(&cache);
-        let died = std::thread::spawn(move || {
-            let _guard = holder.state.lock().expect("first holder");
-            panic!("test-injected: a handler dies holding the cache's lock");
-        })
-        .join();
-        assert!(died.is_err());
-        assert_eq!(counters.poisoned.value(), 0, "nothing has recovered it yet");
-        // The next request takes the lock over, finds the cache emptied
-        // — "first" is gone — and answers with a fresh rendering.
-        let next = cache.respond(&snap, "k", Some(0), || body("second"));
-        assert_eq!(next, body("second"));
-        assert!(counters.poisoned.value() >= 1, "the takeover is counted");
-        let again = cache.respond(&snap, "other", None, || body("third"));
-        assert_eq!(again, body("third"), "and later requests are still served");
+    fn flip_leaders_at_any_k_is_a_prefix_of_one_ranking_made_once_per_snapshot() {
+        let cut = MAX_FLIP_LEADERS as usize;
+        // One study that fits under the cut and one the cut truncates.
+        for samples in [450u64, 1_500] {
+            let snap = folded_snapshot(samples);
+            let mut all: Vec<SampleSummary<'_>> =
+                snap.slot_indexes.iter().flat_map(|i| i.iter()).collect();
+            let len = all.len();
+            assert_eq!(len as u64, samples, "every sample is indexed");
+            assert!(
+                snap.slot_indexes.iter().filter(|i| !i.is_empty()).count() >= 3,
+                "several slots contribute"
+            );
+            all.sort_unstable_by(|a, b| b.flips.cmp(&a.flips).then_with(|| a.hash.cmp(&b.hash)));
+            assert!(all[0].flips > 0, "the fixture flips");
+            let reference: Vec<String> = all
+                .iter()
+                .map(|s| {
+                    format!(
+                        "{{\"hash\":\"{}\",\"flips\":{},\"reports\":{},\"current_positives\":{}}}",
+                        s.hash.to_hex(),
+                        s.flips,
+                        s.report_count(),
+                        s.current_positives(),
+                    )
+                })
+                .collect();
+
+            assert!(snap.leaders.get().is_none(), "nothing ranks at publish");
+            let mut memo: Option<*const String> = None;
+            // `k` as the parser hands it over: never past the cut.
+            for k in [0, 1, 10, len - 1, len, cut].map(|k| k.min(cut)) {
+                assert_eq!(
+                    render_flip_leaders(&snap, k),
+                    format!(
+                        "{{\"epoch\":4,\"k\":{k},\"leaders\":[{}]}}",
+                        reference[..k.min(len)].join(",")
+                    ),
+                    "samples={samples} k={k}"
+                );
+                let ranked = snap.leaders.get().expect("the first request ranks");
+                assert_eq!(ranked.len(), len.min(cut));
+                assert_eq!(
+                    *memo.get_or_insert(ranked.as_ptr()),
+                    ranked.as_ptr(),
+                    "later requests read the same allocation"
+                );
+            }
+        }
     }
 }

@@ -2,15 +2,15 @@
 //! (the names the test floor pins); each layer's newer tests sit in its
 //! own file.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::counters::ServeCounters;
 use super::fold::FoldCtx;
 use super::ingest::slot_of;
 use super::publish::{empty_epoch, empty_slot_indexes, Snapshot};
 use super::render::{
-    epoch_tail, json_f64, render_flip_leaders, render_sample, render_snapshot, render_stabilized,
-    render_status, splice_epoch, study_fingerprint, ResponseCache,
+    json_f64, render_flip_leaders, render_metrics, render_sample, render_snapshot,
+    render_stabilized, render_status, study_fingerprint,
 };
 use super::wire::quoted;
 use super::{ServeConfig, INGEST_SLOTS};
@@ -43,7 +43,7 @@ fn empty_snapshot_renders_parseable_responses() {
         &status,
         &snap.results,
         &snap.engines,
-        &snap.metrics,
+        &render_metrics(&snap, Obs::noop()),
         &snap.fingerprint,
     ] {
         let v = crate::obs::json::parse(doc).expect("valid JSON");
@@ -84,8 +84,10 @@ fn slot_routing_is_total_and_stable() {
 
 /// The layering rule of this module's header, checked on the source:
 /// each layer's code (the text before its test module) names only what
-/// lies to its right — and the two layers upstream of the merger hold
-/// no lock of their own, so there is none for a worker to die holding.
+/// lies to its right — and only the merger's seam holds a lock: the
+/// two layers upstream of it and the two a request runs through have
+/// none of their own, so there is none for a worker or a handler to die
+/// holding, and `render` keeps no keyed state a client could fill.
 #[test]
 fn layers_name_only_what_lies_to_their_right() {
     let code = |source: &'static str| source.split("#[cfg(test)]").next().unwrap_or(source);
@@ -93,12 +95,12 @@ fn layers_name_only_what_lies_to_their_right() {
         (
             "conn.rs",
             code(include_str!("conn.rs")),
-            &["StudyPartials", "super::fold"],
+            &["StudyPartials", "super::fold", "Mutex", "RwLock"],
         ),
         (
             "render.rs",
             code(include_str!("render.rs")),
-            &["Tcp", "SocketAddr"],
+            &["Tcp", "SocketAddr", "Mutex", "RwLock", "HashMap"],
         ),
         (
             "publish.rs",
@@ -159,13 +161,6 @@ pub(super) fn sealed_segments(
 }
 
 pub(super) fn bare_snapshot(epoch: u64) -> Snapshot {
-    // Every slot stamped with the snapshot's own epoch — the
-    // "everything changed" worst case the old wholesale-clearing
-    // cache behaved like.
-    bare_snapshot_with_slots(epoch, [epoch; INGEST_SLOTS])
-}
-
-fn bare_snapshot_with_slots(epoch: u64, slot_epochs: [u64; INGEST_SLOTS]) -> Snapshot {
     Snapshot {
         epoch,
         s_samples: 0,
@@ -174,157 +169,14 @@ fn bare_snapshot_with_slots(epoch: u64, slot_epochs: [u64; INGEST_SLOTS]) -> Sna
         shards: 1,
         results: String::new(),
         engines: String::new(),
-        metrics: String::new(),
         fingerprint: String::new(),
         slot_indexes: empty_slot_indexes(),
-        slot_epochs,
+        leaders: OnceLock::new(),
         flips: Arc::new(FlipAnalysis::empty(0)),
         engine_names: Arc::new(Vec::new()),
         alerts: Arc::new(Vec::new()),
         recommend: String::new(),
     }
-}
-
-/// A cache of `capacity` entries over a live registry of its own.
-struct Cached {
-    counters: ServeCounters,
-    cache: ResponseCache,
-}
-
-fn cache_of(capacity: usize) -> Cached {
-    let counters = ServeCounters::register(&Obs::new());
-    Cached {
-        cache: ResponseCache::new(capacity, &counters),
-        counters,
-    }
-}
-
-/// A cacheable body as the lazy renderers produce one.
-fn body(epoch: u64, tag: &str) -> String {
-    format!("{{\"epoch\":{epoch},\"tag\":\"{tag}\"}}")
-}
-
-#[test]
-fn cache_serves_hits_within_an_epoch_and_clears_on_swap() {
-    let shared = cache_of(8);
-    let snap1 = bare_snapshot(1);
-    let a = shared
-        .cache
-        .respond(&snap1, "k", Some(0), || body(1, "one"));
-    let b = shared
-        .cache
-        .respond(&snap1, "k", Some(0), || body(1, "two"));
-    assert_eq!(a, body(1, "one"));
-    assert_eq!(b, body(1, "one"), "second is a hit");
-    assert_eq!(shared.counters.cache_hits.value(), 1);
-    assert_eq!(shared.counters.cache_misses.value(), 1);
-    // Epoch swap that republished slot 0: the same key renders
-    // fresh.
-    let snap2 = bare_snapshot(2);
-    let c = shared
-        .cache
-        .respond(&snap2, "k", Some(0), || body(2, "three"));
-    assert_eq!(c, body(2, "three"), "epoch swap invalidates");
-    // A reader still pinning epoch 1 bypasses the cache entirely —
-    // it neither serves nor stores stale entries.
-    let d = shared
-        .cache
-        .respond(&snap1, "k", Some(0), || body(1, "stale"));
-    assert_eq!(d, body(1, "stale"));
-    let e = shared
-        .cache
-        .respond(&snap2, "k", Some(0), || body(2, "four"));
-    assert_eq!(
-        e,
-        body(2, "three"),
-        "epoch-2 entry survived the stale reader"
-    );
-}
-
-#[test]
-fn cache_keeps_unchanged_slots_across_epoch_swaps() {
-    let shared = cache_of(8);
-    // Epoch 3: slot 0 last changed at epoch 1, slot 1 at epoch 3.
-    let mut slot_epochs = [0; INGEST_SLOTS];
-    slot_epochs[0] = 1;
-    slot_epochs[1] = 3;
-    let snap3 = bare_snapshot_with_slots(3, slot_epochs);
-    let a = shared
-        .cache
-        .respond(&snap3, "a", Some(0), || body(3, "slot0"));
-    let b = shared
-        .cache
-        .respond(&snap3, "b", Some(1), || body(3, "slot1"));
-    let c = shared.cache.respond(&snap3, "c", None, || body(3, "study"));
-    assert_eq!(
-        (a, b, c),
-        (body(3, "slot0"), body(3, "slot1"), body(3, "study"))
-    );
-    // Epoch 4 republishes only slot 1.
-    slot_epochs[1] = 4;
-    let snap4 = bare_snapshot_with_slots(4, slot_epochs);
-    let a2 = shared
-        .cache
-        .respond(&snap4, "a", Some(0), || body(4, "MISS"));
-    assert_eq!(
-        a2,
-        body(4, "slot0"),
-        "unchanged slot's entry survives the swap, re-stamped to the live epoch"
-    );
-    assert_eq!(shared.counters.cache_hits.value(), 1);
-    let b2 = shared
-        .cache
-        .respond(&snap4, "b", Some(1), || body(4, "fresh1"));
-    assert_eq!(b2, body(4, "fresh1"), "dirty slot's entry was dropped");
-    let c2 = shared
-        .cache
-        .respond(&snap4, "c", None, || body(4, "fresh2"));
-    assert_eq!(
-        c2,
-        body(4, "fresh2"),
-        "whole-study entries drop every epoch"
-    );
-}
-
-#[test]
-fn cache_evicts_least_recently_used_at_capacity() {
-    let shared = cache_of(2);
-    let snap = bare_snapshot(1);
-    let hit = |key: &str, tag: &str| {
-        let want = body(1, tag);
-        shared.cache.respond(&snap, key, Some(0), || want.clone())
-    };
-    hit("a", "A");
-    hit("b", "B");
-    hit("a", "A2"); // touch a
-    hit("c", "C"); // evicts b
-    assert_eq!(hit("a", "A3"), body(1, "A"), "a stayed cached");
-    assert_eq!(hit("b", "B2"), body(1, "B2"), "b was the LRU victim");
-}
-
-#[test]
-fn zero_capacity_disables_caching() {
-    let shared = cache_of(0);
-    let snap = bare_snapshot(1);
-    assert_eq!(
-        shared.cache.respond(&snap, "k", Some(0), || body(1, "x")),
-        body(1, "x")
-    );
-    assert_eq!(
-        shared.cache.respond(&snap, "k", Some(0), || body(1, "y")),
-        body(1, "y"),
-        "nothing is retained"
-    );
-    assert_eq!(shared.counters.cache_hits.value(), 0);
-}
-
-#[test]
-fn epoch_tail_splits_only_wellformed_prefixes() {
-    assert_eq!(epoch_tail("{\"epoch\":17,\"x\":1}"), Some(",\"x\":1}"));
-    assert_eq!(epoch_tail("{\"epoch\":0}"), Some("}"));
-    assert_eq!(epoch_tail("{\"epoch\":}"), None);
-    assert_eq!(epoch_tail("{\"other\":1}"), None);
-    assert_eq!(splice_epoch(42, ",\"x\":1}"), "{\"epoch\":42,\"x\":1}");
 }
 
 #[test]

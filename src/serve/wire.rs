@@ -21,8 +21,9 @@ use crate::dynamics::MonitorEvent;
 use crate::model::SampleHash;
 use crate::obs::json::{write_json_string, Value};
 
-/// Largest `k` the `flip_leaders` verb will rank (the response is
-/// rendered per request; an unbounded `k` would be a cheap DoS).
+/// Largest `k` the `flip_leaders` verb will answer. The ranking is made
+/// once per snapshot, cut here; the response is rendered per request, so
+/// an unbounded `k` would be a cheap DoS.
 pub(super) const MAX_FLIP_LEADERS: u64 = 1_000;
 
 /// One parsed request. Verbs that carry payloads validate them at parse
@@ -202,13 +203,14 @@ impl Request {
                 let Some(threshold) = parsed.get("threshold").and_then(|t| t.as_u64()) else {
                     return Err(WireError::MissingThreshold);
                 };
-                if !FIG9_THRESHOLDS.contains(&(threshold as u32)) {
-                    return Err(WireError::BadThreshold(threshold));
+                // A checked conversion: a value past `u32` must not
+                // wrap into a valid threshold.
+                match u32::try_from(threshold) {
+                    Ok(t) if FIG9_THRESHOLDS.contains(&t) => {
+                        Ok(Request::Stabilized { hash, threshold: t })
+                    }
+                    _ => Err(WireError::BadThreshold(threshold)),
                 }
-                Ok(Request::Stabilized {
-                    hash,
-                    threshold: threshold as u32,
-                })
             }
             "engine" => {
                 let Some(name) = parsed.get("name").and_then(|n| n.as_str()) else {
@@ -455,6 +457,11 @@ mod tests {
                 .unwrap_err()
                 .to_string(),
             format!("threshold 11 is not a Fig. 9 threshold; valid: {FIG9_THRESHOLDS:?}")
+        );
+        // 2³² + 10 truncates to the valid 10; it must not be answered as it.
+        assert_eq!(
+            parse("{\"cmd\":\"stabilized\",\"hash\":\"a\",\"threshold\":4294967306}"),
+            Err(WireError::BadThreshold(4_294_967_306))
         );
         // The hash is validated before the threshold, as it always was.
         assert_eq!(

@@ -123,18 +123,16 @@ fn serve_answers_concurrent_clients_during_ingestion() {
     server.wait();
 }
 
-/// `status` is rendered per request from the live registry, so totals
-/// that move after the last publish — here the hot-sample cache's —
-/// keep moving in it instead of freezing at their publish-time values.
+/// `status` and `metrics` are rendered per request from the live
+/// registry, so a total that moves after the last publish — here an
+/// eviction — moves in both instead of freezing at its publish-time
+/// value.
 #[test]
 fn status_counters_stay_live_after_ingest_done() {
     let mut config = ServeConfig::new(300, 0x57A7);
     config.segment_reports = 1_000;
     config.workers = 1;
-    let probe = VirusTotalSim::new(SimConfig::new(config.seed, config.samples))
-        .population()
-        .sample(0)
-        .hash;
+    config.max_line_bytes = 256;
     let server = Server::start(config).expect("bind ephemeral port");
     let (mut stream, mut reader) = connect(server.addr());
     let done = loop {
@@ -147,23 +145,29 @@ fn status_counters_stay_live_after_ingest_done() {
     let u64_of = |v: &json::Value, key: &str| v.get(key).and_then(|n| n.as_u64()).expect("member");
 
     // No publish can follow `ingest_done`: whatever moves now moves
-    // only in the registry.
-    let request = format!("{{\"cmd\":\"sample\",\"hash\":\"{}\"}}", probe.to_hex());
-    for _ in 0..3 {
-        let v = ask_line(&mut stream, &mut reader, &request);
-        assert_eq!(v.get("found").and_then(|f| f.as_bool()), Some(true));
-    }
+    // only in the registry. A second connection earns an eviction.
+    let mut over = vec![b'a'; 257];
+    over.push(b'\n');
+    let notice = send_raw(server.addr(), &over).expect("an eviction notice");
+    assert!(notice.contains("\"evicted\":true"), "{notice}");
+
     let after = ask(&mut stream, &mut reader, "status");
     assert_eq!(u64_of(&after, "epoch"), u64_of(&done, "epoch"));
     assert_eq!(
-        u64_of(&after, "cache_misses"),
-        u64_of(&done, "cache_misses") + 1,
-        "the first request renders"
+        u64_of(&after, "evicted"),
+        u64_of(&done, "evicted") + 1,
+        "the eviction happened after the last publish, and status must say so"
     );
+    let metrics = ask(&mut stream, &mut reader, "metrics");
+    assert_eq!(u64_of(&metrics, "epoch"), u64_of(&done, "epoch"));
+    let counters = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .expect("metrics.counters");
     assert_eq!(
-        u64_of(&after, "cache_hits"),
-        u64_of(&done, "cache_hits") + 2,
-        "the two repeats are cache hits, and status must say so"
+        u64_of(counters, "serve/evicted"),
+        u64_of(&after, "evicted"),
+        "metrics reads the same live registry"
     );
     // The epoch-consistent members are the snapshot's, unchanged.
     for key in ["samples", "indexed", "s_samples", "segments"] {

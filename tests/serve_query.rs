@@ -11,8 +11,8 @@
 //! * **Epoch consistency** — a response is rendered from exactly one
 //!   published snapshot: epochs observed on one connection are
 //!   monotone, and two answers for the same hash at the same epoch are
-//!   byte-identical (the hot-sample cache may serve one of them, but
-//!   it must never mix epochs).
+//!   byte-identical (a snapshot is immutable and an answer reads
+//!   nothing else).
 //!
 //! The reference index is computed once per test process: the daemon
 //! feed is replicated exactly — same simulator, same default
@@ -303,6 +303,7 @@ fn per_hash_queries_reject_garbage_with_typed_answers() {
         "{\"cmd\":\"sample\",\"hash\":12}",        // wrong type
         "{\"cmd\":\"stabilized\",\"hash\":\"ff\"}", // threshold missing
         "{\"cmd\":\"stabilized\",\"hash\":\"ff\",\"threshold\":3}", // not a Fig. 9 threshold
+        "{\"cmd\":\"stabilized\",\"hash\":\"ff\",\"threshold\":4294967306}", // 2^32 + 10, not 10
         "{\"cmd\":\"engine\",\"name\":\"NoSuchEngine\"}", // unknown engine
         "{\"cmd\":\"engine\"}",                    // name missing
         "{\"cmd\":\"flip_leaders\",\"k\":\"many\"}", // k wrong type
@@ -332,7 +333,7 @@ fn per_hash_queries_reject_garbage_with_typed_answers() {
 
 /// Epochs observed on one connection are monotone, and two answers for
 /// the same hash at the same epoch are byte-identical even while
-/// snapshots swap underneath (the cache must never mix epochs).
+/// snapshots swap underneath (an answer reads one pinned snapshot).
 #[test]
 fn per_hash_answers_are_epoch_consistent_under_live_ingest() {
     let mut config = ServeConfig::new(6_000, 0xE70C);
@@ -354,8 +355,8 @@ fn per_hash_answers_are_epoch_consistent_under_live_ingest() {
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let before = query(&mut stream, &mut reader, "{\"cmd\":\"status\"}");
-        // Ask twice back-to-back: the second answer may come from the
-        // hot-sample cache and must be byte-identical if the epoch held.
+        // Ask twice back-to-back: both answers are rendered afresh and
+        // must be byte-identical if the epoch held.
         let first = query_raw(&mut stream, &mut reader, &req);
         let second = query_raw(&mut stream, &mut reader, &req);
         let after = query(&mut stream, &mut reader, "{\"cmd\":\"status\"}");

@@ -133,8 +133,7 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 /// folds them in order for batch and serve alike. The contract:
 ///
 /// * [`name`](Analysis::name) is stable and unique across the roster
-///   — it keys the `pipeline/<name>` span and the
-///   [`crate::pipeline::StudyResults::stage_timings`] rows;
+///   — it keys the `pipeline/<name>` span;
 /// * [`fold`](Analysis::fold) reduces one context (one *segment* of the
 ///   record stream, or the whole dataset) to a [`Partial`](Analysis::Partial);
 /// * [`merge`](Analysis::merge) combines two partials whose underlying

@@ -56,7 +56,7 @@ use crate::intervals::{IntervalPartial, Intervals};
 use crate::landscape::Landscape;
 use crate::metrics::{Metrics, MetricsPartial, WindowGrowth};
 use crate::par;
-use crate::pipeline::{self, StudyResults};
+use crate::pipeline::StudyResults;
 use crate::records::SampleRecord;
 use crate::stability::{Stability, StabilityPartial};
 use crate::stabilization::{Stabilization, StabilizationPartial};
@@ -212,8 +212,10 @@ impl StudyPartials {
     /// supplies the Table 2 store accounting, which lives outside the
     /// analysis fold. Borrows the accumulation — finishing is a
     /// read-only projection, so it can run on every publish without
-    /// cloning the partials or disturbing further folds.
+    /// cloning the partials or disturbing further folds. The projection
+    /// runs under `obs`'s `pipeline/finish` span.
     pub fn finish(&self, partitions: Vec<PartitionStats>, obs: &Obs) -> StudyResults {
+        let _span = obs.span("pipeline/finish");
         let (dataset, fig1) = Landscape.finish(&self.landscape);
         let stabilization = Stabilization.finish(&self.stabilization);
         let (correlation_global, correlation_per_type) =
@@ -237,7 +239,6 @@ impl StudyPartials {
             flips: Flips.finish(&self.flips),
             correlation_global,
             correlation_per_type,
-            stage_timings: pipeline::stage_timings_from(obs),
         }
     }
 }

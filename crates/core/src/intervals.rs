@@ -181,8 +181,9 @@ enum PartBins {
 }
 
 /// The multi-worker interval fold used to anti-scale (1.63 ms at 1
-/// worker → 4.55 ms at 8 in `BENCH_pipeline.json`): every worker
-/// zeroed its own dense `(max_days + 1) × DIFF_BOUND` counting matrix
+/// worker → 4.55 ms at 8 on the 500k-sample study, recorded 2026-08-08
+/// on a 1-CPU container): every worker zeroed its own dense
+/// `(max_days + 1) × DIFF_BOUND` counting matrix
 /// (~445 KB at the default 430-day axis) and the main thread then
 /// merged the full matrices serially — ~56 K u64 adds per partition —
 /// so adding workers added fixed allocation + merge cost that dwarfed

@@ -2,7 +2,7 @@
 //! label-dynamics measurement pipeline.
 //!
 //! Each module implements one section of the paper and returns a typed
-//! result struct (rendered by `vt-report`, regenerated by `vt-bench`):
+//! result struct (rendered by `vt-report`):
 //!
 //! | module | paper | output |
 //! |---|---|---|
@@ -72,8 +72,6 @@ pub use collector::{
 pub use incremental::{merge_partition_stats, IncrementalStudy, SlotMergeTree, StudyPartials};
 pub use index::{SampleIndex, SampleSummary};
 pub use monitor::{MonitorCriteria, MonitorEvent, SampleMonitor};
-pub use pipeline::{
-    analyze_records, analyze_records_obs, stage_names, StageTiming, Study, StudyResults,
-};
+pub use pipeline::{analyze_records, analyze_records_obs, stage_names, Study, StudyResults};
 pub use records::{records_from_store, SampleRecord};
 pub use table::TrajectoryTable;

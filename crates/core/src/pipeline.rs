@@ -21,8 +21,8 @@
 //!
 //! Instrumentation is strictly write-only: no stage reads the `Obs`
 //! handle, so a [`StudyResults`] is bit-identical whether observability
-//! is enabled, disabled, or [`Obs::noop`] — only
-//! [`StudyResults::stage_timings`] (empty when disabled) differs.
+//! is enabled, disabled, or [`Obs::noop`]: the spans live in the `Obs`
+//! they were recorded into, never in the result.
 
 use crate::analysis::AnalysisCtx;
 use crate::categorize::CategorySweep;
@@ -53,22 +53,6 @@ pub use crate::incremental::stage_names;
 pub struct Study {
     sim: VirusTotalSim,
     records: Vec<SampleRecord>,
-}
-
-/// Wall-clock accounting for one pipeline stage, extracted from the
-/// run's `pipeline/<name>` spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageTiming {
-    /// Stage name (as in [`stage_names`], plus `table` for the columnar
-    /// [`TrajectoryTable`] build and `freshdyn` for the *S*
-    /// construction, both of which precede the stages).
-    pub name: String,
-    /// Times the stage ran during this `Obs`'s lifetime.
-    pub count: u64,
-    /// Total nanoseconds across those runs.
-    pub total_ns: u64,
-    /// Slowest single run in nanoseconds.
-    pub max_ns: u64,
 }
 
 /// Every table and figure of the paper, as typed results.
@@ -111,11 +95,6 @@ pub struct StudyResults {
     pub correlation_global: CorrelationAnalysis,
     /// §7.2 per type (Fig. 12, Tables 4–8 + the DEX/GZIP quirks).
     pub correlation_per_type: Vec<CorrelationAnalysis>,
-    /// Per-stage wall clock, in `Obs` snapshot order. Empty when the
-    /// run's `Obs` was disabled (the default paths). Counts accumulate
-    /// over the `Obs`'s lifetime, so a reused handle reports totals
-    /// across runs.
-    pub stage_timings: Vec<StageTiming>,
 }
 
 /// File types given a dedicated correlation analysis (the paper's top-5
@@ -142,8 +121,7 @@ impl Study {
         Self::generate_with_workers(config, par::default_workers())
     }
 
-    /// Generates the dataset with an explicit worker count (the
-    /// parallelism ablation bench drives this).
+    /// Generates the dataset with an explicit worker count.
     pub fn generate_with_workers(config: SimConfig, workers: usize) -> Self {
         Self::generate_with_workers_obs(config, workers, Obs::noop())
     }
@@ -250,9 +228,8 @@ pub fn analyze_records(
 /// builds the columnar [`TrajectoryTable`] under the `pipeline/table`
 /// span (kernel `table_build`) and *S* from its flags under the
 /// `pipeline/freshdyn` span, then folds the whole record set through the
-/// stage roster as one segment and finishes it. When `obs` is enabled,
-/// [`StudyResults::stage_timings`] reports each stage's wall clock;
-/// analysis outputs never depend on `obs` or `workers`.
+/// stage roster as one segment and finishes it under `pipeline/finish`.
+/// Analysis outputs never depend on `obs` or `workers`.
 pub fn analyze_records_obs(
     records: &[SampleRecord],
     partitions: Vec<PartitionStats>,
@@ -271,27 +248,6 @@ pub fn analyze_records_obs(
         .with_workers(workers)
         .with_obs(obs);
     StudyPartials::fold(&ctx).finish(partitions, obs)
-}
-
-/// Extracts [`StageTiming`]s from the `pipeline/`-prefixed spans of an
-/// enabled `Obs` (empty for a disabled one).
-pub(crate) fn stage_timings_from(obs: &Obs) -> Vec<StageTiming> {
-    if !obs.is_enabled() {
-        return Vec::new();
-    }
-    obs.snapshot()
-        .spans
-        .into_iter()
-        .filter_map(|(name, span)| {
-            let stage = name.strip_prefix("pipeline/")?;
-            Some(StageTiming {
-                name: stage.to_string(),
-                count: span.count,
-                total_ns: span.total_ns,
-                max_ns: span.max_ns,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -362,9 +318,6 @@ mod tests {
         let partition_reports: u64 = results.partitions.iter().map(|p| p.reports).sum();
         assert_eq!(results.dataset.total_reports(), partition_reports);
 
-        // The default path records no timings.
-        assert!(results.stage_timings.is_empty());
-
         // Stable + dynamic = multi-report.
         let st = &results.stability;
         assert_eq!(st.stable + st.dynamic, st.multi_report_samples);
@@ -404,25 +357,21 @@ mod tests {
     fn instrumented_run_times_every_stage() {
         let study = Study::generate_with_workers(SimConfig::new(0x0B5, 800), 2);
         let obs = Obs::new();
-        let results = study.run_with_obs(2, &obs);
-        let timed: Vec<&str> = results
-            .stage_timings
-            .iter()
-            .map(|t| t.name.as_str())
-            .collect();
-        for name in stage_names() {
-            assert!(timed.contains(&name), "stage {name} missing a timing");
-        }
-        assert!(timed.contains(&"freshdyn"));
-        assert!(timed.contains(&"table"));
-        // Batch is one fold, not a segment stream: no segment span.
-        assert!(!timed.contains(&"segment"));
-        for t in &results.stage_timings {
-            assert_eq!(t.count, 1, "stage {} ran once", t.name);
-            assert!(t.max_ns <= t.total_ns);
-        }
-        // The storage round trip encoded every report.
+        study.run_with_obs(2, &obs);
         let m = obs.snapshot();
+        for name in stage_names()
+            .into_iter()
+            .chain(["freshdyn", "table", "finish"])
+        {
+            let span = m
+                .span(&format!("pipeline/{name}"))
+                .unwrap_or_else(|| panic!("stage {name} missing a timing"));
+            assert_eq!(span.count, 1, "stage {name} ran once");
+            assert!(span.max_ns <= span.total_ns);
+        }
+        // Batch is one fold, not a segment stream: no segment span.
+        assert!(m.span("pipeline/segment").is_none());
+        // The storage round trip encoded every report.
         let total: u64 = study.records().iter().map(|r| r.reports.len() as u64).sum();
         assert_eq!(m.counter("store/encoded_reports"), Some(total));
     }

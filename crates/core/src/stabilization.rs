@@ -378,7 +378,7 @@ impl RankStabilization {
 }
 
 /// Earliest index `i` such that the suffix `p[i..]` (length ≥ 2) has
-/// `max − min ≤ r`. Exposed for tests and the benches.
+/// `max − min ≤ r`. Exposed for tests.
 pub fn rank_stabilization_index(p: &[u32], r: u32) -> Option<usize> {
     if p.len() < 2 {
         return None;

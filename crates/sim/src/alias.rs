@@ -3,8 +3,7 @@
 //! The population generator draws a file type for every sample from a
 //! 351-way categorical distribution; at millions of samples a linear
 //! CDF scan would dominate generation time. The alias method answers
-//! each draw with one uniform and one comparison. (The
-//! `ablation_alias_sampling` bench quantifies the win.)
+//! each draw with one uniform and one comparison.
 
 use rand::Rng;
 

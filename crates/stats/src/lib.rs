@@ -26,7 +26,6 @@ pub mod boxplot;
 pub mod counter;
 pub mod ecdf;
 pub mod hist;
-pub mod kendall;
 pub mod pearson;
 pub mod rank;
 pub mod spearman;
@@ -37,7 +36,6 @@ pub use boxplot::BoxplotSummary;
 pub use counter::FreqCounter;
 pub use ecdf::Ecdf;
 pub use hist::Histogram;
-pub use kendall::kendall_tau;
 pub use pearson::pearson;
 pub use rank::average_ranks;
 pub use spearman::{spearman, spearman_with_p, SpearmanResult};

@@ -343,7 +343,9 @@ fn segment_file_name(slot: u32, seq: u64) -> String {
 fn parse_segment_file_name(name: &str) -> Option<(u32, u64)> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(".vtseg")?;
     let (slot, seq) = rest.split_once('-')?;
-    if slot.len() != 3 || seq.len() != 10 {
+    // Digits only: `str::parse` would also take a leading `+`.
+    let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
+    if !digits(slot, 3) || !digits(seq, 10) {
         return None;
     }
     Some((slot.parse().ok()?, seq.parse().ok()?))
@@ -408,6 +410,10 @@ mod tests {
             "seg-003-0000000017.vtseg.tmp",
             "segdir.manifest",
             "seg-003-0000000017.vtstore",
+            // `str::parse` takes a sign; `segment_file_name` never prints one.
+            "seg-+03-0000000017.vtseg",
+            "seg-003-+000000017.vtseg",
+            "seg-+01-+000000000.vtseg",
         ] {
             assert_eq!(parse_segment_file_name(bogus), None, "{bogus}");
         }
@@ -583,6 +589,22 @@ mod tests {
         let replay = dir.replay().expect("replay");
         assert_eq!(replay.slots[0].len(), 2);
         assert_eq!(replay.quarantined_segments, 2);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// A foreign file whose name merely *parses* as `(1, 0)` must not
+    /// shadow the real segment and orphan the slot behind it.
+    #[test]
+    fn replay_ignores_a_signed_name_beside_the_real_segment() {
+        let root = temp_dir("signed");
+        let dir = SegmentDir::open(&root, 2).expect("open");
+        fill_slot(&dir, 1, 3);
+        let stray = root.join("seg-+01-+000000000.vtseg");
+        fs::copy(root.join(segment_file_name(1, 0)), &stray).expect("copy");
+        let replay = dir.replay().expect("replay");
+        assert_eq!(replay.recovered_segments, 3);
+        assert_eq!(replay.quarantined_segments, 0);
+        assert!(stray.exists(), "a foreign file stays where it was");
         fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -261,43 +261,47 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// The chaos-gate fingerprint of a finished study: an FNV-1a digest of
-/// the Debug rendering of every result field **except** the wall-clock
-/// `stage_timings` (never deterministic), plus a digest of the raw
+/// the Debug rendering of every result field, plus a digest of the raw
 /// `to_bits` of every Spearman plane (global + per-type), so NaN
 /// payloads and signed zeros count. Two runs whose fingerprints match
 /// agree on every published statistic bit for bit — this is what
 /// `tests/serve_chaos.rs` compares across kill/restart and shard
 /// counts.
 pub(super) fn study_fingerprint(results: &StudyResults) -> (u64, u64) {
+    // Exhaustive on purpose: a field added to `StudyResults` is
+    // fingerprinted or this stops compiling.
+    let StudyResults {
+        dataset,
+        fig1,
+        partitions,
+        stability,
+        s_samples,
+        s_reports,
+        metrics,
+        window_growth,
+        intervals,
+        categories_all,
+        categories_pe,
+        causes,
+        rank_stabilization,
+        label_stabilization_all,
+        label_stabilization_multi,
+        flips,
+        correlation_global,
+        correlation_per_type,
+    } = results;
     let debug = format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        results.dataset,
-        results.fig1,
-        results.partitions,
-        results.stability,
-        results.s_samples,
-        results.s_reports,
-        results.metrics,
-        results.window_growth,
-        results.intervals,
-        results.categories_all,
-        results.categories_pe,
-        results.causes,
-        results.rank_stabilization,
-        results.label_stabilization_all,
-        results.label_stabilization_multi,
-        results.flips,
-        results.correlation_global,
-        results.correlation_per_type,
+        "{dataset:?}|{fig1:?}|{partitions:?}|{stability:?}|{s_samples}|{s_reports}|\
+         {metrics:?}|{window_growth:?}|{intervals:?}|{categories_all:?}|{categories_pe:?}|\
+         {causes:?}|{rank_stabilization:?}|{label_stabilization_all:?}|\
+         {label_stabilization_multi:?}|{flips:?}|{correlation_global:?}|\
+         {correlation_per_type:?}",
     );
     let mut debug_fnv = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut debug_fnv, debug.as_bytes());
-    fnv1a(
-        &mut debug_fnv,
-        &results.window_growth.to_bits().to_le_bytes(),
-    );
+    fnv1a(&mut debug_fnv, &window_growth.to_bits().to_le_bytes());
     let mut rho_fnv = 0xcbf2_9ce4_8422_2325u64;
-    for plane in std::iter::once(&results.correlation_global).chain(&results.correlation_per_type) {
+    for plane in std::iter::once(correlation_global).chain(correlation_per_type) {
         for v in &plane.rho {
             fnv1a(&mut rho_fnv, &v.to_bits().to_le_bytes());
         }

@@ -253,7 +253,8 @@ fn parse_hash_member(parsed: &Value) -> Result<SampleHash, WireError> {
     let Some(hex) = parsed.get("hash").and_then(|h| h.as_str()) else {
         return Err(WireError::MissingHash);
     };
-    if hex.is_empty() || hex.len() > 32 {
+    // Hex digits only: `from_str_radix` would also take a leading `+`.
+    if hex.is_empty() || hex.len() > 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(WireError::BadHash(hex.to_string()));
     }
     u128::from_str_radix(hex, 16)
@@ -410,7 +411,8 @@ mod tests {
             parse("{\"cmd\":\"sample\"}").unwrap_err().to_string(),
             "missing string member 'hash'"
         );
-        for bad in ["", "xyz", "-1"] {
+        let signed_full = format!("+{}", "f".repeat(31));
+        for bad in ["", "xyz", "-1", "+ab", "+", &signed_full] {
             assert_eq!(
                 parse(&format!("{{\"cmd\":\"sample\",\"hash\":\"{bad}\"}}"))
                     .unwrap_err()

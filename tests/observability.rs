@@ -10,12 +10,10 @@ use vt_label_dynamics::sim::SimConfig;
 const SEED: u64 = 0x0B5E;
 const SAMPLES: u64 = 4_000;
 
-/// Debug-formats a `StudyResults` with the (timing-dependent)
-/// `stage_timings` field cleared, so two runs can be compared for
-/// bit-identity of the analysis payload. f64 Debug formatting is the
-/// shortest round-trip representation, so equal strings ⇒ equal bits.
-fn analysis_fingerprint(mut r: pipeline::StudyResults) -> String {
-    r.stage_timings.clear();
+/// Debug-formats a `StudyResults`, so two runs can be compared for
+/// bit-identity. f64 Debug formatting is the shortest round-trip
+/// representation, so equal strings ⇒ equal bits.
+fn analysis_fingerprint(r: pipeline::StudyResults) -> String {
     format!("{r:?}")
 }
 
@@ -27,14 +25,11 @@ fn results_bit_identical_with_obs_on_and_off() {
         let obs = Obs::new();
         let observed = study.run_with_obs(workers, &obs);
 
-        assert!(
-            !observed.stage_timings.is_empty(),
-            "enabled obs must produce stage timings"
-        );
-        for name in pipeline::stage_names() {
+        let metrics = obs.snapshot();
+        for name in pipeline::stage_names().into_iter().chain(["finish"]) {
             assert!(
-                observed.stage_timings.iter().any(|t| t.name == name),
-                "stage {name} missing from stage_timings at workers={workers}"
+                metrics.span(&format!("pipeline/{name}")).is_some(),
+                "stage {name} was not timed at workers={workers}"
             );
         }
         assert_eq!(

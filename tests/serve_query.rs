@@ -299,6 +299,7 @@ fn per_hash_queries_reject_garbage_with_typed_answers() {
         "{\"cmd\":\"sample\"}",                    // hash missing
         "{\"cmd\":\"sample\",\"hash\":\"xyzzy\"}", // not hex
         "{\"cmd\":\"sample\",\"hash\":\"\"}",      // empty
+        "{\"cmd\":\"sample\",\"hash\":\"+ab\"}",   // a sign is not a hex digit
         "{\"cmd\":\"sample\",\"hash\":\"000000000000000000000000000000000\"}", // 33 nibbles
         "{\"cmd\":\"sample\",\"hash\":12}",        // wrong type
         "{\"cmd\":\"stabilized\",\"hash\":\"ff\"}", // threshold missing

@@ -132,13 +132,19 @@ fn feed_digest(config: SimConfig) -> (usize, u64) {
 /// binary of PR 13 (before the fleet's day plane and follower index
 /// existed): an optimisation of `vt-engines` or `vt-sim` must leave
 /// them alone, a calibration change re-records them on purpose. The
-/// stormy config makes the outage, timeout and glitch branches all fire.
+/// stormy config makes the outage, timeout and glitch branches all fire;
+/// the glitchless one (recorded at the parent of PR 20, debug and release
+/// agreeing) pins the branch that skips the glitch draw.
 #[test]
 fn feed_digest_is_pinned() {
     let mut stormy = SimConfig::new(21, 4_000);
     stormy.fleet.timeout_mult = 30.0;
     stormy.fleet.outage_mult = 30.0;
     stormy.fleet.glitch_rate = 1e-3;
+    let mut glitchless = SimConfig::new(33, 4_000);
+    glitchless.fleet.timeout_mult = 30.0;
+    glitchless.fleet.outage_mult = 30.0;
+    glitchless.fleet.glitch_rate = 0.0;
     for (name, config, pinned) in [
         (
             "seed 7",
@@ -151,6 +157,11 @@ fn feed_digest_is_pinned() {
             (5_058, 0x17f6_8eb1_06fe_9f0a),
         ),
         ("stormy seed 21", stormy, (4_898, 0x861d_7a3d_b64a_2332)),
+        (
+            "glitchless seed 33",
+            glitchless,
+            (5_047, 0xfee0_2b37_fdca_519a),
+        ),
     ] {
         let got = feed_digest(config);
         assert_eq!(

@@ -45,14 +45,26 @@
 //! The load factor depends on *(sample, day)* only and is drawn once
 //! per scan. What is left per verdict is the two hashes keyed on the
 //! pair: the timeout draw and the glitch draw.
+//!
+//! ## What a sample hashes once
+//!
+//! Every draw about a sample is keyed `[seed, sample, ..]`, and
+//! [`mix64`] is a fold, so a key's prefix is hashed where it is
+//! constant: [`EngineFleet::sample_plan`] folds `[seed, sample]` once
+//! and `[.., engine]` once per engine, each plan draw finishes from
+//! there with its tag, and the [`SamplePlan`] carries the states the
+//! per-scan draws resume from — one round over the day for the timeout
+//! draw, one over the minute for the glitch draw, two for the load
+//! factor.
 
 use crate::groups::{build_copy_rules, CopyIndex};
 use crate::registry::{build_roster, EngineProfile, ENGINE_COUNT};
 use crate::typemods::{engine_type_latency_mult, type_mods, TypeMods};
 use crate::update::UpdateSchedule;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::sync::OnceLock;
-use vt_model::hash::{mix64, unit_f64};
+use vt_model::hash::{mix64, mix64_from, unit_f64};
 use vt_model::time::{Month, MINUTES_PER_DAY};
 use vt_model::{EngineId, FileType, GroundTruth, SampleMeta, Timestamp, Verdict, VerdictVec};
 
@@ -300,15 +312,36 @@ impl PairPlan {
 /// fast path the simulator uses.
 #[derive(Debug, Clone)]
 pub struct SamplePlan {
-    plans: Vec<PairPlan>,
+    plans: [PairPlan; ENGINE_COUNT],
     /// Timeout rate per engine for this sample's type (the *effective*
     /// engine's profile rate × type multiplier × fleet multiplier —
     /// copied engines share an engine core and hang on the same
     /// samples).
-    timeout_rates: Vec<f64>,
+    timeout_rates: [f64; ENGINE_COUNT],
     /// Effective engine index per engine (after copy resolution); the
     /// timeout draw is keyed by it so copier pairs drop out together.
-    effective: Vec<u8>,
+    effective: [u8; ENGINE_COUNT],
+    /// `mix64(&[seed, sample, e, TAG_TIMEOUT])` per engine `e`: the
+    /// timeout draw of a pair resumes its *effective* engine's state
+    /// with the scan day.
+    timeout_keys: [u64; ENGINE_COUNT],
+    /// `mix64(&[seed, sample, e, TAG_GLITCH])` per engine `e`: the
+    /// glitch draw resumes it with the scan minute.
+    glitch_keys: [u64; ENGINE_COUNT],
+    /// `mix64(&[seed, sample])`: the load factor resumes it with
+    /// `[TAG_LOAD, day]`.
+    sample_key: u64,
+}
+
+/// The [`mix64`] states the plan draws of one sample resume from.
+struct SampleKeys {
+    /// `mix64(&[seed, sample])`.
+    sample: u64,
+    /// `mix64(&[seed, sample, e])` per engine `e`.
+    engines: [u64; ENGINE_COUNT],
+    /// [`EngineFleet::sample_slowness`], drawn by the first pair that
+    /// takes the latency path.
+    slowness: OnceCell<f64>,
 }
 
 /// Everything about one calendar day that does not depend on what is
@@ -415,35 +448,28 @@ impl EngineFleet {
 
     // ---- draw helpers ------------------------------------------------
 
-    fn u(&self, sample: &SampleMeta, engine: usize, tag: u64) -> f64 {
-        unit_f64(mix64(&[
-            self.config.seed,
-            sample.hash.seed64(),
-            engine as u64,
-            tag,
-        ]))
+    /// `mix64(&[seed, sample])`, the prefix of every key about `sample`.
+    fn sample_key(&self, sample: &SampleMeta) -> u64 {
+        mix64(&[self.config.seed, sample.hash.seed64()])
     }
 
-    fn u_scan(&self, sample: &SampleMeta, engine: usize, tag: u64, t: Timestamp) -> f64 {
-        unit_f64(mix64(&[
-            self.config.seed,
-            sample.hash.seed64(),
-            engine as u64,
-            tag,
-            t.0 as u64,
-        ]))
+    fn keys(&self, sample: &SampleMeta) -> SampleKeys {
+        let sample = self.sample_key(sample);
+        SampleKeys {
+            sample,
+            engines: std::array::from_fn(|e| mix64_from(sample, &[e as u64])),
+            slowness: OnceCell::new(),
+        }
+    }
+
+    /// The uniform draw of stream `tag` under `key`: one round.
+    fn u(key: u64, tag: u64) -> f64 {
+        unit_f64(mix64_from(key, &[tag]))
     }
 
     /// Deterministic lognormal draw in days: `exp(N(ln median, sigma))`.
-    fn lognormal_days(
-        &self,
-        sample: &SampleMeta,
-        engine: usize,
-        tag: u64,
-        median: f64,
-        sigma: f64,
-    ) -> f64 {
-        let u = self.u(sample, engine, tag).clamp(1e-12, 1.0 - 1e-12);
+    fn lognormal_days(key: u64, tag: u64, median: f64, sigma: f64) -> f64 {
+        let u = Self::u(key, tag).clamp(1e-12, 1.0 - 1e-12);
         let z = vt_stats::special::probit(u);
         median.max(1e-3) * (sigma * z).exp()
     }
@@ -451,14 +477,11 @@ impl EngineFleet {
     /// The per-sample slowness factor shared by all engines (evasive
     /// samples are slow for everyone — this correlates latencies across
     /// the fleet).
-    fn sample_slowness(&self, sample: &SampleMeta) -> f64 {
-        let u = unit_f64(mix64(&[
-            self.config.seed,
-            sample.hash.seed64(),
-            TAG_SLOWNESS,
-        ]))
-        .clamp(1e-12, 1.0 - 1e-12);
-        (self.config.slowness_sigma * vt_stats::special::probit(u)).exp()
+    fn sample_slowness(&self, keys: &SampleKeys) -> f64 {
+        *keys.slowness.get_or_init(|| {
+            let u = Self::u(keys.sample, TAG_SLOWNESS).clamp(1e-12, 1.0 - 1e-12);
+            (self.config.slowness_sigma * vt_stats::special::probit(u)).exp()
+        })
     }
 
     // ---- plan resolution ----------------------------------------------
@@ -466,13 +489,13 @@ impl EngineFleet {
     /// Resolves the engine whose behavioural draws the pair uses:
     /// follows copy rules (recursively) while the per-sample copy draws
     /// fire. Returns the effective engine index.
-    fn resolve_effective(&self, engine: usize, sample: &SampleMeta) -> usize {
+    fn resolve_effective(&self, engine: usize, sample: &SampleMeta, keys: &SampleKeys) -> usize {
         let mut cur = engine;
         let mut depth = 0;
         while let Some(rule) = self.copy.rule_for(cur, sample.file_type) {
             // The copy draw is keyed by the *follower* so independent
             // followers of one leader decorrelate independently.
-            if self.u(sample, cur, TAG_COPY) < rule.prob {
+            if Self::u(keys.engines[cur], TAG_COPY) < rule.prob {
                 cur = rule.leader;
                 depth += 1;
                 if depth >= 8 {
@@ -487,47 +510,46 @@ impl EngineFleet {
 
     /// Computes the lifetime plan of `(engine, sample)`.
     pub fn pair_plan(&self, engine: EngineId, sample: &SampleMeta) -> PairPlan {
-        let eff = self.resolve_effective(engine.index(), sample);
-        self.pair_plan_with_eff(engine, eff, &type_mods(sample.file_type), sample)
+        let keys = self.keys(sample);
+        let eff = self.resolve_effective(engine.index(), sample, &keys);
+        let mods = type_mods(sample.file_type);
+        self.pair_plan_with_eff(engine.index(), eff, &mods, sample, &keys)
     }
 
     fn pair_plan_with_eff(
         &self,
-        engine: EngineId,
+        follower: usize,
         eff: usize,
         mods: &TypeMods,
         sample: &SampleMeta,
+        keys: &SampleKeys,
     ) -> PairPlan {
-        let profile = &self.profiles[eff];
         match sample.truth {
-            GroundTruth::Benign => self.benign_plan(eff, profile, mods, sample),
-            GroundTruth::Malicious { detectability } => self.malicious_plan(
-                engine.index(),
-                eff,
-                profile,
-                mods,
-                sample,
-                detectability as f64,
-            ),
+            GroundTruth::Benign => {
+                Self::benign_plan(keys.engines[eff], &self.profiles[eff], mods, sample)
+            }
+            GroundTruth::Malicious { detectability } => {
+                self.malicious_plan(follower, eff, mods, sample, keys, detectability as f64)
+            }
         }
     }
 
+    /// `key` is the effective engine's state, `keys.engines[eff]`.
     fn benign_plan(
-        &self,
-        eff: usize,
+        key: u64,
         profile: &EngineProfile,
         mods: &TypeMods,
         sample: &SampleMeta,
     ) -> PairPlan {
         let fp_rate = (profile.fp_rate * mods.fp_mult).min(1.0);
-        if self.u(sample, eff, TAG_FP) >= fp_rate {
+        if Self::u(key, TAG_FP) >= fp_rate {
             return PairPlan::Never;
         }
         // False positive, live from origin. Usually retracted — and the
         // retraction clock starts at first submission: FPs surface once
         // the file circulates and users report them.
-        if self.u(sample, eff, TAG_FP_RETRACT) < profile.fp_retract_prob {
-            let days = self.lognormal_days(sample, eff, TAG_FP_RETRACT_T, 9.0, 0.9);
+        if Self::u(key, TAG_FP_RETRACT) < profile.fp_retract_prob {
+            let days = Self::lognormal_days(key, TAG_FP_RETRACT_T, 9.0, 0.9);
             let until = sample.first_submission
                 + vt_model::time::Duration::minutes((days * MINUTES_PER_DAY as f64) as i64);
             if until <= sample.origin {
@@ -544,22 +566,24 @@ impl EngineFleet {
         &self,
         follower: usize,
         eff: usize,
-        profile: &EngineProfile,
         mods: &TypeMods,
         sample: &SampleMeta,
+        keys: &SampleKeys,
         detectability: f64,
     ) -> PairPlan {
+        let profile = &self.profiles[eff];
+        let key = keys.engines[eff];
         let q = (detectability * profile.capability).min(1.0);
-        if self.u(sample, eff, TAG_DETECT) >= q {
+        if Self::u(key, TAG_DETECT) >= q {
             return PairPlan::Never;
         }
-        if self.u(sample, eff, TAG_INSTANT) < profile.instant_prob {
+        if Self::u(key, TAG_INSTANT) < profile.instant_prob {
             // Signature live at origin. Possibly retracted later.
             let retract = (profile.retract_prob * mods.retract_mult).min(1.0);
-            if self.u(sample, eff, TAG_RETRACT) < retract {
+            if Self::u(key, TAG_RETRACT) < retract {
                 // Retraction (pruning/whitelisting) follows visibility:
                 // anchored at first submission.
-                let days = self.lognormal_days(sample, eff, TAG_RETRACT_T, 12.0, 1.0);
+                let days = Self::lognormal_days(key, TAG_RETRACT_T, 12.0, 1.0);
                 let until = sample.first_submission
                     + vt_model::time::Duration::minutes((days * MINUTES_PER_DAY as f64) as i64);
                 if until <= sample.origin {
@@ -574,15 +598,15 @@ impl EngineFleet {
         // column flips, even when it copies labels).
         let hot = self.hot[follower][hot_column(sample.file_type)];
         let median =
-            profile.latency_median_days * mods.latency_scale * hot * self.sample_slowness(sample);
-        let days = self.lognormal_days(sample, eff, TAG_LATENCY, median, profile.latency_sigma);
+            profile.latency_median_days * mods.latency_scale * hot * self.sample_slowness(keys);
+        let days = Self::lognormal_days(key, TAG_LATENCY, median, profile.latency_sigma);
         let mut at = sample.origin
             + vt_model::time::Duration::minutes((days * MINUTES_PER_DAY as f64) as i64);
         // Quantize to the *effective* engine's next model update with
         // the profile's probability (the §5.5 "engine update"
         // mechanism). Copier pairs share the leader's database, so they
         // acquire signatures on the leader's schedule.
-        if self.u(sample, eff, TAG_QUANT) < profile.update_quant_prob {
+        if Self::u(key, TAG_QUANT) < profile.update_quant_prob {
             at = self.schedules[eff].next_update_at_or_after(at);
         }
         PairPlan::From(at)
@@ -591,24 +615,26 @@ impl EngineFleet {
     /// Precomputes the plans of every engine against `sample`.
     pub fn sample_plan(&self, sample: &SampleMeta) -> SamplePlan {
         let mods = type_mods(sample.file_type);
-        let n = self.profiles.len();
-        let mut plans = Vec::with_capacity(n);
-        let mut timeout_rates = Vec::with_capacity(n);
-        let mut effective = Vec::with_capacity(n);
-        for i in 0..n {
-            let eff = self.resolve_effective(i, sample);
-            plans.push(self.pair_plan_with_eff(EngineId(i as u8), eff, &mods, sample));
-            timeout_rates.push(
+        let keys = self.keys(sample);
+        let mut plan = SamplePlan {
+            plans: [PairPlan::Never; ENGINE_COUNT],
+            timeout_rates: [0.0; ENGINE_COUNT],
+            effective: [0; ENGINE_COUNT],
+            timeout_keys: [0; ENGINE_COUNT],
+            glitch_keys: [0; ENGINE_COUNT],
+            sample_key: keys.sample,
+        };
+        for i in 0..ENGINE_COUNT {
+            let eff = self.resolve_effective(i, sample, &keys);
+            plan.plans[i] = self.pair_plan_with_eff(i, eff, &mods, sample, &keys);
+            plan.timeout_rates[i] =
                 (self.profiles[eff].timeout_rate * mods.timeout_mult * self.config.timeout_mult)
-                    .min(0.5),
-            );
-            effective.push(eff as u8);
+                    .min(0.5);
+            plan.effective[i] = eff as u8;
+            plan.timeout_keys[i] = mix64_from(keys.engines[i], &[TAG_TIMEOUT]);
+            plan.glitch_keys[i] = mix64_from(keys.engines[i], &[TAG_GLITCH]);
         }
-        SamplePlan {
-            plans,
-            timeout_rates,
-            effective,
-        }
+        plan
     }
 
     // ---- per-scan evaluation -------------------------------------------
@@ -638,15 +664,26 @@ impl EngineFleet {
     /// probability for scans of this sample that day. Lognormal,
     /// mean-normalized to 1.
     pub fn load_factor(&self, sample: &SampleMeta, t: Timestamp) -> f64 {
+        self.load_on(self.sample_key(sample), t)
+    }
+
+    /// [`EngineFleet::load_factor`] resumed from the sample's key.
+    fn load_on(&self, sample_key: u64, t: Timestamp) -> f64 {
         Self::lognormal_factor(
-            mix64(&[
-                self.config.seed,
-                sample.hash.seed64(),
-                TAG_LOAD,
-                t.day_number() as u64,
-            ]),
+            mix64_from(sample_key, &[TAG_LOAD, t.day_number() as u64]),
             self.config.load_sigma,
         )
+    }
+
+    /// The load factor of a scan of `sample` under its `plan`, resumed
+    /// from the key the plan carries.
+    fn load_of(&self, plan: &SamplePlan, sample: &SampleMeta, t: Timestamp) -> f64 {
+        debug_assert_eq!(
+            plan.sample_key,
+            self.sample_key(sample),
+            "a plan scans the sample and fleet it was made for"
+        );
+        self.load_on(plan.sample_key, t)
     }
 
     /// The per-(engine, epoch) availability factor. Each engine's
@@ -720,15 +757,16 @@ impl EngineFleet {
     }
 
     /// The one verdict routine: engine `i`'s verdict given the day's
-    /// row and the scan's load factor.
+    /// row, the scan's load factor and `day`, the day number of `t`
+    /// (taken once per scan).
     fn verdict_on(
         &self,
         row: &DayRow,
         load: f64,
         plan: &SamplePlan,
         i: usize,
-        sample: &SampleMeta,
         t: Timestamp,
+        day: u64,
     ) -> Verdict {
         if row.outage >> i & 1 == 1 {
             return Verdict::Undetected;
@@ -739,19 +777,12 @@ impl EngineFleet {
         // engine availability.
         let eff = plan.effective[i] as usize;
         let p = (plan.timeout_rates[i] * row.epoch[eff] * load).min(0.9);
-        let day_word = mix64(&[
-            self.config.seed,
-            sample.hash.seed64(),
-            eff as u64,
-            TAG_TIMEOUT,
-            t.day_number() as u64,
-        ]);
-        if unit_f64(day_word) < p {
+        if Self::u(plan.timeout_keys[eff], day) < p {
             return Verdict::Undetected;
         }
         let mut flagged = plan.plans[i].flagged_at(t);
         if self.config.glitch_rate > 0.0
-            && self.u_scan(sample, i, TAG_GLITCH, t) < self.config.glitch_rate
+            && Self::u(plan.glitch_keys[i], t.0 as u64) < self.config.glitch_rate
         {
             flagged = !flagged;
         }
@@ -770,8 +801,15 @@ impl EngineFleet {
         sample: &SampleMeta,
         t: Timestamp,
     ) -> Verdict {
-        let load = self.load_factor(sample, t);
-        self.verdict_on(&self.day_row(t), load, plan, e.index(), sample, t)
+        let load = self.load_of(plan, sample, t);
+        self.verdict_on(
+            &self.day_row(t),
+            load,
+            plan,
+            e.index(),
+            t,
+            t.day_number() as u64,
+        )
     }
 
     /// One engine's verdict for one scan (resolves the plan on the fly;
@@ -786,12 +824,13 @@ impl EngineFleet {
     /// and the load factor are fetched once and shared by the roster.
     pub fn scan(&self, plan: &SamplePlan, sample: &SampleMeta, t: Timestamp) -> VerdictVec {
         let row = self.day_row(t);
-        let load = self.load_factor(sample, t);
+        let load = self.load_of(plan, sample, t);
+        let day = t.day_number() as u64;
         let mut v = VerdictVec::new(self.profiles.len());
         for i in 0..self.profiles.len() {
             v.set(
                 EngineId(i as u8),
-                self.verdict_on(&row, load, plan, i, sample, t),
+                self.verdict_on(&row, load, plan, i, t, day),
             );
         }
         v
@@ -1055,9 +1094,18 @@ mod tests {
         assert_ne!(v1, v2, "seeds should decorrelate verdict vectors");
     }
 
-    /// One engine's verdict assembled from the public pure functions,
-    /// as `verdict_with_plan` composed them before the day plane
-    /// existed: the definition [`EngineFleet::scan`] must reproduce.
+    /// A draw about `sample` spelled as its whole key, `[seed, sample] ++
+    /// rest`, hashed in one go: what a draw resumed from a carried state
+    /// must equal.
+    fn u_by_definition(f: &EngineFleet, sample: &SampleMeta, rest: &[u64]) -> f64 {
+        let key = [&[f.config.seed, sample.hash.seed64()], rest].concat();
+        unit_f64(mix64(&key))
+    }
+
+    /// One engine's verdict assembled from the public day functions and
+    /// whole-key hashes, as `verdict_with_plan` composed them before the
+    /// day plane and the carried keys existed: the definition
+    /// [`EngineFleet::scan`] must reproduce.
     fn verdict_by_definition(
         f: &EngineFleet,
         plan: &SamplePlan,
@@ -1070,20 +1118,20 @@ mod tests {
             return Verdict::Undetected;
         }
         let eff = plan.effective[i] as usize;
-        let p =
-            (plan.timeout_rates[i] * f.epoch_factor(eff, t) * f.load_factor(sample, t)).min(0.9);
-        let day_word = mix64(&[
-            f.config.seed,
-            sample.hash.seed64(),
-            eff as u64,
-            TAG_TIMEOUT,
-            t.day_number() as u64,
-        ]);
-        if unit_f64(day_word) < p {
+        let day = t.day_number() as u64;
+        let load = EngineFleet::lognormal_factor(
+            mix64(&[f.config.seed, sample.hash.seed64(), TAG_LOAD, day]),
+            f.config.load_sigma,
+        );
+        let p = (plan.timeout_rates[i] * f.epoch_factor(eff, t) * load).min(0.9);
+        if u_by_definition(f, sample, &[eff as u64, TAG_TIMEOUT, day]) < p {
             return Verdict::Undetected;
         }
         let mut flagged = plan.plan(e).flagged_at(t);
-        if f.config.glitch_rate > 0.0 && f.u_scan(sample, i, TAG_GLITCH, t) < f.config.glitch_rate {
+        if f.config.glitch_rate > 0.0
+            && u_by_definition(f, sample, &[i as u64, TAG_GLITCH, t.0 as u64])
+                < f.config.glitch_rate
+        {
             flagged = !flagged;
         }
         if flagged {
@@ -1143,6 +1191,71 @@ mod tests {
                 prop_assert_eq!(f.verdict_with_plan(&plan, e, &s, t), defined);
             }
         }
+    }
+
+    proptest! {
+        #[test]
+        fn keyed_draws_are_the_whole_key_hashes(seed in any::<u64>(), ordinal in any::<u64>()) {
+            let f = EngineFleet::with_seed(seed);
+            let s = sample(ordinal, FileType::Win32Exe, GroundTruth::Benign);
+            let s64 = s.hash.seed64();
+            let keys = f.keys(&s);
+            let plan = f.sample_plan(&s);
+            prop_assert_eq!(plan.sample_key, mix64(&[seed, s64]));
+            let day = s.origin.day_number() as u64;
+            prop_assert_eq!(
+                f.load_on(plan.sample_key, s.origin),
+                EngineFleet::lognormal_factor(mix64(&[seed, s64, TAG_LOAD, day]), f.config.load_sigma)
+            );
+            let slow = u_by_definition(&f, &s, &[TAG_SLOWNESS]).clamp(1e-12, 1.0 - 1e-12);
+            prop_assert_eq!(
+                f.sample_slowness(&keys),
+                (f.config.slowness_sigma * vt_stats::special::probit(slow)).exp()
+            );
+            for e in 0..ENGINE_COUNT {
+                for tag in TAG_COPY..=TAG_TREND {
+                    prop_assert_eq!(
+                        EngineFleet::u(keys.engines[e], tag),
+                        u_by_definition(&f, &s, &[e as u64, tag]),
+                        "engine {} tag {}", e, tag
+                    );
+                }
+                prop_assert_eq!(plan.timeout_keys[e], mix64(&[seed, s64, e as u64, TAG_TIMEOUT]));
+                prop_assert_eq!(plan.glitch_keys[e], mix64(&[seed, s64, e as u64, TAG_GLITCH]));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_plan_is_the_sample_plans_column() {
+        let f = fleet();
+        let mut copied = 0;
+        for ordinal in 0..60 {
+            for (ft, truth) in [
+                (FileType::Pdf, GroundTruth::Benign),
+                (FileType::Win32Exe, GroundTruth::Benign),
+                (
+                    FileType::Win32Exe,
+                    GroundTruth::Malicious { detectability: 0.6 },
+                ),
+                (
+                    FileType::Html,
+                    GroundTruth::Malicious { detectability: 0.3 },
+                ),
+            ] {
+                let s = sample(70_000 + ordinal, ft, truth);
+                let plan = f.sample_plan(&s);
+                for e in 0..ENGINE_COUNT {
+                    assert_eq!(
+                        f.pair_plan(EngineId(e as u8), &s),
+                        plan.plan(EngineId(e as u8)),
+                        "engine {e} on {ft} ordinal {ordinal}"
+                    );
+                    copied += (plan.effective[e] as usize != e) as u32;
+                }
+            }
+        }
+        assert!(copied > 100, "only {copied} copied pairs were covered");
     }
 
     #[test]

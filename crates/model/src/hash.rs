@@ -43,6 +43,7 @@ impl fmt::Display for SampleHash {
 }
 
 /// SplitMix64 finalizer — a cheap, high-quality 64-bit mixing function.
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -50,17 +51,26 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The state [`mix64`] starts from (pi digits).
+const MIX64_INIT: u64 = 0x243f_6a88_85a3_08d3;
+
 /// Mixes several 64-bit words into one, for deriving per-(entity, counter)
 /// deterministic random streams.
+#[inline]
 pub fn mix64(words: &[u64]) -> u64 {
-    let mut acc = 0x243f_6a88_85a3_08d3u64; // pi digits
-    for &w in words {
-        acc = splitmix64(acc ^ w);
-    }
-    acc
+    mix64_from(MIX64_INIT, words)
+}
+
+/// Resumes a [`mix64`] fold: `mix64(a ++ b) == mix64_from(mix64(a), b)`,
+/// one [`splitmix64`] round per word. A caller whose keys share a prefix
+/// hashes the prefix once and finishes each key from there.
+#[inline]
+pub fn mix64_from(acc: u64, words: &[u64]) -> u64 {
+    words.iter().fold(acc, |acc, &w| splitmix64(acc ^ w))
 }
 
 /// Converts a mixed word into a uniform f64 in [0, 1).
+#[inline]
 pub fn unit_f64(word: u64) -> f64 {
     // 53 high bits → [0, 1) with full double precision.
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -110,6 +120,14 @@ mod tests {
         fn mix_order_matters(a in any::<u64>(), b in any::<u64>()) {
             prop_assume!(a != b);
             prop_assert_ne!(mix64(&[a, b]), mix64(&[b, a]));
+        }
+
+        #[test]
+        fn mix_resumes_at_any_split(words in proptest::collection::vec(any::<u64>(), 0..9)) {
+            prop_assert_eq!(mix64(&words), mix64_from(MIX64_INIT, &words));
+            for k in 0..=words.len() {
+                prop_assert_eq!(mix64(&words), mix64_from(mix64(&words[..k]), &words[k..]));
+            }
         }
 
         #[test]

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use bytes::BytesMut;
-use vt_model::hash::{mix64, unit_f64};
+use vt_model::hash::{mix64, mix64_from, unit_f64};
 use vt_model::ScanReport;
 use vt_store::codec::encode_report;
 use vt_store::crc32::crc32;
@@ -56,14 +56,15 @@ pub struct FaultPlan {
     /// often it is retried (the collector must abandon it).
     pub hard_outage_rate: f64,
     /// Upper bound on the attempt index at which a transient outage
-    /// heals: attempt `1 + hash % outage_heal_attempts` succeeds.
+    /// heals: attempt `1 + hash % outage_heal_attempts` succeeds (0 is
+    /// read as 1).
     pub outage_heal_attempts: u32,
     /// Probability an entry is delivered twice.
     pub duplicate_rate: f64,
     /// Probability an entry is delivered late (out of order).
     pub reorder_rate: f64,
     /// Maximum lateness, in minutes, of a reordered entry (the bound a
-    /// receiver's reorder buffer must cover).
+    /// receiver's reorder buffer must cover; 0 is read as 1).
     pub max_lateness: u32,
     /// Probability an entry's payload is corrupted in flight.
     pub corruption_rate: f64,
@@ -113,22 +114,12 @@ impl FaultPlan {
     }
 
     fn chance(&self, tag: u64, identity: &[u64], rate: f64) -> bool {
-        if rate <= 0.0 {
-            return false;
-        }
-        let mut words = Vec::with_capacity(identity.len() + 2);
-        words.push(self.seed);
-        words.push(tag);
-        words.extend_from_slice(identity);
-        unit_f64(mix64(&words)) < rate
+        rate > 0.0 && unit_f64(self.draw(tag, identity)) < rate
     }
 
+    /// `mix64` of `[seed, tag] ++ identity`.
     fn draw(&self, tag: u64, identity: &[u64]) -> u64 {
-        let mut words = Vec::with_capacity(identity.len() + 2);
-        words.push(self.seed);
-        words.push(tag);
-        words.extend_from_slice(identity);
-        mix64(&words)
+        mix64_from(mix64(&[self.seed, tag]), identity)
     }
 }
 
@@ -205,8 +196,9 @@ impl FaultyFeed {
             delayed_entries: 0,
             corrupted_entries: 0,
         };
+        let mut buf = BytesMut::new();
         for report in reports {
-            feed.schedule_report(&report);
+            feed.schedule_report(&mut buf, &report);
         }
         feed
     }
@@ -228,11 +220,13 @@ impl FaultyFeed {
         ]
     }
 
-    fn schedule_report(&mut self, report: &ScanReport) {
-        let mut buf = BytesMut::new();
-        encode_report(&mut buf, report, 0);
-        let clean: Vec<u8> = buf.freeze().to_vec();
-        let checksum = crc32(&clean);
+    /// Schedules the deliveries of `report`, encoding it into `buf` (a
+    /// scratch buffer the caller reuses): each delivered entry's payload
+    /// is the one allocation made.
+    fn schedule_report(&mut self, buf: &mut BytesMut, report: &ScanReport) {
+        buf.clear();
+        encode_report(buf, report, 0);
+        let checksum = crc32(buf);
         let generated_minute = report.analysis_date.0;
 
         let copies = if self.plan.chance(
@@ -253,11 +247,11 @@ impl FaultyFeed {
                 .chance(TAG_DELAY, &identity, self.plan.reorder_rate)
             {
                 self.delayed_entries += 1;
-                1 + self.plan.draw(TAG_DELAY_SPAN, &identity) % self.plan.max_lateness as u64
+                1 + self.plan.draw(TAG_DELAY_SPAN, &identity) % self.plan.max_lateness.max(1) as u64
             } else {
                 0
             };
-            let mut payload = clean.clone();
+            let mut payload = buf.to_vec();
             if self
                 .plan
                 .chance(TAG_CORRUPT, &identity, self.plan.corruption_rate)
@@ -332,7 +326,7 @@ impl FaultyFeed {
             return true; // Hard outage: never heals.
         }
         let heals_at = 1 + self.plan.draw(TAG_OUTAGE_HEAL, &[minute as u64, 1])
-            % self.plan.outage_heal_attempts as u64;
+            % self.plan.outage_heal_attempts.max(1) as u64;
         (attempt as u64) < heals_at
     }
 
@@ -504,6 +498,31 @@ mod tests {
         }
         assert!(transient > 0, "some outages heal within the attempt bound");
         assert!(hard > 0, "some outages never heal");
+    }
+
+    #[test]
+    fn a_literal_plan_with_zero_bounds_reads_them_as_one() {
+        // A struct literal bypasses `with_reordering`'s clamp.
+        let sim = sim();
+        let zero = FaultPlan {
+            outage_rate: 1.0,
+            outage_heal_attempts: 0,
+            reorder_rate: 1.0,
+            max_lateness: 0,
+            ..FaultPlan::clean(5)
+        };
+        let one = FaultPlan {
+            outage_heal_attempts: 1,
+            max_lateness: 1,
+            ..zero
+        };
+        let mut feed = FaultyFeed::from_sim(&sim, 0..50, zero);
+        assert!(feed.delayed_entries() > 0);
+        let first = feed.first_minute().unwrap();
+        assert!(feed.outage_at(first, 0));
+        assert!(!feed.outage_at(first, 1), "heals at the first retry");
+        let entries = drain(&mut feed);
+        assert_eq!(entries, drain(&mut FaultyFeed::from_sim(&sim, 0..50, one)));
     }
 
     #[test]

@@ -134,10 +134,16 @@ impl PopulationGen {
         SmallRng::seed_from_u64(mix64(&[self.config.seed, 0x90b, ordinal]))
     }
 
+    /// The hash of sample number `ordinal`, without generating the rest
+    /// of it: `hash_of(o) == sample(o).hash`.
+    pub fn hash_of(&self, ordinal: u64) -> SampleHash {
+        SampleHash::from_ordinal(mix64(&[self.config.seed, ordinal]))
+    }
+
     /// Generates sample number `ordinal`.
     pub fn sample(&self, ordinal: u64) -> SampleMeta {
         let mut rng = self.rng_for(ordinal);
-        let hash = SampleHash::from_ordinal(mix64(&[self.config.seed, ordinal]));
+        let hash = self.hash_of(ordinal);
         let type_idx = self.type_table.sample(&mut rng);
         let file_type = FileType::from_dense_index(type_idx);
         let pop = type_population(file_type);
@@ -205,6 +211,7 @@ impl PopulationGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn gen(samples: u64) -> PopulationGen {
         PopulationGen::new(SimConfig::new(0xBEEF, samples))
@@ -218,6 +225,14 @@ mod tests {
         }
         let g2 = gen(100);
         assert_eq!(g.sample(5), g2.sample(5));
+    }
+
+    proptest! {
+        #[test]
+        fn hash_of_is_the_samples_hash(seed in any::<u64>(), ordinal in any::<u64>()) {
+            let g = PopulationGen::new(SimConfig::new(seed, 1));
+            prop_assert_eq!(g.hash_of(ordinal), g.sample(ordinal).hash);
+        }
     }
 
     #[test]

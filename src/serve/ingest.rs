@@ -221,7 +221,7 @@ pub(super) fn run(
         // Resume fast-path: a chunk whose samples were all sealed before
         // the crash needs no re-simulation at all.
         if !sealed_hashes.is_empty()
-            && (start..end).all(|o| sealed_hashes.contains(&sim.population().sample(o).hash))
+            && (start..end).all(|o| sealed_hashes.contains(&sim.population().hash_of(o)))
         {
             start = end;
             continue;

@@ -196,10 +196,9 @@ fn publish_arm() -> Arm {
 /// ns/iter on one thread, fleet warm: the median of this arm's reading
 /// over ten consecutive runs of this binary (140.8 – 159.6 ms), recorded
 /// 2026-10-03 on a 2-vCPU microVM that alternates between a fast state
-/// and one ~35 % slower for minutes at a time. The tree before the
-/// sample's hash keys were carried read 227 – 235 ms the same day, so
-/// the 231 ms baseline it was gated by would have let this arm lose
-/// 70 % unseen.
+/// and one ~35 % slower for minutes at a time. A one-sided canary:
+/// re-record it after any change that speeds this arm up, or the gate
+/// waves the next regression through.
 const TRAJECTORIES_1_WORKER_NS: u64 = 150_950_000;
 
 fn generate_arm() -> Arm {

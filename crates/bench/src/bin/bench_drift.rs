@@ -23,10 +23,12 @@
 //!   day plane, the load factor — or a per-pair rule scan creeping back
 //!   into `vt-engines`; the sweep was 4× slower before those existed).
 //!
-//! Two are self-relative: the 60k fixture is folded segment by segment
-//! three ways in every round, and [`overhead_ok`] gates the median of
-//! the per-round ratios against the bare fold (no stored baseline, so no
-//! machine drift):
+//! Two are self-relative: the 60k fixture, cut into sealed segment
+//! stores before any timing, is folded store by store through
+//! [`IncrementalStudy::fold_store`] with one reused [`DecodeArena`] —
+//! the fold `vtld serve` and `vtld analyze` run — three ways in every
+//! round, and [`overhead_ok`] gates the median of the per-round ratios
+//! against the bare fold (no stored baseline, so no machine drift):
 //!
 //! * `alert_overhead` — the fold with the streaming drift detectors
 //!   ([`vt_dynamics::AlertConfig`]) on: four extra table passes against a
@@ -47,16 +49,16 @@
 //! iterations, and the folds the ratios compare run within one round of
 //! each other.
 //!
-//! What the 2-vCPU box this was written on read on 2026-10-03, five
-//! consecutive runs (each arm's best in ms, then both ratios) —
-//! reported, not gated:
+//! What the 2-vCPU box this was written on read on 2026-10-05, five
+//! consecutive runs (each arm's best in ms, then both ratios, the fold
+//! arms on `fold_store`) — reported, not gated:
 //!
 //! ```text
-//! table_build_arena      200.5  200.4  198.2  200.1  190.1
-//! publish_last_segment     2.3    2.4    2.4    2.4    2.2
-//! trajectories_1_worker  245.4  241.5  249.2  251.4  234.5
-//! alert_overhead        ×1.008 ×1.189 ×1.067 ×1.014 ×1.193
-//! obs_overhead          ×0.747 ×0.897 ×0.976 ×0.922 ×1.083
+//! table_build_arena      158.1  175.6  165.6  191.5  187.3
+//! publish_last_segment     2.0    2.4    2.0    2.4    2.5
+//! trajectories_1_worker  105.8  134.0  115.4  111.2  135.3
+//! alert_overhead        ×0.925 ×0.977 ×1.048 ×0.935 ×1.042
+//! obs_overhead          ×1.013 ×0.914 ×1.004 ×0.967 ×1.032
 //! ```
 //!
 //! Usage: `cargo run --release -p vt-bench --bin bench_drift`
@@ -71,10 +73,11 @@ use std::process::ExitCode;
 use std::sync::OnceLock;
 use std::time::Instant;
 use vt_dynamics::{
-    AlertConfig, DecodeArena, IncrementalStudy, SlotMergeTree, Study, TrajectoryTable,
+    AlertConfig, DecodeArena, IncrementalStudy, SampleRecord, SlotMergeTree, Study, TrajectoryTable,
 };
 use vt_obs::Obs;
 use vt_sim::{SimConfig, VirusTotalSim};
+use vt_store::{ReportStore, StoreBuilder};
 
 const ITERATIONS: u32 = 5;
 const BENCH_SEED: u64 = 0xBE5C;
@@ -87,6 +90,27 @@ const SEGMENT_SAMPLES: usize = 5_000;
 fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| Study::generate(SimConfig::new(BENCH_SEED, BENCH_SAMPLES)))
+}
+
+/// `records` cut into segments of [`SEGMENT_SAMPLES`] samples, each
+/// sealed into the store a daemon's fold worker would be handed.
+fn segment_stores(records: &[SampleRecord]) -> Vec<ReportStore> {
+    records
+        .chunks(SEGMENT_SAMPLES)
+        .map(|segment| {
+            let mut store = StoreBuilder::new();
+            for r in segment {
+                store.append_batch(&r.reports);
+            }
+            store.seal()
+        })
+        .collect()
+}
+
+/// The 60k-sample study's segments, sealed once for all three fold arms.
+fn study_segments() -> &'static [ReportStore] {
+    static SEGMENTS: OnceLock<Vec<ReportStore>> = OnceLock::new();
+    SEGMENTS.get_or_init(|| segment_stores(study().records()))
 }
 
 /// The 500k-sample study of the table-build arm.
@@ -163,12 +187,13 @@ fn publish_arm() -> Arm {
         slot_records[(r.meta.hash.0 % SLOTS as u128) as usize].push(r.clone());
     }
     let parts = st.build_store().partition_stats();
+    let mut arena = DecodeArena::new();
     let partials: Vec<_> = slot_records
         .iter()
         .map(|recs| {
             let mut inc = IncrementalStudy::new(st.sim().fleet(), ws).with_workers(4);
-            for seg in recs.chunks(SEGMENT_SAMPLES) {
-                inc.fold_segment(seg, Obs::noop());
+            for store in segment_stores(recs) {
+                inc.fold_store(&store, &mut arena, Obs::noop());
             }
             inc.partials().cloned()
         })
@@ -226,12 +251,14 @@ enum Fold {
     Observed,
 }
 
-/// One side of a self-relative gate: the 60k fixture folded segment by
-/// segment, bare or with one thing added. All sides run in this process
-/// on the same fixture.
+/// One side of a self-relative gate: the 60k fixture's segment stores
+/// folded in order, bare or with one thing added. All sides run in this
+/// process on the same stores.
 fn fold_arm(fold: Fold) -> Arm {
     let st = study();
     let ws = st.sim().config().window_start();
+    let segments = study_segments();
+    let mut arena = DecodeArena::new();
     let iteration = move || {
         let fresh = matches!(fold, Fold::Observed).then(Obs::new);
         let obs = fresh.as_ref().unwrap_or(Obs::noop());
@@ -240,8 +267,8 @@ fn fold_arm(fold: Fold) -> Arm {
         if matches!(fold, Fold::Alerts) {
             inc = inc.with_alerts(AlertConfig::default());
         }
-        for seg in st.records().chunks(SEGMENT_SAMPLES) {
-            inc.fold_segment(seg, obs);
+        for store in segments {
+            inc.fold_store(store, &mut arena, obs);
         }
         std::hint::black_box(inc.take_alerts());
         t.elapsed().as_nanos() as u64

@@ -28,9 +28,9 @@
 //!
 //! Every per-section analysis is a **stage**: a struct implementing
 //! [`Analysis`] that runs against an [`AnalysisCtx`] bundling the
-//! records, *S*, the fleet, the worker count and an observability
-//! handle ([`vt_obs::Obs`]). Each stage is a fold: it reduces records
-//! to a mergeable [`Analysis::Partial`], and
+//! columnar [`TrajectoryTable`], *S*, the fleet, the worker count and an
+//! observability handle ([`vt_obs::Obs`]). Each stage is a fold: it
+//! reduces the table to a mergeable [`Analysis::Partial`], and
 //! [`incremental::IncrementalStudy`] merges per-segment partials into
 //! results bit-identical to the one-shot batch run.
 //!

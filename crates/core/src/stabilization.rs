@@ -19,8 +19,6 @@ use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
 use crate::table::TrajectoryTable;
-#[cfg(test)]
-use vt_aggregate::{stabilization_index, LabelSequence, Threshold};
 use vt_model::time::Duration;
 
 /// Combined §6 output: the r-sweep plus both Fig. 9 variants.
@@ -246,9 +244,11 @@ fn rank_stabilization_columnar(
     out
 }
 
-/// [`vt_aggregate::stabilization_index`] on the implied threshold-`t`
-/// label sequence
-/// of an AV-Rank column, without materializing the labels. Public so
+/// The §6.2 stabilization point of the threshold-`t` label sequence an
+/// AV-Rank column implies — the smallest `i` such that the labels from
+/// `i` on are constant and number at least two (a single final report
+/// is trivially 'unchanged' and says nothing about stability) — without
+/// materializing the labels. Public so
 /// the per-sample [`crate::index::SampleIndex`] answers "stabilized at
 /// `t`?" with exactly the §6.2 sweep's definition.
 pub fn label_stabilization_index(p: &[u32], t: u32) -> Option<usize> {
@@ -483,6 +483,20 @@ impl LabelStabilization {
 /// The paper's Fig. 9 threshold set.
 pub const FIG9_THRESHOLDS: [u32; 9] = [2, 5, 10, 15, 20, 25, 30, 35, 40];
 
+/// Start of the maximal constant suffix of a label sequence, if that
+/// suffix holds at least two labels: the §6.2 search over materialized
+/// labels, which the serial oracle below keeps as the reference
+/// [`label_stabilization_index`] is compared against.
+#[cfg(test)]
+fn constant_suffix_start(labels: &[bool]) -> Option<usize> {
+    let last = *labels.last()?;
+    let mut start = labels.len() - 1;
+    while start > 0 && labels[start - 1] == last {
+        start -= 1;
+    }
+    (labels.len() - start >= 2).then_some(start)
+}
+
 /// Runs the §6.2 sweep. `exclude_two_scans` selects Fig. 9b's variant
 /// (samples with only two scans trivially stabilize and dominate the
 /// averages).
@@ -495,7 +509,6 @@ pub(crate) fn label_stabilization_impl(
     FIG9_THRESHOLDS
         .iter()
         .map(|&t| {
-            let agg = Threshold(t);
             let mut samples = 0u64;
             let mut stabilized = 0u64;
             let mut serial_sum = 0f64;
@@ -507,8 +520,8 @@ pub(crate) fn label_stabilization_impl(
                     continue;
                 }
                 samples += 1;
-                let seq = LabelSequence::from_reports(&rec.reports, &agg);
-                if let Some(i) = stabilization_index(seq.labels()) {
+                let malicious: Vec<bool> = rec.reports.iter().map(|r| r.positives() >= t).collect();
+                if let Some(i) = constant_suffix_start(&malicious) {
                     stabilized += 1;
                     serial_sum += (i + 1) as f64;
                     let days =
@@ -620,6 +633,30 @@ mod tests {
                     "t={} p={:?}", t, &p
                 );
             }
+        }
+    }
+
+    #[test]
+    fn constant_suffix_start_cases() {
+        const B: bool = false;
+        const M: bool = true;
+        assert_eq!(constant_suffix_start(&[B, B]), Some(0));
+        assert_eq!(constant_suffix_start(&[B, M, B, M, M, M]), Some(3));
+        assert_eq!(constant_suffix_start(&[M, B, B]), Some(1));
+        // A final singleton says nothing about stability.
+        assert_eq!(constant_suffix_start(&[B, B, M]), None);
+        assert_eq!(constant_suffix_start(&[B]), None);
+        assert_eq!(constant_suffix_start(&[]), None);
+    }
+
+    proptest! {
+        #[test]
+        fn index_matches_the_materialized_label_search(
+            p in proptest::collection::vec(0u32..45, 0..40),
+            t in 0u32..45,
+        ) {
+            let labels: Vec<bool> = p.iter().map(|&x| x >= t).collect();
+            prop_assert_eq!(label_stabilization_index(&p, t), constant_suffix_start(&labels));
         }
     }
 

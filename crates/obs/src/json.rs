@@ -7,7 +7,9 @@
 //! validate that `metrics.json` round-trips and by tests/tools that
 //! consume it. It parses the full JSON grammar (RFC 8259) minus one
 //! liberty: numbers are held as `f64`, so integers above 2^53 lose
-//! precision — far beyond any counter a single run produces.
+//! precision — far beyond any counter a single run produces. The parser
+//! recurses per container, so nesting is capped at 64 levels: input from
+//! the wire cannot overflow the stack.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,12 +109,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest container nesting [`parse`] accepts — far above the deepest
+/// document the workspace writes or reads (`metrics.json` nests 5 deep).
+const MAX_DEPTH: usize = 64;
+
 /// Parses a complete JSON document (one value plus trailing
-/// whitespace).
+/// whitespace). Containers nested deeper than 64 levels are an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -144,6 +151,8 @@ pub fn write_json_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -184,8 +193,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -193,6 +202,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one container, refusing to open it past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 64 levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -412,6 +435,24 @@ mod tests {
             "[1,]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_without_bound() {
+        for (open, leaf, close) in [("[", "", "]"), ("{\"a\":", "1", "}")] {
+            let nest =
+                |depth: usize| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nest(MAX_DEPTH)).is_ok(), "{open} at the cap");
+            let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("nesting deeper than {MAX_DEPTH} levels")
+            );
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{open} past the cap");
+            // Unclosed and far past any stack: returns, does not overflow.
+            let err = parse(&open.repeat(60_000)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
         }
     }
 

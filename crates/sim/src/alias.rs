@@ -5,7 +5,7 @@
 //! CDF scan would dominate generation time. The alias method answers
 //! each draw with one uniform and one comparison.
 
-use rand::Rng;
+use crate::rng::SimRng;
 
 /// A categorical distribution supporting O(1) sampling.
 #[derive(Debug, Clone)]
@@ -73,9 +73,9 @@ impl AliasTable {
     }
 
     /// Draws a category index.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        let i = rng.below(self.prob.len() as u64) as usize;
+        if rng.unit_f64() < self.prob[i] {
             i
         } else {
             self.alias[i] as usize
@@ -98,14 +98,12 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn matches_weights_statistically() {
         let weights = [1.0, 2.0, 4.0, 8.0, 1.0];
         let table = AliasTable::new(&weights);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SimRng::seed_from_u64(1);
         let mut counts = [0u64; 5];
         let n = 400_000;
         for _ in 0..n {
@@ -125,7 +123,7 @@ mod tests {
     #[test]
     fn zero_weight_categories_never_drawn() {
         let table = AliasTable::new(&[0.0, 1.0, 0.0, 1.0]);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SimRng::seed_from_u64(2);
         for _ in 0..10_000 {
             let i = table.sample(&mut rng);
             assert!(i == 1 || i == 3);
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn single_category() {
         let table = AliasTable::new(&[5.0]);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SimRng::seed_from_u64(3);
         assert_eq!(table.sample(&mut rng), 0);
         assert_eq!(table.len(), 1);
     }

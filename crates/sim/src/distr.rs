@@ -1,35 +1,32 @@
-//! Distribution samplers built on `rand`'s uniform source.
-//!
-//! The allowed dependency set includes `rand` but not `rand_distr`, so
-//! the handful of distributions the population model needs are
-//! implemented here: lognormal (via probit), gamma (Marsaglia–Tsang),
-//! beta (gamma ratio), and a bounded Pareto for the heavy scan-count
-//! tail.
+//! Distribution samplers built on [`SimRng`]'s uniform draws: the
+//! handful of distributions the population model needs — lognormal
+//! (via probit), gamma (Marsaglia–Tsang), beta (gamma ratio), and a
+//! bounded Pareto for the heavy scan-count tail.
 
-use rand::Rng;
+use crate::rng::SimRng;
 use vt_stats::special::probit;
 
 /// Standard normal draw via inverse-CDF of a uniform (one uniform per
 /// draw; deterministic given the RNG stream).
-pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
+pub fn normal(rng: &mut SimRng) -> f64 {
+    let u = rng.range_f64(1e-12, 1.0 - 1e-12);
     probit(u)
 }
 
 /// Lognormal draw with the given median and σ (of the underlying
 /// normal): `median · exp(σ·Z)`.
-pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
+pub fn lognormal(rng: &mut SimRng, median: f64, sigma: f64) -> f64 {
     debug_assert!(median > 0.0 && sigma >= 0.0);
     median * (sigma * normal(rng)).exp()
 }
 
 /// Gamma(α, 1) draw via Marsaglia–Tsang (with the α < 1 boost).
-pub fn gamma<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> f64 {
+pub fn gamma(rng: &mut SimRng, alpha: f64) -> f64 {
     debug_assert!(alpha > 0.0, "gamma requires alpha > 0");
     if alpha < 1.0 {
         // Boost: X ~ Gamma(α+1) · U^(1/α).
         let x = gamma(rng, alpha + 1.0);
-        let u: f64 = rng.gen_range(1e-300..1.0);
+        let u = rng.range_f64(1e-300, 1.0);
         return x * u.powf(1.0 / alpha);
     }
     let d = alpha - 1.0 / 3.0;
@@ -40,7 +37,7 @@ pub fn gamma<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> f64 {
         if v <= 0.0 {
             continue;
         }
-        let u: f64 = rng.gen_range(1e-300..1.0);
+        let u = rng.range_f64(1e-300, 1.0);
         if u.ln() < 0.5 * z * z + d - d * v + d * v.ln() {
             return d * v;
         }
@@ -48,7 +45,7 @@ pub fn gamma<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> f64 {
 }
 
 /// Beta(a, b) draw via the gamma ratio.
-pub fn beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
+pub fn beta(rng: &mut SimRng, a: f64, b: f64) -> f64 {
     let x = gamma(rng, a);
     let y = gamma(rng, b);
     (x / (x + y)).clamp(0.0, 1.0)
@@ -57,9 +54,9 @@ pub fn beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
 /// Bounded Pareto draw on `[lo, hi]` with shape α (heavy right tail).
 /// Used for the extreme reports-per-sample tail (the paper's most
 /// rescanned sample has 64,168 reports).
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
+pub fn bounded_pareto(rng: &mut SimRng, alpha: f64, lo: f64, hi: f64) -> f64 {
     debug_assert!(alpha > 0.0 && lo > 0.0 && hi > lo);
-    let u: f64 = rng.gen_range(0.0..1.0);
+    let u = rng.range_f64(0.0, 1.0);
     let la = lo.powf(alpha);
     let ha = hi.powf(alpha);
     // Inverse CDF of the truncated Pareto.
@@ -70,11 +67,9 @@ pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xD157)
+    fn rng() -> SimRng {
+        SimRng::seed_from_u64(0xD157)
     }
 
     #[test]

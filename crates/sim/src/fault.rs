@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use bytes::BytesMut;
 use vt_model::hash::{mix64, mix64_from, unit_f64};
 use vt_model::ScanReport;
 use vt_store::codec::encode_report;
@@ -196,7 +195,7 @@ impl FaultyFeed {
             delayed_entries: 0,
             corrupted_entries: 0,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for report in reports {
             feed.schedule_report(&mut buf, &report);
         }
@@ -223,7 +222,7 @@ impl FaultyFeed {
     /// Schedules the deliveries of `report`, encoding it into `buf` (a
     /// scratch buffer the caller reuses): each delivered entry's payload
     /// is the one allocation made.
-    fn schedule_report(&mut self, buf: &mut BytesMut, report: &ScanReport) {
+    fn schedule_report(&mut self, buf: &mut Vec<u8>, report: &ScanReport) {
         buf.clear();
         encode_report(buf, report, 0);
         let checksum = crc32(buf);

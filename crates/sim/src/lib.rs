@@ -23,8 +23,10 @@
 //! * [`fault`] — seeded chaos injection over the feed: minute outages,
 //!   duplicate delivery, bounded-lateness reordering, and detectable
 //!   payload corruption, for exercising the collector's fault paths.
-//! * [`distr`] / [`alias`] — sampling utilities (lognormal, gamma, beta,
-//!   Zipf, and O(1) weighted choice via the alias method).
+//! * [`rng`] — the seeded generator (xoshiro256++) every stochastic
+//!   choice of this crate draws from.
+//! * [`distr`] / [`alias`] — sampling utilities over it (lognormal,
+//!   gamma, beta, Zipf, and O(1) weighted choice via the alias method).
 //!
 //! Everything is seeded: the same [`config::SimConfig`] produces the
 //! same dataset, bit for bit.
@@ -40,6 +42,7 @@ pub mod fault;
 pub mod feed;
 pub mod platform;
 pub mod population;
+pub mod rng;
 pub mod scanner;
 pub mod traffic;
 

@@ -12,9 +12,8 @@
 use crate::api::SampleSession;
 use crate::config::SimConfig;
 use crate::population::PopulationGen;
+use crate::rng::SimRng;
 use crate::traffic::TrafficModel;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use vt_engines::EngineFleet;
 use vt_model::hash::mix64;
 use vt_model::{SampleMeta, ScanReport};
@@ -60,10 +59,10 @@ impl VirusTotalSim {
     pub fn sample_trajectory(&self, ordinal: u64) -> (SampleMeta, Vec<ScanReport>) {
         let meta = self.population.sample(ordinal);
         let times = self.traffic.scan_times(&meta);
-        let mut rng = SmallRng::seed_from_u64(mix64(&[self.config.seed, 0xA91, ordinal]));
+        let mut rng = SimRng::seed_from_u64(mix64(&[self.config.seed, 0xA91, ordinal]));
         let (mut session, first) = if meta.first_submission < self.config.window_start() {
             // Pre-existing sample: resume with its pre-window history.
-            let prior = 1 + (rng.gen::<u64>() % 3) as u32;
+            let prior = 1 + (rng.next_u64() % 3) as u32;
             SampleSession::open_resumed(&self.fleet, meta, times[0], prior)
         } else {
             SampleSession::open(&self.fleet, meta, times[0])
@@ -71,7 +70,7 @@ impl VirusTotalSim {
         let mut reports = Vec::with_capacity(times.len());
         reports.push(first);
         for &t in &times[1..] {
-            let r = if rng.gen::<f64>() < self.config.resubmit_fraction {
+            let r = if rng.unit_f64() < self.config.resubmit_fraction {
                 session.upload(t)
             } else {
                 session.rescan(t)

@@ -20,8 +20,7 @@
 use crate::alias::AliasTable;
 use crate::config::SimConfig;
 use crate::distr;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SimRng;
 use vt_model::filetype::{FileType, OTHER_TYPE_COUNT, TOTAL_TYPE_COUNT};
 use vt_model::hash::mix64;
 use vt_model::time::{Duration, Month, MINUTES_PER_DAY};
@@ -130,8 +129,8 @@ impl PopulationGen {
 
     /// The per-sample RNG (parallel-friendly: any ordinal can be
     /// generated independently).
-    fn rng_for(&self, ordinal: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix64(&[self.config.seed, 0x90b, ordinal]))
+    fn rng_for(&self, ordinal: u64) -> SimRng {
+        SimRng::seed_from_u64(mix64(&[self.config.seed, 0x90b, ordinal]))
     }
 
     /// The hash of sample number `ordinal`, without generating the rest
@@ -149,23 +148,23 @@ impl PopulationGen {
         let pop = type_population(file_type);
 
         // First submission time.
-        let fresh = rng.gen::<f64>() < self.config.fresh_fraction;
+        let fresh = rng.unit_f64() < self.config.fresh_fraction;
         let first_submission = if fresh {
             let month = Month::COLLECTION_START.plus(self.month_table.sample(&mut rng));
             let span = (month.end() - month.start()).as_minutes();
-            month.start() + Duration::minutes(rng.gen_range(0..span))
+            month.start() + Duration::minutes(rng.below(span as u64) as i64)
         } else {
             // Pre-existing: first submitted up to a year before the
             // window (it will be re-scanned inside the window).
             let start = self.config.window_start();
-            start - Duration::minutes(rng.gen_range(1..365 * MINUTES_PER_DAY))
+            start - Duration::minutes(1 + rng.below((365 * MINUTES_PER_DAY - 1) as u64) as i64)
         };
 
         // Ground truth. Malicious samples are a mixture of commodity
         // malware (the per-type Beta) and grayware/PUPs with low
         // asymptotic ranks.
-        let truth = if rng.gen::<f64>() < pop.malice_prevalence {
-            let detectability = if rng.gen::<f64>() < pop.grayware_prob {
+        let truth = if rng.unit_f64() < pop.malice_prevalence {
+            let detectability = if rng.unit_f64() < pop.grayware_prob {
                 distr::beta(&mut rng, 1.2, 11.0)
             } else {
                 let (a, b) = pop.detectability_beta;

@@ -16,8 +16,7 @@
 use crate::config::SimConfig;
 use crate::distr;
 use crate::population::type_population;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SimRng;
 use vt_model::hash::mix64;
 use vt_model::time::{Duration, Timestamp, MINUTES_PER_DAY};
 use vt_model::SampleMeta;
@@ -34,8 +33,8 @@ impl TrafficModel {
         Self { config }
     }
 
-    fn rng_for(&self, sample: &SampleMeta) -> SmallRng {
-        SmallRng::seed_from_u64(mix64(&[self.config.seed, 0x7af1c, sample.hash.seed64()]))
+    fn rng_for(&self, sample: &SampleMeta) -> SimRng {
+        SimRng::seed_from_u64(mix64(&[self.config.seed, 0x7af1c, sample.hash.seed64()]))
     }
 
     /// Probability that this sample is scanned more than once.
@@ -51,13 +50,13 @@ impl TrafficModel {
     /// Draws the total number of scan reports for a sample.
     pub fn report_count(&self, sample: &SampleMeta) -> u32 {
         let mut rng = self.rng_for(sample);
-        if rng.gen::<f64>() >= self.multi_scan_prob(sample) {
+        if rng.unit_f64() >= self.multi_scan_prob(sample) {
             return 1;
         }
         // Multi-scan staircase (fractions of multi-scan samples):
         //   2 → 66%, 3 → 15%, 4 → 8%, 5 → 3.5%,
         //   6..=20 → 6% (geometric), >20 → 1.5% (bounded Pareto).
-        let u = rng.gen::<f64>();
+        let u = rng.unit_f64();
         let n = if u < 0.66 {
             2
         } else if u < 0.81 {
@@ -69,7 +68,7 @@ impl TrafficModel {
         } else if u < 0.985 {
             // Geometric-ish decay over 6..=20.
             let mut k = 6u32;
-            while k < 20 && rng.gen::<f64>() < 0.78 {
+            while k < 20 && rng.unit_f64() < 0.78 {
                 k += 1;
             }
             k
@@ -100,7 +99,7 @@ impl TrafficModel {
         let mut rng = self.rng_for(sample);
         // Burn the draws used by report_count so schedules and counts
         // are independent streams.
-        let mut rng2 = SmallRng::seed_from_u64(rng.gen::<u64>() ^ 0x9a95);
+        let mut rng2 = SimRng::seed_from_u64(rng.next_u64() ^ 0x9a95);
 
         let window_end = self.config.window_end();
         let window_start = self.config.window_start();
@@ -109,7 +108,7 @@ impl TrafficModel {
         // first submission.
         let mut t = if sample.first_submission < window_start {
             let span = (window_end - window_start).as_minutes();
-            window_start + Duration::minutes(rng2.gen_range(0..span))
+            window_start + Duration::minutes(rng2.below(span as u64) as i64)
         } else {
             sample.first_submission
         };
@@ -127,7 +126,7 @@ impl TrafficModel {
         let mut times = Vec::with_capacity(n.min(64) as usize);
         times.push(t);
         for _ in 1..n {
-            let gap_days = if archival && rng2.gen::<f64>() < 0.15 {
+            let gap_days = if archival && rng2.unit_f64() < 0.15 {
                 distr::lognormal(&mut rng2, 60.0, 0.8)
             } else {
                 distr::lognormal(&mut rng2, median, sigma)

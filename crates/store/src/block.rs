@@ -13,7 +13,7 @@
 //! holds — so no block is decoded to be checked and again to be read.
 
 use crate::codec::{decode_report_raw, encode_report, ReportRow};
-use bytes::{Buf, Bytes, BytesMut};
+use std::sync::Arc;
 use vt_model::ScanReport;
 
 /// Streaming consumer of decoded reports.
@@ -96,7 +96,7 @@ pub const BLOCK_CAPACITY: usize = 1024;
 /// An immutable, encoded run of reports.
 #[derive(Debug, Clone)]
 pub struct Block {
-    data: Bytes,
+    data: Arc<[u8]>,
     len: u32,
 }
 
@@ -119,7 +119,7 @@ impl Block {
     /// Reconstructs a block from its raw parts (the persistence path).
     /// Nothing is checked here: untrusted bytes are trusted only once a
     /// [`decode_into`](Self::decode_into) of them has returned `Ok`.
-    pub fn from_parts(data: Bytes, len: u32) -> Self {
+    pub fn from_parts(data: Arc<[u8]>, len: u32) -> Self {
         Self { data, len }
     }
 
@@ -144,7 +144,7 @@ impl Block {
             sink.report(&row);
             prev = p;
         }
-        if cur.has_remaining() {
+        if !cur.is_empty() {
             return Err(BlockDecodeError {
                 report_index: self.len,
                 report_count: self.len,
@@ -170,7 +170,7 @@ impl Block {
 /// An open block accepting appends.
 #[derive(Debug, Default)]
 pub struct BlockBuilder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     len: u32,
     prev_analysis: i64,
 }
@@ -213,7 +213,7 @@ impl BlockBuilder {
 
     /// Freezes into an immutable [`Block`], resetting the builder.
     pub fn seal(&mut self) -> Block {
-        let data = std::mem::take(&mut self.buf).freeze();
+        let data = std::mem::take(&mut self.buf).into();
         let len = self.len;
         self.len = 0;
         self.prev_analysis = 0;
@@ -292,7 +292,7 @@ mod tests {
         }
         let block = b.seal();
         // Truncated payload with the original report count.
-        let bytes = Bytes::copy_from_slice(&block.raw_bytes()[..block.byte_len() - 3]);
+        let bytes = Arc::from(&block.raw_bytes()[..block.byte_len() - 3]);
         let bad = Block::from_parts(bytes, block.len() as u32);
         let err = bad.decode_all().unwrap_err();
         assert!(err.report_index <= err.report_count);
@@ -359,8 +359,8 @@ mod tests {
                 bytes[site] ^= flip;
                 let cut_len = cut as usize % (bytes.len() + 1);
                 for data in [
-                    Bytes::copy_from_slice(&bytes),
-                    Bytes::copy_from_slice(&bytes[..cut_len]),
+                    Arc::<[u8]>::from(&bytes[..]),
+                    Arc::<[u8]>::from(&bytes[..cut_len]),
                 ] {
                     let bad = Block::from_parts(data, ordinals.len() as u32);
                     let mut seen = 0u32;

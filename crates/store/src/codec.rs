@@ -11,7 +11,6 @@
 //! all-ones (stored inverted) and *detected* is sparse for benign
 //! samples.
 
-use bytes::{Buf, BufMut, BytesMut};
 use vt_model::filetype::TOTAL_TYPE_COUNT;
 use vt_model::{FileType, ReportKind, SampleHash, ScanReport, Timestamp, VerdictVec};
 
@@ -29,29 +28,50 @@ pub const RAW_REPORT_BYTES: u64 = 16 + 2 + 8 + 8 + 4 + 1 + 70;
 /// anything.
 pub const MIN_ENCODED_REPORT_BYTES: u64 = 16 + 1 + 1 + 1 + 1 + 1 + 1 + 4;
 
+/// Reads one byte off the front of the cursor, or `None` (cursor
+/// unmoved) at its end. With [`take_u128`] this is every fixed-width read
+/// the decoder issues, so truncated input is a decode failure, never a
+/// panic.
+fn take_u8(buf: &mut &[u8]) -> Option<u8> {
+    let (&byte, rest) = buf.split_first()?;
+    *buf = rest;
+    Some(byte)
+}
+
+/// Reads a big-endian `u128` off the front of the cursor, or `None`
+/// (cursor unmoved) when fewer than 16 bytes remain.
+fn take_u128(buf: &mut &[u8]) -> Option<u128> {
+    if buf.len() < 16 {
+        return None;
+    }
+    let (head, rest) = buf.split_at(16);
+    *buf = rest;
+    Some(u128::from_be_bytes(head.try_into().ok()?))
+}
+
 /// Appends a LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Reads a LEB128 varint. Returns `None` on truncated input or overlong
 /// encodings past 64 bits.
-pub fn get_varint(buf: &mut impl Buf) -> Option<u64> {
+pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() || shift >= 64 {
+        if shift >= 64 {
             return None;
         }
-        let byte = buf.get_u8();
+        let byte = take_u8(buf)?;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
@@ -73,21 +93,21 @@ pub fn unzigzag(v: u64) -> i64 {
 /// Encodes one report, delta-compressing the analysis date against
 /// `prev_analysis` (the previous report in the block; pass 0 for the
 /// first).
-pub fn encode_report(buf: &mut BytesMut, r: &ScanReport, prev_analysis: i64) {
-    buf.put_u128(r.sample.0);
+pub fn encode_report(buf: &mut Vec<u8>, r: &ScanReport, prev_analysis: i64) {
+    buf.extend_from_slice(&r.sample.0.to_be_bytes());
     put_varint(buf, r.file_type.dense_index() as u64);
     put_varint(buf, zigzag(r.analysis_date.0 - prev_analysis));
     // Submission date is at or before the analysis date, usually equal
     // (upload) or recent: store the non-negative backward offset.
     put_varint(buf, zigzag(r.analysis_date.0 - r.last_submission_date.0));
     put_varint(buf, r.times_submitted as u64);
-    buf.put_u8(match r.kind {
+    buf.push(match r.kind {
         ReportKind::Upload => 0,
         ReportKind::Rescan => 1,
         ReportKind::Report => 2,
     });
     let (active, detected) = r.verdicts.raw();
-    buf.put_u8(r.verdicts.engine_count() as u8);
+    buf.push(r.verdicts.engine_count() as u8);
     // Active is nearly all-ones: store the inverted mask (sparse).
     let ec = r.verdicts.engine_count();
     let full = full_mask(ec);
@@ -148,11 +168,8 @@ impl ReportRow {
 /// Decodes one report into plain column values (inverse of
 /// [`encode_report`], minus the [`ScanReport`] materialization). Returns
 /// the row and its analysis-date for use as the next delta base.
-pub fn decode_report_raw(buf: &mut impl Buf, prev_analysis: i64) -> Option<(ReportRow, i64)> {
-    if buf.remaining() < 16 {
-        return None;
-    }
-    let sample = SampleHash(buf.get_u128());
+pub fn decode_report_raw(buf: &mut &[u8], prev_analysis: i64) -> Option<(ReportRow, i64)> {
+    let sample = SampleHash(take_u128(buf)?);
     let type_idx = get_varint(buf)? as usize;
     if type_idx >= TOTAL_TYPE_COUNT {
         return None;
@@ -163,19 +180,13 @@ pub fn decode_report_raw(buf: &mut impl Buf, prev_analysis: i64) -> Option<(Repo
     let analysis = prev_analysis.checked_add(unzigzag(get_varint(buf)?))?;
     let submission = analysis.checked_sub(unzigzag(get_varint(buf)?))?;
     let times_submitted = u32::try_from(get_varint(buf)?).ok()?;
-    if !buf.has_remaining() {
-        return None;
-    }
-    let kind = match buf.get_u8() {
+    let kind = match take_u8(buf)? {
         0 => ReportKind::Upload,
         1 => ReportKind::Rescan,
         2 => ReportKind::Report,
         _ => return None,
     };
-    if !buf.has_remaining() {
-        return None;
-    }
-    let engine_count = buf.get_u8();
+    let engine_count = take_u8(buf)?;
     if engine_count as usize > vt_model::engine::MAX_ENGINES {
         return None;
     }
@@ -208,7 +219,7 @@ pub fn decode_report_raw(buf: &mut impl Buf, prev_analysis: i64) -> Option<(Repo
 ///
 /// Thin adapter over [`decode_report_raw`] that materializes the
 /// [`ScanReport`]; streaming decoders use the raw form directly.
-pub fn decode_report(buf: &mut impl Buf, prev_analysis: i64) -> Option<(ScanReport, i64)> {
+pub fn decode_report(buf: &mut &[u8], prev_analysis: i64) -> Option<(ScanReport, i64)> {
     let (row, analysis) = decode_report_raw(buf, prev_analysis)?;
     Some((row.to_report(), analysis))
 }
@@ -238,20 +249,19 @@ mod tests {
     #[test]
     fn varint_roundtrip_known() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut cur = buf.freeze();
+            let mut cur = &buf[..];
             assert_eq!(get_varint(&mut cur), Some(v));
-            assert!(!cur.has_remaining());
+            assert!(cur.is_empty());
         }
     }
 
     #[test]
     fn varint_truncation_is_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_varint(&mut buf, 1_000_000);
-        let frozen = buf.freeze();
-        let mut cut = frozen.slice(0..frozen.len() - 1);
+        let mut cut = &buf[..buf.len() - 1];
         assert_eq!(get_varint(&mut cut), None);
     }
 
@@ -292,26 +302,36 @@ mod tests {
     #[test]
     fn report_roundtrip_chain() {
         let reports: Vec<ScanReport> = (0..50).map(sample_report).collect();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut prev = 0i64;
         for r in &reports {
             encode_report(&mut buf, r, prev);
             prev = r.analysis_date.0;
         }
-        let mut cur = buf.freeze();
+        let mut cur = &buf[..];
         let mut prev = 0i64;
         for expected in &reports {
             let (got, p) = decode_report(&mut cur, prev).expect("decode");
             assert_eq!(&got, expected);
             prev = p;
         }
-        assert!(!cur.has_remaining());
+        assert!(cur.is_empty());
+    }
+
+    #[test]
+    fn every_truncation_of_a_report_is_a_decode_failure() {
+        let mut buf = Vec::new();
+        encode_report(&mut buf, &sample_report(3), 0);
+        for cut in 0..buf.len() {
+            assert_eq!(decode_report(&mut &buf[..cut], 0), None, "cut at {cut}");
+        }
+        assert!(decode_report(&mut &buf[..], 0).is_some());
     }
 
     #[test]
     fn packed_encoding_beats_raw() {
         let reports: Vec<ScanReport> = (0..1000).map(sample_report).collect();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut prev = 0i64;
         for r in &reports {
             encode_report(&mut buf, r, prev);
@@ -328,9 +348,9 @@ mod tests {
     proptest! {
         #[test]
         fn varint_roundtrip(v in any::<u64>()) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut cur = buf.freeze();
+            let mut cur = &buf[..];
             prop_assert_eq!(get_varint(&mut cur), Some(v));
         }
 
@@ -363,13 +383,13 @@ mod tests {
                 kind: ReportKind::Rescan,
                 verdicts: VerdictVec::from_verdicts(&verdicts),
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_report(&mut buf, &r, prev);
-            let mut cur = buf.freeze();
+            let mut cur = &buf[..];
             let (got, next_prev) = decode_report(&mut cur, prev).expect("decode");
             prop_assert_eq!(got, r);
             prop_assert_eq!(next_prev, prev + delta);
-            prop_assert!(!cur.has_remaining());
+            prop_assert!(cur.is_empty());
         }
     }
 }

@@ -505,7 +505,7 @@ fn try_block_frame(cur: &mut Cursor<'_>) -> BlockFrame {
     if crc32(payload) != crc {
         return BlockFrame::BadPayload;
     }
-    let block = Block::from_parts(bytes::Bytes::copy_from_slice(payload), report_count);
+    let block = Block::from_parts(payload.into(), report_count);
     match block.decode_all() {
         Ok(reports) => BlockFrame::Good(reports),
         Err(_) => BlockFrame::BadPayload,

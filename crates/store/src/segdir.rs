@@ -10,7 +10,7 @@
 //!   into place, and fsyncs the directory — only then is the segment
 //!   *durable*, and only durable segments may be published. The
 //!   seal → fsync → publish ordering is the recovery protocol's one
-//!   load-bearing invariant (DESIGN.md §11).
+//!   load-bearing invariant (DESIGN.md §2.5).
 //! * [`DurableWriter`] couples a [`SegmentWriter`] to a `SegmentDir` so
 //!   that a segment is on disk (file and directory both synced) before
 //!   `push_sample` ever hands it back — a seal can never precede

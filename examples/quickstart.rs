@@ -1,5 +1,5 @@
 //! Quickstart: simulate a small VirusTotal feed, inspect one sample's
-//! label trajectory, and aggregate labels with a threshold.
+//! label trajectory, and label each report with a threshold.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -28,15 +28,20 @@ fn main() {
         sample.meta.file_type,
         sample.report_count()
     );
-    let agg = Threshold(10);
     for report in &sample.reports {
+        // The threshold-voting label most papers use (§3.1): malicious
+        // iff AV-Rank ≥ t.
+        let label = if report.positives() >= 10 {
+            "Malicious"
+        } else {
+            "Benign"
+        };
         println!(
-            "  {}  AV-Rank {:>2}/{}  active {:>2}  label(t=10): {:?}",
+            "  {}  AV-Rank {:>2}/{}  active {:>2}  label(t=10): {label}",
             report.analysis_date,
             report.positives(),
             report.verdicts.engine_count(),
             report.verdicts.active_count(),
-            agg.label_report(report),
         );
     }
 

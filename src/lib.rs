@@ -4,14 +4,14 @@
 //! of Online Anti-Malware Engines from Millions of Samples"* (IMC '23).
 //!
 //! Re-exports every subsystem under one roof so examples and downstream
-//! users can depend on a single crate:
+//! users can depend on a single crate. Every one of them is first-party:
+//! the product links no external crate.
 //!
 //! * [`stats`] — statistics substrate (Spearman, ECDF, box plots).
 //! * [`model`] — domain types (time, hashes, file types, reports).
 //! * [`engines`] — the 70 simulated antivirus engine behaviour models.
 //! * [`sim`] — the discrete-event VirusTotal platform simulator.
 //! * [`store`] — the compressed, month-partitioned report store.
-//! * [`aggregate`] — label aggregation strategies.
 //! * [`dynamics`] — the paper's measurement analyses (the core library).
 //! * [`report`] — text tables / ASCII figures / CSV renderers.
 //! * [`obs`] — the zero-dependency observability layer threaded through
@@ -32,7 +32,6 @@
 pub mod prelude;
 pub mod serve;
 
-pub use vt_aggregate as aggregate;
 pub use vt_dynamics as dynamics;
 pub use vt_engines as engines;
 pub use vt_model as model;

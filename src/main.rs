@@ -220,16 +220,18 @@ fn has_switch(flags: &[(&str, &str)], key: &str) -> bool {
 }
 
 fn parse_u64(flags: &[(&str, &str)], key: &str, default: u64) -> Result<u64, VtldError> {
-    match flag(flags, key) {
-        Some(v) => {
-            let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => v.parse(),
-            };
-            parsed.map_err(|_| VtldError::Usage(format!("--{key} expects an integer, got '{v}'")))
-        }
-        None => Ok(default),
-    }
+    let Some(v) = flag(flags, key) else {
+        return Ok(default);
+    };
+    let (digits, radix) = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (v, 10),
+    };
+    // Digits only: `from_str_radix` would also take a leading `+`.
+    Some(digits)
+        .filter(|d| d.bytes().all(|b| char::from(b).is_digit(radix)))
+        .and_then(|d| u64::from_str_radix(d, radix).ok())
+        .ok_or_else(|| VtldError::Usage(format!("--{key} expects an integer, got '{v}'")))
 }
 
 fn parse_workers(flags: &[(&str, &str)]) -> Result<usize, VtldError> {
@@ -628,6 +630,24 @@ mod tests {
         assert_eq!(err.to_string(), "--seed requires a value");
         let err = SimulateArgs::parse(&strings(&["--samples", "many"])).unwrap_err();
         assert_eq!(err.to_string(), "--samples expects an integer, got 'many'");
+    }
+
+    #[test]
+    fn integer_flags_take_digits_only() {
+        assert_eq!(parse_u64(&[("seed", "0xfF")], "seed", 0).unwrap(), 255);
+        assert_eq!(parse_u64(&[("samples", "05")], "samples", 0).unwrap(), 5);
+        for (key, bad) in [
+            ("samples", "+5"),
+            ("seed", "0x+5"),
+            ("seed", "0x"),
+            ("samples", ""),
+        ] {
+            let err = parse_u64(&[(key, bad)], key, 0).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--{key} expects an integer, got '{bad}'")
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! [`crate::store`], …) stay available for everything deeper; the
 //! prelude is the stable subset whose names the project commits to.
 
-pub use crate::aggregate::{Aggregator, Threshold};
 pub use crate::dynamics::{
     analyze_records, analyze_records_obs, records_from_store, Alert, AlertConfig, AlertEngine,
     AlertKind, AlertTotals, Analysis, AnalysisCtx, Collector, CollectorConfig, DecodeArena,

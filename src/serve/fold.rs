@@ -54,7 +54,7 @@ pub(super) struct SlotUpdate {
     /// The worker's own accumulation, shared read-only rather than
     /// copied: a copy made here would be allocated on this thread and
     /// freed on the merger's, and that churn slows the folds that
-    /// follow (DESIGN.md §16.1). The merger copies what its tree keeps
+    /// follow (DESIGN.md §2.8). The merger copies what its tree keeps
     /// and drops the pointer.
     pub(super) partials: Option<Arc<StudyPartials>>,
     pub(super) partitions: Vec<PartitionStats>,

@@ -393,6 +393,14 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_bad_json() {
+        // The longest line `conn` lets through, all of it open brackets.
+        let err = parse(&"[".repeat(60_000)).unwrap_err();
+        assert!(matches!(err, WireError::BadJson(_)), "got {err:?}");
+        assert!(err.to_string().starts_with("bad request: "), "got {err}");
+    }
+
+    #[test]
     fn hash_member_parses_hex_and_rejects_garbage() {
         assert_eq!(
             parse("{\"cmd\":\"sample\",\"hash\":\"ff\"}"),

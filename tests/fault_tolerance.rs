@@ -3,8 +3,6 @@
 //! fleet configurations), and the collection path must survive a
 //! misbehaving feed and a damaged store file.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::time::{Duration, Instant};
 use vt_label_dynamics::dynamics::{
@@ -12,6 +10,7 @@ use vt_label_dynamics::dynamics::{
 };
 use vt_label_dynamics::serve::{ServeConfig, Server};
 use vt_label_dynamics::sim::fault::{FaultPlan, FaultyFeed};
+use vt_label_dynamics::sim::rng::SimRng;
 use vt_label_dynamics::sim::SimConfig;
 use vt_label_dynamics::store::crc32::crc32;
 use vt_label_dynamics::store::{
@@ -287,14 +286,14 @@ fn salvage_recovers_at_least_one_minus_p_of_blocks() {
 
     // Corrupt exactly ⌊p · blocks⌋ of them, chosen by a seeded shuffle.
     let corrupted = ((P * total_blocks as f64).floor() as u64).max(1);
-    let mut rng = SmallRng::seed_from_u64(0xC0AAA5E);
+    let mut rng = SimRng::seed_from_u64(0xC0AAA5E);
     let mut order: Vec<usize> = (0..frames.len()).collect();
     for i in (1..order.len()).rev() {
-        order.swap(i, rng.gen_range(0..=i));
+        order.swap(i, rng.below(i as u64 + 1) as usize);
     }
     for &idx in order.iter().take(corrupted as usize) {
         let (payload, len) = frames[idx];
-        let off = rng.gen_range(0..len);
+        let off = rng.below(len as u64) as usize;
         buf[payload + off] ^= 0x40;
     }
 
@@ -325,17 +324,17 @@ fn damaged_store_bytes_never_panic_the_readers() {
     let mut base = Vec::new();
     write_store(&store, &mut base).expect("write");
 
-    let mut rng = SmallRng::seed_from_u64(0xBADC0DE);
+    let mut rng = SimRng::seed_from_u64(0xBADC0DE);
     for case in 0..200 {
         let mut bytes = base.clone();
         // Truncate, flip bits, or both.
         if case % 3 != 0 {
-            let cut = rng.gen_range(0..bytes.len());
+            let cut = rng.below(bytes.len() as u64) as usize;
             bytes.truncate(cut);
         }
         if case % 3 != 1 && !bytes.is_empty() {
-            for _ in 0..rng.gen_range(1..24usize) {
-                let bit = rng.gen_range(0..bytes.len() * 8);
+            for _ in 0..1 + rng.below(23) {
+                let bit = rng.below(bytes.len() as u64 * 8) as usize;
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
         }

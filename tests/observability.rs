@@ -175,7 +175,7 @@ fn metrics_json_round_trips_and_covers_the_pipeline() {
     );
 }
 
-/// DESIGN §8.4 at the command line: asking `vtld study` for metrics must
+/// DESIGN §2.9 at the command line: asking `vtld study` for metrics must
 /// not move a byte of the report it prints — Table 2's MB and ratio
 /// columns included, which is where a second ingest route once showed.
 #[test]

@@ -256,6 +256,32 @@ fn hostile_wire_input_gets_typed_errors_never_a_panic() {
 }
 
 #[test]
+fn a_deeply_nested_request_line_is_an_error_not_a_stack_overflow() {
+    // Regression: the JSON reader recursed once per open bracket with no
+    // bound, so one line under the default 64 KiB limit overflowed the
+    // connection thread's stack and aborted the whole daemon.
+    let mut config = ServeConfig::new(50, 0xBAD);
+    config.segment_reports = 1_000;
+    config.workers = 1;
+    let server = Server::start(config).expect("bind ephemeral port");
+    let addr = server.addr();
+
+    let mut deep = vec![b'['; 60_000];
+    deep.push(b'\n');
+    let line = send_raw(addr, &deep).expect("a response");
+    let v = json::parse(line.trim_end()).expect("parseable error response");
+    let error = v.get("error").and_then(|e| e.as_str()).expect("an error");
+    assert!(error.starts_with("bad request: "), "{line}");
+
+    // The daemon is still there for the next client.
+    let (mut stream, mut reader) = connect(addr);
+    let v = ask(&mut stream, &mut reader, "status");
+    assert!(v.get("epoch").is_some());
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn unterminated_final_request_is_answered_at_eof() {
     // Regression: a client whose last request line lacks the trailing
     // newline (it shuts down its write half right after the bytes) used

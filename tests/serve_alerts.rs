@@ -1,6 +1,6 @@
 //! Streaming drift-alert correctness for `vtld serve` (ISSUE 10).
 //!
-//! The contract under test (DESIGN.md §15):
+//! The contract under test (DESIGN.md §2.8):
 //!
 //! * **Bit-identical alert streams** — the `alerts` response tail (the
 //!   bytes after the epoch, which is publish-cadence dependent) is

@@ -1,6 +1,6 @@
 //! Chaos tests for the hardened `vtld serve` daemon.
 //!
-//! The contract under test (ISSUE 6 / DESIGN.md §11):
+//! The contract under test (ISSUE 6 / DESIGN.md §2.8):
 //!
 //! * **Kill-recover bit-identity** — a daemon SIGKILLed mid-ingest and
 //!   restarted with `--recover` over the same `--data-dir` must finish
@@ -234,7 +234,7 @@ fn kill_recover_bit_identical_shards1_workers1() {
 /// run replays the WAL (regenerating the same alerts under the same
 /// keys) and must end with an alert file that is duplicate-free and
 /// set-equal to a never-killed run's — exactly-once delivery across
-/// the crash (DESIGN.md §15).
+/// the crash (DESIGN.md §2.8).
 #[test]
 fn kill_recover_delivers_each_alert_exactly_once() {
     let data_dir = temp_data_dir("alerts");

@@ -1,6 +1,6 @@
 //! Per-hash query correctness for the `vtld serve` daemon (ISSUE 7).
 //!
-//! The contract under test (DESIGN.md §12):
+//! The contract under test (DESIGN.md §2.8):
 //!
 //! * **Bit-match** — every `sample`, `stabilized`, `engine` and
 //!   `flip_leaders` answer must agree field-for-field with a

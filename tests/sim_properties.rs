@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use vt_label_dynamics::dynamics::Study;
 use vt_label_dynamics::model::{ReportKind, Verdict};
+use vt_label_dynamics::sim::rng::SimRng;
 use vt_label_dynamics::sim::{SimConfig, VirusTotalSim};
 use vt_label_dynamics::store::codec::encode_report;
 
@@ -113,8 +114,7 @@ proptest! {
 /// generates for `config`, each encoded against `prev_analysis = 0`.
 fn feed_digest(config: SimConfig) -> (usize, u64) {
     let sim = VirusTotalSim::new(config);
-    // `BytesMut`, by inference: the facade has no `bytes` dependency.
-    let mut buf = Default::default();
+    let mut buf = Vec::new();
     let mut reports = 0;
     for (_, trajectory) in sim.trajectories() {
         for r in &trajectory {
@@ -168,6 +168,86 @@ fn feed_digest_is_pinned() {
             got, pinned,
             "{name}: (reports, digest) = ({}, {:#018x})",
             got.0, got.1
+        );
+    }
+}
+
+/// The simulator's generator, pinned where the feed digests cannot
+/// localize a break: per seed, the first eight words, then on the same
+/// stream a unit draw, an `f64` range draw over `1e-12..1.0 - 1e-12`
+/// and integer draws below 527 040 and 1 001. Recorded from the
+/// vendored `rand` stand-in's `SmallRng` at the last commit that had it
+/// (the same constants `vt_sim::rng`'s unit test holds).
+#[test]
+fn generator_stream_is_pinned() {
+    struct Pinned {
+        seed: u64,
+        words: [u64; 8],
+        floats: [u64; 2],
+        ints: [u64; 2],
+    }
+    let pinned = [
+        Pinned {
+            seed: 0,
+            words: [
+                0x53175d61490b23df,
+                0x61da6f3dc380d507,
+                0x5c0fdf91ec9a7bfc,
+                0x02eebf8c3bbe5e1a,
+                0x7eca04ebaf4a5eea,
+                0x0543c37757f08d9a,
+                0xdb7490c75ab5026e,
+                0xd87343e6464bc959,
+            ],
+            floats: [0x3fd2df682808e27c, 0x3fb300fc58c131f8],
+            ints: [165_765, 66],
+        },
+        Pinned {
+            seed: 42,
+            words: [
+                0xd0764d4f4476689f,
+                0x519e4174576f3791,
+                0xfbe07cfb0c24ed8c,
+                0xb37d9f600cd835b8,
+                0xcb231c3874846a73,
+                0x968d9f004e50de7d,
+                0x201718ff221a3556,
+                0x9ae94e070ed8cb46,
+            ],
+            floats: [0x3fca9679ed784ae4, 0x3fedddfac6431816],
+            ints: [294_899, 850],
+        },
+        Pinned {
+            seed: u64::MAX,
+            words: [
+                0x56ccf8ce948e27b2,
+                0xe68588432e5a5b90,
+                0xe3e9b5a48119ca8b,
+                0x460f19495532ae73,
+                0xa7d62040ea9263e1,
+                0x66f1fb2ac9402c14,
+                0xe243b47de8a73f68,
+                0x7c93fdab4c7b3dff,
+            ],
+            floats: [0x3fe450b6cbd00101, 0x3feb54530908452f],
+            ints: [180_228, 644],
+        },
+    ];
+    for Pinned {
+        seed,
+        words,
+        floats,
+        ints,
+    } in pinned
+    {
+        let mut rng = SimRng::seed_from_u64(seed);
+        assert_eq!(words.map(|_| rng.next_u64()), words, "seed {seed:#x}");
+        let got = [rng.unit_f64(), rng.range_f64(1e-12, 1.0 - 1e-12)];
+        assert_eq!(got.map(f64::to_bits), floats, "seed {seed:#x}");
+        assert_eq!(
+            [rng.below(527_040), rng.below(1_001)],
+            ints,
+            "seed {seed:#x}"
         );
     }
 }

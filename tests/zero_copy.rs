@@ -1,6 +1,6 @@
 //! Bit-identity gates for the zero-copy segment decode path (ISSUE 8).
 //!
-//! The contract under test (DESIGN.md §13): folding a sealed store
+//! The contract under test (DESIGN.md §2.6): folding a sealed store
 //! through the streaming arena path — [`IncrementalStudy::fold_store`],
 //! which decodes blocks straight into a [`DecodeArena`] and builds the
 //! columnar [`TrajectoryTable`] without ever materializing

@@ -17,7 +17,7 @@ use crate::freshdyn::FreshDynamic;
 use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
+use crate::table::{lane_mask, TrajectoryTable};
 use vt_engines::EngineFleet;
 use vt_model::EngineId;
 
@@ -96,56 +96,75 @@ impl Analysis for Causes {
     }
 }
 
-/// Parallel cause attribution over the table's verdict-bitmap columns.
-/// All six counters are order-independent sums, so the per-partition
-/// [`CauseAnalysis`] values merge exactly.
+/// One 64-engine lane's walk state within one record: engines with a
+/// previous active label, that label, and whether they sat out a scan
+/// since giving it.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    seen: u64,
+    last: u64,
+    gap: u64,
+}
+
+/// One report's cause-attribution update for one 64-engine lane — the
+/// same last-active-label recurrence as [`crate::flips`]' `step_lane`,
+/// with the gap word in place of the hazard words. Returns the engines
+/// whose label changed on this row; the caller dates those flips, the
+/// only per-engine work left.
+#[inline(always)]
+fn step_lane(a: &mut CauseAnalysis, lane: &mut Lane, act: u64, det: u64) -> u64 {
+    let had = lane.seen & act;
+    let changed = had & (lane.last ^ det);
+    let gapped = had & lane.gap;
+    a.flips += u64::from(changed.count_ones());
+    a.flips_up += u64::from((changed & det).count_ones());
+    a.flips_down += u64::from((changed & !det).count_ones());
+    a.gap_changed += u64::from((gapped & changed).count_ones());
+    a.gap_consistent += u64::from((gapped & !changed).count_ones());
+    lane.gap = lane.seen & !act;
+    lane.seen |= act;
+    lane.last = (lane.last & !act) | (det & act);
+    changed
+}
+
+/// Parallel, bit-sliced cause attribution over the table's
+/// verdict-bitmap columns: one [`Lane`] per 64 engines per record,
+/// stepped once per row. Flips are rare, so the interval a flip spans
+/// is found when it happens — a scan back through the record's rows
+/// for the engine's previous active one — instead of being carried for
+/// every engine on every row. All six counters are order-independent
+/// sums, so the per-partition [`CauseAnalysis`] values merge exactly.
 fn fold_columnar(
     table: &TrajectoryTable,
     s: &FreshDynamic,
     fleet: &EngineFleet,
     ctx: &AnalysisCtx,
 ) -> CauseAnalysis {
-    let engines = fleet.engine_count();
+    let mask = lane_mask(fleet.engine_count());
     let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
     let parts = par::map_ranges_obs(&ranges, ctx.obs, "causes", |_, range| {
         let mut a = CauseAnalysis::default();
         for &rec in &s.indices[range.start as usize..range.end as usize] {
             let rows = table.rows(rec);
-            for e in 0..engines {
-                let id = EngineId::new(e);
-                let mut last: Option<(u8, vt_model::Timestamp)> = None;
-                let mut gap_since_last = false;
-                for row in rows.clone() {
-                    match table.binary_label(row, id) {
-                        None => {
-                            if last.is_some() {
-                                gap_since_last = true;
-                            }
-                        }
-                        Some(label) => {
-                            let date = table.date(row);
-                            if let Some((prev, prev_t)) = last {
-                                if prev != label {
-                                    a.flips += 1;
-                                    if label == 1 {
-                                        a.flips_up += 1;
-                                    } else {
-                                        a.flips_down += 1;
-                                    }
-                                    if fleet.schedule(id).updated_in(prev_t, date) {
-                                        a.update_coincident += 1;
-                                    }
-                                }
-                                if gap_since_last {
-                                    if prev == label {
-                                        a.gap_consistent += 1;
-                                    } else {
-                                        a.gap_changed += 1;
-                                    }
-                                }
-                            }
-                            last = Some((label, date));
-                            gap_since_last = false;
+            let mut lanes = [Lane::default(); 2];
+            for row in rows.clone() {
+                let act = table.active_words(row);
+                let det = table.detected_words(row);
+                for (w, lane) in lanes.iter_mut().enumerate() {
+                    let mut bits = step_lane(&mut a, lane, act[w] & mask[w], det[w]);
+                    while bits != 0 {
+                        let b = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let prev = (rows.start..row)
+                            .rev()
+                            .find(|&r| table.active_words(r)[w] >> b & 1 != 0)
+                            .expect("a changed label has an earlier active scan");
+                        let id = EngineId::new(w * 64 + b as usize);
+                        if fleet
+                            .schedule(id)
+                            .updated_in(table.date(prev), table.date(row))
+                        {
+                            a.update_coincident += 1;
                         }
                     }
                 }
@@ -217,18 +236,21 @@ pub(crate) fn analyze_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flips::Flips;
     use crate::freshdyn;
     use vt_model::time::{Date, Duration, Timestamp};
     use vt_model::{
         FileType, GroundTruth, ReportKind, SampleHash, SampleMeta, ScanReport, Verdict, VerdictVec,
     };
 
-    /// Builds a record where engine 0 follows `labels` (M/B/U per scan)
-    /// and engine 1 stays benign (keeping the sample dynamic via
-    /// engine 0's changes).
-    fn record(labels: &[char], gap_days: i64) -> SampleRecord {
-        let window = Timestamp::from_date(Date::new(2021, 5, 1));
-        let first = window + Duration::days(5);
+    fn window() -> Timestamp {
+        Timestamp::from_date(Date::new(2021, 5, 1))
+    }
+
+    /// Builds a record with one report per entry of `dates`, where each
+    /// `(engine, labels)` track gives that engine's M/B/U per scan.
+    fn record_with(tracks: &[(usize, &[char])], dates: &[Timestamp]) -> SampleRecord {
+        let first = dates[0];
         let meta = SampleMeta {
             hash: SampleHash::from_ordinal(1),
             file_type: FileType::Win32Exe,
@@ -236,24 +258,25 @@ mod tests {
             first_submission: first,
             truth: GroundTruth::Benign,
         };
-        let reports = labels
+        let reports = dates
             .iter()
             .enumerate()
-            .map(|(k, &c)| {
-                let mut verdicts = VerdictVec::new(70);
-                verdicts.set(
-                    EngineId(0),
-                    match c {
-                        'M' => Verdict::Malicious,
-                        'B' => Verdict::Benign,
-                        _ => Verdict::Undetected,
-                    },
-                );
-                verdicts.set(EngineId(1), Verdict::Benign);
+            .map(|(k, &analysis_date)| {
+                let mut verdicts = VerdictVec::new(128);
+                for &(engine, labels) in tracks {
+                    verdicts.set(
+                        EngineId::new(engine),
+                        match labels[k] {
+                            'M' => Verdict::Malicious,
+                            'B' => Verdict::Benign,
+                            _ => Verdict::Undetected,
+                        },
+                    );
+                }
                 ScanReport {
                     sample: meta.hash,
                     file_type: FileType::Pdf,
-                    analysis_date: first + Duration::days(k as i64 * gap_days),
+                    analysis_date,
                     last_submission_date: first,
                     times_submitted: 1,
                     kind: ReportKind::Upload,
@@ -264,13 +287,36 @@ mod tests {
         SampleRecord::new(meta, reports)
     }
 
+    /// Runs the serial oracle and the production lane kernel (at
+    /// workers 1 / 2 / 8) over the same records and *S*, and returns
+    /// the one answer they must share.
+    fn both_routes(
+        records: &[SampleRecord],
+        s: &FreshDynamic,
+        fleet: &EngineFleet,
+    ) -> CauseAnalysis {
+        let serial = analyze_impl(records, s, fleet);
+        let table = TrajectoryTable::build(records, window());
+        for workers in [1usize, 2, 8] {
+            let ctx = AnalysisCtx::new(records, &table, s, fleet, window()).with_workers(workers);
+            assert_eq!(Causes.run(&ctx), serial, "workers={workers}");
+        }
+        serial
+    }
+
+    /// Engine 0 follows `labels` (M/B/U per scan, `gap_days` apart) and
+    /// engine 1 stays benign (keeping the sample dynamic via engine 0's
+    /// changes).
     fn run(labels: &[char], gap_days: i64) -> CauseAnalysis {
-        let records = vec![record(labels, gap_days)];
-        let window = Timestamp::from_date(Date::new(2021, 5, 1));
-        let s = freshdyn::build(&records, window);
+        let first = window() + Duration::days(5);
+        let dates: Vec<Timestamp> = (0..labels.len() as i64)
+            .map(|k| first + Duration::days(k * gap_days))
+            .collect();
+        let benign = vec!['B'; labels.len()];
+        let records = vec![record_with(&[(0, labels), (1, &benign)], &dates)];
+        let s = freshdyn::build(&records, window());
         assert_eq!(s.len(), 1, "fixture must land in S");
-        let fleet = EngineFleet::with_seed(1);
-        analyze_impl(&records, &s, &fleet)
+        both_routes(&records, &s, &EngineFleet::with_seed(1))
     }
 
     #[test]
@@ -318,5 +364,92 @@ mod tests {
         assert_eq!(a.flips, 2);
         assert_eq!(a.flips_up, 1);
         assert_eq!(a.flips_down, 1);
+    }
+
+    /// The lane kernel against the serial oracle on a simulated study,
+    /// and against the `flips` stage: both walk the same
+    /// last-active-label recurrence, so their flip totals are one
+    /// number.
+    #[test]
+    fn columnar_matches_serial_reference_at_every_worker_count() {
+        use crate::pipeline::Study;
+        use vt_sim::SimConfig;
+
+        let study = Study::generate_with_workers(SimConfig::new(0xCA05E5, 3_000), 2);
+        let ws = study.sim().config().window_start();
+        let fleet = study.sim().fleet();
+        let table = TrajectoryTable::build(study.records(), ws);
+        let s = freshdyn::build(study.records(), ws);
+        let serial = analyze_impl(study.records(), &s, fleet);
+        assert!(serial.flips > 0, "study too small to exercise flips");
+        assert!(
+            serial.gap_consistent + serial.gap_changed > 0,
+            "study too small to exercise gaps"
+        );
+        assert!(serial.update_coincident > 0, "no flip spans an update");
+        for workers in [1usize, 2, 8] {
+            let ctx =
+                AnalysisCtx::new(study.records(), &table, &s, fleet, ws).with_workers(workers);
+            let columnar = Causes.run(&ctx);
+            assert_eq!(columnar, serial, "workers={workers}");
+            let flips = Flips.run(&ctx);
+            assert_eq!(
+                (columnar.flips, columnar.flips_up, columnar.flips_down),
+                (flips.flips, flips.flips_up, flips.flips_down),
+                "workers={workers}"
+            );
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Both ends of each 64-engine lane, the roster's last engine,
+        /// and one past the roster: engine 100's labels reach the table
+        /// but belong to no engine of the fleet, so only the lane mask
+        /// keeps them out of the counts.
+        const ENGINES: [usize; 6] = [0, 1, 63, 64, 69, 100];
+
+        proptest! {
+            #[test]
+            fn lane_kernel_matches_the_serial_walk(
+                scans in 1usize..12,
+                tracks in proptest::collection::vec(
+                    proptest::collection::vec(0usize..3, 12..=12),
+                    ENGINES.len()..=ENGINES.len(),
+                ),
+                gaps in proptest::collection::vec(1i64..120_000, 12..=12),
+            ) {
+                let fleet = EngineFleet::with_seed(1);
+                prop_assert!(ENGINES[4] < fleet.engine_count());
+                prop_assert!(ENGINES[5] >= fleet.engine_count());
+                let mut t = window() + Duration::days(5);
+                let dates: Vec<Timestamp> = gaps[..scans]
+                    .iter()
+                    .map(|&minutes| {
+                        t += Duration::minutes(minutes);
+                        t
+                    })
+                    .collect();
+                let labels: Vec<Vec<char>> = tracks
+                    .iter()
+                    .map(|track| track[..scans].iter().map(|&l| ['M', 'B', 'U'][l]).collect())
+                    .collect();
+                let tracks: Vec<(usize, &[char])> = ENGINES
+                    .iter()
+                    .zip(&labels)
+                    .map(|(&e, l)| (e, l.as_slice()))
+                    .collect();
+                let records = vec![record_with(&tracks, &dates)];
+                // Membership of S is not the kernel's business: hand it
+                // the record whatever its Δ and report count.
+                let s = FreshDynamic { indices: vec![0], reports: scans as u64 };
+                let a = both_routes(&records, &s, &fleet);
+                prop_assert_eq!(a.flips, a.flips_up + a.flips_down);
+                prop_assert!(a.update_coincident <= a.flips);
+                prop_assert!(a.gap_changed <= a.flips);
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::freshdyn::FreshDynamic;
 use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
+use crate::table::{lane_mask, TrajectoryTable};
 use vt_model::{EngineId, FileType};
 
 /// Flip accounting for one (engine, file-type) cell.
@@ -202,10 +202,7 @@ fn fold_columnar(
     engine_count: usize,
     ctx: &AnalysisCtx,
 ) -> FlipAnalysis {
-    let mut mask = [0u64; 2];
-    for e in 0..engine_count.min(128) {
-        mask[e / 64] |= 1 << (e % 64);
-    }
+    let mask = lane_mask(engine_count);
     let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
     let parts = par::map_ranges_obs(&ranges, ctx.obs, "flips", |_, range| {
         let mut a = FlipAnalysis::empty(engine_count);

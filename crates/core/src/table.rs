@@ -182,6 +182,17 @@ fn pack_flags(n: usize, p_min: u32, p_max: u32, file_type: FileType, fresh: bool
     f
 }
 
+/// The bitmap words with one bit set per engine of an `engine_count`
+/// roster — what the lane kernels (`flips`, `causes`) AND a row's
+/// active words with, so a bit past the roster counts for neither.
+pub(crate) fn lane_mask(engine_count: usize) -> [u64; 2] {
+    let mut mask = [0u64; 2];
+    for e in 0..engine_count.min(128) {
+        mask[e / 64] |= 1 << (e % 64);
+    }
+    mask
+}
+
 impl TrajectoryTable {
     /// Builds the table with default parallelism and no observation.
     pub fn build(records: &[SampleRecord], window_start: Timestamp) -> Self {
@@ -300,7 +311,7 @@ impl TrajectoryTable {
         // equal to a stable (hash, date) sort. Keys are packed into a
         // contiguous buffer instead of sorting an index permutation:
         // the comparator then reads sequential 32-byte tuples rather
-        // than chasing 48-byte rows at random, which is ~2.4x faster at
+        // than chasing 80-byte rows at random, which is ~2.4x faster at
         // the 500k-sample bench scale.
         let mut keys: Vec<(u128, i64, u32)> = rows
             .iter()

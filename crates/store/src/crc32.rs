@@ -4,14 +4,20 @@
 //! detect payload corruption *before* attempting to decode, and a
 //! salvage pass can distinguish "this block is damaged" from "this block
 //! is fine but a neighbour's length field lied". Implemented locally
-//! (table-driven, one table built in a `const` context) so the store
-//! carries no new dependencies.
+//! (slicing-by-8: eight tables built in a `const` context, eight input
+//! bytes folded per step) so the store carries no new dependencies.
+//! Hardware CRC is not an option here: SSE4.2's `crc32` instruction
+//! computes the Castagnoli polynomial, not this one, and the
+//! carry-less-multiply route needs `unsafe`.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][i]` is the CRC
+/// of byte `i` followed by `k` zero bytes, so eight lookups — one per
+/// table — advance the register over eight input bytes at once.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -24,18 +30,41 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 of `bytes` (init `0xFFFF_FFFF`, final xor-out — the standard
 /// zlib convention, so values can be cross-checked with any crc32 tool).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -43,6 +72,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-table, one-byte-a-step loop `crc32` was before the
+    /// slicing: the oracle the wide kernel is compared against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -61,6 +100,45 @@ mod tests {
                 let mut flipped = data.clone();
                 flipped[i] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), base, "flip at byte {i} bit {bit}");
+            }
+        }
+    }
+
+    /// Every chunk count, remainder length and slice alignment the
+    /// eight-byte body and its tail can meet.
+    #[test]
+    fn sliced_matches_bytewise_at_every_length_and_offset() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..308)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn sliced_matches_bytewise(
+                bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            ) {
+                prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
             }
         }
     }

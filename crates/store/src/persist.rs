@@ -57,7 +57,10 @@ const PART_MARKER: u32 = 0x9A87_110E;
 /// Marks the start of a block frame.
 const BLOCK_MARKER: u32 = 0xB10C_F00D;
 
-/// Structural plausibility bounds, enforced before any allocation.
+/// Structural plausibility bounds, checked as each header is read.
+/// They reject nonsense early; they do not make a header's claim safe
+/// to allocate for — a block's bytes are read by [`read_payload`],
+/// which grows with what actually arrives.
 const MAX_PARTITIONS: u32 = 1024;
 const MAX_BLOCKS_PER_PARTITION: u32 = 1 << 20;
 const MAX_BLOCK_BYTES: u32 = 1 << 30;
@@ -185,8 +188,8 @@ fn get_u32(r: &mut impl Read) -> Result<u32, PersistError> {
 }
 
 /// Rejects block headers whose claimed report count cannot fit in the
-/// claimed byte length (or exceeds the builder's capacity), before any
-/// payload allocation happens.
+/// claimed byte length (or exceeds the builder's capacity), before the
+/// payload is read.
 fn check_block_header(report_count: u32, byte_len: u32) -> Result<(), PersistError> {
     if byte_len > MAX_BLOCK_BYTES {
         return Err(PersistError::Corrupt(CorruptKind::ImplausibleBlockSize));
@@ -196,6 +199,23 @@ fn check_block_header(report_count: u32, byte_len: u32) -> Result<(), PersistErr
     }
     if (byte_len as u64) < report_count as u64 * MIN_ENCODED_REPORT_BYTES {
         return Err(PersistError::Corrupt(CorruptKind::ReportCountVsByteLength));
+    }
+    Ok(())
+}
+
+/// Reads one block's `byte_len` payload bytes into `scratch` (cleared
+/// first, reused across blocks). The header's length bounds the read,
+/// never an allocation: a frame claiming a gigabyte in front of a
+/// 37-byte file costs the bytes that arrive, and ends in the same
+/// `UnexpectedEof` a short `read_exact` reports.
+fn read_payload(r: &mut impl Read, byte_len: u32, scratch: &mut Vec<u8>) -> io::Result<()> {
+    scratch.clear();
+    r.by_ref().take(u64::from(byte_len)).read_to_end(scratch)?;
+    if scratch.len() < byte_len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        ));
     }
     Ok(())
 }
@@ -293,6 +313,7 @@ pub fn read_store_into(
         ));
     }
     let mut partitions = Vec::with_capacity(partition_count as usize);
+    let mut scratch = Vec::new();
     for _ in 0..partition_count {
         if get_u32(r)? != PART_MARKER {
             return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
@@ -311,12 +332,11 @@ pub fn read_store_into(
             let byte_len = get_u32(r)?;
             check_block_header(report_count, byte_len)?;
             let expected_crc = get_u32(r)?;
-            let mut data = vec![0u8; byte_len as usize];
-            r.read_exact(&mut data)?;
-            if crc32(&data) != expected_crc {
+            read_payload(r, byte_len, &mut scratch)?;
+            if crc32(&scratch) != expected_crc {
                 return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
             }
-            let block = Block::from_parts(data.into(), report_count);
+            let block = Block::from_parts(scratch.as_slice().into(), report_count);
             // Integrity: the block must decode to exactly report_count
             // reports with nothing left over.
             let start = obs.timer();
@@ -720,6 +740,7 @@ pub(crate) mod tests {
             ));
         }
         let mut partitions = Vec::new();
+        let mut scratch = Vec::new();
         for _ in 0..partition_count {
             if get_u32(r)? != PART_MARKER {
                 return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
@@ -738,12 +759,11 @@ pub(crate) mod tests {
                 let byte_len = get_u32(r)?;
                 check_block_header(report_count, byte_len)?;
                 let expected_crc = get_u32(r)?;
-                let mut data = vec![0u8; byte_len as usize];
-                r.read_exact(&mut data)?;
-                if crc32(&data) != expected_crc {
+                read_payload(r, byte_len, &mut scratch)?;
+                if crc32(&scratch) != expected_crc {
                     return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
                 }
-                let block = Block::from_parts(data.into(), report_count);
+                let block = Block::from_parts(scratch.as_slice().into(), report_count);
                 if block.decode_all().is_err() {
                     return Err(PersistError::Corrupt(CorruptKind::BlockDecode));
                 }
@@ -825,6 +845,46 @@ pub(crate) mod tests {
             let err = read_store(&mut &buf[..cut]).unwrap_err();
             assert!(matches!(err, PersistError::Io(_)), "cut at {cut}: {err}");
         }
+    }
+
+    /// A 37-byte file whose one block frame claims a gigabyte: the
+    /// claim bounds the read, it is not an allocation size.
+    #[test]
+    fn a_lying_block_length_is_a_short_read_not_a_gigabyte() {
+        let claimed = MAX_BLOCK_BYTES;
+        let mut file = MAGIC.to_vec();
+        put_u32(&mut file, 1).unwrap();
+        put_u32(&mut file, PART_MARKER).unwrap();
+        write_month_tag(&mut file, None).unwrap();
+        put_u32(&mut file, 1).unwrap();
+        for word in [BLOCK_MARKER, 0, claimed, 0] {
+            put_u32(&mut file, word).unwrap();
+        }
+        assert_eq!(file.len(), 37);
+        for got in [
+            read_store(&mut file.as_slice()),
+            reference_read_store(&mut file.as_slice()),
+        ] {
+            match got {
+                Err(PersistError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                    assert_eq!(e.to_string(), "failed to fill whole buffer");
+                }
+                other => panic!("expected a short read, got {other:?}"),
+            }
+        }
+        // The buffer the payload lands in grows with the bytes that
+        // arrive — here five of the claimed gigabyte.
+        let mut scratch = Vec::new();
+        let err = read_payload(&mut &b"short"[..], claimed, &mut scratch).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(scratch, b"short");
+        assert!(scratch.capacity() < 4096, "{}", scratch.capacity());
+        // And a full payload is read exactly, leaving what follows it.
+        let mut rest = &b"payload|next"[..];
+        read_payload(&mut rest, 7, &mut scratch).expect("seven bytes are there");
+        assert_eq!(scratch, b"payload");
+        assert_eq!(rest, b"|next");
     }
 
     #[test]

@@ -533,9 +533,11 @@ fn cmd_simulate(args: SimulateArgs) -> Result<(), VtldError> {
 fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
     let obs = args.obs.obs();
     let path = &args.store;
-    let mut file = std::fs::File::open(path).map_err(io_err(format!("cannot open {path}")))?;
+    let file = std::fs::File::open(path).map_err(io_err(format!("cannot open {path}")))?;
+    // Frame headers are read four bytes at a time.
+    let mut reader = std::io::BufReader::new(file);
     let mut arena = DecodeArena::new();
-    let store = arena.refill(|rows| read_store_into(&mut file, rows, &StoreObs::new(&obs)))?;
+    let store = arena.refill(|rows| read_store_into(&mut reader, rows, &StoreObs::new(&obs)))?;
     eprintln!("loaded {} reports from {path}", store.report_count());
     let fleet = EngineFleet::new(FleetConfig::builder().seed(args.fleet_seed).build()?);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();

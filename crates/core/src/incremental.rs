@@ -628,7 +628,7 @@ mod tests {
             inc.fold_segment(seg, &obs);
         }
         let table = TrajectoryTable::build_with(records, ws, 2, Obs::noop());
-        let whole = SampleIndex::fold(records, &table);
+        let whole = SampleIndex::fold_table(&table);
         assert_eq!(inc.index(), Some(&whole));
         assert_eq!(
             obs.snapshot().span("pipeline/index").map(|s| s.count),

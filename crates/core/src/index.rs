@@ -28,7 +28,6 @@
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use crate::records::SampleRecord;
 use crate::stabilization::{stabilization_mask, FIG9_THRESHOLDS};
 use crate::table::TrajectoryTable;
 use vt_model::{FileType, SampleHash};
@@ -218,18 +217,6 @@ impl SampleIndex {
         idx
     }
 
-    /// Row-path adapter over [`fold_table`](Self::fold_table): `records`
-    /// and `table` must describe the same segment (the table already
-    /// carries every column the index reads, hashes included).
-    pub fn fold(records: &[SampleRecord], table: &TrajectoryTable) -> Self {
-        assert_eq!(
-            records.len(),
-            table.len(),
-            "records and table must cover the same segment"
-        );
-        Self::fold_table(table)
-    }
-
     /// Merges a later accumulation into this one. The two must cover
     /// disjoint sample sets (the seal contract: a sample's whole
     /// trajectory lives in exactly one segment of one slot stream) —
@@ -341,6 +328,7 @@ mod tests {
     use crate::flips::Flips;
     use crate::freshdyn;
     use crate::pipeline::Study;
+    use crate::records::SampleRecord;
     use crate::stabilization::label_stabilization_index;
     use vt_obs::Obs;
     use vt_sim::SimConfig;
@@ -351,7 +339,7 @@ mod tests {
 
     fn build(records: &[SampleRecord], ws: vt_model::time::Timestamp) -> SampleIndex {
         let table = TrajectoryTable::build(records, ws);
-        SampleIndex::fold(records, &table)
+        SampleIndex::fold_table(&table)
     }
 
     #[test]
@@ -360,7 +348,7 @@ mod tests {
         let records = study.records();
         let ws = study.sim().config().window_start();
         let table = TrajectoryTable::build(records, ws);
-        let idx = SampleIndex::fold(records, &table);
+        let idx = SampleIndex::fold_table(&table);
         assert_eq!(idx.len(), records.len());
         assert_eq!(idx.report_rows(), table.report_rows());
         for (i, r) in records.iter().enumerate() {
@@ -425,7 +413,7 @@ mod tests {
         let s = freshdyn::build_from_table(&table, 2);
         let ctx = AnalysisCtx::new(records, &table, &s, study.sim().fleet(), ws).with_workers(2);
         let stage = Flips.run(&ctx);
-        let idx = SampleIndex::fold(records, &table);
+        let idx = SampleIndex::fold_table(&table);
         let over_s: u64 = (0..records.len())
             .filter(|&i| table.in_s(i))
             .map(|i| u64::from(idx.get(records[i].meta.hash).unwrap().flips))
@@ -534,8 +522,8 @@ mod tests {
         let ws = study.sim().config().window_start();
         let obs = Obs::new();
         let t1 = TrajectoryTable::build_with(records, ws, 2, &obs);
-        let a = SampleIndex::fold(records, &t1);
-        let b = SampleIndex::fold(records, &t1);
+        let a = SampleIndex::fold_table(&t1);
+        let b = SampleIndex::fold_table(&t1);
         assert_eq!(a, b);
     }
 }

@@ -187,11 +187,6 @@ impl BoxplotSummary {
             max,
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Linear-interpolation quantile on a sorted slice (type-7 estimator, the

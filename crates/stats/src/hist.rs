@@ -34,16 +34,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Records `weight` observations of `value` at once.
-    pub fn record_n(&mut self, value: u64, weight: u64) {
-        if (value as usize) < self.counts.len() {
-            self.counts[value as usize] += weight;
-        } else {
-            self.overflow += weight;
-        }
-        self.total += weight;
-    }
-
     /// Merges another histogram with the same bound into this one.
     ///
     /// # Panics
@@ -63,6 +53,7 @@ impl Histogram {
     }
 
     /// Count of observations `>= bound`.
+    #[cfg(test)]
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
@@ -70,11 +61,6 @@ impl Histogram {
     /// Total observations recorded.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Upper bound (exclusive) of the in-range buckets.
-    pub fn bound(&self) -> usize {
-        self.counts.len()
     }
 
     /// Fraction of observations `<= value` (overflow counts only when the
@@ -167,8 +153,9 @@ mod tests {
     #[test]
     fn cumulative_staircase() {
         let mut h = Histogram::new(4);
-        h.record_n(1, 2);
-        h.record_n(3, 2);
+        for v in [1, 1, 3, 3] {
+            h.record(v);
+        }
         assert_eq!(h.cumulative(), vec![(1, 0.5), (3, 1.0)]);
     }
 

@@ -6,10 +6,10 @@
 //!   AV-Rank differences to scan intervals (§5.3.5, Fig. 7) and to measure
 //!   pairwise engine correlation over the scan matrix `R` (§7.2,
 //!   Figs. 11–12, Tables 4–8).
-//! * **Empirical CDFs** — Figs. 1, 2, 3, 5.
 //! * **Box-plot summaries** (median, mean, quartiles, Tukey whiskers, with
 //!   outliers excluded from the rendering) — Figs. 4, 6, 7.
-//! * **Histograms / frequency counters** — the distribution tables.
+//! * **Exact integer histograms** and their cumulative fractions — the
+//!   empirical CDFs of Figs. 1, 2, 3, 5 and the distribution tables.
 //!
 //! Everything here is implemented from scratch (no external stats crates)
 //! and is deliberately simple, allocation-conscious, and well-tested:
@@ -23,20 +23,14 @@
 #![warn(missing_docs)]
 
 pub mod boxplot;
-pub mod counter;
-pub mod ecdf;
 pub mod hist;
 pub mod pearson;
 pub mod rank;
 pub mod spearman;
 pub mod special;
-pub mod summary;
 
 pub use boxplot::BoxplotSummary;
-pub use counter::FreqCounter;
-pub use ecdf::Ecdf;
 pub use hist::Histogram;
 pub use pearson::pearson;
 pub use rank::average_ranks;
 pub use spearman::{spearman, spearman_with_p, SpearmanResult};
-pub use summary::RunningSummary;

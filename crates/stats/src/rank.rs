@@ -42,29 +42,6 @@ pub fn average_ranks(data: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// Counts tie groups and returns the tie-correction term
-/// `Σ (tᵢ³ − tᵢ)` over tie groups of size `tᵢ`, used in the
-/// tie-corrected Spearman formula.
-pub fn tie_correction_term(data: &[f64]) -> f64 {
-    let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite inputs"));
-    let mut term = 0.0;
-    let n = sorted.len();
-    let mut i = 0;
-    while i < n {
-        let mut j = i + 1;
-        while j < n && sorted[j] == sorted[i] {
-            j += 1;
-        }
-        let t = (j - i) as f64;
-        if t > 1.0 {
-            term += t * t * t - t;
-        }
-        i = j;
-    }
-    term
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,14 +70,6 @@ mod tests {
         // values: 1 2 2 3 3 3 → ranks 1, 2.5, 2.5, 5, 5, 5
         let ranks = average_ranks(&[1.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
         assert_eq!(ranks, vec![1.0, 2.5, 2.5, 5.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn tie_term_counts_groups() {
-        // one group of 2 → 2³−2 = 6; one group of 3 → 27−3 = 24
-        let term = tie_correction_term(&[1.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
-        assert_eq!(term, 30.0);
-        assert_eq!(tie_correction_term(&[1.0, 2.0, 3.0]), 0.0);
     }
 
     proptest! {

@@ -116,7 +116,9 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// CDF of the Student-t distribution with `df` degrees of freedom,
-/// evaluated at `t`.
+/// evaluated at `t` — the reference [`student_t_two_sided_p`] is
+/// checked against.
+#[cfg(test)]
 pub fn student_t_cdf(t: f64, df: f64) -> f64 {
     debug_assert!(df > 0.0, "degrees of freedom must be positive");
     if !t.is_finite() {
@@ -205,13 +207,16 @@ pub fn probit(p: f64) -> f64 {
 
 /// CDF of the standard normal distribution, via the incomplete beta
 /// relation is overkill — use the erf-based formula with Abramowitz &
-/// Stegun 7.1.26-grade accuracy from `erfc_approx`.
+/// Stegun 7.1.26-grade accuracy from `erfc_approx`. The reference
+/// [`probit`] is checked against.
+#[cfg(test)]
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc_approx(-x / std::f64::consts::SQRT_2)
 }
 
 /// Complementary error function approximation (A&S 7.1.26 derivative;
 /// absolute error < 1.2e-7 — plenty for the shape comparisons here).
+#[cfg(test)]
 fn erfc_approx(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);

@@ -7,7 +7,7 @@
 //! users can depend on a single crate. Every one of them is first-party:
 //! the product links no external crate.
 //!
-//! * [`stats`] — statistics substrate (Spearman, ECDF, box plots).
+//! * [`stats`] — statistics substrate (Spearman, box plots, histograms).
 //! * [`model`] — domain types (time, hashes, file types, reports).
 //! * [`engines`] — the 70 simulated antivirus engine behaviour models.
 //! * [`sim`] — the discrete-event VirusTotal platform simulator.

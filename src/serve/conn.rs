@@ -23,8 +23,9 @@ use std::sync::Arc;
 use super::counters::ServeCounters;
 use super::publish::Seam;
 use super::render::{
-    render_alerts, render_engine, render_flip_leaders, render_metrics, render_sample,
-    render_stabilized, render_status,
+    render_alerts, render_engine, render_engines, render_fingerprint, render_flip_leaders,
+    render_metrics, render_recommend, render_results, render_sample, render_stabilized,
+    render_status,
 };
 use super::wire::{self, quoted, Render, Request};
 use super::ServeConfig;
@@ -251,9 +252,9 @@ enum Action {
 
 /// Routes one request line through the typed [`Request`] API to its
 /// response: every verb answers from the one snapshot pinned here —
-/// pre-rendered for the aggregate verbs, rendered per request for the
-/// per-hash ones — and `status` and `metrics` read the live registry
-/// beside it.
+/// the aggregate documents as the first request for each rendered it
+/// into that snapshot, the per-hash ones rendered per request — and
+/// `status` and `metrics` read the live registry beside it.
 fn respond(line: &str, ctx: &ConnCtx) -> Action {
     let snap = ctx.seam.current();
     let req = match Request::parse_line(line) {
@@ -262,12 +263,12 @@ fn respond(line: &str, ctx: &ConnCtx) -> Action {
     };
     Action::Reply(match req {
         Request::Status => render_status(&snap, &ctx.counters),
-        Request::Results => snap.results.clone(),
-        Request::Engines => snap.engines.clone(),
+        Request::Results => render_results(&snap).to_owned(),
+        Request::Engines => render_engines(&snap).to_owned(),
         Request::Metrics => render_metrics(&snap, &ctx.obs),
-        Request::Fingerprint => snap.fingerprint.clone(),
+        Request::Fingerprint => render_fingerprint(&snap).to_owned(),
         Request::Alerts { since } => render_alerts(&snap, since),
-        Request::Recommend => snap.recommend.clone(),
+        Request::Recommend => render_recommend(&snap).to_owned(),
         Request::Subscribe => {
             return Action::Subscribe {
                 ack: wire::SubscribeAck.render(snap.epoch),

@@ -30,16 +30,18 @@
 //!   update into its slot's leaf of a
 //!   [`crate::dynamics::SlotMergeTree`], re-merging only the changed
 //!   slots' paths (bit-identical to the flat slot-order merge at any
-//!   shard count), finishes the root, and swaps the next epoch in
-//!   through the **publish seam** — the one place readers pin a
-//!   snapshot and the one thing a `subscribe` stream waits on (publish
-//!   and shutdown are its only wake-ups).
-//! * `render` — snapshot → bytes. Aggregate documents are rendered once
-//!   per epoch, per-hash answers per request; a response is a function
-//!   of the snapshot it pinned (`status` and `metrics` also read the
-//!   live registry), so nothing is cached and nothing is invalidated —
-//!   the one memo, the `flip_leaders` ranking, lives and dies with its
-//!   snapshot.
+//!   shard count), finishes the root, and swaps that study in as the
+//!   next epoch's snapshot — nothing rendered — through the **publish
+//!   seam**: the one place readers pin a snapshot and the one thing a
+//!   `subscribe` stream waits on (publish and shutdown are its only
+//!   wake-ups).
+//! * `render` — snapshot → bytes, on request. Per-hash answers are
+//!   rendered per request; each aggregate document, and the
+//!   `flip_leaders` ranking, once per snapshot by the first request
+//!   that asks, into a cell that lives and dies with that snapshot. A
+//!   response is a function of the snapshot it pinned (`status` and
+//!   `metrics` also read the live registry), so nothing is cached
+//!   across epochs and nothing is invalidated.
 //! * `conn` — sockets ↔ lines. Admission cap, read/write deadlines, an
 //!   exact request-line bound, typed `overloaded`/`evicted` responses,
 //!   and dispatch of each parsed request.
@@ -258,14 +260,8 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let fold = fold::FoldCtx::new(config);
-        let seam = Arc::new(publish::Seam::new(render::render_snapshot(
-            publish::empty_epoch(&fold),
-        )));
-        let daemon = Arc::new(publish::PublishCtx {
-            fold,
-            seam,
-            render: render::render_snapshot,
-        });
+        let seam = Arc::new(publish::Seam::new(publish::empty_epoch(&fold)));
+        let daemon = Arc::new(publish::PublishCtx { fold, seam });
         let (config, counters) = (&daemon.fold.ingest.config, &daemon.fold.ingest.counters);
         let conn = Arc::new(conn::ConnCtx {
             config: config.clone(),

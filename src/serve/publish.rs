@@ -27,9 +27,9 @@
 //! shutdown request are its only wake-ups, so a `subscribe` stream is
 //! driven by the epoch swap itself, not by a timer.
 //!
-//! The layer merges and swaps; what a [`Snapshot`]'s documents look
-//! like is the `render` layer's business, handed in as
-//! [`PublishCtx::render`].
+//! The layer merges and swaps and never renders: a [`Snapshot`] *is*
+//! the merged study, and what its documents look like is the `render`
+//! layer's business, on the first request that asks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
@@ -37,53 +37,79 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
 use super::{wire, INGEST_SLOTS};
-use crate::dynamics::flips::FlipAnalysis;
 use crate::dynamics::{IncrementalStudy, SampleIndex, SlotMergeTree, StudyResults};
 use crate::obs::Obs;
 
-/// One epoch-consistent view of the study: the aggregate responses
-/// pre-rendered at publish time, plus everything the per-hash verbs are
-/// rendered from per request — the sample index, the flip matrix and
-/// the engine roster — pinned to the same epoch, so a handler that
-/// cloned the `Arc` can never mix stages of the study. Immutable once
-/// published, but for the one memo a request may fill (`leaders`): a
-/// response is a function of the snapshot it pinned (`status` and
-/// `metrics` alone also read the live registry).
+/// One epoch-consistent view of the study — the merged study itself:
+/// the finished results, the per-slot sample indexes, the alert ring
+/// and the engine roster, pinned to one epoch, so a handler that cloned
+/// the `Arc` can never mix stages of the study. Immutable once
+/// published, but for the five memo cells below: every aggregate
+/// document is rendered by the first request that pins this snapshot
+/// and asks for it, and dropped with the snapshot — nothing renders at
+/// publish and there is nothing to invalidate. A response is a function
+/// of the snapshot it pinned (`status` and `metrics` alone also read
+/// the live registry).
 #[derive(Debug)]
 pub(super) struct Snapshot {
     pub(super) epoch: u64,
-    /// The `status` members that must agree with this epoch's study —
-    /// everything else in `status` is read live off the registry.
-    pub(super) s_samples: u64,
-    pub(super) indexed: usize,
+    /// The finished study every aggregate document, the `engine`
+    /// scorecard (its §7.1 flip matrix) and `status`'s `s_samples` are
+    /// rendered from.
+    pub(super) results: StudyResults,
     pub(super) ingest_done: bool,
     pub(super) shards: usize,
-    pub(super) results: String,
-    pub(super) engines: String,
-    pub(super) fingerprint: String,
     /// Hash → trajectory summary, one index per ingest slot — the same
     /// folds this epoch's aggregates summarize. Publishing a new epoch
     /// replaces only the dirty slots' `Arc`s; per-hash verbs route by
     /// slot and never pay a cross-slot merge.
     pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
-    /// The study-wide `(flips desc, hash asc)` ranking behind
-    /// `flip_leaders`, cut at `wire::MAX_FLIP_LEADERS` and kept as
-    /// rendered, epoch-free bodies, so any `k` is a prefix of it.
-    /// Filled by the first `flip_leaders` request that pins this
-    /// snapshot and dropped with it — nothing to invalidate.
-    pub(super) leaders: OnceLock<Vec<String>>,
-    /// The §7.1 flip matrix backing the `engine` scorecard verb.
-    pub(super) flips: Arc<FlipAnalysis>,
-    /// Engine names in [`crate::model::EngineId`] order (the `engine`
-    /// verb resolves names against the snapshot, not the live fleet).
-    pub(super) engine_names: Arc<Vec<String>>,
     /// The retained drift-alert ring, sorted by alert key, each entry
     /// stamped with the epoch that published it (the `alerts` verb's
     /// `since` filter and the `subscribe` push cursor key off that
     /// stamp; the rendered bodies themselves carry no epoch).
     pub(super) alerts: Arc<Vec<PublishedAlert>>,
-    /// The `recommend` verb's pre-rendered response.
-    pub(super) recommend: String,
+    /// Engine names in [`crate::model::EngineId`] order (the `engine`
+    /// verb resolves names against the snapshot, not the live fleet).
+    pub(super) engine_names: Arc<Vec<String>>,
+    /// The `results`, `engines`, `fingerprint` and `recommend`
+    /// documents, each as the first request for it rendered it.
+    pub(super) results_json: OnceLock<String>,
+    pub(super) engines_json: OnceLock<String>,
+    pub(super) fingerprint_json: OnceLock<String>,
+    pub(super) recommend_json: OnceLock<String>,
+    /// The study-wide `(flips desc, hash asc)` ranking behind
+    /// `flip_leaders`, cut at `wire::MAX_FLIP_LEADERS` and kept as
+    /// rendered, epoch-free bodies, so any `k` is a prefix of it.
+    pub(super) leaders: OnceLock<Vec<String>>,
+}
+
+impl Snapshot {
+    /// The study `results` as of `epoch`, under `fold`'s shard count
+    /// and roster, with nothing rendered yet.
+    pub(super) fn new(
+        fold: &FoldCtx,
+        epoch: u64,
+        results: StudyResults,
+        ingest_done: bool,
+        slot_indexes: Vec<Arc<SampleIndex>>,
+        alerts: Arc<Vec<PublishedAlert>>,
+    ) -> Self {
+        Self {
+            epoch,
+            results,
+            ingest_done,
+            shards: fold.ingest.config.shards,
+            slot_indexes,
+            alerts,
+            engine_names: Arc::clone(&fold.roster),
+            results_json: OnceLock::new(),
+            engines_json: OnceLock::new(),
+            fingerprint_json: OnceLock::new(),
+            recommend_json: OnceLock::new(),
+            leaders: OnceLock::new(),
+        }
+    }
 }
 
 /// One alert on the published ring: its identity key, the epoch whose
@@ -167,25 +193,11 @@ impl Seam {
     }
 }
 
-/// One epoch's merged study: what the merge tree's finished root and
-/// the merger's per-slot state hand the `render` layer to make a
-/// [`Snapshot`] of.
-pub(super) struct Merged {
-    pub(super) epoch: u64,
-    pub(super) results: StudyResults,
-    pub(super) ingest_done: bool,
-    pub(super) shards: usize,
-    pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
-    pub(super) alerts: Arc<Vec<PublishedAlert>>,
-    pub(super) engine_names: Arc<Vec<String>>,
-}
-
-/// The merger's context: the workers', the seam it publishes through,
-/// and the renderer it publishes with.
+/// The merger's context: the workers', and the seam it publishes
+/// through.
 pub(super) struct PublishCtx {
     pub(super) fold: FoldCtx,
     pub(super) seam: Arc<Seam>,
-    pub(super) render: fn(Merged) -> Snapshot,
 }
 
 /// The merger's cross-publish accumulation: the binary merge tree over
@@ -239,7 +251,7 @@ pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
 /// Publishes one epoch: take `updates` (in arrival order) into the
 /// merge tree — each updated slot re-merges only its log₂(8) root path,
 /// and the other slots are not touched — finish the cached root, and
-/// swap in the rendered snapshot.
+/// swap it in as the next snapshot.
 fn publish_merged(
     ctx: &PublishCtx,
     state: &mut MergerState,
@@ -295,46 +307,52 @@ fn publish_merged(
         None => IncrementalStudy::new(ingest.sim.fleet(), ingest.sim.config().window_start())
             .results(partitions, &ingest.obs),
     };
-    ctx.seam.publish((ctx.render)(Merged {
+    // A merge is a CPU burst shorter than a scheduler slice, so a
+    // handler that woke on this core during it has not run yet. Let it:
+    // it answers from the epoch it arrived under. Swapping first makes
+    // every such request straddle the swap — one more request period
+    // on the reader's view of when an epoch arrived (DESIGN.md §2.8).
+    std::thread::yield_now();
+    ctx.seam.publish(Snapshot::new(
+        fold,
         epoch,
         results,
-        ingest_done: done,
-        shards: ingest.config.shards,
-        slot_indexes: state.slot_indexes.clone(),
-        alerts: Arc::clone(&state.ring),
-        engine_names: Arc::clone(&fold.roster),
-    }));
+        done,
+        state.slot_indexes.clone(),
+        Arc::clone(&state.ring),
+    ));
 }
 
 /// One default (empty) index per ingest slot.
-pub(super) fn empty_slot_indexes() -> Vec<Arc<SampleIndex>> {
+fn empty_slot_indexes() -> Vec<Arc<SampleIndex>> {
     (0..INGEST_SLOTS).map(|_| Arc::default()).collect()
 }
 
 /// Epoch 0: the finished empty study, so every query has a well-formed
 /// answer before the first segment folds.
-pub(super) fn empty_epoch(fold: &FoldCtx) -> Merged {
+pub(super) fn empty_epoch(fold: &FoldCtx) -> Snapshot {
     let sim = &fold.ingest.sim;
-    Merged {
-        epoch: 0,
-        results: IncrementalStudy::new(sim.fleet(), sim.config().window_start())
-            .results(Vec::new(), Obs::noop()),
-        ingest_done: false,
-        shards: fold.ingest.config.shards,
-        slot_indexes: empty_slot_indexes(),
-        alerts: Arc::default(),
-        engine_names: Arc::clone(&fold.roster),
-    }
+    let results = IncrementalStudy::new(sim.fleet(), sim.config().window_start())
+        .results(Vec::new(), Obs::noop());
+    Snapshot::new(
+        fold,
+        0,
+        results,
+        false,
+        empty_slot_indexes(),
+        Arc::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dynamics::alerts::detector;
-    use crate::dynamics::{Alert, AlertKind, DecodeArena};
-    use crate::serve::fold::SlotFold;
+    use crate::dynamics::{Alert, AlertKind};
     use crate::serve::render::study_fingerprint;
-    use crate::serve::tests::{bare_snapshot as snapshot, sealed_segments};
+    use crate::serve::tests::{
+        bare_snapshot as snapshot, interleaved_updates, merger_ctx, published_in_one_burst,
+    };
     use crate::serve::ServeConfig;
     use std::sync::mpsc::channel;
 
@@ -410,75 +428,11 @@ mod tests {
         assert_eq!(seam.wait_past(1).map(|s| s.epoch), Some(2));
     }
 
-    /// A `render` that records what the merger tests compare: the
-    /// study's fingerprint where the documents would go, and the
-    /// per-slot state and the ring as the merger handed them over.
-    fn record(merged: Merged) -> Snapshot {
-        Snapshot {
-            fingerprint: format!("{:?}", study_fingerprint(&merged.results)),
-            ingest_done: merged.ingest_done,
-            slot_indexes: merged.slot_indexes,
-            alerts: merged.alerts,
-            ..snapshot(merged.epoch)
-        }
-    }
-
-    /// A merger's context with no daemon around it: nothing ingests, so
-    /// `ingest_done` can only ever be false.
-    fn merger_ctx(config: ServeConfig) -> PublishCtx {
-        PublishCtx {
-            fold: FoldCtx::new(config),
-            seam: Arc::new(Seam::new(snapshot(0))),
-            render: record,
-        }
-    }
-
-    /// Two slots' update streams out of real [`SlotFold`]s over halves
-    /// of the feed, interleaved a fold at a time the way two workers'
-    /// sends land on the merger's channel.
-    fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
-        let ingest = &ctx.fold.ingest;
-        let half = ingest.config.samples / 2;
-        let mut arena = DecodeArena::new();
-        let [a, b] = [(2, 0..half), (5, half..ingest.config.samples)].map(|(slot, ordinals)| {
-            let mut fold = SlotFold::new(&ingest.config, &ingest.sim, slot);
-            let updates: Vec<SlotUpdate> = sealed_segments(&ingest.sim, ordinals, 3)
-                .iter()
-                .map(|segment| {
-                    arena.clear();
-                    segment.store().for_each_row(&mut arena);
-                    fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
-                })
-                .collect();
-            assert!(updates.len() >= 2, "several updates per slot");
-            updates
-        });
-        let (mut a, mut b) = (a.into_iter(), b.into_iter());
-        let mut interleaved = Vec::new();
-        loop {
-            let before = interleaved.len();
-            interleaved.extend(a.next());
-            interleaved.extend(b.next());
-            if interleaved.len() == before {
-                return interleaved;
-            }
-        }
-    }
-
     #[test]
     fn a_burst_and_a_trickle_of_the_same_updates_publish_the_same_study() {
         let config = ServeConfig::new(1_500, 0x51_07);
 
-        // One burst: everything, the exit included, is queued before the
-        // merger first looks, so it publishes exactly once.
-        let ctx = merger_ctx(config.clone());
-        let (tx, rx) = channel();
-        for update in interleaved_updates(&ctx) {
-            tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
-        }
-        tx.send(MergeEvent::WorkerExited).expect("rx");
-        merger_loop(&ctx, &rx);
-        let burst = ctx.seam.current();
+        let burst = published_in_one_burst(&merger_ctx(config.clone()));
         assert_eq!(burst.epoch, 1);
         assert!(burst.alerts.iter().all(|a| a.published == 1));
 
@@ -510,7 +464,10 @@ mod tests {
         });
 
         assert!(!burst.alerts.is_empty(), "the fixture fires alerts");
-        assert_eq!(trickle.fingerprint, burst.fingerprint);
+        assert_eq!(
+            study_fingerprint(&trickle.results),
+            study_fingerprint(&burst.results)
+        );
         assert_eq!(trickle.slot_indexes, burst.slot_indexes);
         let keys = |snap: &Snapshot| -> Vec<_> {
             snap.alerts

@@ -1,28 +1,27 @@
 //! Layer 4 — snapshot → bytes.
 //!
-//! A response is a function of one pinned [`Snapshot`]. The aggregate
-//! documents (`results`, `engines`, `fingerprint`, `recommend`) are
-//! rendered once per epoch by [`render_snapshot`], which the merger
-//! publishes with; the per-hash verbs are rendered per request from the
-//! snapshot's slot indexes, flip matrix and roster. A snapshot is
-//! immutable, so two answers at one epoch are the same bytes with
-//! nothing remembering the first, and there is nothing to invalidate.
-//! One computation is worth keeping, and the snapshot keeps it: the
-//! study-wide flip ranking behind `flip_leaders` is made once per
-//! snapshot, by the first request that asks, into the snapshot's own
-//! `leaders` cell. `status` and `metrics` are rendered per request from
-//! the live registry, under the pinned snapshot's epoch.
+//! A response is a function of one pinned [`Snapshot`], and nothing is
+//! rendered before a request asks. The per-hash verbs are rendered per
+//! request from the snapshot's slot indexes, flip matrix and roster. The
+//! aggregate documents (`results`, `engines`, `fingerprint`,
+//! `recommend`) and the study-wide flip ranking behind `flip_leaders`
+//! follow one rule: each is made once per snapshot, by the first
+//! request that pins it and asks, into that snapshot's own cell, and
+//! dropped with it. A snapshot's study is immutable, so two answers at
+//! one epoch are the same bytes and there is nothing to invalidate.
+//! `status` and `metrics` are rendered per request from the live
+//! registry, under the pinned snapshot's epoch.
 //!
 //! Renders strings and nothing else: no socket, no lock, no state of
 //! its own.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::ingest::slot_of;
-use super::publish::{Merged, Snapshot};
+use super::publish::Snapshot;
 use super::wire::{quoted, MAX_FLIP_LEADERS};
-use crate::dynamics::flips::{FlipAnalysis, FlipCell};
+use crate::dynamics::flips::FlipCell;
 use crate::dynamics::stabilization::FIG9_THRESHOLDS;
 use crate::dynamics::{SampleIndex, StudyResults};
 use crate::model::{EngineId, FileType, SampleHash};
@@ -98,8 +97,9 @@ pub(super) fn render_stabilized(snap: &Snapshot, hash: SampleHash, t: u32) -> St
 /// top-20 type it has had flip opportunities on.
 pub(super) fn render_engine(snap: &Snapshot, engine: usize) -> String {
     let epoch = snap.epoch;
-    let total = snap.flips.engine_total(EngineId::new(engine));
-    let types: Vec<String> = snap.flips.matrix[engine]
+    let flips = &snap.results.flips;
+    let total = flips.engine_total(EngineId::new(engine));
+    let types: Vec<String> = flips.matrix[engine]
         .iter()
         .enumerate()
         .filter(|(_, cell)| cell.opportunities > 0)
@@ -210,14 +210,14 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         c.reports.value(),
         c.accepted.value(),
         c.quarantined.value(),
-        snap.s_samples,
+        snap.results.s_samples,
         snap.ingest_done,
         snap.shards,
         c.recovered_segments.value(),
         c.quarantined_segments.value(),
         c.rejected.value(),
         c.evicted.value(),
-        snap.indexed,
+        snap.slot_indexes.iter().map(|i| i.len()).sum::<usize>(),
         c.alerts_fired.value(),
         c.alerts_stabilized.value(),
         c.alerts_destabilized.value(),
@@ -250,7 +250,7 @@ pub(super) fn json_f64(v: f64) -> String {
     }
 }
 
-// ---- per-epoch rendering -----------------------------------------------
+// ---- per-snapshot documents --------------------------------------------
 
 /// FNV-1a accumulation over a byte slice.
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -321,92 +321,81 @@ fn engine_flip_json(name: &str, total: FlipCell) -> String {
     )
 }
 
-/// Renders every response for one epoch in one place, so a snapshot can
-/// never mix stages of the study.
-pub(super) fn render_snapshot(merged: Merged) -> Snapshot {
-    let Merged {
-        epoch,
-        results,
-        engine_names,
-        slot_indexes,
-        ..
-    } = merged;
-    let c = &results.correlation_global;
-    let ranks: Vec<String> = results
-        .rank_stabilization
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"r\":{},\"samples\":{},\"stabilized\":{}}}",
-                r.r, r.samples, r.stabilized
-            )
-        })
-        .collect();
-    let results_json = format!(
-        "{{\"epoch\":{epoch},\"dataset\":{{\"samples\":{},\"reports\":{}}},\
-         \"s_samples\":{},\"s_reports\":{},\
-         \"stability\":{{\"stable\":{},\"dynamic\":{}}},\
-         \"window_growth\":{},\
-         \"flips\":{{\"total\":{},\"up\":{},\"down\":{},\"hazard\":{}}},\
-         \"correlation\":{{\"engine_count\":{},\"rows\":{},\"strong_pairs\":{},\"groups\":{}}},\
-         \"rank_stabilization\":[{}]}}",
-        results.dataset.total_samples(),
-        results.dataset.total_reports(),
-        results.s_samples,
-        results.s_reports,
-        results.stability.stable,
-        results.stability.dynamic,
-        json_f64(results.window_growth),
-        results.flips.flips,
-        results.flips.flips_up,
-        results.flips.flips_down,
-        results.flips.hazard_flips,
-        c.engine_count,
-        c.rows,
-        c.strong_pairs.len(),
-        c.groups.len(),
-        ranks.join(","),
-    );
-
-    let engines: Vec<String> = (0..results.flips.engine_count)
-        .map(|i| {
-            engine_flip_json(
-                &engine_names[i],
-                results.flips.engine_total(EngineId::new(i)),
-            )
-        })
-        .collect();
-    let engines_json = format!("{{\"epoch\":{epoch},\"engines\":[{}]}}", engines.join(","));
-
-    let (debug_fnv, rho_fnv) = study_fingerprint(&results);
-    let fingerprint = format!(
-        "{{\"epoch\":{epoch},\"ingest_done\":{},\
-         \"fingerprint\":\"{debug_fnv:016x}\",\"rho_fnv\":\"{rho_fnv:016x}\"}}",
-        merged.ingest_done,
-    );
-
-    let recommend = render_recommend(epoch, &slot_indexes, &results.flips, &engine_names);
-
-    Snapshot {
-        epoch,
-        s_samples: results.s_samples,
-        indexed: slot_indexes.iter().map(|i| i.len()).sum(),
-        ingest_done: merged.ingest_done,
-        shards: merged.shards,
-        results: results_json,
-        engines: engines_json,
-        fingerprint,
-        slot_indexes,
-        leaders: OnceLock::new(),
-        flips: Arc::new(results.flips),
-        engine_names,
-        alerts: merged.alerts,
-        recommend,
-    }
+/// The `results` verb: the study's headline counts.
+pub(super) fn render_results(snap: &Snapshot) -> &str {
+    snap.results_json.get_or_init(|| {
+        let (epoch, results) = (snap.epoch, &snap.results);
+        let c = &results.correlation_global;
+        let ranks: Vec<String> = results
+            .rank_stabilization
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"r\":{},\"samples\":{},\"stabilized\":{}}}",
+                    r.r, r.samples, r.stabilized
+                )
+            })
+            .collect();
+        format!(
+            "{{\"epoch\":{epoch},\"dataset\":{{\"samples\":{},\"reports\":{}}},\
+             \"s_samples\":{},\"s_reports\":{},\
+             \"stability\":{{\"stable\":{},\"dynamic\":{}}},\
+             \"window_growth\":{},\
+             \"flips\":{{\"total\":{},\"up\":{},\"down\":{},\"hazard\":{}}},\
+             \"correlation\":{{\"engine_count\":{},\"rows\":{},\"strong_pairs\":{},\"groups\":{}}},\
+             \"rank_stabilization\":[{}]}}",
+            results.dataset.total_samples(),
+            results.dataset.total_reports(),
+            results.s_samples,
+            results.s_reports,
+            results.stability.stable,
+            results.stability.dynamic,
+            json_f64(results.window_growth),
+            results.flips.flips,
+            results.flips.flips_up,
+            results.flips.flips_down,
+            results.flips.hazard_flips,
+            c.engine_count,
+            c.rows,
+            c.strong_pairs.len(),
+            c.groups.len(),
+            ranks.join(","),
+        )
+    })
 }
 
-/// The `recommend` verb, pre-rendered at publish: a Maat-style online
-/// recommendation of (a) the Fig. 9 AV-Rank threshold whose label
+/// The `engines` verb: every engine's flip totals, in roster order.
+pub(super) fn render_engines(snap: &Snapshot) -> &str {
+    snap.engines_json.get_or_init(|| {
+        let flips = &snap.results.flips;
+        let engines: Vec<String> = (0..flips.engine_count)
+            .map(|i| {
+                let total = flips.engine_total(EngineId::new(i));
+                engine_flip_json(&snap.engine_names[i], total)
+            })
+            .collect();
+        format!(
+            "{{\"epoch\":{},\"engines\":[{}]}}",
+            snap.epoch,
+            engines.join(",")
+        )
+    })
+}
+
+/// The `fingerprint` verb: [`study_fingerprint`] of the snapshot's
+/// study, beside `ingest_done`.
+pub(super) fn render_fingerprint(snap: &Snapshot) -> &str {
+    snap.fingerprint_json.get_or_init(|| {
+        let (debug_fnv, rho_fnv) = study_fingerprint(&snap.results);
+        format!(
+            "{{\"epoch\":{},\"ingest_done\":{},\
+             \"fingerprint\":\"{debug_fnv:016x}\",\"rho_fnv\":\"{rho_fnv:016x}\"}}",
+            snap.epoch, snap.ingest_done,
+        )
+    })
+}
+
+/// The `recommend` verb: a Maat-style online recommendation of (a) the Fig. 9 AV-Rank threshold whose label
 /// sequences stabilized for the most fresh-dynamic samples so far —
 /// the threshold that would have labeled the stream most accurately —
 /// and (b) the engine subset whose flip ratio is at or below the
@@ -416,16 +405,16 @@ pub(super) fn render_snapshot(merged: Merged) -> Snapshot {
 /// counts equal the offline `label_stabilization_all` sweep bit for
 /// bit, and ties break deterministically (lowest threshold; ratio then
 /// name order for engines).
-fn render_recommend(
-    epoch: u64,
-    slot_indexes: &[Arc<SampleIndex>],
-    flips: &FlipAnalysis,
-    engine_names: &[String],
-) -> String {
+pub(super) fn render_recommend(snap: &Snapshot) -> &str {
+    snap.recommend_json.get_or_init(|| recommend(snap))
+}
+
+fn recommend(snap: &Snapshot) -> String {
+    let (epoch, flips, engine_names) = (snap.epoch, &snap.results.flips, &snap.engine_names);
     // Threshold sweep: sum each slot's in-S stabilization-mask counts.
     let mut counts = [0u64; FIG9_THRESHOLDS.len()];
     let mut in_s = 0u64;
-    for index in slot_indexes {
+    for index in &snap.slot_indexes {
         let (slot_counts, slot_in_s) = index.stab_counts_in_s();
         for (acc, c) in counts.iter_mut().zip(slot_counts) {
             *acc += c;
@@ -484,7 +473,8 @@ fn render_recommend(
 mod tests {
     use super::*;
     use crate::dynamics::{DecodeArena, IncrementalStudy, SampleSummary};
-    use crate::serve::tests::{bare_snapshot, sealed_segments};
+    use crate::serve::tests::{bare_snapshot, merger_ctx, published_in_one_burst, sealed_segments};
+    use crate::serve::ServeConfig;
     use crate::sim::{SimConfig, VirusTotalSim};
 
     /// A snapshot whose slot indexes come out of real folds: three
@@ -556,5 +546,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The four documents the publish-time renderer this replaced made
+    /// of the study below, one per line: `results`, `engines`,
+    /// `fingerprint`, `recommend`.
+    const EPOCH_1_DOCUMENTS: &str = include_str!("testdata/epoch1_documents.jsonl");
+
+    #[test]
+    fn an_aggregate_document_is_rendered_by_its_first_request_and_once_per_snapshot() {
+        // One real publish: a seeded 1 500-sample study through two
+        // slots' folds and the merger.
+        let snap = published_in_one_burst(&merger_ctx(ServeConfig::new(1_500, 0x51_07)));
+        assert_eq!(snap.epoch, 1);
+
+        let cells = |snap: &Snapshot| {
+            [
+                &snap.results_json,
+                &snap.engines_json,
+                &snap.fingerprint_json,
+                &snap.recommend_json,
+            ]
+            .map(|cell| cell.get().map(|doc| doc.as_ptr()))
+        };
+        assert_eq!(cells(&snap), [None; 4], "nothing renders at publish");
+        let renderers: [fn(&Snapshot) -> &str; 4] = [
+            render_results,
+            render_engines,
+            render_fingerprint,
+            render_recommend,
+        ];
+        let expected: Vec<&str> = EPOCH_1_DOCUMENTS.lines().collect();
+        assert_eq!(expected.len(), renderers.len());
+        for (n, render) in renderers.into_iter().enumerate() {
+            let first = render(&snap);
+            assert_eq!(
+                first, expected[n],
+                "document {n}: the bytes are the old ones"
+            );
+            let filled = cells(&snap);
+            assert_eq!(filled[n], Some(first.as_ptr()));
+            assert!(
+                filled[n + 1..].iter().all(Option::is_none),
+                "document {n}: the first ask fills the cell asked for and no other"
+            );
+            assert_eq!(
+                render(&snap).as_ptr(),
+                first.as_ptr(),
+                "document {n}: a second ask reads the same allocation"
+            );
+        }
+        assert!(
+            snap.leaders.get().is_none(),
+            "and nobody asked for the ranking"
+        );
+        // `status` reads its study members off the same snapshot.
+        let status = render_status(&snap, &ServeCounters::register(Obs::noop()));
+        assert!(
+            status.contains(",\"s_samples\":63,\"ingest_done\":false,\"shards\":1,")
+                && status.contains(",\"indexed\":1500,"),
+            "{status}"
+        );
     }
 }

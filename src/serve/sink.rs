@@ -11,7 +11,9 @@
 //!   seeds a dedup set with every line already present, so the WAL
 //!   replay after a SIGKILL (which regenerates the same alerts under
 //!   the same `(slot, seq, detector, ordinal)` keys, rendered to the
-//!   same bytes) appends nothing it already delivered.
+//!   same bytes) appends nothing it already delivered. A last line the
+//!   kill tore mid-write was not delivered: it is cut off the file, and
+//!   the replay appends that alert whole.
 //! * **Webhook-shaped TCP** (`--alerts-tcp ADDR`): rendered alerts
 //!   written line-by-line to a TCP endpoint, connected lazily and
 //!   retried with exponential backoff. Delivery is **at-most-once**:
@@ -28,7 +30,7 @@
 //! a flushed file is part of the drain contract.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc::Receiver;
@@ -73,23 +75,30 @@ struct FileSink {
 
 impl FileSink {
     fn open(path: &PathBuf) -> std::io::Result<FileSink> {
-        let mut delivered = HashSet::new();
-        match std::fs::File::open(path) {
-            Ok(existing) => {
-                for line in BufReader::new(existing).lines() {
-                    let line = line?;
-                    if !line.is_empty() {
-                        delivered.insert(line);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = std::fs::OpenOptions::new()
+        let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
+        let mut existing = Vec::new();
+        file.read_to_end(&mut existing)?;
+        // A batch is several `write`s, so a kill can leave the last
+        // line without its end. Appending onto that fragment would glue
+        // the replayed alert to it: the file is cut back to its last
+        // whole line, and the fragment is no delivery to dedup against.
+        let whole = existing
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        if whole < existing.len() {
+            file.set_len(whole as u64)?;
+        }
+        let delivered = std::str::from_utf8(&existing[..whole])
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+            .lines()
+            .filter(|line| !line.is_empty())
+            .map(str::to_owned)
+            .collect();
         Ok(FileSink {
             writer: BufWriter::new(file),
             delivered,
@@ -229,6 +238,7 @@ pub(super) fn sink_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::sync::mpsc::channel;
 
     fn counters() -> (Counter, Counter, crate::obs::Obs) {
@@ -240,16 +250,41 @@ mod tests {
         )
     }
 
-    #[test]
-    fn file_sink_appends_and_dedups_across_reopen() {
+    /// A fresh directory of this test thread's own.
+    fn temp_dir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "vtld-sink-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("tempdir");
+        dir
+    }
+
+    #[test]
+    fn a_torn_last_line_is_cut_off_and_its_alert_replayed_whole() {
+        let dir = temp_dir();
         let path = dir.join("alerts.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let batch = ["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
+        // The kill fell inside the second line, then inside the first.
+        for (torn, delivered) in [("{\"a\":1}\n{\"b\":", (1, 1)), ("{\"a", (2, 0))] {
+            std::fs::write(&path, torn).expect("write");
+            let mut sink = FileSink::open(&path).expect("open");
+            assert_eq!(sink.deliver(&batch).expect("deliver"), delivered);
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("read back"),
+                "{\"a\":1}\n{\"b\":2}\n",
+                "after {torn:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn file_sink_appends_and_dedups_across_reopen() {
+        let dir = temp_dir();
+        let path = dir.join("alerts.jsonl");
 
         let (emitted, dropped, _obs) = counters();
         let (tx, rx) = channel();

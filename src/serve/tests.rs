@@ -2,21 +2,22 @@
 //! (the names the test floor pins); each layer's newer tests sit in its
 //! own file.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 
 use super::counters::ServeCounters;
-use super::fold::FoldCtx;
+use super::fold::{FoldCtx, MergeEvent, SlotFold, SlotUpdate};
 use super::ingest::slot_of;
-use super::publish::{empty_epoch, empty_slot_indexes, Snapshot};
+use super::publish::{empty_epoch, merger_loop, PublishCtx, Seam, Snapshot};
 use super::render::{
-    json_f64, render_flip_leaders, render_metrics, render_sample, render_snapshot,
-    render_stabilized, render_status, study_fingerprint,
+    json_f64, render_engines, render_fingerprint, render_flip_leaders, render_metrics,
+    render_recommend, render_results, render_sample, render_stabilized, render_status,
+    study_fingerprint,
 };
 use super::wire::quoted;
 use super::{ServeConfig, INGEST_SLOTS};
-use crate::dynamics::flips::FlipAnalysis;
 use crate::dynamics::{
-    merge_partition_stats, Collector, IncrementalStudy, SlotMergeTree, StudyPartials,
+    merge_partition_stats, Collector, DecodeArena, IncrementalStudy, SlotMergeTree, StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
@@ -36,20 +37,20 @@ fn json_helpers_guard_edge_cases() {
 #[test]
 fn empty_snapshot_renders_parseable_responses() {
     let config = ServeConfig::new(100, 7);
-    let snap = render_snapshot(empty_epoch(&FoldCtx::new(config)));
+    let snap = empty_epoch(&FoldCtx::new(config));
     assert_eq!(snap.epoch, 0);
-    let status = render_status(&snap, &ServeCounters::register(Obs::noop()));
     for doc in [
-        &status,
-        &snap.results,
-        &snap.engines,
+        &render_status(&snap, &ServeCounters::register(Obs::noop())),
+        render_results(&snap),
+        render_engines(&snap),
         &render_metrics(&snap, Obs::noop()),
-        &snap.fingerprint,
+        render_fingerprint(&snap),
+        render_recommend(&snap),
     ] {
         let v = crate::obs::json::parse(doc).expect("valid JSON");
         assert_eq!(v.get("epoch").and_then(|e| e.as_u64()), Some(0));
     }
-    let v = crate::obs::json::parse(&snap.fingerprint).expect("valid JSON");
+    let v = crate::obs::json::parse(render_fingerprint(&snap)).expect("valid JSON");
     assert_eq!(
         v.get("fingerprint").and_then(|f| f.as_str()).map(str::len),
         Some(16)
@@ -160,23 +161,67 @@ pub(super) fn sealed_segments(
     segments
 }
 
+/// The empty study of a feed with no samples in it, published at
+/// `epoch`.
 pub(super) fn bare_snapshot(epoch: u64) -> Snapshot {
     Snapshot {
         epoch,
-        s_samples: 0,
-        indexed: 0,
-        ingest_done: false,
-        shards: 1,
-        results: String::new(),
-        engines: String::new(),
-        fingerprint: String::new(),
-        slot_indexes: empty_slot_indexes(),
-        leaders: OnceLock::new(),
-        flips: Arc::new(FlipAnalysis::empty(0)),
-        engine_names: Arc::new(Vec::new()),
-        alerts: Arc::new(Vec::new()),
-        recommend: String::new(),
+        ..empty_epoch(&FoldCtx::new(ServeConfig::new(0, 0)))
     }
+}
+
+/// A merger's context with no daemon around it: nothing ingests, so
+/// `ingest_done` can only ever be false.
+pub(super) fn merger_ctx(config: ServeConfig) -> PublishCtx {
+    PublishCtx {
+        fold: FoldCtx::new(config),
+        seam: Arc::new(Seam::new(bare_snapshot(0))),
+    }
+}
+
+/// Two slots' update streams out of real [`SlotFold`]s over halves
+/// of the feed, interleaved a fold at a time the way two workers'
+/// sends land on the merger's channel.
+pub(super) fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
+    let ingest = &ctx.fold.ingest;
+    let half = ingest.config.samples / 2;
+    let mut arena = DecodeArena::new();
+    let [a, b] = [(2, 0..half), (5, half..ingest.config.samples)].map(|(slot, ordinals)| {
+        let mut fold = SlotFold::new(&ingest.config, &ingest.sim, slot);
+        let updates: Vec<SlotUpdate> = sealed_segments(&ingest.sim, ordinals, 3)
+            .iter()
+            .map(|segment| {
+                arena.clear();
+                segment.store().for_each_row(&mut arena);
+                fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
+            })
+            .collect();
+        assert!(updates.len() >= 2, "several updates per slot");
+        updates
+    });
+    let (mut a, mut b) = (a.into_iter(), b.into_iter());
+    let mut interleaved = Vec::new();
+    loop {
+        let before = interleaved.len();
+        interleaved.extend(a.next());
+        interleaved.extend(b.next());
+        if interleaved.len() == before {
+            return interleaved;
+        }
+    }
+}
+
+/// [`interleaved_updates`] as one burst: everything, the exit included,
+/// is queued before the merger first looks, so it publishes exactly
+/// once — epoch 1.
+pub(super) fn published_in_one_burst(ctx: &PublishCtx) -> Arc<Snapshot> {
+    let (tx, rx) = channel();
+    for update in interleaved_updates(ctx) {
+        tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+    }
+    tx.send(MergeEvent::WorkerExited).expect("rx");
+    merger_loop(ctx, &rx);
+    ctx.seam.current()
 }
 
 #[test]

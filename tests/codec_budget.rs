@@ -14,9 +14,9 @@
 //! *are* the table. Exactly, not approximately: a second decode of one
 //! block anywhere on a path fails this.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+mod common;
+
+use common::{ask, await_ingest_done};
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
 
@@ -43,32 +43,12 @@ fn assert_budget(path: &str, counters: &json::Value, reports: u64, budget: (u64,
     );
 }
 
-fn ask(addr: SocketAddr, cmd: &str) -> json::Value {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{{\"cmd\":\"{cmd}\"}}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .expect("read response");
-    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("unparseable {cmd} response: {e}"))
-}
-
 /// Runs one in-process daemon to `ingest_done` and returns the counters
 /// of its final snapshot.
 fn served_counters(config: ServeConfig) -> json::Value {
     let server = Server::start(config).expect("start server");
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while ask(server.addr(), "status")
-        .get("ingest_done")
-        .and_then(|d| d.as_bool())
-        != Some(true)
-    {
-        assert!(Instant::now() < deadline, "ingestion never finished");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    let metrics = ask(server.addr(), "metrics");
+    let (mut stream, mut reader) = await_ingest_done(server.addr());
+    let metrics = ask(&mut stream, &mut reader, "metrics");
     server.shutdown();
     server.wait();
     metrics

@@ -5,37 +5,14 @@
 //! or silent sockets) must earn typed errors or eviction, never a
 //! panic, a hang, or a wedged daemon.
 
+mod common;
+
+use common::{ask, connect};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
-
-/// One request/response round-trip over an existing connection.
-fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, cmd: &str) -> json::Value {
-    ask_line(stream, reader, &format!("{{\"cmd\":\"{cmd}\"}}"))
-}
-
-/// [`ask`] for a request that carries members beside `cmd`.
-fn ask_line(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    request: &str,
-) -> json::Value {
-    stream
-        .write_all(format!("{request}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    assert!(line.ends_with('\n'), "response must be newline-terminated");
-    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("unparseable {request} response: {e}"))
-}
-
-fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
 
 #[test]
 fn serve_answers_concurrent_clients_during_ingestion() {

@@ -17,10 +17,12 @@
 //! * **Typed errors** for malformed alerting requests, and the
 //!   `serve/alerts_*` counters surfaced in `status`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::{await_ingest_done, connect, query, query_raw, u64s};
+use std::io::BufRead;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vt_label_dynamics::dynamics::stabilization::FIG9_THRESHOLDS;
 use vt_label_dynamics::model::EngineId;
 use vt_label_dynamics::obs::json;
@@ -73,45 +75,6 @@ fn reference_results() -> &'static (StudyResults, Vec<String>) {
             .collect();
         (results, engine_names)
     })
-}
-
-fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
-
-fn query_raw(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> String {
-    stream
-        .write_all(format!("{req}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    line.trim_end().to_string()
-}
-
-fn query(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> json::Value {
-    let raw = query_raw(stream, reader, req);
-    json::parse(&raw).unwrap_or_else(|e| panic!("unparseable response to {req}: {e}: {raw}"))
-}
-
-fn await_ingest_done(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let (mut stream, mut reader) = connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let v = query(&mut stream, &mut reader, "{\"cmd\":\"status\"}");
-        if v.get("ingest_done").and_then(|d| d.as_bool()) == Some(true) {
-            return (stream, reader);
-        }
-        assert!(Instant::now() < deadline, "ingestion never finished");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn u64s(v: &json::Value, key: &str) -> u64 {
-    v.get(key)
-        .and_then(|x| x.as_u64())
-        .unwrap_or_else(|| panic!("missing u64 member {key}: {v:?}"))
 }
 
 /// The `(slot, seq, detector, ordinal)` identity of one rendered alert.

@@ -230,71 +230,17 @@ fn kill_recover_bit_identical_shards1_workers1() {
     kill_mid_ingest_then_recover("s1w1", 1, 1);
 }
 
-/// SIGKILL mid-ingest with a JSONL alert sink attached: the recovered
-/// run replays the WAL (regenerating the same alerts under the same
-/// keys) and must end with an alert file that is duplicate-free and
-/// set-equal to a never-killed run's — exactly-once delivery across
-/// the crash (DESIGN.md §2.8).
+/// SIGKILL with a JSONL alert sink attached: the recovered run replays
+/// the WAL (regenerating the same alerts under the same keys) and must
+/// end with an alert file that is duplicate-free and set-equal to a
+/// never-killed run's — exactly-once delivery across the crash
+/// (DESIGN.md §2.8). Killed twice: mid-ingest, before this feed's late
+/// alerts are out, so the replay alone must not duplicate; and once
+/// the file holds a delivery, with the kill made to fall inside its
+/// last line, so the replay must dedup against the whole lines and
+/// deliver the torn one again, whole.
 #[test]
 fn kill_recover_delivers_each_alert_exactly_once() {
-    let data_dir = temp_data_dir("alerts");
-    std::fs::create_dir_all(&data_dir).expect("mkdir");
-    let alerts_path = data_dir.join("alerts.jsonl");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
-        .args([
-            "serve",
-            "--samples",
-            &SAMPLES.to_string(),
-            "--seed",
-            &format!("{SEED:#x}"),
-            "--segment-reports",
-            &SEGMENT_REPORTS.to_string(),
-            "--shards",
-            "2",
-            "--workers",
-            "2",
-            "--addr",
-            "127.0.0.1:0",
-            "--data-dir",
-            data_dir.to_str().expect("utf-8 temp path"),
-            "--alerts-out",
-            alerts_path.to_str().expect("utf-8 temp path"),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn vtld serve");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if segment_files(&data_dir) >= 3 {
-            break;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("vtld serve exited early with {status}");
-        }
-        assert!(Instant::now() < deadline, "no segments appeared");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reap child");
-
-    // Recover in-process over the same WAL *and* the same alert file.
-    let mut config = chaos_config(2, 2);
-    config.data_dir = Some(data_dir.clone());
-    config.recover = true;
-    config.alerts_out = Some(alerts_path.clone());
-    let (fingerprint, _) = run_to_completion(config);
-    assert_eq!(&fingerprint, reference_fingerprint());
-
-    // A clean, never-killed run over the same feed defines the exact
-    // alert set that must have been delivered.
-    let clean_path = data_dir.join("alerts-clean.jsonl");
-    let mut clean = chaos_config(2, 2);
-    clean.alerts_out = Some(clean_path.clone());
-    let (fingerprint, _) = run_to_completion(clean);
-    assert_eq!(&fingerprint, reference_fingerprint());
-
     let read_lines = |p: &PathBuf| -> Vec<String> {
         std::fs::read_to_string(p)
             .unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
@@ -302,24 +248,98 @@ fn kill_recover_delivers_each_alert_exactly_once() {
             .map(str::to_string)
             .collect()
     };
-    let survived = read_lines(&alerts_path);
-    let mut deduped = survived.clone();
-    deduped.sort();
-    deduped.dedup();
-    assert_eq!(
-        deduped.len(),
-        survived.len(),
-        "the recovery replay appended a duplicate alert"
-    );
+    // A clean, never-killed run over the same feed defines the exact
+    // alert set that must have been delivered.
+    let clean_dir = temp_data_dir("alerts-clean");
+    std::fs::create_dir_all(&clean_dir).expect("mkdir");
+    let clean_path = clean_dir.join("alerts.jsonl");
+    let mut clean = chaos_config(2, 2);
+    clean.alerts_out = Some(clean_path.clone());
+    let (fingerprint, _) = run_to_completion(clean);
+    assert_eq!(&fingerprint, reference_fingerprint());
     let mut expect = read_lines(&clean_path);
     assert!(!expect.is_empty(), "this feed must fire alerts");
     expect.sort();
-    assert_eq!(
-        deduped, expect,
-        "crash + recovery must deliver exactly the clean run's alerts"
-    );
+    std::fs::remove_dir_all(&clean_dir).expect("cleanup");
 
-    std::fs::remove_dir_all(&data_dir).expect("cleanup");
+    for after_a_delivery in [false, true] {
+        let data_dir = temp_data_dir("alerts");
+        std::fs::create_dir_all(&data_dir).expect("mkdir");
+        let alerts_path = data_dir.join("alerts.jsonl");
+
+        let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
+            .args([
+                "serve",
+                "--samples",
+                &SAMPLES.to_string(),
+                "--seed",
+                &format!("{SEED:#x}"),
+                "--segment-reports",
+                &SEGMENT_REPORTS.to_string(),
+                "--shards",
+                "2",
+                "--workers",
+                "2",
+                "--addr",
+                "127.0.0.1:0",
+                "--data-dir",
+                data_dir.to_str().expect("utf-8 temp path"),
+                "--alerts-out",
+                alerts_path.to_str().expect("utf-8 temp path"),
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn vtld serve");
+        let delivered = || std::fs::metadata(&alerts_path).map_or(0, |m| m.len());
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            if segment_files(&data_dir) >= 3 && (!after_a_delivery || delivered() > 0) {
+                break;
+            }
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                panic!("vtld serve exited early with {status}");
+            }
+            assert!(Instant::now() < deadline, "no segments appeared");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        child.kill().expect("SIGKILL");
+        child.wait().expect("reap child");
+        if after_a_delivery {
+            // A batch is several `write`s, and a SIGKILL between two of
+            // them leaves exactly this: the bytes so far, less a few.
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&alerts_path)
+                .and_then(|file| file.set_len(delivered().saturating_sub(3)))
+                .expect("tear the last line");
+        }
+
+        // Recover in-process over the same WAL *and* the same alert file.
+        let mut config = chaos_config(2, 2);
+        config.data_dir = Some(data_dir.clone());
+        config.recover = true;
+        config.alerts_out = Some(alerts_path.clone());
+        let (fingerprint, _) = run_to_completion(config);
+        assert_eq!(&fingerprint, reference_fingerprint());
+
+        let survived = read_lines(&alerts_path);
+        let mut deduped = survived.clone();
+        deduped.sort();
+        deduped.dedup();
+        assert_eq!(
+            deduped.len(),
+            survived.len(),
+            "the recovery replay appended a duplicate alert"
+        );
+        assert_eq!(
+            deduped, expect,
+            "crash + recovery must deliver exactly the clean run's alerts \
+             (killed after a delivery: {after_a_delivery})"
+        );
+
+        std::fs::remove_dir_all(&data_dir).expect("cleanup");
+    }
 }
 
 #[test]

@@ -20,8 +20,9 @@
 //! ingest chunk (1 024) so the chunked collector sees the identical
 //! delivery stream.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::{await_ingest_done, connect, query, query_raw, u64s};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use vt_label_dynamics::dynamics::stabilization::FIG9_THRESHOLDS;
@@ -53,7 +54,7 @@ fn reference() -> &'static Reference {
         let records = records_from_store(&outcome.store);
         let window_start = sim.config().window_start();
         let table = TrajectoryTable::build(&records, window_start);
-        let index = SampleIndex::fold(&records, &table);
+        let index = SampleIndex::fold_table(&table);
         let results = analyze_records(&records, Vec::new(), sim.fleet(), window_start);
         let engine_names = (0..results.flips.engine_count)
             .map(|i| sim.fleet().profile(EngineId::new(i)).name.to_string())
@@ -64,51 +65,6 @@ fn reference() -> &'static Reference {
             engine_names,
         }
     })
-}
-
-fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
-
-/// One raw request/response round trip over an existing connection.
-fn query(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> json::Value {
-    stream
-        .write_all(format!("{req}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    json::parse(line.trim_end()).unwrap_or_else(|e| panic!("unparseable response to {req}: {e}"))
-}
-
-fn query_raw(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> String {
-    stream
-        .write_all(format!("{req}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    line.trim_end().to_string()
-}
-
-/// Polls until `ingest_done`, returning a connected client.
-fn await_ingest_done(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let (mut stream, mut reader) = connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let v = query(&mut stream, &mut reader, "{\"cmd\":\"status\"}");
-        if v.get("ingest_done").and_then(|d| d.as_bool()) == Some(true) {
-            return (stream, reader);
-        }
-        assert!(Instant::now() < deadline, "ingestion never finished");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn u64s(v: &json::Value, key: &str) -> u64 {
-    v.get(key)
-        .and_then(|x| x.as_u64())
-        .unwrap_or_else(|| panic!("missing u64 member {key}: {v:?}"))
 }
 
 fn bools(v: &json::Value, key: &str) -> bool {

@@ -15,9 +15,9 @@
 //! * and end to end through `vtld serve`, where the fingerprint verb
 //!   must return byte-identical answers at shard counts 1 and 4.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+mod common;
+
+use common::{await_ingest_done, query_raw};
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
 use vt_label_dynamics::store::{read_store_salvage, write_store};
@@ -146,35 +146,6 @@ fn salvaged_store_folds_identically() {
         "salvage",
     );
     assert_eq!(folded as u64, salvaged.sample_count());
-}
-
-fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
-}
-
-fn query_raw(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> String {
-    stream
-        .write_all(format!("{req}\n").as_bytes())
-        .expect("write request");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read response");
-    line.trim_end().to_string()
-}
-
-fn await_ingest_done(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
-    let (mut stream, mut reader) = connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let line = query_raw(&mut stream, &mut reader, "{\"cmd\":\"status\"}");
-        let v = json::parse(&line).unwrap_or_else(|e| panic!("unparseable status: {e}"));
-        if v.get("ingest_done").and_then(|d| d.as_bool()) == Some(true) {
-            return (stream, reader);
-        }
-        assert!(Instant::now() < deadline, "ingestion never finished");
-        std::thread::sleep(Duration::from_millis(25));
-    }
 }
 
 /// End to end through the daemon: the shard workers now fold segments

@@ -34,7 +34,7 @@
 //!
 //! * `alert_overhead` — the fold with the streaming drift detectors
 //!   ([`vt_dynamics::AlertConfig`]) on: four extra table passes against a
-//!   fold whose own ten stages are fused.
+//!   fold that is eleven serial stage passes over the same table.
 //! * `obs_overhead` — the fold under a fresh enabled [`Obs`] (every
 //!   span, counter and per-worker histogram recorded) against
 //!   [`Obs::noop`]. A canary at the common tolerance, not a measurement

@@ -9,7 +9,11 @@
 //! [`TrajectoryTable`] view, the fresh dynamic dataset *S*, the engine
 //! fleet, the observation-window start, the worker count, and an
 //! [`Obs`] handle), and [`Analysis`] is the common shape every stage
-//! now presents:
+//! now presents. A stage's fold is a serial pass over the context's
+//! samples; the one parallel split lives in the roster fold
+//! ([`crate::incremental`]), which hands each worker a context narrowed
+//! to its contiguous sample range and merges the range partials like
+//! segments:
 //!
 //! ```
 //! use vt_dynamics::analysis::{Analysis, AnalysisCtx};
@@ -49,9 +53,9 @@ use vt_obs::Obs;
 
 /// Everything an analysis stage may consume, in one place.
 ///
-/// Construction is cheap (all borrows); [`AnalysisCtx::new`] defaults
-/// to [`par::default_workers`] and a no-op `Obs`, with `with_workers` /
-/// `with_obs` to override.
+/// Construction is cheap (all borrows); [`AnalysisCtx::new`] covers the
+/// whole table and defaults to [`par::default_workers`] and a no-op
+/// `Obs`, with `with_workers` / `with_obs` to override.
 #[derive(Clone, Copy)]
 pub struct AnalysisCtx<'a> {
     /// The record set `table` was built from. No stage reads it — every
@@ -68,10 +72,14 @@ pub struct AnalysisCtx<'a> {
     pub fleet: &'a EngineFleet,
     /// Start of the observation window (landscape accounting).
     pub window_start: Timestamp,
-    /// Worker threads for parallel stages.
+    /// Worker threads the roster fold splits the table's samples
+    /// across. A stage folded on its own is serial and never reads it.
     pub workers: usize,
     /// Metrics sink; [`Obs::noop`] when not observing.
     pub obs: &'a Obs,
+    /// The contiguous sample range of `table` this context covers;
+    /// `None` is the whole table. Only the roster fold narrows it.
+    range: Option<(usize, usize)>,
 }
 
 impl<'a> AnalysisCtx<'a> {
@@ -91,10 +99,11 @@ impl<'a> AnalysisCtx<'a> {
             window_start,
             workers: par::default_workers(),
             obs: Obs::noop(),
+            range: None,
         }
     }
 
-    /// Overrides the worker count for parallel stages.
+    /// Overrides the worker count of the roster fold.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -109,6 +118,35 @@ impl<'a> AnalysisCtx<'a> {
     /// Engine roster size (the fleet's, always).
     pub fn engine_count(&self) -> usize {
         self.fleet.engine_count()
+    }
+
+    /// This context restricted to the table's samples `range`: what one
+    /// worker of the roster fold sees.
+    pub(crate) fn narrowed(mut self, range: std::ops::Range<u64>) -> Self {
+        self.range = Some((range.start as usize, range.end as usize));
+        self
+    }
+
+    /// The table's samples this context covers.
+    pub(crate) fn samples(&self) -> std::ops::Range<usize> {
+        match self.range {
+            Some((start, end)) => start..end,
+            None => 0..self.table.len(),
+        }
+    }
+
+    /// The members of *S* among [`samples`](Self::samples), ascending:
+    /// `s.indices` is sorted, so a range's share is one sub-slice.
+    pub(crate) fn s_indices(&self) -> &'a [usize] {
+        let indices = &self.s.indices;
+        match self.range {
+            Some((start, end)) => {
+                let lo = indices.partition_point(|&i| i < start);
+                let hi = indices.partition_point(|&i| i < end);
+                &indices[lo..hi]
+            }
+            None => indices,
+        }
     }
 }
 
@@ -135,7 +173,8 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 /// * [`name`](Analysis::name) is stable and unique across the roster
 ///   — it keys the `pipeline/<name>` span;
 /// * [`fold`](Analysis::fold) reduces one context (one *segment* of the
-///   record stream, or the whole dataset) to a [`Partial`](Analysis::Partial);
+///   record stream, the whole dataset, or one worker's range of either)
+///   to a [`Partial`](Analysis::Partial), in one serial pass;
 /// * [`merge`](Analysis::merge) combines two partials whose underlying
 ///   records are ordered `a` before `b`. Merging per-segment partials
 ///   in segment order must equal folding the concatenated segments —
@@ -147,22 +186,20 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 ///   final output;
 /// * [`run`](Analysis::run) is `finish(fold(ctx))` — the one-segment
 ///   case — for every stage; none overrides it.
-/// * Every method is deterministic in its inputs (worker count
-///   included: parallel folds must merge associatively) and must not
-///   let the `Obs` handle feed back into results.
+/// * Every method is deterministic in its inputs and must not let the
+///   `Obs` handle feed back into results.
 pub trait Analysis {
     /// The stage's typed result.
     type Output;
 
-    /// The stage's mergeable intermediate state: the exact accumulator
-    /// its partition-reduction already used internally, now public so
-    /// segment folds can be cached and merged across segments.
+    /// The stage's mergeable intermediate state: what segment folds
+    /// cache and merge across segments, and range folds across workers.
     type Partial: Clone;
 
     /// Stable, roster-unique stage name.
     fn name(&self) -> &'static str;
 
-    /// Reduces the context's records to a mergeable partial.
+    /// Reduces the context's samples to a mergeable partial.
     fn fold(&self, ctx: &AnalysisCtx) -> Self::Partial;
 
     /// Combines two partials; `a`'s records precede `b`'s in stream

@@ -10,11 +10,10 @@
 //! PE files only (gray grows with t, max 16.41% at t = 50).
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 
 /// Ranks above this fold into the top envelope bucket.
 const MAX_RANK: usize = 130;
@@ -99,7 +98,17 @@ impl Analysis for Categorize {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> CategorizePartial {
-        fold_columnar(ctx.table, ctx.s, self.pe_only, ctx)
+        let table = ctx.table;
+        let mut acc = CategorizePartial::new();
+        for &i in ctx.s_indices() {
+            if self.pe_only && !table.is_pe(i) {
+                continue;
+            }
+            acc.max_hist[(table.p_max(i) as usize).min(MAX_RANK)] += 1;
+            acc.min_hist[(table.p_min(i) as usize).min(MAX_RANK)] += 1;
+            acc.samples += 1;
+        }
+        acc
     }
 
     fn merge(&self, mut a: CategorizePartial, b: CategorizePartial) -> CategorizePartial {
@@ -167,40 +176,6 @@ pub(crate) fn sweep_impl(
         samples += 1;
     }
     shares_from_envelopes(&max_hist, &min_hist, samples)
-}
-
-/// Parallel sweep over the table's precomputed `p_min`/`p_max`
-/// envelopes; the per-partition histograms sum exactly.
-fn fold_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    pe_only: bool,
-    ctx: &AnalysisCtx,
-) -> CategorizePartial {
-    let kernel = if pe_only {
-        "categorize_pe"
-    } else {
-        "categorize_all"
-    };
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, kernel, |_, range| {
-        let mut acc = CategorizePartial::new();
-        for &i in &s.indices[range.start as usize..range.end as usize] {
-            if pe_only && !table.is_pe(i) {
-                continue;
-            }
-            acc.max_hist[(table.p_max(i) as usize).min(MAX_RANK)] += 1;
-            acc.min_hist[(table.p_min(i) as usize).min(MAX_RANK)] += 1;
-            acc.samples += 1;
-        }
-        acc
-    });
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_else(CategorizePartial::new);
-    for part in iter {
-        acc.merge(&part);
-    }
-    acc
 }
 
 /// Integrates the envelope histograms into per-threshold shares.

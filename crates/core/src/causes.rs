@@ -13,11 +13,12 @@
 //!   engines give valid results, they are usually consistent").
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::{lane_mask, TrajectoryTable};
+use crate::table::lane_mask;
+#[cfg(test)]
 use vt_engines::EngineFleet;
 use vt_model::EngineId;
 
@@ -83,7 +84,42 @@ impl Analysis for Causes {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> CauseAnalysis {
-        fold_columnar(ctx.table, ctx.s, ctx.fleet, ctx)
+        // Bit-sliced over the table's verdict-bitmap columns: one `Lane`
+        // per 64 engines per record, stepped once per row. Flips are
+        // rare, so the interval a flip spans is found when it happens —
+        // a scan back through the record's rows for the engine's
+        // previous active one — instead of being carried for every
+        // engine on every row.
+        let (table, fleet) = (ctx.table, ctx.fleet);
+        let mask = lane_mask(fleet.engine_count());
+        let mut a = CauseAnalysis::default();
+        for &rec in ctx.s_indices() {
+            let rows = table.rows(rec);
+            let mut lanes = [Lane::default(); 2];
+            for row in rows.clone() {
+                let act = table.active_words(row);
+                let det = table.detected_words(row);
+                for (w, lane) in lanes.iter_mut().enumerate() {
+                    let mut bits = step_lane(&mut a, lane, act[w] & mask[w], det[w]);
+                    while bits != 0 {
+                        let b = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let prev = (rows.start..row)
+                            .rev()
+                            .find(|&r| table.active_words(r)[w] >> b & 1 != 0)
+                            .expect("a changed label has an earlier active scan");
+                        let id = EngineId::new(w * 64 + b as usize);
+                        if fleet
+                            .schedule(id)
+                            .updated_in(table.date(prev), table.date(row))
+                        {
+                            a.update_coincident += 1;
+                        }
+                    }
+                }
+            }
+        }
+        a
     }
 
     fn merge(&self, mut a: CauseAnalysis, b: CauseAnalysis) -> CauseAnalysis {
@@ -125,58 +161,6 @@ fn step_lane(a: &mut CauseAnalysis, lane: &mut Lane, act: u64, det: u64) -> u64 
     lane.seen |= act;
     lane.last = (lane.last & !act) | (det & act);
     changed
-}
-
-/// Parallel, bit-sliced cause attribution over the table's
-/// verdict-bitmap columns: one [`Lane`] per 64 engines per record,
-/// stepped once per row. Flips are rare, so the interval a flip spans
-/// is found when it happens — a scan back through the record's rows
-/// for the engine's previous active one — instead of being carried for
-/// every engine on every row. All six counters are order-independent
-/// sums, so the per-partition [`CauseAnalysis`] values merge exactly.
-fn fold_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    fleet: &EngineFleet,
-    ctx: &AnalysisCtx,
-) -> CauseAnalysis {
-    let mask = lane_mask(fleet.engine_count());
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "causes", |_, range| {
-        let mut a = CauseAnalysis::default();
-        for &rec in &s.indices[range.start as usize..range.end as usize] {
-            let rows = table.rows(rec);
-            let mut lanes = [Lane::default(); 2];
-            for row in rows.clone() {
-                let act = table.active_words(row);
-                let det = table.detected_words(row);
-                for (w, lane) in lanes.iter_mut().enumerate() {
-                    let mut bits = step_lane(&mut a, lane, act[w] & mask[w], det[w]);
-                    while bits != 0 {
-                        let b = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        let prev = (rows.start..row)
-                            .rev()
-                            .find(|&r| table.active_words(r)[w] >> b & 1 != 0)
-                            .expect("a changed label has an earlier active scan");
-                        let id = EngineId::new(w * 64 + b as usize);
-                        if fleet
-                            .schedule(id)
-                            .updated_in(table.date(prev), table.date(row))
-                        {
-                            a.update_coincident += 1;
-                        }
-                    }
-                }
-            }
-        }
-        a
-    });
-    let mut a = CauseAnalysis::default();
-    for part in &parts {
-        a.merge(part);
-    }
-    a
 }
 
 #[cfg(test)]
@@ -238,6 +222,7 @@ mod tests {
     use super::*;
     use crate::flips::Flips;
     use crate::freshdyn;
+    use crate::table::TrajectoryTable;
     use vt_model::time::{Date, Duration, Timestamp};
     use vt_model::{
         FileType, GroundTruth, ReportKind, SampleHash, SampleMeta, ScanReport, Verdict, VerdictVec,
@@ -287,9 +272,8 @@ mod tests {
         SampleRecord::new(meta, reports)
     }
 
-    /// Runs the serial oracle and the production lane kernel (at
-    /// workers 1 / 2 / 8) over the same records and *S*, and returns
-    /// the one answer they must share.
+    /// Runs the serial oracle and the production lane kernel over the
+    /// same records and *S*, and returns the one answer they must share.
     fn both_routes(
         records: &[SampleRecord],
         s: &FreshDynamic,
@@ -297,10 +281,8 @@ mod tests {
     ) -> CauseAnalysis {
         let serial = analyze_impl(records, s, fleet);
         let table = TrajectoryTable::build(records, window());
-        for workers in [1usize, 2, 8] {
-            let ctx = AnalysisCtx::new(records, &table, s, fleet, window()).with_workers(workers);
-            assert_eq!(Causes.run(&ctx), serial, "workers={workers}");
-        }
+        let ctx = AnalysisCtx::new(records, &table, s, fleet, window());
+        assert_eq!(Causes.run(&ctx), serial);
         serial
     }
 
@@ -371,7 +353,7 @@ mod tests {
     /// last-active-label recurrence, so their flip totals are one
     /// number.
     #[test]
-    fn columnar_matches_serial_reference_at_every_worker_count() {
+    fn columnar_matches_serial_reference() {
         use crate::pipeline::Study;
         use vt_sim::SimConfig;
 
@@ -387,18 +369,14 @@ mod tests {
             "study too small to exercise gaps"
         );
         assert!(serial.update_coincident > 0, "no flip spans an update");
-        for workers in [1usize, 2, 8] {
-            let ctx =
-                AnalysisCtx::new(study.records(), &table, &s, fleet, ws).with_workers(workers);
-            let columnar = Causes.run(&ctx);
-            assert_eq!(columnar, serial, "workers={workers}");
-            let flips = Flips.run(&ctx);
-            assert_eq!(
-                (columnar.flips, columnar.flips_up, columnar.flips_down),
-                (flips.flips, flips.flips_up, flips.flips_down),
-                "workers={workers}"
-            );
-        }
+        let ctx = AnalysisCtx::new(study.records(), &table, &s, fleet, ws);
+        let columnar = Causes.run(&ctx);
+        assert_eq!(columnar, serial);
+        let flips = Flips.run(&ctx);
+        assert_eq!(
+            (columnar.flips, columnar.flips_up, columnar.flips_down),
+            (flips.flips, flips.flips_up, flips.flips_down),
+        );
     }
 
     mod props {

@@ -12,12 +12,11 @@
 //! the general implementation in `vt-stats`.
 //!
 //! There is one kernel: [`Correlation`]'s table-only fold. It scans *S*
-//! once in parallel ([`par::map_ranges_obs`], kernel `correlation_fold`),
-//! tags every scan row with the scopes it belongs to (the global scope
-//! plus at most its own file type, so eight scopes cost one scan), counts
-//! it bit-sliced into each scope's all-pairs [`ScopeContingency`], and
-//! keeps the tagged row plane so that [`Analysis::finish`] can re-walk
-//! only the scopes that overflow the row cap. Batch is the one-segment
+//! once, tags every scan row with the scopes it belongs to (the global
+//! scope plus at most its own file type, so eight scopes cost one scan),
+//! counts it bit-sliced into each scope's all-pairs [`ScopeContingency`],
+//! and keeps the tagged row plane so that [`Analysis::finish`] can
+//! re-walk only the scopes that overflow the row cap. Batch is the one-segment
 //! case `finish(fold(ctx))`; `vtld serve` merges per-segment partials in
 //! between. `analyze_impl` (test-only) is the serial reference the
 //! kernel is verified against: one scope at a time, engine columns
@@ -31,7 +30,6 @@
 use crate::analysis::{Analysis, AnalysisCtx};
 #[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
 use std::sync::Arc;
@@ -365,8 +363,7 @@ fn word_mask(engine_count: usize, w: usize) -> u64 {
 /// §7.2 correlation stage: run via [`Analysis::run`] with an
 /// [`AnalysisCtx`]. Produces the global-scope analysis plus one
 /// analysis per file type in [`Correlation::scopes`] (in order), all
-/// from one parallel scan of *S* honoring `ctx.workers` and recording
-/// per-worker busy time into `ctx.obs`.
+/// from one scan of *S*.
 #[derive(Debug, Clone, Copy)]
 pub struct Correlation {
     /// File types given a dedicated per-type analysis alongside the
@@ -423,39 +420,12 @@ impl Analysis for Correlation {
             .collect();
         let table = ctx.table;
         let engine_count = ctx.engine_count();
-        let ranges = par::partition_ranges(ctx.s.len() as u64, ctx.workers);
-        let parts = par::map_ranges_obs(&ranges, ctx.obs, "correlation_fold", |_, range| {
-            let mut membership = Vec::new();
-            let mut detected = Vec::new();
-            let mut zero = Vec::new();
-            let mut totals = vec![0u64; scopes.len()];
-            for i in range {
-                let idx = ctx.s.indices[i as usize];
-                let ti = table.type_idx(idx);
-                let mut mask = 0u8;
-                for (si, scope) in scope_idx.iter().enumerate() {
-                    if scope.map_or(true, |d| d == ti) {
-                        mask |= 1 << si;
-                        totals[si] += table.report_count(idx) as u64;
-                    }
-                }
-                for row in table.rows(idx) {
-                    let active = table.active_words(row);
-                    let det = table.detected_words(row);
-                    let z = [active[0] & !det[0], active[1] & !det[1]];
-                    membership.push(mask);
-                    zero.push(z);
-                    detected.push(det);
-                }
-            }
-            (membership, detected, zero, totals)
-        });
         let mut out = CorrelationPartial {
             scopes: scopes.clone(),
             engine_count,
             max_rows: self.max_rows,
             plane: Vec::new(),
-            totals: vec![0u64; self.scopes.len() + 1],
+            totals: vec![0u64; scopes.len()],
             contingency: scopes
                 .iter()
                 .map(|&scope| ScopeContingency::new(scope, engine_count))
@@ -466,28 +436,33 @@ impl Analysis for Correlation {
             detected: Vec::new(),
             zero: Vec::new(),
         };
-        for (membership, detected, zero, totals) in parts {
-            // Eager uncapped accumulation: every row of the segment
-            // counts into its scopes' contingency tables right here, so
-            // `finish` only walks the retained plane when a scope
-            // actually overflows the row cap. One accumulator set per
-            // fold (not per worker partition — the tables are fixed-size
-            // and zeroing a set per partition dwarfs the per-row work at
-            // segment scale). Counts are exact u64 sums and block
-            // boundaries never change the tables, so this is
-            // bit-identical to the sequential finish-time walk.
-            for ((&mask, det), z) in membership.iter().zip(&detected).zip(&zero) {
-                for (si, acc) in out.contingency.iter_mut().enumerate() {
-                    if mask >> si & 1 == 1 {
-                        acc.accumulate_masks(det, z);
-                    }
+        for &idx in ctx.s_indices() {
+            let ti = table.type_idx(idx);
+            let mut mask = 0u8;
+            for (si, scope) in scope_idx.iter().enumerate() {
+                if scope.map_or(true, |d| d == ti) {
+                    mask |= 1 << si;
+                    out.totals[si] += table.report_count(idx) as u64;
                 }
             }
-            chunk.membership.extend(membership);
-            chunk.detected.extend(detected);
-            chunk.zero.extend(zero);
-            for (t, c) in out.totals.iter_mut().zip(totals) {
-                *t += c;
+            for row in table.rows(idx) {
+                let active = table.active_words(row);
+                let det = table.detected_words(row);
+                let z = [active[0] & !det[0], active[1] & !det[1]];
+                // Eager uncapped accumulation: every row counts into its
+                // scopes' contingency tables right here, so `finish` only
+                // walks the retained plane when a scope actually
+                // overflows the row cap. Counts are exact u64 sums and
+                // block boundaries never change the tables, so this is
+                // bit-identical to the sequential finish-time walk.
+                for (si, acc) in out.contingency.iter_mut().enumerate() {
+                    if mask >> si & 1 == 1 {
+                        acc.accumulate_masks(&det, &z);
+                    }
+                }
+                chunk.membership.push(mask);
+                chunk.detected.push(det);
+                chunk.zero.push(z);
             }
         }
         if !chunk.membership.is_empty() {
@@ -639,6 +614,30 @@ impl CorrelationPartial {
         for (acc, part) in self.contingency.iter_mut().zip(&other.contingency) {
             acc.merge(part);
         }
+    }
+}
+
+#[cfg(test)]
+impl CorrelationPartial {
+    /// This partial with its row-plane rope re-cut as one chunk, so two
+    /// partials of equal value print the same `Debug` however many
+    /// folds built them.
+    pub(crate) fn flattened(&self) -> Self {
+        let mut flat = PlaneChunk {
+            membership: Vec::new(),
+            detected: Vec::new(),
+            zero: Vec::new(),
+        };
+        for chunk in &self.plane {
+            flat.membership.extend_from_slice(&chunk.membership);
+            flat.detected.extend_from_slice(&chunk.detected);
+            flat.zero.extend_from_slice(&chunk.zero);
+        }
+        let mut out = self.clone();
+        if !out.plane.is_empty() {
+            out.plane = vec![Arc::new(flat)];
+        }
+        out
     }
 }
 
@@ -1016,27 +1015,26 @@ mod tests {
         assert_eq!(a.groups, b.groups, "{ctx}: groups");
     }
 
-    /// `run` over a hand-built record set at `workers`, as the flat
+    /// `run` over a hand-built record set, as the flat
     /// `[global, scopes…]` list the reference is computed in.
     fn run_stage(
         stage: Correlation,
         records: &[SampleRecord],
         s: &FreshDynamic,
         fleet: &vt_engines::EngineFleet,
-        workers: usize,
     ) -> Vec<CorrelationAnalysis> {
         let window = Timestamp::from_date(Date::new(2021, 5, 1));
         let table = crate::table::TrajectoryTable::build(records, window);
-        let ctx = AnalysisCtx::new(records, &table, s, fleet, window).with_workers(workers);
+        let ctx = AnalysisCtx::new(records, &table, s, fleet, window);
         let (global, mut per_type) = stage.run(&ctx);
         per_type.insert(0, global);
         per_type
     }
 
     /// The kernel must reproduce the reference per-scope analyses bit
-    /// for bit — ρ matrices, strong pairs and groups — at every worker
-    /// count, with and without row-cap truncation. Engines beyond the
-    /// fixture's four read as undetected on both sides.
+    /// for bit — ρ matrices, strong pairs and groups — with and without
+    /// row-cap truncation. Engines beyond the fixture's four read as
+    /// undetected on both sides.
     #[test]
     fn stage_matches_reference_bit_for_bit() {
         let (records, s) = fixture();
@@ -1054,12 +1052,10 @@ mod tests {
                 .map(|sc| analyze_impl(&records, &s, fleet.engine_count(), sc, max_rows))
                 .collect();
             assert_eq!(reference[0].truncated, max_rows == 7);
-            for workers in [1usize, 2, 8] {
-                let got = run_stage(stage, &records, &s, &fleet, workers);
-                assert_eq!(got.len(), reference.len());
-                for (f, r) in got.iter().zip(&reference) {
-                    assert_bit_identical(f, r, &format!("workers={workers} max={max_rows}"));
-                }
+            let got = run_stage(stage, &records, &s, &fleet);
+            assert_eq!(got.len(), reference.len());
+            for (f, r) in got.iter().zip(&reference) {
+                assert_bit_identical(f, r, &format!("max={max_rows}"));
             }
         }
     }
@@ -1079,10 +1075,10 @@ mod tests {
         let fleet = study.sim().fleet();
         let table = TrajectoryTable::build(records, ws);
         let s = freshdyn::build(records, ws);
-        let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws).with_workers(2);
+        let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws);
 
-        // Two contiguous segments, folded independently (at different
-        // worker counts) and merged in order.
+        // Two contiguous segments, folded independently and merged in
+        // order.
         let mid = records.len() / 3;
         let (seg_a, seg_b) = records.split_at(mid);
         let (ta, tb) = (
@@ -1090,8 +1086,8 @@ mod tests {
             TrajectoryTable::build(seg_b, ws),
         );
         let (sa, sb) = (freshdyn::build(seg_a, ws), freshdyn::build(seg_b, ws));
-        let ctx_a = AnalysisCtx::new(seg_a, &ta, &sa, fleet, ws).with_workers(1);
-        let ctx_b = AnalysisCtx::new(seg_b, &tb, &sb, fleet, ws).with_workers(8);
+        let ctx_a = AnalysisCtx::new(seg_a, &ta, &sa, fleet, ws);
+        let ctx_b = AnalysisCtx::new(seg_b, &tb, &sb, fleet, ws);
 
         for (max_rows, truncates) in [(300usize, true), (400_000, false)] {
             let stage = Correlation {
@@ -1111,7 +1107,7 @@ mod tests {
     }
 
     // Random record sets: the kernel equals the column-materializing
-    // reference, per scope, under a random cap and worker count.
+    // reference, per scope, under a random cap.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -1122,7 +1118,6 @@ mod tests {
                 1..20,
             ),
             max_rows in 3usize..60,
-            workers in 1usize..5,
         ) {
             let engines = 4usize;
             let window = Timestamp::from_date(Date::new(2021, 5, 1));
@@ -1177,7 +1172,7 @@ mod tests {
                 scopes: &[FileType::Win32Exe, FileType::Pdf],
                 max_rows,
             };
-            let got = run_stage(stage, &records, &s, &fleet, workers);
+            let got = run_stage(stage, &records, &s, &fleet);
             for (f, scope) in got.iter().zip(stage.all_scopes()) {
                 let r = analyze_impl(&records, &s, fleet.engine_count(), scope, max_rows);
                 assert_bit_identical(f, &r, &format!("scope {scope:?}"));

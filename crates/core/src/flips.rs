@@ -12,11 +12,11 @@
 //! pair, i.e. `flips / opportunities`.
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::{lane_mask, TrajectoryTable};
+use crate::table::lane_mask;
 use vt_model::{EngineId, FileType};
 
 /// Flip accounting for one (engine, file-type) cell.
@@ -132,7 +132,34 @@ impl Analysis for Flips {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> FlipAnalysis {
-        fold_columnar(ctx.table, ctx.s, ctx.engine_count(), ctx)
+        // Bit-sliced over the table's verdict-bitmap columns: instead of
+        // walking every engine's label sequence separately, each record
+        // keeps one 4-word state block per 64-engine lane (see
+        // `step_lane`) and processes all 128 engines per report with two
+        // straight-line block updates.
+        let table = ctx.table;
+        let mask = lane_mask(ctx.engine_count());
+        let mut a = FlipAnalysis::empty(ctx.engine_count());
+        for &rec in ctx.s_indices() {
+            let type_idx = table.type_idx(rec);
+            debug_assert!(type_idx < 20);
+            a.reports += table.report_count(rec) as u64;
+            let mut lanes = [[0u64; 4]; 2];
+            for row in table.rows(rec) {
+                let act = table.active_words(row);
+                let det = table.detected_words(row);
+                step_lane(&mut a, type_idx, &mut lanes[0], act[0] & mask[0], det[0], 0);
+                step_lane(
+                    &mut a,
+                    type_idx,
+                    &mut lanes[1],
+                    act[1] & mask[1],
+                    det[1],
+                    64,
+                );
+            }
+        }
+        a
     }
 
     fn merge(&self, mut a: FlipAnalysis, b: FlipAnalysis) -> FlipAnalysis {
@@ -186,52 +213,6 @@ fn step_lane(
     state[1] = (prevlab & !aw) | (d & aw);
     state[2] = seen2 | pairs;
     state[3] = (prevprev & !aw) | (prevlab & aw);
-}
-
-/// Parallel, bit-sliced flip detection over the table's verdict-bitmap
-/// columns.
-///
-/// Instead of walking every engine's label sequence separately, each
-/// record keeps one 4-word state block per 64-engine lane (see
-/// [`step_lane`]) and processes all 128 engines per report with two
-/// straight-line block updates — no inner loop over words. All counters
-/// are sums, so partitions merge exactly.
-fn fold_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    engine_count: usize,
-    ctx: &AnalysisCtx,
-) -> FlipAnalysis {
-    let mask = lane_mask(engine_count);
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "flips", |_, range| {
-        let mut a = FlipAnalysis::empty(engine_count);
-        for &rec in &s.indices[range.start as usize..range.end as usize] {
-            let type_idx = table.type_idx(rec);
-            debug_assert!(type_idx < 20);
-            a.reports += table.report_count(rec) as u64;
-            let mut lanes = [[0u64; 4]; 2];
-            for row in table.rows(rec) {
-                let act = table.active_words(row);
-                let det = table.detected_words(row);
-                step_lane(&mut a, type_idx, &mut lanes[0], act[0] & mask[0], det[0], 0);
-                step_lane(
-                    &mut a,
-                    type_idx,
-                    &mut lanes[1],
-                    act[1] & mask[1],
-                    det[1],
-                    64,
-                );
-            }
-        }
-        a
-    });
-    let mut a = FlipAnalysis::empty(engine_count);
-    for part in &parts {
-        a.merge(part);
-    }
-    a
 }
 
 #[cfg(test)]
@@ -390,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_serial_reference_at_every_worker_count() {
+    fn columnar_matches_serial_reference() {
         use crate::analysis::AnalysisCtx;
         use crate::pipeline::Study;
         use crate::table::TrajectoryTable;
@@ -402,16 +383,9 @@ mod tests {
         let s = freshdyn::build(study.records(), ws);
         let serial = analyze_impl(study.records(), &s, study.sim().fleet().engine_count());
         assert!(serial.flips > 0, "study too small to exercise flips");
-        for workers in [1usize, 2, 8] {
-            let ctx = AnalysisCtx::new(study.records(), &table, &s, study.sim().fleet(), ws)
-                .with_workers(workers);
-            let columnar = Flips.run(&ctx);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{columnar:?}"),
-                "workers={workers}"
-            );
-        }
+        let ctx = AnalysisCtx::new(study.records(), &table, &s, study.sim().fleet(), ws);
+        let columnar = Flips.run(&ctx);
+        assert_eq!(format!("{serial:?}"), format!("{columnar:?}"));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! arrive, merge the cached partials, finish on demand.
 //!
 //! This module owns the **one stage roster** (the `roster!` list
-//! below): `StudyPartials::fold` runs it over one segment's context, and
-//! the batch pipeline ([`crate::pipeline::analyze_records_obs`]) is
+//! below) and the one parallel split: `StudyPartials::fold` cuts one
+//! segment's samples into a contiguous range per worker, runs the roster
+//! serially over each and merges the range partials, and the batch
+//! pipeline ([`crate::pipeline::analyze_records_obs`]) is
 //! literally the one-segment case — `fold` over the whole record set,
 //! then [`StudyPartials::finish`]. Every [`Analysis`] stage is a fold
 //! whose [`Analysis::Partial`] merges associatively across contiguous
@@ -12,8 +14,7 @@
 //! [`StudyResults`] — **bit-identical** to the one-segment batch, at
 //! every worker count. That is the contract
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` every stage upholds (and
-//! the segment-split tests in each stage module plus
-//! `tests/end_to_end.rs` enforce).
+//! the roster law tests below plus `tests/end_to_end.rs` enforce).
 //!
 //! Segments must partition *samples* (never split one sample's
 //! trajectory across segments — [`vt_store::SegmentWriter`] seals on
@@ -95,20 +96,21 @@ pub struct StudyPartials {
 }
 
 /// The one stage roster, in execution order, as `partial field: stage`.
-/// Expands to `StudyPartials::fold` and [`stage_names`], so a stage
-/// cannot be folded without being named (or the reverse); batch, the
-/// incremental engine and `vtld serve` all fold through this list.
+/// Expands to `StudyPartials::fold_range` and [`stage_names`], so a
+/// stage cannot be folded without being named (or the reverse); batch,
+/// the incremental engine and `vtld serve` all fold through this list.
 macro_rules! roster {
     ($($field:ident: $stage:expr,)*) => {
         impl StudyPartials {
-            /// Folds one segment's context — or, for batch, the whole
-            /// record set — through every roster stage, each under its
-            /// `pipeline/<name>` span via [`Analysis::fold_timed`].
-            pub(crate) fn fold(ctx: &AnalysisCtx) -> Self {
+            /// Folds `ctx`'s samples through every roster stage in turn,
+            /// each under its `pipeline/<name>` span via
+            /// [`Analysis::fold_timed`], on the calling thread.
+            fn fold_range(ctx: &AnalysisCtx) -> Self {
+                let s = ctx.s_indices();
                 StudyPartials {
                     $($field: $stage.fold_timed(ctx),)*
-                    s_samples: ctx.s.len() as u64,
-                    s_reports: ctx.s.reports,
+                    s_samples: s.len() as u64,
+                    s_reports: s.iter().map(|&i| ctx.table.report_count(i) as u64).sum(),
                     segments: 1,
                 }
             }
@@ -138,6 +140,29 @@ roster! {
 }
 
 impl StudyPartials {
+    /// Folds one segment's context — or, for batch, the whole record
+    /// set. This is the one place a fold is parallel: the table's
+    /// samples split into `ctx.workers` contiguous ranges (kernel
+    /// `fold`), each worker runs the whole roster serially over its
+    /// range, and the range partials merge in range order exactly as
+    /// segment partials do — `merge(fold(x), fold(y)) == fold(x ++ y)`
+    /// — so the result is the one-range fold's at every worker count.
+    pub(crate) fn fold(ctx: &AnalysisCtx) -> Self {
+        let ranges = par::partition_ranges(ctx.table.len() as u64, ctx.workers);
+        let mut parts = par::map_ranges_obs(&ranges, ctx.obs, "fold", |_, range| {
+            Self::fold_range(&ctx.narrowed(range))
+        })
+        .into_iter();
+        // An empty table splits into no ranges; its fold is the fold of
+        // the empty range.
+        let mut acc = parts.next().unwrap_or_else(|| Self::fold_range(ctx));
+        for part in parts {
+            acc.merge_from(&part);
+        }
+        acc.segments = 1;
+        acc
+    }
+
     /// Merges a later segment's partials into an earlier accumulation
     /// (`self`'s records precede `next`'s in stream order).
     ///
@@ -585,6 +610,118 @@ mod tests {
     use crate::pipeline::{analyze_records_obs, Study};
     use vt_sim::SimConfig;
 
+    /// `Debug` of every partial, the two ropes re-cut as one chunk each
+    /// (a range fold leaves one chunk per range; the value is the
+    /// concatenation).
+    fn canonical(p: &StudyPartials) -> String {
+        let mut p = p.clone();
+        p.stability = p.stability.flattened();
+        p.correlation = p.correlation.flattened();
+        format!("{p:?}")
+    }
+
+    /// Two folds of the same samples are the same bits: every partial,
+    /// and the finished ρ planes by bit pattern (`Debug` would collapse
+    /// distinct NaN payloads).
+    fn assert_same_fold(a: &StudyPartials, b: &StudyPartials, what: &str) {
+        assert_eq!(canonical(a), canonical(b), "{what}");
+        let (ra, rb) = (
+            a.finish(Vec::new(), Obs::noop()),
+            b.finish(Vec::new(), Obs::noop()),
+        );
+        let planes = |r: &'_ StudyResults| -> Vec<u64> {
+            std::iter::once(&r.correlation_global)
+                .chain(&r.correlation_per_type)
+                .flat_map(|c| c.rho.iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        assert_eq!(planes(&ra), planes(&rb), "{what}: rho");
+    }
+
+    /// The roster law, in the one place the split lives: at every worker
+    /// count `StudyPartials::fold` is the one-range fold, bit for bit.
+    #[test]
+    fn roster_fold_is_the_one_range_fold_at_every_worker_count() {
+        let check = |records: &[SampleRecord], study: &Study, what: &str| {
+            let ws = study.sim().config().window_start();
+            let table = TrajectoryTable::build_with(records, ws, 1, Obs::noop());
+            let s = freshdyn::build_from_table(&table, 1);
+            let ctx = AnalysisCtx::new(records, &table, &s, study.sim().fleet(), ws);
+            let one = StudyPartials::fold_range(&ctx);
+            for workers in [1usize, 2, 3, 8] {
+                let split = StudyPartials::fold(&ctx.with_workers(workers));
+                assert_eq!(split.segments(), 1);
+                assert_same_fold(&one, &split, &format!("{what} workers={workers}"));
+            }
+            (one.s_samples(), s.len() as u64)
+        };
+        let studies = [0xF01Du64, 0x5EED5]
+            .map(|seed| Study::generate_with_workers(SimConfig::new(seed, 3_000), 2));
+        for study in &studies {
+            let what = format!("seed {:#x}", study.sim().config().seed);
+            let (folded, built) = check(study.records(), study, &what);
+            assert!(folded > 0, "{what} too small to exercise S");
+            assert_eq!(folded, built, "the ranges' shares of S add up to S");
+        }
+        let study = &studies[0];
+        check(&[], study, "empty table");
+        check(&study.records()[..3], study, "fewer samples than workers");
+
+        // Every member of S first: at two workers the second range holds
+        // none, and its fold must still be the identity of every merge.
+        let ws = study.sim().config().window_start();
+        let s = freshdyn::build(study.records(), ws);
+        let (mut front, mut back) = (Vec::new(), Vec::new());
+        for (i, r) in study.records().iter().enumerate() {
+            match s.indices.binary_search(&i) {
+                Ok(_) => front.push(r.clone()),
+                Err(_) => back.push(r.clone()),
+            }
+        }
+        assert!(!front.is_empty() && front.len() * 2 <= study.records().len());
+        front.extend(back);
+        check(&front, study, "a range with no member of S");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            /// `merge` of the range folds is the whole fold, for every
+            /// stage at once, wherever the cuts fall — empty ranges,
+            /// repeated cuts and ranges without a member of S included.
+            #[test]
+            fn range_folds_merge_to_the_whole_fold_at_any_cut_points(
+                seed in 0u64..1_000_000,
+                samples in 1u64..600,
+                cuts in proptest::collection::vec(0u64..=1_000, 0..6),
+            ) {
+                let study = Study::generate_with_workers(SimConfig::new(seed, samples), 1);
+                let ws = study.sim().config().window_start();
+                let table = TrajectoryTable::build_with(study.records(), ws, 1, Obs::noop());
+                let s = freshdyn::build_from_table(&table, 1);
+                let ctx = AnalysisCtx::new(&[], &table, &s, study.sim().fleet(), ws);
+                let mut bounds: Vec<u64> = cuts.iter().map(|c| c * samples / 1_000).collect();
+                bounds.extend([0, samples]);
+                bounds.sort_unstable();
+                let mut merged: Option<StudyPartials> = None;
+                for w in bounds.windows(2) {
+                    let part = StudyPartials::fold_range(&ctx.narrowed(w[0]..w[1]));
+                    merged = Some(match merged {
+                        None => part,
+                        Some(acc) => acc.merge(part),
+                    });
+                }
+                let mut merged = merged.expect("at least the range 0..samples");
+                prop_assert_eq!(merged.segments(), bounds.len() as u64 - 1);
+                merged.segments = 1;
+                assert_same_fold(&StudyPartials::fold_range(&ctx), &merged, "cuts");
+            }
+        }
+    }
+
     #[test]
     fn incremental_matches_batch_across_segmentations() {
         let study = Study::generate_with_workers(SimConfig::new(0x5E6, 2_000), 2);
@@ -789,7 +926,9 @@ mod tests {
         inc.fold_segment(&records[mid..], &obs);
         let snap = obs.snapshot();
         assert_eq!(snap.span("pipeline/segment").map(|s| s.count), Some(2));
-        assert_eq!(snap.span("pipeline/flips").map(|s| s.count), Some(2));
+        // Two segments, each folded as two ranges.
+        assert_eq!(snap.counter("par/fold/invocations"), Some(2));
+        assert_eq!(snap.span("pipeline/flips").map(|s| s.count), Some(4));
         let results = inc.results(Vec::new(), Obs::noop());
         let batch = analyze_records_obs(
             records,

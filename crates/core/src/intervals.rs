@@ -15,11 +15,10 @@
 //! sample's time coverage.
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 use vt_model::time::Duration;
 use vt_stats::{spearman_with_p, BoxplotSummary, SpearmanResult};
 
@@ -80,7 +79,32 @@ impl Analysis for Intervals {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> IntervalPartial {
-        fold_columnar(ctx.table, ctx.s, self.max_days, ctx)
+        let table = ctx.table;
+        let mut acc = IntervalPartial::new(self.max_days);
+        let mut scans: Vec<(i64, u32)> = Vec::with_capacity(MAX_SCANS_PER_SAMPLE);
+        for &rec in ctx.s_indices() {
+            strided_columns(
+                table.dates_of(rec),
+                table.positives_of(rec),
+                MAX_SCANS_PER_SAMPLE,
+                &mut scans,
+            );
+            for i in 0..scans.len() {
+                for j in (i + 1)..scans.len() {
+                    let (t1, p1) = scans[i];
+                    let (t2, p2) = scans[j];
+                    let days = Duration::minutes(t2 - t1).as_days().unsigned_abs();
+                    acc.pairs += 1;
+                    acc.max_interval = acc.max_interval.max(days.min(u32::MAX as u64) as u32);
+                    if days > self.max_days as u64 {
+                        acc.pairs_beyond_max += 1;
+                        continue;
+                    }
+                    acc.day_counts[days as usize * DIFF_BOUND + p1.abs_diff(p2) as usize] += 1;
+                }
+            }
+        }
+        acc
     }
 
     fn merge(&self, mut a: IntervalPartial, b: IntervalPartial) -> IntervalPartial {
@@ -129,135 +153,6 @@ impl IntervalPartial {
         self.pairs_beyond_max += other.pairs_beyond_max;
         self.max_interval = self.max_interval.max(other.max_interval);
     }
-}
-
-/// Walks one partition's samples and feeds every in-axis pair's flat
-/// bin index (`days * DIFF_BOUND + |Δp|`) to `bin`; returns the
-/// partition's `(pairs, pairs_beyond_max, max_interval)` scalars.
-fn walk_pairs(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    range: std::ops::Range<u64>,
-    max_days: usize,
-    bin: &mut impl FnMut(u32),
-) -> (u64, u64, u32) {
-    let mut pairs = 0u64;
-    let mut beyond = 0u64;
-    let mut max_interval = 0u32;
-    let mut scans: Vec<(i64, u32)> = Vec::with_capacity(MAX_SCANS_PER_SAMPLE);
-    for &rec in &s.indices[range.start as usize..range.end as usize] {
-        strided_columns(
-            table.dates_of(rec),
-            table.positives_of(rec),
-            MAX_SCANS_PER_SAMPLE,
-            &mut scans,
-        );
-        for i in 0..scans.len() {
-            for j in (i + 1)..scans.len() {
-                let (t1, p1) = scans[i];
-                let (t2, p2) = scans[j];
-                let days = Duration::minutes(t2 - t1).as_days().unsigned_abs();
-                pairs += 1;
-                max_interval = max_interval.max(days.min(u32::MAX as u64) as u32);
-                if days > max_days as u64 {
-                    beyond += 1;
-                    continue;
-                }
-                bin((days as usize * DIFF_BOUND + p1.abs_diff(p2) as usize) as u32);
-            }
-        }
-    }
-    (pairs, beyond, max_interval)
-}
-
-/// Per-partition pair output: bin indices, compact until the partition
-/// holds enough pairs that one dense counting matrix is smaller.
-enum PartBins {
-    /// Raw flat bin indices, one `u32` per in-axis pair.
-    Compact(Vec<u32>),
-    /// Dense `(max_days + 1) × DIFF_BOUND` counting matrix (the spill
-    /// representation for pair-heavy partitions).
-    Dense(Vec<u64>),
-}
-
-/// The multi-worker interval fold used to anti-scale (1.63 ms at 1
-/// worker → 4.55 ms at 8 on the 500k-sample study, recorded 2026-08-08
-/// on a 1-CPU container): every worker zeroed its own dense
-/// `(max_days + 1) × DIFF_BOUND` counting matrix
-/// (~445 KB at the default 430-day axis) and the main thread then
-/// merged the full matrices serially — ~56 K u64 adds per partition —
-/// so adding workers added fixed allocation + merge cost that dwarfed
-/// the actual pair counting. Workers now emit the raw bin indices of
-/// their (typically few) pairs and the main thread counts them into
-/// **one** dense matrix; a pair-heavy partition spills to a dense
-/// matrix of its own once the compact form would outgrow it, bounding
-/// memory at the old per-worker footprint. Either way every bin count
-/// is the same u64 sum, so the folded partial is bit-identical to the
-/// old merge at every worker count.
-fn fold_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    max_days: usize,
-    ctx: &AnalysisCtx,
-) -> IntervalPartial {
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    if ranges.len() <= 1 {
-        // Single partition: count straight into the dense matrix that
-        // becomes the partial — no intermediate representation at all.
-        let mut parts = par::map_ranges_obs(&ranges, ctx.obs, "intervals", |_, range| {
-            let mut acc = IntervalPartial::new(max_days);
-            let (pairs, beyond, max_interval) = walk_pairs(table, s, range, max_days, &mut |b| {
-                acc.day_counts[b as usize] += 1;
-            });
-            acc.pairs = pairs;
-            acc.pairs_beyond_max = beyond;
-            acc.max_interval = max_interval;
-            acc
-        });
-        return parts
-            .pop()
-            .unwrap_or_else(|| IntervalPartial::new(max_days));
-    }
-    let dense_len = (max_days + 1) * DIFF_BOUND;
-    // Past this many pairs the compact u32 list outweighs one dense
-    // u64 matrix, so the partition spills to dense counting.
-    let spill_at = 2 * dense_len;
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "intervals", |_, range| {
-        let mut bins = PartBins::Compact(Vec::new());
-        let (pairs, beyond, max_interval) =
-            walk_pairs(table, s, range, max_days, &mut |b| match &mut bins {
-                PartBins::Compact(v) if v.len() < spill_at => v.push(b),
-                PartBins::Compact(v) => {
-                    let mut dense = vec![0u64; dense_len];
-                    for &x in v.iter() {
-                        dense[x as usize] += 1;
-                    }
-                    dense[b as usize] += 1;
-                    bins = PartBins::Dense(dense);
-                }
-                PartBins::Dense(d) => d[b as usize] += 1,
-            });
-        (bins, pairs, beyond, max_interval)
-    });
-    let mut acc = IntervalPartial::new(max_days);
-    for (bins, pairs, beyond, max_interval) in parts {
-        match bins {
-            PartBins::Compact(v) => {
-                for b in v {
-                    acc.day_counts[b as usize] += 1;
-                }
-            }
-            PartBins::Dense(d) => {
-                for (a, b) in acc.day_counts.iter_mut().zip(&d) {
-                    *a += b;
-                }
-            }
-        }
-        acc.pairs += pairs;
-        acc.pairs_beyond_max += beyond;
-        acc.max_interval = acc.max_interval.max(max_interval);
-    }
-    acc
 }
 
 /// Turns the merged accumulator into the published analysis.

@@ -1,15 +1,13 @@
 //! §4.2 — the dataset landscape: Table 2, Table 3, Fig. 1.
 //!
 //! Thin orchestration over [`vt_store::DatasetStats`]: builds the
-//! overview from records (mergeable across threads) and extracts the
+//! overview from the table's per-sample columns and extracts the
 //! headline numbers the paper reports (88.81% singleton samples, top-20
 //! share, freshness).
 
 use crate::analysis::{Analysis, AnalysisCtx};
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 #[cfg(test)]
 use vt_model::time::Timestamp;
 use vt_model::FileType;
@@ -45,7 +43,17 @@ impl Analysis for Landscape {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> DatasetStats {
-        dataset_stats_columnar(ctx.table, ctx.workers, ctx)
+        let table = ctx.table;
+        debug_assert_eq!(table.window_start(), ctx.window_start);
+        let mut stats = DatasetStats::new(table.window_start());
+        for i in ctx.samples() {
+            stats.record_columns(
+                table.type_idx(i),
+                table.report_count(i) as u64,
+                table.is_fresh(i),
+            );
+        }
+        stats
     }
 
     fn merge(&self, mut a: DatasetStats, b: DatasetStats) -> DatasetStats {
@@ -56,38 +64,6 @@ impl Analysis for Landscape {
     fn finish(&self, stats: &DatasetStats) -> (DatasetStats, Fig1Points) {
         (stats.clone(), fig1_points(stats))
     }
-}
-
-/// Partition-reduction over the table's per-record columns: each worker
-/// feeds a [`DatasetStats`] via `record_columns`, and the partitions
-/// merge in order (all counters, so merge order is cosmetic — the
-/// result equals the serial pass exactly).
-fn dataset_stats_columnar(
-    table: &TrajectoryTable,
-    workers: usize,
-    ctx: &AnalysisCtx,
-) -> DatasetStats {
-    debug_assert_eq!(table.window_start(), ctx.window_start);
-    let ranges = par::partition_ranges(table.len() as u64, workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "landscape", |_, range| {
-        let mut stats = DatasetStats::new(table.window_start());
-        for i in range.start as usize..range.end as usize {
-            stats.record_columns(
-                table.type_idx(i),
-                table.report_count(i) as u64,
-                table.is_fresh(i),
-            );
-        }
-        stats
-    });
-    let mut iter = parts.into_iter();
-    let mut stats = iter
-        .next()
-        .unwrap_or_else(|| DatasetStats::new(table.window_start()));
-    for part in iter {
-        stats.merge(&part);
-    }
-    stats
 }
 
 #[cfg(test)]

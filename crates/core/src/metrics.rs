@@ -6,11 +6,10 @@
 //! pair) and `Δ = p_max − p_min` (overall swing, one value per sample).
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 use vt_model::time::Duration;
 use vt_model::FileType;
 use vt_stats::{BoxplotSummary, Histogram};
@@ -64,7 +63,22 @@ impl Analysis for Metrics {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> MetricsPartial {
-        fold_columnar(ctx.table, ctx.s, ctx)
+        let table = ctx.table;
+        let mut acc = MetricsPartial::new();
+        for &i in ctx.s_indices() {
+            let p = table.positives_of(i);
+            let type_idx = table.type_idx(i);
+            debug_assert!(type_idx < 20, "S contains only top-20 types");
+            for w in p.windows(2) {
+                let d = w[0].abs_diff(w[1]);
+                acc.delta_adjacent_hist.record(d as u64);
+                acc.per_type_adjacent[type_idx * DELTA_BOUND + d as usize] += 1;
+            }
+            let delta = table.delta_max(i).unwrap_or(0);
+            acc.delta_overall_hist.record(delta as u64);
+            acc.per_type_overall[type_idx * DELTA_BOUND + delta as usize] += 1;
+        }
+        acc
     }
 
     fn merge(&self, mut a: MetricsPartial, b: MetricsPartial) -> MetricsPartial {
@@ -116,33 +130,6 @@ impl MetricsPartial {
             *a += b;
         }
     }
-}
-
-fn fold_columnar(table: &TrajectoryTable, s: &FreshDynamic, ctx: &AnalysisCtx) -> MetricsPartial {
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "metrics", |_, range| {
-        let mut acc = MetricsPartial::new();
-        for &i in &s.indices[range.start as usize..range.end as usize] {
-            let p = table.positives_of(i);
-            let type_idx = table.type_idx(i);
-            debug_assert!(type_idx < 20, "S contains only top-20 types");
-            for w in p.windows(2) {
-                let d = w[0].abs_diff(w[1]);
-                acc.delta_adjacent_hist.record(d as u64);
-                acc.per_type_adjacent[type_idx * DELTA_BOUND + d as usize] += 1;
-            }
-            let delta = table.delta_max(i).unwrap_or(0);
-            acc.delta_overall_hist.record(delta as u64);
-            acc.per_type_overall[type_idx * DELTA_BOUND + delta as usize] += 1;
-        }
-        acc
-    });
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_else(MetricsPartial::new);
-    for part in iter {
-        acc.merge(&part);
-    }
-    acc
 }
 
 /// Turns the merged accumulator into the published analysis.
@@ -207,36 +194,10 @@ impl Analysis for WindowGrowth {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> (u64, u64) {
-        window_growth_columnar(ctx.table, ctx.s, self.short, self.long, ctx)
-    }
-
-    fn merge(&self, a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-        (a.0 + b.0, a.1 + b.1)
-    }
-
-    fn finish(&self, &(eligible, grew): &(u64, u64)) -> f64 {
-        if eligible == 0 {
-            0.0
-        } else {
-            grew as f64 / eligible as f64
-        }
-    }
-}
-
-/// Parallel §8.1 sweep over the table's date/rank columns; the
-/// per-partition `(eligible, grew)` counters sum exactly.
-fn window_growth_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    short: Duration,
-    long: Duration,
-    ctx: &AnalysisCtx,
-) -> (u64, u64) {
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "window_growth", |_, range| {
+        let table = ctx.table;
         let mut eligible = 0u64;
         let mut grew = 0u64;
-        for &i in &s.indices[range.start as usize..range.end as usize] {
+        for &i in ctx.s_indices() {
             let dates = table.dates_of(i);
             let p = table.positives_of(i);
             let t0 = dates[0];
@@ -253,7 +214,8 @@ fn window_growth_columnar(
                 }
                 (n >= 2).then(|| max - min)
             };
-            let (Some(d_short), Some(d_long)) = (delta_within(short), delta_within(long)) else {
+            let (Some(d_short), Some(d_long)) = (delta_within(self.short), delta_within(self.long))
+            else {
                 continue;
             };
             eligible += 1;
@@ -262,10 +224,19 @@ fn window_growth_columnar(
             }
         }
         (eligible, grew)
-    });
-    parts
-        .into_iter()
-        .fold((0u64, 0u64), |(e, g), (pe, pg)| (e + pe, g + pg))
+    }
+
+    fn merge(&self, a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
+        (a.0 + b.0, a.1 + b.1)
+    }
+
+    fn finish(&self, &(eligible, grew): &(u64, u64)) -> f64 {
+        if eligible == 0 {
+            0.0
+        } else {
+            grew as f64 / eligible as f64
+        }
+    }
 }
 
 #[cfg(test)]

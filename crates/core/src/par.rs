@@ -5,8 +5,10 @@
 //! runtime. [`partition_ranges`] splits `0..n` into contiguous chunks
 //! and [`map_ranges`] (with its `_obs` / `_with` variants) runs a worker
 //! per chunk on `std::thread::scope` threads and returns the per-chunk
-//! results in order, so any analysis whose accumulator merges
-//! associatively parallelizes in three lines.
+//! results in order. A study enters it in few places: generation, the
+//! table build's column fill, the *S* scan, and the roster fold
+//! ([`crate::incremental`]), which splits a table's samples once and
+//! runs every stage serially over each range.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -22,12 +24,10 @@ pub fn default_workers() -> usize {
         .min(16)
 }
 
-/// The contiguous ranges `workers` threads split `0..n` into. Public
-/// so multi-pass kernels (e.g. the fused correlation kernel, which
-/// needs per-partition row offsets from a counting pass before its
-/// accumulation pass) can align per-partition state across passes:
-/// both passes call this with the same `(n, workers)` and see the same
-/// split.
+/// The contiguous ranges `workers` threads split `0..n` into: at most
+/// `workers` of them, none empty, so `n = 0` yields no range at all.
+/// Public so a caller can align per-range state (the table build's
+/// column windows) with the ranges before mapping over them.
 pub fn partition_ranges(n: u64, workers: usize) -> Vec<std::ops::Range<u64>> {
     let workers = workers.max(1).min(n.max(1) as usize);
     let chunk = n.div_ceil(workers as u64);
@@ -217,7 +217,7 @@ mod tests {
         let ranges = partition_ranges(100, 4);
         assert_eq!(ranges.len(), 4);
         // Two passes over the same ranges observe identical (index,
-        // range) pairs — the property multi-pass kernels rely on.
+        // range) pairs.
         let a = map_ranges(&ranges, |i, r| (i, r));
         let b = map_ranges(&ranges, |i, r| (i, r));
         assert_eq!(a, b);

@@ -359,15 +359,25 @@ mod tests {
         let obs = Obs::new();
         study.run_with_obs(2, &obs);
         let m = obs.snapshot();
-        for name in stage_names()
-            .into_iter()
-            .chain(["freshdyn", "table", "finish"])
-        {
+        // One split, in the roster fold; each of its two ranges runs
+        // every stage once under the stage's span.
+        assert_eq!(m.counter("par/fold/invocations"), Some(1));
+        assert_eq!(
+            m.histogram("par/fold/worker_busy_ns").map(|h| h.count),
+            Some(2)
+        );
+        for name in stage_names() {
             let span = m
                 .span(&format!("pipeline/{name}"))
                 .unwrap_or_else(|| panic!("stage {name} missing a timing"));
-            assert_eq!(span.count, 1, "stage {name} ran once");
+            assert_eq!(span.count, 2, "stage {name} ran once per range");
             assert!(span.max_ns <= span.total_ns);
+        }
+        for name in ["freshdyn", "table", "finish"] {
+            let span = m
+                .span(&format!("pipeline/{name}"))
+                .unwrap_or_else(|| panic!("{name} missing a timing"));
+            assert_eq!(span.count, 1, "{name} ran once");
         }
         // Batch is one fold, not a segment stream: no segment span.
         assert!(m.span("pipeline/segment").is_none());
@@ -425,7 +435,7 @@ mod tests {
     /// Acceptance gate for the §7.2 kernel: on a seeded study, every
     /// scope of the stage's `finish(fold(ctx))` is bit-identical (ρ
     /// matrix, strong pairs, groups, row accounting) to the serial
-    /// per-scope reference, at worker counts 1, 2 and 8.
+    /// per-scope reference.
     #[test]
     fn correlation_stage_matches_reference_on_seeded_study() {
         use crate::analysis::Analysis;
@@ -453,25 +463,23 @@ mod tests {
             .collect();
         assert!(reference[0].truncated, "global scope exceeds the cap");
 
-        for workers in [1usize, 2, 8] {
-            let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws).with_workers(workers);
-            let (global, per_type) = stage.run(&ctx);
-            for (f, r) in std::iter::once(&global).chain(&per_type).zip(&reference) {
-                assert_eq!(f.scope, r.scope);
-                assert_eq!(f.rows, r.rows, "workers={workers}");
-                assert_eq!(f.total_rows, r.total_rows, "workers={workers}");
-                assert_eq!(f.truncated, r.truncated, "workers={workers}");
-                assert_eq!(f.rho.len(), r.rho.len());
-                for (x, y) in f.rho.iter().zip(&r.rho) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
-                }
-                assert_eq!(f.strong_pairs.len(), r.strong_pairs.len());
-                for ((a1, b1, r1), (a2, b2, r2)) in f.strong_pairs.iter().zip(&r.strong_pairs) {
-                    assert_eq!((a1, b1), (a2, b2), "workers={workers}");
-                    assert_eq!(r1.to_bits(), r2.to_bits(), "workers={workers}");
-                }
-                assert_eq!(f.groups, r.groups, "workers={workers}");
+        let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws);
+        let (global, per_type) = stage.run(&ctx);
+        for (f, r) in std::iter::once(&global).chain(&per_type).zip(&reference) {
+            assert_eq!(f.scope, r.scope);
+            assert_eq!(f.rows, r.rows);
+            assert_eq!(f.total_rows, r.total_rows);
+            assert_eq!(f.truncated, r.truncated);
+            assert_eq!(f.rho.len(), r.rho.len());
+            for (x, y) in f.rho.iter().zip(&r.rho) {
+                assert_eq!(x.to_bits(), y.to_bits());
             }
+            assert_eq!(f.strong_pairs.len(), r.strong_pairs.len());
+            for ((a1, b1, r1), (a2, b2, r2)) in f.strong_pairs.iter().zip(&r.strong_pairs) {
+                assert_eq!((a1, b1), (a2, b2));
+                assert_eq!(r1.to_bits(), r2.to_bits());
+            }
+            assert_eq!(f.groups, r.groups);
         }
     }
 }

@@ -8,10 +8,8 @@
 //! samples hold their state longest.
 
 use crate::analysis::{Analysis, AnalysisCtx};
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 use std::sync::Arc;
 use vt_model::time::Duration;
 use vt_stats::{BoxplotSummary, Histogram};
@@ -121,7 +119,48 @@ impl Analysis for Stability {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> StabilityPartial {
-        fold_columnar(ctx.table, ctx.workers, ctx)
+        let table = ctx.table;
+        let mut acc = StabilityPartial::new();
+        let mut spans: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
+        for i in ctx.samples() {
+            if !table.is_multi_report(i) {
+                continue;
+            }
+            acc.multi += 1;
+            let n = table.report_count(i) as u64;
+            if table.is_stable(i) {
+                acc.stable += 1;
+                acc.stable_report_hist.record(n);
+                let rank = table.positives_of(i)[0];
+                acc.stable_rank_hist.record(rank as u64);
+                let scans = (1, (n == 2) as u64, n);
+                let bucket_scans = if rank == 0 {
+                    &mut acc.rank0_scans
+                } else {
+                    &mut acc.rank_pos_scans
+                };
+                bucket_scans.0 += scans.0;
+                bucket_scans.1 += scans.1;
+                bucket_scans.2 += scans.2;
+                let dates = table.dates_of(i);
+                let span_days = Duration::minutes(dates[dates.len() - 1] - dates[0]).as_days_f64();
+                let bucket = (rank as usize).min(StabilityAnalysis::RANK_CAP);
+                spans[bucket].push(span_days);
+                if span_days <= 17.0 {
+                    acc.within17 += 1;
+                }
+                if span_days <= 350.0 {
+                    acc.within350 += 1;
+                }
+            } else {
+                acc.dynamic += 1;
+                acc.dynamic_report_hist.record(n);
+            }
+        }
+        if spans.iter().any(|b| !b.is_empty()) {
+            acc.spans.push(Arc::new(spans));
+        }
+        acc
     }
 
     fn merge(&self, mut a: StabilityPartial, b: StabilityPartial) -> StabilityPartial {
@@ -144,8 +183,8 @@ impl Analysis for Stability {
             span_within_350d: 0.0,
         };
         // The rope concatenates per-bucket spans in chunk order, which
-        // is partition/segment order — the exact sequence the old flat
-        // vectors held before `from_unsorted` sorts them.
+        // is sample order — the sequence one flat vector per bucket
+        // would hold before `from_unsorted` sorts it.
         let mut values: Vec<f64> = Vec::new();
         for bucket in 0..=StabilityAnalysis::RANK_CAP {
             values.clear();
@@ -165,7 +204,7 @@ impl Analysis for Stability {
 /// Mergeable accumulator of the §5.1–5.2 fold ([`Stability`]'s
 /// [`Analysis::Partial`]). Counters and histograms merge by addition;
 /// the per-bucket span samples live in a rope of immutable
-/// [`Arc`]-shared chunks (one per fold partition) concatenated in
+/// [`Arc`]-shared chunks (one per fold) concatenated in
 /// stream order, so each bucket sees the exact serial sequence before
 /// [`BoxplotSummary::from_unsorted`] sorts it while merge/clone of a
 /// partial moves chunk pointers instead of copying span data.
@@ -180,7 +219,7 @@ pub struct StabilityPartial {
     rank0_scans: (u64, u64, u64),
     rank_pos_scans: (u64, u64, u64),
     /// Rope of span chunks; each chunk holds `RANK_CAP + 1` bucket
-    /// vectors from one fold partition.
+    /// vectors from one fold.
     spans: Vec<Arc<Vec<Vec<f64>>>>,
     within17: u64,
     within350: u64,
@@ -222,57 +261,24 @@ impl StabilityPartial {
     }
 }
 
-fn fold_columnar(table: &TrajectoryTable, workers: usize, ctx: &AnalysisCtx) -> StabilityPartial {
-    let ranges = par::partition_ranges(table.len() as u64, workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "stability", |_, range| {
-        let mut acc = StabilityPartial::new();
-        let mut spans: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
-        for i in range.start as usize..range.end as usize {
-            if !table.is_multi_report(i) {
-                continue;
-            }
-            acc.multi += 1;
-            let n = table.report_count(i) as u64;
-            if table.is_stable(i) {
-                acc.stable += 1;
-                acc.stable_report_hist.record(n);
-                let rank = table.positives_of(i)[0];
-                acc.stable_rank_hist.record(rank as u64);
-                let scans = (1, (n == 2) as u64, n);
-                let bucket_scans = if rank == 0 {
-                    &mut acc.rank0_scans
-                } else {
-                    &mut acc.rank_pos_scans
-                };
-                bucket_scans.0 += scans.0;
-                bucket_scans.1 += scans.1;
-                bucket_scans.2 += scans.2;
-                let dates = table.dates_of(i);
-                let span_days = Duration::minutes(dates[dates.len() - 1] - dates[0]).as_days_f64();
-                let bucket = (rank as usize).min(StabilityAnalysis::RANK_CAP);
-                spans[bucket].push(span_days);
-                if span_days <= 17.0 {
-                    acc.within17 += 1;
-                }
-                if span_days <= 350.0 {
-                    acc.within350 += 1;
-                }
-            } else {
-                acc.dynamic += 1;
-                acc.dynamic_report_hist.record(n);
+#[cfg(test)]
+impl StabilityPartial {
+    /// This partial with its span rope re-cut as one chunk, so two
+    /// partials of equal value print the same `Debug` however many
+    /// folds built them.
+    pub(crate) fn flattened(&self) -> Self {
+        let mut flat: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
+        for chunk in &self.spans {
+            for (bucket, values) in flat.iter_mut().zip(chunk.iter()) {
+                bucket.extend_from_slice(values);
             }
         }
-        if spans.iter().any(|b| !b.is_empty()) {
-            acc.spans.push(Arc::new(spans));
+        let mut out = self.clone();
+        if !out.spans.is_empty() {
+            out.spans = vec![Arc::new(flat)];
         }
-        acc
-    });
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().unwrap_or_else(StabilityPartial::new);
-    for part in iter {
-        acc.merge(&part);
+        out
     }
-    acc
 }
 
 #[cfg(test)]

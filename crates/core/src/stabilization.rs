@@ -14,11 +14,10 @@
 //!    without 2-scan samples (Fig. 9a/9b).
 
 use crate::analysis::{Analysis, AnalysisCtx};
+#[cfg(test)]
 use crate::freshdyn::FreshDynamic;
-use crate::par;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
 use vt_model::time::Duration;
 
 /// Combined §6 output: the r-sweep plus both Fig. 9 variants.
@@ -47,9 +46,9 @@ impl Analysis for Stabilization {
 
     fn fold(&self, ctx: &AnalysisCtx) -> StabilizationPartial {
         StabilizationPartial {
-            rank: rank_stabilization_columnar(ctx.table, ctx.s, ctx),
-            label_all: label_stabilization_columnar(ctx.table, ctx.s, false, ctx),
-            label_multi: label_stabilization_columnar(ctx.table, ctx.s, true, ctx),
+            rank: rank_stabilization_columnar(ctx),
+            label_all: label_stabilization_columnar(ctx, false),
+            label_multi: label_stabilization_columnar(ctx, true),
         }
     }
 
@@ -177,68 +176,38 @@ impl LabelAcc {
     }
 }
 
-/// Parallel §6.1 sweep over *S* partitions: per-partition `[u64; 5]`
-/// counter blocks per r merge by addition.
-fn rank_stabilization_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    ctx: &AnalysisCtx,
-) -> Vec<RankStabilization> {
-    let ranges = par::partition_ranges(s.indices.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, "stabilization_rank", |_, range| {
-        let mut out: Vec<RankStabilization> = (0..=5)
-            .map(|r| RankStabilization {
-                r,
-                samples: 0,
-                stabilized: 0,
-                within_10d: 0,
-                within_20d: 0,
-                within_30d: 0,
-            })
-            .collect();
-        for &rec in &s.indices[range.start as usize..range.end as usize] {
-            let p = table.positives_of(rec);
-            let dates = table.dates_of(rec);
-            let t0 = dates[0];
-            for stat in &mut out {
-                stat.samples += 1;
-                if let Some(i) = rank_stabilization_index(p, stat.r) {
-                    stat.stabilized += 1;
-                    let days = Duration::minutes(dates[i] - t0).as_days_f64();
-                    if days <= 10.0 {
-                        stat.within_10d += 1;
-                    }
-                    if days <= 20.0 {
-                        stat.within_20d += 1;
-                    }
-                    if days <= 30.0 {
-                        stat.within_30d += 1;
-                    }
+/// The §6.1 sweep: one `[u64; 5]` counter block per r.
+fn rank_stabilization_columnar(ctx: &AnalysisCtx) -> Vec<RankStabilization> {
+    let table = ctx.table;
+    let mut out: Vec<RankStabilization> = (0..=5)
+        .map(|r| RankStabilization {
+            r,
+            samples: 0,
+            stabilized: 0,
+            within_10d: 0,
+            within_20d: 0,
+            within_30d: 0,
+        })
+        .collect();
+    for &rec in ctx.s_indices() {
+        let p = table.positives_of(rec);
+        let dates = table.dates_of(rec);
+        let t0 = dates[0];
+        for stat in &mut out {
+            stat.samples += 1;
+            if let Some(i) = rank_stabilization_index(p, stat.r) {
+                stat.stabilized += 1;
+                let days = Duration::minutes(dates[i] - t0).as_days_f64();
+                if days <= 10.0 {
+                    stat.within_10d += 1;
+                }
+                if days <= 20.0 {
+                    stat.within_20d += 1;
+                }
+                if days <= 30.0 {
+                    stat.within_30d += 1;
                 }
             }
-        }
-        out
-    });
-    let mut iter = parts.into_iter();
-    let mut out = iter.next().unwrap_or_else(|| {
-        (0..=5)
-            .map(|r| RankStabilization {
-                r,
-                samples: 0,
-                stabilized: 0,
-                within_10d: 0,
-                within_20d: 0,
-                within_30d: 0,
-            })
-            .collect()
-    });
-    for part in iter {
-        for (a, b) in out.iter_mut().zip(part) {
-            a.samples += b.samples;
-            a.stabilized += b.stabilized;
-            a.within_10d += b.within_10d;
-            a.within_20d += b.within_20d;
-            a.within_30d += b.within_30d;
         }
     }
     out
@@ -289,54 +258,41 @@ pub fn stabilization_mask(p: &[u32]) -> u16 {
     mask
 }
 
-/// Parallel §6.2 sweep: one worker per **threshold**, each walking *S*
-/// serially in index order. Every accumulator is an integer sum (scan
-/// serials; elapsed whole minutes), so the per-threshold totals are
-/// independent of the partitioning *and* of any segment split — the
-/// means are only formed when the partial is finished.
-fn label_stabilization_columnar(
-    table: &TrajectoryTable,
-    s: &FreshDynamic,
-    exclude_two_scans: bool,
-    ctx: &AnalysisCtx,
-) -> Vec<LabelAcc> {
-    let kernel = if exclude_two_scans {
-        "stabilization_label_multi"
-    } else {
-        "stabilization_label_all"
-    };
-    let ranges = par::partition_ranges(FIG9_THRESHOLDS.len() as u64, ctx.workers);
-    let parts = par::map_ranges_obs(&ranges, ctx.obs, kernel, |_, range| {
-        FIG9_THRESHOLDS[range.start as usize..range.end as usize]
-            .iter()
-            .map(|&t| {
-                let mut acc = LabelAcc::new(t);
-                for &rec in &s.indices {
-                    if exclude_two_scans && table.report_count(rec) <= 2 {
-                        continue;
+/// The §6.2 sweep, one accumulator per threshold. Every accumulator is
+/// an integer sum (scan serials; elapsed whole minutes), so the totals
+/// are independent of any range or segment split — the means are only
+/// formed when the partial is finished.
+fn label_stabilization_columnar(ctx: &AnalysisCtx, exclude_two_scans: bool) -> Vec<LabelAcc> {
+    let table = ctx.table;
+    let s = ctx.s_indices();
+    FIG9_THRESHOLDS
+        .iter()
+        .map(|&t| {
+            let mut acc = LabelAcc::new(t);
+            for &rec in s {
+                if exclude_two_scans && table.report_count(rec) <= 2 {
+                    continue;
+                }
+                acc.samples += 1;
+                let p = table.positives_of(rec);
+                if let Some(i) = label_stabilization_index(p, t) {
+                    acc.stabilized += 1;
+                    acc.serial_sum += (i + 1) as u64;
+                    let dates = table.dates_of(rec);
+                    let minutes = dates[i] - dates[0];
+                    acc.minutes_sum += minutes as u64;
+                    let days = Duration::minutes(minutes).as_days_f64();
+                    if days <= 15.0 {
+                        acc.within_15 += 1;
                     }
-                    acc.samples += 1;
-                    let p = table.positives_of(rec);
-                    if let Some(i) = label_stabilization_index(p, t) {
-                        acc.stabilized += 1;
-                        acc.serial_sum += (i + 1) as u64;
-                        let dates = table.dates_of(rec);
-                        let minutes = dates[i] - dates[0];
-                        acc.minutes_sum += minutes as u64;
-                        let days = Duration::minutes(minutes).as_days_f64();
-                        if days <= 15.0 {
-                            acc.within_15 += 1;
-                        }
-                        if days <= 30.0 {
-                            acc.within_30 += 1;
-                        }
+                    if days <= 30.0 {
+                        acc.within_30 += 1;
                     }
                 }
-                acc
-            })
-            .collect::<Vec<_>>()
-    });
-    parts.into_iter().flatten().collect()
+            }
+            acc
+        })
+        .collect()
 }
 
 /// §6.1 result for one fluctuation range r.

@@ -58,7 +58,7 @@ use vt_label_dynamics::dynamics::{par, DecodeArena, IncrementalStudy, Study};
 use vt_label_dynamics::engines::{EngineFleet, FleetConfig, FleetConfigError};
 use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
-use vt_label_dynamics::serve::{ServeConfig, Server};
+use vt_label_dynamics::serve::{ServeConfig, Server, INGEST_SLOTS};
 use vt_label_dynamics::sim::{SimConfig, SimConfigError};
 use vt_label_dynamics::store::{read_store_into, write_store, PersistError, StoreObs};
 
@@ -469,16 +469,22 @@ Every response carries the snapshot epoch.";
                     .into(),
             ));
         }
+        let samples = parse_u64(&flags, "samples", 100_000)?;
+        let seed = parse_u64(&flags, "seed", 0x7e57_5eed)?;
+        // The daemon's own defaults and slot bound, not a second copy.
+        let defaults = ServeConfig::new(samples, seed);
         Ok(Self {
-            samples: parse_u64(&flags, "samples", 100_000)?,
-            seed: parse_u64(&flags, "seed", 0x7e57_5eed)?,
-            segment_reports: parse_u64(&flags, "segment-reports", 20_000)?.max(1),
+            samples,
+            seed,
+            segment_reports: parse_u64(&flags, "segment-reports", defaults.segment_reports)?.max(1),
             workers: parse_workers(&flags)?,
-            shards: parse_u64(&flags, "shards", 1)?.clamp(1, 8) as usize,
+            shards: parse_u64(&flags, "shards", defaults.shards as u64)?
+                .clamp(1, INGEST_SLOTS as u64) as usize,
             addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7311").to_string(),
             data_dir,
             recover,
-            max_clients: parse_u64(&flags, "max-clients", 256)?.max(1) as usize,
+            max_clients: parse_u64(&flags, "max-clients", defaults.max_clients as u64)?.max(1)
+                as usize,
             alerts: !has_switch(&flags, "no-alerts"),
             alerts_out: flag(&flags, "alerts-out").map(str::to_string),
             alerts_tcp: flag(&flags, "alerts-tcp").map(str::to_string),
@@ -584,8 +590,7 @@ fn cmd_serve(args: ServeArgs) -> Result<(), VtldError> {
     config.alerts = args.alerts;
     config.alerts_out = args.alerts_out.map(std::path::PathBuf::from);
     config.alerts_tcp = args.alerts_tcp;
-    let addr_for_err = config.addr.clone();
-    let server = Server::start(config).map_err(io_err(format!("cannot bind {addr_for_err}")))?;
+    let server = Server::start(config).map_err(io_err("cannot start serve"))?;
     eprintln!(
         "vtld serve listening on {} (newline-delimited JSON; try {{\"cmd\":\"status\"}})",
         server.addr()
@@ -740,6 +745,67 @@ mod tests {
             err.to_string().starts_with("--recover requires --data-dir"),
             "{err}"
         );
+    }
+
+    /// `Server::start` fails for more reasons than the listener; each
+    /// message names its own cause, and only the listener's says "bind".
+    #[test]
+    fn serve_start_failures_name_their_cause() {
+        use vt_label_dynamics::model::time::{Date, Timestamp};
+        use vt_label_dynamics::model::{FileType, ReportKind, SampleHash, ScanReport, VerdictVec};
+        use vt_label_dynamics::store::{DurableWriter, SegmentDir};
+
+        let start = |flag: &str, value: &str| {
+            let args = strings(&["--samples", "10", flag, value]);
+            cmd_serve(ServeArgs::parse(&args).expect("valid flags"))
+                .expect_err("start must fail")
+                .to_string()
+        };
+
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = taken.local_addr().expect("addr").to_string();
+        let msg = start("--addr", &addr);
+        assert!(
+            msg.starts_with(&format!("cannot start serve: cannot bind {addr}: ")),
+            "{msg}"
+        );
+
+        let root = std::env::temp_dir().join(format!("vtld-start-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let narrow = root.join("four-slots");
+        SegmentDir::open(&narrow, 4).expect("open");
+        assert_eq!(
+            start("--data-dir", narrow.to_str().expect("utf-8")),
+            "cannot start serve: segment dir manifest mismatch: \
+             found \"VTSEGDIR1 slots=4\", expected \"VTSEGDIR1 slots=8\""
+        );
+
+        let used = root.join("used");
+        let dir = SegmentDir::open(&used, INGEST_SLOTS as u32).expect("open");
+        let day = Timestamp::from_date(Date::new(2021, 7, 1));
+        let report = ScanReport {
+            sample: SampleHash::from_ordinal(1),
+            file_type: FileType::Pdf,
+            analysis_date: day,
+            last_submission_date: day,
+            times_submitted: 1,
+            kind: ReportKind::Upload,
+            verdicts: VerdictVec::new(70),
+        };
+        let sealed = DurableWriter::new(dir, 0, 1, 0)
+            .push_sample(&[report])
+            .expect("durable push");
+        assert!(sealed.is_some(), "one report fills a one-report segment");
+        let msg = start("--data-dir", used.to_str().expect("utf-8"));
+        assert_eq!(
+            msg,
+            format!(
+                "cannot start serve: data dir {} already holds sealed segments; \
+                 restart with recovery enabled or point at a clean directory",
+                used.display()
+            )
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

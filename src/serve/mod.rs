@@ -257,7 +257,9 @@ impl Server {
             None => None,
         };
 
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = TcpListener::bind(&config.addr).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", config.addr))
+        })?;
         let addr = listener.local_addr()?;
         let fold = fold::FoldCtx::new(config);
         let seam = Arc::new(publish::Seam::new(publish::empty_epoch(&fold)));
@@ -313,15 +315,17 @@ impl Server {
         threads.push(std::thread::spawn(move || {
             publish::merger_loop(&d, &merge_rx)
         }));
+        threads.push(std::thread::spawn(move || {
+            conn::accept_loop(&listener, &conn)
+        }));
+        // The feeder last: it alone starts CPU-bound, and on two cores a
+        // thread created after it queues behind it for a scheduler slice.
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
             let stop = || d.seam.shutdown_requested();
             if !ingest::run(&d.fold.ingest, stop, shard_txs, segdir) {
                 d.seam.request_shutdown();
             }
-        }));
-        threads.push(std::thread::spawn(move || {
-            conn::accept_loop(&listener, &conn)
         }));
         Ok(Server {
             addr,

@@ -167,10 +167,7 @@ fn metrics_json_round_trips_and_covers_the_pipeline() {
 
     let histograms = parsed.get("histograms").expect("histograms section");
     assert!(
-        histograms.get("par/generate/worker_busy_ns").is_some()
-            || histograms
-                .get("par/correlation_fold/worker_busy_ns")
-                .is_some(),
+        histograms.get("par/fold/worker_busy_ns").is_some(),
         "per-worker busy-time histograms missing from JSON"
     );
 }
@@ -182,7 +179,15 @@ fn metrics_json_round_trips_and_covers_the_pipeline() {
 fn study_report_is_identical_with_and_without_metrics_out() {
     let study = |extra: &[&str]| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_vtld"))
-            .args(["study", "--samples", "4000", "--seed", "7"])
+            .args([
+                "study",
+                "--samples",
+                "4000",
+                "--seed",
+                "7",
+                "--workers",
+                "2",
+            ])
             .args(extra)
             .output()
             .expect("vtld study runs");
@@ -200,8 +205,26 @@ fn study_report_is_identical_with_and_without_metrics_out() {
         "--metrics-out changed the printed report"
     );
     let parsed = json::parse(&written).expect("metrics.json must be valid JSON");
-    assert!(parsed
-        .get("counters")
-        .and_then(|c| c.get("store/encoded_reports"))
-        .is_some());
+    let counters = parsed.get("counters").expect("counters section");
+    assert!(counters.get("store/encoded_reports").is_some());
+    // A study is parallel in three places, each entered once, and no
+    // stage is one of them.
+    let mut kernels: Vec<(&str, Option<u64>)> = counters
+        .as_object()
+        .expect("counters object")
+        .iter()
+        .filter_map(|(name, v)| {
+            let kernel = name.strip_prefix("par/")?.strip_suffix("/invocations")?;
+            Some((kernel, v.as_u64()))
+        })
+        .collect();
+    kernels.sort_unstable();
+    assert_eq!(
+        kernels,
+        [
+            ("fold", Some(1)),
+            ("generate", Some(1)),
+            ("table_build", Some(1))
+        ]
+    );
 }

@@ -15,8 +15,7 @@
 //!   60k-sample fixture: one dirty-slot update of a warm
 //!   [`vt_dynamics::SlotMergeTree`] plus finishing the cached root
 //!   (guards against per-publish work creeping back to O(history) —
-//!   a reintroduced partial clone, an O(rows) plane walk, a per-publish
-//!   index merge). `update_slot` + `finish` is the whole of what
+//!   a reintroduced partial clone or a per-publish index merge). `update_slot` + `finish` is the whole of what
 //!   `vtld serve`'s merger does per publish: while the daemon also
 //!   rendered four documents there, this arm saw a quarter of it.
 //! * `trajectories_1_worker` — one single-thread sweep of the feed

@@ -175,8 +175,8 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 /// * [`fold`](Analysis::fold) reduces one context (one *segment* of the
 ///   record stream, the whole dataset, or one worker's range of either)
 ///   to a [`Partial`](Analysis::Partial), in one serial pass;
-/// * [`merge`](Analysis::merge) combines two partials whose underlying
-///   records are ordered `a` before `b`. Merging per-segment partials
+/// * [`merge`](Analysis::merge) folds a later partial into an earlier
+///   accumulation, in place. Merging per-segment partials
 ///   in segment order must equal folding the concatenated segments —
 ///   this is the algebra the incremental engine
 ///   ([`crate::incremental::IncrementalStudy`]) relies on, and it makes
@@ -202,9 +202,11 @@ pub trait Analysis {
     /// Reduces the context's samples to a mergeable partial.
     fn fold(&self, ctx: &AnalysisCtx) -> Self::Partial;
 
-    /// Combines two partials; `a`'s records precede `b`'s in stream
-    /// order. Must satisfy `merge(fold(x), fold(y)) == fold(x ++ y)`.
-    fn merge(&self, a: Self::Partial, b: Self::Partial) -> Self::Partial;
+    /// Folds `next` into `acc`; `acc`'s records precede `next`'s in
+    /// stream order. Must satisfy `merge(fold(x), fold(y)) == fold(x ++
+    /// y)`. Borrows `next`: the serve merge tree re-merges cached nodes
+    /// on every publish, and an owned `next` would be a clone each time.
+    fn merge(&self, acc: &mut Self::Partial, next: &Self::Partial);
 
     /// Converts an accumulated partial into the stage output.
     ///

@@ -111,9 +111,14 @@ impl Analysis for Categorize {
         acc
     }
 
-    fn merge(&self, mut a: CategorizePartial, b: CategorizePartial) -> CategorizePartial {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut CategorizePartial, next: &CategorizePartial) {
+        for (a, b) in acc.max_hist.iter_mut().zip(&next.max_hist) {
+            *a += b;
+        }
+        for (a, b) in acc.min_hist.iter_mut().zip(&next.min_hist) {
+            *a += b;
+        }
+        acc.samples += next.samples;
     }
 
     fn finish(&self, acc: &CategorizePartial) -> CategorySweep {
@@ -138,16 +143,6 @@ impl CategorizePartial {
             min_hist: [0; MAX_RANK + 1],
             samples: 0,
         }
-    }
-
-    pub(crate) fn merge(&mut self, other: &CategorizePartial) {
-        for (a, b) in self.max_hist.iter_mut().zip(&other.max_hist) {
-            *a += b;
-        }
-        for (a, b) in self.min_hist.iter_mut().zip(&other.min_hist) {
-            *a += b;
-        }
-        self.samples += other.samples;
     }
 }
 

@@ -122,9 +122,8 @@ impl Analysis for Causes {
         a
     }
 
-    fn merge(&self, mut a: CauseAnalysis, b: CauseAnalysis) -> CauseAnalysis {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut CauseAnalysis, next: &CauseAnalysis) {
+        acc.merge(next);
     }
 
     fn finish(&self, acc: &CauseAnalysis) -> CauseAnalysis {

@@ -12,27 +12,21 @@
 //! the general implementation in `vt-stats`.
 //!
 //! There is one kernel: [`Correlation`]'s table-only fold. It scans *S*
-//! once, tags every scan row with the scopes it belongs to (the global
-//! scope plus at most its own file type, so eight scopes cost one scan),
-//! counts it bit-sliced into each scope's all-pairs [`ScopeContingency`],
-//! and keeps the tagged row plane so that [`Analysis::finish`] can
-//! re-walk only the scopes that overflow the row cap. Batch is the one-segment
+//! once and counts every scan row, bit-sliced, into the all-pairs
+//! [`ScopeContingency`] of each scope it belongs to (the global scope
+//! plus at most its own file type, so eight scopes cost one scan). The
+//! tables are the whole partial: ρ is taken over every row of a scope,
+//! and merging two partials adds their counts. Batch is the one-segment
 //! case `finish(fold(ctx))`; `vtld serve` merges per-segment partials in
 //! between. `analyze_impl` (test-only) is the serial reference the
 //! kernel is verified against: one scope at a time, engine columns
 //! materialized as `Vec<i8>`.
-//!
-//! Both apply the same row cap: when a scope holds more than `max_rows`
-//! rows, [`row_selected`] strides the selection evenly across the
-//! scope's row sequence (instead of a biased prefix) and the analysis
-//! reports `truncated = true`.
 
 use crate::analysis::{Analysis, AnalysisCtx};
 #[cfg(test)]
 use crate::freshdyn::FreshDynamic;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use std::sync::Arc;
 use vt_model::{EngineId, FileType};
 
 /// Correlation threshold for "strongly correlated" (the paper's 0.8).
@@ -46,13 +40,8 @@ pub struct CorrelationAnalysis {
     pub scope: Option<FileType>,
     /// Number of engines.
     pub engine_count: usize,
-    /// Rows of `R` used (after the row cap).
+    /// Rows of `R`: every scan of the scope's samples in *S*.
     pub rows: u64,
-    /// Rows the scope held before the cap.
-    pub total_rows: u64,
-    /// True when the row cap dropped rows (`total_rows > rows`); the
-    /// used rows are then a deterministic even stride across the scope.
-    pub truncated: bool,
     /// Full ρ matrix, row-major `engine_count × engine_count`; `NaN`
     /// where undefined (constant column).
     pub rho: Vec<f64>,
@@ -120,29 +109,6 @@ pub fn spearman_from_contingency(counts: &[[u64; 3]; 3]) -> Option<f64> {
         return None;
     }
     Some((sxy / (sxx * syy).sqrt()).clamp(-1.0, 1.0))
-}
-
-/// Whether scope-row `row` (0-based position in the scope's row
-/// sequence, record order) survives the row cap.
-///
-/// With `total_rows ≤ max_rows` every row is used. Otherwise the
-/// selected set is `{ ⌊k·total/max⌋ : k ∈ 0..max }` — exactly
-/// `max_rows` rows, evenly strided across the whole scope, so a capped
-/// matrix samples early- and late-ordinal records alike instead of the
-/// old prefix (which biased the matrix toward early-ordinal samples).
-/// Membership depends only on `(row, total_rows, max_rows)`, never on
-/// partitioning, which is what keeps the kernel's output independent
-/// of worker count and segmentation.
-pub fn row_selected(row: u64, total_rows: u64, max_rows: usize) -> bool {
-    let m = max_rows as u128;
-    let t = total_rows as u128;
-    if t <= m {
-        return true;
-    }
-    let r = row as u128;
-    // Smallest k with ⌊k·t/m⌋ ≥ row; selected iff it hits exactly.
-    let k = (r * m).div_ceil(t);
-    k < m && k * t < (r + 1) * m
 }
 
 /// All-pairs 3×3 contingency tables for one scope.
@@ -237,26 +203,10 @@ impl ScopeContingency {
         [[c00, c01, c02], [c10, c11, c12], [c20, c21, c22]]
     }
 
-    /// Counts one scan row into every pair's table. `vals[e]` is engine
-    /// `e`'s R-value for this row (−1, 0 or 1).
-    pub fn accumulate_row(&mut self, vals: &[i8]) {
-        debug_assert_eq!(vals.len(), self.engine_count);
-        let bit = 1u64 << self.buffered;
-        for (e, &v) in vals.iter().enumerate() {
-            match v {
-                1 => self.pos[e] |= bit,
-                0 => self.zero[e] |= bit,
-                _ => {}
-            }
-        }
-        self.advance_row();
-    }
-
     /// Counts one scan row given engine bitmaps (bit `e` of `pos[e/64]`
     /// set = engine `e` flagged; of `zero` = scanned clean; neither =
-    /// undetected). This is the kernel's entry point — it reads the
-    /// report's native verdict bitmaps without materializing per-engine
-    /// values.
+    /// undetected). It reads the report's native verdict bitmaps without
+    /// materializing per-engine values.
     ///
     /// Instead of testing every engine's bit individually, each input
     /// word is walked by its *set* bits (`trailing_zeros` + clear-lowest),
@@ -281,10 +231,6 @@ impl ScopeContingency {
                 z &= z - 1;
             }
         }
-        self.advance_row();
-    }
-
-    fn advance_row(&mut self) {
         self.rows += 1;
         self.buffered += 1;
         if self.buffered == 64 {
@@ -369,15 +315,12 @@ pub struct Correlation {
     /// File types given a dedicated per-type analysis alongside the
     /// global scope.
     pub scopes: &'static [FileType],
-    /// Row cap per scope (see [`row_selected`]).
-    pub max_rows: usize,
 }
 
 impl Default for Correlation {
     fn default() -> Self {
         Correlation {
             scopes: &crate::pipeline::CORRELATION_SCOPES,
-            max_rows: crate::pipeline::CORRELATION_MAX_ROWS,
         }
     }
 }
@@ -401,142 +344,55 @@ impl Analysis for Correlation {
     }
 
     fn fold(&self, ctx: &AnalysisCtx) -> CorrelationPartial {
+        // Table-only fold: scope membership compares dense type indices
+        // and the verdict planes are read straight out of the table's
+        // bitmap columns — no `SampleRecord`/`ScanReport` access, so the
+        // zero-copy segment path feeds this fold without materializing
+        // row structs.
         let scopes = self.all_scopes();
-        assert!(
-            scopes.len() <= 8,
-            "scope-membership masks hold at most 8 scopes"
-        );
-        // Table-only fold: scope membership compares dense type indices,
-        // report counts come from CSR offsets, and the verdict planes are
-        // read straight out of the table's bitmap columns — no
-        // `SampleRecord`/`ScanReport` access, so the zero-copy segment
-        // path feeds this fold without materializing row structs. The
-        // table's per-sample rows are date-sorted exactly like
-        // `SampleRecord::reports`, so the emitted row plane is
-        // bit-identical to the record-walking fold.
         let scope_idx: Vec<Option<usize>> = scopes
             .iter()
             .map(|s| s.map(|ft| ft.dense_index()))
             .collect();
         let table = ctx.table;
-        let engine_count = ctx.engine_count();
-        let mut out = CorrelationPartial {
-            scopes: scopes.clone(),
-            engine_count,
-            max_rows: self.max_rows,
-            plane: Vec::new(),
-            totals: vec![0u64; scopes.len()],
-            contingency: scopes
-                .iter()
-                .map(|&scope| ScopeContingency::new(scope, engine_count))
-                .collect(),
-        };
-        let mut chunk = PlaneChunk {
-            membership: Vec::new(),
-            detected: Vec::new(),
-            zero: Vec::new(),
-        };
+        let mut contingency: Vec<ScopeContingency> = scopes
+            .iter()
+            .map(|&scope| ScopeContingency::new(scope, ctx.engine_count()))
+            .collect();
         for &idx in ctx.s_indices() {
             let ti = table.type_idx(idx);
-            let mut mask = 0u8;
-            for (si, scope) in scope_idx.iter().enumerate() {
-                if scope.map_or(true, |d| d == ti) {
-                    mask |= 1 << si;
-                    out.totals[si] += table.report_count(idx) as u64;
-                }
-            }
             for row in table.rows(idx) {
                 let active = table.active_words(row);
                 let det = table.detected_words(row);
                 let z = [active[0] & !det[0], active[1] & !det[1]];
-                // Eager uncapped accumulation: every row counts into its
-                // scopes' contingency tables right here, so `finish` only
-                // walks the retained plane when a scope actually
-                // overflows the row cap. Counts are exact u64 sums and
-                // block boundaries never change the tables, so this is
-                // bit-identical to the sequential finish-time walk.
-                for (si, acc) in out.contingency.iter_mut().enumerate() {
-                    if mask >> si & 1 == 1 {
+                for (acc, scope) in contingency.iter_mut().zip(&scope_idx) {
+                    if scope.map_or(true, |d| d == ti) {
                         acc.accumulate_masks(&det, &z);
                     }
                 }
-                chunk.membership.push(mask);
-                chunk.detected.push(det);
-                chunk.zero.push(z);
             }
         }
-        if !chunk.membership.is_empty() {
-            out.plane.push(Arc::new(chunk));
-        }
-        for acc in &mut out.contingency {
+        for acc in &mut contingency {
             acc.finalize();
         }
-        out
+        CorrelationPartial { contingency }
     }
 
-    fn merge(&self, mut a: CorrelationPartial, b: CorrelationPartial) -> CorrelationPartial {
-        a.merge_from(&b);
-        a
+    fn merge(&self, acc: &mut CorrelationPartial, next: &CorrelationPartial) {
+        debug_assert_eq!(acc.contingency.len(), next.contingency.len());
+        for (a, b) in acc.contingency.iter_mut().zip(&next.contingency) {
+            a.merge(b);
+        }
     }
 
     fn finish(&self, p: &CorrelationPartial) -> (CorrelationAnalysis, Vec<CorrelationAnalysis>) {
-        // Scopes under the row cap select every row, so their eagerly
-        // accumulated tables are exactly what the plane walk would
-        // rebuild — skip it. Only overflowing scopes pay the O(rows)
-        // walk, because their selection stride depends on the final
-        // totals.
-        let capped: Vec<bool> = p
-            .totals
-            .iter()
-            .map(|&total| total > p.max_rows as u64)
-            .collect();
-        let mut walked: Vec<Option<ScopeContingency>> = p
-            .scopes
-            .iter()
-            .zip(&capped)
-            .map(|(&scope, &is_capped)| {
-                is_capped.then(|| ScopeContingency::new(scope, p.engine_count))
-            })
-            .collect();
-        if capped.iter().any(|&c| c) {
-            // Per-scope row counters are global across chunks: the rope
-            // concatenates folds in segment order, so walking chunks
-            // sequentially visits rows in exactly the flat-plane order.
-            let mut next = vec![0u64; p.scopes.len()];
-            for chunk in &p.plane {
-                for (r, &mask) in chunk.membership.iter().enumerate() {
-                    for (si, acc) in walked.iter_mut().enumerate() {
-                        let Some(acc) = acc else { continue };
-                        if mask >> si & 1 == 0 {
-                            continue;
-                        }
-                        let row = next[si];
-                        next[si] += 1;
-                        if !row_selected(row, p.totals[si], p.max_rows) {
-                            continue;
-                        }
-                        acc.accumulate_masks(&chunk.detected[r], &chunk.zero[r]);
-                    }
-                }
-            }
-            for acc in walked.iter_mut().flatten() {
-                acc.finalize();
-            }
-        }
         let mut analyses: Vec<CorrelationAnalysis> = p
-            .scopes
+            .contingency
             .iter()
-            .enumerate()
-            .map(|(si, &scope)| {
-                let acc = walked[si].as_ref().unwrap_or(&p.contingency[si]);
-                finish_analysis(
-                    scope,
-                    p.engine_count,
-                    acc.rows,
-                    p.totals[si],
-                    capped[si],
-                    |a, b| acc.table(a, b),
-                )
+            .map(|acc| {
+                finish_analysis(acc.scope, acc.engine_count, acc.rows, |a, b| {
+                    acc.table(a, b)
+                })
             })
             .collect();
         let global = analyses.remove(0);
@@ -545,137 +401,34 @@ impl Analysis for Correlation {
 }
 
 /// Mergeable accumulator of the §7.2 fold ([`Correlation`]'s
-/// [`Analysis::Partial`]): the scope-tagged row plane of `R` in record
-/// order — per scan row a scope-membership bitmask (bit 0 = the global
-/// scope, bit `i+1` = `scopes[i]`) plus the report's native
-/// detected/zero verdict words — and the per-scope row totals. Merging
-/// concatenates the row planes in segment order and adds the totals, so
-/// the finished contingency tables (and hence ρ, strong pairs and
-/// groups) are bit-identical to the one-segment fold over the
-/// concatenated records: the row-cap stride depends only on global row
-/// indices and totals, and [`ScopeContingency`] block boundaries never
-/// change the tables.
-///
-/// Unlike every other stage's partial this one is O(rows), not O(1) —
-/// the row cap can only be applied once the final totals are known, so
-/// the plane must survive until `finish`. Alongside the plane, each
-/// scope's **uncapped** contingency tables are accumulated eagerly at
-/// fold time and merged by addition: while a scope stays under
-/// `max_rows` (every row selected), `finish` reads those tables
-/// directly and never re-walks the plane, which is what keeps a serve
-/// publish O(changed-slot) instead of O(total rows). Batch folds the
-/// same partial once: its plane is 33 bytes per row of *S* (under 1 MB
-/// at 150 000 samples), next to a record set hundreds of times larger.
-///
-/// The plane itself is a rope of immutable [`Arc`]-shared chunks (one
-/// per fold), so cloning or merging partials — which the serve merge
-/// tree does on every publish — moves chunk pointers instead of copying
-/// row data. Chunks are never mutated after the fold that built them,
-/// and the rope preserves segment order, so the walk in `finish` sees
-/// the same row sequence as a flat plane would.
+/// [`Analysis::Partial`]): one finalized [`ScopeContingency`] per scope
+/// (global first, then [`Correlation::scopes`] in order) over every row
+/// the fold saw. Its size depends on the roster and the scope list,
+/// never on the row count, and merging adds counts — exact `u64` sums
+/// whose block boundaries never change the tables — so any merge tree
+/// over segments yields the one-segment fold's tables, and hence its ρ,
+/// strong pairs and groups, bit for bit.
 #[derive(Debug, Clone)]
 pub struct CorrelationPartial {
-    scopes: Vec<Option<FileType>>,
-    engine_count: usize,
-    max_rows: usize,
-    plane: Vec<Arc<PlaneChunk>>,
-    totals: Vec<u64>,
-    /// Per-scope tables over *all* rows (no cap applied), finalized at
-    /// every fold/merge boundary. Exact u64 counts, so any merge tree
-    /// over segments yields the same tables.
     contingency: Vec<ScopeContingency>,
-}
-
-/// One fold's contiguous slice of the scope-tagged row plane. Shared
-/// immutably between every partial whose history includes the fold.
-#[derive(Debug)]
-struct PlaneChunk {
-    membership: Vec<u8>,
-    detected: Vec<[u64; 2]>,
-    zero: Vec<[u64; 2]>,
-}
-
-impl CorrelationPartial {
-    /// Folds a later segment's partial into this one without consuming
-    /// it — the serve merge tree re-merges cached internal nodes on
-    /// every publish, and cloning the right child just to feed an owned
-    /// merge would double the per-publish memory traffic.
-    pub(crate) fn merge_from(&mut self, other: &CorrelationPartial) {
-        assert_eq!(
-            self.scopes, other.scopes,
-            "partials from different scope lists"
-        );
-        assert_eq!(self.engine_count, other.engine_count);
-        assert_eq!(self.max_rows, other.max_rows);
-        self.plane.extend_from_slice(&other.plane);
-        for (t, c) in self.totals.iter_mut().zip(&other.totals) {
-            *t += c;
-        }
-        for (acc, part) in self.contingency.iter_mut().zip(&other.contingency) {
-            acc.merge(part);
-        }
-    }
-}
-
-#[cfg(test)]
-impl CorrelationPartial {
-    /// This partial with its row-plane rope re-cut as one chunk, so two
-    /// partials of equal value print the same `Debug` however many
-    /// folds built them.
-    pub(crate) fn flattened(&self) -> Self {
-        let mut flat = PlaneChunk {
-            membership: Vec::new(),
-            detected: Vec::new(),
-            zero: Vec::new(),
-        };
-        for chunk in &self.plane {
-            flat.membership.extend_from_slice(&chunk.membership);
-            flat.detected.extend_from_slice(&chunk.detected);
-            flat.zero.extend_from_slice(&chunk.zero);
-        }
-        let mut out = self.clone();
-        if !out.plane.is_empty() {
-            out.plane = vec![Arc::new(flat)];
-        }
-        out
-    }
 }
 
 /// Runs the correlation analysis over *S* (optionally restricted to one
 /// file type) — the serial, column-materializing reference
 /// implementation the kernel is verified against.
-///
-/// At most `max_rows` scan rows are used; when the scope exceeds the
-/// cap the rows are strided evenly across the scope (see
-/// [`row_selected`]) and the result is flagged `truncated`.
 #[cfg(test)]
 pub(crate) fn analyze_impl(
     records: &[SampleRecord],
     s: &FreshDynamic,
     engine_count: usize,
     scope: Option<FileType>,
-    max_rows: usize,
 ) -> CorrelationAnalysis {
     let in_scope = |rec: &&SampleRecord| scope.map_or(true, |ft| rec.meta.file_type == ft);
-    // Count the scope's rows so the cap can stride instead of truncate.
-    let total_rows: u64 = s
-        .iter(records)
-        .filter(in_scope)
-        .map(|rec| rec.reports.len() as u64)
-        .sum();
-    let truncated = total_rows > max_rows as u64;
-
     // Collect columns: one Vec<i8> per engine.
     let mut columns: Vec<Vec<i8>> = vec![Vec::new(); engine_count];
     let mut rows = 0u64;
-    let mut next_row = 0u64;
     for rec in s.iter(records).filter(in_scope) {
         for rep in &rec.reports {
-            let row = next_row;
-            next_row += 1;
-            if !row_selected(row, total_rows, max_rows) {
-                continue;
-            }
             for (e, col) in columns.iter_mut().enumerate() {
                 col.push(rep.verdicts.get(EngineId::new(e)).r_value());
             }
@@ -683,7 +436,7 @@ pub(crate) fn analyze_impl(
         }
     }
 
-    finish_analysis(scope, engine_count, rows, total_rows, truncated, |a, b| {
+    finish_analysis(scope, engine_count, rows, |a, b| {
         let mut counts = [[0u64; 3]; 3];
         for (&x, &y) in columns[a].iter().zip(&columns[b]) {
             counts[(x + 1) as usize][(y + 1) as usize] += 1;
@@ -698,8 +451,6 @@ fn finish_analysis(
     scope: Option<FileType>,
     engine_count: usize,
     rows: u64,
-    total_rows: u64,
-    truncated: bool,
     mut pair_table: impl FnMut(usize, usize) -> [[u64; 3]; 3],
 ) -> CorrelationAnalysis {
     let mut rho = vec![f64::NAN; engine_count * engine_count];
@@ -750,8 +501,6 @@ fn finish_analysis(
         scope,
         engine_count,
         rows,
-        total_rows,
-        truncated,
         rho,
         strong_pairs,
         groups,
@@ -814,39 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn row_selection_is_even_and_exact() {
-        for (total, max) in [(10u64, 3usize), (24, 5), (1000, 7), (400_001, 400_000)] {
-            let selected: Vec<u64> = (0..total)
-                .filter(|&r| row_selected(r, total, max))
-                .collect();
-            assert_eq!(selected.len(), max, "total={total} max={max}");
-            assert_eq!(selected[0], 0, "stride starts at the front");
-            // Evenly strided: consecutive picks are ⌈total/max⌉ apart at
-            // most, and the back half of the scope is represented — the
-            // bias the old prefix cap had.
-            let stride_bound = total.div_ceil(max as u64) + 1;
-            for w in selected.windows(2) {
-                assert!(
-                    w[1] - w[0] <= stride_bound,
-                    "gap {w:?} total={total} max={max}"
-                );
-            }
-            assert!(
-                selected.iter().any(|&r| r >= total / 2),
-                "selection reaches the back half: total={total} max={max}"
-            );
-        }
-        // No cap → everything selected.
-        assert!((0..50u64).all(|r| row_selected(r, 50, 50)));
-        assert!((0..50u64).all(|r| row_selected(r, 50, 1000)));
-    }
-
-    #[test]
     fn bit_sliced_blocks_count_exactly() {
         // 150 rows crosses two full 64-row blocks plus a 22-row partial
         // flush; verdicts cycle through all 9 (x, y) combinations per
-        // engine pair. The bit-sliced tables must equal a direct count,
-        // and the mask entry point must agree with the row entry point.
+        // engine pair. The bit-sliced tables must equal a direct count.
         let engines = 5usize;
         let rows: Vec<Vec<i8>> = (0..150u64)
             .map(|r| {
@@ -856,11 +576,9 @@ mod tests {
             })
             .collect();
 
-        let mut by_rows = ScopeContingency::new(None, engines);
         let mut by_masks = ScopeContingency::new(None, engines);
         let mut direct = vec![[[0u64; 3]; 3]; engines * (engines - 1) / 2];
         for vals in &rows {
-            by_rows.accumulate_row(vals);
             let mut pos = [0u64; 2];
             let mut zero = [0u64; 2];
             for (e, &v) in vals.iter().enumerate() {
@@ -879,15 +597,13 @@ mod tests {
                 }
             }
         }
-        by_rows.finalize();
         by_masks.finalize();
 
-        assert_eq!(by_rows.rows, 150);
+        assert_eq!(by_masks.rows, 150);
         let mut p = 0;
         for a in 0..engines {
             for b in (a + 1)..engines {
-                assert_eq!(by_rows.table(a, b), direct[p], "pair ({a},{b})");
-                assert_eq!(by_masks.table(a, b), direct[p], "mask pair ({a},{b})");
+                assert_eq!(by_masks.table(a, b), direct[p], "pair ({a},{b})");
                 p += 1;
             }
         }
@@ -954,7 +670,7 @@ mod tests {
     fn copier_pair_is_strong_and_grouped() {
         let (records, s) = fixture();
         assert!(!s.is_empty());
-        let a = analyze_impl(&records, &s, 4, None, 10_000);
+        let a = analyze_impl(&records, &s, 4, None);
         assert!(a.rho_between(EngineId(0), EngineId(1)) > 0.99);
         assert!(a.rho_between(EngineId(0), EngineId(2)) < -0.99);
         assert!(a
@@ -977,32 +693,18 @@ mod tests {
     #[test]
     fn scope_filters_rows() {
         let (records, s) = fixture();
-        let all = analyze_impl(&records, &s, 4, None, 10_000);
-        let exe = analyze_impl(&records, &s, 4, Some(FileType::Win32Exe), 10_000);
+        let all = analyze_impl(&records, &s, 4, None);
+        let exe = analyze_impl(&records, &s, 4, Some(FileType::Win32Exe));
         assert!(exe.rows < all.rows);
         assert!(exe.rows > 0);
         assert_eq!(exe.scope, Some(FileType::Win32Exe));
-        assert!(!all.truncated);
-        assert_eq!(all.total_rows, all.rows);
-    }
-
-    #[test]
-    fn max_rows_caps_with_stride() {
-        let (records, s) = fixture();
-        let capped = analyze_impl(&records, &s, 4, None, 5);
-        assert_eq!(capped.rows, 5);
-        assert!(capped.truncated, "cap is surfaced, not silent");
-        assert!(capped.total_rows > 5);
-        let uncapped = analyze_impl(&records, &s, 4, None, 10_000);
-        assert!(!uncapped.truncated);
-        assert_eq!(uncapped.rows, capped.total_rows);
+        // Every scan row of S counts.
+        assert_eq!(all.rows, s.reports);
     }
 
     fn assert_bit_identical(a: &CorrelationAnalysis, b: &CorrelationAnalysis, ctx: &str) {
         assert_eq!(a.scope, b.scope, "{ctx}: scope");
         assert_eq!(a.rows, b.rows, "{ctx}: rows");
-        assert_eq!(a.total_rows, b.total_rows, "{ctx}: total_rows");
-        assert_eq!(a.truncated, b.truncated, "{ctx}: truncated");
         assert_eq!(a.rho.len(), b.rho.len(), "{ctx}: rho len");
         for (i, (x, y)) in a.rho.iter().zip(&b.rho).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: rho[{i}] {x} vs {y}");
@@ -1032,37 +734,30 @@ mod tests {
     }
 
     /// The kernel must reproduce the reference per-scope analyses bit
-    /// for bit — ρ matrices, strong pairs and groups — with and without
-    /// row-cap truncation. Engines beyond the fixture's four read as
-    /// undetected on both sides.
+    /// for bit — ρ matrices, strong pairs and groups. Engines beyond the
+    /// fixture's four read as undetected on both sides.
     #[test]
     fn stage_matches_reference_bit_for_bit() {
         let (records, s) = fixture();
         let fleet = vt_engines::EngineFleet::with_seed(1);
         // Html is an empty scope.
-        const SCOPES: &[FileType] = &[FileType::Win32Exe, FileType::Pdf, FileType::Html];
-        for max_rows in [10_000usize, 7] {
-            let stage = Correlation {
-                scopes: SCOPES,
-                max_rows,
-            };
-            let reference: Vec<CorrelationAnalysis> = stage
-                .all_scopes()
-                .into_iter()
-                .map(|sc| analyze_impl(&records, &s, fleet.engine_count(), sc, max_rows))
-                .collect();
-            assert_eq!(reference[0].truncated, max_rows == 7);
-            let got = run_stage(stage, &records, &s, &fleet);
-            assert_eq!(got.len(), reference.len());
-            for (f, r) in got.iter().zip(&reference) {
-                assert_bit_identical(f, r, &format!("max={max_rows}"));
-            }
+        let stage = Correlation {
+            scopes: &[FileType::Win32Exe, FileType::Pdf, FileType::Html],
+        };
+        let reference: Vec<CorrelationAnalysis> = stage
+            .all_scopes()
+            .into_iter()
+            .map(|sc| analyze_impl(&records, &s, fleet.engine_count(), sc))
+            .collect();
+        let got = run_stage(stage, &records, &s, &fleet);
+        assert_eq!(got.len(), reference.len());
+        for (f, r) in got.iter().zip(&reference) {
+            assert_bit_identical(f, r, "fixture");
         }
     }
 
     /// A two-segment fold/merge/finish must stay bit-identical to the
-    /// one-segment `run`, under row-cap truncation (the strided plane
-    /// walk) and without it (the eager-contingency fast path).
+    /// one-segment `run`.
     #[test]
     fn segmented_fold_equals_one_segment_run() {
         use crate::pipeline::Study;
@@ -1089,25 +784,23 @@ mod tests {
         let ctx_a = AnalysisCtx::new(seg_a, &ta, &sa, fleet, ws);
         let ctx_b = AnalysisCtx::new(seg_b, &tb, &sb, fleet, ws);
 
-        for (max_rows, truncates) in [(300usize, true), (400_000, false)] {
-            let stage = Correlation {
-                scopes: &[FileType::Win32Exe, FileType::Pdf],
-                max_rows,
-            };
-            let (g_run, per_run) = stage.run(&ctx);
-            assert_eq!(g_run.truncated, truncates, "fixture vs cap {max_rows}");
-            let (g_seg, per_seg) =
-                stage.finish(&stage.merge(stage.fold(&ctx_a), stage.fold(&ctx_b)));
-            assert_bit_identical(&g_run, &g_seg, "segmented global");
-            assert_eq!(per_run.len(), per_seg.len());
-            for (r, f) in per_run.iter().zip(&per_seg) {
-                assert_bit_identical(r, f, "segmented scope");
-            }
+        let stage = Correlation {
+            scopes: &[FileType::Win32Exe, FileType::Pdf],
+        };
+        let (g_run, per_run) = stage.run(&ctx);
+        let mut merged = stage.fold(&ctx_a);
+        stage.merge(&mut merged, &stage.fold(&ctx_b));
+        let (g_seg, per_seg) = stage.finish(&merged);
+        assert_eq!(g_seg.rows, s.reports, "every row of S, across segments");
+        assert_bit_identical(&g_run, &g_seg, "segmented global");
+        assert_eq!(per_run.len(), per_seg.len());
+        for (r, f) in per_run.iter().zip(&per_seg) {
+            assert_bit_identical(r, f, "segmented scope");
         }
     }
 
     // Random record sets: the kernel equals the column-materializing
-    // reference, per scope, under a random cap.
+    // reference, per scope.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -1117,7 +810,6 @@ mod tests {
                 (0u8..3, proptest::collection::vec(0u32..81, 1..6)),
                 1..20,
             ),
-            max_rows in 3usize..60,
         ) {
             let engines = 4usize;
             let window = Timestamp::from_date(Date::new(2021, 5, 1));
@@ -1170,11 +862,10 @@ mod tests {
             let fleet = vt_engines::EngineFleet::with_seed(1);
             let stage = Correlation {
                 scopes: &[FileType::Win32Exe, FileType::Pdf],
-                max_rows,
             };
             let got = run_stage(stage, &records, &s, &fleet);
             for (f, scope) in got.iter().zip(stage.all_scopes()) {
-                let r = analyze_impl(&records, &s, fleet.engine_count(), scope, max_rows);
+                let r = analyze_impl(&records, &s, fleet.engine_count(), scope);
                 assert_bit_identical(f, &r, &format!("scope {scope:?}"));
             }
         }

@@ -101,21 +101,6 @@ impl FlipAnalysis {
             reports: 0,
         }
     }
-
-    pub(crate) fn merge(&mut self, other: &FlipAnalysis) {
-        debug_assert_eq!(self.engine_count, other.engine_count);
-        for (mine, theirs) in self.matrix.iter_mut().zip(&other.matrix) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.opportunities += b.opportunities;
-                a.flips += b.flips;
-            }
-        }
-        self.flips += other.flips;
-        self.flips_up += other.flips_up;
-        self.flips_down += other.flips_down;
-        self.hazard_flips += other.hazard_flips;
-        self.reports += other.reports;
-    }
 }
 
 /// §7.1 flip-analysis stage: run via [`Analysis::run`] with an
@@ -162,9 +147,19 @@ impl Analysis for Flips {
         a
     }
 
-    fn merge(&self, mut a: FlipAnalysis, b: FlipAnalysis) -> FlipAnalysis {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut FlipAnalysis, next: &FlipAnalysis) {
+        debug_assert_eq!(acc.engine_count, next.engine_count);
+        for (mine, theirs) in acc.matrix.iter_mut().zip(&next.matrix) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                a.opportunities += b.opportunities;
+                a.flips += b.flips;
+            }
+        }
+        acc.flips += next.flips;
+        acc.flips_up += next.flips_up;
+        acc.flips_down += next.flips_down;
+        acc.hazard_flips += next.hazard_flips;
+        acc.reports += next.reports;
     }
 
     fn finish(&self, acc: &FlipAnalysis) -> FlipAnalysis {

@@ -19,8 +19,8 @@
 //! Segments must partition *samples* (never split one sample's
 //! trajectory across segments — [`vt_store::SegmentWriter`] seals on
 //! sample boundaries for exactly this reason) and be folded in stream
-//! order, because some partials (correlation row planes) are
-//! order-sensitive.
+//! order, because one partial (the stability stage's span samples, the
+//! input of its boxplots) is order-sensitive.
 //!
 //! ```
 //! use vt_dynamics::incremental::IncrementalStudy;
@@ -73,8 +73,9 @@ use vt_store::{DatasetStats, PartitionStats};
 /// stage plus the *S* accounting the finished [`StudyResults`] reports
 /// directly.
 ///
-/// Cheap to clone relative to refolding (counters, histograms and the
-/// correlation row plane — no report data), which is what lets
+/// Cheap to clone relative to refolding (counters, histograms, the
+/// correlation contingency tables and the stability span rope — no
+/// report data), which is what lets
 /// [`IncrementalStudy::results`] snapshot results mid-stream without
 /// disturbing the accumulation.
 #[derive(Debug, Clone)]
@@ -96,9 +97,10 @@ pub struct StudyPartials {
 }
 
 /// The one stage roster, in execution order, as `partial field: stage`.
-/// Expands to `StudyPartials::fold_range` and [`stage_names`], so a
-/// stage cannot be folded without being named (or the reverse); batch,
-/// the incremental engine and `vtld serve` all fold through this list.
+/// Expands to `StudyPartials::fold_range`, `StudyPartials::merge_from`
+/// and [`stage_names`], so a stage cannot be folded without being merged
+/// and named (or the reverse); batch, the incremental engine and `vtld
+/// serve` all fold and merge through this list.
 macro_rules! roster {
     ($($field:ident: $stage:expr,)*) => {
         impl StudyPartials {
@@ -113,6 +115,16 @@ macro_rules! roster {
                     s_reports: s.iter().map(|&i| ctx.table.report_count(i) as u64).sum(),
                     segments: 1,
                 }
+            }
+
+            /// Field-wise by-ref merge every public entry point reduces
+            /// to: each stage's [`Analysis::merge`], then the *S* and
+            /// segment counts.
+            fn merge_from(&mut self, next: &Self) {
+                $($stage.merge(&mut self.$field, &next.$field);)*
+                self.s_samples += next.s_samples;
+                self.s_reports += next.s_reports;
+                self.segments += next.segments;
             }
         }
 
@@ -188,27 +200,6 @@ impl StudyPartials {
         let mut out = self.clone();
         out.merge_from(next);
         out
-    }
-
-    /// Field-wise by-ref merge both public entry points reduce to.
-    /// Every stage partial merges by addition/extension, so borrowing
-    /// `next` is bit-identical to consuming it.
-    fn merge_from(&mut self, next: &Self) {
-        self.landscape.merge(&next.landscape);
-        self.stability.merge(&next.stability);
-        self.metrics.merge(&next.metrics);
-        self.window_growth.0 += next.window_growth.0;
-        self.window_growth.1 += next.window_growth.1;
-        self.intervals.merge(&next.intervals);
-        self.categories_all.merge(&next.categories_all);
-        self.categories_pe.merge(&next.categories_pe);
-        self.causes.merge(&next.causes);
-        self.stabilization.merge(&next.stabilization);
-        self.flips.merge(&next.flips);
-        self.correlation.merge_from(&next.correlation);
-        self.s_samples += next.s_samples;
-        self.s_reports += next.s_reports;
-        self.segments += next.segments;
     }
 
     /// Segments folded into this accumulation.
@@ -610,13 +601,12 @@ mod tests {
     use crate::pipeline::{analyze_records_obs, Study};
     use vt_sim::SimConfig;
 
-    /// `Debug` of every partial, the two ropes re-cut as one chunk each
-    /// (a range fold leaves one chunk per range; the value is the
+    /// `Debug` of every partial, the span rope re-cut as one chunk (a
+    /// range fold leaves one chunk per range; the value is the
     /// concatenation).
     fn canonical(p: &StudyPartials) -> String {
         let mut p = p.clone();
         p.stability = p.stability.flattened();
-        p.correlation = p.correlation.flattened();
         format!("{p:?}")
     }
 

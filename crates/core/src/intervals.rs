@@ -107,9 +107,18 @@ impl Analysis for Intervals {
         acc
     }
 
-    fn merge(&self, mut a: IntervalPartial, b: IntervalPartial) -> IntervalPartial {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut IntervalPartial, next: &IntervalPartial) {
+        assert_eq!(
+            acc.day_counts.len(),
+            next.day_counts.len(),
+            "interval partials from different max_days configurations"
+        );
+        for (a, b) in acc.day_counts.iter_mut().zip(&next.day_counts) {
+            *a += b;
+        }
+        acc.pairs += next.pairs;
+        acc.pairs_beyond_max += next.pairs_beyond_max;
+        acc.max_interval = acc.max_interval.max(next.max_interval);
     }
 
     fn finish(&self, acc: &IntervalPartial) -> IntervalAnalysis {
@@ -138,20 +147,6 @@ impl IntervalPartial {
             pairs_beyond_max: 0,
             max_interval: 0,
         }
-    }
-
-    pub(crate) fn merge(&mut self, other: &IntervalPartial) {
-        assert_eq!(
-            self.day_counts.len(),
-            other.day_counts.len(),
-            "interval partials from different max_days configurations"
-        );
-        for (a, b) in self.day_counts.iter_mut().zip(&other.day_counts) {
-            *a += b;
-        }
-        self.pairs += other.pairs;
-        self.pairs_beyond_max += other.pairs_beyond_max;
-        self.max_interval = self.max_interval.max(other.max_interval);
     }
 }
 

@@ -56,9 +56,8 @@ impl Analysis for Landscape {
         stats
     }
 
-    fn merge(&self, mut a: DatasetStats, b: DatasetStats) -> DatasetStats {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut DatasetStats, next: &DatasetStats) {
+        acc.merge(next);
     }
 
     fn finish(&self, stats: &DatasetStats) -> (DatasetStats, Fig1Points) {

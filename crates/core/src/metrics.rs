@@ -81,9 +81,19 @@ impl Analysis for Metrics {
         acc
     }
 
-    fn merge(&self, mut a: MetricsPartial, b: MetricsPartial) -> MetricsPartial {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut MetricsPartial, next: &MetricsPartial) {
+        acc.delta_adjacent_hist.merge(&next.delta_adjacent_hist);
+        acc.delta_overall_hist.merge(&next.delta_overall_hist);
+        for (a, b) in acc
+            .per_type_adjacent
+            .iter_mut()
+            .zip(&next.per_type_adjacent)
+        {
+            *a += b;
+        }
+        for (a, b) in acc.per_type_overall.iter_mut().zip(&next.per_type_overall) {
+            *a += b;
+        }
     }
 
     fn finish(&self, acc: &MetricsPartial) -> MetricsAnalysis {
@@ -109,25 +119,6 @@ impl MetricsPartial {
             delta_overall_hist: Histogram::new(71),
             per_type_adjacent: vec![0; 20 * DELTA_BOUND],
             per_type_overall: vec![0; 20 * DELTA_BOUND],
-        }
-    }
-
-    pub(crate) fn merge(&mut self, other: &MetricsPartial) {
-        self.delta_adjacent_hist.merge(&other.delta_adjacent_hist);
-        self.delta_overall_hist.merge(&other.delta_overall_hist);
-        for (a, b) in self
-            .per_type_adjacent
-            .iter_mut()
-            .zip(&other.per_type_adjacent)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .per_type_overall
-            .iter_mut()
-            .zip(&other.per_type_overall)
-        {
-            *a += b;
         }
     }
 }
@@ -226,8 +217,9 @@ impl Analysis for WindowGrowth {
         (eligible, grew)
     }
 
-    fn merge(&self, a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-        (a.0 + b.0, a.1 + b.1)
+    fn merge(&self, acc: &mut (u64, u64), next: &(u64, u64)) {
+        acc.0 += next.0;
+        acc.1 += next.1;
     }
 
     fn finish(&self, &(eligible, grew): &(u64, u64)) -> f64 {

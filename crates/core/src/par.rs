@@ -15,13 +15,18 @@ use std::time::Instant;
 
 use vt_obs::{saturating_ns, Obs};
 
+/// Most worker threads a pass splits across: the passes are
+/// memory-bandwidth-bound beyond this, and each worker holds its own
+/// accumulators.
+pub const MAX_WORKERS: usize = 16;
+
 /// Number of worker threads to use: the available parallelism, capped
-/// at 16 (the passes are memory-bandwidth-bound beyond that).
+/// at [`MAX_WORKERS`].
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(4)
-        .min(16)
+        .min(MAX_WORKERS)
 }
 
 /// The contiguous ranges `workers` threads split `0..n` into: at most

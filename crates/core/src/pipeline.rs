@@ -109,12 +109,6 @@ pub const CORRELATION_SCOPES: [FileType; 7] = [
     FileType::Gzip,
 ];
 
-/// Row cap for correlation matrices (keeps the O(pairs × rows) pass
-/// bounded at large scales). When a scope exceeds the cap the rows are
-/// strided evenly across it (see [`crate::correlation::row_selected`])
-/// and the analysis is flagged `truncated` — never a silent prefix.
-pub const CORRELATION_MAX_ROWS: usize = 400_000;
-
 impl Study {
     /// Generates the dataset with [`par::default_workers`] threads.
     pub fn generate(config: SimConfig) -> Self {
@@ -434,8 +428,8 @@ mod tests {
 
     /// Acceptance gate for the §7.2 kernel: on a seeded study, every
     /// scope of the stage's `finish(fold(ctx))` is bit-identical (ρ
-    /// matrix, strong pairs, groups, row accounting) to the serial
-    /// per-scope reference.
+    /// matrix, strong pairs, groups, row count) to the serial per-scope
+    /// reference.
     #[test]
     fn correlation_stage_matches_reference_on_seeded_study() {
         use crate::analysis::Analysis;
@@ -448,28 +442,22 @@ mod tests {
         let table = TrajectoryTable::build(records, ws);
         let s = freshdyn::build(records, ws);
 
-        // A cap small enough to truncate the global scope, so `finish`'s
-        // strided plane walk is exercised end to end.
-        let stage = Correlation {
-            max_rows: 500,
-            ..Correlation::default()
-        };
+        let stage = Correlation::default();
         let reference: Vec<CorrelationAnalysis> = stage
             .all_scopes()
             .into_iter()
-            .map(|sc| {
-                correlation::analyze_impl(records, &s, fleet.engine_count(), sc, stage.max_rows)
-            })
+            .map(|sc| correlation::analyze_impl(records, &s, fleet.engine_count(), sc))
             .collect();
-        assert!(reference[0].truncated, "global scope exceeds the cap");
+        assert_eq!(
+            reference[0].rows, s.reports,
+            "the global scope is every row of S"
+        );
 
         let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws);
         let (global, per_type) = stage.run(&ctx);
         for (f, r) in std::iter::once(&global).chain(&per_type).zip(&reference) {
             assert_eq!(f.scope, r.scope);
             assert_eq!(f.rows, r.rows);
-            assert_eq!(f.total_rows, r.total_rows);
-            assert_eq!(f.truncated, r.truncated);
             assert_eq!(f.rho.len(), r.rho.len());
             for (x, y) in f.rho.iter().zip(&r.rho) {
                 assert_eq!(x.to_bits(), y.to_bits());

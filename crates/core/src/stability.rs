@@ -163,9 +163,22 @@ impl Analysis for Stability {
         acc
     }
 
-    fn merge(&self, mut a: StabilityPartial, b: StabilityPartial) -> StabilityPartial {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut StabilityPartial, next: &StabilityPartial) {
+        acc.multi += next.multi;
+        acc.stable += next.stable;
+        acc.dynamic += next.dynamic;
+        acc.stable_report_hist.merge(&next.stable_report_hist);
+        acc.dynamic_report_hist.merge(&next.dynamic_report_hist);
+        acc.stable_rank_hist.merge(&next.stable_rank_hist);
+        acc.rank0_scans.0 += next.rank0_scans.0;
+        acc.rank0_scans.1 += next.rank0_scans.1;
+        acc.rank0_scans.2 += next.rank0_scans.2;
+        acc.rank_pos_scans.0 += next.rank_pos_scans.0;
+        acc.rank_pos_scans.1 += next.rank_pos_scans.1;
+        acc.rank_pos_scans.2 += next.rank_pos_scans.2;
+        acc.spans.extend_from_slice(&next.spans);
+        acc.within17 += next.within17;
+        acc.within350 += next.within350;
     }
 
     fn finish(&self, acc: &StabilityPartial) -> StabilityAnalysis {
@@ -240,24 +253,6 @@ impl StabilityPartial {
             within17: 0,
             within350: 0,
         }
-    }
-
-    pub(crate) fn merge(&mut self, other: &StabilityPartial) {
-        self.multi += other.multi;
-        self.stable += other.stable;
-        self.dynamic += other.dynamic;
-        self.stable_report_hist.merge(&other.stable_report_hist);
-        self.dynamic_report_hist.merge(&other.dynamic_report_hist);
-        self.stable_rank_hist.merge(&other.stable_rank_hist);
-        self.rank0_scans.0 += other.rank0_scans.0;
-        self.rank0_scans.1 += other.rank0_scans.1;
-        self.rank0_scans.2 += other.rank0_scans.2;
-        self.rank_pos_scans.0 += other.rank_pos_scans.0;
-        self.rank_pos_scans.1 += other.rank_pos_scans.1;
-        self.rank_pos_scans.2 += other.rank_pos_scans.2;
-        self.spans.extend_from_slice(&other.spans);
-        self.within17 += other.within17;
-        self.within350 += other.within350;
     }
 }
 

@@ -52,9 +52,22 @@ impl Analysis for Stabilization {
         }
     }
 
-    fn merge(&self, mut a: StabilizationPartial, b: StabilizationPartial) -> StabilizationPartial {
-        a.merge(&b);
-        a
+    fn merge(&self, acc: &mut StabilizationPartial, next: &StabilizationPartial) {
+        debug_assert_eq!(acc.rank.len(), next.rank.len());
+        for (a, b) in acc.rank.iter_mut().zip(&next.rank) {
+            debug_assert_eq!(a.r, b.r);
+            a.samples += b.samples;
+            a.stabilized += b.stabilized;
+            a.within_10d += b.within_10d;
+            a.within_20d += b.within_20d;
+            a.within_30d += b.within_30d;
+        }
+        for (a, b) in acc.label_all.iter_mut().zip(&next.label_all) {
+            a.merge(*b);
+        }
+        for (a, b) in acc.label_multi.iter_mut().zip(&next.label_multi) {
+            a.merge(*b);
+        }
     }
 
     fn finish(&self, acc: &StabilizationPartial) -> StabilizationOutput {
@@ -96,24 +109,6 @@ impl StabilizationPartial {
         self.label_all
             .iter()
             .map(|a| (a.t, a.stabilized, a.minutes_sum))
-    }
-
-    pub(crate) fn merge(&mut self, other: &StabilizationPartial) {
-        debug_assert_eq!(self.rank.len(), other.rank.len());
-        for (a, b) in self.rank.iter_mut().zip(&other.rank) {
-            debug_assert_eq!(a.r, b.r);
-            a.samples += b.samples;
-            a.stabilized += b.stabilized;
-            a.within_10d += b.within_10d;
-            a.within_20d += b.within_20d;
-            a.within_30d += b.within_30d;
-        }
-        for (a, b) in self.label_all.iter_mut().zip(&other.label_all) {
-            a.merge(*b);
-        }
-        for (a, b) in self.label_multi.iter_mut().zip(&other.label_multi) {
-            a.merge(*b);
-        }
     }
 }
 

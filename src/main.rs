@@ -234,8 +234,14 @@ fn parse_u64(flags: &[(&str, &str)], key: &str, default: u64) -> Result<u64, Vtl
         .ok_or_else(|| VtldError::Usage(format!("--{key} expects an integer, got '{v}'")))
 }
 
+/// `--workers`, clamped to `1..=par::MAX_WORKERS`: each worker is a
+/// thread with its own accumulators, and results are bit-identical at
+/// any count, so a larger value only costs memory.
 fn parse_workers(flags: &[(&str, &str)]) -> Result<usize, VtldError> {
-    Ok(parse_u64(flags, "workers", par::default_workers() as u64)?.max(1) as usize)
+    Ok(
+        parse_u64(flags, "workers", par::default_workers() as u64)?
+            .clamp(1, par::MAX_WORKERS as u64) as usize,
+    )
 }
 
 // ---- typed per-subcommand arguments ------------------------------------
@@ -329,7 +335,7 @@ flags:
   --store PATH        store file to load                  (required)
   --fleet-seed S      engine-fleet seed                   (default 0x7e575eed ^ 0xf1ee7000)
   --csv-dir DIR       export figure data series as CSV
-  --workers W         analysis worker threads             (default: cores)
+  --workers W         analysis worker threads (1..=16)    (default: cores)
   --metrics-out FILE  write observability snapshot JSON
   --verbose           render the snapshot table on stderr";
 
@@ -368,7 +374,8 @@ flags:
   --samples N         samples to simulate                 (default 100000)
   --seed S            platform seed, decimal or 0x        (default 0x7e575eed)
   --csv-dir DIR       export figure data series as CSV
-  --workers W         generation/analysis worker threads  (default: cores)
+  --workers W         generation/analysis worker threads
+                      (1..=16)                            (default: cores)
   --metrics-out FILE  write observability snapshot JSON
   --verbose           render the snapshot table on stderr";
 
@@ -412,7 +419,8 @@ flags:
   --samples N           samples the simulated feed delivers  (default 100000)
   --seed S              platform seed, decimal or 0x         (default 0x7e575eed)
   --segment-reports R   reports per sealed segment           (default 20000)
-  --workers W           per-segment fold worker threads      (default: cores)
+  --workers W           per-segment fold worker threads
+                        (1..=16)                             (default: cores)
   --shards K            shard worker threads folding the
                         fixed hash slots (1..=8)             (default 1)
   --addr HOST:PORT      bind address (port 0 = ephemeral)    (default 127.0.0.1:7311)
@@ -428,7 +436,8 @@ flags:
   --alerts-out PATH     append drift alerts to PATH as JSONL
                         (exactly-once across --recover)
   --alerts-tcp ADDR     stream drift alerts to a TCP endpoint
-                        (at-most-once, retried with backoff)
+                        (retried with backoff; a failed batch
+                        is resent whole, replays are skipped)
   --no-alerts           disable the streaming drift detectors
 
 protocol: one JSON object per line over TCP; commands are
@@ -676,6 +685,20 @@ mod tests {
         assert_eq!(s.obs.metrics_out.as_deref(), Some("m.json"));
         assert!(s.obs.obs().is_enabled());
         assert!(!StudyArgs::parse(&[]).expect("ok").obs.obs().is_enabled());
+
+        // `--workers` clamps to the pass bound, as `--shards` does to the
+        // slot count, and every subcommand's help names it.
+        for (given, kept) in [("100000", par::MAX_WORKERS), ("0", 1)] {
+            let study = StudyArgs::parse(&strings(&["--workers", given])).expect("ok");
+            let analyze =
+                AnalyzeArgs::parse(&strings(&["--store", "f", "--workers", given])).expect("ok");
+            let serve = ServeArgs::parse(&strings(&["--workers", given])).expect("ok");
+            assert_eq!([study.workers, analyze.workers, serve.workers], [kept; 3]);
+        }
+        let bound = format!("(1..={})", par::MAX_WORKERS);
+        for help in [AnalyzeArgs::HELP, StudyArgs::HELP, ServeArgs::HELP] {
+            assert!(help.contains(&bound), "{help}");
+        }
     }
 
     #[test]
@@ -804,6 +827,17 @@ mod tests {
                  restart with recovery enabled or point at a clean directory",
                 used.display()
             )
+        );
+
+        // An alerts file the daemon cannot open refuses the start.
+        let missing = root.join("no-such-dir").join("alerts.jsonl");
+        let msg = start("--alerts-out", missing.to_str().expect("utf-8"));
+        assert!(
+            msg.starts_with(&format!(
+                "cannot start serve: cannot open alerts sink {}: ",
+                missing.display()
+            )),
+            "{msg}"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

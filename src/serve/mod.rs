@@ -160,8 +160,8 @@ pub struct ServeConfig {
     /// JSONL alert sink: every fired alert appended as one JSON line,
     /// exactly-once across crash recovery.
     pub alerts_out: Option<PathBuf>,
-    /// Webhook-shaped TCP alert sink (`host:port`), at-most-once with
-    /// retry/backoff.
+    /// Webhook-shaped TCP alert sink (`host:port`) with retry/backoff;
+    /// a batch whose write failed is resent whole.
     pub alerts_tcp: Option<String>,
 }
 
@@ -228,9 +228,10 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener, opens (and on `recover` validates) the data
-    /// dir, publishes the epoch-0 (empty study) snapshot, and starts
-    /// the feeder, shard, merger and accept threads.
+    /// Opens (and on `recover` validates) the data dir, opens the
+    /// `--alerts-out` file, binds the listener, publishes the epoch-0
+    /// (empty study) snapshot, and starts the feeder, shard, merger and
+    /// accept threads.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
         let segdir = match &config.data_dir {
@@ -256,6 +257,14 @@ impl Server {
             }
             None => None,
         };
+        // Opened before any thread starts, so a sink the daemon cannot
+        // open fails the start where the caller sees it; before the bind,
+        // so the listener is not taken for a start that fails.
+        let sinks = if config.alerts {
+            sink::Sinks::open(config.alerts_out.as_deref(), config.alerts_tcp.as_deref())?
+        } else {
+            sink::Sinks::default()
+        };
 
         let listener = TcpListener::bind(&config.addr).map_err(|e| {
             std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", config.addr))
@@ -279,16 +288,12 @@ impl Server {
         // rendered batches over an unbounded channel (producers are
         // bounded by the per-segment detector caps) so a slow or dead
         // connector can never backpressure ingest.
-        let sink_config = sink::SinkConfig {
-            out: config.alerts_out.clone(),
-            tcp: config.alerts_tcp.clone(),
-        };
-        let alert_sink = if config.alerts && sink_config.is_active() {
+        let alert_sink = if sinks.is_active() {
             let (tx, rx) = channel::<sink::SinkMsg>();
             let emitted = counters.alerts_emitted.clone();
             let dropped = counters.alerts_dropped.clone();
             threads.push(std::thread::spawn(move || {
-                sink::sink_loop(rx, sink_config, emitted, dropped)
+                sink::sink_loop(rx, sinks, emitted, dropped)
             }));
             Some(tx)
         } else {

@@ -550,7 +550,9 @@ mod tests {
 
     /// The four documents the publish-time renderer this replaced made
     /// of the study below, one per line: `results`, `engines`,
-    /// `fingerprint`, `recommend`.
+    /// `fingerprint`, `recommend`. The `fingerprint` member alone was
+    /// re-frozen when the correlation row cap left `StudyResults`'
+    /// `Debug` (its `rho_fnv` did not move).
     const EPOCH_1_DOCUMENTS: &str = include_str!("testdata/epoch1_documents.jsonl");
 
     #[test]

@@ -6,7 +6,9 @@
 //! the configured connectors:
 //!
 //! * **JSONL file** (`--alerts-out PATH`): one rendered alert per line,
-//!   appended and flushed per batch. Delivery is **exactly-once across
+//!   appended and flushed per batch. The file is opened by
+//!   `Server::start`, before any thread runs, so a path the daemon
+//!   cannot open refuses the start. Delivery is **exactly-once across
 //!   crash-recovery**: on startup the sink reads the file back and
 //!   seeds a dedup set with every line already present, so the WAL
 //!   replay after a SIGKILL (which regenerates the same alerts under
@@ -16,12 +18,14 @@
 //!   the replay appends that alert whole.
 //! * **Webhook-shaped TCP** (`--alerts-tcp ADDR`): rendered alerts
 //!   written line-by-line to a TCP endpoint, connected lazily and
-//!   retried with exponential backoff. Delivery is **at-most-once**:
-//!   recovery-replayed batches are skipped entirely (the remote saw
-//!   them before the crash, or never will — consumers needing
-//!   exactly-once dedup on the alert key, which is stable across
-//!   replays), and a batch that exhausts its retries is dropped and
-//!   counted rather than wedging ingest.
+//!   retried with exponential backoff. Recovery-replayed batches are
+//!   skipped entirely (the remote saw them before the crash, or never
+//!   will). A live batch whose write fails is resent **whole** on a
+//!   fresh connection, so the lines that got through before the failure
+//!   can arrive twice: delivery is neither at-most- nor exactly-once,
+//!   and a consumer that needs exactly-once dedups on the alert key,
+//!   which is stable across resends and replays. A batch that exhausts
+//!   its retries is dropped and counted rather than wedging ingest.
 //!
 //! The channel is unbounded but the producers are bounded: detectors
 //! cap alerts per segment, so the sink can never grow past the WAL's
@@ -32,7 +36,7 @@
 use std::collections::HashSet;
 use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
@@ -49,19 +53,36 @@ pub(super) struct SinkMsg {
     pub recovered: bool,
 }
 
-/// Where the sink thread delivers to.
-pub(super) struct SinkConfig {
-    /// JSONL file path (`--alerts-out`).
-    pub out: Option<PathBuf>,
-    /// TCP endpoint (`--alerts-tcp`).
-    pub tcp: Option<String>,
+/// The connectors the sink thread delivers to, opened before it starts.
+#[derive(Default)]
+pub(super) struct Sinks {
+    file: Option<FileSink>,
+    tcp: Option<TcpSink>,
 }
 
-impl SinkConfig {
+impl Sinks {
+    /// Opens the configured connectors: the JSONL file here, so a path
+    /// the daemon cannot open is an error its caller sees before any
+    /// alert is fired; the TCP endpoint lazily, on its first batch.
+    pub fn open(out: Option<&Path>, tcp: Option<&str>) -> std::io::Result<Sinks> {
+        let file = out.map(|path| {
+            FileSink::open(path).map_err(|e| {
+                std::io::Error::new(
+                    e.kind(),
+                    format!("cannot open alerts sink {}: {e}", path.display()),
+                )
+            })
+        });
+        Ok(Sinks {
+            file: file.transpose()?,
+            tcp: tcp.map(|addr| TcpSink::new(addr.to_string())),
+        })
+    }
+
     /// Whether any connector is configured (no thread is spawned
     /// otherwise).
     pub fn is_active(&self) -> bool {
-        self.out.is_some() || self.tcp.is_some()
+        self.file.is_some() || self.tcp.is_some()
     }
 }
 
@@ -74,7 +95,7 @@ struct FileSink {
 }
 
 impl FileSink {
-    fn open(path: &PathBuf) -> std::io::Result<FileSink> {
+    fn open(path: &Path) -> std::io::Result<FileSink> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
@@ -133,7 +154,7 @@ const TCP_BACKOFF: Duration = Duration::from_millis(50);
 const TCP_BACKOFF_CAP: Duration = Duration::from_millis(800);
 
 /// The TCP connector: lazy connect, per-batch retry with exponential
-/// backoff, at-most-once delivery.
+/// backoff, a failed batch resent whole.
 struct TcpSink {
     addr: String,
     conn: Option<TcpStream>,
@@ -185,26 +206,8 @@ impl TcpSink {
 /// The sink thread body: drains batches until every producer hangs up,
 /// delivering to whichever connectors are configured and counting
 /// `serve/alerts_emitted` / `serve/alerts_dropped`.
-pub(super) fn sink_loop(
-    rx: Receiver<SinkMsg>,
-    config: SinkConfig,
-    emitted: Counter,
-    dropped: Counter,
-) {
-    let mut file = match &config.out {
-        Some(path) => match FileSink::open(path) {
-            Ok(sink) => Some(sink),
-            Err(e) => {
-                eprintln!(
-                    "vtld serve: cannot open alerts sink {}: {e}",
-                    path.display()
-                );
-                None
-            }
-        },
-        None => None,
-    };
-    let mut tcp = config.tcp.clone().map(TcpSink::new);
+pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, dropped: Counter) {
+    let Sinks { mut file, mut tcp } = sinks;
     while let Ok(SinkMsg { lines, recovered }) = rx.recv() {
         if lines.is_empty() {
             continue;
@@ -239,6 +242,7 @@ pub(super) fn sink_loop(
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::path::PathBuf;
     use std::sync::mpsc::channel;
 
     fn counters() -> (Counter, Counter, crate::obs::Obs) {
@@ -295,15 +299,8 @@ mod tests {
         })
         .expect("send");
         drop(tx);
-        sink_loop(
-            rx,
-            SinkConfig {
-                out: Some(path.clone()),
-                tcp: None,
-            },
-            emitted.clone(),
-            dropped.clone(),
-        );
+        let sinks = Sinks::open(Some(&path), None).expect("open");
+        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 2);
         assert_eq!(dropped.value(), 0);
 
@@ -316,15 +313,8 @@ mod tests {
         })
         .expect("send");
         drop(tx);
-        sink_loop(
-            rx,
-            SinkConfig {
-                out: Some(path.clone()),
-                tcp: None,
-            },
-            emitted.clone(),
-            dropped.clone(),
-        );
+        let sinks = Sinks::open(Some(&path), None).expect("reopen");
+        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 3, "one new line appended");
         assert_eq!(dropped.value(), 1, "one replayed line deduped");
         let contents = std::fs::read_to_string(&path).expect("read back");
@@ -363,15 +353,8 @@ mod tests {
         })
         .expect("send");
         drop(tx);
-        sink_loop(
-            rx,
-            SinkConfig {
-                out: None,
-                tcp: Some(addr),
-            },
-            emitted.clone(),
-            dropped.clone(),
-        );
+        let sinks = Sinks::open(None, Some(&addr)).expect("open");
+        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 2);
         assert_eq!(dropped.value(), 1, "the replayed batch is skipped");
         let got = reader.join().expect("reader thread");
@@ -394,15 +377,8 @@ mod tests {
         })
         .expect("send");
         drop(tx);
-        sink_loop(
-            rx,
-            SinkConfig {
-                out: None,
-                tcp: Some(addr),
-            },
-            emitted.clone(),
-            dropped.clone(),
-        );
+        let sinks = Sinks::open(None, Some(&addr)).expect("open");
+        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 0);
         assert_eq!(dropped.value(), 1, "undeliverable batches drop, not wedge");
     }

@@ -142,6 +142,20 @@ fn config_normalization_clamps() {
     assert_eq!(config.normalized().shards, INGEST_SLOTS);
 }
 
+/// With the detectors off no sink is opened: an `--alerts-out` path the
+/// daemon could not open neither fails the start nor gets created.
+#[test]
+fn detectors_off_open_no_sink() {
+    let path = std::env::temp_dir()
+        .join(format!("vtld-no-alerts-{}", std::process::id()))
+        .join("alerts.jsonl");
+    let mut config = ServeConfig::new(0, 7);
+    config.alerts = false;
+    config.alerts_out = Some(path.clone());
+    drop(super::Server::start(config).expect("starts"));
+    assert!(!path.exists());
+}
+
 /// The clean feed over `ordinals` sealed into about `ways` whole-sample
 /// segments, the way the feeder seals a slot's stream.
 pub(super) fn sealed_segments(

@@ -359,6 +359,7 @@ pub(super) fn render_alert(alert: &Alert, names: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::dynamics::alerts::detector;
+    use proptest::prelude::*;
     use vt_model::time::{Duration, Timestamp};
 
     fn parse(line: &str) -> Result<Request, WireError> {
@@ -534,6 +535,70 @@ mod tests {
                 .to_string(),
             "member 'since' must be a non-negative integer"
         );
+    }
+
+    /// One valid frame per verb.
+    const FRAMES: [&str; 13] = [
+        "{\"cmd\":\"status\"}",
+        "{\"cmd\":\"results\"}",
+        "{\"cmd\":\"engines\"}",
+        "{\"cmd\":\"metrics\"}",
+        "{\"cmd\":\"fingerprint\"}",
+        "{\"cmd\":\"shutdown\"}",
+        "{\"cmd\":\"sample\",\"hash\":\"ff\"}",
+        "{\"cmd\":\"stabilized\",\"hash\":\"a\",\"threshold\":10}",
+        "{\"cmd\":\"engine\",\"name\":\"Avira\"}",
+        "{\"cmd\":\"flip_leaders\",\"k\":3}",
+        "{\"cmd\":\"alerts\",\"since\":17}",
+        "{\"cmd\":\"subscribe\"}",
+        "{\"cmd\":\"recommend\"}",
+    ];
+
+    /// Parses `line` (a panic fails the property) and, if it is
+    /// rejected, checks the response: one line `obs::json` reads back,
+    /// under the epoch it was rendered at, with a string `error`.
+    fn parse_or_render_one_error_line(line: &str) -> Result<(), TestCaseError> {
+        let Err(err) = parse(line) else {
+            return Ok(());
+        };
+        let body = err.render(42);
+        prop_assert!(!body.contains('\n'), "{body}");
+        let doc = crate::obs::json::parse(&body)
+            .map_err(|e| TestCaseError::fail(format!("{body}: {e}")))?;
+        prop_assert_eq!(doc.get("epoch").and_then(|e| e.as_u64()), Some(42));
+        prop_assert!(
+            doc.get("error").and_then(|e| e.as_str()).is_some(),
+            "{body}"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Arbitrary bytes, and every verb's frame with one byte
+        /// replaced, deleted or cut off at a prefix.
+        #[test]
+        fn generated_hostile_lines_never_panic_and_errors_render_as_json(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            edit in 0u8..3,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            parse_or_render_one_error_line(&String::from_utf8_lossy(&bytes))?;
+            for frame in FRAMES {
+                prop_assert!(parse(frame).is_ok(), "{frame}");
+                let mut mutated = frame.as_bytes().to_vec();
+                let at = at % mutated.len();
+                match edit {
+                    0 => mutated[at] = byte,
+                    1 => {
+                        mutated.remove(at);
+                    }
+                    _ => mutated.truncate(at),
+                }
+                parse_or_render_one_error_line(&String::from_utf8_lossy(&mutated))?;
+            }
+        }
     }
 
     #[test]

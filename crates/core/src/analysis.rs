@@ -175,10 +175,10 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 /// * [`fold`](Analysis::fold) reduces one context (one *segment* of the
 ///   record stream, the whole dataset, or one worker's range of either)
 ///   to a [`Partial`](Analysis::Partial), in one serial pass;
-/// * [`merge`](Analysis::merge) folds a later partial into an earlier
-///   accumulation, in place. Merging per-segment partials
-///   in segment order must equal folding the concatenated segments —
-///   this is the algebra the incremental engine
+/// * [`merge`](Analysis::merge) folds another partial into an
+///   accumulation, in place, by addition, max or key-wise addition.
+///   Merging per-segment partials, in any order, must equal folding
+///   the concatenated segments — this is the algebra the incremental engine
 ///   ([`crate::incremental::IncrementalStudy`]) relies on, and it makes
 ///   incremental results **bit-identical** to the batch path by
 ///   construction;
@@ -202,9 +202,9 @@ pub trait Analysis {
     /// Reduces the context's samples to a mergeable partial.
     fn fold(&self, ctx: &AnalysisCtx) -> Self::Partial;
 
-    /// Folds `next` into `acc`; `acc`'s records precede `next`'s in
-    /// stream order. Must satisfy `merge(fold(x), fold(y)) == fold(x ++
-    /// y)`. Borrows `next`: the serve merge tree re-merges cached nodes
+    /// Folds `next` into `acc`; the two cover disjoint samples. Must
+    /// satisfy `merge(fold(x), fold(y)) == fold(x ++ y)` and commute.
+    /// Borrows `next`: the serve merge tree re-merges cached nodes
     /// on every publish, and an owned `next` would be a clone each time.
     fn merge(&self, acc: &mut Self::Partial, next: &Self::Partial);
 

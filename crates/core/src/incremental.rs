@@ -8,19 +8,20 @@
 //! pipeline ([`crate::pipeline::analyze_records_obs`]) is
 //! literally the one-segment case — `fold` over the whole record set,
 //! then [`StudyPartials::finish`]. Every [`Analysis`] stage is a fold
-//! whose [`Analysis::Partial`] merges associatively across contiguous
-//! record segments, so folding a stream segment by segment and merging
-//! in arrival order produces partials — and therefore finished
-//! [`StudyResults`] — **bit-identical** to the one-segment batch, at
-//! every worker count. That is the contract
-//! `merge(fold(x), fold(y)) == fold(x ++ y)` every stage upholds (and
-//! the roster law tests below plus `tests/end_to_end.rs` enforce).
+//! whose [`Analysis::Partial`] is a set of counts merged by addition,
+//! max or key-wise addition, so folding a stream segment by segment and
+//! merging produces partials — and therefore finished [`StudyResults`]
+//! — **bit-identical** to the one-segment batch, at every worker count
+//! and in any merge order. That is the contract
+//! `merge(fold(x), fold(y)) == fold(x ++ y) == merge(fold(y), fold(x))`
+//! every stage upholds (and the roster law tests below plus
+//! `tests/end_to_end.rs` enforce).
 //!
-//! Segments must partition *samples* (never split one sample's
-//! trajectory across segments — [`vt_store::SegmentWriter`] seals on
-//! sample boundaries for exactly this reason) and be folded in stream
-//! order, because one partial (the stability stage's span samples, the
-//! input of its boxplots) is order-sensitive.
+//! Segments must partition *samples*: never split one sample's
+//! trajectory across segments ([`vt_store::SegmentWriter`] seals on
+//! sample boundaries for exactly this reason). Their fold order no
+//! longer matters to the study; the per-hash index and the drift
+//! detectors still see segments in stream order.
 //!
 //! ```
 //! use vt_dynamics::incremental::IncrementalStudy;
@@ -74,7 +75,7 @@ use vt_store::{DatasetStats, PartitionStats};
 /// directly.
 ///
 /// Cheap to clone relative to refolding (counters, histograms, the
-/// correlation contingency tables and the stability span rope — no
+/// correlation contingency tables and the stability span counts — no
 /// report data), which is what lets
 /// [`IncrementalStudy::results`] snapshot results mid-stream without
 /// disturbing the accumulation.
@@ -175,17 +176,16 @@ impl StudyPartials {
         acc
     }
 
-    /// Merges a later segment's partials into an earlier accumulation
-    /// (`self`'s records precede `next`'s in stream order).
+    /// Merges another segment's partials into this accumulation.
     ///
     /// Public because the serve tier's merger thread reassembles the
-    /// global study from shard-local accumulations: merging each hash
-    /// slot's partials in fixed slot order is `fold` over the canonical
-    /// concatenation `slot 0 ++ slot 1 ++ …`, which is what makes the
-    /// published snapshot bit-identical at every shard count. Callers
-    /// must uphold the same contract as segment folds: `self` and
-    /// `next` cover disjoint sample sets, concatenated in a canonical
-    /// order every run agrees on.
+    /// global study from shard-local accumulations: merging the hash
+    /// slots' partials is `fold` over their union, which is what makes
+    /// the published snapshot bit-identical at every shard count. The
+    /// one contract is the segment folds': `self` and `next` cover
+    /// disjoint sample sets. Every stage merge commutes, so the order
+    /// is free; the canonical slot order stays only where the sample
+    /// index, the alert log and Table 2's month order need it.
     pub fn merge(mut self, next: Self) -> Self {
         self.merge_from(&next);
         self
@@ -437,8 +437,9 @@ impl<'a> IncrementalStudy<'a> {
     /// [`fold_segment`](Self::fold_segment) and
     /// [`fold_arena`](Self::fold_arena) both construct a table and land
     /// here. The table must cover whole samples (never split one
-    /// sample's trajectory across tables) and tables must be folded in
-    /// stream order.
+    /// sample's trajectory across tables). Tables are folded in stream
+    /// order because the index and the drift detectors follow it; the
+    /// study partials would be the same in any order.
     pub fn fold_table(&mut self, table: &TrajectoryTable, obs: &Obs) {
         let _span = obs.span("pipeline/segment");
         self.fold_table_inner(table, obs);
@@ -525,9 +526,10 @@ pub fn merge_partition_stats(acc: &mut Vec<PartitionStats>, seg: &[PartitionStat
 /// of its subtree, children merge left-before-right — so the root
 /// equals the flat left-to-right fold over slots `0..n`. By the
 /// committed `merge(fold(x), fold(y)) == fold(x ++ y)` algebra
-/// (associative over the canonical concatenation, with an empty slot as
-/// identity), the cached root is **bit-identical** to re-merging every
-/// slot in order, which is what `vtld serve` publishes per epoch.
+/// (associative and commutative, with an empty slot as identity), the
+/// cached root is **bit-identical** to re-merging every slot, which is
+/// what `vtld serve` publishes per epoch. The fixed shape still matters
+/// for the Table 2 accounting, whose months keep first-seen order.
 #[derive(Debug, Clone)]
 pub struct SlotMergeTree {
     /// Leaf count, rounded up to a power of two.
@@ -601,20 +603,11 @@ mod tests {
     use crate::pipeline::{analyze_records_obs, Study};
     use vt_sim::SimConfig;
 
-    /// `Debug` of every partial, the span rope re-cut as one chunk (a
-    /// range fold leaves one chunk per range; the value is the
-    /// concatenation).
-    fn canonical(p: &StudyPartials) -> String {
-        let mut p = p.clone();
-        p.stability = p.stability.flattened();
-        format!("{p:?}")
-    }
-
     /// Two folds of the same samples are the same bits: every partial,
     /// and the finished ρ planes by bit pattern (`Debug` would collapse
     /// distinct NaN payloads).
     fn assert_same_fold(a: &StudyPartials, b: &StudyPartials, what: &str) {
-        assert_eq!(canonical(a), canonical(b), "{what}");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
         let (ra, rb) = (
             a.finish(Vec::new(), Obs::noop()),
             b.finish(Vec::new(), Obs::noop()),
@@ -681,12 +674,14 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
             /// `merge` of the range folds is the whole fold, for every
             /// stage at once, wherever the cuts fall — empty ranges,
-            /// repeated cuts and ranges without a member of S included.
+            /// repeated cuts and ranges without a member of S included —
+            /// and in whatever order the range folds are merged.
             #[test]
             fn range_folds_merge_to_the_whole_fold_at_any_cut_points(
                 seed in 0u64..1_000_000,
                 samples in 1u64..600,
                 cuts in proptest::collection::vec(0u64..=1_000, 0..6),
+                keys in proptest::collection::vec(any::<u64>(), 6..7),
             ) {
                 let study = Study::generate_with_workers(SimConfig::new(seed, samples), 1);
                 let ws = study.sim().config().window_start();
@@ -696,18 +691,24 @@ mod tests {
                 let mut bounds: Vec<u64> = cuts.iter().map(|c| c * samples / 1_000).collect();
                 bounds.extend([0, samples]);
                 bounds.sort_unstable();
-                let mut merged: Option<StudyPartials> = None;
-                for w in bounds.windows(2) {
-                    let part = StudyPartials::fold_range(&ctx.narrowed(w[0]..w[1]));
-                    merged = Some(match merged {
-                        None => part,
-                        Some(acc) => acc.merge(part),
-                    });
+                let parts: Vec<StudyPartials> = bounds
+                    .windows(2)
+                    .map(|w| StudyPartials::fold_range(&ctx.narrowed(w[0]..w[1])))
+                    .collect();
+                let whole = StudyPartials::fold_range(&ctx);
+                // In range order, then in the permutation `keys` sorts to.
+                let mut permuted: Vec<usize> = (0..parts.len()).collect();
+                permuted.sort_by_key(|&i| keys[i]);
+                for (order, what) in [((0..parts.len()).collect(), "cuts"), (permuted, "permuted")] {
+                    let mut merged = order
+                        .iter()
+                        .map(|&i| parts[i].clone())
+                        .reduce(StudyPartials::merge)
+                        .expect("at least the range 0..samples");
+                    prop_assert_eq!(merged.segments(), parts.len() as u64);
+                    merged.segments = 1;
+                    assert_same_fold(&whole, &merged, what);
                 }
-                let mut merged = merged.expect("at least the range 0..samples");
-                prop_assert_eq!(merged.segments(), bounds.len() as u64 - 1);
-                merged.segments = 1;
-                assert_same_fold(&StudyPartials::fold_range(&ctx), &merged, "cuts");
             }
         }
     }

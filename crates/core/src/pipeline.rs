@@ -426,6 +426,90 @@ mod tests {
         }
     }
 
+    /// Every columnar stage without a seeded-study check of its own
+    /// (`flips`, `causes` and `correlation` have theirs) against its
+    /// serial record-walking oracle, by `Debug` (floats as shortest
+    /// round-trip, so a last-ulp drift fails).
+    #[test]
+    fn every_stage_matches_its_serial_oracle() {
+        use crate::analysis::Analysis;
+        use crate::categorize::{self, Categorize};
+        use crate::intervals::{self, Intervals};
+        use crate::landscape::{self, Landscape};
+        use crate::metrics::{self, Metrics, WindowGrowth};
+        use crate::stability::{self, Stability};
+        use crate::stabilization::{self, Stabilization};
+
+        for seed in [0xF01Du64, 0x5EED5] {
+            let study = Study::generate_with_workers(SimConfig::new(seed, 3_000), 2);
+            let records = study.records();
+            let ws = study.sim().config().window_start();
+            let table = TrajectoryTable::build(records, ws);
+            let s = freshdyn::build(records, ws);
+            assert!(!s.is_empty(), "seed {seed:#x} too small to exercise S");
+            let ctx = AnalysisCtx::new(records, &table, &s, study.sim().fleet(), ws);
+            let same = |stage: String, oracle: String, name: &str| {
+                assert_eq!(stage, oracle, "seed {seed:#x}: {name}");
+            };
+            same(
+                format!("{:?}", Landscape.run(&ctx).0),
+                format!("{:?}", landscape::dataset_stats_impl(records, ws)),
+                "landscape",
+            );
+            same(
+                format!("{:?}", Stability.run(&ctx)),
+                format!("{:?}", stability::analyze_impl(records)),
+                "stability",
+            );
+            same(
+                format!("{:?}", Metrics.run(&ctx)),
+                format!("{:?}", metrics::analyze_impl(records, &s)),
+                "metrics",
+            );
+            let growth = WindowGrowth::default();
+            same(
+                format!("{:?}", growth.run(&ctx)),
+                format!(
+                    "{:?}",
+                    metrics::window_growth_impl(records, &s, growth.short, growth.long)
+                ),
+                "window_growth",
+            );
+            let iv = Intervals::default();
+            same(
+                format!("{:?}", iv.run(&ctx)),
+                format!("{:?}", intervals::analyze_impl(records, &s, iv.max_days)),
+                "intervals",
+            );
+            for stage in [Categorize::ALL, Categorize::PE] {
+                same(
+                    format!("{:?}", stage.run(&ctx)),
+                    format!("{:?}", categorize::sweep_impl(records, &s, stage.pe_only)),
+                    stage.name(),
+                );
+            }
+            let st = Stabilization.run(&ctx);
+            same(
+                format!("{:?}", st.rank),
+                format!("{:?}", stabilization::rank_stabilization_impl(records, &s)),
+                "stabilization rank",
+            );
+            for (got, exclude_two_scans, name) in [
+                (&st.label_all, false, "label_all"),
+                (&st.label_multi, true, "label_multi"),
+            ] {
+                same(
+                    format!("{got:?}"),
+                    format!(
+                        "{:?}",
+                        stabilization::label_stabilization_impl(records, &s, exclude_two_scans)
+                    ),
+                    name,
+                );
+            }
+        }
+    }
+
     /// Acceptance gate for the §7.2 kernel: on a seeded study, every
     /// scope of the stage's `finish(fold(ctx))` is bit-identical (ρ
     /// matrix, strong pairs, groups, row count) to the serial per-scope

@@ -10,7 +10,7 @@
 use crate::analysis::{Analysis, AnalysisCtx};
 #[cfg(test)]
 use crate::records::SampleRecord;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 use vt_model::time::Duration;
 use vt_stats::{BoxplotSummary, Histogram};
 
@@ -121,7 +121,6 @@ impl Analysis for Stability {
     fn fold(&self, ctx: &AnalysisCtx) -> StabilityPartial {
         let table = ctx.table;
         let mut acc = StabilityPartial::new();
-        let mut spans: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
         for i in ctx.samples() {
             if !table.is_multi_report(i) {
                 continue;
@@ -143,22 +142,14 @@ impl Analysis for Stability {
                 bucket_scans.1 += scans.1;
                 bucket_scans.2 += scans.2;
                 let dates = table.dates_of(i);
-                let span_days = Duration::minutes(dates[dates.len() - 1] - dates[0]).as_days_f64();
                 let bucket = (rank as usize).min(StabilityAnalysis::RANK_CAP);
-                spans[bucket].push(span_days);
-                if span_days <= 17.0 {
-                    acc.within17 += 1;
-                }
-                if span_days <= 350.0 {
-                    acc.within350 += 1;
-                }
+                *acc.spans[bucket]
+                    .entry(dates[dates.len() - 1] - dates[0])
+                    .or_insert(0) += 1;
             } else {
                 acc.dynamic += 1;
                 acc.dynamic_report_hist.record(n);
             }
-        }
-        if spans.iter().any(|b| !b.is_empty()) {
-            acc.spans.push(Arc::new(spans));
         }
         acc
     }
@@ -176,9 +167,11 @@ impl Analysis for Stability {
         acc.rank_pos_scans.0 += next.rank_pos_scans.0;
         acc.rank_pos_scans.1 += next.rank_pos_scans.1;
         acc.rank_pos_scans.2 += next.rank_pos_scans.2;
-        acc.spans.extend_from_slice(&next.spans);
-        acc.within17 += next.within17;
-        acc.within350 += next.within350;
+        for (mine, theirs) in acc.spans.iter_mut().zip(&next.spans) {
+            for (&minutes, &count) in theirs {
+                *mine.entry(minutes).or_insert(0) += count;
+            }
+        }
     }
 
     fn finish(&self, acc: &StabilityPartial) -> StabilityAnalysis {
@@ -195,32 +188,37 @@ impl Analysis for Stability {
             span_within_17d: 0.0,
             span_within_350d: 0.0,
         };
-        // The rope concatenates per-bucket spans in chunk order, which
-        // is sample order — the sequence one flat vector per bucket
-        // would hold before `from_unsorted` sorts it.
-        let mut values: Vec<f64> = Vec::new();
-        for bucket in 0..=StabilityAnalysis::RANK_CAP {
-            values.clear();
-            for chunk in &acc.spans {
-                values.extend_from_slice(&chunk[bucket]);
-            }
-            a.span_by_rank[bucket] = BoxplotSummary::from_unsorted(&values);
+        for (bucket, counts) in acc.spans.iter().enumerate() {
+            // One monotone map per distinct span keeps the runs ascending.
+            let runs: Vec<(f64, u64)> = counts
+                .iter()
+                .map(|(&minutes, &count)| (Duration::minutes(minutes).as_days_f64(), count))
+                .collect();
+            a.span_by_rank[bucket] = BoxplotSummary::from_runs(&runs);
         }
         if a.stable > 0 {
-            a.span_within_17d = acc.within17 as f64 / a.stable as f64;
-            a.span_within_350d = acc.within350 as f64 / a.stable as f64;
+            let share = |days: f64| {
+                let within: u64 = acc
+                    .spans
+                    .iter()
+                    .flatten()
+                    .filter(|(&minutes, _)| Duration::minutes(minutes).as_days_f64() <= days)
+                    .map(|(_, &count)| count)
+                    .sum();
+                within as f64 / a.stable as f64
+            };
+            a.span_within_17d = share(17.0);
+            a.span_within_350d = share(350.0);
         }
         a
     }
 }
 
 /// Mergeable accumulator of the §5.1–5.2 fold ([`Stability`]'s
-/// [`Analysis::Partial`]). Counters and histograms merge by addition;
-/// the per-bucket span samples live in a rope of immutable
-/// [`Arc`]-shared chunks (one per fold) concatenated in
-/// stream order, so each bucket sees the exact serial sequence before
-/// [`BoxplotSummary::from_unsorted`] sorts it while merge/clone of a
-/// partial moves chunk pointers instead of copying span data.
+/// [`Analysis::Partial`]). Counters and histograms merge by addition.
+/// Each rank bucket counts its stable samples by span in whole minutes,
+/// and merges by key-wise addition. So every merge commutes, and the
+/// partial is bounded by the feed's time range, not by its sample count.
 #[derive(Debug, Clone)]
 pub struct StabilityPartial {
     multi: u64,
@@ -231,11 +229,9 @@ pub struct StabilityPartial {
     stable_rank_hist: Histogram,
     rank0_scans: (u64, u64, u64),
     rank_pos_scans: (u64, u64, u64),
-    /// Rope of span chunks; each chunk holds `RANK_CAP + 1` bucket
-    /// vectors from one fold.
-    spans: Vec<Arc<Vec<Vec<f64>>>>,
-    within17: u64,
-    within350: u64,
+    /// Per rank bucket (`RANK_CAP + 1` of them): stable samples counted
+    /// by span, `dates[last] − dates[0]` in minutes.
+    spans: Vec<BTreeMap<i64, u64>>,
 }
 
 impl StabilityPartial {
@@ -249,30 +245,8 @@ impl StabilityPartial {
             stable_rank_hist: Histogram::new(71),
             rank0_scans: (0, 0, 0),
             rank_pos_scans: (0, 0, 0),
-            spans: Vec::new(),
-            within17: 0,
-            within350: 0,
+            spans: vec![BTreeMap::new(); StabilityAnalysis::RANK_CAP + 1],
         }
-    }
-}
-
-#[cfg(test)]
-impl StabilityPartial {
-    /// This partial with its span rope re-cut as one chunk, so two
-    /// partials of equal value print the same `Debug` however many
-    /// folds built them.
-    pub(crate) fn flattened(&self) -> Self {
-        let mut flat: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
-        for chunk in &self.spans {
-            for (bucket, values) in flat.iter_mut().zip(chunk.iter()) {
-                bucket.extend_from_slice(values);
-            }
-        }
-        let mut out = self.clone();
-        if !out.spans.is_empty() {
-            out.spans = vec![Arc::new(flat)];
-        }
-        out
     }
 }
 
@@ -293,8 +267,6 @@ pub(crate) fn analyze_impl(records: &[SampleRecord]) -> StabilityAnalysis {
     };
     // Span samples per rank bucket, collected then summarized.
     let mut spans: Vec<Vec<f64>> = vec![Vec::new(); StabilityAnalysis::RANK_CAP + 1];
-    let mut within17 = 0u64;
-    let mut within350 = 0u64;
     for r in records {
         if !r.is_multi_report() {
             continue;
@@ -319,23 +291,20 @@ pub(crate) fn analyze_impl(records: &[SampleRecord]) -> StabilityAnalysis {
             let span_days = r.time_span().as_days_f64();
             let bucket = (rank as usize).min(StabilityAnalysis::RANK_CAP);
             spans[bucket].push(span_days);
-            if span_days <= 17.0 {
-                within17 += 1;
-            }
-            if span_days <= 350.0 {
-                within350 += 1;
-            }
         } else {
             a.dynamic += 1;
             a.dynamic_report_hist.record(n);
         }
     }
-    for (bucket, values) in spans.into_iter().enumerate() {
-        a.span_by_rank[bucket] = BoxplotSummary::from_unsorted(&values);
-    }
     if a.stable > 0 {
-        a.span_within_17d = within17 as f64 / a.stable as f64;
-        a.span_within_350d = within350 as f64 / a.stable as f64;
+        let share = |days: f64| {
+            spans.iter().flatten().filter(|&&d| d <= days).count() as f64 / a.stable as f64
+        };
+        a.span_within_17d = share(17.0);
+        a.span_within_350d = share(350.0);
+    }
+    for (bucket, values) in spans.iter().enumerate() {
+        a.span_by_rank[bucket] = BoxplotSummary::from_unsorted(values);
     }
     a
 }

@@ -462,8 +462,10 @@ pub(crate) fn label_stabilization_impl(
         .map(|&t| {
             let mut samples = 0u64;
             let mut stabilized = 0u64;
-            let mut serial_sum = 0f64;
-            let mut days_sum = 0f64;
+            // Whole serials and whole minutes, summed as integers and
+            // divided once, as `LabelAcc` does.
+            let mut serial_sum = 0u64;
+            let mut minutes_sum = 0u64;
             let mut within_15 = 0u64;
             let mut within_30 = 0u64;
             for rec in s.iter(records) {
@@ -474,10 +476,10 @@ pub(crate) fn label_stabilization_impl(
                 let malicious: Vec<bool> = rec.reports.iter().map(|r| r.positives() >= t).collect();
                 if let Some(i) = constant_suffix_start(&malicious) {
                     stabilized += 1;
-                    serial_sum += (i + 1) as f64;
-                    let days =
-                        (rec.reports[i].analysis_date - rec.reports[0].analysis_date).as_days_f64();
-                    days_sum += days;
+                    serial_sum += (i + 1) as u64;
+                    let elapsed = rec.reports[i].analysis_date - rec.reports[0].analysis_date;
+                    minutes_sum += elapsed.as_minutes() as u64;
+                    let days = elapsed.as_days_f64();
                     if days <= 15.0 {
                         within_15 += 1;
                     }
@@ -493,12 +495,12 @@ pub(crate) fn label_stabilization_impl(
                 mean_serial: if stabilized == 0 {
                     0.0
                 } else {
-                    serial_sum / stabilized as f64
+                    serial_sum as f64 / stabilized as f64
                 },
                 mean_days: if stabilized == 0 {
                     0.0
                 } else {
-                    days_sum / stabilized as f64
+                    minutes_sum as f64 / (24.0 * 60.0) / stabilized as f64
                 },
                 within_15d: within_15,
                 within_30d: within_30,

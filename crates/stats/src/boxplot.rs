@@ -58,9 +58,10 @@ impl BoxplotSummary {
             "input must be sorted"
         );
         let n = sorted.len();
-        let q1 = interp_quantile(sorted, 0.25);
-        let median = interp_quantile(sorted, 0.50);
-        let q3 = interp_quantile(sorted, 0.75);
+        let at = |k: usize| sorted[k];
+        let q1 = interp_quantile(n, 0.25, at);
+        let median = interp_quantile(n, 0.50, at);
+        let q3 = interp_quantile(n, 0.75, at);
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;
@@ -103,14 +104,36 @@ impl BoxplotSummary {
     /// observations of the integer value `v`. Returns `None` when all
     /// counts are zero.
     ///
-    /// Bit-identical to [`Self::from_unsorted`] on the expanded
-    /// multiset as long as every partial sum stays below 2⁵³ (integer
-    /// values and their running sums are then exact in `f64`), so the
-    /// analyses can swap their per-observation `Vec<f64>` buffers for
-    /// fixed-size count arrays without perturbing a single bit of the
-    /// published statistics.
+    /// Bit-identical to [`Self::from_unsorted`] on the expanded multiset
+    /// (see [`Self::from_runs`]), so the analyses keep fixed-size count
+    /// arrays instead of per-observation `Vec<f64>` buffers.
     pub fn from_counts(counts: &[u64]) -> Option<Self> {
-        let n = counts.iter().map(|&c| c as u128).sum::<u128>();
+        let runs: Vec<(f64, u64)> = counts
+            .iter()
+            .enumerate()
+            .map(|(v, &c)| (v as f64, c))
+            .collect();
+        Self::from_runs(&runs)
+    }
+
+    /// Computes the summary from counted runs: `(value, count)` pairs in
+    /// ascending value order, each standing for `count` observations of
+    /// `value` (a zero count stands for none). Returns `None` when the
+    /// runs hold no observation.
+    ///
+    /// Bit-identical to [`Self::from_unsorted`] on the expanded multiset
+    /// for any finite values. Order statistics come from cumulative
+    /// counts, whiskers and outliers from one walk over the runs, and the
+    /// mean replays each run's `count` additions of `value` in order —
+    /// the sequential sum [`Self::from_sorted`] takes, which `value ·
+    /// count` would not reproduce for non-integer values. So the mean
+    /// costs O(observations) additions; everything else O(runs).
+    pub fn from_runs(runs: &[(f64, u64)]) -> Option<Self> {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 <= w[1].0),
+            "runs must be sorted"
+        );
+        let n = runs.iter().map(|&(_, c)| c as u128).sum::<u128>();
         if n == 0 {
             return None;
         }
@@ -118,42 +141,21 @@ impl BoxplotSummary {
         // k-th (0-based) order statistic via a cumulative walk.
         let value_at = |k: usize| -> f64 {
             let mut seen = 0usize;
-            for (v, &c) in counts.iter().enumerate() {
+            for &(v, c) in runs {
                 seen += c as usize;
                 if seen > k {
-                    return v as f64;
+                    return v;
                 }
             }
             unreachable!("k < n by construction")
         };
-        // Replicates `interp_quantile` on the expanded sorted sample.
-        let quantile = |q: f64| -> f64 {
-            if n == 1 {
-                return value_at(0);
-            }
-            let pos = q * (n - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            if lo == hi {
-                value_at(lo)
-            } else {
-                let frac = pos - lo as f64;
-                value_at(lo) * (1.0 - frac) + value_at(hi) * frac
-            }
-        };
-        let q1 = quantile(0.25);
-        let median = quantile(0.50);
-        let q3 = quantile(0.75);
+        let q1 = interp_quantile(n, 0.25, value_at);
+        let median = interp_quantile(n, 0.50, value_at);
+        let q3 = interp_quantile(n, 0.75, value_at);
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;
-        let present = || {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(v, &c)| (v as f64, c))
-        };
+        let present = || runs.iter().copied().filter(|&(_, c)| c > 0);
         let min = present().next().expect("non-empty").0;
         let max = present().next_back().expect("non-empty").0;
         let whisker_lo = present()
@@ -171,9 +173,11 @@ impl BoxplotSummary {
             .filter(|&(v, _)| v < whisker_lo || v > whisker_hi)
             .map(|(_, c)| c as usize)
             .sum();
-        // Each value and each partial sum is an integer < 2^53, so this
-        // equals the sequential sum over the expanded sorted sample.
-        let mean = present().map(|(v, c)| v * c as f64).sum::<f64>() / n as f64;
+        let mean = runs
+            .iter()
+            .flat_map(|&(v, c)| std::iter::repeat(v).take(c as usize))
+            .sum::<f64>()
+            / n as f64;
         Some(Self {
             n,
             mean,
@@ -189,21 +193,21 @@ impl BoxplotSummary {
     }
 }
 
-/// Linear-interpolation quantile on a sorted slice (type-7 estimator, the
+/// Linear-interpolation quantile over `n` ascending order statistics,
+/// `at(k)` the k-th (0-based) of them (type-7 estimator, the
 /// NumPy/matplotlib default).
-fn interp_quantile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
+fn interp_quantile(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
@@ -273,6 +277,22 @@ mod tests {
         assert_eq!(s.mean, 2.0);
     }
 
+    /// Every field by bit pattern.
+    fn bits(s: &BoxplotSummary) -> [u64; 10] {
+        [
+            s.n as u64,
+            s.mean.to_bits(),
+            s.median.to_bits(),
+            s.q1.to_bits(),
+            s.q3.to_bits(),
+            s.whisker_lo.to_bits(),
+            s.whisker_hi.to_bits(),
+            s.outliers as u64,
+            s.min.to_bits(),
+            s.max.to_bits(),
+        ]
+    }
+
     proptest! {
         /// The bit-identity contract `from_counts` is built on: on any
         /// integer multiset it reproduces `from_unsorted` exactly.
@@ -296,6 +316,33 @@ mod tests {
             prop_assert_eq!(a.outliers, b.outliers);
             prop_assert_eq!(a.min.to_bits(), b.min.to_bits());
             prop_assert_eq!(a.max.to_bits(), b.max.to_bits());
+        }
+
+        /// `from_runs` is `from_unsorted` on the expanded multiset, bit for
+        /// bit: minute spans mapped to days (non-integer values, heavy
+        /// duplication) and arbitrary finite values alike.
+        #[test]
+        fn from_runs_matches_from_unsorted(
+            minutes in proptest::collection::vec((0u64..2_000, 1u64..40), 1..80),
+            finite in proptest::collection::vec((any::<f64>(), 0u64..12), 1..40),
+        ) {
+            let mut by_minute = std::collections::BTreeMap::new();
+            for (m, c) in minutes {
+                *by_minute.entry(m).or_insert(0u64) += c;
+            }
+            let days: Vec<(f64, u64)> =
+                by_minute.into_iter().map(|(m, c)| (m as f64 / 1440.0, c)).collect();
+            let mut finite = finite;
+            finite.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            for runs in [days, finite] {
+                let expanded: Vec<f64> = runs
+                    .iter()
+                    .flat_map(|&(v, c)| std::iter::repeat(v).take(c as usize))
+                    .collect();
+                let a = BoxplotSummary::from_runs(&runs);
+                let b = BoxplotSummary::from_unsorted(&expanded);
+                prop_assert_eq!(a.map(|s| bits(&s)), b.map(|s| bits(&s)));
+            }
         }
 
         #[test]

@@ -116,8 +116,8 @@ impl SegmentDir {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                fs::write(&manifest, format!("{MANIFEST_TAG} slots={slots}\n"))?;
-                sync_dir(&root)?;
+                let text = format!("{MANIFEST_TAG} slots={slots}\n");
+                write_durable(&root, MANIFEST, text.as_bytes())?;
             }
             Err(e) => return Err(e),
         }
@@ -153,22 +153,15 @@ impl SegmentDir {
     }
 
     /// Durably persists one sealed segment: write to `*.tmp`, fsync the
-    /// file, rename into place, fsync the directory. Returns the final
-    /// path. After this returns, a crash at any point leaves either the
-    /// whole segment or (for an interrupted call) an ignorable `*.tmp`.
+    /// file, rename into place, fsync the directory — the same path the
+    /// manifest is written through. Returns the final path. After this
+    /// returns, a crash at any point leaves either the whole segment or
+    /// (for an interrupted call) an ignorable `*.tmp`.
     pub fn persist(&self, slot: u32, segment: &Segment) -> io::Result<PathBuf> {
         assert!(slot < self.slots, "slot {slot} out of range");
-        let final_path = self.root.join(segment_file_name(slot, segment.seq()));
-        let tmp_path = final_path.with_extension("vtseg.tmp");
-        let mut file = File::create(&tmp_path)?;
         let mut buf = Vec::new();
         write_segment(segment, &mut buf)?;
-        file.write_all(&buf)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.root)?;
-        Ok(final_path)
+        write_durable(&self.root, &segment_file_name(slot, segment.seq()), &buf)
     }
 
     /// Lists the segment files present, sorted by `(slot, seq)`.
@@ -276,6 +269,9 @@ impl SegmentDir {
             target = qdir.join(format!("{}.{copy}", name.to_string_lossy()));
         }
         fs::rename(path, target)?;
+        // Both directories changed: the copy must not vanish from one
+        // before the original leaves the other.
+        sync_dir(&qdir)?;
         sync_dir(&self.root)?;
         Ok(())
     }
@@ -329,6 +325,23 @@ impl DurableWriter {
             None => Ok(None),
         }
     }
+}
+
+/// Writes `bytes` as `dir/name` durably: write `name.tmp`, fsync it,
+/// rename it into place, fsync `dir`. A crash at any step leaves either
+/// the old entry or the whole new file, never a torn or empty one; a
+/// stale `name.tmp` from an interrupted call is truncated and reused.
+/// Returns the final path.
+fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+    let final_path = dir.join(name);
+    let tmp_path = dir.join(format!("{name}.tmp"));
+    let mut file = File::create(&tmp_path)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp_path, &final_path)?;
+    sync_dir(dir)?;
+    Ok(final_path)
 }
 
 /// Fsyncs a directory so a just-renamed entry survives a crash.
@@ -566,6 +579,26 @@ mod tests {
         assert_eq!(reopened.slots(), 8);
         let err = SegmentDir::open(&root, 4).expect_err("slot mismatch must refuse");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// A first start interrupted before its manifest rename leaves only
+    /// `segdir.manifest.tmp`; the next start writes the manifest whole
+    /// through the same tmp → fsync → rename path and leaves no `.tmp`.
+    #[test]
+    fn a_stale_manifest_tmp_is_replaced_by_a_whole_manifest() {
+        let root = temp_dir("manifest-tmp");
+        fs::create_dir_all(&root).expect("mkdir");
+        let tmp = root.join(format!("{MANIFEST}.tmp"));
+        fs::write(&tmp, b"VTSEG").expect("stale tmp");
+        let dir = SegmentDir::open(&root, 3).expect("opens over a stale tmp");
+        assert_eq!(dir.slots(), 3);
+        assert_eq!(
+            fs::read_to_string(root.join(MANIFEST)).expect("manifest"),
+            format!("{MANIFEST_TAG} slots=3\n")
+        );
+        assert!(!tmp.exists(), "the tmp was renamed into place");
+        SegmentDir::open(&root, 3).expect("reopens");
         fs::remove_dir_all(&root).expect("cleanup");
     }
 

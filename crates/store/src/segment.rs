@@ -11,8 +11,10 @@
 //! partition samples.
 //!
 //! Segments are append-ordered: each carries a monotonically increasing
-//! sequence number assigned at seal time, and downstream folds must
-//! consume them in that order (some stage partials are order-sensitive).
+//! sequence number assigned at seal time. The study partials merge in
+//! any order, but downstream folds still consume segments in seal order,
+//! because the drift detectors compare each segment with the ones before
+//! it and a replay must rebuild the same per-hash index layout.
 //!
 //! On disk a segment reuses the whole `VTSTORE2` machinery — per-block
 //! CRCs, salvage markers and all — behind an 8-byte segment magic and

@@ -182,7 +182,8 @@ fn with_args<A>(
 // ---- flag-level parsing helpers ----------------------------------------
 
 /// Parses `--key value` flags (and valueless `--switch` flags named in
-/// `switches`, recorded with an empty value); rejects unknown keys.
+/// `switches`, recorded with an empty value); rejects unknown and
+/// repeated keys.
 fn parse_flags<'a>(
     args: &'a [String],
     allowed: &[&str],
@@ -194,6 +195,9 @@ fn parse_flags<'a>(
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| VtldError::Usage(format!("expected a --flag, got '{}'", args[i])))?;
+        if flag(&out, key).is_some() {
+            return Err(VtldError::Usage(format!("--{key} given twice")));
+        }
         if switches.contains(&key) {
             out.push((key, ""));
             i += 1;
@@ -646,6 +650,18 @@ mod tests {
         assert_eq!(err.to_string(), "--seed requires a value");
         let err = SimulateArgs::parse(&strings(&["--samples", "many"])).unwrap_err();
         assert_eq!(err.to_string(), "--samples expects an integer, got 'many'");
+        let err = SimulateArgs::parse(&strings(&[
+            "--samples",
+            "3",
+            "--out",
+            "f.vtstore",
+            "--samples",
+            "2000",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--samples given twice");
+        let err = StudyArgs::parse(&strings(&["--verbose", "--verbose"])).unwrap_err();
+        assert_eq!(err.to_string(), "--verbose given twice");
     }
 
     #[test]

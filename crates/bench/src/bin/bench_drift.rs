@@ -11,13 +11,13 @@
 //! * `table_build_arena` — the zero-copy table build over the
 //!   500k-sample fixture (guards against an accidental clone, a lost
 //!   reserve, a quadratic sort).
-//! * `publish_last_segment` — the O(changed-slot) epoch publish over the
-//!   60k-sample fixture: one dirty-slot update of a warm
-//!   [`vt_dynamics::SlotMergeTree`] plus finishing the cached root
-//!   (guards against per-publish work creeping back to O(history) —
-//!   a reintroduced partial clone or a per-publish index merge). `update_slot` + `finish` is the whole of what
-//!   `vtld serve`'s merger does per publish: while the daemon also
-//!   rendered four documents there, this arm saw a quarter of it.
+//! * `publish_last_segment` — one fold's epoch publish over the
+//!   60k-sample fixture: the last segment's partials merged into the
+//!   warm accumulation of every segment, the Table 2 stats likewise,
+//!   then `finish` (guards against per-publish work creeping back to
+//!   O(history) — a reintroduced partial clone or a per-publish index
+//!   merge). Merge + `finish` is the whole of what `vtld serve`'s merger
+//!   does per fold it publishes.
 //! * `trajectories_1_worker` — one single-thread sweep of the feed
 //!   generator over the 60k-sample fixture's config (guards against
 //!   per-report recomputation of what a scan asks once — the fleet's
@@ -50,16 +50,17 @@
 //! iterations, and the folds the ratios compare run within one round of
 //! each other.
 //!
-//! What the 2-vCPU box this was written on read on 2026-10-05, five
-//! consecutive runs (each arm's best in ms, then both ratios, the fold
-//! arms on `fold_store`) — reported, not gated:
+//! What the 2-vCPU box this was written on read on 2026-10-15, the first
+//! five of ten runs that alternated with the previous tree's binary
+//! (each arm's best in ms, then both ratios, the fold arms on
+//! `fold_store`) — reported, not gated:
 //!
 //! ```text
-//! table_build_arena      158.1  175.6  165.6  191.5  187.3
-//! publish_last_segment     2.0    2.4    2.0    2.4    2.5
-//! trajectories_1_worker  105.8  134.0  115.4  111.2  135.3
-//! alert_overhead        ×0.925 ×0.977 ×1.048 ×0.935 ×1.042
-//! obs_overhead          ×1.013 ×0.914 ×1.004 ×0.967 ×1.032
+//! table_build_arena      163.2  161.4  175.7  158.1  158.6
+//! publish_last_segment     1.5    1.5    1.5    1.5    1.5
+//! trajectories_1_worker  149.2  147.0  151.5  147.2  147.1
+//! alert_overhead        ×1.055 ×1.142 ×1.113 ×1.195 ×1.173
+//! obs_overhead          ×0.948 ×0.930 ×1.031 ×1.008 ×1.104
 //! ```
 //!
 //! Usage: `cargo run --release -p vt-bench --bin bench_drift`
@@ -74,7 +75,8 @@ use std::process::ExitCode;
 use std::sync::OnceLock;
 use std::time::Instant;
 use vt_dynamics::{
-    AlertConfig, DecodeArena, IncrementalStudy, SampleRecord, SlotMergeTree, Study, TrajectoryTable,
+    merge_partition_stats, AlertConfig, DecodeArena, IncrementalStudy, SampleRecord, Study,
+    StudyPartials, TrajectoryTable,
 };
 use vt_obs::Obs;
 use vt_sim::{SimConfig, VirusTotalSim};
@@ -172,13 +174,13 @@ fn table_build_arm() -> Arm {
     Box::new(iteration)
 }
 
-/// ns/iter with a warm 12-segment history: the median of this arm's
-/// reading over ten consecutive runs of this binary (2.2 – 2.6 ms),
-/// recorded 2026-10-05 on the 2-vCPU microVM the trajectories constant
-/// below describes. The 2026-08-08 constant it replaces (2.01 ms, a
-/// 1-CPU container) put the limit at this box's median, and the arm
-/// failed one run in ten on trees that never touched it.
-const PUBLISH_LAST_SEGMENT_NS: u64 = 2_400_000;
+/// ns/iter, one segment's delta into the warm accumulation of all 16:
+/// the median of this arm's reading over ten runs of this binary (1.5 ms
+/// in all ten), recorded 2026-10-15 on the 2-vCPU microVM the
+/// trajectories constant below describes. The merge tree update it
+/// replaces (a leaf clone and three clone-and-merges, then `finish`)
+/// read 2.4 – 2.6 ms, median 2.5, in the ten runs alternating with them.
+const PUBLISH_LAST_SEGMENT_NS: u64 = 1_500_000;
 
 fn publish_arm() -> Arm {
     eprintln!("bench_drift: slot-routing the 60k-sample fixture...");
@@ -186,37 +188,42 @@ fn publish_arm() -> Arm {
     let st = study();
     let ws = st.sim().config().window_start();
     // Route records to slots exactly as `vtld serve` shards them, fold
-    // each slot's stream, and warm the merge tree with every leaf.
+    // each slot's stream taking every fold's delta, as a shard worker
+    // does, and sum the deltas, as the merger does.
     let mut slot_records = vec![Vec::new(); SLOTS];
     for r in st.records() {
         slot_records[(r.meta.hash.0 % SLOTS as u128) as usize].push(r.clone());
     }
-    let parts = st.build_store().partition_stats();
     let mut arena = DecodeArena::new();
-    let partials: Vec<_> = slot_records
-        .iter()
-        .map(|recs| {
-            let mut inc = IncrementalStudy::new(st.sim().fleet(), ws).with_workers(4);
-            for store in segment_stores(recs) {
-                inc.fold_store(&store, &mut arena, Obs::noop());
-            }
-            inc.partials().cloned()
-        })
-        .collect();
-    let mut tree = SlotMergeTree::new(SLOTS);
-    for (slot, p) in partials.iter().enumerate() {
-        let slot_parts = if slot == 0 { parts.clone() } else { Vec::new() };
-        tree.update_slot(slot, p.clone(), slot_parts);
+    let (mut deltas, mut partitions, mut last_partitions) = (Vec::new(), Vec::new(), Vec::new());
+    for recs in &slot_records {
+        let mut inc = IncrementalStudy::new(st.sim().fleet(), ws).with_workers(4);
+        for store in segment_stores(recs) {
+            inc.fold_store(&store, &mut arena, Obs::noop());
+            deltas.extend(inc.take_partials());
+            last_partitions = store.partition_stats();
+            merge_partition_stats(&mut partitions, &last_partitions);
+        }
     }
-    let samples = tree.root().map_or(0, |r| r.s_samples());
+    let last = deltas.last().cloned().expect("the fixture folds segments");
+    let mut acc = deltas.into_iter().reduce(StudyPartials::merge);
 
     let iteration = move || {
+        // The delta arrives as a copy, as the merger's arrives from a
+        // worker; the merge frees it, as the merger's does.
+        let delta = last.clone();
+        let before = acc.as_ref().map_or(0, StudyPartials::s_samples);
         let t = Instant::now();
-        tree.update_slot(0, partials[0].clone(), parts.clone());
-        let root = tree.root().expect("warm tree has a root");
-        let results = root.finish(tree.root_partitions().to_vec(), Obs::noop());
+        acc = acc.take().map(|acc| acc.merge(delta));
+        merge_partition_stats(&mut partitions, &last_partitions);
+        let warm = acc.as_ref().expect("a warm accumulation");
+        let results = warm.finish(partitions.clone(), Obs::noop());
         let ns = t.elapsed().as_nanos() as u64;
-        assert_eq!(root.s_samples(), samples, "fixture changed mid-run");
+        assert_eq!(
+            results.s_samples,
+            before + last.s_samples(),
+            "the delta merged"
+        );
         std::hint::black_box(results);
         ns
     };

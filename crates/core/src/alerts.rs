@@ -225,6 +225,9 @@ pub struct AlertEngine {
     scans: Vec<u64>,
     /// Cumulative per-engine detection counts across folded segments.
     detections: Vec<u64>,
+    /// The regression baseline: `(stabilized, minutes_sum)` at
+    /// `regression_threshold`, summed over folded segments.
+    stabilized: (u64, u64),
     /// Alerts fired but not yet drained by the caller.
     pending: Vec<Alert>,
     totals: AlertTotals,
@@ -238,6 +241,7 @@ impl AlertEngine {
             seq: 0,
             scans: vec![0; MAX_ENGINES],
             detections: vec![0; MAX_ENGINES],
+            stabilized: (0, 0),
             pending: Vec::new(),
             totals: AlertTotals::default(),
         }
@@ -264,23 +268,18 @@ impl AlertEngine {
     }
 
     /// Runs every detector over one sealed segment: `seg` is the
-    /// segment's own partial delta, `baseline` the accumulation of all
-    /// *prior* segments (`None` for the first), `table` the segment's
-    /// columnar trajectories. Called by
-    /// [`IncrementalStudy`](crate::IncrementalStudy) before the delta
-    /// is merged into its accumulator.
-    pub fn observe_segment(
-        &mut self,
-        baseline: Option<&StudyPartials>,
-        seg: &StudyPartials,
-        table: &TrajectoryTable,
-    ) {
+    /// segment's own partial delta, `table` its columnar trajectories.
+    /// Every baseline a detector compares against — the cumulative
+    /// per-engine rates, the regression's stabilization sums — is this
+    /// engine's own, advanced here by the segment, so nothing reads the
+    /// study's accumulation.
+    pub fn observe_segment(&mut self, seg: &StudyPartials, table: &TrajectoryTable) {
         let seq = self.seq;
         self.seq += 1;
         let mut out = Vec::new();
         self.detect_bursts(seq, table, &mut out);
         self.detect_crossovers(seq, table, &mut out);
-        self.detect_regression(seq, baseline, seg, &mut out);
+        self.detect_regression(seq, seg, &mut out);
         self.detect_sample_events(seq, table, &mut out);
         self.totals.fired += out.len() as u64;
         self.pending.extend(out);
@@ -455,25 +454,20 @@ impl AlertEngine {
     }
 
     /// Detector 2: the segment's mean minutes-to-stabilize (§6 label
-    /// variant over all samples) vs the running baseline's, compared by
+    /// variant over all samples) vs the running baseline's — the sums
+    /// over all prior segments, empty before the first — compared by
     /// exact cross-multiplication against the configured factor.
-    fn detect_regression(
-        &mut self,
-        seq: u64,
-        baseline: Option<&StudyPartials>,
-        seg: &StudyPartials,
-        out: &mut Vec<Alert>,
-    ) {
-        let Some(base) = baseline else { return };
+    fn detect_regression(&mut self, seq: u64, seg: &StudyPartials, out: &mut Vec<Alert>) {
         let t = self.config.regression_threshold;
-        let row = |p: &StudyPartials| {
-            p.stabilization_partial()
-                .label_all_totals()
-                .find(|&(tt, _, _)| tt == t)
-        };
-        let (Some((_, s_st, s_min)), Some((_, b_st, b_min))) = (row(seg), row(base)) else {
+        let Some((_, s_st, s_min)) = seg
+            .stabilization_partial()
+            .label_all_totals()
+            .find(|&(tt, _, _)| tt == t)
+        else {
             return;
         };
+        let (b_st, b_min) = self.stabilized;
+        self.stabilized = (b_st + s_st, b_min + s_min);
         let floor = self.config.regression_min_stabilized;
         if s_st < floor.max(1) || b_st < floor.max(1) {
             return;
@@ -740,7 +734,7 @@ mod tests {
         let fleet = EngineFleet::with_seed(1);
         let mut study = crate::IncrementalStudy::new(&fleet, window()).with_workers(1);
         study.fold_table(table, Obs::noop());
-        study.partials().unwrap().clone()
+        study.take_partials().expect("one table folded")
     }
 
     #[test]
@@ -906,8 +900,12 @@ mod tests {
             ..AlertConfig::default()
         });
         let mut out = Vec::new();
-        eng.detect_regression(0, Some(&partial), &partial, &mut out);
+        eng.detect_regression(0, &partial, &mut out);
+        assert!(out.is_empty(), "no baseline before the first segment");
+        assert_eq!(eng.stabilized, (4, 80), "the first segment is the baseline");
+        eng.detect_regression(1, &partial, &mut out);
         assert!(out.is_empty(), "equal means are not a 1.25× regression");
+        assert_eq!(eng.stabilized, (8, 160), "each segment joins the baseline");
         // At factor 1000 permille (1.0×) equal nonzero means do fire.
         let mut eq_eng = engine_of(AlertConfig {
             regression_threshold: 2,
@@ -916,7 +914,8 @@ mod tests {
             ..AlertConfig::default()
         });
         let mut eq_out = Vec::new();
-        eq_eng.detect_regression(0, Some(&partial), &partial, &mut eq_out);
+        eq_eng.detect_regression(0, &partial, &mut eq_out);
+        eq_eng.detect_regression(1, &partial, &mut eq_out);
         assert_eq!(eq_out.len(), 1);
         match eq_out[0].kind {
             AlertKind::StabilizationRegression {
@@ -945,8 +944,8 @@ mod tests {
         };
         let run = || {
             let mut eng = AlertEngine::new(config);
-            eng.observe_segment(None, &partial, &table);
-            eng.observe_segment(Some(&partial), &partial, &table);
+            eng.observe_segment(&partial, &table);
+            eng.observe_segment(&partial, &table);
             (eng.take_pending(), eng.totals())
         };
         let (a, ta) = run();
@@ -966,7 +965,7 @@ mod tests {
         assert_eq!(ta.fired, a.len() as u64);
         // Drain is destructive; seq keeps advancing.
         let mut eng = AlertEngine::new(config);
-        eng.observe_segment(None, &partial, &table);
+        eng.observe_segment(&partial, &table);
         let first = eng.take_pending();
         assert!(eng.take_pending().is_empty());
         assert!(!first.is_empty());

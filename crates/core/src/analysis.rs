@@ -204,8 +204,8 @@ pub trait Analysis {
 
     /// Folds `next` into `acc`; the two cover disjoint samples. Must
     /// satisfy `merge(fold(x), fold(y)) == fold(x ++ y)` and commute.
-    /// Borrows `next`: the serve merge tree re-merges cached nodes
-    /// on every publish, and an owned `next` would be a clone each time.
+    /// Borrows `next`, so one merge serves every caller: a fold's
+    /// ranges, and an accumulation that keeps the partial it adds.
     fn merge(&self, acc: &mut Self::Partial, next: &Self::Partial);
 
     /// Converts an accumulated partial into the stage output.

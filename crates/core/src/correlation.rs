@@ -123,8 +123,8 @@ pub fn spearman_from_contingency(counts: &[[u64; 3]; 3]) -> Option<f64> {
 /// the full 3×3 by exact `u64` subtraction. For the paper's 70-engine
 /// roster one accumulator is 70·69/2 · 4 counts ≈ 77 KB — independent
 /// of row count, unlike the reference path's `engines × rows` column
-/// matrix, and cheap enough that `vtld serve`'s merge tree clones it on
-/// every epoch publish.
+/// matrix: a fold's delta is as large as a whole accumulation, never
+/// larger.
 ///
 /// Rows are counted **bit-sliced**: up to 64 rows buffer as one bit per
 /// row in two words per engine (`pos` = R is 1, `zero` = R is 0; unset

@@ -63,7 +63,6 @@ use crate::records::SampleRecord;
 use crate::stability::{Stability, StabilityPartial};
 use crate::stabilization::{Stabilization, StabilizationPartial};
 use crate::table::TrajectoryTable;
-use std::sync::Arc;
 use vt_engines::EngineFleet;
 use vt_model::time::Timestamp;
 use vt_obs::Obs;
@@ -179,24 +178,21 @@ impl StudyPartials {
     /// Merges another segment's partials into this accumulation.
     ///
     /// Public because the serve tier's merger thread reassembles the
-    /// global study from shard-local accumulations: merging the hash
-    /// slots' partials is `fold` over their union, which is what makes
-    /// the published snapshot bit-identical at every shard count. The
-    /// one contract is the segment folds': `self` and `next` cover
-    /// disjoint sample sets. Every stage merge commutes, so the order
-    /// is free; the canonical slot order stays only where the sample
-    /// index, the alert log and Table 2's month order need it.
+    /// global study from the folds' deltas: merging them is `fold` over
+    /// their union, which is what makes the published snapshot
+    /// bit-identical at every shard count. The one contract is the
+    /// segment folds': `self` and `next` cover disjoint sample sets.
+    /// Every stage merge commutes, so the order is free, and the merger
+    /// adds each delta in arrival order.
     pub fn merge(mut self, next: Self) -> Self {
         self.merge_from(&next);
         self
     }
 
-    /// [`merge`](Self::merge) without consuming either side: builds the
-    /// merged accumulation from borrowed partials. This is the serve
-    /// merge tree's per-publish primitive — internal nodes re-merge from
-    /// cached children on every epoch, and cloning both children just to
-    /// feed the owned path would double the per-publish memory traffic.
-    pub fn merge_ref(&self, next: &Self) -> Self {
+    /// [`merge`](Self::merge) without consuming either side: one clone
+    /// and one merge. [`SlotMergeTree`] re-merges its nodes with it;
+    /// `vtld serve` merges each delta in place instead.
+    fn merge_ref(&self, next: &Self) -> Self {
         let mut out = self.clone();
         out.merge_from(next);
         out
@@ -266,22 +262,16 @@ impl StudyPartials {
 /// folded and merged into the cached [`StudyPartials`] without touching
 /// any earlier segment's reports — where re-running the batch pipeline
 /// would cost O(everything seen so far). `vtld serve` keeps one of
-/// these per ingest slot and hands each fold's accumulation to its
-/// merger thread.
-///
-/// The accumulation sits behind an [`Arc`] so that handing it out
-/// ([`shared_partials`](Self::shared_partials)) is a pointer copy. A
-/// fold merges through [`Arc::make_mut`]: in place while the study holds
-/// the only pointer, into a private copy while a reader still holds one
-/// — so a pointer handed out never changes under its holder, and the
-/// copy, when one is needed, is made and later freed by the folding
-/// thread.
+/// these per ingest slot and, after every fold, hands that fold's
+/// partials to its merger thread with
+/// [`take_partials`](Self::take_partials); the index and the drift
+/// detectors keep accumulating across takes.
 #[derive(Debug, Clone)]
 pub struct IncrementalStudy<'a> {
     fleet: &'a EngineFleet,
     window_start: Timestamp,
     workers: usize,
-    partials: Option<Arc<StudyPartials>>,
+    partials: Option<StudyPartials>,
     indexing: bool,
     index: Option<SampleIndex>,
     alerts: Option<AlertEngine>,
@@ -330,22 +320,24 @@ impl<'a> IncrementalStudy<'a> {
         self
     }
 
-    /// Segments folded so far.
+    /// Segments folded since the last [`take_partials`](Self::take_partials).
     pub fn segments(&self) -> u64 {
         self.partials().map_or(0, StudyPartials::segments)
     }
 
-    /// The cached accumulation, if any segment has been folded.
+    /// The cached accumulation, if any segment has been folded since the
+    /// last [`take_partials`](Self::take_partials).
     pub fn partials(&self) -> Option<&StudyPartials> {
-        self.partials.as_deref()
+        self.partials.as_ref()
     }
 
-    /// The cached accumulation as a shared pointer: a read-only view of
-    /// the study as of this call, which later folds leave untouched. It
-    /// costs no copy here; the next fold copies if (and only if) the
-    /// pointer is still held by then.
-    pub fn shared_partials(&self) -> Option<Arc<StudyPartials>> {
-        self.partials.clone()
+    /// Hands over everything folded since the last take (`None` if
+    /// nothing was), leaving the study's partials empty. Taken after
+    /// every fold, each take is that fold's own delta, and the deltas
+    /// merge, in any order, to the accumulation never taking would
+    /// have kept.
+    pub fn take_partials(&mut self) -> Option<StudyPartials> {
+        self.partials.take()
     }
 
     /// The accumulated per-sample index: `Some` once a segment has been
@@ -458,11 +450,7 @@ impl<'a> IncrementalStudy<'a> {
             .with_obs(obs);
         let seg = StudyPartials::fold(&ctx);
         if let Some(engine) = self.alerts.as_mut() {
-            // Observe the segment delta against the accumulation of all
-            // *prior* segments, before the merge below folds it in.
-            obs.time("pipeline/alerts", || {
-                engine.observe_segment(self.partials.as_deref(), &seg, table)
-            });
+            obs.time("pipeline/alerts", || engine.observe_segment(&seg, table));
         }
         if self.indexing {
             let part = obs.time("pipeline/index", || SampleIndex::fold_table(table));
@@ -472,14 +460,14 @@ impl<'a> IncrementalStudy<'a> {
             });
         }
         match &mut self.partials {
-            None => self.partials = Some(Arc::new(seg)),
-            Some(acc) => Arc::make_mut(acc).merge_from(&seg),
+            None => self.partials = Some(seg),
+            Some(acc) => acc.merge_from(&seg),
         }
     }
 
-    /// Finishes the accumulated partials into full [`StudyResults`]
-    /// (bit-identical to the batch pipeline over the concatenation of
-    /// every folded segment). `partitions` supplies the Table 2 store
+    /// Finishes the partials folded since the last take into full
+    /// [`StudyResults`] (bit-identical to the batch pipeline over the
+    /// concatenation of those segments). `partitions` supplies the Table 2 store
     /// accounting, which lives outside the analysis fold.
     ///
     /// Borrows the cached partials — no clone, accumulation continues
@@ -502,8 +490,8 @@ impl<'a> IncrementalStudy<'a> {
 }
 
 /// Month-wise accumulation of per-segment Table 2 store accounting.
-/// Months append in first-seen order, so merging slot vectors in
-/// canonical slot order reproduces the flat left-to-right scan exactly.
+/// Months append in first-seen order; every store lists the same months
+/// in window order, so stores' stats merge in any order to one vector.
 pub fn merge_partition_stats(acc: &mut Vec<PartitionStats>, seg: &[PartitionStats]) {
     for stat in seg {
         match acc.iter_mut().find(|a| a.month == stat.month) {
@@ -527,9 +515,11 @@ pub fn merge_partition_stats(acc: &mut Vec<PartitionStats>, seg: &[PartitionStat
 /// equals the flat left-to-right fold over slots `0..n`. By the
 /// committed `merge(fold(x), fold(y)) == fold(x ++ y)` algebra
 /// (associative and commutative, with an empty slot as identity), the
-/// cached root is **bit-identical** to re-merging every slot, which is
-/// what `vtld serve` publishes per epoch. The fixed shape still matters
-/// for the Table 2 accounting, whose months keep first-seen order.
+/// cached root is **bit-identical** to re-merging every slot.
+///
+/// Public only because the benchmark's traced replica
+/// (`examples/benchmark/src/traced.rs`) pins it; `vtld serve` adds each
+/// fold's delta to one accumulation instead.
 #[derive(Debug, Clone)]
 pub struct SlotMergeTree {
     /// Leaf count, rounded up to a power of two.
@@ -774,30 +764,34 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_pointer_is_a_view_the_next_fold_leaves_untouched() {
+    fn taken_deltas_merge_in_any_order_to_the_kept_accumulation() {
         let study = Study::generate_with_workers(SimConfig::new(0xA2C, 600), 2);
         let records = study.records();
         let ws = study.sim().config().window_start();
-        let mid = records.len() / 2;
-        let mut shared = IncrementalStudy::new(study.sim().fleet(), ws).with_workers(2);
-        let mut alone = shared.clone();
-        assert!(shared.shared_partials().is_none(), "nothing folded yet");
-
-        shared.fold_segment(&records[..mid], Obs::noop());
-        alone.fold_segment(&records[..mid], Obs::noop());
-        let held = shared.shared_partials().expect("one segment folded");
-        let before = format!("{held:?}");
-        // A fold while the pointer is held copies; once it is dropped
-        // the next fold merges in place. Both must leave `held` alone
-        // and the study where the never-shared one is.
-        shared.fold_segment(&records[mid..], Obs::noop());
-        alone.fold_segment(&records[mid..], Obs::noop());
-        assert_eq!(format!("{held:?}"), before, "the view does not move");
-        assert_eq!(held.segments(), 1);
-        assert_eq!(shared.segments(), 2);
+        let mut taking = IncrementalStudy::new(study.sim().fleet(), ws)
+            .with_workers(2)
+            .with_index();
+        let mut kept = taking.clone();
+        assert!(taking.take_partials().is_none(), "nothing folded yet");
+        let mut deltas = Vec::new();
+        for seg in records.chunks(records.len().div_ceil(3)) {
+            taking.fold_segment(seg, Obs::noop());
+            kept.fold_segment(seg, Obs::noop());
+            let delta = taking.take_partials().expect("one segment folded");
+            assert_eq!(delta.segments(), 1, "a take after every fold is its delta");
+            assert!(taking.partials().is_none());
+            deltas.push(delta);
+        }
+        assert_eq!(taking.index(), kept.index(), "takes leave the index alone");
+        let summed = deltas
+            .into_iter()
+            .rev()
+            .reduce(StudyPartials::merge)
+            .expect("three folds");
+        assert_eq!(summed.segments(), kept.segments());
         assert_eq!(
-            format!("{:?}", shared.results(Vec::new(), Obs::noop())),
-            format!("{:?}", alone.results(Vec::new(), Obs::noop())),
+            format!("{:?}", summed.finish(Vec::new(), Obs::noop())),
+            format!("{:?}", kept.results(Vec::new(), Obs::noop())),
         );
     }
 

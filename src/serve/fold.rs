@@ -7,10 +7,10 @@
 //! [`SlotFold`] per slot it serves — the slot's [`IncrementalStudy`]
 //! (partials, per-sample [`SampleIndex`], and with alerting on a
 //! slot-local [`crate::dynamics::AlertEngine`] running the four
-//! streaming detectors over each segment's delta) and its Table 2
-//! accounting — and every fold's result leaves in the message that
-//! announces it: the slot's cumulative accumulation as of that fold and
-//! the alerts that fold fired. Alerts are keyed
+//! streaming detectors over each segment's delta) — and every fold's
+//! result leaves in the message that announces it: that fold's own
+//! partials and Table 2 stats, taken out of the study, the slot's index
+//! as of that fold, and the alerts that fold fired. Alerts are keyed
 //! `(slot, seq, detector, ordinal)`, a pure function of the WAL, so the
 //! stream is bit-identical at any shard × worker count and across
 //! crash-recovery replay; each batch also goes straight to the connector
@@ -37,26 +37,21 @@ use super::counters::ServeCounters;
 use super::ingest::{IngestCtx, SegmentMsg};
 use super::{sink, wire, ServeConfig};
 use crate::dynamics::{
-    merge_partition_stats, Alert, AlertConfig, AlertTotals, DecodeArena, IncrementalStudy,
-    SampleIndex, StudyPartials,
+    Alert, AlertConfig, AlertTotals, DecodeArena, IncrementalStudy, SampleIndex, StudyPartials,
 };
 use crate::model::EngineId;
 use crate::obs::Obs;
 use crate::sim::VirusTotalSim;
 use crate::store::{read_segment_into, write_segment, PartitionStats, Segment};
 
-/// What one fold hands the merger: the slot's *cumulative* accumulation
-/// as of that fold — so a later update for a slot supersedes an earlier
-/// one the merger has not merged yet — and *that fold's* alerts, which
-/// no other update carries.
+/// What one fold hands the merger: *that fold's* partials, Table 2
+/// stats and alerts, which no other update carries — the merger adds
+/// them to its sums in whatever order updates arrive — and the slot's
+/// cumulative index, of which the newest wins.
+#[cfg_attr(test, derive(Clone))]
 pub(super) struct SlotUpdate {
     pub(super) slot: usize,
-    /// The worker's own accumulation, shared read-only rather than
-    /// copied: a copy made here would be allocated on this thread and
-    /// freed on the merger's, and that churn slows the folds that
-    /// follow (DESIGN.md §2.8). The merger copies what its tree keeps
-    /// and drops the pointer.
-    pub(super) partials: Option<Arc<StudyPartials>>,
+    pub(super) partials: Option<StudyPartials>,
     pub(super) partitions: Vec<PartitionStats>,
     /// Frozen behind an `Arc` at fold time: publishing ships the
     /// pointer into the snapshot's per-slot index table instead of
@@ -98,12 +93,11 @@ impl FoldCtx {
     }
 }
 
-/// One slot's worker-local accumulation; nothing but its owning worker
+/// One slot's worker-local fold state; nothing but its owning worker
 /// ever writes it.
 pub(super) struct SlotFold<'a> {
     slot: usize,
     study: IncrementalStudy<'a>,
-    partitions: Vec<PartitionStats>,
     /// Alert totals already on the shared counters, so each fold adds
     /// an exact delta.
     counted: AlertTotals,
@@ -127,7 +121,6 @@ impl<'a> SlotFold<'a> {
         Self {
             slot,
             study,
-            partitions: Vec::new(),
             counted: AlertTotals::default(),
         }
     }
@@ -135,9 +128,9 @@ impl<'a> SlotFold<'a> {
     /// Folds the slot's next sealed segment — `arena` holding its
     /// decoded rows — and advances the alert counters by exactly what it
     /// added; returns the samples folded and the update the merger is
-    /// owed. Zero-copy: the columnar table is built straight from the
-    /// worker's reusable decode arena (see
-    /// [`IncrementalStudy::fold_arena`]).
+    /// owed, which takes the fold's partials out of the study. Zero-copy:
+    /// the columnar table is built straight from the worker's reusable
+    /// decode arena (see [`IncrementalStudy::fold_arena`]).
     pub(super) fn fold(
         &mut self,
         segment: &Segment,
@@ -146,7 +139,6 @@ impl<'a> SlotFold<'a> {
         c: &ServeCounters,
     ) -> (usize, SlotUpdate) {
         let samples = self.study.fold_arena(arena, obs);
-        merge_partition_stats(&mut self.partitions, &segment.store().partition_stats());
         let alerts = self.study.take_alerts();
         let totals = self.study.alert_totals();
         let was = self.counted;
@@ -158,8 +150,8 @@ impl<'a> SlotFold<'a> {
         self.counted = totals;
         let update = SlotUpdate {
             slot: self.slot,
-            partials: self.study.shared_partials(),
-            partitions: self.partitions.clone(),
+            partials: self.study.take_partials(),
+            partitions: segment.store().partition_stats(),
             index: self
                 .study
                 .index()
@@ -240,6 +232,7 @@ pub(super) fn shard_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::merge_partition_stats;
     use crate::serve::tests::sealed_segments;
     use crate::sim::SimConfig;
 
@@ -304,18 +297,21 @@ mod tests {
             handed.windows(2).all(|w| w[0].key() < w[1].key()),
             "every alert once, in key order"
         );
-        for (n, update) in updates.iter().enumerate() {
-            let as_of = update.partials.as_ref().expect("folded").segments();
-            assert_eq!(as_of, n as u64 + 1, "later folds leave a sent update alone");
+        let mut summed_partitions = Vec::new();
+        for update in &updates {
+            let delta = update.partials.as_ref().expect("folded");
+            assert_eq!(delta.segments(), 1, "each update is its own fold's delta");
+            merge_partition_stats(&mut summed_partitions, &update.partitions);
         }
         let last = updates.last().expect("three folds");
         assert_eq!(Some(&*last.index), direct.index());
-        assert_eq!(last.partitions, partitions);
-        let served = last
-            .partials
-            .as_ref()
-            .expect("three folds accumulated")
-            .finish(last.partitions.clone(), Obs::noop());
+        assert_eq!(summed_partitions, partitions);
+        let served = updates
+            .into_iter()
+            .filter_map(|update| update.partials)
+            .reduce(StudyPartials::merge)
+            .expect("three folds")
+            .finish(summed_partitions, Obs::noop());
         assert_eq!(
             format!("{served:?}"),
             format!("{:?}", direct.results(partitions, Obs::noop()))

@@ -23,14 +23,13 @@
 //!   [`crate::dynamics::StudyPartials`], a
 //!   [`crate::dynamics::SampleIndex`] and (by default) the four
 //!   streaming drift detectors' alerts, and send the merger one message
-//!   per fold carrying the slot's accumulation and that fold's alerts.
-//!   No state is shared between a worker and the merger: nothing to
-//!   lock, nothing to poison.
-//! * `publish` — slot updates → `Arc<Snapshot>`. The merger puts each
-//!   update into its slot's leaf of a
-//!   [`crate::dynamics::SlotMergeTree`], re-merging only the changed
-//!   slots' paths (bit-identical to the flat slot-order merge at any
-//!   shard count), finishes the root, and swaps that study in as the
+//!   per fold carrying that fold's partials and alerts. No state is
+//!   shared between a worker and the merger: nothing to lock, nothing
+//!   to poison.
+//! * `publish` — slot updates → `Arc<Snapshot>`. The merger adds each
+//!   update's delta to one running sum — one merge per fold, in arrival
+//!   order, the same sum in any order and so at any shard count —
+//!   finishes it, and swaps that study in as the
 //!   next epoch's snapshot — nothing rendered — through the **publish
 //!   seam**: the one place readers pin a snapshot and the one thing a
 //!   `subscribe` stream waits on (publish and shutdown are its only
@@ -99,8 +98,8 @@ use crate::sim::fault::FaultPlan;
 use crate::store::SegmentDir;
 
 /// Fixed number of hash-partition slots accepted samples are routed
-/// through. Slots — not shard workers — are the unit the merger
-/// reassembles in order, so the published study is bit-identical at any
+/// through. Slots — not shard workers — key the segment streams, the
+/// per-slot indexes and the alerts, so nothing published depends on the
 /// shard count; `shards` only decides how many threads fold the slot
 /// streams. Fixed so a data dir written at one shard count recovers
 /// correctly at another.
@@ -117,7 +116,8 @@ pub struct ServeConfig {
     /// Reports per sealed segment (the incremental fold granularity),
     /// per slot stream.
     pub segment_reports: u64,
-    /// Worker threads inside each per-segment fold.
+    /// Worker threads inside each per-segment fold (clamped to
+    /// `1..=`[`par::MAX_WORKERS`]).
     pub workers: usize,
     /// Shard worker threads folding the slot streams (clamped to
     /// `1..=`[`INGEST_SLOTS`]).
@@ -199,7 +199,7 @@ impl ServeConfig {
     /// Clamps the tunables into their valid ranges.
     fn normalized(mut self) -> Self {
         self.segment_reports = self.segment_reports.max(1);
-        self.workers = self.workers.max(1);
+        self.workers = self.workers.clamp(1, par::MAX_WORKERS);
         self.shards = self.shards.clamp(1, INGEST_SLOTS);
         self.max_clients = self.max_clients.max(1);
         self.max_line_bytes = self.max_line_bytes.max(64);

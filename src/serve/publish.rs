@@ -1,17 +1,15 @@
 //! Layer 3 — slot updates → one merged study → the published
 //! `Arc<Snapshot>`, and the seam readers meet it at.
 //!
-//! The merger thread owns everything it merges: each
-//! [`SlotUpdate`] a fold sends replaces that slot's leaf of a
-//! [`SlotMergeTree`] — a fixed-shape binary merge tree over the slots
-//! whose cached internal nodes make each publish O(changed-slot): a
-//! fold that touched one slot re-merges only that leaf's
-//! log₂([`INGEST_SLOTS`]) path to the root, and the other slots'
-//! partials are not even cloned. The tree's in-order leaf walk is the
-//! canonical concatenation `slot 0 ++ slot 1 ++ …`, so the root equals
-//! the flat slot-order merge bit for bit, and every published bit is
-//! identical at shards 1, 2 and 4. The alerts an update carries arrive
-//! exactly once; they are stamped with the publish epoch and kept on a
+//! The merger thread owns everything it merges: one sum of study
+//! partials and one of Table 2 stats, to which each [`SlotUpdate`] adds
+//! its fold's own delta, in arrival order — one merge per fold,
+//! whatever the history. Every stage merge is an addition, a max or a
+//! key-wise addition, and every store lists the same months in window
+//! order, so the sum is the same in any order, and every published bit
+//! is identical at shards 1, 2 and 4. A slot's index is cumulative, so
+//! its newest one wins. The alerts an update carries arrive exactly
+//! once; they are stamped with the publish epoch and kept on a
 //! key-sorted ring capped at `alerts_ring` — the only alert log there
 //! is.
 //!
@@ -37,8 +35,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
 use super::{wire, INGEST_SLOTS};
-use crate::dynamics::{IncrementalStudy, SampleIndex, SlotMergeTree, StudyResults};
+use crate::dynamics::{
+    merge_partition_stats, IncrementalStudy, SampleIndex, StudyPartials, StudyResults,
+};
 use crate::obs::Obs;
+use crate::store::PartitionStats;
 
 /// One epoch-consistent view of the study — the merged study itself:
 /// the finished results, the per-slot sample indexes, the alert ring
@@ -200,12 +201,12 @@ pub(super) struct PublishCtx {
     pub(super) seam: Arc<Seam>,
 }
 
-/// The merger's cross-publish accumulation: the binary merge tree over
-/// the slot partials (internal nodes cached, so a publish re-merges
-/// only the changed slots' root paths), and what each snapshot shares
-/// with the next by pointer.
+/// The merger's cross-publish accumulation: the sums of every delta
+/// merged so far, and what each snapshot shares with the next by
+/// pointer.
 struct MergerState {
-    tree: SlotMergeTree,
+    partials: Option<StudyPartials>,
+    partitions: Vec<PartitionStats>,
     slot_indexes: Vec<Arc<SampleIndex>>,
     /// The published alerts with the `alerts_ring` largest keys, sorted
     /// by key. An alert with that many larger keys behind it can never
@@ -214,19 +215,25 @@ struct MergerState {
     ring: Arc<Vec<PublishedAlert>>,
 }
 
+impl MergerState {
+    fn new() -> Self {
+        Self {
+            partials: None,
+            partitions: Vec::new(),
+            slot_indexes: empty_slot_indexes(),
+            ring: Arc::default(),
+        }
+    }
+}
+
 /// The merger thread: on every fold's update (draining a burst into one
-/// publish), replace the updated slots' merge-tree leaves, finish the
-/// cached root, and publish the next epoch. After the whole fleet exits
-/// — every sealed segment folded — or is gone without saying so,
-/// publish the final snapshot, marking `ingest_done` when the feed was
-/// fully consumed.
+/// publish), add the updates' deltas to the sums, finish them, and
+/// publish the next epoch. After the whole fleet exits — every sealed
+/// segment folded — or is gone without saying so, publish the final
+/// snapshot, marking `ingest_done` when the feed was fully consumed.
 pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
     let ingest = &ctx.fold.ingest;
-    let mut state = MergerState {
-        tree: SlotMergeTree::new(INGEST_SLOTS),
-        slot_indexes: empty_slot_indexes(),
-        ring: Arc::default(),
-    };
+    let mut state = MergerState::new();
     let mut epoch = 0u64;
     let mut exited = 0usize;
     let mut updates: Vec<Box<SlotUpdate>> = Vec::new();
@@ -248,10 +255,9 @@ pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
     publish_merged(ctx, &mut state, epoch, updates.drain(..), ingest.done());
 }
 
-/// Publishes one epoch: take `updates` (in arrival order) into the
-/// merge tree — each updated slot re-merges only its log₂(8) root path,
-/// and the other slots are not touched — finish the cached root, and
-/// swap it in as the next snapshot.
+/// Publishes one epoch: add `updates` (in arrival order) to the sums —
+/// one merge each — finish them, and swap the study in as the next
+/// snapshot.
 fn publish_merged(
     ctx: &PublishCtx,
     state: &mut MergerState,
@@ -263,34 +269,29 @@ fn publish_merged(
     // Every update's alerts are new: stamp them with this publish's
     // epoch. The stamp is arrival-timing-dependent (it is *when this
     // daemon noticed*, the `since` cursor), but the rendered bodies and
-    // the key order are pure functions of the WAL. A slot's updates are
-    // cumulative, so of several in one burst only the last is merged.
+    // the key order are pure functions of the WAL.
     let mut fresh: Vec<PublishedAlert> = Vec::new();
-    let mut latest: [Option<Box<SlotUpdate>>; INGEST_SLOTS] = Default::default();
     for update in updates {
-        fresh.extend(update.alerts.iter().map(|alert| PublishedAlert {
-            key: alert.key(),
-            published: epoch,
-            rendered: wire::render_alert(alert, &fold.roster),
-        }));
-        let slot = update.slot;
-        latest[slot] = Some(update);
-    }
-    for update in latest.into_iter().flatten() {
         let SlotUpdate {
             slot,
             partials,
             partitions,
             index,
-            ..
+            alerts,
         } = *update;
+        fresh.extend(alerts.iter().map(|alert| PublishedAlert {
+            key: alert.key(),
+            published: epoch,
+            rendered: wire::render_alert(alert, &fold.roster),
+        }));
+        if let Some(delta) = partials {
+            state.partials = Some(match state.partials.take() {
+                Some(acc) => acc.merge(delta),
+                None => delta,
+            });
+        }
+        merge_partition_stats(&mut state.partitions, &partitions);
         state.slot_indexes[slot] = index;
-        // The one copy of a fold's partials: the tree keeps its leaves
-        // by value. The worker's pointer goes before the re-merge, not
-        // after it, so a fold that lands meanwhile merges in place.
-        let leaf = partials.as_deref().cloned();
-        drop(partials);
-        state.tree.update_slot(slot, leaf, partitions);
     }
     if !fresh.is_empty() {
         // The last snapshot still shares the ring, so this copies it —
@@ -301,8 +302,8 @@ fn publish_merged(
         let excess = ring.len().saturating_sub(ingest.config.alerts_ring);
         ring.drain(..excess);
     }
-    let partitions = state.tree.root_partitions().to_vec();
-    let results = match state.tree.root() {
+    let partitions = state.partitions.clone();
+    let results = match &state.partials {
         Some(partials) => partials.finish(partitions, &ingest.obs),
         None => IncrementalStudy::new(ingest.sim.fleet(), ingest.sim.config().window_start())
             .results(partitions, &ingest.obs),
@@ -352,6 +353,7 @@ mod tests {
     use crate::serve::render::study_fingerprint;
     use crate::serve::tests::{
         bare_snapshot as snapshot, interleaved_updates, merger_ctx, published_in_one_burst,
+        slot_update_streams,
     };
     use crate::serve::ServeConfig;
     use std::sync::mpsc::channel;
@@ -486,6 +488,119 @@ mod tests {
             .map(|a| (a.key, a.published))
             .collect();
         assert_eq!(ring, stamped);
+    }
+
+    /// Every slot-order-preserving arrangement of `left[s]` picks of
+    /// each slot `s`, appended to `out` after `prefix`.
+    fn interleavings(left: &mut [usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if left.iter().all(|&n| n == 0) {
+            out.push(prefix.clone());
+        }
+        for slot in 0..left.len() {
+            if left[slot] > 0 {
+                left[slot] -= 1;
+                prefix.push(slot);
+                interleavings(left, prefix, out);
+                prefix.pop();
+                left[slot] += 1;
+            }
+        }
+    }
+
+    /// The merger is a pure function of what reaches it: every
+    /// interleaving of three slots' two updates each that keeps each
+    /// slot's own order, sent as one burst, and every batching of one
+    /// interleaving into consecutive publishes, end in the same study,
+    /// slot indexes and alert log — each alert stamped with the epoch of
+    /// the publish that carried its update.
+    #[test]
+    fn every_arrival_order_and_batching_publishes_the_same_study() {
+        type Published = (
+            (u64, u64),
+            Vec<Arc<SampleIndex>>,
+            Vec<((u64, u32, u8, u32), String)>,
+        );
+        let ctx = merger_ctx(ServeConfig::new(1_500, 0x51_07));
+        let streams = slot_update_streams(&ctx, &[1, 4, 6], 2);
+        assert!(streams.iter().all(|s| s.len() == 2), "two folds per slot");
+        let arrival = |picks: &[usize]| -> Vec<SlotUpdate> {
+            let mut next = [0; 3];
+            picks
+                .iter()
+                .map(|&s| {
+                    next[s] += 1;
+                    streams[s][next[s] - 1].clone()
+                })
+                .collect()
+        };
+        // What a snapshot published, and apart from it each alert's stamp.
+        let published = |snap: &Snapshot| {
+            let alerts = &snap.alerts;
+            let study: Published = (
+                study_fingerprint(&snap.results),
+                snap.slot_indexes.clone(),
+                alerts.iter().map(|a| (a.key, a.rendered.clone())).collect(),
+            );
+            let stamps: Vec<_> = alerts.iter().map(|a| (a.key, a.published)).collect();
+            (study, stamps)
+        };
+        // Each update's alert keys, stamped `epoch`, in key order.
+        let stamped = |updates: &[SlotUpdate], epoch: u64| {
+            let mut keys: Vec<_> = updates
+                .iter()
+                .flat_map(|u| u.alerts.iter().map(|a| (a.key(), epoch)))
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+
+        let mut orders = Vec::new();
+        interleavings(&mut [2, 2, 2], &mut Vec::new(), &mut orders);
+        assert_eq!(orders.len(), 90, "6! / (2! 2! 2!)");
+        let mut reference: Option<Published> = None;
+        for picks in &orders {
+            let updates = arrival(picks);
+            let want = stamped(&updates, 1);
+            let (tx, rx) = channel();
+            for update in updates {
+                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger_loop(&ctx, &rx);
+            let snap = ctx.seam.current();
+            assert_eq!(snap.epoch, 1, "one burst, one publish");
+            let (study, stamps) = published(&snap);
+            assert_eq!(stamps, want, "{picks:?}");
+            let reference = reference.get_or_insert_with(|| study.clone());
+            assert!(*reference == study, "arrival order {picks:?}");
+        }
+        let reference = reference.expect("90 orders");
+        assert!(!reference.2.is_empty(), "the fixture fires alerts");
+
+        let round_robin = arrival(&[0, 1, 2, 0, 1, 2]);
+        for cuts in 0u32..32 {
+            // Bit `i` of `cuts` ends a publish after update `i`.
+            let mut batches = vec![Vec::new()];
+            for (i, update) in round_robin.iter().enumerate() {
+                batches.last_mut().expect("open batch").push(update.clone());
+                if cuts >> i & 1 == 1 {
+                    batches.push(Vec::new());
+                }
+            }
+            let mut state = MergerState::new();
+            let mut want = Vec::new();
+            for (epoch, batch) in (1..).zip(batches) {
+                want.extend(stamped(&batch, epoch));
+                let updates = batch.into_iter().map(Box::new);
+                publish_merged(&ctx, &mut state, epoch, updates, false);
+            }
+            let snap = ctx.seam.current();
+            assert_eq!(snap.epoch, u64::from(cuts.count_ones()) + 1);
+            let (study, stamps) = published(&snap);
+            want.sort_unstable();
+            assert_eq!(stamps, want, "cuts {cuts:#07b}");
+            assert!(study == reference, "cuts {cuts:#07b}");
+        }
     }
 
     /// An update with no study behind it: `count` alerts at `seq`.

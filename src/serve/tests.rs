@@ -17,7 +17,7 @@ use super::render::{
 use super::wire::quoted;
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
-    merge_partition_stats, Collector, DecodeArena, IncrementalStudy, SlotMergeTree, StudyPartials,
+    merge_partition_stats, par, Collector, DecodeArena, IncrementalStudy, StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
@@ -103,15 +103,18 @@ fn layers_name_only_what_lies_to_their_right() {
             code(include_str!("render.rs")),
             &["Tcp", "SocketAddr", "Mutex", "RwLock", "HashMap"],
         ),
+        // The merger sums each fold's own delta: naming the merge tree or
+        // the worker's shared accumulation brings the cumulative hand-off
+        // back.
         (
             "publish.rs",
             code(include_str!("publish.rs")),
-            &["super::render"],
+            &["super::render", "SlotMergeTree", "merge_ref"],
         ),
         (
             "fold.rs",
             code(include_str!("fold.rs")),
-            &["Snapshot", "Mutex", "RwLock"],
+            &["Snapshot", "Mutex", "RwLock", "shared_partials"],
         ),
         (
             "ingest.rs",
@@ -133,13 +136,22 @@ fn config_normalization_clamps() {
     config.shards = 0;
     config.segment_reports = 0;
     config.max_clients = 0;
+    config.workers = 0;
     let n = config.normalized();
     assert_eq!(n.shards, 1);
     assert_eq!(n.segment_reports, 1);
     assert_eq!(n.max_clients, 1);
+    assert_eq!(n.workers, 1);
     let mut config = ServeConfig::new(10, 1);
     config.shards = 64;
-    assert_eq!(config.normalized().shards, INGEST_SLOTS);
+    config.workers = 100_000;
+    let n = config.normalized();
+    assert_eq!(n.shards, INGEST_SLOTS);
+    assert_eq!(
+        n.workers,
+        par::MAX_WORKERS,
+        "each fold worker has its own accumulators"
+    );
 }
 
 /// With the detectors off no sink is opened: an `--alerts-out` path the
@@ -193,26 +205,41 @@ pub(super) fn merger_ctx(config: ServeConfig) -> PublishCtx {
     }
 }
 
-/// Two slots' update streams out of real [`SlotFold`]s over halves
-/// of the feed, interleaved a fold at a time the way two workers'
-/// sends land on the merger's channel.
-pub(super) fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
+/// One update stream per slot in `slots`, each out of a real
+/// [`SlotFold`] over an equal share of the feed sealed about `ways`
+/// ways.
+pub(super) fn slot_update_streams(
+    ctx: &PublishCtx,
+    slots: &[usize],
+    ways: u64,
+) -> Vec<Vec<SlotUpdate>> {
     let ingest = &ctx.fold.ingest;
-    let half = ingest.config.samples / 2;
+    let share = ingest.config.samples / slots.len() as u64;
     let mut arena = DecodeArena::new();
-    let [a, b] = [(2, 0..half), (5, half..ingest.config.samples)].map(|(slot, ordinals)| {
-        let mut fold = SlotFold::new(&ingest.config, &ingest.sim, slot);
-        let updates: Vec<SlotUpdate> = sealed_segments(&ingest.sim, ordinals, 3)
-            .iter()
-            .map(|segment| {
-                arena.clear();
-                segment.store().for_each_row(&mut arena);
-                fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
-            })
-            .collect();
-        assert!(updates.len() >= 2, "several updates per slot");
-        updates
-    });
+    (0..)
+        .zip(slots)
+        .map(|(n, &slot)| {
+            let mut fold = SlotFold::new(&ingest.config, &ingest.sim, slot);
+            sealed_segments(&ingest.sim, n * share..(n + 1) * share, ways)
+                .iter()
+                .map(|segment| {
+                    arena.clear();
+                    segment.store().for_each_row(&mut arena);
+                    fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Two slots' update streams over halves of the feed, interleaved a
+/// fold at a time the way two workers' sends land on the merger's
+/// channel.
+pub(super) fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
+    let [a, b]: [Vec<SlotUpdate>; 2] = slot_update_streams(ctx, &[2, 5], 3)
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("two slots, two streams"));
+    assert!(a.len() >= 2 && b.len() >= 2, "several updates per slot");
     let (mut a, mut b) = (a.into_iter(), b.into_iter());
     let mut interleaved = Vec::new();
     loop {
@@ -259,12 +286,11 @@ fn lazy_renderers_answer_missing_hashes_and_empty_indexes() {
 }
 
 /// The published fingerprint is a function of the finished study
-/// only — merging the slot partials through the cached
-/// [`SlotMergeTree`] must produce the same bits as the flat
-/// left-to-right slot merge the daemon used to do, at every fold
-/// worker count.
+/// only — the folds' deltas, summed in a shuffled order as the merger
+/// may meet them, must give the bits of the flat slot-order merge of
+/// every slot's cumulative partials, at every fold worker count.
 #[test]
-fn tree_merged_fingerprint_matches_flat_slot_merge() {
+fn summed_deltas_in_any_order_give_the_flat_slot_merge() {
     let samples = 600u64;
     let sim = VirusTotalSim::new(SimConfig::new(0xF1A7, samples));
     let feed = FaultyFeed::from_sim(&sim, 0..samples, FaultPlan::clean(0xF1A7));
@@ -277,31 +303,39 @@ fn tree_merged_fingerprint_matches_flat_slot_merge() {
     }
     let mut fingerprints = Vec::new();
     for fold_workers in [1usize, 2] {
-        let mut studies: Vec<IncrementalStudy<'_>> = (0..INGEST_SLOTS)
-            .map(|_| IncrementalStudy::new(sim.fleet(), ws).with_workers(fold_workers))
-            .collect();
-        let mut tree = SlotMergeTree::new(INGEST_SLOTS);
+        let study = || IncrementalStudy::new(sim.fleet(), ws).with_workers(fold_workers);
+        let mut studies: Vec<IncrementalStudy<'_>> = (0..INGEST_SLOTS).map(|_| study()).collect();
+        let mut deltas = Vec::new();
         for (slot, recs) in slot_records.iter().enumerate() {
+            let mut taking = study();
             for seg in recs.chunks(recs.len().div_ceil(2).max(1)) {
                 studies[slot].fold_segment(seg, Obs::noop());
+                taking.fold_segment(seg, Obs::noop());
+                deltas.extend(taking.take_partials());
             }
-            tree.update_slot(slot, studies[slot].partials().cloned(), Vec::new());
         }
         let flat = studies
             .iter()
             .filter_map(|st| st.partials().cloned())
             .reduce(StudyPartials::merge)
             .expect("the fixture folds at least one slot");
-        let tree_results = tree
-            .root()
-            .expect("tree accumulated")
-            .finish(Vec::new(), Obs::noop());
-        let flat_results = flat.finish(Vec::new(), Obs::noop());
-        let fp = study_fingerprint(&tree_results);
+        // A fixed shuffle: positions sorted by a multiplicative hash.
+        let mut order: Vec<usize> = (0..deltas.len()).collect();
+        order.sort_by_key(|&i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert!(
+            order.windows(2).any(|w| w[0] > w[1]),
+            "the order is shuffled"
+        );
+        let summed = order
+            .iter()
+            .map(|&i| deltas[i].clone())
+            .reduce(StudyPartials::merge)
+            .expect("the fixture folds at least one slot");
+        let fp = study_fingerprint(&summed.finish(Vec::new(), Obs::noop()));
         assert_eq!(
             fp,
-            study_fingerprint(&flat_results),
-            "tree merge must publish the flat merge's bits (fold_workers={fold_workers})"
+            study_fingerprint(&flat.finish(Vec::new(), Obs::noop())),
+            "summed deltas must publish the flat merge's bits (fold_workers={fold_workers})"
         );
         fingerprints.push(fp);
     }

@@ -355,9 +355,9 @@ fn kill_recover_bit_identical_shards4_workers8() {
 #[test]
 fn fingerprint_bit_identical_across_shard_and_worker_counts() {
     // The full shards 1/2/4 × workers 1/2/8 grid against the (1, 1)
-    // reference: the merger's cached slot merge tree re-merges only
-    // dirty root paths, and must still publish exactly the canonical
-    // slot-order bits at every combination.
+    // reference: the merger adds each fold's delta in whatever order
+    // the shard workers' sends arrive, and must still publish exactly
+    // the same bits at every combination.
     for shards in [1usize, 2, 4] {
         for workers in [1usize, 2, 8] {
             if (shards, workers) == (1, 1) {

@@ -14,10 +14,12 @@
 //! * `publish_last_segment` — one fold's epoch publish over the
 //!   60k-sample fixture: the last segment's partials merged into the
 //!   warm accumulation of every segment, the Table 2 stats likewise,
-//!   then `finish` (guards against per-publish work creeping back to
-//!   O(history) — a reintroduced partial clone or a per-publish index
-//!   merge). Merge + `finish` is the whole of what `vtld serve`'s merger
-//!   does per fold it publishes.
+//!   then the copy of both a published snapshot carries (guards
+//!   against per-publish work creeping back to O(history) — a
+//!   per-publish `finish`, a second copy or a per-publish index merge).
+//!   Merge + copy is the whole of what `vtld serve`'s merger does per
+//!   fold it publishes until a reader asks for results; the finish
+//!   waits for that reader (after it, the merger finishes at publish).
 //! * `trajectories_1_worker` — one single-thread sweep of the feed
 //!   generator over the 60k-sample fixture's config (guards against
 //!   per-report recomputation of what a scan asks once — the fleet's
@@ -56,11 +58,11 @@
 //! `fold_store`) — reported, not gated:
 //!
 //! ```text
-//! table_build_arena      163.2  161.4  175.7  158.1  158.6
-//! publish_last_segment     1.5    1.5    1.5    1.5    1.5
-//! trajectories_1_worker  149.2  147.0  151.5  147.2  147.1
-//! alert_overhead        ×1.055 ×1.142 ×1.113 ×1.195 ×1.173
-//! obs_overhead          ×0.948 ×0.930 ×1.031 ×1.008 ×1.104
+//! table_build_arena      182.5  185.7  177.7  181.2  200.3
+//! publish_last_segment     0.2    0.2    0.2    0.2    0.3
+//! trajectories_1_worker  182.0  178.9  168.4  176.2  199.3
+//! alert_overhead        ×1.100 ×1.104 ×1.040 ×1.198 ×1.067
+//! obs_overhead          ×1.049 ×0.851 ×0.963 ×1.077 ×0.967
 //! ```
 //!
 //! Usage: `cargo run --release -p vt-bench --bin bench_drift`
@@ -174,13 +176,13 @@ fn table_build_arm() -> Arm {
     Box::new(iteration)
 }
 
-/// ns/iter, one segment's delta into the warm accumulation of all 16:
-/// the median of this arm's reading over ten runs of this binary (1.5 ms
-/// in all ten), recorded 2026-10-15 on the 2-vCPU microVM the
-/// trajectories constant below describes. The merge tree update it
-/// replaces (a leaf clone and three clone-and-merges, then `finish`)
-/// read 2.4 – 2.6 ms, median 2.5, in the ten runs alternating with them.
-const PUBLISH_LAST_SEGMENT_NS: u64 = 1_500_000;
+/// ns/iter, one segment's delta into the warm accumulation of all 16,
+/// then the snapshot's copy of the sum: the median of this arm's reading
+/// over ten runs of this binary (0.2 ms in nine, 0.3 in one), recorded
+/// 2026-10-15 on the 2-vCPU microVM the trajectories constant below
+/// describes. The merge followed by `finish` it replaces read
+/// 1.5 – 1.8 ms, median 1.7, in the ten runs alternating with them.
+const PUBLISH_LAST_SEGMENT_NS: u64 = 200_000;
 
 fn publish_arm() -> Arm {
     eprintln!("bench_drift: slot-routing the 60k-sample fixture...");
@@ -216,15 +218,17 @@ fn publish_arm() -> Arm {
         let t = Instant::now();
         acc = acc.take().map(|acc| acc.merge(delta));
         merge_partition_stats(&mut partitions, &last_partitions);
+        // The copy the published snapshot carries; the first reader
+        // that asks finishes it, so until then a publish does not.
         let warm = acc.as_ref().expect("a warm accumulation");
-        let results = warm.finish(partitions.clone(), Obs::noop());
+        let snapshot = (warm.clone(), partitions.clone());
         let ns = t.elapsed().as_nanos() as u64;
         assert_eq!(
-            results.s_samples,
+            snapshot.0.s_samples(),
             before + last.s_samples(),
             "the delta merged"
         );
-        std::hint::black_box(results);
+        std::hint::black_box(snapshot);
         ns
     };
     Box::new(iteration)

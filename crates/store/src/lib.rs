@@ -34,8 +34,9 @@
 //! * [`segdir`] — the serve tier's write-ahead log: a directory of
 //!   durably persisted segments ([`DurableWriter`] fsyncs file and
 //!   directory before a seal is visible) with a crash-recovery scan
-//!   ([`SegmentDir::replay`]) that keeps each slot's clean prefix —
-//!   files the strict reader accepts whole — and quarantines the rest.
+//!   ([`SegmentDir::replay_each`]) that hands over each slot's clean
+//!   prefix — files the strict reader accepts whole — one segment at a
+//!   time, and quarantines the rest.
 //!
 //! A layer hands its neighbour what it already holds: a report is
 //! encoded once and decoded once on the batch and live-ingest paths
@@ -56,6 +57,7 @@ pub mod crc32;
 pub mod dataset;
 pub mod partition;
 pub mod persist;
+mod replay_log;
 pub mod segdir;
 pub mod segment;
 pub mod store;
@@ -68,6 +70,7 @@ pub use persist::{
     read_store, read_store_into, read_store_salvage, write_store, CorruptKind, PartitionRecovery,
     PersistError, RecoveryReport, SalvageLabel,
 };
+pub use replay_log::ReplayLog;
 pub use segdir::{DurableWriter, Replay, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_into, write_segment, Segment, SegmentWriter};
 pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs};

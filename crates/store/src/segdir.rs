@@ -15,16 +15,19 @@
 //!   that a segment is on disk (file and directory both synced) before
 //!   `push_sample` ever hands it back — a seal can never precede
 //!   durability.
-//! * [`SegmentDir::replay`] is the restart path: scan the directory,
-//!   read every segment with the one strict reader
+//! * [`SegmentDir::replay_each`] is the restart path: scan the
+//!   directory, read every segment with the one strict reader
 //!   ([`read_segment_into`] — the reader every other consumer of a
-//!   segment file uses), keep each slot's longest clean prefix
-//!   (contiguous sequence numbers from 0, every file accepted whole),
-//!   and move everything after the first damaged or missing segment
-//!   into a `quarantine/` subdirectory. The daemon serves from the clean
-//!   prefix and re-ingests the rest instead of refusing to start. The
-//!   read's integrity decode feeds a hash collector, so the replay also
-//!   says which samples the prefix already covers.
+//!   segment file uses), hand each segment of a slot's longest clean
+//!   prefix (contiguous sequence numbers from 0, every file accepted
+//!   whole) to the caller the moment it is accepted, and move
+//!   everything after the first damaged or missing segment into a
+//!   `quarantine/` subdirectory. The daemon folds the clean prefix while
+//!   the replay is still reading, and re-ingests the rest instead of
+//!   refusing to start. Nothing is held back: the replay keeps the one
+//!   segment it is reading, never the log. The read's integrity decode
+//!   feeds a hash collector, so the replay also says which samples the
+//!   prefix already covers.
 //!
 //! Segments are keyed by `(slot, seq)`: `slot` is the fixed hash
 //! partition the serve tier routes samples through, `seq` the per-slot
@@ -72,13 +75,10 @@ pub struct SegmentFile {
     pub path: PathBuf,
 }
 
-/// The outcome of [`SegmentDir::replay`]: each slot's recovered clean
-/// prefix, plus what had to be set aside.
+/// What [`SegmentDir::replay_each`] leaves behind once every clean
+/// segment has been handed over.
 #[derive(Debug)]
 pub struct Replay {
-    /// Per-slot clean prefixes, `slots.len()` == the directory's slot
-    /// count, each inner vec in ascending contiguous `seq` order.
-    pub slots: Vec<Vec<Segment>>,
     /// Every sample sealed in a clean-prefix segment (collected by the
     /// read that accepted it) — what a resuming feeder must not ingest
     /// again.
@@ -190,13 +190,17 @@ impl SegmentDir {
     }
 
     /// Recovers each slot's clean segment prefix and quarantines the
-    /// rest. See the module docs for the policy; the short version:
+    /// rest, handing each accepted segment to `on_segment(slot,
+    /// segment)` in `(slot, seq)` order and calling `on_quarantine` once
+    /// per file moved aside, as it moves. See the module docs for the
+    /// policy; the short version:
     ///
     /// * a segment joins the clean prefix iff its sequence number is the
     ///   next expected one for its slot, its header agrees with its file
     ///   name, and the strict reader accepts the file **whole** — every
     ///   marker, header, CRC and exact-count decode, the declared
-    ///   partition layout, and nothing after it;
+    ///   partition layout, and nothing after it — so `on_segment` only
+    ///   ever sees whole segments;
     /// * the first violation in a slot quarantines that file and every
     ///   later file of the same slot (they are orphaned behind the gap —
     ///   folding across a hole would break the stream-prefix invariant
@@ -208,41 +212,49 @@ impl SegmentDir {
     /// under their own names — a name already taken there (a re-sealed
     /// `(slot, seq)` quarantined by a later recovery) gets a numeric
     /// suffix — so an operator can inspect every one of them.
-    pub fn replay(&self) -> io::Result<Replay> {
-        let files = self.scan()?;
-        let mut slots: Vec<Vec<Segment>> = (0..self.slots).map(|_| Vec::new()).collect();
-        let mut sealed_hashes = HashSet::new();
-        let mut recovered = 0u64;
-        let mut quarantined = 0u64;
-        // Per-slot: whether the clean prefix has already ended
-        // (everything later in that slot quarantines).
+    ///
+    /// `on_segment` returning `false` ends the replay there (the
+    /// consumer is gone): the files not yet visited stay where they are,
+    /// and the returned [`Replay`] covers what was visited.
+    pub fn replay_each(
+        &self,
+        mut on_segment: impl FnMut(u32, Segment) -> bool,
+        mut on_quarantine: impl FnMut(),
+    ) -> io::Result<Replay> {
+        let mut replay = Replay {
+            sealed_hashes: HashSet::new(),
+            recovered_segments: 0,
+            quarantined_segments: 0,
+        };
+        // Per slot: the next expected `seq`, and whether the clean
+        // prefix has already ended (everything later in that slot
+        // quarantines).
+        let mut next_seq = vec![0u64; self.slots as usize];
         let mut broken = vec![false; self.slots as usize];
-        for file in files {
+        for file in self.scan()? {
             let slot = file.slot as usize;
-            if file.slot >= self.slots || broken[slot] {
-                self.quarantine_file(&file.path)?;
-                quarantined += 1;
-                continue;
-            }
-            match self.load(&file, slots[slot].len() as u64) {
-                Some((segment, hashes)) => {
-                    slots[slot].push(segment);
-                    sealed_hashes.extend(hashes);
-                    recovered += 1;
-                }
-                _ => {
+            let loaded = if file.slot >= self.slots || broken[slot] {
+                None
+            } else {
+                self.load(&file, next_seq[slot])
+            };
+            let Some((segment, hashes)) = loaded else {
+                if file.slot < self.slots {
                     broken[slot] = true;
-                    self.quarantine_file(&file.path)?;
-                    quarantined += 1;
                 }
+                self.quarantine_file(&file.path)?;
+                replay.quarantined_segments += 1;
+                on_quarantine();
+                continue;
+            };
+            next_seq[slot] += 1;
+            replay.sealed_hashes.extend(hashes);
+            replay.recovered_segments += 1;
+            if !on_segment(file.slot, segment) {
+                break;
             }
         }
-        Ok(Replay {
-            slots,
-            sealed_hashes,
-            recovered_segments: recovered,
-            quarantined_segments: quarantined,
-        })
+        Ok(replay)
     }
 
     /// Reads one segment file strictly as its slot's segment `seq`,
@@ -294,7 +306,7 @@ impl DurableWriter {
     /// A durable writer for one slot of `dir`, sealing every
     /// `threshold` reports, with its first seal numbered `next_seq`
     /// (0 for a fresh stream; the clean-prefix length when resuming
-    /// after [`SegmentDir::replay`]).
+    /// after [`SegmentDir::replay_each`]).
     pub fn new(dir: SegmentDir, slot: u32, threshold: u64, next_seq: u64) -> Self {
         assert!(slot < dir.slots(), "slot {slot} out of range");
         let inner = SegmentWriter::resuming(threshold, next_seq).with_obs(&dir.obs);
@@ -411,6 +423,40 @@ mod tests {
         }
     }
 
+    /// Replays `dir`, collecting every segment handed over as
+    /// `(slot, segment)`, in the order it was handed over.
+    fn replay_all(dir: &SegmentDir) -> (Vec<(u32, Segment)>, Replay) {
+        let mut seen = Vec::new();
+        let replay = dir
+            .replay_each(
+                |slot, segment| {
+                    seen.push((slot, segment));
+                    true
+                },
+                || {},
+            )
+            .expect("replay");
+        (seen, replay)
+    }
+
+    /// The `seq`s handed over for `slot`.
+    fn seqs_of(seen: &[(u32, Segment)], slot: u32) -> Vec<u64> {
+        seen.iter()
+            .filter(|(s, _)| *s == slot)
+            .map(|(_, segment)| segment.seq())
+            .collect()
+    }
+
+    /// Flips a byte in the middle of `(slot, seq)`'s file: the strict
+    /// read rejects it.
+    fn damage(root: &Path, slot: u32, seq: u64) {
+        let victim = root.join(segment_file_name(slot, seq));
+        let mut bytes = fs::read(&victim).expect("read victim");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(&victim, bytes).expect("rewrite victim");
+    }
+
     #[test]
     fn file_names_round_trip() {
         assert_eq!(segment_file_name(3, 17), "seg-003-0000000017.vtseg");
@@ -449,20 +495,16 @@ mod tests {
         let tail = writer.finish().expect("finish");
         assert!(dir.has_segments().expect("scan"));
 
-        let replay = dir.replay().expect("replay");
+        let (seen, replay) = replay_all(&dir);
         assert_eq!(replay.quarantined_segments, 0);
         assert_eq!(
             replay.recovered_segments,
             segs.len() as u64 + u64::from(tail.is_some())
         );
-        assert!(replay.slots[1].is_empty());
-        for (i, seg) in replay.slots[0].iter().enumerate() {
-            assert_eq!(seg.seq(), i as u64);
-        }
-        let total: u64 = replay.slots[0]
-            .iter()
-            .map(|s| s.store().report_count())
-            .sum();
+        assert_eq!(replay.recovered_segments, seen.len() as u64);
+        assert!(seqs_of(&seen, 1).is_empty());
+        assert!(seqs_of(&seen, 0).into_iter().eq(0..seen.len() as u64));
+        let total: u64 = seen.iter().map(|(_, s)| s.store().report_count()).sum();
         assert_eq!(total, 24);
         fs::remove_dir_all(&root).expect("cleanup");
     }
@@ -476,18 +518,13 @@ mod tests {
         // Stray tmp files from an interrupted persist are ignored.
         fs::write(root.join("seg-000-0000000099.vtseg.tmp"), b"junk").expect("tmp");
 
-        // Damage slot 0's seq 1 mid-payload: the strict read rejects it.
-        let victim = root.join(segment_file_name(0, 1));
-        let mut bytes = fs::read(&victim).expect("read victim");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&victim, bytes).expect("rewrite victim");
+        damage(&root, 0, 1);
 
-        let replay = dir.replay().expect("replay");
+        let (seen, replay) = replay_all(&dir);
         // Slot 0: seq 0 survives; seq 1 (damaged) and seqs 2..3
         // (orphaned behind the gap) quarantine. Slot 1 untouched.
-        assert_eq!(replay.slots[0].len(), 1);
-        assert_eq!(replay.slots[1].len(), 2);
+        assert_eq!(seqs_of(&seen, 0), [0]);
+        assert_eq!(seqs_of(&seen, 1), [0, 1]);
         assert_eq!(replay.recovered_segments, 3);
         assert_eq!(replay.quarantined_segments, 3);
         for seq in [1u64, 2, 3] {
@@ -496,7 +533,7 @@ mod tests {
         }
         // Quarantined files are out of the way: a second replay sees a
         // clean directory with the same prefix.
-        let again = dir.replay().expect("second replay");
+        let (_, again) = replay_all(&dir);
         assert_eq!(again.recovered_segments, 3);
         assert_eq!(again.quarantined_segments, 0);
         fs::remove_dir_all(&root).expect("cleanup");
@@ -514,8 +551,8 @@ mod tests {
         // every row of the file has reached the sink by then.
         bytes[last] ^= 0x01;
         fs::write(&victim, bytes).expect("rewrite victim");
-        let replay = dir.replay().expect("replay");
-        assert_eq!(replay.slots[0].len(), 1);
+        let (seen, replay) = replay_all(&dir);
+        assert_eq!(seqs_of(&seen, 0), [0]);
         let expected: HashSet<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
         assert_eq!(replay.sealed_hashes, expected);
         fs::remove_dir_all(&root).expect("cleanup");
@@ -529,7 +566,7 @@ mod tests {
         for (round, junk) in [&b"first damage"[..], b"second damage"].iter().enumerate() {
             // A re-sealed (slot, seq) damaged again before the next recovery.
             fs::write(&victim, junk).expect("write victim");
-            let replay = dir.replay().expect("replay");
+            let (_, replay) = replay_all(&dir);
             assert_eq!(replay.quarantined_segments, 1, "round {round}");
         }
         let qdir = root.join(QUARANTINE);
@@ -552,12 +589,8 @@ mod tests {
         bytes.extend_from_slice(b"tail");
         fs::write(&victim, bytes).expect("rewrite victim");
 
-        let replay = dir.replay().expect("replay");
-        assert_eq!(
-            replay.slots[0].len(),
-            1,
-            "the prefix ends before the victim"
-        );
+        let (seen, replay) = replay_all(&dir);
+        assert_eq!(seqs_of(&seen, 0), [0], "the prefix ends before the victim");
         assert_eq!(replay.recovered_segments, 1);
         assert_eq!(replay.quarantined_segments, 2);
         for seq in [1u64, 2] {
@@ -619,8 +652,8 @@ mod tests {
             root.join("seg-000-0000000005.vtseg"),
         )
         .expect("copy");
-        let replay = dir.replay().expect("replay");
-        assert_eq!(replay.slots[0].len(), 2);
+        let (seen, replay) = replay_all(&dir);
+        assert_eq!(seqs_of(&seen, 0), [0, 1]);
         assert_eq!(replay.quarantined_segments, 2);
         fs::remove_dir_all(&root).expect("cleanup");
     }
@@ -634,10 +667,80 @@ mod tests {
         fill_slot(&dir, 1, 3);
         let stray = root.join("seg-+01-+000000000.vtseg");
         fs::copy(root.join(segment_file_name(1, 0)), &stray).expect("copy");
-        let replay = dir.replay().expect("replay");
+        let (_, replay) = replay_all(&dir);
         assert_eq!(replay.recovered_segments, 3);
         assert_eq!(replay.quarantined_segments, 0);
         assert!(stray.exists(), "a foreign file stays where it was");
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// What the replay tells its caller, in the order it tells it.
+    #[derive(Debug, PartialEq)]
+    enum Told {
+        Segment(u32, u64),
+        Quarantined,
+    }
+
+    /// Only whole segments of the clean prefix are handed over, in
+    /// `(slot, seq)` order, each before the next file is read; a file
+    /// is counted as it is quarantined, not once the replay ends.
+    #[test]
+    fn replay_hands_over_exactly_the_clean_prefix_in_order() {
+        let root = temp_dir("stream");
+        let dir = SegmentDir::open(&root, 2).expect("open");
+        fill_slot(&dir, 0, 4);
+        fill_slot(&dir, 1, 2);
+        damage(&root, 0, 2);
+
+        let told = std::cell::RefCell::new(Vec::new());
+        let replay = dir
+            .replay_each(
+                |slot, segment| {
+                    told.borrow_mut().push(Told::Segment(slot, segment.seq()));
+                    true
+                },
+                || told.borrow_mut().push(Told::Quarantined),
+            )
+            .expect("replay");
+        assert_eq!(
+            told.into_inner(),
+            [
+                Told::Segment(0, 0),
+                Told::Segment(0, 1),
+                Told::Quarantined,
+                Told::Quarantined,
+                Told::Segment(1, 0),
+                Told::Segment(1, 1),
+            ]
+        );
+        assert_eq!(replay.recovered_segments, 4);
+        assert_eq!(replay.quarantined_segments, 2);
+        let quarantined: HashSet<_> = fs::read_dir(root.join(QUARANTINE))
+            .expect("quarantine dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        let expected: HashSet<_> = [2, 3].map(|seq| segment_file_name(0, seq).into()).into();
+        assert_eq!(quarantined, expected);
+        // `fill_slot` seals four samples per segment from `slot * 10 000`.
+        let accepted: HashSet<SampleHash> = (0..8)
+            .chain(10_000..10_008)
+            .map(SampleHash::from_ordinal)
+            .collect();
+        assert_eq!(replay.sealed_hashes, accepted);
+
+        // A consumer that is gone ends the replay at the segment it
+        // refused: nothing past it is read.
+        let mut handed = 0;
+        let stopped = dir
+            .replay_each(
+                |_, _| {
+                    handed += 1;
+                    false
+                },
+                || {},
+            )
+            .expect("replay");
+        assert_eq!((handed, stopped.recovered_segments), (1, 1));
         fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -20,10 +20,13 @@
 //! directory-fsynced — *before* it leaves this layer, so nothing
 //! downstream can fold or publish what a restart could not recover
 //! (seal → fsync → publish). Under `recover` the directory is replayed
-//! first: each slot's clean segment prefix is re-sent as `recovered`
-//! messages, a file the strict reader does not accept whole is
-//! quarantined (with everything behind it in its slot), and live
-//! ingest resumes from the last whole-sample boundary — samples the
+//! first, as a stream: each segment of a slot's clean prefix is sent as
+//! a `recovered` message the moment the strict reader accepts it whole,
+//! so the workers fold while the replay is still reading and the feeder
+//! holds one segment beyond the bounded queues, never the log. A file
+//! the strict reader does not accept whole is quarantined (with
+//! everything behind it in its slot) and counted as it moves. Live
+//! ingest then resumes from the last whole-sample boundary — samples the
 //! replay found sealed are skipped, everything else is re-ingested.
 //!
 //! Names nothing downstream of it: a stop predicate comes in, segments (and
@@ -174,26 +177,27 @@ pub(super) fn run(
     };
 
     // ---- recovery replay --------------------------------------------
+    // Streamed: each clean segment goes to its worker as the strict
+    // reader accepts it, so folds run while later files are still read.
     let mut sealed_hashes: HashSet<SampleHash> = HashSet::new();
     let mut next_seq = [0u64; INGEST_SLOTS];
     if let (Some(dir), true) = (&segdir, config.recover) {
-        let replay = match dir.replay() {
-            Ok(replay) => replay,
+        let mut handed_over = true;
+        let replayed = dir.replay_each(
+            |slot, segment| {
+                let slot = slot as usize;
+                next_seq[slot] += 1;
+                handed_over = send_segment(ctx, &senders, msg(slot, segment, true));
+                handed_over
+            },
+            || ctx.counters.quarantined_segments.incr(),
+        );
+        match replayed {
+            Ok(replay) if handed_over => sealed_hashes = replay.sealed_hashes,
+            Ok(_) => return false,
             Err(e) => {
                 eprintln!("vtld serve: recovery replay failed: {e}");
                 return false;
-            }
-        };
-        ctx.counters
-            .quarantined_segments
-            .add(replay.quarantined_segments);
-        sealed_hashes = replay.sealed_hashes;
-        for (slot, segments) in replay.slots.into_iter().enumerate() {
-            next_seq[slot] = segments.len() as u64;
-            for segment in segments {
-                if !send_segment(ctx, &senders, msg(slot, segment, true)) {
-                    return false;
-                }
             }
         }
     }

@@ -16,7 +16,8 @@
 //!   the collector, hash-routed into [`INGEST_SLOTS`] slot streams; with
 //!   `--data-dir` every segment is fsynced into a
 //!   [`crate::store::SegmentDir`] before it goes anywhere (the segment
-//!   log is the WAL), and `recover` replays that log first.
+//!   log is the WAL), and `recover` replays that log first, one segment
+//!   at a time into the same queues, so the workers fold while it reads.
 //!   Backpressure, never loss: a full shard queue blocks the feeder.
 //! * `fold` — segments → slot updates. `shards` workers fold each
 //!   slot's stream into worker-local
@@ -28,12 +29,13 @@
 //!   to poison.
 //! * `publish` — slot updates → `Arc<Snapshot>`. The merger adds each
 //!   update's delta to one running sum — one merge per fold, in arrival
-//!   order, the same sum in any order and so at any shard count —
-//!   finishes it, and swaps that study in as the
-//!   next epoch's snapshot — nothing rendered — through the **publish
-//!   seam**: the one place readers pin a snapshot and the one thing a
-//!   `subscribe` stream waits on (publish and shutdown are its only
-//!   wake-ups).
+//!   order, the same sum in any order and so at any shard count — and
+//!   swaps a copy of that sum in as the next epoch's snapshot, nothing
+//!   rendered, through the **publish seam**: the one place readers pin
+//!   a snapshot and the one thing a `subscribe` stream waits on (publish
+//!   and shutdown are its only wake-ups). The copy is finished into
+//!   results once: before the swap if readers asked the last snapshot
+//!   for results, else by the first request that needs them.
 //! * `render` — snapshot → bytes, on request. Per-hash answers are
 //!   rendered per request; each aggregate document, and the
 //!   `flip_leaders` ranking, once per snapshot by the first request

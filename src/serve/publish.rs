@@ -25,9 +25,15 @@
 //! shutdown request are its only wake-ups, so a `subscribe` stream is
 //! driven by the epoch swap itself, not by a timer.
 //!
-//! The layer merges and swaps and never renders: a [`Snapshot`] *is*
-//! the merged study, and what its documents look like is the `render`
-//! layer's business, on the first request that asks.
+//! The layer merges and swaps and never renders. A [`Snapshot`] *is*
+//! the merged study, finished into results once. Until a reader has
+//! asked for results, a publish carries a copy of the sums and the first
+//! request that needs results finishes it ([`Snapshot::results`]), so a
+//! burst of publishes nobody reads — a `--recover` replay polled for
+//! `status`, say — finishes nothing. Once one has, every publish
+//! finishes before its swap, off the readers' path. What its documents
+//! look like is the `render` layer's business, on the first request
+//! that asks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
@@ -42,22 +48,27 @@ use crate::obs::Obs;
 use crate::store::PartitionStats;
 
 /// One epoch-consistent view of the study — the merged study itself:
-/// the finished results, the per-slot sample indexes, the alert ring
-/// and the engine roster, pinned to one epoch, so a handler that cloned
-/// the `Arc` can never mix stages of the study. Immutable once
-/// published, but for the five memo cells below: every aggregate
-/// document is rendered by the first request that pins this snapshot
-/// and asks for it, and dropped with the snapshot — nothing renders at
-/// publish and there is nothing to invalidate. A response is a function
-/// of the snapshot it pinned (`status` and `metrics` alone also read
-/// the live registry).
+/// its partials, the per-slot sample indexes, the alert ring and the
+/// engine roster, pinned to one epoch, so a handler that cloned the
+/// `Arc` can never mix stages of the study. Immutable once published,
+/// but for the memo cells below: the finished results (unless the
+/// publish finished them, for a daemon whose readers ask), and every
+/// aggregate document, are made by the first request that pins this
+/// snapshot and needs them, and dropped with the snapshot — nothing
+/// renders at publish and there is nothing to invalidate. A
+/// response is a function of the snapshot it pinned (`status` and
+/// `metrics` alone also read the live registry).
 #[derive(Debug)]
 pub(super) struct Snapshot {
     pub(super) epoch: u64,
-    /// The finished study every aggregate document, the `engine`
-    /// scorecard (its §7.1 flip matrix) and `status`'s `s_samples` are
-    /// rendered from.
-    pub(super) results: StudyResults,
+    /// The merged study as it stood at this epoch, unfinished; `None`
+    /// when `results` was filled at publish (epoch 0, a publish with no
+    /// study behind it, or one after readers asked).
+    study: Option<Box<Unfinished>>,
+    /// The finished study every aggregate document and the `engine`
+    /// scorecard (its §7.1 flip matrix) are rendered from — see
+    /// [`Snapshot::results`].
+    results: OnceLock<StudyResults>,
     pub(super) ingest_done: bool,
     pub(super) shards: usize,
     /// Hash → trajectory summary, one index per ingest slot — the same
@@ -85,19 +96,49 @@ pub(super) struct Snapshot {
     pub(super) leaders: OnceLock<Vec<String>>,
 }
 
+/// A snapshot's study before anyone asked for its results: a copy of
+/// the merger's sums, the registry its finish is timed in, and the
+/// daemon's [`MergerState::readers_ask`] latch a reader's finish sets.
+#[derive(Debug)]
+struct Unfinished {
+    partials: StudyPartials,
+    partitions: Vec<PartitionStats>,
+    obs: Arc<Obs>,
+    readers_ask: Arc<AtomicBool>,
+}
+
+/// The finished study, under the daemon's `pipeline/finish` span — the
+/// one place this layer finishes one, for a reader or ahead of a swap.
+/// Finishing is a pure function of the sums, so the bytes are the same
+/// whichever does it.
+fn finish(partials: &StudyPartials, partitions: Vec<PartitionStats>, obs: &Obs) -> StudyResults {
+    partials.finish(partitions, obs)
+}
+
+/// What a publish hands [`Snapshot::new`]: the study, finished or not.
+enum Study {
+    Finished(Box<StudyResults>),
+    Unfinished(Box<Unfinished>),
+}
+
 impl Snapshot {
-    /// The study `results` as of `epoch`, under `fold`'s shard count
-    /// and roster, with nothing rendered yet.
-    pub(super) fn new(
+    /// `study` as of `epoch`, under `fold`'s shard count and roster,
+    /// with nothing rendered yet.
+    fn new(
         fold: &FoldCtx,
         epoch: u64,
-        results: StudyResults,
+        study: Study,
         ingest_done: bool,
         slot_indexes: Vec<Arc<SampleIndex>>,
         alerts: Arc<Vec<PublishedAlert>>,
     ) -> Self {
+        let (study, results) = match study {
+            Study::Finished(results) => (None, OnceLock::from(*results)),
+            Study::Unfinished(study) => (Some(study), OnceLock::new()),
+        };
         Self {
             epoch,
+            study,
             results,
             ingest_done,
             shards: fold.ingest.config.shards,
@@ -109,6 +150,31 @@ impl Snapshot {
             fingerprint_json: OnceLock::new(),
             recommend_json: OnceLock::new(),
             leaders: OnceLock::new(),
+        }
+    }
+
+    /// The finished study: finished by the first request that needs it
+    /// and read by every later one — concurrent first callers wait for
+    /// that one finish, which also tells the merger to finish every
+    /// later publish ahead of its swap.
+    pub(super) fn results(&self) -> &StudyResults {
+        self.results.get_or_init(|| {
+            let study =
+                (self.study.as_ref()).expect("a snapshot without partials was published finished");
+            study.readers_ask.store(true, Ordering::Relaxed);
+            finish(&study.partials, study.partitions.clone(), &study.obs)
+        })
+    }
+
+    /// `status`'s *S* count, read off the sums without finishing them.
+    pub(super) fn s_samples(&self) -> u64 {
+        match &self.study {
+            Some(study) => study.partials.s_samples(),
+            None => {
+                (self.results.get())
+                    .expect("a snapshot without partials was published finished")
+                    .s_samples
+            }
         }
     }
 }
@@ -213,6 +279,11 @@ struct MergerState {
     /// come back into the tail of a log that only grows, so nothing
     /// older is kept — what grows with history here is bounded.
     ring: Arc<Vec<PublishedAlert>>,
+    /// Set the first time a reader has to finish a snapshot itself:
+    /// from then on readers want results, and every publish finishes
+    /// before its swap, off their path. Until then — a `--recover`
+    /// polled for `status`, say — a publish finishes nothing.
+    readers_ask: Arc<AtomicBool>,
 }
 
 impl MergerState {
@@ -222,15 +293,17 @@ impl MergerState {
             partitions: Vec::new(),
             slot_indexes: empty_slot_indexes(),
             ring: Arc::default(),
+            readers_ask: Arc::default(),
         }
     }
 }
 
 /// The merger thread: on every fold's update (draining a burst into one
-/// publish), add the updates' deltas to the sums, finish them, and
-/// publish the next epoch. After the whole fleet exits — every sealed
-/// segment folded — or is gone without saying so, publish the final
-/// snapshot, marking `ingest_done` when the feed was fully consumed.
+/// publish), add the updates' deltas to the sums and publish them as
+/// the next epoch — finished once readers ask for results, a copy
+/// until then. After the whole fleet exits — every sealed segment
+/// folded — or is gone without saying so, publish the final snapshot,
+/// marking `ingest_done` when the feed was fully consumed.
 pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
     let ingest = &ctx.fold.ingest;
     let mut state = MergerState::new();
@@ -256,8 +329,8 @@ pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
 }
 
 /// Publishes one epoch: add `updates` (in arrival order) to the sums —
-/// one merge each — finish them, and swap the study in as the next
-/// snapshot.
+/// one merge each — and swap them in as the next snapshot: finished,
+/// once readers ask for results, else as a copy for the first ask.
 fn publish_merged(
     ctx: &PublishCtx,
     state: &mut MergerState,
@@ -303,12 +376,22 @@ fn publish_merged(
         ring.drain(..excess);
     }
     let partitions = state.partitions.clone();
-    let results = match &state.partials {
-        Some(partials) => partials.finish(partitions, &ingest.obs),
-        None => IncrementalStudy::new(ingest.sim.fleet(), ingest.sim.config().window_start())
-            .results(partitions, &ingest.obs),
+    let study = match &state.partials {
+        Some(partials) if state.readers_ask.load(Ordering::Relaxed) => {
+            Study::Finished(Box::new(finish(partials, partitions, &ingest.obs)))
+        }
+        Some(partials) => Study::Unfinished(Box::new(Unfinished {
+            partials: partials.clone(),
+            partitions,
+            obs: Arc::clone(&ingest.obs),
+            readers_ask: Arc::clone(&state.readers_ask),
+        })),
+        None => Study::Finished(Box::new(
+            IncrementalStudy::new(ingest.sim.fleet(), ingest.sim.config().window_start())
+                .results(partitions, &ingest.obs),
+        )),
     };
-    // A merge is a CPU burst shorter than a scheduler slice, so a
+    // A publish is a CPU burst shorter than a scheduler slice, so a
     // handler that woke on this core during it has not run yet. Let it:
     // it answers from the epoch it arrived under. Swapping first makes
     // every such request straddle the swap — one more request period
@@ -317,7 +400,7 @@ fn publish_merged(
     ctx.seam.publish(Snapshot::new(
         fold,
         epoch,
-        results,
+        study,
         done,
         state.slot_indexes.clone(),
         Arc::clone(&state.ring),
@@ -338,7 +421,7 @@ pub(super) fn empty_epoch(fold: &FoldCtx) -> Snapshot {
     Snapshot::new(
         fold,
         0,
-        results,
+        Study::Finished(Box::new(results)),
         false,
         empty_slot_indexes(),
         Arc::default(),
@@ -350,7 +433,11 @@ mod tests {
     use super::*;
     use crate::dynamics::alerts::detector;
     use crate::dynamics::{Alert, AlertKind};
-    use crate::serve::render::study_fingerprint;
+    use crate::serve::counters::ServeCounters;
+    use crate::serve::render::{
+        render_engine, render_engines, render_fingerprint, render_recommend, render_results,
+        render_status, study_fingerprint,
+    };
     use crate::serve::tests::{
         bare_snapshot as snapshot, interleaved_updates, merger_ctx, published_in_one_burst,
         slot_update_streams,
@@ -467,8 +554,8 @@ mod tests {
 
         assert!(!burst.alerts.is_empty(), "the fixture fires alerts");
         assert_eq!(
-            study_fingerprint(&trickle.results),
-            study_fingerprint(&burst.results)
+            study_fingerprint(trickle.results()),
+            study_fingerprint(burst.results())
         );
         assert_eq!(trickle.slot_indexes, burst.slot_indexes);
         let keys = |snap: &Snapshot| -> Vec<_> {
@@ -488,6 +575,111 @@ mod tests {
             .map(|a| (a.key, a.published))
             .collect();
         assert_eq!(ring, stamped);
+    }
+
+    /// A publish finishes nothing: `status` reads *S* off the copied
+    /// sums, and a pinned snapshot is finished once, by its first
+    /// aggregate ask, however many threads ask at once — into the bytes
+    /// a finish at publish gave.
+    #[test]
+    fn a_publish_finishes_nothing_until_asked_and_then_exactly_once() {
+        let ctx = merger_ctx(ServeConfig::new(1_500, 0x51_07));
+        let obs = &ctx.fold.ingest.obs;
+        let finishes = || {
+            obs.snapshot()
+                .span("pipeline/finish")
+                .map_or(0, |s| s.count)
+        };
+        let counters = ServeCounters::register(Obs::noop());
+        let (tx, rx) = channel();
+        let last = std::thread::scope(|scope| {
+            // `tx` moves in so that a failed assertion drops it and the
+            // merger returns, as in the trickle test.
+            let (ctx, rx, tx) = (&ctx, rx, tx);
+            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let mut epoch = 0;
+            for update in interleaved_updates(ctx) {
+                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                let snap = ctx.seam.wait_past(epoch).expect("no shutdown");
+                epoch = snap.epoch;
+                assert!(render_status(&snap, &counters).contains(",\"s_samples\":"));
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger.join().expect("the merger returns");
+            ctx.seam.current()
+        });
+        assert!(last.epoch >= 5, "{} publishes", last.epoch);
+        let status = render_status(&last, &counters);
+        assert!(status.contains(",\"s_samples\":63,"), "{status}");
+        assert_eq!(finishes(), 0, "status finishes nothing");
+
+        let renderers: [fn(&Snapshot) -> String; 5] = [
+            |snap| render_results(snap).to_owned(),
+            |snap| render_engines(snap).to_owned(),
+            |snap| render_fingerprint(snap).to_owned(),
+            |snap| render_recommend(snap).to_owned(),
+            |snap| render_engine(snap, 0),
+        ];
+        let answers: Vec<String> = std::thread::scope(|scope| {
+            let last = &last;
+            let askers: Vec<_> = renderers
+                .into_iter()
+                .map(|render| scope.spawn(move || render(last)))
+                .collect();
+            askers
+                .into_iter()
+                .map(|asker| asker.join().expect("asker"))
+                .collect()
+        });
+        assert_eq!(finishes(), 1, "one finish for every asker");
+        // The documents of the burst-published epoch 1, after the epoch.
+        let after_epoch = |doc: &str| doc.split_once(',').map(|(_, rest)| rest.to_owned());
+        let expected: Vec<_> = include_str!("testdata/epoch1_documents.jsonl")
+            .lines()
+            .map(after_epoch)
+            .collect();
+        let served: Vec<_> = answers[..4].iter().map(|doc| after_epoch(doc)).collect();
+        assert_eq!(served, expected);
+        assert!(answers[4].contains("\"flip_ratio\""), "{}", answers[4]);
+    }
+
+    /// The first finish a reader has to do itself is the last: every
+    /// later publish finishes before its swap, asked or not.
+    #[test]
+    fn once_a_reader_finishes_a_snapshot_every_publish_finishes_ahead() {
+        let ctx = merger_ctx(ServeConfig::new(1_500, 0x51_07));
+        let obs = &ctx.fold.ingest.obs;
+        let finishes = || {
+            obs.snapshot()
+                .span("pipeline/finish")
+                .map_or(0, |s| s.count)
+        };
+        let (tx, rx) = channel();
+        std::thread::scope(|scope| {
+            let (ctx, rx, tx) = (&ctx, rx, tx);
+            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let mut updates = interleaved_updates(ctx).into_iter();
+            let mut publish = |epoch: u64| {
+                let update = updates.next().expect("an update per publish");
+                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                ctx.seam.wait_past(epoch).expect("no shutdown")
+            };
+            let first = publish(0);
+            let second = publish(first.epoch);
+            assert_eq!((second.results.get().is_some(), finishes()), (false, 0));
+            second.results();
+            assert_eq!(finishes(), 1, "the reader finished it");
+            let mut epoch = second.epoch;
+            for n in 2..4 {
+                let ahead = publish(epoch);
+                assert!(ahead.results.get().is_some(), "finished at publish");
+                assert!(ahead.study.is_none(), "no copy beside the results");
+                assert_eq!(finishes(), n);
+                epoch = ahead.epoch;
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger.join().expect("the merger returns");
+        });
     }
 
     /// Every slot-order-preserving arrangement of `left[s]` picks of
@@ -537,7 +729,7 @@ mod tests {
         let published = |snap: &Snapshot| {
             let alerts = &snap.alerts;
             let study: Published = (
-                study_fingerprint(&snap.results),
+                study_fingerprint(snap.results()),
                 snap.slot_indexes.clone(),
                 alerts.iter().map(|a| (a.key, a.rendered.clone())).collect(),
             );

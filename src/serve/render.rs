@@ -97,7 +97,7 @@ pub(super) fn render_stabilized(snap: &Snapshot, hash: SampleHash, t: u32) -> St
 /// top-20 type it has had flip opportunities on.
 pub(super) fn render_engine(snap: &Snapshot, engine: usize) -> String {
     let epoch = snap.epoch;
-    let flips = &snap.results.flips;
+    let flips = &snap.results().flips;
     let total = flips.engine_total(EngineId::new(engine));
     let types: Vec<String> = flips.matrix[engine]
         .iter()
@@ -210,7 +210,7 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         c.reports.value(),
         c.accepted.value(),
         c.quarantined.value(),
-        snap.results.s_samples,
+        snap.s_samples(),
         snap.ingest_done,
         snap.shards,
         c.recovered_segments.value(),
@@ -324,7 +324,7 @@ fn engine_flip_json(name: &str, total: FlipCell) -> String {
 /// The `results` verb: the study's headline counts.
 pub(super) fn render_results(snap: &Snapshot) -> &str {
     snap.results_json.get_or_init(|| {
-        let (epoch, results) = (snap.epoch, &snap.results);
+        let (epoch, results) = (snap.epoch, snap.results());
         let c = &results.correlation_global;
         let ranks: Vec<String> = results
             .rank_stabilization
@@ -367,7 +367,7 @@ pub(super) fn render_results(snap: &Snapshot) -> &str {
 /// The `engines` verb: every engine's flip totals, in roster order.
 pub(super) fn render_engines(snap: &Snapshot) -> &str {
     snap.engines_json.get_or_init(|| {
-        let flips = &snap.results.flips;
+        let flips = &snap.results().flips;
         let engines: Vec<String> = (0..flips.engine_count)
             .map(|i| {
                 let total = flips.engine_total(EngineId::new(i));
@@ -386,7 +386,7 @@ pub(super) fn render_engines(snap: &Snapshot) -> &str {
 /// study, beside `ingest_done`.
 pub(super) fn render_fingerprint(snap: &Snapshot) -> &str {
     snap.fingerprint_json.get_or_init(|| {
-        let (debug_fnv, rho_fnv) = study_fingerprint(&snap.results);
+        let (debug_fnv, rho_fnv) = study_fingerprint(snap.results());
         format!(
             "{{\"epoch\":{},\"ingest_done\":{},\
              \"fingerprint\":\"{debug_fnv:016x}\",\"rho_fnv\":\"{rho_fnv:016x}\"}}",
@@ -410,7 +410,7 @@ pub(super) fn render_recommend(snap: &Snapshot) -> &str {
 }
 
 fn recommend(snap: &Snapshot) -> String {
-    let (epoch, flips, engine_names) = (snap.epoch, &snap.results.flips, &snap.engine_names);
+    let (epoch, flips, engine_names) = (snap.epoch, &snap.results().flips, &snap.engine_names);
     // Threshold sweep: sum each slot's in-S stabilization-mask counts.
     let mut counts = [0u64; FIG9_THRESHOLDS.len()];
     let mut in_s = 0u64;

@@ -91,7 +91,39 @@ const TAG_EPOCH_SLOW: u64 = 18;
 const TAG_EPOCH_SLOW_LEN: u64 = 19;
 const TAG_TREND: u64 = 20;
 
-/// Fleet-level tunables (fault injection and calibration knobs).
+// The engine-activity calibration: lognormal σ of the noise factors
+// behind Obs. 7's "engine activity" cause and the §5.3.5 interval
+// correlation. Fixed, and held to the bit by the pinned feed digests.
+
+/// Lognormal σ of the per-sample "slowness" factor that stretches
+/// every engine's latency for evasive samples.
+const SLOWNESS_SIGMA: f64 = 0.6;
+/// Lognormal σ of the per-(sample, day) load factor that scales
+/// every engine's timeout probability that day (mean-normalized to
+/// 1). Correlated engine dropouts within a scan are a major source
+/// of AV-Rank jitter — the paper's "engine activity" cause.
+const LOAD_SIGMA: f64 = 0.55;
+/// Lognormal σ of the per-(engine, epoch) availability factor.
+/// Engines go through multi-week good/bad periods (infra incidents,
+/// regressed builds); scans weeks apart therefore differ more than
+/// scans days apart, which is what drives the §5.3.5 correlation
+/// between scan interval and AV-Rank difference.
+const EPOCH_SIGMA: f64 = 0.95;
+/// Lognormal σ of the slow availability tier (2–5 month epochs):
+/// infrastructure migrations, roster churn, long-lived regressions.
+/// This is what keeps AV-Rank differences growing over intervals of
+/// months rather than plateauing after the fast tier's ~3 weeks.
+const EPOCH_SLOW_SIGMA: f64 = 1.0;
+/// σ of the per-engine *secular trend*: each engine's availability
+/// drifts monotonically (log-linearly) across the collection window
+/// — vendor coverage waxes or wanes over a year. Unlike the epoch
+/// tiers (piecewise-constant random draws), the trend guarantees
+/// that scans further apart see systematically different engine
+/// availability at every interval scale, which is the §5.3.5
+/// monotone interval–difference relationship.
+const TREND_SIGMA: f64 = 1.0;
+
+/// The fleet's seed and its three fault-injection settings.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Seed for all behavioural draws.
@@ -105,33 +137,6 @@ pub struct FleetConfig {
     /// scan only — the sole source of hazard flips. The paper observed
     /// 9 in 109 M reports ≈ 1e-7 per report-pair.
     pub glitch_rate: f64,
-    /// Lognormal σ of the per-sample "slowness" factor that stretches
-    /// every engine's latency for evasive samples.
-    pub slowness_sigma: f64,
-    /// Lognormal σ of the per-(sample, day) load factor that scales
-    /// every engine's timeout probability that day (mean-normalized to
-    /// 1). Correlated engine dropouts within a scan are a major source
-    /// of AV-Rank jitter — the paper's "engine activity" cause.
-    pub load_sigma: f64,
-    /// Lognormal σ of the per-(engine, epoch) availability factor.
-    /// Engines go through multi-week good/bad periods (infra incidents,
-    /// regressed builds); scans weeks apart therefore differ more than
-    /// scans days apart, which is what drives the §5.3.5 correlation
-    /// between scan interval and AV-Rank difference.
-    pub epoch_sigma: f64,
-    /// Lognormal σ of the slow availability tier (2–5 month epochs):
-    /// infrastructure migrations, roster churn, long-lived regressions.
-    /// This is what keeps AV-Rank differences growing over intervals of
-    /// months rather than plateauing after the fast tier's ~3 weeks.
-    pub epoch_slow_sigma: f64,
-    /// σ of the per-engine *secular trend*: each engine's availability
-    /// drifts monotonically (log-linearly) across the collection window
-    /// — vendor coverage waxes or wanes over a year. Unlike the epoch
-    /// tiers (piecewise-constant random draws), the trend guarantees
-    /// that scans further apart see systematically different engine
-    /// availability at every interval scale, which is the §5.3.5
-    /// monotone interval–difference relationship.
-    pub trend_sigma: f64,
 }
 
 impl Default for FleetConfig {
@@ -141,17 +146,12 @@ impl Default for FleetConfig {
             timeout_mult: 1.0,
             outage_mult: 1.0,
             glitch_rate: 1.0e-7,
-            slowness_sigma: 0.6,
-            load_sigma: 0.55,
-            epoch_sigma: 0.95,
-            epoch_slow_sigma: 1.0,
-            trend_sigma: 1.0,
         }
     }
 }
 
 impl FleetConfig {
-    /// A validating builder seeded with the defaults.
+    /// A builder seeded with the defaults.
     pub fn builder() -> FleetConfigBuilder {
         FleetConfigBuilder {
             config: Self::default(),
@@ -159,45 +159,7 @@ impl FleetConfig {
     }
 }
 
-/// A validation failure from [`FleetConfigBuilder::build`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FleetConfigError {
-    /// A rate multiplier or lognormal σ was negative, NaN or infinite.
-    NotFiniteNonNegative {
-        /// Name of the offending field.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
-    /// `glitch_rate` is a per-scan probability and must lie in `[0, 1]`.
-    GlitchRateOutOfRange {
-        /// The rejected value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for FleetConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetConfigError::NotFiniteNonNegative { field, value } => {
-                write!(f, "{field} must be finite and >= 0, got {value}")
-            }
-            FleetConfigError::GlitchRateOutOfRange { value } => {
-                write!(
-                    f,
-                    "glitch_rate must be a probability in [0, 1], got {value}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FleetConfigError {}
-
-/// Validating builder for [`FleetConfig`]: the only construction path
-/// that guarantees every multiplier/σ is finite and non-negative and
-/// `glitch_rate` is a probability. Struct-literal construction remains
-/// possible for tests that deliberately want out-of-range values.
+/// Builder for [`FleetConfig`]: the default config with a chosen seed.
 #[derive(Debug, Clone)]
 pub struct FleetConfigBuilder {
     config: FleetConfig,
@@ -210,75 +172,8 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Sets the global timeout-rate multiplier.
-    pub fn timeout_mult(mut self, v: f64) -> Self {
-        self.config.timeout_mult = v;
-        self
-    }
-
-    /// Sets the global outage-rate multiplier.
-    pub fn outage_mult(mut self, v: f64) -> Self {
-        self.config.outage_mult = v;
-        self
-    }
-
-    /// Sets the per-scan label-glitch probability.
-    pub fn glitch_rate(mut self, v: f64) -> Self {
-        self.config.glitch_rate = v;
-        self
-    }
-
-    /// Sets the per-sample slowness lognormal σ.
-    pub fn slowness_sigma(mut self, v: f64) -> Self {
-        self.config.slowness_sigma = v;
-        self
-    }
-
-    /// Sets the per-(sample, day) load lognormal σ.
-    pub fn load_sigma(mut self, v: f64) -> Self {
-        self.config.load_sigma = v;
-        self
-    }
-
-    /// Sets the fast availability-epoch lognormal σ.
-    pub fn epoch_sigma(mut self, v: f64) -> Self {
-        self.config.epoch_sigma = v;
-        self
-    }
-
-    /// Sets the slow availability-epoch lognormal σ.
-    pub fn epoch_slow_sigma(mut self, v: f64) -> Self {
-        self.config.epoch_slow_sigma = v;
-        self
-    }
-
-    /// Sets the secular availability-trend σ.
-    pub fn trend_sigma(mut self, v: f64) -> Self {
-        self.config.trend_sigma = v;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<FleetConfig, FleetConfigError> {
-        let c = &self.config;
-        for (field, value) in [
-            ("timeout_mult", c.timeout_mult),
-            ("outage_mult", c.outage_mult),
-            ("slowness_sigma", c.slowness_sigma),
-            ("load_sigma", c.load_sigma),
-            ("epoch_sigma", c.epoch_sigma),
-            ("epoch_slow_sigma", c.epoch_slow_sigma),
-            ("trend_sigma", c.trend_sigma),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(FleetConfigError::NotFiniteNonNegative { field, value });
-            }
-        }
-        if !c.glitch_rate.is_finite() || !(0.0..=1.0).contains(&c.glitch_rate) {
-            return Err(FleetConfigError::GlitchRateOutOfRange {
-                value: c.glitch_rate,
-            });
-        }
+    /// Returns the config; no seed is invalid.
+    pub fn build(self) -> Result<FleetConfig, std::convert::Infallible> {
         Ok(self.config)
     }
 }
@@ -480,7 +375,7 @@ impl EngineFleet {
     fn sample_slowness(&self, keys: &SampleKeys) -> f64 {
         *keys.slowness.get_or_init(|| {
             let u = Self::u(keys.sample, TAG_SLOWNESS).clamp(1e-12, 1.0 - 1e-12);
-            (self.config.slowness_sigma * vt_stats::special::probit(u)).exp()
+            (SLOWNESS_SIGMA * vt_stats::special::probit(u)).exp()
         })
     }
 
@@ -653,9 +548,6 @@ impl EngineFleet {
 
     /// Mean-normalized lognormal factor from a uniform word.
     fn lognormal_factor(word: u64, sigma: f64) -> f64 {
-        if sigma <= 0.0 {
-            return 1.0;
-        }
         let u = unit_f64(word).clamp(1e-12, 1.0 - 1e-12);
         (sigma * vt_stats::special::probit(u) - sigma * sigma / 2.0).exp()
     }
@@ -671,7 +563,7 @@ impl EngineFleet {
     fn load_on(&self, sample_key: u64, t: Timestamp) -> f64 {
         Self::lognormal_factor(
             mix64_from(sample_key, &[TAG_LOAD, t.day_number() as u64]),
-            self.config.load_sigma,
+            LOAD_SIGMA,
         )
     }
 
@@ -703,7 +595,7 @@ impl EngineFleet {
                 engine as u64,
                 t.day_number().div_euclid(fast_len) as u64,
             ]),
-            self.config.epoch_sigma,
+            EPOCH_SIGMA,
         );
         // Slow tier: 60–150 day epochs.
         let slow_len = 60 + (mix64(&[seed, TAG_EPOCH_SLOW_LEN, engine as u64]) % 91) as i64;
@@ -714,19 +606,15 @@ impl EngineFleet {
                 engine as u64,
                 t.day_number().div_euclid(slow_len) as u64,
             ]),
-            self.config.epoch_slow_sigma,
+            EPOCH_SLOW_SIGMA,
         );
         // Secular tier: log-linear drift across the collection window
         // (day 0 = 2021-01-01; the window spans days ~120..546, centred
         // near day 333).
-        let trend = if self.config.trend_sigma > 0.0 {
-            let u = unit_f64(mix64(&[seed, TAG_TREND, engine as u64])).clamp(1e-12, 1.0 - 1e-12);
-            let slope = self.config.trend_sigma * vt_stats::special::probit(u);
-            let frac = (t.day_number() as f64 - 333.0) / 426.0; // ≈ ±0.5 over the window
-            (slope * frac).exp()
-        } else {
-            1.0
-        };
+        let u = unit_f64(mix64(&[seed, TAG_TREND, engine as u64])).clamp(1e-12, 1.0 - 1e-12);
+        let slope = TREND_SIGMA * vt_stats::special::probit(u);
+        let frac = (t.day_number() as f64 - 333.0) / 426.0; // ≈ ±0.5 over the window
+        let trend = (slope * frac).exp();
         fast * slow * trend
     }
 
@@ -1121,7 +1009,7 @@ mod tests {
         let day = t.day_number() as u64;
         let load = EngineFleet::lognormal_factor(
             mix64(&[f.config.seed, sample.hash.seed64(), TAG_LOAD, day]),
-            f.config.load_sigma,
+            LOAD_SIGMA,
         );
         let p = (plan.timeout_rates[i] * f.epoch_factor(eff, t) * load).min(0.9);
         if u_by_definition(f, sample, &[eff as u64, TAG_TIMEOUT, day]) < p {
@@ -1170,7 +1058,6 @@ mod tests {
                 timeout_mult: MULTS[timeout_mult],
                 outage_mult: MULTS[outage_mult],
                 glitch_rate: if glitch { 1.0 } else { 0.0 },
-                ..FleetConfig::default()
             });
             let truth = if benign {
                 GroundTruth::Benign
@@ -1205,12 +1092,12 @@ mod tests {
             let day = s.origin.day_number() as u64;
             prop_assert_eq!(
                 f.load_on(plan.sample_key, s.origin),
-                EngineFleet::lognormal_factor(mix64(&[seed, s64, TAG_LOAD, day]), f.config.load_sigma)
+                EngineFleet::lognormal_factor(mix64(&[seed, s64, TAG_LOAD, day]), LOAD_SIGMA)
             );
             let slow = u_by_definition(&f, &s, &[TAG_SLOWNESS]).clamp(1e-12, 1.0 - 1e-12);
             prop_assert_eq!(
                 f.sample_slowness(&keys),
-                (f.config.slowness_sigma * vt_stats::special::probit(slow)).exp()
+                (SLOWNESS_SIGMA * vt_stats::special::probit(slow)).exp()
             );
             for e in 0..ENGINE_COUNT {
                 for tag in TAG_COPY..=TAG_TREND {

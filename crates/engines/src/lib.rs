@@ -45,9 +45,7 @@ pub mod registry;
 pub mod typemods;
 pub mod update;
 
-pub use behavior::{
-    EngineFleet, FleetConfig, FleetConfigBuilder, FleetConfigError, PairPlan, SamplePlan,
-};
+pub use behavior::{EngineFleet, FleetConfig, FleetConfigBuilder, PairPlan, SamplePlan};
 pub use groups::{CopyRule, Scope};
 pub use registry::{EngineProfile, ENGINE_COUNT};
 pub use update::UpdateSchedule;

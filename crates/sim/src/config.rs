@@ -1,9 +1,12 @@
 //! Simulation configuration.
 
-use vt_engines::{FleetConfig, FleetConfigError};
+use vt_engines::FleetConfig;
 use vt_model::time::{Month, Timestamp};
 
-/// Full configuration of one simulated dataset.
+/// Full configuration of one simulated dataset: the seed, the sample
+/// count and the engine fleet. The calibration — the fresh fraction,
+/// the re-submission fraction and the report cap — is constants in the
+/// modules that read them.
 ///
 /// The defaults reproduce the paper's collection window (May 2021 –
 /// June 2022) at a laptop-friendly scale (100k samples ≈ 150k reports;
@@ -17,17 +20,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Number of samples to generate.
     pub samples: u64,
-    /// Fraction of samples first submitted inside the window (§4.1:
-    /// 91.76%).
-    pub fresh_fraction: f64,
     /// Engine fleet configuration (fault injection etc.).
     pub fleet: FleetConfig,
-    /// Fraction of a sample's follow-up scans issued through the upload
-    /// API (re-submissions) rather than the rescan API.
-    pub resubmit_fraction: f64,
-    /// Hard cap on reports per sample (keeps memory bounded; the paper's
-    /// max is 64,168).
-    pub max_reports_per_sample: u32,
 }
 
 impl Default for SimConfig {
@@ -35,16 +29,14 @@ impl Default for SimConfig {
         Self {
             seed: 0x7e57_5eed,
             samples: 100_000,
-            fresh_fraction: 0.9176,
             fleet: FleetConfig::default(),
-            resubmit_fraction: 0.55,
-            max_reports_per_sample: 4_000,
         }
     }
 }
 
 impl SimConfig {
-    /// A config with the given seed and sample count, defaults elsewhere.
+    /// A config with the given seed and sample count, and the fleet
+    /// seed derived from the seed.
     pub fn new(seed: u64, samples: u64) -> Self {
         let fleet = FleetConfig {
             seed: seed ^ 0xF1EE_7000,
@@ -54,7 +46,6 @@ impl SimConfig {
             seed,
             samples,
             fleet,
-            ..Self::default()
         }
     }
 
@@ -72,7 +63,6 @@ impl SimConfig {
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder {
             config: Self::default(),
-            fleet_set: false,
         }
     }
 }
@@ -82,66 +72,33 @@ impl SimConfig {
 pub enum SimConfigError {
     /// `samples` must be at least 1 — an empty study has no statistics.
     ZeroSamples,
-    /// A fraction field was outside `[0, 1]` (or not finite).
-    FractionOutOfRange {
-        /// Name of the offending field.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
-    /// `max_reports_per_sample` must be at least 1.
-    ZeroMaxReports,
-    /// The nested fleet configuration failed its own validation.
-    Fleet(FleetConfigError),
 }
 
 impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimConfigError::ZeroSamples => write!(f, "samples must be at least 1"),
-            SimConfigError::FractionOutOfRange { field, value } => {
-                write!(f, "{field} must be a fraction in [0, 1], got {value}")
-            }
-            SimConfigError::ZeroMaxReports => {
-                write!(f, "max_reports_per_sample must be at least 1")
-            }
-            SimConfigError::Fleet(e) => write!(f, "fleet config: {e}"),
         }
     }
 }
 
-impl std::error::Error for SimConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimConfigError::Fleet(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FleetConfigError> for SimConfigError {
-    fn from(e: FleetConfigError) -> Self {
-        SimConfigError::Fleet(e)
-    }
-}
+impl std::error::Error for SimConfigError {}
 
 /// Validating builder for [`SimConfig`] — the construction path the CLI
-/// parses through, so malformed flag values surface as typed errors
-/// instead of simulator panics or nonsense studies.
+/// parses through, so a sample count of zero surfaces as a typed error
+/// instead of an empty study.
 ///
-/// Unless a fleet is set explicitly, [`build`](Self::build) derives the
-/// fleet seed from the master seed exactly like [`SimConfig::new`], so
+/// [`build`](Self::build) derives the fleet seed from the master seed
+/// exactly like [`SimConfig::new`], so
 /// `SimConfig::builder().seed(s).samples(n).build()` ≡
 /// `SimConfig::new(s, n)`.
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
     config: SimConfig,
-    fleet_set: bool,
 }
 
 impl SimConfigBuilder {
-    /// Sets the master seed (also re-derives the fleet seed unless a
-    /// fleet was set explicitly).
+    /// Sets the master seed (the fleet seed is derived from it).
     pub fn seed(mut self, v: u64) -> Self {
         self.config.seed = v;
         self
@@ -153,75 +110,20 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the fraction of samples first submitted inside the window.
-    pub fn fresh_fraction(mut self, v: f64) -> Self {
-        self.config.fresh_fraction = v;
-        self
-    }
-
-    /// Sets the re-submission (vs rescan) fraction.
-    pub fn resubmit_fraction(mut self, v: f64) -> Self {
-        self.config.resubmit_fraction = v;
-        self
-    }
-
-    /// Sets the per-sample report cap.
-    pub fn max_reports_per_sample(mut self, v: u32) -> Self {
-        self.config.max_reports_per_sample = v;
-        self
-    }
-
-    /// Sets an explicit (already validated) fleet configuration,
-    /// suppressing the default fleet-seed derivation.
-    pub fn fleet(mut self, fleet: FleetConfig) -> Self {
-        self.config.fleet = fleet;
-        self.fleet_set = true;
-        self
-    }
-
     /// Validates and returns the config.
     pub fn build(self) -> Result<SimConfig, SimConfigError> {
-        let mut c = self.config;
-        if c.samples == 0 {
+        let SimConfig { seed, samples, .. } = self.config;
+        if samples == 0 {
             return Err(SimConfigError::ZeroSamples);
         }
-        if c.max_reports_per_sample == 0 {
-            return Err(SimConfigError::ZeroMaxReports);
-        }
-        for (field, value) in [
-            ("fresh_fraction", c.fresh_fraction),
-            ("resubmit_fraction", c.resubmit_fraction),
-        ] {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(SimConfigError::FractionOutOfRange { field, value });
-            }
-        }
-        if !self.fleet_set {
-            c.fleet = FleetConfig {
-                seed: c.seed ^ 0xF1EE_7000,
-                ..c.fleet
-            };
-        }
-        // Re-validate the fleet through its own builder so a fleet set
-        // via struct literal cannot smuggle bad values past this path.
-        c.fleet = FleetConfig::builder()
-            .seed(c.fleet.seed)
-            .timeout_mult(c.fleet.timeout_mult)
-            .outage_mult(c.fleet.outage_mult)
-            .glitch_rate(c.fleet.glitch_rate)
-            .slowness_sigma(c.fleet.slowness_sigma)
-            .load_sigma(c.fleet.load_sigma)
-            .epoch_sigma(c.fleet.epoch_sigma)
-            .epoch_slow_sigma(c.fleet.epoch_slow_sigma)
-            .trend_sigma(c.fleet.trend_sigma)
-            .build()?;
-        Ok(c)
+        Ok(SimConfig::new(seed, samples))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vt_model::time::Date;
 
     #[test]
@@ -239,14 +141,17 @@ mod tests {
         assert_eq!(a.samples, 10);
     }
 
-    #[test]
-    fn builder_matches_new() {
-        let built = SimConfig::builder().seed(42).samples(500).build().unwrap();
-        let direct = SimConfig::new(42, 500);
-        assert_eq!(built.seed, direct.seed);
-        assert_eq!(built.samples, direct.samples);
-        assert_eq!(built.fleet.seed, direct.fleet.seed);
-        assert_eq!(built.fresh_fraction, direct.fresh_fraction);
+    proptest! {
+        /// Compared by `Debug`, so a field added to either config is
+        /// compared without this test naming it.
+        #[test]
+        fn builder_matches_new(seed in any::<u64>(), samples in 1u64..=u64::MAX) {
+            let built = SimConfig::builder().seed(seed).samples(samples).build();
+            prop_assert_eq!(
+                format!("{:?}", built.expect("samples >= 1")),
+                format!("{:?}", SimConfig::new(seed, samples))
+            );
+        }
     }
 
     #[test]
@@ -255,55 +160,5 @@ mod tests {
             SimConfig::builder().samples(0).build().unwrap_err(),
             SimConfigError::ZeroSamples
         );
-        assert_eq!(
-            SimConfig::builder()
-                .max_reports_per_sample(0)
-                .build()
-                .unwrap_err(),
-            SimConfigError::ZeroMaxReports
-        );
-        assert!(matches!(
-            SimConfig::builder()
-                .fresh_fraction(1.5)
-                .build()
-                .unwrap_err(),
-            SimConfigError::FractionOutOfRange {
-                field: "fresh_fraction",
-                ..
-            }
-        ));
-        let bad_fleet = FleetConfig {
-            glitch_rate: 2.0,
-            ..FleetConfig::default()
-        };
-        assert!(matches!(
-            SimConfig::builder().fleet(bad_fleet).build().unwrap_err(),
-            SimConfigError::Fleet(FleetConfigError::GlitchRateOutOfRange { .. })
-        ));
-        assert!(matches!(
-            SimConfig::builder()
-                .fleet(FleetConfig {
-                    timeout_mult: f64::NAN,
-                    ..FleetConfig::default()
-                })
-                .build()
-                .unwrap_err(),
-            SimConfigError::Fleet(FleetConfigError::NotFiniteNonNegative {
-                field: "timeout_mult",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn explicit_fleet_survives_build() {
-        let fleet = FleetConfig::builder()
-            .seed(7)
-            .outage_mult(2.0)
-            .build()
-            .unwrap();
-        let c = SimConfig::builder().seed(1).fleet(fleet).build().unwrap();
-        assert_eq!(c.fleet.seed, 7);
-        assert_eq!(c.fleet.outage_mult, 2.0);
     }
 }

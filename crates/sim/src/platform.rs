@@ -18,6 +18,10 @@ use vt_engines::EngineFleet;
 use vt_model::hash::mix64;
 use vt_model::{SampleMeta, ScanReport};
 
+/// Fraction of a sample's follow-up scans issued through the upload
+/// API (re-submissions) rather than the rescan API.
+const RESUBMIT_FRACTION: f64 = 0.55;
+
 /// The simulated VirusTotal platform.
 #[derive(Debug)]
 pub struct VirusTotalSim {
@@ -70,7 +74,7 @@ impl VirusTotalSim {
         let mut reports = Vec::with_capacity(times.len());
         reports.push(first);
         for &t in &times[1..] {
-            let r = if rng.unit_f64() < self.config.resubmit_fraction {
+            let r = if rng.unit_f64() < RESUBMIT_FRACTION {
                 session.upload(t)
             } else {
                 session.rescan(t)

@@ -33,6 +33,10 @@ pub const MONTHLY_REPORT_COUNTS: [u64; 14] = [
     69_676_958, 61_981_425, 76_759_558, 68_555_398, 62_400_644, 58_193_854,
 ];
 
+/// Fraction of samples first submitted inside the window (§4.1:
+/// 91.76%).
+const FRESH_FRACTION: f64 = 0.9176;
+
 /// Per-type population parameters (prevalence, detectability shape,
 /// age, resubmission appetite).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,7 +152,7 @@ impl PopulationGen {
         let pop = type_population(file_type);
 
         // First submission time.
-        let fresh = rng.unit_f64() < self.config.fresh_fraction;
+        let fresh = rng.unit_f64() < FRESH_FRACTION;
         let first_submission = if fresh {
             let month = Month::COLLECTION_START.plus(self.month_table.sample(&mut rng));
             let span = (month.end() - month.start()).as_minutes();

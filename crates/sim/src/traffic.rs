@@ -21,6 +21,10 @@ use vt_model::hash::mix64;
 use vt_model::time::{Duration, Timestamp, MINUTES_PER_DAY};
 use vt_model::SampleMeta;
 
+/// Hard cap on reports per sample (keeps memory bounded; the paper's
+/// max is 64,168).
+const MAX_REPORTS_PER_SAMPLE: u32 = 4_000;
+
 /// Scan-count and scan-time model.
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
@@ -75,7 +79,7 @@ impl TrafficModel {
         } else {
             distr::bounded_pareto(&mut rng, 1.0, 21.0, 60_000.0) as u32
         };
-        n.min(self.config.max_reports_per_sample)
+        n.min(MAX_REPORTS_PER_SAMPLE)
     }
 
     /// Median inter-scan gap in days for a sample with `n` total scans.

@@ -31,9 +31,9 @@
 //! ```
 //!
 //! Each subcommand parses into a typed argument struct
-//! ([`SimulateArgs`], [`AnalyzeArgs`], [`StudyArgs`], [`ServeArgs`])
-//! with its own `--help` text; flag names, defaults and error messages
-//! are stable.
+//! ([`SimulateArgs`], [`AnalyzeArgs`], [`StudyArgs`]; `serve` straight
+//! into the daemon's [`ServeConfig`]) with its own `--help` text; flag
+//! names, defaults and error messages are stable.
 //!
 //! `--metrics-out FILE` writes the run's observability snapshot
 //! (per-stage spans, collector/store counters, per-worker busy-time
@@ -48,14 +48,16 @@
 //! (`fold_arena`), the route `vtld serve` runs per sealed segment. A
 //! report is decoded once between the file and the report.
 //!
-//! All configuration flows through the validating builders
-//! ([`SimConfig::builder`], `FleetConfig::builder`), so malformed flag
-//! values surface as typed errors, not panics deep in the simulator.
+//! The simulator's calibration is fixed; a command sets only the seed
+//! and the sample count, through [`SimConfig::builder`], whose one check
+//! (`--samples` ≥ 1) surfaces as a typed error. `analyze` sets only the
+//! fleet seed.
 
 use std::io;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use vt_label_dynamics::dynamics::{par, DecodeArena, IncrementalStudy, Study};
-use vt_label_dynamics::engines::{EngineFleet, FleetConfig, FleetConfigError};
+use vt_label_dynamics::engines::EngineFleet;
 use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
 use vt_label_dynamics::serve::{ServeConfig, Server, INGEST_SLOTS};
@@ -104,12 +106,6 @@ impl From<SimConfigError> for VtldError {
     }
 }
 
-impl From<FleetConfigError> for VtldError {
-    fn from(e: FleetConfigError) -> Self {
-        VtldError::Config(SimConfigError::Fleet(e))
-    }
-}
-
 impl From<PersistError> for VtldError {
     fn from(e: PersistError) -> Self {
         VtldError::Load(e)
@@ -132,7 +128,7 @@ fn main() -> ExitCode {
         "simulate" => with_args(rest, SimulateArgs::parse, SimulateArgs::HELP, cmd_simulate),
         "analyze" => with_args(rest, AnalyzeArgs::parse, AnalyzeArgs::HELP, cmd_analyze),
         "study" => with_args(rest, StudyArgs::parse, StudyArgs::HELP, cmd_study),
-        "serve" => with_args(rest, ServeArgs::parse, ServeArgs::HELP, cmd_serve),
+        "serve" => with_args(rest, parse_serve, SERVE_HELP, cmd_serve),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -399,25 +395,9 @@ flags:
     }
 }
 
-/// `vtld serve`: the long-running incremental daemon.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ServeArgs {
-    samples: u64,
-    seed: u64,
-    segment_reports: u64,
-    workers: usize,
-    shards: usize,
-    addr: String,
-    data_dir: Option<String>,
-    recover: bool,
-    max_clients: usize,
-    alerts: bool,
-    alerts_out: Option<String>,
-    alerts_tcp: Option<String>,
-}
-
-impl ServeArgs {
-    const HELP: &'static str = "vtld serve — incremental ingestion daemon with a TCP query endpoint
+/// `vtld serve`'s help text; its flags parse straight into the daemon's
+/// [`ServeConfig`] ([`parse_serve`]).
+const SERVE_HELP: &str = "vtld serve — incremental ingestion daemon with a TCP query endpoint
 
 flags:
   --samples N           samples the simulated feed delivers  (default 100000)
@@ -456,53 +436,51 @@ connection to a push stream of new alerts) and {\"cmd\":\"recommend\"}
 (the online threshold/engine-subset recommendation).
 Every response carries the snapshot epoch.";
 
-    fn parse(args: &[String]) -> Result<Self, VtldError> {
-        let flags = parse_flags(
-            args,
-            &[
-                "samples",
-                "seed",
-                "segment-reports",
-                "workers",
-                "shards",
-                "addr",
-                "data-dir",
-                "max-clients",
-                "alerts-out",
-                "alerts-tcp",
-            ],
-            &["recover", "no-alerts"],
-        )?;
-        let data_dir = flag(&flags, "data-dir").map(str::to_string);
-        let recover = has_switch(&flags, "recover");
-        if recover && data_dir.is_none() {
-            return Err(VtldError::Usage(
-                "--recover requires --data-dir DIR (there is nothing to replay without a \
-                 segment log)"
-                    .into(),
-            ));
-        }
-        let samples = parse_u64(&flags, "samples", 100_000)?;
-        let seed = parse_u64(&flags, "seed", 0x7e57_5eed)?;
-        // The daemon's own defaults and slot bound, not a second copy.
-        let defaults = ServeConfig::new(samples, seed);
-        Ok(Self {
-            samples,
-            seed,
-            segment_reports: parse_u64(&flags, "segment-reports", defaults.segment_reports)?.max(1),
-            workers: parse_workers(&flags)?,
-            shards: parse_u64(&flags, "shards", defaults.shards as u64)?
-                .clamp(1, INGEST_SLOTS as u64) as usize,
-            addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7311").to_string(),
-            data_dir,
-            recover,
-            max_clients: parse_u64(&flags, "max-clients", defaults.max_clients as u64)?.max(1)
-                as usize,
-            alerts: !has_switch(&flags, "no-alerts"),
-            alerts_out: flag(&flags, "alerts-out").map(str::to_string),
-            alerts_tcp: flag(&flags, "alerts-tcp").map(str::to_string),
-        })
+/// `vtld serve`: the flags over the daemon's own defaults.
+fn parse_serve(args: &[String]) -> Result<ServeConfig, VtldError> {
+    let flags = parse_flags(
+        args,
+        &[
+            "samples",
+            "seed",
+            "segment-reports",
+            "workers",
+            "shards",
+            "addr",
+            "data-dir",
+            "max-clients",
+            "alerts-out",
+            "alerts-tcp",
+        ],
+        &["recover", "no-alerts"],
+    )?;
+    let data_dir = flag(&flags, "data-dir").map(PathBuf::from);
+    let recover = has_switch(&flags, "recover");
+    if recover && data_dir.is_none() {
+        return Err(VtldError::Usage(
+            "--recover requires --data-dir DIR (there is nothing to replay without a \
+             segment log)"
+                .into(),
+        ));
     }
+    let samples = parse_u64(&flags, "samples", 100_000)?;
+    let seed = parse_u64(&flags, "seed", 0x7e57_5eed)?;
+    // The daemon's own defaults and slot bound, not a second copy.
+    let defaults = ServeConfig::new(samples, seed);
+    Ok(ServeConfig {
+        segment_reports: parse_u64(&flags, "segment-reports", defaults.segment_reports)?.max(1),
+        workers: parse_workers(&flags)?,
+        shards: parse_u64(&flags, "shards", defaults.shards as u64)?.clamp(1, INGEST_SLOTS as u64)
+            as usize,
+        addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7311").to_string(),
+        data_dir,
+        recover,
+        max_clients: parse_u64(&flags, "max-clients", defaults.max_clients as u64)?.max(1) as usize,
+        alerts: !has_switch(&flags, "no-alerts"),
+        alerts_out: flag(&flags, "alerts-out").map(PathBuf::from),
+        alerts_tcp: flag(&flags, "alerts-tcp").map(str::to_string),
+        ..defaults
+    })
 }
 
 // ---- subcommand bodies -------------------------------------------------
@@ -558,7 +536,7 @@ fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
     let mut arena = DecodeArena::new();
     let store = arena.refill(|rows| read_store_into(&mut reader, rows, &StoreObs::new(&obs)))?;
     eprintln!("loaded {} reports from {path}", store.report_count());
-    let fleet = EngineFleet::new(FleetConfig::builder().seed(args.fleet_seed).build()?);
+    let fleet = EngineFleet::with_seed(args.fleet_seed);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();
     let mut study = IncrementalStudy::new(&fleet, window_start).with_workers(args.workers);
     let samples = study.fold_arena(&arena, &obs);
@@ -591,18 +569,7 @@ fn cmd_study(args: StudyArgs) -> Result<(), VtldError> {
     args.obs.emit(&obs)
 }
 
-fn cmd_serve(args: ServeArgs) -> Result<(), VtldError> {
-    let mut config = ServeConfig::new(args.samples, args.seed);
-    config.segment_reports = args.segment_reports;
-    config.workers = args.workers;
-    config.shards = args.shards;
-    config.addr = args.addr;
-    config.data_dir = args.data_dir.map(std::path::PathBuf::from);
-    config.recover = args.recover;
-    config.max_clients = args.max_clients;
-    config.alerts = args.alerts;
-    config.alerts_out = args.alerts_out.map(std::path::PathBuf::from);
-    config.alerts_tcp = args.alerts_tcp;
+fn cmd_serve(config: ServeConfig) -> Result<(), VtldError> {
     let server = Server::start(config).map_err(io_err("cannot start serve"))?;
     eprintln!(
         "vtld serve listening on {} (newline-delimited JSON; try {{\"cmd\":\"status\"}})",
@@ -708,18 +675,18 @@ mod tests {
             let study = StudyArgs::parse(&strings(&["--workers", given])).expect("ok");
             let analyze =
                 AnalyzeArgs::parse(&strings(&["--store", "f", "--workers", given])).expect("ok");
-            let serve = ServeArgs::parse(&strings(&["--workers", given])).expect("ok");
+            let serve = parse_serve(&strings(&["--workers", given])).expect("ok");
             assert_eq!([study.workers, analyze.workers, serve.workers], [kept; 3]);
         }
         let bound = format!("(1..={})", par::MAX_WORKERS);
-        for help in [AnalyzeArgs::HELP, StudyArgs::HELP, ServeArgs::HELP] {
+        for help in [AnalyzeArgs::HELP, StudyArgs::HELP, SERVE_HELP] {
             assert!(help.contains(&bound), "{help}");
         }
     }
 
     #[test]
     fn serve_args_defaults_and_overrides() {
-        let d = ServeArgs::parse(&[]).expect("ok");
+        let d = parse_serve(&[]).expect("ok");
         assert_eq!(d.samples, 100_000);
         assert_eq!(d.segment_reports, 20_000);
         assert_eq!(d.addr, "127.0.0.1:7311");
@@ -730,7 +697,7 @@ mod tests {
         assert!(d.alerts, "detectors are on by default");
         assert!(d.alerts_out.is_none());
         assert!(d.alerts_tcp.is_none());
-        let s = ServeArgs::parse(&strings(&[
+        let s = parse_serve(&strings(&[
             "--samples",
             "2000",
             "--segment-reports",
@@ -742,13 +709,13 @@ mod tests {
         assert_eq!(s.samples, 2_000);
         assert_eq!(s.segment_reports, 1, "zero clamps to one");
         assert_eq!(s.addr, "127.0.0.1:0");
-        let err = ServeArgs::parse(&strings(&["--csv-dir", "x"])).unwrap_err();
+        let err = parse_serve(&strings(&["--csv-dir", "x"])).unwrap_err();
         assert_eq!(err.to_string(), "unknown flag --csv-dir");
     }
 
     #[test]
     fn serve_args_hardening_flags() {
-        let s = ServeArgs::parse(&strings(&[
+        let s = parse_serve(&strings(&[
             "--shards",
             "4",
             "--data-dir",
@@ -759,27 +726,27 @@ mod tests {
         ]))
         .expect("ok");
         assert_eq!(s.shards, 4);
-        assert_eq!(s.data_dir.as_deref(), Some("/tmp/wal"));
+        assert_eq!(s.data_dir, Some(PathBuf::from("/tmp/wal")));
         assert!(s.recover);
         assert_eq!(s.max_clients, 2);
 
         assert_eq!(
-            ServeArgs::parse(&strings(&["--shards", "99"]))
+            parse_serve(&strings(&["--shards", "99"]))
                 .expect("ok")
                 .shards,
             8,
             "shards clamp to the slot count"
         );
         assert_eq!(
-            ServeArgs::parse(&strings(&["--max-clients", "0"]))
+            parse_serve(&strings(&["--max-clients", "0"]))
                 .expect("ok")
                 .max_clients,
             1,
             "a zero client cap clamps to one"
         );
-        let err = ServeArgs::parse(&strings(&["--cache-samples", "0"])).unwrap_err();
+        let err = parse_serve(&strings(&["--cache-samples", "0"])).unwrap_err();
         assert_eq!(err.to_string(), "unknown flag --cache-samples");
-        let err = ServeArgs::parse(&strings(&["--recover"])).unwrap_err();
+        let err = parse_serve(&strings(&["--recover"])).unwrap_err();
         assert!(
             err.to_string().starts_with("--recover requires --data-dir"),
             "{err}"
@@ -796,7 +763,7 @@ mod tests {
 
         let start = |flag: &str, value: &str| {
             let args = strings(&["--samples", "10", flag, value]);
-            cmd_serve(ServeArgs::parse(&args).expect("valid flags"))
+            cmd_serve(parse_serve(&args).expect("valid flags"))
                 .expect_err("start must fail")
                 .to_string()
         };
@@ -860,7 +827,7 @@ mod tests {
 
     #[test]
     fn serve_args_alerting_flags() {
-        let s = ServeArgs::parse(&strings(&[
+        let s = parse_serve(&strings(&[
             "--alerts-out",
             "/tmp/alerts.jsonl",
             "--alerts-tcp",
@@ -868,10 +835,10 @@ mod tests {
         ]))
         .expect("ok");
         assert!(s.alerts);
-        assert_eq!(s.alerts_out.as_deref(), Some("/tmp/alerts.jsonl"));
+        assert_eq!(s.alerts_out, Some(PathBuf::from("/tmp/alerts.jsonl")));
         assert_eq!(s.alerts_tcp.as_deref(), Some("127.0.0.1:9000"));
 
-        let off = ServeArgs::parse(&strings(&["--no-alerts"])).expect("ok");
+        let off = parse_serve(&strings(&["--no-alerts"])).expect("ok");
         assert!(!off.alerts, "--no-alerts turns the detectors off");
         assert!(off.alerts_out.is_none());
     }

@@ -153,7 +153,7 @@ fn send_segment(ctx: &IngestCtx, senders: &[SyncSender<SegmentMsg>], msg: Segmen
 }
 
 /// The feeder thread: replay the data dir (under recovery), then
-/// simulate → chaos feed → collector → hash-route → seal durably →
+/// simulate → chaos feed → `collector` → hash-route → seal durably →
 /// hand to the shard fleet, until the feed is exhausted or `stop()`
 /// (daemon shutdown was requested) — at which point it drains (seals
 /// and ships in-progress segments). Dropping `senders` on return
@@ -164,6 +164,7 @@ fn send_segment(ctx: &IngestCtx, senders: &[SyncSender<SegmentMsg>], msg: Segmen
 /// down.
 pub(super) fn run(
     ctx: &IngestCtx,
+    collector: &Collector,
     stop: impl Fn() -> bool,
     senders: Vec<SyncSender<SegmentMsg>>,
     segdir: Option<SegmentDir>,
@@ -234,7 +235,7 @@ pub(super) fn run(
         // Also bumps `collector/accepted` / `collector/quarantined`,
         // which `status` reports as `accepted` / `quarantined`.
         let mut accepted: Vec<ScanReport> = Vec::new();
-        Collector::default().run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
+        collector.run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
         for (hash, reports) in group_reports(accepted) {
             if sealed_hashes.contains(&hash) {
                 continue;
@@ -293,7 +294,7 @@ mod tests {
         // Nothing can be sealed, so nothing is sent and the queue's
         // receiver only has to exist.
         let (tx, _rx) = sync_channel(SHARD_QUEUE_SEGMENTS);
-        let healthy = run(&ctx, || false, vec![tx], Some(dir));
+        let healthy = run(&ctx, &Collector::default(), || false, vec![tx], Some(dir));
         assert!(
             !healthy,
             "a lost tail is as fatal as a lost segment mid-feed"

@@ -95,7 +95,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::dynamics::{par, AlertConfig};
+use crate::dynamics::{par, AlertConfig, Collector, CollectorConfig};
 use crate::sim::fault::FaultPlan;
 use crate::store::SegmentDir;
 
@@ -127,7 +127,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7311` (port 0 picks one).
     pub addr: String,
     /// Fault injection applied to the feed (the daemon ingests through
-    /// the same collector the chaos tests exercise).
+    /// the same collector the chaos tests exercise). [`Server::start`]
+    /// refuses a plan whose lateness bound exceeds the collector's
+    /// reorder horizon.
     pub plan: FaultPlan,
     /// Segment write-ahead-log directory. `None` runs in-memory (no
     /// durability, no recovery).
@@ -230,12 +232,17 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Opens (and on `recover` validates) the data dir, opens the
-    /// `--alerts-out` file, binds the listener, publishes the epoch-0
-    /// (empty study) snapshot, and starts the feeder, shard, merger and
-    /// accept threads.
+    /// Checks the fault plan against the collector, opens (and on
+    /// `recover` validates) the data dir, opens the `--alerts-out` file,
+    /// binds the listener, publishes the epoch-0 (empty study) snapshot,
+    /// and starts the feeder, shard, merger and accept threads.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
+        // Before anything is touched: a reorder horizon shorter than the
+        // plan's lateness bound would emit out of order, and evict dedup
+        // keys that late duplicates still need.
+        let collector = Collector::for_plan(CollectorConfig::default(), &config.plan)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let segdir = match &config.data_dir {
             Some(path) => {
                 let dir = SegmentDir::open(path, INGEST_SLOTS as u32)?;
@@ -330,7 +337,7 @@ impl Server {
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
             let stop = || d.seam.shutdown_requested();
-            if !ingest::run(&d.fold.ingest, stop, shard_txs, segdir) {
+            if !ingest::run(&d.fold.ingest, &collector, stop, shard_txs, segdir) {
                 d.seam.request_shutdown();
             }
         }));

@@ -17,7 +17,8 @@ use super::render::{
 use super::wire::quoted;
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
-    merge_partition_stats, par, Collector, DecodeArena, IncrementalStudy, StudyPartials,
+    merge_partition_stats, par, Collector, CollectorConfig, DecodeArena, IncrementalStudy,
+    StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
@@ -178,6 +179,28 @@ fn detectors_off_open_no_sink() {
     config.alerts_out = Some(path.clone());
     drop(super::Server::start(config).expect("starts"));
     assert!(!path.exists());
+}
+
+/// A plan whose lateness bound outruns the collector's reorder horizon
+/// is refused before the data dir is created; the default plan starts.
+#[test]
+fn a_plan_later_than_the_reorder_horizon_is_refused() {
+    let root = std::env::temp_dir().join(format!("vtld-late-plan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let horizon = CollectorConfig::default().reorder_horizon;
+    let mut config = ServeConfig::new(0, 7);
+    config.plan = FaultPlan::clean(7).with_reordering(0.05, horizon + 1);
+    config.data_dir = Some(root.clone());
+    let err = super::Server::start(config.clone()).expect_err("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let expected = Collector::for_plan(CollectorConfig::default(), &config.plan)
+        .expect_err("the horizon is one minute short");
+    assert_eq!(err.to_string(), expected.to_string());
+    assert!(!root.exists(), "a refused start creates no data dir");
+
+    let default = ServeConfig::new(0, 7);
+    assert_eq!(default.plan.max_lateness, 30);
+    drop(super::Server::start(default).expect("the default plan starts"));
 }
 
 /// The clean feed over `ordinals` sealed into about `ways` whole-sample

@@ -129,6 +129,33 @@ fn perfect_availability_is_quieter_than_nominal() {
     );
 }
 
+/// `--samples 0` is the one setting the command line can get wrong:
+/// `study` and `simulate` refuse it with the builder's typed message
+/// before they write anything.
+#[test]
+fn zero_samples_is_refused_before_anything_is_written() {
+    let dir = std::env::temp_dir().join(format!("vtld-zero-samples-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let csv = dir.join("csv");
+    let store = dir.join("feed.vtstore");
+    for (command, file_flag, path) in [("study", "--csv-dir", &csv), ("simulate", "--out", &store)]
+    {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vtld"))
+            .args([command, "--samples", "0", file_flag])
+            .arg(path)
+            .output()
+            .expect("vtld runs");
+        assert!(!out.status.success(), "{command} must fail");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "vtld: invalid configuration: samples must be at least 1\n",
+            "{command}"
+        );
+        assert!(out.stdout.is_empty(), "{command}");
+    }
+    assert!(!dir.exists(), "a refused command creates no file");
+}
+
 #[test]
 fn store_rejects_misuse_gracefully() {
     // Sealing an empty store and reading from it is fine.

@@ -552,14 +552,9 @@ impl EngineFleet {
         (sigma * vt_stats::special::probit(u) - sigma * sigma / 2.0).exp()
     }
 
-    /// The per-(sample, day) load factor: scales every engine's timeout
-    /// probability for scans of this sample that day. Lognormal,
-    /// mean-normalized to 1.
-    pub fn load_factor(&self, sample: &SampleMeta, t: Timestamp) -> f64 {
-        self.load_on(self.sample_key(sample), t)
-    }
-
-    /// [`EngineFleet::load_factor`] resumed from the sample's key.
+    /// The per-(sample, day) load factor, from the sample's key: scales
+    /// every engine's timeout probability for scans of this sample that
+    /// day. Lognormal, mean-normalized to 1.
     fn load_on(&self, sample_key: u64, t: Timestamp) -> f64 {
         Self::lognormal_factor(
             mix64_from(sample_key, &[TAG_LOAD, t.day_number() as u64]),

@@ -179,11 +179,6 @@ impl Date {
     pub fn from_days_since_epoch(days: i64) -> Self {
         civil_from_days(days + days_from_civil(2021, 1, 1))
     }
-
-    /// The first day of this date's month.
-    pub fn first_of_month(self) -> Date {
-        Date { day: 1, ..self }
-    }
 }
 
 impl fmt::Display for Date {

@@ -34,7 +34,9 @@
 //! seal order. File names are `seg-SSS-NNNNNNNNNN.vtseg`. A small
 //! manifest records the slot count so a directory can never be replayed
 //! under a different partitioning than it was written with (that would
-//! silently break the clean-prefix property).
+//! silently break the clean-prefix property), and a feed record
+//! ([`SegmentDir::pin_feed`]) names the stream the log holds, so a
+//! resumed writer cannot append another stream's samples to it.
 
 use crate::block::SinkFn;
 use crate::codec::ReportRow;
@@ -50,6 +52,8 @@ use vt_model::{SampleHash, ScanReport};
 const MANIFEST: &str = "segdir.manifest";
 /// Manifest format tag.
 const MANIFEST_TAG: &str = "VTSEGDIR1";
+/// Feed record file name inside a segment directory.
+const FEED: &str = "segdir.feed";
 /// Quarantine subdirectory for segments replay did not accept.
 const QUARANTINE: &str = "quarantine";
 
@@ -144,6 +148,36 @@ impl SegmentDir {
     /// The fixed slot count recorded in the manifest.
     pub fn slots(&self) -> u32 {
         self.slots
+    }
+
+    /// Pins the directory to the feed its log holds, named by `feed` (one
+    /// line, the caller's identity of its stream). A fresh log records
+    /// `feed`; a log being resumed (`resume`) keeps its record, and a
+    /// recorded feed other than `feed` is an
+    /// [`io::ErrorKind::InvalidInput`] error naming both that changes
+    /// nothing. A resumed log with no record adopts `feed`. The record is
+    /// written through the manifest's tmp → fsync → rename → fsync-dir
+    /// path.
+    pub fn pin_feed(&self, feed: &str, resume: bool) -> io::Result<()> {
+        if resume {
+            match fs::read_to_string(self.root.join(FEED)) {
+                Ok(text) if text.trim_end() == feed => return Ok(()),
+                Ok(text) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "data dir {} holds feed {}, not {feed}; \
+                             recover it under the feed that wrote it or point at a clean directory",
+                            self.root.display(),
+                            text.trim_end()
+                        ),
+                    ))
+                }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        write_durable(&self.root, FEED, format!("{feed}\n").as_bytes()).map(drop)
     }
 
     /// Whether the directory holds any segment files (quarantined ones
@@ -612,6 +646,36 @@ mod tests {
         assert_eq!(reopened.slots(), 8);
         let err = SegmentDir::open(&root, 4).expect_err("slot mismatch must refuse");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    /// A fresh log records its feed, a resumed one keeps it, and a
+    /// resume under another feed is refused without touching the record;
+    /// a log written before records existed adopts the resuming feed.
+    #[test]
+    fn a_resumed_log_keeps_the_feed_it_was_pinned_to() {
+        let root = temp_dir("feed");
+        let dir = SegmentDir::open(&root, 1).expect("open");
+        let record = || fs::read_to_string(root.join(FEED)).expect("feed record");
+        dir.pin_feed("seed=7 samples=30", false)
+            .expect("a fresh log pins");
+        assert_eq!(record(), "seed=7 samples=30\n");
+        dir.pin_feed("seed=7 samples=30", true)
+            .expect("the same feed resumes");
+        let err = dir
+            .pin_feed("seed=8 samples=30", true)
+            .expect_err("another feed");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("feed seed=7 samples=30, not seed=8 samples=30;"),
+            "{msg}"
+        );
+        assert_eq!(record(), "seed=7 samples=30\n", "a refusal changes nothing");
+        fs::remove_file(root.join(FEED)).expect("unpin");
+        dir.pin_feed("seed=8 samples=30", true)
+            .expect("no record to disagree");
+        assert_eq!(record(), "seed=8 samples=30\n");
         fs::remove_dir_all(&root).expect("cleanup");
     }
 

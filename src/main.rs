@@ -413,7 +413,8 @@ flags:
                         is folded or published
   --recover             replay DIR's sealed segments on
                         startup and resume ingest past them
-                        (requires --data-dir)
+                        (requires --data-dir, written under
+                        the same --seed and --samples)
   --max-clients C       concurrent connections before new
                         clients are shed with a typed
                         'overloaded' response               (default 256)

@@ -27,7 +27,7 @@ use super::render::{
     render_metrics, render_recommend, render_results, render_sample, render_stabilized,
     render_status,
 };
-use super::wire::{self, quoted, Render, Request};
+use super::wire::{self, quoted, Request};
 use super::ServeConfig;
 use crate::obs::Obs;
 
@@ -271,13 +271,11 @@ fn respond(line: &str, ctx: &ConnCtx) -> Action {
         Request::Recommend => render_recommend(&snap).to_owned(),
         Request::Subscribe => {
             return Action::Subscribe {
-                ack: wire::SubscribeAck.render(snap.epoch),
+                ack: wire::subscribe_ack(snap.epoch),
                 epoch: snap.epoch,
             }
         }
-        Request::Shutdown => {
-            return Action::ReplyThenShutdown(wire::ShutdownAck.render(snap.epoch))
-        }
+        Request::Shutdown => return Action::ReplyThenShutdown(wire::shutdown_ack(snap.epoch)),
         Request::Sample { hash } => render_sample(&snap, hash),
         Request::Stabilized { hash, threshold } => render_stabilized(&snap, hash, threshold),
         Request::FlipLeaders { k } => render_flip_leaders(&snap, k),

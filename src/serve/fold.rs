@@ -13,21 +13,21 @@
 //! as of that fold, and the alerts that fold fired. Alerts are keyed
 //! `(slot, seq, detector, ordinal)`, a pure function of the WAL, so the
 //! stream is bit-identical at any shard × worker count and across
-//! crash-recovery replay; each batch also goes straight to the connector
-//! sinks (`sink`).
+//! crash-recovery replay.
 //!
-//! A segment's rows reach the fold through the worker's one decode
-//! arena, by one decode. A freshly sealed segment is written to its
-//! checksummed container and read back strictly — the proof that the
-//! bytes a restart would read fold to what is published — and that
-//! read's integrity decode *is* the fold's input
-//! ([`read_segment_into`] → [`IncrementalStudy::fold_arena`]). A
-//! replayed segment was already accepted by the same reader during
-//! replay; its store streams into the arena once.
+//! A worker folds and does nothing else. Every segment, freshly sealed
+//! or replayed, reaches the fold the same way: its store's rows stream
+//! into the worker's one decode arena, by one decode
+//! ([`IncrementalStudy::fold_store`]). The strict reader and the store's
+//! row stream both visit partitions in window order and blocks in
+//! append order, so a live segment folds the rows a restart would read
+//! back from its file — held by the kill/recover fingerprint tests and
+//! by this module's per-segment round-trip test, not re-proved on every
+//! segment.
 //!
 //! What crosses the seam downstream is one [`MergeEvent`] per fold and
-//! nothing else — no table, no lock; nothing here knows how slots are
-//! merged or published.
+//! nothing else — no table, no lock, no rendered byte; nothing here
+//! knows how slots are merged or published, or where alerts go.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
@@ -35,14 +35,14 @@ use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::ingest::{IngestCtx, SegmentMsg};
-use super::{sink, wire, ServeConfig};
+use super::ServeConfig;
 use crate::dynamics::{
     Alert, AlertConfig, AlertTotals, DecodeArena, IncrementalStudy, SampleIndex, StudyPartials,
 };
 use crate::model::EngineId;
 use crate::obs::Obs;
 use crate::sim::VirusTotalSim;
-use crate::store::{read_segment_into, write_segment, PartitionStats, Segment};
+use crate::store::{PartitionStats, Segment};
 
 /// What one fold hands the merger: *that fold's* partials, Table 2
 /// stats and alerts, which no other update carries — the merger adds
@@ -51,6 +51,8 @@ use crate::store::{read_segment_into, write_segment, PartitionStats, Segment};
 #[cfg_attr(test, derive(Clone))]
 pub(super) struct SlotUpdate {
     pub(super) slot: usize,
+    /// [`SegmentMsg::recovered`], passed on with the alerts.
+    pub(super) recovered: bool,
     pub(super) partials: Option<StudyPartials>,
     pub(super) partitions: Vec<PartitionStats>,
     /// Frozen behind an `Arc` at fold time: publishing ships the
@@ -68,14 +70,14 @@ pub(super) enum MergeEvent {
     WorkerExited,
 }
 
-/// A shard worker's context: the feeder's, and the roster alert bodies
-/// render with.
+/// A shard worker's context: the feeder's, and the fleet's engine
+/// roster.
 pub(super) struct FoldCtx {
     pub(super) ingest: IngestCtx,
     /// Engine names in [`EngineId`] order. Named here and nowhere else:
     /// alert bodies, the `engines` roster and the `engine` verb all
     /// render with this one list — a pure function of the fleet, so
-    /// workers, merger and sinks agree byte for byte.
+    /// every rendering of an engine agrees byte for byte.
     pub(super) roster: Arc<Vec<String>>,
 }
 
@@ -125,20 +127,20 @@ impl<'a> SlotFold<'a> {
         }
     }
 
-    /// Folds the slot's next sealed segment — `arena` holding its
-    /// decoded rows — and advances the alert counters by exactly what it
-    /// added; returns the samples folded and the update the merger is
-    /// owed, which takes the fold's partials out of the study. Zero-copy:
-    /// the columnar table is built straight from the worker's reusable
-    /// decode arena (see [`IncrementalStudy::fold_arena`]).
+    /// Folds the slot's next sealed segment, its store's rows streamed
+    /// into the worker's reusable `arena` ([`IncrementalStudy::fold_store`]),
+    /// and advances the alert counters by exactly what it added; returns
+    /// the samples folded and the update the merger is owed, which takes
+    /// the fold's partials out of the study.
     pub(super) fn fold(
         &mut self,
         segment: &Segment,
-        arena: &DecodeArena,
+        recovered: bool,
+        arena: &mut DecodeArena,
         obs: &Obs,
         c: &ServeCounters,
     ) -> (usize, SlotUpdate) {
-        let samples = self.study.fold_arena(arena, obs);
+        let samples = self.study.fold_store(segment.store(), arena, obs);
         let alerts = self.study.take_alerts();
         let totals = self.study.alert_totals();
         let was = self.counted;
@@ -150,6 +152,7 @@ impl<'a> SlotFold<'a> {
         self.counted = totals;
         let update = SlotUpdate {
             slot: self.slot,
+            recovered,
             partials: self.study.take_partials(),
             partitions: segment.store().partition_stats(),
             index: self
@@ -170,7 +173,6 @@ pub(super) fn shard_worker(
     ctx: &FoldCtx,
     rx: &Receiver<SegmentMsg>,
     merge_tx: &Sender<MergeEvent>,
-    alert_sink: Option<&Sender<sink::SinkMsg>>,
 ) {
     let (ingest, c) = (&ctx.ingest, &ctx.ingest.counters);
     let mut slots: HashMap<usize, SlotFold<'_>> = HashMap::new();
@@ -178,46 +180,17 @@ pub(super) fn shard_worker(
     // folds: the row buffer reaches steady-state capacity after the
     // first few segments and stops allocating.
     let mut arena = DecodeArena::new();
-    let mut container = Vec::new();
-    while let Ok(msg) = rx.recv() {
+    while let Ok(SegmentMsg {
+        slot,
+        segment,
+        recovered,
+    }) = rx.recv()
+    {
         ingest.dequeued();
-        let SegmentMsg {
-            slot,
-            segment,
-            recovered,
-        } = msg;
-        // Freshly sealed segments round-trip through their checksummed
-        // container before folding: what the daemon folds is exactly
-        // what a restart would recover from disk, rows included — the
-        // strict read decodes into the arena. Replayed segments already
-        // came through that reader.
-        let segment = if recovered {
-            arena.clear();
-            segment.store().for_each_row(&mut arena);
-            segment
-        } else {
-            container.clear();
-            write_segment(&segment, &mut container).expect("in-memory segment write");
-            arena
-                .refill(|rows| {
-                    read_segment_into(&mut container.as_slice(), rows, &ingest.store_obs)
-                })
-                .expect("own segment re-reads")
-        };
         let fold = slots
             .entry(slot)
             .or_insert_with(|| SlotFold::new(&ingest.config, &ingest.sim, slot));
-        let (samples, update) = fold.fold(&segment, &arena, &ingest.obs, c);
-        if let (Some(sink), false) = (alert_sink, update.alerts.is_empty()) {
-            let _ = sink.send(sink::SinkMsg {
-                lines: update
-                    .alerts
-                    .iter()
-                    .map(|a| wire::render_alert(a, &ctx.roster))
-                    .collect(),
-                recovered,
-            });
-        }
+        let (samples, update) = fold.fold(&segment, recovered, &mut arena, &ingest.obs, c);
         c.segments.incr();
         c.samples.add(samples as u64);
         c.reports.add(segment.report_count());
@@ -235,6 +208,46 @@ mod tests {
     use crate::dynamics::merge_partition_stats;
     use crate::serve::tests::sealed_segments;
     use crate::sim::SimConfig;
+    use crate::store::{read_segment, write_segment};
+
+    /// A live segment folds, from its in-memory store, into exactly the
+    /// update its file's strict read folds into — partials, Table 2
+    /// stats, index and alerts — for every segment of the feed: what is
+    /// folded is what a restart reads.
+    #[test]
+    fn a_live_segment_folds_as_its_file_reads_back() {
+        let config = ServeConfig::new(1_500, 0x51_07);
+        let sim = VirusTotalSim::new(SimConfig::new(config.seed, config.samples));
+        let segments = sealed_segments(&sim, 0..config.samples, 3);
+        assert!(
+            segments.len() >= 3,
+            "the fixture splits at least three ways"
+        );
+        let counters = ServeCounters::register(Obs::noop());
+        let mut live = SlotFold::new(&config, &sim, 3);
+        let mut read_back = SlotFold::new(&config, &sim, 3);
+        let mut arena = DecodeArena::new();
+        let mut alerts = 0;
+        for (n, segment) in segments.iter().enumerate() {
+            let mut file = Vec::new();
+            write_segment(segment, &mut file).expect("in-memory write");
+            let reread = read_segment(&mut file.as_slice()).expect("a sealed segment reads back");
+            let (samples, folded) = live.fold(segment, false, &mut arena, Obs::noop(), &counters);
+            let (reread_samples, reread) =
+                read_back.fold(&reread, true, &mut arena, Obs::noop(), &counters);
+            assert_eq!(samples, reread_samples, "segment {n}");
+            assert_eq!(
+                format!("{:?}", folded.partials),
+                format!("{:?}", reread.partials),
+                "segment {n}"
+            );
+            assert_eq!(folded.partitions, reread.partitions, "segment {n}");
+            assert_eq!(folded.index, reread.index, "segment {n}");
+            assert_eq!(folded.alerts, reread.alerts, "segment {n}");
+            alerts += folded.alerts.len();
+        }
+        assert!(alerts > 0, "the fixture fires alerts");
+    }
 
     #[test]
     fn slot_fold_equals_a_directly_driven_study_and_logs_each_alert_once() {
@@ -260,9 +273,7 @@ mod tests {
         // The stream a merger is sent, every update still held.
         let mut updates: Vec<SlotUpdate> = Vec::new();
         for (n, segment) in segments.iter().enumerate() {
-            arena.clear();
-            segment.store().for_each_row(&mut arena);
-            let (samples, update) = fold.fold(segment, &arena, Obs::noop(), &counters);
+            let (samples, update) = fold.fold(segment, false, &mut arena, Obs::noop(), &counters);
             let direct_samples = direct.fold_store(segment.store(), &mut direct_arena, Obs::noop());
             merge_partition_stats(&mut partitions, &segment.store().partition_stats());
 

@@ -66,8 +66,8 @@ pub(super) fn slot_of(hash: SampleHash) -> usize {
 pub(super) struct SegmentMsg {
     pub(super) slot: usize,
     pub(super) segment: Segment,
-    /// Replayed from the data dir (already round-tripped through the
-    /// on-disk container) rather than freshly sealed.
+    /// Replayed from the data dir rather than freshly sealed. Folded the
+    /// same way either way; the flag travels on to the alert sinks.
     pub(super) recovered: bool,
 }
 
@@ -80,7 +80,7 @@ pub(super) struct IngestCtx {
     /// pointer to render `metrics` from it live.
     pub(super) obs: Arc<Obs>,
     /// The `store/*` handles of `obs`, resolved once: the slot writers'
-    /// encode, the replay's and the round trip's decode all record here.
+    /// encode and every segment decode, replay's and fold's, record here.
     pub(super) store_obs: StoreObs,
     pub(super) counters: ServeCounters,
     /// Sealed segments sent and not yet taken off a shard queue.

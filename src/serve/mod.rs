@@ -35,7 +35,8 @@
 //!   a snapshot and the one thing a `subscribe` stream waits on (publish
 //!   and shutdown are its only wake-ups). The copy is finished into
 //!   results once: before the swap if readers asked the last snapshot
-//!   for results, else by the first request that needs them.
+//!   for results, else by the first request that needs them. The
+//!   merger is also the connector sinks' one producer.
 //! * `render` — snapshot → bytes, on request. Per-hash answers are
 //!   rendered per request; each aggregate document, and the
 //!   `flip_leaders` ranking, once per snapshot by the first request
@@ -137,7 +138,8 @@ pub struct ServeConfig {
     /// Replay the data dir's sealed segments on startup and resume
     /// ingest past them. Requires `data_dir`. Without it, a data dir
     /// that already holds segments refuses to start (instead of
-    /// silently interleaving two runs' streams).
+    /// silently interleaving two runs' streams); with it, so does a data
+    /// dir written under another `seed` or `samples`.
     pub recover: bool,
     /// Concurrent connections admitted before new clients are shed with
     /// a typed `overloaded` response.
@@ -232,8 +234,9 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Checks the fault plan against the collector, opens (and on
-    /// `recover` validates) the data dir, opens the `--alerts-out` file,
+    /// Checks the fault plan against the collector, opens the data dir
+    /// and pins it to this feed (on `recover`, refusing a dir another
+    /// feed wrote), opens the `--alerts-out` file,
     /// binds the listener, publishes the epoch-0 (empty study) snapshot,
     /// and starts the feeder, shard, merger and accept threads.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
@@ -256,6 +259,8 @@ impl Server {
                         ),
                     ));
                 }
+                let feed = format!("seed={} samples={}", config.seed, config.samples);
+                dir.pin_feed(&feed, config.recover)?;
                 Some(dir)
             }
             None if config.recover => {
@@ -293,10 +298,10 @@ impl Server {
 
         let mut threads = Vec::new();
 
-        // Connector sinks get their own thread; workers hand it
-        // rendered batches over an unbounded channel (producers are
-        // bounded by the per-segment detector caps) so a slow or dead
-        // connector can never backpressure ingest.
+        // Connector sinks get their own thread, fed by the merger over an
+        // unbounded channel (bounded by the per-segment detector caps) so
+        // a slow or dead connector never backpressures a publish; it exits
+        // after the final publish, when the merger drops the one sender.
         let alert_sink = if sinks.is_active() {
             let (tx, rx) = channel::<sink::SinkMsg>();
             let emitted = counters.alerts_emitted.clone();
@@ -314,20 +319,16 @@ impl Server {
         for _ in 0..config.shards {
             let (tx, rx) = sync_channel::<ingest::SegmentMsg>(ingest::SHARD_QUEUE_SEGMENTS);
             shard_txs.push(tx);
-            let (d, merge_tx, alert_sink) =
-                (Arc::clone(&daemon), merge_tx.clone(), alert_sink.clone());
+            let (d, merge_tx) = (Arc::clone(&daemon), merge_tx.clone());
             threads.push(std::thread::spawn(move || {
-                fold::shard_worker(&d.fold, &rx, &merge_tx, alert_sink.as_ref())
+                fold::shard_worker(&d.fold, &rx, &merge_tx)
             }));
         }
         drop(merge_tx);
-        // The start-scope sink sender drops here; the sink thread exits
-        // once every worker's clone is gone.
-        drop(alert_sink);
 
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
-            publish::merger_loop(&d, &merge_rx)
+            publish::merger_loop(&d, &merge_rx, alert_sink.as_ref())
         }));
         threads.push(std::thread::spawn(move || {
             conn::accept_loop(&listener, &conn)

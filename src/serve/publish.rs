@@ -9,9 +9,10 @@
 //! order, so the sum is the same in any order, and every published bit
 //! is identical at shards 1, 2 and 4. A slot's index is cumulative, so
 //! its newest one wins. The alerts an update carries arrive exactly
-//! once; they are stamped with the publish epoch and kept on a
-//! key-sorted ring capped at `alerts_ring` — the only alert log there
-//! is.
+//! once and are rendered here, once: handed to the sink thread (whose
+//! one producer the merger is) in arrival order, then stamped with the
+//! publish epoch and kept on a key-sorted ring capped at `alerts_ring`
+//! — the only alert log there is.
 //!
 //! ## The publish seam
 //!
@@ -25,7 +26,7 @@
 //! shutdown request are its only wake-ups, so a `subscribe` stream is
 //! driven by the epoch swap itself, not by a timer.
 //!
-//! The layer merges and swaps and never renders. A [`Snapshot`] *is*
+//! Bar alert bodies, the layer never renders. A [`Snapshot`] *is*
 //! the merged study, finished into results once. Until a reader has
 //! asked for results, a publish carries a copy of the sums and the first
 //! request that needs results finishes it ([`Snapshot::results`]), so a
@@ -36,10 +37,11 @@
 //! that asks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
+use super::sink::SinkMsg;
 use super::{wire, INGEST_SLOTS};
 use crate::dynamics::{
     merge_partition_stats, IncrementalStudy, SampleIndex, StudyPartials, StudyResults,
@@ -301,10 +303,15 @@ impl MergerState {
 /// The merger thread: on every fold's update (draining a burst into one
 /// publish), add the updates' deltas to the sums and publish them as
 /// the next epoch — finished once readers ask for results, a copy
-/// until then. After the whole fleet exits — every sealed segment
-/// folded — or is gone without saying so, publish the final snapshot,
-/// marking `ingest_done` when the feed was fully consumed.
-pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
+/// until then — and hand `sink`, if any, their alerts. After the whole
+/// fleet exits — every sealed segment folded — or is gone without
+/// saying so, publish the final snapshot, marking `ingest_done` when
+/// the feed was fully consumed.
+pub(super) fn merger_loop(
+    ctx: &PublishCtx,
+    rx: &Receiver<MergeEvent>,
+    sink: Option<&Sender<SinkMsg>>,
+) {
     let ingest = &ctx.fold.ingest;
     let mut state = MergerState::new();
     let mut epoch = 0u64;
@@ -320,23 +327,25 @@ pub(super) fn merger_loop(ctx: &PublishCtx, rx: &Receiver<MergeEvent>) {
         }
         if !updates.is_empty() && exited < ingest.config.shards {
             epoch += 1;
-            publish_merged(ctx, &mut state, epoch, updates.drain(..), false);
+            publish_merged(ctx, &mut state, epoch, updates.drain(..), false, sink);
         }
     }
     // Final publish: every sealed segment has been folded and merged.
-    epoch += 1;
-    publish_merged(ctx, &mut state, epoch, updates.drain(..), ingest.done());
+    let done = ingest.done();
+    publish_merged(ctx, &mut state, epoch + 1, updates.drain(..), done, sink);
 }
 
 /// Publishes one epoch: add `updates` (in arrival order) to the sums —
-/// one merge each — and swap them in as the next snapshot: finished,
-/// once readers ask for results, else as a copy for the first ask.
+/// one merge each — hand `sink` each update's rendered alerts, and swap
+/// the sums in as the next snapshot: finished, once readers ask for
+/// results, else as a copy for the first ask.
 fn publish_merged(
     ctx: &PublishCtx,
     state: &mut MergerState,
     epoch: u64,
     updates: impl Iterator<Item = Box<SlotUpdate>>,
     done: bool,
+    sink: Option<&Sender<SinkMsg>>,
 ) {
     let (fold, ingest) = (&ctx.fold, &ctx.fold.ingest);
     // Every update's alerts are new: stamp them with this publish's
@@ -347,16 +356,23 @@ fn publish_merged(
     for update in updates {
         let SlotUpdate {
             slot,
+            recovered,
             partials,
             partitions,
             index,
             alerts,
         } = *update;
+        let batch = fresh.len();
         fresh.extend(alerts.iter().map(|alert| PublishedAlert {
             key: alert.key(),
             published: epoch,
             rendered: wire::render_alert(alert, &fold.roster),
         }));
+        // The sinks get every line, the ones the ring cuts included.
+        if let (Some(sink), false) = (sink, alerts.is_empty()) {
+            let lines = fresh[batch..].iter().map(|a| a.rendered.clone()).collect();
+            let _ = sink.send(SinkMsg { lines, recovered });
+        }
         if let Some(delta) = partials {
             state.partials = Some(match state.partials.take() {
                 Some(acc) => acc.merge(delta),
@@ -535,7 +551,7 @@ mod tests {
             // the way out and the merger returns instead of the scope
             // waiting on it forever.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 let keys: Vec<_> = update.alerts.iter().map(Alert::key).collect();
@@ -596,7 +612,7 @@ mod tests {
             // `tx` moves in so that a failed assertion drops it and the
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
@@ -657,7 +673,7 @@ mod tests {
         let (tx, rx) = channel();
         std::thread::scope(|scope| {
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
             let mut updates = interleaved_updates(ctx).into_iter();
             let mut publish = |epoch: u64| {
                 let update = updates.next().expect("an update per publish");
@@ -758,7 +774,7 @@ mod tests {
                 tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
             }
             tx.send(MergeEvent::WorkerExited).expect("rx");
-            merger_loop(&ctx, &rx);
+            merger_loop(&ctx, &rx, None);
             let snap = ctx.seam.current();
             assert_eq!(snap.epoch, 1, "one burst, one publish");
             let (study, stamps) = published(&snap);
@@ -784,7 +800,7 @@ mod tests {
             for (epoch, batch) in (1..).zip(batches) {
                 want.extend(stamped(&batch, epoch));
                 let updates = batch.into_iter().map(Box::new);
-                publish_merged(&ctx, &mut state, epoch, updates, false);
+                publish_merged(&ctx, &mut state, epoch, updates, false, None);
             }
             let snap = ctx.seam.current();
             assert_eq!(snap.epoch, u64::from(cuts.count_ones()) + 1);
@@ -799,6 +815,7 @@ mod tests {
     fn alerts_only(slot: usize, seq: u64, count: u32) -> Box<SlotUpdate> {
         Box::new(SlotUpdate {
             slot,
+            recovered: false,
             partials: None,
             partitions: Vec::new(),
             index: Arc::default(),
@@ -828,7 +845,7 @@ mod tests {
             .expect("rx");
         // Both workers are gone and neither said `WorkerExited`.
         drop(tx);
-        merger_loop(&ctx, &rx);
+        merger_loop(&ctx, &rx, None);
         let last = ctx.seam.current();
         assert_eq!(last.epoch, 2, "the update's publish, then the final one");
         assert!(!last.ingest_done);
@@ -861,7 +878,7 @@ mod tests {
             // `tx` moves in so that a failed assertion drops it and the
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx));
+            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
                 let epoch = n as u64 + 1;
                 let update = alerts_only(slot, seq, count);
@@ -889,5 +906,61 @@ mod tests {
             log.len() > 4 * 4,
             "the log outgrew the ring several times over"
         );
+    }
+
+    /// The merger is the sinks' one producer: each update that fired
+    /// hands the sink its rendered lines, once, before its publish is
+    /// seen, in arrival order and flagged as the update was — the lines
+    /// the ring cuts included.
+    #[test]
+    fn the_sink_gets_every_update_s_lines_once_in_arrival_order() {
+        let mut config = ServeConfig::new(100, 7);
+        config.alerts_ring = 4;
+        let ctx = merger_ctx(config);
+        // Arrival order is not key order, and one update fires nothing.
+        let batches = [
+            (1, 0, 2),
+            (1, 1, 3),
+            (0, 0, 2),
+            (0, 1, 0),
+            (6, 0, 1),
+            (0, 2, 5),
+        ];
+        let (tx, rx) = channel();
+        let (sink_tx, sink_rx) = channel::<SinkMsg>();
+        let mut delivered = 0;
+        std::thread::scope(|scope| {
+            // `tx` moves in so that a failed assertion drops it and the
+            // merger returns, as in the trickle test; `sink_tx` so that
+            // the sink hangs up when the merger does.
+            let (ctx, rx, tx) = (&ctx, rx, tx);
+            let merger = scope.spawn(move || merger_loop(ctx, &rx, Some(&sink_tx)));
+            for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
+                let mut update = alerts_only(slot, seq, count);
+                update.recovered = n % 2 == 1;
+                let want = (update.alerts.iter())
+                    .map(|alert| wire::render_alert(alert, &ctx.fold.roster))
+                    .collect::<Vec<_>>();
+                let recovered = update.recovered;
+                tx.send(MergeEvent::Folded(update)).expect("rx");
+                ctx.seam.wait_past(n as u64).expect("no shutdown");
+                let got: Vec<_> = sink_rx.try_iter().map(|m| (m.lines, m.recovered)).collect();
+                if want.is_empty() {
+                    assert!(got.is_empty(), "update {n} fired nothing: {got:?}");
+                } else {
+                    assert_eq!(got, [(want.clone(), recovered)], "update {n}");
+                }
+                delivered += want.len();
+            }
+            tx.send(MergeEvent::WorkerExited).expect("rx");
+            merger.join().expect("the merger returns");
+        });
+        assert_eq!(
+            sink_rx.try_iter().count(),
+            0,
+            "the final publish adds nothing"
+        );
+        let ring = ctx.seam.current().alerts.len();
+        assert_eq!((delivered, ring), (13, 4), "the ring cut 9 lines");
     }
 }

@@ -1,9 +1,10 @@
 //! Connector-style alert sinks: drift alerts leaving the daemon.
 //!
-//! Shard workers hand every freshly fired alert batch (already rendered
-//! by [`super::wire::render_alert`], one JSON object per alert) to one
-//! sink thread over an mpsc channel; the thread fans each batch out to
-//! the configured connectors:
+//! The merger hands every fold's freshly fired alert batch (the bodies
+//! it rendered for the ring with [`super::wire::render_alert`], one JSON
+//! object per alert, flagged as replayed or live) to one sink thread
+//! over an mpsc channel; the thread fans each batch out to the
+//! configured connectors:
 //!
 //! * **JSONL file** (`--alerts-out PATH`): one rendered alert per line,
 //!   appended and flushed per batch. The file is opened by
@@ -27,11 +28,12 @@
 //!   which is stable across resends and replays. A batch that exhausts
 //!   its retries is dropped and counted rather than wedging ingest.
 //!
-//! The channel is unbounded but the producers are bounded: detectors
-//! cap alerts per segment, so the sink can never grow past the WAL's
-//! segment count times a small constant. The thread exits when every
-//! worker has dropped its sender, and the daemon joins it on shutdown —
-//! a flushed file is part of the drain contract.
+//! The channel is unbounded but its producer is bounded: detectors cap
+//! alerts per segment, so the sink can never grow past the WAL's
+//! segment count times a small constant. The thread exits when the
+//! merger, its one producer, returns after the final publish, and the
+//! daemon joins it on shutdown — a flushed file is part of the drain
+//! contract.
 
 use std::collections::HashSet;
 use std::io::{BufWriter, Read, Write};
@@ -42,11 +44,11 @@ use std::time::Duration;
 
 use crate::obs::Counter;
 
-/// One batch of rendered alerts travelling from a shard worker to the
-/// sink thread.
+/// One fold's rendered alerts, travelling from the merger to the sink
+/// thread.
 pub(super) struct SinkMsg {
     /// Rendered alert bodies (see [`super::wire::render_alert`]), in
-    /// key order within the batch.
+    /// key order within the batch; never empty.
     pub lines: Vec<String>,
     /// The batch came from a crash-recovery WAL replay rather than live
     /// ingest (the file sink dedups it; the TCP sink skips it).
@@ -203,15 +205,12 @@ impl TcpSink {
     }
 }
 
-/// The sink thread body: drains batches until every producer hangs up,
+/// The sink thread body: drains batches until the merger hangs up,
 /// delivering to whichever connectors are configured and counting
 /// `serve/alerts_emitted` / `serve/alerts_dropped`.
 pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, dropped: Counter) {
     let Sinks { mut file, mut tcp } = sinks;
     while let Ok(SinkMsg { lines, recovered }) = rx.recv() {
-        if lines.is_empty() {
-            continue;
-        }
         if let Some(sink) = file.as_mut() {
             match sink.deliver(&lines) {
                 Ok((wrote, deduped)) => {

@@ -92,7 +92,8 @@ fn slot_routing_is_total_and_stable() {
 /// holding, and `render` keeps no keyed state a client could fill.
 #[test]
 fn layers_name_only_what_lies_to_their_right() {
-    let code = |source: &'static str| source.split("#[cfg(test)]").next().unwrap_or(source);
+    let code =
+        |source: &'static str| (source.split("#[cfg(test)]\nmod tests {").next()).unwrap_or(source);
     let rules: [(&str, &str, &[&str]); 5] = [
         (
             "conn.rs",
@@ -112,10 +113,21 @@ fn layers_name_only_what_lies_to_their_right() {
             code(include_str!("publish.rs")),
             &["super::render", "SlotMergeTree", "merge_ref"],
         ),
+        // A worker only folds: every segment from its store, and alerts
+        // leave the daemon through the merger.
         (
             "fold.rs",
             code(include_str!("fold.rs")),
-            &["Snapshot", "Mutex", "RwLock", "shared_partials"],
+            &[
+                "Snapshot",
+                "Mutex",
+                "RwLock",
+                "shared_partials",
+                "write_segment",
+                "read_segment_into",
+                "render_alert",
+                "sink::",
+            ],
         ),
         // The feeder streams the replay; the collected log is the
         // benchmark's.
@@ -141,6 +153,29 @@ fn layers_name_only_what_lies_to_their_right() {
         publish.matches(".finish(").count() == 1 && accessor.contains(".finish("),
         "publish.rs finishes outside its `finish`"
     );
+    // An alert is rendered in one place: the merger, for the ring and
+    // the sinks alike.
+    let sources = [
+        ("conn.rs", include_str!("conn.rs")),
+        ("counters.rs", include_str!("counters.rs")),
+        ("fold.rs", include_str!("fold.rs")),
+        ("ingest.rs", include_str!("ingest.rs")),
+        ("mod.rs", include_str!("mod.rs")),
+        ("publish.rs", include_str!("publish.rs")),
+        ("render.rs", include_str!("render.rs")),
+        ("sink.rs", include_str!("sink.rs")),
+        ("wire.rs", include_str!("wire.rs")),
+    ];
+    let calls: Vec<_> = (sources.iter())
+        .map(|(file, source)| {
+            let code = code(source);
+            let n =
+                code.matches("render_alert(").count() - code.matches("fn render_alert(").count();
+            (*file, n)
+        })
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    assert_eq!(calls, [("publish.rs", 1)], "render_alert call sites");
 }
 
 #[test]
@@ -203,6 +238,61 @@ fn a_plan_later_than_the_reorder_horizon_is_refused() {
     drop(super::Server::start(default).expect("the default plan starts"));
 }
 
+/// A data dir holds one feed: `--recover` under another seed or sample
+/// count is refused before anything is replayed, a sink is opened or the
+/// listener is bound, and leaves every segment file as it was.
+#[test]
+fn a_recover_under_another_feed_is_refused() {
+    let root = std::env::temp_dir().join(format!("vtld-other-feed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |samples, seed| {
+        let mut config = ServeConfig::new(samples, seed);
+        config.segment_reports = 500;
+        config.data_dir = Some(root.clone());
+        config
+    };
+    let server = super::Server::start(config(600, 7)).expect("a fresh dir starts");
+    while !server.daemon.seam.current().ingest_done {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    drop(server);
+    let files = || {
+        let mut files: Vec<_> = std::fs::read_dir(&root)
+            .expect("data dir")
+            .map(|entry| entry.expect("entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "vtseg"))
+            .map(|path| (std::fs::read(&path).expect("segment"), path))
+            .collect();
+        files.sort();
+        files
+    };
+    let sealed = files();
+    assert!(sealed.len() >= 2, "{} segments", sealed.len());
+
+    // Taken, so a start that bound before refusing would fail to bind.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let alerts = root.join("alerts.jsonl");
+    for (samples, seed, other) in [
+        (600, 8, "seed=8 samples=600"),
+        (300, 7, "seed=7 samples=300"),
+    ] {
+        let mut config = config(samples, seed);
+        config.recover = true;
+        config.addr = taken.local_addr().expect("addr").to_string();
+        config.alerts_out = Some(alerts.clone());
+        let err = super::Server::start(config).expect_err("another feed is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("feed seed=7 samples=600, not {other};")),
+            "{msg}"
+        );
+        assert!(!alerts.exists(), "no sink was opened");
+        assert!(files() == sealed, "the segment files are as they were");
+    }
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// The clean feed over `ordinals` sealed into about `ways` whole-sample
 /// segments, the way the feeder seals a slot's stream.
 pub(super) fn sealed_segments(
@@ -257,9 +347,8 @@ pub(super) fn slot_update_streams(
             sealed_segments(&ingest.sim, n * share..(n + 1) * share, ways)
                 .iter()
                 .map(|segment| {
-                    arena.clear();
-                    segment.store().for_each_row(&mut arena);
-                    fold.fold(segment, &arena, Obs::noop(), &ingest.counters).1
+                    let c = &ingest.counters;
+                    fold.fold(segment, false, &mut arena, Obs::noop(), c).1
                 })
                 .collect()
         })
@@ -295,7 +384,7 @@ pub(super) fn published_in_one_burst(ctx: &PublishCtx) -> Arc<Snapshot> {
         tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
     }
     tx.send(MergeEvent::WorkerExited).expect("rx");
-    merger_loop(ctx, &rx);
+    merger_loop(ctx, &rx, None);
     ctx.seam.current()
 }
 

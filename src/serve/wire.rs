@@ -4,9 +4,10 @@
 //! turns a raw line into a typed [`Request`] or a typed [`WireError`],
 //! and the connection reactor dispatches on the enum — there is no
 //! stringly `cmd` matching outside this module. Every error a malformed
-//! request can earn is a [`WireError`] variant whose [`Render`] output
-//! reproduces the historical error strings byte for byte (pinned by the
-//! unit tests below), so the typed redesign is invisible on the wire.
+//! request can earn is a [`WireError`] variant whose
+//! [`render`](WireError::render) output reproduces the historical error
+//! strings byte for byte (pinned by the unit tests below), so the typed
+//! redesign is invisible on the wire.
 //!
 //! Alert bodies ([`render_alert`]) are also rendered here: one JSON
 //! object per alert carrying only deterministic fields — the
@@ -82,8 +83,8 @@ pub(super) enum Request {
     Recommend,
 }
 
-/// A typed request rejection. [`Render`] reproduces the legacy error
-/// strings byte for byte.
+/// A typed request rejection. [`WireError::render`] reproduces the
+/// legacy error strings byte for byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum WireError {
     /// The line was not valid JSON.
@@ -138,15 +139,9 @@ pub(super) fn quoted(s: &str) -> String {
     out
 }
 
-/// Anything the reactor writes back: rendered under the serving
-/// snapshot's epoch, one JSON object per line.
-pub(super) trait Render {
-    /// The response body for one epoch.
-    fn render(&self, epoch: u64) -> String;
-}
-
-impl Render for WireError {
-    fn render(&self, epoch: u64) -> String {
+impl WireError {
+    /// The error response under the serving snapshot's epoch.
+    pub(super) fn render(&self, epoch: u64) -> String {
         format!(
             "{{\"epoch\":{epoch},\"error\":{}}}",
             quoted(&self.to_string())
@@ -155,24 +150,14 @@ impl Render for WireError {
 }
 
 /// The `shutdown` verb's acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct ShutdownAck;
-
-impl Render for ShutdownAck {
-    fn render(&self, epoch: u64) -> String {
-        format!("{{\"epoch\":{epoch},\"shutting_down\":true}}")
-    }
+pub(super) fn shutdown_ack(epoch: u64) -> String {
+    format!("{{\"epoch\":{epoch},\"shutting_down\":true}}")
 }
 
 /// The `subscribe` verb's acknowledgement — everything after it on the
 /// connection is pushed alerts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct SubscribeAck;
-
-impl Render for SubscribeAck {
-    fn render(&self, epoch: u64) -> String {
-        format!("{{\"epoch\":{epoch},\"subscribed\":true}}")
-    }
+pub(super) fn subscribe_ack(epoch: u64) -> String {
+    format!("{{\"epoch\":{epoch},\"subscribed\":true}}")
 }
 
 impl Request {
@@ -603,11 +588,8 @@ mod tests {
 
     #[test]
     fn acks_render_under_the_epoch() {
-        assert_eq!(
-            ShutdownAck.render(3),
-            "{\"epoch\":3,\"shutting_down\":true}"
-        );
-        assert_eq!(SubscribeAck.render(4), "{\"epoch\":4,\"subscribed\":true}");
+        assert_eq!(shutdown_ack(3), "{\"epoch\":3,\"shutting_down\":true}");
+        assert_eq!(subscribe_ack(4), "{\"epoch\":4,\"subscribed\":true}");
     }
 
     #[test]

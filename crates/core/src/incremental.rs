@@ -263,9 +263,10 @@ impl StudyPartials {
 /// any earlier segment's reports — where re-running the batch pipeline
 /// would cost O(everything seen so far). `vtld serve` keeps one of
 /// these per ingest slot and, after every fold, hands that fold's
-/// partials to its merger thread with
-/// [`take_partials`](Self::take_partials); the index and the drift
-/// detectors keep accumulating across takes.
+/// partials and index to its merger thread with
+/// [`take_partials`](Self::take_partials) and
+/// [`take_index`](Self::take_index); the drift detectors keep
+/// accumulating across takes.
 #[derive(Debug, Clone)]
 pub struct IncrementalStudy<'a> {
     fleet: &'a EngineFleet,
@@ -340,11 +341,21 @@ impl<'a> IncrementalStudy<'a> {
         self.partials.take()
     }
 
-    /// The accumulated per-sample index: `Some` once a segment has been
-    /// folded on a [`with_index`](Self::with_index) study, `None`
-    /// otherwise.
+    /// The per-sample index accumulated since the last
+    /// [`take_index`](Self::take_index) — the whole fold's, for a caller
+    /// that never takes: `Some` once a segment has been folded on a
+    /// [`with_index`](Self::with_index) study, `None` otherwise.
     pub fn index(&self) -> Option<&SampleIndex> {
         self.index.as_ref()
+    }
+
+    /// Hands over what was indexed since the last take (`None` if
+    /// nothing was), leaving the study holding no index — the twin of
+    /// [`take_partials`](Self::take_partials). Taken after every fold,
+    /// each take is that segment's own index, and the takes concatenate
+    /// to the index never taking would have kept.
+    pub fn take_index(&mut self) -> Option<SampleIndex> {
+        self.index.take()
     }
 
     /// Drains drift alerts fired since the last drain (empty unless
@@ -773,7 +784,8 @@ mod tests {
             .with_index();
         let mut kept = taking.clone();
         assert!(taking.take_partials().is_none(), "nothing folded yet");
-        let mut deltas = Vec::new();
+        assert!(taking.take_index().is_none(), "nothing indexed yet");
+        let (mut deltas, mut indexes) = (Vec::new(), Vec::new());
         for seg in records.chunks(records.len().div_ceil(3)) {
             taking.fold_segment(seg, Obs::noop());
             kept.fold_segment(seg, Obs::noop());
@@ -781,8 +793,20 @@ mod tests {
             assert_eq!(delta.segments(), 1, "a take after every fold is its delta");
             assert!(taking.partials().is_none());
             deltas.push(delta);
+            let index = taking.take_index().expect("one segment indexed");
+            assert_eq!(
+                index.len(),
+                seg.len(),
+                "a take after every fold is its segment's"
+            );
+            assert!(taking.index().is_none());
+            indexes.push(index);
         }
-        assert_eq!(taking.index(), kept.index(), "takes leave the index alone");
+        assert_eq!(
+            Some(&SampleIndex::concat(&indexes.iter().collect::<Vec<_>>())),
+            kept.index(),
+            "the index takes concatenate to the kept index"
+        );
         let summed = deltas
             .into_iter()
             .rev()

@@ -17,6 +17,13 @@
 //! query ([`SampleIndex::top_flips`]) sorts by `(flips desc, hash asc)`
 //! — deterministic at every shard and worker count.
 //!
+//! A growing index is held as [`IndexChunks`]: each segment's own
+//! index is pushed as one immutable chunk, and chunks of similar size
+//! are compacted into one ([`SampleIndex::concat`]) like the digits of
+//! a binary counter, so a lookup over n samples probes at most
+//! ⌊log2 n⌋ + 1 maps and, for segments of similar size, a sample is
+//! copied O(log k) times over k pushes.
+//!
 //! Per sample the index holds the full AV-Rank timeline (positives and
 //! analysis minutes, CSR-packed), the membership flags the table
 //! computed, the engine-label **flip count** (same definition as the
@@ -27,6 +34,8 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::mem::size_of;
+use std::sync::Arc;
 
 use crate::stabilization::{stabilization_mask, FIG9_THRESHOLDS};
 use crate::table::TrajectoryTable;
@@ -51,10 +60,10 @@ mod flag {
 /// Columnar: per-sample scalars sit in flat arrays, the per-report
 /// timeline columns are CSR-packed behind `offsets`, and a hash map
 /// resolves a [`SampleHash`] to its record slot. `fold` builds one from
-/// a segment, `merge` concatenates two (disjoint sample sets, canonical
-/// order) — the result answers per-hash queries identically however the
-/// stream was segmented.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// a segment, `merge` and `concat` concatenate (disjoint sample sets,
+/// canonical order) — the result answers per-hash queries identically
+/// however the stream was segmented.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleIndex {
     hashes: Vec<SampleHash>,
     type_idx: Vec<u16>,
@@ -65,6 +74,25 @@ pub struct SampleIndex {
     positives: Vec<u32>,
     date_min: Vec<i64>,
     lookup: HashMap<SampleHash, u32>,
+}
+
+/// The empty index, in the one representation [`SampleIndex::fold_table`]
+/// gives an empty table: `offsets` always starts at 0, so the empty
+/// index is an identity of [`SampleIndex::merge`] on either side.
+impl Default for SampleIndex {
+    fn default() -> Self {
+        Self {
+            hashes: Vec::new(),
+            type_idx: Vec::new(),
+            flags: Vec::new(),
+            flips: Vec::new(),
+            stab_mask: Vec::new(),
+            offsets: vec![0],
+            positives: Vec::new(),
+            date_min: Vec::new(),
+            lookup: HashMap::new(),
+        }
+    }
 }
 
 /// One sample's view into the index: everything a per-hash query verb
@@ -241,6 +269,68 @@ impl SampleIndex {
         self
     }
 
+    /// One index over `parts`, in order, built from the borrowed parts
+    /// at exact capacity: each column and the lookup map is allocated
+    /// once and filled once. Equal to folding `merge` over the parts,
+    /// under the same disjointness contract.
+    pub fn concat(parts: &[&SampleIndex]) -> Self {
+        let n: usize = parts.iter().map(|p| p.len()).sum();
+        let rows: usize = parts.iter().map(|p| p.report_rows()).sum();
+        let mut idx = SampleIndex {
+            hashes: Vec::with_capacity(n),
+            type_idx: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
+            flips: Vec::with_capacity(n),
+            stab_mask: Vec::with_capacity(n),
+            offsets: Vec::with_capacity(n + 1),
+            positives: Vec::with_capacity(rows),
+            date_min: Vec::with_capacity(rows),
+            lookup: HashMap::with_capacity(n),
+        };
+        idx.offsets.push(0);
+        for part in parts {
+            let base = idx.positives.len() as u64;
+            let slot_base = idx.hashes.len() as u32;
+            for (slot, &hash) in (slot_base..).zip(&part.hashes) {
+                let prior = idx.lookup.insert(hash, slot);
+                debug_assert!(prior.is_none(), "sample sets must be disjoint");
+            }
+            idx.hashes.extend_from_slice(&part.hashes);
+            idx.type_idx.extend_from_slice(&part.type_idx);
+            idx.flags.extend_from_slice(&part.flags);
+            idx.flips.extend_from_slice(&part.flips);
+            idx.stab_mask.extend_from_slice(&part.stab_mask);
+            idx.positives.extend_from_slice(&part.positives);
+            idx.date_min.extend_from_slice(&part.date_min);
+            idx.offsets
+                .extend(part.offsets.iter().skip(1).map(|o| base + o));
+        }
+        idx
+    }
+
+    /// Heap bytes held: every column's capacity, plus the lookup map's
+    /// buckets — estimated from its capacity under the standard
+    /// library's 7/8 load factor, one control byte per bucket.
+    pub fn heap_bytes(&self) -> usize {
+        fn column<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        let buckets = match self.lookup.capacity() {
+            0 => 0,
+            small if small < 8 => small + 1,
+            cap => cap / 7 * 8,
+        };
+        column(&self.hashes)
+            + column(&self.type_idx)
+            + column(&self.flags)
+            + column(&self.flips)
+            + column(&self.stab_mask)
+            + column(&self.offsets)
+            + column(&self.positives)
+            + column(&self.date_min)
+            + buckets * (size_of::<(SampleHash, u32)>() + 1)
+    }
+
     /// Samples indexed.
     pub fn len(&self) -> usize {
         self.hashes.len()
@@ -318,6 +408,69 @@ impl SampleIndex {
             }
         }
         (counts, in_s)
+    }
+}
+
+/// A growing index as a list of immutable chunks, oldest first: each
+/// [`push`](Self::push) appends one segment's own index, then compacts
+/// like a binary counter — while the older of the newest two chunks
+/// holds at most twice the newer's samples, the two become one. Every
+/// older chunk then holds more than twice the next, so n samples sit in
+/// at most ⌊log2 n⌋ + 1 chunks. Over k pushes compaction copied at most
+/// 2·n·⌈log2 k⌉ samples in every generated case of
+/// `tests::props::compaction_is_a_binary_counter`, where cloning one
+/// cumulative index per push copies n(k+1)/2 for k equal deltas.
+/// Cloning the list clones only the `Arc`s: a clone shares every chunk
+/// a later push leaves alone.
+///
+/// The chunks hold disjoint samples (the seal contract), so a hash lives
+/// in at most one of them; any question a [`SampleIndex`] answers by
+/// addition or under a total order — [`SampleIndex::stab_counts_in_s`],
+/// [`SampleIndex::top_flips`] — is answered by asking each chunk.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct IndexChunks {
+    chunks: Vec<Arc<SampleIndex>>,
+}
+
+impl IndexChunks {
+    /// Appends `delta` as the newest chunk and compacts; returns the
+    /// samples compaction copied. An empty delta is not kept.
+    pub fn push(&mut self, delta: Arc<SampleIndex>) -> usize {
+        if delta.is_empty() {
+            return 0;
+        }
+        self.chunks.push(delta);
+        let mut copied = 0;
+        while let [.., older, newer] = self.chunks.as_slice() {
+            if older.len() > 2 * newer.len() {
+                break;
+            }
+            let merged = SampleIndex::concat(&[&**older, &**newer]);
+            copied += merged.len();
+            self.chunks.truncate(self.chunks.len() - 2);
+            self.chunks.push(Arc::new(merged));
+        }
+        copied
+    }
+
+    /// Looks one sample up by hash, probing each chunk.
+    pub fn get(&self, hash: SampleHash) -> Option<SampleSummary<'_>> {
+        self.chunks.iter().find_map(|chunk| chunk.get(hash))
+    }
+
+    /// Samples indexed, over every chunk.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.len()).sum()
+    }
+
+    /// True when nothing has been indexed.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The chunks, oldest first.
+    pub fn chunks(&self) -> &[Arc<SampleIndex>] {
+        &self.chunks
     }
 }
 
@@ -500,6 +653,142 @@ mod tests {
                 }
             }
         }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// After every push of k deltas of 1–50 samples: at most
+            /// ⌊log2 n⌋ + 1 chunks, at most 2·n·⌈log2 k⌉ samples copied,
+            /// every chunk the push left alone shared with the list before
+            /// it, and every answer the one index folded over the deltas'
+            /// concatenation gives.
+            #[test]
+            fn compaction_is_a_binary_counter(
+                deltas in proptest::collection::vec((1usize..=50, any::<u64>()), 1..=200),
+                cut in 0usize..60,
+            ) {
+                let mut chunks = IndexChunks::default();
+                let mut whole = SampleIndex::default();
+                let mut copied = 0;
+                for (k, &(size, seed)) in (1usize..).zip(&deltas) {
+                    let delta = synthetic_delta(whole.len() as u64, size, seed);
+                    whole = whole.merge(delta.clone());
+                    let before = chunks.clone();
+                    copied += chunks.push(Arc::new(delta));
+                    let n = whole.len();
+                    let held = chunks.chunks().len();
+                    prop_assert_eq!(chunks.len(), n);
+                    prop_assert!(held <= n.ilog2() as usize + 1, "{} chunks for {}", held, n);
+                    if k >= 2 {
+                        let bound = 2 * n * k.next_power_of_two().ilog2() as usize;
+                        prop_assert!(copied <= bound, "push {}: {} copied > {}", k, copied, bound);
+                    }
+                    let shared = before.chunks().iter().zip(&chunks.chunks()[..held - 1]);
+                    prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
+                    for &hash in &whole.hashes {
+                        prop_assert!(
+                            chunks.get(hash).map(fields) == whole.get(hash).map(fields),
+                            "push {}", k
+                        );
+                    }
+                    prop_assert!(chunks.get(SampleHash::from_ordinal(n as u64)).is_none());
+                    prop_assert_eq!(chunked_top_flips(&chunks, cut), top_by_full_sort(&whole, cut));
+                    prop_assert_eq!(chunked_stab_counts(&chunks), whole.stab_counts_in_s());
+                }
+            }
+        }
+    }
+
+    /// `n` samples of ordinals `first..`, disjoint from any other
+    /// delta's: flip counts that mostly tie, random flags, stabilization
+    /// masks and file types, and 0–3 reports each.
+    fn synthetic_delta(first: u64, n: usize, seed: u64) -> SampleIndex {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut idx = SampleIndex::default();
+        for ordinal in first..first + n as u64 {
+            let hash = SampleHash::from_ordinal(ordinal);
+            idx.lookup.insert(hash, idx.hashes.len() as u32);
+            idx.hashes.push(hash);
+            idx.type_idx.push(draw(4) as u16);
+            idx.flags.push(draw(16) as u8);
+            idx.flips.push(draw(4) as u32);
+            idx.stab_mask.push(draw(1 << FIG9_THRESHOLDS.len()) as u16);
+            for _ in 0..draw(4) {
+                idx.positives.push(draw(70) as u32);
+                idx.date_min.push(draw(1 << 20) as i64);
+            }
+            idx.offsets.push(idx.positives.len() as u64);
+        }
+        idx
+    }
+
+    /// Everything a summary holds, comparable.
+    fn fields(s: SampleSummary<'_>) -> (SampleHash, FileType, &[u32], &[i64], u32, u16, u8) {
+        let SampleSummary {
+            hash,
+            file_type,
+            positives,
+            dates_min,
+            flips,
+            stab_mask,
+            flags,
+        } = s;
+        (
+            hash, file_type, positives, dates_min, flips, stab_mask, flags,
+        )
+    }
+
+    /// `top_flips(k)` asked of every chunk, merged under the total order.
+    fn chunked_top_flips(chunks: &IndexChunks, k: usize) -> Vec<SampleHash> {
+        let mut ranked: Vec<_> = (chunks.chunks().iter())
+            .flat_map(|chunk| chunk.top_flips(k))
+            .map(|s| (Reverse(s.flips), s.hash))
+            .collect();
+        ranked.sort_unstable();
+        ranked.into_iter().take(k).map(|(_, hash)| hash).collect()
+    }
+
+    /// `stab_counts_in_s` asked of every chunk, summed.
+    fn chunked_stab_counts(chunks: &IndexChunks) -> ([u64; FIG9_THRESHOLDS.len()], u64) {
+        let mut sum = ([0u64; FIG9_THRESHOLDS.len()], 0u64);
+        for (counts, in_s) in chunks.chunks().iter().map(|c| c.stab_counts_in_s()) {
+            sum.0.iter_mut().zip(counts).for_each(|(acc, c)| *acc += c);
+            sum.1 += in_s;
+        }
+        sum
+    }
+
+    /// k equal deltas of 100 samples: compaction copies 3.1, 3.9 and
+    /// 6.2 samples per sample at k = 8, 32 and 128 — under ⌈log2 k⌉ —
+    /// where a cumulative index cloned per push copies n(k+1)/2, i.e.
+    /// (k+1)/2 per sample: 1.4×, 4.2× and 10.4× as many.
+    #[test]
+    fn equal_deltas_copy_n_log_k_samples() {
+        let size = 100;
+        let mut copies = Vec::new();
+        for k in [8usize, 32, 128] {
+            let mut chunks = IndexChunks::default();
+            let copied: usize = (0..k)
+                .map(|i| chunks.push(Arc::new(synthetic_delta((i * size) as u64, size, 7))))
+                .sum();
+            let n = k * size;
+            copies.push((k, copied, n * (k + 1) / 2));
+        }
+        // (k, copied by compaction, copied by a clone per push)
+        assert_eq!(
+            copies,
+            [
+                (8, 2_500, 3_600),
+                (32, 12_600, 52_800),
+                (128, 79_200, 825_600)
+            ]
+        );
     }
 
     #[test]
@@ -511,6 +800,45 @@ mod tests {
         let folded = build(&[], vt_model::time::Timestamp(0));
         assert_eq!(folded.len(), 0);
         assert_eq!(folded, folded.clone().merge(SampleIndex::default()));
+    }
+
+    /// The empty index has one representation, and it is an identity of
+    /// `merge` on either side and of `concat`.
+    #[test]
+    fn the_empty_index_is_an_identity_of_merge() {
+        let study = study();
+        let ws = study.sim().config().window_start();
+        let x = build(&study.records()[..300], ws);
+        assert_eq!(SampleIndex::default(), build(&[], ws));
+        assert_eq!(SampleIndex::default().merge(x.clone()), x);
+        assert_eq!(x.clone().merge(SampleIndex::default()), x);
+        let last = x.hashes[x.len() - 1];
+        let merged = SampleIndex::default().merge(x.clone());
+        assert_eq!(merged.get(last).map(fields), x.get(last).map(fields));
+        let empty = SampleIndex::default();
+        assert_eq!(SampleIndex::concat(&[&empty, &x, &empty]), x);
+        assert_eq!(SampleIndex::concat(&[]), empty);
+    }
+
+    /// `concat` of any split equals the fold over the whole, and sizes
+    /// its columns exactly.
+    #[test]
+    fn concat_equals_fold_over_concatenation() {
+        let study = study();
+        let records = study.records();
+        let ws = study.sim().config().window_start();
+        let whole = build(records, ws);
+        for split in [1usize, 3, 7] {
+            let parts: Vec<SampleIndex> = (records.chunks(records.len().div_ceil(split)))
+                .map(|seg| build(seg, ws))
+                .collect();
+            let concat = SampleIndex::concat(&parts.iter().collect::<Vec<_>>());
+            assert_eq!(concat, whole, "split={split}");
+            assert_eq!(concat.positives.capacity(), whole.report_rows());
+            assert_eq!(concat.offsets.capacity(), whole.len() + 1);
+        }
+        let columns = whole.len() * (16 + 2 + 1 + 4 + 2 + 8) + whole.report_rows() * (4 + 8);
+        assert!(whole.heap_bytes() > columns, "the map's buckets count too");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use collector::{
     QuarantinedEntry,
 };
 pub use incremental::{merge_partition_stats, IncrementalStudy, SlotMergeTree, StudyPartials};
-pub use index::{SampleIndex, SampleSummary};
+pub use index::{IndexChunks, SampleIndex, SampleSummary};
 pub use monitor::{MonitorCriteria, MonitorEvent, SampleMonitor};
 pub use pipeline::{analyze_records, analyze_records_obs, stage_names, Study, StudyResults};
 pub use records::{records_from_store, SampleRecord};

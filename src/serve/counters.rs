@@ -50,6 +50,12 @@ pub(super) struct ServeCounters {
     /// Alert lines a sink deduped, skipped or gave up on
     /// (`serve/alerts_dropped`).
     pub(super) alerts_dropped: Counter,
+    /// Samples the merger copied compacting slot index chunks
+    /// (`serve/index_copied_samples`).
+    pub(super) index_copied_samples: Counter,
+    /// Heap bytes of the published slot index chunks, set at every
+    /// publish (`mem/index_bytes`).
+    pub(super) index_bytes: Gauge,
 }
 
 impl ServeCounters {
@@ -71,6 +77,8 @@ impl ServeCounters {
             alerts_swings: obs.counter("serve/alerts_swings"),
             alerts_emitted: obs.counter("serve/alerts_emitted"),
             alerts_dropped: obs.counter("serve/alerts_dropped"),
+            index_copied_samples: obs.counter("serve/index_copied_samples"),
+            index_bytes: obs.gauge("mem/index_bytes"),
         }
     }
 }

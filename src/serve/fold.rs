@@ -9,8 +9,9 @@
 //! slot-local [`crate::dynamics::AlertEngine`] running the four
 //! streaming detectors over each segment's delta) — and every fold's
 //! result leaves in the message that announces it: that fold's own
-//! partials and Table 2 stats, taken out of the study, the slot's index
-//! as of that fold, and the alerts that fold fired. Alerts are keyed
+//! partials, Table 2 stats and index, taken out of the study, and the
+//! alerts that fold fired. Between folds the study holds no partials
+//! and no index: only the detectors' state outlives a fold. Alerts are keyed
 //! `(slot, seq, detector, ordinal)`, a pure function of the WAL, so the
 //! stream is bit-identical at any shard × worker count and across
 //! crash-recovery replay.
@@ -45,9 +46,9 @@ use crate::sim::VirusTotalSim;
 use crate::store::{PartitionStats, Segment};
 
 /// What one fold hands the merger: *that fold's* partials, Table 2
-/// stats and alerts, which no other update carries — the merger adds
-/// them to its sums in whatever order updates arrive — and the slot's
-/// cumulative index, of which the newest wins.
+/// stats, index and alerts, which no other update carries — every member
+/// a delta, which the merger adds to its sums in whatever order updates
+/// arrive.
 #[cfg_attr(test, derive(Clone))]
 pub(super) struct SlotUpdate {
     pub(super) slot: usize,
@@ -55,9 +56,9 @@ pub(super) struct SlotUpdate {
     pub(super) recovered: bool,
     pub(super) partials: Option<StudyPartials>,
     pub(super) partitions: Vec<PartitionStats>,
-    /// Frozen behind an `Arc` at fold time: publishing ships the
-    /// pointer into the snapshot's per-slot index table instead of
-    /// merging the slot indexes into one.
+    /// The folded segment's own samples, frozen behind an `Arc` at fold
+    /// time: the merger keeps the pointer as the slot's newest index
+    /// chunk, copying nothing until compaction does.
     pub(super) index: Arc<SampleIndex>,
     /// In key order: seq grows per fold, ordinals are deterministic
     /// within one (and bounded by the per-segment detector caps).
@@ -131,7 +132,7 @@ impl<'a> SlotFold<'a> {
     /// into the worker's reusable `arena` ([`IncrementalStudy::fold_store`]),
     /// and advances the alert counters by exactly what it added; returns
     /// the samples folded and the update the merger is owed, which takes
-    /// the fold's partials out of the study.
+    /// the fold's partials and index out of the study.
     pub(super) fn fold(
         &mut self,
         segment: &Segment,
@@ -155,12 +156,7 @@ impl<'a> SlotFold<'a> {
             recovered,
             partials: self.study.take_partials(),
             partitions: segment.store().partition_stats(),
-            index: self
-                .study
-                .index()
-                .cloned()
-                .map(Arc::new)
-                .unwrap_or_default(),
+            index: self.study.take_index().map(Arc::new).unwrap_or_default(),
             alerts,
         };
         (samples, update)
@@ -280,6 +276,15 @@ mod tests {
             assert_eq!(samples, direct_samples, "fold {n}");
             assert_eq!(update.slot, slot);
             assert_eq!(
+                update.index.len(),
+                samples,
+                "fold {n}: this segment's index"
+            );
+            assert!(
+                fold.study.index().is_none(),
+                "fold {n}: the worker keeps no index between folds"
+            );
+            assert_eq!(
                 update.alerts,
                 direct.take_alerts(),
                 "fold {n}: this fold's batch and nothing older"
@@ -314,8 +319,8 @@ mod tests {
             assert_eq!(delta.segments(), 1, "each update is its own fold's delta");
             merge_partition_stats(&mut summed_partitions, &update.partitions);
         }
-        let last = updates.last().expect("three folds");
-        assert_eq!(Some(&*last.index), direct.index());
+        let indexes: Vec<&SampleIndex> = updates.iter().map(|u| &*u.index).collect();
+        assert_eq!(Some(&SampleIndex::concat(&indexes)), direct.index());
         assert_eq!(summed_partitions, partitions);
         let served = updates
             .into_iter()

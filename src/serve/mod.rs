@@ -24,13 +24,15 @@
 //!   [`crate::dynamics::StudyPartials`], a
 //!   [`crate::dynamics::SampleIndex`] and (by default) the four
 //!   streaming drift detectors' alerts, and send the merger one message
-//!   per fold carrying that fold's partials and alerts. No state is
-//!   shared between a worker and the merger: nothing to lock, nothing
+//!   per fold carrying that fold's partials, index and alerts. No state
+//!   is shared between a worker and the merger: nothing to lock, nothing
 //!   to poison.
 //! * `publish` — slot updates → `Arc<Snapshot>`. The merger adds each
 //!   update's delta to one running sum — one merge per fold, in arrival
-//!   order, the same sum in any order and so at any shard count — and
-//!   swaps a copy of that sum in as the next epoch's snapshot, nothing
+//!   order, the same sum in any order and so at any shard count —
+//!   pushes each update's index onto its slot's compacted chunk list
+//!   ([`crate::dynamics::IndexChunks`]), and swaps a copy of the sum and
+//!   the lists' chunk pointers in as the next epoch's snapshot, nothing
 //!   rendered, through the **publish seam**: the one place readers pin
 //!   a snapshot and the one thing a `subscribe` stream waits on (publish
 //!   and shutdown are its only wake-ups). The copy is finished into

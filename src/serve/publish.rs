@@ -7,8 +7,13 @@
 //! whatever the history. Every stage merge is an addition, a max or a
 //! key-wise addition, and every store lists the same months in window
 //! order, so the sum is the same in any order, and every published bit
-//! is identical at shards 1, 2 and 4. A slot's index is cumulative, so
-//! its newest one wins. The alerts an update carries arrive exactly
+//! is identical at shards 1, 2 and 4. A slot's index is a list of
+//! immutable chunks ([`IndexChunks`]): each update's index is pushed as
+//! the newest, and chunks within 2× of each other compact into one, so
+//! a slot of n samples holds at most ⌊log2 n⌋ + 1 of them and a
+//! snapshot shares every chunk the next publish leaves alone. A slot's
+//! updates arrive in its seal order, so its chunks are the same in any
+//! interleaving. The alerts an update carries arrive exactly
 //! once and are rendered here, once: handed to the sink thread (whose
 //! one producer the merger is) in arrival order, then stamped with the
 //! publish epoch and kept on a key-sorted ring capped at `alerts_ring`
@@ -44,7 +49,7 @@ use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
 use super::sink::SinkMsg;
 use super::{wire, INGEST_SLOTS};
 use crate::dynamics::{
-    merge_partition_stats, IncrementalStudy, SampleIndex, StudyPartials, StudyResults,
+    merge_partition_stats, IncrementalStudy, IndexChunks, StudyPartials, StudyResults,
 };
 use crate::obs::Obs;
 use crate::store::PartitionStats;
@@ -73,11 +78,11 @@ pub(super) struct Snapshot {
     results: OnceLock<StudyResults>,
     pub(super) ingest_done: bool,
     pub(super) shards: usize,
-    /// Hash → trajectory summary, one index per ingest slot — the same
-    /// folds this epoch's aggregates summarize. Publishing a new epoch
-    /// replaces only the dirty slots' `Arc`s; per-hash verbs route by
-    /// slot and never pay a cross-slot merge.
-    pub(super) slot_indexes: Vec<Arc<SampleIndex>>,
+    /// Hash → trajectory summary, one chunk list per ingest slot — the
+    /// same folds this epoch's aggregates summarize. A publish copies
+    /// only the chunk `Arc`s; per-hash verbs route by slot, probe its
+    /// few chunks and never pay a cross-slot merge.
+    pub(super) slot_indexes: Vec<IndexChunks>,
     /// The retained drift-alert ring, sorted by alert key, each entry
     /// stamped with the epoch that published it (the `alerts` verb's
     /// `since` filter and the `subscribe` push cursor key off that
@@ -131,7 +136,7 @@ impl Snapshot {
         epoch: u64,
         study: Study,
         ingest_done: bool,
-        slot_indexes: Vec<Arc<SampleIndex>>,
+        slot_indexes: Vec<IndexChunks>,
         alerts: Arc<Vec<PublishedAlert>>,
     ) -> Self {
         let (study, results) = match study {
@@ -275,7 +280,7 @@ pub(super) struct PublishCtx {
 struct MergerState {
     partials: Option<StudyPartials>,
     partitions: Vec<PartitionStats>,
-    slot_indexes: Vec<Arc<SampleIndex>>,
+    slot_indexes: Vec<IndexChunks>,
     /// The published alerts with the `alerts_ring` largest keys, sorted
     /// by key. An alert with that many larger keys behind it can never
     /// come back into the tail of a log that only grows, so nothing
@@ -336,7 +341,8 @@ pub(super) fn merger_loop(
 }
 
 /// Publishes one epoch: add `updates` (in arrival order) to the sums —
-/// one merge each — hand `sink` each update's rendered alerts, and swap
+/// one merge and one index chunk push each — hand `sink` each update's
+/// rendered alerts, book the index's copies and bytes, and swap
 /// the sums in as the next snapshot: finished, once readers ask for
 /// results, else as a copy for the first ask.
 fn publish_merged(
@@ -353,6 +359,7 @@ fn publish_merged(
     // daemon noticed*, the `since` cursor), but the rendered bodies and
     // the key order are pure functions of the WAL.
     let mut fresh: Vec<PublishedAlert> = Vec::new();
+    let mut copied = 0;
     for update in updates {
         let SlotUpdate {
             slot,
@@ -380,8 +387,13 @@ fn publish_merged(
             });
         }
         merge_partition_stats(&mut state.partitions, &partitions);
-        state.slot_indexes[slot] = index;
+        copied += state.slot_indexes[slot].push(index);
     }
+    let c = &ingest.counters;
+    c.index_copied_samples.add(copied as u64);
+    let chunks = state.slot_indexes.iter().flat_map(IndexChunks::chunks);
+    c.index_bytes
+        .set(chunks.map(|chunk| chunk.heap_bytes() as u64).sum());
     if !fresh.is_empty() {
         // The last snapshot still shares the ring, so this copies it —
         // once per publish that has alerts to add, not once per publish.
@@ -423,9 +435,9 @@ fn publish_merged(
     ));
 }
 
-/// One default (empty) index per ingest slot.
-fn empty_slot_indexes() -> Vec<Arc<SampleIndex>> {
-    (0..INGEST_SLOTS).map(|_| Arc::default()).collect()
+/// One empty chunk list per ingest slot.
+fn empty_slot_indexes() -> Vec<IndexChunks> {
+    vec![IndexChunks::default(); INGEST_SLOTS]
 }
 
 /// Epoch 0: the finished empty study, so every query has a well-formed
@@ -449,14 +461,15 @@ mod tests {
     use super::*;
     use crate::dynamics::alerts::detector;
     use crate::dynamics::{Alert, AlertKind};
+    use crate::model::SampleHash;
     use crate::serve::counters::ServeCounters;
     use crate::serve::render::{
         render_engine, render_engines, render_fingerprint, render_recommend, render_results,
         render_status, study_fingerprint,
     };
     use crate::serve::tests::{
-        bare_snapshot as snapshot, interleaved_updates, merger_ctx, published_in_one_burst,
-        slot_update_streams,
+        bare_snapshot as snapshot, directly_folded_indexes, interleaved_updates, merger_ctx,
+        published_in_one_burst, slot_update_streams,
     };
     use crate::serve::ServeConfig;
     use std::sync::mpsc::channel;
@@ -720,17 +733,33 @@ mod tests {
     /// slot's own order, sent as one burst, and every batching of one
     /// interleaving into consecutive publishes, end in the same study,
     /// slot indexes and alert log — each alert stamped with the epoch of
-    /// the publish that carried its update.
+    /// the publish that carried its update — and every slot answers
+    /// every hash as one index folded directly over its segments does.
     #[test]
     fn every_arrival_order_and_batching_publishes_the_same_study() {
         type Published = (
             (u64, u64),
-            Vec<Arc<SampleIndex>>,
+            Vec<IndexChunks>,
             Vec<((u64, u32, u8, u32), String)>,
         );
         let ctx = merger_ctx(ServeConfig::new(1_500, 0x51_07));
-        let streams = slot_update_streams(&ctx, &[1, 4, 6], 2);
+        let slots = [1, 4, 6];
+        let streams = slot_update_streams(&ctx, &slots, 2);
         assert!(streams.iter().all(|s| s.len() == 2), "two folds per slot");
+        let direct = directly_folded_indexes(&ctx, &slots, 2);
+        // Every fixture hash, and a miss, as the direct fold answers it.
+        let answers = |snap: &Snapshot| -> Vec<String> {
+            let miss = (slots[0], SampleHash::from_ordinal(u64::MAX));
+            (slots.iter().zip(&direct))
+                .flat_map(|(&slot, index)| index.iter().map(move |s| (slot, s.hash)))
+                .chain(std::iter::once(miss))
+                .map(|(slot, hash)| format!("{:?}", snap.slot_indexes[slot].get(hash)))
+                .collect()
+        };
+        let want_answers: Vec<String> = (direct.iter())
+            .flat_map(|index| index.iter().map(|s| format!("{:?}", Some(s))))
+            .chain(std::iter::once("None".to_owned()))
+            .collect();
         let arrival = |picks: &[usize]| -> Vec<SlotUpdate> {
             let mut next = [0; 3];
             picks
@@ -779,6 +808,7 @@ mod tests {
             assert_eq!(snap.epoch, 1, "one burst, one publish");
             let (study, stamps) = published(&snap);
             assert_eq!(stamps, want, "{picks:?}");
+            assert!(answers(&snap) == want_answers, "arrival order {picks:?}");
             let reference = reference.get_or_insert_with(|| study.clone());
             assert!(*reference == study, "arrival order {picks:?}");
         }
@@ -807,8 +837,36 @@ mod tests {
             let (study, stamps) = published(&snap);
             want.sort_unstable();
             assert_eq!(stamps, want, "cuts {cuts:#07b}");
+            assert!(answers(&snap) == want_answers, "cuts {cuts:#07b}");
             assert!(study == reference, "cuts {cuts:#07b}");
         }
+    }
+
+    /// The merger books its index at every publish, in the registry:
+    /// `mem/index_bytes` is the heap the published chunks hold, and
+    /// `serve/index_copied_samples` the samples compaction copied pushing
+    /// every update's index — the slot lists a replay of those pushes
+    /// builds.
+    #[test]
+    fn the_merger_books_the_index_it_publishes_and_the_samples_it_copied() {
+        let ctx = merger_ctx(ServeConfig::new(1_500, 0x51_07));
+        let mut replay = vec![IndexChunks::default(); INGEST_SLOTS];
+        let copied: usize = (interleaved_updates(&ctx).into_iter())
+            .map(|update| replay[update.slot].push(update.index))
+            .sum();
+        assert!(copied > 0, "the fixture compacts");
+        let snap = published_in_one_burst(&ctx);
+        assert_eq!(snap.slot_indexes, replay);
+        let bytes: usize = (snap.slot_indexes.iter())
+            .flat_map(IndexChunks::chunks)
+            .map(|chunk| chunk.heap_bytes())
+            .sum();
+        let obs = &ctx.fold.ingest.obs;
+        assert_eq!(obs.gauge("mem/index_bytes").value(), bytes as u64);
+        assert_eq!(
+            obs.counter("serve/index_copied_samples").value(),
+            copied as u64
+        );
     }
 
     /// An update with no study behind it: `count` alerts at `seq`.

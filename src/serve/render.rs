@@ -2,7 +2,9 @@
 //!
 //! A response is a function of one pinned [`Snapshot`], and nothing is
 //! rendered before a request asks. The per-hash verbs are rendered per
-//! request from the snapshot's slot indexes, flip matrix and roster. The
+//! request from the snapshot's slot indexes (a hash lives in at most one
+//! chunk of its slot's list, so a lookup probes each chunk until one
+//! answers), flip matrix and roster. The
 //! aggregate documents (`results`, `engines`, `fingerprint`,
 //! `recommend`) and the study-wide flip ranking behind `flip_leaders`
 //! follow one rule: each is made once per snapshot, by the first
@@ -15,15 +17,13 @@
 //! Renders strings and nothing else: no socket, no lock, no state of
 //! its own.
 
-use std::sync::Arc;
-
 use super::counters::ServeCounters;
 use super::ingest::slot_of;
 use super::publish::Snapshot;
 use super::wire::{quoted, MAX_FLIP_LEADERS};
 use crate::dynamics::flips::FlipCell;
 use crate::dynamics::stabilization::FIG9_THRESHOLDS;
-use crate::dynamics::{SampleIndex, StudyResults};
+use crate::dynamics::{IndexChunks, StudyResults};
 use crate::model::{EngineId, FileType, SampleHash};
 use crate::obs::Obs;
 
@@ -141,14 +141,14 @@ pub(super) fn render_flip_leaders(snap: &Snapshot, k: usize) -> String {
 
 /// The study-wide flip ranking, cut at [`MAX_FLIP_LEADERS`] (the parser
 /// clamps `k` there, so every answer is a prefix) and rendered. Ranked
-/// by merging each slot's own leaders under the total order — the
-/// global leaders are contained in the union, so the ranking is
-/// bit-identical to ranking one merged index.
-fn rank_flip_leaders(slot_indexes: &[Arc<SampleIndex>]) -> Vec<String> {
+/// by merging every chunk's own leaders, of every slot, under the total
+/// order — the global leaders are contained in the union, so the
+/// ranking is bit-identical to ranking one merged index.
+fn rank_flip_leaders(slot_indexes: &[IndexChunks]) -> Vec<String> {
     let cut = MAX_FLIP_LEADERS as usize;
     let mut ranked = Vec::new();
-    for index in slot_indexes {
-        // Two sorted runs, the leaders so far and this slot's: the
+    for index in slot_indexes.iter().flat_map(IndexChunks::chunks) {
+        // Two sorted runs, the leaders so far and this chunk's: the
         // stable sort merges them (the order is total, so stability
         // shows nowhere), and nothing past the cut is carried along.
         ranked.extend(index.top_flips(cut));
@@ -217,7 +217,10 @@ pub(super) fn render_status(snap: &Snapshot, c: &ServeCounters) -> String {
         c.quarantined_segments.value(),
         c.rejected.value(),
         c.evicted.value(),
-        snap.slot_indexes.iter().map(|i| i.len()).sum::<usize>(),
+        snap.slot_indexes
+            .iter()
+            .map(IndexChunks::len)
+            .sum::<usize>(),
         c.alerts_fired.value(),
         c.alerts_stabilized.value(),
         c.alerts_destabilized.value(),
@@ -400,8 +403,9 @@ pub(super) fn render_fingerprint(snap: &Snapshot) -> &str {
 /// the threshold that would have labeled the stream most accurately —
 /// and (b) the engine subset whose flip ratio is at or below the
 /// fleet-wide ratio (the engines whose labels move least per
-/// opportunity, §7.1). Everything is summed from the per-slot §6
-/// stabilization masks ([`SampleIndex::stab_counts_in_s`]), so the
+/// opportunity, §7.1). Everything is summed from every slot's chunks'
+/// §6 stabilization masks
+/// ([`crate::dynamics::SampleIndex::stab_counts_in_s`]), so the
 /// counts equal the offline `label_stabilization_all` sweep bit for
 /// bit, and ties break deterministically (lowest threshold; ratio then
 /// name order for engines).
@@ -411,10 +415,10 @@ pub(super) fn render_recommend(snap: &Snapshot) -> &str {
 
 fn recommend(snap: &Snapshot) -> String {
     let (epoch, flips, engine_names) = (snap.epoch, &snap.results().flips, &snap.engine_names);
-    // Threshold sweep: sum each slot's in-S stabilization-mask counts.
+    // Threshold sweep: sum each chunk's in-S stabilization-mask counts.
     let mut counts = [0u64; FIG9_THRESHOLDS.len()];
     let mut in_s = 0u64;
-    for index in &snap.slot_indexes {
+    for index in snap.slot_indexes.iter().flat_map(IndexChunks::chunks) {
         let (slot_counts, slot_in_s) = index.stab_counts_in_s();
         for (acc, c) in counts.iter_mut().zip(slot_counts) {
             *acc += c;
@@ -476,9 +480,12 @@ mod tests {
     use crate::serve::tests::{bare_snapshot, merger_ctx, published_in_one_burst, sealed_segments};
     use crate::serve::ServeConfig;
     use crate::sim::{SimConfig, VirusTotalSim};
+    use std::sync::Arc;
 
     /// A snapshot whose slot indexes come out of real folds: three
-    /// slots, a third of a `samples`-sample feed each, two folds apiece.
+    /// slots, a third of a `samples`-sample feed each, two folds apiece,
+    /// each fold's index pushed onto its slot's chunks as the merger
+    /// does.
     fn folded_snapshot(samples: u64) -> Snapshot {
         let sim = VirusTotalSim::new(SimConfig::new(0x1EAD, samples));
         let mut snap = bare_snapshot(4);
@@ -490,8 +497,9 @@ mod tests {
                 IncrementalStudy::new(sim.fleet(), sim.config().window_start()).with_index();
             for segment in sealed_segments(&sim, ordinals, 2) {
                 study.fold_store(segment.store(), &mut arena, Obs::noop());
+                let delta = study.take_index().expect("indexed");
+                snap.slot_indexes[slot].push(Arc::new(delta));
             }
-            snap.slot_indexes[slot] = Arc::new(study.index().cloned().expect("indexed"));
         }
         snap
     }
@@ -502,8 +510,10 @@ mod tests {
         // One study that fits under the cut and one the cut truncates.
         for samples in [450u64, 1_500] {
             let snap = folded_snapshot(samples);
-            let mut all: Vec<SampleSummary<'_>> =
-                snap.slot_indexes.iter().flat_map(|i| i.iter()).collect();
+            let mut all: Vec<SampleSummary<'_>> = (snap.slot_indexes.iter())
+                .flat_map(IndexChunks::chunks)
+                .flat_map(|chunk| chunk.iter())
+                .collect();
             let len = all.len();
             assert_eq!(len as u64, samples, "every sample is indexed");
             assert!(

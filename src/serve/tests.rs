@@ -18,7 +18,7 @@ use super::wire::quoted;
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
     merge_partition_stats, par, Collector, CollectorConfig, DecodeArena, IncrementalStudy,
-    StudyPartials,
+    SampleIndex, StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
@@ -107,18 +107,26 @@ fn layers_name_only_what_lies_to_their_right() {
         ),
         // The merger sums each fold's own delta: naming the merge tree or
         // the worker's shared accumulation brings the cumulative hand-off
-        // back.
+        // back, and assigning a slot's index whole is the newest-wins
+        // rule an index delta replaced.
         (
             "publish.rs",
             code(include_str!("publish.rs")),
-            &["super::render", "SlotMergeTree", "merge_ref"],
+            &[
+                "super::render",
+                "SlotMergeTree",
+                "merge_ref",
+                "slot_indexes[slot] =",
+            ],
         ),
         // A worker only folds: every segment from its store, and alerts
-        // leave the daemon through the merger.
+        // leave the daemon through the merger. It hands over each fold's
+        // own index and reads no cumulative one.
         (
             "fold.rs",
             code(include_str!("fold.rs")),
             &[
+                ".index()",
                 "Snapshot",
                 "Mutex",
                 "RwLock",
@@ -351,6 +359,28 @@ pub(super) fn slot_update_streams(
                     fold.fold(segment, false, &mut arena, Obs::noop(), c).1
                 })
                 .collect()
+        })
+        .collect()
+}
+
+/// The index each of `slots` holds folded directly: one study over the
+/// segments [`slot_update_streams`] seals for it, taken once at the end.
+pub(super) fn directly_folded_indexes(
+    ctx: &PublishCtx,
+    slots: &[usize],
+    ways: u64,
+) -> Vec<SampleIndex> {
+    let ingest = &ctx.fold.ingest;
+    let share = ingest.config.samples / slots.len() as u64;
+    let mut arena = DecodeArena::new();
+    (0..slots.len() as u64)
+        .map(|n| {
+            let window_start = ingest.sim.config().window_start();
+            let mut study = IncrementalStudy::new(ingest.sim.fleet(), window_start).with_index();
+            for segment in sealed_segments(&ingest.sim, n * share..(n + 1) * share, ways) {
+                study.fold_store(segment.store(), &mut arena, Obs::noop());
+            }
+            study.take_index().unwrap_or_default()
         })
         .collect()
 }

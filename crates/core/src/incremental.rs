@@ -409,11 +409,18 @@ impl<'a> IncrementalStudy<'a> {
     /// records — the arena path sorts decoded rows by `(hash,
     /// analysis_date, arrival)`, which is the same canonical order the
     /// record materialization produces.
+    ///
+    /// The `mem/arena_bytes` and `mem/table_bytes` gauges keep the
+    /// largest arena and table any fold on `obs` has held.
     pub fn fold_arena(&mut self, arena: &crate::arena::DecodeArena, obs: &Obs) -> usize {
         let _span = obs.span("pipeline/segment");
         let table = obs.time("pipeline/table", || {
             TrajectoryTable::build_from_arena(arena, self.window_start, self.workers, obs)
         });
+        obs.gauge("mem/arena_bytes")
+            .set_max(arena.heap_bytes() as u64);
+        obs.gauge("mem/table_bytes")
+            .set_max(table.heap_bytes() as u64);
         let samples = table.len();
         self.fold_table_inner(&table, obs);
         samples

@@ -64,7 +64,7 @@ pub mod table;
 
 pub use alerts::{Alert, AlertConfig, AlertEngine, AlertKind, AlertTotals};
 pub use analysis::{Analysis, AnalysisCtx};
-pub use arena::{ArenaRow, DecodeArena};
+pub use arena::DecodeArena;
 pub use collector::{
     Collector, CollectorConfig, CollectorConfigError, IngestError, IngestOutcome, IngestStats,
     QuarantinedEntry,

@@ -12,6 +12,13 @@
 //! index ranges of this table: no stage allocates per record, and no
 //! stage touches a `ScanReport` or `VerdictVec` again.
 //!
+//! A decoded segment builds the same table straight from its columnar
+//! [`DecodeArena`] ([`TrajectoryTable::build_from_arena`]): a `u32`
+//! row permutation, bucketed by the hash's top bits and sorted per
+//! bucket, orders the rows canonically, and one partitioned gather
+//! through it fills the columns — no row struct and no per-row sort
+//! key is ever copied.
+//!
 //! Construction is deterministic at every worker count: partitions
 //! cover contiguous record ranges and their column chunks are
 //! concatenated in partition order, so the table — and therefore every
@@ -21,6 +28,7 @@
 use crate::arena::DecodeArena;
 use crate::par;
 use crate::records::SampleRecord;
+use std::mem::size_of;
 use vt_model::time::Timestamp;
 use vt_model::{EngineId, FileType, SampleHash};
 use vt_obs::Obs;
@@ -45,7 +53,7 @@ mod flag {
 ///
 /// Per-report columns are indexed by *row*; record `i`'s rows are
 /// `rows(i)` (CSR offsets). Per-record columns are indexed by record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryTable {
     /// CSR offsets: record `i` owns rows `offsets[i]..offsets[i+1]`.
     offsets: Vec<u64>,
@@ -193,6 +201,68 @@ pub(crate) fn lane_mask(engine_count: usize) -> [u64; 2] {
     mask
 }
 
+/// The arena's rows in canonical `(hash, analysis date, arrival)`
+/// order, as a permutation of arrival indices, with the CSR offsets of
+/// its records (a record is a run of one hash).
+///
+/// A counting pass buckets the rows by the hash's top `b` bits — `b` is
+/// the row count's bit length, capped at 16, so a small serve segment
+/// does not walk 65 536 empty buckets — and a scatter pass writes each
+/// row index into its bucket in arrival order. Each bucket is then
+/// sorted by the full key, read from the arena's columns; buckets cover
+/// ascending hash ranges, so their concatenation is the total order.
+/// Hashes are well mixed (`SampleHash::from_ordinal`), so a bucket
+/// holds a few rows; a store whose hashes all share their top bits
+/// lands in one bucket and costs one O(n log n) sort.
+///
+/// Neither stream arrives canonical (an `analyze` store and a serve
+/// segment both stream one month partition at a time, so a sample's
+/// rows are split across partitions), which is why this sorts rather
+/// than verifies; DESIGN.md §2.6 records the run counts.
+fn canonical_order(arena: &DecodeArena) -> (Vec<u32>, Vec<u64>) {
+    let (hashes, analysis) = (arena.hashes(), arena.analysis());
+    let n = u32::try_from(hashes.len()).expect("an arena holds at most u32::MAX rows");
+    let bits = (u32::BITS - n.leading_zeros()).clamp(1, 16);
+    let bucket = |h: SampleHash| (h.0 >> (128 - bits)) as usize;
+    // `ends[b]` counts bucket b's rows, then (exclusive prefix sum) is
+    // its first slot, and after the scatter its end.
+    let mut ends = vec![0u32; 1 << bits];
+    for &h in hashes {
+        ends[bucket(h)] += 1;
+    }
+    let mut next = 0;
+    for slot in &mut ends {
+        (*slot, next) = (next, next + *slot);
+    }
+    let mut order = vec![0u32; n as usize];
+    for (i, &h) in (0..n).zip(hashes) {
+        let slot = &mut ends[bucket(h)];
+        order[*slot as usize] = i;
+        *slot += 1;
+    }
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    offsets.push(0u64);
+    let mut bucket_start = 0;
+    for &end in &ends {
+        let span = bucket_start..end as usize;
+        bucket_start = span.end;
+        if span.is_empty() {
+            continue;
+        }
+        order[span.clone()]
+            .sort_unstable_by_key(|&i| (hashes[i as usize], analysis[i as usize], i));
+        for k in span.start + 1..span.end {
+            if hashes[order[k - 1] as usize] != hashes[order[k] as usize] {
+                offsets.push(k as u64);
+            }
+        }
+        // Buckets never share a hash, so a bucket's end closes a record.
+        offsets.push(span.end as u64);
+    }
+    offsets.shrink_to_fit();
+    (order, offsets)
+}
+
 impl TrajectoryTable {
     /// Builds the table with default parallelism and no observation.
     pub fn build(records: &[SampleRecord], window_start: Timestamp) -> Self {
@@ -283,12 +353,14 @@ impl TrajectoryTable {
 
     /// Builds the table straight from a [`DecodeArena`] of streamed
     /// report rows — the zero-copy segment-fold path: no
-    /// `Vec<ScanReport>`, no `SampleRecord`, no per-sample `Vec` is ever
-    /// allocated.
+    /// `Vec<ScanReport>`, no `SampleRecord`, no per-sample `Vec` and no
+    /// row-struct or per-row key copy is ever allocated.
     ///
-    /// Row order is canonicalized by sorting a permutation of the
-    /// arena's rows by `(sample hash, analysis date, arrival index)`.
-    /// That reproduces the row-struct path exactly:
+    /// Row order is canonicalized as a `u32` permutation of the arena's
+    /// rows sorted by `(sample hash, analysis date, arrival index)`,
+    /// bucketed by the hash's top bits and sorted per bucket; one
+    /// partitioned gather through it fills the columns. The order
+    /// reproduces the row-struct path exactly:
     /// [`vt_store::ReportStore::group_by_sample`] groups rows in
     /// physical arrival order, stable-sorts each group by analysis date
     /// (so equal dates keep arrival order), and emits groups
@@ -305,32 +377,11 @@ impl TrajectoryTable {
         workers: usize,
         obs: &Obs,
     ) -> Self {
-        let rows = arena.rows();
-        // Canonical row order: (hash, date, arrival). The arrival index
-        // makes the key total, so the unstable sort is deterministic and
-        // equal to a stable (hash, date) sort. Keys are packed into a
-        // contiguous buffer instead of sorting an index permutation:
-        // the comparator then reads sequential 32-byte tuples rather
-        // than chasing 80-byte rows at random, which is ~2.4x faster at
-        // the 500k-sample bench scale.
-        let mut keys: Vec<(u128, i64, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.hash.0, r.analysis, i as u32))
-            .collect();
-        keys.sort_unstable();
-        // Serial CSR pass: record boundaries are hash changes.
-        let mut offsets = vec![0u64];
-        if !rows.is_empty() {
-            for k in 1..keys.len() {
-                if keys[k - 1].0 != keys[k].0 {
-                    offsets.push(k as u64);
-                }
-            }
-            offsets.push(rows.len() as u64);
-        }
+        let (order, offsets) = canonical_order(arena);
+        let (hashes, analysis, submission) = (arena.hashes(), arena.analysis(), arena.submission());
+        let (active, detected, type_idx) = (arena.active(), arena.detected(), arena.type_idx());
         let records = offsets.len() - 1;
-        let mut cols = Columns::zeroed(records, rows.len());
+        let mut cols = Columns::zeroed(records, order.len());
         let ranges = par::partition_ranges(records as u64, workers);
         let payloads = cols.split(&ranges, &offsets);
         par::map_ranges_with_obs(
@@ -345,28 +396,29 @@ impl TrajectoryTable {
                     let mut p_min = u32::MAX;
                     let mut p_max = 0u32;
                     let mut first_submission = i64::MAX;
-                    for (rc, &(_, _, ri)) in span.clone().zip(&keys[span.clone()]) {
-                        let row = &rows[ri as usize];
-                        let p = row.detected[0].count_ones() + row.detected[1].count_ones();
+                    for (rc, &ri) in span.clone().zip(&order[span.clone()]) {
+                        let ri = ri as usize;
+                        let d = detected[ri];
+                        let p = d[0].count_ones() + d[1].count_ones();
                         p_min = p_min.min(p);
                         p_max = p_max.max(p);
-                        first_submission = first_submission.min(row.submission);
+                        first_submission = first_submission.min(submission[ri]);
                         let out = rc - row_base;
                         w.positives[out] = p;
-                        w.date_min[out] = row.analysis;
-                        w.active[out] = row.active;
-                        w.detected[out] = row.detected;
+                        w.date_min[out] = analysis[ri];
+                        w.active[out] = active[ri];
+                        w.detected[out] = d;
                     }
                     let n = span.len();
                     debug_assert!(n > 0, "records from rows are nonempty");
-                    let first = &rows[keys[span.start].2 as usize];
-                    let file_type = FileType::from_dense_index(first.type_idx as usize);
+                    let first = order[span.start] as usize;
+                    let file_type = FileType::from_dense_index(type_idx[first] as usize);
                     let fresh = first_submission >= window_start.0;
-                    w.type_idx[k] = first.type_idx;
+                    w.type_idx[k] = type_idx[first];
                     w.p_min[k] = p_min;
                     w.p_max[k] = p_max;
                     w.flags[k] = pack_flags(n, p_min, p_max, file_type, fresh);
-                    w.hashes[k] = first.hash;
+                    w.hashes[k] = hashes[first];
                 }
             },
         );
@@ -383,6 +435,20 @@ impl TrajectoryTable {
             hashes: cols.hashes,
             window_start,
         }
+    }
+
+    /// Heap bytes the columns hold: capacity × element size, summed.
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * size_of::<u64>()
+            + self.positives.capacity() * size_of::<u32>()
+            + self.date_min.capacity() * size_of::<i64>()
+            + self.active.capacity() * size_of::<[u64; 2]>()
+            + self.detected.capacity() * size_of::<[u64; 2]>()
+            + self.type_idx.capacity() * size_of::<u16>()
+            + self.p_min.capacity() * size_of::<u32>()
+            + self.p_max.capacity() * size_of::<u32>()
+            + self.flags.capacity() * size_of::<u8>()
+            + self.hashes.capacity() * size_of::<SampleHash>()
     }
 
     /// Number of records.
@@ -547,8 +613,12 @@ impl TrajectoryTable {
 mod tests {
     use super::*;
     use crate::pipeline::Study;
-    use vt_model::Verdict;
+    use crate::records::records_from_store;
+    use proptest::prelude::*;
+    use vt_model::time::{Month, MINUTES_PER_DAY};
+    use vt_model::{ReportKind, ScanReport, Verdict, VerdictVec};
     use vt_sim::SimConfig;
+    use vt_store::{read_store_into, write_store, ReportStore, StoreBuilder, StoreObs};
 
     fn study() -> Study {
         Study::generate_with_workers(SimConfig::new(0x7AB1E, 3_000), 2)
@@ -655,6 +725,95 @@ mod tests {
         let m = obs.snapshot();
         assert_eq!(m.counter("par/table_build/invocations"), Some(1));
         assert!(m.histogram("par/table_build/worker_busy_ns").is_some());
+    }
+
+    /// The analysis date of generated row kind `idx`: two before the
+    /// window (the catch-all partition), the window's first minute and
+    /// the one after it, a mid-window month and the last month.
+    fn generated_date(idx: u64) -> Timestamp {
+        let month = |n: usize| Month::COLLECTION_START.plus(n).start().0;
+        Timestamp(match idx {
+            0 => month(0) - 40 * MINUTES_PER_DAY,
+            1 => month(0) - 1,
+            2 => month(0),
+            3 => month(0) + 1,
+            4 => month(3) + 7,
+            _ => month(13) + 99,
+        })
+    }
+
+    /// A store of `rows` — `(sample, date kind, bits)`, appended in
+    /// that arrival order. `one_bucket` gives every hash the same top
+    /// 16 bits, so the whole arena lands in one sort bucket.
+    fn generated_store(rows: &[(u64, u64, u64)], one_bucket: bool) -> ReportStore {
+        let mut store = StoreBuilder::new();
+        for &(sample, date_idx, bits) in rows {
+            let mut sample = SampleHash::from_ordinal(sample);
+            if one_bucket {
+                sample.0 = (0x5EED << 112) | (sample.0 & ((1 << 112) - 1));
+            }
+            let analysis_date = generated_date(date_idx);
+            let active = [!(bits & 0xF0F), 0x3F];
+            let detected = [bits.rotate_left(17) & active[0], (bits >> 58) & 0x3F];
+            store.append(&ScanReport {
+                sample,
+                file_type: FileType::from_dense_index((bits % 351) as usize),
+                analysis_date,
+                last_submission_date: Timestamp(
+                    analysis_date.0 - ((bits >> 20) % (90 * MINUTES_PER_DAY as u64)) as i64,
+                ),
+                times_submitted: 1 + (bits >> 40) as u32 % 3,
+                kind: ReportKind::Upload,
+                verdicts: VerdictVec::from_raw(active, detected, 70),
+            });
+        }
+        store.seal()
+    }
+
+    /// `build_from_arena` over the store's row stream and over its
+    /// file's strict read equals the record route's table, at workers
+    /// 1, 2 and 8.
+    fn arena_matches_records(store: &ReportStore) -> Result<(), TestCaseError> {
+        let ws = Month::COLLECTION_START.start();
+        let records = records_from_store(store);
+        let mut streamed = DecodeArena::new();
+        store.for_each_row(&mut streamed);
+        let mut bytes = Vec::new();
+        write_store(store, &mut bytes).expect("write to a Vec");
+        let mut read = DecodeArena::new();
+        read.refill(|rows| {
+            read_store_into(&mut bytes.as_slice(), rows, &StoreObs::new(Obs::noop()))
+        })
+        .expect("strict read of a written store");
+        for workers in [1, 2, 8] {
+            let want = TrajectoryTable::build_with(&records, ws, workers, Obs::noop());
+            for (route, arena) in [("row stream", &streamed), ("file read", &read)] {
+                let got = TrajectoryTable::build_from_arena(arena, ws, workers, Obs::noop());
+                prop_assert!(got == want, "{route}, workers {workers}: tables differ");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Generated streams: few samples with many equal-`(hash, date)`
+        /// ties inside a partition and across the catch-all and window
+        /// months, or many single-report samples (`spread` large), with
+        /// hashes in well-mixed buckets or all in one.
+        #[test]
+        fn generated_streams_build_the_record_routes_table(
+            rows in proptest::collection::vec((any::<u64>(), 0u64..6, any::<u64>()), 0..1_500),
+            spread in 1u64..3_000,
+            one_bucket in any::<bool>(),
+        ) {
+            let rows: Vec<_> = rows.iter().map(|&(s, d, b)| (s % spread, d, b)).collect();
+            arena_matches_records(&generated_store(&rows, one_bucket))?;
+        }
+    }
+
+    #[test]
+    fn an_empty_arena_builds_the_empty_table() {
+        arena_matches_records(&generated_store(&[], false)).expect("empty");
     }
 
     #[test]

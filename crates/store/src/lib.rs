@@ -71,6 +71,6 @@ pub use persist::{
     PersistError, RecoveryReport, SalvageLabel,
 };
 pub use replay_log::ReplayLog;
-pub use segdir::{DurableWriter, Replay, SegmentDir, SegmentFile};
+pub use segdir::{write_durable, DurableWriter, Replay, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_into, write_segment, Segment, SegmentWriter};
 pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs};

@@ -121,7 +121,7 @@ impl SegmentDir {
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 let text = format!("{MANIFEST_TAG} slots={slots}\n");
-                write_durable(&root, MANIFEST, text.as_bytes())?;
+                write_durable(&root.join(MANIFEST), text.as_bytes())?;
             }
             Err(e) => return Err(e),
         }
@@ -177,7 +177,7 @@ impl SegmentDir {
                 Err(e) => return Err(e),
             }
         }
-        write_durable(&self.root, FEED, format!("{feed}\n").as_bytes()).map(drop)
+        write_durable(&self.root.join(FEED), format!("{feed}\n").as_bytes())
     }
 
     /// Whether the directory holds any segment files (quarantined ones
@@ -195,7 +195,9 @@ impl SegmentDir {
         assert!(slot < self.slots, "slot {slot} out of range");
         let mut buf = Vec::new();
         write_segment(segment, &mut buf)?;
-        write_durable(&self.root, &segment_file_name(slot, segment.seq()), &buf)
+        let path = self.root.join(segment_file_name(slot, segment.seq()));
+        write_durable(&path, &buf)?;
+        Ok(path)
     }
 
     /// Lists the segment files present, sorted by `(slot, seq)`.
@@ -373,21 +375,31 @@ impl DurableWriter {
     }
 }
 
-/// Writes `bytes` as `dir/name` durably: write `name.tmp`, fsync it,
-/// rename it into place, fsync `dir`. A crash at any step leaves either
-/// the old entry or the whole new file, never a torn or empty one; a
-/// stale `name.tmp` from an interrupted call is truncated and reused.
-/// Returns the final path.
-fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
-    let final_path = dir.join(name);
-    let tmp_path = dir.join(format!("{name}.tmp"));
+/// Writes `bytes` to `path` durably: write `<path>.tmp`, fsync it,
+/// rename it over `path`, fsync the directory. A crash at any step
+/// leaves either the old entry or the whole new file, never a torn or
+/// empty one; a stale `<path>.tmp` from an interrupted call is
+/// truncated and reused.
+///
+/// The crate's one durable write: segments, the manifest, the feed
+/// record and `vtld simulate --out` all go through it.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if path.file_name().is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a durable write needs a file name",
+        ));
+    }
+    let mut tmp_path = path.as_os_str().to_owned();
+    tmp_path.push(".tmp");
     let mut file = File::create(&tmp_path)?;
     file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
-    fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)?;
-    Ok(final_path)
+    fs::rename(&tmp_path, path)?;
+    // A bare file name's parent is the empty path: the working directory.
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")))
 }
 
 /// Fsyncs a directory so a just-renamed entry survives a crash.

@@ -44,7 +44,8 @@
 //! The analyze path reconstructs sample metadata purely from the stored
 //! reports — the same situation the paper faced. The file is read once,
 //! strictly, and the read's integrity decode lands in the decode arena
-//! (`read_store_into`); the arena is folded as one segment
+//! (`read_store_into`); the compressed blocks are dropped as soon as
+//! that read returns, and the arena is folded as one segment
 //! (`fold_arena`), the route `vtld serve` runs per sealed segment. A
 //! report is decoded once between the file and the report.
 //!
@@ -54,7 +55,7 @@
 //! fleet seed.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vt_label_dynamics::dynamics::{par, DecodeArena, IncrementalStudy, Study};
 use vt_label_dynamics::engines::EngineFleet;
@@ -62,7 +63,9 @@ use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
 use vt_label_dynamics::serve::{ServeConfig, Server, INGEST_SLOTS};
 use vt_label_dynamics::sim::{SimConfig, SimConfigError};
-use vt_label_dynamics::store::{read_store_into, write_store, PersistError, StoreObs};
+use vt_label_dynamics::store::{
+    read_store_into, write_durable, write_store, PersistError, StoreObs,
+};
 
 /// Everything that can go wrong in a `vtld` invocation, typed by layer:
 /// bad command line, bad configuration, unreadable store, plain I/O.
@@ -511,8 +514,11 @@ fn cmd_simulate(args: SimulateArgs) -> Result<(), VtldError> {
     eprintln!("simulating {samples} samples (seed {seed:#x})...");
     let study = Study::generate(config);
     let store = study.build_store();
-    let mut file = std::fs::File::create(&out).map_err(io_err(format!("cannot create {out}")))?;
-    write_store(&store, &mut file).map_err(io_err("write failed"))?;
+    let mut bytes = Vec::new();
+    write_store(&store, &mut bytes).map_err(io_err("write failed"))?;
+    // Replace `out` whole or not at all: a failed or interrupted write
+    // leaves whatever store was there.
+    write_durable(Path::new(&out), &bytes).map_err(io_err(format!("cannot write {out}")))?;
     let stats = store.partition_stats();
     let bytes: u64 = stats.iter().map(|p| p.stored_bytes).sum();
     println!(
@@ -536,13 +542,17 @@ fn cmd_analyze(args: AnalyzeArgs) -> Result<(), VtldError> {
     let mut reader = std::io::BufReader::new(file);
     let mut arena = DecodeArena::new();
     let store = arena.refill(|rows| read_store_into(&mut reader, rows, &StoreObs::new(&obs)))?;
-    eprintln!("loaded {} reports from {path}", store.report_count());
+    // The strict read has checked and decoded every block into the
+    // arena; nothing reads them again, so only the counts outlive it.
+    let (reports, stats) = (store.report_count(), store.partition_stats());
+    drop(store);
+    eprintln!("loaded {reports} reports from {path}");
     let fleet = EngineFleet::with_seed(args.fleet_seed);
     let window_start = vt_label_dynamics::model::time::Month::COLLECTION_START.start();
     let mut study = IncrementalStudy::new(&fleet, window_start).with_workers(args.workers);
     let samples = study.fold_arena(&arena, &obs);
     eprintln!("folded {samples} samples");
-    let results = study.results(store.partition_stats(), &obs);
+    let results = study.results(stats, &obs);
     println!("{}", render_full_report(&results, &fleet));
     if let Some(dir) = &args.csv_dir {
         write_csvs(dir, &results, &fleet)?;
@@ -824,6 +834,64 @@ mod tests {
             "{msg}"
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A scratch directory for one test, emptied first.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vtld-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    fn simulate_into(out: &Path) -> Result<(), VtldError> {
+        cmd_simulate(SimulateArgs {
+            samples: 200,
+            seed: 7,
+            out: out.to_str().expect("utf-8").into(),
+        })
+    }
+
+    /// `--out` is written through `write_durable`: the bytes are the
+    /// store's, and a stale `<out>.tmp` from an interrupted run is
+    /// truncated and reused, then renamed away.
+    #[test]
+    fn simulate_reuses_a_stale_tmp_file() {
+        let dir = scratch("simulate-stale-tmp");
+        let out = dir.join("feed.vtstore");
+        let tmp = dir.join("feed.vtstore.tmp");
+        std::fs::write(&tmp, vec![0xAB; 1 << 16]).expect("stale tmp");
+        simulate_into(&out).expect("simulate");
+        let config = SimConfig::builder()
+            .seed(7)
+            .samples(200)
+            .build()
+            .expect("config");
+        let mut expect = Vec::new();
+        write_store(&Study::generate(config).build_store(), &mut expect).expect("write");
+        assert_eq!(std::fs::read(&out).expect("read out"), expect);
+        assert!(!tmp.exists(), "the tmp file was renamed into place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that cannot happen is a typed error and leaves the store
+    /// already at `--out` byte for byte.
+    #[test]
+    fn a_failed_simulate_leaves_the_old_store() {
+        let dir = scratch("simulate-failed-write");
+        let out = dir.join("feed.vtstore");
+        simulate_into(&out).expect("first simulate");
+        let before = std::fs::read(&out).expect("read out");
+        std::fs::create_dir(dir.join("feed.vtstore.tmp")).expect("tmp as a directory");
+        let err = simulate_into(&out).expect_err("the tmp path is a directory");
+        assert!(matches!(err, VtldError::Io { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", out.display())),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&out).expect("read out"), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

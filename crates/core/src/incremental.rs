@@ -410,8 +410,9 @@ impl<'a> IncrementalStudy<'a> {
     /// analysis_date, arrival)`, which is the same canonical order the
     /// record materialization produces.
     ///
-    /// The `mem/arena_bytes` and `mem/table_bytes` gauges keep the
-    /// largest arena and table any fold on `obs` has held.
+    /// The `mem/arena_bytes` gauge keeps the largest arena any fold on
+    /// `obs` has held (every fold route books its table on
+    /// `mem/table_bytes`).
     pub fn fold_arena(&mut self, arena: &crate::arena::DecodeArena, obs: &Obs) -> usize {
         let _span = obs.span("pipeline/segment");
         let table = obs.time("pipeline/table", || {
@@ -419,8 +420,6 @@ impl<'a> IncrementalStudy<'a> {
         });
         obs.gauge("mem/arena_bytes")
             .set_max(arena.heap_bytes() as u64);
-        obs.gauge("mem/table_bytes")
-            .set_max(table.heap_bytes() as u64);
         let samples = table.len();
         self.fold_table_inner(&table, obs);
         samples
@@ -456,8 +455,11 @@ impl<'a> IncrementalStudy<'a> {
     }
 
     /// Shared tail of the fold entry points (caller owns the
-    /// `pipeline/segment` span).
+    /// `pipeline/segment` span). The `mem/table_bytes` gauge keeps the
+    /// largest table any fold on `obs` has held.
     fn fold_table_inner(&mut self, table: &TrajectoryTable, obs: &Obs) {
+        obs.gauge("mem/table_bytes")
+            .set_max(table.heap_bytes() as u64);
         let s = obs.time("pipeline/freshdyn", || {
             freshdyn::build_from_table(table, self.workers)
         });

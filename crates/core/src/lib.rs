@@ -72,6 +72,9 @@ pub use collector::{
 pub use incremental::{merge_partition_stats, IncrementalStudy, SlotMergeTree, StudyPartials};
 pub use index::{IndexChunks, SampleIndex, SampleSummary};
 pub use monitor::{MonitorCriteria, MonitorEvent, SampleMonitor};
-pub use pipeline::{analyze_records, analyze_records_obs, stage_names, Study, StudyResults};
+pub use pipeline::{
+    analyze_records, analyze_records_obs, generate_chunks, run_streamed, stage_names, Study,
+    StudyResults, STUDY_CHUNK_SAMPLES,
+};
 pub use records::{records_from_store, SampleRecord};
 pub use table::TrajectoryTable;

@@ -1,11 +1,20 @@
 //! End-to-end study orchestration: simulate → ingest → store → analyze.
 //!
-//! [`Study::generate`] produces the dataset (in parallel over sample
-//! ordinals — generation is the expensive pass), routes every report
-//! through the compressed [`vt_store::ReportStore`] (producing the
-//! Table 2 accounting and exercising the storage substrate end to end),
-//! and [`Study::run`] executes every analysis of the paper, returning a
-//! [`StudyResults`] with one field per table/figure.
+//! [`run_streamed`] is the study `vtld study` runs. It walks the sample
+//! ordinals [`STUDY_CHUNK_SAMPLES`] at a time ([`generate_chunks`]):
+//! each chunk is generated in parallel, its reports are appended in
+//! ordinal order to one [`StoreTally`] (Table 2's accounting, the store
+//! encode included, without the blocks), and it is folded as one
+//! segment by [`IncrementalStudy::fold_segment`]; then the chunk is
+//! dropped. After the last chunk the partials finish into a
+//! [`StudyResults`] with one field per table/figure. Memory is one
+//! chunk, not the feed (DESIGN §2.6).
+//!
+//! [`Study`] is the whole-feed route, kept as the oracle: it holds
+//! every record, [`Study::build_store`] packs all of them into a
+//! [`vt_store::ReportStore`], and [`Study::run`] folds them as one
+//! segment. Tests compare the streamed study against it, and the
+//! benchmark's traced pass times its steps one by one.
 //!
 //! ## Batch is the one-segment fold
 //!
@@ -14,10 +23,12 @@
 //! into one [`Analysis::fold_timed`](crate::analysis::Analysis::fold_timed)
 //! per stage — and [`analyze_records_obs`] is its one-segment case:
 //! build the table, build *S*, fold the whole record set once, finish.
-//! `vtld serve` folds the same roster per segment and merges, so a batch
-//! `StudyResults` and a served one come out of the same code. Every
-//! stage runs under its `pipeline/<name>` span; [`stage_names`] exposes
-//! the roster for tests and tooling.
+//! The streamed study folds the same roster per chunk and merges, as
+//! `vtld serve` does per segment, so all three `StudyResults` come out
+//! of the same code, bit-identical because the chunks partition the
+//! samples (`merge(fold(x), fold(y)) == fold(x ++ y)`). Every stage
+//! runs under its `pipeline/<name>` span; [`stage_names`] exposes the
+//! roster for tests and tooling.
 //!
 //! Instrumentation is strictly write-only: no stage reads the `Obs`
 //! handle, so a [`StudyResults`] is bit-identical whether observability
@@ -30,7 +41,7 @@ use crate::causes::CauseAnalysis;
 use crate::correlation::CorrelationAnalysis;
 use crate::flips::FlipAnalysis;
 use crate::freshdyn;
-use crate::incremental::StudyPartials;
+use crate::incremental::{IncrementalStudy, StudyPartials};
 use crate::intervals::IntervalAnalysis;
 use crate::landscape::Fig1Points;
 use crate::metrics::MetricsAnalysis;
@@ -39,16 +50,125 @@ use crate::records::SampleRecord;
 use crate::stability::StabilityAnalysis;
 use crate::stabilization::{LabelStabilization, RankStabilization};
 use crate::table::TrajectoryTable;
+use std::ops::Range;
 use vt_engines::EngineFleet;
 use vt_model::time::Timestamp;
 use vt_model::FileType;
 use vt_obs::Obs;
 use vt_sim::{SimConfig, VirusTotalSim};
-use vt_store::{DatasetStats, PartitionStats, ReportStore, StoreBuilder, StoreObs};
+use vt_store::{DatasetStats, PartitionStats, ReportStore, StoreBuilder, StoreObs, StoreTally};
 
 pub use crate::incremental::stage_names;
 
-/// A generated dataset plus the machinery to analyze it.
+/// Samples [`run_streamed`] generates, stores and folds per step, and
+/// so the most records `vtld study` holds at once. Chosen by
+/// measurement (DESIGN §2.6): much smaller and the per-chunk thread
+/// spawns and partial merges show in the wall time; larger only raises
+/// the flat peak.
+pub const STUDY_CHUNK_SAMPLES: u64 = 8_192;
+
+/// The records of the ordinals in `range`, generated in parallel under
+/// the `generate` kernel, in ordinal order. Generation is deterministic
+/// per ordinal, so the records do not depend on `workers` or `obs`.
+fn generate_range(
+    sim: &VirusTotalSim,
+    range: Range<u64>,
+    workers: usize,
+    obs: &Obs,
+) -> Vec<SampleRecord> {
+    let ranges: Vec<Range<u64>> = par::partition_ranges(range.end - range.start, workers)
+        .into_iter()
+        .map(|r| range.start + r.start..range.start + r.end)
+        .collect();
+    let parts = par::map_ranges_obs(&ranges, obs, "generate", |_, range| {
+        sim.trajectories_in(range)
+            .map(|(meta, reports)| SampleRecord::new(meta, reports))
+            .collect::<Vec<_>>()
+    });
+    let mut records = Vec::with_capacity((range.end - range.start) as usize);
+    for part in parts {
+        records.extend(part);
+    }
+    records
+}
+
+/// Hands `sim`'s feed to `each` [`STUDY_CHUNK_SAMPLES`] samples at a
+/// time, in ordinal order. Each chunk is generated in parallel under
+/// the `generate` kernel and a `pipeline/generate` span, and dropped
+/// once `each` returns, so one chunk's records are live at a time. The
+/// chunks concatenate to [`Study::generate`]'s records.
+pub fn generate_chunks(
+    sim: &VirusTotalSim,
+    workers: usize,
+    obs: &Obs,
+    each: impl FnMut(&[SampleRecord]),
+) {
+    generate_chunks_of(sim, STUDY_CHUNK_SAMPLES, workers, obs, each);
+}
+
+/// [`generate_chunks`] at any chunk size (at least one sample).
+fn generate_chunks_of(
+    sim: &VirusTotalSim,
+    chunk_samples: u64,
+    workers: usize,
+    obs: &Obs,
+    mut each: impl FnMut(&[SampleRecord]),
+) {
+    let samples = sim.config().samples;
+    let mut start = 0;
+    while start < samples {
+        let end = samples.min(start.saturating_add(chunk_samples.max(1)));
+        let records = {
+            let _span = obs.span("pipeline/generate");
+            generate_range(sim, start..end, workers, obs)
+        };
+        each(&records);
+        start = end;
+    }
+}
+
+/// The study `vtld study` runs, holding one chunk of the feed: per
+/// [`generate_chunks`] chunk, the reports append in ordinal order to
+/// one [`StoreTally`] (recording the `store/*` counters into `obs`) and
+/// the records fold as one segment with
+/// [`IncrementalStudy::fold_segment`] at `workers`; after the last
+/// chunk, the partials finish with the tally's Table 2 rows.
+///
+/// Every field is bit-identical to [`Study::run_with_obs`]'s at every
+/// worker count and obs state: the appends are the same reports in the
+/// same order, and the chunks partition the samples, so their folds
+/// merge to the one-segment fold.
+pub fn run_streamed(sim: &VirusTotalSim, workers: usize, obs: &Obs) -> StudyResults {
+    run_streamed_in(sim, STUDY_CHUNK_SAMPLES, workers, obs)
+}
+
+/// [`run_streamed`] at any chunk size.
+fn run_streamed_in(
+    sim: &VirusTotalSim,
+    chunk_samples: u64,
+    workers: usize,
+    obs: &Obs,
+) -> StudyResults {
+    let mut tally = StoreTally::with_obs(&StoreObs::new(obs));
+    let mut study =
+        IncrementalStudy::new(sim.fleet(), sim.config().window_start()).with_workers(workers);
+    generate_chunks_of(sim, chunk_samples, workers, obs, |chunk| {
+        for record in chunk {
+            tally.append_batch(&record.reports);
+        }
+        study.fold_segment(chunk, obs);
+    });
+    study.results(tally.partition_stats(), obs)
+}
+
+/// A generated dataset plus the machinery to analyze it: the whole-feed
+/// route, holding every record. `vtld study` runs [`run_streamed`]
+/// instead; this stays public as the oracle the tests compare the
+/// streamed study, the serve tier and the zero-copy routes against, and
+/// because the benchmark's traced pass times its steps
+/// ([`generate_with_workers`](Self::generate_with_workers),
+/// [`build_store`](Self::build_store), [`analyze_records_obs`]) one by
+/// one.
 #[derive(Debug)]
 pub struct Study {
     sim: VirusTotalSim,
@@ -115,29 +235,12 @@ impl Study {
         Self::generate_with_workers(config, par::default_workers())
     }
 
-    /// Generates the dataset with an explicit worker count.
+    /// Generates the dataset with an explicit worker count. Generation
+    /// is deterministic per sample ordinal, so the records are identical
+    /// at every worker count.
     pub fn generate_with_workers(config: SimConfig, workers: usize) -> Self {
-        Self::generate_with_workers_obs(config, workers, Obs::noop())
-    }
-
-    /// [`generate_with_workers`](Self::generate_with_workers) with
-    /// per-worker instrumentation under the `generate` kernel and a
-    /// `pipeline/generate` span. Generation is deterministic per sample
-    /// ordinal, so the records are identical at every worker count and
-    /// whether or not `obs` is enabled.
-    pub fn generate_with_workers_obs(config: SimConfig, workers: usize, obs: &Obs) -> Self {
-        let _span = obs.span("pipeline/generate");
         let sim = VirusTotalSim::new(config);
-        let ranges = par::partition_ranges(config.samples, workers);
-        let parts = par::map_ranges_obs(&ranges, obs, "generate", |_, range| {
-            sim.trajectories_in(range)
-                .map(|(meta, reports)| SampleRecord::new(meta, reports))
-                .collect::<Vec<_>>()
-        });
-        let mut records = Vec::with_capacity(config.samples as usize);
-        for part in parts {
-            records.extend(part);
-        }
+        let records = generate_range(&sim, 0..config.samples, workers, Obs::noop());
         Self { sim, records }
     }
 
@@ -151,7 +254,9 @@ impl Study {
         &self.sim
     }
 
-    /// Loads every report into a fresh, sealed report store.
+    /// Loads every report into a fresh, sealed report store: the whole
+    /// feed's blocks at once. The oracle for `vtld simulate`'s bytes,
+    /// which it builds chunk by chunk.
     pub fn build_store(&self) -> ReportStore {
         self.build_store_obs(Obs::noop())
     }
@@ -224,6 +329,10 @@ pub fn analyze_records(
 /// `pipeline/freshdyn` span, then folds the whole record set through the
 /// stage roster as one segment and finishes it under `pipeline/finish`.
 /// Analysis outputs never depend on `obs` or `workers`.
+///
+/// No command runs it: it is the one-segment oracle the chunked and
+/// segmented folds are tested against, and the benchmark's traced pass
+/// times it beside its parts.
 pub fn analyze_records_obs(
     records: &[SampleRecord],
     partitions: Vec<PartitionStats>,
@@ -261,15 +370,18 @@ mod tests {
         for (x, y) in a.records().iter().zip(b.records()) {
             assert_eq!(x, y);
         }
-        // Instrumented generation produces the same records and leaves
-        // a per-worker busy-time trail.
+        // Chunked, instrumented generation concatenates to the same
+        // records and leaves a per-worker busy-time trail per chunk.
         let obs = Obs::new();
-        let c = Study::generate_with_workers_obs(config, 4, &obs);
-        assert_eq!(a.records(), c.records());
+        let mut chunked = Vec::new();
+        generate_chunks_of(a.sim(), 200, 4, &obs, |chunk| {
+            chunked.extend_from_slice(chunk)
+        });
+        assert_eq!(a.records(), &chunked[..]);
         let m = obs.snapshot();
-        assert_eq!(m.counter("par/generate/invocations"), Some(1));
+        assert_eq!(m.counter("par/generate/invocations"), Some(3));
         assert!(m.histogram("par/generate/worker_busy_ns").is_some());
-        assert_eq!(m.span("pipeline/generate").map(|s| s.count), Some(1));
+        assert_eq!(m.span("pipeline/generate").map(|s| s.count), Some(3));
     }
 
     #[test]
@@ -287,6 +399,65 @@ mod tests {
             .expect("some sample has 3+ reports");
         let from_store = store.sample_reports(rec.meta.hash);
         assert_eq!(from_store, rec.reports);
+    }
+
+    /// Asserts two studies' results are bit-identical: every field by
+    /// its Debug fingerprint, the correlation ρ matrices additionally
+    /// by f64 bit pattern (Debug would collapse distinct NaN payloads).
+    fn assert_bit_identical(a: &StudyResults, b: &StudyResults, label: &str) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+        let pairs = std::iter::once(&a.correlation_global)
+            .chain(&a.correlation_per_type)
+            .zip(std::iter::once(&b.correlation_global).chain(&b.correlation_per_type));
+        for (x, y) in pairs {
+            assert_eq!(x.rho.len(), y.rho.len(), "{label}");
+            for (p, q) in x.rho.iter().zip(&y.rho) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{label}");
+            }
+        }
+    }
+
+    /// The streamed study is the whole-feed one: on three feeds (the
+    /// stormy one fires the outage, timeout and glitch branches), at
+    /// workers 1/2/8 and at chunk sizes from one sample to past the
+    /// feed, the results are `Study::run_with_obs`'s, Table 2 included,
+    /// and the generate, table and fold kernels each run once a chunk.
+    /// The rendered report is compared too, in the facade's
+    /// `tests/observability.rs` (rendering lives downstream).
+    #[test]
+    fn streamed_study_is_the_batch_study() {
+        const N: u64 = 2_000;
+        let mut stormy = SimConfig::new(21, N);
+        stormy.fleet.timeout_mult = 30.0;
+        stormy.fleet.outage_mult = 30.0;
+        stormy.fleet.glitch_rate = 1e-3;
+        for config in [SimConfig::new(7, N), SimConfig::new(4269, N), stormy] {
+            let seed = config.seed;
+            let batch = Study::generate_with_workers(config, 2).run_with_obs(2, Obs::noop());
+            assert!(batch.s_samples > 0, "seed {seed} too small to exercise S");
+            let sim = VirusTotalSim::new(config);
+            for chunk in [1, 7, STUDY_CHUNK_SAMPLES, N, N + 1] {
+                // A one-sample chunk is one range at any worker count
+                // (`par::partition_ranges` caps the split at the chunk
+                // length), so workers 2 and 8 would rerun workers 1's
+                // path 2 000 times.
+                let grid: &[usize] = if chunk == 1 { &[1] } else { &[1, 2, 8] };
+                for &workers in grid {
+                    let obs = Obs::new();
+                    let streamed = run_streamed_in(&sim, chunk, workers, &obs);
+                    let label = format!("seed={seed} chunk={chunk} workers={workers}");
+                    assert_bit_identical(&batch, &streamed, &label);
+                    let m = obs.snapshot();
+                    for kernel in ["generate", "table_build", "fold"] {
+                        assert_eq!(
+                            m.counter(&format!("par/{kernel}/invocations")),
+                            Some(N.div_ceil(chunk)),
+                            "{label}: {kernel}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -382,9 +553,7 @@ mod tests {
 
     /// Acceptance gate for the columnar pipeline: on two seeded
     /// studies, the complete [`StudyResults`] is bit-identical at
-    /// workers 1, 2 and 8 — every field via its Debug fingerprint, the
-    /// correlation ρ matrices additionally by f64 bit pattern (Debug
-    /// would collapse distinct NaN payloads).
+    /// workers 1, 2 and 8.
     #[test]
     fn pipeline_results_are_bit_identical_at_every_worker_count() {
         for seed in [0xBEA7u64, 0x1D1E5] {
@@ -402,26 +571,9 @@ mod tests {
             };
             let base = run(1);
             assert!(base.s_samples > 0, "seed {seed:#x} too small to exercise S");
-            let base_dbg = format!("{base:?}");
             for workers in [2usize, 8] {
-                let other = run(workers);
-                assert_eq!(
-                    base_dbg,
-                    format!("{other:?}"),
-                    "seed={seed:#x} workers={workers}"
-                );
-                let pairs = std::iter::once(&base.correlation_global)
-                    .chain(&base.correlation_per_type)
-                    .zip(
-                        std::iter::once(&other.correlation_global)
-                            .chain(&other.correlation_per_type),
-                    );
-                for (a, b) in pairs {
-                    assert_eq!(a.rho.len(), b.rho.len());
-                    for (x, y) in a.rho.iter().zip(&b.rho) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "seed={seed:#x} workers={workers}");
-                    }
-                }
+                let label = format!("seed={seed:#x} workers={workers}");
+                assert_bit_identical(&base, &run(workers), &label);
             }
         }
     }

@@ -15,6 +15,7 @@
 //!   path, [`StoreBuilder::seal`] moves it into a read-only
 //!   [`ReportStore`] (bulk iteration, grouping, and a per-sample gather
 //!   that is a scan — the store keeps no per-sample index).
+//!   [`StoreTally`] is a builder that keeps only Table 2's counts.
 //!   [`group_reports`] is the one grouping, with or without a store.
 //! * [`dataset`] — dataset-overview statistics: file-type distribution
 //!   (Table 3), reports-per-sample CDF (Fig. 1), monthly volumes
@@ -73,4 +74,4 @@ pub use persist::{
 pub use replay_log::ReplayLog;
 pub use segdir::{write_durable, DurableWriter, Replay, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_into, write_segment, Segment, SegmentWriter};
-pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs};
+pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs, StoreTally};

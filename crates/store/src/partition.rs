@@ -39,31 +39,33 @@ impl PartitionStats {
 
 /// One month of reports: sealed blocks plus one open builder (empty
 /// once the owning store is sealed or was loaded).
+///
+/// Reports are counted as they append, and each block's bytes are
+/// booked when it seals, so the accounting never re-reads `blocks`, and
+/// the payloads can be dropped once booked
+/// ([`drop_sealed`](Self::drop_sealed)) without moving a number of
+/// Table 2.
 #[derive(Debug)]
 pub(crate) struct Partition {
     month: Option<Month>,
     blocks: Vec<Block>,
     open: BlockBuilder,
     reports: u64,
+    sealed_blocks: u64,
+    sealed_bytes: u64,
 }
 
 impl Partition {
     /// Creates an empty partition for `month` (`None` = catch-all for
     /// reports outside the collection window).
     pub fn new(month: Option<Month>) -> Self {
-        Self {
-            month,
-            blocks: Vec::new(),
-            open: BlockBuilder::new(),
-            reports: 0,
-        }
+        Self::from_blocks(month, Vec::new())
     }
 
     /// Appends a report, rolling the open block at capacity.
     pub fn append(&mut self, report: &ScanReport) {
         if self.open.is_full() {
-            let block = self.open.seal();
-            self.blocks.push(block);
+            self.seal_open();
         }
         self.open.push(report);
         self.reports += 1;
@@ -73,14 +75,31 @@ impl Partition {
     /// in an immutable block.
     pub fn seal(&mut self) {
         if !self.open.is_empty() {
-            let block = self.open.seal();
-            self.blocks.push(block);
+            self.seal_open();
         }
     }
 
-    /// The sealed blocks.
+    fn seal_open(&mut self) {
+        let block = self.open.seal();
+        self.sealed_blocks += 1;
+        self.sealed_bytes += block.byte_len() as u64;
+        self.blocks.push(block);
+    }
+
+    /// Drops the payloads of the blocks sealed so far; their counts stay
+    /// booked, so [`stats`](Self::stats) does not move.
+    pub fn drop_sealed(&mut self) {
+        self.blocks.clear();
+    }
+
+    /// The sealed blocks still held.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
+    }
+
+    /// Blocks sealed so far, held or dropped.
+    pub fn sealed_blocks(&self) -> u64 {
+        self.sealed_blocks
     }
 
     /// The partition's month (`None` = catch-all).
@@ -90,24 +109,23 @@ impl Partition {
 
     /// Rebuilds a sealed partition from persisted blocks.
     pub fn from_blocks(month: Option<Month>, blocks: Vec<Block>) -> Self {
-        let reports = blocks.iter().map(|b| b.len() as u64).sum();
         Self {
             month,
+            reports: blocks.iter().map(|b| b.len() as u64).sum(),
+            sealed_blocks: blocks.len() as u64,
+            sealed_bytes: blocks.iter().map(|b| b.byte_len() as u64).sum(),
             blocks,
             open: BlockBuilder::new(),
-            reports,
         }
     }
 
     /// Accounting for this partition.
     pub fn stats(&self) -> PartitionStats {
-        let stored: u64 = self.blocks.iter().map(|b| b.byte_len() as u64).sum::<u64>()
-            + self.open.byte_len() as u64;
         PartitionStats {
             month: self.month,
             reports: self.reports,
             raw_bytes: self.reports * RAW_REPORT_BYTES,
-            stored_bytes: stored,
+            stored_bytes: self.sealed_bytes + self.open.byte_len() as u64,
         }
     }
 
@@ -172,6 +190,25 @@ mod tests {
         assert_eq!(p.len(), 0);
         assert_eq!(s.reports, 0);
         assert_eq!(s.compression_ratio(), 1.0);
+    }
+
+    #[test]
+    fn dropping_sealed_payloads_keeps_the_accounting() {
+        let mut kept = Partition::new(None);
+        let mut dropped = Partition::new(None);
+        for i in 0..(BLOCK_CAPACITY as u64 * 3 + 7) {
+            kept.append(&report(i));
+            dropped.append(&report(i));
+            dropped.drop_sealed();
+            assert_eq!(dropped.stats(), kept.stats());
+        }
+        kept.seal();
+        dropped.seal();
+        assert_eq!(dropped.stats(), kept.stats());
+        assert_eq!(dropped.sealed_blocks(), kept.blocks().len() as u64);
+        assert_eq!(dropped.blocks().len(), 1, "only the last seal is held");
+        let stored: usize = kept.blocks().iter().map(Block::byte_len).sum();
+        assert_eq!(kept.stats().stored_bytes, stored as u64);
     }
 
     #[test]

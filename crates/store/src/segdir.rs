@@ -382,7 +382,8 @@ impl DurableWriter {
 /// truncated and reused.
 ///
 /// The crate's one durable write: segments, the manifest, the feed
-/// record and `vtld simulate --out` all go through it.
+/// record, `vtld simulate --out`, `--metrics-out` and every `--csv-dir`
+/// file all go through it.
 pub fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if path.file_name().is_none() {
         return Err(io::Error::new(

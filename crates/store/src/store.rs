@@ -222,6 +222,16 @@ impl StoreBuilder {
     /// builder.append_batch(&[]); // error[E0382]: borrow of moved value
     /// ```
     pub fn seal(mut self) -> ReportStore {
+        self.seal_partitions();
+        ReportStore {
+            partitions: self.partitions,
+            obs: self.obs,
+        }
+    }
+
+    /// Seals every partition's open block and sets the `store/sealed_*`
+    /// gauges from the partitions' booked counts.
+    fn seal_partitions(&mut self) {
         for p in &mut self.partitions {
             p.seal();
         }
@@ -230,15 +240,56 @@ impl StoreBuilder {
             let mut blocks = 0u64;
             for p in &self.partitions {
                 bytes += p.stats().stored_bytes;
-                blocks += p.blocks().len() as u64;
+                blocks += p.sealed_blocks();
             }
             self.obs.sealed_bytes.set_max(bytes);
             self.obs.sealed_blocks.set_max(blocks);
         }
-        ReportStore {
-            partitions: self.partitions,
-            obs: self.obs,
+    }
+}
+
+/// Table 2's accounting without the store: a [`StoreBuilder`] whose
+/// sealed blocks are dropped as soon as their counts are booked, so it
+/// holds at most one open block per partition however many reports
+/// pass through. It appends exactly as the builder does — same
+/// encodes, same `store/*` counters and gauges — and its only output
+/// is the builder's [`ReportStore::partition_stats`], so a builder that
+/// dropped blocks can never become a store.
+///
+/// ```
+/// use vt_store::{StoreBuilder, StoreTally};
+///
+/// let tally = StoreTally::default();
+/// assert_eq!(tally.partition_stats(), StoreBuilder::new().seal().partition_stats());
+/// ```
+#[derive(Debug, Default)]
+pub struct StoreTally {
+    builder: StoreBuilder,
+}
+
+impl StoreTally {
+    /// An empty tally recording into `obs` as [`StoreBuilder::with_obs`]
+    /// does.
+    pub fn with_obs(obs: &StoreObs) -> Self {
+        Self {
+            builder: StoreBuilder::with_obs(obs),
         }
+    }
+
+    /// Appends a batch, in order, and drops any block it sealed.
+    pub fn append_batch(&mut self, reports: &[ScanReport]) {
+        self.builder.append_batch(reports);
+        for p in &mut self.builder.partitions {
+            p.drop_sealed();
+        }
+    }
+
+    /// Seals the open blocks and returns the per-partition statistics,
+    /// in window order (catch-all last): what the sealed store's
+    /// [`ReportStore::partition_stats`] would have returned.
+    pub fn partition_stats(mut self) -> Vec<PartitionStats> {
+        self.builder.seal_partitions();
+        self.builder.partitions.iter().map(|p| p.stats()).collect()
     }
 }
 
@@ -674,6 +725,58 @@ mod tests {
                         prop_assert_eq!(store.sample_reports(hash), want);
                     }
                 }
+            }
+        }
+
+        proptest! {
+            // Each case encodes three to six blocks' worth of reports
+            // twice; Miri pays ~100× a report.
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 16 }))]
+
+            /// A tally's stats are the sealed store's, whatever it
+            /// dropped: three partitions — two window months and the
+            /// catch-all — each cross a block's capacity one to two
+            /// times, interleaved with random rows in batches of random
+            /// length.
+            #[test]
+            fn a_tally_books_what_a_kept_store_seals(
+                noise in proptest::collection::vec((0u64..12, 0i64..24, 0i64..2), 0..60),
+                months in (0usize..14, 1usize..14, 0usize..7),
+                over in (0usize..BLOCK_CAPACITY, 0usize..BLOCK_CAPACITY, 0usize..BLOCK_CAPACITY),
+                batch in 1usize..700,
+            ) {
+                let window: Vec<Month> = Month::collection_window().collect();
+                let (first, step, outside) = months;
+                let starts = [
+                    window[first].start().0,
+                    window[(first + step) % 14].start().0,
+                    // Slots 0–4 and 22–23 fall outside the window.
+                    [0, 1, 2, 3, 4, 22, 23][outside] * 25 * 1440,
+                ];
+                let mut input: Vec<ScanReport> =
+                    noise.iter().enumerate().map(|(i, &r)| row(i, r)).collect();
+                for (start, over) in starts.into_iter().zip([over.0, over.1, over.2]) {
+                    for i in 0..(BLOCK_CAPACITY + over) as u64 {
+                        let mut r = row(input.len(), (i % 12, 0, (i % 2) as i64));
+                        r.analysis_date = Timestamp(start + r.analysis_date.0);
+                        input.insert((i as usize * 7919) % (input.len() + 1), r);
+                    }
+                }
+                let obs = Obs::new();
+                let mut tally = StoreTally::with_obs(&StoreObs::new(&obs));
+                let mut builder = StoreBuilder::new();
+                for part in input.chunks(batch) {
+                    tally.append_batch(part);
+                    builder.append_batch(part);
+                }
+                let store = builder.seal();
+                prop_assert!(store.partitions().iter().filter(|p| p.blocks().len() > 1).count() >= 3);
+                prop_assert!(store.partition_stats()[14].reports > BLOCK_CAPACITY as u64);
+                prop_assert_eq!(tally.partition_stats(), store.partition_stats());
+                let m = obs.snapshot();
+                prop_assert_eq!(m.counter("store/encoded_reports"), Some(input.len() as u64));
+                let blocks: usize = store.partitions().iter().map(|p| p.blocks().len()).sum();
+                prop_assert_eq!(m.gauge("store/sealed_blocks"), Some(blocks as u64));
             }
         }
     }

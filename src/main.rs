@@ -41,6 +41,11 @@
 //! table on stderr. Either flag enables instrumentation; without them
 //! the pipeline runs with the no-op [`Obs`] and pays nothing.
 //!
+//! `study` holds one chunk of the feed at a time: it generates, tallies
+//! Table 2 and folds the samples chunk by chunk
+//! (`pipeline::run_streamed`), and `simulate` generates through the same
+//! chunks into the one store it writes.
+//!
 //! The analyze path reconstructs sample metadata purely from the stored
 //! reports — the same situation the paper faced. The file is read once,
 //! strictly, and the read's integrity decode lands in the decode arena
@@ -57,14 +62,14 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use vt_label_dynamics::dynamics::{par, DecodeArena, IncrementalStudy, Study};
+use vt_label_dynamics::dynamics::{par, pipeline, DecodeArena, IncrementalStudy};
 use vt_label_dynamics::engines::EngineFleet;
 use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
 use vt_label_dynamics::serve::{ServeConfig, Server, INGEST_SLOTS};
-use vt_label_dynamics::sim::{SimConfig, SimConfigError};
+use vt_label_dynamics::sim::{SimConfig, SimConfigError, VirusTotalSim};
 use vt_label_dynamics::store::{
-    read_store_into, write_durable, write_store, PersistError, StoreObs,
+    read_store_into, write_durable, write_store, PersistError, StoreBuilder, StoreObs,
 };
 
 /// Everything that can go wrong in a `vtld` invocation, typed by layer:
@@ -310,7 +315,7 @@ impl ObsArgs {
         }
         let metrics = obs.snapshot();
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, metrics.to_json())
+            write_durable(Path::new(path), metrics.to_json().as_bytes())
                 .map_err(io_err(format!("cannot write {path}")))?;
             eprintln!("wrote metrics to {path}");
         }
@@ -489,7 +494,8 @@ fn parse_serve(args: &[String]) -> Result<ServeConfig, VtldError> {
 
 // ---- subcommand bodies -------------------------------------------------
 
-/// Writes every figure's data series into `dir` as CSV files.
+/// Writes every figure's data series into `dir` as CSV files, each
+/// replaced whole or not at all.
 fn write_csvs(
     dir: &str,
     results: &vt_label_dynamics::dynamics::StudyResults,
@@ -499,8 +505,8 @@ fn write_csvs(
     let files = vt_label_dynamics::report::export_csv(results, fleet);
     let n = files.len();
     for (name, contents) in files {
-        let path = std::path::Path::new(dir).join(name);
-        std::fs::write(&path, contents)
+        let path = Path::new(dir).join(name);
+        write_durable(&path, contents.as_bytes())
             .map_err(io_err(format!("cannot write {}", path.display())))?;
     }
     eprintln!("wrote {n} CSV files to {dir}");
@@ -512,8 +518,16 @@ fn cmd_simulate(args: SimulateArgs) -> Result<(), VtldError> {
     let config = SimConfig::builder().seed(seed).samples(samples).build()?;
 
     eprintln!("simulating {samples} samples (seed {seed:#x})...");
-    let study = Study::generate(config);
-    let store = study.build_store();
+    // The feed is generated a chunk at a time; the store keeps every
+    // block, because it is what gets written.
+    let sim = VirusTotalSim::new(config);
+    let mut builder = StoreBuilder::new();
+    pipeline::generate_chunks(&sim, par::default_workers(), Obs::noop(), |chunk| {
+        for record in chunk {
+            builder.append_batch(&record.reports);
+        }
+    });
+    let store = builder.seal();
     let mut bytes = Vec::new();
     write_store(&store, &mut bytes).map_err(io_err("write failed"))?;
     // Replace `out` whole or not at all: a failed or interrupted write
@@ -524,7 +538,7 @@ fn cmd_simulate(args: SimulateArgs) -> Result<(), VtldError> {
     println!(
         "wrote {} reports / {} samples to {out} ({:.2} MB packed)",
         store.report_count(),
-        study.records().len(),
+        samples,
         bytes as f64 / 1e6
     );
     println!(
@@ -571,11 +585,11 @@ fn cmd_study(args: StudyArgs) -> Result<(), VtldError> {
         "simulating {} samples (seed {:#x})...",
         args.samples, args.seed
     );
-    let study = Study::generate_with_workers_obs(config, args.workers, &obs);
-    let results = study.run_with_obs(args.workers, &obs);
-    println!("{}", render_full_report(&results, study.sim().fleet()));
+    let sim = VirusTotalSim::new(config);
+    let results = pipeline::run_streamed(&sim, args.workers, &obs);
+    println!("{}", render_full_report(&results, sim.fleet()));
     if let Some(dir) = &args.csv_dir {
-        write_csvs(dir, &results, study.sim().fleet())?;
+        write_csvs(dir, &results, sim.fleet())?;
     }
     args.obs.emit(&obs)
 }
@@ -594,6 +608,7 @@ fn cmd_serve(config: ServeConfig) -> Result<(), VtldError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vt_label_dynamics::dynamics::Study;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -891,6 +906,61 @@ mod tests {
             "{err}"
         );
         assert_eq!(std::fs::read(&out).expect("read out"), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `--metrics-out` and every `--csv-dir` file are written through
+    /// `write_durable` too: a write that cannot happen is a typed error
+    /// and leaves the file already there byte for byte.
+    #[test]
+    fn a_failed_metrics_or_csv_write_leaves_the_old_file() {
+        let dir = scratch("report-failed-write");
+        let metrics = dir.join("metrics.json");
+        let obs_args = ObsArgs {
+            metrics_out: Some(metrics.to_str().expect("utf-8").into()),
+            verbose: false,
+        };
+        let obs = obs_args.obs();
+        obs.counter("run/marker").add(1);
+        obs_args.emit(&obs).expect("first emit");
+        let before = std::fs::read(&metrics).expect("read metrics");
+        obs.counter("run/marker").add(1);
+        std::fs::create_dir(dir.join("metrics.json.tmp")).expect("tmp as a directory");
+        let err = obs_args
+            .emit(&obs)
+            .expect_err("the tmp path is a directory");
+        assert!(matches!(err, VtldError::Io { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", metrics.display())),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&metrics).expect("read metrics"), before);
+
+        let config = SimConfig::builder()
+            .seed(7)
+            .samples(200)
+            .build()
+            .expect("config");
+        let sim = VirusTotalSim::new(config);
+        let results = pipeline::run_streamed(&sim, 1, Obs::noop());
+        let csv = dir.join("csv");
+        let csv_dir = csv.to_str().expect("utf-8");
+        write_csvs(csv_dir, &results, sim.fleet()).expect("first export");
+        let files = vt_label_dynamics::report::export_csv(&results, sim.fleet());
+        let (name, _) = files.last().expect("some CSV file");
+        let target = csv.join(name);
+        std::fs::write(&target, b"older export").expect("overwrite");
+        std::fs::create_dir(csv.join(format!("{name}.tmp"))).expect("tmp as a directory");
+        let err =
+            write_csvs(csv_dir, &results, sim.fleet()).expect_err("the tmp path is a directory");
+        assert!(matches!(err, VtldError::Io { .. }), "{err:?}");
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", target.display())),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&target).expect("read csv"), b"older export");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

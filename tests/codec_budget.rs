@@ -1,12 +1,12 @@
 //! DESIGN.md §2.5's table as a test: how many times a report crosses
 //! the codec on each path, counted by the program itself.
 //!
-//! | path                         | encodes | decodes |
-//! |------------------------------|---------|---------|
-//! | `Study::run_with_obs`        | 1       | 0       |
-//! | `vtld analyze`               | 0       | 1       |
-//! | durable `Server`, live       | 1       | 1       |
-//! | the same directory, recover  | 0       | 2       |
+//! | path                          | encodes | decodes |
+//! |-------------------------------|---------|---------|
+//! | `vtld study` (`run_streamed`) | 1       | 0       |
+//! | `vtld analyze`                | 0       | 1       |
+//! | durable `Server`, live        | 1       | 1       |
+//! | the same directory, recover   | 0       | 2       |
 //!
 //! Every report encode and every block decode in `vt-store` lands on
 //! `store/encoded_reports` / `store/decoded_reports` when handles are
@@ -17,6 +17,7 @@
 mod common;
 
 use common::{ask, await_ingest_done};
+use vt_label_dynamics::dynamics::run_streamed;
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
 
@@ -58,11 +59,13 @@ fn served_counters(config: ServeConfig) -> json::Value {
         .clone()
 }
 
+/// The entry `vtld study` runs: every report is encoded once, into the
+/// Table 2 tally, and never decoded.
 #[test]
 fn study_encodes_once_and_never_decodes() {
     let obs = Obs::new();
-    let study = Study::generate_with_workers(SimConfig::new(SEED, SAMPLES), 2);
-    let results = study.run_with_obs(2, &obs);
+    let sim = VirusTotalSim::new(SimConfig::new(SEED, SAMPLES));
+    let results = run_streamed(&sim, 2, &obs);
     let metrics = json::parse(&obs.snapshot().to_json()).expect("metrics json");
     assert_budget(
         "study",

@@ -3,8 +3,9 @@
 //! must never change a single analysis bit — and an instrumented run's
 //! `metrics.json` must actually cover the whole pipeline.
 
-use vt_label_dynamics::dynamics::{pipeline, Study};
+use vt_label_dynamics::dynamics::{pipeline, Study, STUDY_CHUNK_SAMPLES};
 use vt_label_dynamics::obs::{json, Obs};
+use vt_label_dynamics::report::experiments::render_full_report;
 use vt_label_dynamics::sim::SimConfig;
 
 const SEED: u64 = 0x0B5E;
@@ -226,5 +227,70 @@ fn study_report_is_identical_with_and_without_metrics_out() {
             ("generate", Some(1)),
             ("table_build", Some(1))
         ]
+    );
+}
+
+/// The same at `2 · STUDY_CHUNK_SAMPLES + 1` samples, where `vtld study`
+/// walks three chunks: stdout is identical with and without
+/// `--metrics-out` and is the whole-feed study's rendered report, each
+/// parallel phase is entered once a chunk, and the chunk's table is
+/// booked in `mem/table_bytes`.
+#[test]
+fn study_report_across_chunks_is_identical_with_and_without_metrics_out() {
+    let samples = 2 * STUDY_CHUNK_SAMPLES + 1;
+    let study = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vtld"))
+            .args(["study", "--seed", "7", "--workers", "2", "--samples"])
+            .arg(samples.to_string())
+            .args(extra)
+            .output()
+            .expect("vtld study runs");
+        assert!(out.status.success(), "vtld study failed: {out:?}");
+        out.stdout
+    };
+    let metrics =
+        std::env::temp_dir().join(format!("vtld-study-chunks-{}.json", std::process::id()));
+    let plain = study(&[]);
+    let observed = study(&["--metrics-out", metrics.to_str().expect("utf-8 temp path")]);
+    let written = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let _ = std::fs::remove_file(&metrics);
+    assert!(
+        plain == observed,
+        "--metrics-out changed the printed report"
+    );
+    let whole = Study::generate_with_workers(SimConfig::new(7, samples), 2);
+    let report = render_full_report(&whole.run_with_obs(2, Obs::noop()), whole.sim().fleet());
+    assert!(
+        plain == format!("{report}\n").into_bytes(),
+        "the chunked study printed another report than the whole-feed one"
+    );
+    let parsed = json::parse(&written).expect("metrics.json must be valid JSON");
+    let counters = parsed.get("counters").expect("counters section");
+    // Still three parallel phases, now entered once a chunk.
+    let mut kernels: Vec<(&str, Option<u64>)> = counters
+        .as_object()
+        .expect("counters object")
+        .iter()
+        .filter_map(|(name, v)| {
+            let kernel = name.strip_prefix("par/")?.strip_suffix("/invocations")?;
+            Some((kernel, v.as_u64()))
+        })
+        .collect();
+    kernels.sort_unstable();
+    assert_eq!(
+        kernels,
+        [
+            ("fold", Some(3)),
+            ("generate", Some(3)),
+            ("table_build", Some(3))
+        ]
+    );
+    let gauges = parsed.get("gauges").expect("gauges section");
+    assert!(
+        gauges
+            .get("mem/table_bytes")
+            .and_then(|v| v.as_u64())
+            .is_some_and(|b| b > 0),
+        "{gauges:?}"
     );
 }

@@ -1,9 +1,11 @@
 //! DESIGN.md §2.6's work budget as a test: what `vtld analyze`'s fold
-//! costs in heap, counted by a test-only global allocator.
+//! and `vtld study` cost in heap, counted by a test-only global
+//! allocator.
 //!
-//! The flow is `cmd_analyze`'s at workers 1 — a strict read of a store
-//! file into the decode arena, the compressed blocks dropped, one
-//! `fold_arena`, `results` — over a fixed seed. Two numbers are gated:
+//! The analyze flow is `cmd_analyze`'s at workers 1 — a strict read of
+//! a store file into the decode arena, the compressed blocks dropped,
+//! one `fold_arena`, `results` — over a fixed seed. Two numbers are
+//! gated:
 //!
 //! * the peak of live heap bytes over the flow, per report;
 //! * the allocations one table build makes (`build_from_arena`), a
@@ -11,10 +13,18 @@
 //!
 //! Both `heap_bytes()` estimators are checked against the allocator:
 //! the bytes a column structure holds are exactly its live bytes.
+//!
+//! The study flow is `cmd_study`'s at workers 1 (`run_streamed`), at
+//! two feed sizes: its peak live heap is one chunk's, so the two peaks
+//! differ by at most a constant.
+//!
+//! The counters are process-wide, so the tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use vt_label_dynamics::dynamics::{run_streamed, STUDY_CHUNK_SAMPLES};
 use vt_label_dynamics::model::time::Month;
 use vt_label_dynamics::prelude::*;
 use vt_label_dynamics::store::{read_store_into, PartitionStats, StoreObs};
@@ -74,6 +84,10 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// Held by each test for its whole run: a peak read while another test
+/// allocates would be that test's too.
+static TURN: Mutex<()> = Mutex::new(());
+
 const SEED: u64 = 7;
 const SAMPLES: u64 = 20_000;
 
@@ -103,6 +117,7 @@ const FOLD_PER_REPORT: usize = 48;
 
 #[test]
 fn analyze_heap_fits_its_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let path =
         std::env::temp_dir().join(format!("vtld-work-budget-{}.vtstore", std::process::id()));
     {
@@ -166,4 +181,43 @@ fn analyze_heap_fits_its_budget() {
          table at once, and at most {FOLD_PER_REPORT} B a report beside them ({budget} B)"
     );
     assert_eq!(allocs, TABLE_BUILD_ALLOCS, "allocations in one table build");
+}
+
+/// The study's feed sizes: 20 000 samples is three chunks, 80 000 ten.
+const STUDY_SAMPLES: [u64; 2] = [20_000, 80_000];
+
+/// How far apart the two study peaks may be, in bytes. What the study
+/// holds past a chunk is the merged partials, and the one of their
+/// members that grows with the feed is stability's span maps: a key per
+/// distinct stable span in minutes, bounded by the window, not by the
+/// samples (155 KB between the two sizes at seed 7). A chunk is ~5 MB.
+const STUDY_PEAK_SPREAD: usize = 256 << 10;
+
+#[test]
+fn study_heap_is_one_chunk_at_any_feed_size() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let peaks = STUDY_SAMPLES.map(|samples| {
+        let sim = VirusTotalSim::new(SimConfig::new(SEED, samples));
+        let base = live();
+        PEAK.store(base, Ordering::Relaxed);
+        let results = run_streamed(&sim, 1, Obs::noop());
+        let peak = PEAK.load(Ordering::Relaxed) - base;
+        assert_eq!(results.dataset.total_samples(), samples);
+        println!(
+            "work budget: study at {samples} samples ({} chunks of {STUDY_CHUNK_SAMPLES}); \
+             peak {peak} B = {:.1} B/sample",
+            samples.div_ceil(STUDY_CHUNK_SAMPLES),
+            peak as f64 / samples as f64,
+        );
+        peak
+    });
+    assert!(
+        peaks[0].abs_diff(peaks[1]) <= STUDY_PEAK_SPREAD,
+        "study peak live heap {} B at {} samples and {} B at {}: one chunk's, so within \
+         {STUDY_PEAK_SPREAD} B of each other",
+        peaks[0],
+        STUDY_SAMPLES[0],
+        peaks[1],
+        STUDY_SAMPLES[1],
+    );
 }

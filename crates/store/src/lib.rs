@@ -33,11 +33,12 @@
 //!   ([`read_segment_into`]), so the incremental pipeline folds
 //!   O(segment) work per seal instead of recomputing the monolith.
 //! * [`segdir`] — the serve tier's write-ahead log: a directory of
-//!   durably persisted segments ([`DurableWriter`] fsyncs file and
-//!   directory before a seal is visible) with a crash-recovery scan
+//!   durably persisted segments ([`SegmentDir::persist`] fsyncs file
+//!   and directory; a writer persists each segment it seals before
+//!   anything downstream sees it) with a crash-recovery scan
 //!   ([`SegmentDir::replay_each`]) that hands over each slot's clean
 //!   prefix — files the strict reader accepts whole — one segment at a
-//!   time, and quarantines the rest.
+//!   time, quarantines the rest, and returns the samples it covered.
 //!
 //! A layer hands its neighbour what it already holds: a report is
 //! encoded once and decoded once on the batch and live-ingest paths
@@ -72,6 +73,6 @@ pub use persist::{
     PersistError, RecoveryReport, SalvageLabel,
 };
 pub use replay_log::ReplayLog;
-pub use segdir::{write_durable, DurableWriter, Replay, SegmentDir, SegmentFile};
+pub use segdir::{write_durable, SegmentDir, SegmentFile};
 pub use segment::{read_segment, read_segment_into, write_segment, Segment, SegmentWriter};
 pub use store::{group_reports, ReportStore, StoreBuilder, StoreError, StoreObs, StoreTally};

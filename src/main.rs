@@ -785,7 +785,7 @@ mod tests {
     fn serve_start_failures_name_their_cause() {
         use vt_label_dynamics::model::time::{Date, Timestamp};
         use vt_label_dynamics::model::{FileType, ReportKind, SampleHash, ScanReport, VerdictVec};
-        use vt_label_dynamics::store::{DurableWriter, SegmentDir};
+        use vt_label_dynamics::store::{SegmentDir, SegmentWriter};
 
         let start = |flag: &str, value: &str| {
             let args = strings(&["--samples", "10", flag, value]);
@@ -824,10 +824,9 @@ mod tests {
             kind: ReportKind::Upload,
             verdicts: VerdictVec::new(70),
         };
-        let sealed = DurableWriter::new(dir, 0, 1, 0)
-            .push_sample(&[report])
-            .expect("durable push");
-        assert!(sealed.is_some(), "one report fills a one-report segment");
+        let sealed = SegmentWriter::new(1).push_sample(&[report]);
+        let sealed = sealed.expect("one report fills a one-report segment");
+        dir.persist(0, &sealed).expect("persist");
         let msg = start("--data-dir", used.to_str().expect("utf-8"));
         assert_eq!(
             msg,

@@ -31,6 +31,7 @@
 //! knows how slots are merged or published, or where alerts go.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
@@ -80,6 +81,8 @@ pub(super) struct FoldCtx {
     /// render with this one list — a pure function of the fleet, so
     /// every rendering of an engine agrees byte for byte.
     pub(super) roster: Arc<Vec<String>>,
+    /// Sealed segments handed to a shard queue and not yet taken off it.
+    queued: AtomicU64,
 }
 
 impl FoldCtx {
@@ -92,7 +95,23 @@ impl FoldCtx {
         Self {
             roster: Arc::new(roster),
             ingest,
+            queued: AtomicU64::new(0),
         }
+    }
+
+    /// A segment is about to enter a shard queue: count it, and raise
+    /// the `serve/queue_depth` high-water mark. Called before the send,
+    /// so the worker's [`dequeued`](Self::dequeued) can never come first.
+    pub(super) fn enqueued(&self) {
+        let depth = self.queued.fetch_add(1, Ordering::SeqCst) + 1;
+        self.ingest.counters.queue_depth.set_max(depth);
+    }
+
+    /// A segment left a shard queue: a worker took it, or its send
+    /// failed.
+    pub(super) fn dequeued(&self) {
+        let was = self.queued.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(was > 0, "a dequeue without its enqueue");
     }
 }
 
@@ -182,7 +201,7 @@ pub(super) fn shard_worker(
         recovered,
     }) = rx.recv()
     {
-        ingest.dequeued();
+        ctx.dequeued();
         let fold = slots
             .entry(slot)
             .or_insert_with(|| SlotFold::new(&ingest.config, &ingest.sim, slot));

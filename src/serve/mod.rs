@@ -12,13 +12,13 @@
 //! conn → render → publish → fold → ingest
 //! ```
 //!
-//! * `ingest` — feed → sealed segments. Simulated chaos feed through
-//!   the collector, hash-routed into [`INGEST_SLOTS`] slot streams; with
-//!   `--data-dir` every segment is fsynced into a
-//!   [`crate::store::SegmentDir`] before it goes anywhere (the segment
-//!   log is the WAL), and `recover` replays that log first, one segment
-//!   at a time into the same queues, so the workers fold while it reads.
-//!   Backpressure, never loss: a full shard queue blocks the feeder.
+//! * `ingest` — feed → sealed segments, handed to a callback. Simulated
+//!   chaos feed through the collector, hash-routed into
+//!   [`INGEST_SLOTS`] slot streams; with `--data-dir` one `seal` step
+//!   fsyncs each segment into a [`crate::store::SegmentDir`] before it
+//!   emits it (the segment log is the WAL), and `recover` replays that
+//!   log first through the same callback, so the workers fold while it
+//!   reads.
 //! * `fold` — segments → slot updates. `shards` workers fold each
 //!   slot's stream into worker-local
 //!   [`crate::dynamics::StudyPartials`], a
@@ -55,6 +55,11 @@
 //! `--alerts-out` / `--alerts-tcp` connectors) and `counters` (the
 //! daemon's one book of `serve/*` registry handles). This file is the
 //! rest: [`ServeConfig`], [`Server`], and the thread wiring.
+//!
+//! No step spawns a thread. [`Server::start`] runs each on its own, the
+//! feeder's callback sending into bounded shard queues (a full one
+//! blocks it: backpressure, never loss); `serve::tests` runs them one
+//! after another on one thread.
 //!
 //! Because every stage's Partial algebra satisfies
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` bit-identically, a daemon
@@ -109,6 +114,10 @@ use crate::store::SegmentDir;
 /// streams. Fixed so a data dir written at one shard count recovers
 /// correctly at another.
 pub const INGEST_SLOTS: usize = 8;
+
+/// Sealed segments allowed in flight per shard worker before the feeder
+/// blocks (the backpressure bound).
+const SHARD_QUEUE_SEGMENTS: usize = 4;
 
 /// Everything `vtld serve` needs to run.
 #[derive(Debug, Clone)]
@@ -319,7 +328,7 @@ impl Server {
         let (merge_tx, merge_rx) = channel::<fold::MergeEvent>();
         let mut shard_txs = Vec::new();
         for _ in 0..config.shards {
-            let (tx, rx) = sync_channel::<ingest::SegmentMsg>(ingest::SHARD_QUEUE_SEGMENTS);
+            let (tx, rx) = sync_channel::<ingest::SegmentMsg>(SHARD_QUEUE_SEGMENTS);
             shard_txs.push(tx);
             let (d, merge_tx) = (Arc::clone(&daemon), merge_tx.clone());
             threads.push(std::thread::spawn(move || {
@@ -339,9 +348,23 @@ impl Server {
         // thread created after it queues behind it for a scheduler slice.
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
-            let stop = || d.seam.shutdown_requested();
-            if !ingest::run(&d.fold.ingest, &collector, stop, shard_txs, segdir) {
-                d.seam.request_shutdown();
+            let (fold, seam) = (&d.fold, &d.seam);
+            // Hands one sealed segment to its slot's shard worker,
+            // blocking while the bounded queue is full; `false` once the
+            // worker is gone (it panicked), which stops the feeder. The
+            // feeder drops it on return, and with it the senders, which
+            // is what lets the workers drain their queues and exit.
+            let emit = move |msg: ingest::SegmentMsg| {
+                fold.enqueued();
+                let sent = shard_txs[msg.slot % shard_txs.len()].send(msg).is_ok();
+                if !sent {
+                    fold.dequeued();
+                }
+                sent
+            };
+            let stop = || seam.shutdown_requested();
+            if !ingest::run(&fold.ingest, &collector, stop, segdir, emit) {
+                seam.request_shutdown();
             }
         }));
         Ok(Server {

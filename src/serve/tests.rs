@@ -2,19 +2,24 @@
 //! (the names the test floor pins); each layer's newer tests sit in its
 //! own file.
 
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ffi::OsString;
+use std::path::Path;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use super::counters::ServeCounters;
-use super::fold::{FoldCtx, MergeEvent, SlotFold, SlotUpdate};
-use super::ingest::slot_of;
+use super::fold::{shard_worker, FoldCtx, MergeEvent, SlotFold, SlotUpdate};
+use super::ingest::{self, slot_of, SegmentMsg};
 use super::publish::{empty_epoch, merger_loop, PublishCtx, Seam, Snapshot};
 use super::render::{
     json_f64, render_engines, render_fingerprint, render_flip_leaders, render_metrics,
     render_recommend, render_results, render_sample, render_stabilized, render_status,
     study_fingerprint,
 };
-use super::wire::quoted;
+use super::sink::{sink_loop, SinkMsg, Sinks};
+use super::wire::{quoted, render_alert};
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
     merge_partition_stats, par, Collector, CollectorConfig, DecodeArena, IncrementalStudy,
@@ -25,7 +30,7 @@ use crate::model::SampleHash;
 use crate::obs::Obs;
 use crate::sim::fault::{FaultPlan, FaultyFeed};
 use crate::sim::{SimConfig, VirusTotalSim};
-use crate::store::{PartitionStats, Segment, SegmentWriter};
+use crate::store::{PartitionStats, Segment, SegmentDir, SegmentWriter};
 
 #[test]
 fn json_helpers_guard_edge_cases() {
@@ -137,12 +142,21 @@ fn layers_name_only_what_lies_to_their_right() {
                 "sink::",
             ],
         ),
-        // The feeder streams the replay; the collected log is the
-        // benchmark's.
+        // The feeder streams the replay (the collected log is the
+        // benchmark's) and emits into a callback: which queue a segment
+        // waits in, and how deep it gets, is the wiring's business.
         (
             "ingest.rs",
             code(include_str!("ingest.rs")),
-            &["Snapshot", "Mutex", "RwLock", ".replay()"],
+            &[
+                "Snapshot",
+                "Mutex",
+                "RwLock",
+                ".replay()",
+                "SyncSender",
+                "sync_channel",
+                "queue_depth",
+            ],
         ),
     ];
     for (file, code, banned) in rules {
@@ -161,6 +175,33 @@ fn layers_name_only_what_lies_to_their_right() {
         publish.matches(".finish(").count() == 1 && accessor.contains(".finish("),
         "publish.rs finishes outside its `finish`"
     );
+    // The feeder seals in one place: `seal` persists, then emits.
+    let ingest = code(include_str!("ingest.rs"));
+    let seal = (ingest.split("\nfn seal(").nth(1))
+        .and_then(|body| body.split("\n}\n").next())
+        .unwrap_or_default();
+    assert!(
+        ingest.matches(".persist(").count() == 1 && seal.contains(".persist("),
+        "ingest.rs persists outside its `seal`"
+    );
+    // The wrappers `seal` replaced stay gone: a writer that persisted on
+    // its own, and the enum that chose between it and the plain one.
+    let gone = [concat!("Durable", "Writer"), concat!("Slot", "Writer")];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("src"), root.join("crates")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source dir") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let source = std::fs::read_to_string(&path).expect("a source file");
+                for name in gone {
+                    assert!(!source.contains(name), "{} names {name}", path.display());
+                }
+            }
+        }
+    }
     // An alert is rendered in one place: the merger, for the ring and
     // the sinks alike.
     let sources = [
@@ -509,4 +550,348 @@ fn fingerprint_ignores_stage_timings_only() {
     assert_eq!(fp_a, study_fingerprint(&b), "same study, same fingerprint");
     a.s_samples += 1;
     assert_ne!(fp_a, study_fingerprint(&a), "results changes must show");
+}
+
+/// What one run of the daemon's steps in sequence left behind.
+struct Sequenced {
+    /// `ingest::run`'s verdict.
+    healthy: bool,
+    /// Every segment offered to `emit`, as `(slot, seq)`, in emit order.
+    offered: Vec<(usize, u64)>,
+    /// `offered.len()` at each of the feeder's `stop()` polls.
+    polls: Vec<usize>,
+    /// The final snapshot.
+    snapshot: Arc<Snapshot>,
+    /// Each fold's rendered alert lines, in fold (= emit) order.
+    fold_lines: Vec<Vec<String>>,
+    /// The batches the merger handed its sink, in order.
+    sink_batches: Vec<SinkMsg>,
+    /// The `serve/queue_depth` high-water mark.
+    queue_depth: u64,
+}
+
+/// The daemon's steps run one after another on this thread, the way
+/// [`super::Server::start`]'s threads run them side by side:
+/// `ingest::run` emitting into an unbounded queue, one
+/// `fold::shard_worker` draining it, `publish::merger_loop` draining
+/// that, and the merger's sink batches collected for [`deliver`].
+/// `stop()` turns true once `stop_after` segments were offered, and
+/// `emit` refuses the `gone_at`-th segment and every later one (its
+/// consumer is gone).
+fn in_sequence(
+    config: ServeConfig,
+    stop_after: Option<usize>,
+    gone_at: Option<usize>,
+) -> Sequenced {
+    let segdir = (config.data_dir.as_ref())
+        .map(|root| SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir"));
+    let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
+    let ctx = merger_ctx(config);
+    let offered = RefCell::new(Vec::new());
+    let polls = RefCell::new(Vec::new());
+    let (tx, rx) = channel();
+    let stop = || {
+        let n = offered.borrow().len();
+        polls.borrow_mut().push(n);
+        stop_after.is_some_and(|k| n >= k)
+    };
+    let emit = |msg: SegmentMsg| {
+        let mut offered = offered.borrow_mut();
+        offered.push((msg.slot, msg.segment.seq()));
+        if gone_at.is_some_and(|k| offered.len() >= k) {
+            return false;
+        }
+        ctx.fold.enqueued();
+        tx.send(msg).expect("the receiver lives on this thread");
+        true
+    };
+    let healthy = ingest::run(&ctx.fold.ingest, &collector, stop, segdir, emit);
+    drop(tx);
+
+    let (merge_tx, merge_rx) = channel();
+    shard_worker(&ctx.fold, &rx, &merge_tx);
+    drop(merge_tx);
+    let events: Vec<MergeEvent> = merge_rx.try_iter().collect();
+    let fold_lines = (events.iter())
+        .filter_map(|event| match event {
+            MergeEvent::Folded(update) => Some(update),
+            MergeEvent::WorkerExited => None,
+        })
+        .map(|update| {
+            let alerts = update.alerts.iter();
+            alerts.map(|a| render_alert(a, &ctx.fold.roster)).collect()
+        })
+        .collect();
+    let (merge_tx, merge_rx) = channel();
+    events
+        .into_iter()
+        .for_each(|e| merge_tx.send(e).expect("rx"));
+    drop(merge_tx);
+    let (sink_tx, sink_rx) = channel();
+    merger_loop(&ctx, &merge_rx, Some(&sink_tx));
+    drop(sink_tx);
+    Sequenced {
+        healthy,
+        offered: offered.into_inner(),
+        polls: polls.into_inner(),
+        snapshot: ctx.seam.current(),
+        fold_lines,
+        sink_batches: sink_rx.try_iter().collect(),
+        queue_depth: ctx.fold.ingest.counters.queue_depth.value(),
+    }
+}
+
+/// Runs `sink_loop` over `batches` into an `--alerts-out` file at
+/// `path` that already holds `delivered`, and returns the file's lines.
+fn deliver(batches: &[SinkMsg], path: &Path, delivered: &[String]) -> Vec<String> {
+    let text: String = delivered.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(path, text).expect("the pre-crash sink file");
+    let (tx, rx) = channel();
+    for batch in batches {
+        let (lines, recovered) = (batch.lines.clone(), batch.recovered);
+        tx.send(SinkMsg { lines, recovered }).expect("rx");
+    }
+    drop(tx);
+    let sinks = Sinks::open(Some(path), None).expect("open the sink");
+    let obs = Obs::new();
+    sink_loop(rx, sinks, obs.counter("emitted"), obs.counter("dropped"));
+    let text = std::fs::read_to_string(path).expect("the sink file");
+    text.lines().map(str::to_owned).collect()
+}
+
+/// Every segment file of the data dir at `root`, `(slot, seq)` → name and
+/// bytes.
+fn segment_files(root: &Path) -> BTreeMap<(usize, u64), (OsString, Vec<u8>)> {
+    let dir = SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir");
+    (dir.scan().expect("scan").into_iter())
+        .map(|f| {
+            let name = f.path.file_name().expect("a name").to_owned();
+            let bytes = std::fs::read(&f.path).expect("segment");
+            ((f.slot as usize, f.seq), (name, bytes))
+        })
+        .collect()
+}
+
+/// The names in `root` that end in `.tmp`.
+fn tmp_files(root: &Path) -> Vec<OsString> {
+    (std::fs::read_dir(root).expect("data dir"))
+        .map(|entry| entry.expect("entry").file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect()
+}
+
+/// The enumeration's feed: two ingest chunks (so a stop can land
+/// between them), sealed into a few dozen segments across the slots.
+fn crash_config(root: &Path) -> ServeConfig {
+    let mut config = ServeConfig::new(1_300, 0xC4A5);
+    config.segment_reports = 60;
+    config.workers = 1;
+    config.data_dir = Some(root.to_path_buf());
+    config
+}
+
+fn fingerprint_of(snapshot: &Snapshot) -> (u64, u64) {
+    study_fingerprint(snapshot.results())
+}
+
+/// Recovers the data dir at `root` in sequence; it must finish healthy.
+fn recover_in_sequence(root: &Path, what: &str) -> Sequenced {
+    let mut config = crash_config(root);
+    config.recover = true;
+    let run = in_sequence(config, None, None);
+    assert!(run.healthy, "{what}: the recovery is healthy");
+    assert!(run.snapshot.ingest_done, "{what}: the recovery finishes");
+    run
+}
+
+/// `results`' Debug rendering with every Table 2 `stored_bytes` blanked:
+/// what a log cut at other segment boundaries still publishes bit for
+/// bit.
+fn blank_stored_bytes(results: &crate::dynamics::StudyResults) -> String {
+    let text = format!("{results:?}");
+    let mut parts = text.split("stored_bytes: ");
+    let mut blanked = parts.next().unwrap_or_default().to_owned();
+    for part in parts {
+        blanked.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
+    }
+    blanked
+}
+
+/// Every crash point between two seals, enumerated: for each k from 0 to
+/// the clean run's seal count, a data dir holding exactly the first k
+/// durable seals, in emit order — and seal k+1 torn, as the `*.tmp` an
+/// interrupted persist leaves — recovers to the clean run: the same
+/// fingerprint, slot indexes and segment files, no `*.tmp` left, and
+/// every alert line exactly once through an `--alerts-out` file whether
+/// the sink had delivered nothing or all of the first k seals' lines.
+/// One mid-feed dir also recovers through the threaded daemon at shards
+/// 1 and 4.
+#[test]
+fn every_crash_point_between_seals_recovers_the_clean_run() {
+    let root = std::env::temp_dir().join(format!("vtld-crash-points-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let clean_root = root.join("clean");
+    let clean_config = crash_config(&clean_root);
+    let feed = format!(
+        "seed={} samples={}",
+        clean_config.seed, clean_config.samples
+    );
+    SegmentDir::open(&clean_root, INGEST_SLOTS as u32)
+        .and_then(|dir| dir.pin_feed(&feed, false))
+        .expect("a fresh data dir");
+    let clean = in_sequence(clean_config, None, None);
+    assert!(clean.healthy && clean.snapshot.ingest_done);
+    let seals = clean.offered.len();
+    assert!((20..=40).contains(&seals), "{seals} seals");
+    assert_eq!(
+        clean.queue_depth, seals as u64,
+        "every seal was queued before the worker took one"
+    );
+    let clean_files = segment_files(&clean_root);
+    assert_eq!(clean_files.len(), seals, "every emitted seal is on disk");
+    let clean_lines: BTreeSet<String> = clean.fold_lines.iter().flatten().cloned().collect();
+    assert_eq!(
+        clean_lines.len(),
+        clean.fold_lines.iter().map(Vec::len).sum::<usize>(),
+        "alert lines are unique"
+    );
+    assert!(!clean_lines.is_empty(), "the feed fires alerts");
+
+    // A dir holding the clean run's first k seals, and seal k+1 torn.
+    let crashed_at = |k: usize, name: &str| {
+        let dir = root.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        SegmentDir::open(&dir, INGEST_SLOTS as u32)
+            .and_then(|d| d.pin_feed(&feed, false))
+            .expect("a fresh data dir");
+        for key in &clean.offered[..k] {
+            let (name, bytes) = &clean_files[key];
+            std::fs::write(dir.join(name), bytes).expect("a durable seal");
+        }
+        if let Some(key) = clean.offered.get(k) {
+            let (name, bytes) = &clean_files[key];
+            let mut tmp = name.clone();
+            tmp.push(".tmp");
+            std::fs::write(dir.join(tmp), &bytes[..bytes.len() / 2]).expect("a torn seal");
+        }
+        dir
+    };
+
+    for k in 0..=seals {
+        let dir = crashed_at(k, "k");
+        let run = recover_in_sequence(&dir, &format!("k={k}"));
+        assert_eq!(
+            fingerprint_of(&run.snapshot),
+            fingerprint_of(&clean.snapshot),
+            "k={k}: the clean run's fingerprint"
+        );
+        assert_eq!(
+            run.snapshot.slot_indexes, clean.snapshot.slot_indexes,
+            "k={k}: the clean run's slot indexes"
+        );
+        assert_eq!(
+            tmp_files(&dir),
+            Vec::<OsString>::new(),
+            "k={k}: a *.tmp is left"
+        );
+        assert!(
+            segment_files(&dir) == clean_files,
+            "k={k}: the resumed seals are the clean run's files, under its names"
+        );
+        let first_k: Vec<String> = clean.fold_lines[..k].iter().flatten().cloned().collect();
+        for (state, delivered) in [("nothing", &[][..]), ("the first k seals", &first_k[..])] {
+            let lines = deliver(&run.sink_batches, &dir.join("alerts.jsonl"), delivered);
+            let unique: BTreeSet<String> = lines.iter().cloned().collect();
+            assert_eq!(
+                unique.len(),
+                lines.len(),
+                "k={k}, {state} delivered: a line twice"
+            );
+            assert!(
+                unique == clean_lines,
+                "k={k}, {state} delivered: not the clean run's alert lines"
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    let k = seals / 2;
+    for shards in [1, 4] {
+        let dir = crashed_at(k, &format!("threaded-{shards}"));
+        let mut config = crash_config(&dir);
+        config.recover = true;
+        config.shards = shards;
+        let server = super::Server::start(config).expect("recovers");
+        let snapshot = loop {
+            let snapshot = server.daemon.seam.current();
+            if snapshot.ingest_done {
+                break snapshot;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
+        assert_eq!(
+            fingerprint_of(&snapshot),
+            fingerprint_of(&clean.snapshot),
+            "k={k} recovered by the daemon at shards={shards}"
+        );
+        drop(server);
+    }
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A graceful stop after emit k ends the feed at the next chunk boundary
+/// unfinished, with every in-progress segment drained to disk; and a
+/// consumer that goes away at segment k ends it unhealthy, the tails
+/// still persisted. Either dir recovers to the clean run's study — but
+/// for Table 2's stored bytes: the drain sealed its tails short, so the
+/// recovered log is cut at other boundaries than the clean run's, and
+/// its blocks compress to a few bytes more or less per month.
+#[test]
+fn a_stopped_or_abandoned_feeder_drains_its_tails_and_the_dir_recovers() {
+    let root = std::env::temp_dir().join(format!("vtld-stop-points-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let clean = in_sequence(crash_config(&root.join("clean")), None, None);
+    // `stop()` is polled once per ingest chunk; a stop raised by the
+    // last poll before the final chunk is the latest one that bites.
+    let last_poll = clean.polls[clean.polls.len() - 1];
+    assert!(last_poll > 0, "a seal lands before the last chunk");
+    let seals = clean.offered.len();
+    for (what, stop_after, gone_at) in [
+        ("stop after emit 1", Some(1), None),
+        ("stop at the last poll", Some(last_poll), None),
+        ("consumer gone at seal 1", None, Some(1)),
+        ("consumer gone mid-feed", None, Some(seals / 2)),
+    ] {
+        let dir = root.join("dir");
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = in_sequence(crash_config(&dir), stop_after, gone_at);
+        assert_eq!(
+            run.healthy,
+            gone_at.is_none(),
+            "{what}: a gone consumer is fatal"
+        );
+        assert!(
+            !run.snapshot.ingest_done,
+            "{what}: the final snapshot is unfinished"
+        );
+        let on_disk: BTreeSet<(usize, u64)> = segment_files(&dir).into_keys().collect();
+        let offered: BTreeSet<(usize, u64)> = run.offered.iter().copied().collect();
+        assert_eq!(
+            on_disk, offered,
+            "{what}: every seal, tails included, is on disk"
+        );
+        let recovered = recover_in_sequence(&dir, what).snapshot;
+        let (results, clean_results) = (recovered.results(), clean.snapshot.results());
+        assert_eq!(
+            blank_stored_bytes(results),
+            blank_stored_bytes(clean_results),
+            "{what}: the clean run's study"
+        );
+        assert_eq!(
+            fingerprint_of(&recovered).1,
+            fingerprint_of(&clean.snapshot).1,
+            "{what}: the clean run's correlation bits"
+        );
+    }
+    std::fs::remove_dir_all(&root).expect("cleanup");
 }

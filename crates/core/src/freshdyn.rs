@@ -10,6 +10,7 @@ use crate::par;
 use crate::records::SampleRecord;
 use crate::table::TrajectoryTable;
 use vt_model::time::Timestamp;
+use vt_obs::Obs;
 
 /// The fresh dynamic dataset: indices into the record slice.
 #[derive(Debug, Clone)]
@@ -61,7 +62,7 @@ pub fn build_from_table(table: &TrajectoryTable, workers: usize) -> FreshDynamic
     // Bit 5 (IN_S) of every byte lane in a u64 word.
     let lanes = u64::from_ne_bytes([TrajectoryTable::IN_S_BIT; 8]);
     let ranges = par::partition_ranges(table.len() as u64, workers);
-    let parts = par::map_ranges(&ranges, |_, range| {
+    let parts = par::map_ranges_obs(&ranges, Obs::noop(), "freshdyn", |_, range| {
         let start = range.start as usize;
         let slice = &table.flags_raw()[start..range.end as usize];
         let mut indices = Vec::new();

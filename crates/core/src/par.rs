@@ -3,12 +3,13 @@
 //! The analyses are CPU-bound batch passes over millions of samples —
 //! exactly the workload the async guides say to keep off an async
 //! runtime. [`partition_ranges`] splits `0..n` into contiguous chunks
-//! and [`map_ranges`] (with its `_obs` / `_with` variants) runs a worker
-//! per chunk on `std::thread::scope` threads and returns the per-chunk
-//! results in order. A study enters it in few places: generation, the
-//! table build's column fill, the *S* scan, and the roster fold
-//! ([`crate::incremental`]), which splits a table's samples once and
-//! runs every stage serially over each range.
+//! and [`map_ranges_obs`] runs a worker per chunk on `std::thread::scope`
+//! threads and returns the per-chunk results in order, timing each
+//! worker when the registry is enabled; [`map_ranges_with_obs`] also
+//! moves one payload into each worker. A study enters it in few places:
+//! generation, the table build's column fill, the *S* scan, and the
+//! roster fold ([`crate::incremental`]), which splits a table's samples
+//! once and runs every stage serially over each range.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -47,33 +48,23 @@ pub fn partition_ranges(n: u64, workers: usize) -> Vec<std::ops::Range<u64>> {
 }
 
 /// Runs `f(partition_index, range)` for each range on its own scoped
-/// thread and returns the results in range order. With one range it
-/// runs inline. The payload-free case of [`map_ranges_with`], which
-/// holds the one thread-scope body.
+/// thread and returns the results in range order (with one range it
+/// runs inline), instrumented per worker: each range's wall time lands
+/// in the `par/<kernel>/worker_busy_ns` histogram, the spread between
+/// the slowest and the mean worker in the `par/<kernel>/imbalance_pct`
+/// gauge (100 = perfectly balanced, 200 = slowest worker ran twice the
+/// mean; high-water across invocations), and each call bumps
+/// `par/<kernel>/invocations`.
+///
+/// Timing wraps whole ranges, never items, so the hot loop is
+/// untouched; all recording happens on the calling thread after the
+/// join. With a disabled `obs` (e.g. [`Obs::noop`]) nothing is timed or
+/// recorded — results are identical either way. The payload-free case
+/// of [`map_ranges_with_obs`], which holds the one recording tail.
 ///
 /// `f` must be deterministic per range for study reproducibility — all
 /// callers derive their randomness from sample ordinals, never from
 /// thread identity.
-pub fn map_ranges<T, F>(ranges: &[std::ops::Range<u64>], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, std::ops::Range<u64>) -> T + Sync,
-{
-    map_ranges_with(ranges, vec![(); ranges.len()], |i, r, ()| f(i, r))
-}
-
-/// [`map_ranges`] with per-worker instrumentation: each range's wall
-/// time lands in the `par/<kernel>/worker_busy_ns` histogram, the
-/// spread between the slowest and the mean worker in the
-/// `par/<kernel>/imbalance_pct` gauge (100 = perfectly balanced, 200 =
-/// slowest worker ran twice the mean; high-water across invocations),
-/// and each call bumps `par/<kernel>/invocations`.
-///
-/// Timing wraps whole ranges, never items, so the hot loop is
-/// untouched; all recording happens on the calling thread after the
-/// join. With a disabled `obs` this *is* [`map_ranges`] — results are
-/// identical either way. The payload-free case of
-/// [`map_ranges_with_obs`], which holds the one recording tail.
 pub fn map_ranges_obs<T, F>(
     ranges: &[std::ops::Range<u64>],
     obs: &Obs,
@@ -89,49 +80,44 @@ where
     })
 }
 
-/// [`map_ranges`], but each range additionally *owns* one payload from
-/// `payloads` (moved into its worker). This is how the columnar table
-/// build hands every worker a disjoint `&mut` window of the final
-/// column buffers: the caller `split_at_mut`s the columns along the
-/// range boundaries, and each worker writes its slice directly — no
-/// per-worker allocation, no concat pass.
+/// The one thread-scope body: `f(partition_index, range, payload)` for
+/// each range on its own scoped thread (inline for one range), results
+/// in range order.
 ///
 /// # Panics
 /// Panics if `payloads.len() != ranges.len()`.
-pub fn map_ranges_with<P, T, F>(ranges: &[std::ops::Range<u64>], payloads: Vec<P>, f: F) -> Vec<T>
+fn map_ranges_with<P, T, F>(ranges: &[std::ops::Range<u64>], payloads: Vec<P>, f: F) -> Vec<T>
 where
     P: Send,
     T: Send,
     F: Fn(usize, std::ops::Range<u64>, P) -> T + Sync,
 {
     assert_eq!(payloads.len(), ranges.len(), "one payload per range");
+    let work = ranges.iter().cloned().zip(payloads).enumerate();
     if ranges.len() <= 1 {
-        return ranges
-            .iter()
-            .cloned()
-            .zip(payloads)
-            .enumerate()
-            .map(|(i, (r, p))| f(i, r, p))
-            .collect();
+        return work.map(|(i, (r, p))| f(i, r, p)).collect();
     }
-    let mut out: Vec<Option<T>> = (0..ranges.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, (range, payload)) in ranges.iter().zip(payloads).enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || f(i, range.clone(), payload)));
-        }
-        for (slot, handle) in out.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("analysis worker panicked"));
-        }
-    });
-    out.into_iter().map(|t| t.expect("worker result")).collect()
+        let f = &f;
+        let handles: Vec<_> = work
+            .map(|(i, (r, p))| scope.spawn(move || f(i, r, p)))
+            .collect();
+        (handles.into_iter())
+            .map(|handle| handle.join().expect("analysis worker panicked"))
+            .collect()
+    })
 }
 
-/// [`map_ranges_with`] with the same per-worker instrumentation as
-/// [`map_ranges_obs`] (`par/<kernel>/worker_busy_ns`,
-/// `par/<kernel>/imbalance_pct`, `par/<kernel>/invocations`). With a
-/// disabled `obs` this *is* [`map_ranges_with`].
+/// [`map_ranges_obs`], but each range additionally *owns* one payload
+/// from `payloads` (moved into its worker), with the same per-worker
+/// instrumentation. This is how the columnar table build hands every
+/// worker a disjoint `&mut` window of the final column buffers: the
+/// caller `split_at_mut`s the columns along the range boundaries, and
+/// each worker writes its slice directly — no per-worker allocation, no
+/// concat pass.
+///
+/// # Panics
+/// Panics if `payloads.len() != ranges.len()`.
 pub fn map_ranges_with_obs<P, T, F>(
     ranges: &[std::ops::Range<u64>],
     payloads: Vec<P>,
@@ -223,8 +209,8 @@ mod tests {
         assert_eq!(ranges.len(), 4);
         // Two passes over the same ranges observe identical (index,
         // range) pairs.
-        let a = map_ranges(&ranges, |i, r| (i, r));
-        let b = map_ranges(&ranges, |i, r| (i, r));
+        let a = map_ranges_obs(&ranges, Obs::noop(), "test", |i, r| (i, r));
+        let b = map_ranges_obs(&ranges, Obs::noop(), "test", |i, r| (i, r));
         assert_eq!(a, b);
         for (i, (idx, r)) in a.iter().enumerate() {
             assert_eq!(i, *idx);

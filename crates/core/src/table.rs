@@ -8,7 +8,7 @@
 //! hence Δ), dense file-type indices and the membership flags the
 //! pipeline keeps re-deriving (`is_multi_report`, `is_stable`,
 //! `is_fresh`, `is_top20`, `is_pe`, and *S* membership). The stages
-//! then run as [`crate::par::map_ranges`] partition-reductions over
+//! then run as [`crate::par::map_ranges_obs`] partition-reductions over
 //! index ranges of this table: no stage allocates per record, and no
 //! stage touches a `ScanReport` or `VerdictVec` again.
 //!

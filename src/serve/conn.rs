@@ -31,6 +31,10 @@ use super::wire::{self, quoted, Request};
 use super::ServeConfig;
 use crate::obs::Obs;
 
+/// Per-connection write deadline: a client that will not drain its
+/// responses is evicted.
+const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// What the accept loop and every connection handler share. Owned, not
 /// borrowed: handler threads are detached and outlive the accept loop.
 pub(super) struct ConnCtx {
@@ -78,7 +82,7 @@ pub(super) fn accept_loop(listener: &TcpListener, ctx: &Arc<ConnCtx>) {
 fn shed_connection(mut stream: TcpStream, ctx: &ConnCtx) {
     ctx.counters.rejected.incr();
     let epoch = ctx.seam.current().epoch;
-    let _ = stream.set_write_timeout(Some(ctx.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.write_all(
         format!(
             "{{\"epoch\":{epoch},\"overloaded\":true,\
@@ -157,7 +161,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> Result<Option<Str
 fn handle_connection(stream: TcpStream, ctx: &ConnCtx) {
     if stream
         .set_read_timeout(Some(ctx.config.read_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(ctx.config.write_timeout)))
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
         .is_err()
     {
         return;

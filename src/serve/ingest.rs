@@ -29,6 +29,10 @@
 //! last whole-sample boundary — samples the replay found sealed are
 //! skipped, everything else is re-ingested.
 //!
+//! Only the feed's end seals a segment that has not filled: a stop, a
+//! gone consumer or a failed persist ends the feeder as SIGKILL does, so
+//! every file a run writes is the never-stopped run's, byte for byte.
+//!
 //! Names nothing downstream of it: a stop predicate comes in, segments
 //! go out through `emit` (and the `done` flag on [`IngestCtx`]), and a
 //! fatal error is the return value.
@@ -129,10 +133,10 @@ fn seal(
 /// The feeder: replay the data dir (under recovery), then simulate →
 /// chaos feed → `collector` → hash-route → [`seal`] → `emit`, until the
 /// feed is exhausted, `stop()` (daemon shutdown was requested) or a
-/// fatal error — at which point it drains (seals and emits in-progress
-/// segments). `emit` returning `false` means its consumer is gone.
-/// Dropping `emit` on return is what lets the daemon's workers drain
-/// their queues and exit.
+/// fatal error. Only an exhausted feed seals and emits its in-progress
+/// segments; a stop leaves them to `recover` to re-ingest. `emit`
+/// returning `false` means its consumer is gone. Dropping `emit` on
+/// return is what lets the daemon's workers drain their queues and exit.
 ///
 /// Returns `false` when a fatal error ended the feed early (unreadable
 /// data dir, failed persist, a consumer gone): the caller shuts the
@@ -215,14 +219,14 @@ pub(super) fn run(
     }
     let completed = start >= config.samples;
 
-    // ---- drain: seal in-progress segments, even on shutdown ---------
-    for (slot, writer) in writers.into_iter().enumerate() {
-        if let Some(segment) = writer.finish() {
-            healthy &= seal(segdir.as_ref(), slot, segment, &mut emit);
-        }
-    }
+    // ---- drain: the feed's end alone seals in-progress segments ----
     if completed && healthy {
-        ctx.done.store(true, Ordering::SeqCst);
+        let mut tails = writers.into_iter().enumerate();
+        healthy = tails.all(|(slot, writer)| match writer.finish() {
+            Some(segment) => seal(segdir.as_ref(), slot, segment, &mut emit),
+            None => true,
+        });
+        ctx.done.store(healthy, Ordering::SeqCst);
     }
     healthy
 }

@@ -65,9 +65,9 @@
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` bit-identically, a daemon
 //! killed mid-ingest and recovered converges to a snapshot
 //! bit-identical to the never-killed run's, at any shard × worker count
-//! (`tests/serve_chaos.rs`). Shutdown drains: the feeder seals and
-//! persists in-progress segments, workers fold what is queued, and the
-//! merger publishes a final snapshot before the daemon exits.
+//! (`tests/serve_chaos.rs`). A shutdown is a crash that loses nothing:
+//! the feeder seals nothing unfilled (`recover` re-ingests it), workers
+//! fold what is queued, and the merger publishes a final snapshot.
 //!
 //! ## Wire protocol
 //!
@@ -158,9 +158,6 @@ pub struct ServeConfig {
     /// Per-connection read deadline: a client that sends nothing for
     /// this long is evicted (typed response, connection closed).
     pub read_timeout: Duration,
-    /// Per-connection write deadline: a client that will not drain its
-    /// responses is evicted.
-    pub write_timeout: Duration,
     /// Maximum request line length in bytes; longer lines evict.
     pub max_line_bytes: usize,
     /// Run the streaming drift detectors alongside every slot fold
@@ -203,7 +200,6 @@ impl ServeConfig {
             recover: false,
             max_clients: 256,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             max_line_bytes: 64 * 1024,
             alerts: true,
             alert_config: AlertConfig::default(),
@@ -384,10 +380,10 @@ impl Server {
         self.daemon.seam.current().epoch
     }
 
-    /// Signals shutdown: the feeder drains at the next boundary (sealing
-    /// and persisting in-progress segments), workers fold what is
-    /// queued, the merger publishes a final snapshot, and the accept
-    /// loop exits. Idempotent; does not wait (see [`wait`](Self::wait)).
+    /// Signals shutdown: the feeder stops at the next boundary, sealing
+    /// nothing unfilled, workers fold what is queued, the merger
+    /// publishes a final snapshot, and the accept loop exits.
+    /// Idempotent; does not wait (see [`wait`](Self::wait)).
     pub fn shutdown(&self) {
         self.daemon.seam.request_shutdown();
         // The accept loop may be parked in accept(); poke it awake.

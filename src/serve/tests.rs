@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use super::counters::ServeCounters;
 use super::fold::{shard_worker, FoldCtx, MergeEvent, SlotFold, SlotUpdate};
-use super::ingest::{self, slot_of, SegmentMsg};
+use super::ingest::{self, slot_of, IngestCtx, SegmentMsg};
 use super::publish::{empty_epoch, merger_loop, PublishCtx, Seam, Snapshot};
 use super::render::{
     json_f64, render_engines, render_fingerprint, render_flip_leaders, render_metrics,
@@ -556,6 +556,8 @@ fn fingerprint_ignores_stage_timings_only() {
 struct Sequenced {
     /// `ingest::run`'s verdict.
     healthy: bool,
+    /// Whether the feeder set the `done` flag (the whole feed sealed).
+    done: bool,
     /// Every segment offered to `emit`, as `(slot, seq)`, in emit order.
     offered: Vec<(usize, u64)>,
     /// `offered.len()` at each of the feeder's `stop()` polls.
@@ -575,14 +577,8 @@ struct Sequenced {
 /// `ingest::run` emitting into an unbounded queue, one
 /// `fold::shard_worker` draining it, `publish::merger_loop` draining
 /// that, and the merger's sink batches collected for [`deliver`].
-/// `stop()` turns true once `stop_after` segments were offered, and
-/// `emit` refuses the `gone_at`-th segment and every later one (its
-/// consumer is gone).
-fn in_sequence(
-    config: ServeConfig,
-    stop_after: Option<usize>,
-    gone_at: Option<usize>,
-) -> Sequenced {
+/// `stop()` turns true at its `stop_at`-th poll (0-based).
+fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
     let segdir = (config.data_dir.as_ref())
         .map(|root| SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir"));
     let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
@@ -591,16 +587,12 @@ fn in_sequence(
     let polls = RefCell::new(Vec::new());
     let (tx, rx) = channel();
     let stop = || {
-        let n = offered.borrow().len();
-        polls.borrow_mut().push(n);
-        stop_after.is_some_and(|k| n >= k)
+        let mut polls = polls.borrow_mut();
+        polls.push(offered.borrow().len());
+        stop_at.is_some_and(|j| polls.len() > j)
     };
     let emit = |msg: SegmentMsg| {
-        let mut offered = offered.borrow_mut();
-        offered.push((msg.slot, msg.segment.seq()));
-        if gone_at.is_some_and(|k| offered.len() >= k) {
-            return false;
-        }
+        offered.borrow_mut().push((msg.slot, msg.segment.seq()));
         ctx.fold.enqueued();
         tx.send(msg).expect("the receiver lives on this thread");
         true
@@ -632,6 +624,7 @@ fn in_sequence(
     drop(sink_tx);
     Sequenced {
         healthy,
+        done: ctx.fold.ingest.done(),
         offered: offered.into_inner(),
         polls: polls.into_inner(),
         snapshot: ctx.seam.current(),
@@ -694,27 +687,91 @@ fn fingerprint_of(snapshot: &Snapshot) -> (u64, u64) {
     study_fingerprint(snapshot.results())
 }
 
-/// Recovers the data dir at `root` in sequence; it must finish healthy.
-fn recover_in_sequence(root: &Path, what: &str) -> Sequenced {
-    let mut config = crash_config(root);
-    config.recover = true;
-    let run = in_sequence(config, None, None);
-    assert!(run.healthy, "{what}: the recovery is healthy");
-    assert!(run.snapshot.ingest_done, "{what}: the recovery finishes");
-    run
+/// A never-stopped run over [`crash_config`]: the run itself, its
+/// segment files and its alert lines.
+struct Clean {
+    run: Sequenced,
+    files: BTreeMap<(usize, u64), (OsString, Vec<u8>)>,
+    lines: BTreeSet<String>,
 }
 
-/// `results`' Debug rendering with every Table 2 `stored_bytes` blanked:
-/// what a log cut at other segment boundaries still publishes bit for
-/// bit.
-fn blank_stored_bytes(results: &crate::dynamics::StudyResults) -> String {
-    let text = format!("{results:?}");
-    let mut parts = text.split("stored_bytes: ");
-    let mut blanked = parts.next().unwrap_or_default().to_owned();
-    for part in parts {
-        blanked.push_str(part.trim_start_matches(|c: char| c.is_ascii_digit()));
+impl Clean {
+    /// Runs the feed to its end into the data dir at `root`.
+    fn run(root: &Path) -> Clean {
+        let run = in_sequence(crash_config(root), None);
+        assert!(run.healthy && run.done && run.snapshot.ingest_done);
+        let seals = run.offered.len();
+        assert!((20..=40).contains(&seals), "{seals} seals");
+        assert_eq!(
+            run.queue_depth, seals as u64,
+            "every seal was queued before the worker took one"
+        );
+        let files = segment_files(root);
+        assert_eq!(files.len(), seals, "every emitted seal is on disk");
+        let lines: BTreeSet<String> = run.fold_lines.iter().flatten().cloned().collect();
+        assert_eq!(
+            lines.len(),
+            run.fold_lines.iter().map(Vec::len).sum::<usize>(),
+            "alert lines are unique"
+        );
+        assert!(!lines.is_empty(), "the feed fires alerts");
+        Clean { run, files, lines }
     }
-    blanked
+
+    /// The clean run's first `k` seals in emit order, by `(slot, seq)`.
+    fn first_seals(&self, k: usize) -> BTreeMap<(usize, u64), (OsString, Vec<u8>)> {
+        (self.run.offered[..k].iter())
+            .map(|key| (*key, self.files[key].clone()))
+            .collect()
+    }
+
+    /// The alert lines the clean run's first `k` seals fire.
+    fn first_lines(&self, k: usize) -> Vec<String> {
+        self.run.fold_lines[..k].iter().flatten().cloned().collect()
+    }
+
+    /// Recovers the data dir at `dir` in sequence and demands this run:
+    /// its fingerprint, slot indexes and segment files under its names,
+    /// no `*.tmp` left, and every alert line exactly once through an
+    /// `--alerts-out` file that already held each of `delivered`.
+    fn recovered_from(&self, dir: &Path, what: &str, delivered: &[(&str, &[String])]) {
+        let mut config = crash_config(dir);
+        config.recover = true;
+        let run = in_sequence(config, None);
+        assert!(run.healthy, "{what}: the recovery is healthy");
+        assert!(run.snapshot.ingest_done, "{what}: the recovery finishes");
+        assert_eq!(
+            fingerprint_of(&run.snapshot),
+            fingerprint_of(&self.run.snapshot),
+            "{what}: the clean run's fingerprint"
+        );
+        assert_eq!(
+            run.snapshot.slot_indexes, self.run.snapshot.slot_indexes,
+            "{what}: the clean run's slot indexes"
+        );
+        assert_eq!(
+            tmp_files(dir),
+            Vec::<OsString>::new(),
+            "{what}: a *.tmp is left"
+        );
+        assert!(
+            segment_files(dir) == self.files,
+            "{what}: the resumed seals are the clean run's files, under its names"
+        );
+        for (state, delivered) in delivered {
+            let lines = deliver(&run.sink_batches, &dir.join("alerts.jsonl"), delivered);
+            let unique: BTreeSet<String> = lines.iter().cloned().collect();
+            assert_eq!(
+                unique.len(),
+                lines.len(),
+                "{what}, {state} delivered: a line twice"
+            );
+            assert!(
+                unique == self.lines,
+                "{what}, {state} delivered: not the clean run's alert lines"
+            );
+        }
+    }
 }
 
 /// Every crash point between two seals, enumerated: for each k from 0 to
@@ -739,23 +796,8 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
     SegmentDir::open(&clean_root, INGEST_SLOTS as u32)
         .and_then(|dir| dir.pin_feed(&feed, false))
         .expect("a fresh data dir");
-    let clean = in_sequence(clean_config, None, None);
-    assert!(clean.healthy && clean.snapshot.ingest_done);
-    let seals = clean.offered.len();
-    assert!((20..=40).contains(&seals), "{seals} seals");
-    assert_eq!(
-        clean.queue_depth, seals as u64,
-        "every seal was queued before the worker took one"
-    );
-    let clean_files = segment_files(&clean_root);
-    assert_eq!(clean_files.len(), seals, "every emitted seal is on disk");
-    let clean_lines: BTreeSet<String> = clean.fold_lines.iter().flatten().cloned().collect();
-    assert_eq!(
-        clean_lines.len(),
-        clean.fold_lines.iter().map(Vec::len).sum::<usize>(),
-        "alert lines are unique"
-    );
-    assert!(!clean_lines.is_empty(), "the feed fires alerts");
+    let clean = Clean::run(&clean_root);
+    let seals = clean.run.offered.len();
 
     // A dir holding the clean run's first k seals, and seal k+1 torn.
     let crashed_at = |k: usize, name: &str| {
@@ -764,12 +806,11 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
         SegmentDir::open(&dir, INGEST_SLOTS as u32)
             .and_then(|d| d.pin_feed(&feed, false))
             .expect("a fresh data dir");
-        for key in &clean.offered[..k] {
-            let (name, bytes) = &clean_files[key];
+        for (name, bytes) in clean.first_seals(k).values() {
             std::fs::write(dir.join(name), bytes).expect("a durable seal");
         }
-        if let Some(key) = clean.offered.get(k) {
-            let (name, bytes) = &clean_files[key];
+        if let Some(key) = clean.run.offered.get(k) {
+            let (name, bytes) = &clean.files[key];
             let mut tmp = name.clone();
             tmp.push(".tmp");
             std::fs::write(dir.join(tmp), &bytes[..bytes.len() / 2]).expect("a torn seal");
@@ -779,39 +820,9 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
 
     for k in 0..=seals {
         let dir = crashed_at(k, "k");
-        let run = recover_in_sequence(&dir, &format!("k={k}"));
-        assert_eq!(
-            fingerprint_of(&run.snapshot),
-            fingerprint_of(&clean.snapshot),
-            "k={k}: the clean run's fingerprint"
-        );
-        assert_eq!(
-            run.snapshot.slot_indexes, clean.snapshot.slot_indexes,
-            "k={k}: the clean run's slot indexes"
-        );
-        assert_eq!(
-            tmp_files(&dir),
-            Vec::<OsString>::new(),
-            "k={k}: a *.tmp is left"
-        );
-        assert!(
-            segment_files(&dir) == clean_files,
-            "k={k}: the resumed seals are the clean run's files, under its names"
-        );
-        let first_k: Vec<String> = clean.fold_lines[..k].iter().flatten().cloned().collect();
-        for (state, delivered) in [("nothing", &[][..]), ("the first k seals", &first_k[..])] {
-            let lines = deliver(&run.sink_batches, &dir.join("alerts.jsonl"), delivered);
-            let unique: BTreeSet<String> = lines.iter().cloned().collect();
-            assert_eq!(
-                unique.len(),
-                lines.len(),
-                "k={k}, {state} delivered: a line twice"
-            );
-            assert!(
-                unique == clean_lines,
-                "k={k}, {state} delivered: not the clean run's alert lines"
-            );
-        }
+        let first_k = clean.first_lines(k);
+        let delivered = [("nothing", &[][..]), ("the first k seals", &first_k[..])];
+        clean.recovered_from(&dir, &format!("k={k}"), &delivered);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -831,7 +842,7 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
         };
         assert_eq!(
             fingerprint_of(&snapshot),
-            fingerprint_of(&clean.snapshot),
+            fingerprint_of(&clean.run.snapshot),
             "k={k} recovered by the daemon at shards={shards}"
         );
         drop(server);
@@ -839,59 +850,91 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
-/// A graceful stop after emit k ends the feed at the next chunk boundary
-/// unfinished, with every in-progress segment drained to disk; and a
-/// consumer that goes away at segment k ends it unhealthy, the tails
-/// still persisted. Either dir recovers to the clean run's study — but
-/// for Table 2's stored bytes: the drain sealed its tails short, so the
-/// recovered log is cut at other boundaries than the clean run's, and
-/// its blocks compress to a few bytes more or less per month.
+/// `ingest::run` alone into the data dir at `root`, its consumer gone
+/// at the `k`-th segment (1-based): the verdict, `done()`, and every
+/// segment offered to `emit`, as `(slot, seq)`, in emit order.
+fn abandoned_at(root: &Path, k: usize) -> (bool, bool, Vec<(usize, u64)>) {
+    let config = crash_config(root);
+    let segdir = SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir");
+    let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
+    let ctx = IngestCtx::new(config);
+    let mut offered = Vec::new();
+    let emit = |msg: SegmentMsg| {
+        offered.push((msg.slot, msg.segment.seq()));
+        offered.len() < k
+    };
+    let healthy = ingest::run(&ctx, &collector, || false, Some(segdir), emit);
+    (healthy, ctx.done(), offered)
+}
+
+/// A stop is a crash that loses nothing. A graceful stop at any of the
+/// feeder's `stop()` polls, and a consumer gone at any seal k, leave
+/// exactly the clean run's first seals on disk in emit order, byte for
+/// byte and no `*.tmp` — the dirs the crash-point enumeration recovers
+/// — and leave `done` unset; a gone consumer also leaves the feeder
+/// unhealthy. A stopped run's folds fire the clean run's first alert
+/// lines. Every stop's dir, and a gone consumer's at the middle and the
+/// last seal, recover to the clean run's fingerprint, slot indexes,
+/// files and alert lines (once each, whatever the stopped run's sink had
+/// delivered).
 #[test]
-fn a_stopped_or_abandoned_feeder_drains_its_tails_and_the_dir_recovers() {
+fn every_stop_and_consumer_gone_point_leaves_the_clean_runs_first_seals() {
     let root = std::env::temp_dir().join(format!("vtld-stop-points-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let clean = in_sequence(crash_config(&root.join("clean")), None, None);
-    // `stop()` is polled once per ingest chunk; a stop raised by the
-    // last poll before the final chunk is the latest one that bites.
-    let last_poll = clean.polls[clean.polls.len() - 1];
-    assert!(last_poll > 0, "a seal lands before the last chunk");
-    let seals = clean.offered.len();
-    for (what, stop_after, gone_at) in [
-        ("stop after emit 1", Some(1), None),
-        ("stop at the last poll", Some(last_poll), None),
-        ("consumer gone at seal 1", None, Some(1)),
-        ("consumer gone mid-feed", None, Some(seals / 2)),
-    ] {
-        let dir = root.join("dir");
-        let _ = std::fs::remove_dir_all(&dir);
-        let run = in_sequence(crash_config(&dir), stop_after, gone_at);
+    let clean = Clean::run(&root.join("clean"));
+    let seals = clean.run.offered.len();
+    let dir = root.join("dir");
+    let leaves_the_first_seals = |k: usize, what: &str| {
         assert_eq!(
-            run.healthy,
-            gone_at.is_none(),
-            "{what}: a gone consumer is fatal"
+            tmp_files(&dir),
+            Vec::<OsString>::new(),
+            "{what}: a *.tmp is left"
         );
+        assert!(
+            segment_files(&dir) == clean.first_seals(k),
+            "{what}: the clean run's first {k} seals on disk, byte for byte"
+        );
+    };
+
+    assert!(
+        clean.run.polls.windows(2).any(|w| w[0] < w[1]),
+        "a stop can land between seals: {:?}",
+        clean.run.polls
+    );
+    for (j, &k) in clean.run.polls.iter().enumerate() {
+        let what = format!("stop at poll {j}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = in_sequence(crash_config(&dir), Some(j));
+        assert!(run.healthy, "{what}: a stop is not an error");
+        assert!(!run.done, "{what}: the feed was not all sealed");
         assert!(
             !run.snapshot.ingest_done,
             "{what}: the final snapshot is unfinished"
         );
-        let on_disk: BTreeSet<(usize, u64)> = segment_files(&dir).into_keys().collect();
-        let offered: BTreeSet<(usize, u64)> = run.offered.iter().copied().collect();
-        assert_eq!(
-            on_disk, offered,
-            "{what}: every seal, tails included, is on disk"
-        );
-        let recovered = recover_in_sequence(&dir, what).snapshot;
-        let (results, clean_results) = (recovered.results(), clean.snapshot.results());
-        assert_eq!(
-            blank_stored_bytes(results),
-            blank_stored_bytes(clean_results),
-            "{what}: the clean run's study"
-        );
-        assert_eq!(
-            fingerprint_of(&recovered).1,
-            fingerprint_of(&clean.snapshot).1,
-            "{what}: the clean run's correlation bits"
-        );
+        assert_eq!(run.offered, clean.run.offered[..k], "{what}: offered");
+        leaves_the_first_seals(k, &what);
+        let fired: Vec<String> = run.fold_lines.iter().flatten().cloned().collect();
+        assert_eq!(fired, clean.first_lines(k), "{what}: alert lines");
+        let delivered = [
+            ("nothing", &[][..]),
+            ("the stopped run's lines", &fired[..]),
+        ];
+        clean.recovered_from(&dir, &what, &delivered);
+    }
+
+    for k in 1..=seals {
+        let what = format!("consumer gone at seal {k}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (healthy, done, offered) = abandoned_at(&dir, k);
+        assert!(!healthy, "{what}: a gone consumer is fatal");
+        assert!(!done, "{what}: the feed was not all sealed");
+        assert_eq!(offered, clean.run.offered[..k], "{what}: offered");
+        leaves_the_first_seals(k, &what);
+        if k == seals / 2 || k == seals {
+            let first = clean.first_lines(k - 1);
+            let delivered = [("nothing", &[][..]), ("the first k-1 seals", &first[..])];
+            clean.recovered_from(&dir, &what, &delivered);
+        }
     }
     std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -16,6 +16,10 @@
 //! * **Load shedding** — a connection flood gets typed `overloaded`
 //!   responses beyond the client cap; epochs stay monotone, nothing
 //!   panics, and no accepted sample is lost.
+//! * **A stop is a crash that loses nothing** — a daemon told
+//!   `{"cmd":"shutdown"}` mid-feed exits 0 having sealed only full
+//!   segments, and `--recover` over its data dir publishes the
+//!   never-stopped run's fingerprint, bit for bit.
 //!
 //! The reference fingerprint (same feed, in-memory, never killed) is
 //! computed once per test process and shared.
@@ -340,6 +344,108 @@ fn kill_recover_delivers_each_alert_exactly_once() {
 
         std::fs::remove_dir_all(&data_dir).expect("cleanup");
     }
+}
+
+/// The graceful-stop feed: long enough (20 ingest chunks, ~70 seals)
+/// that a stop sent once three segments are on disk lands mid-feed. The
+/// chaos feed cannot show it: 8 of its 9 seals are the feed end's tails,
+/// and a stop seals none.
+const STOP_SAMPLES: u64 = 20_000;
+
+/// Spawn the real `vtld serve --data-dir`, send `{"cmd":"shutdown"}` over
+/// the wire once three segments are durable, and demand a clean exit
+/// with the feed unfinished; then recover in-process over the same
+/// directory and demand the never-stopped run's fingerprint, every
+/// stopped seal replayed and every sample folded once.
+#[test]
+fn graceful_stop_recovers_bit_identical() {
+    let data_dir = temp_data_dir("stop");
+    let mut config = chaos_config(1, 1);
+    config.samples = STOP_SAMPLES;
+    let (reference, _) = run_to_completion(config.clone());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
+        .args([
+            "serve",
+            "--samples",
+            &STOP_SAMPLES.to_string(),
+            "--seed",
+            &format!("{SEED:#x}"),
+            "--segment-reports",
+            &SEGMENT_REPORTS.to_string(),
+            "--workers",
+            "1",
+            "--addr",
+            "127.0.0.1:0",
+            "--data-dir",
+            data_dir.to_str().expect("utf-8 temp path"),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn vtld serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("the listening line");
+    let addr: SocketAddr = (banner.split("listening on ").nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while segment_files(&data_dir) < 3 {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            panic!("vtld serve exited early with {status}");
+        }
+        assert!(Instant::now() < deadline, "no segments appeared");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"{\"cmd\":\"shutdown\"}\n")
+        .expect("send shutdown");
+    let mut ack = String::new();
+    BufReader::new(stream)
+        .read_line(&mut ack)
+        .expect("the shutdown ack");
+    assert!(ack.contains("\"shutting_down\":true"), "{ack}");
+    let exit = child.wait().expect("reap child");
+    assert!(exit.success(), "a graceful stop exits 0, not {exit}");
+
+    let stopped = segment_files(&data_dir);
+    let litter = std::fs::read_dir(&data_dir)
+        .expect("data dir")
+        .filter(|entry| {
+            (entry.as_ref()).is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+        });
+    assert_eq!(litter.count(), 0, "a stop leaves no *.tmp");
+
+    config.data_dir = Some(data_dir.clone());
+    config.recover = true;
+    let (fingerprint, status) = run_to_completion(config);
+    let complete = segment_files(&data_dir);
+    assert!(
+        (3..complete).contains(&stopped),
+        "the stop must land mid-feed: {stopped} of {complete} seals"
+    );
+    assert_eq!(
+        fingerprint, reference,
+        "a stopped and recovered run must be bit-identical to the never-stopped run"
+    );
+    let member = |name: &str| status.get(name).and_then(|v| v.as_u64());
+    assert_eq!(
+        member("recovered_segments"),
+        Some(stopped as u64),
+        "{status:?}"
+    );
+    assert_eq!(member("quarantined_segments"), Some(0), "{status:?}");
+    assert_eq!(
+        member("samples"),
+        Some(STOP_SAMPLES),
+        "every sample must be folded exactly once after recovery"
+    );
+
+    std::fs::remove_dir_all(&data_dir).expect("cleanup");
 }
 
 #[test]

@@ -476,7 +476,7 @@ impl<'a> IncrementalStudy<'a> {
             let part = obs.time("pipeline/index", || SampleIndex::fold_table(table));
             self.index = Some(match self.index.take() {
                 None => part,
-                Some(acc) => acc.merge(part),
+                Some(acc) => SampleIndex::concat(&[&acc, &part]),
             });
         }
         match &mut self.partials {

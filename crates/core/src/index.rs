@@ -1,28 +1,30 @@
 //! The per-sample query index: hash → trajectory summary, built at
-//! fold time, merged like any other Partial.
+//! fold time, combined like any other Partial.
 //!
 //! The paper's object of study is an online scanner API answering
 //! *per-hash* questions — "what does the platform say about this sample
 //! now, and has its label stabilized?". The batch pipeline aggregates
 //! those answers away; [`SampleIndex`] keeps them addressable. One
 //! index partial is folded per sealed segment (from the segment's
-//! records and its already-built [`TrajectoryTable`], so nothing is
-//! re-decoded), and partials merge by column concatenation — the same
-//! `merge(fold(x), fold(y)) == fold(x ++ y)` shape every analysis
+//! already-built [`TrajectoryTable`], so nothing is re-decoded), and
+//! partials combine by merging their sorted columns — the same
+//! `concat(fold(x), fold(y)) == fold(x ++ y)` shape every analysis
 //! stage upholds, which is what lets `vtld serve`'s merger thread
-//! assemble the global index from shard-local accumulations in slot
-//! order and publish it inside the same epoch-swapped snapshot as the
-//! study results. Per-hash lookups are order-independent (samples are
-//! disjoint across segments by the seal contract), and the only ranked
-//! query ([`SampleIndex::top_flips`]) sorts by `(flips desc, hash asc)`
-//! — deterministic at every shard and worker count.
+//! assemble each slot's index from shard-local folds and publish it
+//! inside the same epoch-swapped snapshot as the study results. An
+//! index's hashes are strictly ascending — its one invariant — so a
+//! lookup is a binary search over the hash column, and the index is
+//! the same whatever order its samples arrived in (samples are disjoint
+//! across segments by the seal contract). The only ranked query
+//! ([`SampleIndex::top_flips`]) sorts by `(flips desc, hash asc)` —
+//! deterministic at every shard and worker count.
 //!
 //! A growing index is held as [`IndexChunks`]: each segment's own
 //! index is pushed as one immutable chunk, and chunks of similar size
 //! are compacted into one ([`SampleIndex::concat`]) like the digits of
-//! a binary counter, so a lookup over n samples probes at most
-//! ⌊log2 n⌋ + 1 maps and, for segments of similar size, a sample is
-//! copied O(log k) times over k pushes.
+//! a binary counter, so a lookup over n samples binary-searches at most
+//! ⌊log2 n⌋ + 1 sorted chunks and, for segments of similar size, a
+//! sample is copied O(log k) times over k pushes.
 //!
 //! Per sample the index holds the full AV-Rank timeline (positives and
 //! analysis minutes, CSR-packed), the membership flags the table
@@ -33,7 +35,6 @@
 //! stabilized (§6.2).
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -55,14 +56,14 @@ mod flag {
     pub const IN_S: u8 = 1 << 3;
 }
 
-/// An epoch-consistent, mergeable hash → trajectory-summary index.
+/// An epoch-consistent hash → trajectory-summary index.
 ///
-/// Columnar: per-sample scalars sit in flat arrays, the per-report
-/// timeline columns are CSR-packed behind `offsets`, and a hash map
-/// resolves a [`SampleHash`] to its record slot. `fold` builds one from
-/// a segment, `merge` and `concat` concatenate (disjoint sample sets,
-/// canonical order) — the result answers per-hash queries identically
-/// however the stream was segmented.
+/// Columnar and sorted: per-sample scalars sit in flat arrays in
+/// strictly ascending hash order, and the per-report timeline columns
+/// are CSR-packed behind `offsets`. [`get`](Self::get) binary-searches
+/// the hash column. [`fold_table`](Self::fold_table) builds one from a
+/// segment and [`concat`](Self::concat) merges disjoint ones — the
+/// result is the same index however the stream was segmented.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleIndex {
     hashes: Vec<SampleHash>,
@@ -73,25 +74,14 @@ pub struct SampleIndex {
     offsets: Vec<u64>,
     positives: Vec<u32>,
     date_min: Vec<i64>,
-    lookup: HashMap<SampleHash, u32>,
 }
 
 /// The empty index, in the one representation [`SampleIndex::fold_table`]
 /// gives an empty table: `offsets` always starts at 0, so the empty
-/// index is an identity of [`SampleIndex::merge`] on either side.
+/// index is an identity of [`SampleIndex::concat`].
 impl Default for SampleIndex {
     fn default() -> Self {
-        Self {
-            hashes: Vec::new(),
-            type_idx: Vec::new(),
-            flags: Vec::new(),
-            flips: Vec::new(),
-            stab_mask: Vec::new(),
-            offsets: vec![0],
-            positives: Vec::new(),
-            date_min: Vec::new(),
-            lookup: HashMap::new(),
-        }
+        Self::with_capacity(0, 0)
     }
 }
 
@@ -197,129 +187,97 @@ fn record_flips(table: &TrajectoryTable, i: usize) -> u32 {
 }
 
 impl SampleIndex {
+    /// An empty index with room for exactly `samples` samples of `rows`
+    /// reports in total.
+    fn with_capacity(samples: usize, rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(samples + 1);
+        offsets.push(0);
+        Self {
+            hashes: Vec::with_capacity(samples),
+            type_idx: Vec::with_capacity(samples),
+            flags: Vec::with_capacity(samples),
+            flips: Vec::with_capacity(samples),
+            stab_mask: Vec::with_capacity(samples),
+            offsets,
+            positives: Vec::with_capacity(rows),
+            date_min: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Appends one sample, whose hash must exceed every indexed one: a
+    /// tie is a sample in two segments, which the seal contract rules
+    /// out.
+    fn push(&mut self, s: SampleSummary<'_>) {
+        // `None < Some(_)`: the first sample always ascends.
+        debug_assert!(self.hashes.last() < Some(&s.hash), "hashes ascend");
+        self.hashes.push(s.hash);
+        self.type_idx.push(s.file_type.dense_index() as u16);
+        self.flags.push(s.flags);
+        self.flips.push(s.flips);
+        self.stab_mask.push(s.stab_mask);
+        self.positives.extend_from_slice(s.positives);
+        self.date_min.extend_from_slice(s.dates_min);
+        self.offsets.push(self.positives.len() as u64);
+    }
+
     /// Folds one sealed segment's table into an index partial — the
     /// columnar entry point: everything the index needs (including the
-    /// sample hashes) now lives in the [`TrajectoryTable`], so no
-    /// `SampleRecord` is touched and the zero-copy segment-fold path
-    /// can index without ever materializing rows.
+    /// sample hashes) lives in the [`TrajectoryTable`], so no
+    /// `SampleRecord` is touched. Samples are visited in hash order
+    /// through a sorted `u32` permutation: a linear pass over the
+    /// daemon's tables, which are hash-ascending already, and the sort
+    /// that orders a table built from records.
     pub fn fold_table(table: &TrajectoryTable) -> Self {
-        let n = table.len();
-        let rows = table.report_rows();
-        let mut idx = SampleIndex {
-            hashes: Vec::with_capacity(n),
-            type_idx: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            flips: Vec::with_capacity(n),
-            stab_mask: Vec::with_capacity(n),
-            offsets: Vec::with_capacity(n + 1),
-            positives: Vec::with_capacity(rows),
-            date_min: Vec::with_capacity(rows),
-            lookup: HashMap::with_capacity(n),
-        };
-        idx.offsets.push(0);
-        for i in 0..n {
-            let p = table.positives_of(i);
-            let mut f = 0u8;
-            f |= if table.is_multi_report(i) {
-                flag::MULTI
-            } else {
-                0
-            };
-            f |= if table.is_stable(i) { flag::STABLE } else { 0 };
-            f |= if table.is_fresh(i) { flag::FRESH } else { 0 };
-            f |= if table.in_s(i) { flag::IN_S } else { 0 };
-
-            let hash = table.hash(i);
-            let slot = idx.hashes.len() as u32;
-            idx.hashes.push(hash);
-            idx.type_idx.push(table.type_idx(i) as u16);
-            idx.flags.push(f);
-            idx.flips.push(record_flips(table, i));
-            idx.stab_mask.push(stabilization_mask(p));
-            idx.positives.extend_from_slice(p);
-            idx.date_min.extend_from_slice(table.dates_of(i));
-            idx.offsets.push(idx.positives.len() as u64);
-            let prior = idx.lookup.insert(hash, slot);
-            debug_assert!(prior.is_none(), "segments hold whole, distinct samples");
+        let hashes = table.hashes();
+        let mut order: Vec<u32> = (0..hashes.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| hashes[i as usize]);
+        let mut idx = Self::with_capacity(table.len(), table.report_rows());
+        for i in order.into_iter().map(|i| i as usize) {
+            let positives = table.positives_of(i);
+            let flags = (u8::from(table.is_multi_report(i)) * flag::MULTI)
+                | (u8::from(table.is_stable(i)) * flag::STABLE)
+                | (u8::from(table.is_fresh(i)) * flag::FRESH)
+                | (u8::from(table.in_s(i)) * flag::IN_S);
+            idx.push(SampleSummary {
+                hash: hashes[i],
+                file_type: table.file_type(i),
+                positives,
+                dates_min: table.dates_of(i),
+                flips: record_flips(table, i),
+                stab_mask: stabilization_mask(positives),
+                flags,
+            });
         }
         idx
     }
 
-    /// Merges a later accumulation into this one. The two must cover
-    /// disjoint sample sets (the seal contract: a sample's whole
-    /// trajectory lives in exactly one segment of one slot stream) —
-    /// per-hash answers are then independent of the merge order, and
-    /// [`top_flips`](Self::top_flips) orders explicitly.
-    pub fn merge(mut self, next: Self) -> Self {
-        let base = self.positives.len() as u64;
-        let slot_base = self.hashes.len() as u32;
-        for (k, v) in next.lookup {
-            let prior = self.lookup.insert(k, slot_base + v);
-            debug_assert!(prior.is_none(), "sample sets must be disjoint");
-        }
-        self.hashes.extend(next.hashes);
-        self.type_idx.extend(next.type_idx);
-        self.flags.extend(next.flags);
-        self.flips.extend(next.flips);
-        self.stab_mask.extend(next.stab_mask);
-        self.positives.extend(next.positives);
-        self.date_min.extend(next.date_min);
-        self.offsets
-            .extend(next.offsets.iter().skip(1).map(|o| base + o));
-        self
-    }
-
-    /// One index over `parts`, in order, built from the borrowed parts
-    /// at exact capacity: each column and the lookup map is allocated
-    /// once and filled once. Equal to folding `merge` over the parts,
-    /// under the same disjointness contract.
+    /// One index over the samples of every part, merged from the parts'
+    /// sorted runs in one pass into columns allocated once at exact
+    /// capacity. The parts must hold disjoint samples (the seal
+    /// contract: a sample's whole trajectory lives in exactly one
+    /// segment of one slot stream); then the result is the one
+    /// [`fold_table`](Self::fold_table) gives their concatenation, in
+    /// any order of the parts.
     pub fn concat(parts: &[&SampleIndex]) -> Self {
-        let n: usize = parts.iter().map(|p| p.len()).sum();
-        let rows: usize = parts.iter().map(|p| p.report_rows()).sum();
-        let mut idx = SampleIndex {
-            hashes: Vec::with_capacity(n),
-            type_idx: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            flips: Vec::with_capacity(n),
-            stab_mask: Vec::with_capacity(n),
-            offsets: Vec::with_capacity(n + 1),
-            positives: Vec::with_capacity(rows),
-            date_min: Vec::with_capacity(rows),
-            lookup: HashMap::with_capacity(n),
-        };
-        idx.offsets.push(0);
-        for part in parts {
-            let base = idx.positives.len() as u64;
-            let slot_base = idx.hashes.len() as u32;
-            for (slot, &hash) in (slot_base..).zip(&part.hashes) {
-                let prior = idx.lookup.insert(hash, slot);
-                debug_assert!(prior.is_none(), "sample sets must be disjoint");
-            }
-            idx.hashes.extend_from_slice(&part.hashes);
-            idx.type_idx.extend_from_slice(&part.type_idx);
-            idx.flags.extend_from_slice(&part.flags);
-            idx.flips.extend_from_slice(&part.flips);
-            idx.stab_mask.extend_from_slice(&part.stab_mask);
-            idx.positives.extend_from_slice(&part.positives);
-            idx.date_min.extend_from_slice(&part.date_min);
-            idx.offsets
-                .extend(part.offsets.iter().skip(1).map(|o| base + o));
+        let samples = parts.iter().map(|p| p.len()).sum();
+        let rows = parts.iter().map(|p| p.report_rows()).sum();
+        let mut idx = Self::with_capacity(samples, rows);
+        let mut next = vec![0; parts.len()];
+        while let Some((part, i)) = (parts.iter().zip(&mut next))
+            .filter(|(part, i)| **i < part.len())
+            .min_by_key(|(part, i)| part.hashes[**i])
+        {
+            idx.push(part.summary(*i));
+            *i += 1;
         }
         idx
     }
 
-    /// Heap bytes held: every column's capacity, plus the lookup map's
-    /// buckets — estimated from its capacity under the standard
-    /// library's 7/8 load factor, one control byte per bucket.
+    /// Heap bytes held: exactly every column's capacity.
     pub fn heap_bytes(&self) -> usize {
         fn column<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
-        let buckets = match self.lookup.capacity() {
-            0 => 0,
-            small if small < 8 => small + 1,
-            cap => cap / 7 * 8,
-        };
         column(&self.hashes)
             + column(&self.type_idx)
             + column(&self.flags)
@@ -328,7 +286,6 @@ impl SampleIndex {
             + column(&self.offsets)
             + column(&self.positives)
             + column(&self.date_min)
-            + buckets * (size_of::<(SampleHash, u32)>() + 1)
     }
 
     /// Samples indexed.
@@ -346,10 +303,10 @@ impl SampleIndex {
         self.positives.len()
     }
 
-    /// Looks one sample up by hash.
+    /// Looks one sample up by hash: a binary search of the hash column.
     pub fn get(&self, hash: SampleHash) -> Option<SampleSummary<'_>> {
-        let &slot = self.lookup.get(&hash)?;
-        Some(self.summary(slot as usize))
+        let i = self.hashes.binary_search(&hash).ok()?;
+        Some(self.summary(i))
     }
 
     fn summary(&self, i: usize) -> SampleSummary<'_> {
@@ -381,8 +338,7 @@ impl SampleIndex {
         order.into_iter().map(|i| self.summary(i)).collect()
     }
 
-    /// Iterates every indexed summary (column order — only use where
-    /// order does not matter or is re-sorted).
+    /// Iterates every indexed summary, in ascending hash order.
     pub fn iter(&self) -> impl Iterator<Item = SampleSummary<'_>> {
         (0..self.len()).map(|i| self.summary(i))
     }
@@ -453,7 +409,8 @@ impl IndexChunks {
         copied
     }
 
-    /// Looks one sample up by hash, probing each chunk.
+    /// Looks one sample up by hash, binary-searching each chunk until one
+    /// answers.
     pub fn get(&self, hash: SampleHash) -> Option<SampleSummary<'_>> {
         self.chunks.iter().find_map(|chunk| chunk.get(hash))
     }
@@ -534,27 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_fold_over_concatenation() {
-        let study = study();
-        let records = study.records();
-        let ws = study.sim().config().window_start();
-        let whole = build(records, ws);
-        for split in [1usize, 3, 7] {
-            let chunk = records.len().div_ceil(split);
-            let mut acc: Option<SampleIndex> = None;
-            for seg in records.chunks(chunk) {
-                let part = build(seg, ws);
-                acc = Some(match acc {
-                    None => part,
-                    Some(a) => a.merge(part),
-                });
-            }
-            let merged = acc.expect("non-empty study");
-            assert_eq!(merged, whole, "split={split}");
-        }
-    }
-
-    #[test]
     fn flip_counts_sum_to_the_flips_stage_totals() {
         // The §7.1 stage counts flips over the fresh dynamic dataset
         // *S* only; restricting the index's per-sample counts the same
@@ -593,16 +529,10 @@ mod tests {
         assert!(leaders[0].flips > 0, "study too small to flip");
         // Assembling the index in a different segmentation cannot
         // change the ranked answer.
-        let chunk = records.len().div_ceil(4);
-        let mut acc: Option<SampleIndex> = None;
-        for seg in records.chunks(chunk) {
-            let part = build(seg, ws);
-            acc = Some(match acc {
-                None => part,
-                Some(a) => a.merge(part),
-            });
-        }
-        let merged = acc.unwrap();
+        let parts: Vec<SampleIndex> = (records.chunks(records.len().div_ceil(4)))
+            .map(|seg| build(seg, ws))
+            .collect();
+        let merged = SampleIndex::concat(&parts.iter().collect::<Vec<_>>());
         let again: Vec<_> = merged.top_flips(25).iter().map(|s| s.hash).collect();
         let first: Vec<_> = leaders.iter().map(|s| s.hash).collect();
         assert_eq!(again, first);
@@ -633,20 +563,23 @@ mod tests {
                 samples in proptest::collection::vec((0u32..4, any::<u64>()), 0..120)
             ) {
                 let n = samples.len();
+                let mut ranked: Vec<(SampleHash, u32)> = (samples.iter().enumerate())
+                    .map(|(i, &(flips, salt))| (SampleHash(u128::from(salt) << 32 | i as u128), flips))
+                    .collect();
+                ranked.sort_unstable();
                 // Report-less samples: `top_flips` reads two columns.
-                let idx = SampleIndex {
-                    hashes: samples
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(_, salt))| SampleHash(u128::from(salt) << 32 | i as u128))
-                        .collect(),
-                    flips: samples.iter().map(|&(flips, _)| flips).collect(),
-                    type_idx: vec![0; n],
-                    flags: vec![0; n],
-                    stab_mask: vec![0; n],
-                    offsets: vec![0; n + 1],
-                    ..SampleIndex::default()
-                };
+                let mut idx = SampleIndex::default();
+                for (hash, flips) in ranked {
+                    idx.push(SampleSummary {
+                        hash,
+                        file_type: FileType::Null,
+                        positives: &[],
+                        dates_min: &[],
+                        flips,
+                        stab_mask: 0,
+                        flags: 0,
+                    });
+                }
                 for k in [0, 1, n.saturating_sub(1), n, n + 1] {
                     let got: Vec<_> = idx.top_flips(k).iter().map(|s| s.hash).collect();
                     prop_assert_eq!(got, top_by_full_sort(&idx, k), "k={} of {}", k, n);
@@ -661,7 +594,8 @@ mod tests {
             /// ⌊log2 n⌋ + 1 chunks, at most 2·n·⌈log2 k⌉ samples copied,
             /// every chunk the push left alone shared with the list before
             /// it, and every answer the one index folded over the deltas'
-            /// concatenation gives.
+            /// concatenation gives — at every indexed hash, at the ends of
+            /// the hash space and of every chunk, and between neighbours.
             #[test]
             fn compaction_is_a_binary_counter(
                 deltas in proptest::collection::vec((1usize..=50, any::<u64>()), 1..=200),
@@ -672,7 +606,7 @@ mod tests {
                 let mut copied = 0;
                 for (k, &(size, seed)) in (1usize..).zip(&deltas) {
                     let delta = synthetic_delta(whole.len() as u64, size, seed);
-                    whole = whole.merge(delta.clone());
+                    whole = SampleIndex::concat(&[&whole, &delta]);
                     let before = chunks.clone();
                     copied += chunks.push(Arc::new(delta));
                     let n = whole.len();
@@ -685,13 +619,22 @@ mod tests {
                     }
                     let shared = before.chunks().iter().zip(&chunks.chunks()[..held - 1]);
                     prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
-                    for &hash in &whole.hashes {
+                    let ends = chunks.chunks().iter().flat_map(|c| [c.hashes[0], c.hashes[c.len() - 1]]);
+                    let between = (whole.hashes.windows(2))
+                        .find(|pair| pair[1].0 - pair[0].0 > 1)
+                        .map(|pair| SampleHash(pair[0].0 + 1));
+                    let edges = [SampleHash(0), SampleHash(u128::MAX), SampleHash::from_ordinal(n as u64)];
+                    let probes = (whole.hashes.iter().copied()).chain(ends).chain(between).chain(edges);
+                    for hash in probes {
                         prop_assert!(
                             chunks.get(hash).map(fields) == whole.get(hash).map(fields),
-                            "push {}", k
+                            "push {}: {:?}", k, hash
                         );
                     }
-                    prop_assert!(chunks.get(SampleHash::from_ordinal(n as u64)).is_none());
+                    prop_assert!(whole.get(SampleHash::from_ordinal(n as u64)).is_none());
+                    if let Some(hash) = between {
+                        prop_assert!(whole.get(hash).is_none(), "{:?} is not indexed", hash);
+                    }
                     prop_assert_eq!(chunked_top_flips(&chunks, cut), top_by_full_sort(&whole, cut));
                     prop_assert_eq!(chunked_stab_counts(&chunks), whole.stab_counts_in_s());
                 }
@@ -700,8 +643,8 @@ mod tests {
     }
 
     /// `n` samples of ordinals `first..`, disjoint from any other
-    /// delta's: flip counts that mostly tie, random flags, stabilization
-    /// masks and file types, and 0–3 reports each.
+    /// delta's and in hash order: flip counts that mostly tie, random
+    /// flags, stabilization masks and file types, and 0–3 reports each.
     fn synthetic_delta(first: u64, n: usize, seed: u64) -> SampleIndex {
         let mut state = seed;
         let mut draw = |bound: u64| {
@@ -710,20 +653,24 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) % bound
         };
+        let mut hashes: Vec<SampleHash> = (first..first + n as u64)
+            .map(SampleHash::from_ordinal)
+            .collect();
+        hashes.sort_unstable();
         let mut idx = SampleIndex::default();
-        for ordinal in first..first + n as u64 {
-            let hash = SampleHash::from_ordinal(ordinal);
-            idx.lookup.insert(hash, idx.hashes.len() as u32);
-            idx.hashes.push(hash);
-            idx.type_idx.push(draw(4) as u16);
-            idx.flags.push(draw(16) as u8);
-            idx.flips.push(draw(4) as u32);
-            idx.stab_mask.push(draw(1 << FIG9_THRESHOLDS.len()) as u16);
-            for _ in 0..draw(4) {
-                idx.positives.push(draw(70) as u32);
-                idx.date_min.push(draw(1 << 20) as i64);
-            }
-            idx.offsets.push(idx.positives.len() as u64);
+        for hash in hashes {
+            let reports = draw(4) as usize;
+            let positives: Vec<u32> = (0..reports).map(|_| draw(70) as u32).collect();
+            let dates_min: Vec<i64> = (0..reports).map(|_| draw(1 << 20) as i64).collect();
+            idx.push(SampleSummary {
+                hash,
+                file_type: FileType::from_dense_index(draw(4) as usize),
+                positives: &positives,
+                dates_min: &dates_min,
+                flips: draw(4) as u32,
+                stab_mask: draw(1 << FIG9_THRESHOLDS.len()) as u16,
+                flags: draw(16) as u8,
+            });
         }
         idx
     }
@@ -799,46 +746,72 @@ mod tests {
         assert!(idx.get(SampleHash::from_ordinal(0)).is_none());
         let folded = build(&[], vt_model::time::Timestamp(0));
         assert_eq!(folded.len(), 0);
-        assert_eq!(folded, folded.clone().merge(SampleIndex::default()));
+        assert_eq!(
+            SampleIndex::concat(&[&folded, &SampleIndex::default()]),
+            folded
+        );
     }
 
     /// The empty index has one representation, and it is an identity of
-    /// `merge` on either side and of `concat`.
+    /// `concat` on either side.
     #[test]
-    fn the_empty_index_is_an_identity_of_merge() {
+    fn the_empty_index_is_an_identity_of_concat() {
         let study = study();
         let ws = study.sim().config().window_start();
         let x = build(&study.records()[..300], ws);
-        assert_eq!(SampleIndex::default(), build(&[], ws));
-        assert_eq!(SampleIndex::default().merge(x.clone()), x);
-        assert_eq!(x.clone().merge(SampleIndex::default()), x);
-        let last = x.hashes[x.len() - 1];
-        let merged = SampleIndex::default().merge(x.clone());
-        assert_eq!(merged.get(last).map(fields), x.get(last).map(fields));
         let empty = SampleIndex::default();
+        assert_eq!(empty, build(&[], ws));
+        assert_eq!(SampleIndex::concat(&[&empty, &x]), x);
+        assert_eq!(SampleIndex::concat(&[&x, &empty]), x);
         assert_eq!(SampleIndex::concat(&[&empty, &x, &empty]), x);
         assert_eq!(SampleIndex::concat(&[]), empty);
     }
 
-    /// `concat` of any split equals the fold over the whole, and sizes
-    /// its columns exactly.
+    /// `concat` of any split, its parts in either order, equals the fold
+    /// over the whole; it sizes its columns exactly, and `heap_bytes`
+    /// is those columns and nothing else.
     #[test]
     fn concat_equals_fold_over_concatenation() {
         let study = study();
         let records = study.records();
         let ws = study.sim().config().window_start();
         let whole = build(records, ws);
+        assert!(whole.hashes.windows(2).all(|pair| pair[0] < pair[1]));
         for split in [1usize, 3, 7] {
-            let parts: Vec<SampleIndex> = (records.chunks(records.len().div_ceil(split)))
+            let mut parts: Vec<SampleIndex> = (records.chunks(records.len().div_ceil(split)))
                 .map(|seg| build(seg, ws))
                 .collect();
-            let concat = SampleIndex::concat(&parts.iter().collect::<Vec<_>>());
-            assert_eq!(concat, whole, "split={split}");
-            assert_eq!(concat.positives.capacity(), whole.report_rows());
-            assert_eq!(concat.offsets.capacity(), whole.len() + 1);
+            for _ in 0..2 {
+                let concat = SampleIndex::concat(&parts.iter().collect::<Vec<_>>());
+                assert_eq!(concat, whole, "split={split}");
+                assert_eq!(concat.positives.capacity(), whole.report_rows());
+                assert_eq!(concat.offsets.capacity(), whole.len() + 1);
+                parts.reverse();
+            }
         }
-        let columns = whole.len() * (16 + 2 + 1 + 4 + 2 + 8) + whole.report_rows() * (4 + 8);
-        assert!(whole.heap_bytes() > columns, "the map's buckets count too");
+        let columns = whole.len() * (16 + 2 + 1 + 4 + 2 + 8) + whole.report_rows() * (4 + 8) + 8;
+        assert_eq!(whole.heap_bytes(), columns);
+    }
+
+    /// The records oracle (`TrajectoryTable::build`, records in ordinal
+    /// order) and the daemon's route (a store's rows through the decode
+    /// arena, hash-ascending) index one feed identically.
+    #[test]
+    fn the_records_route_and_the_arena_route_give_one_index() {
+        let study = study();
+        let ws = study.sim().config().window_start();
+        let records = study.records();
+        let oracle = TrajectoryTable::build(records, ws);
+        assert!(
+            oracle.hashes().windows(2).any(|pair| pair[0] > pair[1]),
+            "the oracle table is not hash-ordered"
+        );
+        let mut arena = crate::arena::DecodeArena::new();
+        study.build_store().for_each_row(&mut arena);
+        let table = TrajectoryTable::build_from_arena(&arena, ws, 2, Obs::noop());
+        let via_arena = SampleIndex::fold_table(&table);
+        assert_eq!(via_arena.len(), records.len());
+        assert_eq!(SampleIndex::fold_table(&oracle), via_arena);
     }
 
     #[test]

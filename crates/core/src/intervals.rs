@@ -178,7 +178,9 @@ fn finish(acc: &IntervalPartial, max_days: usize) -> IntervalAnalysis {
     }
 }
 
-/// [`strided`] over the table's date/rank columns, reusing `out`.
+/// Picks at most `cap` evenly spaced scans of the table's date/rank
+/// columns, always keeping the first and last, into `out` (cleared
+/// first); the records oracle's `strided` does the same over reports.
 fn strided_columns(dates: &[i64], positives: &[u32], cap: usize, out: &mut Vec<(i64, u32)>) {
     out.clear();
     let n = dates.len();

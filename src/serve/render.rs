@@ -2,9 +2,10 @@
 //!
 //! A response is a function of one pinned [`Snapshot`], and nothing is
 //! rendered before a request asks. The per-hash verbs are rendered per
-//! request from the snapshot's slot indexes (a hash lives in at most one
-//! chunk of its slot's list, so a lookup probes each chunk until one
-//! answers), flip matrix and roster. The
+//! request from the snapshot's slot indexes (each chunk of a slot's list
+//! is sorted by hash and a hash lives in at most one of them, so a
+//! lookup binary-searches each chunk until one answers), flip matrix and
+//! roster. The
 //! aggregate documents (`results`, `engines`, `fingerprint`,
 //! `recommend`) and the study-wide flip ranking behind `flip_leaders`
 //! follow one rule: each is made once per snapshot, by the first

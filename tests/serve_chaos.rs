@@ -2,10 +2,11 @@
 //!
 //! The contract under test (ISSUE 6 / DESIGN.md §2.8):
 //!
-//! * **Kill-recover bit-identity** — a daemon SIGKILLed mid-ingest and
-//!   restarted with `--recover` over the same `--data-dir` must finish
-//!   with a study fingerprint bit-identical to a never-killed run's, at
-//!   every shard × worker combination.
+//! * **Kill-recover bit-identity** — a daemon SIGKILLed mid-feed (with
+//!   at least ten full segments sealed and more still to come, asserted
+//!   from the files) and restarted with `--recover` over the same
+//!   `--data-dir` must finish with a study fingerprint bit-identical to
+//!   a never-killed run's, at every shard × worker combination.
 //! * **Shard-count invariance** — the published fingerprint is
 //!   identical at shards 1, 2 and 4 (the merger folds the fixed hash
 //!   slots in canonical order, so shard parallelism can never show).
@@ -21,13 +22,14 @@
 //!   segments, and `--recover` over its data dir publishes the
 //!   never-stopped run's fingerprint, bit for bit.
 //!
-//! The reference fingerprint (same feed, in-memory, never killed) is
-//! computed once per test process and shared.
+//! The reference fingerprints (same feed, in-memory, never killed) are
+//! computed once per test process and shared: one for the short chaos
+//! feed, one for the long feed the kills and the stop run on.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use vt_label_dynamics::obs::json;
@@ -125,6 +127,28 @@ fn reference_fingerprint() -> &'static (String, String) {
     REFERENCE.get_or_init(|| run_to_completion(chaos_config(1, 1)).0)
 }
 
+/// The feed a kill or a stop lands in: long enough (20 ingest chunks,
+/// ~70 seals) that ten full segments are sealed well before the feed's
+/// end. The chaos feed cannot show a mid-feed crash: 8 of its 9 seals
+/// are the feed end's tails.
+const LONG_SAMPLES: u64 = 20_000;
+
+/// Full segments on disk before a kill or a stop is sent.
+const MID_FEED_SEALS: usize = 10;
+
+/// The chaos config for the long feed.
+fn long_config(shards: usize, workers: usize) -> ServeConfig {
+    let mut config = chaos_config(shards, workers);
+    config.samples = LONG_SAMPLES;
+    config
+}
+
+/// The long feed's never-killed reference fingerprint.
+fn long_reference() -> &'static (String, String) {
+    static REFERENCE: OnceLock<(String, String)> = OnceLock::new();
+    REFERENCE.get_or_init(|| run_to_completion(long_config(1, 1)).0)
+}
+
 /// A unique scratch directory for one scenario's segment log.
 fn temp_data_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vtld-chaos-{tag}-{}", std::process::id()));
@@ -134,7 +158,7 @@ fn temp_data_dir(tag: &str) -> PathBuf {
 
 /// Counts durable (non-tmp, non-quarantined) segment files in a data
 /// dir.
-fn segment_files(dir: &PathBuf) -> usize {
+fn segment_files(dir: &Path) -> usize {
     match std::fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())
@@ -144,18 +168,20 @@ fn segment_files(dir: &PathBuf) -> usize {
     }
 }
 
-/// The full kill-recover scenario: spawn the real `vtld` binary on this
-/// feed with a durable segment log, SIGKILL it mid-ingest, then recover
-/// in-process over the same directory and demand the reference
-/// fingerprint, bit for bit.
-fn kill_mid_ingest_then_recover(tag: &str, shards: usize, workers: usize) {
-    let data_dir = temp_data_dir(tag);
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
+/// Spawns the real `vtld serve` on the long feed with a durable
+/// segment log in `data_dir`, plus `extra` arguments.
+fn spawn_long_feed(
+    data_dir: &Path,
+    shards: usize,
+    workers: usize,
+    extra: &[&str],
+    stderr: Stdio,
+) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_vtld"))
         .args([
             "serve",
             "--samples",
-            &SAMPLES.to_string(),
+            &LONG_SAMPLES.to_string(),
             "--seed",
             &format!("{SEED:#x}"),
             "--segment-reports",
@@ -169,36 +195,65 @@ fn kill_mid_ingest_then_recover(tag: &str, shards: usize, workers: usize) {
             "--data-dir",
             data_dir.to_str().expect("utf-8 temp path"),
         ])
+        .args(extra)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
-        .expect("spawn vtld serve");
+        .expect("spawn vtld serve")
+}
 
-    // Wait until the write-ahead log holds a few durable segments —
-    // proof the daemon is mid-ingest — then SIGKILL it. No grace, no
-    // drain: whatever the log holds is all that survives.
+/// Waits until `data_dir` holds [`MID_FEED_SEALS`] full segments and
+/// `ready()` holds, failing if the daemon exits first.
+fn await_mid_feed(child: &mut Child, data_dir: &Path, ready: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if segment_files(&data_dir) >= 3 {
-            break;
-        }
+    while segment_files(data_dir) < MID_FEED_SEALS || !ready() {
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("vtld serve exited early with {status}");
         }
-        assert!(
-            Instant::now() < deadline,
-            "no segments appeared in {}",
-            data_dir.display()
-        );
-        std::thread::sleep(Duration::from_millis(10));
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!(
+                "fewer than {MID_FEED_SEALS} segments appeared in {}",
+                data_dir.display()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// SIGKILLs the daemon once it is mid-feed — no grace, no drain:
+/// whatever the log holds is all that survives — and returns the
+/// segment files it left.
+fn kill_mid_feed(mut child: Child, data_dir: &Path, ready: impl Fn() -> bool) -> usize {
+    await_mid_feed(&mut child, data_dir, ready);
     child.kill().expect("SIGKILL");
     child.wait().expect("reap child");
+    segment_files(data_dir)
+}
+
+/// Asserts from the files that a crash or stop which left `cut`
+/// segment files landed mid-feed: at least [`MID_FEED_SEALS`] sealed,
+/// and fewer than the `complete` log the recovered run ends with.
+fn assert_landed_mid_feed(cut: usize, complete: usize) {
+    assert!(
+        (MID_FEED_SEALS..complete).contains(&cut),
+        "the cut must land mid-feed: {cut} of {complete} seals"
+    );
+}
+
+/// The full kill-recover scenario: spawn the real `vtld` binary on the
+/// long feed with a durable segment log, SIGKILL it mid-feed, then
+/// recover in-process over the same directory and demand the reference
+/// fingerprint, bit for bit.
+fn kill_mid_ingest_then_recover(tag: &str, shards: usize, workers: usize) {
+    let data_dir = temp_data_dir(tag);
+    let child = spawn_long_feed(&data_dir, shards, workers, &[], Stdio::null());
+    let killed = kill_mid_feed(child, &data_dir, || true);
 
     // A dirty data dir must refuse to start without recovery enabled —
     // silently interleaving two runs' streams is the one unforgivable
     // outcome.
-    let mut config = chaos_config(shards, workers);
+    let mut config = long_config(shards, workers);
     config.data_dir = Some(data_dir.clone());
     let err = Server::start(config.clone()).expect_err("dirty dir must refuse without recover");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
@@ -206,23 +261,21 @@ fn kill_mid_ingest_then_recover(tag: &str, shards: usize, workers: usize) {
     // Recover: replay the clean prefix, resume ingest past it, finish.
     config.recover = true;
     let (fingerprint, status) = run_to_completion(config);
+    assert_landed_mid_feed(killed, segment_files(&data_dir));
     assert_eq!(
         &fingerprint,
-        reference_fingerprint(),
+        long_reference(),
         "recovered run (shards={shards}, workers={workers}) must be \
          bit-identical to the never-killed run"
     );
-    assert!(
-        status
-            .get("recovered_segments")
-            .and_then(|r| r.as_u64())
-            .expect("recovered_segments member")
-            >= 3,
-        "{status:?}"
+    assert_eq!(
+        status.get("recovered_segments").and_then(|r| r.as_u64()),
+        Some(killed as u64),
+        "every segment the kill left is replayed: {status:?}"
     );
     assert_eq!(
         status.get("samples").and_then(|s| s.as_u64()),
-        Some(SAMPLES),
+        Some(LONG_SAMPLES),
         "every sample must be folded exactly once after recovery"
     );
 
@@ -238,11 +291,11 @@ fn kill_recover_bit_identical_shards1_workers1() {
 /// the WAL (regenerating the same alerts under the same keys) and must
 /// end with an alert file that is duplicate-free and set-equal to a
 /// never-killed run's — exactly-once delivery across the crash
-/// (DESIGN.md §2.8). Killed twice: mid-ingest, before this feed's late
-/// alerts are out, so the replay alone must not duplicate; and once
-/// the file holds a delivery, with the kill made to fall inside its
-/// last line, so the replay must dedup against the whole lines and
-/// deliver the torn one again, whole.
+/// (DESIGN.md §2.8). Killed twice, both mid-feed: once as it stands,
+/// before this feed's late alerts are out, so the replay must not
+/// duplicate what was delivered; and once the file holds a delivery,
+/// with the kill made to fall inside its last line, so the replay must
+/// dedup against the whole lines and deliver the torn one again, whole.
 #[test]
 fn kill_recover_delivers_each_alert_exactly_once() {
     let read_lines = |p: &PathBuf| -> Vec<String> {
@@ -257,10 +310,10 @@ fn kill_recover_delivers_each_alert_exactly_once() {
     let clean_dir = temp_data_dir("alerts-clean");
     std::fs::create_dir_all(&clean_dir).expect("mkdir");
     let clean_path = clean_dir.join("alerts.jsonl");
-    let mut clean = chaos_config(2, 2);
+    let mut clean = long_config(2, 2);
     clean.alerts_out = Some(clean_path.clone());
     let (fingerprint, _) = run_to_completion(clean);
-    assert_eq!(&fingerprint, reference_fingerprint());
+    assert_eq!(&fingerprint, long_reference());
     let mut expect = read_lines(&clean_path);
     assert!(!expect.is_empty(), "this feed must fire alerts");
     expect.sort();
@@ -271,44 +324,13 @@ fn kill_recover_delivers_each_alert_exactly_once() {
         std::fs::create_dir_all(&data_dir).expect("mkdir");
         let alerts_path = data_dir.join("alerts.jsonl");
 
-        let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
-            .args([
-                "serve",
-                "--samples",
-                &SAMPLES.to_string(),
-                "--seed",
-                &format!("{SEED:#x}"),
-                "--segment-reports",
-                &SEGMENT_REPORTS.to_string(),
-                "--shards",
-                "2",
-                "--workers",
-                "2",
-                "--addr",
-                "127.0.0.1:0",
-                "--data-dir",
-                data_dir.to_str().expect("utf-8 temp path"),
-                "--alerts-out",
-                alerts_path.to_str().expect("utf-8 temp path"),
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn vtld serve");
+        let sink = [
+            "--alerts-out",
+            alerts_path.to_str().expect("utf-8 temp path"),
+        ];
+        let child = spawn_long_feed(&data_dir, 2, 2, &sink, Stdio::null());
         let delivered = || std::fs::metadata(&alerts_path).map_or(0, |m| m.len());
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if segment_files(&data_dir) >= 3 && (!after_a_delivery || delivered() > 0) {
-                break;
-            }
-            if let Some(status) = child.try_wait().expect("try_wait") {
-                panic!("vtld serve exited early with {status}");
-            }
-            assert!(Instant::now() < deadline, "no segments appeared");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        child.kill().expect("SIGKILL");
-        child.wait().expect("reap child");
+        let killed = kill_mid_feed(child, &data_dir, || !after_a_delivery || delivered() > 0);
         if after_a_delivery {
             // A batch is several `write`s, and a SIGKILL between two of
             // them leaves exactly this: the bytes so far, less a few.
@@ -320,12 +342,13 @@ fn kill_recover_delivers_each_alert_exactly_once() {
         }
 
         // Recover in-process over the same WAL *and* the same alert file.
-        let mut config = chaos_config(2, 2);
+        let mut config = long_config(2, 2);
         config.data_dir = Some(data_dir.clone());
         config.recover = true;
         config.alerts_out = Some(alerts_path.clone());
         let (fingerprint, _) = run_to_completion(config);
-        assert_eq!(&fingerprint, reference_fingerprint());
+        assert_landed_mid_feed(killed, segment_files(&data_dir));
+        assert_eq!(&fingerprint, long_reference());
 
         let survived = read_lines(&alerts_path);
         let mut deduped = survived.clone();
@@ -346,44 +369,16 @@ fn kill_recover_delivers_each_alert_exactly_once() {
     }
 }
 
-/// The graceful-stop feed: long enough (20 ingest chunks, ~70 seals)
-/// that a stop sent once three segments are on disk lands mid-feed. The
-/// chaos feed cannot show it: 8 of its 9 seals are the feed end's tails,
-/// and a stop seals none.
-const STOP_SAMPLES: u64 = 20_000;
-
-/// Spawn the real `vtld serve --data-dir`, send `{"cmd":"shutdown"}` over
-/// the wire once three segments are durable, and demand a clean exit
-/// with the feed unfinished; then recover in-process over the same
-/// directory and demand the never-stopped run's fingerprint, every
-/// stopped seal replayed and every sample folded once.
+/// Spawn the real `vtld serve --data-dir` on the long feed, send
+/// `{"cmd":"shutdown"}` over the wire once it is mid-feed, and demand a
+/// clean exit with the feed unfinished; then recover in-process over the
+/// same directory and demand the never-stopped run's fingerprint, every
+/// stopped seal replayed and every sample folded once. A stop seals no
+/// unfilled segment, so the stop lands where a kill would.
 #[test]
 fn graceful_stop_recovers_bit_identical() {
     let data_dir = temp_data_dir("stop");
-    let mut config = chaos_config(1, 1);
-    config.samples = STOP_SAMPLES;
-    let (reference, _) = run_to_completion(config.clone());
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
-        .args([
-            "serve",
-            "--samples",
-            &STOP_SAMPLES.to_string(),
-            "--seed",
-            &format!("{SEED:#x}"),
-            "--segment-reports",
-            &SEGMENT_REPORTS.to_string(),
-            "--workers",
-            "1",
-            "--addr",
-            "127.0.0.1:0",
-            "--data-dir",
-            data_dir.to_str().expect("utf-8 temp path"),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn vtld serve");
+    let mut child = spawn_long_feed(&data_dir, 1, 1, &[], Stdio::piped());
     let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
     let mut banner = String::new();
     stderr.read_line(&mut banner).expect("the listening line");
@@ -392,14 +387,7 @@ fn graceful_stop_recovers_bit_identical() {
         .and_then(|addr| addr.parse().ok())
         .unwrap_or_else(|| panic!("no address in {banner:?}"));
 
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while segment_files(&data_dir) < 3 {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            panic!("vtld serve exited early with {status}");
-        }
-        assert!(Instant::now() < deadline, "no segments appeared");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    await_mid_feed(&mut child, &data_dir, || true);
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .write_all(b"{\"cmd\":\"shutdown\"}\n")
@@ -420,16 +408,14 @@ fn graceful_stop_recovers_bit_identical() {
         });
     assert_eq!(litter.count(), 0, "a stop leaves no *.tmp");
 
+    let mut config = long_config(1, 1);
     config.data_dir = Some(data_dir.clone());
     config.recover = true;
     let (fingerprint, status) = run_to_completion(config);
-    let complete = segment_files(&data_dir);
-    assert!(
-        (3..complete).contains(&stopped),
-        "the stop must land mid-feed: {stopped} of {complete} seals"
-    );
+    assert_landed_mid_feed(stopped, segment_files(&data_dir));
     assert_eq!(
-        fingerprint, reference,
+        &fingerprint,
+        long_reference(),
         "a stopped and recovered run must be bit-identical to the never-stopped run"
     );
     let member = |name: &str| status.get(name).and_then(|v| v.as_u64());
@@ -441,7 +427,7 @@ fn graceful_stop_recovers_bit_identical() {
     assert_eq!(member("quarantined_segments"), Some(0), "{status:?}");
     assert_eq!(
         member("samples"),
-        Some(STOP_SAMPLES),
+        Some(LONG_SAMPLES),
         "every sample must be folded exactly once after recovery"
     );
 

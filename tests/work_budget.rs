@@ -11,8 +11,10 @@
 //! * the allocations one table build makes (`build_from_arena`), a
 //!   constant independent of the row count.
 //!
-//! Both `heap_bytes()` estimators are checked against the allocator:
-//! the bytes a column structure holds are exactly its live bytes.
+//! The `heap_bytes()` of the arena, the table and the per-hash index
+//! (folded from that table, and concatenated from two halves) are
+//! checked against the allocator: the bytes a column structure holds
+//! are exactly its live bytes, and each is a formula in the counts.
 //!
 //! The study flow is `cmd_study`'s at workers 1 (`run_streamed`), at
 //! two feed sizes: its peak live heap is one chunk's, so the two peaks
@@ -110,6 +112,13 @@ fn table_budget(n: usize, s: usize) -> usize {
     44 * n + 35 * s + 8
 }
 
+/// The per-hash index's heap for `r` reports of `s` samples: 33 bytes
+/// a sample (hash 16, type 2, flags 1, flips 4, stabilization mask 2,
+/// offset 8), 12 a report (AV-Rank, date), and the closing offset.
+fn index_budget(r: usize, s: usize) -> usize {
+    33 * s + 12 * r + 8
+}
+
 /// What the fold holds beside the arena and its table at the peak — the
 /// stages' partials and temporaries, and the row permutation while the
 /// build runs — in bytes per report, at most.
@@ -120,10 +129,10 @@ fn analyze_heap_fits_its_budget() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let path =
         std::env::temp_dir().join(format!("vtld-work-budget-{}.vtstore", std::process::id()));
+    let feed = Study::generate_with_workers(SimConfig::new(SEED, SAMPLES), 2);
     {
-        let study = Study::generate_with_workers(SimConfig::new(SEED, SAMPLES), 2);
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path).expect("create feed"));
-        write_store(&study.build_store(), &mut file).expect("write feed");
+        write_store(&feed.build_store(), &mut file).expect("write feed");
     }
     let fleet = EngineFleet::with_seed(SEED ^ 0xF1EE_7000);
     let window_start = Month::COLLECTION_START.start();
@@ -163,18 +172,42 @@ fn analyze_heap_fits_its_budget() {
     assert_eq!(table.report_rows(), reports);
     let _ = std::fs::remove_file(&path);
 
-    let (arena_bytes, table_bytes) = (arena.heap_bytes(), table.heap_bytes());
+    // ---- the per-hash index: of the table, and of two halves ---------
+    let before = live();
+    let index = SampleIndex::fold_table(&table);
+    assert_eq!(
+        live() - before,
+        index.heap_bytes(),
+        "the index's estimate is its live bytes"
+    );
+    let (first, second) = feed.records().split_at(feed.records().len() / 2);
+    let [first, second] = [first, second]
+        .map(|half| SampleIndex::fold_table(&TrajectoryTable::build(half, window_start)));
+    let before = live();
+    let merged = SampleIndex::concat(&[&second, &first]);
+    assert_eq!(
+        live() - before,
+        merged.heap_bytes(),
+        "the merged index's estimate is its live bytes"
+    );
+    assert_eq!(merged, index, "the halves merge to the table's index");
+
+    let (arena_bytes, table_bytes, index_bytes) =
+        (arena.heap_bytes(), table.heap_bytes(), index.heap_bytes());
     let budget = arena_budget(reports) + table_budget(reports, samples) + FOLD_PER_REPORT * reports;
     println!(
         "work budget: {reports} reports / {samples} samples; peak {peak} B = {:.1} B/report \
-         (arena {:.1}, table {:.1}, budget {:.1}); table build {allocs} allocations",
+         (arena {:.1}, table {:.1}, budget {:.1}); table build {allocs} allocations; \
+         index {:.1} B/sample",
         peak as f64 / reports as f64,
         arena_bytes as f64 / reports as f64,
         table_bytes as f64 / reports as f64,
         budget as f64 / reports as f64,
+        index_bytes as f64 / samples as f64,
     );
     assert_eq!(arena_bytes, arena_budget(reports), "arena bytes");
     assert_eq!(table_bytes, table_budget(reports, samples), "table bytes");
+    assert_eq!(index_bytes, index_budget(reports, samples), "index bytes");
     assert!(
         (arena_bytes + table_bytes..=budget).contains(&peak),
         "peak live heap {peak} B over {reports} reports: the fold holds the arena and its \

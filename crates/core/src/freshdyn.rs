@@ -8,7 +8,7 @@
 
 use crate::par;
 use crate::records::SampleRecord;
-use crate::table::TrajectoryTable;
+use crate::table::{flag, TrajectoryTable};
 use vt_model::time::Timestamp;
 use vt_obs::Obs;
 
@@ -60,7 +60,7 @@ pub fn build(records: &[SampleRecord], window_start: Timestamp) -> FreshDynamic 
 /// one-byte-at-a-time scan's.
 pub fn build_from_table(table: &TrajectoryTable, workers: usize) -> FreshDynamic {
     // Bit 5 (IN_S) of every byte lane in a u64 word.
-    let lanes = u64::from_ne_bytes([TrajectoryTable::IN_S_BIT; 8]);
+    let lanes = u64::from_ne_bytes([flag::IN_S; 8]);
     let ranges = par::partition_ranges(table.len() as u64, workers);
     let parts = par::map_ranges_obs(&ranges, Obs::noop(), "freshdyn", |_, range| {
         let start = range.start as usize;
@@ -93,7 +93,7 @@ pub fn build_from_table(table: &TrajectoryTable, workers: usize) -> FreshDynamic
             k += 32;
         }
         for (tail, &f) in slice.iter().enumerate().skip(k) {
-            if f & TrajectoryTable::IN_S_BIT != 0 {
+            if f & flag::IN_S != 0 {
                 push(start + tail, &mut indices, &mut reports);
             }
         }

@@ -117,10 +117,15 @@ macro_rules! roster {
                 }
             }
 
-            /// Field-wise by-ref merge every public entry point reduces
-            /// to: each stage's [`Analysis::merge`], then the *S* and
-            /// segment counts.
-            fn merge_from(&mut self, next: &Self) {
+            /// Adds another fold's partials to this accumulation, in
+            /// place: each stage's [`Analysis::merge`], then the *S* and
+            /// segment counts. The one contract is the segment folds':
+            /// `self` and `next` cover disjoint sample sets. Every stage
+            /// merge commutes, so the order is free; `vtld serve`'s
+            /// merger adds each fold's delta to its running sum in
+            /// arrival order, which is what makes the published snapshot
+            /// bit-identical at every shard count.
+            pub fn merge_from(&mut self, next: &Self) {
                 $($stage.merge(&mut self.$field, &next.$field);)*
                 self.s_samples += next.s_samples;
                 self.s_reports += next.s_reports;
@@ -175,15 +180,22 @@ impl StudyPartials {
         acc
     }
 
-    /// Merges another segment's partials into this accumulation.
-    ///
-    /// Public because the serve tier's merger thread reassembles the
-    /// global study from the folds' deltas: merging them is `fold` over
-    /// their union, which is what makes the published snapshot
-    /// bit-identical at every shard count. The one contract is the
-    /// segment folds': `self` and `next` cover disjoint sample sets.
-    /// Every stage merge commutes, so the order is free, and the merger
-    /// adds each delta in arrival order.
+    /// The fold of zero samples over `fleet` and the window starting at
+    /// `window_start`: no segment folded (`segments() == 0`), and the
+    /// identity of [`merge`](Self::merge) on both sides — the sum a
+    /// stream of deltas starts from, and what a study with nothing
+    /// folded finishes into.
+    pub fn empty(fleet: &EngineFleet, window_start: Timestamp) -> Self {
+        let table = TrajectoryTable::build(&[], window_start);
+        let s = freshdyn::build_from_table(&table, 1);
+        let ctx = AnalysisCtx::new(&[], &table, &s, fleet, window_start);
+        Self {
+            segments: 0,
+            ..Self::fold_range(&ctx)
+        }
+    }
+
+    /// [`merge_from`](Self::merge_from) by value.
     pub fn merge(mut self, next: Self) -> Self {
         self.merge_from(&next);
         self
@@ -381,18 +393,17 @@ impl<'a> IncrementalStudy<'a> {
     /// `pipeline/segment` span (with the usual `pipeline/table`,
     /// `pipeline/freshdyn` and per-stage spans inside it).
     ///
-    /// This is now a thin adapter over [`fold_table`](Self::fold_table):
-    /// it builds the segment's columnar table and folds that. Callers
-    /// holding decoded rows or a sealed [`vt_store::ReportStore`] should
-    /// prefer [`fold_arena`](Self::fold_arena) /
-    /// [`fold_store`](Self::fold_store), which skip the
-    /// `Vec<SampleRecord>` materialization entirely.
+    /// An adapter over the one private fold: it builds the segment's
+    /// columnar table and folds that. Callers holding decoded rows or a
+    /// sealed [`vt_store::ReportStore`] should prefer
+    /// [`fold_arena`](Self::fold_arena) / [`fold_store`](Self::fold_store),
+    /// which skip the `Vec<SampleRecord>` materialization entirely.
     pub fn fold_segment(&mut self, records: &[SampleRecord], obs: &Obs) {
         let _span = obs.span("pipeline/segment");
         let table = obs.time("pipeline/table", || {
             TrajectoryTable::build_with(records, self.window_start, self.workers, obs)
         });
-        self.fold_table_inner(&table, obs);
+        self.fold_table(&table, obs);
     }
 
     /// Folds one sealed segment out of the rows a decode already left
@@ -402,8 +413,8 @@ impl<'a> IncrementalStudy<'a> {
     /// ([`fold_store`](Self::fold_store)). The columnar table is built
     /// from the arena with no `Vec<ScanReport>`/`Vec<SampleRecord>`
     /// round-trip and folded exactly like
-    /// [`fold_table`](Self::fold_table). Returns the number of samples
-    /// folded.
+    /// [`fold_segment`](Self::fold_segment)'s. Returns the number of
+    /// samples folded.
     ///
     /// Bit-identical to `fold_segment` over the same reports as
     /// records — the arena path sorts decoded rows by `(hash,
@@ -421,7 +432,7 @@ impl<'a> IncrementalStudy<'a> {
         obs.gauge("mem/arena_bytes")
             .set_max(arena.heap_bytes() as u64);
         let samples = table.len();
-        self.fold_table_inner(&table, obs);
+        self.fold_table(&table, obs);
         samples
     }
 
@@ -442,22 +453,14 @@ impl<'a> IncrementalStudy<'a> {
     }
 
     /// Folds one sealed segment's columnar table — however it was built
-    /// — into the cached partials. This is the core fold entry point:
-    /// [`fold_segment`](Self::fold_segment) and
-    /// [`fold_arena`](Self::fold_arena) both construct a table and land
-    /// here. The table must cover whole samples (never split one
-    /// sample's trajectory across tables). Tables are folded in stream
-    /// order because the index and the drift detectors follow it; the
-    /// study partials would be the same in any order.
-    pub fn fold_table(&mut self, table: &TrajectoryTable, obs: &Obs) {
-        let _span = obs.span("pipeline/segment");
-        self.fold_table_inner(table, obs);
-    }
-
-    /// Shared tail of the fold entry points (caller owns the
-    /// `pipeline/segment` span). The `mem/table_bytes` gauge keeps the
-    /// largest table any fold on `obs` has held.
-    fn fold_table_inner(&mut self, table: &TrajectoryTable, obs: &Obs) {
+    /// — into the cached partials: the one fold every public entry point
+    /// adapts to (the caller owns the `pipeline/segment` span). The
+    /// table must cover whole samples (never split one sample's
+    /// trajectory across tables). Tables are folded in stream order
+    /// because the index and the drift detectors follow it; the study
+    /// partials would be the same in any order. The `mem/table_bytes`
+    /// gauge keeps the largest table any fold on `obs` has held.
+    pub(crate) fn fold_table(&mut self, table: &TrajectoryTable, obs: &Obs) {
         obs.gauge("mem/table_bytes")
             .set_max(table.heap_bytes() as u64);
         let s = obs.time("pipeline/freshdyn", || {
@@ -495,16 +498,7 @@ impl<'a> IncrementalStudy<'a> {
     pub fn results(&self, partitions: Vec<PartitionStats>, obs: &Obs) -> StudyResults {
         match self.partials() {
             Some(p) => p.finish(partitions, obs),
-            // Nothing folded yet: the fold of zero segments is the fold
-            // of an empty one.
-            None => {
-                let table = TrajectoryTable::build_with(&[], self.window_start, 1, obs);
-                let s = freshdyn::build_from_table(&table, 1);
-                let ctx = AnalysisCtx::new(&[], &table, &s, self.fleet, self.window_start)
-                    .with_workers(self.workers)
-                    .with_obs(obs);
-                StudyPartials::fold(&ctx).finish(partitions, obs)
-            }
+            None => StudyPartials::empty(self.fleet, self.window_start).finish(partitions, obs),
         }
     }
 }
@@ -685,7 +679,8 @@ mod tests {
             /// `merge` of the range folds is the whole fold, for every
             /// stage at once, wherever the cuts fall — empty ranges,
             /// repeated cuts and ranges without a member of S included —
-            /// and in whatever order the range folds are merged.
+            /// and in whatever order the range folds are merged; and the
+            /// empty study is its identity, merged in at either end.
             #[test]
             fn range_folds_merge_to_the_whole_fold_at_any_cut_points(
                 seed in 0u64..1_000_000,
@@ -706,6 +701,8 @@ mod tests {
                     .map(|w| StudyPartials::fold_range(&ctx.narrowed(w[0]..w[1])))
                     .collect();
                 let whole = StudyPartials::fold_range(&ctx);
+                let empty = StudyPartials::empty(study.sim().fleet(), ws);
+                prop_assert_eq!(empty.segments(), 0);
                 // In range order, then in the permutation `keys` sorts to.
                 let mut permuted: Vec<usize> = (0..parts.len()).collect();
                 permuted.sort_by_key(|&i| keys[i]);
@@ -716,6 +713,12 @@ mod tests {
                         .reduce(StudyPartials::merge)
                         .expect("at least the range 0..samples");
                     prop_assert_eq!(merged.segments(), parts.len() as u64);
+                    let front = empty.clone().merge(merged.clone());
+                    let back = merged.clone().merge(empty.clone());
+                    for (with_empty, end) in [(front, "front"), (back, "back")] {
+                        prop_assert_eq!(with_empty.segments(), merged.segments());
+                        assert_same_fold(&merged, &with_empty, &format!("{what}, empty at the {end}"));
+                    }
                     merged.segments = 1;
                     assert_same_fold(&whole, &merged, what);
                 }

@@ -27,34 +27,20 @@
 //! sample is copied O(log k) times over k pushes.
 //!
 //! Per sample the index holds the full AV-Rank timeline (positives and
-//! analysis minutes, CSR-packed), the membership flags the table
-//! computed, the engine-label **flip count** (same definition as the
-//! §7.1 stage: flips between *consecutive active* labels, `Undetected`
-//! scans skipped), and a 9-bit **stabilization mask** — bit *i* set
-//! when the sample's threshold-`FIG9_THRESHOLDS[i]` label sequence has
-//! stabilized (§6.2).
+//! analysis minutes, CSR-packed), the table's membership-flag byte
+//! verbatim (`table::flag`), the engine-label **flip count** (same
+//! definition as the §7.1 stage: flips between *consecutive active*
+//! labels, `Undetected` scans skipped), and a 9-bit **stabilization
+//! mask** — bit *i* set when the sample's threshold-`FIG9_THRESHOLDS[i]`
+//! label sequence has stabilized (§6.2).
 
 use std::cmp::Reverse;
 use std::mem::size_of;
 use std::sync::Arc;
 
 use crate::stabilization::{stabilization_mask, FIG9_THRESHOLDS};
-use crate::table::TrajectoryTable;
+use crate::table::{flag, TrajectoryTable};
 use vt_model::{FileType, SampleHash};
-
-/// Per-sample membership flags, mirroring the [`TrajectoryTable`]
-/// flag semantics (recomputed through its accessors, so the two can
-/// never disagree).
-mod flag {
-    /// More than one report.
-    pub const MULTI: u8 = 1 << 0;
-    /// Δ = 0 over a non-empty trajectory.
-    pub const STABLE: u8 = 1 << 1;
-    /// First submitted inside the observation window.
-    pub const FRESH: u8 = 1 << 2;
-    /// Member of the fresh dynamic dataset *S*.
-    pub const IN_S: u8 = 1 << 3;
-}
 
 /// An epoch-consistent hash → trajectory-summary index.
 ///
@@ -234,10 +220,6 @@ impl SampleIndex {
         let mut idx = Self::with_capacity(table.len(), table.report_rows());
         for i in order.into_iter().map(|i| i as usize) {
             let positives = table.positives_of(i);
-            let flags = (u8::from(table.is_multi_report(i)) * flag::MULTI)
-                | (u8::from(table.is_stable(i)) * flag::STABLE)
-                | (u8::from(table.is_fresh(i)) * flag::FRESH)
-                | (u8::from(table.in_s(i)) * flag::IN_S);
             idx.push(SampleSummary {
                 hash: hashes[i],
                 file_type: table.file_type(i),
@@ -245,7 +227,7 @@ impl SampleIndex {
                 dates_min: table.dates_of(i),
                 flips: record_flips(table, i),
                 stab_mask: stabilization_mask(positives),
-                flags,
+                flags: table.flags_raw()[i],
             });
         }
         idx
@@ -669,7 +651,7 @@ mod tests {
                 dates_min: &dates_min,
                 flips: draw(4) as u32,
                 stab_mask: draw(1 << FIG9_THRESHOLDS.len()) as u16,
-                flags: draw(16) as u8,
+                flags: draw(1 << 6) as u8,
             });
         }
         idx

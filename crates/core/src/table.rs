@@ -33,8 +33,11 @@ use vt_model::time::Timestamp;
 use vt_model::{EngineId, FileType, SampleHash};
 use vt_obs::Obs;
 
-/// Per-record membership flags, packed into one byte.
-mod flag {
+/// Per-record membership flags, packed into one byte — the one
+/// definition: [`crate::index::SampleIndex`] keeps each sample's byte
+/// verbatim, and the freshdyn kernel masks [`flag::IN_S`] lanes out of
+/// [`TrajectoryTable::flags_raw`].
+pub(crate) mod flag {
     /// More than one report (§5.1 measurable subset).
     pub const MULTI: u8 = 1 << 0;
     /// Δ = 0 over a non-empty trajectory (§5.1 *stable*).
@@ -593,15 +596,12 @@ impl TrajectoryTable {
         &self.hashes
     }
 
-    /// The raw per-record flag bytes — the bulk-scan view the widened
-    /// freshdyn kernel reads eight records at a time.
+    /// The raw per-record flag bytes ([`flag`]) — the bulk-scan view
+    /// the widened freshdyn kernel reads eight records at a time, and
+    /// what the per-sample index keeps.
     pub(crate) fn flags_raw(&self) -> &[u8] {
         &self.flags
     }
-
-    /// The raw IN_S flag bit, for mask-based bulk scans over
-    /// [`flags_raw`](Self::flags_raw).
-    pub(crate) const IN_S_BIT: u8 = flag::IN_S;
 
     /// The window start the freshness flags were computed against.
     pub fn window_start(&self) -> Timestamp {

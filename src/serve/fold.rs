@@ -26,9 +26,11 @@
 //! by this module's per-segment round-trip test, not re-proved on every
 //! segment.
 //!
-//! What crosses the seam downstream is one [`MergeEvent`] per fold and
-//! nothing else — no table, no lock, no rendered byte; nothing here
-//! knows how slots are merged or published, or where alerts go.
+//! What crosses the seam downstream is one boxed [`SlotUpdate`] per fold
+//! and nothing else — no table, no lock, no rendered byte; nothing here
+//! knows how slots are merged or published, or where alerts go. A worker
+//! says it is done by dropping its sender, whether it returns or
+//! panics: the merger's channel closes when the last one does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +57,7 @@ pub(super) struct SlotUpdate {
     pub(super) slot: usize,
     /// [`SegmentMsg::recovered`], passed on with the alerts.
     pub(super) recovered: bool,
-    pub(super) partials: Option<StudyPartials>,
+    pub(super) partials: StudyPartials,
     pub(super) partitions: Vec<PartitionStats>,
     /// The folded segment's own samples, frozen behind an `Arc` at fold
     /// time: the merger keeps the pointer as the slot's newest index
@@ -64,12 +66,6 @@ pub(super) struct SlotUpdate {
     /// In key order: seq grows per fold, ordinals are deterministic
     /// within one (and bounded by the per-segment detector caps).
     pub(super) alerts: Vec<Alert>,
-}
-
-/// Shard-worker → merger messages.
-pub(super) enum MergeEvent {
-    Folded(Box<SlotUpdate>),
-    WorkerExited,
 }
 
 /// A shard worker's context: the feeder's, and the fleet's engine
@@ -173,7 +169,7 @@ impl<'a> SlotFold<'a> {
         let update = SlotUpdate {
             slot: self.slot,
             recovered,
-            partials: self.study.take_partials(),
+            partials: self.study.take_partials().expect("a fold folds a segment"),
             partitions: segment.store().partition_stats(),
             index: self.study.take_index().map(Arc::new).unwrap_or_default(),
             alerts,
@@ -184,10 +180,11 @@ impl<'a> SlotFold<'a> {
 
 /// One shard worker: folds its slots' segment streams, in arrival
 /// (= per-slot seal) order, and sends the merger every fold's update.
+/// Its caller drops `merge_tx` when it returns.
 pub(super) fn shard_worker(
     ctx: &FoldCtx,
     rx: &Receiver<SegmentMsg>,
-    merge_tx: &Sender<MergeEvent>,
+    merge_tx: &Sender<Box<SlotUpdate>>,
 ) {
     let (ingest, c) = (&ctx.ingest, &ctx.ingest.counters);
     let mut slots: HashMap<usize, SlotFold<'_>> = HashMap::new();
@@ -212,9 +209,8 @@ pub(super) fn shard_worker(
         if recovered {
             c.recovered_segments.incr();
         }
-        let _ = merge_tx.send(MergeEvent::Folded(Box::new(update)));
+        let _ = merge_tx.send(Box::new(update));
     }
-    let _ = merge_tx.send(MergeEvent::WorkerExited);
 }
 
 #[cfg(test)]
@@ -334,7 +330,7 @@ mod tests {
         );
         let mut summed_partitions = Vec::new();
         for update in &updates {
-            let delta = update.partials.as_ref().expect("folded");
+            let delta = &update.partials;
             assert_eq!(delta.segments(), 1, "each update is its own fold's delta");
             merge_partition_stats(&mut summed_partitions, &update.partitions);
         }
@@ -343,7 +339,7 @@ mod tests {
         assert_eq!(summed_partitions, partitions);
         let served = updates
             .into_iter()
-            .filter_map(|update| update.partials)
+            .map(|update| update.partials)
             .reduce(StudyPartials::merge)
             .expect("three folds")
             .finish(summed_partitions, Obs::noop());

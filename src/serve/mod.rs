@@ -26,10 +26,12 @@
 //!   streaming drift detectors' alerts, and send the merger one message
 //!   per fold carrying that fold's partials, index and alerts. No state
 //!   is shared between a worker and the merger: nothing to lock, nothing
-//!   to poison.
-//! * `publish` — slot updates → `Arc<Snapshot>`. The merger adds each
-//!   update's delta to one running sum — one merge per fold, in arrival
-//!   order, the same sum in any order and so at any shard count —
+//!   to poison. A worker that ends, returned or panicked, drops its
+//!   sender; that is its only goodbye.
+//! * `publish` — slot updates → `Arc<Snapshot>`. The merger is a sum
+//!   over its channel: it starts at the empty study (epoch 0, built once
+//!   at start) and adds each update's delta — one merge per fold, in
+//!   arrival order, the same sum in any order and so at any shard count —
 //!   pushes each update's index onto its slot's compacted chunk list
 //!   ([`crate::dynamics::IndexChunks`]), and swaps a copy of the sum and
 //!   the lists' chunk pointers in as the next epoch's snapshot, nothing
@@ -37,8 +39,9 @@
 //!   a snapshot and the one thing a `subscribe` stream waits on (publish
 //!   and shutdown are its only wake-ups). The copy is finished into
 //!   results once: before the swap if readers asked the last snapshot
-//!   for results, else by the first request that needs them. The
-//!   merger is also the connector sinks' one producer.
+//!   for results, else by the first request that needs them. When the
+//!   channel closes, the last worker gone, it publishes the final
+//!   snapshot. The merger is also the connector sinks' one producer.
 //! * `render` — snapshot → bytes, on request. Per-hash answers are
 //!   rendered per request; each aggregate document, and the
 //!   `flip_leaders` ranking, once per snapshot by the first request
@@ -292,7 +295,10 @@ impl Server {
         })?;
         let addr = listener.local_addr()?;
         let fold = fold::FoldCtx::new(config);
-        let seam = Arc::new(publish::Seam::new(publish::empty_epoch(&fold)));
+        // The empty study, built once: the merger's sum starts at it, and
+        // epoch 0 is it finished.
+        let merger = publish::MergerState::new(&fold);
+        let seam = Arc::new(publish::Seam::new(publish::empty_epoch(&fold, &merger)));
         let daemon = Arc::new(publish::PublishCtx { fold, seam });
         let (config, counters) = (&daemon.fold.ingest.config, &daemon.fold.ingest.counters);
         let conn = Arc::new(conn::ConnCtx {
@@ -321,7 +327,9 @@ impl Server {
             None
         };
 
-        let (merge_tx, merge_rx) = channel::<fold::MergeEvent>();
+        // Each worker's sender drops when its thread ends, returned or
+        // panicked; the merger's channel closes with the last.
+        let (merge_tx, merge_rx) = channel::<Box<fold::SlotUpdate>>();
         let mut shard_txs = Vec::new();
         for _ in 0..config.shards {
             let (tx, rx) = sync_channel::<ingest::SegmentMsg>(SHARD_QUEUE_SEGMENTS);
@@ -335,7 +343,7 @@ impl Server {
 
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
-            publish::merger_loop(&d, &merge_rx, alert_sink.as_ref())
+            publish::merger_loop(&d, merger, &merge_rx, alert_sink.as_ref())
         }));
         threads.push(std::thread::spawn(move || {
             conn::accept_loop(&listener, &conn)

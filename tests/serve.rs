@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
+use vt_label_dynamics::serve::MAX_LINE_BYTES;
 
 #[test]
 fn serve_answers_concurrent_clients_during_ingestion() {
@@ -109,7 +110,6 @@ fn status_counters_stay_live_after_ingest_done() {
     let mut config = ServeConfig::new(300, 0x57A7);
     config.segment_reports = 1_000;
     config.workers = 1;
-    config.max_line_bytes = 256;
     let server = Server::start(config).expect("bind ephemeral port");
     let (mut stream, mut reader) = connect(server.addr());
     let done = loop {
@@ -123,7 +123,7 @@ fn status_counters_stay_live_after_ingest_done() {
 
     // No publish can follow `ingest_done`: whatever moves now moves
     // only in the registry. A second connection earns an eviction.
-    let mut over = vec![b'a'; 257];
+    let mut over = vec![b'a'; MAX_LINE_BYTES + 1];
     over.push(b'\n');
     let notice = send_raw(server.addr(), &over).expect("an eviction notice");
     assert!(notice.contains("\"evicted\":true"), "{notice}");
@@ -169,12 +169,11 @@ fn send_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Option<String> {
 }
 
 /// A tiny idle server for protocol-abuse tests: no ingestion to speak
-/// of, tight limits so hostile input trips them quickly.
+/// of, and a short read deadline so a silent client trips it quickly.
 fn hostile_test_server() -> Server {
     let mut config = ServeConfig::new(50, 0xBAD);
     config.segment_reports = 1_000;
     config.workers = 1;
-    config.max_line_bytes = 256;
     config.read_timeout = Duration::from_millis(400);
     Server::start(config).expect("bind ephemeral port")
 }
@@ -202,10 +201,10 @@ fn hostile_wire_input_gets_typed_errors_never_a_panic() {
     let v = json::parse(line.trim_end()).expect("parseable error response");
     assert!(v.get("error").is_some(), "{line}");
 
-    // An oversized request line (no newline until way past the limit):
+    // An oversized request line (no newline until past the limit):
     // the client is evicted with a typed response and the connection is
     // closed.
-    let mut huge = vec![b'a'; 4 * 1024];
+    let mut huge = vec![b'a'; MAX_LINE_BYTES + 1];
     huge.push(b'\n');
     let line = send_raw(addr, &huge).expect("an eviction notice");
     let v = json::parse(line.trim_end()).expect("parseable eviction response");
@@ -297,20 +296,21 @@ fn unterminated_final_request_is_answered_at_eof() {
 #[test]
 fn request_line_bound_is_exact() {
     // Regression: the length check ran after buffering, so the
-    // documented max_line_bytes bound could be exceeded by up to one
-    // BufReader chunk. The bound is now exact: a line of exactly `max`
-    // bytes is served, one more byte evicts.
-    let server = hostile_test_server(); // max_line_bytes = 256
+    // documented MAX_LINE_BYTES bound could be exceeded by up to one
+    // BufReader chunk. The bound is now exact: a line of exactly
+    // MAX_LINE_BYTES bytes is served, one more byte evicts.
+    let server = hostile_test_server();
     let addr = server.addr();
 
-    // Exactly 256 bytes of valid JSON (newline excluded from the bound).
+    // Exactly MAX_LINE_BYTES of valid JSON (newline excluded from the
+    // bound).
     let base = "{\"cmd\":\"status\",\"pad\":\"\"}";
     let mut exact = format!(
         "{{\"cmd\":\"status\",\"pad\":\"{}\"}}",
-        "a".repeat(256 - base.len())
+        "a".repeat(MAX_LINE_BYTES - base.len())
     )
     .into_bytes();
-    assert_eq!(exact.len(), 256);
+    assert_eq!(exact.len(), MAX_LINE_BYTES);
     exact.push(b'\n');
     let line = send_raw(addr, &exact).expect("a response");
     let v = json::parse(line.trim_end()).expect("parseable response");
@@ -319,8 +319,8 @@ fn request_line_bound_is_exact() {
         "a line of exactly max bytes must be served: {line}"
     );
 
-    // 257 bytes: evicted, not serviced.
-    let mut over = vec![b'a'; 257];
+    // One byte more: evicted, not serviced.
+    let mut over = vec![b'a'; MAX_LINE_BYTES + 1];
     over.push(b'\n');
     let line = send_raw(addr, &over).expect("an eviction notice");
     let v = json::parse(line.trim_end()).expect("parseable eviction response");

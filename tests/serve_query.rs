@@ -16,9 +16,11 @@
 //!
 //! The reference index is computed once per test process: the daemon
 //! feed is replicated exactly — same simulator, same default
-//! [`FaultPlan`] as [`ServeConfig::new`], and `SAMPLES` kept under one
-//! ingest chunk (1 024) so the chunked collector sees the identical
-//! delivery stream.
+//! [`FaultPlan`] as [`ServeConfig::new`], and one faulty feed and one
+//! collector run per ingest chunk of ordinals, as the feeder cuts it.
+//! `SAMPLES` spans three such chunks, so each slot's segments carry
+//! hash ranges that interleave across chunks, and an index combinator
+//! that appended its parts instead of merging them would answer wrong.
 
 mod common;
 
@@ -30,11 +32,15 @@ use vt_label_dynamics::model::EngineId;
 use vt_label_dynamics::obs::json;
 use vt_label_dynamics::prelude::*;
 
-const SAMPLES: u64 = 1_000; // one ingest chunk: daemon feed == reference feed
+const SAMPLES: u64 = 2_500; // three ingest chunks
 const SEED: u64 = 0xD1CE;
-/// About 160 reports reach each of the 8 ingest slots, so every slot
-/// seals several segments and its index chunks compact: the bit-match
-/// reads compacted chunks, not only each slot's feed-end tail.
+/// Sample ordinals per collector run: `INGEST_CHUNK_SAMPLES` of the
+/// feeder (`src/serve/ingest.rs`), which the reference feed replicates.
+const INGEST_CHUNK_SAMPLES: u64 = 1_024;
+/// About 400 reports reach each of the 8 ingest slots, so every slot
+/// seals several segments from each ingest chunk and its index chunks
+/// compact: the bit-match reads compacted chunks, not only each slot's
+/// feed-end tail.
 const SEGMENT_REPORTS: u64 = 40;
 
 /// The directly folded ground truth every served answer must match.
@@ -52,9 +58,12 @@ fn reference() -> &'static Reference {
         let plan = FaultPlan::clean(SEED)
             .with_duplicates(0.01)
             .with_reordering(0.05, 30);
-        let feed = FaultyFeed::from_sim(&sim, 0..SAMPLES, plan);
-        let outcome = Collector::default().run(feed);
-        let records = records_from_store(&outcome.store);
+        let mut records = Vec::new();
+        for start in (0..SAMPLES).step_by(INGEST_CHUNK_SAMPLES as usize) {
+            let end = (start + INGEST_CHUNK_SAMPLES).min(SAMPLES);
+            let outcome = Collector::default().run(FaultyFeed::from_sim(&sim, start..end, plan));
+            records.extend(records_from_store(&outcome.store));
+        }
         let window_start = sim.config().window_start();
         let table = TrajectoryTable::build(&records, window_start);
         let index = SampleIndex::fold_table(&table);

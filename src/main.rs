@@ -426,8 +426,9 @@ flags:
   --max-clients C       concurrent connections before new
                         clients are shed with a typed
                         'overloaded' response               (default 256)
-  --alerts-out PATH     append drift alerts to PATH as JSONL
-                        (exactly-once across --recover)
+  --alerts-out PATH     append drift alerts to PATH as JSONL,
+                        exactly-once across --recover (a regular
+                        file of one feed: empty unless --recover)
   --alerts-tcp ADDR     stream drift alerts to a TCP endpoint
                         (retried with backoff; a failed batch
                         is resent whole, replays are skipped)
@@ -846,6 +847,31 @@ mod tests {
                 missing.display()
             )),
             "{msg}"
+        );
+        // So does a path that is not a regular file, before it is opened:
+        // a FIFO would block the open until a writer came.
+        let fifo = root.join("alerts.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.expect("mkfifo runs").success(), "mkfifo");
+        for path in [fifo.as_path(), Path::new("/dev/null")] {
+            assert_eq!(
+                start("--alerts-out", path.to_str().expect("utf-8")),
+                format!(
+                    "cannot start serve: cannot open alerts sink {}: not a regular file",
+                    path.display()
+                )
+            );
+        }
+        // And, without --recover, a file another run already wrote to.
+        let written = root.join("alerts.jsonl");
+        std::fs::write(&written, "{\"slot\":0}\n").expect("write");
+        assert_eq!(
+            start("--alerts-out", written.to_str().expect("utf-8")),
+            format!(
+                "cannot start serve: alerts file {} already holds alerts; \
+                 restart with --recover or point at a clean file",
+                written.display()
+            )
         );
         let _ = std::fs::remove_dir_all(&root);
     }

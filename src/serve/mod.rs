@@ -172,10 +172,6 @@ pub struct ServeConfig {
     /// Detector tuning shared by every slot (each worker stamps its own
     /// slot id into its copy).
     pub alert_config: AlertConfig,
-    /// Alerts retained on the published snapshot (largest
-    /// `(seq, slot, detector, ordinal)` keys win — a memory bound, not
-    /// a correctness bound; sinks see every alert regardless).
-    pub alerts_ring: usize,
     /// JSONL alert sink: every fired alert appended as one JSON line,
     /// exactly-once across crash recovery.
     pub alerts_out: Option<PathBuf>,
@@ -207,7 +203,6 @@ impl ServeConfig {
             read_timeout: Duration::from_secs(10),
             alerts: true,
             alert_config: AlertConfig::default(),
-            alerts_ring: 4_096,
             alerts_out: None,
             alerts_tcp: None,
         }
@@ -219,7 +214,6 @@ impl ServeConfig {
         self.workers = self.workers.clamp(1, par::MAX_WORKERS);
         self.shards = self.shards.clamp(1, INGEST_SLOTS);
         self.max_clients = self.max_clients.max(1);
-        self.alerts_ring = self.alerts_ring.max(1);
         self
     }
 }
@@ -285,7 +279,8 @@ impl Server {
         // open fails the start where the caller sees it; before the bind,
         // so the listener is not taken for a start that fails.
         let sinks = if config.alerts {
-            sink::Sinks::open(config.alerts_out.as_deref(), config.alerts_tcp.as_deref())?
+            let (out, tcp) = (config.alerts_out.as_deref(), config.alerts_tcp.as_deref());
+            sink::Sinks::open(out, tcp, config.recover)?
         } else {
             sink::Sinks::default()
         };

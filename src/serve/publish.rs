@@ -20,7 +20,7 @@
 //! interleaving. The alerts an update carries arrive exactly
 //! once and are rendered here, once: handed to the sink thread (whose
 //! one producer the merger is) in arrival order, then stamped with the
-//! publish epoch and kept on a key-sorted ring capped at `alerts_ring`
+//! publish epoch and kept on a key-sorted ring capped at [`ALERTS_RING`]
 //! — the only alert log there is.
 //!
 //! ## The publish seam
@@ -55,6 +55,9 @@ use super::{wire, INGEST_SLOTS};
 use crate::dynamics::{merge_partition_stats, IndexChunks, StudyPartials, StudyResults};
 use crate::obs::Obs;
 use crate::store::PartitionStats;
+
+/// Alerts the published ring keeps, by largest key; the sinks get all.
+pub(super) const ALERTS_RING: usize = 4_096;
 
 /// One epoch-consistent view of the study — the merged study itself:
 /// its partials, the per-slot sample indexes, the alert ring and the
@@ -283,7 +286,7 @@ pub(super) struct MergerState {
     partials: StudyPartials,
     partitions: Vec<PartitionStats>,
     slot_indexes: Vec<IndexChunks>,
-    /// The published alerts with the `alerts_ring` largest keys, sorted
+    /// The published alerts with the [`ALERTS_RING`] largest keys, sorted
     /// by key. An alert with that many larger keys behind it can never
     /// come back into the tail of a log that only grows, so nothing
     /// older is kept — what grows with history here is bounded.
@@ -382,8 +385,11 @@ fn publish_merged(
         }));
         // The sinks get every line, the ones the ring cuts included.
         if let (Some(sink), false) = (sink, alerts.is_empty()) {
-            let lines = fresh[batch..].iter().map(|a| a.rendered.clone()).collect();
-            let _ = sink.send(SinkMsg { lines, recovered });
+            let _ = sink.send(SinkMsg {
+                slot,
+                lines: fresh[batch..].iter().map(|a| a.rendered.clone()).collect(),
+                recovered,
+            });
         }
         state.partials.merge_from(&partials);
         merge_partition_stats(&mut state.partitions, &partitions);
@@ -400,7 +406,7 @@ fn publish_merged(
         let ring = Arc::make_mut(&mut state.ring);
         ring.extend(fresh);
         ring.sort_unstable_by_key(|a| a.key);
-        let excess = ring.len().saturating_sub(ingest.config.alerts_ring);
+        let excess = ring.len().saturating_sub(ALERTS_RING);
         ring.drain(..excess);
     }
     let partitions = state.partitions.clone();
@@ -943,12 +949,11 @@ mod tests {
 
     #[test]
     fn the_ring_is_the_tail_of_the_log_it_no_longer_keeps() {
-        let mut config = ServeConfig::new(100, 7);
-        config.alerts_ring = 4;
-        let ctx = merger_ctx(config);
+        let ctx = merger_ctx(ServeConfig::new(100, 7));
         // Slot 1 runs ahead and slot 0 catches up, so late batches sort
         // *into* the retained tail and behind it, not only after it; the
-        // empty batch publishes with nothing to add.
+        // empty batch publishes with nothing to add. Each count is in
+        // thousands of alerts (x 1 024), so the log outgrows the ring.
         let batches = [
             (1, 0, 2),
             (1, 1, 3),
@@ -971,13 +976,13 @@ mod tests {
                 scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
                 let epoch = n as u64 + 1;
-                let update = alerts_only(ctx, slot, seq, count);
+                let update = alerts_only(ctx, slot, seq, count * 1_024);
                 log.extend(update.alerts.iter().map(|a| (a.key(), epoch)));
                 log.sort_unstable();
                 tx.send(update).expect("rx");
                 let snap = ctx.seam.wait_past(epoch - 1).expect("no shutdown");
                 assert_eq!(snap.epoch, epoch);
-                let tail = &log[log.len().saturating_sub(4)..];
+                let tail = &log[log.len().saturating_sub(ALERTS_RING)..];
                 let ring: Vec<_> = snap.alerts.iter().map(|a| (a.key, a.published)).collect();
                 assert_eq!(ring, tail, "publish {epoch}");
                 for since in 0..=epoch {
@@ -993,7 +998,7 @@ mod tests {
             merger.join().expect("the merger returns");
         });
         assert!(
-            log.len() > 4 * 4,
+            log.len() > 4 * ALERTS_RING,
             "the log outgrew the ring several times over"
         );
     }
@@ -1004,10 +1009,9 @@ mod tests {
     /// the ring cuts included.
     #[test]
     fn the_sink_gets_every_update_s_lines_once_in_arrival_order() {
-        let mut config = ServeConfig::new(100, 7);
-        config.alerts_ring = 4;
-        let ctx = merger_ctx(config);
-        // Arrival order is not key order, and one update fires nothing.
+        let ctx = merger_ctx(ServeConfig::new(100, 7));
+        // Arrival order is not key order, and one update fires nothing;
+        // each count is in thousands of alerts (x 1 024).
         let batches = [
             (1, 0, 2),
             (1, 1, 3),
@@ -1027,7 +1031,7 @@ mod tests {
             let merger = scope
                 .spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, Some(&sink_tx)));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
-                let mut update = alerts_only(ctx, slot, seq, count);
+                let mut update = alerts_only(ctx, slot, seq, count * 1_024);
                 update.recovered = n % 2 == 1;
                 let want = (update.alerts.iter())
                     .map(|alert| wire::render_alert(alert, &ctx.fold.roster))
@@ -1035,11 +1039,13 @@ mod tests {
                 let recovered = update.recovered;
                 tx.send(update).expect("rx");
                 ctx.seam.wait_past(n as u64).expect("no shutdown");
-                let got: Vec<_> = sink_rx.try_iter().map(|m| (m.lines, m.recovered)).collect();
+                let got: Vec<_> = (sink_rx.try_iter())
+                    .map(|m| (m.slot, m.lines, m.recovered))
+                    .collect();
                 if want.is_empty() {
                     assert!(got.is_empty(), "update {n} fired nothing: {got:?}");
                 } else {
-                    assert_eq!(got, [(want.clone(), recovered)], "update {n}");
+                    assert_eq!(got, [(slot, want.clone(), recovered)], "update {n}");
                 }
                 delivered += want.len();
             }
@@ -1052,6 +1058,10 @@ mod tests {
             "the final publish adds nothing"
         );
         let ring = ctx.seam.current().alerts.len();
-        assert_eq!((delivered, ring), (13, 4), "the ring cut 9 lines");
+        assert_eq!(
+            (delivered, ring),
+            (13 * 1_024, ALERTS_RING),
+            "the ring cut 9 x 1 024 lines"
+        );
     }
 }

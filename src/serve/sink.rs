@@ -2,21 +2,23 @@
 //!
 //! The merger hands every fold's freshly fired alert batch (the bodies
 //! it rendered for the ring with [`super::wire::render_alert`], one JSON
-//! object per alert, flagged as replayed or live) to one sink thread
-//! over an mpsc channel; the thread fans each batch out to the
-//! configured connectors:
+//! object per alert, flagged as replayed or live, with the slot that
+//! fired it) to one sink thread over an mpsc channel; the thread fans
+//! each batch out to the configured connectors:
 //!
 //! * **JSONL file** (`--alerts-out PATH`): one rendered alert per line,
-//!   appended and flushed per batch. The file is opened by
-//!   `Server::start`, before any thread runs, so a path the daemon
-//!   cannot open refuses the start. Delivery is **exactly-once across
-//!   crash-recovery**: on startup the sink reads the file back and
-//!   seeds a dedup set with every line already present, so the WAL
-//!   replay after a SIGKILL (which regenerates the same alerts under
-//!   the same `(slot, seq, detector, ordinal)` keys, rendered to the
-//!   same bytes) appends nothing it already delivered. A last line the
-//!   kill tore mid-write was not delivered: it is cut off the file, and
-//!   the replay appends that alert whole.
+//!   appended and flushed per batch, to a regular file of one feed (a
+//!   start without `--recover` refuses a non-empty one). Delivery is
+//!   **exactly-once across crash-recovery** by one count per slot: every
+//!   data dir is a prefix of the clean run's seals, alerts are a pure
+//!   function of the WAL, and a slot's updates reach the sink in its
+//!   seal order, so each slot's lines in the file are a prefix of what
+//!   its replay fires again; `--recover` counts them and skips that
+//!   many. A last line a kill tore is cut off, and the replay appends
+//!   that alert whole. A failed write ends file delivery for the run
+//!   (that batch and every later one count as dropped): a batch past a
+//!   gap would break its slot's prefix, and a partial line left is what
+//!   the next `--recover` cuts.
 //! * **Webhook-shaped TCP** (`--alerts-tcp ADDR`): rendered alerts
 //!   written line-by-line to a TCP endpoint, connected lazily and
 //!   retried with exponential backoff. Recovery-replayed batches are
@@ -35,23 +37,26 @@
 //! daemon joins it on shutdown — a flushed file is part of the drain
 //! contract.
 
-use std::collections::HashSet;
-use std::io::{BufWriter, Read, Write};
+use std::io::ErrorKind::{InvalidData, InvalidInput};
+use std::io::{BufRead, BufReader, BufWriter, Error, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
+use super::INGEST_SLOTS;
 use crate::obs::Counter;
 
 /// One fold's rendered alerts, travelling from the merger to the sink
 /// thread.
 pub(super) struct SinkMsg {
+    /// The slot whose fold fired the batch.
+    pub slot: usize,
     /// Rendered alert bodies (see [`super::wire::render_alert`]), in
     /// key order within the batch; never empty.
     pub lines: Vec<String>,
     /// The batch came from a crash-recovery WAL replay rather than live
-    /// ingest (the file sink dedups it; the TCP sink skips it).
+    /// ingest (the TCP sink skips it).
     pub recovered: bool,
 }
 
@@ -63,20 +68,12 @@ pub(super) struct Sinks {
 }
 
 impl Sinks {
-    /// Opens the configured connectors: the JSONL file here, so a path
-    /// the daemon cannot open is an error its caller sees before any
-    /// alert is fired; the TCP endpoint lazily, on its first batch.
-    pub fn open(out: Option<&Path>, tcp: Option<&str>) -> std::io::Result<Sinks> {
-        let file = out.map(|path| {
-            FileSink::open(path).map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!("cannot open alerts sink {}: {e}", path.display()),
-                )
-            })
-        });
+    /// Opens the configured connectors: the JSONL file here, resumed if
+    /// `resume`, so a path the daemon cannot open fails the start before
+    /// any alert is fired; the TCP endpoint lazily, on its first batch.
+    pub fn open(out: Option<&Path>, tcp: Option<&str>, resume: bool) -> std::io::Result<Sinks> {
         Ok(Sinks {
-            file: file.transpose()?,
+            file: out.map(|path| FileSink::open(path, resume)).transpose()?,
             tcp: tcp.map(|addr| TcpSink::new(addr.to_string())),
         })
     }
@@ -88,64 +85,73 @@ impl Sinks {
     }
 }
 
-/// The JSONL file connector with its crash-recovery dedup set.
+/// The JSONL file connector with its per-slot resume counts.
 struct FileSink {
     writer: BufWriter<std::fs::File>,
-    /// Every line already in the file — alerts are rendered
-    /// deterministically, so byte equality is key equality.
-    delivered: HashSet<String>,
+    /// Per slot, the whole lines the file held at open that this run
+    /// has not offered again, and so skips.
+    held: [u64; INGEST_SLOTS],
 }
 
 impl FileSink {
-    fn open(path: &Path) -> std::io::Result<FileSink> {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let mut existing = Vec::new();
-        file.read_to_end(&mut existing)?;
-        // A batch is several `write`s, so a kill can leave the last
-        // line without its end. Appending onto that fragment would glue
-        // the replayed alert to it: the file is cut back to its last
-        // whole line, and the fragment is no delivery to dedup against.
-        let whole = existing
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |at| at + 1);
-        if whole < existing.len() {
-            file.set_len(whole as u64)?;
+    /// Opens `path` for appending. A non-regular path, and without
+    /// `resume` a non-empty file, refuse the start; with `resume`, each
+    /// whole line is counted under its slot and a torn last line is cut.
+    fn open(path: &Path, resume: bool) -> std::io::Result<FileSink> {
+        let at = path.display();
+        let cannot = |e: Error| Error::new(e.kind(), format!("cannot open alerts sink {at}: {e}"));
+        let meta = std::fs::metadata(path).ok();
+        if meta.as_ref().is_some_and(|meta| !meta.is_file()) {
+            return Err(cannot(Error::new(InvalidInput, "not a regular file")));
         }
-        let delivered = std::str::from_utf8(&existing[..whole])
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            .lines()
-            .filter(|line| !line.is_empty())
-            .map(str::to_owned)
-            .collect();
-        Ok(FileSink {
-            writer: BufWriter::new(file),
-            delivered,
-        })
+        if !resume && meta.is_some_and(|meta| meta.len() > 0) {
+            let why = "already holds alerts; restart with --recover or point at a clean file";
+            return Err(Error::new(InvalidInput, format!("alerts file {at} {why}")));
+        }
+        let mut options = std::fs::File::options();
+        options.create(true).read(true).append(true);
+        let file = options.open(path).map_err(cannot)?;
+        let (mut held, mut whole, mut line) = ([0; INGEST_SLOTS], 0, Vec::new());
+        let mut reader = BufReader::new(&file);
+        for number in 1u64.. {
+            line.clear();
+            let read = reader.read_until(b'\n', &mut line).map_err(cannot)?;
+            if line.last() != Some(&b'\n') {
+                break;
+            }
+            let Some(slot) = alert_slot(&line) else {
+                let why = format!("line {number} is not an alert of a slot below {INGEST_SLOTS}");
+                return Err(cannot(Error::new(InvalidData, why)));
+            };
+            held[slot] += 1;
+            whole += read as u64;
+        }
+        // A batch is several `write`s, so a kill can tear its last line.
+        // Appending onto the fragment would glue the replayed alert to it.
+        file.set_len(whole).map_err(cannot)?;
+        let writer = BufWriter::new(file);
+        Ok(FileSink { writer, held })
     }
 
-    /// Appends the batch's new lines, flushing once per batch. Returns
-    /// `(emitted, deduped)`.
-    fn deliver(&mut self, lines: &[String]) -> std::io::Result<(u64, u64)> {
-        let mut emitted = 0;
-        let mut deduped = 0;
-        for line in lines {
-            if self.delivered.contains(line) {
-                deduped += 1;
-                continue;
-            }
+    /// Appends the batch of `slot`'s lines past those the file already
+    /// held, flushing once per batch. Returns `(emitted, skipped)`.
+    fn deliver(&mut self, slot: usize, lines: &[String]) -> std::io::Result<(u64, u64)> {
+        let skipped = self.held[slot].min(lines.len() as u64);
+        self.held[slot] -= skipped;
+        for line in &lines[skipped as usize..] {
             self.writer.write_all(line.as_bytes())?;
             self.writer.write_all(b"\n")?;
-            self.delivered.insert(line.clone());
-            emitted += 1;
         }
         self.writer.flush()?;
-        Ok((emitted, deduped))
+        Ok((lines.len() as u64 - skipped, skipped))
     }
+}
+
+/// The `"slot"` below [`INGEST_SLOTS`] of the alert `line`, if it is one.
+fn alert_slot(line: &[u8]) -> Option<usize> {
+    let doc = crate::obs::json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    let slot = usize::try_from(doc.get("slot")?.as_u64()?).ok()?;
+    (slot < INGEST_SLOTS).then_some(slot)
 }
 
 /// Connection attempts per batch before the TCP connector drops it.
@@ -210,28 +216,32 @@ impl TcpSink {
 /// `serve/alerts_emitted` / `serve/alerts_dropped`.
 pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, dropped: Counter) {
     let Sinks { mut file, mut tcp } = sinks;
-    while let Ok(SinkMsg { lines, recovered }) = rx.recv() {
+    let mut file_failed = false;
+    while let Ok(msg) = rx.recv() {
         if let Some(sink) = file.as_mut() {
-            match sink.deliver(&lines) {
-                Ok((wrote, deduped)) => {
+            match sink.deliver(msg.slot, &msg.lines) {
+                Ok((wrote, skipped)) => {
                     emitted.add(wrote);
-                    dropped.add(deduped);
+                    dropped.add(skipped);
                 }
                 Err(e) => {
-                    eprintln!("vtld serve: alerts sink write failed: {e}");
-                    dropped.add(lines.len() as u64);
+                    eprintln!("vtld serve: alerts sink write failed, file delivery ends: {e}");
+                    (file, file_failed) = (None, true);
                 }
             }
         }
+        if file_failed {
+            dropped.add(msg.lines.len() as u64);
+        }
         if let Some(sink) = tcp.as_mut() {
-            if recovered {
+            if msg.recovered {
                 // At-most-once: replayed alerts were either delivered
                 // before the crash or are gone; never send them twice.
-                dropped.add(lines.len() as u64);
+                dropped.add(msg.lines.len() as u64);
             } else {
-                let wrote = sink.deliver(&lines);
+                let wrote = sink.deliver(&msg.lines);
                 emitted.add(wrote);
-                dropped.add(lines.len() as u64 - wrote);
+                dropped.add(msg.lines.len() as u64 - wrote);
             }
         }
     }
@@ -240,7 +250,8 @@ pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, d
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
+    use proptest::prelude::*;
+    use std::io::ErrorKind;
     use std::path::PathBuf;
     use std::sync::mpsc::channel;
 
@@ -265,19 +276,44 @@ mod tests {
         dir
     }
 
+    /// An alert line of `slot`, the `n`-th its file holds.
+    fn alert(slot: usize, n: usize) -> String {
+        format!("{{\"slot\":{slot},\"seq\":{n},\"detector\":\"engine_burst\",\"ordinal\":0}}")
+    }
+
+    /// Runs `sink_loop` over `batches` of `(slot, lines, recovered)` into
+    /// `sinks`.
+    fn run(sinks: Sinks, batches: Vec<(usize, Vec<String>, bool)>, counters: (&Counter, &Counter)) {
+        let (tx, rx) = channel();
+        for (slot, lines, recovered) in batches {
+            let msg = SinkMsg {
+                slot,
+                lines,
+                recovered,
+            };
+            tx.send(msg).expect("send");
+        }
+        drop(tx);
+        sink_loop(rx, sinks, counters.0.clone(), counters.1.clone());
+    }
+
     #[test]
     fn a_torn_last_line_is_cut_off_and_its_alert_replayed_whole() {
         let dir = temp_dir();
         let path = dir.join("alerts.jsonl");
-        let batch = ["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
+        let batch = [alert(0, 1), alert(0, 2)];
+        let (a, b) = (&batch[0], &batch[1]);
         // The kill fell inside the second line, then inside the first.
-        for (torn, delivered) in [("{\"a\":1}\n{\"b\":", (1, 1)), ("{\"a", (2, 0))] {
-            std::fs::write(&path, torn).expect("write");
-            let mut sink = FileSink::open(&path).expect("open");
-            assert_eq!(sink.deliver(&batch).expect("deliver"), delivered);
+        for (torn, delivered) in [
+            (format!("{a}\n{}", &b[..6]), (1, 1)),
+            (a[..3].to_string(), (2, 0)),
+        ] {
+            std::fs::write(&path, &torn).expect("write");
+            let mut sink = FileSink::open(&path, true).expect("open");
+            assert_eq!(sink.deliver(0, &batch).expect("deliver"), delivered);
             assert_eq!(
                 std::fs::read_to_string(&path).expect("read back"),
-                "{\"a\":1}\n{\"b\":2}\n",
+                format!("{a}\n{b}\n"),
                 "after {torn:?}"
             );
         }
@@ -288,39 +324,155 @@ mod tests {
     fn file_sink_appends_and_dedups_across_reopen() {
         let dir = temp_dir();
         let path = dir.join("alerts.jsonl");
-
         let (emitted, dropped, _obs) = counters();
-        let (tx, rx) = channel();
-        let lines = vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
-        tx.send(SinkMsg {
-            lines: lines.clone(),
-            recovered: false,
-        })
-        .expect("send");
-        drop(tx);
-        let sinks = Sinks::open(Some(&path), None).expect("open");
-        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
-        assert_eq!(emitted.value(), 2);
-        assert_eq!(dropped.value(), 0);
+        let (a0, b0, c0, x1, y1) = (
+            alert(0, 0),
+            alert(0, 1),
+            alert(0, 2),
+            alert(1, 0),
+            alert(1, 1),
+        );
+        let first = vec![
+            (0, vec![a0.clone(), b0.clone()], false),
+            (1, vec![x1.clone()], false),
+        ];
+        run(
+            Sinks::open(Some(&path), None, false).expect("open"),
+            first,
+            (&emitted, &dropped),
+        );
+        assert_eq!((emitted.value(), dropped.value()), (3, 0));
 
-        // A second sink over the same file (the recovery case) dedups
-        // replayed lines and appends only the genuinely new one.
-        let (tx, rx) = channel();
-        tx.send(SinkMsg {
-            lines: vec![lines[0].clone(), "{\"c\":3}".to_string()],
-            recovered: true,
-        })
-        .expect("send");
-        drop(tx);
-        let sinks = Sinks::open(Some(&path), None).expect("reopen");
-        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
-        assert_eq!(emitted.value(), 3, "one new line appended");
-        assert_eq!(dropped.value(), 1, "one replayed line deduped");
+        // A fresh start over the file is another feed's run: refused.
+        let err = Sinks::open(Some(&path), None, false)
+            .err()
+            .expect("a fresh start is refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "alerts file {} already holds alerts; restart with --recover or point at a clean file",
+                path.display()
+            )
+        );
+
+        // A recovery replays each slot's lines from its first: the sink
+        // skips as many of each slot's as the file holds, whatever order
+        // the slots' batches arrive in, and appends the genuinely new.
+        let replay = vec![
+            (1, vec![x1.clone(), y1.clone()], true),
+            (0, vec![a0.clone()], true),
+            (0, vec![b0.clone(), c0.clone()], false),
+        ];
+        run(
+            Sinks::open(Some(&path), None, true).expect("reopen"),
+            replay,
+            (&emitted, &dropped),
+        );
+        assert_eq!(emitted.value(), 5, "two new lines appended");
+        assert_eq!(dropped.value(), 3, "three replayed lines skipped");
         let contents = std::fs::read_to_string(&path).expect("read back");
         let got: Vec<&str> = contents.lines().collect();
-        assert_eq!(got, vec!["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"]);
+        assert_eq!(got, [&a0, &b0, &x1, &y1, &c0]);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A write that fails ends file delivery for the run: that batch and
+    /// every later one count as dropped.
+    #[test]
+    fn a_failed_write_ends_file_delivery_for_the_run() {
+        let dir = temp_dir();
+        let path = dir.join("alerts.jsonl");
+        std::fs::write(&path, "").expect("an empty file");
+        // A read-only handle: the flush of the first batch fails.
+        let writer = BufWriter::new(std::fs::File::open(&path).expect("open"));
+        let file = Some(FileSink {
+            writer,
+            held: [0; INGEST_SLOTS],
+        });
+        let (emitted, dropped, _obs) = counters();
+        let batches = vec![
+            (0, vec![alert(0, 0), alert(0, 1)], false),
+            (1, vec![alert(1, 0)], false),
+        ];
+        run(Sinks { file, tcp: None }, batches, (&emitted, &dropped));
+        assert_eq!((emitted.value(), dropped.value()), (0, 3));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Writes `bytes` to `path` and resumes a sink over it: `Ok` with its
+    /// per-slot counts, which sum to the whole lines of the file left
+    /// (`bytes` cut back to its last `\n`), or `InvalidData` with its
+    /// message. Anything else fails the case.
+    fn resume_over(
+        path: &Path,
+        bytes: &[u8],
+    ) -> Result<Result<[u64; INGEST_SLOTS], String>, TestCaseError> {
+        std::fs::write(path, bytes).expect("write");
+        match FileSink::open(path, true) {
+            Ok(sink) => {
+                let kept = std::fs::read(path).expect("read back");
+                let whole = bytes
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |at| at + 1);
+                prop_assert_eq!(&kept[..], &bytes[..whole]);
+                let lines = kept.iter().filter(|&&b| b == b'\n').count() as u64;
+                prop_assert_eq!(sink.held.iter().sum::<u64>(), lines);
+                Ok(Ok(sink.held))
+            }
+            Err(e) if e.kind() == ErrorKind::InvalidData => Ok(Err(e.to_string())),
+            Err(e) => Err(TestCaseError::fail(format!("{e:?}"))),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Arbitrary bytes, and valid files cut, with a byte flipped, or
+        /// followed by foreign JSON, an alert of slot 8 or more, or a line
+        /// that is not UTF-8: resuming over one is `Ok` or `InvalidData`,
+        /// never a panic; a valid file's counts are its whole lines of
+        /// each slot, and a bad line is named by path and number.
+        #[test]
+        fn generated_alert_files_resume_or_fail_as_invalid_data(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            slots in proptest::collection::vec(0..INGEST_SLOTS, 0..24),
+            edit in 0u8..6,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let dir = temp_dir();
+            let path = dir.join("alerts.jsonl");
+            let _ = resume_over(&path, &bytes)?;
+            let lines = slots.iter().enumerate().map(|(n, &slot)| alert(slot, n) + "\n");
+            let mut file = lines.collect::<String>().into_bytes();
+            match edit {
+                0 => {}
+                1 => file.truncate(at % (file.len() + 1)),
+                2 if !file.is_empty() => {
+                    let at = at % file.len();
+                    file[at] ^= byte | 1;
+                }
+                2 => {}
+                3 => file.extend_from_slice(b"{\"cmd\":\"status\"}\n"),
+                4 => file.extend((alert(INGEST_SLOTS + usize::from(byte), 0) + "\n").bytes()),
+                _ => file.extend_from_slice(b"{\"slot\":0,\"detector\":\"\xff\"}\n"),
+            }
+            let resumed = resume_over(&path, &file)?;
+            if edit < 2 {
+                let kept = file.iter().filter(|&&b| b == b'\n').count();
+                let mut held = [0; INGEST_SLOTS];
+                slots[..kept].iter().for_each(|&slot| held[slot] += 1);
+                prop_assert_eq!(resumed, Ok(held));
+            } else if edit > 2 {
+                let line = slots.len() + 1;
+                let bad = format!("line {line} is not an alert of a slot below {INGEST_SLOTS}");
+                let want = format!("cannot open alerts sink {}: {bad}", path.display());
+                prop_assert_eq!(resumed, Err(want));
+            }
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]
@@ -342,17 +494,19 @@ mod tests {
         let (emitted, dropped, _obs) = counters();
         let (tx, rx) = channel();
         tx.send(SinkMsg {
+            slot: 0,
             lines: vec!["{\"replayed\":true}".to_string()],
             recovered: true,
         })
         .expect("send");
         tx.send(SinkMsg {
+            slot: 1,
             lines: vec!["{\"live\":1}".to_string(), "{\"live\":2}".to_string()],
             recovered: false,
         })
         .expect("send");
         drop(tx);
-        let sinks = Sinks::open(None, Some(&addr)).expect("open");
+        let sinks = Sinks::open(None, Some(&addr), false).expect("open");
         sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 2);
         assert_eq!(dropped.value(), 1, "the replayed batch is skipped");
@@ -371,12 +525,13 @@ mod tests {
         let (emitted, dropped, _obs) = counters();
         let (tx, rx) = channel();
         tx.send(SinkMsg {
+            slot: 0,
             lines: vec!["{\"x\":1}".to_string()],
             recovered: false,
         })
         .expect("send");
         drop(tx);
-        let sinks = Sinks::open(None, Some(&addr)).expect("open");
+        let sinks = Sinks::open(None, Some(&addr), false).expect("open");
         sink_loop(rx, sinks, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 0);
         assert_eq!(dropped.value(), 1, "undeliverable batches drop, not wedge");

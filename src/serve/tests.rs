@@ -650,11 +650,16 @@ fn deliver(batches: &[SinkMsg], path: &Path, delivered: &[String]) -> Vec<String
     std::fs::write(path, text).expect("the pre-crash sink file");
     let (tx, rx) = channel();
     for batch in batches {
-        let (lines, recovered) = (batch.lines.clone(), batch.recovered);
-        tx.send(SinkMsg { lines, recovered }).expect("rx");
+        let (slot, lines, recovered) = (batch.slot, batch.lines.clone(), batch.recovered);
+        tx.send(SinkMsg {
+            slot,
+            lines,
+            recovered,
+        })
+        .expect("rx");
     }
     drop(tx);
-    let sinks = Sinks::open(Some(path), None).expect("open the sink");
+    let sinks = Sinks::open(Some(path), None, true).expect("open the sink");
     let obs = Obs::new();
     sink_loop(rx, sinks, obs.counter("emitted"), obs.counter("dropped"));
     let text = std::fs::read_to_string(path).expect("the sink file");
@@ -739,6 +744,18 @@ impl Clean {
         self.run.fold_lines[..k].iter().flatten().cloned().collect()
     }
 
+    /// The alert lines of the clean run's first `k` seals, less those of
+    /// the slots of parity `behind` past their first `k / 2` seals, in
+    /// emit order: what a threaded merger whose slots of that parity fell
+    /// behind hands its sink, and no emit-order prefix.
+    fn first_lines_with_behind(&self, k: usize, behind: usize) -> Vec<String> {
+        let seals = self.run.offered.iter().zip(&self.run.fold_lines);
+        (seals.enumerate())
+            .filter(|(n, ((slot, _), _))| *n < if slot % 2 == behind { k / 2 } else { k })
+            .flat_map(|(_, (_, lines))| lines.iter().cloned())
+            .collect()
+    }
+
     /// Recovers the data dir at `dir` in sequence and demands this run:
     /// its fingerprint, slot indexes and segment files under its names,
     /// no `*.tmp` left, and every alert line exactly once through an
@@ -789,7 +806,9 @@ impl Clean {
 /// interrupted persist leaves — recovers to the clean run: the same
 /// fingerprint, slot indexes and segment files, no `*.tmp` left, and
 /// every alert line exactly once through an `--alerts-out` file whether
-/// the sink had delivered nothing or all of the first k seals' lines.
+/// the sink had delivered nothing, all of the first k seals' lines, or
+/// those of one parity's slots' first k seals and the other's first k/2
+/// (either way round, so that no count across slots passes).
 /// One mid-feed dir also recovers through the threaded daemon at shards
 /// 1 and 4.
 #[test]
@@ -830,7 +849,16 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
     for k in 0..=seals {
         let dir = crashed_at(k, "k");
         let first_k = clean.first_lines(k);
-        let delivered = [("nothing", &[][..]), ("the first k seals", &first_k[..])];
+        let (odd_behind, even_behind) = (
+            clean.first_lines_with_behind(k, 1),
+            clean.first_lines_with_behind(k, 0),
+        );
+        let delivered = [
+            ("nothing", &[][..]),
+            ("the first k seals", &first_k[..]),
+            ("odd slots at k/2 seals", &odd_behind[..]),
+            ("even slots at k/2 seals", &even_behind[..]),
+        ];
         clean.recovered_from(&dir, &format!("k={k}"), &delivered);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -56,16 +56,6 @@ impl CategorySweep {
             .copied()
             .min_by(|a, b| a.gray.partial_cmp(&b.gray).expect("finite"))
     }
-
-    /// Thresholds whose gray share stays below `limit` (the paper's
-    /// recommendation logic: gray < 10%).
-    pub fn thresholds_below(&self, limit: f64) -> Vec<u32> {
-        self.shares
-            .iter()
-            .filter(|s| s.gray < limit)
-            .map(|s| s.t)
-            .collect()
-    }
 }
 
 /// §5.4 categorization stage: run via [`Analysis::run`] with an
@@ -314,11 +304,5 @@ mod tests {
         let sweep = sweep_impl(&records, &s, false);
         let max = sweep.gray_max().unwrap();
         assert!(max.gray >= sweep.gray_min().unwrap().gray);
-        let low = sweep.thresholds_below(0.4);
-        // Thresholds where neither sample is gray: t in 1..=2 (both
-        // black at 1,2? A min=2: black at t<=2; B black) and t > 30.
-        assert!(low.contains(&1));
-        assert!(low.contains(&40));
-        assert!(!low.contains(&5));
     }
 }

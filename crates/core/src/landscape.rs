@@ -10,7 +10,6 @@ use crate::analysis::{Analysis, AnalysisCtx};
 use crate::records::SampleRecord;
 #[cfg(test)]
 use vt_model::time::Timestamp;
-use vt_model::FileType;
 use vt_store::DatasetStats;
 
 /// Fig. 1 reference points reported by the paper.
@@ -88,25 +87,13 @@ pub fn fig1_points(stats: &DatasetStats) -> Fig1Points {
     }
 }
 
-/// Share of samples belonging to the top-10 / top-20 named types
-/// (paper: 78.17% / 87.04%, NULL excluded from the denominator's
-/// "types" but included in totals — we report plain shares of the
-/// total).
-pub fn topk_share(stats: &DatasetStats, k: usize) -> f64 {
-    let mut counts: Vec<u64> = FileType::TOP20
-        .iter()
-        .map(|&ft| stats.samples_of(ft))
-        .collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let top: u64 = counts.iter().take(k).sum();
-    top as f64 / stats.total_samples().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vt_model::time::{Date, Duration};
-    use vt_model::{GroundTruth, ReportKind, SampleHash, SampleMeta, ScanReport, VerdictVec};
+    use vt_model::{
+        FileType, GroundTruth, ReportKind, SampleHash, SampleMeta, ScanReport, VerdictVec,
+    };
 
     fn record(i: u64, ft: FileType, n_reports: usize) -> SampleRecord {
         let t0 = Timestamp::from_date(Date::new(2021, 6, 1));
@@ -144,20 +131,5 @@ mod tests {
         assert_eq!(p.under_20, 0.8);
         assert_eq!(p.max_reports, 25);
         assert_eq!(p.multi_report_samples, 2);
-    }
-
-    #[test]
-    fn topk_share_counts_named_types() {
-        let window = Timestamp::from_date(Date::new(2021, 5, 1));
-        let mut records = vec![];
-        for i in 0..6 {
-            records.push(record(i, FileType::Win32Exe, 1));
-        }
-        for i in 6..8 {
-            records.push(record(i, FileType::Other(1), 1));
-        }
-        let stats = dataset_stats_impl(&records, window);
-        assert_eq!(topk_share(&stats, 10), 0.75);
-        assert_eq!(topk_share(&stats, 20), 0.75);
     }
 }

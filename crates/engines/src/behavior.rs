@@ -403,8 +403,10 @@ impl EngineFleet {
         cur
     }
 
-    /// Computes the lifetime plan of `(engine, sample)`.
-    pub fn pair_plan(&self, engine: EngineId, sample: &SampleMeta) -> PairPlan {
+    /// Computes the lifetime plan of `(engine, sample)` alone: one column
+    /// of [`sample_plan`](Self::sample_plan).
+    #[cfg(test)]
+    fn pair_plan(&self, engine: EngineId, sample: &SampleMeta) -> PairPlan {
         let keys = self.keys(sample);
         let eff = self.resolve_effective(engine.index(), sample, &keys);
         let mods = type_mods(sample.file_type);
@@ -728,7 +730,8 @@ impl SamplePlan {
 
     /// The asymptotic AV-Rank: how many engines flag the sample as
     /// `t → ∞` (after all acquisitions and retractions settle).
-    pub fn asymptotic_positives(&self) -> u32 {
+    #[cfg(test)]
+    fn asymptotic_positives(&self) -> u32 {
         self.plans
             .iter()
             .filter(|p| matches!(p, PairPlan::From(_)))
@@ -736,7 +739,8 @@ impl SamplePlan {
     }
 
     /// How many engines flag at time `t` under the plan (no noise).
-    pub fn positives_at(&self, t: Timestamp) -> u32 {
+    #[cfg(test)]
+    fn positives_at(&self, t: Timestamp) -> u32 {
         self.plans.iter().filter(|p| p.flagged_at(t)).count() as u32
     }
 }

@@ -12,7 +12,7 @@
 //!   attribution to check whether a flip coincides with an update.
 
 use vt_model::hash::mix64;
-use vt_model::time::{Duration, Timestamp, MINUTES_PER_DAY};
+use vt_model::time::{Timestamp, MINUTES_PER_DAY};
 
 /// A periodic update grid for one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +35,6 @@ impl UpdateSchedule {
         }
     }
 
-    /// Update period in minutes.
-    pub fn period(&self) -> Duration {
-        Duration::minutes(self.period_minutes)
-    }
-
     /// The first update time at or after `t`.
     pub fn next_update_at_or_after(&self, t: Timestamp) -> Timestamp {
         let k = (t.0 - self.phase_minutes).div_euclid(self.period_minutes);
@@ -60,21 +55,12 @@ impl UpdateSchedule {
         let f = |t: i64| (t - self.phase_minutes).div_euclid(self.period_minutes);
         f(t2.0) > f(t1.0)
     }
-
-    /// Number of updates in `(t1, t2]`.
-    pub fn updates_in(&self, t1: Timestamp, t2: Timestamp) -> i64 {
-        if t2 <= t1 {
-            return 0;
-        }
-        let f = |t: i64| (t - self.phase_minutes).div_euclid(self.period_minutes);
-        f(t2.0) - f(t1.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use vt_model::time::Duration;
 
     #[test]
     fn next_update_is_on_grid_and_at_or_after() {
@@ -108,25 +94,5 @@ mod tests {
             UpdateSchedule::new(7, 1.5).phase_minutes,
             UpdateSchedule::new(8, 1.5).phase_minutes
         );
-    }
-
-    proptest! {
-        #[test]
-        fn updates_in_counts_consistently(
-            engine in 0usize..70,
-            period in 0.3f64..7.0,
-            a in 0i64..1_000_000,
-            len in 0i64..500_000,
-        ) {
-            let s = UpdateSchedule::new(engine, period);
-            let t1 = Timestamp(a);
-            let t2 = Timestamp(a + len);
-            let n = s.updates_in(t1, t2);
-            prop_assert!(n >= 0);
-            prop_assert_eq!(n > 0, s.updated_in(t1, t2));
-            // Count roughly matches interval / period (within 1).
-            let expect = len as f64 / s.period().as_minutes() as f64;
-            prop_assert!((n as f64 - expect).abs() <= 1.0);
-        }
     }
 }

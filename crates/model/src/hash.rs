@@ -19,9 +19,18 @@ impl SampleHash {
     /// SplitMix64 (high and low words), giving a well-mixed, collision-free
     /// mapping from ordinals to identifiers.
     pub fn from_ordinal(ordinal: u64) -> Self {
-        let hi = splitmix64(ordinal ^ 0x9e37_79b9_7f4a_7c15);
-        let lo = splitmix64(ordinal.wrapping_add(0xbf58_476d_1ce4_e5b9));
+        let hi = splitmix64(ordinal ^ GAMMA);
+        let lo = splitmix64(ordinal.wrapping_add(MUL1));
         Self(((hi as u128) << 64) | lo as u128)
+    }
+
+    /// The inverse of [`from_ordinal`](Self::from_ordinal): the ordinal
+    /// whose identifier this is, or `None` when no ordinal's is. The high
+    /// word alone names the candidate ([`unsplitmix64`] is exact); the
+    /// low word confirms it.
+    pub fn to_ordinal(self) -> Option<u64> {
+        let ordinal = unsplitmix64((self.0 >> 64) as u64) ^ GAMMA;
+        (Self::from_ordinal(ordinal) == self).then_some(ordinal)
     }
 
     /// A 64-bit digest of the identifier, used to seed per-sample
@@ -42,13 +51,56 @@ impl fmt::Display for SampleHash {
     }
 }
 
+/// SplitMix64's increment (the golden ratio) and its two multipliers.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+const MUL1: u64 = 0xbf58_476d_1ce4_e5b9;
+const MUL2: u64 = 0x94d0_49bb_1331_11eb;
+
 /// SplitMix64 finalizer — a cheap, high-quality 64-bit mixing function.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(MUL1);
+    z = (z ^ (z >> 27)).wrapping_mul(MUL2);
     z ^ (z >> 31)
+}
+
+/// The inverse of [`splitmix64`]: `unsplitmix64(splitmix64(z)) == z` for
+/// every `z`. Each step of the finalizer is a bijection of `u64` — an
+/// add, xor-shifts, multiplies by odd constants — undone here in
+/// reverse order.
+#[inline]
+pub fn unsplitmix64(mut z: u64) -> u64 {
+    const INV_MUL1: u64 = inverse_mod_2_64(MUL1);
+    const INV_MUL2: u64 = inverse_mod_2_64(MUL2);
+    z = unxorshift(z, 31).wrapping_mul(INV_MUL2);
+    z = unxorshift(z, 27).wrapping_mul(INV_MUL1);
+    unxorshift(z, 30).wrapping_sub(GAMMA)
+}
+
+/// Undoes `z ^ (z >> shift)`: `z` is `y ^ (y >> shift) ^ (y >> 2·shift) ^ …`.
+#[inline]
+const fn unxorshift(y: u64, shift: u32) -> u64 {
+    let mut z = y;
+    let mut k = shift;
+    while k < 64 {
+        z ^= y >> k;
+        k += shift;
+    }
+    z
+}
+
+/// The multiplicative inverse of an odd `a` modulo 2⁶⁴, by Newton's
+/// iteration: `a` is its own inverse to 3 bits, and each step doubles
+/// the bits that are right (3 → 6 → … → 96).
+const fn inverse_mod_2_64(a: u64) -> u64 {
+    let mut x = a;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        step += 1;
+    }
+    x
 }
 
 /// The state [`mix64`] starts from (pi digits).
@@ -110,7 +162,28 @@ mod tests {
         assert!(unit_f64(u64::MAX) < 1.0);
     }
 
+    #[test]
+    fn multiplier_inverses_are_exact() {
+        for m in [MUL1, MUL2] {
+            assert_eq!(m.wrapping_mul(inverse_mod_2_64(m)), 1);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn unsplitmix_inverts_splitmix(z in any::<u64>()) {
+            prop_assert_eq!(unsplitmix64(splitmix64(z)), z);
+            prop_assert_eq!(splitmix64(unsplitmix64(z)), z);
+        }
+
+        #[test]
+        fn to_ordinal_inverts_from_ordinal(ordinal in any::<u64>(), hi in any::<u64>(), lo in any::<u64>()) {
+            prop_assert_eq!(SampleHash::from_ordinal(ordinal).to_ordinal(), Some(ordinal));
+            // An arbitrary identifier is some ordinal's only by a 2^-64 chance.
+            let arbitrary = SampleHash(((hi as u128) << 64) | lo as u128);
+            prop_assert_eq!(arbitrary.to_ordinal(), None);
+        }
+
         #[test]
         fn mix_is_deterministic(a in any::<u64>(), b in any::<u64>()) {
             prop_assert_eq!(mix64(&[a, b]), mix64(&[a, b]));

@@ -81,18 +81,6 @@ impl AliasTable {
             self.alias[i] as usize
         }
     }
-
-    /// Draws a category from two externally supplied uniforms (for
-    /// hash-derived determinism without an RNG).
-    pub fn sample_with(&self, u_index: f64, u_accept: f64) -> usize {
-        let n = self.prob.len();
-        let i = ((u_index * n as f64) as usize).min(n - 1);
-        if u_accept < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,19 +124,6 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         assert_eq!(table.sample(&mut rng), 0);
         assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn sample_with_uniforms_covers_support() {
-        let table = AliasTable::new(&[1.0, 1.0, 2.0]);
-        let mut seen = [false; 3];
-        for a in 0..50 {
-            for b in 0..50 {
-                let i = table.sample_with(a as f64 / 50.0, b as f64 / 50.0);
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

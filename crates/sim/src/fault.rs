@@ -281,11 +281,6 @@ impl FaultyFeed {
         self.schedule.keys().next_back().copied()
     }
 
-    /// True once every scheduled entry has been delivered or abandoned.
-    pub fn is_drained(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
     /// Total entries scheduled at construction (originals + duplicates).
     pub fn scheduled_entries(&self) -> u64 {
         self.scheduled_entries
@@ -388,7 +383,7 @@ mod tests {
         assert_eq!(feed.duplicated_entries(), 0);
         assert_eq!(feed.corrupted_entries(), 0);
         let entries = drain(&mut feed);
-        assert!(feed.is_drained());
+        assert_eq!(feed.first_minute(), None, "drained");
         let decoded: Vec<ScanReport> = entries
             .iter()
             .map(|e| {

@@ -22,7 +22,7 @@ use crate::config::SimConfig;
 use crate::distr;
 use crate::rng::SimRng;
 use vt_model::filetype::{FileType, OTHER_TYPE_COUNT, TOTAL_TYPE_COUNT};
-use vt_model::hash::mix64;
+use vt_model::hash::{mix64, unsplitmix64};
 use vt_model::time::{Duration, Month, MINUTES_PER_DAY};
 use vt_model::{GroundTruth, SampleHash, SampleMeta};
 
@@ -143,6 +143,15 @@ impl PopulationGen {
         SampleHash::from_ordinal(mix64(&[self.config.seed, ordinal]))
     }
 
+    /// The inverse of [`hash_of`](Self::hash_of): `Some(o)` iff `o` is one
+    /// of this feed's ordinals (`o < samples`) and `hash_of(o) == hash`.
+    /// Exact, with no table: `hash_of(o)` is `from_ordinal(splitmix64(
+    /// mix64(&[seed]) ^ o))`, and every step of it inverts.
+    pub fn ordinal_of(&self, hash: SampleHash) -> Option<u64> {
+        let ordinal = unsplitmix64(hash.to_ordinal()?) ^ mix64(&[self.config.seed]);
+        (ordinal < self.config.samples).then_some(ordinal)
+    }
+
     /// Generates sample number `ordinal`.
     pub fn sample(&self, ordinal: u64) -> SampleMeta {
         let mut rng = self.rng_for(ordinal);
@@ -235,6 +244,27 @@ mod tests {
         fn hash_of_is_the_samples_hash(seed in any::<u64>(), ordinal in any::<u64>()) {
             let g = PopulationGen::new(SimConfig::new(seed, 1));
             prop_assert_eq!(g.hash_of(ordinal), g.sample(ordinal).hash);
+        }
+
+        #[test]
+        fn ordinal_of_inverts_hash_of_within_the_feed(
+            seed in any::<u64>(),
+            samples in 1u64..1_000_000,
+            ordinal in any::<u64>(),
+            hi in any::<u64>(),
+            lo in any::<u64>(),
+        ) {
+            let g = PopulationGen::new(SimConfig::new(seed, samples));
+            let inside = ordinal % samples;
+            prop_assert_eq!(g.ordinal_of(g.hash_of(inside)), Some(inside));
+            let outside = samples.saturating_add(ordinal % (u64::MAX - samples));
+            prop_assert_eq!(g.ordinal_of(g.hash_of(outside)), None);
+            // Another seed's sample names an ordinal of this feed by a
+            // samples / 2^64 chance; an arbitrary identifier names any
+            // ordinal by a 2^-64 one.
+            let other = PopulationGen::new(SimConfig::new(seed ^ 1, samples));
+            prop_assert_eq!(g.ordinal_of(other.hash_of(inside)), None);
+            prop_assert_eq!(g.ordinal_of(SampleHash(((hi as u128) << 64) | lo as u128)), None);
         }
     }
 

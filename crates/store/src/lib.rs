@@ -38,7 +38,7 @@
 //!   anything downstream sees it) with a crash-recovery scan
 //!   ([`SegmentDir::replay_each`]) that hands over each slot's clean
 //!   prefix — files the strict reader accepts whole — one segment at a
-//!   time, quarantines the rest, and returns the samples it covered.
+//!   time, each with its samples' hashes, and quarantines the rest.
 //!
 //! A layer hands its neighbour what it already holds: a report is
 //! encoded once and decoded once on the batch and live-ingest paths

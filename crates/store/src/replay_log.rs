@@ -25,7 +25,7 @@ impl SegmentDir {
     pub fn replay(&self) -> io::Result<ReplayLog> {
         let mut slots: Vec<Vec<Segment>> = (0..self.slots()).map(|_| Vec::new()).collect();
         self.replay_each(
-            |slot, segment| {
+            |slot, segment, _| {
                 slots[slot as usize].push(segment);
                 true
             },

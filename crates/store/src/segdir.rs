@@ -12,19 +12,13 @@
 //!   seal → fsync → publish ordering is the recovery protocol's one
 //!   load-bearing invariant (DESIGN.md §2.5); a writer keeps it by
 //!   persisting each segment it seals before handing it on.
-//! * [`SegmentDir::replay_each`] is the restart path: scan the
-//!   directory, read every segment with the one strict reader
-//!   ([`read_segment_into`] — the reader every other consumer of a
-//!   segment file uses), hand each segment of a slot's longest clean
-//!   prefix (contiguous sequence numbers from 0, every file accepted
-//!   whole) to the caller the moment it is accepted, and move
-//!   everything after the first damaged or missing segment into a
-//!   `quarantine/` subdirectory. The daemon folds the clean prefix while
-//!   the replay is still reading, and re-ingests the rest instead of
-//!   refusing to start. Nothing is held back: the replay keeps the one
-//!   segment it is reading, never the log. The read's integrity decode
-//!   feeds a hash collector, so the replay returns the samples the
-//!   prefix already covers.
+//! * [`SegmentDir::replay_each`] is the restart path: it reads every
+//!   segment with the one strict reader ([`read_segment_into`]), hands
+//!   each slot's clean prefix to the caller a segment at a time — with
+//!   the samples the read collected — and moves the rest into
+//!   `quarantine/`, so the daemon folds while the replay still reads and
+//!   re-ingests what was quarantined instead of refusing to start. The
+//!   replay keeps nothing across segments: never the log, nor its samples.
 //!
 //! Segments are keyed by `(slot, seq)`: `slot` is the fixed hash
 //! partition the serve tier routes samples through, `seq` the per-slot
@@ -39,7 +33,6 @@ use crate::block::SinkFn;
 use crate::codec::ReportRow;
 use crate::segment::{read_segment_into, write_segment, Segment};
 use crate::store::StoreObs;
-use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -206,10 +199,10 @@ impl SegmentDir {
     }
 
     /// Recovers each slot's clean segment prefix and quarantines the
-    /// rest, handing each accepted segment to `on_segment(slot,
-    /// segment)` in `(slot, seq)` order and calling `on_quarantine` once
-    /// per file moved aside, as it moves. See the module docs for the
-    /// policy; the short version:
+    /// rest, handing each accepted segment to `on_segment(slot, segment,
+    /// samples)` in `(slot, seq)` order — `samples` the segment's sample
+    /// hashes, ascending, collected by the read that accepted it — and
+    /// calling `on_quarantine` once per file moved aside, as it moves:
     ///
     /// * a segment joins the clean prefix iff its sequence number is the
     ///   next expected one for its slot, its header agrees with its file
@@ -229,17 +222,14 @@ impl SegmentDir {
     /// `(slot, seq)` quarantined by a later recovery) gets a numeric
     /// suffix — so an operator can inspect every one of them.
     ///
-    /// Returns every sample sealed in a segment handed over (collected
-    /// by the read that accepted it) — what a resuming feeder must not
-    /// ingest again. `on_segment` returning `false` ends the replay
-    /// there (the consumer is gone): the files not yet visited stay
-    /// where they are, and the returned set covers what was visited.
+    /// `on_segment` returning `false` ends the replay there (the
+    /// consumer is gone, or refused the segment): the files not yet
+    /// visited stay where they are.
     pub fn replay_each(
         &self,
-        mut on_segment: impl FnMut(u32, Segment) -> bool,
+        mut on_segment: impl FnMut(u32, Segment, &[SampleHash]) -> bool,
         mut on_quarantine: impl FnMut(),
-    ) -> io::Result<HashSet<SampleHash>> {
-        let mut sealed_hashes = HashSet::new();
+    ) -> io::Result<()> {
         // Per slot: the next expected `seq`, and whether the clean
         // prefix has already ended (everything later in that slot
         // quarantines).
@@ -261,24 +251,25 @@ impl SegmentDir {
                 continue;
             };
             next_seq[slot] += 1;
-            sealed_hashes.extend(hashes);
-            if !on_segment(file.slot, segment) {
+            if !on_segment(file.slot, segment, &hashes) {
                 break;
             }
         }
-        Ok(sealed_hashes)
+        Ok(())
     }
 
     /// Reads one segment file strictly as its slot's segment `seq`,
-    /// collecting its rows' hashes. Any I/O or format error, or a
-    /// sequence number (name or header) other than `seq`, yields `None`
-    /// — dropping the partial prefix of hashes a failed read collected —
-    /// and the caller quarantines.
+    /// collecting its samples' hashes, ascending. Any I/O or format
+    /// error, or a sequence number (name or header) other than `seq`,
+    /// yields `None` — dropping the partial prefix of hashes a failed
+    /// read collected — and the caller quarantines.
     fn load(&self, file: &SegmentFile, seq: u64) -> Option<(Segment, Vec<SampleHash>)> {
         let mut reader = io::BufReader::new(File::open(&file.path).ok()?);
         let mut hashes = Vec::new();
         let mut sink = SinkFn(|row: &ReportRow| hashes.push(row.sample));
         let segment = read_segment_into(&mut reader, &mut sink, &self.obs).ok()?;
+        hashes.sort_unstable();
+        hashes.dedup();
         (file.seq == seq && segment.seq() == seq).then_some((segment, hashes))
     }
 
@@ -353,6 +344,7 @@ fn parse_segment_file_name(name: &str) -> Option<(u32, u64)> {
 mod tests {
     use super::*;
     use crate::segment::SegmentWriter;
+    use std::collections::BTreeSet;
     use vt_model::time::{Date, Timestamp};
     use vt_model::{FileType, ReportKind, ScanReport, VerdictVec};
 
@@ -401,8 +393,8 @@ mod tests {
         seen: Vec<(u32, Segment)>,
         /// `on_quarantine` calls.
         quarantined: u64,
-        /// The returned sealed-hash set.
-        sealed_hashes: HashSet<SampleHash>,
+        /// Every sample handed over beside a segment.
+        samples: BTreeSet<SampleHash>,
     }
 
     impl Replayed {
@@ -412,20 +404,24 @@ mod tests {
     }
 
     fn replay_all(dir: &SegmentDir) -> Replayed {
-        let (mut seen, mut quarantined) = (Vec::new(), 0);
-        let sealed_hashes = dir
-            .replay_each(
-                |slot, segment| {
-                    seen.push((slot, segment));
-                    true
-                },
-                || quarantined += 1,
-            )
-            .expect("replay");
+        let (mut seen, mut quarantined, mut samples) = (Vec::new(), 0, BTreeSet::new());
+        dir.replay_each(
+            |slot, segment, hashes| {
+                assert!(
+                    hashes.windows(2).all(|w| w[0] < w[1]),
+                    "ascending, once each"
+                );
+                samples.extend(hashes);
+                seen.push((slot, segment));
+                true
+            },
+            || quarantined += 1,
+        )
+        .expect("replay");
         Replayed {
             seen,
             quarantined,
-            sealed_hashes,
+            samples,
         }
     }
 
@@ -497,8 +493,8 @@ mod tests {
         assert!(seqs_of(seen, 0).into_iter().eq(0..sealed));
         let total: u64 = seen.iter().map(|(_, s)| s.store().report_count()).sum();
         assert_eq!(total, 24);
-        let expected: HashSet<SampleHash> = (0..8).map(SampleHash::from_ordinal).collect();
-        assert_eq!(replay.sealed_hashes, expected);
+        let expected: BTreeSet<SampleHash> = (0..8).map(SampleHash::from_ordinal).collect();
+        assert_eq!(replay.samples, expected);
         fs::remove_dir_all(&root).expect("cleanup");
     }
 
@@ -546,8 +542,8 @@ mod tests {
         fs::write(&victim, bytes).expect("rewrite victim");
         let replay = replay_all(&dir);
         assert_eq!(seqs_of(&replay.seen, 0), [0]);
-        let expected: HashSet<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
-        assert_eq!(replay.sealed_hashes, expected);
+        let expected: BTreeSet<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
+        assert_eq!(replay.samples, expected);
         fs::remove_dir_all(&root).expect("cleanup");
     }
 
@@ -719,15 +715,16 @@ mod tests {
         damage(&root, 0, 2);
 
         let told = std::cell::RefCell::new(Vec::new());
-        let sealed_hashes = dir
-            .replay_each(
-                |slot, segment| {
-                    told.borrow_mut().push(Told::Segment(slot, segment.seq()));
-                    true
-                },
-                || told.borrow_mut().push(Told::Quarantined),
-            )
-            .expect("replay");
+        let mut samples = BTreeSet::new();
+        dir.replay_each(
+            |slot, segment, hashes| {
+                told.borrow_mut().push(Told::Segment(slot, segment.seq()));
+                samples.extend(hashes);
+                true
+            },
+            || told.borrow_mut().push(Told::Quarantined),
+        )
+        .expect("replay");
         let told = told.into_inner();
         assert_eq!(
             told,
@@ -749,34 +746,37 @@ mod tests {
             (4, 2),
             "recovered, quarantined"
         );
-        let quarantined: HashSet<_> = fs::read_dir(root.join(QUARANTINE))
+        let quarantined: BTreeSet<_> = fs::read_dir(root.join(QUARANTINE))
             .expect("quarantine dir")
             .map(|e| e.expect("entry").file_name())
             .collect();
-        let expected: HashSet<_> = [2, 3].map(|seq| segment_file_name(0, seq).into()).into();
+        let expected: BTreeSet<_> = [2, 3].map(|seq| segment_file_name(0, seq).into()).into();
         assert_eq!(quarantined, expected);
         // `fill_slot` seals four samples per segment from `slot * 10 000`.
-        let accepted: HashSet<SampleHash> = (0..8)
+        let accepted: BTreeSet<SampleHash> = (0..8)
             .chain(10_000..10_008)
             .map(SampleHash::from_ordinal)
             .collect();
-        assert_eq!(sealed_hashes, accepted);
+        assert_eq!(samples, accepted);
 
         // A consumer that is gone ends the replay at the segment it
         // refused: nothing past it is read.
-        let mut handed = 0;
-        let stopped = dir
-            .replay_each(
-                |_, _| {
-                    handed += 1;
-                    false
-                },
-                || {},
-            )
-            .expect("replay");
-        assert_eq!(handed, 1);
-        let first: HashSet<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
-        assert_eq!(stopped, first, "the set covers the one segment visited");
+        let mut handed = Vec::new();
+        dir.replay_each(
+            |_, _, hashes| {
+                handed.push(hashes.to_vec());
+                false
+            },
+            || {},
+        )
+        .expect("replay");
+        let first: Vec<SampleHash> = (0..4).map(SampleHash::from_ordinal).collect();
+        assert_eq!(handed.len(), 1);
+        assert_eq!(
+            handed[0].iter().collect::<BTreeSet<_>>(),
+            first.iter().collect(),
+            "the one segment visited, with its samples"
+        );
         fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -25,9 +25,9 @@
 //! it whole, so the workers fold while the replay is still reading and
 //! the feeder holds one segment, never the log. A file the strict reader
 //! does not accept whole is quarantined (with everything behind it in
-//! its slot) and counted as it moves. Live ingest then resumes from the
-//! last whole-sample boundary — samples the replay found sealed are
-//! skipped, everything else is re-ingested.
+//! its slot) and counted as it moves. Live ingest then resumes past one
+//! [`watermark`] per slot, from the earliest watermark's chunk: the
+//! resume state is [`INGEST_SLOTS`] values, whatever the log's length.
 //!
 //! Only the feed's end seals a segment that has not filled: a stop, a
 //! gone consumer or a failed persist ends the feeder as SIGKILL does, so
@@ -37,7 +37,7 @@
 //! go out through `emit` (and the `done` flag on [`IngestCtx`]), and a
 //! fatal error is the return value.
 
-use std::collections::HashSet;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -107,6 +107,30 @@ impl IngestCtx {
     }
 }
 
+/// How far a replayed segment of `slot` takes the slot's sealed prefix:
+/// the largest `(chunk, hash)` among its `samples`. A slot's push order
+/// is chunk order, then [`group_reports`]' ascending hash, and what it
+/// sealed is a prefix of that order: a sample is sealed iff it is at or
+/// below its slot's watermark. A sample that is not this feed's
+/// ([`ordinal_of`](crate::sim::PopulationGen::ordinal_of)) or `slot`'s
+/// has no place in that order: an error.
+fn watermark(
+    sim: &VirusTotalSim,
+    slot: usize,
+    samples: &[SampleHash],
+) -> io::Result<Option<(u64, SampleHash)>> {
+    let mut last = None;
+    for &hash in samples {
+        let Some(ordinal) = (sim.population().ordinal_of(hash)).filter(|_| slot_of(hash) == slot)
+        else {
+            let msg = format!("slot {slot} holds sample {hash}, which is not this feed's");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        };
+        last = last.max(Some((ordinal / INGEST_CHUNK_SAMPLES, hash)));
+    }
+    Ok(last)
+}
+
 /// The one place a live segment leaves the feeder: persist it when there
 /// is a data dir (write, fsync, rename, fsync the directory), and only
 /// then emit it — seal → fsync → publish. Returns `false` when the
@@ -154,13 +178,19 @@ pub(super) fn run(
     // ---- recovery replay --------------------------------------------
     // Streamed: each clean segment is emitted as the strict reader
     // accepts it, so folds run while later files are still read.
-    let mut sealed_hashes: HashSet<SampleHash> = HashSet::new();
+    let (mut watermarks, mut sealed) = ([None; INGEST_SLOTS], 0);
     let mut next_seq = [0u64; INGEST_SLOTS];
     if let (Some(dir), true) = (&segdir, config.recover) {
-        let mut handed_over = true;
+        let (mut placed, mut handed_over) = (Ok(()), true);
         let replayed = dir.replay_each(
-            |slot, segment| {
+            |slot, segment, samples| {
                 let slot = slot as usize;
+                placed = watermark(sim, slot, samples)
+                    .map(|w| watermarks[slot] = watermarks[slot].max(w));
+                if placed.is_err() {
+                    return false;
+                }
+                sealed += samples.len() as u64;
                 next_seq[slot] += 1;
                 handed_over = emit(SegmentMsg {
                     slot,
@@ -171,9 +201,9 @@ pub(super) fn run(
             },
             || ctx.counters.quarantined_segments.incr(),
         );
-        match replayed {
-            Ok(hashes) if handed_over => sealed_hashes = hashes,
-            Ok(_) => return false,
+        match replayed.and(placed) {
+            Ok(()) if handed_over => {}
+            Ok(()) => return false,
             Err(e) => {
                 eprintln!("vtld serve: recovery replay failed: {e}");
                 return false;
@@ -187,27 +217,27 @@ pub(super) fn run(
         .map(|&seq| SegmentWriter::resuming(config.segment_reports, seq).with_obs(&ctx.store_obs))
         .collect();
     let mut healthy = true;
-    let mut start = 0u64;
+    // Every sample below the earliest watermark's chunk is sealed (`None`,
+    // a slot that sealed nothing, is the earliest); a log that holds
+    // every sample needs none of the feed.
+    let earliest = watermarks.into_iter().min().flatten();
+    let mut start = earliest.map_or(0, |(chunk, _)| chunk * INGEST_CHUNK_SAMPLES);
+    if sealed == config.samples {
+        start = config.samples;
+    }
     'feed: while start < config.samples && !stop() {
         let end = (start + INGEST_CHUNK_SAMPLES).min(config.samples);
-        // Resume fast-path: a chunk whose samples were all sealed before
-        // the crash needs no re-simulation at all.
-        if !sealed_hashes.is_empty()
-            && (start..end).all(|o| sealed_hashes.contains(&sim.population().hash_of(o)))
-        {
-            start = end;
-            continue;
-        }
+        let chunk = start / INGEST_CHUNK_SAMPLES;
         let feed = FaultyFeed::from_sim(sim, start..end, config.plan);
         // Also bumps `collector/accepted` / `collector/quarantined`,
         // which `status` reports as `accepted` / `quarantined`.
         let mut accepted: Vec<ScanReport> = Vec::new();
         collector.run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
         for (hash, reports) in group_reports(accepted) {
-            if sealed_hashes.contains(&hash) {
+            let slot = slot_of(hash);
+            if Some((chunk, hash)) <= watermarks[slot] {
                 continue;
             }
-            let slot = slot_of(hash);
             if let Some(segment) = writers[slot].push_sample(&reports) {
                 if !seal(segdir.as_ref(), slot, segment, &mut emit) {
                     healthy = false;
@@ -256,5 +286,93 @@ mod tests {
         );
         assert!(!ctx.done(), "and the feed was not fully sealed");
         assert_eq!(emitted, 0, "a segment that is not durable is never emitted");
+    }
+
+    /// A segment's watermark is its last sample in the slot's push
+    /// order — chunk first, then hash — and a sample no watermark can
+    /// place (another feed's, or one of this feed's in another slot) is a
+    /// typed error naming it.
+    #[test]
+    fn a_watermark_orders_by_chunk_then_hash_and_places_only_its_slots_samples() {
+        let ours = VirusTotalSim::new(SimConfig::new(7, 3_000));
+        let hash_of = |o| ours.population().hash_of(o);
+        let (early, slot) = (hash_of(5), slot_of(hash_of(5)));
+        let later = (INGEST_CHUNK_SAMPLES..3_000)
+            .find(|&o| slot_of(hash_of(o)) == slot && hash_of(o) < early)
+            .expect("a later sample of the slot, with a smaller hash");
+        let last = (later / INGEST_CHUNK_SAMPLES, hash_of(later));
+        let placed = watermark(&ours, slot, &[hash_of(later), early]);
+        assert_eq!(placed.expect("this feed's samples"), Some(last));
+        assert_eq!(watermark(&ours, slot, &[]).expect("no samples"), None);
+
+        let theirs = VirusTotalSim::new(SimConfig::new(8, 3_000))
+            .population()
+            .hash_of(5);
+        for (slot, hash) in [
+            (slot_of(theirs), theirs),
+            ((slot + 1) % INGEST_SLOTS, early),
+        ] {
+            let err = watermark(&ours, slot, &[hash]).expect_err("unplaceable");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("sample {hash}")), "{msg}");
+        }
+    }
+
+    /// A segment another feed sealed, sitting among this feed's own in a
+    /// data dir, ends the recovery unhealthy where the replay meets it:
+    /// it is neither emitted nor quarantined, nothing after it is
+    /// emitted, and live ingest never starts.
+    #[test]
+    fn a_segment_of_another_feed_ends_recovery_unhealthy() {
+        let root = std::env::temp_dir().join(format!("vtld-ingest-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let sealed_by = |seed: u64, dir: &std::path::Path| {
+            let mut config = ServeConfig::new(600, seed);
+            config.segment_reports = 30;
+            let segdir = SegmentDir::open(dir, INGEST_SLOTS as u32).expect("open data dir");
+            let ctx = IngestCtx::new(config.clone());
+            assert!(run(
+                &ctx,
+                &Collector::default(),
+                || false,
+                Some(segdir),
+                |_| true
+            ));
+            config
+        };
+        let (ours, theirs) = (root.join("ours"), root.join("theirs"));
+        let mut config = sealed_by(7, &ours);
+        sealed_by(8, &theirs);
+        let foreign = "seg-003-0000000001.vtseg";
+        std::fs::copy(theirs.join(foreign), ours.join(foreign)).expect("a foreign seal");
+
+        config.recover = true;
+        let ctx = IngestCtx::new(config);
+        let segdir = SegmentDir::open(&ours, INGEST_SLOTS as u32).expect("open data dir");
+        let mut emitted = Vec::new();
+        let emit = |msg: SegmentMsg| {
+            emitted.push((msg.slot, msg.segment.seq(), msg.recovered));
+            true
+        };
+        let healthy = run(&ctx, &Collector::default(), || false, Some(segdir), emit);
+        assert!(!healthy, "an unplaceable sample is fatal");
+        assert!(!ctx.done());
+        assert_eq!(
+            emitted.last(),
+            Some(&(3, 0, true)),
+            "the replay ends at the foreign seal"
+        );
+        assert!(
+            emitted.iter().all(|&(_, _, recovered)| recovered),
+            "nothing live is emitted"
+        );
+        assert_eq!(ctx.counters.accepted.value(), 0, "no chunk is simulated");
+        assert_eq!(ctx.counters.quarantined_segments.value(), 0);
+        assert!(
+            ours.join(foreign).is_file(),
+            "the foreign seal stays where it was"
+        );
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -363,7 +363,7 @@ impl Server {
             };
             let stop = || seam.shutdown_requested();
             if !ingest::run(&fold.ingest, &collector, stop, segdir, emit) {
-                seam.request_shutdown();
+                shut_down(seam, addr);
             }
         }));
         Ok(Server {
@@ -388,9 +388,7 @@ impl Server {
     /// publishes a final snapshot, and the accept loop exits.
     /// Idempotent; does not wait (see [`wait`](Self::wait)).
     pub fn shutdown(&self) {
-        self.daemon.seam.request_shutdown();
-        // The accept loop may be parked in accept(); poke it awake.
-        let _ = TcpStream::connect(self.addr);
+        shut_down(&self.daemon.seam, self.addr);
     }
 
     /// Blocks until every daemon thread exits (after
@@ -401,6 +399,13 @@ impl Server {
             let _ = handle.join();
         }
     }
+}
+
+/// Requests the daemon's shutdown, and wakes the accept loop on `addr`,
+/// which may be parked in accept() with no client to come.
+fn shut_down(seam: &publish::Seam, addr: SocketAddr) {
+    seam.request_shutdown();
+    let _ = TcpStream::connect(addr);
 }
 
 impl Drop for Server {

@@ -176,6 +176,11 @@ impl TcpSink {
     /// Writes the whole batch over one connection, reconnecting (with
     /// backoff) on failure. Returns the lines actually written.
     fn deliver(&mut self, lines: &[String]) -> u64 {
+        let mut payload = String::new();
+        for line in lines {
+            payload.push_str(line);
+            payload.push('\n');
+        }
         let mut backoff = TCP_BACKOFF;
         for attempt in 0..TCP_ATTEMPTS {
             if attempt > 0 {
@@ -189,11 +194,6 @@ impl TcpSink {
                     Err(_) => continue,
                 },
             };
-            let mut payload = String::new();
-            for line in lines {
-                payload.push_str(line);
-                payload.push('\n');
-            }
             match conn
                 .write_all(payload.as_bytes())
                 .and_then(|()| conn.flush())

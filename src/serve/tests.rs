@@ -3,7 +3,7 @@
 //! own file.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ffi::OsString;
 use std::path::Path;
 use std::sync::mpsc::channel;
@@ -22,15 +22,15 @@ use super::sink::{sink_loop, SinkMsg, Sinks};
 use super::wire::{quoted, render_alert};
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
-    merge_partition_stats, par, Collector, CollectorConfig, DecodeArena, IncrementalStudy,
-    SampleIndex, StudyPartials,
+    merge_partition_stats, par, AlertConfig, Collector, CollectorConfig, DecodeArena,
+    IncrementalStudy, SampleIndex, StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
 use crate::obs::Obs;
 use crate::sim::fault::{FaultPlan, FaultyFeed};
 use crate::sim::{SimConfig, VirusTotalSim};
-use crate::store::{PartitionStats, Segment, SegmentDir, SegmentWriter};
+use crate::store::{read_segment, PartitionStats, Segment, SegmentDir, SegmentWriter};
 
 #[test]
 fn json_helpers_guard_edge_cases() {
@@ -354,6 +354,38 @@ fn a_recover_under_another_feed_is_refused() {
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// A feeder that ends unhealthy shuts the daemon down: `wait` returns
+/// with no client's `shutdown` and no connection to wake the accept
+/// loop. A recovery that meets another feed's segment ends so.
+#[test]
+fn a_failed_recovery_shuts_the_daemon_down() {
+    let root = std::env::temp_dir().join(format!("vtld-failed-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |seed: u64| {
+        let mut config = ServeConfig::new(600, seed);
+        config.segment_reports = 30;
+        config.data_dir = Some(root.join(seed.to_string()));
+        config
+    };
+    for seed in [7, 8] {
+        assert!(in_sequence(config(seed), None).done);
+    }
+    let foreign = "seg-003-0000000001.vtseg";
+    std::fs::copy(root.join("8").join(foreign), root.join("7").join(foreign))
+        .expect("a foreign seal");
+    let mut recover = config(7);
+    recover.recover = true;
+    let server = super::Server::start(recover).expect("starts");
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = tx.send(());
+    });
+    let waited = rx.recv_timeout(std::time::Duration::from_secs(30));
+    assert!(waited.is_ok(), "the daemon is still up");
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// The clean feed over `ordinals` sealed into about `ways` whole-sample
 /// segments, the way the feeder seals a slot's stream.
 pub(super) fn sealed_segments(
@@ -583,6 +615,8 @@ struct Sequenced {
     sink_batches: Vec<SinkMsg>,
     /// The `serve/queue_depth` high-water mark.
     queue_depth: u64,
+    /// `collector/accepted`: the reports of every chunk simulated.
+    accepted: u64,
 }
 
 /// The daemon's steps run one after another on this thread, the way
@@ -640,6 +674,7 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
         fold_lines,
         sink_batches: sink_rx.try_iter().collect(),
         queue_depth: ctx.fold.ingest.counters.queue_depth.value(),
+        accepted: ctx.fold.ingest.counters.accepted.value(),
     }
 }
 
@@ -688,12 +723,21 @@ fn tmp_files(root: &Path) -> Vec<OsString> {
 }
 
 /// The enumeration's feed: two ingest chunks (so a stop can land
-/// between them), sealed into a few dozen segments across the slots.
+/// between them), sealed into a few dozen segments across the slots,
+/// with detectors sensitive enough that most seals fire alerts.
 fn crash_config(root: &Path) -> ServeConfig {
     let mut config = ServeConfig::new(1_300, 0xC4A5);
     config.segment_reports = 60;
     config.workers = 1;
     config.data_dir = Some(root.to_path_buf());
+    config.alert_config = AlertConfig {
+        burst_min: 2,
+        crossover_min_scans: 20,
+        crossover_min_gap_permille: 1,
+        regression_min_stabilized: 2,
+        regression_factor_permille: 1_000,
+        ..AlertConfig::default()
+    };
     config
 }
 
@@ -728,7 +772,12 @@ impl Clean {
             run.fold_lines.iter().map(Vec::len).sum::<usize>(),
             "alert lines are unique"
         );
-        assert!(!lines.is_empty(), "the feed fires alerts");
+        // The enumerations' sink checks bite only where seals fire.
+        let firing =
+            (run.offered.iter().zip(&run.fold_lines)).filter(|(_, lines)| !lines.is_empty());
+        let firing_slots: BTreeSet<usize> = firing.clone().map(|((slot, _), _)| *slot).collect();
+        assert!(2 * firing.count() > seals, "most seals fire alerts");
+        assert_eq!(firing_slots.len(), INGEST_SLOTS, "every slot fires alerts");
         Clean { run, files, lines }
     }
 
@@ -737,6 +786,16 @@ impl Clean {
         (self.run.offered[..k].iter())
             .map(|key| (*key, self.files[key].clone()))
             .collect()
+    }
+
+    /// Of the clean run's first `k` seals, the last of the slot whose
+    /// last seal came earliest, as its emit position — unless that is
+    /// seal `k` itself: damaging it leaves each slot's seals a prefix of
+    /// the slot's stream but no prefix of the emit order.
+    fn earliest_slot_end(&self, k: usize) -> Option<usize> {
+        let offered = self.run.offered[..k].iter().enumerate();
+        let ends: BTreeMap<usize, usize> = offered.map(|(n, (slot, _))| (*slot, n)).collect();
+        ends.into_values().min().filter(|&n| n + 1 < k)
     }
 
     /// The alert lines the clean run's first `k` seals fire.
@@ -808,7 +867,10 @@ impl Clean {
 /// every alert line exactly once through an `--alerts-out` file whether
 /// the sink had delivered nothing, all of the first k seals' lines, or
 /// those of one parity's slots' first k seals and the other's first k/2
-/// (either way round, so that no count across slots passes).
+/// (either way round, so that no count across slots passes). Each k's
+/// dir also recovers with one slot's last durable seal damaged — the
+/// slot that stopped sealing earliest, so the replay quarantines a seal
+/// and the slots' prefixes end at different points of the emit order.
 /// One mid-feed dir also recovers through the threaded daemon at shards
 /// 1 and 4.
 #[test]
@@ -846,6 +908,7 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
         dir
     };
 
+    let mut damaged = 0;
     for k in 0..=seals {
         let dir = crashed_at(k, "k");
         let first_k = clean.first_lines(k);
@@ -861,7 +924,28 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
         ];
         clean.recovered_from(&dir, &format!("k={k}"), &delivered);
         std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let Some(n) = clean.earliest_slot_end(k) else {
+            continue;
+        };
+        let dir = crashed_at(k, "damaged");
+        let (slot, seq) = clean.run.offered[n];
+        let name = &clean.files[&(slot, seq)].0;
+        let mut bytes = std::fs::read(dir.join(name)).expect("the victim");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(dir.join(name), bytes).expect("a damaged seal");
+        let what = format!("k={k}, slot {slot}'s seal {seq} damaged");
+        let delivered = [("nothing", &[][..]), ("the first k seals", &first_k[..])];
+        clean.recovered_from(&dir, &what, &delivered);
+        assert!(
+            dir.join("quarantine").join(name).is_file(),
+            "{what}: the damaged seal was quarantined"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        damaged += 1;
     }
+    assert!(2 * damaged > seals, "{damaged} damaged-slot dirs");
 
     let k = seals / 2;
     for shards in [1, 4] {
@@ -973,5 +1057,88 @@ fn every_stop_and_consumer_gone_point_leaves_the_clean_runs_first_seals() {
             clean.recovered_from(&dir, &what, &delivered);
         }
     }
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A recovery re-simulates exactly the ingest chunks from the one that
+/// holds the earliest slot watermark — the last sample of the slot whose
+/// sealed prefix ends earliest in the feed — and none once the log
+/// holds every sample. Counted by `collector/accepted` against the
+/// collector run over those chunks alone, on a feed of three chunks;
+/// each dir recovers to the clean run's fingerprint and files.
+#[test]
+fn a_recovery_re_simulates_exactly_the_chunks_from_the_earliest_watermark() {
+    const CHUNK: u64 = 1_024;
+    let root = std::env::temp_dir().join(format!("vtld-resume-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |dir: &Path| {
+        let mut config = ServeConfig::new(2_600, 0x5EA1);
+        config.segment_reports = 150;
+        config.workers = 1;
+        config.data_dir = Some(dir.to_path_buf());
+        config
+    };
+    let clean_dir = root.join("clean");
+    let clean = in_sequence(config(&clean_dir), None);
+    assert!(clean.healthy && clean.done);
+    let files = segment_files(&clean_dir);
+
+    let clean_config = config(&clean_dir);
+    let (samples, plan) = (clean_config.samples, clean_config.plan);
+    let sim = VirusTotalSim::new(SimConfig::new(clean_config.seed, samples));
+    let collector = Collector::for_plan(CollectorConfig::default(), &plan).expect("plan");
+    let per_chunk: Vec<u64> = (0..samples.div_ceil(CHUNK))
+        .map(|c| {
+            let feed = FaultyFeed::from_sim(&sim, c * CHUNK..((c + 1) * CHUNK).min(samples), plan);
+            collector.run_into(feed, Obs::noop(), |_| {}).0.accepted
+        })
+        .collect();
+    assert!(per_chunk.len() >= 3, "{} chunks", per_chunk.len());
+    assert_eq!(per_chunk.iter().sum::<u64>(), clean.accepted);
+    let chunk_of: HashMap<SampleHash, usize> = (0..samples)
+        .map(|o| (sim.population().hash_of(o), (o / CHUNK) as usize))
+        .collect();
+
+    let seals = clean.offered.len();
+    let mut starts = BTreeSet::new();
+    for k in [seals / 4, seals / 2, 3 * seals / 4, seals] {
+        let dir = root.join(format!("k{k}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("a data dir");
+        // Per slot, the chunk of the last sample its first seals hold.
+        let mut last_chunk = [None; INGEST_SLOTS];
+        for key in &clean.offered[..k] {
+            let (name, bytes) = &files[key];
+            std::fs::write(dir.join(name), bytes).expect("a durable seal");
+            let segment = read_segment(&mut &bytes[..]).expect("a whole seal");
+            for hash in segment.store().sample_hashes() {
+                last_chunk[key.0] = last_chunk[key.0].max(Some(chunk_of[&hash]));
+            }
+        }
+        let first = match k == seals {
+            true => per_chunk.len(),
+            false => last_chunk.iter().map(|c| c.unwrap_or(0)).min().unwrap_or(0),
+        };
+        let mut recover = config(&dir);
+        recover.recover = true;
+        let run = in_sequence(recover, None);
+        assert!(run.healthy && run.done, "k={k}");
+        assert_eq!(
+            run.accepted,
+            per_chunk[first..].iter().sum::<u64>(),
+            "k={k}: chunks {first}.. re-simulated"
+        );
+        assert_eq!(
+            fingerprint_of(&run.snapshot),
+            fingerprint_of(&clean.snapshot),
+            "k={k}"
+        );
+        assert!(segment_files(&dir) == files, "k={k}: the clean run's files");
+        starts.insert(first);
+    }
+    assert!(
+        starts.iter().any(|&c| 0 < c && c < per_chunk.len()),
+        "a dir resumes mid-feed: {starts:?}"
+    );
     std::fs::remove_dir_all(&root).expect("cleanup");
 }

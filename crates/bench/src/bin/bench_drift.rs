@@ -34,8 +34,10 @@
 //! against the bare fold (no stored baseline, so no machine drift):
 //!
 //! * `alert_overhead` — the fold with the streaming drift detectors
-//!   ([`vt_dynamics::AlertConfig`]) on: four extra table passes against a
-//!   fold that is eleven serial stage passes over the same table.
+//!   ([`vt_dynamics::AlertConfig`]) on: two extra table passes (the
+//!   crossover's per-engine counts, the per-sample monitor) and a read
+//!   of the segment's §6 partial, against a fold that is eleven serial
+//!   stage passes over the same table.
 //! * `obs_overhead` — the fold under a fresh enabled [`Obs`] (every
 //!   span, counter and per-worker histogram recorded) against
 //!   [`Obs::noop`]. A canary at the common tolerance, not a measurement

@@ -5,15 +5,16 @@
 //! drift detection over the live ingest stream. An [`AlertEngine`]
 //! rides along one slot's [`IncrementalStudy`](crate::IncrementalStudy)
 //! (see [`with_alerts`](crate::IncrementalStudy::with_alerts)) and
-//! observes every sealed segment as it is folded, running four
+//! observes every sealed segment as it is folded, running three
 //! detectors:
 //!
 //! | id | detector | signal |
 //! |---|---|---|
-//! | 0 | `engine_burst` | one engine relabeling many samples the same day — the §7.1 "model update" signature |
 //! | 1 | `rate_crossover` | two engines' cumulative detection rates swapping order |
 //! | 2 | `stabilization_regression` | the segment's mean time-to-stabilize (§6, Fig. 9) regressing vs the running baseline |
 //! | 3 | `sample_event` | per-sample [`SampleMonitor`] events (destabilized / swing) |
+//!
+//! Detector ids are append-only, so id 0 (a retired detector) stays reserved.
 //!
 //! **Determinism.** Every detector is a fold over *slot-local* state:
 //! the per-segment inputs (the segment's columnar table and its
@@ -21,13 +22,10 @@
 //! bit-identical however the serve tier is sharded, because segments
 //! within a slot always fold in WAL sequence order. Ordinals within one
 //! `(slot, seq, detector)` group come from deterministic orders
-//! (`BTreeMap` iteration, engine-index pair order, canonical table
-//! order), so the full alert stream — keyed `(seq, slot, detector,
-//! ordinal)` — is bit-identical at any shard × worker count, and
-//! replaying a crash-recovered WAL regenerates exactly the same alerts
-//! under the same keys.
-
-use std::collections::BTreeMap;
+//! (engine-index pair order, canonical table order), so the full alert
+//! stream — keyed `(seq, slot, detector, ordinal)` — is bit-identical at
+//! any shard × worker count, and replaying a crash-recovered WAL
+//! regenerates exactly the same alerts under the same keys.
 
 use vt_model::engine::MAX_ENGINES;
 use vt_model::{SampleHash, Timestamp};
@@ -36,24 +34,10 @@ use crate::incremental::StudyPartials;
 use crate::monitor::{MonitorCriteria, MonitorEvent, SampleMonitor};
 use crate::table::TrajectoryTable;
 
-/// Stable numeric detector ids — the `detector` component of an alert
-/// key. Wire clients and sink consumers key dedup off these, so they
-/// are append-only.
-pub mod detector {
-    /// [`AlertKind::EngineBurst`](super::AlertKind::EngineBurst).
-    pub const ENGINE_BURST: u8 = 0;
-    /// [`AlertKind::RateCrossover`](super::AlertKind::RateCrossover).
-    pub const RATE_CROSSOVER: u8 = 1;
-    /// [`AlertKind::StabilizationRegression`](super::AlertKind::StabilizationRegression).
-    pub const STABILIZATION_REGRESSION: u8 = 2;
-    /// [`AlertKind::SampleEvent`](super::AlertKind::SampleEvent).
-    pub const SAMPLE_EVENT: u8 = 3;
-}
-
-/// One fired drift alert. The four id fields form the alert's identity;
-/// [`kind`](Self::kind) carries the detector-specific payload in
-/// integers only (minutes, counts, engine indexes), so a rendered alert
-/// is bit-stable across runs.
+/// One fired drift alert. `slot`, `seq`, the kind's detector id and
+/// `ordinal` form the alert's identity; [`kind`](Self::kind) carries the
+/// detector-specific payload in integers only (minutes, counts, engine
+/// indexes), so a rendered alert is bit-stable across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// Ingest slot whose segment stream fired the alert.
@@ -62,8 +46,6 @@ pub struct Alert {
     /// durable WAL's segment order — crash-recovery replay regenerates
     /// the same `seq` for the same segment.
     pub seq: u64,
-    /// Detector id (see [`detector`]).
-    pub detector: u8,
     /// Position within the `(slot, seq, detector)` group, assigned in a
     /// deterministic order by each detector.
     pub ordinal: u32,
@@ -75,18 +57,12 @@ impl Alert {
     /// The global ordering/dedup key. `seq` leads so alert streams from
     /// different slots interleave by segment progress, not by slot.
     pub fn key(&self) -> (u64, u32, u8, u32) {
-        (self.seq, self.slot, self.detector, self.ordinal)
+        (self.seq, self.slot, self.kind.detector().0, self.ordinal)
     }
 
     /// Wire name of the detector that fired.
     pub fn detector_name(&self) -> &'static str {
-        match self.detector {
-            detector::ENGINE_BURST => "engine_burst",
-            detector::RATE_CROSSOVER => "rate_crossover",
-            detector::STABILIZATION_REGRESSION => "stabilization_regression",
-            detector::SAMPLE_EVENT => "sample_event",
-            _ => "unknown",
-        }
+        self.kind.detector().1
     }
 }
 
@@ -95,17 +71,6 @@ impl Alert {
 /// rendering never depends on float formatting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlertKind {
-    /// One engine flipped `flips` fresh-dynamic samples on one day —
-    /// the mass same-day relabel burst a vendor model update produces
-    /// (§7.1's flip-cause analysis, streamed).
-    EngineBurst {
-        /// Dense engine index.
-        engine: u32,
-        /// Day number (whole days since the window epoch) of the burst.
-        day: i64,
-        /// Label flips attributed to that engine on that day.
-        flips: u64,
-    },
     /// Two engines' cumulative detection rates crossed: `overtaking`
     /// was strictly below `overtaken` before this segment and is
     /// strictly above after it.
@@ -147,17 +112,25 @@ pub enum AlertKind {
     },
 }
 
+impl AlertKind {
+    /// The id and wire name of the detector that fires this kind. Wire
+    /// clients and sink consumers key dedup off the id, so ids are
+    /// append-only.
+    pub fn detector(&self) -> (u8, &'static str) {
+        match self {
+            AlertKind::RateCrossover { .. } => (1, "rate_crossover"),
+            AlertKind::StabilizationRegression { .. } => (2, "stabilization_regression"),
+            AlertKind::SampleEvent { .. } => (3, "sample_event"),
+        }
+    }
+}
+
 /// Detector tuning. Every threshold is an exact integer (permille
 /// ratios, not floats) so firing decisions are bit-deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlertConfig {
     /// Slot id stamped on every alert this engine emits.
     pub slot: u32,
-    /// Minimum same-day flips by one engine to fire an `engine_burst`.
-    pub burst_min: u64,
-    /// Cap on `engine_burst` alerts per segment (largest bursts beyond
-    /// the cap are dropped in deterministic `(engine, day)` order).
-    pub max_burst_alerts: usize,
     /// Minimum cumulative scans *before* the segment for an engine to
     /// participate in crossover comparisons.
     pub crossover_min_scans: u64,
@@ -184,8 +157,6 @@ impl Default for AlertConfig {
     fn default() -> Self {
         Self {
             slot: 0,
-            burst_min: 8,
-            max_burst_alerts: 16,
             crossover_min_scans: 500,
             crossover_min_gap_permille: 2,
             max_crossover_alerts: 16,
@@ -277,7 +248,6 @@ impl AlertEngine {
         let seq = self.seq;
         self.seq += 1;
         let mut out = Vec::new();
-        self.detect_bursts(seq, table, &mut out);
         self.detect_crossovers(seq, table, &mut out);
         self.detect_regression(seq, seg, &mut out);
         self.detect_sample_events(seq, table, &mut out);
@@ -285,70 +255,12 @@ impl AlertEngine {
         self.pending.extend(out);
     }
 
-    fn alert(&self, seq: u64, detector: u8, ordinal: u32, kind: AlertKind) -> Alert {
+    fn alert(&self, seq: u64, ordinal: u32, kind: AlertKind) -> Alert {
         Alert {
             slot: self.config.slot,
             seq,
-            detector,
             ordinal,
             kind,
-        }
-    }
-
-    /// Detector 0: per-(engine, day) flip counts over the segment's
-    /// fresh-dynamic samples, walked with the same bit-sliced lane
-    /// state as the §7.1 fold so the counts match the flip analysis.
-    fn detect_bursts(&mut self, seq: u64, table: &TrajectoryTable, out: &mut Vec<Alert>) {
-        let mut per_day: BTreeMap<(u32, i64), u64> = BTreeMap::new();
-        let active = table.active_rows();
-        let detected = table.detected_rows();
-        for i in 0..table.len() {
-            if !table.in_s(i) {
-                continue;
-            }
-            let range = table.rows(i);
-            // [seen lo, seen hi, prev lo, prev hi], as in the index walk.
-            let mut state = [0u64; 4];
-            for ((row, a), d) in range
-                .clone()
-                .zip(&active[range.clone()])
-                .zip(&detected[range])
-            {
-                let flipped = [
-                    (state[2] ^ d[0]) & a[0] & state[0],
-                    (state[3] ^ d[1]) & a[1] & state[1],
-                ];
-                if flipped[0] | flipped[1] != 0 {
-                    let day = table.date(row).day_number();
-                    for (w, mut bits) in flipped.into_iter().enumerate() {
-                        while bits != 0 {
-                            let engine = bits.trailing_zeros() + 64 * w as u32;
-                            *per_day.entry((engine, day)).or_insert(0) += 1;
-                            bits &= bits - 1;
-                        }
-                    }
-                }
-                state[2] = (state[2] & !a[0]) | (d[0] & a[0]);
-                state[3] = (state[3] & !a[1]) | (d[1] & a[1]);
-                state[0] |= a[0];
-                state[1] |= a[1];
-            }
-        }
-        let mut ordinal = 0u32;
-        for (&(engine, day), &flips) in &per_day {
-            if flips < self.config.burst_min {
-                continue;
-            }
-            if ordinal as usize >= self.config.max_burst_alerts {
-                break;
-            }
-            out.push(self.alert(
-                seq,
-                detector::ENGINE_BURST,
-                ordinal,
-                AlertKind::EngineBurst { engine, day, flips },
-            ));
-            ordinal += 1;
         }
     }
 
@@ -433,7 +345,6 @@ impl AlertEngine {
                 };
                 out.push(self.alert(
                     seq,
-                    detector::RATE_CROSSOVER,
                     ordinal,
                     AlertKind::RateCrossover {
                         overtaking,
@@ -485,7 +396,6 @@ impl AlertEngine {
         }
         out.push(self.alert(
             seq,
-            detector::STABILIZATION_REGRESSION,
             0,
             AlertKind::StabilizationRegression {
                 threshold: t,
@@ -527,12 +437,7 @@ impl AlertEngine {
                         }
                     };
                     if emit && (ordinal as usize) < self.config.max_sample_alerts {
-                        out.push(self.alert(
-                            seq,
-                            detector::SAMPLE_EVENT,
-                            ordinal,
-                            AlertKind::SampleEvent { hash, event },
-                        ));
+                        out.push(self.alert(seq, ordinal, AlertKind::SampleEvent { hash, event }));
                         ordinal += 1;
                     }
                 }
@@ -715,13 +620,19 @@ mod tests {
         TrajectoryTable::build(records, window())
     }
 
-    /// `reports` labels by engine 0 alternating detect / clear — one
-    /// flip per report after the first, all on the same day.
-    fn flippy_sample(i: u64, reports: usize) -> SampleRecord {
-        let detections: Vec<&[usize]> = (0..reports)
-            .map(|k| if k % 2 == 0 { &[0usize][..] } else { &[][..] })
-            .collect();
-        record_with(i, &[0, 1, 2], &detections, 10)
+    /// AV-Rank 5 → 40 within an hour: a swing under the default
+    /// criteria (threshold 10, interval 3 days).
+    fn swing_sample(i: u64) -> SampleRecord {
+        let low: Vec<usize> = (0..5).collect();
+        let high: Vec<usize> = (0..40).collect();
+        let active: Vec<usize> = (0..45).collect();
+        record_with(i, &active, &[&low, &high], 60)
+    }
+
+    /// AV-Rank 3,3,0,0 at threshold 2: labels 1,1,0,0 → stabilizes at
+    /// the third report, 20 minutes after the first.
+    fn settling_sample(i: u64) -> SampleRecord {
+        record_with(i, &[0, 1, 2, 3], &[&[0, 1, 2], &[0, 1, 2], &[], &[]], 10)
     }
 
     fn engine_of(config: AlertConfig) -> AlertEngine {
@@ -735,52 +646,6 @@ mod tests {
         let mut study = crate::IncrementalStudy::new(&fleet, window()).with_workers(1);
         study.fold_table(table, Obs::noop());
         study.take_partials().expect("one table folded")
-    }
-
-    #[test]
-    fn burst_detector_counts_same_day_flips() {
-        // 3 samples × 4 reports = 3 engine-0 flips each, same day.
-        let records: Vec<SampleRecord> = (0..3).map(|i| flippy_sample(i, 4)).collect();
-        let table = table_of(&records);
-        assert!((0..table.len()).all(|i| table.in_s(i)));
-        let mut out = Vec::new();
-        engine_of(AlertConfig {
-            burst_min: 9,
-            ..AlertConfig::default()
-        })
-        .detect_bursts(0, &table, &mut out);
-        assert_eq!(out.len(), 1);
-        match out[0].kind {
-            AlertKind::EngineBurst { engine, day, flips } => {
-                assert_eq!(engine, 0);
-                assert_eq!(day, (window() + Duration::days(1)).day_number());
-                assert_eq!(flips, 9);
-            }
-            ref other => panic!("unexpected kind {other:?}"),
-        }
-        assert_eq!(out[0].detector, detector::ENGINE_BURST);
-        assert_eq!(out[0].ordinal, 0);
-    }
-
-    #[test]
-    fn burst_detector_respects_threshold_and_cap() {
-        let records: Vec<SampleRecord> = (0..3).map(|i| flippy_sample(i, 4)).collect();
-        let table = table_of(&records);
-        let mut out = Vec::new();
-        engine_of(AlertConfig {
-            burst_min: 10,
-            ..AlertConfig::default()
-        })
-        .detect_bursts(0, &table, &mut out);
-        assert!(out.is_empty(), "below burst_min must not fire");
-        let mut capped = Vec::new();
-        engine_of(AlertConfig {
-            burst_min: 1,
-            max_burst_alerts: 1,
-            ..AlertConfig::default()
-        })
-        .detect_bursts(0, &table, &mut capped);
-        assert_eq!(capped.len(), 1, "cap must truncate deterministically");
     }
 
     #[test]
@@ -849,12 +714,7 @@ mod tests {
 
     #[test]
     fn sample_events_count_and_cap() {
-        // AV-Rank 5 → 40 within an hour: a swing under the default
-        // criteria (threshold 10, interval 3 days).
-        let low: Vec<usize> = (0..5).collect();
-        let high: Vec<usize> = (0..40).collect();
-        let active: Vec<usize> = (0..45).collect();
-        let records = [record_with(1, &active, &[&low, &high], 60)];
+        let records = [swing_sample(1)];
         let table = table_of(&records);
         let mut eng = engine_of(AlertConfig::default());
         let mut out = Vec::new();
@@ -881,11 +741,7 @@ mod tests {
 
     #[test]
     fn regression_detector_compares_means_exactly() {
-        // AV-Rank 3,3,0,0 at threshold 2: labels 1,1,0,0 → stabilizes
-        // at the third report, 20 minutes after the first.
-        let records: Vec<SampleRecord> = (0..4)
-            .map(|i| record_with(i, &[0, 1, 2, 3], &[&[0, 1, 2], &[0, 1, 2], &[], &[]], 10))
-            .collect();
+        let records: Vec<SampleRecord> = (0..4).map(settling_sample).collect();
         let table = table_of(&records);
         let partial = partials_of(&table);
         let (_, stabilized, minutes) = partial
@@ -934,12 +790,20 @@ mod tests {
 
     #[test]
     fn observe_segment_is_deterministic_and_keyed() {
-        let records: Vec<SampleRecord> = (0..4).map(|i| flippy_sample(i, 4)).collect();
+        // Each segment fires two swings (detector 3); the second also
+        // regresses at 1.0× against the first (detector 2), so keys
+        // interleave detectors within one seq.
+        let records: Vec<SampleRecord> = (0..4)
+            .map(settling_sample)
+            .chain((4..6).map(swing_sample))
+            .collect();
         let table = table_of(&records);
         let partial = partials_of(&table);
         let config = AlertConfig {
             slot: 3,
-            burst_min: 2,
+            regression_threshold: 2,
+            regression_min_stabilized: 1,
+            regression_factor_permille: 1000,
             ..AlertConfig::default()
         };
         let run = || {
@@ -973,37 +837,47 @@ mod tests {
     }
 
     #[test]
-    fn detector_names_are_stable() {
-        let names: Vec<&str> = [
-            detector::ENGINE_BURST,
-            detector::RATE_CROSSOVER,
-            detector::STABILIZATION_REGRESSION,
-            detector::SAMPLE_EVENT,
-        ]
-        .iter()
-        .map(|&d| {
-            Alert {
-                slot: 0,
-                seq: 0,
-                detector: d,
-                ordinal: 0,
-                kind: AlertKind::EngineBurst {
-                    engine: 0,
-                    day: 0,
-                    flips: 0,
+    fn detector_ids_and_names_are_stable() {
+        let kinds = [
+            AlertKind::RateCrossover {
+                overtaking: 0,
+                overtaken: 1,
+                overtaking_detections: 0,
+                overtaking_scans: 0,
+                overtaken_detections: 0,
+                overtaken_scans: 0,
+            },
+            AlertKind::StabilizationRegression {
+                threshold: 0,
+                segment_mean_minutes: 0,
+                baseline_mean_minutes: 0,
+                segment_stabilized: 0,
+            },
+            AlertKind::SampleEvent {
+                hash: SampleHash(0),
+                event: MonitorEvent::Swing {
+                    at: Timestamp(0),
+                    delta: 0,
+                    interval: Duration(0),
                 },
-            }
-            .detector_name()
-        })
-        .collect();
+            },
+        ];
+        let detectors: Vec<(u8, &str)> = kinds.iter().map(AlertKind::detector).collect();
         assert_eq!(
-            names,
+            detectors,
             [
-                "engine_burst",
-                "rate_crossover",
-                "stabilization_regression",
-                "sample_event"
+                (1, "rate_crossover"),
+                (2, "stabilization_regression"),
+                (3, "sample_event")
             ]
         );
+        let alert = Alert {
+            slot: 4,
+            seq: 5,
+            ordinal: 6,
+            kind: kinds[1].clone(),
+        };
+        assert_eq!(alert.key(), (5, 4, 2, 6));
+        assert_eq!(alert.detector_name(), "stabilization_regression");
     }
 }

@@ -21,7 +21,7 @@
 //! | [`incremental`] | all | segment-at-a-time folding of the full study |
 //! | [`collector`] | §4.1 | fault-tolerant minute-poll feed ingestion |
 //! | [`monitor`] | §8.1 | the stabilization-notification feature the paper proposes |
-//! | [`alerts`] | §8.1, §7.1 | streaming drift detectors over segment folds (serve-tier alerting) |
+//! | [`alerts`] | §8.1, §6 | streaming drift detectors over segment folds (serve-tier alerting) |
 //! | [`par`] | — | `std::thread::scope` partitioned map |
 //! | [`table`] | — | the columnar [`TrajectoryTable`] every stage reads |
 //! | [`analysis`] | — | the [`Analysis`] trait + [`AnalysisCtx`] every stage runs under |

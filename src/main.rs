@@ -601,7 +601,9 @@ fn cmd_serve(config: ServeConfig) -> Result<(), VtldError> {
         "vtld serve listening on {} (newline-delimited JSON; try {{\"cmd\":\"status\"}})",
         server.addr()
     );
-    server.wait();
+    if let Some(failure) = server.wait() {
+        return Err(io_err("serve failed")(failure));
+    }
     eprintln!("vtld serve: shut down");
     Ok(())
 }

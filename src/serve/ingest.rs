@@ -133,25 +133,34 @@ fn watermark(
 
 /// The one place a live segment leaves the feeder: persist it when there
 /// is a data dir (write, fsync, rename, fsync the directory), and only
-/// then emit it — seal → fsync → publish. Returns `false` when the
-/// segment is not durable (and was not emitted) or `emit` refused it.
+/// then emit it — seal → fsync → publish. Fails when the segment is not
+/// durable (and was not emitted) or `emit` refused it.
 fn seal(
     segdir: Option<&SegmentDir>,
     slot: usize,
     segment: Segment,
     emit: &mut impl FnMut(SegmentMsg) -> bool,
-) -> bool {
+) -> io::Result<()> {
     if let Some(dir) = segdir {
-        if let Err(e) = dir.persist(slot as u32, &segment) {
-            eprintln!("vtld serve: segment persist failed, stopping ingest: {e}");
-            return false;
-        }
+        (dir.persist(slot as u32, &segment))
+            .map_err(|e| io::Error::new(e.kind(), format!("segment persist failed: {e}")))?;
     }
-    emit(SegmentMsg {
+    let msg = SegmentMsg {
         slot,
         segment,
         recovered: false,
-    })
+    };
+    if emit(msg) {
+        Ok(())
+    } else {
+        Err(consumer_gone())
+    }
+}
+
+/// The error of an `emit` that refused a segment: its shard worker is
+/// gone (it panicked).
+fn consumer_gone() -> io::Error {
+    io::Error::other("a shard worker stopped taking segments")
 }
 
 /// The feeder: replay the data dir (under recovery), then simulate →
@@ -162,16 +171,16 @@ fn seal(
 /// returning `false` means its consumer is gone. Dropping `emit` on
 /// return is what lets the daemon's workers drain their queues and exit.
 ///
-/// Returns `false` when a fatal error ended the feed early (unreadable
-/// data dir, failed persist, a consumer gone): the caller shuts the
-/// daemon down.
+/// Fails when a fatal error ended the feed early (unreadable data dir,
+/// a segment of another feed, failed persist, a consumer gone): the
+/// caller shuts the daemon down.
 pub(super) fn run(
     ctx: &IngestCtx,
     collector: &Collector,
     stop: impl Fn() -> bool,
     segdir: Option<SegmentDir>,
     mut emit: impl FnMut(SegmentMsg) -> bool,
-) -> bool {
+) -> io::Result<()> {
     let (config, sim) = (&ctx.config, &ctx.sim);
     let segdir = segdir.map(|dir| dir.with_obs(&ctx.store_obs));
 
@@ -201,13 +210,10 @@ pub(super) fn run(
             },
             || ctx.counters.quarantined_segments.incr(),
         );
-        match replayed.and(placed) {
-            Ok(()) if handed_over => {}
-            Ok(()) => return false,
-            Err(e) => {
-                eprintln!("vtld serve: recovery replay failed: {e}");
-                return false;
-            }
+        (replayed.and(placed))
+            .map_err(|e| io::Error::new(e.kind(), format!("recovery replay failed: {e}")))?;
+        if !handed_over {
+            return Err(consumer_gone());
         }
     }
 
@@ -216,7 +222,6 @@ pub(super) fn run(
         .iter()
         .map(|&seq| SegmentWriter::resuming(config.segment_reports, seq).with_obs(&ctx.store_obs))
         .collect();
-    let mut healthy = true;
     // Every sample below the earliest watermark's chunk is sealed (`None`,
     // a slot that sealed nothing, is the earliest); a log that holds
     // every sample needs none of the feed.
@@ -225,7 +230,7 @@ pub(super) fn run(
     if sealed == config.samples {
         start = config.samples;
     }
-    'feed: while start < config.samples && !stop() {
+    while start < config.samples && !stop() {
         let end = (start + INGEST_CHUNK_SAMPLES).min(config.samples);
         let chunk = start / INGEST_CHUNK_SAMPLES;
         let feed = FaultyFeed::from_sim(sim, start..end, config.plan);
@@ -239,26 +244,22 @@ pub(super) fn run(
                 continue;
             }
             if let Some(segment) = writers[slot].push_sample(&reports) {
-                if !seal(segdir.as_ref(), slot, segment, &mut emit) {
-                    healthy = false;
-                    break 'feed;
-                }
+                seal(segdir.as_ref(), slot, segment, &mut emit)?;
             }
         }
         start = end;
     }
-    let completed = start >= config.samples;
 
     // ---- drain: the feed's end alone seals in-progress segments ----
-    if completed && healthy {
-        let mut tails = writers.into_iter().enumerate();
-        healthy = tails.all(|(slot, writer)| match writer.finish() {
-            Some(segment) => seal(segdir.as_ref(), slot, segment, &mut emit),
-            None => true,
-        });
-        ctx.done.store(healthy, Ordering::SeqCst);
+    if start >= config.samples {
+        for (slot, writer) in writers.into_iter().enumerate() {
+            if let Some(segment) = writer.finish() {
+                seal(segdir.as_ref(), slot, segment, &mut emit)?;
+            }
+        }
+        ctx.done.store(true, Ordering::SeqCst);
     }
-    healthy
+    Ok(())
 }
 
 #[cfg(test)]
@@ -279,10 +280,11 @@ mod tests {
             emitted += 1;
             true
         };
-        let healthy = run(&ctx, &Collector::default(), || false, Some(dir), emit);
+        let fed = run(&ctx, &Collector::default(), || false, Some(dir), emit);
+        let err = fed.expect_err("a lost tail is as fatal as a lost segment mid-feed");
         assert!(
-            !healthy,
-            "a lost tail is as fatal as a lost segment mid-feed"
+            err.to_string().starts_with("segment persist failed: "),
+            "{err}"
         );
         assert!(!ctx.done(), "and the feed was not fully sealed");
         assert_eq!(emitted, 0, "a segment that is not durable is never emitted");
@@ -320,9 +322,9 @@ mod tests {
     }
 
     /// A segment another feed sealed, sitting among this feed's own in a
-    /// data dir, ends the recovery unhealthy where the replay meets it:
-    /// it is neither emitted nor quarantined, nothing after it is
-    /// emitted, and live ingest never starts.
+    /// data dir, ends the recovery with a typed error where the replay
+    /// meets it: it is neither emitted nor quarantined, nothing after it
+    /// is emitted, and live ingest never starts.
     #[test]
     fn a_segment_of_another_feed_ends_recovery_unhealthy() {
         let root = std::env::temp_dir().join(format!("vtld-ingest-foreign-{}", std::process::id()));
@@ -332,13 +334,14 @@ mod tests {
             config.segment_reports = 30;
             let segdir = SegmentDir::open(dir, INGEST_SLOTS as u32).expect("open data dir");
             let ctx = IngestCtx::new(config.clone());
-            assert!(run(
+            run(
                 &ctx,
                 &Collector::default(),
                 || false,
                 Some(segdir),
-                |_| true
-            ));
+                |_| true,
+            )
+            .expect("sealed");
             config
         };
         let (ours, theirs) = (root.join("ours"), root.join("theirs"));
@@ -355,8 +358,14 @@ mod tests {
             emitted.push((msg.slot, msg.segment.seq(), msg.recovered));
             true
         };
-        let healthy = run(&ctx, &Collector::default(), || false, Some(segdir), emit);
-        assert!(!healthy, "an unplaceable sample is fatal");
+        let fed = run(&ctx, &Collector::default(), || false, Some(segdir), emit);
+        let err = fed.expect_err("an unplaceable sample is fatal");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .starts_with("recovery replay failed: slot 3 holds sample "),
+            "{err}"
+        );
         assert!(!ctx.done());
         assert_eq!(
             emitted.last(),

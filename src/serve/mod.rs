@@ -225,7 +225,9 @@ pub struct Server {
     /// The outermost thread context; it embeds the `fold` and `ingest`
     /// ones, so this is everything the daemon threads share.
     daemon: Arc<publish::PublishCtx>,
-    threads: Vec<JoinHandle<()>>,
+    /// Every daemon thread; the feeder's error, if one ended the feed,
+    /// is its handle's result, and every other thread returns `Ok`.
+    threads: Vec<JoinHandle<std::io::Result<()>>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -315,7 +317,8 @@ impl Server {
             let emitted = counters.alerts_emitted.clone();
             let dropped = counters.alerts_dropped.clone();
             threads.push(std::thread::spawn(move || {
-                sink::sink_loop(rx, sinks, emitted, dropped)
+                sink::sink_loop(rx, sinks, emitted, dropped);
+                Ok(())
             }));
             Some(tx)
         } else {
@@ -331,17 +334,20 @@ impl Server {
             shard_txs.push(tx);
             let (d, merge_tx) = (Arc::clone(&daemon), merge_tx.clone());
             threads.push(std::thread::spawn(move || {
-                fold::shard_worker(&d.fold, &rx, &merge_tx)
+                fold::shard_worker(&d.fold, &rx, &merge_tx);
+                Ok(())
             }));
         }
         drop(merge_tx);
 
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
-            publish::merger_loop(&d, merger, &merge_rx, alert_sink.as_ref())
+            publish::merger_loop(&d, merger, &merge_rx, alert_sink.as_ref());
+            Ok(())
         }));
         threads.push(std::thread::spawn(move || {
-            conn::accept_loop(&listener, &conn)
+            conn::accept_loop(&listener, &conn);
+            Ok(())
         }));
         // The feeder last: it alone starts CPU-bound, and on two cores a
         // thread created after it queues behind it for a scheduler slice.
@@ -362,9 +368,11 @@ impl Server {
                 sent
             };
             let stop = || seam.shutdown_requested();
-            if !ingest::run(&fold.ingest, &collector, stop, segdir, emit) {
+            let fed = ingest::run(&fold.ingest, &collector, stop, segdir, emit);
+            if fed.is_err() {
                 shut_down(seam, addr);
             }
+            fed
         }));
         Ok(Server {
             addr,
@@ -393,11 +401,20 @@ impl Server {
 
     /// Blocks until every daemon thread exits (after
     /// [`shutdown`](Self::shutdown), feed exhaustion plus a client's
-    /// `shutdown` command, or a fatal ingest error).
-    pub fn wait(mut self) {
+    /// `shutdown` command, or a fatal ingest error), and returns what
+    /// ended the daemon abnormally: the feeder's fatal error (a failed
+    /// recovery replay or persist, a shard worker gone) or a thread's
+    /// panic. `None` is a clean exit, a stop mid-feed included.
+    pub fn wait(mut self) -> Option<std::io::Error> {
+        let mut failure = None;
         for handle in self.threads.drain(..) {
-            let _ = handle.join();
+            let error = match handle.join() {
+                Ok(ended) => ended.err(),
+                Err(_) => Some(std::io::Error::other("a daemon thread panicked")),
+            };
+            failure = failure.or(error);
         }
+        failure
     }
 }
 

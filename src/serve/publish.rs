@@ -453,7 +453,6 @@ pub(super) fn empty_epoch(fold: &FoldCtx, state: &MergerState) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::alerts::detector;
     use crate::dynamics::{Alert, AlertKind};
     use crate::model::SampleHash;
     use crate::serve::counters::ServeCounters;
@@ -879,12 +878,14 @@ mod tests {
                 .map(|ordinal| Alert {
                     slot: slot as u32,
                     seq,
-                    detector: detector::ENGINE_BURST,
                     ordinal,
-                    kind: AlertKind::EngineBurst {
-                        engine: 0,
-                        day: 18_751,
-                        flips: 12 + u64::from(ordinal),
+                    kind: AlertKind::RateCrossover {
+                        overtaking: 0,
+                        overtaken: 1,
+                        overtaking_detections: 12 + u64::from(ordinal),
+                        overtaking_scans: 100,
+                        overtaken_detections: 11,
+                        overtaken_scans: 100,
                     },
                 })
                 .collect(),

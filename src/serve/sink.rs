@@ -278,7 +278,7 @@ mod tests {
 
     /// An alert line of `slot`, the `n`-th its file holds.
     fn alert(slot: usize, n: usize) -> String {
-        format!("{{\"slot\":{slot},\"seq\":{n},\"detector\":\"engine_burst\",\"ordinal\":0}}")
+        format!("{{\"slot\":{slot},\"seq\":{n},\"detector\":\"rate_crossover\",\"ordinal\":0}}")
     }
 
     /// Runs `sink_loop` over `batches` of `(slot, lines, recovered)` into

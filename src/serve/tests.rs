@@ -355,8 +355,9 @@ fn a_recover_under_another_feed_is_refused() {
 }
 
 /// A feeder that ends unhealthy shuts the daemon down: `wait` returns
-/// with no client's `shutdown` and no connection to wake the accept
-/// loop. A recovery that meets another feed's segment ends so.
+/// the feeder's error with no client's `shutdown` and no connection to
+/// wake the accept loop. A recovery that meets another feed's segment
+/// ends so.
 #[test]
 fn a_failed_recovery_shuts_the_daemon_down() {
     let root = std::env::temp_dir().join(format!("vtld-failed-recovery-{}", std::process::id()));
@@ -378,11 +379,17 @@ fn a_failed_recovery_shuts_the_daemon_down() {
     let server = super::Server::start(recover).expect("starts");
     let (tx, rx) = channel();
     std::thread::spawn(move || {
-        server.wait();
-        let _ = tx.send(());
+        let _ = tx.send(server.wait());
     });
     let waited = rx.recv_timeout(std::time::Duration::from_secs(30));
-    assert!(waited.is_ok(), "the daemon is still up");
+    let failure =
+        (waited.expect("the daemon is still up")).expect("wait returns the feeder's error");
+    assert_eq!(failure.kind(), std::io::ErrorKind::InvalidData);
+    let msg = failure.to_string();
+    assert!(
+        msg.starts_with("recovery replay failed: slot 3 holds sample "),
+        "{msg}"
+    );
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
@@ -644,7 +651,7 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
         tx.send(msg).expect("the receiver lives on this thread");
         true
     };
-    let healthy = ingest::run(&ctx.fold.ingest, &collector, stop, segdir, emit);
+    let healthy = ingest::run(&ctx.fold.ingest, &collector, stop, segdir, emit).is_ok();
     drop(tx);
 
     let (merge_tx, merge_rx) = channel();
@@ -731,7 +738,6 @@ fn crash_config(root: &Path) -> ServeConfig {
     config.workers = 1;
     config.data_dir = Some(root.to_path_buf());
     config.alert_config = AlertConfig {
-        burst_min: 2,
         crossover_min_scans: 20,
         crossover_min_gap_permille: 1,
         regression_min_stabilized: 2,
@@ -974,7 +980,7 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
 /// `ingest::run` alone into the data dir at `root`, its consumer gone
 /// at the `k`-th segment (1-based): the verdict, `done()`, and every
 /// segment offered to `emit`, as `(slot, seq)`, in emit order.
-fn abandoned_at(root: &Path, k: usize) -> (bool, bool, Vec<(usize, u64)>) {
+fn abandoned_at(root: &Path, k: usize) -> (std::io::Result<()>, bool, Vec<(usize, u64)>) {
     let config = crash_config(root);
     let segdir = SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir");
     let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
@@ -984,8 +990,8 @@ fn abandoned_at(root: &Path, k: usize) -> (bool, bool, Vec<(usize, u64)>) {
         offered.push((msg.slot, msg.segment.seq()));
         offered.len() < k
     };
-    let healthy = ingest::run(&ctx, &collector, || false, Some(segdir), emit);
-    (healthy, ctx.done(), offered)
+    let fed = ingest::run(&ctx, &collector, || false, Some(segdir), emit);
+    (fed, ctx.done(), offered)
 }
 
 /// A stop is a crash that loses nothing. A graceful stop at any of the
@@ -1046,8 +1052,9 @@ fn every_stop_and_consumer_gone_point_leaves_the_clean_runs_first_seals() {
     for k in 1..=seals {
         let what = format!("consumer gone at seal {k}");
         let _ = std::fs::remove_dir_all(&dir);
-        let (healthy, done, offered) = abandoned_at(&dir, k);
-        assert!(!healthy, "{what}: a gone consumer is fatal");
+        let (fed, done, offered) = abandoned_at(&dir, k);
+        let err = fed.expect_err(&format!("{what}: a gone consumer is fatal"));
+        assert_eq!(err.to_string(), "a shard worker stopped taking segments");
         assert!(!done, "{what}: the feed was not all sealed");
         assert_eq!(offered, clean.run.offered[..k], "{what}: offered");
         leaves_the_first_seals(k, &what);

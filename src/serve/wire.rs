@@ -271,10 +271,6 @@ pub(super) fn render_alert(alert: &Alert, names: &[String]) -> String {
         alert.ordinal,
     );
     let body = match &alert.kind {
-        AlertKind::EngineBurst { engine, day, flips } => format!(
-            ",\"engine\":{},\"day\":{day},\"flips\":{flips}",
-            engine_name(names, *engine)
-        ),
         AlertKind::RateCrossover {
             overtaking,
             overtaken,
@@ -343,7 +339,6 @@ pub(super) fn render_alert(alert: &Alert, names: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::alerts::detector;
     use proptest::prelude::*;
     use vt_model::time::{Duration, Timestamp};
 
@@ -595,28 +590,11 @@ mod tests {
     #[test]
     fn alert_bodies_render_deterministic_json() {
         let names = vec!["Alpha".to_string(), "Beta\"Quote".to_string()];
-        let burst = Alert {
-            slot: 2,
-            seq: 5,
-            detector: detector::ENGINE_BURST,
-            ordinal: 0,
-            kind: AlertKind::EngineBurst {
-                engine: 0,
-                day: 18751,
-                flips: 12,
-            },
-        };
-        assert_eq!(
-            render_alert(&burst, &names),
-            "{\"slot\":2,\"seq\":5,\"detector\":\"engine_burst\",\"ordinal\":0,\
-             \"engine\":\"Alpha\",\"day\":18751,\"flips\":12}"
-        );
         // Quotes in roster names escape; unknown indexes degrade to the
         // index as a string.
         let cross = Alert {
             slot: 0,
             seq: 1,
-            detector: detector::RATE_CROSSOVER,
             ordinal: 3,
             kind: AlertKind::RateCrossover {
                 overtaking: 1,
@@ -633,10 +611,16 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("\"overtaken\":\"77\""), "{rendered}");
+        assert_eq!(
+            rendered,
+            "{\"slot\":0,\"seq\":1,\"detector\":\"rate_crossover\",\"ordinal\":3,\
+             \"overtaking\":\"Beta\\\"Quote\",\"overtaken\":\"77\",\
+             \"overtaking_detections\":10,\"overtaking_scans\":100,\
+             \"overtaken_detections\":9,\"overtaken_scans\":100}"
+        );
         let event = Alert {
             slot: 7,
             seq: 9,
-            detector: detector::SAMPLE_EVENT,
             ordinal: 1,
             kind: AlertKind::SampleEvent {
                 hash: SampleHash(0xabc),
@@ -654,11 +638,7 @@ mod tests {
              \"event\":\"swing\",\"at\":1000,\"delta\":15,\"interval_minutes\":30}"
         );
         // Every body parses as standalone JSON.
-        for body in [
-            render_alert(&burst, &names),
-            render_alert(&cross, &names),
-            render_alert(&event, &names),
-        ] {
+        for body in [render_alert(&cross, &names), render_alert(&event, &names)] {
             crate::obs::json::parse(&body).expect("alert bodies are valid JSON");
         }
     }

@@ -37,7 +37,6 @@ const SEGMENT_REPORTS: u64 = 300;
 /// stream).
 fn sensitive_alerts() -> AlertConfig {
     AlertConfig {
-        burst_min: 2,
         crossover_min_scans: 20,
         crossover_min_gap_permille: 1,
         regression_min_stabilized: 2,
@@ -134,6 +133,45 @@ fn alert_streams_bit_identical_across_shard_worker_grid() {
             server.wait();
         }
     }
+}
+
+/// The defaults fire: at [`AlertConfig::default`], on a realistic feed,
+/// every detector fires at least once and no line names another one.
+/// Seed 7 at 15 000 samples in 1 500-report segments is the smallest
+/// seed-7 feed probed on which all three fire (42 `sample_event`, 128
+/// `rate_crossover`, 1 `stabilization_regression`); at 12 000 samples
+/// the regression detector fires nothing.
+#[test]
+fn default_config_fires_every_detector_on_a_realistic_feed() {
+    let out = std::env::temp_dir().join(format!("vtld-defaults-fire-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&out);
+    let mut config = ServeConfig::new(15_000, 7);
+    config.segment_reports = 1_500;
+    config.alerts_out = Some(out.clone());
+    assert_eq!(config.alert_config, AlertConfig::default());
+    let server = Server::start(config).expect("bind");
+    await_ingest_done(server.addr());
+    server.shutdown();
+    assert!(server.wait().is_none(), "a clean exit");
+
+    let mut fired = std::collections::BTreeMap::<String, u64>::new();
+    for line in std::fs::read_to_string(&out)
+        .expect("the alerts file")
+        .lines()
+    {
+        let alert = json::parse(line).expect("an alert line");
+        let detector = alert.get("detector").and_then(|d| d.as_str());
+        *fired
+            .entry(detector.expect("detector member").to_string())
+            .or_default() += 1;
+    }
+    std::fs::remove_file(&out).expect("cleanup");
+    let detectors: Vec<&str> = fired.keys().map(String::as_str).collect();
+    assert_eq!(
+        detectors,
+        ["rate_crossover", "sample_event", "stabilization_regression"],
+        "{fired:?}"
+    );
 }
 
 /// The served recommendation must equal the offline §6.2 sweep and the

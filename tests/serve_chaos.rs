@@ -21,6 +21,8 @@
 //!   `{"cmd":"shutdown"}` mid-feed exits 0 having sealed only full
 //!   segments, and `--recover` over its data dir publishes the
 //!   never-stopped run's fingerprint, bit for bit.
+//! * **A failed recovery is an error** — `--recover` over a data dir
+//!   holding another feed's seal exits non-zero with the replay's error.
 //!
 //! The reference fingerprints (same feed, in-memory, never killed) are
 //! computed once per test process and shared: one for the short chaos
@@ -432,6 +434,67 @@ fn graceful_stop_recovers_bit_identical() {
     );
 
     std::fs::remove_dir_all(&data_dir).expect("cleanup");
+}
+
+/// A recovery that meets another feed's seal ends the daemon, and the
+/// binary says so: the replay's typed error on stderr and a non-zero
+/// exit, where a stop (above) exits 0.
+#[test]
+fn a_failed_recovery_exits_non_zero() {
+    let root = temp_data_dir("foreign");
+    let sealed_by = |seed: u64| {
+        let mut config = chaos_config(1, 1);
+        config.seed = seed;
+        let dir = root.join(format!("{seed:#x}"));
+        config.data_dir = Some(dir.clone());
+        run_to_completion(config);
+        dir
+    };
+    let (ours, theirs) = (sealed_by(SEED), sealed_by(SEED + 1));
+    let mut names: Vec<_> = (std::fs::read_dir(&theirs).expect("their dir"))
+        .map(|entry| entry.expect("entry").file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".vtseg") && ours.join(name).is_file())
+        .collect();
+    names.sort();
+    let foreign = names.first().expect("a seal both feeds wrote");
+    std::fs::copy(theirs.join(foreign), ours.join(foreign)).expect("a foreign seal");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vtld"))
+        .args([
+            "serve",
+            "--samples",
+            &SAMPLES.to_string(),
+            "--seed",
+            &format!("{SEED:#x}"),
+            "--segment-reports",
+            &SEGMENT_REPORTS.to_string(),
+            "--addr",
+            "127.0.0.1:0",
+            "--data-dir",
+            ours.to_str().expect("utf-8 temp path"),
+            "--recover",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn vtld serve");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("a failed recovery left the daemon up");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("reap child");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exit {}: {stderr}", out.status);
+    assert!(
+        stderr.contains("vtld: serve failed: recovery replay failed: slot "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("shut down"), "{stderr}");
+    std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
 #[test]

@@ -26,6 +26,9 @@
 //! the next marker, returning whatever survives plus a
 //! [`RecoveryReport`] saying exactly what was lost where.
 //!
+//! Both readers parse frames with the same three functions — a
+//! partition header, a block header, a block payload — over any
+//! [`Read`]; salvage runs them over the file's bytes at each offset.
 //! The strict reader fails on the first integrity violation — bytes
 //! after the last declared partition included
 //! ([`CorruptKind::TrailingBytes`]); the salvage reader degrades
@@ -315,35 +318,19 @@ pub fn read_store_into(
     let mut partitions = Vec::with_capacity(partition_count as usize);
     let mut scratch = Vec::new();
     for _ in 0..partition_count {
-        if get_u32(r)? != PART_MARKER {
-            return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
-        }
-        let month = read_month_tag(r)?;
-        let block_count = get_u32(r)?;
-        if block_count > MAX_BLOCKS_PER_PARTITION {
-            return Err(PersistError::Corrupt(CorruptKind::ImplausibleBlockCount));
-        }
+        let (month, block_count) = read_partition_header(r)?;
         let mut blocks = Vec::with_capacity(block_count as usize);
         for _ in 0..block_count {
-            if get_u32(r)? != BLOCK_MARKER {
-                return Err(PersistError::Corrupt(CorruptKind::BadBlockMarker));
-            }
-            let report_count = get_u32(r)?;
-            let byte_len = get_u32(r)?;
-            check_block_header(report_count, byte_len)?;
-            let expected_crc = get_u32(r)?;
-            read_payload(r, byte_len, &mut scratch)?;
-            if crc32(&scratch) != expected_crc {
-                return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
-            }
-            let block = Block::from_parts(scratch.as_slice().into(), report_count);
+            let header = read_block_header(r)?;
+            read_block_payload(r, &header, &mut scratch)?;
+            let block = Block::from_parts(scratch.as_slice().into(), header.report_count);
             // Integrity: the block must decode to exactly report_count
             // reports with nothing left over.
             let start = obs.timer();
             block
                 .decode_into(sink)
                 .map_err(|_| PersistError::Corrupt(CorruptKind::BlockDecode))?;
-            obs.record_decode(start, report_count as u64);
+            obs.record_decode(start, header.report_count as u64);
             blocks.push(block);
         }
         partitions.push((month, blocks));
@@ -359,6 +346,59 @@ pub fn read_store_into(
     }
 }
 
+/// Reads a partition header — marker, month tag, block count — and
+/// returns its month (`None` for the catch-all) and declared block count.
+fn read_partition_header(r: &mut impl Read) -> Result<(Option<Month>, u32), PersistError> {
+    if get_u32(r)? != PART_MARKER {
+        return Err(PersistError::Corrupt(CorruptKind::BadPartitionMarker));
+    }
+    let month = read_month_tag(r)?;
+    let block_count = get_u32(r)?;
+    if block_count > MAX_BLOCKS_PER_PARTITION {
+        return Err(PersistError::Corrupt(CorruptKind::ImplausibleBlockCount));
+    }
+    Ok((month, block_count))
+}
+
+/// A block frame's header, read and found plausible.
+struct BlockHeader {
+    report_count: u32,
+    byte_len: u32,
+    crc: u32,
+}
+
+/// Reads a block header — marker, report count, byte length, CRC — and
+/// rejects an implausible one before its payload is read.
+fn read_block_header(r: &mut impl Read) -> Result<BlockHeader, PersistError> {
+    if get_u32(r)? != BLOCK_MARKER {
+        return Err(PersistError::Corrupt(CorruptKind::BadBlockMarker));
+    }
+    let report_count = get_u32(r)?;
+    let byte_len = get_u32(r)?;
+    check_block_header(report_count, byte_len)?;
+    let crc = get_u32(r)?;
+    Ok(BlockHeader {
+        report_count,
+        byte_len,
+        crc,
+    })
+}
+
+/// Reads the payload `header` declares into `scratch` and checks it
+/// against the header's CRC: a short read is [`PersistError::Io`], a
+/// mismatch [`CorruptKind::ChecksumMismatch`].
+fn read_block_payload(
+    r: &mut impl Read,
+    header: &BlockHeader,
+    scratch: &mut Vec<u8>,
+) -> Result<(), PersistError> {
+    read_payload(r, header.byte_len, scratch)?;
+    if crc32(scratch) != header.crc {
+        return Err(PersistError::Corrupt(CorruptKind::ChecksumMismatch));
+    }
+    Ok(())
+}
+
 /// How a salvaged partition was identified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SalvageLabel {
@@ -366,8 +406,9 @@ pub enum SalvageLabel {
     Month(Month),
     /// The partition header named the catch-all partition.
     CatchAll,
-    /// Blocks recovered by marker resync after their partition header
-    /// was destroyed.
+    /// Blocks (or unparseable regions) met before any partition header
+    /// survived. Those met after one are charged to the last partition
+    /// met, even when their own partition's header was destroyed.
     Unlabeled,
 }
 
@@ -394,7 +435,8 @@ pub struct RecoveryReport {
     /// Times the scanner lost framing and had to hunt forward for the
     /// next valid marker.
     pub resyncs: u64,
-    /// True when the file ended in the middle of a declared structure.
+    /// True when the file ended in the middle of a declared structure,
+    /// or when a resync found no later frame (an unparseable tail).
     pub truncated: bool,
 }
 
@@ -420,123 +462,32 @@ impl RecoveryReport {
     }
 }
 
-/// Byte-slice cursor used by the salvage parser (infallible reads return
-/// `None` at EOF instead of erroring).
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// A frame header that parses at some offset of a salvaged file.
+enum Frame {
+    Partition(Option<Month>, u32),
+    Block(BlockHeader),
 }
 
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+/// Reads the frame header `r` starts with, advancing `r` past it; `None`
+/// when neither a partition nor a block header parses there. The two
+/// markers differ, so at most one of them can, and the order they are
+/// tried in does not matter.
+fn read_frame(r: &mut &[u8]) -> Option<Frame> {
+    let start = *r;
+    if let Ok((month, block_count)) = read_partition_header(r) {
+        return Some(Frame::Partition(month, block_count));
     }
-
-    fn peek_u32_at(&self, offset: usize) -> Option<u32> {
-        let start = self.pos.checked_add(offset)?;
-        let bytes = self.data.get(start..start + 4)?;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn take_u32(&mut self) -> Option<u32> {
-        let v = self.peek_u32_at(0)?;
-        self.pos += 4;
-        Some(v)
-    }
-
-    fn take_u8(&mut self) -> Option<u8> {
-        let v = *self.data.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
-    }
-
-    fn take_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let bytes = self.data.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(bytes)
-    }
-}
-
-/// A parsed partition header: label + declared block count.
-fn try_partition_header(cur: &mut Cursor<'_>) -> Option<(SalvageLabel, u32)> {
-    let start = cur.pos;
-    let parsed = (|| {
-        if cur.take_u32()? != PART_MARKER {
-            return None;
-        }
-        let label = match cur.take_u8()? {
-            1 => {
-                let year = i32::from_le_bytes(cur.take_bytes(4)?.try_into().unwrap());
-                let month = cur.take_u8()?;
-                if !(1..=12).contains(&month) {
-                    return None;
-                }
-                SalvageLabel::Month(Month { year, month })
-            }
-            0 => SalvageLabel::CatchAll,
-            _ => return None,
-        };
-        let block_count = cur.take_u32()?;
-        if block_count > MAX_BLOCKS_PER_PARTITION {
-            return None;
-        }
-        Some((label, block_count))
-    })();
-    if parsed.is_none() {
-        cur.pos = start;
-    }
-    parsed
-}
-
-enum BlockFrame {
-    /// Marker, header, CRC and decode all valid.
-    Good(Vec<vt_model::ScanReport>),
-    /// Valid marker + plausible header, but the payload is corrupt
-    /// (CRC mismatch or decode failure). The cursor has advanced past
-    /// the frame, so parsing can continue at the next one.
-    BadPayload,
-    /// Valid marker + plausible header, but the payload runs past EOF.
-    Truncated,
-    /// No valid frame here (cursor unmoved).
-    NoFrame,
-}
-
-fn try_block_frame(cur: &mut Cursor<'_>) -> BlockFrame {
-    let start = cur.pos;
-    let header = (|| {
-        if cur.take_u32()? != BLOCK_MARKER {
-            return None;
-        }
-        let report_count = cur.take_u32()?;
-        let byte_len = cur.take_u32()?;
-        let crc = cur.take_u32()?;
-        check_block_header(report_count, byte_len).ok()?;
-        Some((report_count, byte_len, crc))
-    })();
-    let Some((report_count, byte_len, crc)) = header else {
-        cur.pos = start;
-        return BlockFrame::NoFrame;
-    };
-    if cur.remaining() < byte_len as usize {
-        cur.pos = cur.data.len();
-        return BlockFrame::Truncated;
-    }
-    let payload = cur.take_bytes(byte_len as usize).expect("length checked");
-    if crc32(payload) != crc {
-        return BlockFrame::BadPayload;
-    }
-    let block = Block::from_parts(payload.into(), report_count);
-    match block.decode_all() {
-        Ok(reports) => BlockFrame::Good(reports),
-        Err(_) => BlockFrame::BadPayload,
-    }
+    *r = start;
+    read_block_header(r).ok().map(Frame::Block)
 }
 
 /// Loads as much of a (possibly damaged) store file as possible.
 ///
 /// Skips blocks whose CRC or decode fails and re-synchronizes on the
 /// next partition/block marker when framing is lost, so one damaged
-/// region costs one block, not the rest of the file. Recovered reports are re-ingested into a fresh
+/// region costs one block, not the rest of the file. Every frame is read
+/// by the strict reader's own functions. Recovered reports are
+/// re-ingested into a fresh
 /// [`StoreBuilder`] (re-partitioned by analysis month), which is
 /// returned sealed together with the [`RecoveryReport`].
 ///
@@ -557,152 +508,95 @@ pub fn read_store_salvage(
     Ok(salvage(&data[8..]))
 }
 
-/// Appends a recovered block's reports to the rebuild, updating the
-/// current partition's accounting.
-fn ingest_block(
-    store: &mut StoreBuilder,
-    part: &mut PartitionRecovery,
-    reports: Vec<vt_model::ScanReport>,
-) {
-    part.recovered_blocks += 1;
-    part.recovered_reports += reports.len() as u64;
-    store.append_batch(&reports);
-}
-
-fn empty_recovery(label: SalvageLabel) -> PartitionRecovery {
-    PartitionRecovery {
-        label,
-        recovered_blocks: 0,
-        skipped_blocks: 0,
-        recovered_reports: 0,
+/// The section the next block is charged to: the last partition header
+/// met, or an `Unlabeled` one when none has survived yet.
+fn current_section(partitions: &mut Vec<PartitionRecovery>) -> &mut PartitionRecovery {
+    if partitions.is_empty() {
+        partitions.push(PartitionRecovery {
+            label: SalvageLabel::Unlabeled,
+            recovered_blocks: 0,
+            skipped_blocks: 0,
+            recovered_reports: 0,
+        });
     }
+    partitions.last_mut().expect("nonempty")
 }
 
 fn salvage(body: &[u8]) -> (ReportStore, RecoveryReport) {
     let mut store = StoreBuilder::new();
-    let mut cur = Cursor { data: body, pos: 0 };
     let mut partitions: Vec<PartitionRecovery> = Vec::new();
     let mut resyncs = 0u64;
-    let mut truncated = false;
+    let mut scratch = Vec::new();
 
     // Declared partition count — advisory only; the parse is driven by
-    // markers so a corrupt count cannot derail it.
-    if cur.take_u32().is_none() {
-        truncated = true;
-    }
-
+    // markers so a corrupt count cannot derail it. A body too short to
+    // hold it is scanned from its first byte.
+    let mut truncated = body.len() < 4;
+    let mut rest = body.get(4..).unwrap_or(body);
+    // Blocks the last partition header declared and salvage has not met.
     let mut remaining_blocks = 0u32;
-    while cur.remaining() > 0 {
-        if remaining_blocks > 0 {
-            match try_block_frame(&mut cur) {
-                BlockFrame::Good(reports) => {
-                    let part = partitions.last_mut().expect("in a partition");
-                    ingest_block(&mut store, part, reports);
-                    remaining_blocks -= 1;
-                    continue;
+    while !rest.is_empty() {
+        let mut next = rest;
+        match read_frame(&mut next) {
+            Some(Frame::Partition(month, block_count)) => {
+                // A corrupt block count can leave us expecting blocks
+                // when the next partition header has already arrived —
+                // charge the phantom blocks as skipped.
+                if let Some(last) = partitions.last_mut() {
+                    last.skipped_blocks += u64::from(remaining_blocks);
                 }
-                BlockFrame::BadPayload => {
-                    partitions
-                        .last_mut()
-                        .expect("in a partition")
-                        .skipped_blocks += 1;
-                    remaining_blocks -= 1;
-                    continue;
-                }
-                BlockFrame::Truncated => {
-                    let part = partitions.last_mut().expect("in a partition");
-                    part.skipped_blocks += remaining_blocks as u64;
-                    truncated = true;
-                    break;
-                }
-                BlockFrame::NoFrame => {
-                    // A corrupt block count can leave us expecting
-                    // blocks when the next partition header has already
-                    // arrived — accept it and charge the phantom blocks
-                    // as skipped.
-                    if let Some((label, block_count)) = try_partition_header(&mut cur) {
-                        partitions
-                            .last_mut()
-                            .expect("in a partition")
-                            .skipped_blocks += remaining_blocks as u64;
-                        partitions.push(empty_recovery(label));
-                        remaining_blocks = block_count;
-                        continue;
-                    }
-                    /* fall through to resync */
-                }
-            }
-        } else {
-            if let Some((label, block_count)) = try_partition_header(&mut cur) {
-                partitions.push(empty_recovery(label));
+                partitions.push(PartitionRecovery {
+                    label: month.map_or(SalvageLabel::CatchAll, SalvageLabel::Month),
+                    recovered_blocks: 0,
+                    skipped_blocks: 0,
+                    recovered_reports: 0,
+                });
                 remaining_blocks = block_count;
-                continue;
             }
-            // Orphan block (its partition header was destroyed, or a
-            // lying block count left extra frames behind).
-            match try_block_frame(&mut cur) {
-                BlockFrame::Good(reports) => {
-                    if partitions.is_empty() {
-                        partitions.push(empty_recovery(SalvageLabel::Unlabeled));
+            // A block inside its partition, or an orphan (its partition
+            // header was destroyed, or a lying block count left extra
+            // frames behind).
+            Some(Frame::Block(header)) => {
+                let section = current_section(&mut partitions);
+                let decoded = read_block_payload(&mut next, &header, &mut scratch).and_then(|()| {
+                    Block::from_parts(scratch.as_slice().into(), header.report_count)
+                        .decode_all()
+                        .map_err(|_| PersistError::Corrupt(CorruptKind::BlockDecode))
+                });
+                match decoded {
+                    Ok(reports) => {
+                        section.recovered_blocks += 1;
+                        section.recovered_reports += reports.len() as u64;
+                        store.append_batch(&reports);
                     }
-                    let part = partitions.last_mut().expect("nonempty");
-                    ingest_block(&mut store, part, reports);
-                    continue;
-                }
-                BlockFrame::BadPayload => {
-                    if partitions.is_empty() {
-                        partitions.push(empty_recovery(SalvageLabel::Unlabeled));
+                    // The payload runs past the end of the file: this
+                    // block and every one still declared are lost.
+                    Err(PersistError::Io(_)) => {
+                        section.skipped_blocks += u64::from(remaining_blocks.max(1));
+                        truncated = true;
+                        break;
                     }
-                    partitions.last_mut().expect("nonempty").skipped_blocks += 1;
-                    continue;
+                    Err(_) => section.skipped_blocks += 1,
                 }
-                BlockFrame::Truncated => {
-                    if partitions.is_empty() {
-                        partitions.push(empty_recovery(SalvageLabel::Unlabeled));
+                remaining_blocks = remaining_blocks.saturating_sub(1);
+            }
+            // Framing lost: hunt forward for the next frame that actually
+            // validates (a marker alone is not trusted — payload bytes can
+            // contain marker-shaped u32s by chance).
+            None => {
+                resyncs += 1;
+                current_section(&mut partitions).skipped_blocks += 1;
+                remaining_blocks = 0;
+                match (1..rest.len()).find(|&skip| read_frame(&mut &rest[skip..]).is_some()) {
+                    Some(skip) => next = &rest[skip..],
+                    None => {
+                        truncated = true;
+                        break;
                     }
-                    partitions.last_mut().expect("nonempty").skipped_blocks += 1;
-                    truncated = true;
-                    break;
                 }
-                BlockFrame::NoFrame => { /* fall through to resync */ }
             }
         }
-
-        // Framing lost: hunt forward for the next frame that actually
-        // validates (a marker alone is not trusted — payload bytes can
-        // contain marker-shaped u32s by chance).
-        resyncs += 1;
-        if partitions.is_empty() {
-            partitions.push(empty_recovery(SalvageLabel::Unlabeled));
-        }
-        partitions.last_mut().expect("nonempty").skipped_blocks += 1;
-        remaining_blocks = 0;
-        let mut found = false;
-        for probe in cur.pos + 1..cur.data.len().saturating_sub(3) {
-            let word = u32::from_le_bytes(cur.data[probe..probe + 4].try_into().expect("4 bytes"));
-            if word != PART_MARKER && word != BLOCK_MARKER {
-                continue;
-            }
-            let mut candidate = Cursor {
-                data: cur.data,
-                pos: probe,
-            };
-            if word == PART_MARKER {
-                if try_partition_header(&mut candidate).is_some() {
-                    cur.pos = probe;
-                    found = true;
-                    break;
-                }
-            } else if !matches!(try_block_frame(&mut candidate), BlockFrame::NoFrame) {
-                cur.pos = probe;
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            truncated = truncated || cur.remaining() > 0;
-            break;
-        }
+        rest = next;
     }
     truncated = truncated || remaining_blocks > 0;
 

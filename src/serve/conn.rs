@@ -16,7 +16,7 @@
 //! thread-per-connection: nothing below it knows what a socket is.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -196,10 +196,9 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) {
                 match action {
                     Action::Reply(_) => {}
                     Action::ReplyThenShutdown(_) => {
-                        ctx.seam.request_shutdown();
-                        // Wake the accept loop so it observes the flag.
-                        if let Ok(addr) = writer.local_addr() {
-                            let _ = TcpStream::connect(SocketAddr::new(addr.ip(), addr.port()));
+                        match writer.local_addr() {
+                            Ok(addr) => super::shut_down(&ctx.seam, addr),
+                            Err(_) => ctx.seam.request_shutdown(),
                         }
                         break;
                     }

@@ -14,7 +14,8 @@ use vt_label_dynamics::sim::rng::SimRng;
 use vt_label_dynamics::sim::SimConfig;
 use vt_label_dynamics::store::crc32::crc32;
 use vt_label_dynamics::store::{
-    read_store, read_store_salvage, write_segment, write_store, SegmentWriter,
+    read_segment_into, read_store, read_store_salvage, write_segment, write_store, ReportRow,
+    SalvageLabel, SegmentWriter, SinkFn, StoreObs,
 };
 
 #[test]
@@ -372,7 +373,148 @@ fn damaged_store_bytes_never_panic_the_readers() {
             assert!(recovery.recovered_reports() == salvaged.report_count());
             let _ = salvaged.group_by_sample();
         }
+        // The same damaged container behind a VTSEG001 header: the
+        // strict segment reader must return, too.
+        let mut segment = b"VTSEG001".to_vec();
+        segment.extend_from_slice(&(case as u64).to_le_bytes());
+        segment.extend_from_slice(&bytes);
+        let _ = read_segment_into(
+            &mut segment.as_slice(),
+            &mut SinkFn(|_: &ReportRow| {}),
+            &StoreObs::default(),
+        );
     }
+}
+
+/// The law on undamaged input: for clean stores at generated seeds and
+/// sizes (the empty store included), the strict read succeeds, salvage
+/// reports nothing lost, and salvage returns the written store's rows.
+#[test]
+fn clean_stores_read_strictly_and_salvage_clean() {
+    let mut rng = SimRng::seed_from_u64(0xC1EA4);
+    for samples in [0u64, 1, 37, 400, 2_500] {
+        let seed = rng.next_u64();
+        let store = Study::generate(SimConfig::new(seed, samples)).build_store();
+        let mut bytes = Vec::new();
+        write_store(&store, &mut bytes).expect("write");
+        let strict = read_store(&mut bytes.as_slice())
+            .unwrap_or_else(|e| panic!("seed {seed:#x}, {samples} samples: {e}"));
+        assert_eq!(strict.report_count(), store.report_count());
+        let (salvaged, recovery) =
+            read_store_salvage(&mut bytes.as_slice()).expect("salvage a clean file");
+        assert!(
+            recovery.is_clean(),
+            "seed {seed:#x}, {samples} samples: {recovery:?}"
+        );
+        assert_eq!(recovery.recovered_reports(), store.report_count());
+        assert_eq!(
+            salvaged.group_by_sample(),
+            store.group_by_sample(),
+            "seed {seed:#x}, {samples} samples"
+        );
+    }
+}
+
+/// A header field of a `VTSTORE2` file: `(offset, width)`.
+type Field = (usize, usize);
+
+/// Every header field of a clean `VTSTORE2` file:
+/// the partition count, then each partition's marker, month tag (with
+/// its year and month when it names one) and block count, and each
+/// block's marker, report count, byte length and CRC. Returned as the
+/// partition-level fields and the block fields.
+fn store_header_fields(bytes: &[u8]) -> (Vec<Field>, Vec<Field>) {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut partition_fields = vec![(8, 4)];
+    let mut block_fields = Vec::new();
+    let mut at = 12;
+    for _ in 0..word(8) {
+        partition_fields.extend([(at, 4), (at + 4, 1)]);
+        at += 5;
+        if bytes[at - 1] == 1 {
+            partition_fields.extend([(at, 4), (at + 4, 1)]);
+            at += 5;
+        }
+        partition_fields.push((at, 4));
+        let blocks = word(at);
+        at += 4;
+        for _ in 0..blocks {
+            block_fields.extend((0..4).map(|k| (at + 4 * k, 4)));
+            at += 16 + word(at + 8);
+        }
+    }
+    assert_eq!(at, bytes.len(), "walked the whole file");
+    (partition_fields, block_fields)
+}
+
+/// What both readers make of damage aimed at the `VTSTORE2` frame
+/// headers, pinned: FNV-1a over each case's strict error string, its
+/// salvage `RecoveryReport` and its salvaged sample hashes. A seeded
+/// generator zeroes, overwrites or bit-flips one to three header fields
+/// (half the time a partition-level one), and truncates a quarter of the
+/// cases, some to 9–21 bytes (inside the magic, the partition count and
+/// the first partition header). The constant was recorded from the
+/// tree before salvage read its frames through the strict reader's
+/// functions: a change to either reader's framing must leave it alone.
+#[test]
+fn salvage_reports_are_pinned() {
+    const PINNED: u64 = 0x78d5_0c8a_1c33_d8b2;
+    let store = Study::generate(SimConfig::new(0x5A1_7A6E, 1_500)).build_store();
+    let mut base = Vec::new();
+    write_store(&store, &mut base).expect("write");
+    let (partition_fields, block_fields) = store_header_fields(&base);
+    let all_fields: Vec<_> = partition_fields.iter().chain(&block_fields).collect();
+
+    let mut rng = SimRng::seed_from_u64(0x5A1_BA6E);
+    let mut digest = Vec::new();
+    let (mut resyncs, mut unlabeled, mut truncated) = (0u64, 0u64, 0u64);
+    for case in 0..400u64 {
+        let mut bytes = base.clone();
+        for _ in 0..1 + rng.below(3) {
+            let &(at, width) = if rng.below(2) == 0 {
+                &partition_fields[rng.below(partition_fields.len() as u64) as usize]
+            } else {
+                all_fields[rng.below(all_fields.len() as u64) as usize]
+            };
+            let field = &mut bytes[at..at + width];
+            match rng.below(3) {
+                0 => field.fill(0),
+                1 => field.copy_from_slice(&rng.next_u64().to_le_bytes()[..width]),
+                _ => field[rng.below(width as u64) as usize] ^= 1 << rng.below(8),
+            }
+        }
+        match case % 8 {
+            0 => bytes.truncate(9 + rng.below(13) as usize),
+            1 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+            _ => {}
+        }
+
+        let strict = match read_store(&mut bytes.as_slice()) {
+            Ok(loaded) => format!("ok {}", loaded.report_count()),
+            Err(e) => e.to_string(),
+        };
+        let salvage = match read_store_salvage(&mut bytes.as_slice()) {
+            Ok((salvaged, recovery)) => {
+                resyncs += recovery.resyncs;
+                truncated += u64::from(recovery.truncated);
+                unlabeled += recovery
+                    .partitions
+                    .iter()
+                    .filter(|p| p.label == SalvageLabel::Unlabeled)
+                    .count() as u64;
+                format!("{recovery:?} {:?}", salvaged.sample_hashes())
+            }
+            Err(e) => e.to_string(),
+        };
+        digest.extend_from_slice(format!("{case}|{strict}|{salvage}\n").as_bytes());
+    }
+    // The generator reaches the paths the pin is about.
+    assert!(
+        resyncs > 0 && unlabeled > 0 && truncated > 0,
+        "{resyncs} {unlabeled} {truncated}"
+    );
+    let got = fnv1a(&digest);
+    assert_eq!(got, PINNED, "salvage digest = {got:#018x}");
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -11,12 +11,16 @@
 //! O(n) per pair with no rank arrays — and verify the shortcut against
 //! the general implementation in `vt-stats`.
 //!
-//! There is one kernel: [`Correlation`]'s table-only fold. It scans *S*
-//! once and counts every scan row, bit-sliced, into the all-pairs
-//! [`ScopeContingency`] of each scope it belongs to (the global scope
-//! plus at most its own file type, so eight scopes cost one scan). The
-//! tables are the whole partial: ρ is taken over every row of a scope,
-//! and merging two partials adds their counts. Batch is the one-segment
+//! There is one kernel: [`Correlation`]'s table-only fold. It counts
+//! every scan row of *S* once, into the all-pairs [`ScopeContingency`]
+//! of its file type's scope, or of the global scope when its type has
+//! none; at the end the global scope adds every typed scope, so it
+//! holds every row. Rows pass through one 512-row tile per fold: four
+//! bitmap words a row, turned into per-engine words by 64×64 bit
+//! transposes and counted with `AND`+`popcount`s per pair (see
+//! `RowTile`). The tables are the whole partial — the tile is not in
+//! it: ρ is taken over every row of a scope, and merging two partials
+//! adds their counts. Batch is the one-segment
 //! case `finish(fold(ctx))`; `vtld serve` merges per-segment partials in
 //! between. `analyze_impl` (test-only) is the serial reference the
 //! kernel is verified against: one scope at a time, engine columns
@@ -27,7 +31,7 @@ use crate::analysis::{Analysis, AnalysisCtx};
 use crate::freshdyn::FreshDynamic;
 #[cfg(test)]
 use crate::records::SampleRecord;
-use crate::table::lane_mask;
+use vt_model::filetype::TOTAL_TYPE_COUNT;
 use vt_model::{EngineId, FileType};
 
 /// Correlation threshold for "strongly correlated" (the paper's 0.8).
@@ -119,21 +123,17 @@ pub fn spearman_from_contingency(counts: &[[u64; 3]; 3]) -> Option<f64> {
 /// plain counts), so `fold → merge → ρ` is deterministic at every
 /// worker count and segmentation. Only the four `{1,0}×{1,0}` cells
 /// are stored per pair; the five cells involving −1 follow exactly from
-/// the per-engine
-/// margins and the row count, so [`table`](Self::table) reconstructs
-/// the full 3×3 by exact `u64` subtraction. For the paper's 70-engine
-/// roster one accumulator is 70·69/2 · 4 counts ≈ 77 KB — independent
-/// of row count, unlike the reference path's `engines × rows` column
-/// matrix: a fold's delta is as large as a whole accumulation, never
-/// larger.
+/// the per-engine margins and the row count, so [`table`](Self::table)
+/// reconstructs the full 3×3 by exact `u64` subtraction. For the
+/// paper's 70-engine roster one accumulator is 70·69/2 · 4 counts ≈
+/// 77 KB — independent of row count, unlike the reference path's
+/// `engines × rows` column matrix: a fold's delta is as large as a whole
+/// accumulation, never larger.
 ///
-/// Rows are counted **bit-sliced**: up to 64 rows buffer as one bit per
-/// row in two words per engine (`pos` = R is 1, `zero` = R is 0; unset
-/// in both = −1). A full block flushes into the tables with 4
-/// `AND`+`popcount`s per pair — ~an order of magnitude fewer operations
-/// than incrementing per row × pair. All arithmetic is exact `u64`
-/// counting, so block boundaries (and hence partitioning) never change
-/// the resulting tables.
+/// It holds counts only. Rows reach it through the fold's one
+/// `RowTile`, which buffers up to 512 rows and adds them in one
+/// flush; all arithmetic is exact `u64` counting, so tile boundaries
+/// (and hence partitioning) never change the resulting tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScopeContingency {
     /// Scope this accumulator counts (None = global).
@@ -149,16 +149,6 @@ pub struct ScopeContingency {
     /// Per-engine margins: rows where engine `e` has R = 1 / R = 0.
     pos_total: Vec<u64>,
     zero_total: Vec<u64>,
-    /// Block buffer: bit `r` of `pos[e]` / `zero[e]` is engine `e`'s
-    /// verdict for the `r`-th buffered row.
-    pos: Vec<u64>,
-    zero: Vec<u64>,
-    /// Rows currently buffered (0..=64).
-    buffered: u32,
-    /// The verdict-bitmap bits of real engines
-    /// ([`lane_mask`]`(engine_count)`): a bit past the roster counts
-    /// for no engine.
-    roster: [u64; 2],
 }
 
 impl ScopeContingency {
@@ -172,10 +162,6 @@ impl ScopeContingency {
             counts: vec![0; pairs * 4],
             pos_total: vec![0; engine_count],
             zero_total: vec![0; engine_count],
-            pos: vec![0; engine_count],
-            zero: vec![0; engine_count],
-            buffered: 0,
-            roster: lane_mask(engine_count),
         }
     }
 
@@ -185,15 +171,12 @@ impl ScopeContingency {
         a * (2 * self.engine_count - a - 1) / 2 + (b - a - 1)
     }
 
-    /// The 3×3 table of pair `(a, b)`, `a < b`. Call
-    /// [`finalize`](Self::finalize) first if rows were accumulated
-    /// directly (the kernel does).
+    /// The 3×3 table of pair `(a, b)`, `a < b`.
     ///
     /// Only the `{1,0}×{1,0}` cells are stored; the −1 row/column is
     /// reconstructed from the margins. Every subtraction is a sum of
-    /// per-block non-negative terms, so the reconstruction is exact.
+    /// per-row non-negative terms, so the reconstruction is exact.
     pub fn table(&self, a: usize, b: usize) -> [[u64; 3]; 3] {
-        debug_assert_eq!(self.buffered, 0, "finalize() before reading tables");
         let base = self.pair_index(a, b) * 4;
         let c11 = self.counts[base];
         let c12 = self.counts[base + 1];
@@ -209,84 +192,18 @@ impl ScopeContingency {
         [[c00, c01, c02], [c10, c11, c12], [c20, c21, c22]]
     }
 
-    /// Counts one scan row given engine bitmaps (bit `e` of `pos[e/64]`
-    /// set = engine `e` flagged; of `zero` = scanned clean; neither =
-    /// undetected). It reads the report's native verdict bitmaps without
-    /// materializing per-engine values.
-    ///
-    /// Instead of testing every engine's bit individually, each input
-    /// word is walked by its *set* bits (`trailing_zeros` + clear-lowest),
-    /// so a sparse row costs work proportional to the engines that
-    /// actually scanned it, not the roster size. Bits at or beyond
-    /// `engine_count` are masked off with the roster mask computed once
-    /// in [`new`](Self::new), and a bit set in both `pos` and
-    /// `zero` counts as `pos` — the same precedence as the old
-    /// per-engine `if`/`else if`.
-    pub fn accumulate_masks(&mut self, pos: &[u64; 2], zero: &[u64; 2]) {
-        let bit = 1u64 << self.buffered;
-        for w in 0..2 {
-            let roster = self.roster[w];
-            let base = w << 6;
-            let mut p = pos[w] & roster;
-            while p != 0 {
-                self.pos[base + p.trailing_zeros() as usize] |= bit;
-                p &= p - 1;
-            }
-            let mut z = zero[w] & roster & !pos[w];
-            while z != 0 {
-                self.zero[base + z.trailing_zeros() as usize] |= bit;
-                z &= z - 1;
-            }
-        }
-        self.rows += 1;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            self.flush_block();
-        }
-    }
-
-    /// Folds the buffered block into the tables: per pair, a popcount of
-    /// an `AND` for each of the four stored `{1,0}×{1,0}` cells, plus
-    /// per-engine margin updates.
-    fn flush_block(&mut self) {
-        if self.buffered == 0 {
-            return;
-        }
-        let mut base = 0usize;
-        for a in 0..self.engine_count {
-            let (pa, za) = (self.pos[a], self.zero[a]);
-            self.pos_total[a] += pa.count_ones() as u64;
-            self.zero_total[a] += za.count_ones() as u64;
-            for b in (a + 1)..self.engine_count {
-                let (pb, zb) = (self.pos[b], self.zero[b]);
-                let t = &mut self.counts[base..base + 4];
-                t[0] += (za & zb).count_ones() as u64;
-                t[1] += (za & pb).count_ones() as u64;
-                t[2] += (pa & zb).count_ones() as u64;
-                t[3] += (pa & pb).count_ones() as u64;
-                base += 4;
-            }
-        }
-        self.pos.iter_mut().for_each(|w| *w = 0);
-        self.zero.iter_mut().for_each(|w| *w = 0);
-        self.buffered = 0;
-    }
-
-    /// Flushes any partially filled block. Must be called after the
-    /// last row and before [`table`](Self::table) or
-    /// [`merge`](Self::merge).
-    pub fn finalize(&mut self) {
-        self.flush_block();
-    }
-
-    /// Folds another partition's finalized accumulator into this one.
-    /// Addition of counts is associative and commutative, so any merge
-    /// tree yields the same tables.
+    /// Folds another partition's accumulator of the same scope into this
+    /// one. Addition of counts is associative and commutative, so any
+    /// merge tree yields the same tables.
     pub fn merge(&mut self, other: &ScopeContingency) {
         debug_assert_eq!(self.scope, other.scope);
+        self.add(other);
+    }
+
+    /// Adds `other`'s counts, whatever its scope: how the fold sums its
+    /// typed scopes into the global one.
+    fn add(&mut self, other: &ScopeContingency) {
         debug_assert_eq!(self.engine_count, other.engine_count);
-        debug_assert_eq!(self.buffered, 0, "finalize() both sides before merging");
-        debug_assert_eq!(other.buffered, 0, "finalize() both sides before merging");
         self.rows += other.rows;
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
@@ -300,6 +217,159 @@ impl ScopeContingency {
     }
 }
 
+/// Rows one [`RowTile`] holds: eight 64-row groups.
+const TILE_ROWS: usize = 512;
+/// 64-row groups in a tile.
+const GROUPS: usize = TILE_ROWS / 64;
+/// Engine columns a tile has room for: two 64-engine lanes.
+const TILE_ENGINES: usize = 128;
+
+/// The fold's scratch: up to [`TILE_ROWS`] scan rows, counted into a
+/// [`ScopeContingency`] by one [`flush_into`](Self::flush_into).
+///
+/// A row is four words: its `pos` (R = 1) and `zero` (R = 0) bitmaps,
+/// two 64-engine lanes each. Row `r` of group `g = r / 64` stores lane
+/// `l` of plane `p` (0 = pos, 1 = zero) at word
+/// `(p·128 + l·64 + r % 64)·8 + g`, so each group's lane of a plane is a
+/// 64×64 bit matrix with stride 8. The flush transposes each such matrix
+/// in place ([`transpose64`]), after which engine `e`'s bits over the
+/// group's rows sit at `(p·128 + e)·8 + g`: the words of one engine are
+/// contiguous, one per group. Each pair's four `{1,0}×{1,0}` cells are
+/// then the popcounts of `AND`s over the used groups, summed in
+/// registers and added once into the `u64` tables.
+///
+/// One tile serves a whole fold, scope after scope; the partial the fold
+/// returns holds no tile.
+struct RowTile {
+    /// `2 · 128 · 8` words, laid out as above.
+    words: Vec<u64>,
+    /// Rows buffered (0..=[`TILE_ROWS`]).
+    rows: usize,
+}
+
+impl RowTile {
+    fn new() -> Self {
+        Self {
+            words: vec![0; 2 * TILE_ENGINES * GROUPS],
+            rows: 0,
+        }
+    }
+
+    /// Buffers one scan row given its bitmaps (bit `e` of `pos[e / 64]`
+    /// set = engine `e` flagged; of `zero` = scanned clean; neither =
+    /// undetected). A bit set in both counts as `pos`, and a bit past
+    /// the accumulator's roster counts for no engine. Returns whether
+    /// the tile is now full and must be flushed.
+    fn push(&mut self, pos: [u64; 2], zero: [u64; 2]) -> bool {
+        let (g, r) = (self.rows / 64, self.rows % 64);
+        for lane in 0..2 {
+            let at = (lane * 64 + r) * GROUPS + g;
+            self.words[at] = pos[lane];
+            self.words[at + TILE_ENGINES * GROUPS] = zero[lane] & !pos[lane];
+        }
+        self.rows += 1;
+        self.rows == TILE_ROWS
+    }
+
+    /// Adds the buffered rows to `acc` and empties the tile. Its cost
+    /// follows the rows buffered: only the ⌈rows / 64⌉ groups in use are
+    /// transposed and counted.
+    fn flush_into(&mut self, acc: &mut ScopeContingency) {
+        debug_assert!(acc.engine_count <= TILE_ENGINES);
+        let groups = self.rows.div_ceil(64);
+        if groups == 0 {
+            return;
+        }
+        let mut block = [0u64; 64];
+        for plane in 0..4 {
+            let base = plane * 64 * GROUPS;
+            for g in 0..groups {
+                // Rows past the last one of a partial group still hold
+                // an earlier tile's transposed bits: read them as empty.
+                for (i, w) in block.iter_mut().enumerate() {
+                    let row = g * 64 + i;
+                    *w = if row < self.rows {
+                        self.words[base + i * GROUPS + g]
+                    } else {
+                        0
+                    };
+                }
+                transpose64(&mut block);
+                for (i, &w) in block.iter().enumerate() {
+                    self.words[base + i * GROUPS + g] = w;
+                }
+            }
+        }
+        acc.rows += self.rows as u64;
+        // One instance per group count: the compiler unrolls and
+        // vectorizes a loop whose trip count it knows.
+        match groups {
+            1 => count_pairs::<1>(&self.words, acc),
+            2 => count_pairs::<2>(&self.words, acc),
+            3 => count_pairs::<3>(&self.words, acc),
+            4 => count_pairs::<4>(&self.words, acc),
+            5 => count_pairs::<5>(&self.words, acc),
+            6 => count_pairs::<6>(&self.words, acc),
+            7 => count_pairs::<7>(&self.words, acc),
+            _ => count_pairs::<GROUPS>(&self.words, acc),
+        }
+        self.rows = 0;
+    }
+}
+
+/// Adds a transposed tile's first `G` groups to `acc`: per engine, the
+/// popcounts of its `pos` and `zero` words; per pair, the four
+/// `{1,0}×{1,0}` cells, each a popcount of an `AND` summed over the
+/// groups before it touches the table.
+fn count_pairs<const G: usize>(words: &[u64], acc: &mut ScopeContingency) {
+    let (pos, zero) = words.split_at(TILE_ENGINES * GROUPS);
+    let engine = |plane: &[u64], e: usize| -> [u64; G] {
+        let at = e * GROUPS;
+        plane[at..at + G].try_into().expect("G ≤ GROUPS")
+    };
+    let ones = |w: [u64; G]| w.iter().map(|x| x.count_ones() as u64).sum::<u64>();
+    let n = acc.engine_count;
+    let mut cells = acc.counts.chunks_exact_mut(4);
+    for a in 0..n {
+        let (pa, za) = (engine(pos, a), engine(zero, a));
+        acc.pos_total[a] += ones(pa);
+        acc.zero_total[a] += ones(za);
+        for b in (a + 1)..n {
+            let (pb, zb) = (engine(pos, b), engine(zero, b));
+            let mut c = [0u32; 4];
+            for g in 0..G {
+                c[0] += (za[g] & zb[g]).count_ones();
+                c[1] += (za[g] & pb[g]).count_ones();
+                c[2] += (pa[g] & zb[g]).count_ones();
+                c[3] += (pa[g] & pb[g]).count_ones();
+            }
+            let t = cells.next().expect("one cell block per pair");
+            for (t, c) in t.iter_mut().zip(c) {
+                *t += c as u64;
+            }
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of `a[r]` becomes
+/// bit `r` of `a[c]`. Six rounds swap the off-diagonal blocks of size
+/// 32, 16, …, 1.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut low: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for start in (0..64).step_by(2 * width) {
+            for k in start..start + width {
+                let t = ((a[k] >> width) ^ a[k + width]) & low;
+                a[k + width] ^= t;
+                a[k] ^= t << width;
+            }
+        }
+        width >>= 1;
+        low ^= low << width;
+    }
+}
+
 /// §7.2 correlation stage: run via [`Analysis::run`] with an
 /// [`AnalysisCtx`]. Produces the global-scope analysis plus one
 /// analysis per file type in [`Correlation::scopes`] (in order), all
@@ -307,7 +377,7 @@ impl ScopeContingency {
 #[derive(Debug, Clone, Copy)]
 pub struct Correlation {
     /// File types given a dedicated per-type analysis alongside the
-    /// global scope.
+    /// global scope. A type listed twice gets two equal analyses.
     pub scopes: &'static [FileType],
 }
 
@@ -319,6 +389,7 @@ impl Default for Correlation {
     }
 }
 
+#[cfg(test)]
 impl Correlation {
     /// The scope list the stage analyzes: global first, then the
     /// configured per-type scopes in order.
@@ -343,31 +414,47 @@ impl Analysis for Correlation {
         // bitmap columns — no `SampleRecord`/`ScanReport` access, so the
         // zero-copy segment path feeds this fold without materializing
         // row structs.
-        let scopes = self.all_scopes();
-        let scope_idx: Vec<Option<usize>> = scopes
-            .iter()
-            .map(|s| s.map(|ft| ft.dense_index()))
-            .collect();
+        //
+        // Each row is counted once, into its slot: the first scope
+        // listing its type, else the global accumulator (slot 0), one
+        // slot after another through the one tile. Global then adds every
+        // typed slot that counted rows, and a repeated type's later slot,
+        // which counted none, copies its first slot's tables.
         let table = ctx.table;
-        let mut contingency: Vec<ScopeContingency> = scopes
-            .iter()
-            .map(|&scope| ScopeContingency::new(scope, ctx.engine_count()))
-            .collect();
-        for &idx in ctx.s_indices() {
-            let ti = table.type_idx(idx);
-            for row in table.rows(idx) {
-                let active = table.active_words(row);
-                let det = table.detected_words(row);
-                let z = [active[0] & !det[0], active[1] & !det[1]];
-                for (acc, scope) in contingency.iter_mut().zip(&scope_idx) {
-                    if scope.map_or(true, |d| d == ti) {
-                        acc.accumulate_masks(&det, &z);
+        let engines = ctx.engine_count();
+        let mut contingency = Vec::with_capacity(1 + self.scopes.len());
+        contingency.push(ScopeContingency::new(None, engines));
+        let mut slot_of = [0usize; TOTAL_TYPE_COUNT];
+        for (i, &ft) in self.scopes.iter().enumerate() {
+            contingency.push(ScopeContingency::new(Some(ft), engines));
+            if slot_of[ft.dense_index()] == 0 {
+                slot_of[ft.dense_index()] = i + 1;
+            }
+        }
+        let mut tile = RowTile::new();
+        for (slot, acc) in contingency.iter_mut().enumerate() {
+            for &idx in ctx.s_indices() {
+                if slot_of[table.type_idx(idx)] != slot {
+                    continue;
+                }
+                for row in table.rows(idx) {
+                    let active = table.active_words(row);
+                    let det = table.detected_words(row);
+                    if tile.push(det, [active[0] & !det[0], active[1] & !det[1]]) {
+                        tile.flush_into(acc);
                     }
                 }
             }
+            tile.flush_into(acc);
         }
-        for acc in &mut contingency {
-            acc.finalize();
+        let (global, typed) = contingency.split_first_mut().expect("global scope");
+        for (i, ft) in self.scopes.iter().enumerate() {
+            let first = slot_of[ft.dense_index()] - 1;
+            if first == i {
+                global.add(&typed[i]);
+            } else {
+                typed[i] = typed[first].clone();
+            }
         }
         CorrelationPartial { contingency }
     }
@@ -395,11 +482,12 @@ impl Analysis for Correlation {
 }
 
 /// Mergeable accumulator of the §7.2 fold ([`Correlation`]'s
-/// [`Analysis::Partial`]): one finalized [`ScopeContingency`] per scope
+/// [`Analysis::Partial`]): one [`ScopeContingency`] per scope
 /// (global first, then [`Correlation::scopes`] in order) over every row
-/// the fold saw. Its size depends on the roster and the scope list,
-/// never on the row count, and merging adds counts — exact `u64` sums
-/// whose block boundaries never change the tables — so any merge tree
+/// the fold saw. It holds counts only, no row buffer; its size depends
+/// on the roster and the scope list, never on the row count, and merging
+/// adds counts — exact `u64` sums whose tile boundaries never change the
+/// tables — so any merge tree
 /// over segments yields the one-segment fold's tables, and hence its ρ,
 /// strong pairs and groups, bit for bit.
 #[derive(Debug, Clone)]
@@ -556,33 +644,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bit_sliced_blocks_count_exactly() {
-        // 150 rows crosses two full 64-row blocks plus a 22-row partial
-        // flush; verdicts cycle through all 9 (x, y) combinations per
-        // engine pair. The bit-sliced tables must equal a direct count.
-        let engines = 5usize;
-        let rows: Vec<Vec<i8>> = (0..150u64)
-            .map(|r| {
-                (0..engines)
-                    .map(|e| ((r * 7 + e as u64 * 13 + r * r % 5) % 3) as i8 - 1)
-                    .collect()
-            })
-            .collect();
+    /// A xorshift stream: the kernel tests' deterministic input.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
 
-        let mut by_masks = ScopeContingency::new(None, engines);
-        let mut direct = vec![[[0u64; 3]; 3]; engines * (engines - 1) / 2];
-        for vals in &rows {
-            let mut pos = [0u64; 2];
-            let mut zero = [0u64; 2];
-            for (e, &v) in vals.iter().enumerate() {
-                match v {
-                    1 => pos[e >> 6] |= 1 << (e & 63),
-                    0 => zero[e >> 6] |= 1 << (e & 63),
-                    _ => {}
+    #[test]
+    fn transpose64_matches_naive_transpose() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        for case in 0..4 {
+            let m: [u64; 64] = std::array::from_fn(|r| match case {
+                0 => 1 << r,
+                1 => u64::MAX >> r,
+                _ => xorshift(&mut state),
+            });
+            let mut naive = [0u64; 64];
+            for (r, row) in m.iter().enumerate() {
+                for (c, col) in naive.iter_mut().enumerate() {
+                    *col |= ((row >> c) & 1) << r;
                 }
             }
-            by_masks.accumulate_masks(&pos, &zero);
+            let mut t = m;
+            transpose64(&mut t);
+            assert_eq!(t, naive, "case {case}");
+            transpose64(&mut t);
+            assert_eq!(t, m, "case {case}: a transpose is its own inverse");
+        }
+    }
+
+    /// Direct 3×3 tables of `rows` (each a verdict per engine), pair by
+    /// pair in upper-triangle order.
+    fn direct_tables(rows: &[Vec<i8>], engines: usize) -> Vec<[[u64; 3]; 3]> {
+        let mut direct = vec![[[0u64; 3]; 3]; engines * engines.saturating_sub(1) / 2];
+        for vals in rows {
             let mut p = 0;
             for a in 0..engines {
                 for b in (a + 1)..engines {
@@ -591,14 +688,70 @@ mod tests {
                 }
             }
         }
-        by_masks.finalize();
+        direct
+    }
 
-        assert_eq!(by_masks.rows, 150);
+    fn assert_tables(acc: &ScopeContingency, direct: &[[[u64; 3]; 3]], ctx: &str) {
         let mut p = 0;
-        for a in 0..engines {
-            for b in (a + 1)..engines {
-                assert_eq!(by_masks.table(a, b), direct[p], "pair ({a},{b})");
+        for a in 0..acc.engine_count {
+            for b in (a + 1)..acc.engine_count {
+                assert_eq!(acc.table(a, b), direct[p], "{ctx}: pair ({a},{b})");
                 p += 1;
+            }
+        }
+    }
+
+    /// Tiles must equal a direct count at every fill: empty, one row,
+    /// either side of a 64-row group and of a 512-row tile, and several
+    /// tiles; at rosters inside one lane, at its edge, across two lanes
+    /// and filling both. One tile serves every case, so each fill also
+    /// meets the last one's leftovers. Rows set bits past the roster and
+    /// bits in both bitmaps (which count as R = 1).
+    #[test]
+    fn tiles_count_exactly() {
+        let (row_counts, engine_counts): (&[usize], &[usize]) = if cfg!(miri) {
+            (&[0, 1, 63, 65, 513], &[5, 65])
+        } else {
+            (
+                &[0, 1, 63, 64, 65, 511, 512, 513, 1_500],
+                &[5, 63, 64, 65, 70, 128],
+            )
+        };
+        let mut state = 0x2545_F491_4F6C_DD1D;
+        let mut tile = RowTile::new();
+        for &engines in engine_counts {
+            for &n in row_counts {
+                let mut acc = ScopeContingency::new(None, engines);
+                let mut rows = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let (r1, r2) = (xorshift(&mut state), xorshift(&mut state));
+                    let (mut pos, mut zero) = ([r1 & r2; 2], [!r1 & r2; 2]);
+                    let vals: Vec<i8> = (0..engines)
+                        .map(|_| ((xorshift(&mut state) >> 32) % 3) as i8 - 1)
+                        .collect();
+                    for (e, &v) in vals.iter().enumerate() {
+                        let (w, bit) = (e / 64, 1u64 << (e % 64));
+                        pos[w] &= !bit;
+                        zero[w] &= !bit;
+                        match v {
+                            1 if e % 7 == 0 => (pos[w], zero[w]) = (pos[w] | bit, zero[w] | bit),
+                            1 => pos[w] |= bit,
+                            0 => zero[w] |= bit,
+                            _ => {}
+                        }
+                    }
+                    if tile.push(pos, zero) {
+                        tile.flush_into(&mut acc);
+                    }
+                    rows.push(vals);
+                }
+                tile.flush_into(&mut acc);
+                assert_eq!(acc.rows, n as u64);
+                assert_tables(
+                    &acc,
+                    &direct_tables(&rows, engines),
+                    &format!("{n}×{engines}"),
+                );
             }
         }
     }
@@ -791,6 +944,96 @@ mod tests {
         for (r, f) in per_run.iter().zip(&per_seg) {
             assert_bit_identical(r, f, "segmented scope");
         }
+    }
+
+    /// Rows of unlisted types count only in the global scope, a listed
+    /// type with no rows gets empty tables, and a type listed twice gets
+    /// its first scope's tables: every scope's tables equal a direct
+    /// count over its rows. The unlisted rows fill more than one tile.
+    #[test]
+    fn scopes_match_reference_tables_with_unlisted_and_empty_types() {
+        let window = Timestamp::from_date(Date::new(2021, 5, 1));
+        let first = window + Duration::days(5);
+        let types = [
+            FileType::Zip,
+            FileType::Txt,
+            FileType::Zip,
+            FileType::Pdf,
+            FileType::Win32Exe,
+        ];
+        let fleet = vt_engines::EngineFleet::with_seed(1);
+        let engines = fleet.engine_count();
+        let mut state = 0x5DEE_CE66_D1CE_4E5B;
+        let mut records = Vec::new();
+        for i in 0..240u64 {
+            let meta = SampleMeta {
+                hash: SampleHash::from_ordinal(i),
+                file_type: types[(i % 5) as usize],
+                origin: first,
+                first_submission: first,
+                truth: GroundTruth::Benign,
+            };
+            let reports: Vec<ScanReport> = (0..1 + i % 8)
+                .map(|k| {
+                    let mut verdicts = VerdictVec::new(engines);
+                    for e in 0..engines {
+                        let v = match xorshift(&mut state) % 3 {
+                            0 => Verdict::Malicious,
+                            1 => Verdict::Benign,
+                            _ => Verdict::Undetected,
+                        };
+                        verdicts.set(EngineId::new(e), v);
+                    }
+                    ScanReport {
+                        sample: meta.hash,
+                        file_type: meta.file_type,
+                        analysis_date: first + Duration::days(k as i64),
+                        last_submission_date: first,
+                        times_submitted: 1,
+                        kind: ReportKind::Upload,
+                        verdicts,
+                    }
+                })
+                .collect();
+            records.push(SampleRecord::new(meta, reports));
+        }
+        let s = FreshDynamic {
+            indices: (0..records.len()).collect(),
+            reports: records.iter().map(|r| r.reports.len() as u64).sum(),
+        };
+        let table = crate::table::TrajectoryTable::build(&records, window);
+        let ctx = AnalysisCtx::new(&records, &table, &s, &fleet, window);
+        let stage = Correlation {
+            scopes: &[
+                FileType::Pdf,
+                FileType::Html,
+                FileType::Win32Exe,
+                FileType::Pdf,
+            ],
+        };
+        let partial = stage.fold(&ctx);
+        assert_eq!(partial.contingency.len(), 5);
+        for (acc, scope) in partial.contingency.iter().zip(stage.all_scopes()) {
+            assert_eq!(acc.scope, scope);
+            let rows: Vec<Vec<i8>> = records
+                .iter()
+                .filter(|rec| scope.map_or(true, |ft| rec.meta.file_type == ft))
+                .flat_map(|rec| &rec.reports)
+                .map(|rep| {
+                    (0..engines)
+                        .map(|e| rep.verdicts.get(EngineId::new(e)).r_value())
+                        .collect()
+                })
+                .collect();
+            assert_eq!(acc.rows, rows.len() as u64, "{scope:?}: rows");
+            assert_tables(acc, &direct_tables(&rows, engines), &format!("{scope:?}"));
+        }
+        let [global, pdf, html, exe, _] = &partial.contingency[..] else {
+            unreachable!()
+        };
+        assert_eq!(global.rows, s.reports);
+        assert!(global.rows - pdf.rows - exe.rows > TILE_ROWS as u64);
+        assert_eq!(html.rows, 0, "Html has no rows");
     }
 
     // Random record sets: the kernel equals the column-materializing

@@ -315,11 +315,13 @@ pub fn read_store_into(
             CorruptKind::ImplausiblePartitionCount,
         ));
     }
-    let mut partitions = Vec::with_capacity(partition_count as usize);
+    // The header's counts are unverified claims: the vectors grow with
+    // what the file proves, never to what it declares.
+    let mut partitions = Vec::new();
     let mut scratch = Vec::new();
     for _ in 0..partition_count {
         let (month, block_count) = read_partition_header(r)?;
-        let mut blocks = Vec::with_capacity(block_count as usize);
+        let mut blocks = Vec::new();
         for _ in 0..block_count {
             let header = read_block_header(r)?;
             read_block_payload(r, &header, &mut scratch)?;

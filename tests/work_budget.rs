@@ -20,16 +20,21 @@
 //! two feed sizes: its peak live heap is one chunk's, so the two peaks
 //! differ by at most a constant.
 //!
+//! The §7.2 correlation fold makes the same allocations at two sizes of
+//! *S*, and its only scratch is one row tile. A strict store read of a
+//! header that claims a million blocks fails without allocating them.
+//!
 //! The counters are process-wide, so the tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use vt_label_dynamics::dynamics::{run_streamed, STUDY_CHUNK_SAMPLES};
+use vt_label_dynamics::dynamics::correlation::Correlation;
+use vt_label_dynamics::dynamics::{freshdyn, run_streamed, STUDY_CHUNK_SAMPLES};
 use vt_label_dynamics::model::time::Month;
 use vt_label_dynamics::prelude::*;
-use vt_label_dynamics::store::{read_store_into, PartitionStats, StoreObs};
+use vt_label_dynamics::store::{read_store_into, PartitionStats, PersistError, StoreObs};
 
 /// The system allocator, counting live bytes, their peak, and every
 /// allocation (`alloc`, `alloc_zeroed` and `realloc` each count one).
@@ -252,5 +257,78 @@ fn study_heap_is_one_chunk_at_any_feed_size() {
         STUDY_SAMPLES[0],
         peaks[1],
         STUDY_SAMPLES[1],
+    );
+}
+
+/// The correlation fold's scratch: one tile of 512 rows, four words a
+/// row (`pos` and `zero`, two 64-engine lanes each).
+const CORRELATION_TILE_BYTES: usize = 512 * 4 * 8;
+
+#[test]
+fn correlation_fold_allocates_the_same_at_any_s() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let stage = Correlation::default();
+    let [small, large] = [2_000, 8_000].map(|samples| {
+        let study = Study::generate_with_workers(SimConfig::new(SEED, samples), 2);
+        let (records, fleet) = (study.records(), study.sim().fleet());
+        let window_start = study.sim().config().window_start();
+        let table = TrajectoryTable::build(records, window_start);
+        let s = freshdyn::build(records, window_start);
+        let ctx = AnalysisCtx::new(records, &table, &s, fleet, window_start);
+        let (base, allocs) = (live(), ALLOCS.load(Ordering::Relaxed));
+        PEAK.store(base, Ordering::Relaxed);
+        let partial = stage.fold(&ctx);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+        let kept = live() - base;
+        let scratch = PEAK.load(Ordering::Relaxed) - base - kept;
+        drop(partial);
+        println!(
+            "work budget: correlation fold over {} rows of S: {allocs} allocations, \
+             {kept} B kept, {scratch} B scratch",
+            s.reports
+        );
+        (s.reports, allocs, kept, scratch)
+    });
+    assert!(
+        large.0 > 3 * small.0,
+        "S grows: {} → {} rows",
+        small.0,
+        large.0
+    );
+    assert_eq!(small.1, large.1, "allocations in one correlation fold");
+    assert_eq!(small.2, large.2, "the partial's bytes");
+    for (rows, _, _, scratch) in [small, large] {
+        assert_eq!(
+            scratch, CORRELATION_TILE_BYTES,
+            "scratch beside the partial over {rows} rows"
+        );
+    }
+}
+
+/// How much a strict read of a 21-byte header may allocate.
+const HEADER_READ_SLACK: usize = 64 << 10;
+
+#[test]
+fn store_header_claims_are_not_allocation_sizes() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Magic, one partition, its marker, the catch-all tag and a block
+    // count of 2^20 (the plausible maximum) — and no blocks.
+    let mut file = b"VTSTORE2".to_vec();
+    file.extend(1u32.to_le_bytes());
+    file.extend(0x9A87_110Eu32.to_le_bytes());
+    file.push(0);
+    file.extend((1u32 << 20).to_le_bytes());
+    assert_eq!(file.len(), 21);
+    let base = live();
+    PEAK.store(base, Ordering::Relaxed);
+    let err = read_store(&mut file.as_slice()).expect_err("no block follows the header");
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(
+        matches!(&err, PersistError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "a short read, got {err}"
+    );
+    assert!(
+        peak < HEADER_READ_SLACK,
+        "a 21-byte store raised live heap by {peak} B"
     );
 }

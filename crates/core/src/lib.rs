@@ -65,10 +65,7 @@ pub mod table;
 pub use alerts::{Alert, AlertConfig, AlertEngine, AlertKind, AlertTotals};
 pub use analysis::{Analysis, AnalysisCtx};
 pub use arena::DecodeArena;
-pub use collector::{
-    Collector, CollectorConfig, CollectorConfigError, IngestError, IngestOutcome, IngestStats,
-    QuarantinedEntry,
-};
+pub use collector::{Collector, IngestError, IngestOutcome, IngestStats, QuarantinedEntry};
 pub use incremental::{merge_partition_stats, IncrementalStudy, SlotMergeTree, StudyPartials};
 pub use index::{IndexChunks, SampleIndex, SampleSummary};
 pub use monitor::{MonitorCriteria, MonitorEvent, SampleMonitor};

@@ -281,6 +281,13 @@ impl FaultyFeed {
         self.schedule.keys().next_back().copied()
     }
 
+    /// The most minutes after its generation minute that any entry is
+    /// delivered: a receiver that holds what it accepted this long has
+    /// seen every copy of it and everything generated before it.
+    pub fn max_lateness(&self) -> u32 {
+        self.plan.max_lateness.max(1)
+    }
+
     /// Total entries scheduled at construction (originals + duplicates).
     pub fn scheduled_entries(&self) -> u64 {
         self.scheduled_entries

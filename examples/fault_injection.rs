@@ -50,11 +50,7 @@ fn main() {
     );
 
     // --- 2. fault-tolerant ingestion ---------------------------------
-    let collector = Collector::new(CollectorConfig {
-        max_retries: 5,
-        reorder_horizon: 30,
-    });
-    let outcome = collector.run(feed);
+    let outcome = Collector::default().run(feed);
     let s = outcome.stats;
     println!("IngestStats");
     println!("  polled minutes        {:>9}", s.polled_minutes);
@@ -65,8 +61,7 @@ fn main() {
     println!("  poll retries          {:>9}", s.retries);
     println!("  gap minutes           {:>9}", s.gap_minutes);
     println!("  entries lost in gaps  {:>9}", s.lost_entries);
-    println!("  max reorder depth     {:>9}", s.max_buffer_depth);
-    println!("  emitted out of order  {:>9}", s.emitted_out_of_order);
+    println!("  max buffer depth      {:>9}", s.max_buffer_depth);
     if let Some(q) = outcome.quarantine.first() {
         println!(
             "  first quarantined: minute {} — {:?}",
@@ -98,10 +93,10 @@ fn main() {
     }
     println!(
         "\nReading: duplicates and reordering are absorbed losslessly (the\n\
-         dedup index and reorder buffer restore the clean stream), hard\n\
-         outages and corrupted payloads are *accounted* rather than\n\
-         silently dropped, and per-block CRCs turn file damage into a\n\
-         bounded, reported loss: {} of {} reports survived the disk.",
+         reorder buffer, which is also the dedup set, restores the clean\n\
+         stream), hard outages and corrupted payloads are *accounted*\n\
+         rather than silently dropped, and per-block CRCs turn file damage\n\
+         into a bounded, reported loss: {} of {} reports survived the disk.",
         salvaged.report_count(),
         outcome.store.report_count(),
     );

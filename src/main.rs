@@ -430,8 +430,9 @@ flags:
                         exactly-once across --recover (a regular
                         file of one feed: empty unless --recover)
   --alerts-tcp ADDR     stream drift alerts to a TCP endpoint
-                        (retried with backoff; a failed batch
-                        is resent whole, replays are skipped)
+                        (retried with backoff until shutdown; a
+                        failed batch is resent whole, replays
+                        are skipped)
   --no-alerts           disable the streaming drift detectors
 
 protocol: one JSON object per line over TCP; commands are

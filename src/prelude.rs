@@ -17,9 +17,9 @@
 
 pub use crate::dynamics::{
     analyze_records, analyze_records_obs, records_from_store, Alert, AlertConfig, AlertEngine,
-    AlertKind, AlertTotals, Analysis, AnalysisCtx, Collector, CollectorConfig, DecodeArena,
-    IncrementalStudy, IngestOutcome, SampleIndex, SampleRecord, SampleSummary, Study,
-    StudyPartials, StudyResults, TrajectoryTable,
+    AlertKind, AlertTotals, Analysis, AnalysisCtx, Collector, DecodeArena, IncrementalStudy,
+    IngestOutcome, SampleIndex, SampleRecord, SampleSummary, Study, StudyPartials, StudyResults,
+    TrajectoryTable,
 };
 pub use crate::engines::{EngineFleet, FleetConfig};
 pub use crate::model::{EngineId, FileType, ScanReport};

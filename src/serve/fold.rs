@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 
 use super::counters::ServeCounters;
@@ -184,7 +184,7 @@ impl<'a> SlotFold<'a> {
 pub(super) fn shard_worker(
     ctx: &FoldCtx,
     rx: &Receiver<SegmentMsg>,
-    merge_tx: &Sender<Box<SlotUpdate>>,
+    merge_tx: &SyncSender<Box<SlotUpdate>>,
 ) {
     let (ingest, c) = (&ctx.ingest, &ctx.ingest.counters);
     let mut slots: HashMap<usize, SlotFold<'_>> = HashMap::new();

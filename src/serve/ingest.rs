@@ -164,7 +164,7 @@ fn consumer_gone() -> io::Error {
 }
 
 /// The feeder: replay the data dir (under recovery), then simulate →
-/// chaos feed → `collector` → hash-route → [`seal`] → `emit`, until the
+/// chaos feed → [`Collector`] → hash-route → [`seal`] → `emit`, until the
 /// feed is exhausted, `stop()` (daemon shutdown was requested) or a
 /// fatal error. Only an exhausted feed seals and emits its in-progress
 /// segments; a stop leaves them to `recover` to re-ingest. `emit`
@@ -176,7 +176,6 @@ fn consumer_gone() -> io::Error {
 /// caller shuts the daemon down.
 pub(super) fn run(
     ctx: &IngestCtx,
-    collector: &Collector,
     stop: impl Fn() -> bool,
     segdir: Option<SegmentDir>,
     mut emit: impl FnMut(SegmentMsg) -> bool,
@@ -237,7 +236,7 @@ pub(super) fn run(
         // Also bumps `collector/accepted` / `collector/quarantined`,
         // which `status` reports as `accepted` / `quarantined`.
         let mut accepted: Vec<ScanReport> = Vec::new();
-        collector.run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
+        Collector::default().run_into(feed, &ctx.obs, |batch| accepted.extend_from_slice(batch));
         for (hash, reports) in group_reports(accepted) {
             let slot = slot_of(hash);
             if Some((chunk, hash)) <= watermarks[slot] {
@@ -280,7 +279,7 @@ mod tests {
             emitted += 1;
             true
         };
-        let fed = run(&ctx, &Collector::default(), || false, Some(dir), emit);
+        let fed = run(&ctx, || false, Some(dir), emit);
         let err = fed.expect_err("a lost tail is as fatal as a lost segment mid-feed");
         assert!(
             err.to_string().starts_with("segment persist failed: "),
@@ -334,14 +333,7 @@ mod tests {
             config.segment_reports = 30;
             let segdir = SegmentDir::open(dir, INGEST_SLOTS as u32).expect("open data dir");
             let ctx = IngestCtx::new(config.clone());
-            run(
-                &ctx,
-                &Collector::default(),
-                || false,
-                Some(segdir),
-                |_| true,
-            )
-            .expect("sealed");
+            run(&ctx, || false, Some(segdir), |_| true).expect("sealed");
             config
         };
         let (ours, theirs) = (root.join("ours"), root.join("theirs"));
@@ -358,7 +350,7 @@ mod tests {
             emitted.push((msg.slot, msg.segment.seq(), msg.recovered));
             true
         };
-        let fed = run(&ctx, &Collector::default(), || false, Some(segdir), emit);
+        let fed = run(&ctx, || false, Some(segdir), emit);
         let err = fed.expect_err("an unplaceable sample is fatal");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(

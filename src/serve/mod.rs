@@ -60,9 +60,10 @@
 //! rest: [`ServeConfig`], [`Server`], and the thread wiring.
 //!
 //! No step spawns a thread. [`Server::start`] runs each on its own, the
-//! feeder's callback sending into bounded shard queues (a full one
-//! blocks it: backpressure, never loss); `serve::tests` runs them one
-//! after another on one thread.
+//! feeder's callback sending into bounded shard queues and the workers
+//! into a bounded merge queue (a full one blocks its sender:
+//! backpressure, never loss); `serve::tests` runs them one after another
+//! on one thread.
 //!
 //! Because every stage's Partial algebra satisfies
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` bit-identically, a daemon
@@ -106,7 +107,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::dynamics::{par, AlertConfig, Collector, CollectorConfig};
+use crate::dynamics::{par, AlertConfig};
 use crate::sim::fault::FaultPlan;
 use crate::store::SegmentDir;
 
@@ -125,6 +126,13 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// Sealed segments allowed in flight per shard worker before the feeder
 /// blocks (the backpressure bound).
 const SHARD_QUEUE_SEGMENTS: usize = 4;
+
+/// Slot updates queued between the shard workers and the merger before
+/// a worker blocks: a worker folds its next segment while the merger
+/// merges its last. Each update holds one fold's partials and index, so
+/// the bound keeps a `--recover` replay, whose folds outrun the merger,
+/// at live ingest's peak.
+const MERGE_QUEUE_UPDATES: usize = 1;
 
 /// Everything `vtld serve` needs to run.
 #[derive(Debug, Clone)]
@@ -146,9 +154,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7311` (port 0 picks one).
     pub addr: String,
     /// Fault injection applied to the feed (the daemon ingests through
-    /// the same collector the chaos tests exercise). [`Server::start`]
-    /// refuses a plan whose lateness bound exceeds the collector's
-    /// reorder horizon.
+    /// the same collector the chaos tests exercise). Any plan is served:
+    /// the collector holds reports as long as the plan's own lateness
+    /// bound.
     pub plan: FaultPlan,
     /// Segment write-ahead-log directory. `None` runs in-memory (no
     /// durability, no recovery).
@@ -184,8 +192,8 @@ impl ServeConfig {
     /// A config with the daemon defaults: ephemeral localhost port,
     /// 20k-report segments, one shard, default fold workers, 256-client
     /// cap, a 10s read deadline, in-memory (no data dir), and a lightly
-    /// chaotic feed (1% duplicates, 5% reordering within the collector's
-    /// horizon).
+    /// chaotic feed (1% duplicates, 5% of entries up to 30 minutes
+    /// late).
     pub fn new(samples: u64, seed: u64) -> Self {
         Self {
             samples,
@@ -240,18 +248,13 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Checks the fault plan against the collector, opens the data dir
-    /// and pins it to this feed (on `recover`, refusing a dir another
-    /// feed wrote), opens the `--alerts-out` file,
-    /// binds the listener, publishes the epoch-0 (empty study) snapshot,
-    /// and starts the feeder, shard, merger and accept threads.
+    /// Opens the data dir and pins it to this feed (on `recover`,
+    /// refusing a dir another feed wrote), opens the `--alerts-out`
+    /// file, binds the listener, publishes the epoch-0 (empty study)
+    /// snapshot, and starts the feeder, shard, merger and accept
+    /// threads.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
-        // Before anything is touched: a reorder horizon shorter than the
-        // plan's lateness bound would emit out of order, and evict dedup
-        // keys that late duplicates still need.
-        let collector = Collector::for_plan(CollectorConfig::default(), &config.plan)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let segdir = match &config.data_dir {
             Some(path) => {
                 let dir = SegmentDir::open(path, INGEST_SLOTS as u32)?;
@@ -312,12 +315,15 @@ impl Server {
         // unbounded channel (bounded by the per-segment detector caps) so
         // a slow or dead connector never backpressures a publish; it exits
         // after the final publish, when the merger drops the one sender.
+        // Once a shutdown is requested the TCP connector stops retrying.
         let alert_sink = if sinks.is_active() {
             let (tx, rx) = channel::<sink::SinkMsg>();
             let emitted = counters.alerts_emitted.clone();
             let dropped = counters.alerts_dropped.clone();
+            let seam = Arc::clone(&daemon.seam);
             threads.push(std::thread::spawn(move || {
-                sink::sink_loop(rx, sinks, emitted, dropped);
+                let stop = || seam.shutdown_requested();
+                sink::sink_loop(rx, sinks, stop, emitted, dropped);
                 Ok(())
             }));
             Some(tx)
@@ -327,7 +333,7 @@ impl Server {
 
         // Each worker's sender drops when its thread ends, returned or
         // panicked; the merger's channel closes with the last.
-        let (merge_tx, merge_rx) = channel::<Box<fold::SlotUpdate>>();
+        let (merge_tx, merge_rx) = sync_channel::<Box<fold::SlotUpdate>>(MERGE_QUEUE_UPDATES);
         let mut shard_txs = Vec::new();
         for _ in 0..config.shards {
             let (tx, rx) = sync_channel::<ingest::SegmentMsg>(SHARD_QUEUE_SEGMENTS);
@@ -368,7 +374,7 @@ impl Server {
                 sent
             };
             let stop = || seam.shutdown_requested();
-            let fed = ingest::run(&fold.ingest, &collector, stop, segdir, emit);
+            let fed = ingest::run(&fold.ingest, stop, segdir, emit);
             if fed.is_err() {
                 shut_down(seam, addr);
             }

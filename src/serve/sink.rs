@@ -28,7 +28,10 @@
 //!   can arrive twice: delivery is neither at-most- nor exactly-once,
 //!   and a consumer that needs exactly-once dedups on the alert key,
 //!   which is stable across resends and replays. A batch that exhausts
-//!   its retries is dropped and counted rather than wedging ingest.
+//!   its retries is dropped and counted rather than wedging ingest. It
+//!   retries until shutdown: once the daemon is asked to stop, every
+//!   batch not yet delivered is counted as dropped without a connect or
+//!   a sleep, so a dead endpoint cannot hold up the exit.
 //!
 //! The channel is unbounded but its producer is bounded: detectors cap
 //! alerts per segment, so the sink can never grow past the WAL's
@@ -174,8 +177,9 @@ impl TcpSink {
     }
 
     /// Writes the whole batch over one connection, reconnecting (with
-    /// backoff) on failure. Returns the lines actually written.
-    fn deliver(&mut self, lines: &[String]) -> u64 {
+    /// backoff) on failure, until `stop()` turns true. Returns the lines
+    /// actually written.
+    fn deliver(&mut self, lines: &[String], stop: &impl Fn() -> bool) -> u64 {
         let mut payload = String::new();
         for line in lines {
             payload.push_str(line);
@@ -183,6 +187,9 @@ impl TcpSink {
         }
         let mut backoff = TCP_BACKOFF;
         for attempt in 0..TCP_ATTEMPTS {
+            if stop() {
+                break;
+            }
             if attempt > 0 {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(TCP_BACKOFF_CAP);
@@ -213,8 +220,16 @@ impl TcpSink {
 
 /// The sink thread body: drains batches until the merger hangs up,
 /// delivering to whichever connectors are configured and counting
-/// `serve/alerts_emitted` / `serve/alerts_dropped`.
-pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, dropped: Counter) {
+/// `serve/alerts_emitted` / `serve/alerts_dropped`. `stop()` (a
+/// shutdown was requested) ends the TCP connector's retries; the file
+/// connector delivers every batch either way.
+pub(super) fn sink_loop(
+    rx: Receiver<SinkMsg>,
+    sinks: Sinks,
+    stop: impl Fn() -> bool,
+    emitted: Counter,
+    dropped: Counter,
+) {
     let Sinks { mut file, mut tcp } = sinks;
     let mut file_failed = false;
     while let Ok(msg) = rx.recv() {
@@ -239,7 +254,7 @@ pub(super) fn sink_loop(rx: Receiver<SinkMsg>, sinks: Sinks, emitted: Counter, d
                 // before the crash or are gone; never send them twice.
                 dropped.add(msg.lines.len() as u64);
             } else {
-                let wrote = sink.deliver(&msg.lines);
+                let wrote = sink.deliver(&msg.lines, &stop);
                 emitted.add(wrote);
                 dropped.add(msg.lines.len() as u64 - wrote);
             }
@@ -294,7 +309,7 @@ mod tests {
             tx.send(msg).expect("send");
         }
         drop(tx);
-        sink_loop(rx, sinks, counters.0.clone(), counters.1.clone());
+        sink_loop(rx, sinks, || false, counters.0.clone(), counters.1.clone());
     }
 
     #[test]
@@ -507,7 +522,7 @@ mod tests {
         .expect("send");
         drop(tx);
         let sinks = Sinks::open(None, Some(&addr), false).expect("open");
-        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
+        sink_loop(rx, sinks, || false, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 2);
         assert_eq!(dropped.value(), 1, "the replayed batch is skipped");
         let got = reader.join().expect("reader thread");
@@ -532,7 +547,7 @@ mod tests {
         .expect("send");
         drop(tx);
         let sinks = Sinks::open(None, Some(&addr), false).expect("open");
-        sink_loop(rx, sinks, emitted.clone(), dropped.clone());
+        sink_loop(rx, sinks, || false, emitted.clone(), dropped.clone());
         assert_eq!(emitted.value(), 0);
         assert_eq!(dropped.value(), 1, "undeliverable batches drop, not wedge");
     }

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ffi::OsString;
 use std::path::Path;
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, sync_channel};
 use std::sync::Arc;
 
 use super::counters::ServeCounters;
@@ -22,8 +22,8 @@ use super::sink::{sink_loop, SinkMsg, Sinks};
 use super::wire::{quoted, render_alert};
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
-    merge_partition_stats, par, AlertConfig, Collector, CollectorConfig, DecodeArena,
-    IncrementalStudy, SampleIndex, StudyPartials,
+    merge_partition_stats, par, AlertConfig, Collector, DecodeArena, IncrementalStudy, SampleIndex,
+    StudyPartials,
 };
 use crate::engines::EngineFleet;
 use crate::model::SampleHash;
@@ -277,26 +277,70 @@ fn detectors_off_open_no_sink() {
     assert!(!path.exists());
 }
 
-/// A plan whose lateness bound outruns the collector's reorder horizon
-/// is refused before the data dir is created; the default plan starts.
+/// A shutdown ends the TCP connector's retries: with `alerts_tcp` at a
+/// port that refuses every connect and the detectors firing, a client
+/// `shutdown` lets `wait()` return within two seconds (a batch's retries
+/// alone take 750 ms of backoff), and every fired alert is counted as
+/// emitted or dropped.
 #[test]
-fn a_plan_later_than_the_reorder_horizon_is_refused() {
-    let root = std::env::temp_dir().join(format!("vtld-late-plan-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let horizon = CollectorConfig::default().reorder_horizon;
-    let mut config = ServeConfig::new(0, 7);
-    config.plan = FaultPlan::clean(7).with_reordering(0.05, horizon + 1);
-    config.data_dir = Some(root.clone());
-    let err = super::Server::start(config.clone()).expect_err("refused");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let expected = Collector::for_plan(CollectorConfig::default(), &config.plan)
-        .expect_err("the horizon is one minute short");
-    assert_eq!(err.to_string(), expected.to_string());
-    assert!(!root.exists(), "a refused start creates no data dir");
+fn a_shutdown_ends_the_tcp_sinks_retries() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+    let refused = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let refused_addr = refused.local_addr().expect("addr").to_string();
+    drop(refused);
+    let mut config = ServeConfig::new(1_300, 0xC4A5);
+    config.segment_reports = 60;
+    config.alert_config = crash_config(Path::new("")).alert_config;
+    config.alerts_tcp = Some(refused_addr);
+    let server = super::Server::start(config).expect("starts");
+    let counters = server.daemon.fold.ingest.counters.clone();
+    while counters.alerts_fired.value() < 10 && !server.daemon.seam.current().ingest_done {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(counters.alerts_fired.value() >= 10, "the detectors fire");
+    let mut client = std::net::TcpStream::connect(server.addr()).expect("connect");
+    client.write_all(b"{\"cmd\":\"shutdown\"}\n").expect("ask");
+    let mut ack = String::new();
+    BufReader::new(&client).read_line(&mut ack).expect("ack");
+    assert!(ack.contains("\"shutting_down\":true"), "{ack}");
+    let asked = Instant::now();
+    assert!(server.wait().is_none(), "a clean exit");
+    let waited = asked.elapsed();
+    assert!(waited < Duration::from_secs(2), "exit took {waited:?}");
+    let (emitted, dropped) = (
+        counters.alerts_emitted.value(),
+        counters.alerts_dropped.value(),
+    );
+    assert_eq!(emitted + dropped, counters.alerts_fired.value());
+}
 
-    let default = ServeConfig::new(0, 7);
-    assert_eq!(default.plan.max_lateness, 30);
-    drop(super::Server::start(default).expect("the default plan starts"));
+/// Any plan is served: the collector holds reports as long as the
+/// plan's own lateness bound, so a plan far later than the default one
+/// starts, and its duplicates and late entries fold to the clean feed's
+/// fingerprint.
+#[test]
+fn a_plan_of_any_lateness_starts_and_folds_to_the_clean_feed() {
+    let config = |plan| {
+        let mut config = ServeConfig::new(600, 7);
+        config.segment_reports = 200;
+        config.workers = 1;
+        config.plan = plan;
+        config
+    };
+    let late = FaultPlan::clean(7)
+        .with_duplicates(0.2)
+        .with_reordering(0.3, 200);
+    assert!(late.max_lateness > ServeConfig::new(0, 7).plan.max_lateness);
+    drop(super::Server::start(config(late)).expect("a late plan starts"));
+    let served = in_sequence(config(late), None);
+    let clean = in_sequence(config(FaultPlan::clean(7)), None);
+    assert!(served.healthy && served.done);
+    assert_eq!(served.accepted, clean.accepted);
+    assert_eq!(
+        fingerprint_of(&served.snapshot),
+        fingerprint_of(&clean.snapshot)
+    );
 }
 
 /// A data dir holds one feed: `--recover` under another seed or sample
@@ -635,7 +679,6 @@ struct Sequenced {
 fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
     let segdir = (config.data_dir.as_ref())
         .map(|root| SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir"));
-    let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
     let ctx = merger_ctx(config);
     let offered = RefCell::new(Vec::new());
     let polls = RefCell::new(Vec::new());
@@ -651,10 +694,12 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
         tx.send(msg).expect("the receiver lives on this thread");
         true
     };
-    let healthy = ingest::run(&ctx.fold.ingest, &collector, stop, segdir, emit).is_ok();
+    let healthy = ingest::run(&ctx.fold.ingest, stop, segdir, emit).is_ok();
     drop(tx);
 
-    let (merge_tx, merge_rx) = channel();
+    // The worker runs to completion before the merger starts: its bound
+    // holds the whole run, one update per segment offered.
+    let (merge_tx, merge_rx) = sync_channel(offered.borrow().len());
     shard_worker(&ctx.fold, &rx, &merge_tx);
     drop(merge_tx);
     let updates: Vec<Box<SlotUpdate>> = merge_rx.try_iter().collect();
@@ -703,7 +748,13 @@ fn deliver(batches: &[SinkMsg], path: &Path, delivered: &[String]) -> Vec<String
     drop(tx);
     let sinks = Sinks::open(Some(path), None, true).expect("open the sink");
     let obs = Obs::new();
-    sink_loop(rx, sinks, obs.counter("emitted"), obs.counter("dropped"));
+    sink_loop(
+        rx,
+        sinks,
+        || false,
+        obs.counter("emitted"),
+        obs.counter("dropped"),
+    );
     let text = std::fs::read_to_string(path).expect("the sink file");
     text.lines().map(str::to_owned).collect()
 }
@@ -983,14 +1034,13 @@ fn every_crash_point_between_seals_recovers_the_clean_run() {
 fn abandoned_at(root: &Path, k: usize) -> (std::io::Result<()>, bool, Vec<(usize, u64)>) {
     let config = crash_config(root);
     let segdir = SegmentDir::open(root, INGEST_SLOTS as u32).expect("open data dir");
-    let collector = Collector::for_plan(CollectorConfig::default(), &config.plan).expect("plan");
     let ctx = IngestCtx::new(config);
     let mut offered = Vec::new();
     let emit = |msg: SegmentMsg| {
         offered.push((msg.slot, msg.segment.seq()));
         offered.len() < k
     };
-    let fed = ingest::run(&ctx, &collector, || false, Some(segdir), emit);
+    let fed = ingest::run(&ctx, || false, Some(segdir), emit);
     (fed, ctx.done(), offered)
 }
 
@@ -1093,11 +1143,13 @@ fn a_recovery_re_simulates_exactly_the_chunks_from_the_earliest_watermark() {
     let clean_config = config(&clean_dir);
     let (samples, plan) = (clean_config.samples, clean_config.plan);
     let sim = VirusTotalSim::new(SimConfig::new(clean_config.seed, samples));
-    let collector = Collector::for_plan(CollectorConfig::default(), &plan).expect("plan");
     let per_chunk: Vec<u64> = (0..samples.div_ceil(CHUNK))
         .map(|c| {
             let feed = FaultyFeed::from_sim(&sim, c * CHUNK..((c + 1) * CHUNK).min(samples), plan);
-            collector.run_into(feed, Obs::noop(), |_| {}).0.accepted
+            Collector::default()
+                .run_into(feed, Obs::noop(), |_| {})
+                .0
+                .accepted
         })
         .collect();
     assert!(per_chunk.len() >= 3, "{} chunks", per_chunk.len());

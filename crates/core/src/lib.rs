@@ -49,6 +49,8 @@ pub mod collector;
 pub mod correlation;
 pub mod flips;
 pub mod freshdyn;
+#[cfg(test)]
+mod generated;
 pub mod incremental;
 pub mod index;
 pub mod intervals;

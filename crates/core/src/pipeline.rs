@@ -579,11 +579,15 @@ mod tests {
     }
 
     /// Every columnar stage without a seeded-study check of its own
-    /// (`flips`, `causes` and `correlation` have theirs) against its
-    /// serial record-walking oracle, by `Debug` (floats as shortest
-    /// round-trip, so a last-ulp drift fails).
-    #[test]
-    fn every_stage_matches_its_serial_oracle() {
+    /// (`flips`, `causes` and `correlation` have theirs) over `records`,
+    /// beside its serial record-walking oracle, both by `Debug` (floats
+    /// as shortest round-trip, so a last-ulp drift shows): one
+    /// `(stage, columnar, oracle)` triple each.
+    fn stages_and_oracles(
+        records: &[SampleRecord],
+        fleet: &EngineFleet,
+        ws: Timestamp,
+    ) -> Vec<(&'static str, String, String)> {
         use crate::analysis::Analysis;
         use crate::categorize::{self, Categorize};
         use crate::intervals::{self, Intervals};
@@ -592,72 +596,131 @@ mod tests {
         use crate::stability::{self, Stability};
         use crate::stabilization::{self, Stabilization};
 
-        for seed in [0xF01Du64, 0x5EED5] {
-            let study = Study::generate_with_workers(SimConfig::new(seed, 3_000), 2);
-            let records = study.records();
-            let ws = study.sim().config().window_start();
-            let table = TrajectoryTable::build(records, ws);
-            let s = freshdyn::build(records, ws);
-            assert!(!s.is_empty(), "seed {seed:#x} too small to exercise S");
-            let ctx = AnalysisCtx::new(records, &table, &s, study.sim().fleet(), ws);
-            let same = |stage: String, oracle: String, name: &str| {
-                assert_eq!(stage, oracle, "seed {seed:#x}: {name}");
-            };
-            same(
+        let table = TrajectoryTable::build(records, ws);
+        let s = freshdyn::build(records, ws);
+        let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws);
+        let growth = WindowGrowth::default();
+        let iv = Intervals::default();
+        let st = Stabilization.run(&ctx);
+        let mut pairs = vec![
+            (
+                "landscape",
                 format!("{:?}", Landscape.run(&ctx).0),
                 format!("{:?}", landscape::dataset_stats_impl(records, ws)),
-                "landscape",
-            );
-            same(
+            ),
+            (
+                "stability",
                 format!("{:?}", Stability.run(&ctx)),
                 format!("{:?}", stability::analyze_impl(records)),
-                "stability",
-            );
-            same(
+            ),
+            (
+                "metrics",
                 format!("{:?}", Metrics.run(&ctx)),
                 format!("{:?}", metrics::analyze_impl(records, &s)),
-                "metrics",
-            );
-            let growth = WindowGrowth::default();
-            same(
+            ),
+            (
+                "window_growth",
                 format!("{:?}", growth.run(&ctx)),
                 format!(
                     "{:?}",
                     metrics::window_growth_impl(records, &s, growth.short, growth.long)
                 ),
-                "window_growth",
-            );
-            let iv = Intervals::default();
-            same(
+            ),
+            (
+                "intervals",
                 format!("{:?}", iv.run(&ctx)),
                 format!("{:?}", intervals::analyze_impl(records, &s, iv.max_days)),
-                "intervals",
-            );
-            for stage in [Categorize::ALL, Categorize::PE] {
-                same(
-                    format!("{:?}", stage.run(&ctx)),
-                    format!("{:?}", categorize::sweep_impl(records, &s, stage.pe_only)),
-                    stage.name(),
-                );
-            }
-            let st = Stabilization.run(&ctx);
-            same(
+            ),
+            (
+                "stabilization rank",
                 format!("{:?}", st.rank),
                 format!("{:?}", stabilization::rank_stabilization_impl(records, &s)),
-                "stabilization rank",
-            );
-            for (got, exclude_two_scans, name) in [
-                (&st.label_all, false, "label_all"),
-                (&st.label_multi, true, "label_multi"),
-            ] {
-                same(
-                    format!("{got:?}"),
-                    format!(
-                        "{:?}",
-                        stabilization::label_stabilization_impl(records, &s, exclude_two_scans)
-                    ),
-                    name,
-                );
+            ),
+        ];
+        for stage in [Categorize::ALL, Categorize::PE] {
+            pairs.push((
+                stage.name(),
+                format!("{:?}", stage.run(&ctx)),
+                format!("{:?}", categorize::sweep_impl(records, &s, stage.pe_only)),
+            ));
+        }
+        for (got, exclude_two_scans, name) in [
+            (&st.label_all, false, "label_all"),
+            (&st.label_multi, true, "label_multi"),
+        ] {
+            pairs.push((
+                name,
+                format!("{got:?}"),
+                format!(
+                    "{:?}",
+                    stabilization::label_stabilization_impl(records, &s, exclude_two_scans)
+                ),
+            ));
+        }
+        pairs
+    }
+
+    /// Every stage of [`stages_and_oracles`] matches its serial oracle on
+    /// two seeded studies.
+    #[test]
+    fn every_stage_matches_its_serial_oracle() {
+        for seed in [0xF01Du64, 0x5EED5] {
+            let study = Study::generate_with_workers(SimConfig::new(seed, 3_000), 2);
+            let ws = study.sim().config().window_start();
+            let (records, fleet) = (study.records(), study.sim().fleet());
+            let s = freshdyn::build(records, ws);
+            assert!(!s.is_empty(), "seed {seed:#x} too small to exercise S");
+            for (name, stage, oracle) in stages_and_oracles(records, fleet, ws) {
+                assert_eq!(stage, oracle, "seed {seed:#x}: {name}");
+            }
+        }
+    }
+
+    mod generated_trajectories {
+        use super::*;
+        use crate::generated;
+        use crate::records::records_from_store;
+        use proptest::prelude::*;
+        use vt_model::time::Month;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            /// Generated trajectory sets (`generated::store`: `(hash,
+            /// date)` ties within and across partitions, dates at the
+            /// window edge and in the catch-all partition, both bitmap
+            /// words, single-report samples, one sort bucket or many),
+            /// read back through `records_from_store`: every stage
+            /// matches its serial oracle, and the folds of the records
+            /// cut at `cut` merge to the fold of them all (merged with
+            /// the empty fold, so both count two segments).
+            #[test]
+            fn generated_trajectories_match_the_oracles_and_the_range_fold_law(
+                rows in proptest::collection::vec((any::<u64>(), 0u64..6, any::<u64>()), 0..600),
+                spread in 1u64..1_000,
+                one_bucket in any::<bool>(),
+                cut in 0u64..=1_000,
+                workers in 1usize..4,
+            ) {
+                let rows: Vec<_> = rows.iter().map(|&(s, d, b)| (s % spread, d, b)).collect();
+                let records = records_from_store(&generated::store(&rows, one_bucket));
+                let sim = VirusTotalSim::new(SimConfig::new(spread, 1));
+                let fleet = sim.fleet();
+                prop_assert_eq!(fleet.engine_count(), generated::ENGINES);
+                let ws = Month::COLLECTION_START.start();
+                for (name, stage, oracle) in stages_and_oracles(&records, fleet, ws) {
+                    prop_assert!(stage == oracle, "{}: {} != {}", name, stage, oracle);
+                }
+                let fold = |records: &[SampleRecord]| {
+                    let table = TrajectoryTable::build_with(records, ws, workers, Obs::noop());
+                    let s = freshdyn::build(records, ws);
+                    let ctx = AnalysisCtx::new(records, &table, &s, fleet, ws);
+                    StudyPartials::fold(&ctx.with_workers(workers))
+                };
+                let at = (cut as usize * records.len()).div_ceil(1_000);
+                let (x, y) = records.split_at(at);
+                let merged = format!("{:?}", fold(x).merge(fold(y)));
+                let whole = format!("{:?}", fold(&records).merge(fold(&[])));
+                prop_assert!(merged == whole, "cut at {} of {}", at, records.len());
             }
         }
     }

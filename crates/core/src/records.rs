@@ -1,14 +1,17 @@
 //! The unit of analysis: one sample and its time-ordered reports.
 //!
-//! Every analysis consumes `&[SampleRecord]`. Records come from the
-//! simulator (via [`crate::pipeline::Study`]) or from a sealed
-//! [`vt_store::ReportStore`] joined with sample metadata — either way
-//! the analyses only read what the paper's pipeline could read from
-//! scan reports (hash, file type, times, verdict vectors), never the
-//! simulator's ground truth.
+//! A `SampleRecord` is what the table's record route
+//! ([`crate::table::TrajectoryTable::build_with`]) reads: `vtld study`
+//! folds each generated chunk through it, and [`records_from_store`]
+//! rebuilds records from a sealed [`vt_store::ReportStore`] for the
+//! tests and benchmarks that compare against that route. Either way the
+//! analyses only read what the paper's pipeline could read from scan
+//! reports (hash, file type, times, verdict vectors), never the
+//! simulator's ground truth. What a sample *is*, given only its reports,
+//! is [`sample_meta`]'s one rule, which the arena route follows too.
 
-use vt_model::time::Duration;
-use vt_model::{FileType, SampleMeta, ScanReport};
+use vt_model::time::{Duration, Timestamp};
+use vt_model::{FileType, SampleHash, SampleMeta, ScanReport};
 
 /// One sample's metadata and complete, analysis-time-ordered report
 /// trajectory.
@@ -80,38 +83,57 @@ impl SampleRecord {
 
 /// Reconstructs analysis records from a sealed report store — the
 /// paper's situation exactly: *only* the scan reports are available, so
-/// sample metadata must be derived from them:
-///
-/// * `file_type` — carried in every report (§4.1);
-/// * `first_submission` — the earliest `last_submission_date` across the
-///   sample's reports (fresh samples were first uploaded in-window;
-///   pre-existing samples re-enter via rescans that preserve their
-///   original pre-window submission date, §3 / Table 1);
-/// * `origin` and `truth` are *not derivable from reports* and are set
-///   to placeholder values — no analysis reads them (the blinding
-///   invariant), so records from a store analyze identically to records
-///   from the simulator.
+/// each sample's metadata is derived from its reports by
+/// [`sample_meta`]'s rule, the one the arena route
+/// ([`crate::table::TrajectoryTable::build_from_arena`]) follows too.
 pub fn records_from_store(store: &vt_store::ReportStore) -> Vec<SampleRecord> {
     store
         .group_by_sample()
         .into_iter()
         .map(|(hash, reports)| {
-            let first = reports.first().expect("groups are nonempty");
-            let first_submission = reports
-                .iter()
-                .map(|r| r.last_submission_date)
-                .min()
-                .expect("nonempty");
-            let meta = SampleMeta {
+            let meta = sample_meta(
                 hash,
-                file_type: first.file_type,
-                origin: first_submission,
-                first_submission,
-                truth: vt_model::GroundTruth::Benign,
-            };
+                reports.iter(),
+                |r| r.file_type,
+                |r| r.last_submission_date,
+            );
             SampleRecord { meta, reports }
         })
         .collect()
+}
+
+/// What sample `hash` is, given only its rows in table order (analysis
+/// date ascending, arrival order breaking ties) — the one rule both
+/// table routes derive a sample's metadata by:
+///
+/// * `file_type` — the earliest row's (every report carries it, §4.1);
+/// * `first_submission` — the minimum submission date over the rows
+///   (fresh samples were first uploaded in-window; pre-existing samples
+///   re-enter via rescans that preserve their original pre-window
+///   submission date, §3 / Table 1);
+/// * `origin` and `truth` are *not derivable from reports* and are set
+///   to placeholder values — no analysis reads them (the blinding
+///   invariant), so records from a store analyze identically to records
+///   from the simulator.
+///
+/// # Panics
+/// Panics if `rows` is empty: a sample exists by its reports.
+#[inline]
+pub(crate) fn sample_meta<R>(
+    hash: SampleHash,
+    mut rows: impl Iterator<Item = R>,
+    file_type: impl FnOnce(&R) -> FileType,
+    submitted: impl Fn(&R) -> Timestamp,
+) -> SampleMeta {
+    let first = rows.next().expect("a sample has at least one report");
+    let first_submission = rows.fold(submitted(&first), |min, r| min.min(submitted(&r)));
+    SampleMeta {
+        hash,
+        file_type: file_type(&first),
+        origin: first_submission,
+        first_submission,
+        truth: vt_model::GroundTruth::Benign,
+    }
 }
 
 #[cfg(test)]

@@ -1,36 +1,41 @@
 //! The columnar trajectory table: the structure-of-arrays layout every
 //! analysis stage reads instead of walking `ScanReport` structs.
 //!
-//! One parallel pass over the records (kernel `table_build`) flattens
-//! every trajectory into flat columns — AV-Ranks, analysis-date
-//! minutes, verdict bitmap words — indexed CSR-style by per-record
-//! offsets, plus per-record precomputed envelopes (`p_min`/`p_max`,
-//! hence Δ), dense file-type indices and the membership flags the
-//! pipeline keeps re-deriving (`is_multi_report`, `is_stable`,
-//! `is_fresh`, `is_top20`, `is_pe`, and *S* membership). The stages
-//! then run as [`crate::par::map_ranges_obs`] partition-reductions over
-//! index ranges of this table: no stage allocates per record, and no
-//! stage touches a `ScanReport` or `VerdictVec` again.
+//! One parallel pass (kernel `table_build`, the table's one fill)
+//! flattens every trajectory into flat columns — AV-Ranks,
+//! analysis-date minutes, verdict bitmap words — indexed CSR-style by
+//! per-record offsets, plus per-record precomputed envelopes
+//! (`p_min`/`p_max`, hence Δ), dense file-type indices and the
+//! membership flags the pipeline keeps re-deriving (`is_multi_report`,
+//! `is_stable`, `is_fresh`, `is_top20`, `is_pe`, and *S* membership).
+//! The stages then run as [`crate::par::map_ranges_obs`]
+//! partition-reductions over index ranges of this table: no stage
+//! allocates per record, and no stage touches a `ScanReport` or
+//! `VerdictVec` again.
 //!
-//! A decoded segment builds the same table straight from its columnar
-//! [`DecodeArena`] ([`TrajectoryTable::build_from_arena`]): a `u32`
-//! row permutation, bucketed by the hash's top bits and sorted per
-//! bucket, orders the rows canonically, and one partitioned gather
-//! through it fills the columns — no row struct and no per-row sort
-//! key is ever copied.
+//! The fill reads its samples through a *row view*: per sample, its
+//! metadata and its rows in table order. The two routes into the table
+//! differ only in that view and in their row order:
+//! - the record route ([`TrajectoryTable::build_with`]) views
+//!   `SampleRecord`s in record order, each record's `meta` taken as is;
+//! - the arena route ([`TrajectoryTable::build_from_arena`]) views a
+//!   decoded segment's columnar [`DecodeArena`] in hash order through a
+//!   `u32` row permutation, bucketed by the hash's top bits and sorted
+//!   per bucket, and derives each sample's metadata from its rows by
+//!   the rule [`crate::records::records_from_store`] follows — no row
+//!   struct and no per-row sort key is ever copied.
 //!
-//! Construction is deterministic at every worker count: partitions
-//! cover contiguous record ranges and their column chunks are
-//! concatenated in partition order, so the table — and therefore every
-//! stage output derived from it — is bit-identical whether it was built
-//! by 1 thread or 16.
+//! Construction is deterministic at every worker count: each worker
+//! fills the columns of one contiguous sample range in place, so the
+//! table — and therefore every stage output derived from it — is
+//! bit-identical whether it was built by 1 thread or 16.
 
 use crate::arena::DecodeArena;
 use crate::par;
-use crate::records::SampleRecord;
+use crate::records::{sample_meta, SampleRecord};
 use std::mem::size_of;
 use vt_model::time::Timestamp;
-use vt_model::{EngineId, FileType, SampleHash};
+use vt_model::{EngineId, FileType, SampleHash, SampleMeta};
 use vt_obs::Obs;
 
 /// Per-record membership flags, packed into one byte — the one
@@ -82,24 +87,13 @@ pub struct TrajectoryTable {
     window_start: Timestamp,
 }
 
-/// The final column buffers, pre-sized, that build workers fill in
-/// place.
-struct Columns {
-    positives: Vec<u32>,
-    date_min: Vec<i64>,
-    active: Vec<[u64; 2]>,
-    detected: Vec<[u64; 2]>,
-    type_idx: Vec<u16>,
-    p_min: Vec<u32>,
-    p_max: Vec<u32>,
-    flags: Vec<u8>,
-    hashes: Vec<SampleHash>,
-}
-
-/// One worker's disjoint `&mut` window over [`Columns`]: per-record
-/// columns sliced along record boundaries, per-row columns along the
-/// corresponding CSR row boundaries.
+/// One worker's window over a table being filled: its samples' CSR
+/// offsets (one past their last, so `offsets[k]..offsets[k + 1]` are
+/// sample `k`'s rows), and disjoint `&mut` slices of the columns —
+/// per-record columns along record boundaries, per-row columns along the
+/// matching row boundaries.
 struct ColumnsMut<'a> {
+    offsets: &'a [u64],
     positives: &'a mut [u32],
     date_min: &'a mut [i64],
     active: &'a mut [[u64; 2]],
@@ -118,65 +112,8 @@ fn take_front<'a, T>(s: &mut &'a mut [T], n: usize) -> &'a mut [T] {
     head
 }
 
-impl Columns {
-    /// Zero-initialized buffers for `records` records / `rows` rows.
-    /// The zeroing is one `memset` per column — cheap next to the fill —
-    /// and every slot is overwritten by exactly one worker.
-    fn zeroed(records: usize, rows: usize) -> Self {
-        Self {
-            positives: vec![0; rows],
-            date_min: vec![0; rows],
-            active: vec![[0; 2]; rows],
-            detected: vec![[0; 2]; rows],
-            type_idx: vec![0; records],
-            p_min: vec![0; records],
-            p_max: vec![0; records],
-            flags: vec![0; records],
-            hashes: vec![SampleHash(0); records],
-        }
-    }
-
-    /// Carves the columns into one disjoint [`ColumnsMut`] per record
-    /// range (ranges must be contiguous and ascending, as
-    /// [`par::partition_ranges`] produces).
-    fn split<'a>(
-        &'a mut self,
-        ranges: &[std::ops::Range<u64>],
-        offsets: &[u64],
-    ) -> Vec<ColumnsMut<'a>> {
-        let mut positives = self.positives.as_mut_slice();
-        let mut date_min = self.date_min.as_mut_slice();
-        let mut active = self.active.as_mut_slice();
-        let mut detected = self.detected.as_mut_slice();
-        let mut type_idx = self.type_idx.as_mut_slice();
-        let mut p_min = self.p_min.as_mut_slice();
-        let mut p_max = self.p_max.as_mut_slice();
-        let mut flags = self.flags.as_mut_slice();
-        let mut hashes = self.hashes.as_mut_slice();
-        ranges
-            .iter()
-            .map(|r| {
-                let recs = (r.end - r.start) as usize;
-                let rows = (offsets[r.end as usize] - offsets[r.start as usize]) as usize;
-                ColumnsMut {
-                    positives: take_front(&mut positives, rows),
-                    date_min: take_front(&mut date_min, rows),
-                    active: take_front(&mut active, rows),
-                    detected: take_front(&mut detected, rows),
-                    type_idx: take_front(&mut type_idx, recs),
-                    p_min: take_front(&mut p_min, recs),
-                    p_max: take_front(&mut p_max, recs),
-                    flags: take_front(&mut flags, recs),
-                    hashes: take_front(&mut hashes, recs),
-                }
-            })
-            .collect()
-    }
-}
-
-/// Packs the per-record membership flags from their ingredients —
-/// the single definition both build paths share, so flag semantics
-/// cannot drift between them.
+/// Packs the per-record membership flags from their ingredients — the
+/// one definition, called by the one fill.
 fn pack_flags(n: usize, p_min: u32, p_max: u32, file_type: FileType, fresh: bool) -> u8 {
     let multi = n > 1;
     let stable = n > 0 && p_min == p_max;
@@ -272,15 +209,14 @@ impl TrajectoryTable {
         Self::build_with(records, window_start, par::default_workers(), Obs::noop())
     }
 
-    /// Builds the table over `workers` threads under the `table_build`
-    /// kernel. The result is bit-identical at every worker count.
+    /// Builds the table from `records` over `workers` threads under the
+    /// `table_build` kernel, one sample per record, in record order —
+    /// the record route, which `vtld study` folds each generated chunk
+    /// through. The result is bit-identical at every worker count.
     ///
-    /// Two passes: a serial offsets pass (one report-count read per
-    /// record) sizes the CSR layout, then one parallel pass writes every
-    /// column value directly into its final slot — each worker owns a
-    /// disjoint `&mut` window of the final buffers
-    /// ([`par::map_ranges_with_obs`]), so no per-worker chunk
-    /// allocation and no concatenation pass exist to pay for.
+    /// A serial pass (one report-count read per record) sizes the CSR
+    /// layout; the table's one fill then views each record's `meta` as
+    /// its metadata and its reports as its rows.
     pub fn build_with(
         records: &[SampleRecord],
         window_start: Timestamp,
@@ -294,84 +230,32 @@ impl TrajectoryTable {
             next += r.reports.len() as u64;
             offsets.push(next);
         }
-        let rows = next as usize;
-        let mut cols = Columns::zeroed(records.len(), rows);
-        let ranges = par::partition_ranges(records.len() as u64, workers);
-        let payloads = cols.split(&ranges, &offsets);
-        par::map_ranges_with_obs(
-            &ranges,
-            payloads,
-            obs,
-            "table_build",
-            |_, range, w: ColumnsMut<'_>| {
-                let base = range.start as usize;
-                let mut rc = 0usize;
-                for (k, r) in records[base..range.end as usize].iter().enumerate() {
-                    let mut p_min = u32::MAX;
-                    let mut p_max = 0u32;
-                    for rep in &r.reports {
-                        let p = rep.positives();
-                        p_min = p_min.min(p);
-                        p_max = p_max.max(p);
-                        w.positives[rc] = p;
-                        w.date_min[rc] = rep.analysis_date.0;
-                        let (a, d) = rep.verdicts.raw();
-                        w.active[rc] = a;
-                        w.detected[rc] = d;
-                        rc += 1;
-                    }
-                    let n = r.reports.len();
-                    if n == 0 {
-                        p_min = 0;
-                        p_max = 0;
-                    }
-                    w.type_idx[k] = r.meta.file_type.dense_index() as u16;
-                    w.p_min[k] = p_min;
-                    w.p_max[k] = p_max;
-                    w.flags[k] = pack_flags(
-                        n,
-                        p_min,
-                        p_max,
-                        r.meta.file_type,
-                        r.meta.is_fresh(window_start),
-                    );
-                    w.hashes[k] = r.meta.hash;
-                }
-            },
-        );
-        Self {
-            offsets,
-            positives: cols.positives,
-            date_min: cols.date_min,
-            active: cols.active,
-            detected: cols.detected,
-            type_idx: cols.type_idx,
-            p_min: cols.p_min,
-            p_max: cols.p_max,
-            flags: cols.flags,
-            hashes: cols.hashes,
-            window_start,
-        }
+        Self::fill(offsets, window_start, workers, obs, |i, _| {
+            let r = &records[i];
+            let rows = r.reports.iter().map(|rep| {
+                let (active, detected) = rep.verdicts.raw();
+                (rep.analysis_date.0, active, detected)
+            });
+            (r.meta, rows)
+        })
     }
 
     /// Builds the table straight from a [`DecodeArena`] of streamed
-    /// report rows — the zero-copy segment-fold path: no
-    /// `Vec<ScanReport>`, no `SampleRecord`, no per-sample `Vec` and no
-    /// row-struct or per-row key copy is ever allocated.
+    /// report rows, one sample per hash, hash-ascending — the arena
+    /// route, which `vtld analyze`, serve and `--recover` fold every
+    /// segment through: no `Vec<ScanReport>`, no `SampleRecord`, no
+    /// per-sample `Vec` and no row-struct or per-row key copy is ever
+    /// allocated.
     ///
-    /// Row order is canonicalized as a `u32` permutation of the arena's
-    /// rows sorted by `(sample hash, analysis date, arrival index)`,
-    /// bucketed by the hash's top bits and sorted per bucket; one
-    /// partitioned gather through it fills the columns. The order
-    /// reproduces the row-struct path exactly:
-    /// [`vt_store::ReportStore::group_by_sample`] groups rows in
-    /// physical arrival order, stable-sorts each group by analysis date
-    /// (so equal dates keep arrival order), and emits groups
-    /// hash-ascending — the same total order. Derived per-record
-    /// metadata follows [`crate::records::records_from_store`]: the
-    /// file type is the first (earliest, arrival-tie-broken) row's, and
-    /// freshness compares the minimum submission date across rows with
-    /// `window_start`. The result is therefore bit-identical to
+    /// `canonical_order`'s `u32` permutation of the arena's rows, sorted
+    /// by `(sample hash, analysis date, arrival index)`, gives the CSR
+    /// offsets; the table's one fill then reads each sample's rows
+    /// through it, and derives its metadata from them by the rule
+    /// [`crate::records::records_from_store`] follows. The order is the
+    /// record route's over that store: [`vt_store::ReportStore::group_by_sample`]
+    /// groups rows in physical arrival order, stable-sorts each group by
+    /// analysis date (so equal dates keep arrival order), and emits
+    /// groups hash-ascending. The result is therefore bit-identical to
     /// `build_with(records_from_store(store), ..)` at every worker
     /// count.
     pub fn build_from_arena(
@@ -383,61 +267,136 @@ impl TrajectoryTable {
         let (order, offsets) = canonical_order(arena);
         let (hashes, analysis, submission) = (arena.hashes(), arena.analysis(), arena.submission());
         let (active, detected, type_idx) = (arena.active(), arena.detected(), arena.type_idx());
-        let records = offsets.len() - 1;
-        let mut cols = Columns::zeroed(records, order.len());
-        let ranges = par::partition_ranges(records as u64, workers);
-        let payloads = cols.split(&ranges, &offsets);
+        Self::fill(offsets, window_start, workers, obs, |_, span| {
+            let rows = &order[span];
+            let meta = sample_meta(
+                hashes[rows[0] as usize],
+                rows.iter().map(|&ri| ri as usize),
+                |&ri| FileType::from_dense_index(type_idx[ri] as usize),
+                |&ri| Timestamp(submission[ri]),
+            );
+            let rows = rows.iter().map(|&ri| {
+                let ri = ri as usize;
+                (analysis[ri], active[ri], detected[ri])
+            });
+            (meta, rows)
+        })
+    }
+
+    /// The table's one column fill, the `table_build` kernel: CSR
+    /// `offsets` and a route's per-sample view go in, the finished table
+    /// comes out. `sample(i, rows)` gives sample `i`'s metadata and an
+    /// iterator over its rows (`rows`, the sample's row range) in table
+    /// order, each as `(analysis minute, active words, detected words)`.
+    ///
+    /// The samples split into one contiguous range per worker
+    /// ([`par::partition_ranges`]), and each worker writes every value
+    /// straight into its final slot through a disjoint `&mut` window of
+    /// the final buffers ([`par::map_ranges_with_obs`]), so no per-worker
+    /// chunk and no concatenation pass exist to pay for, and the table
+    /// is bit-identical at every worker count. The view is a type
+    /// parameter, so each route's loop is compiled on its own.
+    fn fill<I>(
+        offsets: Vec<u64>,
+        window_start: Timestamp,
+        workers: usize,
+        obs: &Obs,
+        sample: impl Fn(usize, std::ops::Range<usize>) -> (SampleMeta, I) + Sync,
+    ) -> Self
+    where
+        I: Iterator<Item = (i64, [u64; 2], [u64; 2])>,
+    {
+        let samples = offsets.len() - 1;
+        let rows = offsets[samples] as usize;
+        let mut table = Self {
+            positives: vec![0; rows],
+            date_min: vec![0; rows],
+            active: vec![[0; 2]; rows],
+            detected: vec![[0; 2]; rows],
+            type_idx: vec![0; samples],
+            p_min: vec![0; samples],
+            p_max: vec![0; samples],
+            flags: vec![0; samples],
+            hashes: vec![SampleHash(0); samples],
+            offsets,
+            window_start,
+        };
+        let ranges = par::partition_ranges(samples as u64, workers);
+        let windows = table.split(&ranges);
         par::map_ranges_with_obs(
             &ranges,
-            payloads,
+            windows,
             obs,
             "table_build",
             |_, range, w: ColumnsMut<'_>| {
-                let row_base = offsets[range.start as usize] as usize;
+                let row_base = w.offsets[0] as usize;
                 for (k, i) in (range.start as usize..range.end as usize).enumerate() {
-                    let span = offsets[i] as usize..offsets[i + 1] as usize;
+                    let span = w.offsets[k] as usize..w.offsets[k + 1] as usize;
+                    let (meta, rows) = sample(i, span.clone());
                     let mut p_min = u32::MAX;
                     let mut p_max = 0u32;
-                    let mut first_submission = i64::MAX;
-                    for (rc, &ri) in span.clone().zip(&order[span.clone()]) {
-                        let ri = ri as usize;
-                        let d = detected[ri];
-                        let p = d[0].count_ones() + d[1].count_ones();
+                    for (rc, (date, active, detected)) in span.clone().zip(rows) {
+                        let p = detected[0].count_ones() + detected[1].count_ones();
                         p_min = p_min.min(p);
                         p_max = p_max.max(p);
-                        first_submission = first_submission.min(submission[ri]);
                         let out = rc - row_base;
                         w.positives[out] = p;
-                        w.date_min[out] = analysis[ri];
-                        w.active[out] = active[ri];
-                        w.detected[out] = d;
+                        w.date_min[out] = date;
+                        w.active[out] = active;
+                        w.detected[out] = detected;
                     }
                     let n = span.len();
-                    debug_assert!(n > 0, "records from rows are nonempty");
-                    let first = order[span.start] as usize;
-                    let file_type = FileType::from_dense_index(type_idx[first] as usize);
-                    let fresh = first_submission >= window_start.0;
-                    w.type_idx[k] = type_idx[first];
+                    if n == 0 {
+                        p_min = 0;
+                        p_max = 0;
+                    }
+                    w.type_idx[k] = meta.file_type.dense_index() as u16;
                     w.p_min[k] = p_min;
                     w.p_max[k] = p_max;
-                    w.flags[k] = pack_flags(n, p_min, p_max, file_type, fresh);
-                    w.hashes[k] = hashes[first];
+                    let fresh = meta.is_fresh(window_start);
+                    w.flags[k] = pack_flags(n, p_min, p_max, meta.file_type, fresh);
+                    w.hashes[k] = meta.hash;
                 }
             },
         );
-        Self {
-            offsets,
-            positives: cols.positives,
-            date_min: cols.date_min,
-            active: cols.active,
-            detected: cols.detected,
-            type_idx: cols.type_idx,
-            p_min: cols.p_min,
-            p_max: cols.p_max,
-            flags: cols.flags,
-            hashes: cols.hashes,
-            window_start,
-        }
+        table
+    }
+
+    /// Carves the zeroed columns into one disjoint [`ColumnsMut`] per
+    /// sample range (ranges contiguous and ascending, as
+    /// [`par::partition_ranges`] produces). Every slot is then
+    /// overwritten by exactly one worker.
+    fn split(&mut self, ranges: &[std::ops::Range<u64>]) -> Vec<ColumnsMut<'_>> {
+        let offsets = self.offsets.as_slice();
+        let mut positives = self.positives.as_mut_slice();
+        let mut date_min = self.date_min.as_mut_slice();
+        let mut active = self.active.as_mut_slice();
+        let mut detected = self.detected.as_mut_slice();
+        let mut type_idx = self.type_idx.as_mut_slice();
+        let mut p_min = self.p_min.as_mut_slice();
+        let mut p_max = self.p_max.as_mut_slice();
+        let mut flags = self.flags.as_mut_slice();
+        let mut hashes = self.hashes.as_mut_slice();
+        ranges
+            .iter()
+            .map(|r| {
+                let offsets = &offsets[r.start as usize..=r.end as usize];
+                let recs = offsets.len() - 1;
+                let rows = (offsets[recs] - offsets[0]) as usize;
+                ColumnsMut {
+                    offsets,
+                    positives: take_front(&mut positives, rows),
+                    date_min: take_front(&mut date_min, rows),
+                    active: take_front(&mut active, rows),
+                    detected: take_front(&mut detected, rows),
+                    type_idx: take_front(&mut type_idx, recs),
+                    p_min: take_front(&mut p_min, recs),
+                    p_max: take_front(&mut p_max, recs),
+                    flags: take_front(&mut flags, recs),
+                    hashes: take_front(&mut hashes, recs),
+                }
+            })
+            .collect()
     }
 
     /// Heap bytes the columns hold: capacity × element size, summed.
@@ -612,13 +571,14 @@ impl TrajectoryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generated::store as generated_store;
     use crate::pipeline::Study;
     use crate::records::records_from_store;
     use proptest::prelude::*;
-    use vt_model::time::{Month, MINUTES_PER_DAY};
-    use vt_model::{ReportKind, ScanReport, Verdict, VerdictVec};
+    use vt_model::time::Month;
+    use vt_model::Verdict;
     use vt_sim::SimConfig;
-    use vt_store::{read_store_into, write_store, ReportStore, StoreBuilder, StoreObs};
+    use vt_store::{read_store_into, write_store, ReportStore, StoreObs};
 
     fn study() -> Study {
         Study::generate_with_workers(SimConfig::new(0x7AB1E, 3_000), 2)
@@ -725,49 +685,6 @@ mod tests {
         let m = obs.snapshot();
         assert_eq!(m.counter("par/table_build/invocations"), Some(1));
         assert!(m.histogram("par/table_build/worker_busy_ns").is_some());
-    }
-
-    /// The analysis date of generated row kind `idx`: two before the
-    /// window (the catch-all partition), the window's first minute and
-    /// the one after it, a mid-window month and the last month.
-    fn generated_date(idx: u64) -> Timestamp {
-        let month = |n: usize| Month::COLLECTION_START.plus(n).start().0;
-        Timestamp(match idx {
-            0 => month(0) - 40 * MINUTES_PER_DAY,
-            1 => month(0) - 1,
-            2 => month(0),
-            3 => month(0) + 1,
-            4 => month(3) + 7,
-            _ => month(13) + 99,
-        })
-    }
-
-    /// A store of `rows` — `(sample, date kind, bits)`, appended in
-    /// that arrival order. `one_bucket` gives every hash the same top
-    /// 16 bits, so the whole arena lands in one sort bucket.
-    fn generated_store(rows: &[(u64, u64, u64)], one_bucket: bool) -> ReportStore {
-        let mut store = StoreBuilder::new();
-        for &(sample, date_idx, bits) in rows {
-            let mut sample = SampleHash::from_ordinal(sample);
-            if one_bucket {
-                sample.0 = (0x5EED << 112) | (sample.0 & ((1 << 112) - 1));
-            }
-            let analysis_date = generated_date(date_idx);
-            let active = [!(bits & 0xF0F), 0x3F];
-            let detected = [bits.rotate_left(17) & active[0], (bits >> 58) & 0x3F];
-            store.append(&ScanReport {
-                sample,
-                file_type: FileType::from_dense_index((bits % 351) as usize),
-                analysis_date,
-                last_submission_date: Timestamp(
-                    analysis_date.0 - ((bits >> 20) % (90 * MINUTES_PER_DAY as u64)) as i64,
-                ),
-                times_submitted: 1 + (bits >> 40) as u32 % 3,
-                kind: ReportKind::Upload,
-                verdicts: VerdictVec::from_raw(active, detected, 70),
-            });
-        }
-        store.seal()
     }
 
     /// `build_from_arena` over the store's row stream and over its

@@ -125,16 +125,17 @@ impl SegmentDir {
 
     /// Pins the directory to the feed its log holds, named by `feed` (one
     /// line, the caller's identity of its stream). A fresh log records
-    /// `feed`; a log being resumed (`resume`) keeps its record, and a
-    /// recorded feed other than `feed` is an
+    /// `feed` as the one line `{feed}\n`; a log being resumed (`resume`)
+    /// keeps its record, and a record other than exactly that line is an
     /// [`io::ErrorKind::InvalidInput`] error naming both that changes
-    /// nothing. A resumed log with no record adopts `feed`. The record is
-    /// written through the manifest's tmp → fsync → rename → fsync-dir
-    /// path.
+    /// nothing (a record that is not UTF-8 is
+    /// [`io::ErrorKind::InvalidData`]). A resumed log with no record
+    /// adopts `feed`. The record is written through the manifest's tmp →
+    /// fsync → rename → fsync-dir path.
     pub fn pin_feed(&self, feed: &str, resume: bool) -> io::Result<()> {
         if resume {
             match fs::read_to_string(self.root.join(FEED)) {
-                Ok(text) if text.trim_end() == feed => return Ok(()),
+                Ok(text) if text.strip_suffix('\n') == Some(feed) => return Ok(()),
                 Ok(text) => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -778,5 +779,118 @@ mod tests {
             "the one segment visited, with its samples"
         );
         fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The manifest a `SegmentDir::open(dir, 8)` accepts.
+        const MANIFEST_8: &[u8] = b"VTSEGDIR1 slots=8\n";
+        /// The feed record `pin_feed(FEED_8, _)` writes and accepts.
+        const FEED_8: &str = "seed=7 samples=8";
+
+        /// A one-line text file `{prefix}{count}\n` with `count` one of 0,
+        /// 8, 9 and `u32::MAX + 1` (by `pick`), then mutated by `how`: as
+        /// is, a leading `+` on the count, a trailing space, no newline,
+        /// a non-UTF-8 byte spliced in at `at`, cut short at `at`, or
+        /// `noise` in its place.
+        fn mutated(prefix: &str, pick: u8, how: u8, at: usize, noise: &[u8]) -> Vec<u8> {
+            let count = [0, 8, 9, u64::from(u32::MAX) + 1][usize::from(pick % 4)];
+            let mut text = match how % 7 {
+                1 => format!("{prefix}+{count}\n"),
+                2 => format!("{prefix}{count} \n"),
+                3 => format!("{prefix}{count}"),
+                _ => format!("{prefix}{count}\n"),
+            }
+            .into_bytes();
+            let at = at % (text.len() + 1);
+            match how % 7 {
+                4 => text.insert(at, [0xFF, 0xC3, 0x80][at % 3]),
+                5 => text.truncate(at),
+                6 => text = noise.to_vec(),
+                _ => {}
+            }
+            text
+        }
+
+        proptest! {
+            /// `open(dir, 8)` accepts exactly `VTSEGDIR1 slots=8\n` and
+            /// refuses every other manifest with `InvalidData`, leaving it
+            /// as it was; a resume's `pin_feed` accepts exactly the
+            /// recorded line and refuses every other record with a typed
+            /// error, leaving it as it was. Neither panics.
+            #[test]
+            fn manifest_and_feed_texts_are_exact_or_a_typed_error(
+                pick in 0u8..4,
+                how in 0u8..7,
+                at in 0usize..64,
+                noise in proptest::collection::vec(any::<u8>(), 0..48),
+                feed_how in 0u8..7,
+            ) {
+                let root = temp_dir("fuzz");
+                fs::create_dir_all(&root).expect("mkdir");
+                let manifest = mutated("VTSEGDIR1 slots=", pick, how, at, &noise);
+                fs::write(root.join(MANIFEST), &manifest).expect("manifest");
+                match SegmentDir::open(&root, 8) {
+                    Ok(dir) => prop_assert_eq!(dir.slots(), 8),
+                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                }
+                prop_assert_eq!(SegmentDir::open(&root, 8).is_ok(), manifest == MANIFEST_8);
+                prop_assert_eq!(fs::read(root.join(MANIFEST)).expect("manifest"), manifest);
+
+                fs::write(root.join(MANIFEST), MANIFEST_8).expect("manifest");
+                let dir = SegmentDir::open(&root, 8).expect("a valid manifest opens");
+                let record = mutated("seed=7 samples=", pick, feed_how, at, &noise);
+                fs::write(root.join(FEED), &record).expect("feed");
+                let pinned = dir.pin_feed(FEED_8, true);
+                prop_assert_eq!(pinned.is_ok(), record == format!("{FEED_8}\n").as_bytes());
+                if let Err(e) = pinned {
+                    let kind = e.kind();
+                    prop_assert!(
+                        matches!(kind, io::ErrorKind::InvalidInput | io::ErrorKind::InvalidData),
+                        "{:?}", kind
+                    );
+                }
+                prop_assert_eq!(fs::read(root.join(FEED)).expect("feed"), record);
+                fs::remove_dir_all(&root).expect("cleanup");
+            }
+
+            /// `parse_segment_file_name` never panics; what it parses,
+            /// `segment_file_name` prints back to the same name; and it
+            /// inverts `segment_file_name` over every three-digit slot and
+            /// ten-digit sequence number.
+            #[test]
+            fn segment_file_names_parse_back_and_nothing_else_does(
+                slot in 0u32..1_000,
+                seq in 0u64..10_000_000_000,
+                edits in proptest::collection::vec((any::<u8>(), 0usize..32), 0..4),
+                noise in proptest::collection::vec(any::<u8>(), 0..40),
+            ) {
+                let name = segment_file_name(slot, seq);
+                prop_assert_eq!(parse_segment_file_name(&name), Some((slot, seq)));
+                // Mutated names: bytes from the name's own alphabet, a
+                // sign and a non-ASCII char spliced in or overwritten.
+                let alphabet = "seg-0123456789.vtsg+ é";
+                let mut chars: Vec<char> = name.chars().collect();
+                for &(c, at) in &edits {
+                    let c = alphabet.chars().nth(usize::from(c) % alphabet.chars().count());
+                    let c = c.expect("in range");
+                    let at = at % (chars.len() + 1);
+                    if at < chars.len() && c.is_ascii_digit() {
+                        chars[at] = c;
+                    } else {
+                        chars.insert(at, c);
+                    }
+                }
+                let mutated: String = chars.into_iter().collect();
+                let noise = String::from_utf8_lossy(&noise).into_owned();
+                for candidate in [mutated, noise] {
+                    if let Some((slot, seq)) = parse_segment_file_name(&candidate) {
+                        prop_assert_eq!(segment_file_name(slot, seq), candidate);
+                    }
+                }
+            }
+        }
     }
 }

@@ -34,6 +34,9 @@ pub(super) struct ServeCounters {
     /// High-water mark of sealed segments queued between the feeder and
     /// the shard workers (`serve/queue_depth`).
     pub(super) queue_depth: Gauge,
+    /// High-water mark of slot updates between the shard workers' sends
+    /// and the merger's take (`serve/merge_queue_depth`).
+    pub(super) merge_queue_depth: Gauge,
     /// Drift alerts fired by the detectors (`serve/alerts_fired`).
     pub(super) alerts_fired: Counter,
     /// [`crate::dynamics::MonitorEvent::Stabilized`] events observed
@@ -71,6 +74,7 @@ impl ServeCounters {
             recovered_segments: obs.counter("serve/recovered_segments"),
             quarantined_segments: obs.counter("serve/quarantined_segments"),
             queue_depth: obs.gauge("serve/queue_depth"),
+            merge_queue_depth: obs.gauge("serve/merge_queue_depth"),
             alerts_fired: obs.counter("serve/alerts_fired"),
             alerts_stabilized: obs.counter("serve/alerts_stabilized"),
             alerts_destabilized: obs.counter("serve/alerts_destabilized"),

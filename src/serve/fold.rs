@@ -79,6 +79,9 @@ pub(super) struct FoldCtx {
     pub(super) roster: Arc<Vec<String>>,
     /// Sealed segments handed to a shard queue and not yet taken off it.
     queued: AtomicU64,
+    /// Slot updates a shard worker is sending or has sent to the merger
+    /// and the merger has not yet taken off its channel.
+    updates: AtomicU64,
 }
 
 impl FoldCtx {
@@ -92,6 +95,7 @@ impl FoldCtx {
             roster: Arc::new(roster),
             ingest,
             queued: AtomicU64::new(0),
+            updates: AtomicU64::new(0),
         }
     }
 
@@ -108,6 +112,23 @@ impl FoldCtx {
     pub(super) fn dequeued(&self) {
         let was = self.queued.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(was > 0, "a dequeue without its enqueue");
+    }
+
+    /// A slot update is about to be sent to the merger: count it, and
+    /// raise the `serve/merge_queue_depth` high-water mark. With the
+    /// merge channel's bound, at most [`super::MERGE_QUEUE_UPDATES`]
+    /// updates wait in it, each shard worker blocks on one more, and the
+    /// merger holds one it has taken and not yet counted down.
+    pub(super) fn update_sent(&self) {
+        let depth = self.updates.fetch_add(1, Ordering::SeqCst) + 1;
+        self.ingest.counters.merge_queue_depth.set_max(depth);
+    }
+
+    /// A slot update left the merge channel: the merger took it (and
+    /// counts it down right after), or its send failed.
+    pub(super) fn update_taken(&self) {
+        let was = self.updates.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(was > 0, "a take without its send");
     }
 }
 
@@ -209,7 +230,10 @@ pub(super) fn shard_worker(
         if recovered {
             c.recovered_segments.incr();
         }
-        let _ = merge_tx.send(Box::new(update));
+        ctx.update_sent();
+        if merge_tx.send(Box::new(update)).is_err() {
+            ctx.update_taken();
+        }
     }
 }
 
@@ -217,7 +241,7 @@ pub(super) fn shard_worker(
 mod tests {
     use super::*;
     use crate::dynamics::merge_partition_stats;
-    use crate::serve::tests::sealed_segments;
+    use crate::serve::tests::{crash_config, fingerprint_of, sealed_segments};
     use crate::sim::SimConfig;
     use crate::store::{read_segment, write_segment};
 
@@ -347,5 +371,58 @@ mod tests {
             format!("{served:?}"),
             format!("{:?}", direct.results(partitions, Obs::noop()))
         );
+    }
+
+    /// The `serve/merge_queue_depth` high-water mark, through the
+    /// threaded daemon at shards 2: a live run into a data dir, then its
+    /// `--recover` (whose replayed folds outrun the merger), each keep
+    /// the slot updates between the shard workers' sends and the
+    /// merger's count-downs within the merge channel's bound, plus one
+    /// blocked send per worker, plus the one the merger has taken and
+    /// not yet counted down; the recovery replays every seal and gives
+    /// the live run's fingerprint.
+    #[test]
+    fn slot_updates_in_flight_stay_within_the_merge_queues_bound() {
+        let root = std::env::temp_dir().join(format!("vtld-merge-depth-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let shards = 2;
+        let bound = (super::super::MERGE_QUEUE_UPDATES + shards + 1) as u64;
+        let run = |recover: bool| {
+            let mut config = crash_config(&root);
+            config.shards = shards;
+            config.recover = recover;
+            let server = super::super::Server::start(config).expect("starts");
+            let snapshot = loop {
+                let snapshot = server.daemon.seam.current();
+                if snapshot.ingest_done {
+                    break snapshot;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            };
+            let ingest = &server.daemon.fold.ingest;
+            let c = &ingest.counters;
+            let depth = c.merge_queue_depth.value();
+            assert_eq!(
+                ingest.obs.snapshot().gauge("serve/merge_queue_depth"),
+                Some(depth)
+            );
+            (
+                fingerprint_of(&snapshot),
+                depth,
+                c.segments.value(),
+                c.recovered_segments.value(),
+            )
+        };
+        let (live, live_depth, seals, _) = run(false);
+        assert!(
+            (1..=bound).contains(&live_depth),
+            "live: {live_depth} in flight"
+        );
+        let (recovered, depth, _, replayed) = run(true);
+        assert!((1..=bound).contains(&depth), "--recover: {depth} in flight");
+        assert!(seals >= 20, "{seals} seals");
+        assert_eq!(replayed, seals, "every seal replayed");
+        assert_eq!(recovered, live, "the recovery is the live run");
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 }

@@ -330,10 +330,14 @@ pub(super) fn merger_loop(
     let mut epoch = 0u64;
     let mut updates = Vec::new();
     while let Ok(first) = rx.recv() {
+        ctx.fold.update_taken();
         updates.push(first);
         let closed = loop {
             match rx.try_recv() {
-                Ok(update) => updates.push(update),
+                Ok(update) => {
+                    ctx.fold.update_taken();
+                    updates.push(update);
+                }
                 Err(TryRecvError::Empty) => break false,
                 Err(TryRecvError::Disconnected) => break true,
             }
@@ -562,6 +566,7 @@ mod tests {
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 let keys: Vec<_> = update.alerts.iter().map(Alert::key).collect();
+                ctx.fold.update_sent();
                 tx.send(Box::new(update)).expect("rx");
                 let seen = ctx.seam.wait_past(epoch).expect("no shutdown").epoch;
                 assert_eq!(seen, epoch + 1, "one publish per update");
@@ -623,6 +628,7 @@ mod tests {
                 scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
+                ctx.fold.update_sent();
                 tx.send(Box::new(update)).expect("rx");
                 let snap = ctx.seam.wait_past(epoch).expect("no shutdown");
                 epoch = snap.epoch;
@@ -686,6 +692,7 @@ mod tests {
             let mut updates = interleaved_updates(ctx).into_iter();
             let mut publish = |epoch: u64| {
                 let update = updates.next().expect("an update per publish");
+                ctx.fold.update_sent();
                 tx.send(Box::new(update)).expect("rx");
                 ctx.seam.wait_past(epoch).expect("no shutdown")
             };
@@ -796,6 +803,7 @@ mod tests {
             let want = stamped(&updates, 1);
             let (tx, rx) = channel();
             for update in updates {
+                ctx.fold.update_sent();
                 tx.send(Box::new(update)).expect("rx");
             }
             drop(tx);
@@ -907,6 +915,7 @@ mod tests {
             let (ctx, rx, fleet) = (&ctx, rx, [tx.clone(), tx]);
             let merger =
                 scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+            ctx.fold.update_sent();
             fleet[1].send(alerts_only(ctx, 3, 0, 1)).expect("rx");
             ctx.seam.wait_past(0).expect("no shutdown");
             // Both workers are gone, one without ever sending.
@@ -934,6 +943,7 @@ mod tests {
         let (tx, rx) = channel();
         let fleet = vec![tx; 4];
         for (n, update) in updates.into_iter().enumerate() {
+            ctx.fold.update_sent();
             fleet[n % fleet.len()].send(Box::new(update)).expect("rx");
         }
         drop(fleet);
@@ -980,6 +990,7 @@ mod tests {
                 let update = alerts_only(ctx, slot, seq, count * 1_024);
                 log.extend(update.alerts.iter().map(|a| (a.key(), epoch)));
                 log.sort_unstable();
+                ctx.fold.update_sent();
                 tx.send(update).expect("rx");
                 let snap = ctx.seam.wait_past(epoch - 1).expect("no shutdown");
                 assert_eq!(snap.epoch, epoch);
@@ -1038,6 +1049,7 @@ mod tests {
                     .map(|alert| wire::render_alert(alert, &ctx.fold.roster))
                     .collect::<Vec<_>>();
                 let recovered = update.recovered;
+                ctx.fold.update_sent();
                 tx.send(update).expect("rx");
                 ctx.seam.wait_past(n as u64).expect("no shutdown");
                 let got: Vec<_> = (sink_rx.try_iter())

@@ -548,6 +548,7 @@ pub(super) fn interleaved_updates(ctx: &PublishCtx) -> Vec<SlotUpdate> {
 pub(super) fn published_in_one_burst(ctx: &PublishCtx) -> Arc<Snapshot> {
     let (tx, rx) = channel();
     for update in interleaved_updates(ctx) {
+        ctx.fold.update_sent();
         tx.send(Box::new(update)).expect("rx");
     }
     drop(tx);
@@ -783,7 +784,7 @@ fn tmp_files(root: &Path) -> Vec<OsString> {
 /// The enumeration's feed: two ingest chunks (so a stop can land
 /// between them), sealed into a few dozen segments across the slots,
 /// with detectors sensitive enough that most seals fire alerts.
-fn crash_config(root: &Path) -> ServeConfig {
+pub(super) fn crash_config(root: &Path) -> ServeConfig {
     let mut config = ServeConfig::new(1_300, 0xC4A5);
     config.segment_reports = 60;
     config.workers = 1;
@@ -798,7 +799,7 @@ fn crash_config(root: &Path) -> ServeConfig {
     config
 }
 
-fn fingerprint_of(snapshot: &Snapshot) -> (u64, u64) {
+pub(super) fn fingerprint_of(snapshot: &Snapshot) -> (u64, u64) {
     study_fingerprint(snapshot.results())
 }
 

@@ -8,7 +8,7 @@
 //! analyses only read what the paper's pipeline could read from scan
 //! reports (hash, file type, times, verdict vectors), never the
 //! simulator's ground truth. What a sample *is*, given only its reports,
-//! is [`sample_meta`]'s one rule, which the arena route follows too.
+//! is `sample_meta`'s one rule, which the arena route follows too.
 
 use vt_model::time::{Duration, Timestamp};
 use vt_model::{FileType, SampleHash, SampleMeta, ScanReport};
@@ -84,7 +84,7 @@ impl SampleRecord {
 /// Reconstructs analysis records from a sealed report store — the
 /// paper's situation exactly: *only* the scan reports are available, so
 /// each sample's metadata is derived from its reports by
-/// [`sample_meta`]'s rule, the one the arena route
+/// `sample_meta`'s rule, the one the arena route
 /// ([`crate::table::TrajectoryTable::build_from_arena`]) follows too.
 pub fn records_from_store(store: &vt_store::ReportStore) -> Vec<SampleRecord> {
     store

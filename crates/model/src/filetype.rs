@@ -108,6 +108,7 @@ impl FileType {
 
     /// A dense index: top-20 → 0..20, NULL → 20, Other(k) → 21+k.
     /// Useful for array-indexed per-type accumulators.
+    #[inline]
     pub fn dense_index(self) -> usize {
         match self {
             FileType::Win32Exe => 0,
@@ -139,6 +140,7 @@ impl FileType {
     ///
     /// # Panics
     /// Panics if `idx >= TOTAL_TYPE_COUNT`.
+    #[inline]
     pub fn from_dense_index(idx: usize) -> Self {
         match idx {
             0..=19 => Self::TOP20[idx],

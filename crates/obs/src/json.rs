@@ -37,12 +37,12 @@ impl Value {
         }
     }
 
-    /// The value as a non-negative integer, if it is one exactly.
+    /// The value as a non-negative integer, if it is one exactly: below
+    /// 2^53, where no other integer literal rounds onto it (`2^53 + 1`
+    /// reads as 2^53, so 2^53 itself is refused).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -401,6 +401,11 @@ mod tests {
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        let exact = parse("9007199254740991").unwrap();
+        assert_eq!(exact.as_u64(), Some((1 << 53) - 1));
+        for inexact in ["9007199254740992", "9007199254740993", "-1", "0.5"] {
+            assert_eq!(parse(inexact).unwrap().as_u64(), None, "{inexact}");
+        }
         assert_eq!(parse("-1.5e2").unwrap().as_f64(), Some(-150.0));
         assert_eq!(parse("\"hi\\n\\u00e9\"").unwrap().as_str(), Some("hi\né"));
     }

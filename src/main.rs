@@ -66,7 +66,7 @@ use vt_label_dynamics::dynamics::{par, pipeline, DecodeArena, IncrementalStudy};
 use vt_label_dynamics::engines::EngineFleet;
 use vt_label_dynamics::obs::Obs;
 use vt_label_dynamics::report::experiments::render_full_report;
-use vt_label_dynamics::serve::{ServeConfig, Server, INGEST_SLOTS};
+use vt_label_dynamics::serve::{ServeConfig, Server};
 use vt_label_dynamics::sim::{SimConfig, SimConfigError, VirusTotalSim};
 use vt_label_dynamics::store::{
     read_store_into, write_durable, write_store, PersistError, StoreBuilder, StoreObs,
@@ -432,7 +432,9 @@ flags:
   --alerts-tcp ADDR     stream drift alerts to a TCP endpoint
                         (retried with backoff until shutdown; a
                         failed batch is resent whole, replays
-                        are skipped)
+                        are skipped; batches past a 32-batch
+                        queue are dropped and counted in
+                        serve/alerts_dropped)
   --no-alerts           disable the streaming drift detectors
 
 protocol: one JSON object per line over TCP; commands are
@@ -478,20 +480,22 @@ fn parse_serve(args: &[String]) -> Result<ServeConfig, VtldError> {
     let seed = parse_u64(&flags, "seed", 0x7e57_5eed)?;
     // The daemon's own defaults and slot bound, not a second copy.
     let defaults = ServeConfig::new(samples, seed);
+    // `normalized` is where the bounds are clamped, for the flags as for
+    // any other caller.
     Ok(ServeConfig {
-        segment_reports: parse_u64(&flags, "segment-reports", defaults.segment_reports)?.max(1),
+        segment_reports: parse_u64(&flags, "segment-reports", defaults.segment_reports)?,
         workers: parse_workers(&flags)?,
-        shards: parse_u64(&flags, "shards", defaults.shards as u64)?.clamp(1, INGEST_SLOTS as u64)
-            as usize,
+        shards: parse_u64(&flags, "shards", defaults.shards as u64)? as usize,
         addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7311").to_string(),
         data_dir,
         recover,
-        max_clients: parse_u64(&flags, "max-clients", defaults.max_clients as u64)?.max(1) as usize,
+        max_clients: parse_u64(&flags, "max-clients", defaults.max_clients as u64)? as usize,
         alerts: !has_switch(&flags, "no-alerts"),
         alerts_out: flag(&flags, "alerts-out").map(PathBuf::from),
         alerts_tcp: flag(&flags, "alerts-tcp").map(str::to_string),
         ..defaults
-    })
+    }
+    .normalized())
 }
 
 // ---- subcommand bodies -------------------------------------------------
@@ -613,6 +617,7 @@ fn cmd_serve(config: ServeConfig) -> Result<(), VtldError> {
 mod tests {
     use super::*;
     use vt_label_dynamics::dynamics::Study;
+    use vt_label_dynamics::serve::INGEST_SLOTS;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -676,6 +681,113 @@ mod tests {
                 err.to_string(),
                 format!("--{key} expects an integer, got '{bad}'")
             );
+        }
+    }
+
+    /// Boundary spellings of an integer flag whose own bound is `max`,
+    /// each with the integer it must read as (`None`: a usage error): 0,
+    /// 1, `max`, `max + 1`, `u64::MAX`, past it and `n`, each in decimal
+    /// and in hex, and the signed `+1`, `-1`, `-0`, `0x+1` and `0x-1`.
+    fn flag_boundaries(max: u64, n: u64) -> Vec<(String, Option<u64>)> {
+        let past = u128::from(u64::MAX) + 1;
+        let values = [
+            0,
+            1,
+            max.into(),
+            u128::from(max) + 1,
+            u64::MAX.into(),
+            past,
+            n.into(),
+        ];
+        let mut spellings = Vec::new();
+        for v in values {
+            let read = u64::try_from(v).ok();
+            spellings.extend([(v.to_string(), read), (format!("{v:#x}"), read)]);
+        }
+        let signed = ["+1", "-1", "-0", "0x+1", "0x-1"];
+        spellings.extend(signed.map(|v| (v.to_string(), None)));
+        spellings
+    }
+
+    /// One integer flag of one subcommand: its name, the parse that reads
+    /// it back, its own bound, and its documented clamp.
+    type NumericFlag = (
+        &'static str,
+        fn(&[String]) -> Result<u64, VtldError>,
+        u64,
+        fn(u64) -> u64,
+    );
+
+    /// Every integer flag of simulate, analyze, study and serve. The
+    /// parses add `--out` / `--store` where a subcommand requires it.
+    fn numeric_flags() -> [NumericFlag; 13] {
+        fn simulate(a: &[String]) -> Result<SimulateArgs, VtldError> {
+            SimulateArgs::parse(&[a, &strings(&["--out", "f"])].concat())
+        }
+        fn analyze(a: &[String]) -> Result<AnalyzeArgs, VtldError> {
+            AnalyzeArgs::parse(&[a, &strings(&["--store", "f"])].concat())
+        }
+        let exact = |v| v;
+        let at_least_one = |v: u64| v.max(1);
+        let workers = |v: u64| v.clamp(1, par::MAX_WORKERS as u64);
+        let shards = |v: u64| v.clamp(1, INGEST_SLOTS as u64);
+        let (any, w, k) = (u64::MAX, par::MAX_WORKERS as u64, INGEST_SLOTS as u64);
+        [
+            ("samples", |a| Ok(simulate(a)?.samples), any, exact),
+            ("seed", |a| Ok(simulate(a)?.seed), any, exact),
+            ("workers", |a| Ok(analyze(a)?.workers as u64), w, workers),
+            ("fleet-seed", |a| Ok(analyze(a)?.fleet_seed), any, exact),
+            ("samples", |a| Ok(StudyArgs::parse(a)?.samples), any, exact),
+            ("seed", |a| Ok(StudyArgs::parse(a)?.seed), any, exact),
+            (
+                "workers",
+                |a| Ok(StudyArgs::parse(a)?.workers as u64),
+                w,
+                workers,
+            ),
+            ("samples", |a| Ok(parse_serve(a)?.samples), any, exact),
+            ("seed", |a| Ok(parse_serve(a)?.seed), any, exact),
+            (
+                "segment-reports",
+                |a| Ok(parse_serve(a)?.segment_reports),
+                any,
+                at_least_one,
+            ),
+            (
+                "workers",
+                |a| Ok(parse_serve(a)?.workers as u64),
+                w,
+                workers,
+            ),
+            ("shards", |a| Ok(parse_serve(a)?.shards as u64), k, shards),
+            (
+                "max-clients",
+                |a| Ok(parse_serve(a)?.max_clients as u64),
+                any,
+                at_least_one,
+            ),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(32))]
+        /// Every integer flag at its boundaries and at an arbitrary value
+        /// reads as its exact value, its documented clamp or its typed
+        /// usage error, never a panic.
+        #[test]
+        fn numeric_flags_read_exactly_clamp_or_fail_typed(n in proptest::arbitrary::any::<u64>()) {
+            for (flag, read, max, clamp) in numeric_flags() {
+                for (value, want) in flag_boundaries(max, n) {
+                    let got = read(&strings(&[&format!("--{flag}"), &value]));
+                    let bad = format!("--{flag} expects an integer, got '{value}'");
+                    let (got, want) = (got.map_err(|e| e.to_string()), want.map(clamp).ok_or(bad));
+                    proptest::prop_assert_eq!(got, want, "--{} {}", flag, value);
+                }
+            }
+            // `--samples 0` reads as 0; building the study's config is
+            // what refuses it, with its typed error.
+            let zero = SimConfig::builder().seed(n).samples(0).build().map(|_| ());
+            proptest::prop_assert_eq!(zero.map_err(|e| e.to_string()), Err("samples must be at least 1".to_string()));
         }
     }
 

@@ -41,7 +41,7 @@
 //!   results once: before the swap if readers asked the last snapshot
 //!   for results, else by the first request that needs them. When the
 //!   channel closes, the last worker gone, it publishes the final
-//!   snapshot. The merger is also the connector sinks' one producer.
+//!   snapshot. Alerts leave the daemon through the merger's sink callback.
 //! * `render` — snapshot → bytes, on request. Per-hash answers are
 //!   rendered per request; each aggregate document, and the
 //!   `flip_leaders` ranking, once per snapshot by the first request
@@ -62,8 +62,9 @@
 //! No step spawns a thread. [`Server::start`] runs each on its own, the
 //! feeder's callback sending into bounded shard queues and the workers
 //! into a bounded merge queue (a full one blocks its sender:
-//! backpressure, never loss); `serve::tests` runs them one after another
-//! on one thread.
+//! backpressure, never loss), and the merger's sink callback into the
+//! TCP connector's (a full one drops the batch, counted); `serve::tests`
+//! runs them one after another on one thread.
 //!
 //! Because every stage's Partial algebra satisfies
 //! `merge(fold(x), fold(y)) == fold(x ++ y)` bit-identically, a daemon
@@ -102,7 +103,7 @@ mod wire;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::{channel, sync_channel};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -216,8 +217,8 @@ impl ServeConfig {
         }
     }
 
-    /// Clamps the tunables into their valid ranges.
-    fn normalized(mut self) -> Self {
+    /// Clamps the tunables into their valid ranges, the one place that does.
+    pub fn normalized(mut self) -> Self {
         self.segment_reports = self.segment_reports.max(1);
         self.workers = self.workers.clamp(1, par::MAX_WORKERS);
         self.shards = self.shards.clamp(1, INGEST_SLOTS);
@@ -251,8 +252,8 @@ impl Server {
     /// Opens the data dir and pins it to this feed (on `recover`,
     /// refusing a dir another feed wrote), opens the `--alerts-out`
     /// file, binds the listener, publishes the epoch-0 (empty study)
-    /// snapshot, and starts the feeder, shard, merger and accept
-    /// threads.
+    /// snapshot, and starts the feeder, shard, merger and accept threads
+    /// (and, with `--alerts-tcp`, the TCP connector's).
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
         let segdir = match &config.data_dir {
@@ -283,11 +284,11 @@ impl Server {
         // Opened before any thread starts, so a sink the daemon cannot
         // open fails the start where the caller sees it; before the bind,
         // so the listener is not taken for a start that fails.
-        let sinks = if config.alerts {
+        let (mut sinks, tcp) = if config.alerts {
             let (out, tcp) = (config.alerts_out.as_deref(), config.alerts_tcp.as_deref());
             sink::Sinks::open(out, tcp, config.recover)?
         } else {
-            sink::Sinks::default()
+            Default::default()
         };
 
         let listener = TcpListener::bind(&config.addr).map_err(|e| {
@@ -311,25 +312,18 @@ impl Server {
 
         let mut threads = Vec::new();
 
-        // Connector sinks get their own thread, fed by the merger over an
-        // unbounded channel (bounded by the per-segment detector caps) so
-        // a slow or dead connector never backpressures a publish; it exits
-        // after the final publish, when the merger drops the one sender.
-        // Once a shutdown is requested the TCP connector stops retrying.
-        let alert_sink = if sinks.is_active() {
-            let (tx, rx) = channel::<sink::SinkMsg>();
-            let emitted = counters.alerts_emitted.clone();
-            let dropped = counters.alerts_dropped.clone();
-            let seam = Arc::clone(&daemon.seam);
+        // The TCP connector is the one sink thread, behind the bounded
+        // queue the merger's `sinks` feeds without waiting; it exits after
+        // the final publish, when the merger drops `sinks`, and stops
+        // retrying once a shutdown is requested.
+        if let Some(tcp) = tcp {
+            let (seam, c) = (Arc::clone(&daemon.seam), counters.clone());
             threads.push(std::thread::spawn(move || {
                 let stop = || seam.shutdown_requested();
-                sink::sink_loop(rx, sinks, stop, emitted, dropped);
+                sink::tcp_loop(tcp, stop, &c.alerts_emitted, &c.alerts_dropped);
                 Ok(())
             }));
-            Some(tx)
-        } else {
-            None
-        };
+        }
 
         // Each worker's sender drops when its thread ends, returned or
         // panicked; the merger's channel closes with the last.
@@ -346,9 +340,12 @@ impl Server {
         }
         drop(merge_tx);
 
+        // The merger writes the alerts file itself, before each publish.
         let d = Arc::clone(&daemon);
         threads.push(std::thread::spawn(move || {
-            publish::merger_loop(&d, merger, &merge_rx, alert_sink.as_ref());
+            let c = &d.fold.ingest.counters;
+            let deliver = |msg| sinks.deliver(msg, &c.alerts_emitted, &c.alerts_dropped);
+            publish::merger_loop(&d, merger, &merge_rx, deliver);
             Ok(())
         }));
         threads.push(std::thread::spawn(move || {

@@ -18,10 +18,10 @@
 //! snapshot shares every chunk the next publish leaves alone. A slot's
 //! updates arrive in its seal order, so its chunks are the same in any
 //! interleaving. The alerts an update carries arrive exactly
-//! once and are rendered here, once: handed to the sink thread (whose
-//! one producer the merger is) in arrival order, then stamped with the
-//! publish epoch and kept on a key-sorted ring capped at [`ALERTS_RING`]
-//! — the only alert log there is.
+//! once and are rendered here, once: handed to the `sink` callback in
+//! arrival order before the publish that carries them, then stamped
+//! with the publish epoch and kept on a key-sorted ring capped at
+//! [`ALERTS_RING`] — the only alert log there is.
 //!
 //! ## The publish seam
 //!
@@ -46,7 +46,7 @@
 //! that asks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use super::fold::{FoldCtx, SlotUpdate};
@@ -316,7 +316,7 @@ impl MergerState {
 /// The merger thread: from `state` on, on every fold's update (draining
 /// a burst into one publish), add the updates' deltas to the sums and
 /// publish them as the next epoch — finished once readers ask for
-/// results, a copy until then — and hand `sink`, if any, their alerts.
+/// results, a copy until then — and hand `sink` their alerts first.
 /// Once the channel closes — every sealed segment folded, or the fleet
 /// gone — publish the final snapshot, with the closing burst's updates
 /// and no publish before it, marking `ingest_done` when the feed was
@@ -325,7 +325,7 @@ pub(super) fn merger_loop(
     ctx: &PublishCtx,
     mut state: MergerState,
     rx: &Receiver<Box<SlotUpdate>>,
-    sink: Option<&Sender<SinkMsg>>,
+    mut sink: impl FnMut(SinkMsg),
 ) {
     let mut epoch = 0u64;
     let mut updates = Vec::new();
@@ -346,10 +346,10 @@ pub(super) fn merger_loop(
             break;
         }
         epoch += 1;
-        publish_merged(ctx, &mut state, epoch, updates.drain(..), false, sink);
+        publish_merged(ctx, &mut state, epoch, updates.drain(..), false, &mut sink);
     }
-    let done = ctx.fold.ingest.done();
-    publish_merged(ctx, &mut state, epoch + 1, updates.drain(..), done, sink);
+    let (epoch, done) = (epoch + 1, ctx.fold.ingest.done());
+    publish_merged(ctx, &mut state, epoch, updates.drain(..), done, &mut sink);
 }
 
 /// Publishes one epoch: add `updates` (in arrival order) to the sums —
@@ -363,7 +363,7 @@ fn publish_merged(
     epoch: u64,
     updates: impl Iterator<Item = Box<SlotUpdate>>,
     done: bool,
-    sink: Option<&Sender<SinkMsg>>,
+    sink: &mut impl FnMut(SinkMsg),
 ) {
     let (fold, ingest) = (&ctx.fold, &ctx.fold.ingest);
     // Every update's alerts are new: stamp them with this publish's
@@ -388,8 +388,8 @@ fn publish_merged(
             rendered: wire::render_alert(alert, &fold.roster),
         }));
         // The sinks get every line, the ones the ring cuts included.
-        if let (Some(sink), false) = (sink, alerts.is_empty()) {
-            let _ = sink.send(SinkMsg {
+        if !alerts.is_empty() {
+            sink(SinkMsg {
                 slot,
                 lines: fresh[batch..].iter().map(|a| a.rendered.clone()).collect(),
                 recovered,
@@ -562,7 +562,7 @@ mod tests {
             // waiting on it forever.
             let (ctx, rx, tx) = (&ctx, rx, tx);
             let merger =
-                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {}));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 let keys: Vec<_> = update.alerts.iter().map(Alert::key).collect();
@@ -625,7 +625,7 @@ mod tests {
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
             let merger =
-                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {}));
             let mut epoch = 0;
             for update in interleaved_updates(ctx) {
                 ctx.fold.update_sent();
@@ -688,7 +688,7 @@ mod tests {
         std::thread::scope(|scope| {
             let (ctx, rx, tx) = (&ctx, rx, tx);
             let merger =
-                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {}));
             let mut updates = interleaved_updates(ctx).into_iter();
             let mut publish = |epoch: u64| {
                 let update = updates.next().expect("an update per publish");
@@ -807,7 +807,7 @@ mod tests {
                 tx.send(Box::new(update)).expect("rx");
             }
             drop(tx);
-            merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, None);
+            merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, |_| {});
             let snap = ctx.seam.current();
             assert_eq!(snap.epoch, 1, "one burst, one publish");
             let (study, stamps) = published(&snap);
@@ -834,7 +834,7 @@ mod tests {
             for (epoch, batch) in (1..).zip(batches) {
                 want.extend(stamped(&batch, epoch));
                 let updates = batch.into_iter().map(Box::new);
-                publish_merged(&ctx, &mut state, epoch, updates, false, None);
+                publish_merged(&ctx, &mut state, epoch, updates, false, &mut |_| {});
             }
             let snap = ctx.seam.current();
             assert_eq!(snap.epoch, u64::from(cuts.count_ones()) + 1);
@@ -914,7 +914,7 @@ mod tests {
             // and the merger returns, as in the trickle test.
             let (ctx, rx, fleet) = (&ctx, rx, [tx.clone(), tx]);
             let merger =
-                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {}));
             ctx.fold.update_sent();
             fleet[1].send(alerts_only(ctx, 3, 0, 1)).expect("rx");
             ctx.seam.wait_past(0).expect("no shutdown");
@@ -947,7 +947,7 @@ mod tests {
             fleet[n % fleet.len()].send(Box::new(update)).expect("rx");
         }
         drop(fleet);
-        merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, None);
+        merger_loop(&ctx, MergerState::new(&ctx.fold), &rx, |_| {});
         let last = ctx.seam.current();
         assert_eq!(last.epoch, 1, "the final publish, and no other");
         assert!(!last.ingest_done);
@@ -984,7 +984,7 @@ mod tests {
             // merger returns, as in the trickle test.
             let (ctx, rx, tx) = (&ctx, rx, tx);
             let merger =
-                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None));
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {}));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
                 let epoch = n as u64 + 1;
                 let update = alerts_only(ctx, slot, seq, count * 1_024);
@@ -1034,14 +1034,15 @@ mod tests {
         ];
         let (tx, rx) = channel();
         let (sink_tx, sink_rx) = channel::<SinkMsg>();
+        let sink = move |msg| sink_tx.send(msg).expect("the receiver outlives the merger");
         let mut delivered = 0;
         std::thread::scope(|scope| {
             // `tx` moves in so that a failed assertion drops it and the
-            // merger returns, as in the trickle test; `sink_tx` so that
-            // the sink hangs up when the merger does.
+            // merger returns, as in the trickle test; `sink` so that the
+            // sink hangs up when the merger does.
             let (ctx, rx, tx) = (&ctx, rx, tx);
-            let merger = scope
-                .spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, Some(&sink_tx)));
+            let merger =
+                scope.spawn(move || merger_loop(ctx, MergerState::new(&ctx.fold), &rx, sink));
             for (n, (slot, seq, count)) in batches.into_iter().enumerate() {
                 let mut update = alerts_only(ctx, slot, seq, count * 1_024);
                 update.recovered = n % 2 == 1;

@@ -3,55 +3,51 @@
 //! The merger hands every fold's freshly fired alert batch (the bodies
 //! it rendered for the ring with [`super::wire::render_alert`], one JSON
 //! object per alert, flagged as replayed or live, with the slot that
-//! fired it) to one sink thread over an mpsc channel; the thread fans
-//! each batch out to the configured connectors:
+//! fired it) to [`Sinks::deliver`], on its own thread and before the
+//! publish that carries those alerts, which fans it out:
 //!
 //! * **JSONL file** (`--alerts-out PATH`): one rendered alert per line,
-//!   appended and flushed per batch, to a regular file of one feed (a
-//!   start without `--recover` refuses a non-empty one). Delivery is
-//!   **exactly-once across crash-recovery** by one count per slot: every
-//!   data dir is a prefix of the clean run's seals, alerts are a pure
-//!   function of the WAL, and a slot's updates reach the sink in its
-//!   seal order, so each slot's lines in the file are a prefix of what
-//!   its replay fires again; `--recover` counts them and skips that
-//!   many. A last line a kill tore is cut off, and the replay appends
-//!   that alert whole. A failed write ends file delivery for the run
-//!   (that batch and every later one count as dropped): a batch past a
-//!   gap would break its slot's prefix, and a partial line left is what
-//!   the next `--recover` cuts.
-//! * **Webhook-shaped TCP** (`--alerts-tcp ADDR`): rendered alerts
-//!   written line-by-line to a TCP endpoint, connected lazily and
-//!   retried with exponential backoff. Recovery-replayed batches are
-//!   skipped entirely (the remote saw them before the crash, or never
-//!   will). A live batch whose write fails is resent **whole** on a
-//!   fresh connection, so the lines that got through before the failure
-//!   can arrive twice: delivery is neither at-most- nor exactly-once,
-//!   and a consumer that needs exactly-once dedups on the alert key,
-//!   which is stable across resends and replays. A batch that exhausts
-//!   its retries is dropped and counted rather than wedging ingest. It
-//!   retries until shutdown: once the daemon is asked to stop, every
-//!   batch not yet delivered is counted as dropped without a connect or
-//!   a sleep, so a dead endpoint cannot hold up the exit.
-//!
-//! The channel is unbounded but its producer is bounded: detectors cap
-//! alerts per segment, so the sink can never grow past the WAL's
-//! segment count times a small constant. The thread exits when the
-//! merger, its one producer, returns after the final publish, and the
-//! daemon joins it on shutdown — a flushed file is part of the drain
-//! contract.
+//!   appended and flushed per batch, so a line is in the file before its
+//!   alert is published, to a regular file of one feed (a start without
+//!   `--recover` refuses a non-empty one). Delivery is **exactly-once
+//!   across crash-recovery** by one count per slot: every data dir is a
+//!   prefix of the clean run's seals, alerts are a pure function of the
+//!   WAL, and a slot's updates reach the sink in its seal order, so each
+//!   slot's lines in the file are a prefix of what its replay fires
+//!   again; `--recover` counts them and skips that many. A last line a
+//!   kill tore is cut off, and the replay appends that alert whole. A
+//!   failed write ends file delivery for the run (that batch and every
+//!   later one count as dropped): a batch past a gap would break its
+//!   slot's prefix, and a partial line left is what the next `--recover`
+//!   cuts.
+//! * **Webhook-shaped TCP** (`--alerts-tcp ADDR`): the one sink thread,
+//!   [`tcp_loop`], writes each live batch line-by-line to a TCP
+//!   endpoint, connected lazily and retried with exponential backoff.
+//!   `deliver` queues a batch for it without waiting; one that finds the
+//!   [`TCP_QUEUE_BATCHES`] queue full is dropped and counted, so a slow
+//!   or dead endpoint costs counted drops, never the merger's time or
+//!   memory. Recovery-replayed batches are skipped entirely (the remote
+//!   saw them before the crash, or never will). A batch whose write
+//!   fails is resent **whole** on a fresh connection, so the lines that
+//!   got through before the failure can arrive twice: a consumer that
+//!   needs exactly-once dedups on the alert key, stable across resends
+//!   and replays. A batch that exhausts its retries is dropped and
+//!   counted. Once the daemon is asked to stop, every batch not yet
+//!   delivered is counted as dropped without a connect or a sleep, so a
+//!   dead endpoint cannot hold up the exit; the thread exits when the
+//!   merger, returning after the final publish, drops the queue's sender.
 
 use std::io::ErrorKind::{InvalidData, InvalidInput};
 use std::io::{BufRead, BufReader, BufWriter, Error, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Duration;
 
 use super::INGEST_SLOTS;
 use crate::obs::Counter;
 
-/// One fold's rendered alerts, travelling from the merger to the sink
-/// thread.
+/// One fold's rendered alerts, travelling from the merger to the sinks.
 pub(super) struct SinkMsg {
     /// The slot whose fold fired the batch.
     pub slot: usize,
@@ -63,28 +59,65 @@ pub(super) struct SinkMsg {
     pub recovered: bool,
 }
 
-/// The connectors the sink thread delivers to, opened before it starts.
+/// Live batches the TCP connector's queue holds; [`Sinks::deliver`]
+/// drops a batch past them. At the default detector caps a batch holds
+/// at most 33 lines (16 crossovers, 16 sample events, one regression).
+const TCP_QUEUE_BATCHES: usize = 32;
+
+/// The merger's side of the connectors: the file, and the TCP queue.
 #[derive(Default)]
 pub(super) struct Sinks {
     file: Option<FileSink>,
-    tcp: Option<TcpSink>,
+    /// A file write failed: file delivery has ended for the run.
+    failed: bool,
+    tcp: Option<SyncSender<Vec<String>>>,
 }
 
 impl Sinks {
     /// Opens the configured connectors: the JSONL file here, resumed if
     /// `resume`, so a path the daemon cannot open fails the start before
-    /// any alert is fired; the TCP endpoint lazily, on its first batch.
-    pub fn open(out: Option<&Path>, tcp: Option<&str>, resume: bool) -> std::io::Result<Sinks> {
-        Ok(Sinks {
-            file: out.map(|path| FileSink::open(path, resume)).transpose()?,
-            tcp: tcp.map(|addr| TcpSink::new(addr.to_string())),
-        })
+    /// any alert is fired; for the TCP endpoint, the queue and the
+    /// connector [`tcp_loop`] runs, which connects on its first batch.
+    pub fn open(
+        out: Option<&Path>,
+        tcp: Option<&str>,
+        resume: bool,
+    ) -> std::io::Result<(Sinks, Option<TcpSink>)> {
+        let file = out.map(|path| FileSink::open(path, resume)).transpose()?;
+        let (tcp, connector) = tcp.map(TcpSink::queued).unzip();
+        let failed = false;
+        Ok((Sinks { file, failed, tcp }, connector))
     }
 
-    /// Whether any connector is configured (no thread is spawned
-    /// otherwise).
-    pub fn is_active(&self) -> bool {
-        self.file.is_some() || self.tcp.is_some()
+    /// Delivers one batch on the caller's thread: appends it to the file,
+    /// flushed, and queues a live batch for the TCP connector without
+    /// waiting. Counts `serve/alerts_emitted` / `serve/alerts_dropped`
+    /// for what it settles here; [`tcp_loop`] counts the queued rest.
+    pub fn deliver(&mut self, msg: SinkMsg, emitted: &Counter, dropped: &Counter) {
+        let offered = msg.lines.len() as u64;
+        if let Some(sink) = self.file.as_mut() {
+            match sink.deliver(msg.slot, &msg.lines) {
+                Ok((wrote, skipped)) => {
+                    emitted.add(wrote);
+                    dropped.add(skipped);
+                }
+                Err(e) => {
+                    eprintln!("vtld serve: alerts sink write failed, file delivery ends: {e}");
+                    (self.file, self.failed) = (None, true);
+                }
+            }
+        }
+        if self.failed {
+            dropped.add(offered);
+        }
+        // At-most-once: replayed alerts were either delivered before the
+        // crash or are gone; never send them twice. A live batch the
+        // queue cannot take now is shed, not held.
+        if let Some(queue) = &self.tcp {
+            if msg.recovered || queue.try_send(msg.lines).is_err() {
+                dropped.add(offered);
+            }
+        }
     }
 }
 
@@ -164,27 +197,28 @@ const TCP_BACKOFF: Duration = Duration::from_millis(50);
 /// Backoff ceiling.
 const TCP_BACKOFF_CAP: Duration = Duration::from_millis(800);
 
-/// The TCP connector: lazy connect, per-batch retry with exponential
-/// backoff, a failed batch resent whole.
-struct TcpSink {
+/// The TCP connector: its queue of live batches, lazy connect,
+/// per-batch retry with exponential backoff, a failed batch resent
+/// whole.
+pub(super) struct TcpSink {
     addr: String,
     conn: Option<TcpStream>,
+    queue: Receiver<Vec<String>>,
 }
 
 impl TcpSink {
-    fn new(addr: String) -> TcpSink {
-        TcpSink { addr, conn: None }
+    /// A connector for `addr`, and the sender of its queue.
+    fn queued(addr: &str) -> (SyncSender<Vec<String>>, TcpSink) {
+        let (tx, queue) = sync_channel(TCP_QUEUE_BATCHES);
+        let (addr, conn) = (addr.to_string(), None);
+        (tx, TcpSink { addr, conn, queue })
     }
 
     /// Writes the whole batch over one connection, reconnecting (with
     /// backoff) on failure, until `stop()` turns true. Returns the lines
     /// actually written.
     fn deliver(&mut self, lines: &[String], stop: &impl Fn() -> bool) -> u64 {
-        let mut payload = String::new();
-        for line in lines {
-            payload.push_str(line);
-            payload.push('\n');
-        }
+        let payload = lines.join("\n") + "\n";
         let mut backoff = TCP_BACKOFF;
         for attempt in 0..TCP_ATTEMPTS {
             if stop() {
@@ -201,64 +235,32 @@ impl TcpSink {
                     Err(_) => continue,
                 },
             };
-            match conn
-                .write_all(payload.as_bytes())
-                .and_then(|()| conn.flush())
-            {
-                Ok(()) => return lines.len() as u64,
-                Err(_) => {
-                    // A dead connection is retried on a fresh one; the
-                    // whole batch is resent (the consumer dedups by
-                    // alert key if it must).
-                    self.conn = None;
-                }
+            if conn.write_all(payload.as_bytes()).is_ok() && conn.flush().is_ok() {
+                return lines.len() as u64;
             }
+            // A dead connection is retried on a fresh one; the whole
+            // batch is resent (the consumer dedups by alert key if it
+            // must).
+            self.conn = None;
         }
         0
     }
 }
 
-/// The sink thread body: drains batches until the merger hangs up,
-/// delivering to whichever connectors are configured and counting
-/// `serve/alerts_emitted` / `serve/alerts_dropped`. `stop()` (a
-/// shutdown was requested) ends the TCP connector's retries; the file
-/// connector delivers every batch either way.
-pub(super) fn sink_loop(
-    rx: Receiver<SinkMsg>,
-    sinks: Sinks,
+/// The sink thread body: delivers each queued batch until the merger's
+/// [`Sinks`] is dropped, counting `serve/alerts_emitted` /
+/// `serve/alerts_dropped`. `stop()` (a shutdown was requested) ends the
+/// retries, so every batch still queued is counted as dropped at once.
+pub(super) fn tcp_loop(
+    mut sink: TcpSink,
     stop: impl Fn() -> bool,
-    emitted: Counter,
-    dropped: Counter,
+    emitted: &Counter,
+    dropped: &Counter,
 ) {
-    let Sinks { mut file, mut tcp } = sinks;
-    let mut file_failed = false;
-    while let Ok(msg) = rx.recv() {
-        if let Some(sink) = file.as_mut() {
-            match sink.deliver(msg.slot, &msg.lines) {
-                Ok((wrote, skipped)) => {
-                    emitted.add(wrote);
-                    dropped.add(skipped);
-                }
-                Err(e) => {
-                    eprintln!("vtld serve: alerts sink write failed, file delivery ends: {e}");
-                    (file, file_failed) = (None, true);
-                }
-            }
-        }
-        if file_failed {
-            dropped.add(msg.lines.len() as u64);
-        }
-        if let Some(sink) = tcp.as_mut() {
-            if msg.recovered {
-                // At-most-once: replayed alerts were either delivered
-                // before the crash or are gone; never send them twice.
-                dropped.add(msg.lines.len() as u64);
-            } else {
-                let wrote = sink.deliver(&msg.lines, &stop);
-                emitted.add(wrote);
-                dropped.add(msg.lines.len() as u64 - wrote);
-            }
-        }
+    while let Ok(lines) = sink.queue.recv() {
+        let wrote = sink.deliver(&lines, &stop);
+        emitted.add(wrote);
+        dropped.add(lines.len() as u64 - wrote);
     }
 }
 
@@ -268,7 +270,6 @@ mod tests {
     use proptest::prelude::*;
     use std::io::ErrorKind;
     use std::path::PathBuf;
-    use std::sync::mpsc::channel;
 
     fn counters() -> (Counter, Counter, crate::obs::Obs) {
         let obs = crate::obs::Obs::new();
@@ -296,20 +297,26 @@ mod tests {
         format!("{{\"slot\":{slot},\"seq\":{n},\"detector\":\"rate_crossover\",\"ordinal\":0}}")
     }
 
-    /// Runs `sink_loop` over `batches` of `(slot, lines, recovered)` into
-    /// `sinks`.
-    fn run(sinks: Sinks, batches: Vec<(usize, Vec<String>, bool)>, counters: (&Counter, &Counter)) {
-        let (tx, rx) = channel();
+    /// Hands `batches` of `(slot, lines, recovered)` to `sinks`' `deliver`,
+    /// then, its queue's sender dropped, runs its TCP connector, if any,
+    /// to the queue's end.
+    fn run(
+        (mut sinks, tcp): (Sinks, Option<TcpSink>),
+        batches: Vec<(usize, Vec<String>, bool)>,
+        (emitted, dropped): (&Counter, &Counter),
+    ) {
         for (slot, lines, recovered) in batches {
             let msg = SinkMsg {
                 slot,
                 lines,
                 recovered,
             };
-            tx.send(msg).expect("send");
+            sinks.deliver(msg, emitted, dropped);
         }
-        drop(tx);
-        sink_loop(rx, sinks, || false, counters.0.clone(), counters.1.clone());
+        drop(sinks);
+        if let Some(tcp) = tcp {
+            tcp_loop(tcp, || false, emitted, dropped);
+        }
     }
 
     #[test]
@@ -406,12 +413,16 @@ mod tests {
             writer,
             held: [0; INGEST_SLOTS],
         });
+        let sinks = Sinks {
+            file,
+            ..Sinks::default()
+        };
         let (emitted, dropped, _obs) = counters();
         let batches = vec![
             (0, vec![alert(0, 0), alert(0, 1)], false),
             (1, vec![alert(1, 0)], false),
         ];
-        run(Sinks { file, tcp: None }, batches, (&emitted, &dropped));
+        run((sinks, None), batches, (&emitted, &dropped));
         assert_eq!((emitted.value(), dropped.value()), (0, 3));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -507,22 +518,16 @@ mod tests {
         });
 
         let (emitted, dropped, _obs) = counters();
-        let (tx, rx) = channel();
-        tx.send(SinkMsg {
-            slot: 0,
-            lines: vec!["{\"replayed\":true}".to_string()],
-            recovered: true,
-        })
-        .expect("send");
-        tx.send(SinkMsg {
-            slot: 1,
-            lines: vec!["{\"live\":1}".to_string(), "{\"live\":2}".to_string()],
-            recovered: false,
-        })
-        .expect("send");
-        drop(tx);
+        let batches = vec![
+            (0, vec!["{\"replayed\":true}".to_string()], true),
+            (
+                1,
+                vec!["{\"live\":1}".to_string(), "{\"live\":2}".to_string()],
+                false,
+            ),
+        ];
         let sinks = Sinks::open(None, Some(&addr), false).expect("open");
-        sink_loop(rx, sinks, || false, emitted.clone(), dropped.clone());
+        run(sinks, batches, (&emitted, &dropped));
         assert_eq!(emitted.value(), 2);
         assert_eq!(dropped.value(), 1, "the replayed batch is skipped");
         let got = reader.join().expect("reader thread");
@@ -538,17 +543,54 @@ mod tests {
         drop(listener);
 
         let (emitted, dropped, _obs) = counters();
-        let (tx, rx) = channel();
-        tx.send(SinkMsg {
-            slot: 0,
-            lines: vec!["{\"x\":1}".to_string()],
-            recovered: false,
-        })
-        .expect("send");
-        drop(tx);
+        let batches = vec![(0, vec!["{\"x\":1}".to_string()], false)];
         let sinks = Sinks::open(None, Some(&addr), false).expect("open");
-        sink_loop(rx, sinks, || false, emitted.clone(), dropped.clone());
+        run(sinks, batches, (&emitted, &dropped));
         assert_eq!(emitted.value(), 0);
         assert_eq!(dropped.value(), 1, "undeliverable batches drop, not wedge");
+    }
+
+    /// The TCP connector's queue is the one place a live batch waits: a
+    /// `Sinks` whose connector never drains it takes the bound's batches
+    /// and drops exactly the overflow's lines, and once the connector is
+    /// gone every live batch's; every line offered is emitted, dropped or
+    /// still queued.
+    #[test]
+    fn a_full_tcp_queue_drops_and_counts_exactly_the_overflow() {
+        // Never connected: no connector runs.
+        let (mut sinks, tcp) = Sinks::open(None, Some("127.0.0.1:9"), false).expect("open");
+        let tcp = tcp.expect("a connector");
+        let (emitted, dropped, _obs) = counters();
+        let overflow = 5;
+        let (mut offered, mut shed) = (0, 0);
+        for n in 0..TCP_QUEUE_BATCHES + overflow {
+            let lines: Vec<_> = (0..1 + n % 3).map(|i| alert(n % INGEST_SLOTS, i)).collect();
+            offered += lines.len() as u64;
+            if n >= TCP_QUEUE_BATCHES {
+                shed += lines.len() as u64;
+            }
+            let msg = SinkMsg {
+                slot: n % INGEST_SLOTS,
+                lines,
+                recovered: false,
+            };
+            sinks.deliver(msg, &emitted, &dropped);
+        }
+        assert!(shed > 0);
+        assert_eq!((emitted.value(), dropped.value()), (0, shed));
+        let queued: Vec<Vec<String>> = tcp.queue.try_iter().collect();
+        assert_eq!(queued.len(), TCP_QUEUE_BATCHES);
+        let queued = queued.iter().map(|batch| batch.len() as u64).sum::<u64>();
+        assert_eq!(emitted.value() + dropped.value() + queued, offered);
+
+        // The connector gone, a live batch is dropped, not held.
+        drop(tcp);
+        let msg = SinkMsg {
+            slot: 0,
+            lines: vec![alert(0, 0), alert(0, 1)],
+            recovered: false,
+        };
+        sinks.deliver(msg, &emitted, &dropped);
+        assert_eq!(dropped.value(), shed + 2);
     }
 }

@@ -18,7 +18,7 @@ use super::render::{
     render_recommend, render_results, render_sample, render_stabilized, render_status,
     study_fingerprint,
 };
-use super::sink::{sink_loop, SinkMsg, Sinks};
+use super::sink::{SinkMsg, Sinks};
 use super::wire::{quoted, render_alert};
 use super::{ServeConfig, INGEST_SLOTS};
 use crate::dynamics::{
@@ -315,6 +315,40 @@ fn a_shutdown_ends_the_tcp_sinks_retries() {
     assert_eq!(emitted + dropped, counters.alerts_fired.value());
 }
 
+/// The file connector runs on the merger's thread, before the publish:
+/// once an epoch is current on the seam, every alert it carries is
+/// already a line of the `--alerts-out` file.
+#[test]
+fn a_published_alert_is_already_in_the_alerts_file() {
+    let dir = std::env::temp_dir().join(format!("vtld-alerts-first-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("a scratch dir");
+    let path = dir.join("alerts.jsonl");
+    let mut config = ServeConfig::new(1_300, 0xC4A5);
+    config.segment_reports = 60;
+    config.alert_config = crash_config(Path::new("")).alert_config;
+    config.alerts_out = Some(path.clone());
+    let server = super::Server::start(config).expect("starts");
+    let seam = &server.daemon.seam;
+    let (mut snap, mut epochs) = (seam.current(), 0);
+    loop {
+        let text = std::fs::read_to_string(&path).expect("the alerts file");
+        let lines: BTreeSet<&str> = text.lines().collect();
+        for alert in snap.alerts.iter() {
+            let line = alert.rendered.as_str();
+            assert!(lines.contains(line), "epoch {}: {line}", snap.epoch);
+        }
+        epochs += usize::from(!snap.alerts.is_empty());
+        if snap.ingest_done {
+            break;
+        }
+        snap = seam.wait_past(snap.epoch).expect("no shutdown");
+    }
+    assert!(epochs > 1, "alerts arrive over several publishes");
+    drop(server);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// Any plan is served: the collector holds reports as long as the
 /// plan's own lateness bound, so a plan far later than the default one
 /// starts, and its duplicates and late entries fold to the clean feed's
@@ -552,7 +586,7 @@ pub(super) fn published_in_one_burst(ctx: &PublishCtx) -> Arc<Snapshot> {
         tx.send(Box::new(update)).expect("rx");
     }
     drop(tx);
-    merger_loop(ctx, MergerState::new(&ctx.fold), &rx, None);
+    merger_loop(ctx, MergerState::new(&ctx.fold), &rx, |_| {});
     ctx.seam.current()
 }
 
@@ -675,7 +709,7 @@ struct Sequenced {
 /// [`super::Server::start`]'s threads run them side by side:
 /// `ingest::run` emitting into an unbounded queue, one
 /// `fold::shard_worker` draining it, `publish::merger_loop` draining
-/// that, and the merger's sink batches collected for [`deliver`].
+/// that, its sink callback collecting the batches for [`deliver`].
 /// `stop()` turns true at its `stop_at`-th poll (0-based).
 fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
     let segdir = (config.data_dir.as_ref())
@@ -715,9 +749,9 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
         .into_iter()
         .for_each(|update| merge_tx.send(update).expect("rx"));
     drop(merge_tx);
-    let (sink_tx, sink_rx) = channel();
-    merger_loop(&ctx, MergerState::new(&ctx.fold), &merge_rx, Some(&sink_tx));
-    drop(sink_tx);
+    let mut sink_batches = Vec::new();
+    let sink = |msg| sink_batches.push(msg);
+    merger_loop(&ctx, MergerState::new(&ctx.fold), &merge_rx, sink);
     Sequenced {
         healthy,
         done: ctx.fold.ingest.done(),
@@ -725,37 +759,29 @@ fn in_sequence(config: ServeConfig, stop_at: Option<usize>) -> Sequenced {
         polls: polls.into_inner(),
         snapshot: ctx.seam.current(),
         fold_lines,
-        sink_batches: sink_rx.try_iter().collect(),
+        sink_batches,
         queue_depth: ctx.fold.ingest.counters.queue_depth.value(),
         accepted: ctx.fold.ingest.counters.accepted.value(),
     }
 }
 
-/// Runs `sink_loop` over `batches` into an `--alerts-out` file at
+/// Hands `batches` to `Sinks::deliver` over an `--alerts-out` file at
 /// `path` that already holds `delivered`, and returns the file's lines.
 fn deliver(batches: &[SinkMsg], path: &Path, delivered: &[String]) -> Vec<String> {
     let text: String = delivered.iter().map(|line| format!("{line}\n")).collect();
     std::fs::write(path, text).expect("the pre-crash sink file");
-    let (tx, rx) = channel();
+    let (mut sinks, _) = Sinks::open(Some(path), None, true).expect("open the sink");
+    let obs = Obs::new();
+    let (emitted, dropped) = (obs.counter("emitted"), obs.counter("dropped"));
     for batch in batches {
         let (slot, lines, recovered) = (batch.slot, batch.lines.clone(), batch.recovered);
-        tx.send(SinkMsg {
+        let msg = SinkMsg {
             slot,
             lines,
             recovered,
-        })
-        .expect("rx");
+        };
+        sinks.deliver(msg, &emitted, &dropped);
     }
-    drop(tx);
-    let sinks = Sinks::open(Some(path), None, true).expect("open the sink");
-    let obs = Obs::new();
-    sink_loop(
-        rx,
-        sinks,
-        || false,
-        obs.counter("emitted"),
-        obs.counter("dropped"),
-    );
     let text = std::fs::read_to_string(path).expect("the sink file");
     text.lines().map(str::to_owned).collect()
 }

@@ -581,6 +581,65 @@ mod tests {
         }
     }
 
+    /// Boundary spellings of a numeric member whose own bound is `max`,
+    /// each with the integer it must read as (`None`: not one the reader
+    /// holds exactly, see [`crate::obs::json::Value::as_u64`]): 0, 1,
+    /// `max`, `max + 1`, the reader's last exact integer and the two past
+    /// it, `u64::MAX` and past it, `-1`, `-0` and `n`. (`+1` is not JSON.)
+    fn wire_boundaries(max: u64, n: u64) -> Vec<(String, Option<u64>)> {
+        let exact = |v: u128| u64::try_from(v).ok().filter(|&v| v < 1 << 53);
+        let ceiling = 1u128 << 53;
+        let values = [0, 1, max.into(), u128::from(max) + 1, ceiling - 1, ceiling];
+        let values = values.into_iter().chain([ceiling + 1, u64::MAX.into()]);
+        let values = values.chain([u128::from(u64::MAX) + 1, n.into()]);
+        let mut spellings: Vec<_> = values.map(|v| (v.to_string(), exact(v))).collect();
+        spellings.extend([("-1".to_string(), None), ("-0".to_string(), Some(0))]);
+        spellings
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Every numeric wire member (`since`, `k`, `threshold`) at its
+        /// boundaries and at an arbitrary value reads as its exact value,
+        /// its documented clamp or its typed error, never a panic.
+        #[test]
+        fn numeric_members_read_exactly_clamp_or_fail_typed(n in any::<u64>()) {
+            let since = |v: &str| format!("{{\"cmd\":\"alerts\",\"since\":{v}}}");
+            let k = |v: &str| format!("{{\"cmd\":\"flip_leaders\",\"k\":{v}}}");
+            let threshold = |v: &str| {
+                format!("{{\"cmd\":\"stabilized\",\"hash\":\"a\",\"threshold\":{v}}}")
+            };
+            // An epoch has no bound of its own.
+            for (v, read) in wire_boundaries(u64::MAX, n) {
+                let want = read.map(|since| Request::Alerts { since });
+                prop_assert_eq!(parse(&since(&v)), want.ok_or(WireError::BadSince), "{}", v);
+            }
+            for (v, read) in wire_boundaries(MAX_FLIP_LEADERS, n) {
+                let clamped = read.map(|k| k.min(MAX_FLIP_LEADERS) as usize);
+                let want = clamped.map(|k| Request::FlipLeaders { k });
+                prop_assert_eq!(parse(&k(&v)), want.ok_or(WireError::BadK), "{}", v);
+            }
+            let top = FIG9_THRESHOLDS[FIG9_THRESHOLDS.len() - 1];
+            let spellings = wire_boundaries(top.into(), n);
+            for (v, read) in spellings.into_iter().chain(wire_boundaries(u32::MAX.into(), n)) {
+                let fig9 = read.and_then(|t| u32::try_from(t).ok());
+                let want = match (read, fig9.filter(|t| FIG9_THRESHOLDS.contains(t))) {
+                    (_, Some(threshold)) => Ok(Request::Stabilized {
+                        hash: SampleHash(0xa),
+                        threshold,
+                    }),
+                    (Some(t), None) => Err(WireError::BadThreshold(t)),
+                    (None, None) => Err(WireError::MissingThreshold),
+                };
+                prop_assert_eq!(parse(&threshold(&v)), want, "{}", v);
+            }
+            for frame in [since("+1"), k("+1"), threshold("+1")] {
+                let got = parse(&frame);
+                prop_assert!(matches!(got, Err(WireError::BadJson(_))), "{}: {:?}", frame, got);
+            }
+        }
+    }
+
     #[test]
     fn acks_render_under_the_epoch() {
         assert_eq!(shutdown_ack(3), "{\"epoch\":3,\"shutting_down\":true}");
